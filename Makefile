@@ -1,4 +1,4 @@
-.PHONY: all build test lint selfcheck check bench bench-smoke alloc-smoke trace-smoke pcap-smoke graph-smoke scale-smoke flight-smoke fleet-smoke bench-guard clean
+.PHONY: all build test lint selfcheck check bench bench-smoke alloc-smoke observe-smoke graph-smoke scale-smoke bench-guard clean
 
 all: build
 
@@ -21,12 +21,9 @@ check:
 	dune build @check
 	$(MAKE) bench-smoke
 	$(MAKE) alloc-smoke
-	$(MAKE) trace-smoke
-	$(MAKE) pcap-smoke
+	$(MAKE) observe-smoke
 	$(MAKE) graph-smoke
 	$(MAKE) scale-smoke
-	$(MAKE) flight-smoke
-	$(MAKE) fleet-smoke
 	$(MAKE) bench-guard
 
 bench:
@@ -63,29 +60,29 @@ alloc-smoke:
 	done
 	@echo "alloc-smoke: OK (all flavors steady-poll allocation-free)"
 
-# Demitrace end to end: one traced echo per libOS. `demi trace` itself
-# checks the observer-effect-free contract (identical digests and RTTs
-# with spans on vs off), validates the Chrome JSON structurally, and
-# checks the per-component breakdown sums to the RTT — it exits 1 on
-# any violation.
-trace-smoke:
+# Every recorder end to end, per libOS. `demi trace`, and `demi pcap`,
+# `demi flight` and `demi fleet` with --check, run their scenario
+# through Harness.Observe.check — recorders off, then on, from one seed;
+# trace digests, event counts and every latency must be identical — and
+# then validate their artifact: the Chrome JSON and the exact
+# per-component breakdown, the capture through the bundled libpcap
+# reader, the flight ring, and the causal DAGs with exact critical
+# paths and fleet profile. `demi slo` must catch a loss-injected
+# outlier whose breakdown sums exactly to its latency, and `demi
+# table5 --tail` must give exact band sums. Every command exits 1 on
+# any violation; artifacts land under out/.
+observe-smoke:
 	mkdir -p out
-	dune exec bin/demi.exe -- trace --flavor catnap --chrome out/DEMITRACE.json
-	dune exec bin/demi.exe -- trace --flavor catnip --chrome out/DEMITRACE.json
-	dune exec bin/demi.exe -- trace --flavor catmint --chrome out/DEMITRACE.json
-	@echo "trace-smoke: OK"
-
-# Demiscope end to end: one captured echo per libOS. `demi pcap --check`
-# runs the scenario capture-off then capture-on from one seed and fails
-# unless trace digests and RTT distributions are byte-identical (the
-# observer-effect-free contract), then validates the capture with the
-# bundled pure-OCaml libpcap reader. Captures land under out/ and are
-# openable in Wireshark/tshark.
-pcap-smoke:
-	dune exec bin/demi.exe -- pcap --flavor catnap --check --out out/catnap.pcap
-	dune exec bin/demi.exe -- pcap --flavor catnip --check --out out/catnip.pcap
-	dune exec bin/demi.exe -- pcap --flavor catmint --check --out out/catmint.pcap
-	@echo "pcap-smoke: OK"
+	for f in catnap catnip catmint; do \
+	  dune exec bin/demi.exe -- trace --flavor $$f --out out/trace-$$f.json && \
+	  dune exec bin/demi.exe -- pcap --flavor $$f --check --out out/$$f.pcap && \
+	  dune exec bin/demi.exe -- flight --flavor $$f --check --dump 0 && \
+	  dune exec bin/demi.exe -- fleet --flavor $$f --check --profile || exit 1; \
+	done
+	dune exec bin/demi.exe -- fleet --flavor catnip --app relay --check
+	dune exec bin/demi.exe -- slo --flavor catnip --expect-breach --out out/slo-catnip.json
+	dune exec bin/demi.exe -- table5 --tail --tail-count 96
+	@echo "observe-smoke: OK"
 
 # Demideep end to end: dlint over the tree with the call-graph export
 # and pass timings on. Fails unless the DOT file is a well-formed
@@ -124,38 +121,6 @@ scale-smoke:
 	@grep -q '"to_srv_ns"' out/BENCH_pr10_smoke.json \
 	  || { echo "scale-smoke: per-hop attribution missing from bands" >&2; exit 1; }
 	@echo "scale-smoke: OK"
-
-# Demiflight end to end: (1) `demi flight --check` per libOS — the ring
-# armed on one echo must leave the trace digest and RTT distribution
-# byte-identical to the recorder-off control run; (2) `demi slo` with
-# seeded loss injection — the watchdog must capture an outlier whose
-# breakdown sums exactly to its latency, and the dumped Chrome-trace
-# fragment must pass the structural validator; (3) `demi table5 --tail`
-# — every quantile band's component sums must be exact. All three
-# commands exit 1 on any violation.
-flight-smoke:
-	mkdir -p out
-	dune exec bin/demi.exe -- flight --flavor catnap --check --dump 0
-	dune exec bin/demi.exe -- flight --flavor catnip --check --dump 0
-	dune exec bin/demi.exe -- flight --flavor catmint --check --dump 0
-	dune exec bin/demi.exe -- slo --flavor catnip --expect-breach --out out/slo-catnip.json
-	dune exec bin/demi.exe -- table5 --tail --tail-count 96
-	@echo "flight-smoke: OK"
-
-# Demifleet end to end: `demi fleet --check` per libOS runs the quorum
-# txnstore scenario recorders-on, stitches the causal DAGs (every
-# critical path must sum exactly to its request's end-to-end latency,
-# every profile row total must sum to the end-to-end total), validates
-# the per-request Chrome export, then reruns recorders-off and fails
-# unless trace digests and latencies are byte-identical — causal
-# tracing must be observer-effect-free on every flavor.
-fleet-smoke:
-	mkdir -p out
-	dune exec bin/demi.exe -- fleet --flavor catnap --check --profile
-	dune exec bin/demi.exe -- fleet --flavor catnip --check --profile
-	dune exec bin/demi.exe -- fleet --flavor catmint --check --profile
-	dune exec bin/demi.exe -- fleet --flavor catnip --app relay --check
-	@echo "fleet-smoke: OK"
 
 # The benchmark-artifact guard: every committed BENCH_pr*.json must
 # parse, match its family schema (incl. exact attribution sums and

@@ -123,15 +123,15 @@ let micro_tests () =
     Test.make ~name:"heap: alloc+free 64B"
       (Staged.stage (fun () -> Memory.Heap.free (Memory.Heap.alloc heap 64)))
   in
-  let histogram =
-    let h = Metrics.Histogram.create () in
+  let hdr =
+    let h = Metrics.Hdr.create () in
     let i = ref 0 in
-    Test.make ~name:"histogram: add sample"
+    Test.make ~name:"hdr: add sample"
       (Staged.stage (fun () ->
            incr i;
-           Metrics.Histogram.add h (!i land 0xfffff)))
+           Metrics.Hdr.add h (!i land 0xfffff)))
   in
-  [ sched_switch; waker; checksum; tcp_rx; heap_ops; histogram ]
+  [ sched_switch; waker; checksum; tcp_rx; heap_ops; hdr ]
 
 let run_micro () =
   let open Bechamel in
@@ -185,21 +185,21 @@ let run_ablation () =
         Demikernel.Boot.make w.Harness.Common.sim w.Harness.Common.fabric ~index:2
           ~tcp_config:config Demikernel.Boot.Catnip_os
       in
-      let rtts = Metrics.Histogram.create () in
+      let rtts = Metrics.Hdr.create () in
       Demikernel.Boot.run_app server (Apps.Echo.server ~port:7);
       Demikernel.Boot.run_app client
         (Apps.Echo.client
            ~dst:(Demikernel.Boot.endpoint server 7)
            ~msg_size:64 ~count:500
-           ~record:(Metrics.Histogram.add rtts));
+           ~record:(Metrics.Hdr.add rtts));
       Demikernel.Boot.start server;
       Demikernel.Boot.start client;
       Harness.Common.run_world w;
       Metrics.Table.add_row cc_table
         [
           name;
-          Metrics.Table.cell_ns (int_of_float (Metrics.Histogram.mean rtts));
-          Metrics.Table.cell_ns (Metrics.Histogram.p99 rtts);
+          Metrics.Table.cell_ns (int_of_float (Metrics.Hdr.mean rtts));
+          Metrics.Table.cell_ns (Metrics.Hdr.p99 rtts);
         ])
     [ ("cubic", Tcp.Cc.Cubic); ("newreno", Tcp.Cc.Newreno); ("none", Tcp.Cc.None_cc) ];
   Metrics.Table.print cc_table;
@@ -211,37 +211,24 @@ let run_ablation () =
   in
   List.iter
     (fun loss ->
-      let w = Harness.Common.make_world ~loss () in
-      let server =
-        Demikernel.Boot.make w.Harness.Common.sim w.Harness.Common.fabric ~index:1
-          Demikernel.Boot.Catnip_os
+      let r =
+        Harness.Observe.run Harness.Observe.off
+          { (Harness.Observe.echo Demikernel.Boot.Catnip_os) with count = 500; loss }
       in
-      let client =
-        Demikernel.Boot.make w.Harness.Common.sim w.Harness.Common.fabric ~index:2
-          Demikernel.Boot.Catnip_os
-      in
-      let rtts = Metrics.Histogram.create () in
-      Demikernel.Boot.run_app server (Apps.Echo.server ~port:7);
-      Demikernel.Boot.run_app client
-        (Apps.Echo.client
-           ~dst:(Demikernel.Boot.endpoint server 7)
-           ~msg_size:64 ~count:500
-           ~record:(Metrics.Histogram.add rtts));
-      Demikernel.Boot.start server;
-      Demikernel.Boot.start client;
-      Harness.Common.run_world w;
+      let rtts = Metrics.Hdr.of_list r.latencies in
       let retx =
-        match (server.Demikernel.Boot.catnip, client.Demikernel.Boot.catnip) with
-        | Some s, Some c ->
-            Tcp.Stack.total_retransmits (Demikernel.Catnip.stack s)
-            + Tcp.Stack.total_retransmits (Demikernel.Catnip.stack c)
-        | _, _ -> 0
+        List.fold_left
+          (fun n (node : Demikernel.Boot.node) ->
+            match node.catnip with
+            | Some c -> n + Tcp.Stack.total_retransmits (Demikernel.Catnip.stack c)
+            | None -> n)
+          0 r.nodes
       in
       Metrics.Table.add_row loss_table
         [
           Printf.sprintf "%.1f%%" (loss *. 100.);
-          Metrics.Table.cell_ns (int_of_float (Metrics.Histogram.mean rtts));
-          Metrics.Table.cell_ns (Metrics.Histogram.p99 rtts);
+          Metrics.Table.cell_ns (int_of_float (Metrics.Hdr.mean rtts));
+          Metrics.Table.cell_ns (Metrics.Hdr.p99 rtts);
           string_of_int retx;
         ])
     [ 0.0; 0.001; 0.01 ];
@@ -301,7 +288,7 @@ let run_ablation () =
         [
           string_of_int window;
           Metrics.Table.cell_f ~decimals:0 (r.Baselines.Kb_lib.achieved_per_sec /. 1e3);
-          Metrics.Table.cell_ns (Metrics.Histogram.p99 r.Baselines.Kb_lib.latencies);
+          Metrics.Table.cell_ns (Metrics.Hdr.p99 r.Baselines.Kb_lib.latencies);
         ])
     [ 2; 8; 64 ];
   Metrics.Table.print window_table
@@ -341,30 +328,17 @@ let run_robustness () =
   in
   List.iter
     (fun seed ->
-      let w = Harness.Common.make_world ~seed () in
-      let server =
-        Demikernel.Boot.make w.Harness.Common.sim w.Harness.Common.fabric ~index:1
-          Demikernel.Boot.Catnip_os
+      let rtts =
+        Metrics.Hdr.of_list
+          (Harness.Observe.run Harness.Observe.off
+             { (Harness.Observe.echo Demikernel.Boot.Catnip_os) with count = 300; seed })
+            .latencies
       in
-      let client =
-        Demikernel.Boot.make w.Harness.Common.sim w.Harness.Common.fabric ~index:2
-          Demikernel.Boot.Catnip_os
-      in
-      let rtts = Metrics.Histogram.create () in
-      Demikernel.Boot.run_app server (Apps.Echo.server ~port:7);
-      Demikernel.Boot.run_app client
-        (Apps.Echo.client
-           ~dst:(Demikernel.Boot.endpoint server 7)
-           ~msg_size:64 ~count:300
-           ~record:(Metrics.Histogram.add rtts));
-      Demikernel.Boot.start server;
-      Demikernel.Boot.start client;
-      Harness.Common.run_world w;
       Metrics.Table.add_row seed_table
         [
           Int64.to_string seed;
-          Metrics.Table.cell_ns (int_of_float (Metrics.Histogram.mean rtts));
-          Metrics.Table.cell_ns (Metrics.Histogram.p99 rtts);
+          Metrics.Table.cell_ns (int_of_float (Metrics.Hdr.mean rtts));
+          Metrics.Table.cell_ns (Metrics.Hdr.p99 rtts);
         ])
     [ 1L; 2L; 3L; 42L; 1337L ];
   Metrics.Table.print seed_table

@@ -27,7 +27,7 @@
 
    Demiflight (PR 9): latencies go into a Metrics.Hdr histogram —
    BENCH_pr8.json's 100k point reported p50 = p99 = 2015ns because
-   Histogram's 1/32-wide buckets swallowed the whole distribution body;
+   the old 1/32-wide histogram swallowed the whole distribution body;
    Hdr's 1/128 buckets with rank interpolation resolve it. Each
    completion also carries an exact three-way attribution
    (queue = app-side delay from scheduled arrival to socket write,

@@ -22,13 +22,7 @@ let flavor_conv =
     | "catmint" -> Ok Demikernel.Boot.Catmint_os
     | s -> Error (`Msg ("unknown libOS flavor: " ^ s))
   in
-  let print fmt f =
-    Format.pp_print_string fmt
-      (match f with
-      | Demikernel.Boot.Catnap_os -> "catnap"
-      | Demikernel.Boot.Catnip_os -> "catnip"
-      | Demikernel.Boot.Catmint_os -> "catmint")
-  in
+  let print fmt f = Format.pp_print_string fmt (Demikernel.Boot.flavor_name f) in
   Arg.conv (parse, print)
 
 let profile_conv =
@@ -51,6 +45,48 @@ let rec ensure_dir d =
   end
 
 let ensure_parent path = ensure_dir (Filename.dirname path)
+
+(* Verdict lines shared by every checking command: "ok: ..." or
+   "FAIL: ...", and exit 1 at the end if anything failed. *)
+let failures = ref 0
+
+let checkf what ok =
+  if ok then Format.printf "ok: %s@." what
+  else begin
+    Format.printf "FAIL: %s@." what;
+    incr failures
+  end
+
+let finish () = if !failures > 0 then Stdlib.exit 1
+
+(* Observe [scenario] with [arm]; with [check], through the shared
+   observer-effect gate (recorders off, then on, same seed). *)
+let observe ~check arm scenario =
+  if not check then Harness.Observe.run arm scenario
+  else
+    match Harness.Observe.check arm scenario with
+    | Ok r ->
+        Format.printf "ok: %s observer-effect-free: digest, %d events, %d latencies identical@."
+          (Harness.Observe.describe arm) r.events (List.length r.latencies);
+        r
+    | Error why ->
+        Format.printf "FAIL: %s@." why;
+        Stdlib.exit 1
+
+(* One decoded wire event: flow, journey window, fate, frame label. *)
+let print_wire ~indent (ev : Engine.Span.wire_event) =
+  Format.printf "%sflow %08x [%d..%d] %s %s@." indent ev.wire_flow ev.wire_t0 ev.wire_t1
+    (match ev.wire_status with
+    | Engine.Span.Wire_delivered -> "ok  "
+    | Engine.Span.Wire_dropped why -> "DROP(" ^ why ^ ")")
+    ev.wire_label
+
+let write_file path contents =
+  ensure_parent path;
+  let oc = open_out path in
+  output_string oc contents;
+  close_out oc;
+  Format.printf "wrote %s@." path
 
 let simple name doc run =
   Cmd.v (Cmd.info name ~doc)
@@ -95,15 +131,6 @@ let msg_size_arg =
   Arg.(value & opt int 64 & info [ "msg-size" ] ~docv:"BYTES" ~doc:"Echo payload size.")
 
 let echo_cmd =
-  let flavor =
-    Arg.(
-      value
-      & opt flavor_conv Demikernel.Boot.Catnip_os
-      & info [ "flavor" ] ~docv:"LIBOS" ~doc:"catnap | catnip | catmint.")
-  in
-  let msg_size =
-    Arg.(value & opt int 64 & info [ "msg-size" ] ~docv:"BYTES" ~doc:"Echo payload size.")
-  in
   let persist =
     Arg.(value & flag & info [ "persist" ] ~doc:"Log every message to disk before replying.")
   in
@@ -121,55 +148,34 @@ let echo_cmd =
     Term.(
       const (fun count flavor msg_size persist cost trace trace_capacity ->
           set_count count;
-          if trace then begin
-            (* Traced runs rebuild the world by hand so we can hold the
-               Sim.t; keep them short. *)
-            let sim = Engine.Sim.create () in
-            let tracer = Engine.Sim.enable_trace ~capacity:trace_capacity sim in
-            let fabric = Net.Fabric.create sim ~cost () in
-            let server = Demikernel.Boot.make sim fabric ~index:1 ~with_disk:persist flavor in
-            let client = Demikernel.Boot.make sim fabric ~index:2 flavor in
-            let hist = Metrics.Histogram.create () in
-            Demikernel.Boot.run_app server (Apps.Echo.server ~port:7 ~persist);
-            Demikernel.Boot.run_app client
-              (Apps.Echo.client
-                 ~dst:(Demikernel.Boot.endpoint server 7)
-                 ~msg_size ~count:(min count 3)
-                 ~record:(Metrics.Histogram.add hist));
-            Demikernel.Boot.start server;
-            Demikernel.Boot.start client;
-            Engine.Sim.run ~until:(Engine.Clock.s 10) sim;
-            Engine.Trace.dump ~last:80 Format.std_formatter tracer;
-            Format.printf "%d echos: avg %a@." (Metrics.Histogram.count hist) Engine.Clock.pp
-              (int_of_float (Metrics.Histogram.mean hist))
-          end
-          else begin
-            let hist =
+          let hist =
+            if not trace then
               Harness.Common.demi_echo_rtt ~cost ~persist ~msg_size
                 ~proto:Harness.Common.Echo_tcp flavor
-            in
-            Format.printf "%d echos: avg %a  p50 %a  p99 %a@." (Metrics.Histogram.count hist)
-              Engine.Clock.pp
-              (int_of_float (Metrics.Histogram.mean hist))
-              Engine.Clock.pp (Metrics.Histogram.p50 hist) Engine.Clock.pp
-              (Metrics.Histogram.p99 hist)
-          end)
-      $ count_arg $ flavor $ msg_size $ persist $ profile $ trace_flag $ trace_capacity_arg)
+            else begin
+              (* Traced runs are kept short: the dump shows the tail. *)
+              let r =
+                Harness.Observe.run
+                  { Harness.Observe.off with trace_capacity }
+                  { (Harness.Observe.echo flavor) with count = min count 3; msg_size; persist; cost }
+              in
+              Engine.Trace.dump ~last:80 Format.std_formatter r.trace;
+              Metrics.Hdr.of_list r.latencies
+            end
+          in
+          Format.printf "%d echos: avg %a  p50 %a  p99 %a@." (Metrics.Hdr.count hist)
+            Engine.Clock.pp
+            (int_of_float (Metrics.Hdr.mean hist))
+            Engine.Clock.pp (Metrics.Hdr.p50 hist) Engine.Clock.pp (Metrics.Hdr.p99 hist))
+      $ count_arg $ flavor_arg $ msg_size_arg $ persist $ profile $ trace_flag
+      $ trace_capacity_arg)
 
-(* `demi trace`: Demitrace end to end. Runs the echo scenario twice from
-   the same seed — spans off (control), then spans on — and checks the
-   observer-effect-free contract: identical trace digests and identical
-   client RTTs. Structurally validates the Chrome JSON export and checks
-   that the per-component breakdown sums to the RTT exactly. Any
-   violation exits 1, so `make trace-smoke` is a single invocation. *)
+(* `demi trace`: Demitrace end to end. Runs the echo scenario through
+   the observer-effect gate (spans off, then on, same seed), checks that
+   the last RTT's per-component breakdown sums to it exactly, and
+   structurally validates the Chrome JSON export. Any violation exits 1,
+   so `make observe-smoke` is one invocation per flavor. *)
 let trace_cmd =
-  let chrome =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "chrome" ] ~docv:"FILE"
-          ~doc:"Chrome trace-event JSON path (alias for --out).")
-  in
   let out =
     Arg.(
       value
@@ -184,45 +190,32 @@ let trace_cmd =
     (Cmd.info "trace"
        ~doc:"Span tracing: per-component breakdown, Chrome export, observer-effect check.")
     Term.(
-      const (fun flavor msg_size count chrome out trace_capacity ->
-          let open Harness.Fig_breakdown in
-          let off = echo ~with_spans:false ~trace_capacity ~msg_size ~count flavor in
-          let on = echo ~with_spans:true ~trace_capacity ~msg_size ~count flavor in
-          let failures = ref 0 in
-          let check what ok =
-            if ok then Format.printf "ok: %s@." what
-            else begin
-              Format.printf "FAIL: %s@." what;
-              incr failures
-            end
+      const (fun flavor msg_size count out trace_capacity ->
+          let on =
+            observe ~check:true
+              { Harness.Observe.off with spans = true; trace_capacity }
+              { (Harness.Observe.echo flavor) with msg_size; count }
           in
-          check "trace digest identical, spans on vs off" (String.equal off.digest on.digest);
-          check "client RTT identical, spans on vs off" (off.rtt = on.rtt);
-          let b = on.breakdown in
+          let b = Harness.Fig_breakdown.last_rtt on in
           let sum = List.fold_left (fun acc (_, ns) -> acc + ns) b.other b.components in
-          check "breakdown components + other = end-to-end RTT"
-            (sum = b.total && b.total = on.rtt);
+          checkf "breakdown components + other = end-to-end RTT"
+            (sum = b.total && b.total = List.nth on.latencies (List.length on.latencies - 1));
           let json =
             Harness.Chrome_trace.export
-              ~extra:[ ("demitrace", breakdown_json b) ]
-              on.spans
+              ~extra:[ ("demitrace", Harness.Fig_breakdown.breakdown_json b) ]
+              (Option.get on.spans)
           in
           (match Harness.Chrome_trace.validate json with
           | Ok n -> Format.printf "ok: chrome trace valid (%d events)@." n
-          | Error why -> check (Printf.sprintf "chrome trace valid: %s" why) false);
-          let path =
-            match (out, chrome) with
-            | Some p, _ | None, Some p -> p
-            | None, None -> "out/trace-" ^ Harness.Fleet.flavor_name flavor ^ ".json"
-          in
-          ensure_parent path;
-          let oc = open_out path in
-          output_string oc json;
-          close_out oc;
-          Format.printf "wrote %s@." path;
-          print_table [ on ];
-          if !failures > 0 then Stdlib.exit 1)
-      $ flavor_arg $ msg_size_arg $ trace_count $ chrome $ out $ trace_capacity_arg)
+          | Error why -> checkf (Printf.sprintf "chrome trace valid: %s" why) false);
+          write_file
+            (match out with
+            | Some p -> p
+            | None -> "out/trace-" ^ Demikernel.Boot.flavor_name flavor ^ ".json")
+            json;
+          Harness.Fig_breakdown.print_table [ on ];
+          finish ())
+      $ flavor_arg $ msg_size_arg $ trace_count $ out $ trace_capacity_arg)
 
 let stats_cmd =
   let stats_count =
@@ -244,27 +237,26 @@ let stats_cmd =
     (Cmd.info "stats" ~doc:"Run one echo and dump the deterministic metrics registry.")
     Term.(
       const (fun flavor msg_size count format out ->
-          let reg = Harness.Stats.echo ~msg_size ~count flavor in
+          let reg =
+            Harness.Stats.collect
+              (Harness.Observe.run
+                 { Harness.Observe.off with spans = true }
+                 { (Harness.Observe.echo flavor) with msg_size; count })
+          in
           match (format, out) with
           | `Json, None -> print_string (Metrics.Registry.to_json reg)
-          | `Json, Some path ->
-              ensure_parent path;
-              let oc = open_out path in
-              output_string oc (Metrics.Registry.to_json reg);
-              close_out oc;
-              Format.printf "wrote %s@." path
+          | `Json, Some path -> write_file path (Metrics.Registry.to_json reg)
           | `Table, None -> Metrics.Registry.dump reg
           | `Table, Some _ ->
               Format.eprintf "stats: --out requires --format json@.";
               Stdlib.exit 2)
       $ flavor_arg $ msg_size_arg $ stats_count $ format $ out)
 
-(* `demi pcap`: capture one echo to a libpcap file. `--check` is the
-   Demiscope observer-effect gate: the same scenario runs capture-off
-   then capture-on from one seed, and the trace digests and RTT
-   distributions must be identical; the capture must also round-trip
-   through the bundled pure-OCaml reader. Any violation exits 1, so
-   `make pcap-smoke` is one invocation per flavor. *)
+(* `demi pcap`: capture one echo to a libpcap file. `--check` runs it
+   through the observer-effect gate (capture off, then on, same seed)
+   and round-trips the capture through the bundled pure-OCaml reader.
+   Any violation exits 1, so `make observe-smoke` is one invocation per
+   flavor. *)
 let pcap_cmd =
   let out =
     Arg.(
@@ -300,14 +292,17 @@ let pcap_cmd =
     (Cmd.info "pcap" ~doc:"Capture an echo run to a standard libpcap file (Demiscope).")
     Term.(
       const (fun flavor msg_size count loss out lost dump check ->
-          let name = Harness.Fleet.flavor_name flavor in
-          let out = match out with Some p -> p | None -> "out/" ^ name ^ ".pcap" in
-          let on = Harness.Wire_capture.echo ~with_capture:true ~msg_size ~count ~loss flavor in
-          let session =
-            match on.Harness.Wire_capture.capture with
-            | Some s -> s
-            | None -> assert false
+          let out =
+            match out with
+            | Some p -> p
+            | None -> "out/" ^ Demikernel.Boot.flavor_name flavor ^ ".pcap"
           in
+          let on =
+            observe ~check
+              { Harness.Observe.off with capture = true }
+              { (Harness.Observe.echo flavor) with msg_size; count; loss }
+          in
+          let session = Option.get on.capture in
           ensure_parent out;
           Net.Pcap.save session.Net.Pcap.wire out;
           Format.printf "wrote %s (%d frames)@." out
@@ -332,22 +327,7 @@ let pcap_cmd =
             | Error why -> Format.printf "cannot decode capture: %s@." why
           end;
           if check then begin
-            let failures = ref 0 in
-            let checkf what ok =
-              if ok then Format.printf "ok: %s@." what
-              else begin
-                Format.printf "FAIL: %s@." what;
-                incr failures
-              end
-            in
-            let off =
-              Harness.Wire_capture.echo ~with_capture:false ~msg_size ~count ~loss flavor
-            in
-            checkf "trace digest identical, capture on vs off"
-              (String.equal off.Harness.Wire_capture.digest on.Harness.Wire_capture.digest);
-            checkf "RTT distribution identical, capture on vs off"
-              (Harness.Wire_capture.rtt_values off = Harness.Wire_capture.rtt_values on);
-            (match Net.Pcap.parse (Net.Pcap.contents session.Net.Pcap.wire) with
+            match Net.Pcap.parse (Net.Pcap.contents session.Net.Pcap.wire) with
             | Ok cap ->
                 let n = List.length cap.Net.Pcap.packets in
                 checkf "capture parses with bundled reader" true;
@@ -362,9 +342,9 @@ let pcap_cmd =
                   go 0 cap.Net.Pcap.packets
                 in
                 checkf "capture timestamps monotone" mono
-            | Error why -> checkf (Printf.sprintf "capture parses: %s" why) false);
-            if !failures > 0 then Stdlib.exit 1
-          end)
+            | Error why -> checkf (Printf.sprintf "capture parses: %s" why) false
+          end;
+          finish ())
       $ flavor_arg $ msg_size_arg $ pcap_count $ loss $ out $ lost $ dump $ check)
 
 (* `demi timeline`: fixed-interval telemetry of one echo run to CSV. *)
@@ -388,15 +368,14 @@ let timeline_cmd =
        ~doc:"Sample fabric/TCP/ring telemetry on a fixed virtual-time grid, to CSV.")
     Term.(
       const (fun flavor msg_size count out interval_us ->
-          let name = Harness.Fleet.flavor_name flavor in
+          let name = Demikernel.Boot.flavor_name flavor in
           let out = match out with Some p -> p | None -> "out/timeline-" ^ name ^ ".csv" in
           let r =
-            Harness.Wire_capture.echo ~with_timeline:true
-              ~timeline_interval_ns:(interval_us * 1000) ~msg_size ~count flavor
+            Harness.Observe.run
+              { Harness.Observe.off with timeline = Some (interval_us * 1000) }
+              { (Harness.Observe.echo flavor) with msg_size; count }
           in
-          let ts =
-            match r.Harness.Wire_capture.timeline with Some ts -> ts | None -> assert false
-          in
+          let ts = Option.get r.timeline in
           ensure_parent out;
           Metrics.Timeseries.save_csv ts out;
           Format.printf "wrote %s (%d samples, %d columns)@." out
@@ -405,11 +384,10 @@ let timeline_cmd =
       $ flavor_arg $ msg_size_arg $ tl_count $ out $ interval)
 
 (* `demi flight`: the Demiflight recorder end to end. The default run
-   arms the ring on one echo and dumps its tail; `--check` reruns the
-   same scenario from the same seed with the recorder detached and
-   asserts the observer-effect-free contract — identical trace digests
-   and identical RTT distributions, recorder on vs off. Any violation
-   exits 1, so `make flight-smoke` is one invocation per flavor. *)
+   arms the ring on one echo and dumps its tail; `--check` runs it
+   through the observer-effect gate first (recorder off, then on, same
+   seed). Any violation exits 1, so `make observe-smoke` is one
+   invocation per flavor. *)
 let flight_cmd =
   let capacity =
     Arg.(
@@ -434,33 +412,17 @@ let flight_cmd =
     Term.(
       const (fun flavor msg_size count capacity dump check ->
           let on =
-            Harness.Wire_capture.echo ~with_flight:true ~flight_capacity:capacity ~msg_size
-              ~count flavor
+            observe ~check
+              { Harness.Observe.off with flight = Some capacity }
+              { (Harness.Observe.echo flavor) with msg_size; count }
           in
-          let ring =
-            match on.Harness.Wire_capture.flight with Some f -> f | None -> assert false
-          in
+          let ring = Option.get on.flight in
           Format.printf "flight ring: %d recorded, %d retained, %d overwritten, digest %s@."
             (Engine.Flight.total ring) (Engine.Flight.kept ring) (Engine.Flight.dropped ring)
             (Engine.Flight.digest ring);
           if dump > 0 then Engine.Flight.dump ~last:dump Format.std_formatter ring;
-          if check then begin
-            let failures = ref 0 in
-            let checkf what ok =
-              if ok then Format.printf "ok: %s@." what
-              else begin
-                Format.printf "FAIL: %s@." what;
-                incr failures
-              end
-            in
-            let off = Harness.Wire_capture.echo ~with_flight:false ~msg_size ~count flavor in
-            checkf "trace digest identical, recorder on vs off"
-              (String.equal off.Harness.Wire_capture.digest on.Harness.Wire_capture.digest);
-            checkf "RTT distribution identical, recorder on vs off"
-              (Harness.Wire_capture.rtt_values off = Harness.Wire_capture.rtt_values on);
-            checkf "ring captured the run" (Engine.Flight.total ring > 0);
-            if !failures > 0 then Stdlib.exit 1
-          end)
+          if check then checkf "ring captured the run" (Engine.Flight.total ring > 0);
+          finish ())
       $ flavor_arg $ msg_size_arg $ fl_count $ capacity $ dump $ check)
 
 (* `demi slo`: the retroactive outlier capture. Loss injection makes a
@@ -502,26 +464,15 @@ let slo_cmd =
        ~doc:"SLO watchdog: capture latency outliers retroactively and dump their context.")
     Term.(
       const (fun flavor msg_size count threshold loss out expect_breach ->
-          let name = Harness.Fleet.flavor_name flavor in
+          let name = Demikernel.Boot.flavor_name flavor in
           let out = match out with Some p -> p | None -> "out/slo-" ^ name ^ ".json" in
-          let failures = ref 0 in
-          let checkf what ok =
-            if ok then Format.printf "ok: %s@." what
-            else begin
-              Format.printf "FAIL: %s@." what;
-              incr failures
-            end
-          in
           let r =
-            Harness.Wire_capture.echo ~with_spans:true ~with_flight:true ~msg_size ~count
-              ~loss ~slo_ns:threshold flavor
+            Harness.Observe.run
+              { Harness.Observe.off with slo_ns = Some threshold; flight = Some 4096 }
+              { (Harness.Observe.echo flavor) with msg_size; count; loss }
           in
-          let spans =
-            match r.Harness.Wire_capture.spans with Some s -> s | None -> assert false
-          in
-          let ring =
-            match r.Harness.Wire_capture.flight with Some f -> f | None -> assert false
-          in
+          let spans = Option.get r.spans in
+          let ring = Option.get r.flight in
           Format.printf "slo: threshold %dns, %d of %d ops breached@." threshold
             (Engine.Span.outlier_count spans)
             (Engine.Span.op_count spans);
@@ -571,15 +522,7 @@ let slo_cmd =
                   (Engine.Span.wire_events spans)
               in
               Format.printf "wire events overlapping the window (%d):@." (List.length wire);
-              List.iter
-                (fun ev ->
-                  Format.printf "  flow %08x [%d..%d] %s %s@." ev.Engine.Span.wire_flow
-                    ev.Engine.Span.wire_t0 ev.Engine.Span.wire_t1
-                    (match ev.Engine.Span.wire_status with
-                    | Engine.Span.Wire_delivered -> "ok  "
-                    | Engine.Span.Wire_dropped why -> "DROP(" ^ why ^ ")")
-                    ev.Engine.Span.wire_label)
-                wire;
+              List.iter (print_wire ~indent:"  ") wire;
               (* The Chrome-trace fragment: full span context with the
                  breach pinned in a top-level field, validated by the
                  same structural validator `demi trace` uses. *)
@@ -600,14 +543,10 @@ let slo_cmd =
               (match Harness.Chrome_trace.validate fragment with
               | Ok n -> Format.printf "ok: chrome fragment valid (%d events)@." n
               | Error why -> checkf (Printf.sprintf "chrome fragment valid: %s" why) false);
-              ensure_parent out;
-              let oc = open_out out in
-              output_string oc fragment;
-              close_out oc;
-              Format.printf "wrote %s@." out;
+              write_file out fragment;
               Format.printf "flight ring tail:@.";
               Engine.Flight.dump ~last:16 Format.std_formatter ring);
-          if !failures > 0 then Stdlib.exit 1)
+          finish ())
       $ flavor_arg $ msg_size_arg $ slo_count $ threshold $ loss $ out $ expect_breach)
 
 (* `demi fleet`: Demifleet end to end. The default run arms the causal
@@ -618,9 +557,8 @@ let slo_cmd =
    and writes a validated Chrome export where each request is one lane
    spanning hosts. `--profile` prints the fleet-wide critical-path
    profile (Table-5 style, per (hop, component), sums exact by
-   construction). `--check` is the observer-effect gate: the same
-   scenario runs recorders-off then recorders-on from one seed, and the
-   trace digests and request latencies must be identical. *)
+   construction). `--check` runs the scenario through the
+   observer-effect gate (recorders off, then on, same seed). *)
 let fleet_cmd =
   let app_arg =
     Arg.(
@@ -677,35 +615,28 @@ let fleet_cmd =
              (Demifleet).")
     Term.(
       const (fun flavor app count replicas quorum loss profile_flag check out top ->
-          let name = Harness.Fleet.flavor_name flavor in
+          let name = Demikernel.Boot.flavor_name flavor in
           let app_name = match app with `Txnstore -> "txnstore" | `Relay -> "relay" in
           let out = match out with Some p -> p | None -> "out/fleet-" ^ name ^ ".json" in
-          let failures = ref 0 in
-          let checkf what ok =
-            if ok then Format.printf "ok: %s@." what
-            else begin
-              Format.printf "FAIL: %s@." what;
-              incr failures
-            end
-          in
-          let run_scenario ~recording () =
+          let scenario =
             match app with
             | `Txnstore ->
-                Harness.Fleet.txnstore ~with_causal:recording ~with_spans:recording
-                  ~replicas ~count ?quorum ~loss flavor
-            | `Relay ->
-                Harness.Fleet.relay ~with_causal:recording ~with_spans:recording ~count
-                  ~loss flavor
+                {
+                  (Harness.Observe.txnstore flavor) with
+                  app = Harness.Observe.Txnstore { replicas; quorum };
+                  count;
+                  loss;
+                }
+            | `Relay -> { (Harness.Observe.relay flavor) with count; loss }
           in
-          let on = run_scenario ~recording:true () in
-          let causal =
-            match on.Harness.Fleet.causal with Some c -> c | None -> assert false
+          let on =
+            observe ~check { Harness.Observe.off with causal = true; spans = true } scenario
           in
-          let reqs = Harness.Fleet.dag ?spans:on.Harness.Fleet.spans causal in
+          let causal = Option.get on.causal in
+          let reqs = Harness.Fleet.dag ?spans:on.spans causal in
           Format.printf "fleet: app=%s flavor=%s requests=%d causal-events=%d@." app_name
             name (List.length reqs) (Engine.Causal.count causal);
-          let hdr = Metrics.Hdr.create () in
-          List.iter (Metrics.Hdr.add hdr) on.Harness.Fleet.latencies;
+          let hdr = Metrics.Hdr.of_list on.latencies in
           Format.printf "end-to-end: p50 %s  p99 %s  max %s@."
             (Metrics.Table.cell_ns (Metrics.Hdr.p50 hdr))
             (Metrics.Table.cell_ns (Metrics.Hdr.p99 hdr))
@@ -713,14 +644,6 @@ let fleet_cmd =
           checkf "every request ran to completion" (List.length reqs = count);
           checkf "every critical path sums exactly to its end-to-end latency"
             (List.for_all Harness.Fleet.critical_exact reqs);
-          if check then begin
-            (* Observer-effect gate: same seed, recorders detached. *)
-            let off = run_scenario ~recording:false () in
-            checkf "trace digest identical, recorders on vs off"
-              (String.equal off.Harness.Fleet.digest on.Harness.Fleet.digest);
-            checkf "request latencies identical, recorders on vs off"
-              (off.Harness.Fleet.latencies = on.Harness.Fleet.latencies)
-          end;
           if profile_flag then begin
             let p = Harness.Fleet.profile ~app:app_name reqs in
             let t =
@@ -786,15 +709,7 @@ let fleet_cmd =
                   Format.printf "    msg %d hop %d %s %s %s [%d..%d] push=%d pop=%d@."
                     e.e_msg e.e_hop e.e_src "\xe2\x86\x92" e.e_dst e.e_t0 e.e_t1 e.e_send_op
                     e.e_recv_op;
-                  List.iter
-                    (fun ev ->
-                      Format.printf "      flow %08x [%d..%d] %s %s@." ev.Engine.Span.wire_flow
-                        ev.Engine.Span.wire_t0 ev.Engine.Span.wire_t1
-                        (match ev.Engine.Span.wire_status with
-                        | Engine.Span.Wire_delivered -> "ok  "
-                        | Engine.Span.Wire_dropped why -> "DROP(" ^ why ^ ")")
-                        ev.Engine.Span.wire_label)
-                    e.e_evidence)
+                  List.iter (print_wire ~indent:"      ") e.e_evidence)
                 q.r_edges;
               let t =
                 Metrics.Table.create
@@ -822,12 +737,8 @@ let fleet_cmd =
           (match Harness.Chrome_trace.validate json with
           | Ok n -> Format.printf "ok: fleet chrome trace valid (%d events)@." n
           | Error why -> checkf (Printf.sprintf "fleet chrome trace valid: %s" why) false);
-          ensure_parent out;
-          let oc = open_out out in
-          output_string oc json;
-          close_out oc;
-          Format.printf "wrote %s@." out;
-          if !failures > 0 then Stdlib.exit 1)
+          write_file out json;
+          finish ())
       $ flavor_arg $ app_arg $ fleet_count $ replicas $ quorum $ loss $ profile_flag $ check
       $ out $ top)
 
@@ -860,11 +771,12 @@ let table5_cmd =
           let flavors =
             [ Demikernel.Boot.Catnap_os; Demikernel.Boot.Catnip_os; Demikernel.Boot.Catmint_os ]
           in
-          if not tail then
-            Harness.Fig_breakdown.print_table
-              (List.map
-                 (fun flavor -> Harness.Fig_breakdown.echo ~msg_size ~count flavor)
-                 flavors)
+          let observed count flavor =
+            Harness.Observe.run
+              { Harness.Observe.off with spans = true }
+              { (Harness.Observe.echo flavor) with msg_size; count }
+          in
+          if not tail then Harness.Fig_breakdown.print_table (List.map (observed count) flavors)
           else begin
             let quantiles =
               match quantile with
@@ -876,13 +788,9 @@ let table5_cmd =
                   end;
                   [ ("all", 0.0); (Printf.sprintf "p%g+" (q *. 100.), q) ]
             in
-            let failures = ref 0 in
             List.iter
               (fun flavor ->
-                let t =
-                  Harness.Fig_breakdown.echo_tail ~count:tail_count ~msg_size ~quantiles
-                    flavor
-                in
+                let t = Harness.Fig_breakdown.tail ~quantiles (observed tail_count flavor) in
                 Harness.Fig_breakdown.print_tail t;
                 (* Exactness is the product here: every band column must
                    sum to its end-to-end row with no remainder. *)
@@ -903,10 +811,9 @@ let table5_cmd =
                     end)
                   t.Harness.Fig_breakdown.tail_bands;
                 if !failures = before then
-                  Format.printf "ok: %s band sums exact@."
-                    (Harness.Fig_breakdown.flavor_name flavor))
+                  Format.printf "ok: %s band sums exact@." (Demikernel.Boot.flavor_name flavor))
               flavors;
-            if !failures > 0 then Stdlib.exit 1
+            finish ()
           end)
       $ msg_size_arg $ table5_count $ tail $ tail_count $ quantile)
 

@@ -10,14 +10,14 @@ let () =
   Demikernel.Boot.run_app relay ~name:"relay" (Apps.Relay.server ~port:3478);
   Demikernel.Boot.start relay;
   let generator = Baselines.Linux_apps.make_kernel sim fabric ~index:2 () in
-  let hist = Metrics.Histogram.create () in
+  let hist = Metrics.Hdr.create () in
   Baselines.Linux_apps.relay_generator sim generator
     ~dst:(Demikernel.Boot.endpoint relay 3478)
     ~src_port:4000 ~session:42 ~msg_size:200 ~count:1_000
-    ~record:(Metrics.Histogram.add hist)
+    ~record:(Metrics.Hdr.add hist)
     ~on_done:(fun () -> ());
   Engine.Sim.run ~until:(Engine.Clock.s 10) sim;
-  Format.printf "relayed %d packets: avg %a, p99 %a@." (Metrics.Histogram.count hist)
+  Format.printf "relayed %d packets: avg %a, p99 %a@." (Metrics.Hdr.count hist)
     Engine.Clock.pp
-    (int_of_float (Metrics.Histogram.mean hist))
-    Engine.Clock.pp (Metrics.Histogram.p99 hist)
+    (int_of_float (Metrics.Hdr.mean hist))
+    Engine.Clock.pp (Metrics.Hdr.p99 hist)

@@ -45,7 +45,7 @@ type stats = {
   issued : int;
   completed : int;
   reconnects : int;
-  latencies : Metrics.Histogram.t;
+  latencies : Metrics.Hdr.t;
 }
 
 (* Per-connection client state. Responses arrive in request order on a
@@ -68,7 +68,7 @@ let run ~dst ?(target = Kv) ?(conns = 4) ?(keys = 256) ?(value_size = 32) ?(thet
   let pl = plan ~prng ~rate_per_sec ~keys ~theta ~get_ratio ~start_ns:start in
   let deadline = start + duration_ns in
   let grace = deadline + 2_000_000 in
-  let latencies = Metrics.Histogram.create () in
+  let latencies = Metrics.Hdr.create () in
   let issued = ref 0 and completed = ref 0 and reconnects = ref 0 in
   let value = String.make value_size 'v' in
   let connect () =
@@ -132,7 +132,7 @@ let run ~dst ?(target = Kv) ?(conns = 4) ?(keys = 256) ?(value_size = 32) ?(thet
       | Some _response ->
           (match Queue.take_opt st.pending with
           | Some at ->
-              Metrics.Histogram.add latencies (api.Pdpix.clock () - at);
+              Metrics.Hdr.add latencies (api.Pdpix.clock () - at);
               incr completed;
               st.since_birth <- st.since_birth + 1
           | None -> failwith "loadgen: response with no request in flight");

@@ -58,7 +58,7 @@ type stats = {
   issued : int;
   completed : int;
   reconnects : int;  (** churned connections re-opened *)
-  latencies : Metrics.Histogram.t;  (** scheduled-arrival → response *)
+  latencies : Metrics.Hdr.t;  (** scheduled-arrival → response *)
 }
 
 val run :

@@ -184,7 +184,7 @@ let echo profile sim fabric ~server_index ~client_index ~msg_size ~count ~record
 type load_result = {
   offered_per_sec : float;
   achieved_per_sec : float;
-  latencies : Metrics.Histogram.t;
+  latencies : Metrics.Hdr.t;
 }
 
 let echo_open_loop profile sim fabric ~server_index ~client_index ~msg_size ~rate_per_sec
@@ -193,7 +193,7 @@ let echo_open_loop profile sim fabric ~server_index ~client_index ~msg_size ~rat
   let client = make_port profile sim fabric ~index:client_index in
   Engine.Fiber.spawn sim ~name:(profile.name ^ "-loadgen") (fun () ->
       let prng = Engine.Prng.split (Engine.Sim.prng sim) in
-      let hist = Metrics.Histogram.create () in
+      let hist = Metrics.Hdr.create () in
       let received = ref 0 in
       let start = Engine.Sim.now sim in
       let deadline = start + duration_ns in
@@ -204,7 +204,7 @@ let echo_open_loop profile sim fabric ~server_index ~client_index ~msg_size ~rat
         if String.length payload >= 8 then begin
           let ts = Net.Wire.get_u48 (Bytes.unsafe_of_string payload) 0 in
           let sent_at = start + ts in
-          Metrics.Histogram.add hist (Engine.Sim.now sim - sent_at);
+          Metrics.Hdr.add hist (Engine.Sim.now sim - sent_at);
           incr received
         end
       in

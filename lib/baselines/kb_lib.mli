@@ -34,7 +34,7 @@ val echo :
 type load_result = {
   offered_per_sec : float;
   achieved_per_sec : float;
-  latencies : Metrics.Histogram.t;
+  latencies : Metrics.Hdr.t;
 }
 
 val echo_open_loop :

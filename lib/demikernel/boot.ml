@@ -14,6 +14,11 @@ type node = {
   mutable cattree : Cattree.t option;
 }
 
+let flavor_name = function
+  | Catnap_os -> "catnap"
+  | Catnip_os -> "catnip"
+  | Catmint_os -> "catmint"
+
 let default_disk_capacity = 1 lsl 30
 
 let make sim fabric ~index ?name ?tcp_config ?catmint_window ?(with_disk = false)
@@ -22,13 +27,7 @@ let make sim fabric ~index ?name ?tcp_config ?catmint_window ?(with_disk = false
   let name =
     match name with
     | Some n -> n
-    | None ->
-        Printf.sprintf "%s-%d"
-          (match flavor with
-          | Catnap_os -> "catnap"
-          | Catnip_os -> "catnip"
-          | Catmint_os -> "catmint")
-          index
+    | None -> Printf.sprintf "%s-%d" (flavor_name flavor) index
   in
   let mac = Net.Addr.Mac.of_index index in
   let ip = Net.Addr.Ip.of_index index in

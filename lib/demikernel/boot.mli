@@ -8,6 +8,10 @@ type flavor =
   | Catnip_os  (** DPDK NIC + software TCP/UDP. *)
   | Catmint_os  (** RDMA NIC, device transport. *)
 
+val flavor_name : flavor -> string
+(** ["catnap"] | ["catnip"] | ["catmint"]: the CLI spelling and the
+    default host-name prefix. *)
+
 type node = {
   api : Pdpix.api;
   rt : Runtime.t;

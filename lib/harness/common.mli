@@ -16,7 +16,7 @@ val demi_echo_rtt :
   ?count:int ->
   proto:echo_proto ->
   Demikernel.Boot.flavor ->
-  Metrics.Histogram.t
+  Metrics.Hdr.t
 (** Closed-loop echo between two hosts of the given flavor; returns the
     RTT distribution. *)
 
@@ -27,17 +27,17 @@ val linux_echo_rtt :
   ?count:int ->
   proto:echo_proto ->
   unit ->
-  Metrics.Histogram.t
+  Metrics.Hdr.t
 
 val kb_echo_rtt :
   ?cost:Net.Cost.t ->
   ?msg_size:int ->
   ?count:int ->
   Baselines.Kb_lib.profile ->
-  Metrics.Histogram.t
+  Metrics.Hdr.t
 
-val raw_dpdk_rtt : ?cost:Net.Cost.t -> ?msg_size:int -> ?count:int -> unit -> Metrics.Histogram.t
-val raw_rdma_rtt : ?cost:Net.Cost.t -> ?msg_size:int -> ?count:int -> unit -> Metrics.Histogram.t
+val raw_dpdk_rtt : ?cost:Net.Cost.t -> ?msg_size:int -> ?count:int -> unit -> Metrics.Hdr.t
+val raw_rdma_rtt : ?cost:Net.Cost.t -> ?msg_size:int -> ?count:int -> unit -> Metrics.Hdr.t
 
 val default_count : int ref
 (** Echo iterations per measurement (settable by the CLI for quick

@@ -10,17 +10,17 @@ let relay_point system ~server ~count =
   let w = Common.make_world () in
   server w;
   let gen_kernel = Baselines.Linux_apps.make_kernel w.Common.sim w.Common.fabric ~index:2 () in
-  let hist = Metrics.Histogram.create () in
+  let hist = Metrics.Hdr.create () in
   Baselines.Linux_apps.relay_generator w.Common.sim gen_kernel
     ~dst:(Net.Addr.endpoint (Net.Addr.Ip.of_index 1) 3478)
     ~src_port:4000 ~session:7 ~msg_size:200 ~count
-    ~record:(Metrics.Histogram.add hist)
+    ~record:(Metrics.Hdr.add hist)
     ~on_done:(fun () -> ());
   Common.run_world w;
   {
     system;
-    avg_ns = int_of_float (Metrics.Histogram.mean hist);
-    p99_ns = Metrics.Histogram.p99 hist;
+    avg_ns = int_of_float (Metrics.Hdr.mean hist);
+    p99_ns = Metrics.Hdr.p99 hist;
   }
 
 let fig10 ?count () =
@@ -185,13 +185,13 @@ let txn_value = 700 (* §7.6: 700 B values *)
 
 let txn_point system ~keys ~txns ~run =
   let w = Common.make_world () in
-  let hist = Metrics.Histogram.create () in
-  run w ~keys ~txns ~record:(Metrics.Histogram.add hist);
+  let hist = Metrics.Hdr.create () in
+  run w ~keys ~txns ~record:(Metrics.Hdr.add hist);
   Common.run_world w;
   {
     system;
-    avg_ns = int_of_float (Metrics.Histogram.mean hist);
-    p99_ns = Metrics.Histogram.p99 hist;
+    avg_ns = int_of_float (Metrics.Hdr.mean hist);
+    p99_ns = Metrics.Hdr.p99 hist;
   }
 
 let demi_txn flavor w ~keys ~txns ~record =

@@ -87,62 +87,22 @@ let breakdown_json b =
   Buffer.add_string buf (Printf.sprintf "},\"other\":%d,\"total\":%d}" b.other b.total);
   Buffer.contents buf
 
-(* ---------- echo scenario ---------- *)
+(* ---------- one observed run ---------- *)
 
-type run = {
-  flavor : Demikernel.Boot.flavor;
-  rtt : int; (* the client-observed RTT the window came from *)
-  breakdown : breakdown;
-  spans : Engine.Span.t;
-  digest : string; (* trace digest, for spans-on/off equality checks *)
-  rtts : Metrics.Histogram.t;
-}
+(* The client's record callback fires right after its final clock read,
+   so request i's window is [completed_at - latency, completed_at]. *)
+let windows (r : Observe.run) =
+  List.map2 (fun rtt t1 -> (rtt, t1 - rtt, t1)) r.latencies r.completed_at
 
-let flavor_name = function
-  | Demikernel.Boot.Catnap_os -> "catnap"
-  | Demikernel.Boot.Catnip_os -> "catnip"
-  | Demikernel.Boot.Catmint_os -> "catmint"
+let spans_of (r : Observe.run) =
+  match r.spans with
+  | Some s -> s
+  | None -> invalid_arg "Fig_breakdown: the run was observed without spans"
 
-(* One TCP echo between two hosts of the given flavor, spans enabled
-   (unless [with_spans:false] — the control arm of the observer-effect
-   check). The breakdown window is the last completed RTT: the client's
-   [record] callback fires right after its final clock read, so the
-   window is [now - rtt, now] on the client's clock. *)
-let echo ?(with_spans = true) ?(span_capacity = 262_144) ?(trace_capacity = 65_536)
-    ?(msg_size = 64) ?(count = 16) flavor =
-  let w = Common.make_world () in
-  let trace = Engine.Sim.enable_trace ~capacity:trace_capacity w.Common.sim in
-  let spans =
-    if with_spans then Engine.Sim.enable_spans ~capacity:span_capacity w.Common.sim
-    else Engine.Span.create ()
-  in
-  let server = Demikernel.Boot.make w.Common.sim w.Common.fabric ~index:1 flavor in
-  let client = Demikernel.Boot.make w.Common.sim w.Common.fabric ~index:2 flavor in
-  let window = ref None in
-  let rtts = Metrics.Histogram.create () in
-  Demikernel.Boot.run_app server (Apps.Echo.server ~port:7 ~persist:false);
-  Demikernel.Boot.run_app client
-    (Apps.Echo.client
-       ~dst:(Demikernel.Boot.endpoint server 7)
-       ~msg_size ~count
-       ~record:(fun rtt ->
-         Metrics.Histogram.add rtts rtt;
-         let now = Demikernel.Host.now client.Demikernel.Boot.host in
-         window := Some (now - rtt, now)));
-  Demikernel.Boot.start server;
-  Demikernel.Boot.start client;
-  Common.run_world w;
-  match !window with
-  | None -> failwith "Fig_breakdown.echo: no RTT recorded"
-  | Some (w0, w1) ->
-      {
-        flavor;
-        rtt = w1 - w0;
-        breakdown = attribute spans ~w0 ~w1;
-        spans;
-        digest = Engine.Trace.digest trace;
-        rtts;
-      }
+let last_rtt r =
+  match List.rev (windows r) with
+  | (_, w0, w1) :: _ -> attribute (spans_of r) ~w0 ~w1
+  | [] -> failwith "Fig_breakdown.last_rtt: no request completed"
 
 (* ---------- tail attribution (Demiflight) ---------- *)
 
@@ -190,24 +150,18 @@ type tail = {
 let default_quantiles =
   [ ("all", 0.0); ("p90+", 0.90); ("p99+", 0.99); ("p99.9+", 0.999) ]
 
-(* Same scenario as [echo], but every RTT's window is a candidate for
-   retention: a deterministic reservoir (Algorithm R over a fixed-seed
-   SplitMix64, independent of the sim's PRNG so retention can never
-   perturb the run) keeps a uniform sample, and a top-k list keeps the
-   slowest windows exactly — the reservoir gives the "all"/"p90" bands
-   honest coverage while top-k guarantees the slowest 0.1% band is
-   never starved by sampling luck. *)
-let echo_tail ?(count = 512) ?(msg_size = 64) ?(reservoir_capacity = 256) ?(top_k = 64)
-    ?(quantiles = default_quantiles) flavor =
-  let w = Common.make_world () in
-  let trace = Engine.Sim.enable_trace w.Common.sim in
-  let spans = Engine.Sim.enable_spans w.Common.sim in
-  let server = Demikernel.Boot.make w.Common.sim w.Common.fabric ~index:1 flavor in
-  let client = Demikernel.Boot.make w.Common.sim w.Common.fabric ~index:2 flavor in
+(* Every completed request's window is a candidate for retention: a
+   deterministic reservoir (Algorithm R over a fixed-seed SplitMix64,
+   independent of the sim's PRNG) keeps a uniform sample of 256, and a
+   top-64 list keeps the slowest windows exactly — the reservoir gives
+   the "all"/"p90" bands honest coverage while top-k guarantees the
+   slowest 0.1% band is never starved by sampling luck. *)
+let tail ?(quantiles = default_quantiles) (r : Observe.run) =
+  let top_k = 64 in
+  let spans = spans_of r in
   let hdr = Metrics.Hdr.create () in
   let reservoir =
-    Metrics.Reservoir.create ~capacity:reservoir_capacity
-      ~prng:(Engine.Prng.create 0x7a11_f11e_5eedL)
+    Metrics.Reservoir.create ~capacity:256 ~prng:(Engine.Prng.create 0x7a11_f11e_5eedL)
   in
   (* Slowest-k windows, kept ascending by (rtt, w0) so eviction pops the
      fastest; k is small and this is harness code, not a hot path. *)
@@ -228,20 +182,12 @@ let echo_tail ?(count = 512) ?(msg_size = 64) ?(reservoir_capacity = 256) ?(top_
       | (r, _, _) :: tl when rtt > r -> slowest := insert tl
       | _ -> ()
   in
-  Demikernel.Boot.run_app server (Apps.Echo.server ~port:7 ~persist:false);
-  Demikernel.Boot.run_app client
-    (Apps.Echo.client
-       ~dst:(Demikernel.Boot.endpoint server 7)
-       ~msg_size ~count
-       ~record:(fun rtt ->
-         Metrics.Hdr.add hdr rtt;
-         let now = Demikernel.Host.now client.Demikernel.Boot.host in
-         let win = (rtt, now - rtt, now) in
-         Metrics.Reservoir.offer reservoir win;
-         offer_slow win));
-  Demikernel.Boot.start server;
-  Demikernel.Boot.start client;
-  Common.run_world w;
+  List.iter
+    (fun ((rtt, _, _) as win) ->
+      Metrics.Hdr.add hdr rtt;
+      Metrics.Reservoir.offer reservoir win;
+      offer_slow win)
+    (windows r);
   let retained =
     List.sort_uniq compare (Metrics.Reservoir.to_list reservoir @ !slowest)
   in
@@ -262,20 +208,39 @@ let echo_tail ?(count = 512) ?(msg_size = 64) ?(reservoir_capacity = 256) ?(top_
       quantiles
   in
   {
-    tail_flavor = flavor;
+    tail_flavor = r.scenario.flavor;
     tail_ops = Metrics.Hdr.count hdr;
     tail_hdr = hdr;
     tail_sampled = List.length retained;
     tail_bands = bands;
-    tail_digest = Engine.Trace.digest trace;
+    tail_digest = r.digest;
   }
 
 (* Table 5 for the slowest ops: component rows, one column per
    quantile band; cells are exact virtual-ns sums over the retained
    windows in the band. *)
+(* Table-5 rows for breakdown columns: nonzero components, other/idle,
+   end-to-end. *)
+let add_breakdown_rows tbl bs =
+  List.iter
+    (fun comp ->
+      let cells =
+        List.map
+          (fun b ->
+            match List.assoc_opt comp b.components with
+            | Some ns -> Metrics.Table.cell_i ns
+            | None -> "-")
+          bs
+      in
+      if List.exists (fun c -> c <> "-") cells then
+        Metrics.Table.add_row tbl (Engine.Span.component_name comp :: cells))
+    Engine.Span.components;
+  Metrics.Table.add_row tbl ("other/idle" :: List.map (fun b -> Metrics.Table.cell_i b.other) bs);
+  Metrics.Table.add_row tbl ("end-to-end" :: List.map (fun b -> Metrics.Table.cell_i b.total) bs)
+
 let print_tail t =
   Printf.printf "%s tail attribution: %d ops, %d windows retained, p50=%dns p99=%dns p99.9=%dns\n"
-    (flavor_name t.tail_flavor) t.tail_ops t.tail_sampled
+    (Demikernel.Boot.flavor_name t.tail_flavor) t.tail_ops t.tail_sampled
     (Metrics.Hdr.quantile t.tail_hdr 0.5)
     (Metrics.Hdr.quantile t.tail_hdr 0.99)
     (Metrics.Hdr.quantile t.tail_hdr 0.999);
@@ -287,48 +252,19 @@ let print_tail t =
              (fun b -> Printf.sprintf "%s (%d op)" b.band_label b.band_ops)
              t.tail_bands)
   in
-  List.iter
-    (fun comp ->
-      let cells =
-        List.map
-          (fun b ->
-            match List.assoc_opt comp b.band_breakdown.components with
-            | Some ns -> Metrics.Table.cell_i ns
-            | None -> "-")
-          t.tail_bands
-      in
-      if List.exists (fun c -> c <> "-") cells then
-        Metrics.Table.add_row tbl (Engine.Span.component_name comp :: cells))
-    Engine.Span.components;
-  Metrics.Table.add_row tbl
-    ("other/idle" :: List.map (fun b -> Metrics.Table.cell_i b.band_breakdown.other) t.tail_bands);
-  Metrics.Table.add_row tbl
-    ("end-to-end" :: List.map (fun b -> Metrics.Table.cell_i b.band_breakdown.total) t.tail_bands);
+  add_breakdown_rows tbl (List.map (fun b -> b.band_breakdown) t.tail_bands);
   Metrics.Table.add_row tbl
     ("cut >= ns" :: List.map (fun b -> Metrics.Table.cell_i b.band_cut_ns) t.tail_bands);
   Metrics.Table.print tbl
 
-(* Table-5-style report: component rows, one column per run. *)
-let print_table runs =
+(* Table-5-style report: component rows, one column per run, each
+   column the run's last RTT. *)
+let print_table (runs : Observe.run list) =
   let tbl =
     Metrics.Table.create ~title:"echo RTT breakdown (last RTT, ns)"
-      ~columns:("component" :: List.map (fun r -> flavor_name r.flavor) runs)
+      ~columns:
+        ("component"
+        :: List.map (fun (r : Observe.run) -> Demikernel.Boot.flavor_name r.scenario.flavor) runs)
   in
-  List.iter
-    (fun comp ->
-      let cells =
-        List.map
-          (fun r ->
-            match List.assoc_opt comp r.breakdown.components with
-            | Some ns -> Metrics.Table.cell_i ns
-            | None -> "-")
-          runs
-      in
-      if List.exists (fun c -> c <> "-") cells then
-        Metrics.Table.add_row tbl (Engine.Span.component_name comp :: cells))
-    Engine.Span.components;
-  Metrics.Table.add_row tbl
-    ("other/idle" :: List.map (fun r -> Metrics.Table.cell_i r.breakdown.other) runs);
-  Metrics.Table.add_row tbl
-    ("end-to-end" :: List.map (fun r -> Metrics.Table.cell_i r.breakdown.total) runs);
+  add_breakdown_rows tbl (List.map last_rtt runs);
   Metrics.Table.print tbl

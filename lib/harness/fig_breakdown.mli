@@ -20,32 +20,13 @@ val attribute : Engine.Span.t -> w0:int -> w1:int -> breakdown
 val breakdown_json : breakdown -> string
 (** Raw JSON object, embedded in the Chrome trace's top level. *)
 
-type run = {
-  flavor : Demikernel.Boot.flavor;
-  rtt : int;  (** the client-observed RTT the window came from *)
-  breakdown : breakdown;
-  spans : Engine.Span.t;
-  digest : string;  (** trace digest, for spans-on/off equality checks *)
-  rtts : Metrics.Histogram.t;
-}
+val last_rtt : Observe.run -> breakdown
+(** The breakdown of the run's last completed request. The run must
+    have been observed with spans. *)
 
-val flavor_name : Demikernel.Boot.flavor -> string
-
-val echo :
-  ?with_spans:bool ->
-  ?span_capacity:int ->
-  ?trace_capacity:int ->
-  ?msg_size:int ->
-  ?count:int ->
-  Demikernel.Boot.flavor ->
-  run
-(** One TCP echo between two hosts of [flavor], tracing enabled, spans
-    enabled unless [with_spans:false] (the control arm of the
-    observer-effect check — same seed, same scenario, no recorder). The
-    breakdown window is the last completed RTT on the client's clock. *)
-
-val print_table : run list -> unit
-(** Print the paper-style breakdown table, one column per run. *)
+val print_table : Observe.run list -> unit
+(** Print the paper-style breakdown table, one column per run (its
+    {!last_rtt}). *)
 
 (** {2 Tail attribution (Demiflight)}
 
@@ -80,18 +61,10 @@ type tail = {
 val default_quantiles : (string * float) list
 (** [all, p90+, p99+, p99.9+]. *)
 
-val echo_tail :
-  ?count:int ->
-  ?msg_size:int ->
-  ?reservoir_capacity:int ->
-  ?top_k:int ->
-  ?quantiles:(string * float) list ->
-  Demikernel.Boot.flavor ->
-  tail
-(** The {!echo} scenario with [count] (default 512) messages; every
-    RTT feeds the Hdr histogram and offers its window to the reservoir
-    (default capacity 256) and the slowest-k list (default 64). Bands
-    are cumulative from each quantile cut upward. *)
+val tail : ?quantiles:(string * float) list -> Observe.run -> tail
+(** Every request of a spans-armed run feeds the Hdr histogram and
+    offers its window to the reservoir (capacity 256) and the slowest-k
+    list (64). Bands are cumulative from each quantile cut upward. *)
 
 val print_tail : tail -> unit
 (** Print the per-band breakdown table; cells are exact virtual-ns

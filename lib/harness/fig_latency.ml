@@ -6,11 +6,11 @@ type row = {
 }
 
 let row_of ?baseline system hist =
-  let avg = int_of_float (Metrics.Histogram.mean hist) in
+  let avg = int_of_float (Metrics.Hdr.mean hist) in
   {
     system;
     avg_ns = avg;
-    p99_ns = Metrics.Histogram.p99 hist;
+    p99_ns = Metrics.Hdr.p99 hist;
     (* Four datapath I/O operations per echo: client push/pop, server
        pop/push (Figure 5's upper numbers). *)
     datapath_ns_per_io =
@@ -20,8 +20,8 @@ let row_of ?baseline system hist =
 let fig5 () =
   let raw_dpdk = Common.raw_dpdk_rtt () in
   let raw_rdma = Common.raw_rdma_rtt () in
-  let dpdk_base = int_of_float (Metrics.Histogram.mean raw_dpdk) in
-  let rdma_base = int_of_float (Metrics.Histogram.mean raw_rdma) in
+  let dpdk_base = int_of_float (Metrics.Hdr.mean raw_dpdk) in
+  let rdma_base = int_of_float (Metrics.Hdr.mean raw_rdma) in
   [
     row_of "Linux" (Common.linux_echo_rtt ~proto:Common.Echo_udp ());
     row_of "Catnap" (Common.demi_echo_rtt ~proto:Common.Echo_udp Demikernel.Boot.Catnap_os);
@@ -72,7 +72,7 @@ let fig7 () =
   ]
 
 let fig5_orderings_hold ?cost () =
-  let avg hist = int_of_float (Metrics.Histogram.mean hist) in
+  let avg hist = int_of_float (Metrics.Hdr.mean hist) in
   let linux = avg (Common.linux_echo_rtt ?cost ~proto:Common.Echo_udp ()) in
   let catnap = avg (Common.demi_echo_rtt ?cost ~proto:Common.Echo_udp Demikernel.Boot.Catnap_os) in
   let catmint = avg (Common.demi_echo_rtt ?cost ~proto:Common.Echo_tcp Demikernel.Boot.Catmint_os) in

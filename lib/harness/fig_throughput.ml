@@ -6,7 +6,7 @@ let bandwidth_gbps ~msg_size ~rtt_ns =
   (* NetPIPE: one block in flight each way; bandwidth = 2*size/RTT. *)
   2. *. float_of_int (msg_size * 8) /. float_of_int rtt_ns
 
-let best_rtt hist = max 1 (Metrics.Histogram.min hist)
+let best_rtt hist = max 1 (Metrics.Hdr.min hist)
 
 let netpipe_count = 40
 
@@ -74,7 +74,7 @@ let demi_open_loop ?cost ?catmint_window ~flavor ~proto ~msg_size ~rate_per_sec 
   (match proto with
   | Common.Echo_tcp -> Demikernel.Boot.run_app server (Apps.Echo.server ~port:7)
   | Common.Echo_udp -> Demikernel.Boot.run_app server (Apps.Echo.udp_server ~port:7));
-  let hist = Metrics.Histogram.create () in
+  let hist = Metrics.Hdr.create () in
   let received = ref 0 in
   Demikernel.Boot.run_app client (fun api ->
       let prng = Engine.Prng.create 77L in
@@ -92,7 +92,7 @@ let demi_open_loop ?cost ?catmint_window ~flavor ~proto ~msg_size ~rate_per_sec 
       let record_echo msg =
         if String.length msg >= 8 then begin
           let ts = Net.Wire.get_u48 (Bytes.unsafe_of_string msg) 0 in
-          Metrics.Histogram.add hist (api.Pdpix.clock () - (start + ts));
+          Metrics.Hdr.add hist (api.Pdpix.clock () - (start + ts));
           incr received
         end
       in
@@ -213,8 +213,8 @@ let fig9 ?(rates = default_rates) ?(duration_ms = 20) () =
       system;
       offered_kops = r.Baselines.Kb_lib.offered_per_sec /. 1e3;
       achieved_kops = r.Baselines.Kb_lib.achieved_per_sec /. 1e3;
-      p50_ns = Metrics.Histogram.p50 r.Baselines.Kb_lib.latencies;
-      p99_ns = Metrics.Histogram.p99 r.Baselines.Kb_lib.latencies;
+      p50_ns = Metrics.Hdr.p50 r.Baselines.Kb_lib.latencies;
+      p99_ns = Metrics.Hdr.p99 r.Baselines.Kb_lib.latencies;
     }
   in
   List.concat_map

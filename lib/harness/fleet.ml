@@ -4,8 +4,6 @@
    profile keyed by (hop, component). Everything here is post-run
    analysis over recorders that are themselves pure observers. *)
 
-open Demikernel
-
 (* ---------- DAG ---------- *)
 
 type edge = {
@@ -317,87 +315,3 @@ let chrome_export ~app requests =
         r.r_edges)
     requests;
   Chrome_trace.render (List.rev !evs)
-
-(* ---------- scenarios ---------- *)
-
-type run = {
-  flavor : Demikernel.Boot.flavor;
-  app : string;
-  digest : string;
-  latencies : int list; (* per request, completion order *)
-  causal : Engine.Causal.t option;
-  spans : Engine.Span.t option;
-  flight : Engine.Flight.t option;
-}
-
-let instruments ?spans_capacity w ~with_causal ~with_spans ~with_flight =
-  let trace = Engine.Sim.enable_trace w.Common.sim in
-  let causal = if with_causal then Some (Engine.Sim.enable_causal w.Common.sim) else None in
-  let spans =
-    if with_spans then Some (Engine.Sim.enable_spans ?capacity:spans_capacity w.Common.sim)
-    else None
-  in
-  let flight = if with_flight then Some (Engine.Sim.enable_flight w.Common.sim) else None in
-  (trace, causal, spans, flight)
-
-let txnstore ?(with_causal = true) ?(with_spans = true) ?(with_flight = false) ?(replicas = 3)
-    ?(count = 8) ?quorum ?(value_size = 64) ?(loss = 0.) flavor =
-  let w = Common.make_world ~loss () in
-  let trace, causal, spans, flight = instruments w ~with_causal ~with_spans ~with_flight in
-  let eps =
-    List.init replicas (fun i ->
-        let node =
-          Demikernel.Boot.make w.Common.sim w.Common.fabric ~index:(i + 1)
-            ~name:(Printf.sprintf "replica%d" (i + 1)) flavor
-        in
-        Demikernel.Boot.run_app node (Apps.Txnstore.server ~port:7447);
-        Demikernel.Boot.start node;
-        Demikernel.Boot.endpoint node 7447)
-  in
-  let client =
-    Demikernel.Boot.make w.Common.sim w.Common.fabric ~index:(replicas + 1) ~name:"client" flavor
-  in
-  let lats = ref [] in
-  Demikernel.Boot.run_app client (fun api ->
-      let c = Apps.Txnstore.connect api ~replicas:eps ~seed:7 in
-      let value = String.make value_size 'v' in
-      for i = 1 to count do
-        let t0 = api.Pdpix.clock () in
-        Apps.Txnstore.put ?quorum c (Printf.sprintf "key:%04d" i) ~version:i value;
-        lats := (api.Pdpix.clock () - t0) :: !lats
-      done;
-      Apps.Txnstore.close c);
-  Demikernel.Boot.start client;
-  Common.run_world w;
-  {
-    flavor; app = "txnstore"; digest = Engine.Trace.digest trace;
-    latencies = List.rev !lats; causal; spans; flight;
-  }
-
-let relay ?(with_causal = true) ?(with_spans = true) ?(with_flight = false) ?(count = 8)
-    ?(msg_size = 64) ?(loss = 0.) flavor =
-  let w = Common.make_world ~loss () in
-  let trace, causal, spans, flight = instruments w ~with_causal ~with_spans ~with_flight in
-  let server =
-    Demikernel.Boot.make w.Common.sim w.Common.fabric ~index:1 ~name:"relay" flavor
-  in
-  Demikernel.Boot.run_app server (Apps.Relay.server ~port:3478);
-  Demikernel.Boot.start server;
-  let gen = Demikernel.Boot.make w.Common.sim w.Common.fabric ~index:2 ~name:"gen" flavor in
-  let lats = ref [] in
-  Demikernel.Boot.run_app gen
-    (Apps.Relay.generator
-       ~dst:(Demikernel.Boot.endpoint server 3478)
-       ~src_port:4000 ~session:7 ~msg_size ~count
-       ~record:(fun ns -> lats := ns :: !lats));
-  Demikernel.Boot.start gen;
-  Common.run_world w;
-  {
-    flavor; app = "relay"; digest = Engine.Trace.digest trace; latencies = List.rev !lats;
-    causal; spans; flight;
-  }
-
-let flavor_name = function
-  | Demikernel.Boot.Catnap_os -> "catnap"
-  | Demikernel.Boot.Catnip_os -> "catnip"
-  | Demikernel.Boot.Catmint_os -> "catmint"

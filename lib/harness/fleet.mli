@@ -1,7 +1,7 @@
 (** Demifleet: cross-host causal request tracing, per-request critical
     paths, and a fleet-wide latency profile.
 
-    Inputs are the recorders an experiment armed: {!Engine.Causal}
+    Inputs are the recorders an {!Observe.run} armed: {!Engine.Causal}
     events (Begin / Sent / Received / End, stamped by {!Apps.Framing}
     from the 16-byte causal context every framed message carries) and —
     optionally — Demiscope wire events for per-edge evidence. The DAG
@@ -93,45 +93,3 @@ val chrome_export : app:string -> request list -> string
 (** Chrome trace-event JSON: one lane (tid) per request spanning all
     hosts, B/E slices for critical-path segments, flow arrows for
     causal edges. Passes {!Chrome_trace.validate}. *)
-
-(** {1 Scenario runners} *)
-
-type run = {
-  flavor : Demikernel.Boot.flavor;
-  app : string;
-  digest : string;  (** {!Engine.Trace.digest} — observer-effect probe. *)
-  latencies : int list;  (** per request, completion order. *)
-  causal : Engine.Causal.t option;
-  spans : Engine.Span.t option;
-  flight : Engine.Flight.t option;
-}
-
-val txnstore :
-  ?with_causal:bool ->
-  ?with_spans:bool ->
-  ?with_flight:bool ->
-  ?replicas:int ->
-  ?count:int ->
-  ?quorum:int ->
-  ?value_size:int ->
-  ?loss:float ->
-  Demikernel.Boot.flavor ->
-  run
-(** Quorum-replicated PUTs: [replicas] servers ("replica1"…), one
-    client, [count] timed puts waiting for [quorum] acks (default all).
-    With a sub-quorum [quorum], every put leaves a highest-index
-    straggler whose ack lands in the DAG {e after} End. *)
-
-val relay :
-  ?with_causal:bool ->
-  ?with_spans:bool ->
-  ?with_flight:bool ->
-  ?count:int ->
-  ?msg_size:int ->
-  ?loss:float ->
-  Demikernel.Boot.flavor ->
-  run
-(** TURN-style relay fan-out: generator → relay → generator, the same
-    message id crossing two hops zero-copy. *)
-
-val flavor_name : Demikernel.Boot.flavor -> string

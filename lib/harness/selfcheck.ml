@@ -11,73 +11,41 @@ let heap_line name (s : Memory.Heap.stats) =
   Printf.sprintf "  heap %-12s alloc=%d free=%d live=%d uaf_protected=%d bytes_copied=%d"
     name s.allocations s.frees s.live s.uaf_protected s.bytes_copied
 
-let flavor_name = function
-  | Demikernel.Boot.Catnap_os -> "catnap"
-  | Demikernel.Boot.Catnip_os -> "catnip"
-  | Demikernel.Boot.Catmint_os -> "catmint"
-
-(* One traced echo scenario with the ownership oracle armed on both
-   ends; returns (trace digest, events, metrics lines, ownership
-   violations, gc-budget violations). *)
+(* One echo with the ownership oracle armed on both ends; returns
+   (trace digest, events, metrics lines, ownership violations,
+   gc-budget violations). *)
 let scenario ~seed ~count flavor =
   (* Per-scenario window for the gc-budget oracle: counters are global,
      so zero them here and read them after teardown. *)
   Memory.Gcbudget.reset ();
-  let sim = Engine.Sim.create ~seed () in
-  let tracer = Engine.Sim.enable_trace sim in
-  let fabric = Net.Fabric.create sim ~cost:Net.Cost.bare_metal () in
-  let server = Demikernel.Boot.make sim fabric ~index:1 flavor in
-  let client = Demikernel.Boot.make sim fabric ~index:2 flavor in
-  let hist = Metrics.Histogram.create () in
-  let name = flavor_name flavor in
-  let server_oracle = Demikernel.Pdpix.oracle ~name:(name ^ "-server") () in
-  let client_oracle = Demikernel.Pdpix.oracle ~name:(name ^ "-client") () in
-  (* Reported at teardown alongside the heap sanitizer's leak report
-     (Host registers Heap.log_teardown the same way). *)
-  Engine.Sim.at_teardown sim (fun () ->
-      Demikernel.Pdpix.log_oracle_teardown server_oracle;
-      Demikernel.Pdpix.log_oracle_teardown client_oracle;
-      Memory.Gcbudget.log_teardown ());
-  Demikernel.Boot.run_app server
-    ~wrap:(Demikernel.Pdpix.checked server_oracle)
-    (Apps.Echo.server ~port:7 ~persist:false);
-  Demikernel.Boot.run_app client
-    ~wrap:(Demikernel.Pdpix.checked client_oracle)
-    (Apps.Echo.client
-       ~dst:(Demikernel.Boot.endpoint server 7)
-       ~msg_size:256 ~count
-       ~record:(Metrics.Histogram.add hist));
-  Demikernel.Boot.start server;
-  Demikernel.Boot.start client;
-  Engine.Sim.run ~until:(Engine.Clock.s 60) sim;
-  Engine.Sim.teardown sim;
-  let violations =
-    List.length (Demikernel.Pdpix.oracle_finish server_oracle)
-    + List.length (Demikernel.Pdpix.oracle_finish client_oracle)
+  let r =
+    Observe.run { Observe.off with oracle = true }
+      { (Observe.echo flavor) with seed; count; msg_size = 256 }
   in
-  let heap_of (node : Demikernel.Boot.node) =
-    Memory.Heap.stats node.Demikernel.Boot.host.Demikernel.Host.heap
-  in
+  Memory.Gcbudget.log_teardown ();
+  let hist = Metrics.Hdr.of_list r.latencies in
+  let name = Demikernel.Boot.flavor_name flavor in
+  let violations = Option.value r.violations ~default:0 in
   let gc_violations = Memory.Gcbudget.total_violations () in
   let metrics =
     String.concat "\n"
-      [
-        Printf.sprintf "  %-8s echos=%d rtt: mean=%.0fns p50=%dns p99=%dns" name
-          (Metrics.Histogram.count hist) (Metrics.Histogram.mean hist)
-          (Metrics.Histogram.p50 hist) (Metrics.Histogram.p99 hist);
-        heap_line (name ^ "-server") (heap_of server);
-        heap_line (name ^ "-client") (heap_of client);
-        Printf.sprintf "  ownership %-10s violations=%d" name violations;
-        Printf.sprintf "  gc-budget %-10s steady_polls=%d violations=%d" name
-          (Memory.Gcbudget.total_measured ())
-          gc_violations;
-      ]
+      ([
+         Printf.sprintf "  %-8s echos=%d rtt: mean=%.0fns p50=%dns p99=%dns" name
+           (Metrics.Hdr.count hist) (Metrics.Hdr.mean hist) (Metrics.Hdr.p50 hist)
+           (Metrics.Hdr.p99 hist);
+       ]
+      @ List.map
+          (fun (node : Demikernel.Boot.node) ->
+            heap_line node.host.name (Memory.Heap.stats node.host.heap))
+          r.nodes
+      @ [
+          Printf.sprintf "  ownership %-10s violations=%d" name violations;
+          Printf.sprintf "  gc-budget %-10s steady_polls=%d violations=%d" name
+            (Memory.Gcbudget.total_measured ())
+            gc_violations;
+        ])
   in
-  ( Engine.Trace.digest tracer,
-    Engine.Sim.events_processed sim,
-    metrics,
-    violations,
-    gc_violations )
+  (r.digest, r.events, metrics, violations, gc_violations)
 
 let fingerprint ~seed ~count =
   let runs =

@@ -36,11 +36,10 @@ let collect_node reg node =
       Metrics.Registry.set reg (key "kernel" "syscalls") (Oskernel.Kernel.syscalls kernel))
     node.Demikernel.Boot.kernel
 
-let collect_fabric reg fabric =
-  let s = Net.Fabric.stats fabric in
-  Metrics.Registry.set reg "fabric/frames_delivered" s.Net.Fabric.frames_delivered;
-  Metrics.Registry.set reg "fabric/frames_dropped" s.Net.Fabric.frames_dropped;
-  Metrics.Registry.set reg "fabric/bytes_carried" s.Net.Fabric.bytes_carried
+let collect_fabric reg (s : Net.Fabric.stats) =
+  Metrics.Registry.set reg "fabric/frames_delivered" s.frames_delivered;
+  Metrics.Registry.set reg "fabric/frames_dropped" s.frames_dropped;
+  Metrics.Registry.set reg "fabric/bytes_carried" s.bytes_carried
 
 let collect_spans reg spans =
   List.iter
@@ -52,28 +51,14 @@ let collect_spans reg spans =
   Metrics.Registry.set reg "span/ops" (Engine.Span.op_count spans);
   Metrics.Registry.set reg "span/intervals_dropped" (Engine.Span.dropped spans)
 
-(* One TCP echo with spans on; returns the populated registry. *)
-let echo ?(msg_size = 64) ?(count = 64) flavor =
-  let w = Common.make_world () in
-  let spans = Engine.Sim.enable_spans w.Common.sim in
-  let server = Demikernel.Boot.make w.Common.sim w.Common.fabric ~index:1 flavor in
-  let client = Demikernel.Boot.make w.Common.sim w.Common.fabric ~index:2 flavor in
+let collect (r : Observe.run) =
   let reg = Metrics.Registry.create () in
-  let rtts =
-    Metrics.Registry.histogram reg
-      (Printf.sprintf "%s/echo/rtt_ns" client.Demikernel.Boot.host.Demikernel.Host.name)
-  in
-  Demikernel.Boot.run_app server (Apps.Echo.server ~port:7 ~persist:false);
-  Demikernel.Boot.run_app client
-    (Apps.Echo.client
-       ~dst:(Demikernel.Boot.endpoint server 7)
-       ~msg_size ~count
-       ~record:(Metrics.Histogram.add rtts));
-  Demikernel.Boot.start server;
-  Demikernel.Boot.start client;
-  Common.run_world w;
-  collect_node reg server;
-  collect_node reg client;
-  collect_fabric reg w.Common.fabric;
-  collect_spans reg spans;
+  let client = List.nth r.nodes (List.length r.nodes - 1) in
+  List.iter
+    (Metrics.Registry.observe reg
+       (Printf.sprintf "%s/echo/rtt_ns" client.Demikernel.Boot.host.Demikernel.Host.name))
+    r.latencies;
+  List.iter (collect_node reg) r.nodes;
+  collect_fabric reg r.fabric_stats;
+  Option.iter (collect_spans reg) r.spans;
   reg

@@ -3,15 +3,8 @@
     names follow [<owner>/<subsystem>/<metric>] and iteration is
     name-sorted, so reports are byte-stable for a fixed seed. *)
 
-val collect_node : Metrics.Registry.t -> Demikernel.Boot.node -> unit
-(** Heap, scheduler, NIC, TCP and kernel counters for one host. *)
-
-val collect_fabric : Metrics.Registry.t -> Net.Fabric.t -> unit
-
-val collect_spans : Metrics.Registry.t -> Engine.Span.t -> unit
-(** Per-component virtual-ns totals and op-span counts. *)
-
-val echo :
-  ?msg_size:int -> ?count:int -> Demikernel.Boot.flavor -> Metrics.Registry.t
-(** Run one TCP echo (spans enabled) and return the populated registry,
-    including the client RTT histogram. *)
+val collect : Observe.run -> Metrics.Registry.t
+(** The registry of a finished run: every node's heap, scheduler, NIC,
+    TCP and kernel counters, the fabric, the spans' per-component
+    virtual-ns totals and op counts (when armed), and the measuring
+    client's latency histogram. *)

@@ -1,8 +1,8 @@
 (* Log-linear buckets at HDR precision: 128 linear sub-buckets per
    power of two, so the relative bucket width is 1/128 (< 1%) across
    the whole range — fine enough that p50 and p99 of a tight latency
-   distribution land in different buckets where Histogram's 1/32
-   buckets merge them. Values < 128 get their own exact buckets.
+   distribution land in different buckets. Values < 128 get their own
+   exact buckets.
 
    The quantile is rank-interpolated across its bucket, so two distinct
    ranks virtually never report the same value; the reported value
@@ -62,6 +62,11 @@ let add t v =
   if v < t.min_v then t.min_v <- v;
   if v > t.max_v then t.max_v <- v
 
+let of_list samples =
+  let t = create () in
+  List.iter (add t) samples;
+  t
+
 let count t = t.count
 let min t = if t.count = 0 then 0 else t.min_v
 let max t = t.max_v
@@ -80,8 +85,8 @@ let quantile t q =
         if seen + n >= target then begin
           (* The exact rank statistic lies in this bucket; interpolate
              by rank so distinct ranks get distinct values. r/n = 1
-             lands on the bucket's upper bound, matching Histogram's
-             convention for the bucket's last sample. *)
+             lands on the bucket's upper bound for the bucket's last
+             sample. *)
           let lo = lower_bound_of idx and hi = upper_bound_of idx in
           let r = target - seen in
           let v = lo + ((hi - lo) * r / n) in

@@ -1,12 +1,14 @@
 (** HDR-style constant-memory latency histograms with sub-1% quantile
-    error (Demiflight).
+    error — the one latency distribution type behind every figure,
+    table and BENCH artifact.
 
-    Like {!Histogram} but with 128 linear sub-buckets per power of two
+    Log-linear buckets with 128 linear sub-buckets per power of two
     (relative bucket width 1/128 < 1%) and rank-interpolated quantiles,
-    so tail quantiles stay meaningful where {!Histogram}'s 1/32 buckets
+    so tail quantiles stay meaningful where coarser 1/32 buckets
     collapse (the p50=p99 plateau BENCH_pr8.json recorded at 100k
     conns). Values are non-negative virtual nanoseconds; values below
-    128 are recorded exactly; [max_int] is representable.
+    128 are recorded exactly; [max_int] is representable. The mean is
+    the exact integer {!sum} over {!count}.
 
     Memory is a fixed ~7.3k-slot int array per histogram (~58 KB) no
     matter how many samples are recorded, and {!add} allocates nothing —
@@ -24,6 +26,9 @@ val create : unit -> t
 val add : t -> int -> unit
 (** Record one sample in O(1) with zero allocation. Negative samples
     are clamped to zero. *)
+
+val of_list : int list -> t
+(** A fresh histogram of the samples. *)
 
 val count : t -> int
 val min : t -> int

@@ -1,4 +1,4 @@
-type entry = Counter of int ref | Hist of Histogram.t
+type entry = Counter of int ref | Hist of Hdr.t
 
 type t = { entries : (string, entry) Hashtbl.t }
 
@@ -18,14 +18,14 @@ let histogram t name =
   | Some (Hist h) -> h
   | Some (Counter _) -> invalid_arg (Printf.sprintf "Registry: %s is a counter" name)
   | None ->
-      let h = Histogram.create () in
+      let h = Hdr.create () in
       Hashtbl.replace t.entries name (Hist h);
       h
 
 let incr t name = incr (counter t name)
 let add t name n = counter t name := !(counter t name) + n
 let set t name v = counter t name := v
-let observe t name v = Histogram.add (histogram t name) v
+let observe t name v = Hdr.add (histogram t name) v
 
 let value t name =
   match Hashtbl.find_opt t.entries name with Some (Counter r) -> Some !r | _ -> None
@@ -83,8 +83,8 @@ let to_json t =
       Buffer.add_string b
         (Printf.sprintf
            "\n    \"%s\": { \"count\": %d, \"p50\": %d, \"p99\": %d, \"p999\": %d, \"max\": %d }"
-           (json_escape name) (Histogram.count h) (Histogram.p50 h) (Histogram.p99 h)
-           (Histogram.p999 h) (Histogram.max h)))
+           (json_escape name) (Hdr.count h) (Hdr.p50 h) (Hdr.p99 h)
+           (Hdr.p999 h) (Hdr.max h)))
     (histograms t);
   Buffer.add_string b "\n  }\n}\n";
   Buffer.contents b
@@ -108,11 +108,11 @@ let dump t =
           Table.add_row tbl
             [
               name;
-              Table.cell_i (Histogram.count h);
-              Table.cell_ns (Histogram.p50 h);
-              Table.cell_ns (Histogram.p99 h);
-              Table.cell_ns (Histogram.p999 h);
-              Table.cell_ns (Histogram.max h);
+              Table.cell_i (Hdr.count h);
+              Table.cell_ns (Hdr.p50 h);
+              Table.cell_ns (Hdr.p99 h);
+              Table.cell_ns (Hdr.p999 h);
+              Table.cell_ns (Hdr.max h);
             ])
         hs;
       Table.print tbl

@@ -7,7 +7,7 @@
     rely on. Naming convention: [<owner>/<subsystem>/<metric>], e.g.
     [client-0/sched/context_switches] or [fabric/frames_delivered]. *)
 
-type entry = Counter of int ref | Hist of Histogram.t
+type entry = Counter of int ref | Hist of Hdr.t
 
 type t
 
@@ -17,7 +17,7 @@ val counter : t -> string -> int ref
 (** Find or create. Raises [Invalid_argument] if [name] is registered as
     a histogram. *)
 
-val histogram : t -> string -> Histogram.t
+val histogram : t -> string -> Hdr.t
 (** Find or create. Raises [Invalid_argument] if [name] is registered as
     a counter. *)
 
@@ -37,7 +37,7 @@ val iter : t -> (string -> entry -> unit) -> unit
 (** Name-sorted. *)
 
 val counters : t -> (string * int) list
-val histograms : t -> (string * Histogram.t) list
+val histograms : t -> (string * Hdr.t) list
 
 val dump : t -> unit
 (** Print counters and histogram summaries as {!Table}s (stdout),

@@ -83,20 +83,20 @@ let test_relay () =
   let fabric = Net.Fabric.create sim ~cost:bare () in
   let relay = Demikernel.Boot.make sim fabric ~index:1 Demikernel.Boot.Catnip_os in
   let gen = Demikernel.Boot.make sim fabric ~index:2 Demikernel.Boot.Catnip_os in
-  let rtts = Metrics.Histogram.create () in
+  let rtts = Metrics.Hdr.create () in
   let finished = ref false in
   Demikernel.Boot.run_app relay (Apps.Relay.server ~port:3478);
   Demikernel.Boot.run_app gen
     (Apps.Relay.generator
        ~dst:(Demikernel.Boot.endpoint relay 3478)
        ~src_port:4000 ~session:99 ~msg_size:200 ~count:40
-       ~record:(Metrics.Histogram.add rtts)
+       ~record:(Metrics.Hdr.add rtts)
        ~on_done:(fun () -> finished := true));
   Demikernel.Boot.start relay;
   Demikernel.Boot.start gen;
   Engine.Sim.run ~until:(Engine.Clock.s 5) sim;
   check_bool "finished" true !finished;
-  check_int "all packets relayed" 40 (Metrics.Histogram.count rtts)
+  check_int "all packets relayed" 40 (Metrics.Hdr.count rtts)
 
 (* --- dkv --- *)
 
@@ -247,20 +247,20 @@ let test_txnstore_replicates () =
 let test_txnstore_ycsb_f () =
   let sim, replicas, client = txn_world Demikernel.Boot.Catnip_os in
   let endpoints = List.map (fun r -> Demikernel.Boot.endpoint r 7447) replicas in
-  let lat = Metrics.Histogram.create () in
+  let lat = Metrics.Hdr.create () in
   let finished = ref false in
   Demikernel.Boot.run_app client
     (Apps.Txnstore.ycsb_f ~dst_replicas:endpoints ~keys:20 ~value_size:128 ~txns:50
        ~theta:0.99 ~seed:9
-       ~record:(Metrics.Histogram.add lat)
+       ~record:(Metrics.Hdr.add lat)
        ~on_done:(fun () -> finished := true));
   List.iter Demikernel.Boot.start replicas;
   Demikernel.Boot.start client;
   Engine.Sim.run ~until:(Engine.Clock.s 30) sim;
   check_bool "finished" true !finished;
-  check_int "txns measured" 50 (Metrics.Histogram.count lat);
+  check_int "txns measured" 50 (Metrics.Hdr.count lat);
   (* An RMW is at least two network round trips. *)
-  check_bool "txn latency exceeds 2 RTT" true (Metrics.Histogram.p50 lat > 8_000)
+  check_bool "txn latency exceeds 2 RTT" true (Metrics.Hdr.p50 lat > 8_000)
 
 let suite =
   [

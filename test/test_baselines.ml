@@ -8,7 +8,7 @@ let bare = Net.Cost.bare_metal
 
 let mean_rtt f =
   let hist = f () in
-  (Metrics.Histogram.count hist, int_of_float (Metrics.Histogram.mean hist))
+  (Metrics.Hdr.count hist, int_of_float (Metrics.Hdr.mean hist))
 
 let test_raw_echoes () =
   let n_dpdk, dpdk = mean_rtt (fun () -> Harness.Common.raw_dpdk_rtt ~count:100 ()) in
@@ -46,13 +46,13 @@ let test_open_loop_tracks_offered () =
 
 let test_linux_echo () =
   let hist = Harness.Common.linux_echo_rtt ~count:50 ~proto:Harness.Common.Echo_udp () in
-  check_int "count" 50 (Metrics.Histogram.count hist);
+  check_int "count" 50 (Metrics.Hdr.count hist);
   (* Kernel path: tens of microseconds. *)
-  check_bool "kernel echo slow" true (Metrics.Histogram.p50 hist > 15_000)
+  check_bool "kernel echo slow" true (Metrics.Hdr.p50 hist > 15_000)
 
 let test_linux_tcp_echo () =
   let hist = Harness.Common.linux_echo_rtt ~count:50 ~proto:Harness.Common.Echo_tcp () in
-  check_int "count" 50 (Metrics.Histogram.count hist)
+  check_int "count" 50 (Metrics.Hdr.count hist)
 
 let test_fig5_orderings () =
   Harness.Common.default_count := 200;
@@ -91,7 +91,7 @@ let test_fig7_persistence_cheaper_than_linux_memory () =
       .Harness.Fig_latency.avg_ns
   in
   let linux_memory =
-    Metrics.Histogram.mean (Harness.Common.linux_echo_rtt ~count:100 ~proto:Harness.Common.Echo_udp ())
+    Metrics.Hdr.mean (Harness.Common.linux_echo_rtt ~count:100 ~proto:Harness.Common.Echo_udp ())
   in
   check_bool
     (Printf.sprintf "catnip+disk (%d) < linux in-memory (%.0f)" catnip_disk linux_memory)
@@ -103,15 +103,15 @@ let test_txn_rdma_completes () =
   List.iter
     (fun i -> Baselines.Txn_rdma.replica w.Harness.Common.sim w.Harness.Common.fabric ~index:i)
     [ 1; 2; 3 ];
-  let hist = Metrics.Histogram.create () in
+  let hist = Metrics.Hdr.create () in
   let finished = ref false in
   Baselines.Txn_rdma.ycsb_client w.Harness.Common.sim w.Harness.Common.fabric ~index:4
     ~replica_indexes:[ 1; 2; 3 ] ~keys:20 ~value_size:128 ~txns:50 ~theta:0.99 ~seed:3
-    ~record:(Metrics.Histogram.add hist)
+    ~record:(Metrics.Hdr.add hist)
     ~on_done:(fun () -> finished := true);
   Harness.Common.run_world w;
   check_bool "finished" true !finished;
-  check_int "txns" 50 (Metrics.Histogram.count hist)
+  check_int "txns" 50 (Metrics.Hdr.count hist)
 
 let test_fig12_orderings () =
   let rows = Harness.Fig_apps.fig12 ~txns:100 ~keys:30 () in

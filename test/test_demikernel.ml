@@ -164,36 +164,36 @@ let run_echo ?(msg_size = 64) ?(count = 50) flavor =
   let fabric = Net.Fabric.create sim ~cost:bare () in
   let server = Demikernel.Boot.make sim fabric ~index:1 flavor in
   let client = Demikernel.Boot.make sim fabric ~index:2 flavor in
-  let rtts = Metrics.Histogram.create () in
+  let rtts = Metrics.Hdr.create () in
   let finished = ref false in
   Demikernel.Boot.run_app server ~name:"echo-server" (Apps.Echo.server ~port:7);
   Demikernel.Boot.run_app client ~name:"echo-client"
     (Apps.Echo.client
        ~dst:(Demikernel.Boot.endpoint server 7)
        ~msg_size ~count
-       ~record:(Metrics.Histogram.add rtts)
+       ~record:(Metrics.Hdr.add rtts)
        ~on_done:(fun () -> finished := true));
   Demikernel.Boot.start server;
   Demikernel.Boot.start client;
   Engine.Sim.run ~until:(Engine.Clock.s 10) sim;
   check_bool "client finished" true !finished;
-  check_int "all rtts recorded" count (Metrics.Histogram.count rtts);
+  check_int "all rtts recorded" count (Metrics.Hdr.count rtts);
   (rtts, server, client)
 
 let test_echo_catnip () =
   let rtts, _, _ = run_echo Demikernel.Boot.Catnip_os in
   (* Catnip TCP echo should land in single-digit microseconds. *)
-  let p50 = Metrics.Histogram.p50 rtts in
+  let p50 = Metrics.Hdr.p50 rtts in
   check_bool "catnip rtt in us range" true (p50 > 2_000 && p50 < 20_000)
 
 let test_echo_catmint () =
   let rtts, _, _ = run_echo Demikernel.Boot.Catmint_os in
-  let p50 = Metrics.Histogram.p50 rtts in
+  let p50 = Metrics.Hdr.p50 rtts in
   check_bool "catmint rtt in us range" true (p50 > 1_000 && p50 < 15_000)
 
 let test_echo_catnap () =
   let rtts, _, _ = run_echo ~count:30 Demikernel.Boot.Catnap_os in
-  let p50 = Metrics.Histogram.p50 rtts in
+  let p50 = Metrics.Hdr.p50 rtts in
   check_bool "catnap much slower than bypass" true (p50 > 8_000)
 
 let test_echo_ordering_matches_paper () =
@@ -201,9 +201,9 @@ let test_echo_ordering_matches_paper () =
   let r_mint, _, _ = run_echo Demikernel.Boot.Catmint_os in
   let r_nip, _, _ = run_echo Demikernel.Boot.Catnip_os in
   let r_nap, _, _ = run_echo ~count:30 Demikernel.Boot.Catnap_os in
-  let m = Metrics.Histogram.p50 r_mint
-  and n = Metrics.Histogram.p50 r_nip
-  and p = Metrics.Histogram.p50 r_nap in
+  let m = Metrics.Hdr.p50 r_mint
+  and n = Metrics.Hdr.p50 r_nip
+  and p = Metrics.Hdr.p50 r_nap in
   check_bool (Printf.sprintf "catmint (%d) < catnip (%d)" m n) true (m < n);
   check_bool (Printf.sprintf "catnip (%d) < catnap (%d)" n p) true (n < p)
 
@@ -229,21 +229,21 @@ let test_echo_udp_catnip () =
   let server = Demikernel.Boot.make sim fabric ~index:1 Demikernel.Boot.Catnip_os in
   let client = Demikernel.Boot.make sim fabric ~index:2 Demikernel.Boot.Catnip_os in
   let finished = ref false in
-  let rtts = Metrics.Histogram.create () in
+  let rtts = Metrics.Hdr.create () in
   Demikernel.Boot.run_app server (Apps.Echo.udp_server ~port:53);
   Demikernel.Boot.run_app client
     (Apps.Echo.udp_client
        ~dst:(Demikernel.Boot.endpoint server 53)
        ~src_port:5001 ~msg_size:64 ~count:50
-       ~record:(Metrics.Histogram.add rtts)
+       ~record:(Metrics.Hdr.add rtts)
        ~on_done:(fun () -> finished := true));
   Demikernel.Boot.start server;
   Demikernel.Boot.start client;
   Engine.Sim.run ~until:(Engine.Clock.s 5) sim;
   check_bool "finished" true !finished;
-  check_int "rtts" 50 (Metrics.Histogram.count rtts);
+  check_int "rtts" 50 (Metrics.Hdr.count rtts);
   (* UDP skips the TCP machinery: cheaper than TCP echo. *)
-  check_bool "udp rtt sane" true (Metrics.Histogram.p50 rtts < 15_000)
+  check_bool "udp rtt sane" true (Metrics.Hdr.p50 rtts < 15_000)
 
 let test_echo_with_persistence () =
   (* Figure 7 configuration: every message hits the SSD before the
@@ -254,14 +254,14 @@ let test_echo_with_persistence () =
     Demikernel.Boot.make sim fabric ~index:1 ~with_disk:true Demikernel.Boot.Catnip_os
   in
   let client = Demikernel.Boot.make sim fabric ~index:2 Demikernel.Boot.Catnip_os in
-  let rtts = Metrics.Histogram.create () in
+  let rtts = Metrics.Hdr.create () in
   let finished = ref false in
   Demikernel.Boot.run_app server (Apps.Echo.server ~port:7 ~persist:true);
   Demikernel.Boot.run_app client
     (Apps.Echo.client
        ~dst:(Demikernel.Boot.endpoint server 7)
        ~msg_size:64 ~count:20
-       ~record:(Metrics.Histogram.add rtts)
+       ~record:(Metrics.Hdr.add rtts)
        ~on_done:(fun () -> finished := true));
   Demikernel.Boot.start server;
   Demikernel.Boot.start client;
@@ -269,7 +269,7 @@ let test_echo_with_persistence () =
   check_bool "finished" true !finished;
   (* Every echo paid at least one Optane write. *)
   check_bool "rtt includes ssd write" true
-    (Metrics.Histogram.p50 rtts > bare.Net.Cost.ssd_write_ns);
+    (Metrics.Hdr.p50 rtts > bare.Net.Cost.ssd_write_ns);
   match server.Demikernel.Boot.ssd with
   | Some ssd -> check_bool "device persisted data" true (Net.Ssd_sim.bytes_written ssd >= 20 * 64)
   | None -> Alcotest.fail "no ssd"

@@ -151,15 +151,18 @@ let test_flow_of_frame () =
 (* --- captured echo: the capture is real traffic, in order --- *)
 
 let test_capture_catnip_echo () =
-  let r = Harness.Wire_capture.echo ~with_capture:true ~count:4 Demikernel.Boot.Catnip_os in
-  let session = Option.get r.Harness.Wire_capture.capture in
+  let r =
+    Harness.Observe.run
+      { Harness.Observe.off with capture = true }
+      (Test_observe.echo ~count:4 Demikernel.Boot.Catnip_os)
+  in
+  let session = Option.get r.capture in
   match Net.Pcap.parse (Net.Pcap.contents session.Net.Pcap.wire) with
   | Error why -> Alcotest.failf "capture does not parse: %s" why
   | Ok cap ->
       let packets = cap.Net.Pcap.packets in
       check_int "every delivered frame captured"
-        r.Harness.Wire_capture.fabric_stats.Net.Fabric.frames_delivered
-        (List.length packets);
+        r.fabric_stats.Net.Fabric.frames_delivered (List.length packets);
       let mono =
         let rec go last = function
           | [] -> true
@@ -186,29 +189,30 @@ let test_capture_catnip_echo () =
       | _ -> Alcotest.fail "no TCP handshake in capture")
 
 let test_capture_observer_effect_free () =
-  let base = Harness.Wire_capture.echo ~count:8 Demikernel.Boot.Catnip_os in
-  let taps = Harness.Wire_capture.echo ~with_capture:true ~count:8 Demikernel.Boot.Catnip_os in
-  check_string "digest unchanged by capture" base.Harness.Wire_capture.digest
-    taps.Harness.Wire_capture.digest;
-  check_bool "RTTs unchanged by capture" true
-    (Harness.Wire_capture.rtt_values base = Harness.Wire_capture.rtt_values taps)
+  ignore (Test_observe.gate { Harness.Observe.off with capture = true } Test_observe.echo)
 
 let test_lost_tap_sees_injected_loss () =
   let r =
-    Harness.Wire_capture.echo ~with_capture:true ~count:8 ~loss:0.2 Demikernel.Boot.Catnip_os
+    Harness.Observe.run
+      { Harness.Observe.off with capture = true }
+      { (Test_observe.echo Demikernel.Boot.Catnip_os) with loss = 0.2 }
   in
-  let session = Option.get r.Harness.Wire_capture.capture in
-  check_bool "fabric dropped frames" true
-    (r.Harness.Wire_capture.fabric_stats.Net.Fabric.frames_dropped > 0);
-  check_int "every drop captured on the lost tap"
-    r.Harness.Wire_capture.fabric_stats.Net.Fabric.frames_dropped
+  let session = Option.get r.capture in
+  check_bool "fabric dropped frames" true (r.fabric_stats.Net.Fabric.frames_dropped > 0);
+  check_int "every drop captured on the lost tap" r.fabric_stats.Net.Fabric.frames_dropped
     (Net.Pcap.frames_written session.Net.Pcap.lost)
 
 (* --- causal flows in the Chrome export --- *)
 
+let traced_spans ~count =
+  Option.get
+    (Harness.Observe.run
+       { Harness.Observe.off with spans = true }
+       (Test_observe.echo ~count Demikernel.Boot.Catnip_os))
+      .spans
+
 let test_chrome_flow_events () =
-  let run = Harness.Fig_breakdown.echo ~count:4 Demikernel.Boot.Catnip_os in
-  let json = Harness.Chrome_trace.export run.Harness.Fig_breakdown.spans in
+  let json = Harness.Chrome_trace.export (traced_spans ~count:4) in
   (match Harness.Chrome_trace.validate json with
   | Ok _ -> ()
   | Error why -> Alcotest.failf "flow-bearing trace invalid: %s" why);
@@ -226,8 +230,7 @@ let test_validator_rejects_orphan_flow_head () =
     (match Harness.Chrome_trace.validate json with Error _ -> true | Ok _ -> false)
 
 let test_wire_events_recorded () =
-  let run = Harness.Fig_breakdown.echo ~count:2 Demikernel.Boot.Catnip_os in
-  let wires = Engine.Span.wire_events run.Harness.Fig_breakdown.spans in
+  let wires = Engine.Span.wire_events (traced_spans ~count:2) in
   check_bool "wire events recorded" true (List.length wires > 0);
   List.iter
     (fun w ->
@@ -261,26 +264,21 @@ let test_timeseries_unit () =
     (Metrics.Timeseries.to_csv ts)
 
 let test_timeline_sampling_observer_effect_free () =
-  let base = Harness.Wire_capture.echo ~count:8 Demikernel.Boot.Catnip_os in
-  let sampled =
-    Harness.Wire_capture.echo ~with_timeline:true ~count:8 Demikernel.Boot.Catnip_os
-  in
-  check_string "digest unchanged by sampling" base.Harness.Wire_capture.digest
-    sampled.Harness.Wire_capture.digest;
-  check_bool "RTTs unchanged by sampling" true
-    (Harness.Wire_capture.rtt_values base = Harness.Wire_capture.rtt_values sampled);
-  let ts = Option.get sampled.Harness.Wire_capture.timeline in
-  check_bool "samples were taken" true (Metrics.Timeseries.length ts > 0);
-  (* Fixed grid: rows are spaced exactly one interval apart. *)
-  let rec spaced = function
-    | (t0, _) :: ((t1, _) :: _ as rest) ->
-        t1 - t0 = Metrics.Timeseries.interval_ns ts && spaced rest
-    | _ -> true
-  in
-  check_bool "rows on the interval grid" true (spaced (Metrics.Timeseries.rows ts));
-  check_bool "fabric bytes show up" true
-    (List.exists (fun (_, vals) -> List.exists (fun v -> v > 0) vals)
-       (Metrics.Timeseries.rows ts))
+  List.iter
+    (fun (r : Harness.Observe.run) ->
+      let ts = Option.get r.timeline in
+      check_bool "samples were taken" true (Metrics.Timeseries.length ts > 0);
+      (* Fixed grid: rows are spaced exactly one interval apart. *)
+      let rec spaced = function
+        | (t0, _) :: ((t1, _) :: _ as rest) ->
+            t1 - t0 = Metrics.Timeseries.interval_ns ts && spaced rest
+        | _ -> true
+      in
+      check_bool "rows on the interval grid" true (spaced (Metrics.Timeseries.rows ts));
+      check_bool "fabric bytes show up" true
+        (List.exists (fun (_, vals) -> List.exists (fun v -> v > 0) vals)
+           (Metrics.Timeseries.rows ts)))
+    (Test_observe.gate { Harness.Observe.off with timeline = Some 10_000 } Test_observe.echo)
 
 (* --- corruption: UDP has no repair, so bit rot means loss --- *)
 

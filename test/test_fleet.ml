@@ -31,15 +31,21 @@ let test_ctx_roundtrip () =
 
 (* ---------- txnstore quorum under spans + flight ---------- *)
 
+let recorders = { Harness.Observe.off with causal = true; spans = true; flight = Some 4096 }
+
 let quorum_run () =
-  Harness.Fleet.txnstore ~with_causal:true ~with_spans:true ~with_flight:true ~replicas:3
-    ~count:6 ~quorum:2 Demikernel.Boot.Catnip_os
+  Harness.Observe.run recorders
+    {
+      (Harness.Observe.txnstore Demikernel.Boot.Catnip_os) with
+      app = Harness.Observe.Txnstore { replicas = 3; quorum = Some 2 };
+      count = 6;
+    }
 
 let test_quorum_dag () =
   let r = quorum_run () in
-  check_int "all puts measured" 6 (List.length r.Harness.Fleet.latencies);
-  let causal = Option.get r.Harness.Fleet.causal in
-  let spans = Option.get r.Harness.Fleet.spans in
+  check_int "all puts measured" 6 (List.length r.latencies);
+  let causal = Option.get r.causal in
+  let spans = Option.get r.spans in
   (* Leak-free teardown: every op span closed, except the servers'
      standing accepts (they wait for connections that never come). *)
   check_int "no op spans left open (beyond standing accepts)" 0
@@ -82,7 +88,7 @@ let test_quorum_dag () =
 
 let test_quorum_profile_exact () =
   let r = quorum_run () in
-  let reqs = Harness.Fleet.dag ?spans:r.Harness.Fleet.spans (Option.get r.Harness.Fleet.causal) in
+  let reqs = Harness.Fleet.dag ?spans:r.spans (Option.get r.causal) in
   let p = Harness.Fleet.profile ~app:"txnstore" reqs in
   check_int "profile counts every request" 6 p.Harness.Fleet.p_requests;
   check_bool "row totals sum to end-to-end total" true (Harness.Fleet.profile_exact p);
@@ -93,17 +99,17 @@ let test_quorum_profile_exact () =
 
 let test_relay_dag () =
   let r =
-    Harness.Fleet.relay ~with_causal:true ~with_spans:true ~with_flight:true ~count:5
-      Demikernel.Boot.Catnip_os
+    Harness.Observe.run recorders
+      { (Harness.Observe.relay Demikernel.Boot.Catnip_os) with count = 5 }
   in
-  check_int "all messages measured" 5 (List.length r.Harness.Fleet.latencies);
-  let spans = Option.get r.Harness.Fleet.spans in
+  check_int "all messages measured" 5 (List.length r.latencies);
+  let spans = Option.get r.spans in
   (* Leak-free teardown: the only op left open is the relay server's
      standing pop, waiting for traffic that never comes. *)
   (match Engine.Span.open_ops spans with
   | [ o ] when o.Engine.Span.op_kind = "pop" && o.Engine.Span.op_owner = "relay" -> ()
   | l -> Alcotest.failf "unexpected open ops at teardown: %d" (List.length l));
-  let reqs = Harness.Fleet.dag ~spans (Option.get r.Harness.Fleet.causal) in
+  let reqs = Harness.Fleet.dag ~spans (Option.get r.causal) in
   check_int "one DAG per message" 5 (List.length reqs);
   List.iter
     (fun (q : Harness.Fleet.request) ->
@@ -126,22 +132,16 @@ let test_relay_dag () =
 (* ---------- observer-effect freedom ---------- *)
 
 let test_observer_effect_free () =
-  List.iter
-    (fun flavor ->
-      let off = Harness.Fleet.txnstore ~with_causal:false ~with_spans:false ~count:4 flavor in
-      let on = Harness.Fleet.txnstore ~with_causal:true ~with_spans:true ~count:4 flavor in
-      let name = Harness.Fleet.flavor_name flavor in
-      check_string (name ^ ": trace digest identical") off.Harness.Fleet.digest
-        on.Harness.Fleet.digest;
-      check_bool (name ^ ": latencies identical") true
-        (off.Harness.Fleet.latencies = on.Harness.Fleet.latencies))
-    [ Demikernel.Boot.Catnap_os; Demikernel.Boot.Catnip_os; Demikernel.Boot.Catmint_os ]
+  ignore
+    (Test_observe.gate
+       { Harness.Observe.off with causal = true; spans = true }
+       (fun flavor -> { (Harness.Observe.txnstore flavor) with count = 4 }))
 
 (* ---------- chrome export ---------- *)
 
 let test_chrome_export_valid () =
   let r = quorum_run () in
-  let reqs = Harness.Fleet.dag ?spans:r.Harness.Fleet.spans (Option.get r.Harness.Fleet.causal) in
+  let reqs = Harness.Fleet.dag ?spans:r.spans (Option.get r.causal) in
   let json = Harness.Fleet.chrome_export ~app:"txnstore" reqs in
   match Harness.Chrome_trace.validate json with
   | Ok n -> check_bool "events present" true (n > 0)
@@ -153,10 +153,10 @@ let test_fleet_deterministic () =
   let fingerprint () =
     let r = quorum_run () in
     let reqs =
-      Harness.Fleet.dag ?spans:r.Harness.Fleet.spans (Option.get r.Harness.Fleet.causal)
+      Harness.Fleet.dag ?spans:r.spans (Option.get r.causal)
     in
-    ( r.Harness.Fleet.digest,
-      r.Harness.Fleet.latencies,
+    ( r.digest,
+      r.latencies,
       List.map
         (fun (q : Harness.Fleet.request) ->
           ( q.r_id, q.r_begin, q.r_end,

@@ -1,5 +1,5 @@
 (* Demiflight tests: the Hdr histogram's error/merge contracts, the
-   flight ring's wraparound and observer-effect-freedom, the reservoir's
+   flight ring's wraparound and its row of the observer-effect gate, the reservoir's
    determinism, the SLO watchdog, and tail attribution exactness. *)
 
 let check_int = Alcotest.(check int)
@@ -99,7 +99,7 @@ let test_hdr_bucket_edges () =
   List.iter (Metrics.Hdr.add h2) [ 0; 1; 2; 127 ];
   check_int "exact below 128: p50" 1 (Metrics.Hdr.quantile h2 0.5);
   check_int "exact below 128: p100" 127 (Metrics.Hdr.quantile h2 1.0);
-  (* Negative samples clamp to zero, like Histogram. *)
+  (* Negative samples clamp to zero. *)
   let h3 = Metrics.Hdr.create () in
   Metrics.Hdr.add h3 (-42);
   check_int "negative clamped" 0 (Metrics.Hdr.min h3);
@@ -125,19 +125,16 @@ let test_hdr_to_buckets_sums =
 let test_hdr_resolves_the_pr8_collapse () =
   (* The regression that motivated Hdr: BENCH_pr8.json's 100k point
      reported p50 = p99 = 2015ns because >= 99% of the mass sat inside
-     one of Histogram's 1/32 buckets ([1984..2015]). The same shape
-     through Hdr must produce distinct p50 and p99. *)
-  let coarse = Metrics.Histogram.create () in
+     one 1/32-wide bucket ([1984..2015]). The same shape must produce
+     distinct p50, p99 and p99.9. *)
   let fine = Metrics.Hdr.create () in
   for i = 0 to 999 do
     (* Body at 2000..2009ns, a 1% tail at 2800ns: all inside the old
        [1984..2015] bucket except the tail. *)
-    let v = if i >= 990 then 2800 else 2000 + (i mod 10) in
-    Metrics.Histogram.add coarse v;
-    Metrics.Hdr.add fine v
+    Metrics.Hdr.add fine (if i >= 990 then 2800 else 2000 + (i mod 10))
   done;
-  check_int "histogram collapses the body" (Metrics.Histogram.p50 coarse)
-    (Metrics.Histogram.quantile coarse 0.98);
+  check_bool "hdr resolves the body" true
+    (Metrics.Hdr.p50 fine < Metrics.Hdr.quantile fine 0.98);
   check_bool "hdr separates p50 from p99" true (Metrics.Hdr.p50 fine < Metrics.Hdr.p99 fine);
   check_bool "hdr separates p99 from p99.9" true
     (Metrics.Hdr.p99 fine < Metrics.Hdr.p999 fine)
@@ -220,26 +217,11 @@ let test_flight_dump_completeness () =
   check_bool "digest moves with new records" true
     (Engine.Flight.digest f <> Engine.Flight.digest g)
 
-let flavors =
-  [ Demikernel.Boot.Catnap_os; Demikernel.Boot.Catnip_os; Demikernel.Boot.Catmint_os ]
-
 let test_flight_observer_effect_free () =
-  (* The tentpole gate, as a test: recorder on vs off, same seed, all
-     three flavors — byte-identical trace digests and identical RTT
-     distributions. *)
   List.iter
-    (fun flavor ->
-      let name = Harness.Fig_breakdown.flavor_name flavor in
-      let off = Harness.Wire_capture.echo ~with_flight:false ~count:8 flavor in
-      let on = Harness.Wire_capture.echo ~with_flight:true ~count:8 flavor in
-      check_string (name ^ ": digest identical, flight on vs off")
-        off.Harness.Wire_capture.digest on.Harness.Wire_capture.digest;
-      check_bool (name ^ ": RTTs identical, flight on vs off") true
-        (Harness.Wire_capture.rtt_values off = Harness.Wire_capture.rtt_values on);
-      match on.Harness.Wire_capture.flight with
-      | Some ring -> check_bool (name ^ ": ring recorded") true (Engine.Flight.total ring > 0)
-      | None -> Alcotest.fail (name ^ ": flight requested but absent"))
-    flavors
+    (fun (r : Harness.Observe.run) ->
+      check_bool "ring recorded" true (Engine.Flight.total (Option.get r.flight) > 0))
+    (Test_observe.gate { Harness.Observe.off with flight = Some 4096 } Test_observe.echo)
 
 (* ---------- SLO watchdog ---------- *)
 
@@ -265,11 +247,14 @@ let test_slo_captures_loss_outliers () =
   (* Injected loss forces retransmission timeouts: with a threshold
      well above the loss-free RTT, every captured outlier really did
      breach and the watchdog saw at least one. *)
+  let scenario = { (Test_observe.echo ~count:64 Demikernel.Boot.Catnip_os) with loss = 0.05 } in
+  (* Arming the watchdog is a pure observation too. *)
   let r =
-    Harness.Wire_capture.echo ~with_spans:true ~count:64 ~loss:0.05 ~slo_ns:100_000
-      Demikernel.Boot.Catnip_os
+    match Harness.Observe.check { Harness.Observe.off with slo_ns = Some 100_000 } scenario with
+    | Ok r -> r
+    | Error why -> Alcotest.fail why
   in
-  let spans = match r.Harness.Wire_capture.spans with Some s -> s | None -> assert false in
+  let spans = Option.get r.spans in
   check_bool "at least one outlier" true (Engine.Span.outlier_count spans > 0);
   List.iter
     (fun op ->
@@ -278,18 +263,19 @@ let test_slo_captures_loss_outliers () =
           check_bool "outlier latency exceeds threshold" true
             (t - op.Engine.Span.opened_at > 100_000)
       | None -> Alcotest.fail "outlier with no close time")
-    (Engine.Span.outliers spans);
-  (* Arming the watchdog is a pure observation too. *)
-  let off =
-    Harness.Wire_capture.echo ~with_spans:false ~count:64 ~loss:0.05 Demikernel.Boot.Catnip_os
-  in
-  check_string "digest identical, watchdog armed vs no spans"
-    off.Harness.Wire_capture.digest r.Harness.Wire_capture.digest
+    (Engine.Span.outliers spans)
 
 (* ---------- tail attribution ---------- *)
 
+(* Tail attribution over one spans-armed echo of [count] requests. *)
+let tail ~count flavor =
+  Harness.Fig_breakdown.tail
+    (Harness.Observe.run
+       { Harness.Observe.off with spans = true }
+       (Test_observe.echo ~count flavor))
+
 let test_tail_bands_sum_exactly () =
-  let t = Harness.Fig_breakdown.echo_tail ~count:96 Demikernel.Boot.Catnip_os in
+  let t = tail ~count:96 Demikernel.Boot.Catnip_os in
   check_int "every RTT measured" 96 t.Harness.Fig_breakdown.tail_ops;
   check_bool "windows retained" true (t.Harness.Fig_breakdown.tail_sampled > 0);
   check_int "default band count" 4 (List.length t.Harness.Fig_breakdown.tail_bands);
@@ -313,7 +299,7 @@ let test_tail_bands_sum_exactly () =
 
 let test_tail_deterministic () =
   let run () =
-    let t = Harness.Fig_breakdown.echo_tail ~count:48 Demikernel.Boot.Catmint_os in
+    let t = tail ~count:48 Demikernel.Boot.Catmint_os in
     ( t.Harness.Fig_breakdown.tail_digest,
       t.Harness.Fig_breakdown.tail_sampled,
       List.map

@@ -828,8 +828,8 @@ let test_experiment_determinism () =
       Harness.Common.demi_echo_rtt ~count:100 ~proto:Harness.Common.Echo_tcp
         Demikernel.Boot.Catnip_os
     in
-    (Metrics.Histogram.p50 hist, Metrics.Histogram.p99 hist,
-     int_of_float (Metrics.Histogram.mean hist))
+    (Metrics.Hdr.p50 hist, Metrics.Hdr.p99 hist,
+     int_of_float (Metrics.Hdr.mean hist))
   in
   let a = run () in
   let b = run () in

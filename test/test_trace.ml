@@ -73,15 +73,18 @@ let test_attribute_gaps_are_other () =
 
 (* --- lifecycle over real libOS runs --- *)
 
-let flavors =
-  [ Demikernel.Boot.Catnap_os; Demikernel.Boot.Catnip_os; Demikernel.Boot.Catmint_os ]
+let flavors = Test_observe.flavors
+let spans_arm = { Harness.Observe.off with spans = true }
+
+(* One spans-armed echo of [count] requests. *)
+let traced ~count flavor = Harness.Observe.run spans_arm (Test_observe.echo ~count flavor)
 
 let test_echo_leaves_only_the_accept_open () =
   List.iter
     (fun flavor ->
-      let r = Harness.Fig_breakdown.echo ~count:4 flavor in
-      let opens = Engine.Span.open_ops r.Harness.Fig_breakdown.spans in
-      let name = Harness.Fig_breakdown.flavor_name r.Harness.Fig_breakdown.flavor in
+      let spans = Option.get (traced ~count:4 flavor).spans in
+      let opens = Engine.Span.open_ops spans in
+      let name = Demikernel.Boot.flavor_name flavor in
       check_int (name ^ ": one op still open at teardown") 1 (List.length opens);
       Alcotest.(check string)
         (name ^ ": it is the server's standing accept")
@@ -89,7 +92,7 @@ let test_echo_leaves_only_the_accept_open () =
       check_bool
         (name ^ ": ops were recorded")
         true
-        (Engine.Span.op_count r.Harness.Fig_breakdown.spans > 8))
+        (Engine.Span.op_count spans > 8))
     flavors
 
 let test_wait_any_timeout_leaves_pop_open () =
@@ -161,37 +164,22 @@ let test_clean_shutdown_leaves_no_open_spans () =
 (* --- observer-effect-free contract --- *)
 
 let test_spans_do_not_perturb_the_simulation () =
-  List.iter
-    (fun flavor ->
-      let name = Harness.Fig_breakdown.flavor_name flavor in
-      let off = Harness.Fig_breakdown.echo ~with_spans:false ~count:8 flavor in
-      let on = Harness.Fig_breakdown.echo ~with_spans:true ~count:8 flavor in
-      Alcotest.(check string)
-        (name ^ ": trace digest identical spans-on vs spans-off")
-        off.Harness.Fig_breakdown.digest on.Harness.Fig_breakdown.digest;
-      check_int
-        (name ^ ": client RTT identical")
-        off.Harness.Fig_breakdown.rtt on.Harness.Fig_breakdown.rtt;
-      Alcotest.(check (list (pair int int)))
-        (name ^ ": full RTT distribution identical")
-        (Metrics.Histogram.to_buckets off.Harness.Fig_breakdown.rtts)
-        (Metrics.Histogram.to_buckets on.Harness.Fig_breakdown.rtts))
-    flavors
+  ignore (Test_observe.gate spans_arm Test_observe.echo)
 
 let test_breakdown_sums_to_rtt_exactly () =
   List.iter
     (fun flavor ->
-      let r = Harness.Fig_breakdown.echo ~count:4 flavor in
-      let b = r.Harness.Fig_breakdown.breakdown in
+      let r = traced ~count:4 flavor in
+      let rtt = List.nth r.latencies 3 in
+      let b = Harness.Fig_breakdown.last_rtt r in
       let sum =
         List.fold_left
           (fun acc (_, ns) -> acc + ns)
           b.Harness.Fig_breakdown.other b.Harness.Fig_breakdown.components
       in
-      let name = Harness.Fig_breakdown.flavor_name flavor in
-      check_int (name ^ ": components + other = RTT") r.Harness.Fig_breakdown.rtt sum;
-      check_int (name ^ ": total field agrees") r.Harness.Fig_breakdown.rtt
-        b.Harness.Fig_breakdown.total;
+      let name = Demikernel.Boot.flavor_name flavor in
+      check_int (name ^ ": components + other = RTT") rtt sum;
+      check_int (name ^ ": total field agrees") rtt b.Harness.Fig_breakdown.total;
       List.iter
         (fun (_, ns) -> check_bool (name ^ ": nonnegative share") true (ns >= 0))
         b.Harness.Fig_breakdown.components)
@@ -200,15 +188,11 @@ let test_breakdown_sums_to_rtt_exactly () =
 (* --- Chrome export --- *)
 
 let test_chrome_export_validates () =
-  let r = Harness.Fig_breakdown.echo ~count:4 Demikernel.Boot.Catnip_os in
+  let r = traced ~count:4 Demikernel.Boot.Catnip_os in
   let json =
     Harness.Chrome_trace.export
-      ~extra:
-        [
-          ( "demitrace",
-            Harness.Fig_breakdown.breakdown_json r.Harness.Fig_breakdown.breakdown );
-        ]
-      r.Harness.Fig_breakdown.spans
+      ~extra:[ ("demitrace", Harness.Fig_breakdown.breakdown_json (Harness.Fig_breakdown.last_rtt r)) ]
+      (Option.get r.spans)
   in
   match Harness.Chrome_trace.validate json with
   | Ok n -> check_bool "a real trace has many events" true (n > 100)
@@ -227,8 +211,8 @@ let replace_first ~needle ~by s =
       Some (String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n))
 
 let test_validator_rejects_tampering () =
-  let r = Harness.Fig_breakdown.echo ~count:2 Demikernel.Boot.Catnip_os in
-  let json = Harness.Chrome_trace.export r.Harness.Fig_breakdown.spans in
+  let r = traced ~count:2 Demikernel.Boot.Catnip_os in
+  let json = Harness.Chrome_trace.export (Option.get r.spans) in
   check_bool "truncated file rejected" true
     (match Harness.Chrome_trace.validate (String.sub json 0 (String.length json / 2)) with
     | Error _ -> true
@@ -255,7 +239,7 @@ let test_validator_rejects_tampering () =
 (* --- stats registry over a run --- *)
 
 let test_stats_registry_populated () =
-  let reg = Harness.Stats.echo ~count:8 Demikernel.Boot.Catnip_os in
+  let reg = Harness.Stats.collect (traced ~count:8 Demikernel.Boot.Catnip_os) in
   Alcotest.(check (option int))
     "lossless run drops nothing" (Some 0)
     (Metrics.Registry.value reg "fabric/frames_dropped");
@@ -282,7 +266,7 @@ let test_stats_registry_populated () =
   let names = Metrics.Registry.sorted_names reg in
   check_bool "iteration is name-sorted" true (names = List.sort String.compare names);
   check_int "client RTT histogram has every echo" 8
-    (Metrics.Histogram.count (Metrics.Registry.histogram reg "catnip-2/echo/rtt_ns"))
+    (Metrics.Hdr.count (Metrics.Registry.histogram reg "catnip-2/echo/rtt_ns"))
 
 let suite =
   [
