@@ -2,8 +2,9 @@
 
 let check_int = Alcotest.(check int)
 
-(* The one latency histogram, Metrics.Hdr, at its edges: the error and
-   merge properties live with the other Hdr tests in test_flight.ml. *)
+(* The one latency histogram, Metrics.Hdr, at its edges and through its
+   basic error/merge/bucket properties; the tighter 1/128 oracle and
+   exact-merge checks live with the other Hdr tests in test_flight.ml. *)
 
 let test_histogram_empty () =
   let h = Metrics.Hdr.create () in
@@ -73,6 +74,59 @@ let test_histogram_quantile_monotone =
       (* q = 1.0 is the last bucket's last rank: exactly the max. *)
       sorted qs && List.nth qs 5 = Metrics.Hdr.max h)
 
+let test_histogram_precision =
+  QCheck.Test.make ~name:"histogram quantile within 1/32 relative error" ~count:300
+    QCheck.(int_range 1 1_000_000_000)
+    (fun v ->
+      (* v is the median of three, so p50 is not clamped to min or max
+         and is read back through v's bucket. *)
+      let h = Metrics.Hdr.create () in
+      List.iter (Metrics.Hdr.add h) [ 0; v; max_int ];
+      let err = abs (Metrics.Hdr.p50 h - v) in
+      (* The 1/32 bound every quantile cell was quoted against still
+         holds: an Hdr bucket at v is at most v/128 + 1 wide. *)
+      err <= (v / 32) + 1)
+
+(* --- to_buckets / merge properties (Demitrace exporters read the
+   distribution through to_buckets, so its invariants matter) --- *)
+
+let test_to_buckets_sums_to_count =
+  QCheck.Test.make ~name:"to_buckets counts sum to count, bounds ascending" ~count:200
+    QCheck.(list (int_range 0 100_000_000))
+    (fun samples ->
+      let h = Metrics.Hdr.create () in
+      List.iter (Metrics.Hdr.add h) samples;
+      let buckets = Metrics.Hdr.to_buckets h in
+      let total = List.fold_left (fun acc (_, n) -> acc + n) 0 buckets in
+      let bounds = List.map fst buckets in
+      total = Metrics.Hdr.count h
+      && List.for_all (fun (_, n) -> n > 0) buckets
+      && bounds = List.sort_uniq compare bounds)
+
+let test_merge_associative =
+  QCheck.Test.make ~name:"histogram merge is associative" ~count:100
+    QCheck.(triple (list (int_range 0 1_000_000)) (list (int_range 0 1_000_000))
+              (list (int_range 0 1_000_000)))
+    (fun (xs, ys, zs) ->
+      let fill samples =
+        let h = Metrics.Hdr.create () in
+        List.iter (Metrics.Hdr.add h) samples;
+        h
+      in
+      (* (x <- y) <- z versus x <- (y <- z), compared through the full
+         observable surface: buckets, count, min, max. *)
+      let left = fill xs in
+      Metrics.Hdr.merge left (fill ys);
+      Metrics.Hdr.merge left (fill zs);
+      let yz = fill ys in
+      Metrics.Hdr.merge yz (fill zs);
+      let right = fill xs in
+      Metrics.Hdr.merge right yz;
+      Metrics.Hdr.to_buckets left = Metrics.Hdr.to_buckets right
+      && Metrics.Hdr.count left = Metrics.Hdr.count right
+      && Metrics.Hdr.min left = Metrics.Hdr.min right
+      && Metrics.Hdr.max left = Metrics.Hdr.max right)
+
 let test_registry_kinds_and_order () =
   let reg = Metrics.Registry.create () in
   Metrics.Registry.incr reg "b/ops";
@@ -104,10 +158,13 @@ let suite =
     Alcotest.test_case "histogram empty" `Quick test_histogram_empty;
     Alcotest.test_case "histogram single sample" `Quick test_histogram_single;
     Alcotest.test_case "histogram exact small values" `Quick test_histogram_exact_small;
+    QCheck_alcotest.to_alcotest test_histogram_precision;
     Alcotest.test_case "histogram mean/merge" `Quick test_histogram_mean_merge;
     Alcotest.test_case "histogram clear" `Quick test_histogram_clear;
     Alcotest.test_case "histogram clamps negatives" `Quick test_histogram_negative_clamped;
     QCheck_alcotest.to_alcotest test_histogram_quantile_monotone;
+    QCheck_alcotest.to_alcotest test_to_buckets_sums_to_count;
+    QCheck_alcotest.to_alcotest test_merge_associative;
     Alcotest.test_case "registry kinds and ordering" `Quick test_registry_kinds_and_order;
     Alcotest.test_case "table cell rendering" `Quick test_cells;
   ]
