@@ -1,4 +1,4 @@
-.PHONY: all build test lint selfcheck check bench bench-smoke alloc-smoke observe-smoke graph-smoke scale-smoke bench-guard clean
+.PHONY: all build test lint selfcheck check bench bench-smoke alloc-smoke observe-smoke graph-smoke scale-smoke micro-smoke bench-guard clean
 
 all: build
 
@@ -24,6 +24,7 @@ check:
 	$(MAKE) observe-smoke
 	$(MAKE) graph-smoke
 	$(MAKE) scale-smoke
+	$(MAKE) micro-smoke
 	$(MAKE) bench-guard
 
 bench:
@@ -121,6 +122,19 @@ scale-smoke:
 	@grep -q '"to_srv_ns"' out/BENCH_pr10_smoke.json \
 	  || { echo "scale-smoke: per-hop attribution missing from bands" >&2; exit 1; }
 	@echo "scale-smoke: OK"
+
+# The Bechamel microbenchmarks (`bench -- micro`, real ns per datapath
+# primitive). Fails if the run crashes or either wait_any row — 8 and
+# 2048 outstanding tokens, one ready — is missing or has no estimate.
+micro-smoke:
+	mkdir -p out
+	dune exec bench/main.exe -- micro > out/micro.txt
+	@cat out/micro.txt
+	@for n in 8 2048; do \
+	  grep -Eq "runtime: wait_any, $$n tokens, 1 ready +[0-9]+\.[0-9]" out/micro.txt \
+	    || { echo "micro-smoke: wait_any row for $$n tokens missing from out/micro.txt" >&2; exit 1; }; \
+	done
+	@echo "micro-smoke: OK"
 
 # The benchmark-artifact guard: every committed BENCH_pr*.json must
 # parse, match its family schema (incl. exact attribution sums and

@@ -131,7 +131,31 @@ let micro_tests () =
            incr i;
            Metrics.Hdr.add h (!i land 0xfffff)))
   in
-  [ sched_switch; waker; checksum; tcp_rx; heap_ops; hdr ]
+  let wait_any ~tokens =
+    (* Runtime work only: with free libcalls the PDPIX wrapper never
+       sleeps, so no running simulation is needed around the calls.
+       Each run completes the pending token in the next slot, redeems
+       it with wait_any and mints a fresh pending token in its place:
+       [tokens] outstanding, one ready, the ready slot rotating over
+       the whole set. *)
+    let sim = Engine.Sim.create () in
+    let fabric =
+      Net.Fabric.create sim ~cost:{ Net.Cost.bare_metal with Net.Cost.libos_sched_ns = 0 } ()
+    in
+    let node = Demikernel.Boot.make sim fabric ~index:1 Demikernel.Boot.Catnip_os in
+    let rt = node.Demikernel.Boot.rt in
+    let qts = Array.init tokens (fun _ -> Demikernel.Runtime.fresh_token rt) in
+    let next = ref 0 in
+    Test.make
+      ~name:(Printf.sprintf "runtime: wait_any, %d tokens, 1 ready" tokens)
+      (Staged.stage (fun () ->
+           let i = !next in
+           next := if i + 1 = tokens then 0 else i + 1;
+           Demikernel.Runtime.complete rt qts.(i) Demikernel.Pdpix.Pushed;
+           ignore (node.Demikernel.Boot.api.Demikernel.Pdpix.wait_any qts);
+           qts.(i) <- Demikernel.Runtime.fresh_token rt))
+  in
+  [ sched_switch; waker; checksum; tcp_rx; heap_ops; hdr; wait_any ~tokens:8; wait_any ~tokens:2048 ]
 
 let run_micro () =
   let open Bechamel in

@@ -225,8 +225,6 @@ let handle_message srv cs msg =
     end
   end
 
-type role = Accept | Conn of conn_state
-
 (* Crash recovery: replay the append-only file into the store before
    serving. Each log record is one framed SET request. *)
 let recover_from_aof srv log =
@@ -270,44 +268,26 @@ let server ?(port = 6379) ?(persist = false) (api : Pdpix.api) =
          offline tools. *)
       try recover_from_aof srv l with Pdpix.Unsupported _ -> srv.compaction <- false)
   | None -> ());
-  let tokens = ref [ (api.Pdpix.accept lqd, Accept) ] in
-  let add qt role = tokens := !tokens @ [ (qt, role) ] in
-  let remove i = tokens := List.filteri (fun j _ -> j <> i) !tokens in
-  let rec loop () =
-    let arr = Array.of_list (List.map fst !tokens) in
-    let i, completion = api.Pdpix.wait_any arr in
-    let qt, role = List.nth !tokens i in
-    remove i;
-    (match (completion, role) with
-    | Pdpix.Accepted qd, Accept ->
-        add (api.Pdpix.accept lqd) Accept;
-        add (api.Pdpix.pop qd) (Conn { qd; acc = Framing.create () })
-    | Pdpix.Popped [], Conn cs -> api.Pdpix.close cs.qd
-    | Pdpix.Popped sga, Conn cs ->
-        if not (try_fast_path srv cs ~pop_op:qt sga) then begin
-          List.iter
-            (fun buf ->
-              Framing.feed cs.acc (Memory.Heap.to_string buf);
-              api.Pdpix.free buf)
-            sga;
-          let rec drain () =
-            match Framing.next cs.acc with
-            | Some msg ->
-                Framing.note_received api ~op:qt (Framing.last cs.acc);
-                Framing.ctx_copy ~src:(Framing.last cs.acc) ~dst:srv.cur;
-                handle_message srv cs msg;
-                drain ()
-            | None -> ()
-          in
-          drain ()
-        end;
-        add (api.Pdpix.pop cs.qd) (Conn cs)
-    | Pdpix.Failed _, Conn cs -> api.Pdpix.close cs.qd
-    | Pdpix.Failed _, Accept -> ()
-    | _, _ -> failwith "dkv server: unexpected completion");
-    loop ()
+  let serve cs ~op sga =
+    if not (try_fast_path srv cs ~pop_op:op sga) then begin
+      List.iter
+        (fun buf ->
+          Framing.feed cs.acc (Memory.Heap.to_string buf);
+          api.Pdpix.free buf)
+        sga;
+      let rec drain () =
+        match Framing.next cs.acc with
+        | Some msg ->
+            Framing.note_received api ~op (Framing.last cs.acc);
+            Framing.ctx_copy ~src:(Framing.last cs.acc) ~dst:srv.cur;
+            handle_message srv cs msg;
+            drain ()
+        | None -> ()
+      in
+      drain ()
+    end
   in
-  loop ()
+  Serve.run api ~name:"dkv" lqd ~conn:(fun qd -> { qd; acc = Framing.create () }) ~on_data:serve
 
 (* ---------- client ---------- *)
 

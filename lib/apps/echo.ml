@@ -1,48 +1,27 @@
 open Demikernel
 
-(* Roles attached to outstanding tokens in the server's wait_any set. *)
-type role = Accept | Conn of Pdpix.qd
-
 let server ?(port = 7) ?(persist = false) (api : Pdpix.api) =
   let lqd = api.Pdpix.socket Pdpix.Tcp in
   api.Pdpix.bind lqd (Net.Addr.endpoint 0 port);
   api.Pdpix.listen lqd ~backlog:64;
   let log = if persist then Some (api.Pdpix.open_log "echo.log") else None in
-  let tokens = ref [ (api.Pdpix.accept lqd, Accept) ] in
-  let add qt role = tokens := !tokens @ [ (qt, role) ] in
-  let remove i = tokens := List.filteri (fun j _ -> j <> i) !tokens in
-  let rec loop () =
-    let arr = Array.of_list (List.map fst !tokens) in
-    let i, completion = api.Pdpix.wait_any arr in
-    let _, role = List.nth !tokens i in
-    remove i;
-    (match (completion, role) with
-    | Pdpix.Accepted qd, Accept ->
-        add (api.Pdpix.accept lqd) Accept;
-        add (api.Pdpix.pop qd) (Conn qd)
-    | Pdpix.Popped [], Conn qd -> api.Pdpix.close qd (* EOF *)
-    | Pdpix.Popped sga, Conn qd ->
-        (match log with
-        | Some l -> (
-            (* Synchronous persistence before the reply (Figure 7). *)
-            match api.Pdpix.wait (api.Pdpix.push l sga) with
-            | Pdpix.Pushed -> ()
-            | _ -> failwith "echo: log append failed")
-        | None -> ());
-        let push_qt = api.Pdpix.push qd sga in
-        (match api.Pdpix.wait push_qt with
-        | Pdpix.Pushed ->
-            (* Ownership returned; UAF protection covers retransmits. *)
-            List.iter api.Pdpix.free sga
-        | Pdpix.Failed _ -> List.iter api.Pdpix.free sga
-        | _ -> failwith "echo: unexpected push completion");
-        add (api.Pdpix.pop qd) (Conn qd)
-    | Pdpix.Failed _, Conn qd -> api.Pdpix.close qd
-    | Pdpix.Failed _, Accept -> ()
-    | _, _ -> failwith "echo server: unexpected completion");
-    loop ()
+  let echo qd ~op:_ sga =
+    (match log with
+    | Some l -> (
+        (* Synchronous persistence before the reply (Figure 7). *)
+        match api.Pdpix.wait (api.Pdpix.push l sga) with
+        | Pdpix.Pushed -> ()
+        | _ -> failwith "echo: log append failed")
+    | None -> ());
+    let push_qt = api.Pdpix.push qd sga in
+    match api.Pdpix.wait push_qt with
+    | Pdpix.Pushed ->
+        (* Ownership returned; UAF protection covers retransmits. *)
+        List.iter api.Pdpix.free sga
+    | Pdpix.Failed _ -> List.iter api.Pdpix.free sga
+    | _ -> failwith "echo: unexpected push completion"
   in
-  loop ()
+  Serve.run api ~name:"echo" lqd ~conn:Fun.id ~on_data:echo
 
 let payload_of_size api n = api.Pdpix.alloc_str (String.make (max 1 n) 'e')
 

@@ -13,15 +13,17 @@ let op_put = 2
 
 type conn_state = { qd : Pdpix.qd; acc : Framing.accum }
 
+(* A frame too short for the key length it declares (or, for a PUT, for
+   its version) gets the miss/failure byte instead of a parse error. *)
 let handle_request ~store msg =
   let b = Bytes.unsafe_of_string msg in
   if Bytes.length b < 3 then "\x00"
   else begin
     let op = Net.Wire.get_u8 b 0 in
     let klen = Net.Wire.get_u16 b 1 in
-    let key = Bytes.sub_string b 3 klen in
-    if op = op_get then
-      match Hashtbl.find_opt store key with
+    if Bytes.length b < 3 + klen || (op = op_put && Bytes.length b < 7 + klen) then "\x00"
+    else if op = op_get then
+      match Hashtbl.find_opt store (Bytes.sub_string b 3 klen) with
       | Some (version, value) ->
           let r = Bytes.create (5 + String.length value) in
           Net.Wire.set_u8 r 0 1;
@@ -30,6 +32,7 @@ let handle_request ~store msg =
           Bytes.unsafe_to_string r
       | None -> "\x00"
     else if op = op_put then begin
+      let key = Bytes.sub_string b 3 klen in
       let version = Net.Wire.get_u32 b (3 + klen) in
       let value = Bytes.sub_string b (7 + klen) (Bytes.length b - 7 - klen) in
       (* Last-writer-wins by version: stale replicated writes lose. *)
@@ -45,48 +48,28 @@ let handle srv_api store cs msg =
   let payload = handle_request ~store msg in
   Framing.reply_on srv_api cs.qd ~to_ctx:(Framing.last cs.acc) payload
 
-type role = Accept | Conn of conn_state
-
 let server ?(port = 7447) (api : Pdpix.api) =
   let lqd = api.Pdpix.socket Pdpix.Tcp in
   api.Pdpix.bind lqd (Net.Addr.endpoint 0 port);
   api.Pdpix.listen lqd ~backlog:64;
   let store : (string, int * string) Hashtbl.t = Hashtbl.create 1024 in
-  let tokens = ref [ (api.Pdpix.accept lqd, Accept) ] in
-  let add qt role = tokens := !tokens @ [ (qt, role) ] in
-  let remove i = tokens := List.filteri (fun j _ -> j <> i) !tokens in
-  let rec loop () =
-    let arr = Array.of_list (List.map fst !tokens) in
-    let i, completion = api.Pdpix.wait_any arr in
-    let qt, role = List.nth !tokens i in
-    remove i;
-    (match (completion, role) with
-    | Pdpix.Accepted qd, Accept ->
-        add (api.Pdpix.accept lqd) Accept;
-        add (api.Pdpix.pop qd) (Conn { qd; acc = Framing.create () })
-    | Pdpix.Popped [], Conn cs -> api.Pdpix.close cs.qd
-    | Pdpix.Popped sga, Conn cs ->
-        List.iter
-          (fun buf ->
-            Framing.feed cs.acc (Memory.Heap.to_string buf);
-            api.Pdpix.free buf)
-          sga;
-        let rec drain () =
-          match Framing.next cs.acc with
-          | Some msg ->
-              Framing.note_received api ~op:qt (Framing.last cs.acc);
-              handle api store cs msg;
-              drain ()
-          | None -> ()
-        in
-        drain ();
-        add (api.Pdpix.pop cs.qd) (Conn cs)
-    | Pdpix.Failed _, Conn cs -> api.Pdpix.close cs.qd
-    | Pdpix.Failed _, Accept -> ()
-    | _, _ -> failwith "txnstore server: unexpected completion");
-    loop ()
+  let serve cs ~op sga =
+    List.iter
+      (fun buf ->
+        Framing.feed cs.acc (Memory.Heap.to_string buf);
+        api.Pdpix.free buf)
+      sga;
+    let rec drain () =
+      match Framing.next cs.acc with
+      | Some msg ->
+          Framing.note_received api ~op (Framing.last cs.acc);
+          handle api store cs msg;
+          drain ()
+      | None -> ()
+    in
+    drain ()
   in
-  loop ()
+  Serve.run api ~name:"txnstore" lqd ~conn:(fun qd -> { qd; acc = Framing.create () }) ~on_data:serve
 
 (* ---------- client ---------- *)
 

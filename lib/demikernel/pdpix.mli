@@ -57,6 +57,9 @@ type api = {
   (* --- scheduling --- *)
   wait : qtoken -> completion;
   wait_any : qtoken array -> int * completion;
+      (** Block until a token of the set completes; redeem it and return
+          its index. When several are ready the lowest index wins, so
+          the caller's array order is its service order. *)
   wait_any_t : qtoken array -> timeout_ns:int -> (int * completion) option;  (** [wait_any] with the timeout the paper's API carries; [None] on
       timeout — tokens stay redeemable. *)
 

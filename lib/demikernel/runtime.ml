@@ -1,7 +1,12 @@
 type token_state = {
   mutable result : Pdpix.completion option;
-  mutable waiter : Dsched.handle option;
+  mutable waiter : Dsched.handle option; (* a [wait] blocked on this token alone *)
+  mutable since : int; (* [waiter]'s registration stamp *)
 }
+
+(* A [wait_any] blocked on its token set. Registering costs one record
+   per blocking call, whatever the size of [qts]. *)
+type watcher = { who : Dsched.handle; qts : Pdpix.qtoken array; mutable stamp : int }
 
 type memq = { items : Memory.Heap.buffer list Queue.t; pop_waiters : Pdpix.qtoken Queue.t }
 
@@ -11,6 +16,12 @@ type t = {
   host : Host.t;
   sched : Dsched.t;
   tokens : (Pdpix.qtoken, token_state) Hashtbl.t;
+  mutable ready : Pdpix.qtoken array;
+      (* The ready list: completed, unredeemed tokens in [0, nready),
+         unordered. [complete] pushes, every redemption removes. *)
+  mutable nready : int;
+  mutable watchers : watcher list;
+  mutable stamps : int; (* last registration stamp handed out *)
   memqs : (Pdpix.qd, memq) Hashtbl.t;
   mutable next_token : int;
   mutable next_qd : int;
@@ -28,6 +39,10 @@ let create host =
     host;
     sched = Dsched.create host;
     tokens = Hashtbl.create 64;
+    ready = Array.make 16 0;
+    nready = 0;
+    watchers = [];
+    stamps = 0;
     memqs = Hashtbl.create 8;
     next_token = 1;
     next_qd = 1;
@@ -43,7 +58,7 @@ let sched t = t.sched
 let fresh_token t =
   let qt = t.next_token in
   t.next_token <- t.next_token + 1;
-  Hashtbl.replace t.tokens qt { result = None; waiter = None };
+  Hashtbl.replace t.tokens qt { result = None; waiter = None; since = 0 };
   (* Demitrace op span: opens at submission (every op mints its token at
      submission time), closes in [complete]. The kind is a placeholder
      until the PDPIX wrapper labels it — instantly-completed ops close
@@ -63,11 +78,74 @@ let find_token t qt =
   | Some ts -> ts
   | None -> invalid_arg (Printf.sprintf "unknown or already-redeemed qtoken %d" qt)
 
+let next_stamp t =
+  t.stamps <- t.stamps + 1;
+  t.stamps
+
+(* --- the ready list --- *)
+
+(* dlint-allow: transitive-alloc-in-hotpath -- the ready list doubles only past its high-water mark (a few dozen tokens), never per completion in steady state *)
+let push_ready t qt =
+  if t.nready = Array.length t.ready then begin
+    let grown = Array.make (2 * t.nready) 0 in
+    Array.blit t.ready 0 grown 0 t.nready;
+    t.ready <- grown
+  end;
+  t.ready.(t.nready) <- qt;
+  t.nready <- t.nready + 1
+
+let rec drop_ready t qt j =
+  if j < t.nready then
+    if t.ready.(j) = qt then begin
+      t.nready <- t.nready - 1;
+      t.ready.(j) <- t.ready.(t.nready)
+    end
+    else drop_ready t qt (j + 1)
+
+(* Lowest index of [qt] in [qts.(i) .. qts.(lim - 1)]; [lim] if absent. *)
+let rec index_below (qts : Pdpix.qtoken array) (qt : Pdpix.qtoken) i lim =
+  if i >= lim then lim else if qts.(i) = qt then i else index_below qts qt (i + 1) lim
+
+(* Lowest index of [qts] holding a ready token; [best] if none lies
+   below it. One pass over the int array per ready token, each bounded
+   by the best index found so far. *)
+let rec first_ready t qts j best =
+  if j >= t.nready then best else first_ready t qts (j + 1) (index_below qts t.ready.(j) 0 best)
+
+let retire t qt =
+  Hashtbl.remove t.tokens qt;
+  drop_ready t qt 0
+
+let redeem t qt =
+  let ts = find_token t qt in
+  retire t qt;
+  match ts.result with Some r -> r | None -> assert false
+
+(* The one coroutine a completion wakes. Each token behaves as if it had
+   a single waiter slot: the latest registrant holding it, whether a
+   [wait] on it alone or a blocked [wait_any] whose set contains it. *)
+let rec holder_stamp qt acc ws =
+  match ws with
+  | [] -> acc
+  | w :: rest ->
+      let acc =
+        if w.stamp > acc && index_below w.qts qt 0 (Array.length w.qts) < Array.length w.qts
+        then w.stamp
+        else acc
+      in
+      holder_stamp qt acc rest
+
+let rec wake_stamp t s ws =
+  match ws with
+  | [] -> ()
+  | w :: rest -> if w.stamp = s then Dsched.wake t.sched w.who else wake_stamp t s rest
+
 (* dlint-allow: transitive-alloc-in-hotpath -- completion delivery: the result option is allocated once per finished operation, a busy-path event, never on an empty poll *)
 let complete t qt result =
   let ts = find_token t qt in
   assert (match ts.result with None -> true | Some _ -> false);
   ts.result <- Some result;
+  push_ready t qt;
   (match Engine.Sim.spans t.host.Host.sim with
   | Some s ->
       let ok = match result with Pdpix.Failed _ -> false | _ -> true in
@@ -75,7 +153,10 @@ let complete t qt result =
   | None -> ());
   Engine.Sim.flight_note t.host.Host.sim ~cat:Engine.Trace.Libos ~label:"qtoken.close" qt
     (match result with Pdpix.Failed _ -> 1 | _ -> 0);
-  match ts.waiter with Some h -> Dsched.wake t.sched h | None -> ()
+  let s = holder_stamp qt 0 t.watchers in
+  match ts.waiter with
+  | Some h when ts.since > s -> Dsched.wake t.sched h
+  | Some _ | None -> if s > 0 then wake_stamp t s t.watchers
 
 let completed_token t result =
   let qt = fresh_token t in
@@ -89,7 +170,9 @@ let fresh_qd t =
 
 (* --- wait family: the epoll replacement (§4.2). Each application
    worker blocks on its own coroutine readiness bit, so one completion
-   wakes exactly one worker — no thundering herd. --- *)
+   wakes exactly one worker — no thundering herd. Readiness is pushed:
+   [complete] appends to the ready list, so a [wait_any] never looks a
+   token up, or writes to it, unless it redeems it. --- *)
 
 (* The block/wake loop allocates only at the edges (registration on
    entry, result delivery on exit), never per wake: the waiter option
@@ -102,62 +185,65 @@ let wait t qt =
   let rec loop () =
     match ts.result with
     | Some r ->
-        Hashtbl.remove t.tokens qt;
+        retire t qt;
         r
     | None ->
         ts.waiter <- me;
+        ts.since <- next_stamp t;
         Dsched.block t.sched;
         ts.waiter <- None;
         loop ()
   in
   loop ()
 
+(* Conses only while two [wait_any]s are blocked at once; the usual
+   one-watcher list unlinks without allocating. *)
+let rec drop_watcher w ws =
+  match ws with [] -> [] | x :: rest -> if x == w then rest else x :: drop_watcher w rest
+
+(* Re-registering after every wake keeps this call the latest holder of
+   its tokens, as rewriting every waiter slot did. *)
+(* dlint: hotpath *)
+let rec block_until_ready t w ~deadline =
+  w.stamp <- next_stamp t;
+  Dsched.block t.sched;
+  let n = Array.length w.qts in
+  let i = first_ready t w.qts 0 n in
+  if i < n then i else if Host.now t.host >= deadline then -1 else block_until_ready t w ~deadline
+
+(* The core both [wait_any]s share: the lowest index of [qts] whose
+   token is ready, blocking until there is one; -1 once [deadline]
+   passes first. Nothing is redeemed here. *)
+(* dlint: hotpath *)
+let wait_core t qts ~deadline =
+  let n = Array.length qts in
+  let i = first_ready t qts 0 n in
+  if i < n then i
+  else if Host.now t.host >= deadline then -1
+  else begin
+    (* dlint-allow: alloc-in-hotpath -- one watcher per blocking call, not per wake or per token *)
+    let w = { who = Dsched.self t.sched; qts; stamp = 0 } in
+    (* dlint-allow: alloc-in-hotpath -- one watcher per blocking call, not per wake or per token *)
+    t.watchers <- w :: t.watchers;
+    let i = block_until_ready t w ~deadline in
+    t.watchers <- drop_watcher w t.watchers;
+    i
+  end
+
 (* dlint: hotpath *)
 let wait_any t qts =
   if Array.length qts = 0 then
     (* dlint-allow: alloc-in-hotpath -- error path, never taken per wake *)
     invalid_arg "wait_any: empty token set";
-  (* dlint-allow: alloc-in-hotpath -- per-call setup: one state array per wait_any *)
-  let states = Array.map (find_token t) qts in
-  let rec scan i =
-    if i >= Array.length qts then None
-    else
-      match states.(i).result with
-      | Some r ->
-          Hashtbl.remove t.tokens qts.(i);
-          (* dlint-allow: alloc-in-hotpath -- completion delivery, once per call *)
-          Some (i, r)
-      | None -> scan (i + 1)
-  in
-  let me = Dsched.self t.sched in
-  (* dlint-allow: alloc-in-hotpath -- one waiter registration per wait_any call *)
-  let some_me = Some me in
-  let rec loop () =
-    match scan 0 with
-    | Some hit ->
-        for i = 0 to Array.length states - 1 do
-          let ts = states.(i) in
-          (match ts.waiter with
-          | Some h when h == me -> ts.waiter <- None
-          | Some _ | None -> ())
-        done;
-        hit
-    | None ->
-        for i = 0 to Array.length states - 1 do
-          states.(i).waiter <- some_me
-        done;
-        Dsched.block t.sched;
-        loop ()
-  in
-  loop ()
+  let i = wait_core t qts ~deadline:max_int in
+  (* dlint-allow: alloc-in-hotpath -- completion delivery, once per call *)
+  (i, redeem t qts.(i))
 
 (* dlint: hotpath *)
 let wait_any_timeout t qts ~timeout_ns =
   if Array.length qts = 0 then
     (* dlint-allow: alloc-in-hotpath -- error path, never taken per wake *)
     invalid_arg "wait_any_timeout: empty token set";
-  (* dlint-allow: alloc-in-hotpath -- per-call setup: one state array per call *)
-  let states = Array.map (find_token t) qts in
   let deadline = Host.now t.host + timeout_ns in
   let me = Dsched.self t.sched in
   (* A timer event wakes us if nothing completes first; spurious wakes
@@ -173,47 +259,10 @@ let wait_any_timeout t qts ~timeout_ns =
            scheduler loop observes the readiness bit. *)
         Engine.Condvar.broadcast t.kick
       end);
-  (* dlint-allow: alloc-in-hotpath -- one waiter registration per call, not per wake *)
-  let some_me = Some me in
-  let cleanup () =
-    cancelled := true;
-    for i = 0 to Array.length states - 1 do
-      let ts = states.(i) in
-      (match ts.waiter with
-      | Some h when h == me -> ts.waiter <- None
-      | Some _ | None -> ())
-    done
-  in
-  let rec scan i =
-    if i >= Array.length qts then None
-    else
-      match states.(i).result with
-      | Some r ->
-          Hashtbl.remove t.tokens qts.(i);
-          (* dlint-allow: alloc-in-hotpath -- completion delivery, once per call *)
-          Some (i, r)
-      | None -> scan (i + 1)
-  in
-  let rec loop () =
-    match scan 0 with
-    | Some hit ->
-        cleanup ();
-        (* dlint-allow: alloc-in-hotpath -- completion delivery, once per call *)
-        Some hit
-    | None ->
-        if Host.now t.host >= deadline then begin
-          cleanup ();
-          None
-        end
-        else begin
-          for i = 0 to Array.length states - 1 do
-            states.(i).waiter <- some_me
-          done;
-          Dsched.block t.sched;
-          loop ()
-        end
-  in
-  loop ()
+  let i = wait_core t qts ~deadline in
+  cancelled := true;
+  (* dlint-allow: alloc-in-hotpath -- completion delivery, once per call *)
+  if i < 0 then None else Some (i, redeem t qts.(i))
 
 let wait_all t qts = Array.map (wait t) qts
 

@@ -15,8 +15,10 @@ val sched : t -> Dsched.t
 
 val fresh_token : t -> Pdpix.qtoken
 val complete : t -> Pdpix.qtoken -> Pdpix.completion -> unit
-(** Record a result and wake any waiter. Completing a token twice is an
-    error (assertion). *)
+(** Record a result, put the token on the ready list, and wake the one
+    coroutine waiting on it, if any: the latest to register, by [wait]
+    on this token or by a blocked [wait_any] whose set contains it.
+    Completing a token twice is an error (assertion). *)
 
 val completed_token : t -> Pdpix.completion -> Pdpix.qtoken
 (** Allocate and complete in one step — the inline fast path. *)

@@ -262,6 +262,45 @@ let test_txnstore_ycsb_f () =
   (* An RMW is at least two network round trips. *)
   check_bool "txn latency exceeds 2 RTT" true (Metrics.Hdr.p50 lat > 8_000)
 
+let test_txnstore_short_frames () =
+  (* Frames shorter than the key length they declare, or PUTs cut
+     before their version, get the failure byte and leave the store
+     alone; they used to raise out of the server coroutine. *)
+  let store = Hashtbl.create 4 in
+  let handle = Apps.Txnstore.handle_request ~store in
+  let get = Apps.Txnstore.encode_get "key" in
+  let put = Apps.Txnstore.encode_put "key" ~version:7 "value" in
+  let cut s n = String.sub s 0 n in
+  Alcotest.(check string) "truncated GET" "\x00" (handle (cut get (String.length get - 1)));
+  Alcotest.(check string) "truncated PUT key" "\x00" (handle (cut put 4));
+  Alcotest.(check string) "PUT with no version" "\x00" (handle (cut put 6));
+  Alcotest.(check string) "PUT with half a version" "\x00" (handle (cut put 8));
+  check_int "short frames stored nothing" 0 (Hashtbl.length store);
+  Alcotest.(check string) "whole PUT acked" "\x01" (handle put);
+  Alcotest.(check (option (pair int string)))
+    "whole GET hits" (Some (7, "value"))
+    (Apps.Txnstore.parse_get_response (handle get));
+  (* The same truncated frame over the wire: the replica answers it and
+     keeps serving the connection. *)
+  let sim, replicas, client = txn_world Demikernel.Boot.Catnip_os in
+  let replica = List.hd replicas in
+  let replies = ref [] in
+  Demikernel.Boot.run_app client (fun api ->
+      let ch = Apps.Framing.connect api (Demikernel.Boot.endpoint replica 7447) in
+      List.iter
+        (fun msg ->
+          Apps.Framing.send ch msg;
+          replies := Apps.Framing.recv ch :: !replies)
+        [ cut put 6; put; get ];
+      Apps.Framing.close ch);
+  List.iter Demikernel.Boot.start replicas;
+  Demikernel.Boot.start client;
+  Engine.Sim.run ~until:(Engine.Clock.s 10) sim;
+  Alcotest.(check (list (option string)))
+    "short PUT refused, then the connection still serves"
+    [ Some "\x00"; Some "\x01"; Some (handle get) ]
+    (List.rev !replies)
+
 let suite =
   [
     Alcotest.test_case "framing roundtrip" `Quick test_framing_roundtrip;
@@ -278,4 +317,5 @@ let suite =
     Alcotest.test_case "txnstore rmw serializes" `Quick test_txnstore_rmw;
     Alcotest.test_case "txnstore replicates to all" `Quick test_txnstore_replicates;
     Alcotest.test_case "txnstore ycsb-f" `Quick test_txnstore_ycsb_f;
+    Alcotest.test_case "txnstore refuses short frames" `Quick test_txnstore_short_frames;
   ]

@@ -556,6 +556,234 @@ let test_wait_any_t_timeout_catnip () =
 let test_wait_any_t_timeout_catnap () =
   wait_any_t_timeout_roundtrip Demikernel.Boot.Catnap_os
 
+(* ---------- wait_any against a reference scan ---------- *)
+
+(* One step of a wait_any script: the slots completed before the call,
+   the slots a second coroutine completes once the caller has blocked,
+   and whether the call carries a timeout. Slot [i] is the token at
+   index [i] of the wait set; each slot pops its own in-memory queue. *)
+type wait_step = { before : int list; while_blocked : int list; timed : bool }
+
+let wait_step_gen n =
+  QCheck.Gen.(
+    map3
+      (fun before while_blocked timed -> { before; while_blocked; timed })
+      (list_size (int_bound 3) (int_bound (n - 1)))
+      (list_size (int_bound 3) (int_bound (n - 1)))
+      bool)
+
+let wait_script_gen =
+  QCheck.Gen.(
+    int_range 1 24 >>= fun n ->
+    pair (return n)
+      (pair (shuffle_l (List.init n Fun.id)) (list_size (int_range 1 30) (wait_step_gen n))))
+
+(* The reference: a scan of the whole set for its lowest ready index. *)
+let lowest_ready ready =
+  let rec scan i = if i >= Array.length ready then None else if ready.(i) then Some i else scan (i + 1) in
+  scan 0
+
+let wait_any_matches_reference =
+  QCheck.Test.make ~name:"wait_any returns the lowest ready index (reference scan)" ~count:150
+    (QCheck.make wait_script_gen) (fun (n, (order, steps)) ->
+      let sim = Engine.Sim.create () in
+      let fabric = Net.Fabric.create sim ~cost:bare () in
+      let node = Demikernel.Boot.make sim fabric ~index:1 Demikernel.Boot.Catnip_os in
+      let open Demikernel.Pdpix in
+      let control = ref None in
+      let slots = ref [||] in
+      let completer_done = ref false in
+      let ok = ref true in
+      let finished = ref false in
+      let expect what holds =
+        if not holds then begin
+          ok := false;
+          Printf.eprintf "wait_any script mismatch: %s\n" what
+        end
+      in
+      Demikernel.Boot.run_app node ~name:"caller" (fun api ->
+          let ctl = api.queue () in
+          control := Some ctl;
+          let queues = Array.init n (fun _ -> api.queue ()) in
+          slots := queues;
+          let qts = Array.make n 0 in
+          (* Mint the first tokens in a shuffled order, so the set is not
+             sorted by token number. *)
+          List.iter (fun i -> qts.(i) <- api.pop queues.(i)) order;
+          let ready = Array.make n false in
+          let complete i =
+            (* Only pending slots: a second push would queue an item for
+               the slot's next pop instead. *)
+            if not ready.(i) then begin
+              ready.(i) <- true;
+              match api.wait (api.push queues.(i) [ api.alloc_str (string_of_int i) ]) with
+              | Pushed -> ()
+              | _ -> failwith "push"
+            end
+          in
+          let redeemed i c =
+            (match c with
+            | Popped sga ->
+                expect "payload names the slot" (sga_to_string sga = string_of_int i);
+                List.iter api.free sga
+            | _ -> expect "popped" false);
+            ready.(i) <- false;
+            qts.(i) <- api.pop queues.(i)
+          in
+          List.iter
+            (fun step ->
+              List.iter complete step.before;
+              let later =
+                List.sort_uniq compare (List.filter (fun i -> not ready.(i)) step.while_blocked)
+              in
+              let expected =
+                match lowest_ready ready with
+                | Some i -> Some i
+                | None -> ( match later with i :: _ -> Some i | [] -> None)
+              in
+              (* Hand the completer its slots only when this call will
+                 block; they are marked ready as it completes them. *)
+              if lowest_ready ready = None && later <> [] then begin
+                List.iter (fun i -> ready.(i) <- true) later;
+                let msg = String.concat "," (List.map string_of_int later) in
+                match api.wait (api.push ctl [ api.alloc_str msg ]) with
+                | Pushed -> ()
+                | _ -> failwith "control push"
+              end;
+              if step.timed || expected = None then
+                (* Short when nothing can complete; generous when the
+                   completer has work, so the timeout never races it. *)
+                let timeout_ns = if expected = None then 1_000 else 1_000_000 in
+                match (api.wait_any_t qts ~timeout_ns, expected) with
+                | None, None -> ()
+                | Some (i, c), Some e ->
+                    expect "wait_any_t index" (i = e);
+                    redeemed i c
+                | _ -> expect "wait_any_t timed out iff nothing was ready" false
+              else
+                match expected with
+                | Some e ->
+                    let i, c = api.wait_any qts in
+                    expect "wait_any index" (i = e);
+                    redeemed i c
+                | None -> assert false)
+            steps;
+          (* Whatever is still outstanding — timed-out tokens included —
+             stays redeemable. *)
+          for i = 0 to n - 1 do complete i done;
+          for _ = 1 to n do
+            let e = match lowest_ready ready with Some e -> e | None -> -1 in
+            let i, c = api.wait_any qts in
+            expect "final drain index" (i = e);
+            (match c with Popped sga -> List.iter api.free sga | _ -> expect "popped" false);
+            ready.(i) <- false;
+            qts.(i) <- api.pop queues.(i)
+          done;
+          ignore (api.wait (api.push ctl []));
+          finished := true);
+      Demikernel.Boot.run_app node ~name:"completer" (fun api ->
+          let ctl = Option.get !control in
+          let rec serve () =
+            match api.wait (api.pop ctl) with
+            | Popped [] -> completer_done := true
+            | Popped sga ->
+                let msg = sga_to_string sga in
+                List.iter api.free sga;
+                List.iter
+                  (fun i ->
+                    let q = !slots.(int_of_string i) in
+                    match api.wait (api.push q [ api.alloc_str i ]) with
+                    | Pushed -> ()
+                    | _ -> failwith "push")
+                  (String.split_on_char ',' msg);
+                serve ()
+            | _ -> failwith "control pop"
+          in
+          serve ());
+      Demikernel.Boot.start node;
+      Engine.Sim.run ~until:(Engine.Clock.s 1) sim;
+      !ok && !finished && !completer_done)
+
+let test_wait_any_shared_token () =
+  (* Two wait_any calls blocked on overlapping sets: the shared token's
+     completion wakes only the later registrant, as one waiter slot per
+     token would, so it is the later call that redeems it. *)
+  let sim = Engine.Sim.create () in
+  let fabric = Net.Fabric.create sim ~cost:bare () in
+  let node = Demikernel.Boot.make sim fabric ~index:1 Demikernel.Boot.Catnip_os in
+  let open Demikernel.Pdpix in
+  let queues = ref [||] and tokens = ref [||] in
+  let got = ref [] in
+  let waiter name set =
+    Demikernel.Boot.run_app node ~name (fun api ->
+        if !queues = [||] then begin
+          queues := Array.init 3 (fun _ -> api.queue ());
+          tokens := Array.map api.pop !queues
+        end;
+        let qts = Array.map (fun k -> !tokens.(k)) set in
+        let i, c = api.wait_any qts in
+        (match c with Popped sga -> List.iter api.free sga | _ -> failwith "popped");
+        got := (name, set.(i)) :: !got)
+  in
+  (* Slots: 0 = x, 1 = y (shared), 2 = z. *)
+  waiter "first" [| 0; 1 |];
+  waiter "second" [| 1; 2 |];
+  Demikernel.Boot.run_app node ~name:"completer" (fun api ->
+      List.iter
+        (fun k ->
+          (match api.wait (api.push !queues.(k) [ api.alloc_str "m" ]) with
+          | Pushed -> ()
+          | _ -> failwith "push");
+          (* Let whoever was woken run before the next completion. *)
+          for _ = 1 to 3 do api.yield () done)
+        [ 1; 0; 2 ]);
+  Demikernel.Boot.start node;
+  Engine.Sim.run ~until:(Engine.Clock.s 1) sim;
+  Alcotest.(check (list (pair string int)))
+    "the later registrant takes the shared token" [ ("first", 0); ("second", 1) ]
+    (List.sort compare !got)
+
+(* Words allocated per wait_any call (minor heap plus direct major
+   allocations, which is where an O(n) array of 2,048 entries would
+   land) must not depend on the size of the wait set. *)
+let wait_any_words ~tokens =
+  let sim = Engine.Sim.create () in
+  (* Free libcalls: the PDPIX wrapper never sleeps, so no other event
+     runs inside a measured call. *)
+  let fabric = Net.Fabric.create sim ~cost:{ bare with Net.Cost.libos_sched_ns = 0 } () in
+  let node = Demikernel.Boot.make sim fabric ~index:1 Demikernel.Boot.Catnip_os in
+  let per_call = ref nan in
+  Demikernel.Boot.run_app node (fun api ->
+      let open Demikernel.Pdpix in
+      let q = api.queue () in
+      let qts = Array.init tokens (fun _ -> api.pop q) in
+      let buf = api.alloc_str "x" in
+      let allocated () =
+        let minor, promoted, major = Gc.counters () in
+        minor +. major -. promoted
+      in
+      let calls = 512 in
+      let words = ref 0.0 in
+      for _ = 1 to calls do
+        (* The push completes the oldest pending pop: one ready token. *)
+        (match api.wait (api.push q [ buf ]) with Pushed -> () | _ -> failwith "push");
+        let before = allocated () in
+        let i, _ = api.wait_any qts in
+        words := !words +. (allocated () -. before);
+        qts.(i) <- api.pop q
+      done;
+      per_call := !words /. float_of_int calls);
+  Demikernel.Boot.start node;
+  Engine.Sim.run ~until:(Engine.Clock.s 1) sim;
+  !per_call
+
+let test_wait_any_words_flat () =
+  let small = wait_any_words ~tokens:16 in
+  let large = wait_any_words ~tokens:2048 in
+  if Float.is_nan small || Float.is_nan large then Alcotest.fail "measurement did not run";
+  if Float.abs (large -. small) > 4.0 then
+    Alcotest.failf "words per wait_any: %.1f at 16 tokens, %.1f at 2048" small large
+
 let suite =
   [
     Alcotest.test_case "waker basic" `Quick test_waker_basic;
@@ -579,6 +807,11 @@ let suite =
     Alcotest.test_case "echo under loss (UAF protection live)" `Quick test_uaf_protection_live;
     Alcotest.test_case "memq roundtrip" `Quick test_memq;
     Alcotest.test_case "wait_any returns completed index" `Quick test_wait_any_wakes_one;
+    QCheck_alcotest.to_alcotest wait_any_matches_reference;
+    Alcotest.test_case "wait_any shared token wakes the later registrant" `Quick
+      test_wait_any_shared_token;
+    Alcotest.test_case "wait_any words do not grow with the wait set" `Quick
+      test_wait_any_words_flat;
     Alcotest.test_case "multi-worker request dispatch (C2)" `Quick test_multi_worker_dispatch;
     Alcotest.test_case "cattree log roundtrip" `Quick test_cattree_log_roundtrip;
     Alcotest.test_case "oracle: clean echo has no violations" `Quick test_oracle_clean_echo;

@@ -627,6 +627,43 @@ let test_interproc_scan_rule () =
     (List.length
        (interproc_of (Lint.Rules.scan_project [ ("lib/demikernel/s.ml", det) ]).Lint.Rules.violations))
 
+let test_interproc_wait_set_rebuild () =
+  (* The list-based server loop the apps used to share three copies of:
+     every completion rebuilt the wait set ([List.map] into
+     [Array.of_list]), found the role by position ([List.nth]) and
+     dropped the served token by index ([List.filteri]). Inside a
+     hotpath region each of those walks is reported. *)
+  let src =
+    String.concat "\n"
+      [
+        "(* dlint: hotpath *)";
+        "let serve api tokens =";
+        "  let remove i = tokens := List.filteri (fun j _ -> j <> i) !tokens in";
+        "  let rec loop () =";
+        "    let arr = Array.of_list (List.map fst !tokens) in";
+        "    let i, _ = api.wait_any arr in";
+        "    let _, role = List.nth !tokens i in";
+        "    remove i;";
+        "    role ();";
+        "    loop ()";
+        "  in";
+        "  loop ()";
+        "";
+      ]
+  in
+  let scans =
+    List.filter
+      (fun v -> v.Lint.Rules.rule = Lint.Effects.rule_scan)
+      (Lint.Rules.scan_project [ ("lib/apps/loop.ml", src) ]).Lint.Rules.violations
+  in
+  Alcotest.(check (list int))
+    "filteri, map and nth lines are scans" [ 3; 5; 7 ]
+    (List.sort_uniq compare (List.map (fun v -> v.Lint.Rules.line) scans));
+  check_bool "the filteri finding names List.filteri" true
+    (List.exists
+       (fun v -> v.Lint.Rules.line = 3 && Lint.Lexer.contains_sub v.Lint.Rules.message "List.filteri")
+       scans)
+
 let test_interproc_multi_rule_allow () =
   (* One marker naming both interprocedural rules suppresses both
      findings on the covered line, and neither half goes stale. *)
@@ -827,6 +864,8 @@ let suite =
     Alcotest.test_case "interproc: exempt callee + staleness" `Quick
       test_interproc_exempt_callee;
     Alcotest.test_case "interproc: scan-in-hotpath" `Quick test_interproc_scan_rule;
+    Alcotest.test_case "interproc: wait-set rebuild is a scan" `Quick
+      test_interproc_wait_set_rebuild;
     Alcotest.test_case "interproc: multi-rule allow marker" `Quick
       test_interproc_multi_rule_allow;
     Alcotest.test_case "interproc: json witness chain" `Quick test_interproc_json_chain;
