@@ -124,8 +124,10 @@ scale-smoke:
 	@echo "scale-smoke: OK"
 
 # The Bechamel microbenchmarks (`bench -- micro`, real ns per datapath
-# primitive). Fails if the run crashes or either wait_any row — 8 and
-# 2048 outstanding tokens, one ready — is missing or has no estimate.
+# primitive). Fails if the run crashes or a required row is missing or
+# has no estimate: either wait_any row (8 and 2048 outstanding tokens,
+# one ready) or either observer row (one flight note, one span
+# interval recorded into a full Engine.Log ring).
 micro-smoke:
 	mkdir -p out
 	dune exec bench/main.exe -- micro > out/micro.txt
@@ -133,6 +135,10 @@ micro-smoke:
 	@for n in 8 2048; do \
 	  grep -Eq "runtime: wait_any, $$n tokens, 1 ready +[0-9]+\.[0-9]" out/micro.txt \
 	    || { echo "micro-smoke: wait_any row for $$n tokens missing from out/micro.txt" >&2; exit 1; }; \
+	done
+	@for row in "flight note" "span interval"; do \
+	  grep -Eq "log: record, $$row +[0-9]+\.[0-9]" out/micro.txt \
+	    || { echo "micro-smoke: log row '$$row' missing from out/micro.txt" >&2; exit 1; }; \
 	done
 	@echo "micro-smoke: OK"
 

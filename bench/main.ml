@@ -155,7 +155,26 @@ let micro_tests () =
            ignore (node.Demikernel.Boot.api.Demikernel.Pdpix.wait_any qts);
            qts.(i) <- Demikernel.Runtime.fresh_token rt))
   in
-  [ sched_switch; waker; checksum; tcp_rx; heap_ops; hdr; wait_any ~tokens:8; wait_any ~tokens:2048 ]
+  let log_record name record =
+    (* One record into a recorder's ring at its default capacity,
+       grown to full size first: the steady, wrapping write. *)
+    let sim = Engine.Sim.create () in
+    ignore (Engine.Sim.enable_flight sim);
+    ignore (Engine.Sim.enable_spans sim);
+    for i = 1 to 262_144 do
+      record sim i
+    done;
+    let i = ref 0 in
+    Test.make ~name:("log: record, " ^ name) (Staged.stage (fun () -> incr i; record sim !i))
+  in
+  let flight_note sim i = Engine.Sim.flight_note sim ~cat:Engine.Log.Fabric ~label:"rx" 64 i in
+  let span_interval sim i =
+    Engine.Sim.span_interval sim ~comp:Engine.Span.Device ~owner:"nic" ~label:"rx" ~t0:i ~t1:i
+  in
+  [
+    sched_switch; waker; checksum; tcp_rx; heap_ops; hdr; wait_any ~tokens:8; wait_any ~tokens:2048;
+    log_record "flight note" flight_note; log_record "span interval" span_interval;
+  ]
 
 let run_micro () =
   let open Bechamel in

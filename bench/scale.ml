@@ -34,8 +34,8 @@
    wire = the constant fabric latency both ways, rest = everything the
    stacks and server added), retained by a deterministic reservoir plus
    an exact slowest-64 list and aggregated into cumulative quantile
-   bands — per-band queue+wire+rest = total, exactly. A Flight ring
-   stays armed across the whole point (recording only on busy polls;
+   bands — per-band queue+wire+rest = total, exactly. A flight ring
+   (an Engine.Log) stays armed across the whole point (recording only on busy polls;
    record itself is allocation-free so the gc oracle's zero-budget
    steady polls are unaffected), and an SLO threshold counts breaches
    and pins the worst op in the ring.
@@ -263,7 +263,7 @@ let run_point ~conns:n ~ops_per_conn ~churn_fraction ~churn_after ~rate_per_conn
       | (l, _, _, _) :: tl when lat > l -> slowest := insert tl
       | _ -> ()
   in
-  let flight = Engine.Flight.create ~capacity:8192 () in
+  let flight = Engine.Log.create ~render:Engine.Log.operands ~capacity:8192 () in
   let slo_breaches = ref 0 in
   let slo_worst = ref 0 in
   let ops_total = n * ops_per_conn in
@@ -380,8 +380,8 @@ let run_point ~conns:n ~ops_per_conn ~churn_fraction ~churn_after ~rate_per_conn
                   if lat > slo_ns then begin
                     incr slo_breaches;
                     if lat > !slo_worst then slo_worst := lat;
-                    Engine.Flight.record flight ~now:!clock ~cat:Engine.Trace.App
-                      ~label:"slo.breach" lat (sent - at)
+                    Engine.Log.event flight ~now:!clock ~category:Engine.Log.App
+                      ~label:"slo.breach" ~owner:"" ~aux:"" lat (sent - at)
                   end;
                   incr completed;
                   lc.since_birth <- lc.since_birth + 1
@@ -402,8 +402,8 @@ let run_point ~conns:n ~ops_per_conn ~churn_fraction ~churn_after ~rate_per_conn
              carries new requests, as a real churn client would. *)
           lc.since_birth <- 0;
           incr reconnects;
-          Engine.Flight.record flight ~now:!clock ~cat:Engine.Trace.Libos ~label:"reconnect"
-            (Stack.conn_slot c) !reconnects;
+          Engine.Log.event flight ~now:!clock ~category:Engine.Log.Libos ~label:"reconnect"
+            ~owner:"" ~aux:"" (Stack.conn_slot c) !reconnects;
           Stack.tcp_close c;
           open_conn lc
         end
@@ -519,10 +519,10 @@ let run_point ~conns:n ~ops_per_conn ~churn_fraction ~churn_after ~rate_per_conn
       (* The burst marker rides the ring only when frames moved — a
          steady poll records nothing, so the ring's contents describe
          activity, and recording stays off the zero-alloc audit path
-         anyway (Flight.record allocates nothing). *)
+         anyway (Log.event allocates nothing). *)
       if !delivered > 0 then
-        Engine.Flight.record flight ~now:!clock ~cat:Engine.Trace.Device ~label:"rx.burst"
-          !delivered (Queue.length q);
+        Engine.Log.event flight ~now:!clock ~category:Engine.Log.Device ~label:"rx.burst"
+          ~owner:"" ~aux:"" !delivered (Queue.length q);
       (* Open-loop arrivals due at this instant. *)
       let issued_now = ref 0 in
       while !issued < ops_total && Loadgen.peek_at pl <= !clock do
@@ -530,8 +530,8 @@ let run_point ~conns:n ~ops_per_conn ~churn_fraction ~churn_after ~rate_per_conn
         incr issued_now
       done;
       if !issued_now > 0 then
-        Engine.Flight.record flight ~now:!clock ~cat:Engine.Trace.App ~label:"arrivals"
-          !issued_now !issued;
+        Engine.Log.event flight ~now:!clock ~category:Engine.Log.App ~label:"arrivals"
+          ~owner:"" ~aux:"" !issued_now !issued;
       (* Per-poll timer/ack work, as the Catnip fast path does it. *)
       for i = 0 to nstacks - 1 do
         let s = Array.unsafe_get stacks i in
@@ -649,10 +649,10 @@ let run_point ~conns:n ~ops_per_conn ~churn_fraction ~churn_after ~rate_per_conn
     slo_threshold_ns = slo_ns;
     slo_breaches = !slo_breaches;
     slo_worst_ns = !slo_worst;
-    flight_total = Engine.Flight.total flight;
-    flight_kept = Engine.Flight.kept flight;
-    flight_dropped = Engine.Flight.dropped flight;
-    flight_digest = Engine.Flight.digest flight;
+    flight_total = Engine.Log.total flight;
+    flight_kept = Engine.Log.kept flight;
+    flight_dropped = Engine.Log.dropped flight;
+    flight_digest = Engine.Log.digest flight;
   }
 
 (* ---------- churn comparison against the PR 6 record ----------

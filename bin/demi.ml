@@ -114,10 +114,19 @@ let fig9_cmd =
             (Harness.Fig_throughput.fig9 ~rates ~duration_ms ()))
       $ rates $ duration)
 
+(* Ring capacities must be positive: a bad value is a usage error. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | Some _ | None -> Error (`Msg (Printf.sprintf "%S is not a positive integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let trace_capacity_arg =
   Arg.(
     value
-    & opt int 65_536
+    & opt positive_int 65_536
     & info [ "trace-capacity" ] ~docv:"N"
         ~doc:"Event-trace ring capacity (raise when a run reports dropped events).")
 
@@ -159,7 +168,7 @@ let echo_cmd =
                   { Harness.Observe.off with trace_capacity }
                   { (Harness.Observe.echo flavor) with count = min count 3; msg_size; persist; cost }
               in
-              Engine.Trace.dump ~last:80 Format.std_formatter r.trace;
+              Engine.Log.dump ~last:80 Format.std_formatter r.trace;
               Metrics.Hdr.of_list r.latencies
             end
           in
@@ -391,7 +400,7 @@ let timeline_cmd =
 let flight_cmd =
   let capacity =
     Arg.(
-      value & opt int 4096
+      value & opt positive_int 4096
       & info [ "capacity" ] ~docv:"N" ~doc:"Flight-ring capacity in records.")
   in
   let dump =
@@ -418,10 +427,10 @@ let flight_cmd =
           in
           let ring = Option.get on.flight in
           Format.printf "flight ring: %d recorded, %d retained, %d overwritten, digest %s@."
-            (Engine.Flight.total ring) (Engine.Flight.kept ring) (Engine.Flight.dropped ring)
-            (Engine.Flight.digest ring);
-          if dump > 0 then Engine.Flight.dump ~last:dump Format.std_formatter ring;
-          if check then checkf "ring captured the run" (Engine.Flight.total ring > 0);
+            (Engine.Log.total ring) (Engine.Log.kept ring) (Engine.Log.dropped ring)
+            (Engine.Log.digest ring);
+          if dump > 0 then Engine.Log.dump ~last:dump Format.std_formatter ring;
+          if check then checkf "ring captured the run" (Engine.Log.total ring > 0);
           finish ())
       $ flavor_arg $ msg_size_arg $ fl_count $ capacity $ dump $ check)
 
@@ -545,7 +554,7 @@ let slo_cmd =
               | Error why -> checkf (Printf.sprintf "chrome fragment valid: %s" why) false);
               write_file out fragment;
               Format.printf "flight ring tail:@.";
-              Engine.Flight.dump ~last:16 Format.std_formatter ring);
+              Engine.Log.dump ~last:16 Format.std_formatter ring);
           finish ())
       $ flavor_arg $ msg_size_arg $ slo_count $ threshold $ loss $ out $ expect_breach)
 
@@ -635,7 +644,7 @@ let fleet_cmd =
           let causal = Option.get on.causal in
           let reqs = Harness.Fleet.dag ?spans:on.spans causal in
           Format.printf "fleet: app=%s flavor=%s requests=%d causal-events=%d@." app_name
-            name (List.length reqs) (Engine.Causal.count causal);
+            name (List.length reqs) (Engine.Log.kept (Engine.Causal.log causal));
           let hdr = Metrics.Hdr.of_list on.latencies in
           Format.printf "end-to-end: p50 %s  p99 %s  max %s@."
             (Metrics.Table.cell_ns (Metrics.Hdr.p50 hdr))

@@ -3,7 +3,7 @@ open Demikernel
 (* Every frame is [u32 len][16-byte causal context][payload], where len
    covers context + payload. The context rides in EVERY frame — all
    zeros when no Demifleet recorder is attached, real ids when one is —
-   so frame lengths (and hence serialization, timing and Trace.digest)
+   so frame lengths (and hence serialization, timing and the trace digest)
    are identical with tracing on or off: the observer-effect-free
    argument is structural, not probabilistic (DESIGN.md §15). *)
 

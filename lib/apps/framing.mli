@@ -9,7 +9,7 @@
     message id, parent message id (u32 each), hop count (u16) and a pad.
     The context is {e always} present — all zeros when no
     {!Engine.Causal} recorder is attached — so frame lengths, timing
-    and [Trace.digest] are byte-identical with tracing on or off. *)
+    and the trace digest are byte-identical with tracing on or off. *)
 
 val ctx_size : int
 (** Bytes of causal context per frame (16). *)

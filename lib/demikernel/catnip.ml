@@ -364,8 +364,8 @@ let create rt ~nic ?(config = Tcp.Stack.default_config) () =
         nic;
         stack =
           Tcp.Stack.create ~config
-            ~trace:(fun category msg ->
-              Engine.Sim.trace_event host.Host.sim ~category msg)
+            ~trace:(fun label a b ->
+              Engine.Sim.trace_event host.Host.sim ~category:Engine.Log.Tcp label a b)
             ~iface:
               (Tcp.Iface.create ~mac:(Net.Dpdk_sim.mac nic) ~ip:(Net.Dpdk_sim.ip nic)
                  ~clock:(fun () -> Host.now host)

@@ -133,21 +133,17 @@ let handler t coro =
   }
 
 (* The [current] field holds the coro directly during a slice; the
-   trace thunk is built only when a tracer is installed (field read on
-   [Engine.Sim.trace]), so untraced dispatches allocate nothing before
-   entering the continuation. *)
+   dispatch trace event stores the host and coroutine names it already
+   has, so dispatches allocate nothing before entering the
+   continuation, traced or not. *)
 (* dlint: hotpath *)
 let run_slice t coro =
   coro.state <- Running;
   (* dlint-allow: alloc-in-hotpath -- current-coro registration, one Some per dispatch slice *)
   t.current <- Some coro;
   t.switches <- t.switches + 1;
-  (match Engine.Sim.trace t.host.Host.sim with
-  | None -> ()
-  | Some _ ->
-      Engine.Sim.trace_event t.host.Host.sim ~category:Engine.Trace.Sched
-        (* dlint-allow: alloc-in-hotpath -- tracing-enabled runs trade one thunk per dispatch for observability *)
-        (fun () -> Printf.sprintf "%s: dispatch %s" t.host.Host.name coro.name));
+  Engine.Sim.trace_names t.host.Host.sim ~category:Engine.Log.Sched "%s: dispatch %s"
+    t.host.Host.name coro.name;
   (match coro.body with
   | Some body ->
       coro.body <- None;

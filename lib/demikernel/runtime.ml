@@ -69,7 +69,7 @@ let fresh_token t =
         ~now:(Host.now t.host)
   | None -> ());
   (* Demiflight: one allocation-free ring record per op submission. *)
-  Engine.Sim.flight_note t.host.Host.sim ~cat:Engine.Trace.Libos ~label:"qtoken.open" qt 0;
+  Engine.Sim.flight_note t.host.Host.sim ~cat:Engine.Log.Libos ~label:"qtoken.open" qt 0;
   qt
 
 (* dlint-allow: transitive-alloc-in-hotpath -- qtoken redemption: runs once per completed operation (busy path); the Some from the table hit is per-op, not per-poll *)
@@ -151,7 +151,7 @@ let complete t qt result =
       let ok = match result with Pdpix.Failed _ -> false | _ -> true in
       Engine.Span.close_op s ~key:qt ~owner:t.host.Host.name ~now:(Host.now t.host) ~ok
   | None -> ());
-  Engine.Sim.flight_note t.host.Host.sim ~cat:Engine.Trace.Libos ~label:"qtoken.close" qt
+  Engine.Sim.flight_note t.host.Host.sim ~cat:Engine.Log.Libos ~label:"qtoken.close" qt
     (match result with Pdpix.Failed _ -> 1 | _ -> 0);
   let s = holder_stamp qt 0 t.watchers in
   match ts.waiter with

@@ -1,6 +1,6 @@
 (* Demifleet: the cross-host causal-context recorder. One recorder per
-   Sim.t (attached like Trace/Span/Flight); every host appends into the
-   same time-ordered stream, so stitching needs no clock alignment. *)
+   Sim.t; every host appends into the same time-ordered ring, so
+   stitching needs no clock alignment. *)
 
 type kind = Begin | Sent | Received | End
 
@@ -9,6 +9,9 @@ let kind_name = function
   | Sent -> "sent"
   | Received -> "received"
   | End -> "end"
+
+let kinds = [| Begin; Sent; Received; End |]
+let kind_tag k = match k with Begin -> 0 | Sent -> 1 | Received -> 2 | End -> 3
 
 type event = {
   ev_kind : kind;
@@ -21,17 +24,14 @@ type event = {
   ev_time : Clock.t;
 }
 
-type t = {
-  capacity : int;
-  mutable events : event list; (* newest first *)
-  mutable kept : int;
-  mutable dropped : int;
-  mutable next_req : int;
-  mutable next_msg : int;
-}
+(* Ring layout: tag = kind, owner = host, operands a..e = req, msg,
+   parent, hop, op. *)
+type t = { log : Log.t; mutable next_req : int; mutable next_msg : int }
 
 let create ?(capacity = 262_144) () =
-  { capacity; events = []; kept = 0; dropped = 0; next_req = 0; next_msg = 0 }
+  { log = Log.create ~capacity (); next_req = 0; next_msg = 0 }
+
+let log t = t.log
 
 (* Ids start at 1: a zero on the wire always means "no context", which
    is exactly what a recorder-off run writes. *)
@@ -43,21 +43,14 @@ let fresh_msg t =
   t.next_msg <- t.next_msg + 1;
   t.next_msg
 
-(* dlint-allow: transitive-alloc-in-hotpath -- causal instrumentation: one cons cell into a capacity-bounded buffer, and only when a recorder is attached; steady measurement runs attach none *)
 let note t ~kind ~req ~msg ~parent ~hop ~host ~op ~now =
-  if t.kept < t.capacity then begin
-    t.events <-
-      {
-        ev_kind = kind; ev_req = req; ev_msg = msg; ev_parent = parent;
-        ev_hop = hop; ev_host = host; ev_op = op; ev_time = now;
-      }
-      :: t.events;
-    t.kept <- t.kept + 1
-  end
-  else t.dropped <- t.dropped + 1
+  Log.record t.log ~now ~tag:(kind_tag kind) ~label:"" ~owner:host ~aux:"" req msg parent hop op
 
-let events t = List.rev t.events
-let count t = t.kept
-let dropped t = t.dropped
-let requests t = t.next_req
-let messages t = t.next_msg
+let events t =
+  List.map
+    (fun (r : Log.row) ->
+      {
+        ev_kind = kinds.(r.tag); ev_req = r.a; ev_msg = r.b; ev_parent = r.c; ev_hop = r.d;
+        ev_host = r.owner; ev_op = r.e; ev_time = r.ts;
+      })
+    (Log.rows t.log)

@@ -1,7 +1,7 @@
 (** Demifleet causal-context recorder.
 
-    One recorder hangs off the {!Sim.t} (like {!Trace}/{!Span}/
-    {!Flight}); every host of the experiment appends into the same
+    One recorder hangs off the {!Sim.t} (like the trace, flight and
+    span streams); every host of the experiment appends into the same
     stream, already in virtual-time order. Apps mint request and
     message ids here and note four event kinds: [Begin]/[End] bracket a
     request on its root host; [Sent]/[Received] bracket each cross-host
@@ -10,8 +10,9 @@
     back to Demitrace spans. Recording is pure observation: ids are
     only minted when a recorder is attached, and a detached run writes
     all-zero contexts of identical byte length, so the event
-    interleaving, the clock and {!Trace.digest} are unchanged
-    ([demi fleet --check] is the gate). *)
+    interleaving, the clock and the trace digest are unchanged
+    ([demi fleet --check] is the gate). The events live in the
+    recorder's own {!Log.t}; this module mints ids and encodes notes. *)
 
 type kind = Begin | Sent | Received | End
 
@@ -31,7 +32,10 @@ type event = {
 type t
 
 val create : ?capacity:int -> unit -> t
-(** Capacity-bounded (default 262144 events); overflow counts drops. *)
+(** A ring of [capacity] events (default 262144) that overwrites its
+    oldest once full. *)
+
+val log : t -> Log.t
 
 val fresh_req : t -> int
 (** Mint a request id (from 1; 0 is reserved for "no context"). *)
@@ -52,13 +56,4 @@ val note :
   unit
 
 val events : t -> event list
-(** Oldest first (virtual-time order). *)
-
-val count : t -> int
-val dropped : t -> int
-
-val requests : t -> int
-(** Total request ids minted. *)
-
-val messages : t -> int
-(** Total message ids minted. *)
+(** The retained events, oldest first (virtual-time order). *)

@@ -4,9 +4,11 @@ type t = {
   prng : Prng.t;
   mutable stopped : bool;
   mutable processed : int;
-  mutable tracer : Trace.t option;
+  (* One ring per armed stream, never shared: arming one stream cannot
+     evict another's events. *)
+  mutable tracer : Log.t option;
   mutable spans : Span.t option;
-  mutable flight : Flight.t option;
+  mutable flight : Log.t option;
   mutable causal : Causal.t option;
   mutable teardown_hooks : (unit -> unit) list; (* newest first *)
   mutable sampler : (Clock.t -> unit) option;
@@ -14,22 +16,35 @@ type t = {
   mutable sampler_next : Clock.t;
 }
 
+(* The one teardown report over every armed stream: a truncated
+   timeline is never mistaken for the whole story. *)
+let report_drops t =
+  let report name = Option.iter (Log.report ~name) in
+  report "trace" t.tracer;
+  report "flight" t.flight;
+  report "span" (Option.map Span.log t.spans);
+  report "causal" (Option.map Causal.log t.causal)
+
 let create ?(seed = 1L) () =
-  {
-    now = 0;
-    q = Eventq.create ();
-    prng = Prng.create seed;
-    stopped = false;
-    processed = 0;
-    tracer = None;
-    spans = None;
-    flight = None;
-    causal = None;
-    teardown_hooks = [];
-    sampler = None;
-    sampler_interval = 0;
-    sampler_next = 0;
-  }
+  let t =
+    {
+      now = 0;
+      q = Eventq.create ();
+      prng = Prng.create seed;
+      stopped = false;
+      processed = 0;
+      tracer = None;
+      spans = None;
+      flight = None;
+      causal = None;
+      teardown_hooks = [];
+      sampler = None;
+      sampler_interval = 0;
+      sampler_next = 0;
+    }
+  in
+  t.teardown_hooks <- [ (fun () -> report_drops t) ];
+  t
 
 let now t = t.now
 let prng t = t.prng
@@ -99,28 +114,30 @@ let teardown t =
   t.teardown_hooks <- [];
   List.iter (fun hook -> hook ()) hooks
 
-let enable_trace ?capacity t =
+let enable_trace ?(capacity = 65_536) t =
   match t.tracer with
   | Some tr -> tr
   | None ->
-      let tr = Trace.create ?capacity () in
+      let tr = Log.create ~capacity () in
       t.tracer <- Some tr;
-      (* Drops were silently counted before; surface them once the run
-         is over so a truncated --trace timeline is never mistaken for
-         the whole story. *)
-      at_teardown t (fun () ->
-          let n = Trace.dropped tr in
-          if n > 0 then
-            Format.eprintf
-              "trace report: %d event(s) dropped from the ring (raise with --trace-capacity)@."
-              n);
       tr
 
 let trace t = t.tracer
 
-let trace_event t ~category msg =
+(* One branch when no recorder is attached; when one is, the record is
+   O(1) into the ring's arrays. The operands are ints and strings that
+   already exist, so the call site costs nothing to build: the message
+   is formatted only when the stream is read. *)
+(* dlint: hotpath *)
+let trace_event t ~category label a b =
   match t.tracer with
-  | Some tr -> Trace.record tr ~now:t.now ~category (msg ())
+  | Some tr -> Log.event tr ~now:t.now ~category ~label ~owner:"" ~aux:"" a b
+  | None -> ()
+
+(* dlint: hotpath *)
+let trace_names t ~category label owner aux =
+  match t.tracer with
+  | Some tr -> Log.event tr ~now:t.now ~category ~label ~owner ~aux 0 0
   | None -> ()
 
 let enable_spans ?capacity t =
@@ -134,11 +151,11 @@ let enable_spans ?capacity t =
 
 let spans t = t.spans
 
-let enable_flight ?capacity t =
+let enable_flight ?(capacity = 4096) t =
   match t.flight with
   | Some f -> f
   | None ->
-      let f = Flight.create ?capacity () in
+      let f = Log.create ~render:Log.operands ~capacity () in
       t.flight <- Some f;
       f
 
@@ -150,36 +167,24 @@ let enable_causal ?capacity t =
   | None ->
       let c = Causal.create ?capacity () in
       t.causal <- Some c;
-      at_teardown t (fun () ->
-          let n = Causal.dropped c in
-          if n > 0 then
-            Format.eprintf
-              "causal report: %d event(s) dropped from the ring (raise the capacity)@." n);
       c
 
 let causal t = t.causal
 
-(* One branch when no recorder is attached; when one is, the record is
-   O(1) into pre-allocated arrays. Unlike trace_event there is no thunk
-   to skip: the operands are ints and the label a static string, so the
-   call site costs nothing to build. *)
 (* dlint: hotpath *)
 let flight_note t ~cat ~label a b =
   match t.flight with
   | None -> ()
-  | Some f -> Flight.record f ~now:t.now ~cat ~label a b
+  | Some f -> Log.event f ~now:t.now ~category:cat ~label ~owner:"" ~aux:"" a b
 
-let span_interval ?key ?label t ~comp ~owner ~t0 ~t1 =
+(* dlint: hotpath *)
+let span_interval t ~comp ~owner ~label ~t0 ~t1 =
   match t.spans with
   | None -> ()
-  | Some s -> Span.note ?key ?label s ~comp ~owner ~t0 ~t1
+  | Some s -> Span.note s ~comp ~owner ~label ~t0 ~t1
 
-let span_note ?key ?label t ~comp ~owner ~dur =
+(* dlint: hotpath *)
+let span_note t ~comp ~owner ~dur =
   match t.spans with
   | None -> ()
-  | Some s -> Span.note ?key ?label s ~comp ~owner ~t0:t.now ~t1:(t.now + dur)
-
-let span_wire t ~flow ~src ~dst ~label ~t0 ~t1 ~status =
-  match t.spans with
-  | None -> ()
-  | Some s -> Span.note_wire s ~flow ~src ~dst ~label ~t0 ~t1 ~status
+  | Some s -> Span.note s ~comp ~owner ~label:"" ~t0:t.now ~t1:(t.now + dur)

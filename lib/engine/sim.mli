@@ -58,93 +58,72 @@ val teardown : t -> unit
     (calling twice is harmless). Harness entry points call this after
     the final [run]. *)
 
-(** {1 Tracing} *)
+(** {1 Recorders}
 
-val enable_trace : ?capacity:int -> t -> Trace.t
-(** Attach (or return the existing) event trace. On first attach a
-    teardown hook is registered that warns (stderr) when ring events
-    were dropped. *)
+    Each armed stream is its own {!Log.t} ring — the trace, the flight
+    recorder, spans (intervals and wire events) and causal contexts —
+    so one stream filling up never evicts another's events. Every
+    recorder is a pure observer: arming it must not change the event
+    interleaving, the clock, or the trace digest ([Harness.Observe.check]
+    is the gate). {!teardown} prints one report naming every ring that
+    overwrote records. *)
 
-val trace : t -> Trace.t option
+(** {2 Tracing} *)
 
-val trace_event : t -> category:Trace.category -> (unit -> string) -> unit
-(** Record a trace event; the thunk is forced only when tracing is
-    enabled, so call sites cost one branch otherwise. *)
+val enable_trace : ?capacity:int -> t -> Log.t
+(** Attach (or return the existing) event trace, a {!Log.text} ring of
+    [capacity] events (default 65536). *)
 
-(** {1 Spans (Demitrace)} *)
+val trace : t -> Log.t option
+
+val trace_event : t -> category:Log.category -> string -> int -> int -> unit
+(** [trace_event t ~category template a b] records a trace event whose
+    message is [template] with [a] and [b] substituted (see
+    {!Log.text}); one branch when tracing is off, allocation-free when
+    it is on. *)
+
+val trace_names : t -> category:Log.category -> string -> string -> string -> unit
+(** Like {!trace_event} with two string operands ([%s]) instead of
+    ints. *)
+
+(** {2 Spans (Demitrace)} *)
 
 val enable_spans : ?capacity:int -> t -> Span.t
 (** Attach (or return the existing) span recorder. On first attach a
     teardown hook is registered that reports op spans left open (leaks),
-    mirroring the heap sanitizer's report. The recorder is a pure
-    observer: enabling it must not change the event interleaving, the
-    clock, or {!Trace.digest}. *)
+    mirroring the heap sanitizer's report. *)
 
 val spans : t -> Span.t option
 
-(** {1 Flight recorder (Demiflight)} *)
+(** {2 Flight recorder (Demiflight)} *)
 
-val enable_flight : ?capacity:int -> t -> Flight.t
-(** Attach (or return the existing) flight recorder — a fixed-capacity
-    ring of typed records cheap enough to stay armed in production
-    runs. Recording is a pure observation: enabling it must not change
-    the event interleaving, the clock, or {!Trace.digest}
-    ([demi flight --check] is the gate). *)
+val enable_flight : ?capacity:int -> t -> Log.t
+(** Attach (or return the existing) flight recorder — a {!Log.operands}
+    ring of [capacity] records (default 4096) cheap enough to stay
+    armed in production runs. *)
 
-val flight : t -> Flight.t option
+val flight : t -> Log.t option
 
-(** {1 Causal request contexts (Demifleet)} *)
+(** {2 Causal request contexts (Demifleet)} *)
 
 val enable_causal : ?capacity:int -> t -> Causal.t
-(** Attach (or return the existing) causal-context recorder. On first
-    attach a teardown hook is registered that warns (stderr) when
-    events were dropped. Like spans and the flight ring, the recorder
-    is a pure observer: enabling it must not change the event
-    interleaving, the clock, or {!Trace.digest} ([demi fleet --check]
-    is the gate). *)
+(** Attach (or return the existing) causal-context recorder. *)
 
 val causal : t -> Causal.t option
 
-val flight_note : t -> cat:Trace.category -> label:string -> int -> int -> unit
+val flight_note : t -> cat:Log.category -> label:string -> int -> int -> unit
 (** Record one flight event at the current virtual time; a single
     branch when no recorder is attached, O(1) and allocation-free when
     one is. [label] must be a static string (pass a literal). *)
 
 val span_interval :
-  ?key:int ->
-  ?label:string ->
-  t ->
-  comp:Span.component ->
-  owner:string ->
-  t0:Clock.t ->
-  t1:Clock.t ->
-  unit
+  t -> comp:Span.component -> owner:string -> label:string -> t0:Clock.t -> t1:Clock.t -> unit
 (** Attribute the absolute virtual interval [\[t0, t1\]] to [comp]; one
     branch when spans are disabled. Use for asynchronous stretches
     (device HW time, wire time) whose endpoints are known when the work
     is scheduled. *)
 
-val span_note :
-  ?key:int ->
-  ?label:string ->
-  t ->
-  comp:Span.component ->
-  owner:string ->
-  dur:Clock.t ->
-  unit
+val span_note : t -> comp:Span.component -> owner:string -> dur:Clock.t -> unit
 (** Attribute [\[now, now + dur\]] to [comp] — the shape of every
     synchronous cost-model charge ([Host.charge_as] calls this just
     before sleeping the charged duration). *)
-
-val span_wire :
-  t ->
-  flow:int ->
-  src:string ->
-  dst:string ->
-  label:string ->
-  t0:Clock.t ->
-  t1:Clock.t ->
-  status:Span.wire_status ->
-  unit
-(** Record a flow-keyed wire event ({!Span.note_wire}); one branch when
-    spans are disabled. The fabric calls this for every frame journey. *)

@@ -10,22 +10,14 @@ type component =
   | Softirq
   | Storage
 
-let component_name = function
-  | App -> "app"
-  | Sched -> "sched"
-  | Libos -> "libos"
-  | Proto -> "proto"
-  | Device -> "device"
-  | Wire -> "wire"
-  | Kernel -> "kernel"
-  | Copy -> "copy"
-  | Softirq -> "softirq"
-  | Storage -> "storage"
-
 let components =
   [ App; Sched; Libos; Proto; Device; Wire; Kernel; Copy; Softirq; Storage ]
 
-let component_index = function
+let names =
+  [| "app"; "sched"; "libos"; "proto"; "device"; "wire"; "kernel"; "copy"; "softirq"; "storage" |]
+
+let component_index c =
+  match c with
   | App -> 0
   | Sched -> 1
   | Libos -> 2
@@ -37,10 +29,11 @@ let component_index = function
   | Softirq -> 8
   | Storage -> 9
 
+let component_name c = names.(component_index c)
+
 type interval = {
   comp : component;
   owner : string;
-  key : int option;
   label : string;
   t0 : Clock.t;
   t1 : Clock.t;
@@ -67,18 +60,23 @@ type wire_event = {
   wire_status : wire_status;
 }
 
+(* Ring layout: an interval is tagged with its component index, spans
+   [ts, a] and carries its owner and label; a wire event is tagged
+   [wire_ok] or [wire_drop], spans [ts, a], carries its flow in [b],
+   its source host as owner, and its destination (delivered) or drop
+   reason (dropped) as aux. A delivered frame is also the fabric's
+   [Wire] interval, so it is stored once. *)
+let wire_ok = List.length components
+let wire_drop = wire_ok + 1
+let by_index = Array.of_list components
+
 type t = {
-  capacity : int;
-  mutable intervals : interval list; (* newest first *)
-  mutable kept : int;
-  mutable dropped : int;
+  log : Log.t;
   totals : int array; (* per-component virtual ns, indexed by component_index *)
+  mutable noted : int; (* intervals ever noted, delivered frames included *)
   ops : (string * int, op) Hashtbl.t; (* keyed by (owner, qtoken): qtokens are per-host *)
   mutable op_order : op list; (* newest first *)
   mutable op_count : int;
-  mutable wire : wire_event list; (* newest first *)
-  mutable wire_kept : int;
-  mutable wire_dropped : int;
   (* SLO watchdog (Demiflight): ops whose close-time latency exceeded
      the armed threshold. max_int = disarmed, so the close path tests a
      plain int, never an option. *)
@@ -92,22 +90,19 @@ let slo_capacity = 1024
 
 let create ?(capacity = 262_144) () =
   {
-    capacity;
-    intervals = [];
-    kept = 0;
-    dropped = 0;
+    log = Log.create ~capacity ();
     totals = Array.make (List.length components) 0;
+    noted = 0;
     ops = Hashtbl.create 256;
     op_order = [];
     op_count = 0;
-    wire = [];
-    wire_kept = 0;
-    wire_dropped = 0;
     slo_threshold = max_int;
     slo_outliers = [];
     slo_kept = 0;
     slo_count = 0;
   }
+
+let log t = t.log
 
 let set_slo t ~threshold_ns =
   if threshold_ns <= 0 then invalid_arg "Span.set_slo: threshold must be positive";
@@ -117,33 +112,36 @@ let slo_threshold t = if t.slo_threshold = max_int then None else Some t.slo_thr
 let outliers t = List.rev t.slo_outliers
 let outlier_count t = t.slo_count
 
-(* dlint-allow: transitive-alloc-in-hotpath -- span instrumentation: interval records land in a capacity-bounded buffer and only when a span collector is attached; steady measurement runs attach none *)
-let note ?key ?(label = "") t ~comp ~owner ~t0 ~t1 =
+let note t ~comp ~owner ~label ~t0 ~t1 =
   assert (t1 >= t0);
   let idx = component_index comp in
   t.totals.(idx) <- t.totals.(idx) + (t1 - t0);
-  if t.kept < t.capacity then begin
-    t.intervals <- { comp; owner; key; label; t0; t1 } :: t.intervals;
-    t.kept <- t.kept + 1
-  end
-  else t.dropped <- t.dropped + 1
+  t.noted <- t.noted + 1;
+  Log.record t.log ~now:t0 ~tag:idx ~label ~owner ~aux:"" t1 0 0 0 0
 
-let note_wire t ~flow ~src ~dst ~label ~t0 ~t1 ~status =
+let note_wire t ~flow ~src ~dst ~label ~t0 ~t1 =
   assert (t1 >= t0);
-  if t.wire_kept < t.capacity then begin
-    t.wire <-
-      {
-        wire_flow = flow; wire_src = src; wire_dst = dst; wire_label = label;
-        wire_t0 = t0; wire_t1 = t1; wire_status = status;
-      }
-      :: t.wire;
-    t.wire_kept <- t.wire_kept + 1
-  end
-  else t.wire_dropped <- t.wire_dropped + 1
+  let idx = component_index Wire in
+  t.totals.(idx) <- t.totals.(idx) + (t1 - t0);
+  t.noted <- t.noted + 1;
+  Log.record t.log ~now:t0 ~tag:wire_ok ~label ~owner:src ~aux:dst t1 flow 0 0 0
 
-let wire_events t = List.rev t.wire
-let wire_count t = t.wire_kept
-let wire_dropped t = t.wire_dropped
+let note_wire_drop t ~flow ~src ~label ~reason ~at =
+  Log.record t.log ~now:at ~tag:wire_drop ~label ~owner:src ~aux:reason at flow 0 0 0
+
+let wire_events t =
+  List.filter_map
+    (fun (r : Log.row) ->
+      let delivered = r.tag = wire_ok in
+      if r.tag < wire_ok then None
+      else
+        Some
+          {
+            wire_flow = r.b; wire_src = r.owner; wire_dst = (if delivered then r.aux else "");
+            wire_label = r.label; wire_t0 = r.ts; wire_t1 = r.a;
+            wire_status = (if delivered then Wire_delivered else Wire_dropped r.aux);
+          })
+    (Log.rows t.log)
 
 let open_op t ~key ~kind ~owner ~now =
   let op =
@@ -176,10 +174,18 @@ let close_op t ~key ~owner ~now ~ok =
       end
   | Some _ | None -> ()
 
-let intervals t = List.rev t.intervals
+let intervals t =
+  List.filter_map
+    (fun (r : Log.row) ->
+      if r.tag > wire_ok then None
+      else if r.tag = wire_ok then
+        Some { comp = Wire; owner = "fabric"; label = r.label; t0 = r.ts; t1 = r.a }
+      else Some { comp = by_index.(r.tag); owner = r.owner; label = r.label; t0 = r.ts; t1 = r.a })
+    (Log.rows t.log)
+
 let ops t = List.rev t.op_order
 let open_ops t = List.filter (fun op -> op.closed_at = None) (ops t)
-let dropped t = t.dropped
+let dropped t = t.noted - List.length (intervals t)
 let op_count t = t.op_count
 let total t comp = t.totals.(component_index comp)
 let totals t = List.map (fun c -> (c, total t c)) components

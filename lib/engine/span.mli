@@ -15,7 +15,9 @@
       like the heap sanitizer's leak summary.
 
     Keyed by plain ints (qtokens) so the engine layer stays independent
-    of the PDPIX types. *)
+    of the PDPIX types. Intervals and wire events live in the
+    recorder's {!Log.t}; this module keeps the op table, the SLO
+    watchdog and the per-component totals. *)
 
 (** Where a nanosecond went. [Proto] is protocol work (TCP/UDP segment
     processing) as distinct from [Libos] glue (scheduling, polling,
@@ -45,7 +47,6 @@ val component_index : component -> int
 type interval = {
   comp : component;
   owner : string;  (** host or device name, e.g. ["client"], ["fabric"] *)
-  key : int option;  (** qtoken, when the work is for a specific op *)
   label : string;
   t0 : Clock.t;
   t1 : Clock.t;  (** [t1 >= t0]; attribution is end-exclusive *)
@@ -84,38 +85,25 @@ type wire_event = {
 type t
 
 val create : ?capacity:int -> unit -> t
-(** [capacity] (default 262144) bounds the retained interval list; the
-    per-component totals keep accumulating past it (with {!dropped}
-    counting the intervals whose detail was discarded). *)
+(** [capacity] (default 262144) bounds the ring holding intervals and
+    wire events; past it the oldest are overwritten (counted by
+    {!dropped}) while the per-component totals keep accumulating. *)
 
-val note :
-  ?key:int ->
-  ?label:string ->
-  t ->
-  comp:component ->
-  owner:string ->
-  t0:Clock.t ->
-  t1:Clock.t ->
-  unit
+val log : t -> Log.t
+
+val note : t -> comp:component -> owner:string -> label:string -> t0:Clock.t -> t1:Clock.t -> unit
 
 val note_wire :
-  t ->
-  flow:int ->
-  src:string ->
-  dst:string ->
-  label:string ->
-  t0:Clock.t ->
-  t1:Clock.t ->
-  status:wire_status ->
-  unit
-(** Record one frame journey. Bounded by the same [capacity] as
-    intervals (see {!wire_dropped}). *)
+  t -> flow:int -> src:string -> dst:string -> label:string -> t0:Clock.t -> t1:Clock.t -> unit
+(** Record one delivered frame journey. It is also the fabric's [Wire]
+    interval: it counts toward the [Wire] total, and {!intervals} lists
+    it with owner ["fabric"]. *)
+
+val note_wire_drop : t -> flow:int -> src:string -> label:string -> reason:string -> at:Clock.t -> unit
+(** Record one dropped frame: it has no destination, and [t0 = t1 = at]. *)
 
 val wire_events : t -> wire_event list
 (** Oldest first. *)
-
-val wire_count : t -> int
-val wire_dropped : t -> int
 
 val open_op : t -> key:int -> kind:string -> owner:string -> now:Clock.t -> unit
 (** Op spans are keyed by [(owner, key)] — qtokens are only unique per
@@ -162,6 +150,8 @@ val open_ops : t -> op list
 (** Spans never closed — leaks, in open order. *)
 
 val dropped : t -> int
+(** Intervals overwritten in the ring, delivered frames included. *)
+
 val op_count : t -> int
 val total : t -> component -> int
 val totals : t -> (component * int) list

@@ -58,7 +58,7 @@ let describe a =
 
 type run = {
   scenario : scenario;
-  trace : Engine.Trace.t;
+  trace : Engine.Log.t;
   digest : string;
   events : int;
   latencies : int list;
@@ -66,7 +66,7 @@ type run = {
   nodes : Demikernel.Boot.node list;
   fabric_stats : Net.Fabric.stats;
   spans : Engine.Span.t option;
-  flight : Engine.Flight.t option;
+  flight : Engine.Log.t option;
   causal : Engine.Causal.t option;
   capture : Net.Pcap.session option;
   timeline : Metrics.Timeseries.t option;
@@ -189,7 +189,7 @@ let run arm sc =
   if capture <> None then Net.Pcap.untap w.fabric;
   Engine.Sim.clear_sampler sim;
   {
-    scenario = sc; trace; digest = Engine.Trace.digest trace;
+    scenario = sc; trace; digest = Engine.Log.digest trace;
     events = Engine.Sim.events_processed sim; latencies = List.rev !lats;
     completed_at = List.rev !ends; nodes = List.map snd roles;
     fabric_stats = Net.Fabric.stats w.fabric; spans; flight; causal; capture; timeline;

@@ -68,15 +68,15 @@ val describe : arm -> string
 
 type run = {
   scenario : scenario;
-  trace : Engine.Trace.t;
-  digest : string;  (** {!Engine.Trace.digest} of [trace] *)
+  trace : Engine.Log.t;
+  digest : string;  (** {!Engine.Log.digest} of [trace] *)
   events : int;  (** simulator events processed *)
   latencies : int list;  (** per request, completion order *)
   completed_at : int list;  (** virtual time of each completion, parallel to [latencies] *)
   nodes : Demikernel.Boot.node list;  (** servers first, the measuring client last *)
   fabric_stats : Net.Fabric.stats;
   spans : Engine.Span.t option;
-  flight : Engine.Flight.t option;
+  flight : Engine.Log.t option;
   causal : Engine.Causal.t option;
   capture : Net.Pcap.session option;
   timeline : Metrics.Timeseries.t option;

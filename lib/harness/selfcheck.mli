@@ -4,7 +4,7 @@
     Catnap (POSIX) and Catmint (RDMA), with tracing, the heap sanitizer
     and the gc-budget oracle armed — twice
     from the same seed, and compares a fingerprint of each run: the
-    {!Engine.Trace.digest} of the full event trace, the number of
+    {!Engine.Log.digest} of the full event trace, the number of
     simulator events processed, and a rendered table of the final
     metrics (RTT distribution and per-host heap statistics). Any
     divergence means something in the stack consulted an unseeded or
@@ -25,7 +25,7 @@
     test. *)
 
 type fingerprint = {
-  digest : string; (* Trace.digest over all three flavors' traces *)
+  digest : string; (* trace digest over all three flavors' traces *)
   events : int; (* total simulator events processed *)
   metrics : string; (* rendered final-metrics table *)
   ownership_violations : int; (* oracle findings across all flavors *)

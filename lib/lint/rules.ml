@@ -327,9 +327,9 @@ let scan_project ?now files =
                     if contains_token line tok then
                       emit fs ~line:lno ~col:(col_of line tok) ~rule:rule_print
                         (Printf.sprintf
-                           "%s writes raw stdout from datapath code; report through \
-                            Engine.Sim.trace_event or a Metrics table, or add a \
-                            dlint-allow for a deliberate dump path"
+                           "%s writes raw stdout from datapath code; record it in an \
+                            Engine.Log stream (a Sim trace or flight event) or a Metrics \
+                            table, or add a dlint-allow for a deliberate dump path"
                            tok))
                   raw_print_tokens;
               (* poly-compare-buffer *)

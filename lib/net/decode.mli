@@ -6,7 +6,7 @@
     checksums, so corrupted or truncated frames still decode as far as
     their bytes allow — exactly what the drop/corruption capture tap
     needs. It is also pure (no clock, no allocation side effects beyond
-    the returned values), so it is safe to call from trace thunks and
+    the returned values), so it is safe to call for wire-event and
     span labels without perturbing a run. *)
 
 type tcp_info = {

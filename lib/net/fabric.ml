@@ -67,37 +67,36 @@ let set_tap t tap = t.tap <- tap
 
 (* Capture and wire-event hooks are pure observers: they read the frame
    the fabric was moving anyway and never touch the clock, the PRNG or
-   the event queue — so enabling them cannot change Trace.digest. *)
+   the event queue — so enabling them cannot change the trace digest. *)
 
 let on_drop t ?(src = "") ~reason frame =
   (match t.tap with
   | Some tap -> tap.tap_drop ~ts:(Engine.Sim.now t.sim) ~reason frame
   | None -> ());
-  Engine.Sim.flight_note t.sim ~cat:Engine.Trace.Fabric ~label:"drop" (String.length frame)
+  Engine.Sim.flight_note t.sim ~cat:Engine.Log.Fabric ~label:"drop" (String.length frame)
     (match reason with Loss -> 1 | Corrupt -> 2 | No_route -> 3 | Nic_drop _ -> 4);
   match Engine.Sim.spans t.sim with
   | None -> ()
-  | Some _ ->
-      let now = Engine.Sim.now t.sim in
+  | Some spans ->
       let flow = match Flow.of_frame frame with Some f -> f | None -> 0 in
-      let reason_name =
+      let reason =
         match reason with
         | Loss -> "loss"
         | Corrupt -> "corrupt"
         | No_route -> "no-route"
         | Nic_drop why -> why
       in
-      Engine.Sim.span_wire t.sim ~flow ~src ~dst:"" ~label:(Decode.line frame) ~t0:now ~t1:now
-        ~status:(Engine.Span.Wire_dropped reason_name)
+      Engine.Span.note_wire_drop spans ~flow ~src ~label:(Decode.line frame) ~reason
+        ~at:(Engine.Sim.now t.sim)
 
 let nic_drop t ~reason frame = on_drop t ~reason:(Nic_drop reason) frame
 
 let deliver t frame dst =
   t.delivered <- t.delivered + 1;
   t.bytes <- t.bytes + String.length frame;
-  Engine.Sim.trace_event t.sim ~category:Engine.Trace.Fabric (fun () ->
-      Format.asprintf "deliver %dB -> %a" (String.length frame) Addr.Mac.pp dst.mac);
-  Engine.Sim.flight_note t.sim ~cat:Engine.Trace.Fabric ~label:"rx" (String.length frame)
+  Engine.Sim.trace_event t.sim ~category:Engine.Log.Fabric "deliver %dB -> %m"
+    (String.length frame) dst.mac;
+  Engine.Sim.flight_note t.sim ~cat:Engine.Log.Fabric ~label:"rx" (String.length frame)
     t.delivered;
   (* deliver runs at arrival time, so captures are timestamped in event
      order — pcap files come out monotone for free. *)
@@ -123,8 +122,7 @@ let send t src ?(lossless = false) frame =
   let wire_t0 = depart - Cost.serialization_ns t.cost len in
   if (not lossless) && t.loss > 0. && Engine.Prng.bool t.prng t.loss then begin
     t.dropped <- t.dropped + 1;
-    Engine.Sim.trace_event t.sim ~category:Engine.Trace.Fabric (fun () ->
-        Printf.sprintf "drop %dB (injected loss)" len);
+    Engine.Sim.trace_event t.sim ~category:Engine.Log.Fabric "drop %dB (injected loss)" len 0;
     on_drop t ~src:src.owner ~reason:Loss frame
   end
   else begin
@@ -153,9 +151,9 @@ let send t src ?(lossless = false) frame =
     let wire_info =
       match Engine.Sim.spans t.sim with
       | None -> None
-      | Some _ ->
+      | Some spans ->
           let flow = match Flow.of_frame frame with Some f -> f | None -> 0 in
-          Some (flow, Decode.line frame)
+          Some (spans, flow, Decode.line frame)
     in
     let to_port p =
       let start = max at_switch p.rx_free in
@@ -163,11 +161,9 @@ let send t src ?(lossless = false) frame =
       p.rx_free <- arrival;
       (match wire_info with
       | None -> ()
-      | Some (flow, label) ->
-          Engine.Sim.span_interval t.sim ~key:flow ~label ~comp:Engine.Span.Wire
-            ~owner:"fabric" ~t0:wire_t0 ~t1:arrival;
-          Engine.Sim.span_wire t.sim ~flow ~src:src.owner ~dst:p.owner ~label ~t0:wire_t0
-            ~t1:arrival ~status:Engine.Span.Wire_delivered);
+      | Some (spans, flow, label) ->
+          Engine.Span.note_wire spans ~flow ~src:src.owner ~dst:p.owner ~label ~t0:wire_t0
+            ~t1:arrival);
       arrival - now
     in
     let dst_mac = Wire.get_u48 (Bytes.unsafe_of_string frame) 0 in

@@ -48,7 +48,7 @@ val set_loss : t -> float -> unit
 
     Taps are pure observers of frames the fabric was moving anyway:
     they never touch the clock, the PRNG or the event queue, so
-    attaching one cannot change {!Engine.Trace.digest} (checked by
+    attaching one cannot change the trace {!Engine.Log.digest} (checked by
     [make pcap-smoke]). *)
 
 type drop_reason =

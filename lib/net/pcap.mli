@@ -12,7 +12,7 @@
     Capture is a pure observer: taps only read frames the fabric was
     delivering (or dropping) anyway — no clock reads, no randomness, no
     scheduled events — so capture-on and capture-off runs of the same
-    seed have identical {!Engine.Trace.digest}s. *)
+    seed have identical trace {!Engine.Log.digest}s. *)
 
 val magic : int
 (** 0xa1b2c3d4 — classic pcap, microsecond timestamps. *)

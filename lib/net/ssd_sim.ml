@@ -24,8 +24,8 @@ let create sim ~cost ~capacity =
 let capacity t = Bytes.length t.store
 
 let complete t c =
-  Engine.Sim.trace_event t.sim ~category:Engine.Trace.Storage (fun () ->
-      Printf.sprintf "completion id=%d ok=%b" c.id c.ok);
+  Engine.Sim.trace_event t.sim ~category:Engine.Log.Storage "completion id=%d ok=%b" c.id
+    (Bool.to_int c.ok);
   Queue.add c t.cq;
   Engine.Condvar.broadcast t.cq_signal
 
@@ -39,7 +39,7 @@ let run_after t ~busy_ns fn =
   (* The attributed stretch starts when the device picks the command
      up, not at submission: queueing behind an earlier command is the
      device's time, and the sum over commands never double-counts. *)
-  Engine.Sim.span_interval t.sim ~comp:Engine.Span.Storage ~owner:"ssd" ~t0:start
+  Engine.Sim.span_interval t.sim ~comp:Engine.Span.Storage ~owner:"ssd" ~label:"" ~t0:start
     ~t1:finish;
   Engine.Sim.schedule t.sim ~delay:(finish - now) fn
 

@@ -81,7 +81,8 @@ let flag_fin_pending = 1
 let flag_use_ts = 2
 let flag_use_sack = 4
 
-let state_code = function
+let state_code s =
+  match s with
   | Syn_sent -> 0
   | Syn_received -> 1
   | Established_st -> 2
@@ -194,14 +195,14 @@ and t = {
   mutable retransmit_total : int;
   mutable conns_opened : int;
   mutable conns_peak : int;
-  trace : Engine.Trace.category -> (unit -> string) -> unit;
-      (* Demitrace hook; drivers wire it to [Sim.trace_event]. The thunk
-         is only forced when the sim's tracer is enabled. *)
+  trace : string -> int -> int -> unit;
+      (* Demitrace hook: a static template and its int operands; drivers
+         wire it to [Sim.trace_event]. *)
 }
 
 type conn_stats = { live : int; ever_opened : int; peak : int }
 
-let create ?(config = default_config) ?(trace = fun _ _ -> ()) ~iface ~heap ~prng ~events () =
+let create ?(config = default_config) ?(trace = fun _ _ _ -> ()) ~iface ~heap ~prng ~events () =
   {
     config;
     iface;
@@ -687,7 +688,7 @@ let release_tcb conn =
     conn.tcb <- -1
   end
 
-(* dlint-allow: transitive-alloc-in-hotpath -- connection teardown: runs once per connection close, and the allocation is the trace thunk for the close event *)
+(* dlint-allow: transitive-alloc-in-hotpath -- connection teardown: runs once per connection close, and releasing the connection's unacked buffers returns their slots to the heap's free list *)
 let to_closed conn ~reset =
   let was_closed = state conn = Closed_st in
   (if state conn = Syn_received then
@@ -698,8 +699,7 @@ let to_closed conn ~reset =
   destroy conn;
   if not was_closed then begin
     if reset then
-      conn.stack.trace Engine.Trace.Tcp (fun () ->
-          Printf.sprintf "conn %d: reset" conn.uid);
+      conn.stack.trace "conn %d: reset" conn.uid 0;
     if reset then conn.stack.events (Reset conn) else conn.stack.events (Closed conn)
   end;
   (* The slot outlives the Closed/Reset event — handlers (the libOS
@@ -709,8 +709,7 @@ let to_closed conn ~reset =
 
 let enter_time_wait conn =
   set_state conn Time_wait;
-  conn.stack.trace Engine.Trace.Tcp (fun () ->
-      Printf.sprintf "conn %d: TIME_WAIT" conn.uid);
+  conn.stack.trace "conn %d: TIME_WAIT" conn.uid 0;
   cancel_rto conn;
   arm_time_wait_at conn (now conn.stack + conn.stack.config.time_wait_ns)
 
@@ -845,8 +844,7 @@ let retransmit_head conn =
       seg.retransmitted <- true;
       conn.retransmit_count <- conn.retransmit_count + 1;
       conn.stack.retransmit_total <- conn.stack.retransmit_total + 1;
-      conn.stack.trace Engine.Trace.Tcp (fun () ->
-          Printf.sprintf "conn %d: retransmit seq=%d" conn.uid seg.seg_seq);
+      conn.stack.trace "conn %d: retransmit seq=%d" conn.uid seg.seg_seq;
       send_data_segment conn seg
   | None ->
       (* Nothing unacked: the timer was armed for a FIN or a zero-window
@@ -946,8 +944,7 @@ let process_ack conn th ~payload_len =
                 seg.retransmitted <- true;
                 conn.retransmit_count <- conn.retransmit_count + 1;
                 conn.stack.retransmit_total <- conn.stack.retransmit_total + 1;
-                conn.stack.trace Engine.Trace.Tcp (fun () ->
-                    Printf.sprintf "conn %d: fast retransmit seq=%d" conn.uid seg.seg_seq);
+                conn.stack.trace "conn %d: fast retransmit seq=%d" conn.uid seg.seg_seq;
                 send_data_segment conn seg
               end)
             conn.unacked
@@ -1179,10 +1176,10 @@ let handshake_timeout conn =
     arm_rto_at conn (now t + (t.config.syn_rto_ns lsl min (tget conn f_syn_retries) 10))
   end
 
-(* dlint-allow: transitive-alloc-in-hotpath -- RTO fire is loss recovery (a retransmission episode, not the steady path), and the allocation is its trace thunk *)
+(* dlint-allow: transitive-alloc-in-hotpath -- RTO fire is loss recovery (a retransmission episode, not the steady path): it re-arms the timer and may retransmit *)
 let rto_fire conn =
   let t = conn.stack in
-  t.trace Engine.Trace.Tcp (fun () -> Printf.sprintf "conn %d: RTO fired" conn.uid);
+  t.trace "conn %d: RTO fired" conn.uid 0;
   match state conn with
   | Syn_sent | Syn_received -> handshake_timeout conn
   | Established_st | Fin_wait_1 | Fin_wait_2 | Close_wait | Closing | Last_ack ->

@@ -65,7 +65,7 @@ type tcp_state =
 
 val create :
   ?config:config ->
-  ?trace:(Engine.Trace.category -> (unit -> string) -> unit) ->
+  ?trace:(string -> int -> int -> unit) ->
   iface:Iface.t ->
   heap:Memory.Heap.t ->
   prng:Engine.Prng.t ->
@@ -75,8 +75,10 @@ val create :
 (** [heap] supplies receive-side buffers (handed to the application with
     ownership, per PDPIX pop semantics). [events] fires synchronously
     during [input]/[on_timer]/API calls. [trace] (default: drop) receives
-    typed Demitrace events — retransmits, RTO fires, TIME_WAIT entry,
-    resets — as thunks; drivers wire it to {!Engine.Sim.trace_event}. *)
+    the stack's trace events — retransmits, RTO fires, TIME_WAIT entry,
+    resets — as a static template and two int operands, formatted only
+    when the trace is read; drivers wire it to {!Engine.Sim.trace_event}
+    under the [Tcp] category. *)
 
 val input : t -> string -> unit
 (** Process one received Ethernet frame. *)

@@ -745,7 +745,11 @@ let test_wait_any_shared_token () =
 
 (* Words allocated per wait_any call (minor heap plus direct major
    allocations, which is where an O(n) array of 2,048 entries would
-   land) must not depend on the size of the wait set. *)
+   land) must not depend on the size of the wait set. The mean is taken
+   over the calls whose measured window saw no minor collection: one
+   that lands inside a window can inflate that window's Gc.counters
+   reading by tens of thousands of words with no simulator event run
+   (seen with OCAMLRUNPARAM=s=64k). *)
 let wait_any_words ~tokens =
   let sim = Engine.Sim.create () in
   (* Free libcalls: the PDPIX wrapper never sleeps, so no other event
@@ -762,17 +766,23 @@ let wait_any_words ~tokens =
         let minor, promoted, major = Gc.counters () in
         minor +. major -. promoted
       in
+      let minor_gcs () = (Gc.quick_stat ()).minor_collections in
       let calls = 512 in
-      let words = ref 0.0 in
+      let words = ref 0.0 and counted = ref 0 in
       for _ = 1 to calls do
         (* The push completes the oldest pending pop: one ready token. *)
         (match api.wait (api.push q [ buf ]) with Pushed -> () | _ -> failwith "push");
+        let gcs = minor_gcs () in
         let before = allocated () in
         let i, _ = api.wait_any qts in
-        words := !words +. (allocated () -. before);
+        let after = allocated () in
+        if minor_gcs () = gcs then begin
+          words := !words +. (after -. before);
+          incr counted
+        end;
         qts.(i) <- api.pop q
       done;
-      per_call := !words /. float_of_int calls);
+      if !counted >= calls / 2 then per_call := !words /. float_of_int !counted);
   Demikernel.Boot.start node;
   Engine.Sim.run ~until:(Engine.Clock.s 1) sim;
   !per_call

@@ -195,49 +195,61 @@ let test_prng_float_unit =
       let v = Engine.Prng.float g in
       v >= 0. && v < 1.)
 
-let test_trace_ring () =
-  let tr = Engine.Trace.create ~capacity:4 () in
-  for i = 1 to 6 do
-    Engine.Trace.record tr ~now:(i * 10) ~category:(Engine.Trace.Custom "t") (string_of_int i)
-  done;
-  let evs = Engine.Trace.events tr in
-  check_int "capacity bounds events" 4 (List.length evs);
-  check_int "two dropped" 2 (Engine.Trace.dropped tr);
-  Alcotest.(check (list string)) "oldest dropped first" [ "3"; "4"; "5"; "6" ]
-    (List.map (fun (_, _, m) -> m) evs)
+(* A caller-built trace line, as the tests below record them. *)
+let trace_text tr ~now ~category msg =
+  Engine.Log.event tr ~now ~category ~label:msg ~owner:"" ~aux:"" 0 0
 
+let test_trace_ring () =
+  let tr = Engine.Log.create ~capacity:4 () in
+  for i = 1 to 6 do
+    trace_text tr ~now:(i * 10) ~category:(Engine.Log.Custom "t") (string_of_int i)
+  done;
+  let evs = Engine.Log.rows tr in
+  check_int "capacity bounds events" 4 (List.length evs);
+  check_int "two dropped" 2 (Engine.Log.dropped tr);
+  Alcotest.(check (list string)) "oldest dropped first" [ "3"; "4"; "5"; "6" ]
+    (List.map (fun r -> snd (Engine.Log.text r)) evs)
+
+(* Trace events carry a static template and operands; the message is
+   only built when the stream is read. *)
 let test_trace_thunk_lazy () =
   let sim = Engine.Sim.create () in
-  let forced = ref false in
-  Engine.Sim.trace_event sim ~category:(Engine.Trace.Custom "x") (fun () ->
-      forced := true;
-      "never");
-  check_bool "thunk not forced when tracing off" false !forced;
-  let _ = Engine.Sim.enable_trace sim in
-  Engine.Sim.trace_event sim ~category:(Engine.Trace.Custom "x") (fun () ->
-      forced := true;
-      "recorded");
-  check_bool "thunk forced when tracing on" true !forced
+  Engine.Sim.trace_event sim ~category:(Engine.Log.Custom "x") "never" 0 0;
+  let tr = Engine.Sim.enable_trace sim in
+  Engine.Sim.trace_event sim ~category:Engine.Log.Tcp "conn %d: retransmit seq=%d" 3 42;
+  Engine.Sim.trace_names sim ~category:Engine.Log.Sched "%s: dispatch %s" "client" "app";
+  Engine.Sim.trace_event sim ~category:Engine.Log.Fabric "deliver %dB -> %m" 64 0x0200_0000_0002;
+  Engine.Sim.trace_event sim ~category:Engine.Log.Storage "completion id=%d ok=%b" 7 1;
+  check_int "the call made while tracing was off left no record" 4 (Engine.Log.total tr);
+  Alcotest.(check (list (pair string string)))
+    "messages formatted when read"
+    [
+      ("tcp", "conn 3: retransmit seq=42");
+      ("sched", "client: dispatch app");
+      ("fabric", "deliver 64B -> 02:00:00:00:00:02");
+      ("storage", "completion id=7 ok=true");
+    ]
+    (List.map Engine.Log.text (Engine.Log.rows tr))
 
 let test_trace_digest () =
   let mk () =
-    let tr = Engine.Trace.create () in
-    Engine.Trace.record tr ~now:5 ~category:(Engine.Trace.Custom "net") "tx frame";
-    Engine.Trace.record tr ~now:9 ~category:Engine.Trace.App "pop done";
+    let tr = Engine.Log.create ~capacity:16 () in
+    trace_text tr ~now:5 ~category:(Engine.Log.Custom "net") "tx frame";
+    trace_text tr ~now:9 ~category:Engine.Log.App "pop done";
     tr
   in
   Alcotest.(check string) "identical streams digest equally"
-    (Engine.Trace.digest (mk ()))
-    (Engine.Trace.digest (mk ()));
+    (Engine.Log.digest (mk ()))
+    (Engine.Log.digest (mk ()));
   let extended = mk () in
-  Engine.Trace.record extended ~now:10 ~category:Engine.Trace.App "one more";
+  trace_text extended ~now:10 ~category:Engine.Log.App "one more";
   check_bool "an extra event changes the digest" true
-    (Engine.Trace.digest extended <> Engine.Trace.digest (mk ()));
-  let reordered = Engine.Trace.create () in
-  Engine.Trace.record reordered ~now:9 ~category:Engine.Trace.App "pop done";
-  Engine.Trace.record reordered ~now:5 ~category:(Engine.Trace.Custom "net") "tx frame";
+    (Engine.Log.digest extended <> Engine.Log.digest (mk ()));
+  let reordered = Engine.Log.create ~capacity:16 () in
+  trace_text reordered ~now:9 ~category:Engine.Log.App "pop done";
+  trace_text reordered ~now:5 ~category:(Engine.Log.Custom "net") "tx frame";
   check_bool "event order is part of the digest" true
-    (Engine.Trace.digest reordered <> Engine.Trace.digest (mk ()))
+    (Engine.Log.digest reordered <> Engine.Log.digest (mk ()))
 
 let test_det_sorted_iteration () =
   let tbl = Hashtbl.create 8 in
@@ -394,19 +406,19 @@ let test_wheel_matches_oracle =
 
 let test_wheel_digest_stable =
   (* Same schedule, two independent runs: the firing log — folded into a
-     Trace — must digest identically (the property `demi --selfcheck`
+     trace ring — must digest identically (the property `demi --selfcheck`
      leans on once the TCP stack runs its timers off the wheel). *)
   QCheck.Test.make ~name:"timerwheel same-seed trace digests equal" ~count:100
     wheel_ops_gen
     (fun ops ->
       let digest_of () =
-        let tr = Engine.Trace.create () in
+        let tr = Engine.Log.create ~capacity:65_536 () in
         let log, ok = wheel_vs_oracle ops in
         List.iter
           (fun (at, id) ->
-            Engine.Trace.record tr ~now:at ~category:(Engine.Trace.Custom "wheel") (string_of_int id))
+            trace_text tr ~now:at ~category:(Engine.Log.Custom "wheel") (string_of_int id))
           log;
-        (Engine.Trace.digest tr, ok)
+        (Engine.Log.digest tr, ok)
       in
       let d1, ok1 = digest_of () in
       let d2, ok2 = digest_of () in

@@ -170,34 +170,39 @@ let test_reservoir_bounds =
       && Metrics.Reservoir.seen r = n
       && List.for_all (fun v -> v >= 1 && v <= n) (Metrics.Reservoir.to_list r))
 
-(* ---------- Engine.Flight ---------- *)
+(* ---------- the flight stream (an Engine.Log ring) ---------- *)
+
+let flight_ring capacity = Engine.Log.create ~render:Engine.Log.operands ~capacity ()
+
+let flight_record f ~now ~cat ~label a b =
+  Engine.Log.event f ~now ~category:cat ~label ~owner:"" ~aux:"" a b
 
 let test_flight_wraparound_ordering () =
-  let f = Engine.Flight.create ~capacity:4 () in
+  let f = flight_ring 4 in
   for i = 1 to 10 do
-    Engine.Flight.record f ~now:(i * 100) ~cat:Engine.Trace.App ~label:"tick" i (i * 2)
+    flight_record f ~now:(i * 100) ~cat:Engine.Log.App ~label:"tick" i (i * 2)
   done;
-  check_int "total counts every record" 10 (Engine.Flight.total f);
-  check_int "kept is the capacity" 4 (Engine.Flight.kept f);
-  check_int "dropped = total - kept" 6 (Engine.Flight.dropped f);
-  let evs = Engine.Flight.events f in
+  check_int "total counts every record" 10 (Engine.Log.total f);
+  check_int "kept is the capacity" 4 (Engine.Log.kept f);
+  check_int "dropped = total - kept" 6 (Engine.Log.dropped f);
+  let evs = Engine.Log.rows f in
   check_int "events returns the retained window" 4 (List.length evs);
   Alcotest.(check (list int))
     "oldest-first, the last capacity records" [ 7; 8; 9; 10 ]
-    (List.map (fun e -> e.Engine.Flight.ft_a) evs);
+    (List.map (fun (e : Engine.Log.row) -> e.a) evs);
   check_bool "timestamps ascend" true
     (let rec go = function
-       | a :: (b :: _ as rest) -> a.Engine.Flight.ft_ns <= b.Engine.Flight.ft_ns && go rest
+       | (a : Engine.Log.row) :: (b :: _ as rest) -> a.ts <= b.ts && go rest
        | _ -> true
      in
      go evs)
 
 let test_flight_dump_completeness () =
-  let f = Engine.Flight.create ~capacity:3 () in
+  let f = flight_ring 3 in
   List.iteri
-    (fun i label -> Engine.Flight.record f ~now:i ~cat:Engine.Trace.Libos ~label i 0)
+    (fun i label -> flight_record f ~now:i ~cat:Engine.Log.Libos ~label i 0)
     [ "alpha"; "beta"; "gamma"; "delta" ];
-  let out = Format.asprintf "%a" (fun fmt () -> Engine.Flight.dump fmt f) () in
+  let out = Format.asprintf "%a" (fun fmt () -> Engine.Log.dump fmt f) () in
   let contains sub =
     let n = String.length out and m = String.length sub in
     let rec at i = i + m <= n && (String.sub out i m = sub || at (i + 1)) in
@@ -208,20 +213,81 @@ let test_flight_dump_completeness () =
   List.iter (fun l -> check_bool (l ^ " retained") true (contains l)) [ "beta"; "gamma"; "delta" ];
   (* The digest covers exactly the retained window + total: replaying
      the same records gives the same digest. *)
-  let g = Engine.Flight.create ~capacity:3 () in
+  let g = flight_ring 3 in
   List.iteri
-    (fun i label -> Engine.Flight.record g ~now:i ~cat:Engine.Trace.Libos ~label i 0)
+    (fun i label -> flight_record g ~now:i ~cat:Engine.Log.Libos ~label i 0)
     [ "alpha"; "beta"; "gamma"; "delta" ];
-  check_string "digest deterministic" (Engine.Flight.digest f) (Engine.Flight.digest g);
-  Engine.Flight.record g ~now:9 ~cat:Engine.Trace.Libos ~label:"epsilon" 9 0;
+  check_string "digest deterministic" (Engine.Log.digest f) (Engine.Log.digest g);
+  flight_record g ~now:9 ~cat:Engine.Log.Libos ~label:"epsilon" 9 0;
   check_bool "digest moves with new records" true
-    (Engine.Flight.digest f <> Engine.Flight.digest g)
+    (Engine.Log.digest f <> Engine.Log.digest g)
 
 let test_flight_observer_effect_free () =
   List.iter
     (fun (r : Harness.Observe.run) ->
-      check_bool "ring recorded" true (Engine.Flight.total (Option.get r.flight) > 0))
+      check_bool "ring recorded" true (Engine.Log.total (Option.get r.flight) > 0))
     (Test_observe.gate { Harness.Observe.off with flight = Some 4096 } Test_observe.echo)
+
+(* Every stream's record path, once its ring has grown to the
+   capacity: 10,000 records of each allocate no minor-heap word. The
+   capacity holds the measured records without wrapping, so a store
+   that allocates per record (a list cell, a tuple, a thunk) cannot
+   hide behind a full buffer. *)
+let test_log_records_allocate_nothing () =
+  let capacity = 32_768 and sized = 16_385 and n = 10_000 in
+  let sim = Engine.Sim.create () in
+  ignore (Engine.Sim.enable_trace ~capacity sim);
+  ignore (Engine.Sim.enable_flight ~capacity sim);
+  let spans = Engine.Sim.enable_spans ~capacity sim in
+  let wires = Engine.Span.create ~capacity () in
+  let causal = Engine.Sim.enable_causal ~capacity sim in
+  let streams =
+    [
+      ( "typed trace event",
+        fun i -> Engine.Sim.trace_event sim ~category:Engine.Log.Tcp "conn %d: retransmit seq=%d" i i
+      );
+      ("flight note", fun i -> Engine.Sim.flight_note sim ~cat:Engine.Log.Fabric ~label:"rx" i i);
+      ( "span interval",
+        fun i ->
+          Engine.Sim.span_interval sim ~comp:Engine.Span.Device ~owner:"nic" ~label:"rx" ~t0:i
+            ~t1:(i + 1) );
+      ( "wire event",
+        fun i ->
+          Engine.Span.note_wire wires ~flow:i ~src:"client" ~dst:"server" ~label:"frame" ~t0:i
+            ~t1:(i + 1) );
+      ( "causal note",
+        fun i ->
+          Engine.Causal.note causal ~kind:Engine.Causal.Sent ~req:i ~msg:i ~parent:0 ~hop:1
+            ~host:"client" ~op:i ~now:i );
+    ]
+  in
+  List.iter
+    (fun (name, record) ->
+      for i = 1 to sized do
+        record i
+      done;
+      let before = int_of_float (Gc.minor_words ()) in
+      for i = 1 to n do
+        record i
+      done;
+      let words = int_of_float (Gc.minor_words ()) - before in
+      check_int (name ^ ": minor words for 10,000 records") 0 words)
+    streams;
+  List.iter
+    (fun (name, log) -> check_int (name ^ " kept every record") (sized + n) (Engine.Log.kept log))
+    [
+      ("trace", Option.get (Engine.Sim.trace sim)); ("flight", Option.get (Engine.Sim.flight sim));
+      ("spans", Engine.Span.log spans); ("wires", Engine.Span.log wires);
+      ("causal", Engine.Causal.log causal);
+    ]
+
+let test_log_rejects_empty_capacity () =
+  List.iter
+    (fun capacity ->
+      match Engine.Log.create ~capacity () with
+      | _ -> Alcotest.failf "capacity %d accepted" capacity
+      | exception Invalid_argument _ -> ())
+    [ 0; -1 ]
 
 (* ---------- SLO watchdog ---------- *)
 
@@ -327,6 +393,9 @@ let suite =
     Alcotest.test_case "flight dump completeness + digest" `Quick test_flight_dump_completeness;
     Alcotest.test_case "flight recorder is observer-effect-free" `Quick
       test_flight_observer_effect_free;
+    Alcotest.test_case "log records allocate nothing" `Quick test_log_records_allocate_nothing;
+    Alcotest.test_case "log rejects a non-positive capacity" `Quick
+      test_log_rejects_empty_capacity;
     Alcotest.test_case "slo watchdog units" `Quick test_slo_unit;
     Alcotest.test_case "slo captures loss outliers" `Quick test_slo_captures_loss_outliers;
     Alcotest.test_case "tail bands sum exactly" `Quick test_tail_bands_sum_exactly;

@@ -50,6 +50,29 @@ let test_every_recorder_at_once () =
       (udp_flavors, fun f -> { (Harness.Observe.relay f) with count = 4 });
     ]
 
+(* Every stream at a capacity the run overflows: the rings wrap in the
+   same run, and the gate still holds — streams never share storage, so
+   one ring overwriting cannot change another's contents. Echo sends no
+   causal contexts, so the causal ring is checked on the txnstore run. *)
+let test_every_stream_wraps () =
+  let spans = ref None and causal = ref None in
+  let probe sim =
+    spans := Some (Engine.Sim.enable_spans ~capacity:8 sim);
+    causal := Some (Engine.Sim.enable_causal ~capacity:8 sim)
+  in
+  let arm = { Harness.Observe.off with trace_capacity = 64; flight = Some 4; probe = Some probe } in
+  let wrapped name log = check_bool (name ^ " ring wrapped") true (Engine.Log.dropped log > 0) in
+  List.iter
+    (fun (contexts, scenario) ->
+      List.iter
+        (fun (r : Harness.Observe.run) ->
+          wrapped "trace" r.trace;
+          wrapped "flight" (Option.get r.flight);
+          wrapped "span" (Engine.Span.log (Option.get !spans));
+          if contexts then wrapped "causal" (Engine.Causal.log (Option.get !causal)))
+        (gate arm scenario))
+    [ (false, fun f -> echo f); (true, fun f -> { (Harness.Observe.txnstore f) with count = 4 }) ]
+
 let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
@@ -76,7 +99,7 @@ let test_gate_catches_perturbation () =
       caught "one extra trace record" ~names:"trace digest"
         (fun sim ->
           Engine.Sim.schedule sim ~delay:1_000 (fun () ->
-              Engine.Sim.trace_event sim ~category:Engine.Trace.App (fun () -> "probe")))
+              Engine.Sim.trace_event sim ~category:Engine.Log.App "probe" 0 0))
         flavor;
       caught "stopping the run early" ~names:"latencies"
         (fun sim -> Engine.Sim.schedule sim ~delay:20_000 (fun () -> Engine.Sim.stop sim))
@@ -91,4 +114,5 @@ let suite =
     Alcotest.test_case "check passes with every recorder armed" `Quick
       test_every_recorder_at_once;
     Alcotest.test_case "check fails on a perturbing probe" `Quick test_gate_catches_perturbation;
+    Alcotest.test_case "check passes with every stream wrapping" `Quick test_every_stream_wraps;
   ]

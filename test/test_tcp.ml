@@ -962,15 +962,19 @@ let test_push_tracking_spills () =
    This scenario (loss, concurrent multi-segment pushes, bidirectional
    traffic, churn with slot reuse) was captured on the boxed-record
    stack immediately before the flat-TCB arena landed; the digest below
-   is that run's [Trace.digest]. The pooled stack must replay it
+   is that run's trace digest. The pooled stack must replay it
    bit-for-bit — the arena is a representation change, not a behavior
    change. *)
 
 let golden_digest_expected = "4bc9b1dc22dc8bc8"
 
 let run_golden_scenario () =
-  let trace = Engine.Trace.create () in
+  let trace = Engine.Log.create ~capacity:65_536 () in
   let clock = ref 0 in
+  let golden msg =
+    Engine.Log.event trace ~now:!clock ~category:(Engine.Log.Custom "golden") ~label:msg ~owner:""
+      ~aux:"" 0 0
+  in
   let wire_seq = ref 0 in
   let in_flight = ref [] (* (arrival, seq, dest, frame) dest: 0=a 1=b *) in
   let send dest frame =
@@ -980,8 +984,7 @@ let run_golden_scenario () =
       in_flight := (!clock + 2_000, !wire_seq, dest, frame) :: !in_flight
   in
   let record side e =
-    Engine.Trace.record trace ~now:!clock ~category:(Engine.Trace.Custom "golden")
-      (side ^ ":" ^ Pair.describe_event e)
+    golden (side ^ ":" ^ Pair.describe_event e)
   in
   let heap_a = Memory.Heap.create ~mode:Memory.Heap.Pool_backed () in
   let heap_b = Memory.Heap.create ~mode:Memory.Heap.Pool_backed () in
@@ -1082,7 +1085,7 @@ let run_golden_scenario () =
   let got = List.map (fun c -> recv_all c) srv in
   List.iteri
     (fun i s ->
-      Engine.Trace.record trace ~now:!clock ~category:(Engine.Trace.Custom "golden")
+      golden
         (Printf.sprintf "srv%d_recv:%d:%s" i (String.length s)
            (if String.length s > 16 then String.sub s 0 16 else s)))
     got;
@@ -1095,8 +1098,7 @@ let run_golden_scenario () =
       Memory.Heap.free rb
   | [] -> ());
   let r1 = recv_all c1 in
-  Engine.Trace.record trace ~now:!clock ~category:(Engine.Trace.Custom "golden")
-    ("c1_recv:" ^ r1);
+  golden ("c1_recv:" ^ r1);
   Tcp.Stack.tcp_close c1;
   Tcp.Stack.tcp_close c2;
   run ();
@@ -1113,11 +1115,11 @@ let run_golden_scenario () =
   drain_accept ();
   Tcp.Stack.tcp_close c4;
   run ();
-  Engine.Trace.record trace ~now:!clock ~category:(Engine.Trace.Custom "golden")
+  golden
     (Printf.sprintf "final:retx=%d+%d live=%d+%d" (Tcp.Stack.total_retransmits a)
        (Tcp.Stack.total_retransmits b) (Tcp.Stack.live_connections a)
        (Tcp.Stack.live_connections b));
-  Engine.Trace.digest trace
+  Engine.Log.digest trace
 
 let test_golden_digest_vs_boxed_baseline () =
   Alcotest.(check string) "pooled stack replays the boxed baseline bit-for-bit"

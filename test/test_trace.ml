@@ -10,9 +10,9 @@ let check_bool = Alcotest.(check bool)
 
 let test_span_totals_and_capacity () =
   let s = Engine.Span.create ~capacity:2 () in
-  Engine.Span.note s ~comp:Engine.Span.Libos ~owner:"h" ~t0:0 ~t1:10;
-  Engine.Span.note s ~comp:Engine.Span.Wire ~owner:"f" ~t0:5 ~t1:25;
-  Engine.Span.note s ~comp:Engine.Span.Libos ~owner:"h" ~t0:30 ~t1:31;
+  Engine.Span.note s ~comp:Engine.Span.Libos ~owner:"h" ~label:"" ~t0:0 ~t1:10;
+  Engine.Span.note s ~comp:Engine.Span.Wire ~owner:"f" ~label:"" ~t0:5 ~t1:25;
+  Engine.Span.note s ~comp:Engine.Span.Libos ~owner:"h" ~label:"" ~t0:30 ~t1:31;
   check_int "kept intervals bounded by capacity" 2
     (List.length (Engine.Span.intervals s));
   check_int "dropped counted" 1 (Engine.Span.dropped s);
@@ -20,6 +20,24 @@ let test_span_totals_and_capacity () =
   check_int "wire total" 20 (Engine.Span.total s Engine.Span.Wire);
   check_int "totals list covers all components" (List.length Engine.Span.components)
     (List.length (Engine.Span.totals s))
+
+(* A delivered frame is stored once and read back both as a wire event
+   and as the fabric's Wire interval; a dropped frame is no interval. *)
+let test_span_wire_frames () =
+  let s = Engine.Span.create ~capacity:3 () in
+  Engine.Span.note_wire_drop s ~flow:9 ~src:"a" ~label:"frame" ~reason:"loss" ~at:0;
+  Engine.Span.note s ~comp:Engine.Span.Libos ~owner:"h" ~label:"poll" ~t0:0 ~t1:4;
+  Engine.Span.note_wire s ~flow:9 ~src:"a" ~dst:"b" ~label:"frame" ~t0:5 ~t1:25;
+  check_int "wire total from the delivered frame" 20 (Engine.Span.total s Engine.Span.Wire);
+  check_int "both frames are wire events" 2 (List.length (Engine.Span.wire_events s));
+  let wire = List.filter (fun i -> i.Engine.Span.comp = Engine.Span.Wire) (Engine.Span.intervals s) in
+  Alcotest.(check (list (pair string (pair int int))))
+    "the delivered frame is the fabric's Wire interval" [ ("fabric", (5, 25)) ]
+    (List.map (fun i -> Engine.Span.(i.owner, (i.t0, i.t1))) wire);
+  Engine.Span.note_wire_drop s ~flow:9 ~src:"a" ~label:"frame" ~reason:"loss" ~at:31;
+  check_int "an overwritten drop is no dropped interval" 0 (Engine.Span.dropped s);
+  Engine.Span.note_wire_drop s ~flow:9 ~src:"a" ~label:"frame" ~reason:"loss" ~at:32;
+  check_int "overwritten intervals counted" 1 (Engine.Span.dropped s)
 
 let test_op_lifecycle_units () =
   let s = Engine.Span.create () in
@@ -47,9 +65,9 @@ let test_attribute_priorities () =
   let s = Engine.Span.create () in
   (* Wire covers the whole window (async); CPU intervals carve it up,
      the most recently started CPU interval winning. *)
-  Engine.Span.note s ~comp:Engine.Span.Wire ~owner:"f" ~t0:0 ~t1:100;
-  Engine.Span.note s ~comp:Engine.Span.Libos ~owner:"h" ~t0:10 ~t1:30;
-  Engine.Span.note s ~comp:Engine.Span.Proto ~owner:"h" ~t0:20 ~t1:25;
+  Engine.Span.note s ~comp:Engine.Span.Wire ~owner:"f" ~label:"" ~t0:0 ~t1:100;
+  Engine.Span.note s ~comp:Engine.Span.Libos ~owner:"h" ~label:"" ~t0:10 ~t1:30;
+  Engine.Span.note s ~comp:Engine.Span.Proto ~owner:"h" ~label:"" ~t0:20 ~t1:25;
   let b = Harness.Fig_breakdown.attribute s ~w0:0 ~w1:100 in
   let get comp =
     match List.assoc_opt comp b.Harness.Fig_breakdown.components with Some n -> n | None -> 0
@@ -62,7 +80,7 @@ let test_attribute_priorities () =
 
 let test_attribute_gaps_are_other () =
   let s = Engine.Span.create () in
-  Engine.Span.note s ~comp:Engine.Span.Device ~owner:"nic" ~t0:10 ~t1:20;
+  Engine.Span.note s ~comp:Engine.Span.Device ~owner:"nic" ~label:"" ~t0:10 ~t1:20;
   let b = Harness.Fig_breakdown.attribute s ~w0:0 ~w1:50 in
   check_int "covered segment attributed" 10
     (match List.assoc_opt Engine.Span.Device b.Harness.Fig_breakdown.components with
@@ -271,6 +289,7 @@ let test_stats_registry_populated () =
 let suite =
   [
     Alcotest.test_case "span totals and ring capacity" `Quick test_span_totals_and_capacity;
+    Alcotest.test_case "span wire frames are wire intervals" `Quick test_span_wire_frames;
     Alcotest.test_case "op span lifecycle units" `Quick test_op_lifecycle_units;
     Alcotest.test_case "sweep: CPU beats async, latest t0 wins" `Quick
       test_attribute_priorities;
