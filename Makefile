@@ -1,4 +1,4 @@
-.PHONY: all build test lint selfcheck check bench bench-smoke alloc-smoke observe-smoke graph-smoke scale-smoke micro-smoke bench-guard clean
+.PHONY: all build test lint selfcheck check bench alloc-smoke observe-smoke graph-smoke micro-smoke clean
 
 all: build
 
@@ -14,43 +14,24 @@ lint:
 selfcheck:
 	dune build @selfcheck
 
-# Everything CI runs: build + tests (incl. lint) + determinism
-# selfcheck with the ownership oracle armed + a quick wall-clock bench
-# whose output schema is validated.
+# Everything CI runs: build + tests (incl. lint and `demibench
+# --smoke`) + determinism selfcheck with the ownership oracle, the
+# flight ring and the gc-budget oracle armed + the smokes below. Perf
+# regressions are judged by `demibench compare` (parent vs change).
 check:
 	dune build @check
-	$(MAKE) bench-smoke
 	$(MAKE) alloc-smoke
 	$(MAKE) observe-smoke
 	$(MAKE) graph-smoke
-	$(MAKE) scale-smoke
 	$(MAKE) micro-smoke
-	$(MAKE) bench-guard
 
 bench:
 	dune exec bench/main.exe
 
-# Quick wall-clock run (full 10k-conn churn, shortened echo) + schema
-# check on the bench JSON + a determinism selfcheck. Fails if the bench
-# crashes, a key goes missing, or selfcheck regresses. Output lands in
-# the git-ignored out/ tree (the path is an explicit --out argument).
-bench-smoke:
-	mkdir -p out
-	dune exec bench/main.exe -- wallclock quick --out out/BENCH_pr6.json
-	@for key in '"pr"' '"mode"' '"echo"' '"churn"' '"wall_s"' \
-	  '"events_per_sec"' '"frames_per_sec"' '"gc_alloc_mb"' \
-	  '"baseline"' '"echo_us_per_op"' '"echo_gc_kb_per_op"' \
-	  '"speedup_churn"' '"gc_reduction_echo"' '"gc_reduction_churn"'; do \
-	  grep -q "$$key" out/BENCH_pr6.json \
-	    || { echo "bench-smoke: out/BENCH_pr6.json missing key $$key" >&2; exit 1; }; \
-	done
-	@echo "bench-smoke: out/BENCH_pr6.json schema OK"
-	dune build @selfcheck
-
 # Demialloc end to end: dlint over the tree (which now includes the
 # alloc-in-hotpath pass), then the determinism selfcheck with the
-# gc-budget oracle armed — every libOS flavor must report measured
-# steady polls (>0) with zero allocation violations.
+# flight ring and the gc-budget oracle armed — every libOS flavor must
+# report measured steady polls (>0) with zero allocation violations.
 alloc-smoke:
 	mkdir -p out
 	dune exec bin/dlint.exe -- lib
@@ -102,27 +83,6 @@ graph-smoke:
 	  || { echo "graph-smoke: out/lint.json missing or empty" >&2; exit 1; }
 	@echo "graph-smoke: OK"
 
-# Demiscale end to end: a 1k-connection open-loop Poisson/Zipf run
-# through the TCB arena (`bench -- scale quick`). The bench validates
-# its own JSON schema (it exits 1 and skips the "schema OK" line on a
-# malformed or key-missing file); on top of that the smoke requires the
-# steady-poll gc-budget oracle to have measured real polls with zero
-# allocation violations and the pool sanitizer to have caught nothing.
-scale-smoke:
-	mkdir -p out
-	dune exec bench/main.exe -- scale quick --out out/BENCH_pr10_smoke.json | tee out/scale_smoke.txt
-	@grep -q "scale: JSON schema OK" out/scale_smoke.txt \
-	  || { echo "scale-smoke: bench did not validate its own JSON" >&2; exit 1; }
-	@grep -Eq "gc-budget scale steady_polls=[1-9][0-9]* violations=0" out/scale_smoke.txt \
-	  || { echo "scale-smoke: no measured steady polls or gc violations" >&2; exit 1; }
-	@grep -q '"pool_errors": 0' out/BENCH_pr10_smoke.json \
-	  || { echo "scale-smoke: TCB pool sanitizer caught errors" >&2; exit 1; }
-	@grep -q '"gc_poll_violations": 0' out/BENCH_pr10_smoke.json \
-	  || { echo "scale-smoke: gc-budget violations with the flight recorder armed" >&2; exit 1; }
-	@grep -q '"to_srv_ns"' out/BENCH_pr10_smoke.json \
-	  || { echo "scale-smoke: per-hop attribution missing from bands" >&2; exit 1; }
-	@echo "scale-smoke: OK"
-
 # The Bechamel microbenchmarks (`bench -- micro`, real ns per datapath
 # primitive). Fails if the run crashes or a required row is missing or
 # has no estimate: either wait_any row (8 and 2048 outstanding tokens,
@@ -141,13 +101,6 @@ micro-smoke:
 	    || { echo "micro-smoke: log row '$$row' missing from out/micro.txt" >&2; exit 1; }; \
 	done
 	@echo "micro-smoke: OK"
-
-# The benchmark-artifact guard: every committed BENCH_pr*.json must
-# parse, match its family schema (incl. exact attribution sums and
-# zero gc-poll/pool violations), and show no >1.5x quantile or GC
-# regression between consecutive same-mode artifacts.
-bench-guard:
-	dune exec bench/main.exe -- compare
 
 clean:
 	dune clean

@@ -444,69 +444,6 @@ let () =
   | "ablation" -> run_ablation ()
   | "robustness" -> run_robustness ()
   | "micro" -> run_micro ()
-  | "wallclock" ->
-      (* wallclock [quick] [--out FILE] *)
-      let rest = Array.to_list (Array.sub Sys.argv 2 (Array.length Sys.argv - 2)) in
-      let quick = List.mem "quick" rest in
-      let rec out_of = function
-        | "--out" :: path :: _ -> Some path
-        | _ :: rest -> out_of rest
-        | [] -> None
-      in
-      (match out_of rest with
-      | Some out -> Wallclock.run ~quick ~out ()
-      | None -> Wallclock.run ~quick ())
-  | "scale" ->
-      (* scale [quick] [--pr N] [--out FILE]; the artifact defaults to
-         BENCH_pr<N>.json so the file name tracks the PR that produced
-         it (PR 8's run was committed under its own number; --pr keeps
-         later reruns honestly labelled). *)
-      let rest = Array.to_list (Array.sub Sys.argv 2 (Array.length Sys.argv - 2)) in
-      let quick = List.mem "quick" rest in
-      let rec out_of = function
-        | "--out" :: path :: _ -> Some path
-        | _ :: rest -> out_of rest
-        | [] -> None
-      in
-      let rec pr_of = function
-        | "--pr" :: n :: _ -> (
-            match int_of_string_opt n with
-            | Some pr when pr > 0 -> pr
-            | Some _ | None ->
-                prerr_endline ("scale: --pr expects a positive integer, got " ^ n);
-                exit 1)
-        | _ :: rest -> pr_of rest
-        | [] -> 10
-      in
-      let pr = pr_of rest in
-      (match out_of rest with
-      | Some out -> Scale.run ~quick ~pr ~out ()
-      | None -> Scale.run ~quick ~pr ())
-  | "compare" ->
-      (* compare [--dir D]: validate every committed BENCH_pr*.json
-         against its family schema and flag regressions between
-         consecutive artifacts (the `make bench-guard` entry point). *)
-      let rest = Array.to_list (Array.sub Sys.argv 2 (Array.length Sys.argv - 2)) in
-      let rec dir_of = function
-        | "--dir" :: d :: _ -> Some d
-        | _ :: rest -> dir_of rest
-        | [] -> None
-      in
-      (match dir_of rest with Some dir -> Compare.run ~dir () | None -> Compare.run ())
-  | "churnprobe" ->
-      let runpt n =
-        let a0 = Gc.allocated_bytes () in
-        let s = Wallclock.churn ~conns:n ~rounds:1 ~msg_size:64 () in
-        let a1 = Gc.allocated_bytes () in
-        Printf.printf "conns=%d gc=%.1fMB marginal=%.0fB/conn wall=%.3f\n%!" n
-          ((a1 -. a0) /. 1048576.)
-          ((a1 -. a0) /. float_of_int n)
-          s.Wallclock.wall_s
-      in
-      runpt 1000;
-      runpt 1000;
-      runpt 10000;
-      runpt 10000
   | other ->
       prerr_endline ("unknown experiment: " ^ other);
       exit 1

@@ -384,6 +384,8 @@ let create rt ~nic ?(config = Tcp.Stack.default_config) () =
       }
   in
   let t = Lazy.force t in
+  Engine.Sim.at_teardown host.Host.sim (fun () ->
+      Memory.Pool.log_teardown (Tcp.Stack.tcb_pool t.stack));
   Runtime.register_io_signal rt (Net.Dpdk_sim.rx_signal nic);
   Runtime.register_timer_source rt (fun () -> Tcp.Stack.next_timer_ns t.stack);
   ignore (Dsched.spawn (Runtime.sched rt) Dsched.Fast_path ~name:"catnip-fast-path"

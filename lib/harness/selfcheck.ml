@@ -18,8 +18,10 @@ let scenario ~seed ~count flavor =
   (* Per-scenario window for the gc-budget oracle: counters are global,
      so zero them here and read them after teardown. *)
   Memory.Gcbudget.reset ();
+  (* The flight ring stays armed at [demi slo]'s capacity: every steady
+     poll must stay allocation-free while it records. *)
   let r =
-    Observe.run { Observe.off with oracle = true }
+    Observe.run { Observe.off with oracle = true; flight = Some 4096 }
       { (Observe.echo flavor) with seed; count; msg_size = 256 }
   in
   Memory.Gcbudget.log_teardown ();

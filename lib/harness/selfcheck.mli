@@ -1,8 +1,8 @@
 (** Determinism self-check (the §6.3 property, testbed-wide).
 
     Runs a fixed scenario — closed-loop echo over Catnip (DPDK/TCP),
-    Catnap (POSIX) and Catmint (RDMA), with tracing, the heap sanitizer
-    and the gc-budget oracle armed — twice
+    Catnap (POSIX) and Catmint (RDMA), with tracing, the flight ring,
+    the heap sanitizer and the gc-budget oracle armed — twice
     from the same seed, and compares a fingerprint of each run: the
     {!Engine.Log.digest} of the full event trace, the number of
     simulator events processed, and a rendered table of the final

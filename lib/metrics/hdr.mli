@@ -1,12 +1,11 @@
 (** HDR-style constant-memory latency histograms with sub-1% quantile
     error — the one latency distribution type behind every figure,
-    table and BENCH artifact.
+    table and benchmark.
 
     Log-linear buckets with 128 linear sub-buckets per power of two
     (relative bucket width 1/128 < 1%) and rank-interpolated quantiles,
     so tail quantiles stay meaningful where coarser 1/32 buckets
-    collapse (the p50=p99 plateau BENCH_pr8.json recorded at 100k
-    conns). Values are non-negative virtual nanoseconds; values below
+    collapse (a p50=p99 plateau once recorded at 100k conns). Values are non-negative virtual nanoseconds; values below
     128 are recorded exactly; [max_int] is representable. The mean is
     the exact integer {!sum} over {!count}.
 

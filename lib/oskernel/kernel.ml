@@ -40,6 +40,7 @@ let create sim ?(name = "kernel") ~cost ~nic ?ssd ?(mode = Posix) () =
       ~events:(fun _ -> ())
       ()
   in
+  Engine.Sim.at_teardown sim (fun () -> Memory.Pool.log_teardown (Tcp.Stack.tcb_pool stack));
   {
     sim;
     name;

@@ -192,8 +192,9 @@ val conn_stats : t -> conn_stats
     connections. *)
 
 val tcb_pool : t -> Memory.Pool.t
-(** The flat-TCB arena, exposed for teardown sanitizer reporting and
-    scale benchmarks ({!Memory.Pool.log_teardown}). *)
+(** The flat-TCB arena, exposed for its teardown sanitizer report
+    ({!Memory.Pool.log_teardown}, registered by every libOS that builds
+    a stack) and for tests. *)
 
 val total_retransmits : t -> int
 (** Data-segment retransmissions across all connections this stack has

@@ -294,6 +294,66 @@ let test_uaf_protection_live () =
   Engine.Sim.run ~until:(Engine.Clock.s 60) sim;
   check_bool "finished despite loss" true !finished
 
+let test_tcb_pool_churn_catnip () =
+  (* Two rounds of 1,024 connect -> push -> pop -> close cycles against
+     the echo server on a Catnip world, each on a freshly opened
+     connection, with the heap (and so the TCB-pool) sanitizer on. The
+     client holds all 1,024 of a round in TIME_WAIT at once; the pause
+     between rounds outlasts TIME_WAIT, so the second round reopens
+     into recycled, poisoned slots. No slot may be freed twice, touched
+     after its free, or recycled with a damaged canary, and at the end
+     only the listener (which holds no TCB) remains. *)
+  let cycles = 1_024 in
+  let prior = Memory.Heap.sanitize_default () in
+  Memory.Heap.set_sanitize_default true;
+  Fun.protect ~finally:(fun () -> Memory.Heap.set_sanitize_default prior) @@ fun () ->
+  let sim = Engine.Sim.create () in
+  let fabric = Net.Fabric.create sim ~cost:bare () in
+  let server = Demikernel.Boot.make sim fabric ~index:1 Demikernel.Boot.Catnip_os in
+  let client = Demikernel.Boot.make sim fabric ~index:2 Demikernel.Boot.Catnip_os in
+  let done_cycles = ref 0 in
+  let round api =
+    for _ = 1 to cycles do
+      Apps.Echo.client ~dst:(Demikernel.Boot.endpoint server 7) ~msg_size:64 ~count:1
+        ~on_done:(fun () -> incr done_cycles)
+        api
+    done
+  in
+  Demikernel.Boot.run_app server (Apps.Echo.server ~port:7);
+  Demikernel.Boot.run_app client (fun api ->
+      round api;
+      (* Block (not spin) past TIME_WAIT so the fast path reaps it. *)
+      let idle = api.Demikernel.Pdpix.pop (api.Demikernel.Pdpix.queue ()) in
+      let time_wait = Tcp.Stack.default_config.Tcp.Stack.time_wait_ns in
+      check_bool "pause times out" true
+        (api.Demikernel.Pdpix.wait_any_t [| idle |] ~timeout_ns:(2 * time_wait) = None);
+      round api);
+  Demikernel.Boot.start server;
+  Demikernel.Boot.start client;
+  Engine.Sim.run ~until:(Engine.Clock.s 10) sim;
+  Engine.Sim.teardown sim;
+  check_int "every cycle completed" (2 * cycles) !done_cycles;
+  List.iter
+    (fun (role, (node : Demikernel.Boot.node)) ->
+      let stack = Demikernel.Catnip.stack (Option.get node.catnip) in
+      let pool = Tcp.Stack.tcb_pool stack in
+      let conns = Tcp.Stack.conn_stats stack in
+      check_int (role ^ ": every connection opened") (2 * cycles) conns.Tcp.Stack.ever_opened;
+      check_int (role ^ ": no connection left live") 0 conns.Tcp.Stack.live;
+      check_int (role ^ ": no TCB left in the arena") 0 (Memory.Pool.live pool);
+      check_bool (role ^ ": arena slots recycled") true
+        (Memory.Pool.allocated_total pool > Memory.Pool.capacity pool);
+      match Memory.Pool.sanitizer_report pool with
+      | Some r ->
+          check_int (role ^ ": no canary violations") 0 r.Memory.Pool.canary_violations;
+          check_int (role ^ ": no double frees") 0 r.Memory.Pool.double_frees;
+          check_int (role ^ ": no uaf") 0 r.Memory.Pool.uaf_accesses
+      | None -> Alcotest.fail (role ^ ": TCB pool not sanitizing"))
+    [ ("server", server); ("client", client) ];
+  let client_stack = Demikernel.Catnip.stack (Option.get client.catnip) in
+  check_bool "client held >=1k TCBs at once" true
+    ((Tcp.Stack.conn_stats client_stack).Tcp.Stack.peak >= cycles)
+
 let test_memq () =
   let sim = Engine.Sim.create () in
   let fabric = Net.Fabric.create sim ~cost:bare () in
@@ -815,6 +875,8 @@ let suite =
     Alcotest.test_case "udp echo over catnip" `Quick test_echo_udp_catnip;
     Alcotest.test_case "echo with persistence (fig 7 path)" `Quick test_echo_with_persistence;
     Alcotest.test_case "echo under loss (UAF protection live)" `Quick test_uaf_protection_live;
+    Alcotest.test_case "tcb pool clean after 1k-connection churn (catnip)" `Quick
+      test_tcb_pool_churn_catnip;
     Alcotest.test_case "memq roundtrip" `Quick test_memq;
     Alcotest.test_case "wait_any returns completed index" `Quick test_wait_any_wakes_one;
     QCheck_alcotest.to_alcotest wait_any_matches_reference;

@@ -123,7 +123,7 @@ let test_hdr_to_buckets_sums =
       total = Metrics.Hdr.count h && ascending)
 
 let test_hdr_resolves_the_pr8_collapse () =
-  (* The regression that motivated Hdr: BENCH_pr8.json's 100k point
+  (* The regression that motivated Hdr: a 100k-connection scale run
      reported p50 = p99 = 2015ns because >= 99% of the mass sat inside
      one 1/32-wide bucket ([1984..2015]). The same shape must produce
      distinct p50, p99 and p99.9. *)
