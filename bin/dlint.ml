@@ -73,6 +73,13 @@ let () =
   in
   parse (List.tl (Array.to_list Sys.argv));
   let roots = match List.rev !roots with [] -> [ "lib" ] | rs -> rs in
+  List.iter
+    (fun root ->
+      if not (Sys.file_exists root) then begin
+        Printf.eprintf "dlint: no such directory: %s\n" root;
+        usage ()
+      end)
+    roots;
   (* the wall clock is injected here: lib/lint itself is subject to the
      determinism-source rule and may not read ambient time *)
   let r = Lint.Driver.run_report ~now:Unix.gettimeofday roots in

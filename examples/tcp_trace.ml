@@ -118,10 +118,7 @@ let run () =
         List.fold_left (fun acc (at, _, _, _) -> min acc at) max_int w.queue
       in
       let next_timer =
-        List.fold_left
-          (fun acc d -> match d with Some d -> min acc d | None -> acc)
-          max_int
-          [ Tcp.Stack.next_timer stack_a; Tcp.Stack.next_timer stack_b ]
+        min (Tcp.Stack.next_timer_ns stack_a) (Tcp.Stack.next_timer_ns stack_b)
       in
       let at = min next_frame next_timer in
       if at < max_int then begin

@@ -1,12 +1,9 @@
 type t = int
 
-let zero = 0
 let ns n = n
 let us n = n * 1_000
 let ms n = n * 1_000_000
 let s n = n * 1_000_000_000
-let to_float_us t = float_of_int t /. 1e3
-let to_float_ms t = float_of_int t /. 1e6
 
 let pp fmt t =
   let ft = float_of_int t in

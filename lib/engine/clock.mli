@@ -7,8 +7,6 @@
 type t = int
 (** A point in (or span of) virtual time, in nanoseconds. *)
 
-val zero : t
-
 val ns : int -> t
 (** [ns n] is [n] nanoseconds. *)
 
@@ -20,12 +18,6 @@ val ms : int -> t
 
 val s : int -> t
 (** [s n] is [n] seconds. *)
-
-val to_float_us : t -> float
-(** Span in microseconds, for reporting. *)
-
-val to_float_ms : t -> float
-(** Span in milliseconds, for reporting. *)
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable rendering with an adaptive unit (ns/us/ms/s). *)

@@ -2,20 +2,6 @@ type t = { sim : Sim.t; mutable queue : (unit -> unit) list }
 
 let create sim = { sim; queue = [] }
 
-let wait t = Fiber.suspend (fun resume -> t.queue <- resume :: t.queue)
-
-let wait_timeout t span =
-  Fiber.suspend (fun resume ->
-      let fired = ref false in
-      let fire outcome =
-        if not !fired then begin
-          fired := true;
-          resume outcome
-        end
-      in
-      t.queue <- (fun () -> fire `Signaled) :: t.queue;
-      Sim.schedule t.sim ~delay:span (fun () -> fire `Timeout))
-
 (* dlint-allow: transitive-alloc-in-hotpath scan-in-hotpath -- wakeup handoff: List.rev of the waiter queue (allocating the reversed list), bounded by blocked waiters, and [] (free) when nobody waits *)
 let broadcast t =
   let waiters = List.rev t.queue in
@@ -35,5 +21,3 @@ let wait_many sim cvs ~timeout =
       match timeout with
       | Some span -> Sim.schedule sim ~delay:(max 0 span) (fun () -> fire `Timeout)
       | None -> ())
-
-let waiters t = List.length t.queue

@@ -10,21 +10,12 @@ type t
 
 val create : Sim.t -> t
 
-val wait : t -> unit
-(** Park the calling fiber until the next {!broadcast}. *)
-
-val wait_timeout : t -> Clock.t -> [ `Signaled | `Timeout ]
-(** Park until a broadcast or until the span elapses, whichever comes
-    first. *)
-
 val broadcast : t -> unit
 (** Wake every currently-parked waiter (in FIFO order, at the current
     virtual time). Waiters arriving after this call are not woken. *)
 
 val wait_many : Sim.t -> t list -> timeout:Clock.t option -> [ `Signaled | `Timeout ]
-(** Park until any of the condition variables broadcasts, or until the
-    (absolute-span) timeout elapses. With an empty list and no timeout
-    the caller sleeps forever. *)
-
-val waiters : t -> int
-(** Number of currently-parked fibers (for tests and introspection). *)
+(** The one wait: park the calling fiber until any of the condition
+    variables broadcasts, or until [timeout] (a span from now; [None]
+    waits for a broadcast only) elapses. With an empty list and no
+    timeout the caller sleeps forever. *)

@@ -19,6 +19,7 @@ let grow t =
 
 (* dlint-allow: transitive-alloc-in-hotpath -- the discrete-event substrate itself: one event record per scheduled event is the simulator's mechanism, not modeled datapath work (host cycle costs are charged via Cost, not by this allocation) *)
 let add t ~time fn =
+  assert (time < max_int);
   if t.len = Array.length t.heap then grow t;
   let e = { time; seq = t.next_seq; fn } in
   t.next_seq <- t.next_seq + 1;
@@ -37,7 +38,7 @@ let add t ~time fn =
   t.len <- t.len + 1
 
 let pop t =
-  if t.len = 0 then None
+  if t.len = 0 then invalid_arg "Eventq.pop: empty queue"
   else begin
     let top = t.heap.(0) in
     t.len <- t.len - 1;
@@ -62,9 +63,9 @@ let pop t =
       in
       down 0
     end;
-    Some (top.time, top.fn)
+    top.fn
   end
 
-let peek_time t = if t.len = 0 then None else Some t.heap.(0).time
-let is_empty t = t.len = 0
-let size t = t.len
+(* [max_int] is the "no event" sentinel, so the run loop reads one int
+   per event and allocates nothing. *)
+let top_time t = if t.len = 0 then max_int else t.heap.(0).time

@@ -7,14 +7,12 @@ type t
 val create : unit -> t
 
 val add : t -> time:Clock.t -> (unit -> unit) -> unit
-(** Schedule a callback at an absolute virtual time. *)
+(** Schedule a callback at an absolute virtual time below [max_int]
+    (which {!top_time} reserves for "empty"). *)
 
-val pop : t -> (Clock.t * (unit -> unit)) option
-(** Remove and return the earliest event, or [None] if empty. *)
+val top_time : t -> Clock.t
+(** Earliest pending time, or [max_int] when the queue is empty. *)
 
-val peek_time : t -> Clock.t option
-(** Earliest pending time without removing it. *)
-
-val is_empty : t -> bool
-
-val size : t -> int
+val pop : t -> unit -> unit
+(** Remove the earliest event (the one {!top_time} names) and return
+    its callback. Raises [Invalid_argument] on an empty queue. *)

@@ -28,5 +28,3 @@ let spawn sim ?(name = "fiber") fn =
 (* dlint-allow: transitive-alloc-in-hotpath -- fiber suspension: one resume closure per block/sleep, which is a scheduling transition, not steady-poll work *)
 let sleep sim span =
   suspend (fun resume -> Sim.schedule sim ~delay:span (fun () -> resume ()))
-
-let yield sim = sleep sim 0

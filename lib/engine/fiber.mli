@@ -20,7 +20,3 @@ val suspend : (('a -> unit) -> unit) -> 'a
     function to [register]. The resume function must be called exactly
     once, from an event callback or another fiber. This is the only
     suspension primitive; everything else is built on it. *)
-
-val yield : Sim.t -> unit
-(** Re-schedule the calling fiber at the current time, letting other
-    events at this instant run first. *)

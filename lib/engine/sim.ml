@@ -61,37 +61,33 @@ let stop t = t.stopped <- true
 
 let run ?until t =
   t.stopped <- false;
-  let horizon_reached time =
-    match until with Some u -> time > u | None -> false
-  in
+  let horizon = match until with Some u -> u | None -> max_int in
   let rec loop () =
-    if not t.stopped then
-      match Eventq.peek_time t.q with
-      | None -> ()
-      | Some time when horizon_reached time -> (
-          match until with Some u -> t.now <- u | None -> ())
-      | Some _ -> (
-          match Eventq.pop t.q with
-          | None -> ()
-          | Some (time, fn) ->
-              t.now <- time;
-              (* Fixed-interval sampling rides the run loop instead of
-                 scheduling its own events: the pending-event set — and
-                 so the interleaving every other component observes — is
-                 byte-identical with sampling on or off. Each boundary
-                 crossed since the last event fires once, before the
-                 event executes, so a sample reads the state as of its
-                 nominal boundary time. *)
-              (match t.sampler with
-              | Some f ->
-                  while t.sampler_next <= t.now do
-                    f t.sampler_next;
-                    t.sampler_next <- t.sampler_next + t.sampler_interval
-                  done
-              | None -> ());
-              t.processed <- t.processed + 1;
-              fn ();
-              loop ())
+    if not t.stopped then begin
+      let time = Eventq.top_time t.q in
+      if time = max_int then ()
+      else if time > horizon then t.now <- horizon
+      else begin
+        let fn = Eventq.pop t.q in
+        t.now <- time;
+        (* Fixed-interval sampling rides the run loop instead of
+           scheduling its own events: the pending-event set — and so the
+           interleaving every other component observes — is
+           byte-identical with sampling on or off. Each boundary crossed
+           since the last event fires once, before the event executes,
+           so a sample reads the state as of its nominal boundary time. *)
+        (match t.sampler with
+        | Some f ->
+            while t.sampler_next <= t.now do
+              f t.sampler_next;
+              t.sampler_next <- t.sampler_next + t.sampler_interval
+            done
+        | None -> ());
+        t.processed <- t.processed + 1;
+        fn ();
+        loop ()
+      end
+    end
   in
   loop ()
 

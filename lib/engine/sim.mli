@@ -25,9 +25,10 @@ val stop : t -> unit
 (** Make [run] return after the current event. *)
 
 val run : ?until:Clock.t -> t -> unit
-(** Execute events in time order until the set is empty, [stop] is
-    called, or the next event lies beyond [until] (in which case the
-    clock is advanced to [until] and the event is left pending). *)
+(** Execute events in time order until the set is empty (the clock
+    stays at the last event run, even with [until]), [stop] is called,
+    or the next event lies beyond [until] (in which case the clock is
+    advanced to [until] and the event is left pending). *)
 
 val events_processed : t -> int
 (** Total events executed, for sanity checks and reporting. *)

@@ -14,7 +14,7 @@
    order. Cancellation is lazy (a mark), so cancel never restructures
    buckets; dead entries are dropped when their bucket is next touched.
 
-   The cached minimum keeps [next_deadline] exact and O(1) on the hot
+   The cached minimum keeps [next_deadline_ns] exact and O(1) on the hot
    path: it is maintained on [add], invalidated only when an expiry
    fires entries or when the cached entry itself is cancelled, and
    lazily recomputed by a bounded scan (first occupied slot per level —
@@ -60,7 +60,6 @@ let create ?(start = 0) () =
 
 let size t = t.size
 let activity t = t.activity
-let handle_deadline e = e.deadline
 let handle_live e = e.live
 
 (* The highest 6-bit group where [deadline] disagrees with [t.last]. *)
@@ -137,8 +136,8 @@ let recompute_min t =
   t.cached <- !best;
   t.cache_valid <- true
 
-(* Allocation-free variant of [next_deadline] for per-poll callers:
-   [max_int] means empty. With a valid cache this is a field read. *)
+(* Exact earliest live deadline, [max_int] when empty. With a valid
+   cache this is a field read. *)
 (* dlint: hotpath *)
 let next_deadline_ns t =
   if t.size = 0 then max_int
@@ -146,9 +145,6 @@ let next_deadline_ns t =
     if not t.cache_valid then recompute_min t;
     match t.cached with Some e -> e.deadline | None -> max_int
   end
-
-let next_deadline t =
-  match next_deadline_ns t with d when d = max_int -> None | d -> Some d
 
 (* Entries from one crossed bucket: due ones collect on [t.due_acc],
    live not-due ones re-bucket relative to the new [last] (cascading),

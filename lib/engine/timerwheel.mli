@@ -4,7 +4,7 @@
     The datapath stacks arm one timer per connection per concern (RTO,
     TIME_WAIT); at 10k+ connections a sorted scan per poll is the first
     thing that melts (§5.4's 12-cycle scheduler budget). The wheel makes
-    arm/cancel O(1), [next_deadline] an O(1)-amortized exact peek, and
+    arm/cancel O(1), [next_deadline_ns] an O(1)-amortized exact peek, and
     [expire] proportional to the entries actually due — never to the
     number of entries armed.
 
@@ -12,7 +12,7 @@
     sequence) — identical to {!Eventq}'s tie-break — so rewiring a stack
     from a sorted scan onto the wheel cannot reorder same-deadline
     firings across runs. Resolution is 1 virtual ns (tick == ns); no
-    rounding of deadlines ever occurs, so [next_deadline] returns
+    rounding of deadlines ever occurs, so [next_deadline_ns] returns
     exactly the earliest armed deadline — required because
     [Runtime.maybe_park] sleeps until that instant and a coarsened bound
     would change virtual time. *)
@@ -38,17 +38,12 @@ val add : 'a t -> deadline:int -> 'a -> 'a handle
 val cancel : 'a t -> 'a handle -> unit
 (** Disarm. O(1), idempotent; a cancelled entry never fires. *)
 
-val next_deadline : 'a t -> int option
-(** Exact earliest live deadline, or [None] when empty. O(1) when the
+val next_deadline_ns : 'a t -> int
+(** Exact earliest live deadline, [max_int] when empty. O(1) when the
     cached minimum is valid; otherwise one bounded slot scan
     (re-validated lazily after an expiry or a cancel of the minimum).
-    Allocates the [Some]; per-poll callers should use
-    {!next_deadline_ns}. *)
-
-val next_deadline_ns : 'a t -> int
-(** {!next_deadline} without the option: [max_int] means empty.
-    Allocation-free — this is the form the steady-state poll loops
-    consult every iteration. *)
+    Allocation-free — the steady-state poll loops consult it every
+    iteration. *)
 
 val expire : 'a t -> now:int -> ('a -> unit) -> unit
 (** Advance the wheel to [now] and fire every live entry with
@@ -69,5 +64,4 @@ val activity : 'a t -> int
 
 (** {1 Introspection (tests)} *)
 
-val handle_deadline : 'a handle -> int
 val handle_live : 'a handle -> bool

@@ -199,13 +199,14 @@ let kb_open_loop ?cost profile ~msg_size ~rate_per_sec ~duration_ns () =
   Common.run_world w;
   match !result with Some r -> r | None -> failwith "open loop did not finish"
 
-let default_rates =
+(* Offered loads in requests/second. *)
+let rates =
   [
     100_000.; 250_000.; 500_000.; 750_000.; 1_000_000.; 1_250_000.; 1_500_000.; 2_000_000.;
     2_500_000.;
   ]
 
-let fig9 ?(rates = default_rates) ?(duration_ms = 20) () =
+let fig9 ?(duration_ms = 20) () =
   let duration_ns = duration_ms * 1_000_000 in
   let msg_size = 64 in
   let point system (r : Baselines.Kb_lib.load_result) =

@@ -18,9 +18,10 @@ type load_row = {
   p99_ns : int;
 }
 
-val fig9 : ?rates:float list -> ?duration_ms:int -> unit -> load_row list
+val fig9 : ?duration_ms:int -> unit -> load_row list
 (** Open-loop latency vs throughput sweep for Catmint, Catnip UDP,
-    Catnip TCP, eRPC, Shenango and Caladan. *)
+    Catnip TCP, eRPC, Shenango and Caladan, 100 k to 2.5 M requests/s,
+    over a measured window of [duration_ms] (default 20) per point. *)
 
 val print_fig9 : load_row list -> unit
 

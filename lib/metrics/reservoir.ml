@@ -33,10 +33,3 @@ let to_list t =
     else go (i - 1) (match t.slots.(i) with Some x -> x :: acc | None -> acc)
   in
   go (t.capacity - 1) []
-
-let iter t f =
-  Array.iter (function Some x -> f x | None -> ()) t.slots
-
-let clear t =
-  Array.fill t.slots 0 t.capacity None;
-  t.seen <- 0

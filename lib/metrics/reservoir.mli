@@ -26,9 +26,3 @@ val kept : 'a t -> int
 val to_list : 'a t -> 'a list
 (** The retained sample, in slot order (deterministic, not offer
     order). *)
-
-val iter : 'a t -> ('a -> unit) -> unit
-
-val clear : 'a t -> unit
-(** Empty the reservoir; the PRNG stream keeps advancing from where it
-    was (clearing does not rewind determinism). *)

@@ -22,7 +22,7 @@ type tap = {
 type t = {
   sim : Engine.Sim.t;
   cost : Cost.t;
-  mutable loss : float;
+  loss : float;
   corrupt : float;
   prng : Engine.Prng.t;
   mutable ports : port list;
@@ -62,7 +62,6 @@ let label_port t ~mac ~owner =
   | Some port -> port.owner <- owner
   | None -> ()
 
-let set_loss t loss = t.loss <- loss
 let set_tap t tap = t.tap <- tap
 
 (* Capture and wire-event hooks are pure observers: they read the frame

@@ -41,9 +41,6 @@ val send : t -> port -> ?lossless:bool -> string -> unit
 (** Transmit a frame out of a port. Unicast frames go to the port owning
     the destination MAC; broadcast frames go to every other port. *)
 
-val set_loss : t -> float -> unit
-(** Change the drop probability mid-run (fault injection). *)
-
 (** {1 Demiscope taps}
 
     Taps are pure observers of frames the fabric was moving anyway:

@@ -90,17 +90,6 @@ let parse s =
         in
         records 24 []
 
-let load path =
-  match
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
-    s
-  with
-  | s -> parse s
-  | exception Sys_error why -> Error ("pcap: " ^ why)
-
 (* ---------- fabric tap ---------- *)
 
 type session = { wire : writer; lost : writer }

@@ -54,9 +54,6 @@ val parse : string -> (capture, string) result
 (** Decode a pcap byte stream; handles both byte orders (a swapped
     magic means the file came from an opposite-endian writer). *)
 
-val load : string -> (capture, string) result
-(** [parse] a file; [Error] on IO failure as well as bad format. *)
-
 (** {1 Fabric tap} *)
 
 type session = {

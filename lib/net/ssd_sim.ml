@@ -61,16 +61,12 @@ let submit_read t ~id ~off ~len =
       let data = if ok then Bytes.sub_string t.store off len else "" in
       complete t { id; ok; data })
 
-let submit_flush t ~id =
-  run_after t ~busy_ns:t.cost.Cost.ssd_submit_ns (fun () -> complete t { id; ok = true; data = "" })
-
 let poll_cq t ~max =
   let rec take n acc =
     if n = 0 || Queue.is_empty t.cq then List.rev acc else take (n - 1) (Queue.pop t.cq :: acc)
   in
   take max []
 
-let cq_pending t = Queue.length t.cq
 let cq_signal t = t.cq_signal
 let bytes_written t = t.bytes_written
 let contents t ~off ~len = Bytes.sub_string t.store off len

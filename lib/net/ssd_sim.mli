@@ -19,11 +19,7 @@ val submit_write : t -> id:int -> off:int -> string -> unit
 
 val submit_read : t -> id:int -> off:int -> len:int -> unit
 
-val submit_flush : t -> id:int -> unit
-(** Barrier: completes after all previously submitted writes. *)
-
 val poll_cq : t -> max:int -> completion list
-val cq_pending : t -> int
 val cq_signal : t -> Engine.Condvar.t
 
 val bytes_written : t -> int

@@ -125,9 +125,9 @@ let wait_until t ~blocking ready =
   let rec loop () =
     if not (ready ()) then begin
       let timeout =
-        match Tcp.Stack.next_timer t.stack with
-        | Some deadline -> Some (max 0 (deadline - Engine.Sim.now t.sim))
-        | None -> None
+        match Tcp.Stack.next_timer_ns t.stack with
+        | deadline when deadline = max_int -> None
+        | deadline -> Some (max 0 (deadline - Engine.Sim.now t.sim))
       in
       let _ =
         Engine.Condvar.wait_many t.sim [ Net.Dpdk_sim.rx_signal t.nic ] ~timeout
@@ -309,8 +309,6 @@ let connect_status t fd =
   | Udp _ | Listener _ | Closed -> invalid_arg "Kernel.connect_status: not a connection"
 
 let rx_signal t = Net.Dpdk_sim.rx_signal t.nic
-
-let next_timer t = Tcp.Stack.next_timer t.stack
 
 (* dlint: hotpath *)
 let next_timer_ns t = Tcp.Stack.next_timer_ns t.stack

@@ -100,10 +100,8 @@ val try_accept : t -> fd -> fd option
 val connect_start : t -> dst:Net.Addr.endpoint -> fd
 val connect_status : t -> fd -> [ `Pending | `Ok | `Refused ]
 val rx_signal : t -> Engine.Condvar.t
-val next_timer : t -> int option
-
 val next_timer_ns : t -> int
-(** {!next_timer} without the option: [max_int] means none.
+(** Earliest protocol-timer deadline (ns), [max_int] when none is armed.
     Allocation-free, for per-poll deadline peeks. *)
 
 val activity : t -> int

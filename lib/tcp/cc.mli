@@ -1,51 +1,35 @@
-(** Congestion-control interface shared by {!Cubic} and {!Newreno}.
+(** Congestion control (Cubic, NewReno, or none) over a pooled flat
+    TCB.
 
     The connection drives the controller with ack/loss events; the
-    controller answers one question: how many bytes may be in flight. *)
+    controller answers one question: how many bytes may be in flight.
+    Its state is {!int_words} integer fields at [ibase] and
+    {!float_words} float fields at [fbase] of a {!Memory.Pool} slot, so
+    per-ack cubic updates allocate nothing. The algorithm and MSS are
+    stack-config constants passed per call. *)
 
 type algorithm = Cubic | Newreno | None_cc
 
-type t
+val int_words : int
+val float_words : int
 
-val create : algorithm -> mss:int -> now:int -> t
+val init : Memory.Pool.t -> int -> ibase:int -> mss:int -> unit
+(** Call once on a freshly allocated (zeroed) slot: IW10, no
+    ssthresh, no cubic epoch. *)
 
-val cwnd : t -> int
+val cwnd : Memory.Pool.t -> int -> ibase:int -> algorithm -> int
 (** Current congestion window in bytes. Unbounded for [None_cc]. *)
 
-val on_ack : t -> acked:int -> now:int -> unit
+val in_slow_start : Memory.Pool.t -> int -> ibase:int -> bool
+
+val on_ack :
+  Memory.Pool.t -> int -> ibase:int -> fbase:int -> algorithm -> mss:int -> acked:int -> now:int -> unit
 (** New data acknowledged. *)
 
-val on_fast_retransmit : t -> now:int -> unit
+val on_fast_retransmit :
+  Memory.Pool.t -> int -> ibase:int -> fbase:int -> algorithm -> mss:int -> now:int -> unit
 (** Triple-duplicate-ack loss signal (multiplicative decrease). *)
 
-val on_timeout : t -> now:int -> unit
+val on_timeout :
+  Memory.Pool.t -> int -> ibase:int -> fbase:int -> algorithm -> mss:int -> now:int -> unit
 (** RTO loss signal (collapse to one segment, re-enter slow start). *)
-
-val in_slow_start : t -> bool
-val name : t -> string
-
-(** Congestion control over a pooled flat TCB: {!Flat.int_words}
-    integer fields at [ibase] and {!Flat.float_words} float fields at
-    [fbase] of a {!Memory.Pool} slot. The float state lives in the
-    pool's monomorphic float array, so per-ack cubic updates allocate
-    nothing; the arithmetic replicates the boxed controller exactly.
-    The algorithm and MSS are stack-config constants passed per call. *)
-module Flat : sig
-  val int_words : int
-  val float_words : int
-
-  val init : Memory.Pool.t -> int -> ibase:int -> mss:int -> unit
-  (** Call once on a freshly allocated (zeroed) slot. *)
-
-  val cwnd : Memory.Pool.t -> int -> ibase:int -> algorithm -> int
-  val in_slow_start : Memory.Pool.t -> int -> ibase:int -> bool
-
-  val on_ack :
-    Memory.Pool.t -> int -> ibase:int -> fbase:int -> algorithm -> mss:int -> acked:int -> now:int -> unit
-
-  val on_fast_retransmit :
-    Memory.Pool.t -> int -> ibase:int -> fbase:int -> algorithm -> mss:int -> now:int -> unit
-
-  val on_timeout :
-    Memory.Pool.t -> int -> ibase:int -> fbase:int -> algorithm -> mss:int -> now:int -> unit
-end

@@ -10,11 +10,11 @@
    lookups costs zero minor words. Hashing is a fixed multiply-xor mix —
    deterministic across runs, unlike seeded [Hashtbl].
 
-   Semantics deliberately mirror the [Hashtbl.replace]/[remove] pair the
-   boxed stack used — including the 4-tuple-reuse shadowing behaviour
-   (removing a key always removes the current binding, even if it was
-   re-bound by a newer connection since): the stack's observable
-   behaviour, and therefore the determinism digests, must not change. *)
+   Semantics are those of a [Hashtbl.replace]/[remove] pair, including
+   the 4-tuple-reuse shadowing behaviour (removing a key always removes
+   the current binding, even if it was re-bound by a newer connection
+   since). The stack's observable behaviour depends on it, so the
+   golden trace digest pins it. *)
 
 type 'v t = {
   mutable ka : int array; (* -1 = empty, -2 = tombstone *)
@@ -145,9 +145,9 @@ let remove t ~ka ~kb =
       t.vals.(i) <- None;
       t.count <- t.count - 1
 
-(* Live bindings in sorted key order — the deterministic-iteration
-   contract [Det.hashtbl_fold_sorted] gave the boxed table. [cmp] gets
-   the packed (ka, kb) pair of each binding. *)
+(* Live bindings in sorted key order — the same deterministic-iteration
+   contract as [Det.hashtbl_fold_sorted]. [cmp] gets the packed (ka, kb)
+   pair of each binding. *)
 let fold_sorted t ~cmp f init =
   let n = t.count in
   if n = 0 then init

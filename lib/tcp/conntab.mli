@@ -1,12 +1,11 @@
 (** Flat open-addressing map for connection demultiplexing.
 
-    The boxed stack keyed its conn table by a
-    [(local port, remote ip, remote port)] tuple, so every received
-    segment allocated a tuple just to look its connection up. This
-    table packs the key into two ints per entry (ports in [ka], ip in
-    [kb] — the three fields total 64 bits and do not fit one 63-bit
-    OCaml int) and stores values as a [_ option array] whose [Some]
-    cells are returned directly: a {!find} allocates zero minor words.
+    A connection is keyed by [(local port, remote ip, remote port)].
+    The table packs that key into two ints per entry (ports in [ka], ip
+    in [kb] — the three fields total 64 bits and do not fit one 63-bit
+    OCaml int), so a lookup builds no tuple, and stores values as a
+    [_ option array] whose [Some] cells are returned directly: a
+    {!find} allocates zero minor words.
 
     Hashing is fixed (no per-process seed) and iteration is only
     offered in sorted key order, so it cannot leak hash-order

@@ -246,9 +246,3 @@ let input t frame =
             end
       end
       else Consumed
-
-let arp_resolved t ip = Hashtbl.mem t.arp_table ip
-let pending_arp t =
-  Engine.Det.hashtbl_fold_sorted ~compare:Stdlib.compare t.parked
-    (fun _ e n -> n + Queue.length e.waiting)
-    0

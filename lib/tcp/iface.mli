@@ -39,9 +39,3 @@ val input : t -> string -> input
 (** Classify one received frame. ARP is handled internally (requests
     answered, replies learned); frames not addressed to this interface
     and malformed frames are dropped as [Consumed]. *)
-
-val arp_resolved : t -> Net.Addr.Ip.t -> bool
-(** Test hook: whether the ARP cache has an entry. *)
-
-val pending_arp : t -> int
-(** Packets parked awaiting ARP resolution. *)

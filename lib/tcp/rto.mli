@@ -1,46 +1,30 @@
-(** Retransmission timeout estimation (RFC 6298).
+(** Retransmission timeout estimation (RFC 6298) over a pooled flat
+    TCB: {!words} integer fields at offset [base] of a {!Memory.Pool}
+    slot.
 
     SRTT/RTTVAR are kept in nanoseconds. The classic 1-second minimum is
     far too conservative for a µs-scale datacenter stack, so the floor
-    is a parameter (Catnip-style stacks run single-digit-ms floors). *)
+    and ceiling are stack-config constants passed per call (Catnip-style
+    stacks run single-digit-ms floors). *)
 
-type t
+val words : int
 
-val create : ?min_rto:int -> ?max_rto:int -> unit -> t
-(** Defaults: floor 1 ms, ceiling 4 s. Initial RTO is the greater of the
-    floor and 4 ms, pending the first sample. *)
+val init : Memory.Pool.t -> int -> base:int -> min_rto:int -> unit
+(** Call once on a freshly allocated (zeroed) slot. The initial RTO is
+    the greater of the floor and 4 ms, pending the first sample. *)
 
-val observe : t -> int -> unit
+val observe : Memory.Pool.t -> int -> base:int -> min_rto:int -> max_rto:int -> int -> unit
 (** Feed one RTT sample (ns). Per Karn's algorithm the caller must only
     feed samples from segments that were not retransmitted. *)
 
-val rto : t -> int
+val rto : Memory.Pool.t -> int -> base:int -> max_rto:int -> int
 (** Current timeout, including any backoff. *)
 
-val backoff : t -> unit
+val backoff : Memory.Pool.t -> int -> base:int -> max_rto:int -> unit
 (** Double the timeout after a retransmission (capped at the ceiling). *)
 
-val reset_backoff : t -> unit
+val reset_backoff : Memory.Pool.t -> int -> base:int -> unit
 (** New ack progress clears exponential backoff. *)
 
-val srtt : t -> int option
-(** Smoothed RTT, once at least one sample has arrived. *)
-
-(** The estimator over a pooled flat TCB: {!Flat.words} integer fields
-    at offset [base] of a {!Memory.Pool} slot. Arithmetic is identical
-    to the boxed estimator; the floor/ceiling are passed per call (they
-    are stack-config constants). *)
-module Flat : sig
-  val words : int
-
-  val init : Memory.Pool.t -> int -> base:int -> min_rto:int -> unit
-  (** Call once on a freshly allocated (zeroed) slot. *)
-
-  val observe : Memory.Pool.t -> int -> base:int -> min_rto:int -> max_rto:int -> int -> unit
-  val rto : Memory.Pool.t -> int -> base:int -> max_rto:int -> int
-  val backoff : Memory.Pool.t -> int -> base:int -> max_rto:int -> unit
-  val reset_backoff : Memory.Pool.t -> int -> base:int -> unit
-
-  val srtt_ns : Memory.Pool.t -> int -> base:int -> int
-  (** Smoothed RTT in ns, [-1] before the first sample. *)
-end
+val srtt_ns : Memory.Pool.t -> int -> base:int -> int
+(** Smoothed RTT in ns, [-1] before the first sample. *)

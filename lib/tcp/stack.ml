@@ -68,9 +68,9 @@ let f_syn_retries = 8
 let f_ts_recent = 9
 let f_fin_seq = 10 (* Seqnum, -1 = no FIN queued *)
 let f_flags = 11
-let f_rto = 12 (* Rto.Flat section *)
-let f_cc = 12 + 5 (* Cc.Flat integer section; Rto.Flat.words = 5 *)
-let f_push0_id = f_cc + 3 (* Cc.Flat.int_words = 3 *)
+let f_rto = 12 (* Rto section *)
+let f_cc = 12 + 5 (* Cc integer section; Rto.words = 5 *)
+let f_push0_id = f_cc + 3 (* Cc.int_words = 3 *)
 let f_push0_left = f_push0_id + 1
 let f_push1_id = f_push0_id + 2
 let f_push1_left = f_push0_id + 3
@@ -212,7 +212,7 @@ let create ?(config = default_config) ?(trace = fun _ _ _ -> ()) ~iface ~heap ~p
     tcbs =
       Memory.Pool.create ~label:"tcp-tcb"
         ~sanitize:(Memory.Heap.sanitizing heap)
-        ~slot_words:tcb_words ~float_words:Cc.Flat.float_words ();
+        ~slot_words:tcb_words ~float_words:Cc.float_words ();
     conns = Conntab.create ~initial:64 ();
     listeners = Hashtbl.create 8;
     udp_socks = Hashtbl.create 8;
@@ -232,7 +232,6 @@ let create ?(config = default_config) ?(trace = fun _ _ _ -> ()) ~iface ~heap ~p
   }
 
 let now t = Iface.clock t.iface
-let stack_iface t = t.iface
 let live_connections t = Conntab.length t.conns
 let total_retransmits t = t.retransmit_total
 let conn_stats t = { live = Conntab.length t.conns; ever_opened = t.conns_opened; peak = t.conns_peak }
@@ -262,32 +261,32 @@ let set_flag conn bit on =
   tset conn f_flags (if on then f lor bit else f land lnot bit)
 
 (* RTO / congestion control over the flat TCB: the estimator and the
-   controller are stateless field transformers ([Rto.Flat], [Cc.Flat]);
+   controller are stateless field transformers ([Rto], [Cc]);
    the per-stack constants come from the config. *)
 let rto_observe conn sample =
-  Rto.Flat.observe conn.stack.tcbs conn.tcb ~base:f_rto ~min_rto:conn.stack.config.min_rto_ns
+  Rto.observe conn.stack.tcbs conn.tcb ~base:f_rto ~min_rto:conn.stack.config.min_rto_ns
     ~max_rto:conn.stack.config.max_rto_ns sample
 
 let rto_current conn =
-  Rto.Flat.rto conn.stack.tcbs conn.tcb ~base:f_rto ~max_rto:conn.stack.config.max_rto_ns
+  Rto.rto conn.stack.tcbs conn.tcb ~base:f_rto ~max_rto:conn.stack.config.max_rto_ns
 
 let rto_backoff conn =
-  Rto.Flat.backoff conn.stack.tcbs conn.tcb ~base:f_rto ~max_rto:conn.stack.config.max_rto_ns
+  Rto.backoff conn.stack.tcbs conn.tcb ~base:f_rto ~max_rto:conn.stack.config.max_rto_ns
 
-let rto_reset_backoff conn = Rto.Flat.reset_backoff conn.stack.tcbs conn.tcb ~base:f_rto
+let rto_reset_backoff conn = Rto.reset_backoff conn.stack.tcbs conn.tcb ~base:f_rto
 
-let cc_cwnd conn = Cc.Flat.cwnd conn.stack.tcbs conn.tcb ~ibase:f_cc conn.stack.config.cc
+let cc_cwnd conn = Cc.cwnd conn.stack.tcbs conn.tcb ~ibase:f_cc conn.stack.config.cc
 
 let cc_on_ack conn ~acked ~now =
-  Cc.Flat.on_ack conn.stack.tcbs conn.tcb ~ibase:f_cc ~fbase:cc_fbase conn.stack.config.cc
+  Cc.on_ack conn.stack.tcbs conn.tcb ~ibase:f_cc ~fbase:cc_fbase conn.stack.config.cc
     ~mss:conn.stack.config.mss ~acked ~now
 
 let cc_on_fast_retransmit conn ~now =
-  Cc.Flat.on_fast_retransmit conn.stack.tcbs conn.tcb ~ibase:f_cc ~fbase:cc_fbase
+  Cc.on_fast_retransmit conn.stack.tcbs conn.tcb ~ibase:f_cc ~fbase:cc_fbase
     conn.stack.config.cc ~mss:conn.stack.config.mss ~now
 
 let cc_on_timeout conn ~now =
-  Cc.Flat.on_timeout conn.stack.tcbs conn.tcb ~ibase:f_cc ~fbase:cc_fbase conn.stack.config.cc
+  Cc.on_timeout conn.stack.tcbs conn.tcb ~ibase:f_cc ~fbase:cc_fbase conn.stack.config.cc
     ~mss:conn.stack.config.mss ~now
 
 (* 32-bit millisecond timestamp for the RFC 7323 option. *)
@@ -643,8 +642,8 @@ let make_conn t ~local_ip ~local_port ~remote_ip ~remote_port ~state ~parent_lis
   Memory.Pool.set t.tcbs tcb f_snd_wnd t.config.mss;
   Memory.Pool.set t.tcbs tcb f_peer_mss t.config.mss;
   Memory.Pool.set t.tcbs tcb f_fin_seq (-1);
-  Rto.Flat.init t.tcbs tcb ~base:f_rto ~min_rto:t.config.min_rto_ns;
-  Cc.Flat.init t.tcbs tcb ~ibase:f_cc ~mss:t.config.mss;
+  Rto.init t.tcbs tcb ~base:f_rto ~min_rto:t.config.min_rto_ns;
+  Cc.init t.tcbs tcb ~ibase:f_cc ~mss:t.config.mss;
   {
     stack = t;
     uid;
@@ -1155,8 +1154,6 @@ let input t frame =
       if header.Net.Ipv4.protocol = Net.Ipv4.protocol_udp then handle_udp t header b off
       else if header.Net.Ipv4.protocol = Net.Ipv4.protocol_tcp then handle_tcp t header b off
 
-let next_timer t = Engine.Timerwheel.next_deadline t.timers
-
 (* dlint: hotpath *)
 let next_timer_ns t = Engine.Timerwheel.next_deadline_ns t.timers
 
@@ -1222,7 +1219,7 @@ let conn_cwnd conn = if conn.tcb < 0 then 0 else cc_cwnd conn
 let conn_srtt conn =
   if conn.tcb < 0 then None
   else
-    let s = Rto.Flat.srtt_ns conn.stack.tcbs conn.tcb ~base:f_rto in
+    let s = Rto.srtt_ns conn.stack.tcbs conn.tcb ~base:f_rto in
     if s < 0 then None else Some s
 
 let conn_bytes_in_flight conn = if conn.tcb < 0 then 0 else bytes_in_flight conn
@@ -1231,8 +1228,8 @@ let conn_recv_queue_bytes conn = conn.recv_q_bytes
 let conn_at_eof conn = conn.eof_delivered_to_q && Queue.is_empty conn.recv_q
 
 (* Aggregate gauges for Demiscope timelines: summed over live
-   connections in sorted-key order — (local port, remote ip, remote
-   port), the order the boxed tuple table iterated in. *)
+   connections in sorted-key order: (local port, remote ip, remote
+   port). *)
 let key_order (ka1, kb1) (ka2, kb2) =
   let c = compare (ka1 lsr 16) (ka2 lsr 16) in
   if c <> 0 then c

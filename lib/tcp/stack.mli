@@ -83,15 +83,11 @@ val create :
 val input : t -> string -> unit
 (** Process one received Ethernet frame. *)
 
-val next_timer : t -> int option
-(** Earliest pending timer deadline (ns), if any. O(1): an exact peek
-    into the stack's timer wheel ([Engine.Timerwheel]), so pollers and
-    [Runtime.maybe_park] can call it every iteration for free.
-    Allocates the [Some]; per-poll callers use {!next_timer_ns}. *)
-
 val next_timer_ns : t -> int
-(** {!next_timer} without the option: [max_int] means no timer armed.
-    Allocation-free. *)
+(** Earliest pending timer deadline (ns), [max_int] when no timer is
+    armed. O(1) and allocation-free: an exact peek into the stack's
+    timer wheel ([Engine.Timerwheel]), so pollers and
+    [Runtime.maybe_park] can call it every iteration for free. *)
 
 val timer_activity : t -> int
 (** Cumulative [Engine.Timerwheel.activity] of the stack's wheel:
@@ -181,7 +177,6 @@ val conn_recv_queue_bytes : conn -> int
 (** [conn_at_eof c]: the peer's FIN has been delivered and the receive
     queue is drained. *)
 val conn_at_eof : conn -> bool
-val stack_iface : t -> Iface.t
 val live_connections : t -> int
 
 type conn_stats = { live : int; ever_opened : int; peak : int }

@@ -23,11 +23,10 @@ let test_eventq_order () =
   Engine.Eventq.add q ~time:10 (record "a");
   Engine.Eventq.add q ~time:20 (record "b");
   let rec drain () =
-    match Engine.Eventq.pop q with
-    | None -> ()
-    | Some (_, fn) ->
-        fn ();
-        drain ()
+    if Engine.Eventq.top_time q < max_int then begin
+      Engine.Eventq.pop q ();
+      drain ()
+    end
   in
   drain ();
   Alcotest.(check (list string)) "time order" [ "a"; "b"; "c" ] (List.rev !order)
@@ -39,11 +38,10 @@ let test_eventq_ties_fifo () =
     Engine.Eventq.add q ~time:5 (fun () -> order := i :: !order)
   done;
   let rec drain () =
-    match Engine.Eventq.pop q with
-    | None -> ()
-    | Some (_, fn) ->
-        fn ();
-        drain ()
+    if Engine.Eventq.top_time q < max_int then begin
+      Engine.Eventq.pop q ();
+      drain ()
+    end
   in
   drain ();
   Alcotest.(check (list int)) "fifo ties" (List.init 100 Fun.id) (List.rev !order)
@@ -55,12 +53,36 @@ let test_eventq_heap_property =
       let q = Engine.Eventq.create () in
       List.iter (fun time -> Engine.Eventq.add q ~time (fun () -> ())) times;
       let rec drain acc =
-        match Engine.Eventq.pop q with
-        | None -> List.rev acc
-        | Some (time, _) -> drain (time :: acc)
+        match Engine.Eventq.top_time q with
+        | time when time = max_int -> List.rev acc
+        | time ->
+            ignore (Engine.Eventq.pop q : unit -> unit);
+            drain (time :: acc)
       in
       let popped = drain [] in
       popped = List.sort compare times)
+
+let test_eventq_empty_sentinel () =
+  let q = Engine.Eventq.create () in
+  check_int "empty" max_int (Engine.Eventq.top_time q);
+  Engine.Eventq.add q ~time:7 (fun () -> ());
+  check_int "earliest" 7 (Engine.Eventq.top_time q);
+  Engine.Eventq.pop q ();
+  check_int "drained" max_int (Engine.Eventq.top_time q)
+
+let test_sim_until_drains_early () =
+  let sim = Engine.Sim.create () in
+  Engine.Sim.schedule sim ~delay:40 (fun () -> ());
+  Engine.Sim.run ~until:1_000 sim;
+  check_int "clock at the last event, not the horizon" 40 (Engine.Sim.now sim)
+
+let test_sim_empty_run () =
+  let sim = Engine.Sim.create () in
+  Engine.Sim.schedule sim ~delay:25 (fun () -> ());
+  Engine.Sim.run sim;
+  Engine.Sim.run ~until:5_000 sim;
+  Engine.Sim.run sim;
+  check_int "empty queue leaves the clock unchanged" 25 (Engine.Sim.now sim)
 
 let test_sim_schedule () =
   let sim = Engine.Sim.create () in
@@ -135,7 +157,7 @@ let test_condvar_broadcast () =
   let woken = ref [] in
   for i = 1 to 3 do
     Engine.Fiber.spawn sim (fun () ->
-        Engine.Condvar.wait cv;
+        ignore (Engine.Condvar.wait_many sim [ cv ] ~timeout:None);
         woken := i :: !woken)
   done;
   Engine.Fiber.spawn sim (fun () ->
@@ -150,7 +172,7 @@ let test_condvar_timeout () =
   let cv = Engine.Condvar.create sim in
   let outcome = ref None in
   Engine.Fiber.spawn sim (fun () ->
-      outcome := Some (Engine.Condvar.wait_timeout cv 100));
+      outcome := Some (Engine.Condvar.wait_many sim [ cv ] ~timeout:(Some 100)));
   Engine.Sim.run sim;
   Alcotest.(check bool) "timed out" true (!outcome = Some `Timeout);
   check_int "timeout time" 100 (Engine.Sim.now sim)
@@ -160,7 +182,7 @@ let test_condvar_signal_beats_timeout () =
   let cv = Engine.Condvar.create sim in
   let outcome = ref None in
   Engine.Fiber.spawn sim (fun () ->
-      outcome := Some (Engine.Condvar.wait_timeout cv 1_000));
+      outcome := Some (Engine.Condvar.wait_many sim [ cv ] ~timeout:(Some 1_000)));
   Engine.Fiber.spawn sim (fun () ->
       Engine.Fiber.sleep sim 10;
       Engine.Condvar.broadcast cv);
@@ -304,10 +326,10 @@ let test_eventq_interleaved =
       let popped = ref [] in
       let ok = ref true in
       let pop_one () =
-        match Engine.Eventq.pop q with
-        | None -> ok := !ok && !model = []
-        | Some (time, fn) ->
-            fn ();
+        match Engine.Eventq.top_time q with
+        | time when time = max_int -> ok := !ok && !model = []
+        | time ->
+            Engine.Eventq.pop q ();
             now := max !now time;
             let best =
               List.fold_left
@@ -351,10 +373,7 @@ let wheel_vs_oracle ops =
   let log = ref [] in
   let ok = ref true in
   let oracle_min () =
-    List.fold_left
-      (fun acc (d, _, alive) ->
-        if !alive then match acc with Some m when m <= d -> acc | _ -> Some d else acc)
-      None !oracle
+    List.fold_left (fun acc (d, _, alive) -> if !alive then min acc d else acc) max_int !oracle
   in
   let advance dt =
     now := !now + dt;
@@ -384,11 +403,11 @@ let wheel_vs_oracle ops =
               List.iter (fun (_, i, alive) -> if i = id then alive := false) !oracle)
       | _ -> advance arg);
       (* The peek must be the exact live minimum after every op. *)
-      ok := !ok && Engine.Timerwheel.next_deadline w = oracle_min ())
+      ok := !ok && Engine.Timerwheel.next_deadline_ns w = oracle_min ())
     ops;
   advance 5_000_000;
   (* drain everything left *)
-  ok := !ok && Engine.Timerwheel.size w = 0 && Engine.Timerwheel.next_deadline w = None;
+  ok := !ok && Engine.Timerwheel.size w = 0 && Engine.Timerwheel.next_deadline_ns w = max_int;
   (List.rev !log, !ok)
 
 let wheel_ops_gen =
@@ -435,9 +454,7 @@ let test_wheel_cancel_no_fire () =
   check_int "two live" 2 (Engine.Timerwheel.size w);
   check_bool "h2 live" true (Engine.Timerwheel.handle_live h2);
   check_bool "h1 dead" false (Engine.Timerwheel.handle_live h1);
-  (match Engine.Timerwheel.next_deadline w with
-  | Some d -> check_int "min survives cancel of tied entry" 100 d
-  | None -> Alcotest.fail "expected a deadline");
+  check_int "min survives cancel of tied entry" 100 (Engine.Timerwheel.next_deadline_ns w);
   let fired = ref [] in
   Engine.Timerwheel.expire w ~now:500 (fun p -> fired := p :: !fired);
   Alcotest.(check (list string)) "only live entries fire, in order" [ "b"; "c" ]
@@ -467,8 +484,12 @@ let suite =
     Alcotest.test_case "eventq time order" `Quick test_eventq_order;
     Alcotest.test_case "eventq fifo on ties" `Quick test_eventq_ties_fifo;
     QCheck_alcotest.to_alcotest test_eventq_heap_property;
+    Alcotest.test_case "eventq top_time is max_int when empty" `Quick test_eventq_empty_sentinel;
     Alcotest.test_case "sim schedule and run" `Quick test_sim_schedule;
     Alcotest.test_case "sim run ~until" `Quick test_sim_until;
+    Alcotest.test_case "sim run ~until drained early keeps the last event time" `Quick
+      test_sim_until_drains_early;
+    Alcotest.test_case "sim run on an empty queue leaves the clock" `Quick test_sim_empty_run;
     Alcotest.test_case "sim stop" `Quick test_sim_stop;
     Alcotest.test_case "fiber sleep" `Quick test_fiber_sleep;
     Alcotest.test_case "fiber interleaving" `Quick test_fiber_interleave;

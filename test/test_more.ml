@@ -175,10 +175,7 @@ module Pair = struct
       if guard = 0 then failwith "no quiescence";
       let ft = List.fold_left (fun acc (at, _, _, _) -> min acc at) max_int t.in_flight in
       let tt =
-        List.fold_left
-          (fun acc d -> match d with Some d -> min acc d | None -> acc)
-          max_int
-          [ Tcp.Stack.next_timer t.a; Tcp.Stack.next_timer t.b ]
+        min (Tcp.Stack.next_timer_ns t.a) (Tcp.Stack.next_timer_ns t.b)
       in
       let at = min ft tt in
       if at < max_int then begin
@@ -257,10 +254,7 @@ let test_mss_negotiation () =
     if guard > 0 then begin
       let ft = List.fold_left (fun acc (at, _, _, _) -> min acc at) max_int !in_flight in
       let tt =
-        List.fold_left
-          (fun acc d -> match d with Some d -> min acc d | None -> acc)
-          max_int
-          [ Tcp.Stack.next_timer sa; Tcp.Stack.next_timer sb ]
+        min (Tcp.Stack.next_timer_ns sa) (Tcp.Stack.next_timer_ns sb)
       in
       let at = min ft tt in
       if at < max_int then begin

@@ -28,78 +28,122 @@ let test_seqnum_window () =
 
 (* --- Rto --- *)
 
+(* The estimator and the controller are field transformers over a pooled
+   TCB, the form the stack runs; each test drives one slot of a one-slot
+   pool. *)
+type rto = { rpool : Memory.Pool.t; rslot : int; min_rto : int; max_rto : int }
+
+let rto_create ~min_rto ~max_rto =
+  let rpool = Memory.Pool.create ~max_slots:1 ~initial_slots:1 ~slot_words:Tcp.Rto.words () in
+  let rslot = Memory.Pool.alloc rpool in
+  Tcp.Rto.init rpool rslot ~base:0 ~min_rto;
+  { rpool; rslot; min_rto; max_rto }
+
+let rto_observe r sample =
+  Tcp.Rto.observe r.rpool r.rslot ~base:0 ~min_rto:r.min_rto ~max_rto:r.max_rto sample
+
+let rto_rto r = Tcp.Rto.rto r.rpool r.rslot ~base:0 ~max_rto:r.max_rto
+let rto_backoff r = Tcp.Rto.backoff r.rpool r.rslot ~base:0 ~max_rto:r.max_rto
+let rto_reset_backoff r = Tcp.Rto.reset_backoff r.rpool r.rslot ~base:0
+
+let rto_srtt r =
+  match Tcp.Rto.srtt_ns r.rpool r.rslot ~base:0 with -1 -> None | s -> Some s
+
 let test_rto_first_sample () =
-  let r = Tcp.Rto.create ~min_rto:1000 ~max_rto:1_000_000_000 () in
-  Tcp.Rto.observe r 10_000;
-  Alcotest.(check (option int)) "srtt = first sample" (Some 10_000) (Tcp.Rto.srtt r);
+  let r = rto_create ~min_rto:1000 ~max_rto:1_000_000_000 in
+  rto_observe r 10_000;
+  Alcotest.(check (option int)) "srtt = first sample" (Some 10_000) (rto_srtt r);
   (* RTO = SRTT + 4*RTTVAR = 10000 + 4*5000 = 30000. *)
-  check_int "rto" 30_000 (Tcp.Rto.rto r)
+  check_int "rto" 30_000 (rto_rto r)
 
 let test_rto_smoothing () =
-  let r = Tcp.Rto.create ~min_rto:1 ~max_rto:1_000_000_000 () in
-  Tcp.Rto.observe r 8_000;
-  List.iter (fun _ -> Tcp.Rto.observe r 8_000) (List.init 20 Fun.id);
-  (match Tcp.Rto.srtt r with
+  let r = rto_create ~min_rto:1 ~max_rto:1_000_000_000 in
+  rto_observe r 8_000;
+  List.iter (fun _ -> rto_observe r 8_000) (List.init 20 Fun.id);
+  (match rto_srtt r with
   | Some srtt -> check_bool "converges to sample" true (abs (srtt - 8_000) < 200)
   | None -> Alcotest.fail "no srtt");
-  check_bool "rto approaches srtt with low variance" true (Tcp.Rto.rto r < 12_000)
+  check_bool "rto approaches srtt with low variance" true (rto_rto r < 12_000)
 
 let test_rto_backoff () =
-  let r = Tcp.Rto.create ~min_rto:1000 ~max_rto:64_000 () in
-  Tcp.Rto.observe r 2_000;
-  let base = Tcp.Rto.rto r in
-  Tcp.Rto.backoff r;
-  check_int "doubles" (2 * base) (Tcp.Rto.rto r);
-  Tcp.Rto.backoff r;
-  check_int "doubles again" (4 * base) (Tcp.Rto.rto r);
-  Tcp.Rto.reset_backoff r;
-  check_int "reset" base (Tcp.Rto.rto r);
+  let r = rto_create ~min_rto:1000 ~max_rto:64_000 in
+  rto_observe r 2_000;
+  let base = rto_rto r in
+  rto_backoff r;
+  check_int "doubles" (2 * base) (rto_rto r);
+  rto_backoff r;
+  check_int "doubles again" (4 * base) (rto_rto r);
+  rto_reset_backoff r;
+  check_int "reset" base (rto_rto r);
   (* Ceiling. *)
-  List.iter (fun _ -> Tcp.Rto.backoff r) (List.init 30 Fun.id);
-  check_int "capped" 64_000 (Tcp.Rto.rto r)
+  List.iter (fun _ -> rto_backoff r) (List.init 30 Fun.id);
+  check_int "capped" 64_000 (rto_rto r)
 
 (* --- Cc --- *)
 
+type cc = { cpool : Memory.Pool.t; cslot : int; algorithm : Tcp.Cc.algorithm; mss : int }
+
+let cc_create algorithm ~mss =
+  let cpool =
+    Memory.Pool.create ~max_slots:1 ~initial_slots:1 ~slot_words:Tcp.Cc.int_words
+      ~float_words:Tcp.Cc.float_words ()
+  in
+  let cslot = Memory.Pool.alloc cpool in
+  Tcp.Cc.init cpool cslot ~ibase:0 ~mss;
+  { cpool; cslot; algorithm; mss }
+
+let cc_cwnd c = Tcp.Cc.cwnd c.cpool c.cslot ~ibase:0 c.algorithm
+let cc_in_slow_start c = Tcp.Cc.in_slow_start c.cpool c.cslot ~ibase:0
+
+let cc_on_ack c ~acked ~now =
+  Tcp.Cc.on_ack c.cpool c.cslot ~ibase:0 ~fbase:0 c.algorithm ~mss:c.mss ~acked ~now
+
+let cc_on_fast_retransmit c ~now =
+  Tcp.Cc.on_fast_retransmit c.cpool c.cslot ~ibase:0 ~fbase:0 c.algorithm ~mss:c.mss ~now
+
+let cc_on_timeout c ~now =
+  Tcp.Cc.on_timeout c.cpool c.cslot ~ibase:0 ~fbase:0 c.algorithm ~mss:c.mss ~now
+
 let test_cc_slow_start () =
-  let cc = Tcp.Cc.create Tcp.Cc.Newreno ~mss:1000 ~now:0 in
-  let w0 = Tcp.Cc.cwnd cc in
+  let cc = cc_create Tcp.Cc.Newreno ~mss:1000 in
+  let w0 = cc_cwnd cc in
   check_int "IW10" 10_000 w0;
-  Tcp.Cc.on_ack cc ~acked:5000 ~now:1000;
-  check_int "slow start grows by acked" (w0 + 5000) (Tcp.Cc.cwnd cc);
-  check_bool "in slow start" true (Tcp.Cc.in_slow_start cc)
+  cc_on_ack cc ~acked:5000 ~now:1000;
+  check_int "slow start grows by acked" (w0 + 5000) (cc_cwnd cc);
+  check_bool "in slow start" true (cc_in_slow_start cc)
 
 let test_cc_fast_retransmit_halves () =
-  let cc = Tcp.Cc.create Tcp.Cc.Newreno ~mss:1000 ~now:0 in
-  Tcp.Cc.on_ack cc ~acked:50_000 ~now:1000;
-  let before = Tcp.Cc.cwnd cc in
-  Tcp.Cc.on_fast_retransmit cc ~now:2000;
-  check_int "halved" (before / 2) (Tcp.Cc.cwnd cc);
-  check_bool "out of slow start" false (Tcp.Cc.in_slow_start cc)
+  let cc = cc_create Tcp.Cc.Newreno ~mss:1000 in
+  cc_on_ack cc ~acked:50_000 ~now:1000;
+  let before = cc_cwnd cc in
+  cc_on_fast_retransmit cc ~now:2000;
+  check_int "halved" (before / 2) (cc_cwnd cc);
+  check_bool "out of slow start" false (cc_in_slow_start cc)
 
 let test_cc_timeout_collapses () =
-  let cc = Tcp.Cc.create Tcp.Cc.Cubic ~mss:1000 ~now:0 in
-  Tcp.Cc.on_ack cc ~acked:100_000 ~now:1000;
-  Tcp.Cc.on_timeout cc ~now:2000;
-  check_int "one mss" 1000 (Tcp.Cc.cwnd cc)
+  let cc = cc_create Tcp.Cc.Cubic ~mss:1000 in
+  cc_on_ack cc ~acked:100_000 ~now:1000;
+  cc_on_timeout cc ~now:2000;
+  check_int "one mss" 1000 (cc_cwnd cc)
 
 let test_cubic_growth () =
-  let cc = Tcp.Cc.create Tcp.Cc.Cubic ~mss:1000 ~now:0 in
+  let cc = cc_create Tcp.Cc.Cubic ~mss:1000 in
   (* Leave slow start via a loss, then grow along the cubic curve. *)
-  Tcp.Cc.on_ack cc ~acked:90_000 ~now:0;
-  Tcp.Cc.on_fast_retransmit cc ~now:0;
-  let after_loss = Tcp.Cc.cwnd cc in
+  cc_on_ack cc ~acked:90_000 ~now:0;
+  cc_on_fast_retransmit cc ~now:0;
+  let after_loss = cc_cwnd cc in
   let now = ref 0 in
   for _ = 1 to 2000 do
     now := !now + 100_000 (* 100us per ack *);
-    Tcp.Cc.on_ack cc ~acked:1000 ~now:!now
+    cc_on_ack cc ~acked:1000 ~now:!now
   done;
-  check_bool "recovers beyond w_max eventually" true (Tcp.Cc.cwnd cc > after_loss);
-  check_bool "does not explode instantly" true (Tcp.Cc.cwnd cc < 100 * 90_000)
+  check_bool "recovers beyond w_max eventually" true (cc_cwnd cc > after_loss);
+  check_bool "does not explode instantly" true (cc_cwnd cc < 100 * 90_000)
 
 let test_cc_none_unbounded () =
-  let cc = Tcp.Cc.create Tcp.Cc.None_cc ~mss:1000 ~now:0 in
-  Tcp.Cc.on_timeout cc ~now:0;
-  check_bool "effectively unbounded" true (Tcp.Cc.cwnd cc > 1 lsl 40)
+  let cc = cc_create Tcp.Cc.None_cc ~mss:1000 in
+  cc_on_timeout cc ~now:0;
+  check_bool "effectively unbounded" true (cc_cwnd cc > 1 lsl 40)
 
 (* --- Reassembly --- *)
 
@@ -255,10 +299,7 @@ module Pair = struct
         List.fold_left (fun acc (at, _, _, _) -> min acc at) max_int t.in_flight
       in
       let timer_time =
-        List.fold_left
-          (fun acc d -> match d with Some d -> min acc d | None -> acc)
-          max_int
-          [ Tcp.Stack.next_timer t.a; Tcp.Stack.next_timer t.b ]
+        min (Tcp.Stack.next_timer_ns t.a) (Tcp.Stack.next_timer_ns t.b)
       in
       min frame_time timer_time
     in
@@ -751,12 +792,12 @@ let test_rto_backoff_rearm () =
   Pair.run p ~horizon:65_000_000;
   check_bool "multiple RTO firings" true (Tcp.Stack.conn_retransmits ca >= 3);
   check_bool "still established" true (Tcp.Stack.conn_state ca = Tcp.Stack.Established_st);
-  (match Tcp.Stack.next_timer p.Pair.a with
-  | Some d ->
+  (match Tcp.Stack.next_timer_ns p.Pair.a with
+  | d when d = max_int -> Alcotest.fail "RTO not re-armed after firing"
+  | d ->
       check_bool "re-armed after each fire, with backoff" true
         (d > p.Pair.clock
-        && d - p.Pair.clock >= 2 * Tcp.Stack.(default_config.min_rto_ns))
-  | None -> Alcotest.fail "RTO not re-armed after firing")
+        && d - p.Pair.clock >= 2 * Tcp.Stack.(default_config.min_rto_ns)))
 
 let test_syn_retry_cap_resets () =
   let p = Pair.make () in
@@ -767,7 +808,7 @@ let test_syn_retry_cap_resets () =
   check_bool "gave up into Closed" true (Tcp.Stack.conn_state ca = Tcp.Stack.Closed_st);
   check_bool "reset event emitted" true
     (List.exists (fun (_, e) -> e = "a:reset") p.Pair.events);
-  check_bool "wheel empty after give-up" true (Tcp.Stack.next_timer p.Pair.a = None);
+  check_bool "wheel empty after give-up" true (Tcp.Stack.next_timer_ns p.Pair.a = max_int);
   check_int "no live connections" 0 (Tcp.Stack.live_connections p.Pair.a)
 
 let test_time_wait_shared_deadline_order () =
@@ -807,9 +848,9 @@ let test_abort_cancels_timers () =
      entry must be cancelled immediately, and never fire afterwards. *)
   p.Pair.drop <- (fun side frame -> side = Pair.B && String.length frame > 80);
   ignore (Pair.send_string p Pair.A ca (String.make 200 'x'));
-  check_bool "rto armed" true (Tcp.Stack.next_timer p.Pair.a <> None);
+  check_bool "rto armed" true (Tcp.Stack.next_timer_ns p.Pair.a < max_int);
   Tcp.Stack.tcp_abort ca;
-  check_bool "abort cancels the pending RTO" true (Tcp.Stack.next_timer p.Pair.a = None);
+  check_bool "abort cancels the pending RTO" true (Tcp.Stack.next_timer_ns p.Pair.a = max_int);
   Pair.run p (* deliver the RST to B and go quiescent *);
   let events_before = List.length p.Pair.events in
   p.Pair.clock <- p.Pair.clock + 50_000_000 (* well past the old deadline *);
@@ -817,7 +858,7 @@ let test_abort_cancels_timers () =
   Tcp.Stack.on_timer p.Pair.b;
   check_int "no stale timer fires" events_before (List.length p.Pair.events);
   check_bool "both wheels empty" true
-    (Tcp.Stack.next_timer p.Pair.a = None && Tcp.Stack.next_timer p.Pair.b = None)
+    (Tcp.Stack.next_timer_ns p.Pair.a = max_int && Tcp.Stack.next_timer_ns p.Pair.b = max_int)
 
 (* --- Conntab (flat demux table) --- *)
 
