@@ -1,4 +1,4 @@
-.PHONY: all build test lint selfcheck check bench alloc-smoke observe-smoke graph-smoke micro-smoke clean
+.PHONY: all build test lint selfcheck check bench observe-smoke graph-smoke micro-smoke clean
 
 all: build
 
@@ -16,31 +16,18 @@ selfcheck:
 
 # Everything CI runs: build + tests (incl. lint and `demibench
 # --smoke`) + determinism selfcheck with the ownership oracle, the
-# flight ring and the gc-budget oracle armed + the smokes below. Perf
-# regressions are judged by `demibench compare` (parent vs change).
+# flight ring and the gc-budget oracle armed (its pinned output holds
+# each flavor's steady-poll count and zero violations) + the smokes
+# below. Perf regressions are judged by `demibench compare` (parent vs
+# change).
 check:
 	dune build @check
-	$(MAKE) alloc-smoke
 	$(MAKE) observe-smoke
 	$(MAKE) graph-smoke
 	$(MAKE) micro-smoke
 
 bench:
 	dune exec bench/main.exe
-
-# Demialloc end to end: dlint over the tree (which now includes the
-# alloc-in-hotpath pass), then the determinism selfcheck with the
-# flight ring and the gc-budget oracle armed — every libOS flavor must
-# report measured steady polls (>0) with zero allocation violations.
-alloc-smoke:
-	mkdir -p out
-	dune exec bin/dlint.exe -- lib
-	dune exec bin/demi.exe -- selfcheck | tee out/alloc_smoke.txt
-	@for f in catnip catnap catmint; do \
-	  grep -Eq "gc-budget $$f +steady_polls=[1-9][0-9]* violations=0" out/alloc_smoke.txt \
-	    || { echo "alloc-smoke: $$f has no measured steady polls or has violations" >&2; exit 1; }; \
-	done
-	@echo "alloc-smoke: OK (all flavors steady-poll allocation-free)"
 
 # Every recorder end to end, per libOS. `demi trace`, and `demi pcap`,
 # `demi flight` and `demi fleet` with --check, run their scenario

@@ -20,21 +20,18 @@ type chan = {
   mutable consumed : int;
   mutable granted_to_peer : int;
   pending_sends : (Pdpix.qtoken * string) Queue.t;
-  pop_waiters : Pdpix.qtoken Queue.t;
+  pops : Runtime.pending;
   recv_q : Memory.Heap.buffer Queue.t;
   mutable eof : bool;
   mutable connect_token : Pdpix.qtoken option;
-  mutable failed : string option;
   mutable flow : Dsched.handle option;
   mutable stalled : bool; (* on the retry list (sends queued behind the grant window) *)
 }
 
-type listener = { accept_waiters : Pdpix.qtoken Queue.t; ready : chan Queue.t }
-
 type entry =
   | Unbound of Pdpix.proto
   | Bound_tcp of Net.Addr.endpoint
-  | Listening of listener
+  | Listening of chan Queue.t * Runtime.pending (* connected, not yet accepted *)
   | Channel of chan
 
 type t = {
@@ -60,6 +57,7 @@ let charge t ns = Host.charge (host t) ns
 let charge_dev t ns = Host.charge_as (host t) Engine.Span.Device ns
 
 let grant_available ch = Net.Wire.get_u32 ch.cell 0 - ch.sent
+let live ch = Runtime.failed ch.pops = None
 
 (* ---------- message emission ---------- *)
 
@@ -97,7 +95,7 @@ let rec flush_pending_loop t ch =
   end
 
 (* dlint: hotpath *)
-let flush_pending t ch = if ch.failed = None then flush_pending_loop t ch
+let flush_pending t ch = if live ch then flush_pending_loop t ch
 
 (* ---------- the stalled-sender retry list ----------
 
@@ -114,7 +112,7 @@ let rec insert_stalled ch chans =
   | c :: rest -> if ch.id < c.id then ch :: chans else c :: insert_stalled ch rest
 
 let mark_stalled t ch =
-  if (not ch.stalled) && ch.failed = None then begin
+  if (not ch.stalled) && live ch then begin
     ch.stalled <- true;
     t.stalled_chans <- insert_stalled ch t.stalled_chans
   end
@@ -127,7 +125,7 @@ let rec flush_stalled t chans =
   | [] -> false
   | ch :: rest ->
       flush_pending t ch;
-      let unstalled = Queue.is_empty ch.pending_sends || ch.failed <> None in
+      let unstalled = Queue.is_empty ch.pending_sends || not (live ch) in
       if unstalled then ch.stalled <- false;
       let rest_unstalled = flush_stalled t rest in
       unstalled || rest_unstalled
@@ -157,7 +155,7 @@ let flow_coroutine t ch () =
   let sched = Runtime.sched t.rt in
   let rec loop () =
     Dsched.block sched;
-    if ch.failed = None && not ch.eof then begin
+    if live ch && not ch.eof then begin
       let outstanding = ch.granted_to_peer - ch.consumed in
       if outstanding <= t.window / 2 && ch.peer_cell_rkey >= 0 then begin
         let new_grant = ch.consumed + t.window in
@@ -175,30 +173,43 @@ let flow_coroutine t ch () =
 
 (* ---------- channel bookkeeping ---------- *)
 
+(* The pops' source: a received message, then end-of-file. Consuming a
+   message may let the flow-control coroutine grant more window. *)
+let pop_next t ch () =
+  if not (Queue.is_empty ch.recv_q) then begin
+    let buf = Queue.pop ch.recv_q in
+    ch.consumed <- ch.consumed + 1;
+    (match ch.flow with Some h -> Dsched.wake (Runtime.sched t.rt) h | None -> ());
+    Some (Pdpix.Popped [ buf ])
+  end
+  else if ch.eof then Some (Pdpix.Popped [])
+  else None
+
 let make_chan t ~qd ~peer_mac =
   let id = t.next_chan in
   t.next_chan <- t.next_chan + 1;
-  let ch =
-    {
-      id;
-      chan_qd = qd;
-      peer_mac;
-      cell = Bytes.make 4 '\000';
-      peer_chan = -1;
-      peer_cell_rkey = -1;
-      sent = 0;
-      consumed = 0;
-      granted_to_peer = t.window;
-      pending_sends = Queue.create ();
-      pop_waiters = Queue.create ();
-      recv_q = Queue.create ();
-      eof = false;
-      connect_token = None;
-      failed = None;
-      flow = None;
-      stalled = false;
-    }
+  let rec ch =
+    lazy
+      {
+        id;
+        chan_qd = qd;
+        peer_mac;
+        cell = Bytes.make 4 '\000';
+        peer_chan = -1;
+        peer_cell_rkey = -1;
+        sent = 0;
+        consumed = 0;
+        granted_to_peer = t.window;
+        pending_sends = Queue.create ();
+        pops = Runtime.pending t.rt (fun () -> pop_next t (Lazy.force ch) ());
+        recv_q = Queue.create ();
+        eof = false;
+        connect_token = None;
+        flow = None;
+        stalled = false;
+      }
   in
+  let ch = Lazy.force ch in
   Hashtbl.replace t.chans id ch;
   Hashtbl.replace t.qds qd (Channel ch);
   ch.flow <-
@@ -210,33 +221,7 @@ let make_chan t ~qd ~peer_mac =
 
 let cell_rkey t ch = Net.Rdma_sim.register_region t.rnic ch.cell
 
-let service_pops t ch =
-  let rec go () =
-    if not (Queue.is_empty ch.pop_waiters) then begin
-      match ch.failed with
-      | Some reason ->
-          Runtime.complete t.rt (Queue.pop ch.pop_waiters) (Pdpix.Failed reason);
-          go ()
-      | None ->
-          if not (Queue.is_empty ch.recv_q) then begin
-            let buf = Queue.pop ch.recv_q in
-            ch.consumed <- ch.consumed + 1;
-            (match ch.flow with
-            | Some h -> Dsched.wake (Runtime.sched t.rt) h
-            | None -> ());
-            Runtime.complete t.rt (Queue.pop ch.pop_waiters) (Pdpix.Popped [ buf ]);
-            go ()
-          end
-          else if ch.eof then begin
-            Runtime.complete t.rt (Queue.pop ch.pop_waiters) (Pdpix.Popped []);
-            go ()
-          end
-    end
-  in
-  go ()
-
 let fail_chan t ch reason =
-  ch.failed <- Some reason;
   (match ch.connect_token with
   | Some qt ->
       ch.connect_token <- None;
@@ -244,8 +229,15 @@ let fail_chan t ch reason =
   | None -> ());
   Queue.iter (fun (qt, _) -> Runtime.complete t.rt qt (Pdpix.Failed reason)) ch.pending_sends;
   Queue.clear ch.pending_sends;
-  service_pops t ch;
+  Runtime.fail ch.pops reason;
   match ch.flow with Some h -> Dsched.wake (Runtime.sched t.rt) h | None -> ()
+
+let close_chan t ch =
+  if live ch && ch.peer_chan >= 0 then
+    post_control t ~dst:ch.peer_mac ~msg:m_close ~chan:ch.peer_chan "";
+  fail_chan t ch "queue closed";
+  Hashtbl.remove t.chans ch.id;
+  Hashtbl.remove t.qds ch.chan_qd
 
 (* ---------- completion handling ---------- *)
 
@@ -260,7 +252,7 @@ let handle_connect t ~src_mac ~payload =
       post_control t ~dst:src_mac ~msg:m_refuse ~chan:requester_chan ""
   | Some lqd -> (
       match Hashtbl.find_opt t.qds lqd with
-      | Some (Listening l) ->
+      | Some (Listening (backlog, accepts)) ->
           let qd = Runtime.fresh_qd t.rt in
           let ch = make_chan t ~qd ~peer_mac:src_mac in
           ch.peer_chan <- requester_chan;
@@ -268,9 +260,8 @@ let handle_connect t ~src_mac ~payload =
           Net.Wire.set_u32 ch.cell 0 grant;
           post_control t ~dst:src_mac ~msg:m_accept ~chan:requester_chan
             (u32s [ ch.id; cell_rkey t ch; t.window ] "");
-          (match Queue.take_opt l.accept_waiters with
-          | Some qt -> Runtime.complete t.rt qt (Pdpix.Accepted qd)
-          | None -> Queue.add ch l.ready)
+          Queue.add ch backlog;
+          Runtime.serve accepts
       | Some _ | None -> post_control t ~dst:src_mac ~msg:m_refuse ~chan:requester_chan "")
 
 (* dlint-allow: transitive-alloc-in-hotpath -- runs once per received message (busy RX): channel-table lookup and completion delivery are per-message work *)
@@ -305,13 +296,13 @@ let handle_recv t ~src_mac ~imm ~payload =
           let buf = Memory.Heap.alloc (host t).Host.heap (max 1 (String.length payload)) in
           Memory.Heap.blit_string payload buf;
           Queue.add buf ch.recv_q;
-          service_pops t ch
+          Runtime.serve ch.pops
       | None -> ())
   | 5 (* close *) -> (
       match Hashtbl.find_opt t.chans (chan_of imm) with
       | Some ch ->
           ch.eof <- true;
-          service_pops t ch
+          Runtime.serve ch.pops
       | None -> ())
   | _ -> ()
 
@@ -333,30 +324,25 @@ let rec handle_all t completions =
 
 let gc_site = Memory.Gcbudget.site "catmint.fast_path"
 
-(* Steady means the CQ was empty AND the stalled-sender retry round
-   made no progress; a silent grant arrival turns the round busy (it
-   posts sends, whose doorbell charge performs an effect). *)
+(* One poll: drain the completion queue, then retry stalled senders.
+   Steady means the CQ was empty AND the retry round made no progress;
+   a silent grant arrival turns the round busy (it posts sends, whose
+   doorbell charge performs an effect). Device work means a nonempty
+   CQ. *)
 (* dlint: hotpath *)
-let fast_path t slot () =
-  let sched = Runtime.sched t.rt in
-  let rec loop () =
-    Memory.Gcbudget.enter gc_site;
-    (match Net.Rdma_sim.poll_cq t.rnic ~max:16 with
-    | [] ->
-        if retry_stalled t then Memory.Gcbudget.leave_busy gc_site
-        else Memory.Gcbudget.leave_steady gc_site;
-        ignore (Runtime.maybe_park t.rt slot);
-        Dsched.yield sched
-    | completions ->
-        Memory.Gcbudget.leave_busy gc_site;
-        Runtime.fp_busy slot;
-        charge t (cost t).Net.Cost.libos_poll_ns;
-        handle_all t completions;
-        ignore (retry_stalled t);
-        Dsched.yield sched);
-    loop ()
-  in
-  loop ()
+let poll t () =
+  Memory.Gcbudget.enter gc_site;
+  match Net.Rdma_sim.poll_cq t.rnic ~max:16 with
+  | [] ->
+      if retry_stalled t then Memory.Gcbudget.leave_busy gc_site
+      else Memory.Gcbudget.leave_steady gc_site;
+      false
+  | completions ->
+      Memory.Gcbudget.leave_busy gc_site;
+      charge t (cost t).Net.Cost.libos_poll_ns;
+      handle_all t completions;
+      ignore (retry_stalled t);
+      true
 
 (* ---------- PDPIX operations ---------- *)
 
@@ -382,20 +368,21 @@ let op_bind t qd ep =
 let op_listen t qd _backlog =
   match find t qd with
   | Bound_tcp ep ->
-      Hashtbl.replace t.qds qd
-        (Listening { accept_waiters = Queue.create (); ready = Queue.create () });
+      let backlog = Queue.create () in
+      let next () =
+        if Queue.is_empty backlog then None
+        else Some (Pdpix.Accepted (Queue.pop backlog).chan_qd)
+      in
+      Hashtbl.replace t.qds qd (Listening (backlog, Runtime.pending t.rt next));
       Hashtbl.replace t.listeners ep.Net.Addr.port qd
   | Unbound _ | Listening _ | Channel _ -> invalid_arg "catmint: listen needs a bound qd"
 
 let op_accept t qd =
   match find t qd with
-  | Listening l -> (
-      match Queue.take_opt l.ready with
-      | Some ch -> Runtime.completed_token t.rt (Pdpix.Accepted ch.chan_qd)
-      | None ->
-          let qt = Runtime.fresh_token t.rt in
-          Queue.add qt l.accept_waiters;
-          qt)
+  | Listening (_, accepts) ->
+      let qt = Runtime.enqueue accepts in
+      Runtime.serve accepts;
+      qt
   | Unbound _ | Bound_tcp _ | Channel _ -> invalid_arg "catmint: accept on non-listener"
 
 (* Endpoint IPs map to device MACs 1:1 in our fabric; resolve by index. *)
@@ -417,12 +404,13 @@ let op_connect t qd (dst : Net.Addr.endpoint) =
 
 let op_close t qd =
   (match find t qd with
-  | Channel ch ->
-      if ch.failed = None && ch.peer_chan >= 0 then
-        post_control t ~dst:ch.peer_mac ~msg:m_close ~chan:ch.peer_chan "";
-      fail_chan t ch "closed";
-      Hashtbl.remove t.chans ch.id
-  | Listening _ | Unbound _ | Bound_tcp _ -> ());
+  | Channel ch -> close_chan t ch
+  | Listening (backlog, accepts) ->
+      (* Channels connected but never accepted close with it. *)
+      Queue.iter (close_chan t) backlog;
+      Queue.clear backlog;
+      Runtime.fail accepts "queue closed"
+  | Unbound _ | Bound_tcp _ -> ());
   Hashtbl.remove t.qds qd
 
 let sga_payload t sga =
@@ -439,7 +427,7 @@ let sga_payload t sga =
 let op_push t qd sga =
   match find t qd with
   | Channel ch -> (
-      match ch.failed with
+      match Runtime.failed ch.pops with
       | Some reason -> Runtime.completed_token t.rt (Pdpix.Failed reason)
       | None ->
           let payload = sga_payload t sga in
@@ -458,9 +446,8 @@ let op_push t qd sga =
 let op_pop t qd =
   match find t qd with
   | Channel ch ->
-      let qt = Runtime.fresh_token t.rt in
-      Queue.add qt ch.pop_waiters;
-      service_pops t ch;
+      let qt = Runtime.enqueue ch.pops in
+      Runtime.serve ch.pops;
       qt
   | Unbound _ | Bound_tcp _ | Listening _ -> invalid_arg "catmint: pop on non-channel"
 
@@ -483,10 +470,7 @@ let create rt ~rnic ?(window = 64) () =
   for _ = 1 to 4 * window do
     Net.Rdma_sim.post_recv rnic
   done;
-  Runtime.register_io_signal rt (Net.Rdma_sim.cq_signal rnic);
-  ignore
-    (Dsched.spawn (Runtime.sched rt) Dsched.Fast_path ~name:"catmint-fast-path"
-       (fast_path t (Runtime.new_fp_slot rt)));
+  Runtime.fast_path rt ~name:"catmint-fast-path" ~signal:(Net.Rdma_sim.cq_signal rnic) (poll t);
   t
 
 let ops t =
@@ -506,7 +490,3 @@ let ops t =
     op_seek = (fun _ _ -> Runtime.unsupported "catmint: seek");
     op_truncate = (fun _ _ -> Runtime.unsupported "catmint: truncate");
   }
-
-let api rt ~rnic ?window () =
-  let t = create rt ~rnic ?window () in
-  Runtime.make_api rt (ops t)

@@ -19,4 +19,3 @@ val create : Runtime.t -> rnic:Net.Rdma_sim.t -> ?window:int -> unit -> t
 (** [window] is the per-connection message credit (default 64). *)
 
 val ops : t -> Runtime.ops
-val api : Runtime.t -> rnic:Net.Rdma_sim.t -> ?window:int -> unit -> Pdpix.api

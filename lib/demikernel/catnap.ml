@@ -1,14 +1,14 @@
 type conn_entry = {
   fd : Oskernel.Kernel.fd;
-  pop_waiters : Pdpix.qtoken Queue.t;
+  pops : Runtime.pending;
   mutable connect_token : Pdpix.qtoken option;
 }
 
 type entry =
   | Unbound of Pdpix.proto
   | Bound_tcp of Net.Addr.endpoint
-  | Udp_sock of Oskernel.Kernel.fd * Pdpix.qtoken Queue.t
-  | Listener of Oskernel.Kernel.fd * Pdpix.qtoken Queue.t
+  | Udp_sock of Oskernel.Kernel.fd * Runtime.pending
+  | Listener of Oskernel.Kernel.fd * Runtime.pending
   | Connection of conn_entry
   | Log_file of log_state
 
@@ -42,46 +42,38 @@ let remove_qd t qd =
   Hashtbl.remove t.qds qd;
   t.qds_dirty <- true
 
-(* Per-queue service loops, top-level (not per-poll closures). Each
-   attempt is a real (charged) non-blocking syscall — the price of
-   Catnap's polling design. *)
-let rec service_udp t fd waiters =
-  if not (Queue.is_empty waiters) then
-    match Oskernel.Kernel.recvfrom t.kernel fd ~block:false with
-    | Some (from, payload) ->
-        let buf = Memory.Heap.alloc_of_string (host t).Host.heap payload in
-        complete t (Queue.pop waiters) (Pdpix.Popped_from (from, [ buf ]));
-        service_udp t fd waiters
-    | None -> ()
+(* The [next] sources of the pending queues. Each attempt is a real
+   (charged) non-blocking syscall — the price of Catnap's polling
+   design. *)
+let progress t completion =
+  t.service_progress <- true;
+  Some completion
 
-let rec service_listener t fd waiters =
-  if not (Queue.is_empty waiters) then
-    match Oskernel.Kernel.try_accept t.kernel fd with
-    | Some conn_fd ->
-        let conn_qd = Runtime.fresh_qd t.rt in
-        set_qd t conn_qd
-          (Connection { fd = conn_fd; pop_waiters = Queue.create (); connect_token = None });
-        complete t (Queue.pop waiters) (Pdpix.Accepted conn_qd);
-        service_listener t fd waiters
-    | None -> ()
+let heap_buf t payload = Memory.Heap.alloc_of_string (host t).Host.heap payload
 
-let rec service_conn_pops t ce =
-  if not (Queue.is_empty ce.pop_waiters) then
-    match Oskernel.Kernel.recv t.kernel ce.fd ~block:false with
-    | Some payload ->
-        let buf = Memory.Heap.alloc_of_string (host t).Host.heap payload in
-        complete t (Queue.pop ce.pop_waiters) (Pdpix.Popped [ buf ]);
-        service_conn_pops t ce
-    | None ->
-        if Oskernel.Kernel.at_eof t.kernel ce.fd then begin
-          complete t (Queue.pop ce.pop_waiters) (Pdpix.Popped []);
-          service_conn_pops t ce
-        end
+let udp_next t fd () =
+  match Oskernel.Kernel.recvfrom t.kernel fd ~block:false with
+  | Some (from, payload) -> progress t (Pdpix.Popped_from (from, [ heap_buf t payload ]))
+  | None -> None
+
+let pop_next t fd () =
+  match Oskernel.Kernel.recv t.kernel fd ~block:false with
+  | Some payload -> progress t (Pdpix.Popped [ heap_buf t payload ])
+  | None -> if Oskernel.Kernel.at_eof t.kernel fd then progress t (Pdpix.Popped []) else None
+
+let new_conn t fd connect_token = { fd; pops = Runtime.pending t.rt (pop_next t fd); connect_token }
+
+let accept_next t fd () =
+  match Oskernel.Kernel.try_accept t.kernel fd with
+  | Some conn_fd ->
+      let qd = Runtime.fresh_qd t.rt in
+      set_qd t qd (Connection (new_conn t conn_fd None));
+      progress t (Pdpix.Accepted qd)
+  | None -> None
 
 let service_entry t entry =
   match entry with
-  | Udp_sock (fd, waiters) -> service_udp t fd waiters
-  | Listener (fd, waiters) -> service_listener t fd waiters
+  | Udp_sock (_, q) | Listener (_, q) -> Runtime.serve q
   | Connection ce ->
       (match ce.connect_token with
       | Some qt -> (
@@ -94,7 +86,7 @@ let service_entry t entry =
               complete t qt (Pdpix.Failed "connection refused")
           | `Pending -> ())
       | None -> ());
-      service_conn_pops t ce
+      Runtime.serve ce.pops
   | Unbound _ | Bound_tcp _ | Log_file _ -> ()
 
 let rec service_all t entries =
@@ -124,31 +116,21 @@ let service t =
 
 let gc_site = Memory.Gcbudget.site "catnap.fast_path"
 
-(* The measured window covers only the kernel drain. [service] stays
-   outside it by design: every attempt is a charged syscall, and a
-   charge performs a [Fiber.sleep] effect whose continuation allocation
-   belongs to the simulation machinery, not the datapath. Steady means
-   the drain pulled no frame and fired no protocol timer. *)
+(* One poll: drain the kernel, then one [service] pass; device work
+   means some token completed. The measured window covers only the
+   kernel drain. [service] stays outside it by design: every attempt is
+   a charged syscall, and a charge performs a [Fiber.sleep] effect whose
+   continuation allocation belongs to the simulation machinery, not the
+   datapath. Steady means the drain pulled no frame and fired no
+   protocol timer. *)
 (* dlint: hotpath *)
-let fast_path t slot () =
-  let sched = Runtime.sched t.rt in
-  let rec loop () =
-    let a0 = Oskernel.Kernel.activity t.kernel in
-    Memory.Gcbudget.enter gc_site;
-    Oskernel.Kernel.poll t.kernel;
-    if Oskernel.Kernel.activity t.kernel = a0 then Memory.Gcbudget.leave_steady gc_site
-    else Memory.Gcbudget.leave_busy gc_site;
-    if service t then begin
-      Runtime.fp_busy slot;
-      Dsched.yield sched
-    end
-    else begin
-      ignore (Runtime.maybe_park t.rt slot);
-      Dsched.yield sched
-    end;
-    loop ()
-  in
-  loop ()
+let poll t () =
+  let a0 = Oskernel.Kernel.activity t.kernel in
+  Memory.Gcbudget.enter gc_site;
+  Oskernel.Kernel.poll t.kernel;
+  if Oskernel.Kernel.activity t.kernel = a0 then Memory.Gcbudget.leave_steady gc_site
+  else Memory.Gcbudget.leave_busy gc_site;
+  service t
 
 (* ---------- PDPIX operations ---------- *)
 
@@ -166,7 +148,7 @@ let op_bind t qd (ep : Net.Addr.endpoint) =
   match find t qd with
   | Unbound Pdpix.Udp ->
       let fd = Oskernel.Kernel.udp_socket t.kernel ~port:ep.Net.Addr.port in
-      set_qd t qd (Udp_sock (fd, Queue.create ()))
+      set_qd t qd (Udp_sock (fd, Runtime.pending t.rt (udp_next t fd)))
   | Unbound Pdpix.Tcp -> set_qd t qd (Bound_tcp ep)
   | Bound_tcp _ | Udp_sock _ | Listener _ | Connection _ | Log_file _ ->
       invalid_arg "catnap: bind on active qd"
@@ -175,15 +157,14 @@ let op_listen t qd _backlog =
   match find t qd with
   | Bound_tcp ep ->
       let fd = Oskernel.Kernel.tcp_listen t.kernel ~port:ep.Net.Addr.port in
-      set_qd t qd (Listener (fd, Queue.create ()))
+      set_qd t qd (Listener (fd, Runtime.pending t.rt (accept_next t fd)))
   | Unbound _ | Udp_sock _ | Listener _ | Connection _ | Log_file _ ->
       invalid_arg "catnap: listen needs a bound TCP qd"
 
 let op_accept t qd =
   match find t qd with
-  | Listener (_, waiters) ->
-      let qt = Runtime.fresh_token t.rt in
-      Queue.add qt waiters;
+  | Listener (_, accepts) ->
+      let qt = Runtime.enqueue accepts in
       ignore (service t);
       qt
   | Unbound _ | Bound_tcp _ | Udp_sock _ | Connection _ | Log_file _ ->
@@ -194,15 +175,16 @@ let op_connect t qd dst =
   | Unbound Pdpix.Tcp ->
       let fd = Oskernel.Kernel.connect_start t.kernel ~dst in
       let qt = Runtime.fresh_token t.rt in
-      set_qd t qd (Connection { fd; pop_waiters = Queue.create (); connect_token = Some qt });
+      set_qd t qd (Connection (new_conn t fd (Some qt)));
       qt
   | Unbound Pdpix.Udp | Bound_tcp _ | Udp_sock _ | Listener _ | Connection _ | Log_file _ ->
       invalid_arg "catnap: connect needs an unbound TCP qd"
 
 let op_close t qd =
   (match find t qd with
-  | Connection ce -> Oskernel.Kernel.close t.kernel ce.fd
-  | Udp_sock (fd, _) | Listener (fd, _) -> Oskernel.Kernel.close t.kernel fd
+  | Connection { fd; pops; _ } | Udp_sock (fd, pops) | Listener (fd, pops) ->
+      Oskernel.Kernel.close t.kernel fd;
+      Runtime.fail pops "queue closed"
   | Unbound _ | Bound_tcp _ | Log_file _ -> ());
   remove_qd t qd
 
@@ -236,14 +218,8 @@ let op_pushto t qd dst sga =
 
 let op_pop t qd =
   match find t qd with
-  | Connection ce ->
-      let qt = Runtime.fresh_token t.rt in
-      Queue.add qt ce.pop_waiters;
-      ignore (service t);
-      qt
-  | Udp_sock (_, waiters) ->
-      let qt = Runtime.fresh_token t.rt in
-      Queue.add qt waiters;
+  | Connection { pops; _ } | Udp_sock (_, pops) ->
+      let qt = Runtime.enqueue pops in
       ignore (service t);
       qt
   | Log_file ls -> (
@@ -299,10 +275,9 @@ let create rt ~kernel =
       service_progress = false;
     }
   in
-  Runtime.register_io_signal rt (Oskernel.Kernel.rx_signal kernel);
-  Runtime.register_timer_source rt (fun () -> Oskernel.Kernel.next_timer_ns kernel);
-  ignore (Dsched.spawn (Runtime.sched rt) Dsched.Fast_path ~name:"catnap-fast-path"
-       (fast_path t (Runtime.new_fp_slot rt)));
+  Runtime.fast_path rt ~name:"catnap-fast-path" ~signal:(Oskernel.Kernel.rx_signal kernel)
+    ~timer:(fun () -> Oskernel.Kernel.next_timer_ns kernel)
+    (poll t);
   t
 
 let ops t =
@@ -322,7 +297,3 @@ let ops t =
     op_seek = op_seek t;
     op_truncate = (fun _ _ -> Runtime.unsupported "catnap: truncate (no ext4 head-trim)");
   }
-
-let api rt ~kernel =
-  let t = create rt ~kernel in
-  Runtime.make_api rt (ops t)

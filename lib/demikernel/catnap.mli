@@ -9,11 +9,11 @@
     [Not_dma] heap) and no zero-copy.
 
     Storage: [open_log]/[push] map to write(2)+fsync(2) on an ext4-style
-    file; log reads are not implemented (none of the paper's Catnap
-    workloads read back). *)
+    file, each record length-framed; [pop] preads the next record from
+    a per-queue cursor ([seek] moves it), so a log reopened after a
+    crash replays what was pushed. *)
 
 type t
 
 val create : Runtime.t -> kernel:Oskernel.Kernel.t -> t
 val ops : t -> Runtime.ops
-val api : Runtime.t -> kernel:Oskernel.Kernel.t -> Pdpix.api

@@ -1,16 +1,14 @@
 type conn_entry = {
   conn : Tcp.Stack.conn;
-  conn_qd : Pdpix.qd;
-  pop_waiters : Pdpix.qtoken Queue.t;
+  pops : Runtime.pending;
   mutable connect_token : Pdpix.qtoken option;
-  mutable failed : string option;
 }
 
 type entry =
   | Unbound of Pdpix.proto
   | Bound_tcp of Net.Addr.endpoint
-  | Udp_bound of Tcp.Stack.udp_socket * Pdpix.qtoken Queue.t
-  | Listening of Tcp.Stack.listener * Pdpix.qtoken Queue.t
+  | Udp_bound of Tcp.Stack.udp_socket * Runtime.pending
+  | Listening of Tcp.Stack.listener * Runtime.pending
   | Connection of conn_entry
 
 type t = {
@@ -24,8 +22,8 @@ type t = {
          read — no hashing. The stack releases a slot only after the
          Closed/Reset event, and this table drops its entry in those
          handlers, so a reused slot never sees a stale entry. *)
-  by_udp : (int, Pdpix.qd) Hashtbl.t; (* udp port -> qd *)
-  by_listener : (int, Pdpix.qd) Hashtbl.t; (* tcp port -> qd *)
+  by_udp : (int, Runtime.pending) Hashtbl.t; (* udp port -> its pops *)
+  by_listener : (int, Runtime.pending) Hashtbl.t; (* tcp port -> its accepts *)
 }
 
 let conn_set t conn ce =
@@ -74,72 +72,41 @@ let pop_completion_of conn =
       | `Nothing -> None)
   | sga -> Some (Pdpix.Popped sga)
 
-let service_conn_pops t ce =
-  let rec go () =
-    if not (Queue.is_empty ce.pop_waiters) then begin
-      match ce.failed with
-      | Some reason -> (
-          match Queue.take_opt ce.pop_waiters with
-          | Some qt ->
-              Runtime.complete t.rt qt (Pdpix.Failed reason);
-              go ()
-          | None -> ())
-      | None -> (
-          match pop_completion_of ce.conn with
-          | Some completion ->
-              let qt = Queue.pop ce.pop_waiters in
-              Runtime.complete t.rt qt completion;
-              go ()
-          | None -> ())
-    end
-  in
-  go ()
+let new_conn t conn connect_token =
+  let ce = { conn; pops = Runtime.pending t.rt (fun () -> pop_completion_of conn); connect_token } in
+  conn_set t conn ce;
+  ce
 
-let service_accepts t l waiters =
-  let rec go () =
-    if not (Queue.is_empty waiters) then
-      match Tcp.Stack.tcp_accept l with
-      | Some conn ->
-          let qt = Queue.pop waiters in
-          let conn_qd = Runtime.fresh_qd t.rt in
-          let ce =
-            { conn; conn_qd; pop_waiters = Queue.create (); connect_token = None; failed = None }
-          in
-          Hashtbl.replace t.qds conn_qd (Connection ce);
-          conn_set t conn ce;
-          Runtime.complete t.rt qt (Pdpix.Accepted conn_qd);
-          go ()
-      | None -> ()
-  in
-  go ()
+let accept_next t l () =
+  match Tcp.Stack.tcp_accept l with
+  | Some conn ->
+      let qd = Runtime.fresh_qd t.rt in
+      Hashtbl.replace t.qds qd (Connection (new_conn t conn None));
+      Some (Pdpix.Accepted qd)
+  | None -> None
 
-let service_udp_pops t sock waiters =
-  let rec go () =
-    if not (Queue.is_empty waiters) then
-      match Tcp.Stack.udp_recv sock with
-      | Some (from, buf) ->
-          let qt = Queue.pop waiters in
-          Runtime.complete t.rt qt (Pdpix.Popped_from (from, [ buf ]));
-          go ()
-      | None -> ()
-  in
-  go ()
+let udp_next sock () =
+  match Tcp.Stack.udp_recv sock with
+  | Some (from, buf) -> Some (Pdpix.Popped_from (from, [ buf ]))
+  | None -> None
 
 let fail_conn t ce reason =
-  ce.failed <- Some reason;
   (match ce.connect_token with
   | Some qt ->
       ce.connect_token <- None;
       Runtime.complete t.rt qt (Pdpix.Failed reason)
   | None -> ());
-  service_conn_pops t ce;
+  Runtime.fail ce.pops reason;
   conn_clear t ce.conn
+
+let serve_port table port =
+  match Hashtbl.find_opt table port with Some q -> Runtime.serve q | None -> ()
 
 let on_stack_event t event =
   match event with
   | Tcp.Stack.Readable conn -> (
       match conn_find t conn with
-      | Some ce -> service_conn_pops t ce
+      | Some ce -> Runtime.serve ce.pops
       | None -> ())
   | Tcp.Stack.Established conn -> (
       match conn_find t conn with
@@ -151,20 +118,8 @@ let on_stack_event t event =
           | None -> ())
       | None -> ())
   | Tcp.Stack.Push_completed (_, push_id) -> Runtime.complete t.rt push_id Pdpix.Pushed
-  | Tcp.Stack.Accept_ready l -> (
-      match Hashtbl.find_opt t.by_listener (Tcp.Stack.listener_port l) with
-      | Some qd -> (
-          match Hashtbl.find_opt t.qds qd with
-          | Some (Listening (listener, waiters)) -> service_accepts t listener waiters
-          | Some _ | None -> ())
-      | None -> ())
-  | Tcp.Stack.Udp_readable sock -> (
-      match Hashtbl.find_opt t.by_udp (Tcp.Stack.udp_socket_port sock) with
-      | Some qd -> (
-          match Hashtbl.find_opt t.qds qd with
-          | Some (Udp_bound (s, waiters)) -> service_udp_pops t s waiters
-          | Some _ | None -> ())
-      | None -> ())
+  | Tcp.Stack.Accept_ready l -> serve_port t.by_listener (Tcp.Stack.listener_port l)
+  | Tcp.Stack.Udp_readable sock -> serve_port t.by_udp (Tcp.Stack.udp_socket_port sock)
   | Tcp.Stack.Reset conn -> (
       match conn_find t conn with
       | Some ce -> fail_conn t ce "connection reset"
@@ -199,40 +154,30 @@ let rec rx_all t frames =
       Tcp.Stack.input t.stack frame;
       rx_all t rest
 
-(* The steady-state iteration — empty burst, no timer work — is the
+let gc_site = Memory.Gcbudget.site "catnip.fast_path"
+
+(* One poll: drain an rx burst, then run protocol timers. The
+   steady-state iteration — empty burst, no timer work — is the
    measured gc-budget window: it must allocate zero minor-heap words.
-   The window opens before the burst poll and closes before
-   [maybe_park]/[yield], which run effect machinery (continuations
-   allocate by design — that cost is the scheduler's, not the poll
-   loop's). Timer work is detected via the wheel's cumulative
-   [timer_activity] counter: a cascade or a firing makes the poll
-   busy. *)
+   Timer work is detected via the wheel's cumulative [timer_activity]
+   counter: a cascade or a firing makes the poll busy. *)
 (* dlint: hotpath *)
-let fast_path t slot () =
-  let sched = Runtime.sched t.rt in
-  let gc_site = Memory.Gcbudget.site "catnip.fast_path" in
-  let rec loop () =
-    let activity0 = Tcp.Stack.timer_activity t.stack in
-    Memory.Gcbudget.enter gc_site;
-    (match Net.Dpdk_sim.rx_burst t.nic ~max:16 with
-    | [] ->
-        Tcp.Stack.on_timer t.stack;
-        if Tcp.Stack.timer_activity t.stack = activity0 then
-          Memory.Gcbudget.leave_steady gc_site
-        else Memory.Gcbudget.leave_busy gc_site;
-        ignore (Runtime.maybe_park t.rt slot);
-        Dsched.yield sched
-    | frames ->
-        Memory.Gcbudget.leave_busy gc_site;
-        Runtime.fp_busy slot;
-        charge t (cost t).Net.Cost.libos_poll_ns;
-        rx_all t frames;
-        Tcp.Stack.flush_acks t.stack;
-        Tcp.Stack.on_timer t.stack;
-        Dsched.yield sched);
-    loop ()
-  in
-  loop ()
+let poll t () =
+  let activity0 = Tcp.Stack.timer_activity t.stack in
+  Memory.Gcbudget.enter gc_site;
+  match Net.Dpdk_sim.rx_burst t.nic ~max:16 with
+  | [] ->
+      Tcp.Stack.on_timer t.stack;
+      if Tcp.Stack.timer_activity t.stack = activity0 then Memory.Gcbudget.leave_steady gc_site
+      else Memory.Gcbudget.leave_busy gc_site;
+      false
+  | frames ->
+      Memory.Gcbudget.leave_busy gc_site;
+      charge t (cost t).Net.Cost.libos_poll_ns;
+      rx_all t frames;
+      Tcp.Stack.flush_acks t.stack;
+      Tcp.Stack.on_timer t.stack;
+      true
 
 (* ---------- PDPIX operations ---------- *)
 
@@ -250,8 +195,9 @@ let op_bind t qd (ep : Net.Addr.endpoint) =
   match find t qd with
   | Unbound Pdpix.Udp ->
       let sock = Tcp.Stack.udp_bind t.stack ~port:ep.Net.Addr.port in
-      Hashtbl.replace t.qds qd (Udp_bound (sock, Queue.create ()));
-      Hashtbl.replace t.by_udp ep.Net.Addr.port qd
+      let pops = Runtime.pending t.rt (udp_next sock) in
+      Hashtbl.replace t.qds qd (Udp_bound (sock, pops));
+      Hashtbl.replace t.by_udp ep.Net.Addr.port pops
   | Unbound Pdpix.Tcp -> Hashtbl.replace t.qds qd (Bound_tcp ep)
   | Bound_tcp _ | Udp_bound _ | Listening _ | Connection _ ->
       invalid_arg "catnip: bind on active qd"
@@ -261,17 +207,17 @@ let op_listen t qd backlog =
   | Bound_tcp ep ->
       let port = ep.Net.Addr.port in
       let listener = Tcp.Stack.tcp_listen ~backlog t.stack ~port in
-      Hashtbl.replace t.qds qd (Listening (listener, Queue.create ()));
-      Hashtbl.replace t.by_listener port qd
+      let accepts = Runtime.pending t.rt (accept_next t listener) in
+      Hashtbl.replace t.qds qd (Listening (listener, accepts));
+      Hashtbl.replace t.by_listener port accepts
   | Unbound _ | Udp_bound _ | Listening _ | Connection _ ->
       invalid_arg "catnip: listen needs a bound TCP qd"
 
 let op_accept t qd =
   match find t qd with
-  | Listening (listener, waiters) ->
-      let qt = Runtime.fresh_token t.rt in
-      Queue.add qt waiters;
-      service_accepts t listener waiters;
+  | Listening (_, accepts) ->
+      let qt = Runtime.enqueue accepts in
+      Runtime.serve accepts;
       qt
   | Unbound _ | Bound_tcp _ | Udp_bound _ | Connection _ ->
       invalid_arg "catnip: accept on non-listener"
@@ -282,33 +228,32 @@ let op_connect t qd dst =
       charge_proto t (cost t).Net.Cost.tcp_tx_ns;
       let conn = Tcp.Stack.tcp_connect t.stack ~dst in
       let qt = Runtime.fresh_token t.rt in
-      let ce =
-        { conn; conn_qd = qd; pop_waiters = Queue.create (); connect_token = Some qt; failed = None }
-      in
-      Hashtbl.replace t.qds qd (Connection ce);
-      conn_set t conn ce;
+      Hashtbl.replace t.qds qd (Connection (new_conn t conn (Some qt)));
       qt
   | Unbound Pdpix.Udp | Bound_tcp _ | Udp_bound _ | Listening _ | Connection _ ->
       invalid_arg "catnip: connect needs an unbound TCP qd"
-
-let fail_waiters t waiters reason =
-  Queue.iter (fun qt -> Runtime.complete t.rt qt (Pdpix.Failed reason)) waiters;
-  Queue.clear waiters
 
 let op_close t qd =
   (match find t qd with
   | Connection ce ->
       Tcp.Stack.tcp_close ce.conn;
-      fail_waiters t ce.pop_waiters "queue closed";
+      Runtime.fail ce.pops "queue closed";
       charge_proto t (cost t).Net.Cost.tcp_tx_ns
-  | Udp_bound (_, waiters) | Listening (_, waiters) -> fail_waiters t waiters "queue closed"
+  | Udp_bound (sock, pops) ->
+      Tcp.Stack.udp_unbind t.stack sock;
+      Hashtbl.remove t.by_udp (Tcp.Stack.udp_socket_port sock);
+      Runtime.fail pops "queue closed"
+  | Listening (l, accepts) ->
+      Tcp.Stack.tcp_unlisten l;
+      Hashtbl.remove t.by_listener (Tcp.Stack.listener_port l);
+      Runtime.fail accepts "queue closed"
   | Unbound _ | Bound_tcp _ -> ());
   Hashtbl.remove t.qds qd
 
 let op_push t qd sga =
   match find t qd with
   | Connection ce -> (
-      match ce.failed with
+      match Runtime.failed ce.pops with
       | Some reason -> Runtime.completed_token t.rt (Pdpix.Failed reason)
       | None ->
           (* Inline outgoing processing in the application coroutine
@@ -343,15 +288,9 @@ let op_pushto t qd dst sga =
 
 let op_pop t qd =
   match find t qd with
-  | Connection ce ->
-      let qt = Runtime.fresh_token t.rt in
-      Queue.add qt ce.pop_waiters;
-      service_conn_pops t ce;
-      qt
-  | Udp_bound (sock, waiters) ->
-      let qt = Runtime.fresh_token t.rt in
-      Queue.add qt waiters;
-      service_udp_pops t sock waiters;
+  | Connection { pops; _ } | Udp_bound (_, pops) ->
+      let qt = Runtime.enqueue pops in
+      Runtime.serve pops;
       qt
   | Unbound _ | Bound_tcp _ | Listening _ -> invalid_arg "catnip: pop on non-I/O qd"
 
@@ -386,10 +325,9 @@ let create rt ~nic ?(config = Tcp.Stack.default_config) () =
   let t = Lazy.force t in
   Engine.Sim.at_teardown host.Host.sim (fun () ->
       Memory.Pool.log_teardown (Tcp.Stack.tcb_pool t.stack));
-  Runtime.register_io_signal rt (Net.Dpdk_sim.rx_signal nic);
-  Runtime.register_timer_source rt (fun () -> Tcp.Stack.next_timer_ns t.stack);
-  ignore (Dsched.spawn (Runtime.sched rt) Dsched.Fast_path ~name:"catnip-fast-path"
-       (fast_path t (Runtime.new_fp_slot rt)));
+  Runtime.fast_path rt ~name:"catnip-fast-path" ~signal:(Net.Dpdk_sim.rx_signal nic)
+    ~timer:(fun () -> Tcp.Stack.next_timer_ns t.stack)
+    (poll t);
   t
 
 let ops t =
@@ -409,7 +347,3 @@ let ops t =
     op_seek = (fun _ _ -> Runtime.unsupported "catnip: seek");
     op_truncate = (fun _ _ -> Runtime.unsupported "catnip: truncate");
   }
-
-let api rt ~nic ?config () =
-  let t = create rt ~nic ?config () in
-  Runtime.make_api rt (ops t)

@@ -15,8 +15,5 @@ val create : Runtime.t -> nic:Net.Dpdk_sim.t -> ?config:Tcp.Stack.config -> unit
 
 val ops : t -> Runtime.ops
 
-val api : Runtime.t -> nic:Net.Dpdk_sim.t -> ?config:Tcp.Stack.config -> unit -> Pdpix.api
-(** Convenience: [create] + [Runtime.make_api]. *)
-
 val stack : t -> Tcp.Stack.t
 (** The underlying TCP stack, for introspection (cwnd, retransmits). *)

@@ -52,53 +52,40 @@ let fresh_io t =
   t.next_io <- t.next_io + 1;
   id
 
-let fast_path t slot () =
-  let sched = Runtime.sched t.rt in
-  let rec loop () =
-    (* A crashed node must stop consuming the device's completion
-       queue — its successor owns the device now. *)
-    if t.dead then ()
-    else begin
-      run_once ();
-      loop ()
-    end
-  and run_once () =
-    (match Net.Ssd_sim.poll_cq t.ssd ~max:16 with
-    | [] ->
-        ignore (Runtime.maybe_park t.rt slot);
-        Dsched.yield sched
+let complete_io t { Net.Ssd_sim.id; ok; data } =
+  match Hashtbl.find_opt t.inflight id with
+  | None -> ()
+  | Some op -> (
+      Hashtbl.remove t.inflight id;
+      match op with
+      | Write_op { token; len } ->
+          if ok then begin
+            t.persisted <- t.persisted + len;
+            Runtime.complete t.rt token Pdpix.Pushed
+          end
+          else Runtime.complete t.rt token (Pdpix.Failed "device write error")
+      | Read_op { token } ->
+          if ok then begin
+            let buf = Memory.Heap.alloc (host t).Host.heap (max 1 (String.length data)) in
+            Memory.Heap.blit_string data buf;
+            Runtime.complete t.rt token (Pdpix.Popped [ buf ])
+          end
+          else Runtime.complete t.rt token (Pdpix.Failed "device read error")
+      | Sync_read { cell; waiter } ->
+          cell := Some (if ok then data else "");
+          Dsched.wake (Runtime.sched t.rt) waiter)
+
+(* A crashed node must stop consuming the device's completion queue —
+   its successor owns the device now. *)
+let poll t () =
+  if t.dead then false
+  else
+    match Net.Ssd_sim.poll_cq t.ssd ~max:16 with
+    | [] -> false
     | completions ->
-        Runtime.fp_busy slot;
         charge t (cost t).Net.Cost.libos_poll_ns;
-        List.iter
-          (fun { Net.Ssd_sim.id; ok; data } ->
-            match Hashtbl.find_opt t.inflight id with
-            | None -> ()
-            | Some op -> (
-                Hashtbl.remove t.inflight id;
-                match op with
-                | Write_op { token; len } ->
-                    if ok then begin
-                      t.persisted <- t.persisted + len;
-                      Runtime.complete t.rt token Pdpix.Pushed
-                    end
-                    else Runtime.complete t.rt token (Pdpix.Failed "device write error")
-                | Read_op { token } ->
-                    if ok then begin
-                      let buf =
-                        Memory.Heap.alloc (host t).Host.heap (max 1 (String.length data))
-                      in
-                      Memory.Heap.blit_string data buf;
-                      Runtime.complete t.rt token (Pdpix.Popped [ buf ])
-                    end
-                    else Runtime.complete t.rt token (Pdpix.Failed "device read error")
-                | Sync_read { cell; waiter } ->
-                    cell := Some (if ok then data else "");
-                    Dsched.wake sched waiter))
-          completions;
-        Dsched.yield sched)
-  in
-  loop ()
+        List.iter (complete_io t) completions;
+        true
 
 let kill t = t.dead <- true
 
@@ -254,10 +241,7 @@ let create rt ~ssd =
       persisted = 0;
     }
   in
-  Runtime.register_io_signal rt (Net.Ssd_sim.cq_signal ssd);
-  ignore
-    (Dsched.spawn (Runtime.sched rt) Dsched.Fast_path ~name:"cattree-fast-path"
-       (fast_path t (Runtime.new_fp_slot rt)));
+  Runtime.fast_path rt ~name:"cattree-fast-path" ~signal:(Net.Ssd_sim.cq_signal ssd) (poll t);
   t
 
 let ops t =
@@ -277,7 +261,3 @@ let ops t =
     op_seek = op_seek t;
     op_truncate = op_truncate t;
   }
-
-let api rt ~ssd =
-  let t = create rt ~ssd in
-  Runtime.make_api rt (ops t)

@@ -12,7 +12,6 @@ type t
 
 val create : Runtime.t -> ssd:Net.Ssd_sim.t -> t
 val ops : t -> Runtime.ops
-val api : Runtime.t -> ssd:Net.Ssd_sim.t -> Pdpix.api
 
 val bytes_persisted : t -> int
 

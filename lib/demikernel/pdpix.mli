@@ -44,6 +44,9 @@ type api = {
   accept : qd -> qtoken;
   connect : qd -> Net.Addr.endpoint -> qtoken;
   close : qd -> unit;
+      (** Every pop or accept still waiting on the qd completes
+          [Failed "queue closed"]; a closed listener or UDP socket
+          releases its port. *)
   queue : unit -> qd;  (** lightweight in-memory queue (Go-channel-like). *)
   open_log : string -> qd;  (** append-only log on the storage stack. *)
   seek : qd -> int -> unit;

@@ -8,8 +8,6 @@ type token_state = {
    per blocking call, whatever the size of [qts]. *)
 type watcher = { who : Dsched.handle; qts : Pdpix.qtoken array; mutable stamp : int }
 
-type memq = { items : Memory.Heap.buffer list Queue.t; pop_waiters : Pdpix.qtoken Queue.t }
-
 type fp_slot = { mutable idle : bool }
 
 type t = {
@@ -32,6 +30,17 @@ type t = {
       (* Wakes a parked host fiber for non-device events (coroutine
          timeouts). Always part of [io_signals]. *)
 }
+
+(* The tokens of one queue's pops (or accepts) that wait for device
+   data, oldest first, and the source that produces that data. *)
+and pending = {
+  rt : t;
+  waiting : Pdpix.qtoken Queue.t;
+  mutable failure : string option; (* sticky: fails every later token *)
+  next : unit -> Pdpix.completion option;
+}
+
+and memq = { items : Memory.Heap.buffer list Queue.t; pops : pending }
 
 let create host =
   let kick = Engine.Condvar.create host.Host.sim in
@@ -266,20 +275,45 @@ let wait_any_timeout t qts ~timeout_ns =
 
 let wait_all t qts = Array.map (wait t) qts
 
+(* --- pending-token queues, shared by every libOS and [queue()] --- *)
+
+let pending rt next = { rt; waiting = Queue.create (); failure = None; next }
+
+let enqueue q =
+  let qt = fresh_token q.rt in
+  Queue.add qt q.waiting;
+  qt
+
+let rec serve q =
+  if not (Queue.is_empty q.waiting) then
+    let ready = match q.failure with Some r -> Some (Pdpix.Failed r) | None -> q.next () in
+    match ready with
+    | Some completion ->
+        complete q.rt (Queue.pop q.waiting) completion;
+        serve q
+    | None -> ()
+
+let fail q reason =
+  q.failure <- Some reason;
+  serve q
+
+let failed q = q.failure
+
 (* --- in-memory queues --- *)
 
-let memq_pop t q =
-  match Queue.take_opt q.items with
-  | Some sga -> completed_token t (Pdpix.Popped sga)
-  | None ->
-      let qt = fresh_token t in
-      Queue.add qt q.pop_waiters;
-      qt
+let memq t =
+  let items = Queue.create () in
+  let next () = if Queue.is_empty items then None else Some (Pdpix.Popped (Queue.pop items)) in
+  { items; pops = pending t next }
+
+let memq_pop q =
+  let qt = enqueue q.pops in
+  serve q.pops;
+  qt
 
 let memq_push t q sga =
-  (match Queue.take_opt q.pop_waiters with
-  | Some waiting -> complete t waiting (Pdpix.Popped sga)
-  | None -> Queue.add sga q.items);
+  Queue.add sga q.items;
+  serve q.pops;
   completed_token t Pdpix.Pushed
 
 (* --- assembly --- *)
@@ -348,12 +382,16 @@ let make_api t ops =
     close =
       (fun qd ->
         libcall ();
-        with_memq qd ~memq:(fun _ -> Hashtbl.remove t.memqs qd) ~other:ops.op_close);
+        with_memq qd
+          ~memq:(fun q ->
+            fail q.pops "queue closed";
+            Hashtbl.remove t.memqs qd)
+          ~other:ops.op_close);
     queue =
       (fun () ->
         libcall ();
         let qd = fresh_qd t in
-        Hashtbl.replace t.memqs qd { items = Queue.create (); pop_waiters = Queue.create () };
+        Hashtbl.replace t.memqs qd (memq t);
         qd);
     open_log = (fun path -> libcall (); ops.op_open_log path);
     seek = (fun qd off -> libcall (); ops.op_seek qd off);
@@ -367,7 +405,7 @@ let make_api t ops =
     pop =
       (fun qd ->
         libcall ();
-        labelled "pop" (with_memq qd ~memq:(fun q -> memq_pop t q) ~other:ops.op_pop));
+        labelled "pop" (with_memq qd ~memq:memq_pop ~other:ops.op_pop));
     wait = (fun qt -> libcall (); wait t qt);
     wait_any = (fun qts -> libcall (); wait_any t qts);
     wait_any_t = (fun qts ~timeout_ns -> libcall (); wait_any_timeout t qts ~timeout_ns);
@@ -389,16 +427,7 @@ let make_api t ops =
     causal = (fun () -> Engine.Sim.causal t.host.Host.sim);
   }
 
-let new_fp_slot t =
-  let slot = { idle = false } in
-  t.fp_slots <- slot :: t.fp_slots;
-  slot
-
-let fp_busy slot = slot.idle <- false
-
-let register_io_signal t cv = t.io_signals <- cv :: t.io_signals
-
-let register_timer_source t fn = t.timer_sources <- fn :: t.timer_sources
+(* --- the fast-path loop: polling without spinning --- *)
 
 (* Earliest deadline over every registered source; [max_int] = none.
    Int-based so per-poll deadline peeks allocate nothing. *)
@@ -412,8 +441,8 @@ let next_deadline_ns t =
 (* dlint-allow: transitive-alloc-in-hotpath scan-in-hotpath -- the park decision is the idle transition out of the poll loop, and fp_slots is the fixed set of fast-path pollers (a handful), not a connection-scaled table *)
 let maybe_park t slot =
   slot.idle <- true;
-  if Dsched.runnable_apps t.sched || Dsched.has_pending_wakes t.sched then false
-  else if List.exists (fun s -> not s.idle) t.fp_slots then false
+  if Dsched.runnable_apps t.sched || Dsched.has_pending_wakes t.sched then ()
+  else if List.exists (fun s -> not s.idle) t.fp_slots then ()
   else begin
     let timeout =
       match next_deadline_ns t with
@@ -426,9 +455,21 @@ let maybe_park t slot =
        every fast path before anyone may park again, otherwise this
        coroutine could re-park ahead of the one whose completion just
        arrived. *)
-    List.iter (fun s -> s.idle <- false) t.fp_slots;
-    true
+    List.iter (fun s -> s.idle <- false) t.fp_slots
   end
+
+(* dlint: hotpath *)
+let rec poll_loop t slot poll =
+  if poll () then slot.idle <- false else maybe_park t slot;
+  Dsched.yield t.sched;
+  poll_loop t slot poll
+
+let fast_path t ~name ~signal ?timer poll =
+  t.io_signals <- signal :: t.io_signals;
+  (match timer with Some fn -> t.timer_sources <- fn :: t.timer_sources | None -> ());
+  let slot = { idle = false } in
+  t.fp_slots <- slot :: t.fp_slots;
+  ignore (Dsched.spawn t.sched Dsched.Fast_path ~name (fun () -> poll_loop t slot poll))
 
 let spawn_app t ?(name = "app") main api =
   ignore (Dsched.spawn t.sched Dsched.App ~name (fun () -> main api))

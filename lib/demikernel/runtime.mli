@@ -1,8 +1,9 @@
-(** Shared datapath-OS runtime: queue tokens, the [wait_*] family, queue
-    descriptor allocation, and the in-memory [queue()] type — everything
-    that is identical across library OSes. Each libOS supplies an
-    {!ops} record for its device-specific queues; the runtime assembles
-    the full PDPIX {!Pdpix.api}. *)
+(** Shared datapath-OS runtime: queue tokens, the [wait_*] family, the
+    pending-token queues behind every pop and accept, the close rule,
+    queue descriptor allocation, the in-memory [queue()] type and the
+    fast-path poll loop — everything that is identical across library
+    OSes. Each libOS supplies an {!ops} record and a [poll] function
+    for its device; the runtime assembles the full PDPIX {!Pdpix.api}. *)
 
 type t
 
@@ -22,6 +23,26 @@ val complete : t -> Pdpix.qtoken -> Pdpix.completion -> unit
 
 val completed_token : t -> Pdpix.completion -> Pdpix.qtoken
 (** Allocate and complete in one step — the inline fast path. *)
+
+(** {1 Pending-token queues}
+
+    The FIFO of a queue's waiting pops (or accepts), built once per
+    queue over a [next] source of ready completions. *)
+
+type pending
+
+val pending : t -> (unit -> Pdpix.completion option) -> pending
+val enqueue : pending -> Pdpix.qtoken (** Mint a token; queue it last. *)
+
+val serve : pending -> unit
+(** Complete the oldest tokens while [next] has a completion (it runs
+    only while a token waits); once failed, complete them all failed. *)
+
+val fail : pending -> string -> unit
+(** Fail every waiting and every later token with [reason]. Closing a
+    qd fails its pending queues with ["queue closed"]. *)
+
+val failed : pending -> string option
 
 (** {1 Queue descriptors} *)
 
@@ -71,25 +92,15 @@ val start : t -> unit
     after the libOS and app coroutines are set up; {!Engine.Sim.run}
     then drives everything. *)
 
-(** {1 Idle coordination for fast-path coroutines}
+(** {1 The fast-path loop} *)
 
-    Each fast-path coroutine owns a slot. When it finds no device work
-    it marks the slot idle and calls {!maybe_park}: if every other fast
-    path is idle too and no application coroutine is runnable, the call
-    parks the host fiber on the union of registered device signals
-    (bounded by the earliest registered protocol timer) and returns
-    [true]; otherwise it returns [false] and the caller should just
-    yield. This is how polling libOSes coexist on one CPU without
-    simulating billions of empty polls. *)
-
-type fp_slot
-
-val new_fp_slot : t -> fp_slot
-val fp_busy : fp_slot -> unit
-val register_io_signal : t -> Engine.Condvar.t -> unit
-val register_timer_source : t -> (unit -> int) -> unit
-(** The source returns its earliest pending deadline in virtual ns, or
-    [max_int] for none — int-based so the per-poll peek allocates
-    nothing (see [Tcp.Stack.next_timer_ns]). *)
-
-val maybe_park : t -> fp_slot -> bool
+val fast_path :
+  t -> name:string -> signal:Engine.Condvar.t -> ?timer:(unit -> int) -> (unit -> bool) -> unit
+(** [fast_path t ~name ~signal ?timer poll] spawns the device's poll
+    coroutine: [poll ()] says whether it found device work; if not, the
+    host fiber parks on every registered [signal] until the earliest
+    [timer] deadline (virtual ns, [max_int] = none, see
+    [Tcp.Stack.next_timer_ns]) — but only when every fast path is idle
+    and no application coroutine can run. Either way it then yields.
+    This is how polling libOSes share one CPU without simulating
+    billions of empty polls. *)

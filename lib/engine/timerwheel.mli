@@ -14,7 +14,7 @@
     firings across runs. Resolution is 1 virtual ns (tick == ns); no
     rounding of deadlines ever occurs, so [next_deadline_ns] returns
     exactly the earliest armed deadline — required because
-    [Runtime.maybe_park] sleeps until that instant and a coarsened bound
+    [Runtime.fast_path] parks until that instant and a coarsened bound
     would change virtual time. *)
 
 type 'a t

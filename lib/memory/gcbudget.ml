@@ -2,7 +2,7 @@
 
    The static pass (Lint.Alloccheck) flags allocation *sites*; this
    module proves the property dynamically: with the oracle armed
-   (selfcheck / alloc-smoke), every steady-state poll in a marked hot
+   (selfcheck / @selfcheck), every steady-state poll in a marked hot
    region must allocate ZERO words on the OCaml minor heap.
 
    Measurement uses [Gc.minor_words], a cumulative monotonic counter:

@@ -3,7 +3,7 @@
     Asserts that steady-state poll iterations in marked hot regions
     allocate zero words on the OCaml minor heap. Disarmed (the
     default), {!enter}/{!leave_steady}/{!leave_busy} are single
-    bool-check no-ops; armed (selfcheck / [make alloc-smoke]), each
+    bool-check no-ops; armed (selfcheck / [dune build @selfcheck]), each
     steady poll's [Gc.minor_words] delta — minus the calibrated
     self-allocation of the counter read itself — must be zero, after a
     per-site warmup that exempts first-use lazy initialisation.

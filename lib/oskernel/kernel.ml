@@ -257,7 +257,9 @@ let close t fd =
   enter_syscall t;
   (match fd_state t fd with
   | Conn conn -> Tcp.Stack.tcp_close conn
-  | Udp _ | Listener _ | Closed -> ());
+  | Udp sock -> Tcp.Stack.udp_unbind t.stack sock
+  | Listener l -> Tcp.Stack.tcp_unlisten l
+  | Closed -> ());
   Hashtbl.replace t.fds fd Closed
 
 let fd_ready t fd =

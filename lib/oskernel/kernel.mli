@@ -58,6 +58,8 @@ val recv : t -> fd -> block:bool -> string option
 
 val at_eof : t -> fd -> bool
 val close : t -> fd -> unit
+(** Close the fd. A listener or UDP socket frees its port, and a
+    listener aborts the connections it had not handed out. *)
 
 val readable : t -> fd -> bool
 (** Data, an accepted connection, or EOF is ready (non-blocking check

@@ -156,6 +156,7 @@ and listener = {
   backlog : int;
   accept_q : conn Queue.t;
   mutable syn_pending : int; (* connections in SYN_RCVD for this listener *)
+  mutable l_open : bool; (* false once [tcp_unlisten]ed *)
 }
 
 and udp_socket = {
@@ -300,6 +301,7 @@ let udp_bind t ~port =
   Hashtbl.replace t.udp_socks port sock;
   sock
 
+let udp_unbind t sock = Hashtbl.remove t.udp_socks sock.u_port
 let udp_socket_port sock = sock.u_port
 
 let udp_sendto t sock ~dst buf =
@@ -715,7 +717,8 @@ let enter_time_wait conn =
 let tcp_listen ?(backlog = 128) t ~port =
   if Hashtbl.mem t.listeners port then invalid_arg "Stack.tcp_listen: port in use";
   let l =
-    { l_stack = t; l_port = port; backlog; accept_q = Queue.create (); syn_pending = 0 }
+    { l_stack = t; l_port = port; backlog; accept_q = Queue.create (); syn_pending = 0;
+      l_open = true }
   in
   Hashtbl.replace t.listeners port l;
   l
@@ -814,6 +817,12 @@ let tcp_abort conn =
       emit_segment conn ~seq:(snd_nxt conn) ~syn:false ~ack_flag:true ~fin:false ~rst:true
         ~payload:None);
   to_closed conn ~reset:false
+
+let tcp_unlisten l =
+  l.l_open <- false;
+  Hashtbl.remove l.l_stack.listeners l.l_port;
+  Queue.iter tcp_abort l.accept_q;
+  Queue.clear l.accept_q
 
 let tcp_recv conn =
   if not (Queue.is_empty conn.recv_q) then begin
@@ -1065,14 +1074,17 @@ let handle_existing conn th payload_str seg_len =
           tset conn f_snd_wnd (th.Net.Tcp_wire.window lsl tget conn f_peer_wscale);
           set_state conn Established_st;
           cancel_rto conn;
-          (match conn.parent_listener with
+          match conn.parent_listener with
+          | Some l when not l.l_open ->
+              (* Its listener closed mid-handshake: nobody can accept it. *)
+              tcp_abort conn
           | Some l ->
               l.syn_pending <- max 0 (l.syn_pending - 1);
               Queue.add conn l.accept_q;
-              t.events (Accept_ready l)
-          | None -> ());
-          (* The handshake ACK may carry data. *)
-          process_payload conn th payload_str seg_len
+              t.events (Accept_ready l);
+              (* The handshake ACK may carry data. *)
+              process_payload conn th payload_str seg_len
+          | None -> process_payload conn th payload_str seg_len
         end
     | Established_st | Fin_wait_1 | Fin_wait_2 | Close_wait | Closing | Last_ack ->
         (* A retransmitted SYN/SYN-ACK means our handshake ACK was lost:

@@ -86,8 +86,8 @@ val input : t -> string -> unit
 val next_timer_ns : t -> int
 (** Earliest pending timer deadline (ns), [max_int] when no timer is
     armed. O(1) and allocation-free: an exact peek into the stack's
-    timer wheel ([Engine.Timerwheel]), so pollers and
-    [Runtime.maybe_park] can call it every iteration for free. *)
+    timer wheel ([Engine.Timerwheel]), so pollers and the park decision
+    of [Runtime.fast_path] can call it every iteration for free. *)
 
 val timer_activity : t -> int
 (** Cumulative [Engine.Timerwheel.activity] of the stack's wheel:
@@ -115,6 +115,9 @@ val flush_acks : t -> unit
 val udp_bind : t -> port:int -> udp_socket
 (** Raises [Invalid_argument] if the port is taken. *)
 
+val udp_unbind : t -> udp_socket -> unit
+(** Release the socket's port; datagrams to it are dropped from now on. *)
+
 val udp_socket_port : udp_socket -> int
 
 val udp_sendto : t -> udp_socket -> dst:Net.Addr.endpoint -> Memory.Heap.buffer -> unit
@@ -131,6 +134,11 @@ val udp_pending : udp_socket -> int
     handshakes plus unaccepted connections; SYNs beyond it are silently
     dropped. *)
 val tcp_listen : ?backlog:int -> t -> port:int -> listener
+
+val tcp_unlisten : listener -> unit
+(** Stop listening and release the port. Connections still waiting in
+    the accept queue, and those that finish their handshake later, are
+    aborted (RST). *)
 
 val listener_port : listener -> int
 val tcp_accept : listener -> conn option

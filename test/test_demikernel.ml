@@ -616,6 +616,132 @@ let test_wait_any_t_timeout_catnip () =
 let test_wait_any_t_timeout_catnap () =
   wait_any_t_timeout_roundtrip Demikernel.Boot.Catnap_os
 
+(* ---------- close semantics ---------- *)
+
+(* Close [qd] under its waiting token [qt]: what [wait_any_t] answers
+   within 1 ms. *)
+let close_under (api : Demikernel.Pdpix.api) qd qt =
+  api.close qd;
+  match api.wait_any_t [| qt |] ~timeout_ns:1_000_000 with
+  | Some (_, Demikernel.Pdpix.Failed reason) -> reason
+  | Some _ -> "completed"
+  | None -> "still pending"
+
+(* Every kind of waiting pop or accept: a UDP pop (not on Catmint, which
+   has no datagram sockets), a connection pop, an accept, a [queue()]
+   pop. Each completes [Failed "queue closed"] when its qd closes. *)
+let close_fails_pending flavor () =
+  let open Demikernel.Pdpix in
+  let sim = Engine.Sim.create () in
+  let fabric = Net.Fabric.create sim ~cost:bare () in
+  let server = Demikernel.Boot.make sim fabric ~index:1 flavor in
+  let client = Demikernel.Boot.make sim fabric ~index:2 flavor in
+  let got = ref [] in
+  let note what reason = got := (what, reason) :: !got in
+  Demikernel.Boot.run_app server (fun api ->
+      let lqd = api.socket Tcp in
+      api.bind lqd (Demikernel.Boot.endpoint server 7);
+      api.listen lqd ~backlog:8;
+      (match api.wait (api.accept lqd) with Accepted _ -> () | _ -> failwith "accept");
+      note "accept" (close_under api lqd (api.accept lqd));
+      let q = api.queue () in
+      note "queue() pop" (close_under api q (api.pop q));
+      if flavor <> Demikernel.Boot.Catmint_os then begin
+        let u = api.socket Udp in
+        api.bind u (Demikernel.Boot.endpoint server 9);
+        note "udp pop" (close_under api u (api.pop u))
+      end);
+  Demikernel.Boot.run_app client (fun api ->
+      let qd = connect_echo api (Demikernel.Boot.endpoint server 7) in
+      note "connection pop" (close_under api qd (api.pop qd)));
+  Demikernel.Boot.start server;
+  Demikernel.Boot.start client;
+  Engine.Sim.run ~until:(Engine.Clock.s 1) sim;
+  let kinds =
+    [ "accept"; "connection pop"; "queue() pop" ]
+    @ if flavor = Demikernel.Boot.Catmint_os then [] else [ "udp pop" ]
+  in
+  Alcotest.(check (list (pair string string)))
+    "every waiting token fails on close"
+    (List.map (fun k -> (k, "queue closed")) kinds)
+    (List.sort compare !got)
+
+(* Closing a listener or a UDP socket releases its port: listening or
+   binding on it again works. *)
+let close_releases_ports flavor () =
+  let open Demikernel.Pdpix in
+  let sim = Engine.Sim.create () in
+  let fabric = Net.Fabric.create sim ~cost:bare () in
+  let node = Demikernel.Boot.make sim fabric ~index:1 flavor in
+  let outcomes = ref [] in
+  let attempt what f =
+    let r = match f () with () -> "ok" | exception Invalid_argument m -> m in
+    outcomes := (what, r) :: !outcomes
+  in
+  Demikernel.Boot.run_app node (fun api ->
+      let ep port = Demikernel.Boot.endpoint node port in
+      let listen () =
+        let qd = api.socket Tcp in
+        api.bind qd (ep 7);
+        api.listen qd ~backlog:8;
+        api.close qd
+      in
+      let bind () =
+        let qd = api.socket Udp in
+        api.bind qd (ep 9);
+        api.close qd
+      in
+      attempt "listen" listen;
+      attempt "listen again" listen;
+      if flavor <> Demikernel.Boot.Catmint_os then begin
+        attempt "bind" bind;
+        attempt "bind again" bind
+      end);
+  Demikernel.Boot.start node;
+  Engine.Sim.run ~until:(Engine.Clock.ms 1) sim;
+  let expected =
+    [ "listen"; "listen again" ]
+    @ if flavor = Demikernel.Boot.Catmint_os then [] else [ "bind"; "bind again" ]
+  in
+  Alcotest.(check (list (pair string string)))
+    "the port is free again after close"
+    (List.map (fun w -> (w, "ok")) expected)
+    (List.rev !outcomes)
+
+(* A connection the listener never handed out ends when the listener
+   closes: Catnip resets it, Catmint closes the channel (the peer reads
+   end-of-file). *)
+let close_ends_unaccepted flavor expected () =
+  let open Demikernel.Pdpix in
+  let sim = Engine.Sim.create () in
+  let fabric = Net.Fabric.create sim ~cost:bare () in
+  let server = Demikernel.Boot.make sim fabric ~index:1 flavor in
+  let client = Demikernel.Boot.make sim fabric ~index:2 flavor in
+  let listener = ref None and got = ref "not run" in
+  Demikernel.Boot.run_app server (fun api ->
+      let lqd = api.socket Tcp in
+      api.bind lqd (Demikernel.Boot.endpoint server 7);
+      api.listen lqd ~backlog:8;
+      listener := Some lqd);
+  Demikernel.Boot.run_app client (fun api ->
+      let qd = connect_echo api (Demikernel.Boot.endpoint server 7) in
+      let qt = api.pop qd in
+      got :=
+        match api.wait_any_t [| qt |] ~timeout_ns:1_000_000 with
+        | Some (_, Failed reason) -> reason
+        | Some (_, Popped []) -> "eof"
+        | Some _ -> "data"
+        | None -> "still pending");
+  Demikernel.Boot.run_app server ~name:"closer" (fun api ->
+      (* Sleep until the client's connection is established, then
+         close the listener under it. *)
+      ignore (api.wait_any_t [| api.pop (api.queue ()) |] ~timeout_ns:200_000);
+      api.close (Option.get !listener));
+  Demikernel.Boot.start server;
+  Demikernel.Boot.start client;
+  Engine.Sim.run ~until:(Engine.Clock.s 1) sim;
+  Alcotest.(check string) "the client's pop ends" expected !got
+
 (* ---------- wait_any against a reference scan ---------- *)
 
 (* One step of a wait_any script: the slots completed before the call,
@@ -854,6 +980,74 @@ let test_wait_any_words_flat () =
   if Float.abs (large -. small) > 4.0 then
     Alcotest.failf "words per wait_any: %.1f at 16 tokens, %.1f at 2048" small large
 
+(* Words allocated per complete -> wake -> redeem cycle while [blocked]
+   coroutines wait, each in [wait] on its own pop of one in-memory
+   queue. A push completes the oldest pop; its receiver redeems it, pops
+   again and blocks again. With one waiter slot per token the cycle
+   costs the same words however many coroutines wait. Sent through the
+   [wait_any] watcher list instead, every unlink re-conses the list's
+   prefix. Windows that saw a minor collection are skipped, as in
+   [wait_any_words], and so are the first cycles: the first push grows
+   the token table past the receivers' tokens, once. *)
+let wait_cycle_words ~blocked =
+  let sim = Engine.Sim.create () in
+  let fabric = Net.Fabric.create sim ~cost:{ bare with Net.Cost.libos_sched_ns = 0 } () in
+  let node = Demikernel.Boot.make sim fabric ~index:1 Demikernel.Boot.Catnip_os in
+  let queue = ref None in
+  let served = ref 0 in
+  let per_cycle = ref nan in
+  Demikernel.Boot.run_app node ~name:"driver" (fun api ->
+      let open Demikernel.Pdpix in
+      let q = api.queue () in
+      queue := Some q;
+      (* Every receiver runs once, up to its first blocking wait. *)
+      api.yield ();
+      let buf = api.alloc_str "x" in
+      let allocated () =
+        let minor, promoted, major = Gc.counters () in
+        minor +. major -. promoted
+      in
+      let minor_gcs () = (Gc.quick_stat ()).minor_collections in
+      let warmup = 16 and cycles = 512 in
+      let words = ref 0.0 and counted = ref 0 in
+      for i = 1 to warmup + cycles do
+        let target = !served + 1 in
+        let gcs = minor_gcs () in
+        let before = allocated () in
+        (match api.wait (api.push q [ buf ]) with Pushed -> () | _ -> failwith "push");
+        while !served < target do
+          api.yield ()
+        done;
+        let after = allocated () in
+        if i > warmup && minor_gcs () = gcs then begin
+          words := !words +. (after -. before);
+          incr counted
+        end
+      done;
+      if !counted >= cycles / 2 then per_cycle := !words /. float_of_int !counted);
+  for _ = 1 to blocked do
+    Demikernel.Boot.run_app node ~name:"receiver" (fun api ->
+        let q = Option.get !queue in
+        let rec receive () =
+          match api.Demikernel.Pdpix.wait (api.Demikernel.Pdpix.pop q) with
+          | Demikernel.Pdpix.Popped _ ->
+              incr served;
+              receive ()
+          | _ -> failwith "pop"
+        in
+        receive ())
+  done;
+  Demikernel.Boot.start node;
+  Engine.Sim.run ~until:(Engine.Clock.s 1) sim;
+  !per_cycle
+
+let test_wait_cycle_words_flat () =
+  let small = wait_cycle_words ~blocked:16 in
+  let large = wait_cycle_words ~blocked:2048 in
+  if Float.is_nan small || Float.is_nan large then Alcotest.fail "measurement did not run";
+  if Float.abs (large -. small) > 4.0 then
+    Alcotest.failf "words per wait cycle: %.1f with 16 blocked, %.1f with 2048" small large
+
 let suite =
   [
     Alcotest.test_case "waker basic" `Quick test_waker_basic;
@@ -884,6 +1078,8 @@ let suite =
       test_wait_any_shared_token;
     Alcotest.test_case "wait_any words do not grow with the wait set" `Quick
       test_wait_any_words_flat;
+    Alcotest.test_case "wait words do not grow with the blocked coroutines" `Quick
+      test_wait_cycle_words_flat;
     Alcotest.test_case "multi-worker request dispatch (C2)" `Quick test_multi_worker_dispatch;
     Alcotest.test_case "cattree log roundtrip" `Quick test_cattree_log_roundtrip;
     Alcotest.test_case "oracle: clean echo has no violations" `Quick test_oracle_clean_echo;
@@ -895,3 +1091,19 @@ let suite =
     Alcotest.test_case "wait_any_t timeout keeps tokens (catnap)" `Quick
       test_wait_any_t_timeout_catnap;
   ]
+  @ List.concat_map
+      (fun flavor ->
+        let name = Demikernel.Boot.flavor_name flavor in
+        [
+          Alcotest.test_case (Printf.sprintf "close fails pending tokens (%s)" name) `Quick
+            (close_fails_pending flavor);
+          Alcotest.test_case (Printf.sprintf "close releases ports (%s)" name) `Quick
+            (close_releases_ports flavor);
+        ])
+      Demikernel.Boot.[ Catnip_os; Catnap_os; Catmint_os ]
+  @ [
+      Alcotest.test_case "listener close resets unaccepted connections (catnip)" `Quick
+        (close_ends_unaccepted Demikernel.Boot.Catnip_os "connection reset");
+      Alcotest.test_case "listener close ends unaccepted channels (catmint)" `Quick
+        (close_ends_unaccepted Demikernel.Boot.Catmint_os "eof");
+    ]

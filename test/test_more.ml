@@ -352,7 +352,10 @@ let catmint_world ~window =
       Net.Rdma_sim.create fabric ~mac:(Net.Addr.Mac.of_index index)
         ~ip:(Net.Addr.Ip.of_index index) ()
     in
-    let api = Demikernel.Catmint.api rt ~rnic ~window () in
+    let api =
+      Demikernel.Runtime.make_api rt
+        (Demikernel.Catmint.ops (Demikernel.Catmint.create rt ~rnic ~window ()))
+    in
     (rt, api, rnic)
   in
   (sim, mk 1, mk 2)

@@ -535,6 +535,30 @@ let test_abort_resets_peer () =
   let seen = List.exists (fun (_, e) -> e = "b:reset") p.Pair.events in
   check_bool "reset event" true seen
 
+let test_unlisten_aborts_and_frees_port () =
+  let p = Pair.make () in
+  let dst = Net.Addr.endpoint (Net.Addr.Ip.of_index 2) 7 in
+  let l = Tcp.Stack.tcp_listen p.Pair.b ~port:7 in
+  let queued = Tcp.Stack.tcp_connect p.Pair.a ~dst in
+  Pair.run p;
+  check_int "connection waits in the accept queue" 1 (Tcp.Stack.accept_pending l);
+  (* A second connection still in its handshake (SYN_RCVD at b) when
+     the listener closes: its final ACK is a late arrival. *)
+  let late = Tcp.Stack.tcp_connect p.Pair.a ~dst in
+  Pair.run ~horizon:(p.Pair.clock + 3_000) p;
+  Tcp.Stack.tcp_unlisten l;
+  Pair.run p;
+  check_int "accept queue emptied" 0 (Tcp.Stack.accept_pending l);
+  check_bool "unaccepted connection reset" true
+    (Tcp.Stack.conn_state queued = Tcp.Stack.Closed_st);
+  check_bool "mid-handshake connection reset" true
+    (Tcp.Stack.conn_state late = Tcp.Stack.Closed_st);
+  check_int "no live connections on b" 0 (Tcp.Stack.live_connections p.Pair.b);
+  ignore (Tcp.Stack.tcp_listen p.Pair.b ~port:7);
+  let sock = Tcp.Stack.udp_bind p.Pair.b ~port:54 in
+  Tcp.Stack.udp_unbind p.Pair.b sock;
+  ignore (Tcp.Stack.udp_bind p.Pair.b ~port:54)
+
 let test_connect_refused () =
   let p = Pair.make () in
   let ca = Tcp.Stack.tcp_connect p.Pair.a ~dst:(Net.Addr.endpoint (Net.Addr.Ip.of_index 2) 81) in
@@ -1196,6 +1220,8 @@ let suite =
     Alcotest.test_case "tcp SYN loss recovery" `Quick test_syn_loss_recovery;
     Alcotest.test_case "tcp graceful close" `Quick test_graceful_close;
     Alcotest.test_case "tcp abort resets peer" `Quick test_abort_resets_peer;
+    Alcotest.test_case "unlisten aborts unaccepted connections, frees the port" `Quick
+      test_unlisten_aborts_and_frees_port;
     Alcotest.test_case "tcp connect refused" `Quick test_connect_refused;
     Alcotest.test_case "tcp flow control small window" `Quick test_flow_control_small_window;
     Alcotest.test_case "tcp reordering" `Quick test_reordering_via_latency;
