@@ -272,7 +272,7 @@ let server ?(port = 6379) ?(persist = false) (api : Pdpix.api) =
     if not (try_fast_path srv cs ~pop_op:op sga) then begin
       List.iter
         (fun buf ->
-          Framing.feed cs.acc (Memory.Heap.to_string buf);
+          Framing.feed_buf cs.acc buf;
           api.Pdpix.free buf)
         sga;
       let rec drain () =

@@ -58,29 +58,66 @@ let header ~payload_len ~req ~msg ~parent ~hop =
   write_ctx b 4 ~req ~msg ~parent ~hop;
   Bytes.unsafe_to_string b
 
-type accum = { buf : Buffer.t; last_ctx : ctx }
+(* The unread bytes are [buf.[rd .. wr)]. [feed] appends at [wr],
+   sliding the unread bytes to the front or moving them to a larger
+   buffer only when the tail is full; [next] extracts with one
+   [Bytes.sub_string] and advances [rd]. Once a frame's length prefix
+   has arrived, the buffer is sized for the whole frame, so a large
+   frame is accumulated without regrowing once per chunk. *)
+type accum = { mutable buf : Bytes.t; mutable rd : int; mutable wr : int; last_ctx : ctx }
 
-let create () = { buf = Buffer.create 256; last_ctx = make_ctx () }
+(* Up to this frame size the whole announced frame is reserved at once;
+   past it the buffer grows only as bytes arrive. *)
+let max_reserve = 1 lsl 20
 
-let feed a s = Buffer.add_string a.buf s
+let create () = { buf = Bytes.create 256; rd = 0; wr = 0; last_ctx = make_ctx () }
 
-let buffered a = Buffer.length a.buf
+(* Room for [n] more bytes at [wr]. *)
+let reserve a n =
+  let live = a.wr - a.rd in
+  let cap = Bytes.length a.buf in
+  if a.wr + n > cap then begin
+    if live + n <= cap then Bytes.blit a.buf a.rd a.buf 0 live
+    else begin
+      let b = Bytes.create (max (live + n) (2 * cap)) in
+      Bytes.blit a.buf a.rd b 0 live;
+      a.buf <- b
+    end;
+    a.rd <- 0;
+    a.wr <- live
+  end
+
+let feed_bytes a src off len =
+  reserve a len;
+  Bytes.blit src off a.buf a.wr len;
+  a.wr <- a.wr + len
+
+let feed a s = feed_bytes a (Bytes.unsafe_of_string s) 0 (String.length s)
+
+let feed_buf a buf =
+  feed_bytes a (Memory.Heap.data buf) (Memory.Heap.offset buf) (Memory.Heap.length buf)
+
+let buffered a = a.wr - a.rd
 
 let last a = a.last_ctx
 
 let next a =
-  let len = Buffer.length a.buf in
+  let len = a.wr - a.rd in
   if len < 4 then None
   else begin
-    let contents = Buffer.contents a.buf in
-    let b = Bytes.unsafe_of_string contents in
-    let frame_len = Net.Wire.get_u32 b 0 in
-    if len < 4 + frame_len || frame_len < ctx_size then None
+    let frame_len = Net.Wire.get_u32 a.buf a.rd in
+    if len < 4 + frame_len || frame_len < ctx_size then begin
+      if frame_len <= max_reserve then reserve a (4 + frame_len - len);
+      None
+    end
     else begin
-      read_ctx b 4 a.last_ctx;
-      let msg = String.sub contents hdr_size (frame_len - ctx_size) in
-      Buffer.clear a.buf;
-      Buffer.add_substring a.buf contents (4 + frame_len) (len - 4 - frame_len);
+      read_ctx a.buf (a.rd + 4) a.last_ctx;
+      let msg = Bytes.sub_string a.buf (a.rd + hdr_size) (frame_len - ctx_size) in
+      a.rd <- a.rd + 4 + frame_len;
+      if a.rd = a.wr then begin
+        a.rd <- 0;
+        a.wr <- 0
+      end;
       Some msg
     end
   end
@@ -168,7 +205,7 @@ let rec recv c =
         | Pdpix.Popped sga ->
             List.iter
               (fun buf ->
-                feed c.acc (Memory.Heap.to_string buf);
+                feed_buf c.acc buf;
                 c.api.Pdpix.free buf)
               sga
         | Pdpix.Failed _ -> c.eof <- true

@@ -47,15 +47,25 @@ val header : payload_len:int -> req:int -> msg:int -> parent:int -> hop:int -> s
     bytes — for servers that splice zero-copy value buffers after it. *)
 
 type accum
-(** Reassembly state for one connection. *)
+(** Reassembly state for one connection: a byte buffer with read and
+    write offsets. *)
 
 val create : unit -> accum
 
 val feed : accum -> string -> unit
 (** Append received bytes. *)
 
+val feed_buf : accum -> Memory.Heap.buffer -> unit
+(** Append a received heap buffer's payload, blitting it straight into
+    the accumulator (no intermediate string). The caller still owns and
+    frees [buf]. *)
+
 val next : accum -> string option
-(** Extract the next complete message (context stripped), if any. *)
+(** Extract the next complete message (context stripped), if any: one
+    copy of the message out of the accumulator. Feeding and extracting
+    are linear in the bytes fed — an incomplete frame is never re-copied
+    per call, and once its length prefix has arrived the accumulator is
+    sized for the whole frame. *)
 
 val last : accum -> ctx
 (** The context of the most recently extracted message — the accum's

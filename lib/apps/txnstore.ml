@@ -56,7 +56,7 @@ let server ?(port = 7447) (api : Pdpix.api) =
   let serve cs ~op sga =
     List.iter
       (fun buf ->
-        Framing.feed cs.acc (Memory.Heap.to_string buf);
+        Framing.feed_buf cs.acc buf;
         api.Pdpix.free buf)
       sga;
     let rec drain () =

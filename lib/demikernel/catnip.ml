@@ -259,7 +259,7 @@ let op_push t qd sga =
           (* Inline outgoing processing in the application coroutine
              (Figure 4, steps 7-9). *)
           let bytes = Pdpix.sga_length sga in
-          let mss = (Tcp.Stack.default_config).Tcp.Stack.mss in
+          let mss = Tcp.Stack.send_mss ce.conn in
           let nsegs = max 1 ((bytes + mss - 1) / mss) in
           charge_proto t ((cost t).Net.Cost.tcp_push_ns + (nsegs * (cost t).Net.Cost.tcp_tx_ns));
           let qt = Runtime.fresh_token t.rt in

@@ -110,7 +110,9 @@ val capacity : buffer -> int
 
 val to_string : buffer -> string
 (** Copy the payload out as a string (test/assertion helper; does not
-    count as a datapath copy). *)
+    count as a datapath copy). No [lib/apps] receive path uses it:
+    they blit popped buffers into their framing accumulator with
+    [Apps.Framing.feed_buf]. *)
 
 val blit_string : string -> buffer -> unit
 (** Fill the payload with a string; sets [length]. *)

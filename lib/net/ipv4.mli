@@ -1,6 +1,7 @@
 (** IPv4 headers (RFC 791), no options. Fragmentation is supported for
-    UDP datagrams above the MTU; TCP never fragments (it segments at
-    the MSS). *)
+    UDP datagrams above the MTU. TCP segments at its effective MSS, so
+    its segments fit the MTU; only a data segment that also carries
+    SACK blocks fragments. *)
 
 type header = {
   total_length : int;  (** header + payload bytes. *)

@@ -10,6 +10,13 @@ let create ~rcv_nxt ~capacity = { rcv_nxt; segments = []; buffered = 0; capacity
 let rcv_nxt t = t.rcv_nxt
 let buffered_bytes t = t.buffered
 
+let take_in_order t ~seq ~len =
+  match t.segments with
+  | [] when seq = t.rcv_nxt && len <= t.capacity ->
+      t.rcv_nxt <- Seqnum.add t.rcv_nxt len;
+      true
+  | [] | _ :: _ -> false
+
 (* Trim the head of [payload] so it starts at or after [floor]. *)
 let trim_low ~floor ~seq payload =
   let skip = Seqnum.sub floor seq in

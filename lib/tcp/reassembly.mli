@@ -15,6 +15,14 @@ val insert : t -> seq:Seqnum.t -> string -> unit
 (** Offer a segment's payload at its sequence number. Bytes at or below
     the in-order point are trimmed away. *)
 
+val take_in_order : t -> seq:Seqnum.t -> len:int -> bool
+(** The in-order fast path: when [len] bytes at [seq] are exactly the
+    next expected data and nothing is buffered out of order, advance the
+    in-order point past them and return [true]; the caller delivers the
+    bytes itself, so they are never copied into the reassembly buffer.
+    Otherwise change nothing and return [false] (offer them to
+    {!insert}). *)
+
 val pop_ready : t -> string option
 (** Next in-order chunk, advancing the in-order point; [None] when the
     next byte has not arrived. *)

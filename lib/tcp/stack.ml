@@ -748,13 +748,26 @@ let tcp_connect t ~dst =
   arm_rto_at conn (now t + t.config.syn_rto_ns);
   conn
 
+(* The MSS bounds the payload of a segment with no TCP options (RFC
+   9293 §3.7.1, RFC 6691), so options every data segment carries come
+   out of it: with timestamps negotiated a full segment holds 12 bytes
+   less (the 10-byte option padded to a word) and still fits one
+   MTU-sized IP datagram. SACK blocks ride along only while out-of-order
+   data is buffered (loss recovery) and are not subtracted; a data
+   segment carrying them may IP-fragment. *)
+let send_mss conn =
+  if conn.tcb < 0 then conn.stack.config.mss
+  else
+    let mss = min conn.stack.config.mss (tget conn f_peer_mss) in
+    if get_flag conn flag_use_ts then mss - 12 else mss
+
 let tcp_send conn ?(push_id = 0) bufs =
   (match state conn with
   | Established_st | Close_wait -> ()
   | Syn_sent | Syn_received | Fin_wait_1 | Fin_wait_2 | Closing | Last_ack | Time_wait
   | Closed_st ->
       invalid_arg "Stack.tcp_send: connection cannot send");
-  let mss = min conn.stack.config.mss (tget conn f_peer_mss) in
+  let mss = send_mss conn in
   let seg_count buf = (Memory.Heap.length buf + mss - 1) / mss in
   let nsegs = List.fold_left (fun n buf -> n + seg_count buf) 0 bufs in
   if nsegs = 0 then invalid_arg "Stack.tcp_send: empty scatter-gather array";
@@ -964,24 +977,27 @@ let process_ack conn th ~payload_len =
 
 (* ---------- receive path ---------- *)
 
-let deliver_ready conn =
-  match conn.reasm with
-  | None -> ()
-  | Some reasm ->
-      let delivered = ref false in
-      let rec drain () =
-        match Reassembly.pop_ready reasm with
-        | Some chunk ->
-            let buf = Memory.Heap.alloc conn.stack.heap (String.length chunk) in
-            Memory.Heap.blit_string chunk buf;
-            Queue.add buf conn.recv_q;
-            conn.recv_q_bytes <- conn.recv_q_bytes + String.length chunk;
-            delivered := true;
-            drain ()
-        | None -> ()
-      in
-      drain ();
-      if !delivered then conn.stack.events (Readable conn)
+(* Copy [len] received bytes into a fresh heap buffer at the tail of
+   the receive queue — the one receive-side copy. *)
+let enqueue_recv conn src off len =
+  let buf = Memory.Heap.alloc conn.stack.heap len in
+  Bytes.blit src off (Memory.Heap.data buf) (Memory.Heap.offset buf) len;
+  Memory.Heap.set_length buf len;
+  Queue.add buf conn.recv_q;
+  conn.recv_q_bytes <- conn.recv_q_bytes + len
+
+let deliver_ready conn reasm =
+  let delivered = ref false in
+  let rec drain () =
+    match Reassembly.pop_ready reasm with
+    | Some chunk ->
+        enqueue_recv conn (Bytes.unsafe_of_string chunk) 0 (String.length chunk);
+        delivered := true;
+        drain ()
+    | None -> ()
+  in
+  drain ();
+  if !delivered then conn.stack.events (Readable conn)
 
 let establish conn ~irs ~options =
   let t = conn.stack in
@@ -998,7 +1014,11 @@ let establish conn ~irs ~options =
   | Some _ | None -> set_flag conn flag_use_ts false);
   set_flag conn flag_use_sack (t.config.use_sack && options.Net.Tcp_wire.sack_permitted)
 
-let process_payload conn th payload_str seg_len =
+(* [len] payload bytes at [off] in the frame [b]. The next in-order
+   segment with nothing buffered out of order (the steady stream) is
+   copied straight from the frame into the receive queue; every other
+   segment goes through [Reassembly] as a string. *)
+let process_payload conn th b off len =
   (match (get_flag conn flag_use_ts, th.Net.Tcp_wire.options.Net.Tcp_wire.timestamp) with
   | true, Some (tsval, _) -> tset conn f_ts_recent tsval
   | _, _ -> ());
@@ -1006,16 +1026,22 @@ let process_payload conn th payload_str seg_len =
   | None -> ()
   | Some reasm ->
       let seq = th.Net.Tcp_wire.seq in
-      let had_payload = String.length payload_str > 0 in
+      let had_payload = len > 0 in
       let expected = Reassembly.rcv_nxt reasm in
       if had_payload then begin
-        Reassembly.insert reasm ~seq payload_str;
-        deliver_ready conn
+        if Reassembly.take_in_order reasm ~seq ~len then begin
+          enqueue_recv conn b off len;
+          conn.stack.events (Readable conn)
+        end
+        else begin
+          Reassembly.insert reasm ~seq (Bytes.sub_string b off len);
+          deliver_ready conn reasm
+        end
       end;
       let advanced = Seqnum.lt expected (Reassembly.rcv_nxt reasm) in
       (* FIN consumes one sequence number after the payload. *)
       if th.Net.Tcp_wire.fin then begin
-        let fin_seq = Seqnum.add seq (String.length payload_str) in
+        let fin_seq = Seqnum.add seq len in
         if fin_seq = Reassembly.rcv_nxt reasm && not conn.eof_delivered_to_q then begin
           (* All data before the FIN has been delivered. *)
           conn.reasm <-
@@ -1040,10 +1066,8 @@ let process_payload conn th payload_str seg_len =
           (* In-order data: cumulative ack at the end of the poll burst. *)
         else send_ack conn (* duplicate or out-of-order: dup-ack now *)
       end
-      else if seg_len > 0 && not (Seqnum.in_window seq ~base:(Reassembly.rcv_nxt reasm) ~size:(max 1 (advertised_window conn))) then
-        send_ack conn
 
-let handle_existing conn th payload_str seg_len =
+let handle_existing conn th b off len =
   let t = conn.stack in
   if th.Net.Tcp_wire.rst then begin
     match state conn with
@@ -1066,7 +1090,7 @@ let handle_existing conn th payload_str seg_len =
             send_ack conn;
             t.events (Established conn)
           end
-          else send_rst_for t ~src_ip:conn.remote_ip ~th ~seg_len
+          else send_rst_for t ~src_ip:conn.remote_ip ~th ~seg_len:len
         end
     | Syn_received ->
         if th.Net.Tcp_wire.ack_flag && th.Net.Tcp_wire.ack = Seqnum.add (tget conn f_iss) 1 then begin
@@ -1083,16 +1107,15 @@ let handle_existing conn th payload_str seg_len =
               Queue.add conn l.accept_q;
               t.events (Accept_ready l);
               (* The handshake ACK may carry data. *)
-              process_payload conn th payload_str seg_len
-          | None -> process_payload conn th payload_str seg_len
+              process_payload conn th b off len
+          | None -> process_payload conn th b off len
         end
     | Established_st | Fin_wait_1 | Fin_wait_2 | Close_wait | Closing | Last_ack ->
         (* A retransmitted SYN/SYN-ACK means our handshake ACK was lost:
            re-ack so the peer can leave SYN_RCVD (RFC 793 p.69). *)
         if th.Net.Tcp_wire.syn then send_ack conn;
-        if th.Net.Tcp_wire.ack_flag then
-          process_ack conn th ~payload_len:(String.length payload_str);
-        if state conn <> Closed_st then process_payload conn th payload_str seg_len
+        if th.Net.Tcp_wire.ack_flag then process_ack conn th ~payload_len:len;
+        if state conn <> Closed_st then process_payload conn th b off len
     | Time_wait ->
         (* A retransmitted FIN: re-ack and restart the 2MSL clock. *)
         if th.Net.Tcp_wire.fin then begin
@@ -1130,10 +1153,9 @@ let handle_tcp t header b off =
   | exception Net.Wire.Malformed _ -> ()
   | th, payload_off ->
       let payload_len = seg_total - (payload_off - off) in
-      let payload_str = Bytes.sub_string b payload_off payload_len in
       let ka = (th.Net.Tcp_wire.dst_port lsl 16) lor th.Net.Tcp_wire.src_port in
       (match Conntab.find t.conns ~ka ~kb:src_ip with
-      | Some conn -> handle_existing conn th payload_str payload_len
+      | Some conn -> handle_existing conn th b payload_off payload_len
       | None -> (
           match Hashtbl.find_opt t.listeners th.Net.Tcp_wire.dst_port with
           | Some l when th.Net.Tcp_wire.syn && not th.Net.Tcp_wire.ack_flag ->

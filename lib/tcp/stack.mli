@@ -148,9 +148,14 @@ val tcp_connect : t -> dst:Net.Addr.endpoint -> conn
 (** Begin an active open; [Established] fires when the handshake
     completes. *)
 
+val send_mss : conn -> int
+(** The payload bytes of a full data segment: the smaller of our and
+    the peer's MSS, less the 12-byte timestamp option when timestamps
+    were negotiated (RFC 6691), so a full segment is one IP datagram. *)
+
 val tcp_send : conn -> ?push_id:int -> Memory.Heap.buffer list -> unit
 (** Queue a scatter-gather list of buffers for transmission, splitting
-    it into MSS-sized segments. Ownership: the stack holds a reference per segment until
+    it into {!send_mss}-sized segments. Ownership: the stack holds a reference per segment until
     acknowledgment; [Push_completed (conn, push_id)] fires when every
     segment has been transmitted once (the PDPIX push completion).
     Raises [Invalid_argument] if the connection cannot send. *)

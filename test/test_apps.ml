@@ -42,6 +42,79 @@ let framing_random =
       in
       drain [] = messages)
 
+(* Random frames split at random points, fed alternately as strings and
+   as heap buffers, with [next] drained after every feed: the messages
+   come back in order and [buffered] is always the bytes fed minus the
+   frames extracted. *)
+let framing_split_points =
+  QCheck.Test.make ~name:"framing: random splits, feed and feed_buf, buffered tracks" ~count:200
+    QCheck.(pair (list_of_size (Gen.int_range 0 20) (string_of_size (Gen.int_range 0 3000)))
+              (int_bound 1_000_000))
+    (fun (messages, salt) ->
+      let heap = Memory.Heap.create ~mode:Memory.Heap.Not_dma () in
+      let g = Engine.Prng.create (Int64.of_int salt) in
+      let a = Apps.Framing.create () in
+      let wire = String.concat "" (List.map Apps.Framing.encode messages) in
+      let n = String.length wire in
+      let fed = ref 0 and taken = ref 0 and got = ref [] and ok = ref true in
+      let rec drain () =
+        match Apps.Framing.next a with
+        | Some m ->
+            taken := !taken + Apps.Framing.hdr_size + String.length m;
+            got := m :: !got;
+            drain ()
+        | None -> ()
+      in
+      let rec feed off i =
+        if off < n then begin
+          let len = min (n - off) (1 + Engine.Prng.int g 2000) in
+          let chunk = String.sub wire off len in
+          if i land 1 = 0 then Apps.Framing.feed a chunk
+          else begin
+            let buf = Memory.Heap.alloc_of_string heap chunk in
+            Apps.Framing.feed_buf a buf;
+            Memory.Heap.free buf
+          end;
+          fed := !fed + len;
+          drain ();
+          if Apps.Framing.buffered a <> !fed - !taken then ok := false;
+          feed (off + len) (i + 1)
+        end
+      in
+      feed 0 0;
+      !ok && List.rev !got = messages && Apps.Framing.buffered a = 0)
+
+(* Accumulating one 64 KiB frame from MSS-sized chunks, calling [next]
+   after each, allocates a bounded multiple of the frame — not a
+   re-copy of the whole accumulator per call. *)
+let test_framing_linear () =
+  let frame = Apps.Framing.encode (String.make 65536 'v') in
+  let n = String.length frame in
+  let chunks =
+    List.init ((n + 1447) / 1448) (fun i ->
+        let off = i * 1448 in
+        String.sub frame off (min 1448 (n - off)))
+  in
+  let a = Apps.Framing.create () in
+  let got = ref None in
+  (* Direct major-heap allocations reach the counters only at a major
+     slice, so settle them on both sides of the window: otherwise bytes
+     an earlier test allocated can be counted here. *)
+  Gc.full_major ();
+  let before = Gc.allocated_bytes () in
+  List.iter
+    (fun c ->
+      Apps.Framing.feed a c;
+      match Apps.Framing.next a with Some m -> got := Some m | None -> ())
+    chunks;
+  Gc.full_major ();
+  let allocated = Gc.allocated_bytes () -. before in
+  check_int "the frame came out whole" 65536
+    (match !got with Some m -> String.length m | None -> 0);
+  check_int "nothing left over" 0 (Apps.Framing.buffered a);
+  if allocated >= 4. *. float_of_int n then
+    Alcotest.failf "%.0f bytes allocated for a %d-byte frame (bound 4x)" allocated n
+
 (* --- workload generators --- *)
 
 let test_zipf_skew () =
@@ -306,6 +379,8 @@ let suite =
     Alcotest.test_case "framing roundtrip" `Quick test_framing_roundtrip;
     Alcotest.test_case "framing byte-by-byte" `Quick test_framing_fragmented;
     QCheck_alcotest.to_alcotest framing_random;
+    QCheck_alcotest.to_alcotest framing_split_points;
+    Alcotest.test_case "framing is linear in the bytes fed" `Quick test_framing_linear;
     Alcotest.test_case "zipf skew" `Quick test_zipf_skew;
     QCheck_alcotest.to_alcotest zipf_in_range;
     Alcotest.test_case "poisson interarrivals" `Quick test_poisson_positive;

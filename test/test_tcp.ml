@@ -1190,6 +1190,211 @@ let test_golden_digest_vs_boxed_baseline () =
   Alcotest.(check string) "pooled stack replays the boxed baseline bit-for-bit"
     golden_digest_expected (run_golden_scenario ())
 
+(* --- whole-MTU segments and the in-order receive path --- *)
+
+(* The IPv4 view of a captured Ethernet frame: (more-fragments,
+   fragment offset, payload bytes past the TCP header — past the IP
+   header for a non-first fragment, which has no TCP header). *)
+let ip_view frame =
+  let b = Bytes.unsafe_of_string frame in
+  let ip = Net.Eth.size in
+  let flags = Net.Wire.get_u16 b (ip + 6) in
+  let frag_off = flags land 0x1fff in
+  let ip_payload = Net.Wire.get_u16 b (ip + 2) - Net.Ipv4.size in
+  let tcp_hdr =
+    if frag_off > 0 then 0 else 4 * (Net.Wire.get_u8 b (ip + Net.Ipv4.size + 12) lsr 4)
+  in
+  (flags land 0x2000 <> 0, frag_off, ip_payload - tcp_hdr)
+
+(* Frames heading to [side] that carry payload: data segments and every
+   IP fragment. *)
+let capture_data_frames p side =
+  let frames = ref [] in
+  p.Pair.drop <-
+    (fun s frame ->
+      (if s = side then
+         let mf, frag_off, payload = ip_view frame in
+         if mf || frag_off > 0 || payload > 0 then frames := frame :: !frames);
+      false);
+  fun () -> List.rev !frames
+
+let full_push_frames ~use_timestamps =
+  let config = { Tcp.Stack.default_config with use_timestamps } in
+  let p = Pair.make ~config () in
+  let ca, cb = Pair.connect p ~port:7 in
+  let frames = capture_data_frames p Pair.B in
+  let data = String.init 16384 (fun i -> Char.chr (i land 0xff)) in
+  let buf = Pair.send_string p Pair.A ca data in
+  Pair.run p;
+  Alcotest.(check string) "delivered" data (Pair.recv_all cb);
+  Memory.Heap.free buf;
+  (Tcp.Stack.send_mss ca, frames ())
+
+let test_full_mss_push_not_fragmented () =
+  let mss, frames = full_push_frames ~use_timestamps:true in
+  check_int "a 16 KiB push is 12 data frames" 12 (List.length frames);
+  check_int "send mss = 1460 - 12 (timestamp option)" 1448 mss;
+  List.iteri
+    (fun i frame ->
+      let mf, frag_off, payload = ip_view frame in
+      check_bool "frame fits the 1500-byte MTU" true (String.length frame <= 1514);
+      check_bool "no MF bit" false mf;
+      check_int "no fragment offset" 0 frag_off;
+      check_int "payload" (if i < 11 then 1448 else 16384 - (11 * 1448)) payload)
+    frames
+
+let test_full_mss_without_timestamps () =
+  let mss, frames = full_push_frames ~use_timestamps:false in
+  check_int "a 16 KiB push is 12 data frames" 12 (List.length frames);
+  check_int "send mss = 1460" 1460 mss;
+  List.iteri
+    (fun i frame ->
+      let mf, frag_off, payload = ip_view frame in
+      check_bool "frame fits the 1500-byte MTU" true (String.length frame <= 1514);
+      check_bool "unfragmented" true ((not mf) && frag_off = 0);
+      check_int "payload" (if i < 11 then 1460 else 16384 - (11 * 1460)) payload)
+    frames
+
+(* An established pair plus the sequence number A's next byte carries
+   and the ack that matches B's send side, learned from one real byte. *)
+let pair_with_stream_origin () =
+  let p = Pair.make () in
+  let ca, cb = Pair.connect p ~port:7 in
+  let first = ref None in
+  p.Pair.drop <-
+    (fun side frame ->
+      (if side = Pair.B && !first = None then
+         let b = Bytes.unsafe_of_string frame in
+         let ip, off = Net.Ipv4.read b Net.Eth.size in
+         let th, _ =
+           Net.Tcp_wire.read b off ~seg_len:(ip.Net.Ipv4.total_length - Net.Ipv4.size)
+             ~src_ip:ip.Net.Ipv4.src ~dst_ip:ip.Net.Ipv4.dst
+         in
+         first := Some (th.Net.Tcp_wire.seq, th.Net.Tcp_wire.ack));
+      false);
+  let buf = Pair.send_string p Pair.A ca "x" in
+  Pair.run p;
+  Memory.Heap.free buf;
+  check_int "origin byte" 1 (String.length (Pair.recv_all cb));
+  p.Pair.drop <- (fun _ _ -> false);
+  let seq, ack = Option.get !first in
+  (p, ca, cb, Tcp.Seqnum.add seq 1, ack)
+
+(* A TCP data segment from A (index 1) to B, with the timestamp option
+   every segment of a negotiated stream carries. *)
+let data_frame ~src_port ~dst_port ~seq ~ack payload =
+  let h =
+    {
+      Net.Tcp_wire.src_port;
+      dst_port;
+      seq;
+      ack;
+      syn = false;
+      ack_flag = true;
+      fin = false;
+      rst = false;
+      psh = true;
+      window = 0xffff;
+      options = { Net.Tcp_wire.no_options with Net.Tcp_wire.timestamp = Some (1, 0) };
+    }
+  in
+  let hsize = Net.Tcp_wire.header_size h in
+  let len = String.length payload in
+  let b = Bytes.create (Net.Eth.size + Net.Ipv4.size + hsize + len) in
+  let off =
+    Net.Eth.write b 0
+      {
+        Net.Eth.dst = Net.Addr.Mac.of_index 2;
+        src = Net.Addr.Mac.of_index 1;
+        ethertype = Net.Eth.ethertype_ipv4;
+      }
+  in
+  let off =
+    Net.Ipv4.write b off
+      (Net.Ipv4.whole ~total_length:(Net.Ipv4.size + hsize + len) ~identification:1
+         ~protocol:Net.Ipv4.protocol_tcp ~src:(Net.Addr.Ip.of_index 1)
+         ~dst:(Net.Addr.Ip.of_index 2))
+  in
+  Bytes.blit_string payload 0 b (off + hsize) len;
+  ignore
+    (Net.Tcp_wire.write b off h ~payload_len:len ~src_ip:(Net.Addr.Ip.of_index 1)
+       ~dst_ip:(Net.Addr.Ip.of_index 2));
+  Bytes.unsafe_to_string b
+
+(* Delivery modes: 0 in order, 1 reordered, 2 reordered with
+   duplicates, 3 reordered with extra overlapping ranges. *)
+let tcp_recv_reads_back =
+  QCheck.Test.make ~name:"tcp_recv reads back in-order, reordered, duplicated, overlapping segments"
+    ~count:100
+    QCheck.(triple (string_of_size (Gen.int_range 1 6000)) (int_bound 3) (int_bound 1_000_000))
+    (fun (data, mode, salt) ->
+      let p, ca, cb, seq0, ack = pair_with_stream_origin () in
+      let src_port = (Tcp.Stack.conn_local ca).Net.Addr.port in
+      let dst_port = (Tcp.Stack.conn_local cb).Net.Addr.port in
+      let g = Engine.Prng.create (Int64.of_int salt) in
+      let n = String.length data in
+      let rec cut off acc =
+        if off >= n then List.rev acc
+        else
+          let len = min (n - off) (1 + Engine.Prng.int g 1448) in
+          cut (off + len) ((off, len) :: acc)
+      in
+      let segs = cut 0 [] in
+      let extra =
+        match mode with
+        | 2 -> List.filter (fun _ -> Engine.Prng.int g 2 = 0) segs
+        | 3 ->
+            List.init 4 (fun _ ->
+                let a = Engine.Prng.int g n in
+                (a, 1 + Engine.Prng.int g (min 2000 (n - a))))
+        | _ -> []
+      in
+      let plan = Array.of_list (segs @ extra) in
+      if mode > 0 then
+        for i = Array.length plan - 1 downto 1 do
+          let j = Engine.Prng.int g (i + 1) in
+          let tmp = plan.(i) in
+          plan.(i) <- plan.(j);
+          plan.(j) <- tmp
+        done;
+      Array.iter
+        (fun (off, len) ->
+          Tcp.Stack.input p.Pair.b
+            (data_frame ~src_port ~dst_port ~seq:(Tcp.Seqnum.add seq0 off) ~ack
+               (String.sub data off len)))
+        plan;
+      Pair.recv_all cb = data)
+
+(* The in-order receive path copies the payload once, frame to receive
+   buffer: a 1448-byte segment must cost fewer minor words than the
+   1448-byte intermediate string alone (182 words). *)
+let test_in_order_receive_words () =
+  let p, ca, cb, seq0, ack = pair_with_stream_origin () in
+  let src_port = (Tcp.Stack.conn_local ca).Net.Addr.port in
+  let dst_port = (Tcp.Stack.conn_local cb).Net.Addr.port in
+  let n = 10 and warmup = 2 in
+  let frames =
+    List.init n (fun i ->
+        data_frame ~src_port ~dst_port ~seq:(Tcp.Seqnum.add seq0 (i * 1448)) ~ack
+          (String.make 1448 'w'))
+  in
+  let words = ref 0 in
+  List.iteri
+    (fun i frame ->
+      let before = Gc.minor_words () in
+      Tcp.Stack.input p.Pair.b frame;
+      let after = Gc.minor_words () in
+      if i >= warmup then words := !words + int_of_float (after -. before);
+      match Tcp.Stack.tcp_recv cb with
+      | `Data b ->
+          check_int "one buffer per segment" 1448 (Memory.Heap.length b);
+          Memory.Heap.free b
+      | `Eof | `Nothing -> Alcotest.fail "segment not delivered")
+    frames;
+  let per_segment = !words / (n - warmup) in
+  if per_segment >= 182 then
+    Alcotest.failf "%d minor words per in-order 1448-byte segment (bound 182)" per_segment
+
 let suite =
   [
     Alcotest.test_case "seqnum wraparound" `Quick test_seqnum_wrap;
@@ -1208,6 +1413,12 @@ let suite =
     Alcotest.test_case "reassembly duplicate" `Quick test_reasm_duplicate;
     Alcotest.test_case "reassembly overlap" `Quick test_reasm_overlap;
     QCheck_alcotest.to_alcotest reasm_permutation;
+    Alcotest.test_case "full-mss push is never ip-fragmented" `Quick
+      test_full_mss_push_not_fragmented;
+    Alcotest.test_case "full-mss push without timestamps" `Quick test_full_mss_without_timestamps;
+    QCheck_alcotest.to_alcotest tcp_recv_reads_back;
+    Alcotest.test_case "in-order receive copies once (minor words)" `Quick
+      test_in_order_receive_words;
     Alcotest.test_case "tcp handshake" `Quick test_handshake;
     Alcotest.test_case "tcp data transfer + ref release" `Quick test_data_transfer;
     Alcotest.test_case "tcp bidirectional" `Quick test_bidirectional;
