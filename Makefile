@@ -73,8 +73,10 @@ graph-smoke:
 # The Bechamel microbenchmarks (`bench -- micro`, real ns per datapath
 # primitive). Fails if the run crashes or a required row is missing or
 # has no estimate: either wait_any row (8 and 2048 outstanding tokens,
-# one ready) or either observer row (one flight note, one span
-# interval recorded into a full Engine.Log ring).
+# one ready), either observer row (one flight note, one span interval
+# recorded into a full Engine.Log ring), or any scheduling-substrate
+# row (one fiber sleep, one condvar wait+broadcast, one event-queue
+# add+pop with 64 events pending).
 micro-smoke:
 	mkdir -p out
 	dune exec bench/main.exe -- micro > out/micro.txt
@@ -86,6 +88,10 @@ micro-smoke:
 	@for row in "flight note" "span interval"; do \
 	  grep -Eq "log: record, $$row +[0-9]+\.[0-9]" out/micro.txt \
 	    || { echo "micro-smoke: log row '$$row' missing from out/micro.txt" >&2; exit 1; }; \
+	done
+	@for row in "fiber: sleep" "condvar: wait\+broadcast" "eventq: add\+pop \(64 pending\)"; do \
+	  grep -Eq "$$row +[0-9]+\.[0-9]" out/micro.txt \
+	    || { echo "micro-smoke: substrate row '$$row' missing from out/micro.txt" >&2; exit 1; }; \
 	done
 	@echo "micro-smoke: OK"
 

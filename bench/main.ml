@@ -171,9 +171,49 @@ let micro_tests () =
   let span_interval sim i =
     Engine.Sim.span_interval sim ~comp:Engine.Span.Device ~owner:"nic" ~label:"rx" ~t0:i ~t1:i
   in
+  (* The scheduling substrate under every Host.charge and device wait.
+     Each run advances a live world by exactly one operation, event
+     loop included. *)
+  let fiber_sleep =
+    let sim = Engine.Sim.create () in
+    Engine.Fiber.spawn sim (fun () ->
+        while true do
+          Engine.Fiber.sleep sim 1
+        done);
+    Engine.Sim.run ~until:0 sim;
+    Test.make ~name:"fiber: sleep"
+      (Staged.stage (fun () -> Engine.Sim.run ~until:(Engine.Sim.now sim + 1) sim))
+  in
+  let condvar_cycle =
+    let sim = Engine.Sim.create () in
+    let cv = Engine.Condvar.create sim in
+    Engine.Fiber.spawn sim (fun () ->
+        while true do
+          ignore (Engine.Condvar.wait_many sim [ cv ] ~timeout:None)
+        done);
+    Engine.Sim.run sim;
+    Test.make ~name:"condvar: wait+broadcast"
+      (Staged.stage (fun () ->
+           Engine.Condvar.broadcast cv;
+           Engine.Sim.run sim))
+  in
+  let eventq =
+    let q = Engine.Eventq.create () in
+    let fn () = () in
+    for i = 1 to 64 do
+      Engine.Eventq.add q ~time:i fn
+    done;
+    let clock = ref 0 in
+    Test.make ~name:"eventq: add+pop (64 pending)"
+      (Staged.stage (fun () ->
+           incr clock;
+           Engine.Eventq.add q ~time:(!clock + 64) fn;
+           ignore (Engine.Eventq.pop q : unit -> unit)))
+  in
   [
     sched_switch; waker; checksum; tcp_rx; heap_ops; hdr; wait_any ~tokens:8; wait_any ~tokens:2048;
-    log_record "flight note" flight_note; log_record "span interval" span_interval;
+    log_record "flight note" flight_note; log_record "span interval" span_interval; fiber_sleep;
+    condvar_cycle; eventq;
   ]
 
 let run_micro () =

@@ -11,16 +11,21 @@ and coro = {
   mutable cont : (unit, unit) Effect.Deep.continuation option;
   mutable body : (unit -> unit) option; (* Some until the first dispatch *)
   mutable pending_wake : bool;
+  mutable handler : (unit, unit) Effect.Deep.handler; (* built once, at spawn *)
 }
+
+(* A FIFO run queue: a power-of-two ring, so an enqueue writes one slot
+   instead of allocating a list cell. *)
+type ring = { mutable buf : coro array; mutable head : int; mutable len : int }
 
 type t = {
   host : Host.t;
   waker : Waker.t;
-  app_q : coro Queue.t;
-  bg_q : coro Queue.t;
-  fp_q : coro Queue.t;
-  mutable by_slot : coro option array;
-  mutable current : coro option;
+  app_q : ring;
+  bg_q : ring;
+  fp_q : ring;
+  mutable by_slot : coro array;
+  mutable current : coro; (* [no_coro] outside a slice *)
   mutable live : int;
   mutable stopped : bool;
   mutable switches : int;
@@ -32,22 +37,60 @@ type t = {
 
 type _ Effect.t += Yield : unit Effect.t | Block : unit Effect.t
 
+(* The sentinel coroutine: an empty ring or slot, and [current] between
+   slices. It is [Dead], so it is never dispatched or woken. *)
+let no_coro =
+  {
+    slot = -1;
+    kind = Background;
+    name = "";
+    state = Dead;
+    cont = None;
+    body = None;
+    pending_wake = false;
+    handler = { Effect.Deep.retc = ignore; exnc = raise; effc = (fun _ -> None) };
+  }
+
+let ring () = { buf = Array.make 8 no_coro; head = 0; len = 0 }
+
+(* dlint-allow: transitive-alloc-in-hotpath -- amortised doubling: a ring grows only past its largest backlog so far *)
+let grow_ring r =
+  let cap = Array.length r.buf in
+  let buf = Array.make (2 * cap) no_coro in
+  for i = 0 to r.len - 1 do
+    buf.(i) <- r.buf.((r.head + i) land (cap - 1))
+  done;
+  r.buf <- buf;
+  r.head <- 0
+
+let push r coro =
+  if r.len = Array.length r.buf then grow_ring r;
+  r.buf.((r.head + r.len) land (Array.length r.buf - 1)) <- coro;
+  r.len <- r.len + 1
+
+let pop r =
+  let coro = r.buf.(r.head) in
+  r.buf.(r.head) <- no_coro;
+  r.head <- (r.head + 1) land (Array.length r.buf - 1);
+  r.len <- r.len - 1;
+  coro
+
 let enqueue t coro =
   match coro.kind with
-  | App -> Queue.add coro t.app_q
-  | Background -> Queue.add coro t.bg_q
-  | Fast_path -> Queue.add coro t.fp_q
+  | App -> push t.app_q coro
+  | Background -> push t.bg_q coro
+  | Fast_path -> push t.fp_q coro
 
 let create host =
   let t =
     {
       host;
       waker = Waker.create ();
-      app_q = Queue.create ();
-      bg_q = Queue.create ();
-      fp_q = Queue.create ();
-      by_slot = Array.make 8 None;
-      current = None;
+      app_q = ring ();
+      bg_q = ring ();
+      fp_q = ring ();
+      by_slot = Array.make 8 no_coro;
+      current = no_coro;
       live = 0;
       stopped = false;
       switches = 0;
@@ -56,34 +99,71 @@ let create host =
   in
   t.on_wake <-
     (fun slot ->
-      match t.by_slot.(slot) with
-      | Some coro when coro.state = Blocked ->
-          coro.state <- Ready;
-          enqueue t coro
-      | Some _ | None -> ());
+      let coro = t.by_slot.(slot) in
+      if coro.state = Blocked then begin
+        coro.state <- Ready;
+        enqueue t coro
+      end);
   t
 
 let host t = t.host
 
+(* The handler and the [Some] closures its [effc] returns are built once
+   per coroutine: a yield or block allocates only the captured
+   continuation and the [Some] that parks it. *)
+let handler t coro =
+  let on_yield =
+    Some
+      (fun k ->
+        coro.cont <- Some k;
+        coro.state <- Ready;
+        enqueue t coro)
+  in
+  let on_block =
+    Some
+      (fun k ->
+        coro.cont <- Some k;
+        coro.state <- Blocked)
+  in
+  {
+    Effect.Deep.retc =
+      (fun () ->
+        coro.state <- Dead;
+        t.live <- t.live - 1);
+    exnc = raise;
+    effc =
+      (fun (type a) (eff : a Effect.t) :
+           ((a, unit) Effect.Deep.continuation -> unit) option ->
+        match eff with Yield -> on_yield | Block -> on_block | _ -> None);
+  }
+
 let spawn t kind ?(name = "coroutine") body =
   let slot = Waker.alloc t.waker in
   let coro =
-    { slot; kind; name; state = Ready; cont = None; body = Some body; pending_wake = false }
+    {
+      slot;
+      kind;
+      name;
+      state = Ready;
+      cont = None;
+      body = Some body;
+      pending_wake = false;
+      handler = no_coro.handler;
+    }
   in
+  coro.handler <- handler t coro;
   if slot >= Array.length t.by_slot then begin
-    let grown = Array.make (2 * (slot + 1)) None in
+    let grown = Array.make (2 * (slot + 1)) no_coro in
     Array.blit t.by_slot 0 grown 0 (Array.length t.by_slot);
     t.by_slot <- grown
   end;
-  t.by_slot.(slot) <- Some coro;
+  t.by_slot.(slot) <- coro;
   t.live <- t.live + 1;
   enqueue t coro;
   coro
 
 let self t =
-  match t.current with
-  | Some coro -> coro
-  | None -> failwith "Dsched.self: not inside a coroutine"
+  if t.current == no_coro then failwith "Dsched.self: not inside a coroutine" else t.current
 
 let yield t =
   ignore (self t);
@@ -99,38 +179,13 @@ let wake t coro =
   | Ready | Running -> coro.pending_wake <- true
   | Dead -> ()
 
-let runnable_apps t = not (Queue.is_empty t.app_q && Queue.is_empty t.bg_q)
+let runnable_apps t = t.app_q.len > 0 || t.bg_q.len > 0
 let has_pending_wakes t = Waker.any_set t.waker
 let stop t = t.stopped <- true
 let context_switches t = t.switches
 
 (* dlint: hotpath *)
 let drain_wakers t = Waker.drain t.waker t.on_wake
-
-(* dlint-allow: transitive-alloc-in-hotpath -- one effect-handler record per coroutine dispatch: a context switch (counted in t.switches), not a steady poll; empty-queue polls never reach dispatch *)
-let handler t coro =
-  {
-    Effect.Deep.retc =
-      (fun () ->
-        coro.state <- Dead;
-        t.live <- t.live - 1);
-    exnc = raise;
-    effc =
-      (fun (type a) (eff : a Effect.t) ->
-        match eff with
-        | Yield ->
-            Some
-              (fun (k : (a, _) Effect.Deep.continuation) ->
-                coro.cont <- Some k;
-                coro.state <- Ready;
-                enqueue t coro)
-        | Block ->
-            Some
-              (fun (k : (a, _) Effect.Deep.continuation) ->
-                coro.cont <- Some k;
-                coro.state <- Blocked)
-        | _ -> None);
-  }
 
 (* The [current] field holds the coro directly during a slice; the
    dispatch trace event stores the host and coroutine names it already
@@ -139,22 +194,21 @@ let handler t coro =
 (* dlint: hotpath *)
 let run_slice t coro =
   coro.state <- Running;
-  (* dlint-allow: alloc-in-hotpath -- current-coro registration, one Some per dispatch slice *)
-  t.current <- Some coro;
+  t.current <- coro;
   t.switches <- t.switches + 1;
   Engine.Sim.trace_names t.host.Host.sim ~category:Engine.Log.Sched "%s: dispatch %s"
     t.host.Host.name coro.name;
   (match coro.body with
   | Some body ->
       coro.body <- None;
-      Effect.Deep.match_with body () (handler t coro)
+      Effect.Deep.match_with body () coro.handler
   | None -> (
       match coro.cont with
       | Some k ->
           coro.cont <- None;
           Effect.Deep.continue k ()
       | None -> assert false));
-  t.current <- None
+  t.current <- no_coro
 
 (* Dispatch priority (§5.4): runnable application coroutines, then
    background, then the always-runnable fast-path coroutines, FIFO
@@ -165,9 +219,9 @@ let run_slice t coro =
    nothing. *)
 (* dlint: hotpath *)
 let rec dispatch_from t q switch_cost =
-  if Queue.is_empty q then false
+  if q.len = 0 then false
   else begin
-    let coro = Queue.pop q in
+    let coro = pop q in
     if coro.state = Ready then begin
       Host.charge_as t.host Engine.Span.Sched switch_cost;
       run_slice t coro;

@@ -8,6 +8,14 @@
     runnable application coroutines first, then background coroutines,
     then the always-runnable fast-path coroutines, FIFO within a class.
 
+    A switch allocates only what the effect runtime must: each
+    coroutine's handler and the [Some] closures it returns for [Yield]
+    and [Block] are built once, at {!spawn}; run queues are rings and
+    the running coroutine is a sentinel-initialised field. A yield round
+    trip, including its charged switch (a {!Host.charge}, i.e. a
+    [Fiber.sleep] the coroutine handler forwards to the host fiber),
+    costs 8 words.
+
     Polling without simulated spinning: a fast-path coroutine that finds
     its device rings empty and {!runnable_apps} false parks the whole
     host fiber on the device signals (plus the next protocol timer) and

@@ -56,39 +56,32 @@ let is_set t slot =
   let block = slot / bits_per_block and bit = slot mod bits_per_block in
   t.blocks.(block) land (1 lsl bit) <> 0
 
+(* Snapshot-and-clear block by block so callback-driven re-sets land in
+   the next drain. The summary bitmap skips empty regions the same way
+   the per-block scan skips unset bits. Top-level recursion: a drain
+   runs every scheduler iteration and builds no closure. *)
+let rec scan_block t fn block =
+  let b = t.blocks.(block) in
+  if b <> 0 then begin
+    let bit = ctz b in
+    t.blocks.(block) <- b land (b - 1);
+    fn ((block * bits_per_block) + bit);
+    scan_block t fn block
+  end
+
+let rec scan_word t fn si =
+  let w = t.nonempty.(si) in
+  if w <> 0 then begin
+    let block = (si * bits_per_block) + ctz w in
+    t.nonempty.(si) <- w land (w - 1);
+    if block < Array.length t.blocks then scan_block t fn block;
+    scan_word t fn si
+  end
+
 let drain t fn =
-  (* Snapshot-and-clear block by block so callback-driven re-sets land in
-     the next drain. The summary bitmap skips empty regions the same way
-     the per-block scan skips unset bits. *)
-  let nblocks = Array.length t.blocks in
-  let nsummary = Array.length t.nonempty in
-  let rec scan_summary si =
-    if si < nsummary then begin
-      let rec scan_word () =
-        let w = t.nonempty.(si) in
-        if w <> 0 then begin
-          let block = (si * bits_per_block) + ctz w in
-          t.nonempty.(si) <- w land (w - 1);
-          if block < nblocks then begin
-            let rec scan_block () =
-              let b = t.blocks.(block) in
-              if b <> 0 then begin
-                let bit = ctz b in
-                t.blocks.(block) <- b land (b - 1);
-                fn ((block * bits_per_block) + bit);
-                scan_block ()
-              end
-            in
-            scan_block ()
-          end;
-          scan_word ()
-        end
-      in
-      scan_word ();
-      scan_summary (si + 1)
-    end
-  in
-  scan_summary 0
+  for si = 0 to Array.length t.nonempty - 1 do
+    scan_word t fn si
+  done
 
 (* The predicate is hoisted so the steady-state emptiness probe passes
    a static closure instead of building one per poll. *)

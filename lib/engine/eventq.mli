@@ -1,6 +1,10 @@
 (** Pending-event set for the simulator: a binary min-heap keyed on
     (time, insertion sequence). The sequence number makes simultaneous
-    events fire in insertion order, which keeps runs deterministic. *)
+    events fire in insertion order, which keeps runs deterministic.
+
+    The heap is three parallel arrays (times, sequence numbers,
+    callbacks), not a record per event: {!add} and {!pop} allocate
+    nothing once the arrays have grown to the run's peak backlog. *)
 
 type t
 

@@ -1,8 +1,28 @@
-type _ Effect.t += Suspend : (('a -> unit) -> unit) -> 'a Effect.t
+type _ Effect.t += Sleep : unit Effect.t | Park : unit Effect.t
 
-let suspend register = Effect.perform (Suspend register)
+let continue_fiber sim (f : Sim.fiber) =
+  match f.cont with
+  | Some k ->
+      f.cont <- None;
+      Sim.set_running sim f;
+      Effect.Deep.continue k ()
+  | None -> invalid_arg "Fiber: resume of a fiber that is not parked"
 
+(* Everything a suspension needs is built here, once per fiber: the
+   record, its resume closure and the [Some] handlers [effc] returns.
+   A sleep or a park then allocates only the captured continuation and
+   the [Some] that parks it. *)
 let spawn sim ?(name = "fiber") fn =
+  let rec f =
+    { Sim.cont = None; gen = 0; signaled = false; resume = (fun () -> continue_fiber sim f) }
+  in
+  let on_sleep =
+    Some
+      (fun k ->
+        f.cont <- Some k;
+        Sim.schedule sim ~delay:(Sim.sleep_span sim) f.resume)
+  in
+  let on_park = Some (fun k -> f.cont <- Some k) in
   let handler =
     {
       Effect.Deep.retc = (fun () -> ());
@@ -14,17 +34,17 @@ let spawn sim ?(name = "fiber") fn =
           in
           Printexc.raise_with_backtrace (Failure msg) bt);
       effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Suspend register ->
-              Some
-                (fun (k : (a, _) Effect.Deep.continuation) ->
-                  register (fun v -> Effect.Deep.continue k v))
-          | _ -> None);
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) Effect.Deep.continuation -> unit) option ->
+          match eff with Sleep -> on_sleep | Park -> on_park | _ -> None);
     }
   in
-  Sim.schedule sim ~delay:0 (fun () -> Effect.Deep.match_with fn () handler)
+  Sim.schedule sim ~delay:0 (fun () ->
+      Sim.set_running sim f;
+      Effect.Deep.match_with fn () handler)
 
-(* dlint-allow: transitive-alloc-in-hotpath -- fiber suspension: one resume closure per block/sleep, which is a scheduling transition, not steady-poll work *)
 let sleep sim span =
-  suspend (fun resume -> Sim.schedule sim ~delay:span (fun () -> resume ()))
+  Sim.set_sleep_span sim span;
+  Effect.perform Sleep
+
+let park () = Effect.perform Park

@@ -5,7 +5,14 @@
     span of virtual time or waiting on a {!Condvar} — and is resumed by
     the event loop. This is the simulator-level analogue of the paper's
     observation that coroutines let I/O stacks keep a linear programming
-    flow instead of hand-written state machines. *)
+    flow instead of hand-written state machines.
+
+    Both suspensions are constant effects ([Sleep] and [Park]); their
+    operands travel through the {!Sim.fiber} slots, and each fiber's
+    handler, resume closure and [Some] handler options are built once at
+    {!spawn}. A steady-state sleep allocates the captured continuation
+    and the [Some] that parks it: 4 words. There is no general
+    "suspend with a resume callback" primitive. *)
 
 val spawn : Sim.t -> ?name:string -> (unit -> unit) -> unit
 (** Start a fiber at the current virtual time. Exceptions escaping the
@@ -15,8 +22,8 @@ val spawn : Sim.t -> ?name:string -> (unit -> unit) -> unit
 val sleep : Sim.t -> Clock.t -> unit
 (** Suspend the calling fiber for a span of virtual time. *)
 
-val suspend : (('a -> unit) -> unit) -> 'a
-(** [suspend register] parks the calling fiber and hands its resume
-    function to [register]. The resume function must be called exactly
-    once, from an event callback or another fiber. This is the only
-    suspension primitive; everything else is built on it. *)
+val park : unit -> unit
+(** Suspend the calling fiber (the {!Sim.running} one) until its
+    [resume] closure is called from an event. The primitive under
+    {!Condvar.wait_many}, which owns the wakeup rule: whoever resumes a
+    parked fiber first bumps its [gen] and sets [signaled]. *)

@@ -1,3 +1,10 @@
+type fiber = {
+  mutable cont : (unit, unit) Effect.Deep.continuation option;
+  mutable gen : int;
+  mutable signaled : bool;
+  resume : unit -> unit;
+}
+
 type t = {
   mutable now : Clock.t;
   q : Eventq.t;
@@ -14,7 +21,13 @@ type t = {
   mutable sampler : (Clock.t -> unit) option;
   mutable sampler_interval : Clock.t;
   mutable sampler_next : Clock.t;
+  (* The fiber slots: the span of the sleep being performed, and the
+     fiber whose code runs now (set on every resume). *)
+  mutable sleep_span : Clock.t;
+  mutable running : fiber;
 }
+
+let no_fiber = { cont = None; gen = 0; signaled = false; resume = ignore }
 
 (* The one teardown report over every armed stream: a truncated
    timeline is never mistaken for the whole story. *)
@@ -41,6 +54,8 @@ let create ?(seed = 1L) () =
       sampler = None;
       sampler_interval = 0;
       sampler_next = 0;
+      sleep_span = 0;
+      running = no_fiber;
     }
   in
   t.teardown_hooks <- [ (fun () -> report_drops t) ];
@@ -58,6 +73,11 @@ let schedule t ~delay fn =
   Eventq.add t.q ~time:(t.now + delay) fn
 
 let stop t = t.stopped <- true
+
+let sleep_span t = t.sleep_span
+let set_sleep_span t span = t.sleep_span <- span
+let running t = t.running
+let set_running t f = t.running <- f
 
 let run ?until t =
   t.stopped <- false;

@@ -33,6 +33,37 @@ val run : ?until:Clock.t -> t -> unit
 val events_processed : t -> int
 (** Total events executed, for sanity checks and reporting. *)
 
+(** {1 Fiber slots}
+
+    The state {!Fiber} and {!Condvar} share through the world, so that a
+    sleep, a park and a wakeup allocate nothing beyond the captured
+    continuation and the [Some] that parks it. No other module touches
+    it. *)
+
+type fiber = {
+  mutable cont : (unit, unit) Effect.Deep.continuation option;
+      (** The parked continuation; [None] while the fiber runs. *)
+  mutable gen : int;
+      (** The wait generation: bumped when a park ends, so an event left
+          over from an earlier wait finds a different value and does
+          nothing. *)
+  mutable signaled : bool;  (** How the last park ended. *)
+  resume : unit -> unit;  (** Continue the parked fiber, built once at spawn. *)
+}
+
+val no_fiber : fiber
+(** A placeholder: the running fiber before any fiber has run, and an
+    empty waiter slot. *)
+
+val sleep_span : t -> Clock.t
+val set_sleep_span : t -> Clock.t -> unit
+(** The span handed from {!Fiber.sleep} to its fiber's handler. *)
+
+val running : t -> fiber
+val set_running : t -> fiber -> unit
+(** The fiber whose code runs now, set whenever a fiber starts or
+    resumes. *)
+
 (** {1 Fixed-interval sampling (Demiscope timelines)} *)
 
 val set_sampler : t -> interval:Clock.t -> (Clock.t -> unit) -> unit

@@ -155,6 +155,63 @@ let test_sched_charge_advances_time () =
   Engine.Sim.run sim;
   check_bool "coroutine charge advances virtual time" true (!seen >= 5_000)
 
+(* A charge inside a coroutine is a [Fiber.sleep]: the coroutine's
+   handler forwards the effect, so the whole host fiber sleeps while the
+   event loop runs everyone else, and the coroutine resumes exactly when
+   the charged span ends. *)
+let test_sched_charge_forwarded_to_host_fiber () =
+  let sim, sched = make_sched () in
+  let host = Demikernel.Dsched.host sched in
+  let charging = ref false and seen_mid_charge = ref false and span = ref (-1) in
+  ignore
+    (Demikernel.Dsched.spawn sched Demikernel.Dsched.App (fun () ->
+         let t0 = Engine.Sim.now sim in
+         charging := true;
+         Demikernel.Host.charge host 5_000;
+         charging := false;
+         span := Engine.Sim.now sim - t0));
+  Engine.Fiber.spawn sim (fun () -> Demikernel.Dsched.run sched);
+  Engine.Fiber.spawn sim (fun () ->
+      Engine.Fiber.sleep sim 1_000;
+      seen_mid_charge := !charging);
+  Engine.Sim.run sim;
+  check_bool "another fiber ran during the charge" true !seen_mid_charge;
+  check_int "the charge took exactly its span" 5_000 !span
+
+(* Word budgets for the scheduler's steady state (helpers in
+   Test_engine). *)
+let test_sched_charge_words () =
+  let sim, sched = make_sched () in
+  let host = Demikernel.Dsched.host sched in
+  let words = ref 0 in
+  ignore
+    (Demikernel.Dsched.spawn sched Demikernel.Dsched.App (fun () ->
+         words := Test_engine.steady_words (fun () -> Demikernel.Host.charge host 1)));
+  Engine.Fiber.spawn sim (fun () -> Demikernel.Dsched.run sched);
+  Engine.Sim.run sim;
+  Test_engine.check_budget "Host.charge in a coroutine" ~bound:6 !words
+    ~per:Test_engine.budget_ops
+
+(* Two coroutines yield to each other, so each yield of the measured one
+   is two dispatches, and every dispatch pays the charged switch cost (a
+   host-fiber sleep): this is the whole switch. *)
+let test_sched_yield_words () =
+  let sim, sched = make_sched () in
+  let words = ref 0 in
+  let yield () = Demikernel.Dsched.yield sched in
+  ignore
+    (Demikernel.Dsched.spawn sched Demikernel.Dsched.App (fun () ->
+         words := Test_engine.steady_words yield));
+  ignore
+    (Demikernel.Dsched.spawn sched Demikernel.Dsched.App (fun () ->
+         for _ = 1 to 2 * Test_engine.budget_ops do
+           yield ()
+         done));
+  Engine.Fiber.spawn sim (fun () -> Demikernel.Dsched.run sched);
+  Engine.Sim.run sim;
+  Test_engine.check_budget "yield round trip, per switch" ~bound:12 !words
+    ~per:(2 * Test_engine.budget_ops)
+
 (* --- echo over every libOS: the portability claim --- *)
 
 let bare = Net.Cost.bare_metal
@@ -1090,6 +1147,10 @@ let suite =
       test_wait_any_t_timeout_catnip;
     Alcotest.test_case "wait_any_t timeout keeps tokens (catnap)" `Quick
       test_wait_any_t_timeout_catnap;
+    Alcotest.test_case "sched charge is forwarded to the host fiber" `Quick
+      test_sched_charge_forwarded_to_host_fiber;
+    Alcotest.test_case "words: host charge in a coroutine" `Quick test_sched_charge_words;
+    Alcotest.test_case "words: yield round trip" `Quick test_sched_yield_words;
   ]
   @ List.concat_map
       (fun flavor ->

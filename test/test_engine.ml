@@ -189,6 +189,187 @@ let test_condvar_signal_beats_timeout () =
   Engine.Sim.run sim;
   Alcotest.(check bool) "signaled" true (!outcome = Some `Signaled)
 
+(* --- substrate semantics: what the constant-effect fibers and the
+   generation-checked condvar must keep from a closure-per-wait design --- *)
+
+(* A timeout and a broadcast that land on the same ns: the signal event
+   is scheduled by the broadcast, after the wait scheduled its timeout,
+   so the timeout runs first and wins; the signal finds the wait over. *)
+let test_condvar_same_ns_earlier_event_wins () =
+  let sim = Engine.Sim.create () in
+  let cv = Engine.Condvar.create sim in
+  let outcomes = ref [] in
+  Engine.Fiber.spawn sim (fun () ->
+      let o = Engine.Condvar.wait_many sim [ cv ] ~timeout:(Some 100) in
+      outcomes := (o, Engine.Sim.now sim) :: !outcomes);
+  Engine.Fiber.spawn sim (fun () ->
+      Engine.Fiber.sleep sim 100;
+      Engine.Condvar.broadcast cv);
+  Engine.Sim.run sim;
+  check_bool "timeout scheduled first wins" true (!outcomes = [ (`Timeout, 100) ])
+
+(* Leftover events of an ended wait — its timeout, or a broadcast on a
+   condvar it no longer waits on — never end a later wait. *)
+let test_condvar_stale_events_never_wake () =
+  let sim = Engine.Sim.create () in
+  let a = Engine.Condvar.create sim and b = Engine.Condvar.create sim in
+  let c = Engine.Condvar.create sim in
+  let log = ref [] in
+  let note o = log := (o, Engine.Sim.now sim) :: !log in
+  Engine.Fiber.spawn sim (fun () ->
+      (* ends at 10 by a signal; its timeout (at 100) is left pending *)
+      note (Engine.Condvar.wait_many sim [ a; b ] ~timeout:(Some 100));
+      (* b broadcasts at 20 and the stale timeout fires at 100: neither
+         may end this wait, which times out at 10 + 1000 *)
+      note (Engine.Condvar.wait_many sim [ c ] ~timeout:(Some 1_000)));
+  Engine.Fiber.spawn sim (fun () ->
+      Engine.Fiber.sleep sim 10;
+      Engine.Condvar.broadcast a;
+      Engine.Fiber.sleep sim 10;
+      Engine.Condvar.broadcast b);
+  Engine.Sim.run sim;
+  check_bool "only each wait's own events end it" true
+    (List.rev !log = [ (`Signaled, 10); (`Timeout, 1_010) ])
+
+(* A waiter on two condvars that both broadcast at once is resumed
+   once; the second signal is a no-op event. *)
+let test_condvar_two_signals_resume_once () =
+  let sim = Engine.Sim.create () in
+  let a = Engine.Condvar.create sim and b = Engine.Condvar.create sim in
+  let resumed = ref 0 in
+  Engine.Fiber.spawn sim (fun () ->
+      ignore (Engine.Condvar.wait_many sim [ a; b ] ~timeout:None);
+      incr resumed);
+  Engine.Sim.schedule sim ~delay:50 (fun () ->
+      Engine.Condvar.broadcast a;
+      Engine.Condvar.broadcast b);
+  Engine.Sim.run sim;
+  check_int "resumed once" 1 !resumed
+
+(* Waiters whose wait ended are swept from a condvar that never
+   broadcasts, yet its next broadcast still runs one (no-op) event per
+   waiter ever pushed: the event count does not depend on the sweep. *)
+let test_condvar_swept_waiters_keep_their_events () =
+  let sim = Engine.Sim.create () in
+  let a = Engine.Condvar.create sim and b = Engine.Condvar.create sim in
+  let rounds = 100 in
+  let wakes = ref 0 in
+  Engine.Fiber.spawn sim (fun () ->
+      for _ = 1 to rounds do
+        ignore (Engine.Condvar.wait_many sim [ a; b ] ~timeout:None);
+        incr wakes
+      done);
+  Engine.Fiber.spawn sim (fun () ->
+      for _ = 1 to rounds do
+        Engine.Fiber.sleep sim 1;
+        Engine.Condvar.broadcast a
+      done);
+  Engine.Sim.run sim;
+  check_int "every round woke" rounds !wakes;
+  let before = Engine.Sim.events_processed sim in
+  Engine.Condvar.broadcast b;
+  Engine.Sim.run sim;
+  check_int "one event per waiter b ever held" rounds (Engine.Sim.events_processed sim - before)
+
+let test_fiber_exception_names_fiber_after_suspensions () =
+  let sim = Engine.Sim.create () in
+  let cv = Engine.Condvar.create sim in
+  Engine.Fiber.spawn sim ~name:"boomer" (fun () ->
+      Engine.Fiber.sleep sim 5;
+      ignore (Engine.Condvar.wait_many sim [ cv ] ~timeout:(Some 5));
+      failwith "boom");
+  match Engine.Sim.run sim with
+  | () -> Alcotest.fail "expected exception"
+  | exception Failure msg ->
+      Alcotest.(check string) "wrapped with the name" {|fiber "boomer" raised: Failure("boom")|} msg
+
+(* Regression: a wait pushes a waiter onto every condvar it names, and
+   only the condvar that broadcasts used to drop its list. 100k parks on
+   [a; b] with only [a] broadcasting left 100k dead closures on [b]. *)
+let test_condvar_waiters_do_not_leak () =
+  let sim = Engine.Sim.create () in
+  let a = Engine.Condvar.create sim and b = Engine.Condvar.create sim in
+  let rounds = 100_000 in
+  Engine.Fiber.spawn sim (fun () ->
+      for _ = 1 to rounds do
+        ignore (Engine.Condvar.wait_many sim [ a; b ] ~timeout:None)
+      done);
+  Engine.Fiber.spawn sim (fun () ->
+      for _ = 1 to rounds do
+        Engine.Fiber.sleep sim 1;
+        Engine.Condvar.broadcast a
+      done);
+  Gc.full_major ();
+  let before = (Gc.stat ()).Gc.live_words in
+  Engine.Sim.run sim;
+  Gc.full_major ();
+  let grown = (Gc.stat ()).Gc.live_words - before in
+  ignore (Sys.opaque_identity (a, b));
+  if grown >= 10_000 then
+    Alcotest.failf "%d live words retained after %d parks on a silent condvar (bound 10,000)"
+      grown rounds
+
+(* --- word budgets per substrate primitive, steady state, 10k ops --- *)
+
+let budget_ops = 10_000
+let minor_words () = int_of_float (Gc.minor_words ())
+
+(* Minor words of [budget_ops] calls of [op] after as many warmup calls;
+   called inside a fiber or coroutine, the event loop is included. *)
+let steady_words op =
+  for _ = 1 to budget_ops do
+    op ()
+  done;
+  let before = minor_words () in
+  for _ = 1 to budget_ops do
+    op ()
+  done;
+  minor_words () - before
+
+let check_budget name ~bound words ~per =
+  let per_op = float_of_int words /. float_of_int per in
+  if per_op > float_of_int bound then
+    Alcotest.failf "%s: %.2f minor words per op (budget %d)" name per_op bound
+
+let test_eventq_add_pop_words () =
+  let q = Engine.Eventq.create () in
+  let fn () = () in
+  for i = 1 to 64 do
+    Engine.Eventq.add q ~time:i fn
+  done;
+  let clock = ref 64 in
+  let words =
+    steady_words (fun () ->
+        incr clock;
+        Engine.Eventq.add q ~time:!clock fn;
+        ignore (Engine.Eventq.pop q : unit -> unit))
+  in
+  check_int "add+pop with 64 pending allocates nothing" 0 words
+
+let test_fiber_sleep_words () =
+  let sim = Engine.Sim.create () in
+  let words = ref 0 in
+  Engine.Fiber.spawn sim (fun () -> words := steady_words (fun () -> Engine.Fiber.sleep sim 1));
+  Engine.Sim.run sim;
+  check_budget "Fiber.sleep" ~bound:6 !words ~per:budget_ops
+
+(* One cycle: a fiber parks on a condvar, another broadcasts it and
+   sleeps one ns (so the waiter re-parks before the next broadcast). *)
+let test_condvar_cycle_words () =
+  let sim = Engine.Sim.create () in
+  let cv = Engine.Condvar.create sim in
+  let words = ref 0 in
+  Engine.Fiber.spawn sim (fun () ->
+      words :=
+        steady_words (fun () -> ignore (Engine.Condvar.wait_many sim [ cv ] ~timeout:None)));
+  Engine.Fiber.spawn sim (fun () ->
+      for _ = 1 to 2 * budget_ops do
+        Engine.Fiber.sleep sim 1;
+        Engine.Condvar.broadcast cv
+      done);
+  Engine.Sim.run sim;
+  check_budget "wait_many+broadcast cycle" ~bound:24 !words ~per:budget_ops
+
 let test_prng_deterministic () =
   let a = Engine.Prng.create 42L in
   let b = Engine.Prng.create 42L in
@@ -497,6 +678,21 @@ let suite =
     Alcotest.test_case "condvar broadcast" `Quick test_condvar_broadcast;
     Alcotest.test_case "condvar timeout" `Quick test_condvar_timeout;
     Alcotest.test_case "condvar signal beats timeout" `Quick test_condvar_signal_beats_timeout;
+    Alcotest.test_case "condvar same-ns timeout and broadcast: earlier event wins" `Quick
+      test_condvar_same_ns_earlier_event_wins;
+    Alcotest.test_case "condvar stale signal or timeout never wakes a later wait" `Quick
+      test_condvar_stale_events_never_wake;
+    Alcotest.test_case "condvar two broadcasts resume a waiter once" `Quick
+      test_condvar_two_signals_resume_once;
+    Alcotest.test_case "condvar swept waiters keep their events" `Quick
+      test_condvar_swept_waiters_keep_their_events;
+    Alcotest.test_case "condvar waiters do not leak on a silent condvar" `Quick
+      test_condvar_waiters_do_not_leak;
+    Alcotest.test_case "fiber exception names the fiber after suspensions" `Quick
+      test_fiber_exception_names_fiber_after_suspensions;
+    Alcotest.test_case "words: eventq add+pop" `Quick test_eventq_add_pop_words;
+    Alcotest.test_case "words: fiber sleep" `Quick test_fiber_sleep_words;
+    Alcotest.test_case "words: condvar wait+broadcast cycle" `Quick test_condvar_cycle_words;
     Alcotest.test_case "prng determinism" `Quick test_prng_deterministic;
     Alcotest.test_case "prng split independence" `Quick test_prng_split_independent;
     Alcotest.test_case "trace ring buffer" `Quick test_trace_ring;
