@@ -16,10 +16,12 @@ selfcheck:
 
 # Everything CI runs: build + tests (incl. lint and `demibench
 # --smoke`) + determinism selfcheck with the ownership oracle, the
-# flight ring and the gc-budget oracle armed (its pinned output holds
-# each flavor's steady-poll count and zero violations) + the smokes
-# below. Perf regressions are judged by `demibench compare` (parent vs
-# change).
+# flight ring and the gc-budget oracle armed (every steady poll must
+# allocate nothing and each flavor's echo run must stay within its
+# exact per-echo word budget; the pinned output holds each flavor's
+# steady-poll count and zero violations) + the smokes below. There is
+# no static allocation lint: the budget is the allocation check. Perf
+# regressions are judged by `demibench compare` (parent vs change).
 check:
 	dune build @check
 	$(MAKE) observe-smoke

@@ -1,17 +1,16 @@
-(* dlint: determinism, zero-copy, ownership-protocol, hot-path
-   allocation and interprocedural effect lint.
+(* dlint: determinism, zero-copy, ownership-protocol and
+   interprocedural hot-path scan lint.
 
    Usage: dlint [--format human|json] [--stats] [--graph FILE]
                 [--out FILE] [DIR ...]                    (default: lib)
 
    Walks every .ml file under the given roots and rejects violations of
-   the rules in Lint.Rules (including the PDPIX ownership pass, the
-   Demialloc hot-path allocation pass and the Demideep interprocedural
-   transitive-alloc/scan pass with witness call chains) and stale
-   exemptions; exits 1 when any survive the allowlist and inline
-   dlint-allow annotations. --stats appends a per-rule
+   the rules in Lint.Rules (including the PDPIX ownership pass and the
+   Demideep interprocedural scan-in-hotpath pass with witness call
+   chains) and stale exemptions; exits 1 when any survive the allowlist
+   and inline dlint-allow annotations. --stats appends a per-rule
    findings/exemptions table and per-pass wall times; --graph FILE
-   writes the effect-annotated call graph as Graphviz DOT; --out FILE
+   writes the scan-annotated call graph as Graphviz DOT; --out FILE
    overrides where the machine-readable JSON artifact is written
    (default out/lint.json, best-effort: a read-only tree — e.g. the
    dune test sandbox — is not an error). Wired into `dune runtest` via

@@ -25,8 +25,8 @@ let ctx_copy ~src ~dst =
   dst.c_parent <- src.c_parent;
   dst.c_hop <- src.c_hop
 
-(* Context pack/unpack: writes into / reads from caller-owned bytes —
-   the zero-alloc contract dlint's hotpath pass enforces. *)
+(* Context pack/unpack: writes into / reads from caller-owned bytes,
+   so neither allocates. *)
 (* dlint: hotpath *)
 let write_ctx b off ~req ~msg ~parent ~hop =
   Net.Wire.set_u32 b off req;

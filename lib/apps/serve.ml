@@ -14,7 +14,6 @@ let shift_out (qts : Pdpix.qtoken array) i =
     qts.(j) <- qts.(j + 1)
   done
 
-(* dlint-allow: transitive-alloc-in-hotpath -- a resize happens once per accept or close, not per request *)
 let resize (qts : Pdpix.qtoken array) i ~extra =
   let n = Array.length qts in
   let out = Array.make (n - 1 + extra) 0 in
@@ -22,14 +21,11 @@ let resize (qts : Pdpix.qtoken array) i ~extra =
   Array.blit qts (i + 1) out i (n - 1 - i);
   out
 
-(* dlint-allow: transitive-alloc-in-hotpath -- error path, raises *)
 let unexpected name = failwith (name ^ " server: unexpected completion")
 
 (* dlint: hotpath *)
 let run (api : Pdpix.api) ~name lqd ~conn ~on_data =
-  (* dlint-allow: alloc-in-hotpath -- per-server setup, once *)
   let roles = Hashtbl.create 16 in
-  (* dlint-allow: alloc-in-hotpath -- per-server setup, once *)
   let qts = ref [| api.Pdpix.accept lqd |] in
   Hashtbl.replace roles !qts.(0) Accept;
   let rec loop () =
@@ -50,7 +46,6 @@ let run (api : Pdpix.api) ~name lqd ~conn ~on_data =
             grown.(last) <- next;
             grown.(last + 1) <- pop;
             Hashtbl.replace roles next Accept;
-            (* dlint-allow: alloc-in-hotpath -- one role per accepted connection *)
             Hashtbl.replace roles pop (Conn (qd, c));
             qts := grown
         | Pdpix.Failed _ -> qts := resize a i ~extra:0

@@ -141,7 +141,7 @@ let retry_stalled t =
   | chans ->
       let sends0 = t.sends in
       if flush_stalled t chans then begin
-        (* dlint-allow: alloc-in-hotpath scan-in-hotpath -- list rebuild (a walk of the stalled set) only when a sender drained or failed (progress) *)
+        (* dlint-allow: scan-in-hotpath -- list rebuild (a walk of the stalled set) only when a sender drained or failed (progress) *)
         t.stalled_chans <- List.filter (fun ch -> ch.stalled) chans;
         true
       end
@@ -264,7 +264,6 @@ let handle_connect t ~src_mac ~payload =
           Runtime.serve accepts
       | Some _ | None -> post_control t ~dst:src_mac ~msg:m_refuse ~chan:requester_chan "")
 
-(* dlint-allow: transitive-alloc-in-hotpath -- runs once per received message (busy RX): channel-table lookup and completion delivery are per-message work *)
 let handle_recv t ~src_mac ~imm ~payload =
   Net.Rdma_sim.post_recv t.rnic (* replenish the buffer we consumed *);
   match msg_of imm with

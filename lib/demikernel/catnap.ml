@@ -59,7 +59,11 @@ let udp_next t fd () =
 let pop_next t fd () =
   match Oskernel.Kernel.recv t.kernel fd ~block:false with
   | Some payload -> progress t (Pdpix.Popped [ heap_buf t payload ])
-  | None -> if Oskernel.Kernel.at_eof t.kernel fd then progress t (Pdpix.Popped []) else None
+  | None ->
+      if Oskernel.Kernel.at_eof t.kernel fd then progress t (Pdpix.Popped [])
+      else if Oskernel.Kernel.was_reset t.kernel fd then
+        progress t (Pdpix.Failed "connection reset")
+      else None
 
 let new_conn t fd connect_token = { fd; pops = Runtime.pending t.rt (pop_next t fd); connect_token }
 
@@ -101,7 +105,7 @@ let rec service_all t entries =
    (servicing an accept inserts new entries — mutating a Hashtbl during
    iteration is undefined — and hash order would service queues in a
    seed-dependent sequence) and cached until the table next changes. *)
-(* dlint-allow: transitive-alloc-in-hotpath scan-in-hotpath -- the service list is rebuilt (List.rev allocates it) only when the qd table changed (qds_dirty) — the dirty-tracking pattern this rule prescribes; steady polls reuse the cached list *)
+(* dlint-allow: scan-in-hotpath -- the service list is rebuilt only when the qd table changed (qds_dirty) — the dirty-tracking pattern this rule prescribes; steady polls reuse the cached list *)
 let service t =
   if t.qds_dirty then begin
     t.qds_dirty <- false;

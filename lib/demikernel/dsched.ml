@@ -53,7 +53,6 @@ let no_coro =
 
 let ring () = { buf = Array.make 8 no_coro; head = 0; len = 0 }
 
-(* dlint-allow: transitive-alloc-in-hotpath -- amortised doubling: a ring grows only past its largest backlog so far *)
 let grow_ring r =
   let cap = Array.length r.buf in
   let buf = Array.make (2 * cap) no_coro in
@@ -248,11 +247,9 @@ let run t =
       else if Waker.any_set t.waker then loop ()
       else begin
         let msg =
-          (* dlint-allow: alloc-in-hotpath -- deadlock error path, raises *)
           Printf.sprintf "Dsched.run: deadlock on host %s (%d blocked coroutines)"
             t.host.Host.name t.live
         in
-        (* dlint-allow: alloc-in-hotpath -- deadlock error path, raises *)
         failwith msg
       end
     end

@@ -81,7 +81,6 @@ let fresh_token t =
   Engine.Sim.flight_note t.host.Host.sim ~cat:Engine.Log.Libos ~label:"qtoken.open" qt 0;
   qt
 
-(* dlint-allow: transitive-alloc-in-hotpath -- qtoken redemption: runs once per completed operation (busy path); the Some from the table hit is per-op, not per-poll *)
 let find_token t qt =
   match Hashtbl.find_opt t.tokens qt with
   | Some ts -> ts
@@ -93,7 +92,6 @@ let next_stamp t =
 
 (* --- the ready list --- *)
 
-(* dlint-allow: transitive-alloc-in-hotpath -- the ready list doubles only past its high-water mark (a few dozen tokens), never per completion in steady state *)
 let push_ready t qt =
   if t.nready = Array.length t.ready then begin
     let grown = Array.make (2 * t.nready) 0 in
@@ -149,7 +147,6 @@ let rec wake_stamp t s ws =
   | [] -> ()
   | w :: rest -> if w.stamp = s then Dsched.wake t.sched w.who else wake_stamp t s rest
 
-(* dlint-allow: transitive-alloc-in-hotpath -- completion delivery: the result option is allocated once per finished operation, a busy-path event, never on an empty poll *)
 let complete t qt result =
   let ts = find_token t qt in
   assert (match ts.result with None -> true | Some _ -> false);
@@ -189,7 +186,6 @@ let fresh_qd t =
 (* dlint: hotpath *)
 let wait t qt =
   let ts = find_token t qt in
-  (* dlint-allow: alloc-in-hotpath -- one waiter registration per wait call, not per wake *)
   let me = Some (Dsched.self t.sched) in
   let rec loop () =
     match ts.result with
@@ -230,9 +226,7 @@ let wait_core t qts ~deadline =
   if i < n then i
   else if Host.now t.host >= deadline then -1
   else begin
-    (* dlint-allow: alloc-in-hotpath -- one watcher per blocking call, not per wake or per token *)
     let w = { who = Dsched.self t.sched; qts; stamp = 0 } in
-    (* dlint-allow: alloc-in-hotpath -- one watcher per blocking call, not per wake or per token *)
     t.watchers <- w :: t.watchers;
     let i = block_until_ready t w ~deadline in
     t.watchers <- drop_watcher w t.watchers;
@@ -242,25 +236,20 @@ let wait_core t qts ~deadline =
 (* dlint: hotpath *)
 let wait_any t qts =
   if Array.length qts = 0 then
-    (* dlint-allow: alloc-in-hotpath -- error path, never taken per wake *)
     invalid_arg "wait_any: empty token set";
   let i = wait_core t qts ~deadline:max_int in
-  (* dlint-allow: alloc-in-hotpath -- completion delivery, once per call *)
   (i, redeem t qts.(i))
 
 (* dlint: hotpath *)
 let wait_any_timeout t qts ~timeout_ns =
   if Array.length qts = 0 then
-    (* dlint-allow: alloc-in-hotpath -- error path, never taken per wake *)
     invalid_arg "wait_any_timeout: empty token set";
   let deadline = Host.now t.host + timeout_ns in
   let me = Dsched.self t.sched in
   (* A timer event wakes us if nothing completes first; spurious wakes
      are harmless because we re-scan. *)
-  (* dlint-allow: alloc-in-hotpath -- per-call setup: one cancel flag per call *)
   let cancelled = ref false in
   Engine.Sim.schedule t.host.Host.sim ~delay:timeout_ns
-    (* dlint-allow: alloc-in-hotpath -- per-call setup: one timeout closure per call *)
     (fun () ->
       if not !cancelled then begin
         Dsched.wake t.sched me;
@@ -270,7 +259,6 @@ let wait_any_timeout t qts ~timeout_ns =
       end);
   let i = wait_core t qts ~deadline in
   cancelled := true;
-  (* dlint-allow: alloc-in-hotpath -- completion delivery, once per call *)
   if i < 0 then None else Some (i, redeem t qts.(i))
 
 let wait_all t qts = Array.map (wait t) qts
@@ -438,7 +426,7 @@ let next_deadline_ns t =
       if d < acc then d else acc)
     max_int t.timer_sources
 
-(* dlint-allow: transitive-alloc-in-hotpath scan-in-hotpath -- the park decision is the idle transition out of the poll loop, and fp_slots is the fixed set of fast-path pollers (a handful), not a connection-scaled table *)
+(* dlint-allow: scan-in-hotpath -- the park decision is the idle transition out of the poll loop, and fp_slots is the fixed set of fast-path pollers (a handful), not a connection-scaled table *)
 let maybe_park t slot =
   slot.idle <- true;
   if Dsched.runnable_apps t.sched || Dsched.has_pending_wakes t.sched then ()

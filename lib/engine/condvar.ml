@@ -77,7 +77,6 @@ let sweep t =
   t.len <- !j;
   !carry
 
-(* dlint-allow: transitive-alloc-in-hotpath -- amortised doubling, only once a sweep leaves the arrays more than half full of live waiters *)
 let grow t =
   let cap = 2 * Array.length t.fns in
   let extend a fill =

@@ -20,7 +20,6 @@ let create () =
     next_seq = 0;
   }
 
-(* dlint-allow: transitive-alloc-in-hotpath -- amortised doubling: the heap grows O(log n) times per run, never in steady state *)
 let grow t =
   let cap = 2 * Array.length t.fns in
   let times = Array.make cap 0 and seqs = Array.make cap 0 and fns = Array.make cap nop in

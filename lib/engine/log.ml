@@ -96,7 +96,6 @@ let slots t = Array.length t.strs / 3
 
 (* Only called while the ring has not wrapped, so the records sit at
    [0, total) in order and a prefix copy keeps them there. *)
-(* dlint-allow: transitive-alloc-in-hotpath -- storage growth: at most log2(capacity / 256) doublings per ring, none once it has reached its capacity *)
 let grow t =
   let n = min t.cap (2 * slots t) in
   let extend a width fill =

@@ -76,7 +76,6 @@ let bucket_index t deadline =
   let l = level_of t deadline in
   (l * slots) + ((deadline lsr (bits * l)) land mask)
 
-(* dlint-allow: transitive-alloc-in-hotpath -- one cons per timer arm (or re-bucket while cascading): per-armed-timer work that only happens when events are in flight, never on an empty poll *)
 let insert t e =
   let i = bucket_index t e.deadline in
   t.buckets.(i) <- e :: t.buckets.(i)
@@ -107,7 +106,7 @@ let cancel t e =
 
 (* First occupied slot per level, scanning outward from the clock's own
    slot; prune dead entries from buckets we touch along the way. *)
-(* dlint-allow: transitive-alloc-in-hotpath scan-in-hotpath -- wheel maintenance after a fire/insert, not a steady poll: the scan is bucket-local (bounded by the constant slots-per-level, pruning only entries already dead) and the ref is one scratch cell per recompute *)
+(* dlint-allow: scan-in-hotpath -- wheel maintenance after a fire/insert, not a steady poll: the scan is bucket-local (bounded by the constant slots-per-level, pruning only entries already dead) *)
 let recompute_min t =
   let best = ref None in
   for l = 0 to levels - 1 do
@@ -157,7 +156,6 @@ let rec drain_crossed t now entries =
   | e :: rest ->
       if e.live then
         if e.deadline <= now then
-          (* dlint-allow: alloc-in-hotpath -- due entries exist only on firing (busy) polls *)
           t.due_acc <- e :: t.due_acc
         else insert t e;
       drain_crossed t now rest
@@ -166,7 +164,7 @@ let rec drain_crossed t now entries =
    busy poll — sorting and firing may allocate). Claims the
    accumulated due set and resets the accumulator before running
    callbacks. *)
-(* dlint-allow: transitive-alloc-in-hotpath scan-in-hotpath -- sorts (and so allocates) only the due set: timers actually firing this tick (deterministic callback order), not the whole wheel *)
+(* dlint-allow: scan-in-hotpath -- sorts only the due set: timers actually firing this tick (deterministic callback order), not the whole wheel *)
 let fire_due t due f =
   t.due_acc <- [];
   t.cached <- None;

@@ -18,7 +18,9 @@
     The {!Memory.Gcbudget} oracle is armed for the duration: every
     marked steady-state poll loop (Catnip fast path, Catnap kernel
     drain, Catmint completion poll) must allocate zero minor-heap words
-    per idle iteration; offender sites are reported at [Sim.teardown]
+    per idle iteration, and each flavor's whole run must stay within an
+    exact per-echo minor-word budget (a constant in [selfcheck.ml],
+    measured at the defaults). Offender sites are reported on stderr
     and any violation fails the check.
 
     Exposed to operators as [demi --selfcheck] and to CI as a unit
@@ -29,7 +31,7 @@ type fingerprint = {
   events : int; (* total simulator events processed *)
   metrics : string; (* rendered final-metrics table *)
   ownership_violations : int; (* oracle findings across all flavors *)
-  gc_poll_violations : int; (* steady polls that allocated, all flavors *)
+  gc_violations : int; (* allocating steady polls + over-budget runs, all flavors *)
 }
 
 type result = { seed : int64; first : fingerprint; second : fingerprint; ok : bool }

@@ -34,9 +34,8 @@ val run : string list -> Rules.violation list
 
 val graph_dot : string list -> string
 (** Graphviz DOT of the Demideep call graph over the given roots
-    ([dlint --graph]): one node per function, effect letters
-    [A]lloc/[S]can/[R]aise/[N]ondet, allocating or scanning nodes
-    filled. Deterministic for a given tree. *)
+    ([dlint --graph]): one node per function, scanning nodes labelled
+    [[S]] and filled. Deterministic for a given tree. *)
 
 val stats : Rules.violation list -> (string * int) list
 (** Per-rule finding counts over every known rule id (zeroes included),

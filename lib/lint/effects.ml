@@ -1,57 +1,57 @@
-(* Demideep: interprocedural effect summaries over the Callgraph.
+(* Demideep: interprocedural scan summaries over the Callgraph.
 
-   Each function gets a four-flag summary — allocates /
-   scans-unbounded-collection / raises / touches-ambient-nondeterminism
-   — inferred as a fixpoint over the SCC condensation of the call
-   graph, so self-recursion and mutual recursion converge instead of
-   looping. Flags are monotone (set-once with a recorded origin), which
-   bounds every SCC's inner iteration by |members| x 4 and makes
-   origin chains acyclic by construction: an origin always points at a
-   flag that was set strictly earlier.
+   Each function gets one flag — scans an unbounded collection —
+   inferred as a fixpoint over the SCC condensation of the call graph,
+   so self-recursion and mutual recursion converge instead of looping.
+   The flag is monotone (set-once with a recorded origin), which bounds
+   every SCC's inner iteration by |members| and makes origin chains
+   acyclic by construction: an origin always points at a flag that was
+   set strictly earlier.
 
-   The two reported rules:
+   The reported rule:
 
-     transitive-alloc-in-hotpath  a call on a [dlint: hotpath] line
-                                  into a function that (transitively)
-                                  allocates. The lexical pass already
-                                  covers depth 0; this covers the
-                                  helper that conses a list two calls
-                                  down.
-     scan-in-hotpath              Hashtbl.iter/fold/length, List/Seq
-                                  traversals and the Det.sorted_*
-                                  helpers reached from a hotpath line,
-                                  directly or transitively — the
-                                  per-poll O(n) work that dies at the
-                                  paper's 1M-connection scale.
+     scan-in-hotpath  Hashtbl.iter/fold/length, List/Seq traversals and
+                      the Det.sorted_* helpers reached from a hotpath
+                      line, directly or transitively — the per-poll
+                      O(n) work that dies at the paper's 1M-connection
+                      scale, and that a fixed-size workload may never
+                      grow large enough to show.
+
+   Hot lines are opted in with marker comments (recognised in comments;
+   string literals cannot spoof them because marker scans run on the
+   strings-masked view). A marker only counts when terminated — followed
+   by nothing but the comment closer or the end of the line — so prose
+   that merely mentions one, like this paragraph, arms nothing:
+
+     dlint: hotpath         -- arms the NEXT top-level [let]/[and]
+                               group (or the group whose binding line
+                               carries the marker) — function-level
+     dlint: hotpath-begin   -- arms the following lines
+     dlint: hotpath-end     -- disarms (region form, for inner loops)
 
    Every finding carries a witness chain: the hot call site, then the
    call site inside each intermediate function, ending at the direct
    evidence, each hop with file:line:col.
 
    Exemptions compose with the existing machinery: an inline allow
-   marker naming [transitive-alloc-in-hotpath] (or [scan-in-hotpath])
-   on/above a *callee's definition line* clears that function's flag
-   before propagation — one justified exemption on a busy-path handler
-   silences every hot caller — and a marker at the call site
-   suppresses just that finding (applied by Rules, as for every other
-   rule). Both feed the stale-exemption detector. An evidence line
-   whose allocation is already justified in place (an inline allow
-   naming [alloc-in-hotpath]) is not re-reported transitively: the
-   allocation was accepted where it happens.
+   marker naming [scan-in-hotpath] on/above a *callee's definition
+   line* clears that function's flag before propagation — one justified
+   exemption on a busy-path handler silences every hot caller — and a
+   marker at the call site suppresses just that finding (applied by
+   Rules, as for every other rule). Both feed the stale-exemption
+   detector.
+
+   Allocation is not a static rule: the selfcheck measures it per echo
+   against an exact word budget (Memory.Gcbudget, DESIGN.md §11).
 
    Known approximations (DESIGN.md §12): the graph is lexical, so calls
    through record fields ([api.Pdpix.push]) and functor instantiations
    contribute no edges (under-approximation), while mentioning a
    function — passing it as a callback — counts as calling it
-   (over-approximation, and the right default for hot loops). Raises
-   and nondeterminism are inferred and exported (DOT, summaries) but
-   deliberately un-reported: determinism-source already polices ambient
-   nondeterminism at its source, and raising is hot-path-legal (static
-   exceptions unwind without allocating). *)
+   (over-approximation, and the right default for hot loops). *)
 
-let rule_transitive_alloc = "transitive-alloc-in-hotpath"
 let rule_scan = "scan-in-hotpath"
-let rule_ids = [ rule_transitive_alloc; rule_scan ]
+let rule_ids = [ rule_scan ]
 
 type loc = { lpath : string; lline : int; lcol : int (* 1-based *) }
 type hop = { hop_loc : loc; hop_what : string }
@@ -61,13 +61,8 @@ type source =
   | Via of int * loc (* callee def id; call site inside this def *)
 
 type summary = {
-  mutable s_alloc : source option;
   mutable s_scan : source option;
-  mutable s_raises : source option;
-  mutable s_nondet : source option;
-  (* per-flag exemption memo: None = not yet asked *)
-  mutable x_alloc : bool option;
-  mutable x_scan : bool option;
+  mutable x_scan : bool option; (* exemption memo: None = not yet asked *)
 }
 
 type file_view = { path : string; stripped : string array; masked : string array }
@@ -80,6 +75,65 @@ type finding = {
   fmessage : string;
   fchain : hop list;
 }
+
+(* ---------- hot-region computation (on the strings-masked view) ---------- *)
+
+let marker_fn = "dlint: hotpath"
+let marker_begin = "dlint: hotpath-begin"
+let marker_end = "dlint: hotpath-end"
+
+let starts_with p s = String.length s >= String.length p && String.sub s 0 (String.length p) = p
+let starts_toplevel text = starts_with "let " text || starts_with "and " text
+
+(* A marker occurrence counts only when terminated: the marker text
+   followed by optional blanks and then the comment closer or the end
+   of the line. Prose that mentions a marker mid-sentence arms nothing,
+   and [hotpath] never matches inside [hotpath-begin]/[-end] (the next
+   char is '-', not a terminator). *)
+let marker_at line m =
+  let n = String.length line and lm = String.length m in
+  let rec skip j = if j < n && (line.[j] = ' ' || line.[j] = '\t') then skip (j + 1) else j in
+  let rec find i =
+    if i + lm > n then false
+    else if String.sub line i lm = m then begin
+      let j = skip (i + lm) in
+      if j >= n || (j + 1 < n && line.[j] = '*' && line.[j + 1] = ')') then true
+      else find (i + 1)
+    end
+    else find (i + 1)
+  in
+  find 0
+
+(* Function-level markers arm [let-line .. next-toplevel). A marker that
+   never finds a following binding (marker at EOF) arms nothing. *)
+let hot_lines ~masked ~stripped =
+  let n = Array.length stripped in
+  let hot = Array.make n false in
+  let has_marker i m = i < Array.length masked && marker_at masked.(i) m in
+  let in_region = ref false in
+  for i = 0 to n - 1 do
+    if has_marker i marker_end then in_region := false
+    else if has_marker i marker_begin then in_region := true
+    else if !in_region then hot.(i) <- true
+  done;
+  for i = 0 to n - 1 do
+    if has_marker i marker_fn && not (has_marker i marker_begin) && not (has_marker i marker_end)
+    then begin
+      let rec find_let j = if j >= n then None else if starts_toplevel stripped.(j) then Some j else find_let (j + 1) in
+      match find_let i with
+      | None -> () (* marker at EOF or trailing: arms nothing *)
+      | Some j ->
+          hot.(j) <- true;
+          let rec mark k =
+            if k < n && not (starts_toplevel stripped.(k)) then begin
+              hot.(k) <- true;
+              mark (k + 1)
+            end
+          in
+          mark (j + 1)
+    end
+  done;
+  hot
 
 (* ---------- direct evidence ---------- *)
 
@@ -104,21 +158,12 @@ let scan_tokens =
     "Seq.iter"; "Seq.fold_left"; "Seq.map"; "Seq.filter"; "Seq.filter_map"; "Seq.length";
   ]
 
-let raise_tokens = [ "failwith"; "invalid_arg"; "raise"; "assert" ]
-let nondet_tokens = [ "Random."; "Unix."; "Sys.time" ]
-
 let first_scan_site line =
   match List.find_opt (fun tok -> Lexer.contains_token line tok) scan_tokens with
   | Some tok -> (
       match Lexer.token_index line tok with
       | Some c -> Some (c, tok ^ " walks the whole collection")
       | None -> None)
-  | None -> None
-
-let first_token_site tokens line =
-  match List.find_opt (fun tok -> Lexer.contains_token line tok) tokens with
-  | Some tok -> (
-      match Lexer.token_index line tok with Some c -> Some (c, tok) | None -> None)
   | None -> None
 
 (* ---------- analysis ---------- *)
@@ -129,80 +174,39 @@ type result = {
   findings : finding list;
 }
 
-let rule_of_flag = function `Alloc -> rule_transitive_alloc | `Scan -> rule_scan
-
 let analyze ~(files : file_view list)
-    ~(exempt : path:string -> line:int -> rule:string -> bool)
-    ~(evidence_allowed : path:string -> line:int -> rule:string -> bool) =
+    ~(exempt : path:string -> line:int -> rule:string -> bool) =
   let graph = Callgraph.build (List.map (fun f -> (f.path, f.stripped)) files) in
   let n = Array.length graph.Callgraph.defs in
-  let summaries =
-    Array.init n (fun _ ->
-        {
-          s_alloc = None;
-          s_scan = None;
-          s_raises = None;
-          s_nondet = None;
-          x_alloc = None;
-          x_scan = None;
-        })
-  in
+  let summaries = Array.init n (fun _ -> { s_scan = None; x_scan = None }) in
   let def i = graph.Callgraph.defs.(i) in
-  (* Is def [i] exempt for [flag]? Asked at most once per (def, flag),
-     and only when the flag is about to be set — so the underlying
-     dlint-allow marker is consumed (for staleness) exactly when it
-     suppresses a real propagation. *)
-  let is_exempt i flag =
+  (* Is def [i] exempt? Asked at most once per def, and only when its
+     flag is about to be set — so the underlying dlint-allow marker is
+     consumed (for staleness) exactly when it suppresses a real
+     propagation. *)
+  let is_exempt i =
     let s = summaries.(i) in
-    let memo = match flag with `Alloc -> s.x_alloc | `Scan -> s.x_scan in
-    match memo with
+    match s.x_scan with
     | Some e -> e
     | None ->
         let d = def i in
-        let e = exempt ~path:d.Callgraph.path ~line:d.Callgraph.dline ~rule:(rule_of_flag flag) in
-        (match flag with `Alloc -> s.x_alloc <- Some e | `Scan -> s.x_scan <- Some e);
+        let e = exempt ~path:d.Callgraph.path ~line:d.Callgraph.dline ~rule:rule_scan in
+        s.x_scan <- Some e;
         e
   in
-  let get s flag =
-    match flag with
-    | `Alloc -> s.s_alloc
-    | `Scan -> s.s_scan
-    | `Raises -> s.s_raises
-    | `Nondet -> s.s_nondet
-  in
-  let set i flag src =
+  let set i src =
     let s = summaries.(i) in
-    if not (def i).Callgraph.fn then false
-      (* value bindings run once at module init; mentioning one later
-         executes nothing, so it never carries effects to a caller *)
-    else
-    match get s flag with
-    | Some _ -> false
-    | None ->
-        let blocked =
-          match flag with
-          | `Alloc -> is_exempt i `Alloc
-          | `Scan -> is_exempt i `Scan
-          | `Raises | `Nondet -> false
-        in
-        if blocked then false
-        else begin
-          (match flag with
-          | `Alloc -> s.s_alloc <- Some src
-          | `Scan -> s.s_scan <- Some src
-          | `Raises -> s.s_raises <- Some src
-          | `Nondet -> s.s_nondet <- Some src);
-          true
-        end
+    (* value bindings run once at module init; mentioning one later
+       executes nothing, so it never carries effects to a caller *)
+    if (not (def i).Callgraph.fn) || s.s_scan <> None || is_exempt i then false
+    else begin
+      s.s_scan <- Some src;
+      true
+    end
   in
   (* direct evidence, per def body line *)
   let stripped_of = Hashtbl.create 16 in
-  let masked_of = Hashtbl.create 16 in
-  List.iter
-    (fun f ->
-      Hashtbl.replace stripped_of f.path f.stripped;
-      Hashtbl.replace masked_of f.path f.masked)
-    files;
+  List.iter (fun f -> Hashtbl.replace stripped_of f.path f.stripped) files;
   Array.iteri
     (fun i d ->
       let lines =
@@ -212,46 +216,15 @@ let analyze ~(files : file_view list)
       in
       let last = min d.Callgraph.body_end (Array.length lines) in
       for lno = d.Callgraph.dline to last do
-        let line = lines.(lno - 1) in
-        let loc c = { lpath = d.Callgraph.path; lline = lno; lcol = c + 1 } in
-        (* allocation: first site not already justified in place (an
-           inline alloc-in-hotpath allow accepts the allocation where
-           it happens); exn-alloc feeds the raises flag instead *)
-        if get summaries.(i) `Alloc = None then begin
-          let site =
-            List.find_opt
-              (fun (_, tag, _) ->
-                tag <> "exn-alloc"
-                && (not
-                      (evidence_allowed ~path:d.Callgraph.path ~line:lno
-                         ~rule:Alloccheck.rule_id)))
-              (Alloccheck.alloc_sites line)
-          in
-          match site with
-          | Some (c, tag, what) -> ignore (set i `Alloc (Direct (loc c, what ^ " [" ^ tag ^ "]")))
+        if summaries.(i).s_scan = None then
+          match first_scan_site lines.(lno - 1) with
+          | Some (c, what) ->
+              ignore (set i (Direct ({ lpath = d.Callgraph.path; lline = lno; lcol = c + 1 }, what)))
           | None -> ()
-        end;
-        if get summaries.(i) `Scan = None then begin
-          match first_scan_site line with
-          | Some (c, what) -> ignore (set i `Scan (Direct (loc c, what)))
-          | None -> ()
-        end;
-        if get summaries.(i) `Raises = None then begin
-          match first_token_site raise_tokens line with
-          | Some (c, tok) -> ignore (set i `Raises (Direct (loc c, tok ^ " raises")))
-          | None -> ()
-        end;
-        if get summaries.(i) `Nondet = None then begin
-          match first_token_site nondet_tokens line with
-          | Some (c, tok) ->
-              ignore (set i `Nondet (Direct (loc c, tok ^ " is ambient nondeterminism")))
-          | None -> ()
-        end
       done)
     graph.Callgraph.defs;
   (* SCC-condensed fixpoint, callees first; within an SCC iterate until
      no flag changes (monotone, so it converges) *)
-  let flags = [ `Alloc; `Scan; `Raises; `Nondet ] in
   List.iter
     (fun scc ->
       let changed = ref true in
@@ -263,42 +236,34 @@ let analyze ~(files : file_view list)
             List.iter
               (fun (c : Callgraph.callsite) ->
                 let t = c.Callgraph.target in
-                List.iter
-                  (fun flag ->
-                    if get summaries.(t) flag <> None && get summaries.(i) flag = None then begin
-                      let cloc =
-                        {
-                          lpath = d.Callgraph.path;
-                          lline = c.Callgraph.cline;
-                          lcol = c.Callgraph.ccol;
-                        }
-                      in
-                      if set i flag (Via (t, cloc)) then changed := true
-                    end)
-                  flags)
+                if summaries.(t).s_scan <> None && summaries.(i).s_scan = None then begin
+                  let cloc =
+                    { lpath = d.Callgraph.path; lline = c.Callgraph.cline; lcol = c.Callgraph.ccol }
+                  in
+                  if set i (Via (t, cloc)) then changed := true
+                end)
               graph.Callgraph.calls.(i))
           scc
       done)
     graph.Callgraph.sccs;
   (* witness chains *)
-  let rec chain_of flag i =
-    match get summaries.(i) flag with
+  let rec chain_of i =
+    match summaries.(i).s_scan with
     | None -> []
     | Some (Direct (l, what)) -> [ { hop_loc = l; hop_what = what } ]
-    | Some (Via (t, l)) ->
-        { hop_loc = l; hop_what = Callgraph.display (def t) } :: chain_of flag t
+    | Some (Via (t, l)) -> { hop_loc = l; hop_what = Callgraph.display (def t) } :: chain_of t
   in
-  let render_chain first_hop rest =
+  let render_chain chain =
     let pp h =
       Printf.sprintf "%s (%s:%d:%d)" h.hop_what h.hop_loc.lpath h.hop_loc.lline
         h.hop_loc.lcol
     in
-    String.concat " -> " ("hotpath" :: List.map pp (first_hop :: rest))
+    String.concat " -> " ("hotpath" :: List.map pp chain)
   in
   (* findings: calls on hot lines into flagged functions, plus direct
-     scan tokens on hot lines; one finding per (line, rule, callee) *)
+     scan tokens on hot lines; one finding per (line, callee) *)
   let hot_of =
-    List.map (fun f -> (f.path, Alloccheck.hot_lines ~masked:f.masked ~stripped:f.stripped)) files
+    List.map (fun f -> (f.path, hot_lines ~masked:f.masked ~stripped:f.stripped)) files
   in
   let hot path lno =
     match List.assoc_opt path hot_of with
@@ -308,12 +273,12 @@ let analyze ~(files : file_view list)
   let findings = ref [] in
   let seen = Hashtbl.create 16 in
   let seen_line = Hashtbl.create 16 in
-  let emit ~path ~line ~col ~rule ~dedup message chain =
-    if not (Hashtbl.mem seen (path, line, rule, dedup)) then begin
-      Hashtbl.replace seen (path, line, rule, dedup) ();
-      Hashtbl.replace seen_line (path, line, rule) ();
+  let emit ~path ~line ~col ~dedup message chain =
+    if not (Hashtbl.mem seen (path, line, dedup)) then begin
+      Hashtbl.replace seen (path, line, dedup) ();
+      Hashtbl.replace seen_line (path, line) ();
       findings :=
-        { fpath = path; fline = line; fcol = col; frule = rule; fmessage = message; fchain = chain }
+        { fpath = path; fline = line; fcol = col; frule = rule_scan; fmessage = message; fchain = chain }
         :: !findings
     end
   in
@@ -322,50 +287,30 @@ let analyze ~(files : file_view list)
       let path = d.Callgraph.path in
       List.iter
         (fun (c : Callgraph.callsite) ->
-          if hot path c.Callgraph.cline then begin
-            let t = c.Callgraph.target in
-            let site_hop flag =
+          let t = c.Callgraph.target in
+          if hot path c.Callgraph.cline && summaries.(t).s_scan <> None then begin
+            let chain =
               {
                 hop_loc = { lpath = path; lline = c.Callgraph.cline; lcol = c.Callgraph.ccol };
                 hop_what = Callgraph.display (def t);
               }
-              :: chain_of flag t
+              :: chain_of t
             in
-            (match get summaries.(t) `Alloc with
-            | Some _ ->
-                let chain = site_hop `Alloc in
-                emit ~path ~line:c.Callgraph.cline ~col:c.Callgraph.ccol
-                  ~rule:rule_transitive_alloc ~dedup:t
-                  (Printf.sprintf
-                     "call into %s, which transitively allocates, on a dlint:hotpath line; \
-                      witness: %s — make the callee allocation-free, or exempt it at its \
-                      definition with dlint-allow: %s"
-                     (Callgraph.display (def t))
-                     (render_chain (List.hd chain) (List.tl chain))
-                     rule_transitive_alloc)
-                  chain
-            | None -> ());
-            match get summaries.(t) `Scan with
-            | Some _ ->
-                let chain = site_hop `Scan in
-                emit ~path ~line:c.Callgraph.cline ~col:c.Callgraph.ccol ~rule:rule_scan
-                  ~dedup:t
-                  (Printf.sprintf
-                     "call into %s, which transitively scans a whole collection, on a \
-                      dlint:hotpath line — O(n) per poll dies at 1M connections; witness: \
-                      %s — dirty-track instead, or exempt the callee at its definition \
-                      with dlint-allow: %s"
-                     (Callgraph.display (def t))
-                     (render_chain (List.hd chain) (List.tl chain))
-                     rule_scan)
-                  chain
-            | None -> ()
+            emit ~path ~line:c.Callgraph.cline ~col:c.Callgraph.ccol ~dedup:t
+              (Printf.sprintf
+                 "call into %s, which transitively scans a whole collection, on a \
+                  dlint:hotpath line — O(n) per poll dies at 1M connections; witness: \
+                  %s — dirty-track instead, or exempt the callee at its definition \
+                  with dlint-allow: %s"
+                 (Callgraph.display (def t))
+                 (render_chain chain) rule_scan)
+              chain
           end)
         graph.Callgraph.calls.(i))
     graph.Callgraph.defs;
   (* direct scan tokens on hot lines (no project-function call needed);
-     a call-based scan finding on the same line subsumes the token it
-     was resolved from, so per-(line, rule) those win *)
+     a call-based finding on the same line subsumes the token it was
+     resolved from, so per line those win *)
   List.iter
     (fun f ->
       match List.assoc_opt f.path hot_of with
@@ -373,12 +318,12 @@ let analyze ~(files : file_view list)
       | Some h ->
           Array.iteri
             (fun idx line ->
-              if h.(idx) && not (Hashtbl.mem seen_line (f.path, idx + 1, rule_scan)) then
+              if h.(idx) && not (Hashtbl.mem seen_line (f.path, idx + 1)) then
                 match first_scan_site line with
                 | Some (c, what) ->
                     let loc = { lpath = f.path; lline = idx + 1; lcol = c + 1 } in
                     let chain = [ { hop_loc = loc; hop_what = what } ] in
-                    emit ~path:f.path ~line:(idx + 1) ~col:(c + 1) ~rule:rule_scan ~dedup:(-1)
+                    emit ~path:f.path ~line:(idx + 1) ~col:(c + 1) ~dedup:(-1)
                       (Printf.sprintf
                          "%s on a dlint:hotpath line — O(n) per poll dies at 1M \
                           connections; dirty-track the relevant subset, or justify with \
@@ -398,31 +343,18 @@ let analyze ~(files : file_view list)
 (* ---------- DOT export ---------- *)
 
 let dot ~files =
-  let no ~path:_ ~line:_ ~rule:_ = false in
-  let r = analyze ~files ~exempt:no ~evidence_allowed:no in
+  let r = analyze ~files ~exempt:(fun ~path:_ ~line:_ ~rule:_ -> false) in
   let b = Buffer.create 4096 in
   Buffer.add_string b "digraph dlint {\n";
   Buffer.add_string b "  rankdir=LR;\n  node [shape=box, fontsize=10];\n";
-  let eff s =
-    String.concat ""
-      [
-        (if s.s_alloc <> None then "A" else "");
-        (if s.s_scan <> None then "S" else "");
-        (if s.s_raises <> None then "R" else "");
-        (if s.s_nondet <> None then "N" else "");
-      ]
-  in
   Array.iteri
     (fun i d ->
       if d.Callgraph.name <> "" then begin
-        let s = r.summaries.(i) in
-        let e = eff s in
+        let scans = r.summaries.(i).s_scan <> None in
         Buffer.add_string b
-          (Printf.sprintf "  n%d [label=\"%s%s\"%s];\n" i
-             (Callgraph.display d)
-             (if e = "" then "" else "\\n[" ^ e ^ "]")
-             (if s.s_alloc <> None || s.s_scan <> None then ", style=filled, fillcolor=\"#ffdddd\""
-              else ""))
+          (Printf.sprintf "  n%d [label=\"%s%s\"%s];\n" i (Callgraph.display d)
+             (if scans then "\\n[S]" else "")
+             (if scans then ", style=filled, fillcolor=\"#ffdddd\"" else ""))
       end)
     r.graph.Callgraph.defs;
   Array.iteri

@@ -1,33 +1,33 @@
-(** Demideep: interprocedural effect-summary inference over the
-    {!Callgraph}, and the two transitive hot-path rules.
+(** Demideep: interprocedural scan-summary inference over the
+    {!Callgraph}, and the [scan-in-hotpath] rule.
 
-    Each function gets a four-flag summary — allocates /
-    scans-unbounded-collection / raises / touches-ambient-nondeterminism
-    — computed as a set-once monotone fixpoint over the SCC
-    condensation of the call graph (self- and mutual recursion
-    converge; origin chains are acyclic by construction). Summaries
-    propagate into [dlint: hotpath] regions:
-
-    - [transitive-alloc-in-hotpath]: a call on a hot line into a
-      function that (transitively) allocates — the helper that conses a
-      list two calls down, invisible to the lexical pass.
-    - [scan-in-hotpath]: [Hashtbl.iter/fold/length], List/Seq
-      traversals and the [Det.sorted_*] helpers reached from a hot
-      line, directly or transitively.
+    Each function gets one flag — scans an unbounded collection —
+    computed as a set-once monotone fixpoint over the SCC condensation
+    of the call graph (self- and mutual recursion converge; origin
+    chains are acyclic by construction). Flags propagate into
+    [dlint: hotpath] regions: [Hashtbl.iter/fold/length], List/Seq
+    traversals and the [Det.sorted_*] helpers reached from a hot line,
+    directly or transitively, are reported.
 
     Every finding carries a witness chain — hot call site, each
     intermediate call site, the direct evidence — with file:line:col at
-    each hop. Raises and nondeterminism are inferred and exported (DOT)
-    but not reported as rules. See DESIGN.md §12 for the summary
-    lattice and the lexical-graph soundness caveats. *)
-
-val rule_transitive_alloc : string
-(** ["transitive-alloc-in-hotpath"]. *)
+    each hop. See DESIGN.md §12 for the lattice and the lexical-graph
+    soundness caveats. *)
 
 val rule_scan : string
 (** ["scan-in-hotpath"]. *)
 
 val rule_ids : string list
+
+val hot_lines : masked:string array -> stripped:string array -> bool array
+(** Which lines (0-based index) are inside a [dlint: hotpath] region:
+    [(* dlint: hotpath *)] arms the next top-level binding group,
+    [(* dlint: hotpath-begin *)] / [(* dlint: hotpath-end *)] bound an
+    explicit region. A marker counts only when terminated (followed by
+    the comment closer or the end of the line), so prose that mentions
+    one arms nothing. [masked] is the {!Lexer.mask_strings} view
+    (markers live in comments, and string literals cannot spoof them),
+    [stripped] the fully stripped view (binding-group boundaries). *)
 
 type loc = { lpath : string; lline : int; lcol : int (* 1-based *) }
 type hop = { hop_loc : loc; hop_what : string }
@@ -37,12 +37,8 @@ type source =
   | Via of int * loc  (** callee def id; the call site inside this def *)
 
 type summary = {
-  mutable s_alloc : source option;
   mutable s_scan : source option;
-  mutable s_raises : source option;
-  mutable s_nondet : source option;
-  mutable x_alloc : bool option;
-  mutable x_scan : bool option;
+  mutable x_scan : bool option;  (** exemption memo: [None] = not yet asked *)
 }
 
 type file_view = { path : string; stripped : string array; masked : string array }
@@ -63,23 +59,16 @@ type result = {
 }
 
 val analyze :
-  files:file_view list ->
-  exempt:(path:string -> line:int -> rule:string -> bool) ->
-  evidence_allowed:(path:string -> line:int -> rule:string -> bool) ->
-  result
-(** [exempt] is queried (at most once per function per flag, and only
-    when the flag is about to be set) at the callee's definition line
-    with the would-be rule id: a [dlint-allow:
-    transitive-alloc-in-hotpath] on/above a busy-path handler's [let]
-    clears its flag before propagation, silencing every hot caller with
-    one justified exemption. [evidence_allowed] is queried on direct
-    allocation evidence lines with [alloc-in-hotpath]: an allocation
-    already justified in place is not re-reported transitively. Both
-    callbacks are expected to record consumption for stale-exemption
-    detection. Findings are sorted by (path, line, col). *)
+  files:file_view list -> exempt:(path:string -> line:int -> rule:string -> bool) -> result
+(** [exempt] is queried (at most once per function, and only when its
+    flag is about to be set) at the callee's definition line with
+    [scan-in-hotpath]: a [dlint-allow: scan-in-hotpath] on/above a
+    handler's [let] clears its flag before propagation, silencing every
+    hot caller with one justified exemption. The callback is expected
+    to record consumption for stale-exemption detection. Findings are
+    sorted by (path, line, col). *)
 
 val dot : files:file_view list -> string
-(** Graphviz DOT of the whole call graph, one node per named function
-    labelled with its effect letters ([A]lloc / [S]can / [R]aise /
-    [N]ondet, allocating or scanning nodes filled red), deterministic
+(** Graphviz DOT of the whole call graph, one node per named function;
+    scanning nodes are labelled [[S]] and filled red. Deterministic
     output. No exemptions are applied and nothing is consumed. *)

@@ -129,7 +129,7 @@ let strip_comments_and_strings src =
   Bytes.to_string out
 
 (* Blank out string/char literal contents only, KEEPING comment text.
-   The alloc pass needs this view: its [dlint: hotpath] markers live
+   The hot-region scan needs this view: its [dlint: hotpath] markers live
    inside comments (which [strip_comments_and_strings] would erase),
    but a marker spelled inside a string literal must not arm a region.
    The walk mirrors [strip_comments_and_strings] exactly — comments are
@@ -271,14 +271,10 @@ let word_at line i =
   let s = start i and e = stop i in
   if e > s then String.sub line s (e - s) else ""
 
-let sub_index s sub =
+let contains_sub s sub =
   let n = String.length s and m = String.length sub in
-  let rec at i =
-    if i + m > n then None else if String.sub s i m = sub then Some i else at (i + 1)
-  in
+  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
   at 0
-
-let contains_sub s sub = sub_index s sub <> None
 
 (* The identifier starting at or after [i] (skipping spaces and '('),
    e.g. the argument of a call or the binder after "let". *)

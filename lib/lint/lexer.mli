@@ -38,12 +38,9 @@ val word_at : string -> int -> string
 (** The (possibly dot-qualified) identifier covering position [i], or
     [""]. *)
 
-val sub_index : string -> string -> int option
-(** 0-based index of the first raw substring occurrence (no token
-    boundary check) — for operators like ["+."] that never sit at
-    identifier boundaries. *)
-
 val contains_sub : string -> string -> bool
+(** Raw substring test (no token boundary check) — for operators like
+    ["&&"] that never sit at identifier boundaries. *)
 
 val ident_after : string -> int -> string
 (** The identifier starting at or just after position [i], skipping

@@ -16,7 +16,7 @@ let rule_unused = "unused-exemption"
 
 let rule_ids =
   [ rule_determinism; rule_hashtbl; rule_copy; rule_poly; rule_print ]
-  @ Ownership.rule_ids @ Alloccheck.rule_ids @ Effects.rule_ids @ [ rule_unused ]
+  @ Ownership.rule_ids @ Effects.rule_ids @ [ rule_unused ]
 
 (* ---------- path classification ---------- *)
 
@@ -219,10 +219,10 @@ type report = {
 }
 
 (* The project pipeline. Local passes (per-line rules, ownership
-   dataflow, hot-path allocation) run file by file; the Demideep
-   interprocedural pass then runs once over the whole file set, so a
-   hot call in [tcp/stack.ml] can be blamed on an allocation three hops
-   away in another module. The central {!Allowlist} is NOT applied here
+   dataflow) run file by file; the Demideep interprocedural pass then
+   runs once over the whole file set, so a hot call in [tcp/stack.ml]
+   can be blamed on a collection walk three hops away in another
+   module. The central {!Allowlist} is NOT applied here
    — the driver does that, so it can also detect stale central
    entries. *)
 let scan_project ?now files =
@@ -363,24 +363,10 @@ let scan_project ?now files =
                   f.Ownership.message)
               (Ownership.scan fs.fs_stripped))
         states);
-  (* hot-path allocation pass: markers are opt-in, so it runs everywhere.
-     The masked view (strings blanked, comments kept) is where the
-     markers live — a marker inside a string literal cannot arm a
-     region. *)
-  timed "alloccheck" (fun () ->
-      List.iter
-        (fun fs ->
-          List.iter
-            (fun (f : Alloccheck.finding) ->
-              emit fs ~line:f.Alloccheck.line ~col:f.Alloccheck.col
-                ~rule:Alloccheck.rule_id f.Alloccheck.message)
-            (Alloccheck.scan ~masked:fs.fs_masked fs.fs_stripped))
-        states);
-  (* Demideep: whole-project call graph + effect summaries. Callee-side
-     definition exemptions and already-justified allocation evidence are
-     resolved against the file that carries the marker; surviving
-     findings then pass through the call-site file's allows like any
-     other rule. *)
+  (* Demideep: whole-project call graph + scan summaries. Callee-side
+     definition exemptions are resolved against the file that carries
+     the marker; surviving findings then pass through the call-site
+     file's allows like any other rule. *)
   timed "interproc" (fun () ->
       let by_path = Hashtbl.create 16 in
       List.iter (fun fs -> Hashtbl.replace by_path fs.fs_path fs) states;
@@ -400,7 +386,7 @@ let scan_project ?now files =
                    masked = fs.fs_masked;
                  })
                states)
-          ~exempt:file_allowed ~evidence_allowed:file_allowed
+          ~exempt:file_allowed
       in
       List.iter
         (fun (f : Effects.finding) ->

@@ -27,14 +27,14 @@
     PDPIX ownership-protocol rules ([free-after-push],
     [double-free-path], [leaked-buffer], [dropped-token]) in the
     buffer-handling directories ([lib/tcp], [lib/demikernel],
-    [lib/apps], [lib/baselines], [lib/harness]); the {!Alloccheck}
-    pass contributes [alloc-in-hotpath]: heap-allocation sites inside
-    regions opted in with [(* dlint: hotpath *)] /
-    [(* dlint: hotpath-begin/end *)] markers (any directory — marking
-    is the opt-in); and the {!Effects} interprocedural pass contributes
-    [transitive-alloc-in-hotpath] and [scan-in-hotpath] — hot calls
-    into functions that allocate or walk whole collections anywhere
-    down the call chain, each finding carrying a witness chain.
+    [lib/apps], [lib/baselines], [lib/harness]); and the {!Effects}
+    interprocedural pass contributes [scan-in-hotpath] — whole-collection
+    walks reached, directly or down the call chain, from regions opted
+    in with [(* dlint: hotpath *)] / [(* dlint: hotpath-begin/end *)]
+    markers (any directory — marking is the opt-in), each finding
+    carrying a witness chain. Allocation is measured, not linted: the
+    selfcheck holds each libOS to an exact minor-word budget per echo
+    ({!Memory.Gcbudget}).
 
     Scanning is purely lexical: comments and string/char literals are
     stripped first, so a banned name inside a docstring does not trip
@@ -79,8 +79,8 @@ type report = {
           an interprocedural flag *)
   timings : (string * float) list;
       (** per pass, in pipeline order ([lex], [line-rules], [ownership],
-          [alloccheck], [interproc]): wall seconds, all zero unless
-          [?now] was supplied *)
+          [interproc]): wall seconds, all zero unless [?now] was
+          supplied *)
 }
 
 val scan_project : ?now:(unit -> float) -> (string * string) list -> report

@@ -1,9 +1,15 @@
-(* Demialloc runtime half: the per-poll GC allocation-budget oracle.
+(* The GC allocation-budget oracle: the one allocation check.
 
-   The static pass (Lint.Alloccheck) flags allocation *sites*; this
-   module proves the property dynamically: with the oracle armed
-   (selfcheck / @selfcheck), every steady-state poll in a marked hot
-   region must allocate ZERO words on the OCaml minor heap.
+   Two kinds of measured window, both armed by the selfcheck (and so by
+   [dune runtest] / [dune build @selfcheck]):
+
+   - steady polls: every steady-state poll of a marked poll loop must
+     allocate ZERO words on the OCaml minor heap;
+   - budgeted busy windows: a site registered with [~budget] (words per
+     unit) must allocate at most [budget * units] words between [enter]
+     and [leave_busy ~units]. The selfcheck wraps each flavor's whole
+     echo run in one such window, so the budget is an exact per-echo
+     word count for the full datapath.
 
    Measurement uses [Gc.minor_words], a cumulative monotonic counter:
    it is unaffected by when collections happen, so identical allocation
@@ -19,6 +25,11 @@
    is still calibrated at arm time (min of back-to-back deltas) and
    subtracted.
 
+   The counter is process-wide, so a window must not span a fiber
+   switch into other work it does not own: the poll-loop windows close
+   before the loop yields, and a budgeted window either covers the
+   whole simulation (the selfcheck) or code that never suspends.
+
    Protocol per poll iteration, chosen so the window excludes the
    oracle's own bookkeeping and the effect-based scheduler machinery
    (yield / park perform effects, which allocate continuations by
@@ -26,8 +37,8 @@
 
      enter site;
      ... poll body ...
-     if nothing_happened then leave_steady site  (* asserted *)
-     else leave_busy site                        (* work polls may alloc *)
+     if nothing_happened then leave_steady site  (* asserted zero *)
+     else leave_busy site                        (* budgeted sites only *)
 
    The first [warmup] steady polls per site are exempt: lazy
    initialisation (first-use table growth, trace setup) is allowed to
@@ -36,10 +47,11 @@
 type site = {
   name : string;
   warmup : int;
+  budget : int option; (* words per unit on busy windows; None = unchecked *)
   mutable seen : int; (* steady polls observed *)
   mutable measured : int; (* steady polls measured (post-warmup) *)
-  mutable violations : int;
-  mutable worst : int; (* max extra words in one violating poll *)
+  mutable violations : int; (* steady polls that allocated + busy windows over budget *)
+  mutable worst : int; (* max words over budget in one violating window *)
   mutable w0 : int; (* minor-words counter at window open *)
   mutable in_window : bool;
 }
@@ -76,8 +88,7 @@ let set_armed b =
 
 let armed () = !armed_flag
 
-(* dlint-allow: transitive-alloc-in-hotpath -- site registration: callers bind their site once at setup and keep the handle; the registry lookup never sits inside a measured poll *)
-let site ?(warmup = 16) name =
+let site ?(warmup = 16) ?budget name =
   match Hashtbl.find_opt registry name with
   | Some s -> s
   | None ->
@@ -85,6 +96,7 @@ let site ?(warmup = 16) name =
         {
           name;
           warmup;
+          budget;
           seen = 0;
           measured = 0;
           violations = 0;
@@ -103,7 +115,13 @@ let enter s =
     s.w0 <- int_of_float (Gc.minor_words ())
   end
 
-(* The [w1] read happens before any of the arithmetic below, so even a
+let over s words =
+  if words > 0 then begin
+    s.violations <- s.violations + 1;
+    if words > s.worst then s.worst <- words
+  end
+
+(* The [w1] reads happen before any of the arithmetic below, so even a
    boxed (bytecode) read lands its box outside the measured window. *)
 (* dlint: hotpath *)
 let leave_steady s =
@@ -113,16 +131,19 @@ let leave_steady s =
     s.seen <- s.seen + 1;
     if s.seen > s.warmup then begin
       s.measured <- s.measured + 1;
-      let extra = w1 - s.w0 - !overhead in
-      if extra > 0 then begin
-        s.violations <- s.violations + 1;
-        if extra > s.worst then s.worst <- extra
-      end
+      over s (w1 - s.w0 - !overhead)
     end
   end
 
 (* dlint: hotpath *)
-let leave_busy s = if !armed_flag then s.in_window <- false
+let leave_busy ?(units = 1) s =
+  if !armed_flag && s.in_window then begin
+    let w1 = int_of_float (Gc.minor_words ()) in
+    s.in_window <- false;
+    match s.budget with
+    | Some per_unit -> over s (w1 - s.w0 - !overhead - (per_unit * units))
+    | None -> ()
+  end
 
 let stats_of s =
   {
@@ -161,17 +182,10 @@ let log_teardown ?(fmt = Format.err_formatter) () =
   match List.filter (fun st -> st.site_violations > 0) (sites ()) with
   | [] -> ()
   | offenders ->
-      Format.fprintf fmt "gc-budget oracle: %d steady poll(s) allocated@."
+      Format.fprintf fmt "gc-budget oracle: %d window(s) over budget@."
         (List.fold_left (fun acc st -> acc + st.site_violations) 0 offenders);
       List.iter
         (fun st ->
-          Format.fprintf fmt "  %s: %d of %d measured polls allocated (worst %d words)@."
-            st.site_name st.site_violations st.measured st.worst_words)
+          Format.fprintf fmt "  %s: %d window(s) over budget (worst %d words over)@."
+            st.site_name st.site_violations st.worst_words)
         offenders
-
-let report_lines () =
-  List.map
-    (fun st ->
-      Printf.sprintf "gc-budget %-24s polls=%d measured=%d violations=%d worst=%dw"
-        st.site_name st.polls st.measured st.site_violations st.worst_words)
-    (sites ())

@@ -1,29 +1,38 @@
-(** Demialloc runtime half: the per-poll GC allocation-budget oracle.
+(** The GC allocation-budget oracle: the repo's one allocation check.
 
-    Asserts that steady-state poll iterations in marked hot regions
-    allocate zero words on the OCaml minor heap. Disarmed (the
-    default), {!enter}/{!leave_steady}/{!leave_busy} are single
-    bool-check no-ops; armed (selfcheck / [dune build @selfcheck]), each
-    steady poll's [Gc.minor_words] delta — minus the calibrated
-    self-allocation of the counter read itself — must be zero, after a
-    per-site warmup that exempts first-use lazy initialisation.
+    Disarmed (the default), {!enter}/{!leave_steady}/{!leave_busy} are
+    single bool-check no-ops. Armed (selfcheck, and so [dune runtest]
+    and [dune build @selfcheck]), it checks two kinds of window on the
+    OCaml minor heap:
+
+    - each steady-state poll of a marked poll loop must allocate zero
+      words, after a per-site warmup that exempts first-use lazy
+      initialisation;
+    - a site registered with [~budget] words per unit must allocate at
+      most [budget * units] words between {!enter} and
+      [{!leave_busy} ~units]. The selfcheck holds each libOS's whole
+      echo run to such a per-echo budget.
 
     [Gc.minor_words] is cumulative and monotonic, so deltas depend only
     on the allocation sequence, never on GC timing: the oracle is
     deterministic for a deterministic run and safe to fold into the
-    selfcheck fingerprint. The counter is held as an [int] (exact below
-    2^53): in native code [Gc.minor_words] returns an unboxed float, so
-    the convert-and-store protocol itself allocates nothing. *)
+    selfcheck fingerprint. It is also process-wide, so a window must
+    not span a fiber switch into work it does not own. The counter is
+    held as an [int] (exact below 2^53): in native code
+    [Gc.minor_words] returns an unboxed float, so the convert-and-store
+    protocol itself allocates nothing. *)
 
 type site
-(** One instrumented poll loop, registered by name. *)
+(** One instrumented poll loop or budgeted window, registered by name. *)
 
 type stats = {
   site_name : string;
   polls : int;  (** steady polls observed (including warmup) *)
   measured : int;  (** steady polls actually measured (post-warmup) *)
-  site_violations : int;  (** measured polls that allocated > 0 words *)
-  worst_words : int;  (** max words allocated by one violating poll *)
+  site_violations : int;
+      (** measured steady polls that allocated, plus busy windows over
+          budget *)
+  worst_words : int;  (** max words over budget in one violating window *)
 }
 
 val set_armed : bool -> unit
@@ -32,10 +41,12 @@ val set_armed : bool -> unit
 
 val armed : unit -> bool
 
-val site : ?warmup:int -> string -> site
-(** Register (or look up — the registry is keyed by name) a poll site.
-    The first [warmup] (default 16) steady polls are exempt from the
-    zero-allocation assertion. Call once at setup, not per poll. *)
+val site : ?warmup:int -> ?budget:int -> string -> site
+(** Register (or look up — the registry is keyed by name) a site. The
+    first [warmup] (default 16) steady polls are exempt from the
+    zero-allocation assertion. [budget] is the words per unit a busy
+    window may allocate; without it busy windows are unchecked. Call
+    once at setup, not per poll. *)
 
 val enter : site -> unit
 (** Open the measured window: record the minor-words counter. *)
@@ -44,25 +55,28 @@ val leave_steady : site -> unit
 (** Close the window as a steady-state poll (nothing happened): the
     delta must be zero; a positive delta is recorded as a violation. *)
 
-val leave_busy : site -> unit
-(** Close the window as a busy poll (work was done): no assertion —
-    completions, retransmits and deliveries may allocate. *)
+val leave_busy : ?units:int -> site -> unit
+(** Close the window as a busy one (work was done). On a site with a
+    [budget], more than [budget * units] words (default [units] 1) is a
+    violation; on any other site there is no assertion — completions,
+    retransmits and deliveries may allocate. *)
 
 val sites : unit -> stats list
 (** Per-site statistics, sorted by site name (deterministic). *)
 
 val total_measured : unit -> int
+(** Measured (post-warmup) steady polls, all sites; busy windows are
+    not counted. *)
 
 val total_violations : unit -> int
+(** Steady polls that allocated plus busy windows over budget, all
+    sites. *)
 
 val reset : unit -> unit
 (** Zero every site's counters (sites stay registered); used between
     selfcheck fingerprint runs so both runs measure from scratch. *)
 
-val report_lines : unit -> string list
-(** One human-readable line per site, sorted by name. *)
-
 val log_teardown : ?fmt:Format.formatter -> unit -> unit
 (** Print offender sites (default [err_formatter]); silent when every
-    measured poll stayed within budget. Mirrors {!Heap.log_teardown}
+    measured window stayed within budget. Mirrors {!Heap.log_teardown}
     for use in [Engine.Sim.at_teardown]. *)

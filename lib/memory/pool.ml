@@ -70,7 +70,6 @@ let is_live t slot =
    [Double_free] and [Use_after_free] O(1)); [sanitize] additionally
    poisons freed slots and checks the canary on reuse. *)
 
-(* dlint-allow: transitive-alloc-in-hotpath -- the only allocation is the Use_after_free message on the raise path of a caught sanitizer violation; the live fast path is a bounds check plus one byte load *)
 let check_live t slot op =
   if not (is_live t slot) then begin
     t.uafs <- t.uafs + 1;

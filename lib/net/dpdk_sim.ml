@@ -56,7 +56,7 @@ let tx_burst t frames =
       Engine.Sim.span_interval sim ~comp:Engine.Span.Device ~owner:t.owner ~label:"tx" ~t0
         ~t1:(t0 + delay);
       Engine.Sim.schedule sim ~delay
-        (* dlint-allow: alloc-in-hotpath scan-in-hotpath -- one departure event per nonempty (busy) burst; the iter walks only that burst *)
+        (* dlint-allow: scan-in-hotpath -- the iter walks only this nonempty (busy) burst *)
         (fun () -> List.iter (fun frame -> Fabric.send t.fabric t.port frame) frames)
 
 (* Top-level recursion (not a per-call closure): the empty-ring poll —
@@ -65,10 +65,9 @@ let tx_burst t frames =
 (* dlint: hotpath *)
 (* dlint-allow: scan-in-hotpath -- List.rev of the local accumulator: bounded by the burst size n, and [] on the steady empty poll *)
 let rec take_burst ring n acc =
-  (* dlint-allow: alloc-in-hotpath scan-in-hotpath -- List.rev [] is free; conses and the reversal walk exist only on busy polls, bounded by the burst *)
+  (* dlint-allow: scan-in-hotpath -- the reversal walk exists only on busy polls, bounded by the burst; List.rev [] on the empty poll is free *)
   if n = 0 || Queue.is_empty ring then List.rev acc
   else
-    (* dlint-allow: alloc-in-hotpath -- one cons per received frame, a busy poll *)
     take_burst ring (n - 1) (Queue.pop ring :: acc)
 
 (* dlint: hotpath *)

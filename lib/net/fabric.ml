@@ -104,7 +104,7 @@ let deliver t frame dst =
   | None -> ());
   dst.rx frame
 
-(* dlint-allow: transitive-alloc-in-hotpath scan-in-hotpath -- busy-path TX: a frame is being transmitted, so the delivery scheduling (and the broadcast walk over the fixed port list for ARP) is per-frame fabric work *)
+(* dlint-allow: scan-in-hotpath -- busy-path TX: the broadcast walk over the fixed port list (ARP) is per-frame fabric work *)
 let send t src ?(lossless = false) frame =
   let now = Engine.Sim.now t.sim in
   let len = String.length frame in

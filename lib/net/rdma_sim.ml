@@ -52,7 +52,6 @@ let u32_string values tail =
   Bytes.blit_string tail 0 b (4 * List.length values) (String.length tail);
   Bytes.unsafe_to_string b
 
-(* dlint-allow: transitive-alloc-in-hotpath -- posting a work request is per-operation device work (frame build + completion closure), the doorbell path, not a steady poll *)
 let post_send t ~dst ~wr_id ~imm payload =
   if String.length payload > max_message_size then
     invalid_arg "Rdma_sim.post_send: message too large";
@@ -167,10 +166,9 @@ let ip t = t.ip
 (* dlint: hotpath *)
 (* dlint-allow: scan-in-hotpath -- List.rev of the local accumulator: bounded by the poll budget n, and [] on the steady empty poll *)
 let rec take_cq cq n acc =
-  (* dlint-allow: alloc-in-hotpath scan-in-hotpath -- List.rev [] is free; conses and the reversal walk exist only on busy polls, bounded by the poll budget *)
+  (* dlint-allow: scan-in-hotpath -- the reversal walk exists only on busy polls, bounded by the poll budget; List.rev [] on the empty poll is free *)
   if n = 0 || Queue.is_empty cq then List.rev acc
   else
-    (* dlint-allow: alloc-in-hotpath -- one cons per completion, a busy poll *)
     take_cq cq (n - 1) (Queue.pop cq :: acc)
 
 (* dlint: hotpath *)

@@ -16,6 +16,7 @@ type t = {
   heap : Memory.Heap.t;
   stack : Tcp.Stack.t;
   fds : (int, fd_state) Hashtbl.t;
+  resets : (int, unit) Hashtbl.t; (* ids of open connections the peer reset *)
   mutable next_fd : int;
   mutable syscalls : int;
   mutable rx_frames : int; (* frames drained through the stack, ever *)
@@ -34,11 +35,19 @@ let create sim ?(name = "kernel") ~cost ~nic ?ssd ?(mode = Posix) () =
       ~tx_frame:(fun frame -> Net.Dpdk_sim.tx_burst nic [ frame ])
       ()
   in
+  (* The only stack event a POSIX reader needs from the kernel is a
+     reset: recv on that socket fails (ECONNRESET) instead of waiting. *)
+  let resets = Hashtbl.create 8 in
+  let on_event = function
+    | Tcp.Stack.Reset conn -> Hashtbl.replace resets (Tcp.Stack.conn_id conn) ()
+    | Tcp.Stack.Udp_readable _ | Tcp.Stack.Accept_ready _ | Tcp.Stack.Established _
+    | Tcp.Stack.Readable _ | Tcp.Stack.Push_completed _ | Tcp.Stack.Closed _ ->
+        ()
+  in
   let stack =
     Tcp.Stack.create ~iface ~heap
       ~prng:(Engine.Prng.split (Engine.Sim.prng sim))
-      ~events:(fun _ -> ())
-      ()
+      ~events:on_event ()
   in
   Engine.Sim.at_teardown sim (fun () -> Memory.Pool.log_teardown (Tcp.Stack.tcb_pool stack));
   {
@@ -51,6 +60,7 @@ let create sim ?(name = "kernel") ~cost ~nic ?ssd ?(mode = Posix) () =
     heap;
     stack;
     fds = Hashtbl.create 16;
+    resets;
     next_fd = 3;
     syscalls = 0;
     rx_frames = 0;
@@ -234,6 +244,11 @@ let at_eof t fd =
   | Conn conn -> Tcp.Stack.conn_at_eof conn
   | Udp _ | Listener _ | Closed -> false
 
+let was_reset t fd =
+  match fd_state t fd with
+  | Conn conn -> Hashtbl.mem t.resets (Tcp.Stack.conn_id conn)
+  | Udp _ | Listener _ | Closed -> false
+
 let recv t fd ~block =
   match fd_state t fd with
   | Conn conn ->
@@ -256,7 +271,9 @@ let recv t fd ~block =
 let close t fd =
   enter_syscall t;
   (match fd_state t fd with
-  | Conn conn -> Tcp.Stack.tcp_close conn
+  | Conn conn ->
+      Hashtbl.remove t.resets (Tcp.Stack.conn_id conn);
+      Tcp.Stack.tcp_close conn
   | Udp sock -> Tcp.Stack.udp_unbind t.stack sock
   | Listener l -> Tcp.Stack.tcp_unlisten l
   | Closed -> ());

@@ -53,10 +53,15 @@ val connect : t -> dst:Net.Addr.endpoint -> fd
 
 val send : t -> fd -> string -> unit
 val recv : t -> fd -> block:bool -> string option
-(** [None] only in non-blocking mode with nothing pending, or on EOF
-    (distinguish with {!at_eof}). *)
+(** [None] only in non-blocking mode with nothing pending, on EOF or
+    after a reset (distinguish with {!at_eof} and {!was_reset}). *)
 
 val at_eof : t -> fd -> bool
+
+val was_reset : t -> fd -> bool
+(** The peer reset this connection: a read fails (ECONNRESET) rather
+    than waiting for data that cannot come. *)
+
 val close : t -> fd -> unit
 (** Close the fd. A listener or UDP socket frees its port, and a
     listener aborts the connections it had not handed out. *)

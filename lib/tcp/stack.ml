@@ -310,6 +310,7 @@ let udp_sendto t sock ~dst buf =
   let len = Net.Udp_wire.size + payload_len in
   Iface.output t.iface ~dst_ip:dst.Net.Addr.ip ~protocol:Net.Ipv4.protocol_udp ~len
     ~write:(fun b off ->
+      (* dlint-allow: unaccounted-copy -- device DMA: the NIC gathers the datagram from the app's heap buffer into the wire frame; charged per frame through Net.Cost *)
       Bytes.blit (Memory.Heap.data buf) (Memory.Heap.offset buf) b (off + Net.Udp_wire.size)
         payload_len;
       ignore
@@ -320,7 +321,6 @@ let udp_sendto t sock ~dst buf =
 let udp_recv sock = if Queue.is_empty sock.udp_q then None else Some (Queue.pop sock.udp_q)
 let udp_pending sock = Queue.length sock.udp_q
 
-(* dlint-allow: transitive-alloc-in-hotpath -- busy-path RX: a datagram arrived, so the payload buffer alloc and socket lookup are per-frame work the paper's datapath also does; steady polls never reach the handler *)
 let handle_udp t header b off =
   let src_ip = header.Net.Ipv4.src and dst_ip = header.Net.Ipv4.dst in
   match Net.Udp_wire.read b off ~src_ip ~dst_ip with
@@ -331,6 +331,7 @@ let handle_udp t header b off =
       | Some sock ->
           let payload_len = uh.Net.Udp_wire.length - Net.Udp_wire.size in
           let buf = Memory.Heap.alloc t.heap (max 1 payload_len) in
+          (* dlint-allow: unaccounted-copy -- device DMA: the NIC writes the received datagram into a DMA-heap buffer; charged per frame through Net.Cost *)
           Bytes.blit b payload_off (Memory.Heap.data buf) (Memory.Heap.offset buf) payload_len;
           Memory.Heap.set_length buf payload_len;
           Queue.add (Net.Addr.endpoint src_ip uh.Net.Udp_wire.src_port, buf) sock.udp_q;
@@ -354,7 +355,6 @@ let window_field conn ~syn =
 let rcv_nxt conn =
   match conn.reasm with Some r -> Reassembly.rcv_nxt r | None -> 0
 
-(* dlint-allow: transitive-alloc-in-hotpath -- busy-path TX: a segment exists to be sent, so per-segment header/options construction is per-frame work, not steady-poll work (the gc-budget oracle bounds the empty poll) *)
 let emit_segment conn ~seq ~syn ~ack_flag ~fin ~rst ~payload =
   let t = conn.stack in
   let options =
@@ -407,6 +407,7 @@ let emit_segment conn ~seq ~syn ~ack_flag ~fin ~rst ~payload =
   Iface.output t.iface ~dst_ip:conn.remote_ip ~protocol:Net.Ipv4.protocol_tcp
     ~len:(hsize + payload_len) ~write:(fun b off ->
       (match payload with
+      (* dlint-allow: unaccounted-copy -- device DMA: the NIC gathers the segment payload into the wire frame; charged per segment through Net.Cost *)
       | Some (src, src_off, len) -> Bytes.blit src src_off b (off + hsize) len
       | None -> ());
       ignore
@@ -689,7 +690,6 @@ let release_tcb conn =
     conn.tcb <- -1
   end
 
-(* dlint-allow: transitive-alloc-in-hotpath -- connection teardown: runs once per connection close, and releasing the connection's unacked buffers returns their slots to the heap's free list *)
 let to_closed conn ~reset =
   let was_closed = state conn = Closed_st in
   (if state conn = Syn_received then
@@ -981,6 +981,7 @@ let process_ack conn th ~payload_len =
    the receive queue — the one receive-side copy. *)
 let enqueue_recv conn src off len =
   let buf = Memory.Heap.alloc conn.stack.heap len in
+  (* dlint-allow: unaccounted-copy -- device DMA: the NIC writes the in-order payload into a DMA-heap buffer, the one receive-side copy; charged per frame through Net.Cost *)
   Bytes.blit src off (Memory.Heap.data buf) (Memory.Heap.offset buf) len;
   Memory.Heap.set_length buf len;
   Queue.add buf conn.recv_q;
@@ -1034,6 +1035,7 @@ let process_payload conn th b off len =
           conn.stack.events (Readable conn)
         end
         else begin
+          (* dlint-allow: unaccounted-copy -- uncharged host copy of the simulator's representation: an out-of-order segment is held as a string until the gap fills (loss recovery only) *)
           Reassembly.insert reasm ~seq (Bytes.sub_string b off len);
           deliver_ready conn reasm
         end
@@ -1143,7 +1145,6 @@ let handle_syn_for_listener t l th ~src_ip =
   arm_rto_at conn (now t + t.config.syn_rto_ns)
   end
 
-(* dlint-allow: transitive-alloc-in-hotpath -- busy-path RX: a segment arrived; payload extraction and connection dispatch are per-frame work, unreachable from an empty poll. The demux lookup itself (packed int keys into Conntab) allocates nothing *)
 let handle_tcp t header b off =
   let src_ip = header.Net.Ipv4.src in
   let seg_total = header.Net.Ipv4.total_length - Net.Ipv4.size in
@@ -1207,7 +1208,6 @@ let handshake_timeout conn =
     arm_rto_at conn (now t + (t.config.syn_rto_ns lsl min (tget conn f_syn_retries) 10))
   end
 
-(* dlint-allow: transitive-alloc-in-hotpath -- RTO fire is loss recovery (a retransmission episode, not the steady path): it re-arms the timer and may retransmit *)
 let rto_fire conn =
   let t = conn.stack in
   t.trace "conn %d: RTO fired" conn.uid 0;

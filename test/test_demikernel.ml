@@ -1167,4 +1167,6 @@ let suite =
         (close_ends_unaccepted Demikernel.Boot.Catnip_os "connection reset");
       Alcotest.test_case "listener close ends unaccepted channels (catmint)" `Quick
         (close_ends_unaccepted Demikernel.Boot.Catmint_os "eof");
+      Alcotest.test_case "listener close resets unaccepted connections (catnap)" `Quick
+        (close_ends_unaccepted Demikernel.Boot.Catnap_os "connection reset");
     ]
