@@ -16,33 +16,17 @@ type t = {
   nic : Net.Dpdk_sim.t;
   stack : Tcp.Stack.t;
   qds : (Pdpix.qd, entry) Hashtbl.t;
-  mutable by_conn : conn_entry option array;
-      (* indexed by [Stack.conn_slot]: the TCB arena slot is a small
-         dense integer, so event dispatch is a bounds check and an array
-         read — no hashing. The stack releases a slot only after the
-         Closed/Reset event, and this table drops its entry in those
-         handlers, so a reused slot never sees a stale entry. *)
+  by_conn : (int, conn_entry) Hashtbl.t; (* [Stack.conn_id] -> its completion state *)
   by_udp : (int, Runtime.pending) Hashtbl.t; (* udp port -> its pops *)
   by_listener : (int, Runtime.pending) Hashtbl.t; (* tcp port -> its accepts *)
 }
 
-let conn_set t conn ce =
-  let slot = Tcp.Stack.conn_slot conn in
-  let n = Array.length t.by_conn in
-  if slot >= n then begin
-    let bigger = Array.make (max (slot + 1) (n * 2)) None in
-    Array.blit t.by_conn 0 bigger 0 n;
-    t.by_conn <- bigger
-  end;
-  t.by_conn.(slot) <- Some ce
+let conn_set t conn ce = Hashtbl.replace t.by_conn (Tcp.Stack.conn_id conn) ce
+let conn_clear t conn = Hashtbl.remove t.by_conn (Tcp.Stack.conn_id conn)
 
-let conn_find t conn =
-  let slot = Tcp.Stack.conn_slot conn in
-  if slot < 0 || slot >= Array.length t.by_conn then None else t.by_conn.(slot)
-
-let conn_clear t conn =
-  let slot = Tcp.Stack.conn_slot conn in
-  if slot >= 0 && slot < Array.length t.by_conn then t.by_conn.(slot) <- None
+(* Raises [Not_found]: the stack-event path catches it rather than
+   calling [find_opt], so a hit allocates no option. *)
+let conn_find t conn = Hashtbl.find t.by_conn (Tcp.Stack.conn_id conn)
 
 let stack t = t.stack
 
@@ -106,28 +90,25 @@ let on_stack_event t event =
   match event with
   | Tcp.Stack.Readable conn -> (
       match conn_find t conn with
-      | Some ce -> Runtime.serve ce.pops
-      | None -> ())
+      | ce -> Runtime.serve ce.pops
+      | exception Not_found -> ())
   | Tcp.Stack.Established conn -> (
       match conn_find t conn with
-      | Some ce -> (
+      | ce -> (
           match ce.connect_token with
           | Some qt ->
               ce.connect_token <- None;
               Runtime.complete t.rt qt Pdpix.Connected
           | None -> ())
-      | None -> ())
+      | exception Not_found -> ())
   | Tcp.Stack.Push_completed (_, push_id) -> Runtime.complete t.rt push_id Pdpix.Pushed
   | Tcp.Stack.Accept_ready l -> serve_port t.by_listener (Tcp.Stack.listener_port l)
   | Tcp.Stack.Udp_readable sock -> serve_port t.by_udp (Tcp.Stack.udp_socket_port sock)
   | Tcp.Stack.Reset conn -> (
       match conn_find t conn with
-      | Some ce -> fail_conn t ce "connection reset"
-      | None -> ())
-  | Tcp.Stack.Closed conn -> (
-      match conn_find t conn with
-      | Some _ -> conn_clear t conn
-      | None -> ())
+      | ce -> fail_conn t ce "connection reset"
+      | exception Not_found -> ())
+  | Tcp.Stack.Closed conn -> conn_clear t conn
 
 (* ---------- fast path ---------- *)
 
@@ -317,14 +298,12 @@ let create rt ~nic ?(config = Tcp.Stack.default_config) () =
             ~events:(fun ev -> on_stack_event (Lazy.force t) ev)
             ();
         qds = Hashtbl.create 32;
-        by_conn = Array.make 64 None;
+        by_conn = Hashtbl.create 64;
         by_udp = Hashtbl.create 8;
         by_listener = Hashtbl.create 8;
       }
   in
   let t = Lazy.force t in
-  Engine.Sim.at_teardown host.Host.sim (fun () ->
-      Memory.Pool.log_teardown (Tcp.Stack.tcb_pool t.stack));
   Runtime.fast_path rt ~name:"catnip-fast-path" ~signal:(Net.Dpdk_sim.rx_signal nic)
     ~timer:(fun () -> Tcp.Stack.next_timer_ns t.stack)
     (poll t);

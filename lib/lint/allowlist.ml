@@ -47,14 +47,6 @@ let entries =
         "frames log records for the storage write path; the device-side cost is \
          charged by Ssd_sim";
     };
-    {
-      path_suffix = "lib/memory/pool.ml";
-      rule = copy;
-      justification =
-        "arena growth copies the slot-liveness byte map (one byte of sanitizer \
-         metadata per slot) into the doubled backing store; amortised O(1) \
-         bookkeeping, not payload";
-    };
   ]
 
 let covers e ~path =

@@ -49,7 +49,6 @@ let create sim ?(name = "kernel") ~cost ~nic ?ssd ?(mode = Posix) () =
       ~prng:(Engine.Prng.split (Engine.Sim.prng sim))
       ~events:on_event ()
   in
-  Engine.Sim.at_teardown sim (fun () -> Memory.Pool.log_teardown (Tcp.Stack.tcb_pool stack));
   {
     sim;
     name;

@@ -71,15 +71,15 @@ let insert t ~seq payload =
           t.buffered <- t.buffered + (after - before)
         end
 
-(* dlint-allow: scan-in-hotpath -- walks only this connection's buffered out-of-order segments (bounded by rwnd_capacity), and only when emitting an ACK for a gapped window — loss recovery, not the steady path *)
 let ranges t =
-  let rec coalesce = function
-    | (s1, p1) :: (s2, p2) :: rest when Seqnum.add s1 (String.length p1) = s2 ->
-        coalesce ((s1, p1 ^ p2) :: rest)
-    | seg :: rest -> seg :: coalesce rest
+  let rec start = function
     | [] -> []
+    | (s, p) :: rest -> extend s (Seqnum.add s (String.length p)) rest
+  and extend left right = function
+    | (s, p) :: rest when s = right -> extend left (Seqnum.add s (String.length p)) rest
+    | rest -> (left, right) :: start rest
   in
-  List.map (fun (s, p) -> (s, Seqnum.add s (String.length p))) (coalesce t.segments)
+  start t.segments
 
 let pop_ready t =
   match t.segments with

@@ -39,74 +39,6 @@ type tcp_state =
   | Time_wait
   | Closed_st
 
-(* ---------- the flat TCB ----------
-
-   Every integer of per-connection hot state — sequence numbers,
-   windows, the RTO estimator, congestion control, the state machine —
-   lives in one [Memory.Pool] slot of unboxed ints (plus a float
-   section for cubic), not in the [conn] record. At 10^5..10^6
-   connections this is the difference between the GC tracing two flat
-   arrays and tracing a million boxed records; it is also what makes
-   connection churn cheap (slot alloc/free is a free-list pop/push).
-
-   The [conn] record keeps only what must stay boxed — queues, buffers,
-   reassembly, timer handles — plus the fields applications may read
-   after close (receive queue, retransmit count). A closed connection's
-   slot is released back to the pool and [tcb] goes to -1; accessors
-   below degrade gracefully so late introspection cannot hit the
-   sanitizer. *)
-
-let f_state = 0
-let f_iss = 1
-let f_snd_una = 2
-let f_snd_nxt = 3
-let f_snd_wnd = 4
-let f_peer_wscale = 5
-let f_peer_mss = 6
-let f_dupacks = 7
-let f_syn_retries = 8
-let f_ts_recent = 9
-let f_fin_seq = 10 (* Seqnum, -1 = no FIN queued *)
-let f_flags = 11
-let f_rto = 12 (* Rto section *)
-let f_cc = 12 + 5 (* Cc integer section; Rto.words = 5 *)
-let f_push0_id = f_cc + 3 (* Cc.int_words = 3 *)
-let f_push0_left = f_push0_id + 1
-let f_push1_id = f_push0_id + 2
-let f_push1_left = f_push0_id + 3
-let tcb_words = f_push0_id + 4
-let cc_fbase = 0
-
-let flag_fin_pending = 1
-let flag_use_ts = 2
-let flag_use_sack = 4
-
-let state_code s =
-  match s with
-  | Syn_sent -> 0
-  | Syn_received -> 1
-  | Established_st -> 2
-  | Fin_wait_1 -> 3
-  | Fin_wait_2 -> 4
-  | Close_wait -> 5
-  | Closing -> 6
-  | Last_ack -> 7
-  | Time_wait -> 8
-  | Closed_st -> 9
-
-let state_of_code c =
-  match c with
-  | 0 -> Syn_sent
-  | 1 -> Syn_received
-  | 2 -> Established_st
-  | 3 -> Fin_wait_1
-  | 4 -> Fin_wait_2
-  | 5 -> Close_wait
-  | 6 -> Closing
-  | 7 -> Last_ack
-  | 8 -> Time_wait
-  | _ -> Closed_st
-
 (* One MSS-or-smaller slice of an application buffer queued for
    transmission. The stack holds a heap reference per segment (taken in
    [tcp_send], dropped on cumulative ack) because retransmission re-reads
@@ -122,15 +54,36 @@ type tx_seg = {
   mutable sacked : bool; (* covered by a peer SACK block (RFC 2018) *)
 }
 
+(* The connection control block. Everything the state machine reads or
+   writes per segment is a plain mutable field; the estimator and the
+   controller are small records of their own ([Rto], [Cc]). A closed
+   connection keeps its record (applications may still read the
+   receive queue and counters); the introspection functions below
+   report a closed connection's window, flight and RTT as empty. *)
 type conn = {
   stack : t;
   uid : int;
-  mutable tcb : int; (* Memory.Pool slot of the flat TCB; -1 once released *)
   local_ip : Net.Addr.Ip.t;
   local_port : int;
   remote_ip : Net.Addr.Ip.t;
   remote_port : int;
-  (* --- send side (boxed remainder) --- *)
+  mutable state : tcp_state;
+  (* --- send side --- *)
+  iss : Seqnum.t;
+  mutable snd_una : Seqnum.t;
+  mutable snd_nxt : Seqnum.t;
+  mutable snd_wnd : int;
+  mutable peer_wscale : int;
+  mutable peer_mss : int;
+  mutable dupacks : int;
+  mutable syn_retries : int;
+  mutable fin_seq : Seqnum.t; (* -1 = no FIN queued *)
+  mutable fin_pending : bool;
+  mutable ts_on : bool; (* RFC 7323 timestamps negotiated *)
+  mutable sack_on : bool; (* RFC 2018 SACK negotiated *)
+  mutable ts_recent : int;
+  rto : Rto.t;
+  cc : Cc.t;
   unacked : tx_seg Queue.t;
   unsent : tx_seg Queue.t;
   mutable rto_timer : timer option;
@@ -142,9 +95,11 @@ type conn = {
   mutable eof_delivered_to_q : bool;
   mutable ack_pending : bool;
   mutable tw_timer : timer option;
-  (* --- push completion overflow ---
-     The first two concurrent push ids track inline in the TCB; only a
-     third concurrent multi-segment push spills here. *)
+  (* --- push completion: two lanes and a spill table, see [push_register] --- *)
+  mutable push0_id : int;
+  mutable push0_left : int;
+  mutable push1_id : int;
+  mutable push1_left : int;
   mutable push_spill : (int, int) Hashtbl.t option;
   (* --- passive-open bookkeeping --- *)
   parent_listener : listener option;
@@ -185,7 +140,6 @@ and t = {
   heap : Memory.Heap.t;
   prng : Engine.Prng.t;
   events : event -> unit;
-  tcbs : Memory.Pool.t; (* flat TCB arena *)
   conns : conn Conntab.t; (* packed-key demux: (local port, remote ip, remote port) *)
   listeners : (int, listener) Hashtbl.t;
   udp_socks : (int, udp_socket) Hashtbl.t;
@@ -210,10 +164,6 @@ let create ?(config = default_config) ?(trace = fun _ _ _ -> ()) ~iface ~heap ~p
     heap;
     prng;
     events;
-    tcbs =
-      Memory.Pool.create ~label:"tcp-tcb"
-        ~sanitize:(Memory.Heap.sanitizing heap)
-        ~slot_words:tcb_words ~float_words:Cc.float_words ();
     conns = Conntab.create ~initial:64 ();
     listeners = Hashtbl.create 8;
     udp_socks = Hashtbl.create 8;
@@ -236,59 +186,6 @@ let now t = Iface.clock t.iface
 let live_connections t = Conntab.length t.conns
 let total_retransmits t = t.retransmit_total
 let conn_stats t = { live = Conntab.length t.conns; ever_opened = t.conns_opened; peak = t.conns_peak }
-let tcb_pool t = t.tcbs
-
-(* TCB field access. Reads of a released TCB ([tcb = -1]) return the
-   values a closed connection would have; writes are dropped. Pool
-   liveness is still checked on every live access — a stale slot id is
-   a use-after-free and the pool raises. *)
-(* dlint: hotpath *)
-let tget conn f = Memory.Pool.get conn.stack.tcbs conn.tcb f
-
-(* dlint: hotpath *)
-let tset conn f v = Memory.Pool.set conn.stack.tcbs conn.tcb f v
-
-(* dlint: hotpath *)
-let state conn = if conn.tcb < 0 then Closed_st else state_of_code (tget conn f_state)
-
-let set_state conn s = if conn.tcb >= 0 then tset conn f_state (state_code s)
-let snd_una conn = tget conn f_snd_una
-let snd_nxt conn = tget conn f_snd_nxt
-let fin_seq conn = tget conn f_fin_seq
-let get_flag conn bit = tget conn f_flags land bit <> 0
-
-let set_flag conn bit on =
-  let f = tget conn f_flags in
-  tset conn f_flags (if on then f lor bit else f land lnot bit)
-
-(* RTO / congestion control over the flat TCB: the estimator and the
-   controller are stateless field transformers ([Rto], [Cc]);
-   the per-stack constants come from the config. *)
-let rto_observe conn sample =
-  Rto.observe conn.stack.tcbs conn.tcb ~base:f_rto ~min_rto:conn.stack.config.min_rto_ns
-    ~max_rto:conn.stack.config.max_rto_ns sample
-
-let rto_current conn =
-  Rto.rto conn.stack.tcbs conn.tcb ~base:f_rto ~max_rto:conn.stack.config.max_rto_ns
-
-let rto_backoff conn =
-  Rto.backoff conn.stack.tcbs conn.tcb ~base:f_rto ~max_rto:conn.stack.config.max_rto_ns
-
-let rto_reset_backoff conn = Rto.reset_backoff conn.stack.tcbs conn.tcb ~base:f_rto
-
-let cc_cwnd conn = Cc.cwnd conn.stack.tcbs conn.tcb ~ibase:f_cc conn.stack.config.cc
-
-let cc_on_ack conn ~acked ~now =
-  Cc.on_ack conn.stack.tcbs conn.tcb ~ibase:f_cc ~fbase:cc_fbase conn.stack.config.cc
-    ~mss:conn.stack.config.mss ~acked ~now
-
-let cc_on_fast_retransmit conn ~now =
-  Cc.on_fast_retransmit conn.stack.tcbs conn.tcb ~ibase:f_cc ~fbase:cc_fbase
-    conn.stack.config.cc ~mss:conn.stack.config.mss ~now
-
-let cc_on_timeout conn ~now =
-  Cc.on_timeout conn.stack.tcbs conn.tcb ~ibase:f_cc ~fbase:cc_fbase conn.stack.config.cc
-    ~mss:conn.stack.config.mss ~now
 
 (* 32-bit millisecond timestamp for the RFC 7323 option. *)
 let ts_now t = now t / 1_000_000 land 0xFFFF_FFFF
@@ -364,13 +261,13 @@ let emit_segment conn ~seq ~syn ~ack_flag ~fin ~rst ~payload =
         Net.Tcp_wire.mss = Some t.config.mss;
         window_scale = Some (my_wscale t);
         timestamp =
-          (if t.config.use_timestamps then Some (ts_now t, tget conn f_ts_recent) else None);
+          (if t.config.use_timestamps then Some (ts_now t, conn.ts_recent) else None);
         sack_permitted = t.config.use_sack;
       }
     else begin
       let sack_blocks =
         (* Up to 3 blocks of buffered out-of-order data on acks. *)
-        if get_flag conn flag_use_sack && ack_flag then
+        if conn.sack_on && ack_flag then
           match conn.reasm with
           | Some reasm -> (
               match Reassembly.ranges reasm with
@@ -382,7 +279,7 @@ let emit_segment conn ~seq ~syn ~ack_flag ~fin ~rst ~payload =
       {
         Net.Tcp_wire.no_options with
         Net.Tcp_wire.timestamp =
-          (if get_flag conn flag_use_ts then Some (ts_now t, tget conn f_ts_recent) else None);
+          (if conn.ts_on then Some (ts_now t, conn.ts_recent) else None);
         sack_blocks;
       }
     end
@@ -416,7 +313,7 @@ let emit_segment conn ~seq ~syn ~ack_flag ~fin ~rst ~payload =
 
 let send_ack conn =
   conn.ack_pending <- false;
-  emit_segment conn ~seq:(snd_nxt conn) ~syn:false ~ack_flag:true ~fin:false ~rst:false
+  emit_segment conn ~seq:conn.snd_nxt ~syn:false ~ack_flag:true ~fin:false ~rst:false
     ~payload:None
 
 (* Delayed-ack dirty tracking: a connection enters the stack-wide FIFO
@@ -502,48 +399,48 @@ let arm_time_wait_at conn deadline =
 let arm_rto conn =
   let t = conn.stack in
   let need =
-    match state conn with
+    match conn.state with
     | Syn_sent | Syn_received -> true
     | Closed_st | Time_wait -> false
     | Established_st | Fin_wait_1 | Fin_wait_2 | Close_wait | Closing | Last_ack ->
         (not (Queue.is_empty conn.unacked))
-        || (let fs = fin_seq conn in
-            fs >= 0 && Seqnum.lt (snd_una conn) (Seqnum.add fs 1))
-        || ((not (Queue.is_empty conn.unsent)) && tget conn f_snd_wnd = 0)
+        || (let fs = conn.fin_seq in
+            fs >= 0 && Seqnum.lt conn.snd_una (Seqnum.add fs 1))
+        || ((not (Queue.is_empty conn.unsent)) && conn.snd_wnd = 0)
   in
-  if need then arm_rto_at conn (now t + rto_current conn) else cancel_rto conn
+  if need then arm_rto_at conn (now t + Rto.rto conn.rto) else cancel_rto conn
 
 (* ---------- transmission ---------- *)
 
-let bytes_in_flight conn = Seqnum.sub (snd_nxt conn) (snd_una conn)
+let bytes_in_flight conn = Seqnum.sub conn.snd_nxt conn.snd_una
 
 (* ---------- push completion tracking ----------
 
    PDPIX pushes complete when every segment of the push has left the
    stack once. Two concurrent pushes per connection track inline in the
-   TCB ([left = 0] marks a free inline lane); a third concurrent push
-   spills into a lazily created side table. Echo servers and KV stores
-   keep at most one or two pushes outstanding, so at 10^6 connections
-   the old per-connection Hashtbl was pure dead weight. *)
+   connection's lanes ([left = 0] marks a free lane); a third concurrent
+   push spills into a lazily created side table. Echo servers and KV
+   stores keep at most one or two pushes outstanding, so most
+   connections never build the table. *)
 
 let push_register conn push_id nsegs =
-  let left0 = tget conn f_push0_left in
-  if left0 > 0 && tget conn f_push0_id = push_id then tset conn f_push0_left (left0 + nsegs)
+  let left0 = conn.push0_left in
+  if left0 > 0 && conn.push0_id = push_id then conn.push0_left <- left0 + nsegs
   else
-    let left1 = tget conn f_push1_left in
-    if left1 > 0 && tget conn f_push1_id = push_id then tset conn f_push1_left (left1 + nsegs)
+    let left1 = conn.push1_left in
+    if left1 > 0 && conn.push1_id = push_id then conn.push1_left <- left1 + nsegs
     else
       match conn.push_spill with
       | Some spill when Hashtbl.mem spill push_id ->
           Hashtbl.replace spill push_id (Hashtbl.find spill push_id + nsegs)
       | Some _ | None ->
           if left0 = 0 then begin
-            tset conn f_push0_id push_id;
-            tset conn f_push0_left nsegs
+            conn.push0_id <- push_id;
+            conn.push0_left <- nsegs
           end
           else if left1 = 0 then begin
-            tset conn f_push1_id push_id;
-            tset conn f_push1_left nsegs
+            conn.push1_id <- push_id;
+            conn.push1_left <- nsegs
           end
           else begin
             let spill =
@@ -558,15 +455,15 @@ let push_register conn push_id nsegs =
           end
 
 let note_push_progress conn push_id =
-  let left0 = tget conn f_push0_left in
-  if left0 > 0 && tget conn f_push0_id = push_id then begin
-    tset conn f_push0_left (left0 - 1);
+  let left0 = conn.push0_left in
+  if left0 > 0 && conn.push0_id = push_id then begin
+    conn.push0_left <- left0 - 1;
     if left0 = 1 then conn.stack.events (Push_completed (conn, push_id))
   end
   else
-    let left1 = tget conn f_push1_left in
-    if left1 > 0 && tget conn f_push1_id = push_id then begin
-      tset conn f_push1_left (left1 - 1);
+    let left1 = conn.push1_left in
+    if left1 > 0 && conn.push1_id = push_id then begin
+      conn.push1_left <- left1 - 1;
       if left1 = 1 then conn.stack.events (Push_completed (conn, push_id))
     end
     else
@@ -583,13 +480,13 @@ let note_push_progress conn push_id =
               else Hashtbl.replace spill push_id (n - 1))
 
 let may_send_fin conn =
-  get_flag conn flag_fin_pending
+  conn.fin_pending
   && Queue.is_empty conn.unsent
-  && (match state conn with
+  && (match conn.state with
      | Fin_wait_1 | Last_ack | Closing -> true
      | Syn_sent | Syn_received | Established_st | Fin_wait_2 | Close_wait | Time_wait | Closed_st
        -> false)
-  && fin_seq conn = -1
+  && conn.fin_seq = -1
 
 let try_transmit conn =
   let progress = ref true in
@@ -597,14 +494,14 @@ let try_transmit conn =
     progress := false;
     if not (Queue.is_empty conn.unsent) then begin
       let seg = Queue.peek conn.unsent in
-      let wnd = min (cc_cwnd conn) (tget conn f_snd_wnd) in
+      let wnd = min (Cc.cwnd conn.cc) conn.snd_wnd in
       let in_flight = bytes_in_flight conn in
       (* Always allow at least one segment when nothing is in flight,
          so a window smaller than MSS cannot deadlock the connection. *)
       if in_flight + seg.seg_len <= wnd || (in_flight = 0 && wnd > 0) then begin
         let seg = Queue.pop conn.unsent in
         send_data_segment conn seg;
-        tset conn f_snd_nxt (Seqnum.add (snd_nxt conn) seg.seg_len);
+        conn.snd_nxt <- Seqnum.add conn.snd_nxt seg.seg_len;
         Queue.add seg conn.unacked;
         note_push_progress conn seg.seg_push_id;
         progress := true
@@ -612,10 +509,10 @@ let try_transmit conn =
     end
   done;
   if may_send_fin conn then begin
-    tset conn f_fin_seq (snd_nxt conn);
-    emit_segment conn ~seq:(snd_nxt conn) ~syn:false ~ack_flag:true ~fin:true ~rst:false
+    conn.fin_seq <- conn.snd_nxt;
+    emit_segment conn ~seq:conn.snd_nxt ~syn:false ~ack_flag:true ~fin:true ~rst:false
       ~payload:None;
-    tset conn f_snd_nxt (Seqnum.add (snd_nxt conn) 1)
+    conn.snd_nxt <- Seqnum.add conn.snd_nxt 1
   end;
   arm_rto conn
 
@@ -637,24 +534,29 @@ let make_conn t ~local_ip ~local_port ~remote_ip ~remote_port ~state ~parent_lis
      table high-water mark including this connection. *)
   let live_after = Conntab.length t.conns + 1 in
   if live_after > t.conns_peak then t.conns_peak <- live_after;
-  let tcb = Memory.Pool.alloc t.tcbs in
-  Memory.Pool.set t.tcbs tcb f_state (state_code state);
-  Memory.Pool.set t.tcbs tcb f_iss iss;
-  Memory.Pool.set t.tcbs tcb f_snd_una iss;
-  Memory.Pool.set t.tcbs tcb f_snd_nxt iss;
-  Memory.Pool.set t.tcbs tcb f_snd_wnd t.config.mss;
-  Memory.Pool.set t.tcbs tcb f_peer_mss t.config.mss;
-  Memory.Pool.set t.tcbs tcb f_fin_seq (-1);
-  Rto.init t.tcbs tcb ~base:f_rto ~min_rto:t.config.min_rto_ns;
-  Cc.init t.tcbs tcb ~ibase:f_cc ~mss:t.config.mss;
   {
     stack = t;
     uid;
-    tcb;
     local_ip;
     local_port;
     remote_ip;
     remote_port;
+    state;
+    iss;
+    snd_una = iss;
+    snd_nxt = iss;
+    snd_wnd = t.config.mss;
+    peer_wscale = 0;
+    peer_mss = t.config.mss;
+    dupacks = 0;
+    syn_retries = 0;
+    fin_seq = -1;
+    fin_pending = false;
+    ts_on = false;
+    sack_on = false;
+    ts_recent = 0;
+    rto = Rto.create ~min_rto:t.config.min_rto_ns ~max_rto:t.config.max_rto_ns;
+    cc = Cc.create t.config.cc ~mss:t.config.mss;
     unacked = Queue.create ();
     unsent = Queue.create ();
     rto_timer = None;
@@ -665,6 +567,10 @@ let make_conn t ~local_ip ~local_port ~remote_ip ~remote_port ~state ~parent_lis
     eof_delivered_to_q = false;
     ack_pending = false;
     tw_timer = None;
+    push0_id = 0;
+    push0_left = 0;
+    push1_id = 0;
+    push1_left = 0;
     push_spill = None;
     parent_listener;
   }
@@ -684,32 +590,22 @@ let destroy conn =
   conn.ack_pending <- false;
   Conntab.remove conn.stack.conns ~ka:(conn_ka conn) ~kb:conn.remote_ip
 
-let release_tcb conn =
-  if conn.tcb >= 0 then begin
-    Memory.Pool.free conn.stack.tcbs conn.tcb;
-    conn.tcb <- -1
-  end
-
 let to_closed conn ~reset =
-  let was_closed = state conn = Closed_st in
-  (if state conn = Syn_received then
+  let was_closed = conn.state = Closed_st in
+  (if conn.state = Syn_received then
      match conn.parent_listener with
      | Some l -> l.syn_pending <- max 0 (l.syn_pending - 1)
      | None -> ());
-  set_state conn Closed_st;
+  conn.state <- Closed_st;
   destroy conn;
   if not was_closed then begin
     if reset then
       conn.stack.trace "conn %d: reset" conn.uid 0;
     if reset then conn.stack.events (Reset conn) else conn.stack.events (Closed conn)
-  end;
-  (* The slot outlives the Closed/Reset event — handlers (the libOS
-     completion plumbing) look connections up by [conn_slot]. Only now
-     does it return to the arena. *)
-  release_tcb conn
+  end
 
 let enter_time_wait conn =
-  set_state conn Time_wait;
+  conn.state <- Time_wait;
   conn.stack.trace "conn %d: TIME_WAIT" conn.uid 0;
   cancel_rto conn;
   arm_time_wait_at conn (now conn.stack + conn.stack.config.time_wait_ns)
@@ -728,11 +624,11 @@ let tcp_accept l = if Queue.is_empty l.accept_q then None else Some (Queue.pop l
 let accept_pending l = Queue.length l.accept_q
 
 let send_syn conn =
-  emit_segment conn ~seq:(tget conn f_iss) ~syn:true ~ack_flag:false ~fin:false ~rst:false
+  emit_segment conn ~seq:conn.iss ~syn:true ~ack_flag:false ~fin:false ~rst:false
     ~payload:None
 
 let send_syn_ack conn =
-  emit_segment conn ~seq:(tget conn f_iss) ~syn:true ~ack_flag:true ~fin:false ~rst:false
+  emit_segment conn ~seq:conn.iss ~syn:true ~ack_flag:true ~fin:false ~rst:false
     ~payload:None
 
 let tcp_connect t ~dst =
@@ -744,7 +640,7 @@ let tcp_connect t ~dst =
   in
   Conntab.replace t.conns ~ka:(conn_ka conn) ~kb:conn.remote_ip conn;
   send_syn conn;
-  tset conn f_snd_nxt (Seqnum.add (tget conn f_iss) 1);
+  conn.snd_nxt <- Seqnum.add conn.iss 1;
   arm_rto_at conn (now t + t.config.syn_rto_ns);
   conn
 
@@ -756,13 +652,13 @@ let tcp_connect t ~dst =
    data is buffered (loss recovery) and are not subtracted; a data
    segment carrying them may IP-fragment. *)
 let send_mss conn =
-  if conn.tcb < 0 then conn.stack.config.mss
+  if conn.state = Closed_st then conn.stack.config.mss
   else
-    let mss = min conn.stack.config.mss (tget conn f_peer_mss) in
-    if get_flag conn flag_use_ts then mss - 12 else mss
+    let mss = min conn.stack.config.mss conn.peer_mss in
+    if conn.ts_on then mss - 12 else mss
 
 let tcp_send conn ?(push_id = 0) bufs =
-  (match state conn with
+  (match conn.state with
   | Established_st | Close_wait -> ()
   | Syn_sent | Syn_received | Fin_wait_1 | Fin_wait_2 | Closing | Last_ack | Time_wait
   | Closed_st ->
@@ -801,33 +697,33 @@ let tcp_send conn ?(push_id = 0) bufs =
   let queued_bytes =
     Queue.fold (fun n s -> n + s.seg_len) 0 conn.unsent + bytes_in_flight conn
   in
-  let base_seq = Seqnum.add (snd_una conn) queued_bytes in
+  let base_seq = Seqnum.add conn.snd_una queued_bytes in
   let _ = List.fold_left queue_buf base_seq bufs in
   try_transmit conn
 
 let tcp_close conn =
-  match state conn with
+  match conn.state with
   | Established_st ->
-      set_state conn Fin_wait_1;
-      set_flag conn flag_fin_pending true;
+      conn.state <- Fin_wait_1;
+      conn.fin_pending <- true;
       try_transmit conn
   | Close_wait ->
-      set_state conn Last_ack;
-      set_flag conn flag_fin_pending true;
+      conn.state <- Last_ack;
+      conn.fin_pending <- true;
       try_transmit conn
   | Syn_sent -> to_closed conn ~reset:false
   | Syn_received ->
-      set_state conn Fin_wait_1;
-      set_flag conn flag_fin_pending true;
+      conn.state <- Fin_wait_1;
+      conn.fin_pending <- true;
       try_transmit conn
   | Fin_wait_1 | Fin_wait_2 | Closing | Last_ack | Time_wait | Closed_st -> ()
 
 let tcp_abort conn =
-  (match state conn with
+  (match conn.state with
   | Closed_st -> ()
   | Syn_sent | Syn_received | Established_st | Fin_wait_1 | Fin_wait_2 | Close_wait | Closing
   | Last_ack | Time_wait ->
-      emit_segment conn ~seq:(snd_nxt conn) ~syn:false ~ack_flag:true ~fin:false ~rst:true
+      emit_segment conn ~seq:conn.snd_nxt ~syn:false ~ack_flag:true ~fin:false ~rst:true
         ~payload:None);
   to_closed conn ~reset:false
 
@@ -849,8 +745,8 @@ let tcp_recv conn =
 (* ---------- ack processing ---------- *)
 
 let fin_acked conn =
-  let fs = fin_seq conn in
-  fs >= 0 && Seqnum.le (Seqnum.add fs 1) (snd_una conn)
+  let fs = conn.fin_seq in
+  fs >= 0 && Seqnum.le (Seqnum.add fs 1) conn.snd_una
 
 (* First unacknowledged segment the peer has not selectively acked:
    with SACK this skips delivered data and retransmits only the holes. *)
@@ -870,7 +766,7 @@ let retransmit_head conn =
   | None ->
       (* Nothing unacked: the timer was armed for a FIN or a zero-window
          probe. *)
-      let fs = fin_seq conn in
+      let fs = conn.fin_seq in
       if fs >= 0 && not (fin_acked conn) then begin
         conn.retransmit_count <- conn.retransmit_count + 1;
         emit_segment conn ~seq:fs ~syn:false ~ack_flag:true ~fin:true ~rst:false ~payload:None
@@ -879,14 +775,14 @@ let retransmit_head conn =
         (* Zero-window probe: force out the head segment. *)
         let seg = Queue.pop conn.unsent in
         send_data_segment conn seg;
-        tset conn f_snd_nxt (Seqnum.max (snd_nxt conn) (Seqnum.add seg.seg_seq seg.seg_len));
+        conn.snd_nxt <- Seqnum.max conn.snd_nxt (Seqnum.add seg.seg_seq seg.seg_len);
         Queue.add seg conn.unacked;
         note_push_progress conn seg.seg_push_id
       end
 
 (* dlint-allow: scan-in-hotpath -- blocks is capped at 4 by the TCP options field, and the unacked queue it marks is only walked when a SACK actually arrived (loss recovery); [] on clean ACKs short-circuits *)
 let apply_sack_blocks conn blocks =
-  if blocks <> [] && get_flag conn flag_use_sack then
+  if blocks <> [] && conn.sack_on then
     Queue.iter
       (fun seg ->
         if not seg.sacked then
@@ -903,12 +799,12 @@ let process_ack conn th ~payload_len =
   let ack = th.Net.Tcp_wire.ack in
   apply_sack_blocks conn th.Net.Tcp_wire.options.Net.Tcp_wire.sack_blocks;
   (* Update the peer's advertised window (scaled outside of SYNs). *)
-  tset conn f_snd_wnd (th.Net.Tcp_wire.window lsl tget conn f_peer_wscale);
-  if Seqnum.lt (snd_una conn) ack && Seqnum.le ack (snd_nxt conn) then begin
-    let acked_bytes = Seqnum.sub ack (snd_una conn) in
-    tset conn f_snd_una ack;
-    tset conn f_dupacks 0;
-    rto_reset_backoff conn;
+  conn.snd_wnd <- th.Net.Tcp_wire.window lsl conn.peer_wscale;
+  if Seqnum.lt conn.snd_una ack && Seqnum.le ack conn.snd_nxt then begin
+    let acked_bytes = Seqnum.sub ack conn.snd_una in
+    conn.snd_una <- ack;
+    conn.dupacks <- 0;
+    Rto.reset_backoff conn.rto;
     (* Retire fully-acked segments, dropping the stack's buffer refs. *)
     let rtt_sample = ref None in
     let rec retire () =
@@ -922,33 +818,33 @@ let process_ack conn th ~payload_len =
       | Some _ | None -> ()
     in
     retire ();
-    (match !rtt_sample with Some s -> rto_observe conn s | None -> ());
-    cc_on_ack conn ~acked:acked_bytes ~now:(now t);
+    (match !rtt_sample with Some s -> Rto.observe conn.rto s | None -> ());
+    Cc.on_ack conn.cc ~acked:acked_bytes ~now:(now t);
     (* FIN progress. *)
     if fin_acked conn then begin
-      match state conn with
-      | Fin_wait_1 -> set_state conn Fin_wait_2
+      match conn.state with
+      | Fin_wait_1 -> conn.state <- Fin_wait_2
       | Closing -> enter_time_wait conn
       | Last_ack -> to_closed conn ~reset:false
       | Syn_sent | Syn_received | Established_st | Fin_wait_2 | Close_wait | Time_wait
       | Closed_st -> ()
     end;
-    if state conn <> Closed_st then try_transmit conn
+    if conn.state <> Closed_st then try_transmit conn
   end
-  else if Seqnum.le ack (snd_una conn) then begin
+  else if Seqnum.le ack conn.snd_una then begin
     (* Duplicate ack (RFC 5681 §2): same ack, outstanding data, and the
        segment carries no payload — data segments of the reverse stream
        must not count, or bidirectional traffic fakes losses. *)
     if
-      ack = snd_una conn
+      ack = conn.snd_una
       && (not (Queue.is_empty conn.unacked))
       && th.Net.Tcp_wire.syn = false
       && th.Net.Tcp_wire.fin = false
       && payload_len = 0
     then begin
-      tset conn f_dupacks (tget conn f_dupacks + 1);
-      if tget conn f_dupacks = 3 then begin
-        cc_on_fast_retransmit conn ~now:(now t);
+      conn.dupacks <- conn.dupacks + 1;
+      if conn.dupacks = 3 then begin
+        Cc.on_fast_retransmit conn.cc;
         (* With SACK, every unsacked segment below the highest selective
            ack is presumed lost (RFC 6675): repair all the holes now
            instead of one per round trip. *)
@@ -956,9 +852,9 @@ let process_ack conn th ~payload_len =
           Queue.fold
             (fun acc seg ->
               if seg.sacked then Seqnum.max acc (Seqnum.add seg.seg_seq seg.seg_len) else acc)
-            (snd_una conn) conn.unacked
+            conn.snd_una conn.unacked
         in
-        if get_flag conn flag_use_sack && Seqnum.lt (snd_una conn) sack_high then
+        if conn.sack_on && Seqnum.lt conn.snd_una sack_high then
           Queue.iter
             (fun seg ->
               if (not seg.sacked) && Seqnum.lt seg.seg_seq sack_high then begin
@@ -1004,24 +900,24 @@ let establish conn ~irs ~options =
   let t = conn.stack in
   conn.reasm <-
     Some (Reassembly.create ~rcv_nxt:(Seqnum.add irs 1) ~capacity:t.config.rwnd_capacity);
-  (match options.Net.Tcp_wire.mss with Some m -> tset conn f_peer_mss m | None -> ());
+  (match options.Net.Tcp_wire.mss with Some m -> conn.peer_mss <- m | None -> ());
   (match options.Net.Tcp_wire.window_scale with
-  | Some s -> tset conn f_peer_wscale (min s 14)
-  | None -> tset conn f_peer_wscale 0);
+  | Some s -> conn.peer_wscale <- min s 14
+  | None -> conn.peer_wscale <- 0);
   (match options.Net.Tcp_wire.timestamp with
   | Some (tsval, _) when t.config.use_timestamps ->
-      set_flag conn flag_use_ts true;
-      tset conn f_ts_recent tsval
-  | Some _ | None -> set_flag conn flag_use_ts false);
-  set_flag conn flag_use_sack (t.config.use_sack && options.Net.Tcp_wire.sack_permitted)
+      conn.ts_on <- true;
+      conn.ts_recent <- tsval
+  | Some _ | None -> conn.ts_on <- false);
+  conn.sack_on <- t.config.use_sack && options.Net.Tcp_wire.sack_permitted
 
 (* [len] payload bytes at [off] in the frame [b]. The next in-order
    segment with nothing buffered out of order (the steady stream) is
    copied straight from the frame into the receive queue; every other
    segment goes through [Reassembly] as a string. *)
 let process_payload conn th b off len =
-  (match (get_flag conn flag_use_ts, th.Net.Tcp_wire.options.Net.Tcp_wire.timestamp) with
-  | true, Some (tsval, _) -> tset conn f_ts_recent tsval
+  (match (conn.ts_on, th.Net.Tcp_wire.options.Net.Tcp_wire.timestamp) with
+  | true, Some (tsval, _) -> conn.ts_recent <- tsval
   | _, _ -> ());
   match conn.reasm with
   | None -> ()
@@ -1052,9 +948,9 @@ let process_payload conn th b off len =
                  ~rcv_nxt:(Seqnum.add fin_seq 1)
                  ~capacity:conn.stack.config.rwnd_capacity);
           conn.eof_delivered_to_q <- true;
-          (match state conn with
-          | Established_st -> set_state conn Close_wait
-          | Fin_wait_1 -> if fin_acked conn then enter_time_wait conn else set_state conn Closing
+          (match conn.state with
+          | Established_st -> conn.state <- Close_wait
+          | Fin_wait_1 -> if fin_acked conn then enter_time_wait conn else conn.state <- Closing
           | Fin_wait_2 -> enter_time_wait conn
           | Syn_sent | Syn_received | Close_wait | Closing | Last_ack | Time_wait | Closed_st ->
               ());
@@ -1072,7 +968,7 @@ let process_payload conn th b off len =
 let handle_existing conn th b off len =
   let t = conn.stack in
   if th.Net.Tcp_wire.rst then begin
-    match state conn with
+    match conn.state with
     | Syn_sent | Syn_received | Established_st | Fin_wait_1 | Fin_wait_2 | Close_wait | Closing
     | Last_ack ->
         to_closed conn ~reset:true
@@ -1080,14 +976,14 @@ let handle_existing conn th b off len =
     | Closed_st -> ()
   end
   else
-    match state conn with
+    match conn.state with
     | Syn_sent ->
         if th.Net.Tcp_wire.syn && th.Net.Tcp_wire.ack_flag then begin
-          if th.Net.Tcp_wire.ack = Seqnum.add (tget conn f_iss) 1 then begin
-            tset conn f_snd_una th.Net.Tcp_wire.ack;
+          if th.Net.Tcp_wire.ack = Seqnum.add conn.iss 1 then begin
+            conn.snd_una <- th.Net.Tcp_wire.ack;
             establish conn ~irs:th.Net.Tcp_wire.seq ~options:th.Net.Tcp_wire.options;
-            tset conn f_snd_wnd th.Net.Tcp_wire.window (* SYN windows are unscaled *);
-            set_state conn Established_st;
+            conn.snd_wnd <- th.Net.Tcp_wire.window (* SYN windows are unscaled *);
+            conn.state <- Established_st;
             cancel_rto conn;
             send_ack conn;
             t.events (Established conn)
@@ -1095,10 +991,10 @@ let handle_existing conn th b off len =
           else send_rst_for t ~src_ip:conn.remote_ip ~th ~seg_len:len
         end
     | Syn_received ->
-        if th.Net.Tcp_wire.ack_flag && th.Net.Tcp_wire.ack = Seqnum.add (tget conn f_iss) 1 then begin
-          tset conn f_snd_una th.Net.Tcp_wire.ack;
-          tset conn f_snd_wnd (th.Net.Tcp_wire.window lsl tget conn f_peer_wscale);
-          set_state conn Established_st;
+        if th.Net.Tcp_wire.ack_flag && th.Net.Tcp_wire.ack = Seqnum.add conn.iss 1 then begin
+          conn.snd_una <- th.Net.Tcp_wire.ack;
+          conn.snd_wnd <- th.Net.Tcp_wire.window lsl conn.peer_wscale;
+          conn.state <- Established_st;
           cancel_rto conn;
           match conn.parent_listener with
           | Some l when not l.l_open ->
@@ -1117,7 +1013,7 @@ let handle_existing conn th b off len =
            re-ack so the peer can leave SYN_RCVD (RFC 793 p.69). *)
         if th.Net.Tcp_wire.syn then send_ack conn;
         if th.Net.Tcp_wire.ack_flag then process_ack conn th ~payload_len:len;
-        if state conn <> Closed_st then process_payload conn th b off len
+        if conn.state <> Closed_st then process_payload conn th b off len
     | Time_wait ->
         (* A retransmitted FIN: re-ack and restart the 2MSL clock. *)
         if th.Net.Tcp_wire.fin then begin
@@ -1138,10 +1034,10 @@ let handle_syn_for_listener t l th ~src_ip =
       ~remote_port:th.Net.Tcp_wire.src_port ~state:Syn_received ~parent_listener:(Some l)
   in
   establish conn ~irs:th.Net.Tcp_wire.seq ~options:th.Net.Tcp_wire.options;
-  tset conn f_snd_wnd th.Net.Tcp_wire.window;
+  conn.snd_wnd <- th.Net.Tcp_wire.window;
   Conntab.replace t.conns ~ka:(conn_ka conn) ~kb:conn.remote_ip conn;
   send_syn_ack conn;
-  tset conn f_snd_nxt (Seqnum.add (tget conn f_iss) 1);
+  conn.snd_nxt <- Seqnum.add conn.iss 1;
   arm_rto_at conn (now t + t.config.syn_rto_ns)
   end
 
@@ -1197,25 +1093,25 @@ let timer_activity t = Engine.Timerwheel.activity t.timers
 
 let handshake_timeout conn =
   let t = conn.stack in
-  tset conn f_syn_retries (tget conn f_syn_retries + 1);
-  if tget conn f_syn_retries > t.config.max_syn_retries then to_closed conn ~reset:true
+  conn.syn_retries <- conn.syn_retries + 1;
+  if conn.syn_retries > t.config.max_syn_retries then to_closed conn ~reset:true
   else begin
-    (match state conn with
+    (match conn.state with
     | Syn_sent -> send_syn conn
     | Syn_received -> send_syn_ack conn
     | Established_st | Fin_wait_1 | Fin_wait_2 | Close_wait | Closing | Last_ack | Time_wait
     | Closed_st -> ());
-    arm_rto_at conn (now t + (t.config.syn_rto_ns lsl min (tget conn f_syn_retries) 10))
+    arm_rto_at conn (now t + (t.config.syn_rto_ns lsl min conn.syn_retries 10))
   end
 
 let rto_fire conn =
   let t = conn.stack in
   t.trace "conn %d: RTO fired" conn.uid 0;
-  match state conn with
+  match conn.state with
   | Syn_sent | Syn_received -> handshake_timeout conn
   | Established_st | Fin_wait_1 | Fin_wait_2 | Close_wait | Closing | Last_ack ->
-      cc_on_timeout conn ~now:(now t);
-      rto_backoff conn;
+      Cc.on_timeout conn.cc;
+      Rto.backoff conn.rto;
       retransmit_head conn;
       arm_rto conn
   | Time_wait | Closed_st -> ()
@@ -1244,19 +1140,15 @@ let on_timer t =
 (* ---------- introspection ---------- *)
 
 let conn_id conn = conn.uid
-let conn_slot conn = conn.tcb
-let conn_state conn = state conn
+let conn_state conn = conn.state
 let conn_local conn = Net.Addr.endpoint conn.local_ip conn.local_port
 let conn_remote conn = Net.Addr.endpoint conn.remote_ip conn.remote_port
-let conn_cwnd conn = if conn.tcb < 0 then 0 else cc_cwnd conn
 
-let conn_srtt conn =
-  if conn.tcb < 0 then None
-  else
-    let s = Rto.srtt_ns conn.stack.tcbs conn.tcb ~base:f_rto in
-    if s < 0 then None else Some s
-
-let conn_bytes_in_flight conn = if conn.tcb < 0 then 0 else bytes_in_flight conn
+(* A closed connection has no window, nothing in flight and no RTT
+   estimate, whatever its fields last held. *)
+let conn_cwnd conn = if conn.state = Closed_st then 0 else Cc.cwnd conn.cc
+let conn_srtt conn = if conn.state = Closed_st then None else Rto.srtt conn.rto
+let conn_bytes_in_flight conn = if conn.state = Closed_st then 0 else bytes_in_flight conn
 let conn_retransmits conn = conn.retransmit_count
 let conn_recv_queue_bytes conn = conn.recv_q_bytes
 let conn_at_eof conn = conn.eof_delivered_to_q && Queue.is_empty conn.recv_q

@@ -8,7 +8,10 @@
     acks, selective acknowledgments (RFC 2018) with a sender scoreboard
     that retransmits only the holes, out-of-order reassembly, flow
     control with zero-window probing, and the full close state machine
-    through TIME_WAIT.
+    through TIME_WAIT. Each connection is one control-block record:
+    its sequence state, flags and push-completion lanes are plain
+    mutable fields, beside its own {!Rto} estimator and {!Cc}
+    controller.
 
     Determinism: the stack never reads global time or randomness — the
     clock, the initial-sequence-number generator and every frame are
@@ -170,17 +173,18 @@ val tcp_abort : conn -> unit
 (** {1 Introspection} *)
 
 val conn_id : conn -> int
-(** Unique identifier within this stack (stable map key for libOSes). *)
-
-val conn_slot : conn -> int
-(** The connection's flat-TCB arena slot: a small dense integer, stable
-    for the connection's lifetime, reused only after close. LibOSes use
-    it as a direct array index (demux without hashing); [-1] once the
-    connection has fully closed and the slot returned to the pool. *)
+(** Unique identifier within this stack, never reused (the map key
+    libOSes find a connection's completion state by). *)
 
 val conn_state : conn -> tcp_state
 val conn_local : conn -> Net.Addr.endpoint
 val conn_remote : conn -> Net.Addr.endpoint
+
+(** Once a connection is [Closed_st], {!conn_cwnd} and
+    {!conn_bytes_in_flight} read 0, {!conn_srtt} reads [None] and
+    {!send_mss} reads the config MSS; {!tcp_send} raises and
+    {!tcp_close}/{!tcp_abort} do nothing. *)
+
 val conn_cwnd : conn -> int
 val conn_srtt : conn -> int option
 val conn_bytes_in_flight : conn -> int
@@ -198,11 +202,6 @@ val conn_stats : t -> conn_stats
 (** O(1) connection census: currently live, ever opened (active plus
     passive), and the high-water mark of simultaneously live
     connections. *)
-
-val tcb_pool : t -> Memory.Pool.t
-(** The flat-TCB arena, exposed for its teardown sanitizer report
-    ({!Memory.Pool.log_teardown}, registered by every libOS that builds
-    a stack) and for tests. *)
 
 val total_retransmits : t -> int
 (** Data-segment retransmissions across all connections this stack has

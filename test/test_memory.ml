@@ -306,117 +306,6 @@ let payload_integrity =
       let bufs = List.map (Memory.Heap.alloc_of_string h) payloads in
       List.for_all2 (fun s b -> Memory.Heap.to_string b = s) payloads bufs)
 
-(* --- Pool (the flat TCB arena) --- *)
-
-let make_pool ?max_slots ?(float_words = 2) () =
-  Memory.Pool.create ~label:"test" ~sanitize:true ?max_slots ~slot_words:4 ~float_words ()
-
-let test_pool_alloc_free_cycle () =
-  let p = make_pool () in
-  let s0 = Memory.Pool.alloc p in
-  check_int "first slot is 0" 0 s0;
-  Memory.Pool.set p s0 1 42;
-  Memory.Pool.fset p s0 0 3.5;
-  check_int "int field roundtrip" 42 (Memory.Pool.get p s0 1);
-  Alcotest.(check (float 0.)) "float field roundtrip" 3.5 (Memory.Pool.fget p s0 0);
-  let s1 = Memory.Pool.alloc p in
-  check_int "ascending fresh slots" 1 s1;
-  Memory.Pool.free p s0;
-  (* LIFO recycling: the freed slot comes back first, zeroed. *)
-  let s0' = Memory.Pool.alloc p in
-  check_int "freed slot recycled" s0 s0';
-  check_int "recycled int reads 0" 0 (Memory.Pool.get p s0' 1);
-  Alcotest.(check (float 0.)) "recycled float reads 0" 0. (Memory.Pool.fget p s0' 0);
-  check_int "live census" 2 (Memory.Pool.live p);
-  check_int "alloc total" 3 (Memory.Pool.allocated_total p);
-  check_int "peak live" 2 (Memory.Pool.peak_live p)
-
-let test_pool_cycling_grows_deterministically () =
-  let p = make_pool () in
-  (* Alloc/free churn far past the initial capacity: slot ids must stay
-     dense, and re-running the same sequence must yield the same ids. *)
-  let script p =
-    let ids = ref [] in
-    let held = Queue.create () in
-    for i = 0 to 499 do
-      let s = Memory.Pool.alloc p in
-      ids := s :: !ids;
-      Queue.add s held;
-      if i mod 3 = 2 then Memory.Pool.free p (Queue.pop held)
-    done;
-    (!ids, Memory.Pool.capacity p, Memory.Pool.live p)
-  in
-  let r1 = script p in
-  let r2 = script (make_pool ()) in
-  check_bool "deterministic slot sequence" true (r1 = r2);
-  let _, _, live = r1 in
-  check_int "live after churn" (500 - (500 / 3)) live
-
-let test_pool_double_free_caught () =
-  let p = make_pool () in
-  let s = Memory.Pool.alloc p in
-  Memory.Pool.free p s;
-  check_bool "double free raises" true
-    (match Memory.Pool.free p s with
-    | () -> false
-    | exception Memory.Pool.Double_free _ -> true);
-  match Memory.Pool.sanitizer_report p with
-  | Some r -> check_int "double free counted" 1 r.Memory.Pool.double_frees
-  | None -> Alcotest.fail "sanitizing pool must report"
-
-let test_pool_uaf_caught () =
-  let p = make_pool () in
-  let s = Memory.Pool.alloc p in
-  Memory.Pool.free p s;
-  check_bool "get after free raises" true
-    (match Memory.Pool.get p s 1 with
-    | _ -> false
-    | exception Memory.Pool.Use_after_free _ -> true);
-  check_bool "set after free raises" true
-    (match Memory.Pool.set p s 1 7 with
-    | () -> false
-    | exception Memory.Pool.Use_after_free _ -> true);
-  check_bool "slot reads dead" false (Memory.Pool.is_live p s);
-  match Memory.Pool.sanitizer_report p with
-  | Some r -> check_int "uaf accesses counted" 2 r.Memory.Pool.uaf_accesses
-  | None -> Alcotest.fail "sanitizing pool must report"
-
-let test_pool_exhaustion () =
-  let p = make_pool ~max_slots:2 () in
-  let s0 = Memory.Pool.alloc p in
-  let _s1 = Memory.Pool.alloc p in
-  check_bool "third alloc exhausts" true
-    (match Memory.Pool.alloc p with
-    | _ -> false
-    | exception Memory.Pool.Exhausted -> true);
-  (* Freeing makes room again — exhaustion is about live slots, not a
-     one-way fuse. *)
-  Memory.Pool.free p s0;
-  check_int "slot free after release" s0 (Memory.Pool.alloc p)
-
-let pool_census_invariant =
-  QCheck.Test.make ~name:"pool census matches any alloc/free interleaving" ~count:200
-    QCheck.(list (int_bound 9))
-    (fun ops ->
-      let p = make_pool () in
-      let held = ref [] in
-      let freed = ref 0 in
-      List.iter
-        (fun op ->
-          if op < 6 then held := Memory.Pool.alloc p :: !held
-          else
-            match !held with
-            | s :: rest ->
-                Memory.Pool.free p s;
-                incr freed;
-                held := rest
-            | [] -> ())
-        ops;
-      Memory.Pool.live p = List.length !held
-      && Memory.Pool.allocated_total p = List.length !held + !freed
-      && Memory.Pool.freed_total p = !freed
-      && List.for_all (Memory.Pool.is_live p) !held)
-
 let suite =
   [
     Alcotest.test_case "size class rounding" `Quick test_sizeclass_rounding;
@@ -454,11 +343,4 @@ let suite =
       test_sanitizer_payload_roundtrip;
     QCheck_alcotest.to_alcotest alloc_free_balanced;
     QCheck_alcotest.to_alcotest payload_integrity;
-    Alcotest.test_case "pool alloc/free/reuse cycle" `Quick test_pool_alloc_free_cycle;
-    Alcotest.test_case "pool deterministic churn growth" `Quick
-      test_pool_cycling_grows_deterministically;
-    Alcotest.test_case "pool double free caught" `Quick test_pool_double_free_caught;
-    Alcotest.test_case "pool use-after-free caught" `Quick test_pool_uaf_caught;
-    Alcotest.test_case "pool exhaustion at max_slots" `Quick test_pool_exhaustion;
-    QCheck_alcotest.to_alcotest pool_census_invariant;
   ]

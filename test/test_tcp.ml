@@ -28,122 +28,78 @@ let test_seqnum_window () =
 
 (* --- Rto --- *)
 
-(* The estimator and the controller are field transformers over a pooled
-   TCB, the form the stack runs; each test drives one slot of a one-slot
-   pool. *)
-type rto = { rpool : Memory.Pool.t; rslot : int; min_rto : int; max_rto : int }
-
-let rto_create ~min_rto ~max_rto =
-  let rpool = Memory.Pool.create ~max_slots:1 ~initial_slots:1 ~slot_words:Tcp.Rto.words () in
-  let rslot = Memory.Pool.alloc rpool in
-  Tcp.Rto.init rpool rslot ~base:0 ~min_rto;
-  { rpool; rslot; min_rto; max_rto }
-
-let rto_observe r sample =
-  Tcp.Rto.observe r.rpool r.rslot ~base:0 ~min_rto:r.min_rto ~max_rto:r.max_rto sample
-
-let rto_rto r = Tcp.Rto.rto r.rpool r.rslot ~base:0 ~max_rto:r.max_rto
-let rto_backoff r = Tcp.Rto.backoff r.rpool r.rslot ~base:0 ~max_rto:r.max_rto
-let rto_reset_backoff r = Tcp.Rto.reset_backoff r.rpool r.rslot ~base:0
-
-let rto_srtt r =
-  match Tcp.Rto.srtt_ns r.rpool r.rslot ~base:0 with -1 -> None | s -> Some s
-
 let test_rto_first_sample () =
-  let r = rto_create ~min_rto:1000 ~max_rto:1_000_000_000 in
-  rto_observe r 10_000;
-  Alcotest.(check (option int)) "srtt = first sample" (Some 10_000) (rto_srtt r);
+  let r = Tcp.Rto.create ~min_rto:1000 ~max_rto:1_000_000_000 in
+  Tcp.Rto.observe r 10_000;
+  Alcotest.(check (option int)) "srtt = first sample" (Some 10_000) (Tcp.Rto.srtt r);
   (* RTO = SRTT + 4*RTTVAR = 10000 + 4*5000 = 30000. *)
-  check_int "rto" 30_000 (rto_rto r)
+  check_int "rto" 30_000 (Tcp.Rto.rto r)
 
 let test_rto_smoothing () =
-  let r = rto_create ~min_rto:1 ~max_rto:1_000_000_000 in
-  rto_observe r 8_000;
-  List.iter (fun _ -> rto_observe r 8_000) (List.init 20 Fun.id);
-  (match rto_srtt r with
+  let r = Tcp.Rto.create ~min_rto:1 ~max_rto:1_000_000_000 in
+  Tcp.Rto.observe r 8_000;
+  List.iter (fun _ -> Tcp.Rto.observe r 8_000) (List.init 20 Fun.id);
+  (match Tcp.Rto.srtt r with
   | Some srtt -> check_bool "converges to sample" true (abs (srtt - 8_000) < 200)
   | None -> Alcotest.fail "no srtt");
-  check_bool "rto approaches srtt with low variance" true (rto_rto r < 12_000)
+  check_bool "rto approaches srtt with low variance" true (Tcp.Rto.rto r < 12_000)
 
 let test_rto_backoff () =
-  let r = rto_create ~min_rto:1000 ~max_rto:64_000 in
-  rto_observe r 2_000;
-  let base = rto_rto r in
-  rto_backoff r;
-  check_int "doubles" (2 * base) (rto_rto r);
-  rto_backoff r;
-  check_int "doubles again" (4 * base) (rto_rto r);
-  rto_reset_backoff r;
-  check_int "reset" base (rto_rto r);
+  let r = Tcp.Rto.create ~min_rto:1000 ~max_rto:64_000 in
+  Tcp.Rto.observe r 2_000;
+  let base = Tcp.Rto.rto r in
+  Tcp.Rto.backoff r;
+  check_int "doubles" (2 * base) (Tcp.Rto.rto r);
+  Tcp.Rto.backoff r;
+  check_int "doubles again" (4 * base) (Tcp.Rto.rto r);
+  Tcp.Rto.reset_backoff r;
+  check_int "reset" base (Tcp.Rto.rto r);
   (* Ceiling. *)
-  List.iter (fun _ -> rto_backoff r) (List.init 30 Fun.id);
-  check_int "capped" 64_000 (rto_rto r)
+  List.iter (fun _ -> Tcp.Rto.backoff r) (List.init 30 Fun.id);
+  check_int "capped" 64_000 (Tcp.Rto.rto r)
 
 (* --- Cc --- *)
 
-type cc = { cpool : Memory.Pool.t; cslot : int; algorithm : Tcp.Cc.algorithm; mss : int }
-
-let cc_create algorithm ~mss =
-  let cpool =
-    Memory.Pool.create ~max_slots:1 ~initial_slots:1 ~slot_words:Tcp.Cc.int_words
-      ~float_words:Tcp.Cc.float_words ()
-  in
-  let cslot = Memory.Pool.alloc cpool in
-  Tcp.Cc.init cpool cslot ~ibase:0 ~mss;
-  { cpool; cslot; algorithm; mss }
-
-let cc_cwnd c = Tcp.Cc.cwnd c.cpool c.cslot ~ibase:0 c.algorithm
-let cc_in_slow_start c = Tcp.Cc.in_slow_start c.cpool c.cslot ~ibase:0
-
-let cc_on_ack c ~acked ~now =
-  Tcp.Cc.on_ack c.cpool c.cslot ~ibase:0 ~fbase:0 c.algorithm ~mss:c.mss ~acked ~now
-
-let cc_on_fast_retransmit c ~now =
-  Tcp.Cc.on_fast_retransmit c.cpool c.cslot ~ibase:0 ~fbase:0 c.algorithm ~mss:c.mss ~now
-
-let cc_on_timeout c ~now =
-  Tcp.Cc.on_timeout c.cpool c.cslot ~ibase:0 ~fbase:0 c.algorithm ~mss:c.mss ~now
-
 let test_cc_slow_start () =
-  let cc = cc_create Tcp.Cc.Newreno ~mss:1000 in
-  let w0 = cc_cwnd cc in
+  let cc = Tcp.Cc.create Tcp.Cc.Newreno ~mss:1000 in
+  let w0 = Tcp.Cc.cwnd cc in
   check_int "IW10" 10_000 w0;
-  cc_on_ack cc ~acked:5000 ~now:1000;
-  check_int "slow start grows by acked" (w0 + 5000) (cc_cwnd cc);
-  check_bool "in slow start" true (cc_in_slow_start cc)
+  Tcp.Cc.on_ack cc ~acked:5000 ~now:1000;
+  check_int "slow start grows by acked" (w0 + 5000) (Tcp.Cc.cwnd cc);
+  check_bool "in slow start" true (Tcp.Cc.in_slow_start cc)
 
 let test_cc_fast_retransmit_halves () =
-  let cc = cc_create Tcp.Cc.Newreno ~mss:1000 in
-  cc_on_ack cc ~acked:50_000 ~now:1000;
-  let before = cc_cwnd cc in
-  cc_on_fast_retransmit cc ~now:2000;
-  check_int "halved" (before / 2) (cc_cwnd cc);
-  check_bool "out of slow start" false (cc_in_slow_start cc)
+  let cc = Tcp.Cc.create Tcp.Cc.Newreno ~mss:1000 in
+  Tcp.Cc.on_ack cc ~acked:50_000 ~now:1000;
+  let before = Tcp.Cc.cwnd cc in
+  Tcp.Cc.on_fast_retransmit cc;
+  check_int "halved" (before / 2) (Tcp.Cc.cwnd cc);
+  check_bool "out of slow start" false (Tcp.Cc.in_slow_start cc)
 
 let test_cc_timeout_collapses () =
-  let cc = cc_create Tcp.Cc.Cubic ~mss:1000 in
-  cc_on_ack cc ~acked:100_000 ~now:1000;
-  cc_on_timeout cc ~now:2000;
-  check_int "one mss" 1000 (cc_cwnd cc)
+  let cc = Tcp.Cc.create Tcp.Cc.Cubic ~mss:1000 in
+  Tcp.Cc.on_ack cc ~acked:100_000 ~now:1000;
+  Tcp.Cc.on_timeout cc;
+  check_int "one mss" 1000 (Tcp.Cc.cwnd cc)
 
 let test_cubic_growth () =
-  let cc = cc_create Tcp.Cc.Cubic ~mss:1000 in
+  let cc = Tcp.Cc.create Tcp.Cc.Cubic ~mss:1000 in
   (* Leave slow start via a loss, then grow along the cubic curve. *)
-  cc_on_ack cc ~acked:90_000 ~now:0;
-  cc_on_fast_retransmit cc ~now:0;
-  let after_loss = cc_cwnd cc in
+  Tcp.Cc.on_ack cc ~acked:90_000 ~now:0;
+  Tcp.Cc.on_fast_retransmit cc;
+  let after_loss = Tcp.Cc.cwnd cc in
   let now = ref 0 in
   for _ = 1 to 2000 do
     now := !now + 100_000 (* 100us per ack *);
-    cc_on_ack cc ~acked:1000 ~now:!now
+    Tcp.Cc.on_ack cc ~acked:1000 ~now:!now
   done;
-  check_bool "recovers beyond w_max eventually" true (cc_cwnd cc > after_loss);
-  check_bool "does not explode instantly" true (cc_cwnd cc < 100 * 90_000)
+  check_bool "recovers beyond w_max eventually" true (Tcp.Cc.cwnd cc > after_loss);
+  check_bool "does not explode instantly" true (Tcp.Cc.cwnd cc < 100 * 90_000)
 
 let test_cc_none_unbounded () =
-  let cc = cc_create Tcp.Cc.None_cc ~mss:1000 in
-  cc_on_timeout cc ~now:0;
-  check_bool "effectively unbounded" true (cc_cwnd cc > 1 lsl 40)
+  let cc = Tcp.Cc.create Tcp.Cc.None_cc ~mss:1000 in
+  Tcp.Cc.on_timeout cc;
+  check_bool "effectively unbounded" true (Tcp.Cc.cwnd cc > 1 lsl 40)
 
 (* --- Reassembly --- *)
 
@@ -939,19 +895,23 @@ let conntab_matches_hashtbl =
                (Seq.init 16 Fun.id))
            (Seq.init 16 Fun.id))
 
-(* --- flat-TCB arena behavior visible through the stack --- *)
+(* --- connection records, as seen through the stack --- *)
 
 let test_conn_stats_census () =
   let p = Pair.make () in
   let stats s = Tcp.Stack.conn_stats s in
   check_int "starts empty" 0 (stats p.Pair.a).Tcp.Stack.live;
-  let ca1, _ = Pair.connect p ~port:7 in
-  let ca2, _ = Pair.connect p ~port:8 in
+  let ca1, cb1 = Pair.connect p ~port:7 in
+  let ca2, cb2 = Pair.connect p ~port:8 in
   check_int "two live" 2 (stats p.Pair.a).Tcp.Stack.live;
   check_int "two ever" 2 (stats p.Pair.a).Tcp.Stack.ever_opened;
   check_int "peak two" 2 (stats p.Pair.a).Tcp.Stack.peak;
   Tcp.Stack.tcp_close ca1;
   Tcp.Stack.tcp_close ca2;
+  Pair.run p;
+  (* The peers close too, or the closers would wait in FIN_WAIT_2. *)
+  Tcp.Stack.tcp_close cb1;
+  Tcp.Stack.tcp_close cb2;
   Pair.run p;
   (* Active closer lingers in TIME_WAIT; push past 2*MSL. *)
   p.Pair.clock <- p.Pair.clock + 600_000_000;
@@ -963,32 +923,70 @@ let test_conn_stats_census () =
   check_int "live matches live_connections" (Tcp.Stack.live_connections p.Pair.a)
     (stats p.Pair.a).Tcp.Stack.live
 
-let test_conn_slot_lifecycle () =
+(* What a closed connection reads as, whether it closed in full or was
+   aborted: no window, nothing in flight, no RTT estimate, the config
+   MSS; a send raises, and close and abort do nothing. *)
+let check_closed p what conn =
+  let name s = what ^ ": " ^ s in
+  check_bool (name "state reads Closed") true (Tcp.Stack.conn_state conn = Tcp.Stack.Closed_st);
+  check_int (name "cwnd reads 0") 0 (Tcp.Stack.conn_cwnd conn);
+  check_int (name "nothing in flight") 0 (Tcp.Stack.conn_bytes_in_flight conn);
+  Alcotest.(check (option int)) (name "no srtt") None (Tcp.Stack.conn_srtt conn);
+  check_int (name "send_mss is the config mss") Tcp.Stack.default_config.Tcp.Stack.mss
+    (Tcp.Stack.send_mss conn);
+  let late = Memory.Heap.alloc_of_string p.Pair.heap_a "late" in
+  check_bool (name "send raises") true
+    (match Tcp.Stack.tcp_send conn [ late ] with
+    | () -> false
+    | exception Invalid_argument _ -> true);
+  Memory.Heap.free late;
+  let frames = p.Pair.in_flight and events = p.Pair.events in
+  Tcp.Stack.tcp_close conn;
+  Tcp.Stack.tcp_abort conn;
+  check_bool (name "close and abort send nothing") true (p.Pair.in_flight == frames);
+  check_bool (name "close and abort raise no event") true (p.Pair.events == events);
+  check_bool (name "still Closed") true (Tcp.Stack.conn_state conn = Tcp.Stack.Closed_st)
+
+let test_closed_conn_reads_empty () =
+  let prior = Memory.Heap.sanitize_default () in
+  Memory.Heap.set_sanitize_default true;
+  Fun.protect ~finally:(fun () -> Memory.Heap.set_sanitize_default prior) @@ fun () ->
   let p = Pair.make () in
-  let ca, _cb = Pair.connect p ~port:7 in
-  let slot = Tcp.Stack.conn_slot ca in
-  check_bool "live conn has a slot" true (slot >= 0);
-  check_bool "slot is live in the arena" true
-    (Memory.Pool.is_live (Tcp.Stack.tcb_pool p.Pair.a) slot);
+  (* Full close, after data moved the window and the RTT estimate. *)
+  let ca, cb = Pair.connect p ~port:7 in
+  let sent = Pair.send_string p Pair.A ca (String.make 4000 'x') in
+  Pair.run p;
+  check_int "delivered" 4000 (String.length (Pair.recv_all cb));
+  Memory.Heap.free sent;
+  check_bool "srtt measured while open" true (Tcp.Stack.conn_srtt ca <> None);
   Tcp.Stack.tcp_close ca;
+  Pair.run p;
+  Tcp.Stack.tcp_close cb;
   Pair.run p;
   p.Pair.clock <- p.Pair.clock + 600_000_000;
   Tcp.Stack.on_timer p.Pair.a;
   Tcp.Stack.on_timer p.Pair.b;
-  check_int "slot released after full close" (-1) (Tcp.Stack.conn_slot ca);
-  check_bool "arena slot freed" false (Memory.Pool.is_live (Tcp.Stack.tcb_pool p.Pair.a) slot);
-  (* Post-close introspection stays safe (no UAF into the arena). *)
-  check_bool "state reads Closed" true (Tcp.Stack.conn_state ca = Tcp.Stack.Closed_st);
-  check_int "cwnd reads 0" 0 (Tcp.Stack.conn_cwnd ca);
-  (* Churn: the freed slot is recycled for the next connection. *)
-  let ca2, _ = Pair.connect p ~port:9 in
-  check_int "slot recycled LIFO" slot (Tcp.Stack.conn_slot ca2);
-  match Memory.Pool.sanitizer_report (Tcp.Stack.tcb_pool p.Pair.a) with
-  | Some r ->
-      check_int "no canary violations" 0 r.Memory.Pool.canary_violations;
-      check_int "no double frees" 0 r.Memory.Pool.double_frees;
-      check_int "no uaf" 0 r.Memory.Pool.uaf_accesses
-  | None -> ()
+  check_closed p "full close" ca;
+  (* Abort with data still in flight. *)
+  let ca2, cb2 = Pair.connect p ~port:9 in
+  let unacked = Pair.send_string p Pair.A ca2 (String.make 4000 'y') in
+  check_bool "data in flight before abort" true (Tcp.Stack.conn_bytes_in_flight ca2 > 0);
+  Tcp.Stack.tcp_abort ca2;
+  Memory.Heap.free unacked;
+  Pair.run p;
+  ignore (Pair.recv_all cb2);
+  check_closed p "abort" ca2;
+  check_closed p "reset peer" cb2;
+  List.iter
+    (fun (side, stack, heap) ->
+      check_int (side ^ ": no connection live") 0 (Tcp.Stack.conn_stats stack).Tcp.Stack.live;
+      match Memory.Heap.sanitizer_report heap with
+      | Some r ->
+          check_int (side ^ ": no leaks") 0 (List.length r.Memory.Heap.leaks);
+          check_int (side ^ ": no canary violations") 0 r.Memory.Heap.canary_violations;
+          check_int (side ^ ": no double frees") 0 r.Memory.Heap.double_frees
+      | None -> Alcotest.fail (side ^ ": heap not sanitizing"))
+    [ ("a", p.Pair.a, p.Pair.heap_a); ("b", p.Pair.b, p.Pair.heap_b) ]
 
 let test_push_tracking_spills () =
   let p = Pair.make () in
@@ -1022,16 +1020,19 @@ let test_push_tracking_spills () =
     (List.fold_left (fun acc id -> acc + 3000 + (id * 100)) 0 [ 10; 20; 30; 40; 50 ])
     (String.length (Pair.recv_all cb))
 
-(* --- golden digest: pooled TCB vs boxed baseline ---
+(* --- golden digest ---
 
-   This scenario (loss, concurrent multi-segment pushes, bidirectional
-   traffic, churn with slot reuse) was captured on the boxed-record
-   stack immediately before the flat-TCB arena landed; the digest below
-   is that run's trace digest. The pooled stack must replay it
-   bit-for-bit — the arena is a representation change, not a behavior
-   change. *)
+   The trace digest of one scenario (loss, concurrent multi-segment
+   pushes, bidirectional traffic, connection churn): any change to how
+   the stack names connections, segments data or runs its controllers
+   moves it. It moved once, with whole-MTU segments (commit dc891eb, a
+   sanctioned behaviour change); before that it read c3fb52a2181c0cc5
+   from the flat-TCB arena's landing on. The value first written here,
+   4bc9b1dc22dc8bc8, was never produced by any commit: the test was
+   left out of the suite until the arena was replaced by connection
+   records, which replay the digest below bit for bit. *)
 
-let golden_digest_expected = "4bc9b1dc22dc8bc8"
+let golden_digest_expected = "c296792b35fc7d36"
 
 let run_golden_scenario () =
   let trace = Engine.Log.create ~capacity:65_536 () in
@@ -1186,8 +1187,8 @@ let run_golden_scenario () =
        (Tcp.Stack.live_connections b));
   Engine.Log.digest trace
 
-let test_golden_digest_vs_boxed_baseline () =
-  Alcotest.(check string) "pooled stack replays the boxed baseline bit-for-bit"
+let test_golden_digest () =
+  Alcotest.(check string) "stack replays the golden trace bit-for-bit"
     golden_digest_expected (run_golden_scenario ())
 
 (* --- whole-MTU segments and the in-order receive path --- *)
@@ -1395,6 +1396,30 @@ let test_in_order_receive_words () =
   if per_segment >= 182 then
     Alcotest.failf "%d minor words per in-order 1448-byte segment (bound 182)" per_segment
 
+(* Per-ack congestion control allocates nothing, past slow start too:
+   for Cubic that is the float state staying unboxed. *)
+let test_cc_ack_words () =
+  List.iter
+    (fun (name, algorithm) ->
+      let cc = Tcp.Cc.create algorithm ~mss:1448 in
+      Tcp.Cc.on_ack cc ~acked:100_000 ~now:0;
+      Tcp.Cc.on_fast_retransmit cc;
+      check_bool (name ^ ": past slow start") false (Tcp.Cc.in_slow_start cc);
+      let now = ref 0 in
+      let ack () =
+        now := !now + 50_000;
+        Tcp.Cc.on_ack cc ~acked:1448 ~now:!now
+      in
+      ack ();
+      let acks = 1_000 in
+      let before = Gc.minor_words () in
+      for _ = 1 to acks do
+        ack ()
+      done;
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check (float 0.)) (name ^ ": minor words per ack") 0. (words /. float_of_int acks))
+    [ ("cubic", Tcp.Cc.Cubic); ("newreno", Tcp.Cc.Newreno) ]
+
 let suite =
   [
     Alcotest.test_case "seqnum wraparound" `Quick test_seqnum_wrap;
@@ -1450,4 +1475,12 @@ let suite =
     Alcotest.test_case "time_wait shared-deadline ordering" `Quick
       test_time_wait_shared_deadline_order;
     Alcotest.test_case "abort cancels pending timers" `Quick test_abort_cancels_timers;
+    Alcotest.test_case "conn stats census" `Quick test_conn_stats_census;
+    Alcotest.test_case "closed connection reads empty" `Quick test_closed_conn_reads_empty;
+    Alcotest.test_case "push tracking spills past two lanes" `Quick test_push_tracking_spills;
+    Alcotest.test_case "conntab basic" `Quick test_conntab_basic;
+    Alcotest.test_case "conntab fold_sorted" `Quick test_conntab_fold_sorted;
+    QCheck_alcotest.to_alcotest conntab_matches_hashtbl;
+    Alcotest.test_case "golden trace digest" `Quick test_golden_digest;
+    Alcotest.test_case "words: cubic ack in congestion avoidance" `Quick test_cc_ack_words;
   ]
