@@ -140,8 +140,8 @@ let gc_site = Memory.Gcbudget.site "catnip.fast_path"
 (* One poll: drain an rx burst, then run protocol timers. The
    steady-state iteration — empty burst, no timer work — is the
    measured gc-budget window: it must allocate zero minor-heap words.
-   Timer work is detected via the wheel's cumulative [timer_activity]
-   counter: a cascade or a firing makes the poll busy. *)
+   Timer work is detected via the stack's cumulative [timer_activity]
+   counter: a timer firing makes the poll busy. *)
 (* dlint: hotpath *)
 let poll t () =
   let activity0 = Tcp.Stack.timer_activity t.stack in

@@ -7,7 +7,7 @@ type fiber = {
 
 type t = {
   mutable now : Clock.t;
-  q : Eventq.t;
+  q : (unit -> unit) Eventq.t;
   prng : Prng.t;
   mutable stopped : bool;
   mutable processed : int;
@@ -66,11 +66,11 @@ let prng t = t.prng
 
 let at t ~time fn =
   assert (time >= t.now);
-  Eventq.add t.q ~time fn
+  ignore (Eventq.add t.q ~time fn : int)
 
 let schedule t ~delay fn =
   assert (delay >= 0);
-  Eventq.add t.q ~time:(t.now + delay) fn
+  ignore (Eventq.add t.q ~time:(t.now + delay) fn : int)
 
 let stop t = t.stopped <- true
 

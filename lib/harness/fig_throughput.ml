@@ -141,20 +141,26 @@ let demi_open_loop ?cost ?catmint_window ~flavor ~proto ~msg_size ~rate_per_sec 
           (* Each sent buffer stays owned by the libOS until its push
              token completes, so retirement (and the free) rides the
              same wait_any_t the receive path blocks on — the send
-             pace never gates on push completions. *)
-          let unretired = ref [] in
+             pace never gates on push completions. Pushes on one
+             connection complete in order, so the oldest unretired one
+             is the only one that can complete next: the wait set is
+             the pop and the head of a FIFO. *)
+          let unretired = Queue.create () in
           let rec loop () =
             let now = api.Pdpix.clock () in
             if now < grace then begin
               if now >= !next_send && now < deadline then begin
                 let buf = api.Pdpix.alloc_str (payload now) in
-                unretired := (api.Pdpix.push qd [ buf ], buf) :: !unretired;
+                Queue.add (api.Pdpix.push qd [ buf ], buf) unretired;
                 next_send := !next_send + gap ()
               end
               else begin
                 let wake = if now < deadline then min !next_send grace else grace in
-                let pushes = List.rev !unretired in
-                let qts = Array.of_list (!pop :: List.map fst pushes) in
+                let qts =
+                  match Queue.peek_opt unretired with
+                  | Some (oldest, _) -> [| !pop; oldest |]
+                  | None -> [| !pop |]
+                in
                 match api.Pdpix.wait_any_t qts ~timeout_ns:(max 1 (wake - now)) with
                 | Some (0, Pdpix.Popped (_ :: _ as sga)) ->
                     Buffer.add_string acc (Pdpix.sga_to_string sga);
@@ -171,10 +177,7 @@ let demi_open_loop ?cost ?catmint_window ~flavor ~proto ~msg_size ~rate_per_sec 
                     extract ();
                     pop := api.Pdpix.pop qd
                 | Some (0, _) -> failwith "loadgen: connection lost"
-                | Some (i, Pdpix.Pushed) ->
-                    let qt, sent = List.nth pushes (i - 1) in
-                    api.Pdpix.free sent;
-                    unretired := List.filter (fun (q, _) -> q <> qt) !unretired
+                | Some (_, Pdpix.Pushed) -> api.Pdpix.free (snd (Queue.pop unretired))
                 | Some (_, _) -> failwith "loadgen: push failed"
                 | None -> ()
               end;

@@ -15,13 +15,11 @@ let heap_line name (s : Memory.Heap.stats) =
    handshake, echos, teardown, with the oracles and the flight ring
    armed), rounded up from the count at seed 42 and 64 x 256 B echos.
    The run is deterministic, so the count is exact: one extra word per
-   echo fails the selfcheck. Catnip and Catnap fell when their TCP
-   stacks stopped building a TCB arena (378,321 -> 377,793 and
-   367,728 -> 367,186 words). *)
+   echo fails the selfcheck. *)
 let words_per_echo = function
-  | Demikernel.Boot.Catnip_os -> 5904 (* 377,793 words / 64 = 5,903.02 *)
-  | Demikernel.Boot.Catnap_os -> 5738 (* 367,186 words / 64 = 5,737.3 *)
-  | Demikernel.Boot.Catmint_os -> 5649 (* 361,474 words / 64 = 5,648.03 *)
+  | Demikernel.Boot.Catnip_os -> 5869 (* 375,575 words / 64 = 5,868.36 *)
+  | Demikernel.Boot.Catnap_os -> 5703 (* 364,948 words / 64 = 5,702.31 *)
+  | Demikernel.Boot.Catmint_os -> 5649 (* 361,477 words / 64 = 5,648.08 *)
 
 (* One echo with the ownership oracle armed on both ends; returns
    (trace digest, events, metrics lines, ownership violations,

@@ -143,7 +143,7 @@ let hot_lines ~masked ~stripped =
    Their walks (the ready-list index search, the server loop's in-place
    shift) are allocation-free int loops with no token-table lookups,
    written as explicit recursion or for-loops the lexer cannot tell
-   apart from fixed-capacity walks over qd slots or wheel buckets.
+   apart from fixed-capacity walks over qd slots.
    Queue drains are dirty-tracked FIFOs, the sanctioned replacement for
    scans. *)
 let scan_tokens =

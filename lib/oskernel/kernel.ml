@@ -355,9 +355,9 @@ let fresh_io t =
   t.next_io_id <- t.next_io_id + 1;
   id
 
-let append_sync t payload =
+let pwrite_sync t ~off payload =
   match t.ssd with
-  | None -> failwith "Kernel.append_sync: no disk attached"
+  | None -> failwith "Kernel.pwrite_sync: no disk attached"
   | Some ssd ->
       (* write(2): crossing + copy; fsync(2): crossing + file system +
          device latency, waited synchronously. *)
@@ -366,22 +366,11 @@ let append_sync t payload =
       enter_syscall t;
       charge t t.cost.Net.Cost.kernel_file_ns;
       let id = fresh_io t in
-      Net.Ssd_sim.submit_write ssd ~id ~off:t.log_tail payload;
-      t.log_tail <- t.log_tail + String.length payload;
-      ignore (wait_ssd t ssd id)
-
-let pwrite_sync t ~off payload =
-  match t.ssd with
-  | None -> failwith "Kernel.pwrite_sync: no disk attached"
-  | Some ssd ->
-      enter_syscall t;
-      charge_copy t (String.length payload);
-      enter_syscall t;
-      charge t t.cost.Net.Cost.kernel_file_ns;
-      let id = fresh_io t in
       Net.Ssd_sim.submit_write ssd ~id ~off payload;
       t.log_tail <- max t.log_tail (off + String.length payload);
       ignore (wait_ssd t ssd id)
+
+let append_sync t payload = pwrite_sync t ~off:t.log_tail payload
 
 let read_log t ~off ~len =
   match t.ssd with

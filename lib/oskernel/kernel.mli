@@ -80,12 +80,13 @@ val wait_readable : t -> fd list -> unit
 (** {1 Files (ext4-style durable log)} *)
 
 val append_sync : t -> string -> unit
-(** write(2) + fsync(2) to an append-only file on the SSD. Raises
-    [Failure] without an SSD. *)
+(** write(2) + fsync(2) to an append-only file on the SSD: {!pwrite_sync}
+    at the file's end. Raises [Failure] without an SSD. *)
 
 val pwrite_sync : t -> off:int -> string -> unit
 (** pwrite(2) + fsync(2) at an explicit offset — how a restarted
-    process appends past records recovered from a previous boot. *)
+    process appends past records recovered from a previous boot. Raises
+    [Failure] without an SSD. *)
 
 val read_log : t -> off:int -> len:int -> string
 (** pread(2) from the append-only file (blocking). *)

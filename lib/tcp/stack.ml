@@ -86,7 +86,8 @@ type conn = {
   cc : Cc.t;
   unacked : tx_seg Queue.t;
   unsent : tx_seg Queue.t;
-  mutable rto_timer : timer option;
+  mutable unsent_end : Seqnum.t; (* after [unsent]'s last byte, while it is nonempty *)
+  mutable rto_seq : int; (* seq of the live RTO entry in [stack.timers], -1 = none *)
   mutable retransmit_count : int;
   (* --- receive side --- *)
   mutable reasm : Reassembly.t option; (* None until sequence space known *)
@@ -94,7 +95,7 @@ type conn = {
   mutable recv_q_bytes : int;
   mutable eof_delivered_to_q : bool;
   mutable ack_pending : bool;
-  mutable tw_timer : timer option;
+  mutable tw_seq : int; (* seq of the live TIME_WAIT entry, -1 = none *)
   (* --- push completion: two lanes and a spill table, see [push_register] --- *)
   mutable push0_id : int;
   mutable push0_left : int;
@@ -119,12 +120,6 @@ and udp_socket = {
   udp_q : (Net.Addr.endpoint * Memory.Heap.buffer) Queue.t;
 }
 
-(* A wheel entry's payload: which connection, and which of its two
-   timers ([true] = TIME_WAIT, [false] = RTO / handshake). The firing
-   callback needs both because the wheel owns the schedule — the
-   connection only holds cancellable handles. *)
-and timer = (conn * bool) Engine.Timerwheel.handle
-
 and event =
   | Udp_readable of udp_socket
   | Accept_ready of listener
@@ -143,7 +138,8 @@ and t = {
   conns : conn Conntab.t; (* packed-key demux: (local port, remote ip, remote port) *)
   listeners : (int, listener) Hashtbl.t;
   udp_socks : (int, udp_socket) Hashtbl.t;
-  timers : (conn * bool) Engine.Timerwheel.t;
+  timers : conn Engine.Eventq.t; (* RTO and TIME_WAIT deadlines, see [arm_rto_at] *)
+  mutable timers_fired : int;
   ack_q : conn Queue.t; (* conns with [ack_pending], in arming order *)
   mutable next_ephemeral : int;
   mutable next_conn_uid : int;
@@ -167,12 +163,8 @@ let create ?(config = default_config) ?(trace = fun _ _ _ -> ()) ~iface ~heap ~p
     conns = Conntab.create ~initial:64 ();
     listeners = Hashtbl.create 8;
     udp_socks = Hashtbl.create 8;
-    (* Start at virtual 0 even if created mid-run: the wheel only ever
-       advances (deadlines clamp upward), and catching up to the current
-       clock on the first [expire] is one bounded slot walk. Reading the
-       clock here would also break trace-driven harnesses that tie the
-       clock closure to the not-yet-constructed driver. *)
-    timers = Engine.Timerwheel.create ();
+    timers = Engine.Eventq.create ();
+    timers_fired = 0;
     ack_q = Queue.create ();
     next_ephemeral = 49152;
     next_conn_uid = 1;
@@ -369,32 +361,19 @@ let send_rst_for t ~src_ip ~th ~seg_len =
 
 (* ---------- timers ----------
 
-   Both per-connection timers live on the stack's {!Engine.Timerwheel}:
-   arming replaces (cancels) the previous handle, so at most one RTO and
-   one TIME_WAIT entry are live per connection and a fired entry is
-   always the connection's current one. *)
+   Both per-connection timers are entries of the stack's deadline heap
+   ({!Engine.Eventq}). A connection holds the sequence number of its
+   live RTO entry and of its live TIME_WAIT entry; arming overwrites
+   it, cancelling forgets it, and an entry whose number its connection
+   no longer holds is stale and is dropped when it reaches the top. So
+   at most one RTO and one TIME_WAIT entry are live per connection. *)
 
-let cancel_rto conn =
-  match conn.rto_timer with
-  | Some h ->
-      Engine.Timerwheel.cancel conn.stack.timers h;
-      conn.rto_timer <- None
-  | None -> ()
-
-let arm_rto_at conn deadline =
-  cancel_rto conn;
-  conn.rto_timer <- Some (Engine.Timerwheel.add conn.stack.timers ~deadline (conn, false))
-
-let cancel_time_wait conn =
-  match conn.tw_timer with
-  | Some h ->
-      Engine.Timerwheel.cancel conn.stack.timers h;
-      conn.tw_timer <- None
-  | None -> ()
+let cancel_rto conn = conn.rto_seq <- -1
+let arm_rto_at conn deadline = conn.rto_seq <- Engine.Eventq.add conn.stack.timers ~time:deadline conn
+let cancel_time_wait conn = conn.tw_seq <- -1
 
 let arm_time_wait_at conn deadline =
-  cancel_time_wait conn;
-  conn.tw_timer <- Some (Engine.Timerwheel.add conn.stack.timers ~deadline (conn, true))
+  conn.tw_seq <- Engine.Eventq.add conn.stack.timers ~time:deadline conn
 
 let arm_rto conn =
   let t = conn.stack in
@@ -559,14 +538,15 @@ let make_conn t ~local_ip ~local_port ~remote_ip ~remote_port ~state ~parent_lis
     cc = Cc.create t.config.cc ~mss:t.config.mss;
     unacked = Queue.create ();
     unsent = Queue.create ();
-    rto_timer = None;
+    unsent_end = iss;
+    rto_seq = -1;
     retransmit_count = 0;
     reasm = None;
     recv_q = Queue.create ();
     recv_q_bytes = 0;
     eof_delivered_to_q = false;
     ack_pending = false;
-    tw_timer = None;
+    tw_seq = -1;
     push0_id = 0;
     push0_left = 0;
     push1_id = 0;
@@ -694,11 +674,10 @@ let tcp_send conn ?(push_id = 0) bufs =
     split 0 base_seq;
     Seqnum.add base_seq total
   in
-  let queued_bytes =
-    Queue.fold (fun n s -> n + s.seg_len) 0 conn.unsent + bytes_in_flight conn
-  in
-  let base_seq = Seqnum.add conn.snd_una queued_bytes in
-  let _ = List.fold_left queue_buf base_seq bufs in
+  (* [unsent] is contiguous from [snd_nxt]: transmission pops its head
+     as it advances [snd_nxt]. *)
+  let base_seq = if Queue.is_empty conn.unsent then conn.snd_nxt else conn.unsent_end in
+  conn.unsent_end <- List.fold_left queue_buf base_seq bufs;
   try_transmit conn
 
 let tcp_close conn =
@@ -1085,11 +1064,13 @@ let input t frame =
       if header.Net.Ipv4.protocol = Net.Ipv4.protocol_udp then handle_udp t header b off
       else if header.Net.Ipv4.protocol = Net.Ipv4.protocol_tcp then handle_tcp t header b off
 
-(* dlint: hotpath *)
-let next_timer_ns t = Engine.Timerwheel.next_deadline_ns t.timers
+let timer_live conn seq = seq = conn.rto_seq || seq = conn.tw_seq
 
 (* dlint: hotpath *)
-let timer_activity t = Engine.Timerwheel.activity t.timers
+let next_timer_ns t = Engine.Eventq.next_live t.timers ~live:timer_live
+
+(* dlint: hotpath *)
+let timer_activity t = t.timers_fired
 
 let handshake_timeout conn =
   let t = conn.stack in
@@ -1116,26 +1097,27 @@ let rto_fire conn =
       arm_rto conn
   | Time_wait | Closed_st -> ()
 
-(* The wheel fires only due entries, in (deadline, insertion-seq)
-   order. A fired entry is necessarily the connection's current handle
-   (arming always cancels the previous one), so clearing the field
-   here is sound. Top-level (not a per-call closure) so the
-   nothing-due [on_timer] stays allocation-free. *)
-let timer_fired (conn, is_time_wait) =
-  if is_time_wait then begin
-    conn.tw_timer <- None;
+(* The heap hands over only live due entries, in (deadline,
+   insertion-seq) order; [seq] says which of the connection's two
+   timers it is. Top-level (not a per-call closure) so the nothing-due
+   [on_timer] stays allocation-free. *)
+let timer_fired conn seq =
+  conn.stack.timers_fired <- conn.stack.timers_fired + 1;
+  if seq = conn.tw_seq then begin
+    conn.tw_seq <- -1;
     to_closed conn ~reset:false
   end
   else begin
-    conn.rto_timer <- None;
+    conn.rto_seq <- -1;
     rto_fire conn
   end
 
 (* dlint: hotpath *)
 let on_timer t =
   flush_acks t;
-  (* The wheel walks only the slots the clock crossed. *)
-  Engine.Timerwheel.expire t.timers ~now:(now t) timer_fired
+  (* [now] is read once: a firing callback charges the host, which
+     moves the clock, and what it re-arms waits for the next call. *)
+  Engine.Eventq.expire t.timers ~now:(now t) ~live:timer_live timer_fired
 
 (* ---------- introspection ---------- *)
 

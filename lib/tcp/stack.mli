@@ -87,23 +87,25 @@ val input : t -> string -> unit
 (** Process one received Ethernet frame. *)
 
 val next_timer_ns : t -> int
-(** Earliest pending timer deadline (ns), [max_int] when no timer is
-    armed. O(1) and allocation-free: an exact peek into the stack's
-    timer wheel ([Engine.Timerwheel]), so pollers and the park decision
-    of [Runtime.fast_path] can call it every iteration for free. *)
+(** Earliest armed timer deadline (ns), [max_int] when no timer is
+    armed. Exact and allocation-free: a peek at the top of the stack's
+    deadline heap ([Engine.Eventq]) after dropping the cancelled
+    entries there, so pollers and the park decision of
+    [Runtime.fast_path] can call it every iteration. *)
 
 val timer_activity : t -> int
-(** Cumulative [Engine.Timerwheel.activity] of the stack's wheel:
-    unchanged across an {!on_timer} call iff no timer work (cascade or
-    fire) happened — how the Catnip poll loop classifies an iteration
-    as steady. *)
+(** Count of timers fired so far: unchanged across an {!on_timer} call
+    iff no timer fired — how the Catnip poll loop classifies an
+    iteration as steady. Dropping cancelled entries is not counted; it
+    allocates nothing. *)
 
 val on_timer : t -> unit
 (** Fire every timer whose deadline is at or before the current clock
     (also flushes pending cumulative acks). Cost is proportional to the
-    timers actually due — an idle call with nothing pending does no
-    per-connection work. Ties fire in arming order, matching the event
-    queue's (time, insertion-seq) discipline. *)
+    due entries, cancelled ones included — an idle call with nothing
+    due does no per-connection work. Ties fire in arming order, the
+    simulator's (time, insertion-seq) discipline; a timer armed by a
+    firing one waits for the next call. *)
 
 val flush_acks : t -> unit
 (** Emit one cumulative ack per connection that received in-order data
@@ -169,6 +171,18 @@ val tcp_close : conn -> unit
 
 val tcp_abort : conn -> unit
 (** Hard close: send RST, drop state. *)
+
+(** {1 Timer arming}
+
+    The calls the stack arms and cancels a connection's two timers
+    with, exposed so tests can pin their cost. Arming replaces the
+    connection's live entry of that kind; cancelling an unarmed timer
+    does nothing. *)
+
+val arm_rto_at : conn -> int -> unit
+val cancel_rto : conn -> unit
+val arm_time_wait_at : conn -> int -> unit
+val cancel_time_wait : conn -> unit
 
 (** {1 Introspection} *)
 

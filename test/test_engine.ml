@@ -15,13 +15,16 @@ let test_clock_units () =
   check_int "ms" 1_000_000 (Engine.Clock.ms 1);
   check_int "s" 1_000_000_000 (Engine.Clock.s 1)
 
+(* The simulator's use: callbacks, sequence numbers unused. *)
+let add q ~time fn = ignore (Engine.Eventq.add q ~time fn : int)
+
 let test_eventq_order () =
   let q = Engine.Eventq.create () in
   let order = ref [] in
   let record tag () = order := tag :: !order in
-  Engine.Eventq.add q ~time:30 (record "c");
-  Engine.Eventq.add q ~time:10 (record "a");
-  Engine.Eventq.add q ~time:20 (record "b");
+  add q ~time:30 (record "c");
+  add q ~time:10 (record "a");
+  add q ~time:20 (record "b");
   let rec drain () =
     if Engine.Eventq.top_time q < max_int then begin
       Engine.Eventq.pop q ();
@@ -35,7 +38,7 @@ let test_eventq_ties_fifo () =
   let q = Engine.Eventq.create () in
   let order = ref [] in
   for i = 0 to 99 do
-    Engine.Eventq.add q ~time:5 (fun () -> order := i :: !order)
+    add q ~time:5 (fun () -> order := i :: !order)
   done;
   let rec drain () =
     if Engine.Eventq.top_time q < max_int then begin
@@ -51,7 +54,7 @@ let test_eventq_heap_property =
     QCheck.(list (int_bound 10_000))
     (fun times ->
       let q = Engine.Eventq.create () in
-      List.iter (fun time -> Engine.Eventq.add q ~time (fun () -> ())) times;
+      List.iter (fun time -> add q ~time (fun () -> ())) times;
       let rec drain acc =
         match Engine.Eventq.top_time q with
         | time when time = max_int -> List.rev acc
@@ -65,7 +68,7 @@ let test_eventq_heap_property =
 let test_eventq_empty_sentinel () =
   let q = Engine.Eventq.create () in
   check_int "empty" max_int (Engine.Eventq.top_time q);
-  Engine.Eventq.add q ~time:7 (fun () -> ());
+  add q ~time:7 (fun () -> ());
   check_int "earliest" 7 (Engine.Eventq.top_time q);
   Engine.Eventq.pop q ();
   check_int "drained" max_int (Engine.Eventq.top_time q)
@@ -335,13 +338,13 @@ let test_eventq_add_pop_words () =
   let q = Engine.Eventq.create () in
   let fn () = () in
   for i = 1 to 64 do
-    Engine.Eventq.add q ~time:i fn
+    add q ~time:i fn
   done;
   let clock = ref 64 in
   let words =
     steady_words (fun () ->
         incr clock;
-        Engine.Eventq.add q ~time:!clock fn;
+        add q ~time:!clock fn;
         ignore (Engine.Eventq.pop q : unit -> unit))
   in
   check_int "add+pop with 64 pending allocates nothing" 0 words
@@ -485,13 +488,15 @@ let test_sim_teardown_hooks () =
   Engine.Sim.teardown sim;
   Alcotest.(check (list string)) "second teardown is a no-op" [ "second"; "first" ] !order
 
-(* --- Eventq / Timerwheel property tests (PR 3) ---
+(* --- Eventq property tests ---
 
-   The determinism contract both structures share: entries come out in
-   (time, insertion-sequence) order, no matter how adds, pops and
-   cancels interleave. The wheel is additionally checked against a
-   naive sorted-scan oracle — the exact algorithm the TCP stack used
-   before the wheel replaced it. *)
+   The determinism contract of the one deadline heap: entries come out
+   in (time, insertion-sequence) order, no matter how adds, pops and
+   cancels interleave. Its timer use (the TCP stack's RTO and
+   TIME_WAIT) is additionally checked against a naive sorted-scan
+   oracle, the algorithm the stack used before any timer structure,
+   with cancellation by the stale-entry rule: the owner keeps each
+   entry's sequence number and forgets it to cancel. *)
 
 let test_eventq_interleaved =
   (* None = pop, Some dt = add at (current virtual time + dt). Times are
@@ -531,7 +536,7 @@ let test_eventq_interleaved =
           | Some dt ->
               let id = !next_id in
               incr next_id;
-              Engine.Eventq.add q ~time:(!now + dt) (fun () -> popped := id :: !popped);
+              add q ~time:(!now + dt) (fun () -> popped := id :: !popped);
               model := (!now + dt, id) :: !model
           | None -> pop_one ())
         ops;
@@ -540,13 +545,17 @@ let test_eventq_interleaved =
       done;
       !ok)
 
-(* Shared driver: applies (kind, arg) ops to a wheel and to a naive
-   sorted-scan oracle; returns the firing log [(now, id); ...] and
+(* Shared driver: applies (kind, arg) ops to a timer heap and to a
+   naive sorted-scan oracle; returns the firing log [(now, id); ...] and
    whether every intermediate check held. *)
-let wheel_vs_oracle ops =
-  let w = Engine.Timerwheel.create () in
-  let handles = ref [] in
-  (* (id, handle), newest first — fired/cancelled ones included *)
+let timers_vs_oracle ops =
+  let q = Engine.Eventq.create () in
+  (* The owner's half of the stale rule: id -> sequence number of its
+     live entry, -1 once fired or cancelled. *)
+  let live_seq = Hashtbl.create 64 in
+  let live id seq = Hashtbl.find live_seq id = seq in
+  let ids = ref [] in
+  (* newest first, fired/cancelled ones included *)
   let oracle = ref [] in
   (* (deadline, id, alive ref) *)
   let now = ref 0 in
@@ -558,12 +567,14 @@ let wheel_vs_oracle ops =
   in
   let advance dt =
     now := !now + dt;
-    let fired_w = ref [] in
-    Engine.Timerwheel.expire w ~now:!now (fun id -> fired_w := id :: !fired_w);
+    let fired_q = ref [] in
+    Engine.Eventq.expire q ~now:!now ~live (fun id _ ->
+        Hashtbl.replace live_seq id (-1);
+        fired_q := id :: !fired_q);
     let due = List.filter (fun (d, _, alive) -> !alive && d <= !now) !oracle in
     let due = List.sort (fun (d1, i1, _) (d2, i2, _) -> compare (d1, i1) (d2, i2)) due in
     let fired_o = List.map (fun (_, i, alive) -> alive := false; i) due in
-    ok := !ok && List.rev !fired_w = fired_o;
+    ok := !ok && List.rev !fired_q = fired_o;
     List.iter (fun i -> log := (!now, i) :: !log) fired_o
   in
   List.iter
@@ -573,50 +584,50 @@ let wheel_vs_oracle ops =
           let d = !now + arg in
           let id = !next_id in
           incr next_id;
-          handles := (id, Engine.Timerwheel.add w ~deadline:d id) :: !handles;
+          Hashtbl.replace live_seq id (Engine.Eventq.add q ~time:d id);
+          ids := id :: !ids;
           oracle := (d, id, ref true) :: !oracle
       | 1 -> (
-          match !handles with
+          match !ids with
           | [] -> ()
-          | hs ->
-              let id, h = List.nth hs (arg mod List.length hs) in
-              Engine.Timerwheel.cancel w h;
+          | all ->
+              let id = List.nth all (arg mod List.length all) in
+              Hashtbl.replace live_seq id (-1);
               List.iter (fun (_, i, alive) -> if i = id then alive := false) !oracle)
       | _ -> advance arg);
       (* The peek must be the exact live minimum after every op. *)
-      ok := !ok && Engine.Timerwheel.next_deadline_ns w = oracle_min ())
+      ok := !ok && Engine.Eventq.next_live q ~live = oracle_min ())
     ops;
   advance 5_000_000;
-  (* drain everything left *)
-  ok := !ok && Engine.Timerwheel.size w = 0 && Engine.Timerwheel.next_deadline_ns w = max_int;
+  (* drain everything left: stale entries included, the heap is empty *)
+  ok := !ok && Engine.Eventq.top_time q = max_int && Engine.Eventq.next_live q ~live = max_int;
   (List.rev !log, !ok)
 
-let wheel_ops_gen =
-  (* kind: 0 = add (arg: delay), 1 = cancel (arg: which handle),
-     2 = advance+expire (arg: dt). Delays exercise several wheel levels
-     (0..200k ns spans levels 0-3). *)
+let timer_ops_gen =
+  (* kind: 0 = add (arg: delay), 1 = cancel (arg: which entry),
+     2 = advance+expire (arg: dt). *)
   QCheck.(list (pair (int_bound 2) (int_bound 200_000)))
 
-let test_wheel_matches_oracle =
-  QCheck.Test.make ~name:"timerwheel expiry matches sorted-scan oracle" ~count:300
-    wheel_ops_gen
+let test_timers_match_oracle =
+  QCheck.Test.make ~name:"eventq timer expiry matches sorted-scan oracle" ~count:300
+    timer_ops_gen
     (fun ops ->
-      let _, ok = wheel_vs_oracle ops in
+      let _, ok = timers_vs_oracle ops in
       ok)
 
-let test_wheel_digest_stable =
+let test_timers_digest_stable =
   (* Same schedule, two independent runs: the firing log — folded into a
      trace ring — must digest identically (the property `demi --selfcheck`
-     leans on once the TCP stack runs its timers off the wheel). *)
-  QCheck.Test.make ~name:"timerwheel same-seed trace digests equal" ~count:100
-    wheel_ops_gen
+     leans on, since the TCP stack runs its timers on the heap). *)
+  QCheck.Test.make ~name:"eventq timer same-seed trace digests equal" ~count:100
+    timer_ops_gen
     (fun ops ->
       let digest_of () =
         let tr = Engine.Log.create ~capacity:65_536 () in
-        let log, ok = wheel_vs_oracle ops in
+        let log, ok = timers_vs_oracle ops in
         List.iter
           (fun (at, id) ->
-            trace_text tr ~now:at ~category:(Engine.Log.Custom "wheel") (string_of_int id))
+            trace_text tr ~now:at ~category:(Engine.Log.Custom "timers") (string_of_int id))
           log;
         (Engine.Log.digest tr, ok)
       in
@@ -624,38 +635,44 @@ let test_wheel_digest_stable =
       let d2, ok2 = digest_of () in
       ok1 && ok2 && String.equal d1 d2)
 
-let test_wheel_cancel_no_fire () =
-  let w = Engine.Timerwheel.create () in
-  let h1 = Engine.Timerwheel.add w ~deadline:100 "a" in
-  let h2 = Engine.Timerwheel.add w ~deadline:100 "b" in
-  let _h3 = Engine.Timerwheel.add w ~deadline:200 "c" in
-  Engine.Timerwheel.cancel w h1;
-  Engine.Timerwheel.cancel w h1;
+let test_timers_cancel_no_fire () =
+  let q = Engine.Eventq.create () in
+  let live_seq = Hashtbl.create 4 in
+  let live p seq = Hashtbl.find live_seq p = seq in
+  let arm p time = Hashtbl.replace live_seq p (Engine.Eventq.add q ~time p) in
+  let cancel p = Hashtbl.replace live_seq p (-1) in
+  arm "a" 100;
+  arm "b" 100;
+  arm "c" 200;
+  arm "d" 300;
+  cancel "a";
+  cancel "a";
   (* idempotent *)
-  check_int "two live" 2 (Engine.Timerwheel.size w);
-  check_bool "h2 live" true (Engine.Timerwheel.handle_live h2);
-  check_bool "h1 dead" false (Engine.Timerwheel.handle_live h1);
-  check_int "min survives cancel of tied entry" 100 (Engine.Timerwheel.next_deadline_ns w);
+  cancel "d";
+  (* below the top: only the expiry's own live test skips it *)
+  check_int "min survives cancel of tied entry" 100 (Engine.Eventq.next_live q ~live);
   let fired = ref [] in
-  Engine.Timerwheel.expire w ~now:500 (fun p -> fired := p :: !fired);
+  Engine.Eventq.expire q ~now:500 ~live (fun p _ -> fired := p :: !fired);
   Alcotest.(check (list string)) "only live entries fire, in order" [ "b"; "c" ]
     (List.rev !fired);
-  check_int "empty after drain" 0 (Engine.Timerwheel.size w)
+  check_int "empty after drain" max_int (Engine.Eventq.top_time q)
 
-let test_wheel_readd_during_expire () =
+let test_timers_readd_during_expire () =
   (* A callback re-arming itself (the RTO backoff pattern) must not fire
      again within the same expire call, even if the new deadline is
      already due. *)
-  let w = Engine.Timerwheel.create () in
+  let q = Engine.Eventq.create () in
   let fires = ref 0 in
+  let armed = ref (-1) in
+  let live _ seq = seq = !armed in
   let rec payload () =
     incr fires;
-    if !fires = 1 then ignore (Engine.Timerwheel.add w ~deadline:150 payload)
+    if !fires = 1 then armed := Engine.Eventq.add q ~time:150 payload
   in
-  ignore (Engine.Timerwheel.add w ~deadline:100 payload);
-  Engine.Timerwheel.expire w ~now:200 (fun f -> f ());
+  armed := Engine.Eventq.add q ~time:100 payload;
+  Engine.Eventq.expire q ~now:200 ~live (fun f _ -> f ());
   check_int "re-armed entry deferred" 1 !fires;
-  Engine.Timerwheel.expire w ~now:200 (fun f -> f ());
+  Engine.Eventq.expire q ~now:200 ~live (fun f _ -> f ());
   check_int "fires on the next expire" 2 !fires
 
 let suite =
@@ -703,8 +720,8 @@ let suite =
     QCheck_alcotest.to_alcotest test_prng_bounds;
     QCheck_alcotest.to_alcotest test_prng_float_unit;
     QCheck_alcotest.to_alcotest test_eventq_interleaved;
-    QCheck_alcotest.to_alcotest test_wheel_matches_oracle;
-    QCheck_alcotest.to_alcotest test_wheel_digest_stable;
-    Alcotest.test_case "timerwheel cancel is exact" `Quick test_wheel_cancel_no_fire;
-    Alcotest.test_case "timerwheel re-add during expire" `Quick test_wheel_readd_during_expire;
+    QCheck_alcotest.to_alcotest test_timers_match_oracle;
+    QCheck_alcotest.to_alcotest test_timers_digest_stable;
+    Alcotest.test_case "eventq timer cancel is exact" `Quick test_timers_cancel_no_fire;
+    Alcotest.test_case "eventq timer re-add during expire" `Quick test_timers_readd_during_expire;
   ]

@@ -759,7 +759,7 @@ let test_options_negotiated () =
   | Some srtt -> check_bool "rtt measured" true (srtt >= 2 * 2_000)
   | None -> Alcotest.fail "no rtt sample"
 
-(* --- timer-wheel semantics at the stack level (PR 3) --- *)
+(* --- timer semantics at the stack level --- *)
 
 let test_rto_backoff_rearm () =
   let p = Pair.make () in
@@ -788,13 +788,13 @@ let test_syn_retry_cap_resets () =
   check_bool "gave up into Closed" true (Tcp.Stack.conn_state ca = Tcp.Stack.Closed_st);
   check_bool "reset event emitted" true
     (List.exists (fun (_, e) -> e = "a:reset") p.Pair.events);
-  check_bool "wheel empty after give-up" true (Tcp.Stack.next_timer_ns p.Pair.a = max_int);
+  check_bool "no timer left after give-up" true (Tcp.Stack.next_timer_ns p.Pair.a = max_int);
   check_int "no live connections" 0 (Tcp.Stack.live_connections p.Pair.a)
 
 let test_time_wait_shared_deadline_order () =
   (* Four connections whose TIME_WAIT deadlines coincide exactly: the
-     wheel must expire them at the same virtual instant, in arming
-     (= uid) order — same tie-break as the event queue. *)
+     timer heap must expire them at the same virtual instant, in arming
+     (= uid) order — the event queue's tie-break. *)
   let p = Pair.make () in
   let conns = List.map (fun port -> Pair.connect p ~port) [ 7; 8; 9; 10 ] in
   List.iter (fun (ca, _) -> Tcp.Stack.tcp_close ca) conns;
@@ -837,7 +837,7 @@ let test_abort_cancels_timers () =
   Tcp.Stack.on_timer p.Pair.a;
   Tcp.Stack.on_timer p.Pair.b;
   check_int "no stale timer fires" events_before (List.length p.Pair.events);
-  check_bool "both wheels empty" true
+  check_bool "no timer left on either stack" true
     (Tcp.Stack.next_timer_ns p.Pair.a = max_int && Tcp.Stack.next_timer_ns p.Pair.b = max_int)
 
 (* --- Conntab (flat demux table) --- *)
@@ -1420,6 +1420,93 @@ let test_cc_ack_words () =
       Alcotest.(check (float 0.)) (name ^ ": minor words per ack") 0. (words /. float_of_int acks))
     [ ("cubic", Tcp.Cc.Cubic); ("newreno", Tcp.Cc.Newreno) ]
 
+(* Arming, re-arming and cancelling a connection's timers, an idle
+   [on_timer] and a timer peek allocate nothing: an arm is one heap
+   insert and a cancel one int write. Every round leaves only
+   cancelled entries, which the peek drains, so the heap stays at the
+   size the warm-up round grew it to. *)
+let test_timer_arm_words () =
+  let p = Pair.make () in
+  let ca, _cb = Pair.connect p ~port:7 in
+  let stack = p.Pair.a in
+  let round () =
+    let now = p.Pair.clock in
+    Tcp.Stack.arm_rto_at ca (now + 1_000_000);
+    Tcp.Stack.arm_rto_at ca (now + 2_000_000);
+    Tcp.Stack.arm_time_wait_at ca (now + 20_000_000);
+    Tcp.Stack.arm_time_wait_at ca (now + 30_000_000);
+    Tcp.Stack.cancel_rto ca;
+    Tcp.Stack.cancel_time_wait ca;
+    Tcp.Stack.on_timer stack;
+    if Tcp.Stack.next_timer_ns stack <> max_int then Alcotest.fail "a cancelled timer is live"
+  in
+  round ();
+  let rounds = 1_000 in
+  let fired = Tcp.Stack.timer_activity stack in
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    round ()
+  done;
+  let words = Gc.minor_words () -. before in
+  check_int "nothing fired" fired (Tcp.Stack.timer_activity stack);
+  Alcotest.(check (float 0.)) "minor words per round" 0. (words /. float_of_int rounds)
+
+(* Pushes queued behind a zero window take consecutive sequence
+   numbers: each one starts where the last queued byte ended, however
+   long the unsent queue has grown. *)
+let test_zero_window_push_backlog () =
+  let config = { Tcp.Stack.default_config with rwnd_capacity = 4096; window_scale = 0 } in
+  let p = Pair.make ~config () in
+  let ca, cb = Pair.connect p ~port:7 in
+  (* Fill the receiver's window; it reads nothing until the backlog is queued. *)
+  let fill = Pair.send_string p Pair.A ca (String.make 4096 'f') in
+  Pair.run p;
+  let sent = ref [] in
+  p.Pair.drop <-
+    (fun side frame ->
+      (match (side, Net.Decode.parse frame) with
+      | Pair.B, Net.Decode.Tcp_info ti when ti.Net.Decode.t_len > 0 ->
+          sent := (ti.Net.Decode.t_seq, ti.Net.Decode.t_len) :: !sent
+      | _ -> ());
+      false);
+  let pushes = 10_000 in
+  let data = Buffer.create (pushes * 4) in
+  let bufs =
+    List.init pushes (fun i ->
+        let s = String.make (1 + (i mod 7)) (Char.chr (Char.code 'a' + (i mod 26))) in
+        Buffer.add_string data s;
+        Pair.send_string p Pair.A ca s)
+  in
+  let data = Buffer.contents data in
+  check_int "zero window: the backlog stays queued" 0 (Tcp.Stack.conn_bytes_in_flight ca);
+  let expected = String.make 4096 'f' ^ data in
+  let got = Buffer.create (String.length expected) in
+  let rec pump guard =
+    if guard = 0 then Alcotest.fail "zero-window backlog never drained";
+    (* Zero-window probes keep the timers busy, so run in slices. *)
+    Pair.run p ~horizon:(p.Pair.clock + 1_000_000);
+    Buffer.add_string got (Pair.recv_all cb);
+    if Buffer.length got < String.length expected then pump (guard - 1)
+  in
+  pump 10_000;
+  check_bool "every byte, in order" true (String.equal (Buffer.contents got) expected);
+  (* The first segment out is the zero-window probe of the backlog's
+     head; offsets from it are wrap-safe. *)
+  let head = match List.rev !sent with (seq, _) :: _ -> seq | [] -> Alcotest.fail "nothing sent" in
+  let segs =
+    List.sort_uniq compare (List.map (fun (seq, len) -> (Tcp.Seqnum.sub seq head, len)) !sent)
+  in
+  let stream_end =
+    List.fold_left
+      (fun expect (off, len) ->
+        if off <> expect then Alcotest.failf "segment at offset %d, expected %d" off expect;
+        off + len)
+      0 segs
+  in
+  check_int "segments tile the backlog" (String.length data) stream_end;
+  Memory.Heap.free fill;
+  List.iter Memory.Heap.free bufs
+
 let suite =
   [
     Alcotest.test_case "seqnum wraparound" `Quick test_seqnum_wrap;
@@ -1482,5 +1569,8 @@ let suite =
     Alcotest.test_case "conntab fold_sorted" `Quick test_conntab_fold_sorted;
     QCheck_alcotest.to_alcotest conntab_matches_hashtbl;
     Alcotest.test_case "golden trace digest" `Quick test_golden_digest;
+    Alcotest.test_case "10k pushes into a zero window get contiguous sequence numbers" `Quick
+      test_zero_window_push_backlog;
     Alcotest.test_case "words: cubic ack in congestion avoidance" `Quick test_cc_ack_words;
+    Alcotest.test_case "words: timer arm, re-arm and cancel" `Quick test_timer_arm_words;
   ]
