@@ -52,7 +52,7 @@ let micro_tests () =
   let checksum =
     let b = Bytes.make 1500 'x' in
     Test.make ~name:"checksum: 1500B internet checksum"
-      (Staged.stage (fun () -> ignore (Net.Wire.checksum b 0 1500)))
+      (Staged.stage (fun () -> ignore (Net.Wire.checksum ~init:0 b 0 1500)))
   in
   let tcp_rx =
     (* Process one segment through header parse + demux + reassembly:
@@ -76,36 +76,22 @@ let micro_tests () =
        demux + RST generation — a representative rx path. *)
     let seg =
       let payload = String.make 64 'p' in
-      let h =
-        {
-          Net.Tcp_wire.src_port = 9999;
-          dst_port = 7;
-          seq = 1000;
-          ack = 0;
-          syn = false;
-          ack_flag = false;
-          fin = false;
-          rst = false;
-          psh = true;
-          window = 0xffff;
-          options = Net.Tcp_wire.no_options;
-        }
-      in
+      let h = Net.Tcp_wire.create () in
+      Net.Tcp_wire.set h ~src_port:9999 ~dst_port:7 ~seq:1000 ~ack:0 ~syn:false ~ack_flag:false
+        ~fin:false ~rst:false ~psh:true ~window:0xffff;
       let hsize = Net.Tcp_wire.header_size h in
       let total = Net.Eth.size + Net.Ipv4.size + hsize + 64 in
       let b = Bytes.create total in
-      let off =
-        Net.Eth.write b 0
-          {
-            Net.Eth.dst = Net.Addr.Mac.of_index 1;
-            src = Net.Addr.Mac.of_index 2;
-            ethertype = Net.Eth.ethertype_ipv4;
-          }
-      in
-      let off =
-        Net.Ipv4.write b off
-          (Net.Ipv4.whole ~total_length:(Net.Ipv4.size + hsize + 64) ~identification:1 ~protocol:Net.Ipv4.protocol_tcp ~src:(Net.Addr.Ip.of_index 2) ~dst:(Net.Addr.Ip.of_index 1))
-      in
+      let eth = Net.Eth.create () in
+      eth.Net.Eth.dst <- Net.Addr.Mac.of_index 1;
+      eth.Net.Eth.src <- Net.Addr.Mac.of_index 2;
+      eth.Net.Eth.ethertype <- Net.Eth.ethertype_ipv4;
+      let off = Net.Eth.write b 0 eth in
+      let ip = Net.Ipv4.create () in
+      Net.Ipv4.set ip ~total_length:(Net.Ipv4.size + hsize + 64) ~identification:1
+        ~protocol:Net.Ipv4.protocol_tcp ~src:(Net.Addr.Ip.of_index 2)
+        ~dst:(Net.Addr.Ip.of_index 1) ~more_fragments:false ~fragment_offset:0;
+      let off = Net.Ipv4.write b off ip in
       Bytes.blit_string payload 0 b (off + hsize) 64;
       ignore
         (Net.Tcp_wire.write b off h ~payload_len:64 ~src_ip:(Net.Addr.Ip.of_index 2)

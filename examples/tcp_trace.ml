@@ -17,25 +17,30 @@ type world = {
   mutable dropped : bool;
 }
 
+(* Header views the two frame readers below parse into. *)
+let eth = Net.Eth.create ()
+let ip = Net.Ipv4.create ()
+let th = Net.Tcp_wire.create ()
+
 let describe frame =
   let b = Bytes.unsafe_of_string frame in
-  match Net.Eth.read b 0 with
+  match Net.Eth.read b 0 eth with
   | exception Net.Wire.Malformed _ -> "malformed"
-  | eth, off ->
+  | off ->
       if eth.Net.Eth.ethertype = Net.Eth.ethertype_arp then "ARP"
       else begin
-        match Net.Ipv4.read b off with
+        match Net.Ipv4.read b off ip with
         | exception Net.Wire.Malformed _ -> "non-ip"
-        | ip, toff ->
+        | toff ->
             if ip.Net.Ipv4.protocol <> Net.Ipv4.protocol_tcp then "ip"
             else begin
               match
-                Net.Tcp_wire.read b toff
+                Net.Tcp_wire.read b toff th
                   ~seg_len:(ip.Net.Ipv4.total_length - Net.Ipv4.size)
                   ~src_ip:ip.Net.Ipv4.src ~dst_ip:ip.Net.Ipv4.dst
               with
               | exception Net.Wire.Malformed _ -> "bad-tcp"
-              | th, poff ->
+              | poff ->
                   let payload = ip.Net.Ipv4.total_length - Net.Ipv4.size - (poff - toff) in
                   Printf.sprintf "TCP %d->%d seq=%u ack=%u%s%s%s%s payload=%d"
                     th.Net.Tcp_wire.src_port th.Net.Tcp_wire.dst_port th.Net.Tcp_wire.seq
@@ -50,23 +55,23 @@ let describe frame =
 
 let tcp_payload_len frame =
   let b = Bytes.unsafe_of_string frame in
-  match Net.Eth.read b 0 with
+  match Net.Eth.read b 0 eth with
   | exception Net.Wire.Malformed _ -> 0
-  | eth, off ->
+  | off ->
       if eth.Net.Eth.ethertype <> Net.Eth.ethertype_ipv4 then 0
       else begin
-        match Net.Ipv4.read b off with
+        match Net.Ipv4.read b off ip with
         | exception Net.Wire.Malformed _ -> 0
-        | ip, toff ->
+        | toff ->
             if ip.Net.Ipv4.protocol <> Net.Ipv4.protocol_tcp then 0
             else begin
               match
-                Net.Tcp_wire.read b toff
+                Net.Tcp_wire.read b toff th
                   ~seg_len:(ip.Net.Ipv4.total_length - Net.Ipv4.size)
                   ~src_ip:ip.Net.Ipv4.src ~dst_ip:ip.Net.Ipv4.dst
               with
               | exception Net.Wire.Malformed _ -> 0
-              | _, poff -> ip.Net.Ipv4.total_length - Net.Ipv4.size - (poff - toff)
+              | poff -> ip.Net.Ipv4.total_length - Net.Ipv4.size - (poff - toff)
             end
       end
 

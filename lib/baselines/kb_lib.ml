@@ -24,11 +24,31 @@ type port = {
 
 let charge sim ns = if ns > 0 then Engine.Fiber.sleep sim ns
 
-let eth_frame ~dst ~src payload =
+(* A port's frames are built in and read into its own header view. *)
+let eth_frame eth ~dst ~src payload =
   let b = Bytes.create (Net.Eth.size + String.length payload) in
-  let off = Net.Eth.write b 0 { Net.Eth.dst; src; ethertype = 0x88B5 } in
+  eth.Net.Eth.dst <- dst;
+  eth.Net.Eth.src <- src;
+  eth.Net.Eth.ethertype <- 0x88B5;
+  let off = Net.Eth.write b 0 eth in
   Bytes.blit_string payload 0 b off (String.length payload);
   Bytes.unsafe_to_string b
+
+(* Hand the payload of an L2 frame to [handler], dropping runts. *)
+let deliver_frame eth handler frame =
+  let b = Bytes.unsafe_of_string frame in
+  match Net.Eth.read b 0 eth with
+  | exception Net.Wire.Malformed _ -> ()
+  | off -> handler ~src:eth.Net.Eth.src (Bytes.sub_string b off (Bytes.length b - off))
+
+(* Take the [n] frames a poll counted, charging [per_frame] each. *)
+let rec drain_n sim nic eth ~per_frame handler n =
+  if n > 0 then begin
+    let frame = Net.Dpdk_sim.rx nic in
+    charge sim per_frame;
+    deliver_frame eth handler frame;
+    drain_n sim nic eth ~per_frame handler (n - 1)
+  end
 
 let make_port profile sim fabric ~index =
   let cost = Net.Fabric.cost fabric in
@@ -41,23 +61,35 @@ let make_port profile sim fabric ~index =
          inter-core hop in latency, but the hop burns the IOKernel's
          cycles, not the application core's. *)
       let nic = Net.Dpdk_sim.create fabric ~mac ~ip () in
-      let mailbox : string Queue.t = Queue.create () in
+      let eth = Net.Eth.create () in
+      let mailbox = Engine.Ring.create () in
       let mailbox_signal = Engine.Condvar.create sim in
       let iokernel_cpu_ns = 300 in
+      (* The inter-core hop is a constant delay both ways: FIFO hops. *)
+      let inbound =
+        Net.Hop.create sim ~deliver:(fun frame ->
+            Engine.Ring.push mailbox frame;
+            Engine.Condvar.broadcast mailbox_signal)
+      in
+      let outbound = Net.Hop.create sim ~deliver:(Net.Dpdk_sim.tx nic) in
+      let hop frame pipe =
+        Net.Hop.send pipe ~at:(Engine.Sim.now sim + profile.per_packet_hop_ns) frame
+      in
       Engine.Fiber.spawn sim ~name:"iokernel" (fun () ->
+          let rec forward n =
+            if n > 0 then begin
+              let frame = Net.Dpdk_sim.rx nic in
+              charge sim iokernel_cpu_ns;
+              hop frame inbound;
+              forward (n - 1)
+            end
+          in
           let rec loop () =
-            (match Net.Dpdk_sim.rx_burst nic ~max:32 with
-            | [] ->
+            (match Net.Dpdk_sim.rx_take nic ~max:32 with
+            | 0 ->
                 ignore
                   (Engine.Condvar.wait_many sim [ Net.Dpdk_sim.rx_signal nic ] ~timeout:None)
-            | frames ->
-                List.iter
-                  (fun frame ->
-                    charge sim iokernel_cpu_ns;
-                    Engine.Sim.schedule sim ~delay:profile.per_packet_hop_ns (fun () ->
-                        Queue.add frame mailbox;
-                        Engine.Condvar.broadcast mailbox_signal))
-                  frames);
+            | n -> forward n);
             loop ()
           in
           loop ());
@@ -66,23 +98,16 @@ let make_port profile sim fabric ~index =
         send =
           (fun ~dst payload ->
             charge sim (profile.per_op_cpu_ns + cost.Net.Cost.dpdk_tx_ns);
-            let frame = eth_frame ~dst ~src:mac payload in
             (* Outbound packets cross the IOKernel too. *)
-            Engine.Sim.schedule sim ~delay:profile.per_packet_hop_ns (fun () ->
-                Net.Dpdk_sim.tx_burst nic [ frame ]));
+            hop (eth_frame eth ~dst ~src:mac payload) outbound);
         drain =
           (fun handler ->
-            if Queue.is_empty mailbox then false
+            if Engine.Ring.is_empty mailbox then false
             else begin
-              while not (Queue.is_empty mailbox) do
-                let frame = Queue.pop mailbox in
+              while not (Engine.Ring.is_empty mailbox) do
+                let frame = Engine.Ring.pop mailbox in
                 charge sim (profile.per_op_cpu_ns + cost.Net.Cost.dpdk_rx_ns);
-                match Net.Eth.read (Bytes.unsafe_of_string frame) 0 with
-                | exception Net.Wire.Malformed _ -> ()
-                | eth, off ->
-                    let b = Bytes.unsafe_of_string frame in
-                    handler ~src:eth.Net.Eth.src
-                      (Bytes.sub_string b off (Bytes.length b - off))
+                deliver_frame eth handler frame
               done;
               true
             end);
@@ -90,27 +115,20 @@ let make_port profile sim fabric ~index =
       }
   | `Dpdk ->
       let nic = Net.Dpdk_sim.create fabric ~mac ~ip () in
+      let eth = Net.Eth.create () in
+      let per_frame = profile.per_op_cpu_ns + cost.Net.Cost.dpdk_rx_ns in
       {
         mac;
         send =
           (fun ~dst payload ->
             charge sim (profile.per_op_cpu_ns + cost.Net.Cost.dpdk_tx_ns);
-            Net.Dpdk_sim.tx_burst nic [ eth_frame ~dst ~src:mac payload ]);
+            Net.Dpdk_sim.tx nic (eth_frame eth ~dst ~src:mac payload));
         drain =
           (fun handler ->
-            match Net.Dpdk_sim.rx_burst nic ~max:32 with
-            | [] -> false
-            | frames ->
-                List.iter
-                  (fun frame ->
-                    charge sim (profile.per_op_cpu_ns + cost.Net.Cost.dpdk_rx_ns);
-                    let b = Bytes.unsafe_of_string frame in
-                    match Net.Eth.read b 0 with
-                    | exception Net.Wire.Malformed _ -> ()
-                    | eth, off ->
-                        handler ~src:eth.Net.Eth.src
-                          (Bytes.sub_string b off (Bytes.length b - off)))
-                  frames;
+            match Net.Dpdk_sim.rx_take nic ~max:32 with
+            | 0 -> false
+            | n ->
+                drain_n sim nic eth ~per_frame handler n;
                 true);
         signal = Net.Dpdk_sim.rx_signal nic;
       }

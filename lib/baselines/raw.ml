@@ -4,7 +4,11 @@ let charge sim ns = if ns > 0 then Engine.Fiber.sleep sim ns
 
 let eth_frame ~dst ~src payload =
   let b = Bytes.create (Net.Eth.size + String.length payload) in
-  let off = Net.Eth.write b 0 { Net.Eth.dst; src; ethertype = 0x88B5 (* local exp. *) } in
+  let eth = Net.Eth.create () in
+  eth.Net.Eth.dst <- dst;
+  eth.Net.Eth.src <- src;
+  eth.Net.Eth.ethertype <- 0x88B5 (* local exp. *);
+  let off = Net.Eth.write b 0 eth in
   Bytes.blit_string payload 0 b off (String.length payload);
   Bytes.unsafe_to_string b
 
@@ -26,17 +30,20 @@ let testpmd_echo sim fabric ~server_index ~client_index ~msg_size ~count ~record
       ~ip:(Net.Addr.Ip.of_index client_index) ()
   in
   Engine.Fiber.spawn sim ~name:"testpmd-server" (fun () ->
+      let rec forward n =
+        if n > 0 then begin
+          let frame = Net.Dpdk_sim.rx server_nic in
+          charge sim (cost.Net.Cost.dpdk_rx_ns + cost.Net.Cost.dpdk_tx_ns);
+          Net.Dpdk_sim.tx server_nic (swap_macs frame);
+          forward (n - 1)
+        end
+      in
       let rec loop () =
-        (match Net.Dpdk_sim.rx_burst server_nic ~max:32 with
-        | [] ->
+        (match Net.Dpdk_sim.rx_take server_nic ~max:32 with
+        | 0 ->
             ignore
               (Engine.Condvar.wait_many sim [ Net.Dpdk_sim.rx_signal server_nic ] ~timeout:None)
-        | frames ->
-            List.iter
-              (fun frame ->
-                charge sim (cost.Net.Cost.dpdk_rx_ns + cost.Net.Cost.dpdk_tx_ns);
-                Net.Dpdk_sim.tx_burst server_nic [ swap_macs frame ])
-              frames);
+        | n -> forward n);
         loop ()
       in
       loop ());
@@ -49,15 +56,17 @@ let testpmd_echo sim fabric ~server_index ~client_index ~msg_size ~count ~record
         if n > 0 then begin
           let start = Engine.Sim.now sim in
           charge sim cost.Net.Cost.dpdk_tx_ns;
-          Net.Dpdk_sim.tx_burst client_nic [ frame ];
+          Net.Dpdk_sim.tx client_nic frame;
           let rec await () =
-            match Net.Dpdk_sim.rx_burst client_nic ~max:1 with
-            | [] ->
+            match Net.Dpdk_sim.rx_take client_nic ~max:1 with
+            | 0 ->
                 ignore
                   (Engine.Condvar.wait_many sim [ Net.Dpdk_sim.rx_signal client_nic ]
                      ~timeout:None);
                 await ()
-            | _ -> charge sim cost.Net.Cost.dpdk_rx_ns
+            | _ ->
+                ignore (Net.Dpdk_sim.rx client_nic : string);
+                charge sim cost.Net.Cost.dpdk_rx_ns
           in
           await ();
           record (Engine.Sim.now sim - start);

@@ -163,7 +163,7 @@ let flow_coroutine t ch () =
         Net.Wire.set_u32 cell 0 new_grant;
         charge_dev t (cost t).Net.Cost.rdma_post_ns;
         Net.Rdma_sim.post_write t.rnic ~dst:ch.peer_mac ~wr_id:0 ~rkey:ch.peer_cell_rkey
-          ~offset:0 (Bytes.to_string cell);
+          ~offset:0 (Bytes.unsafe_to_string cell);
         ch.granted_to_peer <- new_grant
       end;
       loop ()

@@ -123,21 +123,22 @@ let rx_cost t frame =
     else c.Net.Cost.dpdk_rx_ns + c.Net.Cost.udp_rx_ns + c.Net.Cost.libos_sched_ns
   else c.Net.Cost.dpdk_rx_ns
 
-(* Deliver a received burst: top-level recursion, not a per-burst
-   closure, so the delivery loop itself adds no allocation beyond what
-   the handlers do. *)
+(* Deliver the [n] frames a poll counted, oldest first: top-level
+   recursion, not a per-burst closure, so the delivery loop itself adds
+   no allocation beyond what the handlers do. *)
 (* dlint: hotpath *)
-let rec rx_all t frames =
-  match frames with
-  | [] -> ()
-  | frame :: rest ->
-      charge_proto t (rx_cost t frame);
-      Tcp.Stack.input t.stack frame;
-      rx_all t rest
+let rec rx_n t n =
+  if n > 0 then begin
+    let frame = Net.Dpdk_sim.rx t.nic in
+    charge_proto t (rx_cost t frame);
+    Tcp.Stack.input t.stack frame;
+    rx_n t (n - 1)
+  end
 
 let gc_site = Memory.Gcbudget.site "catnip.fast_path"
 
-(* One poll: drain an rx burst, then run protocol timers. The
+(* One poll: drain an rx burst (the frames pending at its start, at
+   most 16), then run protocol timers. The
    steady-state iteration — empty burst, no timer work — is the
    measured gc-budget window: it must allocate zero minor-heap words.
    Timer work is detected via the stack's cumulative [timer_activity]
@@ -146,16 +147,16 @@ let gc_site = Memory.Gcbudget.site "catnip.fast_path"
 let poll t () =
   let activity0 = Tcp.Stack.timer_activity t.stack in
   Memory.Gcbudget.enter gc_site;
-  match Net.Dpdk_sim.rx_burst t.nic ~max:16 with
-  | [] ->
+  match Net.Dpdk_sim.rx_take t.nic ~max:16 with
+  | 0 ->
       Tcp.Stack.on_timer t.stack;
       if Tcp.Stack.timer_activity t.stack = activity0 then Memory.Gcbudget.leave_steady gc_site
       else Memory.Gcbudget.leave_busy gc_site;
       false
-  | frames ->
+  | n ->
       Memory.Gcbudget.leave_busy gc_site;
       charge t (cost t).Net.Cost.libos_poll_ns;
-      rx_all t frames;
+      rx_n t n;
       Tcp.Stack.flush_acks t.stack;
       Tcp.Stack.on_timer t.stack;
       true
@@ -291,7 +292,7 @@ let create rt ~nic ?(config = Tcp.Stack.default_config) () =
                  ~clock:(fun () -> Host.now host)
                  ~tx_frame:(fun frame ->
                    Host.charge host host.Host.cost.Net.Cost.dpdk_tx_ns;
-                   Net.Dpdk_sim.tx_burst nic [ frame ])
+                   Net.Dpdk_sim.tx nic frame)
                  ())
             ~heap:host.Host.heap
             ~prng:(Engine.Prng.split (Engine.Sim.prng host.Host.sim))

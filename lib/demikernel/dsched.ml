@@ -14,16 +14,12 @@ and coro = {
   mutable handler : (unit, unit) Effect.Deep.handler; (* built once, at spawn *)
 }
 
-(* A FIFO run queue: a power-of-two ring, so an enqueue writes one slot
-   instead of allocating a list cell. *)
-type ring = { mutable buf : coro array; mutable head : int; mutable len : int }
-
 type t = {
   host : Host.t;
   waker : Waker.t;
-  app_q : ring;
-  bg_q : ring;
-  fp_q : ring;
+  app_q : coro Engine.Ring.t; (* FIFO run queues, one per class *)
+  bg_q : coro Engine.Ring.t;
+  fp_q : coro Engine.Ring.t;
   mutable by_slot : coro array;
   mutable current : coro; (* [no_coro] outside a slice *)
   mutable live : int;
@@ -37,7 +33,7 @@ type t = {
 
 type _ Effect.t += Yield : unit Effect.t | Block : unit Effect.t
 
-(* The sentinel coroutine: an empty ring or slot, and [current] between
+(* The sentinel coroutine: an empty slot, and [current] between
    slices. It is [Dead], so it is never dispatched or woken. *)
 let no_coro =
   {
@@ -51,43 +47,20 @@ let no_coro =
     handler = { Effect.Deep.retc = ignore; exnc = raise; effc = (fun _ -> None) };
   }
 
-let ring () = { buf = Array.make 8 no_coro; head = 0; len = 0 }
-
-let grow_ring r =
-  let cap = Array.length r.buf in
-  let buf = Array.make (2 * cap) no_coro in
-  for i = 0 to r.len - 1 do
-    buf.(i) <- r.buf.((r.head + i) land (cap - 1))
-  done;
-  r.buf <- buf;
-  r.head <- 0
-
-let push r coro =
-  if r.len = Array.length r.buf then grow_ring r;
-  r.buf.((r.head + r.len) land (Array.length r.buf - 1)) <- coro;
-  r.len <- r.len + 1
-
-let pop r =
-  let coro = r.buf.(r.head) in
-  r.buf.(r.head) <- no_coro;
-  r.head <- (r.head + 1) land (Array.length r.buf - 1);
-  r.len <- r.len - 1;
-  coro
-
 let enqueue t coro =
   match coro.kind with
-  | App -> push t.app_q coro
-  | Background -> push t.bg_q coro
-  | Fast_path -> push t.fp_q coro
+  | App -> Engine.Ring.push t.app_q coro
+  | Background -> Engine.Ring.push t.bg_q coro
+  | Fast_path -> Engine.Ring.push t.fp_q coro
 
 let create host =
   let t =
     {
       host;
       waker = Waker.create ();
-      app_q = ring ();
-      bg_q = ring ();
-      fp_q = ring ();
+      app_q = Engine.Ring.create ();
+      bg_q = Engine.Ring.create ();
+      fp_q = Engine.Ring.create ();
       by_slot = Array.make 8 no_coro;
       current = no_coro;
       live = 0;
@@ -178,7 +151,7 @@ let wake t coro =
   | Ready | Running -> coro.pending_wake <- true
   | Dead -> ()
 
-let runnable_apps t = t.app_q.len > 0 || t.bg_q.len > 0
+let runnable_apps t = not (Engine.Ring.is_empty t.app_q && Engine.Ring.is_empty t.bg_q)
 let has_pending_wakes t = Waker.any_set t.waker
 let stop t = t.stopped <- true
 let context_switches t = t.switches
@@ -218,9 +191,9 @@ let run_slice t coro =
    nothing. *)
 (* dlint: hotpath *)
 let rec dispatch_from t q switch_cost =
-  if q.len = 0 then false
+  if Engine.Ring.is_empty q then false
   else begin
-    let coro = pop q in
+    let coro = Engine.Ring.pop q in
     if coro.state = Ready then begin
       Host.charge_as t.host Engine.Span.Sched switch_cost;
       run_slice t coro;

@@ -44,7 +44,12 @@ type api = {
 
 let sga_length sga = List.fold_left (fun n b -> n + Memory.Heap.length b) 0 sga
 
-let sga_to_string sga = String.concat "" (List.map Memory.Heap.to_string sga)
+(* One copy for the common one-buffer sga; a longer one copies each
+   buffer twice (out of the heap, then into the joined string). *)
+let sga_to_string sga =
+  match sga with
+  | [ buf ] -> Memory.Heap.to_string buf
+  | bufs -> String.concat "" (List.map Memory.Heap.to_string bufs)
 
 (* ---------- runtime ownership oracle ----------
 

@@ -79,37 +79,38 @@ let set_sleep_span t span = t.sleep_span <- span
 let running t = t.running
 let set_running t f = t.running <- f
 
+(* Top-level recursion, not a closure per call: a run allocates
+   nothing of its own. *)
+let rec run_loop t horizon =
+  if not t.stopped then begin
+    let time = Eventq.top_time t.q in
+    if time = max_int then ()
+    else if time > horizon then t.now <- horizon
+    else begin
+      let fn = Eventq.pop t.q in
+      t.now <- time;
+      (* Fixed-interval sampling rides the run loop instead of
+         scheduling its own events: the pending-event set — and so the
+         interleaving every other component observes — is
+         byte-identical with sampling on or off. Each boundary crossed
+         since the last event fires once, before the event executes,
+         so a sample reads the state as of its nominal boundary time. *)
+      (match t.sampler with
+      | Some f ->
+          while t.sampler_next <= t.now do
+            f t.sampler_next;
+            t.sampler_next <- t.sampler_next + t.sampler_interval
+          done
+      | None -> ());
+      t.processed <- t.processed + 1;
+      fn ();
+      run_loop t horizon
+    end
+  end
+
 let run ?until t =
   t.stopped <- false;
-  let horizon = match until with Some u -> u | None -> max_int in
-  let rec loop () =
-    if not t.stopped then begin
-      let time = Eventq.top_time t.q in
-      if time = max_int then ()
-      else if time > horizon then t.now <- horizon
-      else begin
-        let fn = Eventq.pop t.q in
-        t.now <- time;
-        (* Fixed-interval sampling rides the run loop instead of
-           scheduling its own events: the pending-event set — and so the
-           interleaving every other component observes — is
-           byte-identical with sampling on or off. Each boundary crossed
-           since the last event fires once, before the event executes,
-           so a sample reads the state as of its nominal boundary time. *)
-        (match t.sampler with
-        | Some f ->
-            while t.sampler_next <= t.now do
-              f t.sampler_next;
-              t.sampler_next <- t.sampler_next + t.sampler_interval
-            done
-        | None -> ());
-        t.processed <- t.processed + 1;
-        fn ();
-        loop ()
-      end
-    end
-  in
-  loop ()
+  run_loop t (match until with Some u -> u | None -> max_int)
 
 let set_sampler t ~interval f =
   assert (interval > 0);

@@ -17,9 +17,9 @@ let heap_line name (s : Memory.Heap.stats) =
    The run is deterministic, so the count is exact: one extra word per
    echo fails the selfcheck. *)
 let words_per_echo = function
-  | Demikernel.Boot.Catnip_os -> 5869 (* 375,575 words / 64 = 5,868.36 *)
-  | Demikernel.Boot.Catnap_os -> 5703 (* 364,948 words / 64 = 5,702.31 *)
-  | Demikernel.Boot.Catmint_os -> 5649 (* 361,477 words / 64 = 5,648.08 *)
+  | Demikernel.Boot.Catnip_os -> 5183 (* 331,686 words / 64 = 5,182.59 *)
+  | Demikernel.Boot.Catnap_os -> 4943 (* 316,325 words / 64 = 4,942.58 *)
+  | Demikernel.Boot.Catmint_os -> 5409 (* 346,165 words / 64 = 5,408.83 *)
 
 (* One echo with the ownership oracle armed on both ends; returns
    (trace digest, events, metrics lines, ownership violations,

@@ -1,78 +1,91 @@
+(* The receive ring as software sees it: [claimed] frames at its head
+   were counted by a poll ([rx_take]) and not yet taken ([rx]); they no
+   longer count as pending, exactly as if the poll had already removed
+   them. *)
+type rxq = {
+  ring : string Engine.Ring.t;
+  size : int;
+  mutable claimed : int;
+  mutable dropped : int;
+  signal : Engine.Condvar.t;
+}
+
 type t = {
   fabric : Fabric.t;
   port : Fabric.port;
   mac : Addr.Mac.t;
   ip : Addr.Ip.t;
-  rx_ring : string Queue.t;
-  rx_signal : Engine.Condvar.t;
-  rx_dropped : int ref;
+  rxq : rxq;
+  tx_pipe : Hop.t; (* the tx pipeline: frames on their way to the fabric *)
+  pipe_ns : int; (* the constant delay of either pipeline *)
   owner : string; (* span owner, precomputed so disabled spans stay allocation-free *)
 }
+
+let pending q = Engine.Ring.length q.ring - q.claimed
+
+let land_frame fabric q frame =
+  if pending q >= q.size then begin
+    q.dropped <- q.dropped + 1;
+    Fabric.nic_drop fabric ~reason:"rx-ring-overflow" frame
+  end
+  else begin
+    Engine.Ring.push q.ring frame;
+    Engine.Condvar.broadcast q.signal
+  end
 
 let create fabric ~mac ~ip ?(rx_ring_size = 1024) () =
   let sim = Fabric.sim fabric in
   let cost = Fabric.cost fabric in
-  let rx_ring = Queue.create () in
-  let rx_signal = Engine.Condvar.create sim in
-  let rx_dropped = ref 0 in
+  (* The NIC hardware pipeline runs between the wire and software, in
+     both directions; virtualized profiles add vnet translation. *)
+  let pipe_ns = cost.Cost.nic_hw_ns + cost.Cost.vnet_ns in
   let owner = Format.asprintf "dpdk-%a" Addr.Ip.pp ip in
+  let rxq =
+    {
+      ring = Engine.Ring.create ();
+      size = rx_ring_size;
+      claimed = 0;
+      dropped = 0;
+      signal = Engine.Condvar.create sim;
+    }
+  in
+  let rx_pipe = Hop.create sim ~deliver:(land_frame fabric rxq) in
   let rx frame =
-    (* The NIC hardware pipeline runs before the frame is visible to
-       software; virtualized profiles add vnet translation. *)
-    let hw = cost.Cost.nic_hw_ns + cost.Cost.vnet_ns in
     let t0 = Engine.Sim.now sim in
     Engine.Sim.span_interval sim ~comp:Engine.Span.Device ~owner ~label:"rx" ~t0
-      ~t1:(t0 + hw);
-    Engine.Sim.schedule sim ~delay:hw (fun () ->
-        if Queue.length rx_ring >= rx_ring_size then begin
-          incr rx_dropped;
-          Fabric.nic_drop fabric ~reason:"rx-ring-overflow" frame
-        end
-        else begin
-          Queue.add frame rx_ring;
-          Engine.Condvar.broadcast rx_signal
-        end)
+      ~t1:(t0 + pipe_ns);
+    Hop.send rx_pipe ~at:(t0 + pipe_ns) frame
   in
   let port = Fabric.attach fabric ~mac ~rx in
-  { fabric; port; mac; ip; rx_ring; rx_signal; rx_dropped; owner }
+  let tx_pipe = Hop.create sim ~deliver:(fun frame -> Fabric.send fabric port frame) in
+  { fabric; port; mac; ip; rxq; tx_pipe; pipe_ns; owner }
 
 let mac t = t.mac
 let ip t = t.ip
 
 (* dlint: hotpath *)
-let tx_burst t frames =
-  match frames with
-  | [] -> ()
-  | frames ->
-      (* One scheduled event per burst, not per frame: every frame in
-         the burst leaves the NIC pipeline at the same virtual instant
-         anyway (identical delay), and [Fabric.send] still charges
-         per-frame wire serialization in list order — so batching cuts
-         event-queue traffic without changing any arrival time. *)
-      let cost = Fabric.cost t.fabric in
-      let delay = cost.Cost.nic_hw_ns + cost.Cost.vnet_ns in
-      let sim = Fabric.sim t.fabric in
-      let t0 = Engine.Sim.now sim in
-      Engine.Sim.span_interval sim ~comp:Engine.Span.Device ~owner:t.owner ~label:"tx" ~t0
-        ~t1:(t0 + delay);
-      Engine.Sim.schedule sim ~delay
-        (* dlint-allow: scan-in-hotpath -- the iter walks only this nonempty (busy) burst *)
-        (fun () -> List.iter (fun frame -> Fabric.send t.fabric t.port frame) frames)
-
-(* Top-level recursion (not a per-call closure): the empty-ring poll —
-   the steady-state case — allocates nothing, because [List.rev []]
-   returns [[]] without allocating. *)
-(* dlint: hotpath *)
-(* dlint-allow: scan-in-hotpath -- List.rev of the local accumulator: bounded by the burst size n, and [] on the steady empty poll *)
-let rec take_burst ring n acc =
-  (* dlint-allow: scan-in-hotpath -- the reversal walk exists only on busy polls, bounded by the burst; List.rev [] on the empty poll is free *)
-  if n = 0 || Queue.is_empty ring then List.rev acc
-  else
-    take_burst ring (n - 1) (Queue.pop ring :: acc)
+let tx t frame =
+  let sim = Fabric.sim t.fabric in
+  let t0 = Engine.Sim.now sim in
+  Engine.Sim.span_interval sim ~comp:Engine.Span.Device ~owner:t.owner ~label:"tx" ~t0
+    ~t1:(t0 + t.pipe_ns);
+  Hop.send t.tx_pipe ~at:(t0 + t.pipe_ns) frame
 
 (* dlint: hotpath *)
-let rx_burst t ~max = take_burst t.rx_ring max []
+let rx_take t ~max =
+  (* One poller at a time: a poll takes all it counted before the next
+     one counts, so the frames a poll takes are the ones it counted. *)
+  assert (t.rxq.claimed = 0);
+  let n = min max (pending t.rxq) in
+  t.rxq.claimed <- t.rxq.claimed + n;
+  n
 
-let rx_pending t = Queue.length t.rx_ring
-let rx_signal t = t.rx_signal
-let rx_dropped t = !(t.rx_dropped)
+(* dlint: hotpath *)
+let rx t =
+  if t.rxq.claimed = 0 then invalid_arg "Dpdk_sim.rx: no frame taken";
+  t.rxq.claimed <- t.rxq.claimed - 1;
+  Engine.Ring.pop t.rxq.ring
+
+let rx_pending t = pending t.rxq
+let rx_signal t = t.rxq.signal
+let rx_dropped t = t.rxq.dropped

@@ -6,7 +6,14 @@
     CPU costs of driving the device ([Cost.dpdk_tx_ns], [dpdk_rx_ns])
     are charged by the calling software; this module charges only the
     NIC hardware pipeline and, on virtualized profiles, the SmartNIC
-    vnet translation. *)
+    vnet translation.
+
+    Both pipelines add the same constant delay, so each is a FIFO
+    {!Hop}: a frame crossing the NIC in either direction allocates
+    nothing (the rings and the one handler per pipeline are built at
+    {!create}). The receive ring is an {!Engine.Ring} too, drained one
+    frame at a time: a poll counts its frames once with {!rx_take} and
+    then takes exactly that many with {!rx}. *)
 
 type t
 
@@ -19,18 +26,29 @@ val create :
 val mac : t -> Addr.Mac.t
 val ip : t -> Addr.Ip.t
 
-val tx_burst : t -> string list -> unit
-(** Hand frames to the NIC for transmission (rte_tx_burst). *)
+val tx : t -> string -> unit
+(** Hand one frame to the NIC for transmission (rte_tx_burst of one):
+    it reaches the fabric after the pipeline delay. *)
 
-val rx_burst : t -> max:int -> string list
-(** Pull up to [max] frames from the receive ring (rte_rx_burst);
-    empty list when the ring is empty. *)
+val rx_take : t -> max:int -> int
+(** Start a poll (rte_rx_burst): count [n = min max (rx_pending t)]
+    frames at the head of the receive ring and return [n]. They stop
+    counting as pending at once, as if removed; the caller then takes
+    them, oldest first, with exactly [n] calls to {!rx}, before the
+    next [rx_take] (one poller at a time, asserted). A frame that lands
+    after this call waits for the next poll. *)
+
+val rx : t -> string
+(** Take the oldest frame counted by {!rx_take}. Raises
+    [Invalid_argument] when every counted frame has been taken. *)
 
 val rx_pending : t -> int
+(** Frames in the receive ring not yet counted by a poll. *)
 
 val rx_signal : t -> Engine.Condvar.t
 (** Broadcast whenever a frame lands in the rx ring. Pollers park here
     instead of spinning through idle virtual time. *)
 
 val rx_dropped : t -> int
-(** Frames dropped at a full rx ring. *)
+(** Frames dropped at a full rx ring (one holding [rx_ring_size]
+    pending frames). *)

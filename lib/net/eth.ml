@@ -1,5 +1,6 @@
-type header = { dst : Addr.Mac.t; src : Addr.Mac.t; ethertype : int }
+type t = { mutable dst : Addr.Mac.t; mutable src : Addr.Mac.t; mutable ethertype : int }
 
+let create () = { dst = 0; src = 0; ethertype = 0 }
 let size = 14
 let ethertype_ipv4 = 0x0800
 let ethertype_arp = 0x0806
@@ -11,9 +12,9 @@ let write b off h =
   Wire.set_u16 b (off + 12) h.ethertype;
   off + size
 
-let read b off =
+let read b off h =
   Wire.need b off size;
-  let dst = Wire.get_u48 b off in
-  let src = Wire.get_u48 b (off + 6) in
-  let ethertype = Wire.get_u16 b (off + 12) in
-  ({ dst; src; ethertype }, off + size)
+  h.dst <- Wire.get_u48 b off;
+  h.src <- Wire.get_u48 b (off + 6);
+  h.ethertype <- Wire.get_u16 b (off + 12);
+  off + size

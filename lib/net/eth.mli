@@ -1,6 +1,11 @@
 (** Ethernet II framing. *)
 
-type header = { dst : Addr.Mac.t; src : Addr.Mac.t; ethertype : int }
+type t = { mutable dst : Addr.Mac.t; mutable src : Addr.Mac.t; mutable ethertype : int }
+(** A header view: {!read} fills it and {!write} serializes it, so one
+    view per direction serves every frame without allocating. *)
+
+val create : unit -> t
+(** A zeroed view. *)
 
 val size : int
 (** 14 bytes. *)
@@ -8,9 +13,9 @@ val size : int
 val ethertype_ipv4 : int
 val ethertype_arp : int
 
-val write : Bytes.t -> int -> header -> int
+val write : Bytes.t -> int -> t -> int
 (** Serialize at an offset; returns the offset past the header. *)
 
-val read : Bytes.t -> int -> header * int
-(** Parse at an offset; returns the header and the payload offset.
+val read : Bytes.t -> int -> t -> int
+(** Parse at an offset into the view; returns the payload offset.
     Raises {!Wire.Malformed} when truncated. *)

@@ -1,6 +1,6 @@
 type port = {
   mac : Addr.Mac.t;
-  rx : string -> unit;
+  downlink : Hop.t; (* frames in flight to this port, in arrival order *)
   mutable tx_free : Engine.Clock.t; (* when this port's uplink is next idle *)
   mutable rx_free : Engine.Clock.t; (* when this port's downlink is next idle *)
   mutable owner : string; (* host name for wire-event attribution; "" until labelled *)
@@ -51,8 +51,23 @@ let create sim ~cost ?(loss = 0.) ?(corrupt = 0.) () =
 let sim t = t.sim
 let cost t = t.cost
 
+let deliver t ~mac ~rx frame =
+  t.delivered <- t.delivered + 1;
+  t.bytes <- t.bytes + String.length frame;
+  Engine.Sim.trace_event t.sim ~category:Engine.Log.Fabric "deliver %dB -> %m"
+    (String.length frame) mac;
+  Engine.Sim.flight_note t.sim ~cat:Engine.Log.Fabric ~label:"rx" (String.length frame)
+    t.delivered;
+  (* deliver runs at arrival time, so captures are timestamped in event
+     order — pcap files come out monotone for free. *)
+  (match t.tap with
+  | Some tap -> tap.tap_deliver ~ts:(Engine.Sim.now t.sim) frame
+  | None -> ());
+  rx frame
+
 let attach t ~mac ~rx =
-  let port = { mac; rx; tx_free = 0; rx_free = 0; owner = "" } in
+  let downlink = Hop.create t.sim ~deliver:(deliver t ~mac ~rx) in
+  let port = { mac; downlink; tx_free = 0; rx_free = 0; owner = "" } in
   t.ports <- port :: t.ports;
   Hashtbl.replace t.by_mac mac port;
   port
@@ -90,34 +105,37 @@ let on_drop t ?(src = "") ~reason frame =
 
 let nic_drop t ~reason frame = on_drop t ~reason:(Nic_drop reason) frame
 
-let deliver t frame dst =
-  t.delivered <- t.delivered + 1;
-  t.bytes <- t.bytes + String.length frame;
-  Engine.Sim.trace_event t.sim ~category:Engine.Log.Fabric "deliver %dB -> %m"
-    (String.length frame) dst.mac;
-  Engine.Sim.flight_note t.sim ~cat:Engine.Log.Fabric ~label:"rx" (String.length frame)
-    t.delivered;
-  (* deliver runs at arrival time, so captures are timestamped in event
-     order — pcap files come out monotone for free. *)
-  (match t.tap with
-  | Some tap -> tap.tap_deliver ~ts:(Engine.Sim.now t.sim) frame
-  | None -> ());
-  dst.rx frame
+(* Queue a frame onto a port's downlink. Store-and-forward: the frame
+   serializes again onto the destination link, queueing behind whatever
+   that link is already carrying — this is where incast contention
+   lives. [rx_free] serializes the link, so a port's arrivals are
+   monotone and its downlink is a FIFO. Wire-time attribution runs from
+   the instant the frame starts serializing on the source uplink to its
+   arrival at the port — propagation, switching and any
+   store-and-forward queueing included. *)
+let to_port t src p ~at_switch ~wire_t0 ~wire_label frame =
+  let arrival = max at_switch p.rx_free + Cost.serialization_ns t.cost (String.length frame) in
+  p.rx_free <- arrival;
+  (match Engine.Sim.spans t.sim with
+  | None -> ()
+  | Some spans ->
+      let flow = match Flow.of_frame frame with Some f -> f | None -> 0 in
+      Engine.Span.note_wire spans ~flow ~src:src.owner ~dst:p.owner ~label:wire_label
+        ~t0:wire_t0 ~t1:arrival);
+  Hop.send p.downlink ~at:arrival frame
 
-(* dlint-allow: scan-in-hotpath -- busy-path TX: the broadcast walk over the fixed port list (ARP) is per-frame fabric work *)
+let rec broadcast t src ~at_switch ~wire_t0 ~wire_label frame = function
+  | [] -> ()
+  | p :: rest ->
+      if p != src then to_port t src p ~at_switch ~wire_t0 ~wire_label frame;
+      broadcast t src ~at_switch ~wire_t0 ~wire_label frame rest
+
 let send t src ?(lossless = false) frame =
   let now = Engine.Sim.now t.sim in
   let len = String.length frame in
   let depart = max now src.tx_free + Cost.serialization_ns t.cost len in
   src.tx_free <- depart;
   let at_switch = depart + t.cost.Cost.propagation_ns + t.cost.Cost.switch_ns in
-  (* Store-and-forward: the frame serializes again onto the destination
-     link, queueing behind whatever that link is already carrying —
-     this is where incast contention lives. *)
-  (* Wire-time attribution: from the instant the frame starts
-     serializing on the source uplink to its arrival at the port —
-     propagation, switching and any store-and-forward queueing
-     included. Dropped frames are not attributed (they never arrive). *)
   let wire_t0 = depart - Cost.serialization_ns t.cost len in
   if (not lossless) && t.loss > 0. && Engine.Prng.bool t.prng t.loss then begin
     t.dropped <- t.dropped + 1;
@@ -145,37 +163,18 @@ let send t src ?(lossless = false) frame =
       (match t.tap with
       | Some tap -> tap.tap_drop ~ts:now ~reason:Corrupt frame
       | None -> ());
-    (* Flow attribution is computed once per send, lazily: decoding
-       costs nothing unless a span recorder is attached. *)
-    let wire_info =
-      match Engine.Sim.spans t.sim with
-      | None -> None
-      | Some spans ->
-          let flow = match Flow.of_frame frame with Some f -> f | None -> 0 in
-          Some (spans, flow, Decode.line frame)
-    in
-    let to_port p =
-      let start = max at_switch p.rx_free in
-      let arrival = start + Cost.serialization_ns t.cost len in
-      p.rx_free <- arrival;
-      (match wire_info with
-      | None -> ()
-      | Some (spans, flow, label) ->
-          Engine.Span.note_wire spans ~flow ~src:src.owner ~dst:p.owner ~label ~t0:wire_t0
-            ~t1:arrival);
-      arrival - now
+    (* The wire label is decoded once per send, and only when a span
+       recorder is attached. *)
+    let wire_label =
+      match Engine.Sim.spans t.sim with None -> "" | Some _ -> Decode.line frame
     in
     let dst_mac = Wire.get_u48 (Bytes.unsafe_of_string frame) 0 in
     if Addr.Mac.is_broadcast dst_mac then
-      List.iter
-        (fun p ->
-          if p != src then
-            Engine.Sim.schedule t.sim ~delay:(to_port p) (fun () -> deliver t frame p))
-        t.ports
+      broadcast t src ~at_switch ~wire_t0 ~wire_label frame t.ports
     else
-      match Hashtbl.find_opt t.by_mac dst_mac with
-      | Some p -> Engine.Sim.schedule t.sim ~delay:(to_port p) (fun () -> deliver t frame p)
-      | None ->
+      match Hashtbl.find t.by_mac dst_mac with
+      | p -> to_port t src p ~at_switch ~wire_t0 ~wire_label frame
+      | exception Not_found ->
           t.dropped <- t.dropped + 1;
           on_drop t ~src:src.owner ~reason:No_route frame
   end

@@ -5,7 +5,14 @@
 
     Frames are the serialized bytes produced by the wire codecs; the
     destination is taken from the Ethernet header, so the fabric behaves
-    like a learning switch with a full table. *)
+    like a learning switch with a full table.
+
+    Each port's downlink serializes the frames it carries, so a port's
+    arrivals come in the order the fabric accepted them, and the
+    downlink is a FIFO {!Hop}: its in-flight frames sit in a ring and
+    each arrival runs the one handler built at {!attach}. Moving a
+    frame across the fabric allocates nothing once the rings have
+    grown. *)
 
 type t
 

@@ -1,38 +1,35 @@
-type header = {
-  total_length : int;
-  identification : int;
-  ttl : int;
-  protocol : int;
-  src : Addr.Ip.t;
-  dst : Addr.Ip.t;
-  more_fragments : bool;
-  fragment_offset : int;
+type t = {
+  mutable total_length : int;
+  mutable identification : int;
+  mutable ttl : int;
+  mutable protocol : int;
+  mutable src : Addr.Ip.t;
+  mutable dst : Addr.Ip.t;
+  mutable more_fragments : bool;
+  mutable fragment_offset : int;
 }
 
-let whole ~total_length ~protocol ~src ~dst ~identification =
+let create () =
   {
-    total_length;
-    identification;
-    ttl = 64;
-    protocol;
-    src;
-    dst;
+    total_length = 0;
+    identification = 0;
+    ttl = 0;
+    protocol = 0;
+    src = 0;
+    dst = 0;
     more_fragments = false;
     fragment_offset = 0;
   }
 
-let fragment_of ~total_length ~protocol ~src ~dst ~identification ~more_fragments
-    ~fragment_offset =
-  {
-    total_length;
-    identification;
-    ttl = 64;
-    protocol;
-    src;
-    dst;
-    more_fragments;
-    fragment_offset;
-  }
+let set h ~total_length ~protocol ~src ~dst ~identification ~more_fragments ~fragment_offset =
+  h.total_length <- total_length;
+  h.identification <- identification;
+  h.ttl <- 64;
+  h.protocol <- protocol;
+  h.src <- src;
+  h.dst <- dst;
+  h.more_fragments <- more_fragments;
+  h.fragment_offset <- fragment_offset
 
 let size = 20
 let protocol_udp = 17
@@ -52,25 +49,26 @@ let write b off h =
   Wire.set_u16 b (off + 10) 0;
   Wire.set_u32 b (off + 12) h.src;
   Wire.set_u32 b (off + 16) h.dst;
-  let csum = Wire.checksum b off size in
+  let csum = Wire.checksum ~init:0 b off size in
   Wire.set_u16 b (off + 10) csum;
   off + size
 
-let read b off =
+let read b off h =
   Wire.need b off size;
   let vi = Wire.get_u8 b off in
   if vi <> 0x45 then Wire.fail "ipv4: bad version/ihl";
-  if Wire.checksum b off size <> 0 then Wire.fail "ipv4: bad checksum";
+  if Wire.checksum ~init:0 b off size <> 0 then Wire.fail "ipv4: bad checksum";
   let total_length = Wire.get_u16 b (off + 2) in
   if total_length < size then Wire.fail "ipv4: bad total length";
-  let identification = Wire.get_u16 b (off + 4) in
-  let frag = Wire.get_u16 b (off + 6) in
-  let more_fragments = frag land 0x2000 <> 0 in
-  let fragment_offset = (frag land 0x1fff) * 8 in
   let ttl = Wire.get_u8 b (off + 8) in
   if ttl = 0 then Wire.fail "ipv4: ttl expired";
-  let protocol = Wire.get_u8 b (off + 9) in
-  let src = Wire.get_u32 b (off + 12) in
-  let dst = Wire.get_u32 b (off + 16) in
-  ( { total_length; identification; ttl; protocol; src; dst; more_fragments; fragment_offset },
-    off + size )
+  let frag = Wire.get_u16 b (off + 6) in
+  h.total_length <- total_length;
+  h.identification <- Wire.get_u16 b (off + 4);
+  h.ttl <- ttl;
+  h.protocol <- Wire.get_u8 b (off + 9);
+  h.src <- Wire.get_u32 b (off + 12);
+  h.dst <- Wire.get_u32 b (off + 16);
+  h.more_fragments <- frag land 0x2000 <> 0;
+  h.fragment_offset <- (frag land 0x1fff) * 8;
+  off + size

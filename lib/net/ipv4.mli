@@ -3,16 +3,21 @@
     its segments fit the MTU; only a data segment that also carries
     SACK blocks fragments. *)
 
-type header = {
-  total_length : int;  (** header + payload bytes. *)
-  identification : int;
-  ttl : int;
-  protocol : int;
-  src : Addr.Ip.t;
-  dst : Addr.Ip.t;
-  more_fragments : bool;
-  fragment_offset : int;  (** payload offset in bytes; multiple of 8. *)
+type t = {
+  mutable total_length : int;  (** header + payload bytes. *)
+  mutable identification : int;
+  mutable ttl : int;
+  mutable protocol : int;
+  mutable src : Addr.Ip.t;
+  mutable dst : Addr.Ip.t;
+  mutable more_fragments : bool;
+  mutable fragment_offset : int;  (** payload offset in bytes; multiple of 8. *)
 }
+(** A header view: {!read} fills it, {!set} and {!write} build and
+    serialize it. An interface keeps one per direction. *)
+
+val create : unit -> t
+(** A zeroed view. *)
 
 val size : int
 (** 20 bytes. *)
@@ -20,16 +25,24 @@ val size : int
 val protocol_udp : int
 val protocol_tcp : int
 
-val write : Bytes.t -> int -> header -> int
+val set :
+  t ->
+  total_length:int ->
+  protocol:int ->
+  src:Addr.Ip.t ->
+  dst:Addr.Ip.t ->
+  identification:int ->
+  more_fragments:bool ->
+  fragment_offset:int ->
+  unit
+(** Fill every field, with a TTL of 64. An unfragmented packet has
+    [more_fragments = false] and [fragment_offset = 0] (DF semantics
+    are not modelled). *)
+
+val write : Bytes.t -> int -> t -> int
 (** Serialize with a correct header checksum. *)
 
-val fragment_of : total_length:int -> protocol:int -> src:Addr.Ip.t -> dst:Addr.Ip.t ->
-  identification:int -> more_fragments:bool -> fragment_offset:int -> header
-
-val whole : total_length:int -> protocol:int -> src:Addr.Ip.t -> dst:Addr.Ip.t ->
-  identification:int -> header
-(** An unfragmented packet (DF semantics are not modelled). *)
-
-val read : Bytes.t -> int -> header * int
-(** Parse and verify the header checksum; raises {!Wire.Malformed} on
-    corruption, truncation or options. *)
+val read : Bytes.t -> int -> t -> int
+(** Parse into the view and verify the header checksum; returns the
+    transport offset. Raises {!Wire.Malformed} on corruption, truncation
+    or options. *)

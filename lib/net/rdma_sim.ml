@@ -15,6 +15,10 @@ type t = {
   regions : (int, Bytes.t) Hashtbl.t;
   mutable next_rkey : int;
   owner : string; (* span owner, precomputed so disabled spans stay allocation-free *)
+  eth : Eth.t; (* the header view every frame in or out is read into or built in *)
+  send_pipe : Hop.t; (* posted sends crossing the device, toward the fabric *)
+  send_ids : int Engine.Ring.t; (* their wr_ids, in the same order *)
+  write_pipe : Hop.t; (* posted writes crossing the device *)
 }
 
 let max_message_size = 1 lsl 20
@@ -38,30 +42,31 @@ let note_hw t label =
   Engine.Sim.span_interval s ~comp:Engine.Span.Device ~owner:t.owner ~label ~t0
     ~t1:(t0 + hw_ns t)
 
-let frame_of t ~dst ~msgtype body =
-  let b = Bytes.create (Eth.size + 1 + String.length body) in
-  let off = Eth.write b 0 { Eth.dst; src = t.mac; ethertype = ethertype_roce } in
-  Wire.set_u8 b off msgtype;
-  Bytes.blit_string body 0 b (off + 1) (String.length body);
-  Bytes.unsafe_to_string b
+(* A RoCE frame: the Ethernet header, the message type, [words] 32-bit
+   header words (filled by the caller at [word_off]) and the body. *)
+let word_off = Eth.size + 1
 
-(* dlint-allow: scan-in-hotpath -- values is the fixed set of header words for one wire message (at most a few elements, written by the callers as literals), not a connection-scaled collection *)
-let u32_string values tail =
-  let b = Bytes.create ((4 * List.length values) + String.length tail) in
-  List.iteri (fun i v -> Wire.set_u32 b (4 * i) v) values;
-  Bytes.blit_string tail 0 b (4 * List.length values) (String.length tail);
-  Bytes.unsafe_to_string b
+let frame_of t ~dst ~msgtype ~words body =
+  let b = Bytes.create (word_off + (4 * words) + String.length body) in
+  t.eth.Eth.dst <- dst;
+  t.eth.Eth.src <- t.mac;
+  t.eth.Eth.ethertype <- ethertype_roce;
+  let off = Eth.write b 0 t.eth in
+  Wire.set_u8 b off msgtype;
+  Bytes.blit_string body 0 b (word_off + (4 * words)) (String.length body);
+  b
 
 let post_send t ~dst ~wr_id ~imm payload =
   if String.length payload > max_message_size then
     invalid_arg "Rdma_sim.post_send: message too large";
-  let frame = frame_of t ~dst ~msgtype:t_send (u32_string [ imm ] payload) in
+  let b = frame_of t ~dst ~msgtype:t_send ~words:1 payload in
+  Wire.set_u32 b word_off imm;
+  let frame = Bytes.unsafe_to_string b in
   (* Device-side transport processing, then the wire; the send
      completion fires once the message has left the device. *)
   note_hw t "send";
-  Engine.Sim.schedule (sim t) ~delay:(hw_ns t) (fun () ->
-      Fabric.send t.fabric t.port ~lossless:true frame;
-      complete t (Send_done { wr_id }))
+  Engine.Ring.push t.send_ids wr_id;
+  Hop.send t.send_pipe ~at:(Engine.Sim.now (sim t) + hw_ns t) frame
 
 let post_recv t = t.recv_credits <- t.recv_credits + 1
 let recv_credits t = t.recv_credits
@@ -75,46 +80,48 @@ let register_region t bytes =
 let post_write t ~dst ~wr_id ~rkey ~offset payload =
   if String.length payload > max_message_size then
     invalid_arg "Rdma_sim.post_write: message too large";
-  let frame =
-    frame_of t ~dst ~msgtype:t_write (u32_string [ rkey; offset; wr_id ] payload)
-  in
+  let b = frame_of t ~dst ~msgtype:t_write ~words:3 payload in
+  Wire.set_u32 b word_off rkey;
+  Wire.set_u32 b (word_off + 4) offset;
+  Wire.set_u32 b (word_off + 8) wr_id;
+  let frame = Bytes.unsafe_to_string b in
   note_hw t "write";
-  Engine.Sim.schedule (sim t) ~delay:(hw_ns t) (fun () ->
-      Fabric.send t.fabric t.port ~lossless:true frame)
+  Hop.send t.write_pipe ~at:(Engine.Sim.now (sim t) + hw_ns t) frame
 
 let handle_frame t frame =
   let b = Bytes.unsafe_of_string frame in
-  let eth, off = Eth.read b 0 in
+  let off = Eth.read b 0 t.eth in
+  let src_mac = t.eth.Eth.src in
   let msgtype = Wire.get_u8 b off in
   let off = off + 1 in
   if msgtype = t_send then begin
-    let imm = Wire.get_u32 b off in
-    let payload = Bytes.sub_string b (off + 4) (Bytes.length b - off - 4) in
     if t.recv_credits = 0 then begin
       t.rnr_drops <- t.rnr_drops + 1;
       Fabric.nic_drop t.fabric ~reason:"rnr" frame
     end
     else begin
       t.recv_credits <- t.recv_credits - 1;
-      complete t (Recv { src_mac = eth.Eth.src; imm; payload })
+      let imm = Wire.get_u32 b off in
+      let payload = Bytes.sub_string b (off + 4) (Bytes.length b - off - 4) in
+      complete t (Recv { src_mac; imm; payload })
     end
   end
   else if msgtype = t_write then begin
     let rkey = Wire.get_u32 b off in
     let offset = Wire.get_u32 b (off + 4) in
     let wr_id = Wire.get_u32 b (off + 8) in
-    let payload = Bytes.sub_string b (off + 12) (Bytes.length b - off - 12) in
+    let len = Bytes.length b - off - 12 in
     let ok =
       match Hashtbl.find_opt t.regions rkey with
-      | Some region when offset + String.length payload <= Bytes.length region ->
-          Bytes.blit_string payload 0 region offset (String.length payload);
+      | Some region when offset + len <= Bytes.length region ->
+          Bytes.blit b (off + 12) region offset len;
           true
       | Some _ | None -> false
     in
-    let ack = frame_of t ~dst:eth.Eth.src ~msgtype:t_write_ack
-        (u32_string [ wr_id; (if ok then 1 else 0) ] "")
-    in
-    Fabric.send t.fabric t.port ~lossless:true ack;
+    let ack = frame_of t ~dst:src_mac ~msgtype:t_write_ack ~words:2 "" in
+    Wire.set_u32 ack word_off wr_id;
+    Wire.set_u32 ack (word_off + 4) (if ok then 1 else 0);
+    Fabric.send t.fabric t.port ~lossless:true (Bytes.unsafe_to_string ack);
     (* Doorbell for software polling loops that park instead of
        spinning: memory changed under them. *)
     Engine.Condvar.broadcast t.cq_signal
@@ -131,14 +138,20 @@ let create fabric ~mac ~ip () =
   let cost = Fabric.cost fabric in
   let t_ref = ref None in
   let owner = Format.asprintf "rnic-%a" Addr.Ip.pp ip in
+  (* Device processing takes the constant [rdma_hw_ns] each way, so the
+     rx and post pipelines are FIFO hops. *)
+  let rx_pipe =
+    Hop.create sim ~deliver:(fun frame ->
+        match !t_ref with Some t -> handle_frame t frame | None -> ())
+  in
   let rx frame =
     let t0 = Engine.Sim.now sim in
     Engine.Sim.span_interval sim ~comp:Engine.Span.Device ~owner ~label:"rx" ~t0
       ~t1:(t0 + cost.Cost.rdma_hw_ns);
-    Engine.Sim.schedule sim ~delay:cost.Cost.rdma_hw_ns (fun () ->
-        match !t_ref with Some t -> handle_frame t frame | None -> ())
+    Hop.send rx_pipe ~at:(t0 + cost.Cost.rdma_hw_ns) frame
   in
   let port = Fabric.attach fabric ~mac ~rx in
+  let send_ids = Engine.Ring.create () in
   let t =
     {
       fabric;
@@ -152,6 +165,17 @@ let create fabric ~mac ~ip () =
       regions = Hashtbl.create 8;
       next_rkey = 1;
       owner;
+      eth = Eth.create ();
+      send_ids;
+      (* The send completion fires once the message has left the
+         device. *)
+      send_pipe =
+        Hop.create sim ~deliver:(fun frame ->
+            let wr_id = Engine.Ring.pop send_ids in
+            Fabric.send fabric port ~lossless:true frame;
+            match !t_ref with Some t -> complete t (Send_done { wr_id }) | None -> ());
+      write_pipe =
+        Hop.create sim ~deliver:(fun frame -> Fabric.send fabric port ~lossless:true frame);
     }
   in
   t_ref := Some t;

@@ -1,41 +1,82 @@
-type options = {
-  mss : int option;
-  window_scale : int option;
-  timestamp : (int * int) option;
-  sack_permitted : bool;
-  sack_blocks : (int * int) list;
+let max_sack_blocks = 4
+
+type t = {
+  mutable src_port : int;
+  mutable dst_port : int;
+  mutable seq : int;
+  mutable ack : int;
+  mutable syn : bool;
+  mutable ack_flag : bool;
+  mutable fin : bool;
+  mutable rst : bool;
+  mutable psh : bool;
+  mutable window : int;
+  mutable mss : int;
+  mutable window_scale : int;
+  mutable has_ts : bool;
+  mutable ts_val : int;
+  mutable ts_ecr : int;
+  mutable sack_permitted : bool;
+  mutable sack_count : int;
+  sack_edges : int array;
 }
 
-let no_options =
-  { mss = None; window_scale = None; timestamp = None; sack_permitted = false; sack_blocks = [] }
+let clear_options h =
+  h.mss <- -1;
+  h.window_scale <- -1;
+  h.has_ts <- false;
+  h.ts_val <- 0;
+  h.ts_ecr <- 0;
+  h.sack_permitted <- false;
+  h.sack_count <- 0
 
-type header = {
-  src_port : int;
-  dst_port : int;
-  seq : int;
-  ack : int;
-  syn : bool;
-  ack_flag : bool;
-  fin : bool;
-  rst : bool;
-  psh : bool;
-  window : int;
-  options : options;
-}
+let set h ~src_port ~dst_port ~seq ~ack ~syn ~ack_flag ~fin ~rst ~psh ~window =
+  h.src_port <- src_port;
+  h.dst_port <- dst_port;
+  h.seq <- seq;
+  h.ack <- ack;
+  h.syn <- syn;
+  h.ack_flag <- ack_flag;
+  h.fin <- fin;
+  h.rst <- rst;
+  h.psh <- psh;
+  h.window <- window;
+  clear_options h
 
-(* dlint-allow: scan-in-hotpath -- sack_blocks is capped by the 40-byte TCP options field (at most 4 blocks), not a connection-scaled list *)
-let options_size o =
+let create () =
+  {
+    src_port = 0;
+    dst_port = 0;
+    seq = 0;
+    ack = 0;
+    syn = false;
+    ack_flag = false;
+    fin = false;
+    rst = false;
+    psh = false;
+    window = 0;
+    mss = -1;
+    window_scale = -1;
+    has_ts = false;
+    ts_val = 0;
+    ts_ecr = 0;
+    sack_permitted = false;
+    sack_count = 0;
+    sack_edges = Array.make (2 * max_sack_blocks) 0;
+  }
+
+let options_size h =
   let raw =
-    (match o.mss with Some _ -> 4 | None -> 0)
-    + (match o.window_scale with Some _ -> 3 | None -> 0)
-    + (match o.timestamp with Some _ -> 10 | None -> 0)
-    + (if o.sack_permitted then 2 else 0)
-    + (match o.sack_blocks with [] -> 0 | blocks -> 2 + (8 * List.length blocks))
+    (if h.mss >= 0 then 4 else 0)
+    + (if h.window_scale >= 0 then 3 else 0)
+    + (if h.has_ts then 10 else 0)
+    + (if h.sack_permitted then 2 else 0)
+    + if h.sack_count > 0 then 2 + (8 * h.sack_count) else 0
   in
   (* Pad to a 32-bit boundary with NOPs. *)
   (raw + 3) land lnot 3
 
-let header_size h = 20 + options_size h.options
+let header_size h = 20 + options_size h
 
 let flags_byte h =
   (if h.fin then 0x01 else 0)
@@ -44,49 +85,44 @@ let flags_byte h =
   lor (if h.psh then 0x08 else 0)
   lor if h.ack_flag then 0x10 else 0
 
-(* dlint-allow: scan-in-hotpath -- same SACK bound as [options_size]: at most 4 blocks fit the options field, so these walks are constant-size *)
-let write_options b off o =
+(* The SACK loop is bounded by [max_sack_blocks]: a constant-size walk. *)
+let write_options b off h =
   let pos = ref off in
-  (match o.mss with
-  | Some mss ->
-      Wire.set_u8 b !pos 2;
-      Wire.set_u8 b (!pos + 1) 4;
-      Wire.set_u16 b (!pos + 2) mss;
-      pos := !pos + 4
-  | None -> ());
-  (match o.window_scale with
-  | Some shift ->
-      Wire.set_u8 b !pos 3;
-      Wire.set_u8 b (!pos + 1) 3;
-      Wire.set_u8 b (!pos + 2) shift;
-      pos := !pos + 3
-  | None -> ());
-  (match o.timestamp with
-  | Some (tsval, tsecr) ->
-      Wire.set_u8 b !pos 8;
-      Wire.set_u8 b (!pos + 1) 10;
-      Wire.set_u32 b (!pos + 2) tsval;
-      Wire.set_u32 b (!pos + 6) tsecr;
-      pos := !pos + 10
-  | None -> ());
-  if o.sack_permitted then begin
+  if h.mss >= 0 then begin
+    Wire.set_u8 b !pos 2;
+    Wire.set_u8 b (!pos + 1) 4;
+    Wire.set_u16 b (!pos + 2) h.mss;
+    pos := !pos + 4
+  end;
+  if h.window_scale >= 0 then begin
+    Wire.set_u8 b !pos 3;
+    Wire.set_u8 b (!pos + 1) 3;
+    Wire.set_u8 b (!pos + 2) h.window_scale;
+    pos := !pos + 3
+  end;
+  if h.has_ts then begin
+    Wire.set_u8 b !pos 8;
+    Wire.set_u8 b (!pos + 1) 10;
+    Wire.set_u32 b (!pos + 2) h.ts_val;
+    Wire.set_u32 b (!pos + 6) h.ts_ecr;
+    pos := !pos + 10
+  end;
+  if h.sack_permitted then begin
     Wire.set_u8 b !pos 4;
     Wire.set_u8 b (!pos + 1) 2;
     pos := !pos + 2
   end;
-  (match o.sack_blocks with
-  | [] -> ()
-  | blocks ->
-      Wire.set_u8 b !pos 5;
-      Wire.set_u8 b (!pos + 1) (2 + (8 * List.length blocks));
-      pos := !pos + 2;
-      List.iter
-        (fun (left, right) ->
-          Wire.set_u32 b !pos left;
-          Wire.set_u32 b (!pos + 4) right;
-          pos := !pos + 8)
-        blocks);
-  let target = off + options_size o in
+  if h.sack_count > 0 then begin
+    Wire.set_u8 b !pos 5;
+    Wire.set_u8 b (!pos + 1) (2 + (8 * h.sack_count));
+    pos := !pos + 2;
+    for i = 0 to h.sack_count - 1 do
+      Wire.set_u32 b !pos h.sack_edges.(2 * i);
+      Wire.set_u32 b (!pos + 4) h.sack_edges.((2 * i) + 1);
+      pos := !pos + 8
+    done
+  end;
+  let target = off + options_size h in
   while !pos < target do
     Wire.set_u8 b !pos 1 (* NOP *);
     incr pos
@@ -110,69 +146,64 @@ let write b off h ~payload_len ~src_ip ~dst_ip =
   Wire.set_u16 b (off + 14) h.window;
   Wire.set_u16 b (off + 16) 0 (* checksum *);
   Wire.set_u16 b (off + 18) 0 (* urgent *);
-  let opt_end = write_options b (off + 20) h.options in
+  let opt_end = write_options b (off + 20) h in
   assert (opt_end = off + hsize);
   let init = Wire.pseudo_sum ~src:src_ip ~dst:dst_ip ~proto:Ipv4.protocol_tcp ~len:seg_len in
   let csum = Wire.checksum ~init b off seg_len in
   Wire.set_u16 b (off + 16) csum;
   off + hsize
 
-let read_options b off limit =
-  let rec go pos acc =
-    if pos >= limit then acc
-    else
-      match Wire.get_u8 b pos with
-      | 0 (* end of options *) -> acc
-      | 1 (* NOP *) -> go (pos + 1) acc
-      | kind ->
-          if pos + 1 >= limit then Wire.fail "tcp: truncated option";
-          let len = Wire.get_u8 b (pos + 1) in
-          if len < 2 || pos + len > limit then Wire.fail "tcp: bad option length";
-          let acc =
-            match kind with
-            | 2 when len = 4 -> { acc with mss = Some (Wire.get_u16 b (pos + 2)) }
-            | 3 when len = 3 -> { acc with window_scale = Some (Wire.get_u8 b (pos + 2)) }
-            | 4 when len = 2 -> { acc with sack_permitted = true }
-            | 5 when len >= 10 && (len - 2) mod 8 = 0 ->
-                let nblocks = (len - 2) / 8 in
-                let blocks =
-                  List.init nblocks (fun i ->
-                      (Wire.get_u32 b (pos + 2 + (8 * i)), Wire.get_u32 b (pos + 6 + (8 * i))))
-                in
-                { acc with sack_blocks = blocks }
-            | 8 when len = 10 ->
-                { acc with timestamp = Some (Wire.get_u32 b (pos + 2), Wire.get_u32 b (pos + 6)) }
-            | _ -> acc (* unknown options are skipped *)
-          in
-          go (pos + len) acc
-  in
-  go off no_options
+(* One option at [pos] (kind and length already checked against
+   [limit]); a later option of a kind overrides an earlier one, and
+   unknown options are skipped. *)
+let read_option b pos kind len h =
+  match kind with
+  | 2 when len = 4 -> h.mss <- Wire.get_u16 b (pos + 2)
+  | 3 when len = 3 -> h.window_scale <- Wire.get_u8 b (pos + 2)
+  | 4 when len = 2 -> h.sack_permitted <- true
+  | 5 when len >= 10 && (len - 2) mod 8 = 0 ->
+      let nblocks = min max_sack_blocks ((len - 2) / 8) in
+      for i = 0 to nblocks - 1 do
+        h.sack_edges.(2 * i) <- Wire.get_u32 b (pos + 2 + (8 * i));
+        h.sack_edges.((2 * i) + 1) <- Wire.get_u32 b (pos + 6 + (8 * i))
+      done;
+      h.sack_count <- nblocks
+  | 8 when len = 10 ->
+      h.has_ts <- true;
+      h.ts_val <- Wire.get_u32 b (pos + 2);
+      h.ts_ecr <- Wire.get_u32 b (pos + 6)
+  | _ -> ()
 
-let read b off ~seg_len ~src_ip ~dst_ip =
+let rec read_options b pos limit h =
+  if pos < limit then
+    match Wire.get_u8 b pos with
+    | 0 (* end of options *) -> ()
+    | 1 (* NOP *) -> read_options b (pos + 1) limit h
+    | kind ->
+        if pos + 1 >= limit then Wire.fail "tcp: truncated option";
+        let len = Wire.get_u8 b (pos + 1) in
+        if len < 2 || pos + len > limit then Wire.fail "tcp: bad option length";
+        read_option b pos kind len h;
+        read_options b (pos + len) limit h
+
+let read b off h ~seg_len ~src_ip ~dst_ip =
   if seg_len < 20 then Wire.fail "tcp: segment too short";
   Wire.need b off seg_len;
   let init = Wire.pseudo_sum ~src:src_ip ~dst:dst_ip ~proto:Ipv4.protocol_tcp ~len:seg_len in
   if Wire.checksum ~init b off seg_len <> 0 then Wire.fail "tcp: bad checksum";
-  let src_port = Wire.get_u16 b off in
-  let dst_port = Wire.get_u16 b (off + 2) in
-  let seq = Wire.get_u32 b (off + 4) in
-  let ack = Wire.get_u32 b (off + 8) in
   let data_off = (Wire.get_u8 b (off + 12) lsr 4) * 4 in
   if data_off < 20 || data_off > seg_len then Wire.fail "tcp: bad data offset";
   let flags = Wire.get_u8 b (off + 13) in
-  let window = Wire.get_u16 b (off + 14) in
-  let options = read_options b (off + 20) (off + data_off) in
-  ( {
-      src_port;
-      dst_port;
-      seq;
-      ack;
-      fin = flags land 0x01 <> 0;
-      syn = flags land 0x02 <> 0;
-      rst = flags land 0x04 <> 0;
-      psh = flags land 0x08 <> 0;
-      ack_flag = flags land 0x10 <> 0;
-      window;
-      options;
-    },
-    off + data_off )
+  h.src_port <- Wire.get_u16 b off;
+  h.dst_port <- Wire.get_u16 b (off + 2);
+  h.seq <- Wire.get_u32 b (off + 4);
+  h.ack <- Wire.get_u32 b (off + 8);
+  h.fin <- flags land 0x01 <> 0;
+  h.syn <- flags land 0x02 <> 0;
+  h.rst <- flags land 0x04 <> 0;
+  h.psh <- flags land 0x08 <> 0;
+  h.ack_flag <- flags land 0x10 <> 0;
+  h.window <- Wire.get_u16 b (off + 14);
+  clear_options h;
+  read_options b (off + 20) (off + data_off) h;
+  off + data_off

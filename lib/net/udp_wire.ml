@@ -1,5 +1,6 @@
-type header = { src_port : int; dst_port : int; length : int }
+type t = { mutable src_port : int; mutable dst_port : int; mutable length : int }
 
+let create () = { src_port = 0; dst_port = 0; length = 0 }
 let size = 8
 
 let write b off h ~src_ip ~dst_ip =
@@ -16,14 +17,15 @@ let write b off h ~src_ip ~dst_ip =
   Wire.set_u16 b (off + 6) (if csum = 0 then 0xffff else csum);
   off + size
 
-let read b off ~src_ip ~dst_ip =
+let read b off h ~src_ip ~dst_ip =
   Wire.need b off size;
-  let src_port = Wire.get_u16 b off in
-  let dst_port = Wire.get_u16 b (off + 2) in
   let length = Wire.get_u16 b (off + 4) in
   if length < size then Wire.fail "udp: bad length";
   Wire.need b off length;
   let init = Wire.pseudo_sum ~src:src_ip ~dst:dst_ip ~proto:Ipv4.protocol_udp ~len:length in
   if Wire.get_u16 b (off + 6) <> 0 && Wire.checksum ~init b off length <> 0 then
     Wire.fail "udp: bad checksum";
-  ({ src_port; dst_port; length }, off + size)
+  h.src_port <- Wire.get_u16 b off;
+  h.dst_port <- Wire.get_u16 b (off + 2);
+  h.length <- length;
+  off + size

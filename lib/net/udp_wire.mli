@@ -1,13 +1,18 @@
 (** UDP headers (RFC 768), with pseudo-header checksum. *)
 
-type header = { src_port : int; dst_port : int; length : int (** incl. header *) }
+type t = { mutable src_port : int; mutable dst_port : int; mutable length : int (** incl. header *) }
+(** A header view: {!read} fills it and {!write} serializes it. *)
+
+val create : unit -> t
+(** A zeroed view. *)
 
 val size : int
 (** 8 bytes. *)
 
-val write : Bytes.t -> int -> header -> src_ip:Addr.Ip.t -> dst_ip:Addr.Ip.t -> int
+val write : Bytes.t -> int -> t -> src_ip:Addr.Ip.t -> dst_ip:Addr.Ip.t -> int
 (** Serialize at an offset. The payload ([length - 8] bytes) must
     already be in place after the header so the checksum can cover it. *)
 
-val read : Bytes.t -> int -> src_ip:Addr.Ip.t -> dst_ip:Addr.Ip.t -> header * int
-(** Parse and verify the checksum over header and payload. *)
+val read : Bytes.t -> int -> t -> src_ip:Addr.Ip.t -> dst_ip:Addr.Ip.t -> int
+(** Parse into the view and verify the checksum over header and
+    payload; returns the payload offset. *)

@@ -30,7 +30,7 @@ let fold_ones_complement sum =
    carries cannot overflow before the final fold), then mop up the
    trailing words and the odd byte. Byte-for-byte compatible with the
    RFC 1071 byte-pair definition. *)
-let checksum ?(init = 0) b off len =
+let checksum ~init b off len =
   let sum = ref init in
   let last = off + len in
   let i = ref off in

@@ -21,10 +21,11 @@ val set_u48 : Bytes.t -> int -> int -> unit
 val need : Bytes.t -> int -> int -> unit
 (** [need b off n] checks [n] bytes are available at [off]. *)
 
-val checksum : ?init:int -> Bytes.t -> int -> int -> int
-(** [checksum b off len] is the one's-complement Internet checksum of
-    the range. [init] folds in a pseudo-header sum computed with
-    {!pseudo_sum}. *)
+val checksum : init:int -> Bytes.t -> int -> int -> int
+(** [checksum ~init b off len] is the one's-complement Internet checksum
+    of the range. [init] folds in a pseudo-header sum computed with
+    {!pseudo_sum}, or is 0. A required label, not an optional one: an
+    optional argument would box a [Some] at every call. *)
 
 val pseudo_sum : src:int -> dst:int -> proto:int -> len:int -> int
 (** Partial sum of the IPv4 pseudo-header used by UDP and TCP. *)

@@ -32,7 +32,7 @@ let create sim ?(name = "kernel") ~cost ~nic ?ssd ?(mode = Posix) () =
   let iface =
     Tcp.Iface.create ~mac:(Net.Dpdk_sim.mac nic) ~ip:(Net.Dpdk_sim.ip nic)
       ~clock:(fun () -> Engine.Sim.now sim)
-      ~tx_frame:(fun frame -> Net.Dpdk_sim.tx_burst nic [ frame ])
+      ~tx_frame:(Net.Dpdk_sim.tx nic)
       ()
   in
   (* The only stack event a POSIX reader needs from the kernel is a
@@ -97,21 +97,23 @@ let enter_syscall t =
    rather than per-call inner closures: [drain] runs on every Catnap
    poll, and the empty-ring (steady) pass must allocate nothing. *)
 (* dlint: hotpath *)
-let rec rx_all t frames =
-  match frames with
-  | [] -> ()
-  | frame :: rest ->
-      charge_as t Engine.Span.Softirq t.cost.Net.Cost.kernel_net_ns;
-      t.rx_frames <- t.rx_frames + 1;
-      Tcp.Stack.input t.stack frame;
-      rx_all t rest
+let rec rx_n t n =
+  if n > 0 then begin
+    let frame = Net.Dpdk_sim.rx t.nic in
+    charge_as t Engine.Span.Softirq t.cost.Net.Cost.kernel_net_ns;
+    t.rx_frames <- t.rx_frames + 1;
+    Tcp.Stack.input t.stack frame;
+    rx_n t (n - 1)
+  end
 
+(* Bursts of at most 32, each counted at its start, until the ring is
+   empty. *)
 (* dlint: hotpath *)
 let rec drain_bursts t =
-  match Net.Dpdk_sim.rx_burst t.nic ~max:32 with
-  | [] -> ()
-  | frames ->
-      rx_all t frames;
+  match Net.Dpdk_sim.rx_take t.nic ~max:32 with
+  | 0 -> ()
+  | n ->
+      rx_n t n;
       drain_bursts t
 
 (* dlint: hotpath *)

@@ -10,6 +10,12 @@ type t = {
   mutable ip_id : int;
   (* Reassembly of fragmented datagrams, keyed by (src, id, proto). *)
   fragments : (Net.Addr.Ip.t * int * int, frag_entry) Hashtbl.t;
+  (* Header views. [input] alone writes the RX pair, and each output
+     fills and serializes the TX pair before [tx_frame] runs. *)
+  eth_rx : Net.Eth.t;
+  ip_rx : Net.Ipv4.t;
+  eth_tx : Net.Eth.t;
+  ip_tx : Net.Ipv4.t;
 }
 
 and parked_entry = {
@@ -37,27 +43,35 @@ let create ?(arp_retry_ns = 1_000_000) ?(mtu = 1500) ~mac ~ip ~clock ~tx_frame (
     arp_retry_ns;
     ip_id = 1;
     fragments = Hashtbl.create 8;
+    eth_rx = Net.Eth.create ();
+    ip_rx = Net.Ipv4.create ();
+    eth_tx = Net.Eth.create ();
+    ip_tx = Net.Ipv4.create ();
   }
 
 let mac t = t.mac
 let ip t = t.ip
 let clock t = t.clock ()
 
+let write_eth t b ~dst ~ethertype =
+  t.eth_tx.Net.Eth.dst <- dst;
+  t.eth_tx.Net.Eth.src <- t.mac;
+  t.eth_tx.Net.Eth.ethertype <- ethertype;
+  Net.Eth.write b 0 t.eth_tx
+
 let send_arp t operation ~target_mac ~target_ip ~dst =
   let b = Bytes.create (Net.Eth.size + Net.Arp.size) in
-  let off = Net.Eth.write b 0 { Net.Eth.dst; src = t.mac; ethertype = Net.Eth.ethertype_arp } in
+  let off = write_eth t b ~dst ~ethertype:Net.Eth.ethertype_arp in
   let _ =
     Net.Arp.write b off
       { Net.Arp.operation; sender_mac = t.mac; sender_ip = t.ip; target_mac; target_ip }
   in
   t.tx_frame (Bytes.unsafe_to_string b)
 
-let emit_frame t ~dst_mac header payload payload_off payload_len =
+let emit_fragment t ~dst_mac payload payload_off payload_len =
   let b = Bytes.create (Net.Eth.size + Net.Ipv4.size + payload_len) in
-  let off =
-    Net.Eth.write b 0 { Net.Eth.dst = dst_mac; src = t.mac; ethertype = Net.Eth.ethertype_ipv4 }
-  in
-  let off = Net.Ipv4.write b off header in
+  let off = write_eth t b ~dst:dst_mac ~ethertype:Net.Eth.ethertype_ipv4 in
+  let off = Net.Ipv4.write b off t.ip_tx in
   (* dlint-allow: unaccounted-copy -- device DMA: the NIC gathers the payload into the wire frame; charged per frame through Net.Cost, not a host copy *)
   Bytes.blit payload payload_off b off payload_len;
   t.tx_frame (Bytes.unsafe_to_string b)
@@ -69,15 +83,10 @@ let emit_ipv4 t ~dst_mac ~dst_ip ~protocol ~len ~write =
   if len <= payload_budget then begin
     (* Common case: one frame, transport written in place. *)
     let b = Bytes.create (Net.Eth.size + Net.Ipv4.size + len) in
-    let off =
-      Net.Eth.write b 0
-        { Net.Eth.dst = dst_mac; src = t.mac; ethertype = Net.Eth.ethertype_ipv4 }
-    in
-    let header =
-      Net.Ipv4.whole ~total_length:(Net.Ipv4.size + len) ~protocol ~src:t.ip ~dst:dst_ip
-        ~identification
-    in
-    let off = Net.Ipv4.write b off header in
+    let off = write_eth t b ~dst:dst_mac ~ethertype:Net.Eth.ethertype_ipv4 in
+    Net.Ipv4.set t.ip_tx ~total_length:(Net.Ipv4.size + len) ~protocol ~src:t.ip ~dst:dst_ip
+      ~identification ~more_fragments:false ~fragment_offset:0;
+    let off = Net.Ipv4.write b off t.ip_tx in
     write b off;
     t.tx_frame (Bytes.unsafe_to_string b)
   end
@@ -91,11 +100,10 @@ let emit_ipv4 t ~dst_mac ~dst_ip ~protocol ~len ~write =
       if off < len then begin
         let this = min chunk (len - off) in
         let more = off + this < len in
-        let header =
-          Net.Ipv4.fragment_of ~total_length:(Net.Ipv4.size + this) ~protocol ~src:t.ip
-            ~dst:dst_ip ~identification ~more_fragments:more ~fragment_offset:off
-        in
-        emit_frame t ~dst_mac header payload off this;
+        (* Refilled per fragment: [tx_frame] may suspend between two. *)
+        Net.Ipv4.set t.ip_tx ~total_length:(Net.Ipv4.size + this) ~protocol ~src:t.ip
+          ~dst:dst_ip ~identification ~more_fragments:more ~fragment_offset:off;
+        emit_fragment t ~dst_mac payload off this;
         slice (off + this)
       end
     in
@@ -103,9 +111,9 @@ let emit_ipv4 t ~dst_mac ~dst_ip ~protocol ~len ~write =
   end
 
 let output t ~dst_ip ~protocol ~len ~write =
-  match Hashtbl.find_opt t.arp_table dst_ip with
-  | Some dst_mac -> emit_ipv4 t ~dst_mac ~dst_ip ~protocol ~len ~write
-  | None ->
+  match Hashtbl.find t.arp_table dst_ip with
+  | dst_mac -> emit_ipv4 t ~dst_mac ~dst_ip ~protocol ~len ~write
+  | exception Not_found ->
       let entry =
         match Hashtbl.find_opt t.parked dst_ip with
         | Some entry ->
@@ -147,13 +155,11 @@ let learn t ~sender_ip ~sender_mac =
       Hashtbl.remove t.parked sender_ip;
       Queue.iter (fun send -> send sender_mac) entry.waiting
 
-type input = Packet of Net.Ipv4.header * Bytes.t * int | Consumed
-
 (* Stash a fragment; return the reassembled transport payload once the
    datagram is complete. Partial datagrams are evicted LRU-ish when the
    table is full (the sender retries at a higher layer). *)
 (* dlint-allow: scan-in-hotpath -- fragment path only (steady traffic is unfragmented), and OCaml's Hashtbl.length reads a stored size field in O(1); the sorted eviction fold runs only at the max_frag_entries cap *)
-let offer_fragment t (header : Net.Ipv4.header) b off =
+let offer_fragment t (header : Net.Ipv4.t) b off =
   let key = (header.Net.Ipv4.src, header.Net.Ipv4.identification, header.Net.Ipv4.protocol) in
   let entry =
     match Hashtbl.find_opt t.fragments key with
@@ -213,39 +219,34 @@ let handle_arp t b off =
               ~target_ip:p.Net.Arp.sender_ip ~dst:p.Net.Arp.sender_mac
       | Net.Arp.Reply -> learn t ~sender_ip:p.Net.Arp.sender_ip ~sender_mac:p.Net.Arp.sender_mac)
 
-let input t frame =
+let input t frame ~deliver =
   let b = Bytes.unsafe_of_string frame in
-  match Net.Eth.read b 0 with
-  | exception Net.Wire.Malformed _ -> Consumed
-  | eth, off ->
-      if eth.Net.Eth.dst <> t.mac && not (Net.Addr.Mac.is_broadcast eth.Net.Eth.dst) then Consumed
-      else if eth.Net.Eth.ethertype = Net.Eth.ethertype_arp then begin
-        handle_arp t b off;
-        Consumed
-      end
+  let eth = t.eth_rx in
+  match Net.Eth.read b 0 eth with
+  | exception Net.Wire.Malformed _ -> ()
+  | off ->
+      if eth.Net.Eth.dst <> t.mac && not (Net.Addr.Mac.is_broadcast eth.Net.Eth.dst) then ()
+      else if eth.Net.Eth.ethertype = Net.Eth.ethertype_arp then handle_arp t b off
       else if eth.Net.Eth.ethertype = Net.Eth.ethertype_ipv4 then begin
-        match Net.Ipv4.read b off with
-        | exception Net.Wire.Malformed _ -> Consumed
-        | header, transport_off ->
-            if header.Net.Ipv4.dst <> t.ip then Consumed
-            else begin
+        let header = t.ip_rx in
+        match Net.Ipv4.read b off header with
+        | exception Net.Wire.Malformed _ -> ()
+        | transport_off ->
+            if header.Net.Ipv4.dst = t.ip then begin
               (* Remember the sender's L2 address; saves a reverse ARP. *)
               Hashtbl.replace t.arp_table header.Net.Ipv4.src eth.Net.Eth.src;
               if header.Net.Ipv4.more_fragments || header.Net.Ipv4.fragment_offset > 0 then begin
                 match offer_fragment t header b transport_off with
-                | None -> Consumed
+                | None -> ()
                 | Some payload ->
                     (* Present the reassembled datagram as one packet. *)
-                    let synthetic =
-                      Net.Ipv4.whole
-                        ~total_length:(Net.Ipv4.size + Bytes.length payload)
-                        ~protocol:header.Net.Ipv4.protocol ~src:header.Net.Ipv4.src
-                        ~dst:header.Net.Ipv4.dst
-                        ~identification:header.Net.Ipv4.identification
-                    in
-                    Packet (synthetic, payload, 0)
+                    Net.Ipv4.set header
+                      ~total_length:(Net.Ipv4.size + Bytes.length payload)
+                      ~protocol:header.Net.Ipv4.protocol ~src:header.Net.Ipv4.src
+                      ~dst:header.Net.Ipv4.dst ~identification:header.Net.Ipv4.identification
+                      ~more_fragments:false ~fragment_offset:0;
+                    deliver header payload 0
               end
-              else Packet (header, b, transport_off)
+              else deliver header b transport_off
             end
       end
-      else Consumed

@@ -33,9 +33,15 @@ val output :
     destination MAC is unknown the packet is parked and an ARP request
     goes out; resolution flushes parked packets in order. *)
 
-type input = Packet of Net.Ipv4.header * Bytes.t * int  (** transport offset *) | Consumed
-
-val input : t -> string -> input
+val input : t -> string -> deliver:(Net.Ipv4.t -> Bytes.t -> int -> unit) -> unit
 (** Classify one received frame. ARP is handled internally (requests
     answered, replies learned); frames not addressed to this interface
-    and malformed frames are dropped as [Consumed]. *)
+    and malformed frames are dropped. An IPv4 packet for this interface
+    goes to [deliver header bytes off], its transport data at [off] in
+    [bytes]; a fragment that completes a datagram delivers the
+    reassembled payload at offset 0, under a header describing the
+    whole datagram. [deliver] is the mirror of {!output}'s [write]: a
+    caller builds it once, so a frame's way in allocates nothing.
+
+    [header] is the interface's RX view: the next [input] overwrites
+    it, and nothing else writes it. *)

@@ -104,6 +104,7 @@ type conn = {
   mutable push_spill : (int, int) Hashtbl.t option;
   (* --- passive-open bookkeeping --- *)
   parent_listener : listener option;
+  readable : event; (* [Readable] of this conn, built once: raised per delivery *)
 }
 
 and listener = {
@@ -140,7 +141,7 @@ and t = {
   udp_socks : (int, udp_socket) Hashtbl.t;
   timers : conn Engine.Eventq.t; (* RTO and TIME_WAIT deadlines, see [arm_rto_at] *)
   mutable timers_fired : int;
-  ack_q : conn Queue.t; (* conns with [ack_pending], in arming order *)
+  ack_q : conn Engine.Ring.t; (* conns with [ack_pending], in arming order *)
   mutable next_ephemeral : int;
   mutable next_conn_uid : int;
   mutable retransmit_total : int;
@@ -149,30 +150,28 @@ and t = {
   trace : string -> int -> int -> unit;
       (* Demitrace hook: a static template and its int operands; drivers
          wire it to [Sim.trace_event]. *)
+  (* Header views, one per direction, so that neither parsing nor
+     emitting a segment allocates. [input] alone writes the RX views,
+     and it is never re-entered ([in_input]). An emit fills the TX
+     views and the payload fields below, and [Iface.output] serializes
+     them through [tcp_write]/[udp_write] before [tx_frame] can charge
+     and suspend — so an emit from another coroutine during that
+     suspension finds them free. *)
+  rx_th : Net.Tcp_wire.t;
+  rx_uh : Net.Udp_wire.t;
+  mutable in_input : bool;
+  tx_th : Net.Tcp_wire.t;
+  tx_uh : Net.Udp_wire.t;
+  mutable tx_dst_ip : Net.Addr.Ip.t;
+  mutable tx_src : Bytes.t; (* payload: [tx_len] bytes at [tx_src_off], none when 0 *)
+  mutable tx_src_off : int;
+  mutable tx_len : int;
+  mutable tcp_write : Bytes.t -> int -> unit; (* built once, at [create] *)
+  mutable udp_write : Bytes.t -> int -> unit;
+  mutable deliver : Net.Ipv4.t -> Bytes.t -> int -> unit; (* [Iface.input]'s, built once *)
 }
 
 type conn_stats = { live : int; ever_opened : int; peak : int }
-
-let create ?(config = default_config) ?(trace = fun _ _ _ -> ()) ~iface ~heap ~prng ~events () =
-  {
-    config;
-    iface;
-    heap;
-    prng;
-    events;
-    conns = Conntab.create ~initial:64 ();
-    listeners = Hashtbl.create 8;
-    udp_socks = Hashtbl.create 8;
-    timers = Engine.Eventq.create ();
-    timers_fired = 0;
-    ack_q = Queue.create ();
-    next_ephemeral = 49152;
-    next_conn_uid = 1;
-    retransmit_total = 0;
-    conns_opened = 0;
-    conns_peak = 0;
-    trace;
-  }
 
 let now t = Iface.clock t.iface
 let live_connections t = Conntab.length t.conns
@@ -197,24 +196,25 @@ let udp_sendto t sock ~dst buf =
   let payload_len = Memory.Heap.length buf in
   if payload_len > 65507 then invalid_arg "Stack.udp_sendto: datagram exceeds UDP limit";
   let len = Net.Udp_wire.size + payload_len in
+  t.tx_uh.Net.Udp_wire.src_port <- sock.u_port;
+  t.tx_uh.Net.Udp_wire.dst_port <- dst.Net.Addr.port;
+  t.tx_uh.Net.Udp_wire.length <- len;
+  t.tx_dst_ip <- dst.Net.Addr.ip;
+  t.tx_src <- Memory.Heap.data buf;
+  t.tx_src_off <- Memory.Heap.offset buf;
+  t.tx_len <- payload_len;
   Iface.output t.iface ~dst_ip:dst.Net.Addr.ip ~protocol:Net.Ipv4.protocol_udp ~len
-    ~write:(fun b off ->
-      (* dlint-allow: unaccounted-copy -- device DMA: the NIC gathers the datagram from the app's heap buffer into the wire frame; charged per frame through Net.Cost *)
-      Bytes.blit (Memory.Heap.data buf) (Memory.Heap.offset buf) b (off + Net.Udp_wire.size)
-        payload_len;
-      ignore
-        (Net.Udp_wire.write b off
-           { Net.Udp_wire.src_port = sock.u_port; dst_port = dst.Net.Addr.port; length = len }
-           ~src_ip:(Iface.ip t.iface) ~dst_ip:dst.Net.Addr.ip))
+    ~write:t.udp_write
 
 let udp_recv sock = if Queue.is_empty sock.udp_q then None else Some (Queue.pop sock.udp_q)
 let udp_pending sock = Queue.length sock.udp_q
 
 let handle_udp t header b off =
   let src_ip = header.Net.Ipv4.src and dst_ip = header.Net.Ipv4.dst in
-  match Net.Udp_wire.read b off ~src_ip ~dst_ip with
+  let uh = t.rx_uh in
+  match Net.Udp_wire.read b off uh ~src_ip ~dst_ip with
   | exception Net.Wire.Malformed _ -> ()
-  | uh, payload_off -> (
+  | payload_off -> (
       match Hashtbl.find_opt t.udp_socks uh.Net.Udp_wire.dst_port with
       | None -> () (* no ICMP in this datacenter *)
       | Some sock ->
@@ -225,6 +225,21 @@ let handle_udp t header b off =
           Memory.Heap.set_length buf payload_len;
           Queue.add (Net.Addr.endpoint src_ip uh.Net.Udp_wire.src_port, buf) sock.udp_q;
           t.events (Udp_readable sock))
+
+(* The transport writers [Iface.output] calls: the TX view, then the
+   payload after it (the NIC's gather DMA). *)
+let write_tcp t b off =
+  let hsize = Net.Tcp_wire.header_size t.tx_th in
+  (* dlint-allow: unaccounted-copy -- device DMA: the NIC gathers the segment payload into the wire frame; charged per segment through Net.Cost *)
+  Bytes.blit t.tx_src t.tx_src_off b (off + hsize) t.tx_len;
+  ignore
+    (Net.Tcp_wire.write b off t.tx_th ~payload_len:t.tx_len ~src_ip:(Iface.ip t.iface)
+       ~dst_ip:t.tx_dst_ip)
+
+let write_udp t b off =
+  (* dlint-allow: unaccounted-copy -- device DMA: the NIC gathers the datagram from the app's heap buffer into the wire frame; charged per frame through Net.Cost *)
+  Bytes.blit t.tx_src t.tx_src_off b (off + Net.Udp_wire.size) t.tx_len;
+  ignore (Net.Udp_wire.write b off t.tx_uh ~src_ip:(Iface.ip t.iface) ~dst_ip:t.tx_dst_ip)
 
 (* ---------- TCP segment emission ---------- *)
 
@@ -244,69 +259,50 @@ let window_field conn ~syn =
 let rcv_nxt conn =
   match conn.reasm with Some r -> Reassembly.rcv_nxt r | None -> 0
 
-let emit_segment conn ~seq ~syn ~ack_flag ~fin ~rst ~payload =
+(* Up to 3 blocks of buffered out-of-order data (the most that fit
+   beside timestamps). *)
+let rec fill_sack th i = function
+  | (left, right) :: rest when i < 3 ->
+      th.Net.Tcp_wire.sack_edges.(2 * i) <- left;
+      th.Net.Tcp_wire.sack_edges.((2 * i) + 1) <- right;
+      fill_sack th (i + 1) rest
+  | _ -> th.Net.Tcp_wire.sack_count <- i
+
+(* Emit one segment whose payload, if any, the caller has put in the
+   stack's [tx_src]/[tx_src_off]/[tx_len]. *)
+let emit conn ~seq ~syn ~ack_flag ~fin ~rst ~psh =
   let t = conn.stack in
-  let options =
-    if syn then
-      {
-        Net.Tcp_wire.no_options with
-        Net.Tcp_wire.mss = Some t.config.mss;
-        window_scale = Some (my_wscale t);
-        timestamp =
-          (if t.config.use_timestamps then Some (ts_now t, conn.ts_recent) else None);
-        sack_permitted = t.config.use_sack;
-      }
-    else begin
-      let sack_blocks =
-        (* Up to 3 blocks of buffered out-of-order data on acks. *)
-        if conn.sack_on && ack_flag then
-          match conn.reasm with
-          | Some reasm -> (
-              match Reassembly.ranges reasm with
-              | a :: b :: c :: _ -> [ a; b; c ]
-              | blocks -> blocks)
-          | None -> []
-        else []
-      in
-      {
-        Net.Tcp_wire.no_options with
-        Net.Tcp_wire.timestamp =
-          (if conn.ts_on then Some (ts_now t, conn.ts_recent) else None);
-        sack_blocks;
-      }
-    end
-  in
-  let header =
-    {
-      Net.Tcp_wire.src_port = conn.local_port;
-      dst_port = conn.remote_port;
-      seq;
-      ack = (if ack_flag then rcv_nxt conn else 0);
-      syn;
-      ack_flag;
-      fin;
-      rst;
-      psh = (match payload with Some _ -> true | None -> false);
-      window = window_field conn ~syn;
-      options;
-    }
-  in
-  let hsize = Net.Tcp_wire.header_size header in
-  let payload_len = match payload with Some (_, _, len) -> len | None -> 0 in
+  let th = t.tx_th in
+  Net.Tcp_wire.set th ~src_port:conn.local_port ~dst_port:conn.remote_port ~seq
+    ~ack:(if ack_flag then rcv_nxt conn else 0)
+    ~syn ~ack_flag ~fin ~rst ~psh ~window:(window_field conn ~syn);
+  if syn then begin
+    th.Net.Tcp_wire.mss <- t.config.mss;
+    th.Net.Tcp_wire.window_scale <- my_wscale t;
+    th.Net.Tcp_wire.has_ts <- t.config.use_timestamps;
+    th.Net.Tcp_wire.sack_permitted <- t.config.use_sack
+  end
+  else begin
+    th.Net.Tcp_wire.has_ts <- conn.ts_on;
+    if conn.sack_on && ack_flag then
+      match conn.reasm with Some reasm -> fill_sack th 0 (Reassembly.ranges reasm) | None -> ()
+  end;
+  if th.Net.Tcp_wire.has_ts then begin
+    th.Net.Tcp_wire.ts_val <- ts_now t;
+    th.Net.Tcp_wire.ts_ecr <- conn.ts_recent
+  end;
+  t.tx_dst_ip <- conn.remote_ip;
   Iface.output t.iface ~dst_ip:conn.remote_ip ~protocol:Net.Ipv4.protocol_tcp
-    ~len:(hsize + payload_len) ~write:(fun b off ->
-      (match payload with
-      (* dlint-allow: unaccounted-copy -- device DMA: the NIC gathers the segment payload into the wire frame; charged per segment through Net.Cost *)
-      | Some (src, src_off, len) -> Bytes.blit src src_off b (off + hsize) len
-      | None -> ());
-      ignore
-        (Net.Tcp_wire.write b off header ~payload_len ~src_ip:(Iface.ip t.iface)
-           ~dst_ip:conn.remote_ip))
+    ~len:(Net.Tcp_wire.header_size th + t.tx_len)
+    ~write:t.tcp_write
+
+let emit_segment conn ~seq ~syn ~ack_flag ~fin ~rst =
+  conn.stack.tx_len <- 0;
+  emit conn ~seq ~syn ~ack_flag ~fin ~rst ~psh:false
 
 let send_ack conn =
   conn.ack_pending <- false;
   emit_segment conn ~seq:conn.snd_nxt ~syn:false ~ack_flag:true ~fin:false ~rst:false
-    ~payload:None
 
 (* Delayed-ack dirty tracking: a connection enters the stack-wide FIFO
    exactly when its flag flips to pending, so [flush_acks] visits only
@@ -315,20 +311,19 @@ let send_ack conn =
 let mark_ack_pending conn =
   if not conn.ack_pending then begin
     conn.ack_pending <- true;
-    Queue.add conn conn.stack.ack_q
+    Engine.Ring.push conn.stack.ack_q conn
   end
 
 let send_data_segment conn seg =
   let t = conn.stack in
   if seg.first_tx < 0 then seg.first_tx <- now t;
-  emit_segment conn ~seq:seg.seg_seq ~syn:false ~ack_flag:true ~fin:false ~rst:false
-    ~payload:
-      (Some
-         ( Memory.Heap.data seg.seg_buf,
-           Memory.Heap.offset seg.seg_buf + seg.seg_buf_off,
-           seg.seg_len ))
+  t.tx_src <- Memory.Heap.data seg.seg_buf;
+  t.tx_src_off <- Memory.Heap.offset seg.seg_buf + seg.seg_buf_off;
+  t.tx_len <- seg.seg_len;
+  emit conn ~seq:seg.seg_seq ~syn:false ~ack_flag:true ~fin:false ~rst:false ~psh:true
 
-(* A raw RST for segments that match no connection (RFC 793 p.36). *)
+(* A raw RST for segments that match no connection (RFC 793 p.36);
+   [th] is the offending segment's (RX) header. *)
 let send_rst_for t ~src_ip ~th ~seg_len =
   let seq, ack, ack_flag =
     if th.Net.Tcp_wire.ack_flag then (th.Net.Tcp_wire.ack, 0, false)
@@ -338,26 +333,12 @@ let send_rst_for t ~src_ip ~th ~seg_len =
           (seg_len + (if th.Net.Tcp_wire.syn then 1 else 0) + if th.Net.Tcp_wire.fin then 1 else 0),
         true )
   in
-  let header =
-    {
-      Net.Tcp_wire.src_port = th.Net.Tcp_wire.dst_port;
-      dst_port = th.Net.Tcp_wire.src_port;
-      seq;
-      ack;
-      syn = false;
-      ack_flag;
-      fin = false;
-      rst = true;
-      psh = false;
-      window = 0;
-      options = Net.Tcp_wire.no_options;
-    }
-  in
-  let hsize = Net.Tcp_wire.header_size header in
-  Iface.output t.iface ~dst_ip:src_ip ~protocol:Net.Ipv4.protocol_tcp ~len:hsize
-    ~write:(fun b off ->
-      ignore
-        (Net.Tcp_wire.write b off header ~payload_len:0 ~src_ip:(Iface.ip t.iface) ~dst_ip:src_ip))
+  Net.Tcp_wire.set t.tx_th ~src_port:th.Net.Tcp_wire.dst_port ~dst_port:th.Net.Tcp_wire.src_port
+    ~seq ~ack ~syn:false ~ack_flag ~fin:false ~rst:true ~psh:false ~window:0;
+  t.tx_dst_ip <- src_ip;
+  t.tx_len <- 0;
+  Iface.output t.iface ~dst_ip:src_ip ~protocol:Net.Ipv4.protocol_tcp
+    ~len:(Net.Tcp_wire.header_size t.tx_th) ~write:t.tcp_write
 
 (* ---------- timers ----------
 
@@ -489,8 +470,7 @@ let try_transmit conn =
   done;
   if may_send_fin conn then begin
     conn.fin_seq <- conn.snd_nxt;
-    emit_segment conn ~seq:conn.snd_nxt ~syn:false ~ack_flag:true ~fin:true ~rst:false
-      ~payload:None;
+    emit_segment conn ~seq:conn.snd_nxt ~syn:false ~ack_flag:true ~fin:true ~rst:false;
     conn.snd_nxt <- Seqnum.add conn.snd_nxt 1
   end;
   arm_rto conn
@@ -513,47 +493,51 @@ let make_conn t ~local_ip ~local_port ~remote_ip ~remote_port ~state ~parent_lis
      table high-water mark including this connection. *)
   let live_after = Conntab.length t.conns + 1 in
   if live_after > t.conns_peak then t.conns_peak <- live_after;
-  {
-    stack = t;
-    uid;
-    local_ip;
-    local_port;
-    remote_ip;
-    remote_port;
-    state;
-    iss;
-    snd_una = iss;
-    snd_nxt = iss;
-    snd_wnd = t.config.mss;
-    peer_wscale = 0;
-    peer_mss = t.config.mss;
-    dupacks = 0;
-    syn_retries = 0;
-    fin_seq = -1;
-    fin_pending = false;
-    ts_on = false;
-    sack_on = false;
-    ts_recent = 0;
-    rto = Rto.create ~min_rto:t.config.min_rto_ns ~max_rto:t.config.max_rto_ns;
-    cc = Cc.create t.config.cc ~mss:t.config.mss;
-    unacked = Queue.create ();
-    unsent = Queue.create ();
-    unsent_end = iss;
-    rto_seq = -1;
-    retransmit_count = 0;
-    reasm = None;
-    recv_q = Queue.create ();
-    recv_q_bytes = 0;
-    eof_delivered_to_q = false;
-    ack_pending = false;
-    tw_seq = -1;
-    push0_id = 0;
-    push0_left = 0;
-    push1_id = 0;
-    push1_left = 0;
-    push_spill = None;
-    parent_listener;
-  }
+  let rec conn =
+    {
+      stack = t;
+      uid;
+      local_ip;
+      local_port;
+      remote_ip;
+      remote_port;
+      state;
+      iss;
+      snd_una = iss;
+      snd_nxt = iss;
+      snd_wnd = t.config.mss;
+      peer_wscale = 0;
+      peer_mss = t.config.mss;
+      dupacks = 0;
+      syn_retries = 0;
+      fin_seq = -1;
+      fin_pending = false;
+      ts_on = false;
+      sack_on = false;
+      ts_recent = 0;
+      rto = Rto.create ~min_rto:t.config.min_rto_ns ~max_rto:t.config.max_rto_ns;
+      cc = Cc.create t.config.cc ~mss:t.config.mss;
+      unacked = Queue.create ();
+      unsent = Queue.create ();
+      unsent_end = iss;
+      rto_seq = -1;
+      retransmit_count = 0;
+      reasm = None;
+      recv_q = Queue.create ();
+      recv_q_bytes = 0;
+      eof_delivered_to_q = false;
+      ack_pending = false;
+      tw_seq = -1;
+      push0_id = 0;
+      push0_left = 0;
+      push1_id = 0;
+      push1_left = 0;
+      push_spill = None;
+      parent_listener;
+      readable = Readable conn;
+    }
+  in
+  conn
 
 let release_tx_resources conn =
   let release seg = Memory.Heap.os_decref seg.seg_buf in
@@ -605,11 +589,9 @@ let accept_pending l = Queue.length l.accept_q
 
 let send_syn conn =
   emit_segment conn ~seq:conn.iss ~syn:true ~ack_flag:false ~fin:false ~rst:false
-    ~payload:None
 
 let send_syn_ack conn =
   emit_segment conn ~seq:conn.iss ~syn:true ~ack_flag:true ~fin:false ~rst:false
-    ~payload:None
 
 let tcp_connect t ~dst =
   let port = t.next_ephemeral in
@@ -702,8 +684,7 @@ let tcp_abort conn =
   | Closed_st -> ()
   | Syn_sent | Syn_received | Established_st | Fin_wait_1 | Fin_wait_2 | Close_wait | Closing
   | Last_ack | Time_wait ->
-      emit_segment conn ~seq:conn.snd_nxt ~syn:false ~ack_flag:true ~fin:false ~rst:true
-        ~payload:None);
+      emit_segment conn ~seq:conn.snd_nxt ~syn:false ~ack_flag:true ~fin:false ~rst:true);
   to_closed conn ~reset:false
 
 let tcp_unlisten l =
@@ -748,7 +729,7 @@ let retransmit_head conn =
       let fs = conn.fin_seq in
       if fs >= 0 && not (fin_acked conn) then begin
         conn.retransmit_count <- conn.retransmit_count + 1;
-        emit_segment conn ~seq:fs ~syn:false ~ack_flag:true ~fin:true ~rst:false ~payload:None
+        emit_segment conn ~seq:fs ~syn:false ~ack_flag:true ~fin:true ~rst:false
       end
       else if not (Queue.is_empty conn.unsent) then begin
         (* Zero-window probe: force out the head segment. *)
@@ -759,24 +740,45 @@ let retransmit_head conn =
         note_push_progress conn seg.seg_push_id
       end
 
-(* dlint-allow: scan-in-hotpath -- blocks is capped at 4 by the TCP options field, and the unacked queue it marks is only walked when a SACK actually arrived (loss recovery); [] on clean ACKs short-circuits *)
-let apply_sack_blocks conn blocks =
-  if blocks <> [] && conn.sack_on then
+(* Whether one of the segment's SACK blocks, from block [i] on, covers
+   [lo, hi). At most {!Net.Tcp_wire.max_sack_blocks} blocks. *)
+let rec sack_covers th lo hi i =
+  i < th.Net.Tcp_wire.sack_count
+  && ((Seqnum.le th.Net.Tcp_wire.sack_edges.(2 * i) lo
+      && Seqnum.le hi th.Net.Tcp_wire.sack_edges.((2 * i) + 1))
+     || sack_covers th lo hi (i + 1))
+
+let apply_sack_blocks conn th =
+  if th.Net.Tcp_wire.sack_count > 0 && conn.sack_on then
     Queue.iter
       (fun seg ->
         if not seg.sacked then
           let seg_end = Seqnum.add seg.seg_seq seg.seg_len in
-          if
-            List.exists
-              (fun (left, right) -> Seqnum.le left seg.seg_seq && Seqnum.le seg_end right)
-              blocks
-          then seg.sacked <- true)
+          if sack_covers th seg.seg_seq seg_end 0 then seg.sacked <- true)
       conn.unacked
+
+(* Retire the fully-acked segments at the head of [unacked], dropping
+   the stack's buffer refs. Returns the RTT sample of the last retired
+   segment that was sent only once (Karn's rule), or [sample]. *)
+let rec retire conn ack sample =
+  if Queue.is_empty conn.unacked then sample
+  else
+    let seg = Queue.peek conn.unacked in
+    if Seqnum.le (Seqnum.add seg.seg_seq seg.seg_len) ack then begin
+      ignore (Queue.pop conn.unacked);
+      let sample =
+        if (not seg.retransmitted) && seg.first_tx >= 0 then now conn.stack - seg.first_tx
+        else sample
+      in
+      Memory.Heap.os_decref seg.seg_buf;
+      retire conn ack sample
+    end
+    else sample
 
 let process_ack conn th ~payload_len =
   let t = conn.stack in
   let ack = th.Net.Tcp_wire.ack in
-  apply_sack_blocks conn th.Net.Tcp_wire.options.Net.Tcp_wire.sack_blocks;
+  apply_sack_blocks conn th;
   (* Update the peer's advertised window (scaled outside of SYNs). *)
   conn.snd_wnd <- th.Net.Tcp_wire.window lsl conn.peer_wscale;
   if Seqnum.lt conn.snd_una ack && Seqnum.le ack conn.snd_nxt then begin
@@ -784,20 +786,8 @@ let process_ack conn th ~payload_len =
     conn.snd_una <- ack;
     conn.dupacks <- 0;
     Rto.reset_backoff conn.rto;
-    (* Retire fully-acked segments, dropping the stack's buffer refs. *)
-    let rtt_sample = ref None in
-    let rec retire () =
-      match Queue.peek_opt conn.unacked with
-      | Some seg when Seqnum.le (Seqnum.add seg.seg_seq seg.seg_len) ack ->
-          ignore (Queue.pop conn.unacked);
-          if (not seg.retransmitted) && seg.first_tx >= 0 then
-            rtt_sample := Some (now t - seg.first_tx);
-          Memory.Heap.os_decref seg.seg_buf;
-          retire ()
-      | Some _ | None -> ()
-    in
-    retire ();
-    (match !rtt_sample with Some s -> Rto.observe conn.rto s | None -> ());
+    let rtt_sample = retire conn ack (-1) in
+    if rtt_sample >= 0 then Rto.observe conn.rto rtt_sample;
     Cc.on_ack conn.cc ~acked:acked_bytes ~now:(now t);
     (* FIN progress. *)
     if fin_acked conn then begin
@@ -873,31 +863,32 @@ let deliver_ready conn reasm =
     | None -> ()
   in
   drain ();
-  if !delivered then conn.stack.events (Readable conn)
+  if !delivered then conn.stack.events conn.readable
 
-let establish conn ~irs ~options =
+(* Take the peer's SYN options from its (RX) header [th]. *)
+let establish conn th =
   let t = conn.stack in
   conn.reasm <-
-    Some (Reassembly.create ~rcv_nxt:(Seqnum.add irs 1) ~capacity:t.config.rwnd_capacity);
-  (match options.Net.Tcp_wire.mss with Some m -> conn.peer_mss <- m | None -> ());
-  (match options.Net.Tcp_wire.window_scale with
-  | Some s -> conn.peer_wscale <- min s 14
-  | None -> conn.peer_wscale <- 0);
-  (match options.Net.Tcp_wire.timestamp with
-  | Some (tsval, _) when t.config.use_timestamps ->
-      conn.ts_on <- true;
-      conn.ts_recent <- tsval
-  | Some _ | None -> conn.ts_on <- false);
-  conn.sack_on <- t.config.use_sack && options.Net.Tcp_wire.sack_permitted
+    Some
+      (Reassembly.create
+         ~rcv_nxt:(Seqnum.add th.Net.Tcp_wire.seq 1)
+         ~capacity:t.config.rwnd_capacity);
+  if th.Net.Tcp_wire.mss >= 0 then conn.peer_mss <- th.Net.Tcp_wire.mss;
+  conn.peer_wscale <-
+    (if th.Net.Tcp_wire.window_scale >= 0 then min th.Net.Tcp_wire.window_scale 14 else 0);
+  if th.Net.Tcp_wire.has_ts && t.config.use_timestamps then begin
+    conn.ts_on <- true;
+    conn.ts_recent <- th.Net.Tcp_wire.ts_val
+  end
+  else conn.ts_on <- false;
+  conn.sack_on <- t.config.use_sack && th.Net.Tcp_wire.sack_permitted
 
 (* [len] payload bytes at [off] in the frame [b]. The next in-order
    segment with nothing buffered out of order (the steady stream) is
    copied straight from the frame into the receive queue; every other
    segment goes through [Reassembly] as a string. *)
 let process_payload conn th b off len =
-  (match (conn.ts_on, th.Net.Tcp_wire.options.Net.Tcp_wire.timestamp) with
-  | true, Some (tsval, _) -> conn.ts_recent <- tsval
-  | _, _ -> ());
+  if conn.ts_on && th.Net.Tcp_wire.has_ts then conn.ts_recent <- th.Net.Tcp_wire.ts_val;
   match conn.reasm with
   | None -> ()
   | Some reasm ->
@@ -907,7 +898,7 @@ let process_payload conn th b off len =
       if had_payload then begin
         if Reassembly.take_in_order reasm ~seq ~len then begin
           enqueue_recv conn b off len;
-          conn.stack.events (Readable conn)
+          conn.stack.events conn.readable
         end
         else begin
           (* dlint-allow: unaccounted-copy -- uncharged host copy of the simulator's representation: an out-of-order segment is held as a string until the gap fills (loss recovery only) *)
@@ -933,7 +924,7 @@ let process_payload conn th b off len =
           | Fin_wait_2 -> enter_time_wait conn
           | Syn_sent | Syn_received | Close_wait | Closing | Last_ack | Time_wait | Closed_st ->
               ());
-          conn.stack.events (Readable conn);
+          conn.stack.events conn.readable;
           send_ack conn
         end
         else send_ack conn
@@ -960,7 +951,7 @@ let handle_existing conn th b off len =
         if th.Net.Tcp_wire.syn && th.Net.Tcp_wire.ack_flag then begin
           if th.Net.Tcp_wire.ack = Seqnum.add conn.iss 1 then begin
             conn.snd_una <- th.Net.Tcp_wire.ack;
-            establish conn ~irs:th.Net.Tcp_wire.seq ~options:th.Net.Tcp_wire.options;
+            establish conn th;
             conn.snd_wnd <- th.Net.Tcp_wire.window (* SYN windows are unscaled *);
             conn.state <- Established_st;
             cancel_rto conn;
@@ -1012,7 +1003,7 @@ let handle_syn_for_listener t l th ~src_ip =
     make_conn t ~local_ip:(Iface.ip t.iface) ~local_port:l.l_port ~remote_ip:src_ip
       ~remote_port:th.Net.Tcp_wire.src_port ~state:Syn_received ~parent_listener:(Some l)
   in
-  establish conn ~irs:th.Net.Tcp_wire.seq ~options:th.Net.Tcp_wire.options;
+  establish conn th;
   conn.snd_wnd <- th.Net.Tcp_wire.window;
   Conntab.replace t.conns ~ka:(conn_ka conn) ~kb:conn.remote_ip conn;
   send_syn_ack conn;
@@ -1023,11 +1014,12 @@ let handle_syn_for_listener t l th ~src_ip =
 let handle_tcp t header b off =
   let src_ip = header.Net.Ipv4.src in
   let seg_total = header.Net.Ipv4.total_length - Net.Ipv4.size in
+  let th = t.rx_th in
   match
-    Net.Tcp_wire.read b off ~seg_len:seg_total ~src_ip ~dst_ip:header.Net.Ipv4.dst
+    Net.Tcp_wire.read b off th ~seg_len:seg_total ~src_ip ~dst_ip:header.Net.Ipv4.dst
   with
   | exception Net.Wire.Malformed _ -> ()
-  | th, payload_off ->
+  | payload_off ->
       let payload_len = seg_total - (payload_off - off) in
       let ka = (th.Net.Tcp_wire.dst_port lsl 16) lor th.Net.Tcp_wire.src_port in
       (match Conntab.find t.conns ~ka ~kb:src_ip with
@@ -1049,20 +1041,73 @@ let handle_tcp t header b off =
    as a no-op. *)
 (* dlint: hotpath *)
 let flush_acks t =
-  while not (Queue.is_empty t.ack_q) do
-    let conn = Queue.pop t.ack_q in
+  while not (Engine.Ring.is_empty t.ack_q) do
+    let conn = Engine.Ring.pop t.ack_q in
     if conn.ack_pending then send_ack conn
   done
 
 (* The dispatch itself is allocation-free; the per-protocol handlers it
    calls are busy-path work (a frame arrived) and stay unmarked. *)
 (* dlint: hotpath *)
+let dispatch t header b off =
+  if header.Net.Ipv4.protocol = Net.Ipv4.protocol_udp then handle_udp t header b off
+  else if header.Net.Ipv4.protocol = Net.Ipv4.protocol_tcp then handle_tcp t header b off
+
+(* ---------- creation ---------- *)
+
+(* Defined after the handlers: the transport writers and [Iface.input]'s
+   deliver callback are built here, once per stack. *)
+let create ?(config = default_config) ?(trace = fun _ _ _ -> ()) ~iface ~heap ~prng ~events () =
+  let t =
+    {
+      config;
+      iface;
+      heap;
+      prng;
+      events;
+      conns = Conntab.create ~initial:64 ();
+      listeners = Hashtbl.create 8;
+      udp_socks = Hashtbl.create 8;
+      timers = Engine.Eventq.create ();
+      timers_fired = 0;
+      ack_q = Engine.Ring.create ();
+      next_ephemeral = 49152;
+      next_conn_uid = 1;
+      retransmit_total = 0;
+      conns_opened = 0;
+      conns_peak = 0;
+      trace;
+      rx_th = Net.Tcp_wire.create ();
+      rx_uh = Net.Udp_wire.create ();
+      in_input = false;
+      tx_th = Net.Tcp_wire.create ();
+      tx_uh = Net.Udp_wire.create ();
+      tx_dst_ip = 0;
+      tx_src = Bytes.empty;
+      tx_src_off = 0;
+      tx_len = 0;
+      tcp_write = (fun _ _ -> ());
+      udp_write = (fun _ _ -> ());
+      deliver = (fun _ _ _ -> ());
+    }
+  in
+  t.tcp_write <- write_tcp t;
+  t.udp_write <- write_udp t;
+  t.deliver <- dispatch t;
+  t
+
+(* The one writer of the RX views: a frame is parsed and handled to the
+   end before the next is taken, even when a handler's transmit charges
+   and suspends, so input must never be re-entered. *)
+(* dlint: hotpath *)
 let input t frame =
-  match Iface.input t.iface frame with
-  | Iface.Consumed -> ()
-  | Iface.Packet (header, b, off) ->
-      if header.Net.Ipv4.protocol = Net.Ipv4.protocol_udp then handle_udp t header b off
-      else if header.Net.Ipv4.protocol = Net.Ipv4.protocol_tcp then handle_tcp t header b off
+  assert (not t.in_input);
+  t.in_input <- true;
+  match Iface.input t.iface frame ~deliver:t.deliver with
+  | () -> t.in_input <- false
+  | exception e ->
+      t.in_input <- false;
+      raise e
 
 let timer_live conn seq = seq = conn.rto_seq || seq = conn.tw_seq
 

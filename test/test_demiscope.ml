@@ -88,12 +88,10 @@ let udp_frame ~src_ip ~dst_ip ~src_port ~dst_port payload =
         ethertype = Net.Eth.ethertype_ipv4;
       }
   in
-  let off =
-    Net.Ipv4.write b off
-      (Net.Ipv4.whole
-         ~total_length:(Net.Ipv4.size + len)
-         ~protocol:Net.Ipv4.protocol_udp ~src:src_ip ~dst:dst_ip ~identification:0)
-  in
+  let ip = Net.Ipv4.create () in
+  Net.Ipv4.set ip ~total_length:(Net.Ipv4.size + len) ~protocol:Net.Ipv4.protocol_udp
+    ~src:src_ip ~dst:dst_ip ~identification:0 ~more_fragments:false ~fragment_offset:0;
+  let off = Net.Ipv4.write b off ip in
   Bytes.blit_string payload 0 b (off + Net.Udp_wire.size) payload_len;
   ignore
     (Net.Udp_wire.write b off

@@ -214,21 +214,22 @@ let test_mss_negotiation () =
   let send dest frame =
     (* Track the largest TCP payload crossing the wire. *)
     (let b = Bytes.unsafe_of_string frame in
-     match Net.Eth.read b 0 with
+     let eth = Net.Eth.create () and ip = Net.Ipv4.create () in
+     match Net.Eth.read b 0 eth with
      | exception Net.Wire.Malformed _ -> ()
-     | eth, off ->
+     | off ->
          if eth.Net.Eth.ethertype = Net.Eth.ethertype_ipv4 then
-           match Net.Ipv4.read b off with
+           match Net.Ipv4.read b off ip with
            | exception Net.Wire.Malformed _ -> ()
-           | ip, toff ->
+           | toff ->
                if ip.Net.Ipv4.protocol = Net.Ipv4.protocol_tcp then
                  match
-                   Net.Tcp_wire.read b toff
+                   Net.Tcp_wire.read b toff (Net.Tcp_wire.create ())
                      ~seg_len:(ip.Net.Ipv4.total_length - Net.Ipv4.size)
                      ~src_ip:ip.Net.Ipv4.src ~dst_ip:ip.Net.Ipv4.dst
                  with
                  | exception Net.Wire.Malformed _ -> ()
-                 | _, poff ->
+                 | poff ->
                      max_seg :=
                        max !max_seg (ip.Net.Ipv4.total_length - Net.Ipv4.size - (poff - toff)));
     incr seqr;
@@ -719,28 +720,14 @@ let stack_input_mutation_fuzz =
   (* Mutate bytes of an otherwise-valid TCP SYN frame: parse guards and
      checksums must contain the damage. *)
   let valid_syn =
-    let h =
-      {
-        Net.Tcp_wire.src_port = 5000;
-        dst_port = 7;
-        seq = 42;
-        ack = 0;
-        syn = true;
-        ack_flag = false;
-        fin = false;
-        rst = false;
-        psh = false;
-        window = 0xffff;
-        options =
-          {
-            Net.Tcp_wire.no_options with
-            Net.Tcp_wire.mss = Some 1460;
-            window_scale = Some 7;
-            timestamp = Some (1, 0);
-            sack_permitted = true;
-          };
-      }
-    in
+    let h = Net.Tcp_wire.create () in
+    Net.Tcp_wire.set h ~src_port:5000 ~dst_port:7 ~seq:42 ~ack:0 ~syn:true ~ack_flag:false
+      ~fin:false ~rst:false ~psh:false ~window:0xffff;
+    h.Net.Tcp_wire.mss <- 1460;
+    h.Net.Tcp_wire.window_scale <- 7;
+    h.Net.Tcp_wire.has_ts <- true;
+    h.Net.Tcp_wire.ts_val <- 1;
+    h.Net.Tcp_wire.sack_permitted <- true;
     let hsize = Net.Tcp_wire.header_size h in
     let b = Bytes.create (Net.Eth.size + Net.Ipv4.size + hsize) in
     let off =
@@ -751,10 +738,11 @@ let stack_input_mutation_fuzz =
           ethertype = Net.Eth.ethertype_ipv4;
         }
     in
-    let off =
-      Net.Ipv4.write b off
-        (Net.Ipv4.whole ~total_length:(Net.Ipv4.size + hsize) ~identification:1 ~protocol:Net.Ipv4.protocol_tcp ~src:(Net.Addr.Ip.of_index 2) ~dst:(Net.Addr.Ip.of_index 1))
-    in
+    let ip = Net.Ipv4.create () in
+    Net.Ipv4.set ip ~total_length:(Net.Ipv4.size + hsize) ~identification:1
+      ~protocol:Net.Ipv4.protocol_tcp ~src:(Net.Addr.Ip.of_index 2)
+      ~dst:(Net.Addr.Ip.of_index 1) ~more_fragments:false ~fragment_offset:0;
+    let off = Net.Ipv4.write b off ip in
     ignore
       (Net.Tcp_wire.write b off h ~payload_len:0 ~src_ip:(Net.Addr.Ip.of_index 2)
          ~dst_ip:(Net.Addr.Ip.of_index 1));

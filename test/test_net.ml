@@ -14,20 +14,23 @@ let test_u48_roundtrip () =
 let test_checksum_rfc1071 () =
   (* Worked example from RFC 1071 §3: bytes 00 01 f2 03 f4 f5 f6 f7. *)
   let b = Bytes.of_string "\x00\x01\xf2\x03\xf4\xf5\xf6\xf7" in
-  check_int "rfc1071 example" (lnot 0xddf2 land 0xffff) (Net.Wire.checksum b 0 8)
+  check_int "rfc1071 example" (lnot 0xddf2 land 0xffff) (Net.Wire.checksum ~init:0 b 0 8)
 
 let test_checksum_odd_length () =
   let b = Bytes.of_string "\x01\x02\x03" in
   (* 0x0102 + 0x0300 = 0x0402 -> complement. *)
-  check_int "odd tail padded" (lnot 0x0402 land 0xffff) (Net.Wire.checksum b 0 3)
+  check_int "odd tail padded" (lnot 0x0402 land 0xffff) (Net.Wire.checksum ~init:0 b 0 3)
 
 let test_eth_roundtrip () =
   let b = Bytes.create 64 in
-  let h = { Net.Eth.dst = Net.Addr.Mac.of_index 2; src = Net.Addr.Mac.of_index 1;
-            ethertype = Net.Eth.ethertype_ipv4 } in
+  let h = Net.Eth.create () in
+  h.Net.Eth.dst <- Net.Addr.Mac.of_index 2;
+  h.Net.Eth.src <- Net.Addr.Mac.of_index 1;
+  h.Net.Eth.ethertype <- Net.Eth.ethertype_ipv4;
   let off = Net.Eth.write b 0 h in
   check_int "header size" Net.Eth.size off;
-  let h', off' = Net.Eth.read b 0 in
+  let h' = Net.Eth.create () in
+  let off' = Net.Eth.read b 0 h' in
   check_bool "roundtrip" true (h = h');
   check_int "payload offset" Net.Eth.size off'
 
@@ -50,33 +53,25 @@ let ipv4_roundtrip =
   QCheck.Test.make ~name:"ipv4 header roundtrip" ~count:200
     QCheck.(quad (int_bound 0xffff) (int_range 1 255) (int_bound 0xff) (int_bound 0xffffffff))
     (fun (identification, ttl, proto_raw, src) ->
-      let h =
-        {
-          Net.Ipv4.total_length = 20 + 100;
-          identification;
-          ttl;
-          protocol = proto_raw;
-          src;
-          dst = Net.Addr.Ip.of_index 7;
-          more_fragments = false;
-          fragment_offset = 0;
-        }
-      in
+      let h = Net.Ipv4.create () in
+      Net.Ipv4.set h ~total_length:(20 + 100) ~identification ~protocol:proto_raw ~src
+        ~dst:(Net.Addr.Ip.of_index 7) ~more_fragments:false ~fragment_offset:0;
+      h.Net.Ipv4.ttl <- ttl;
       let b = Bytes.create 200 in
       let _ = Net.Ipv4.write b 0 h in
-      let h', off = Net.Ipv4.read b 0 in
+      let h' = Net.Ipv4.create () in
+      let off = Net.Ipv4.read b 0 h' in
       h = h' && off = Net.Ipv4.size)
 
 let test_ipv4_checksum_detects_corruption () =
-  let h =
-    Net.Ipv4.whole ~total_length:40 ~identification:9 ~protocol:Net.Ipv4.protocol_udp ~src:1
-      ~dst:2
-  in
+  let h = Net.Ipv4.create () in
+  Net.Ipv4.set h ~total_length:40 ~identification:9 ~protocol:Net.Ipv4.protocol_udp ~src:1
+    ~dst:2 ~more_fragments:false ~fragment_offset:0;
   let b = Bytes.create 64 in
   let _ = Net.Ipv4.write b 0 h in
   Net.Wire.set_u8 b 8 65 (* flip the ttl *);
   Alcotest.check_raises "corruption detected" (Net.Wire.Malformed "ipv4: bad checksum")
-    (fun () -> ignore (Net.Ipv4.read b 0))
+    (fun () -> ignore (Net.Ipv4.read b 0 h))
 
 let udp_roundtrip =
   QCheck.Test.make ~name:"udp header+payload roundtrip" ~count:200
@@ -88,7 +83,8 @@ let udp_roundtrip =
       Bytes.blit_string payload 0 b Net.Udp_wire.size (String.length payload);
       let h = { Net.Udp_wire.src_port; dst_port; length = len } in
       let off = Net.Udp_wire.write b 0 h ~src_ip ~dst_ip in
-      let h', off' = Net.Udp_wire.read b 0 ~src_ip ~dst_ip in
+      let h' = Net.Udp_wire.create () in
+      let off' = Net.Udp_wire.read b 0 h' ~src_ip ~dst_ip in
       h = h' && off = off'
       && Bytes.sub_string b off' (h'.Net.Udp_wire.length - Net.Udp_wire.size) = payload)
 
@@ -101,7 +97,7 @@ let test_udp_checksum_detects_corruption () =
   let _ = Net.Udp_wire.write b 0 { Net.Udp_wire.src_port = 1; dst_port = 2; length = len } ~src_ip ~dst_ip in
   Bytes.set b (len - 1) 'x';
   Alcotest.check_raises "bad checksum" (Net.Wire.Malformed "udp: bad checksum") (fun () ->
-      ignore (Net.Udp_wire.read b 0 ~src_ip ~dst_ip))
+      ignore (Net.Udp_wire.read b 0 (Net.Udp_wire.create ()) ~src_ip ~dst_ip))
 
 let tcp_gen =
   QCheck.Gen.(
@@ -127,28 +123,24 @@ let tcp_gen =
     let wscale = if sack_blocks = [] then wscale else None in
     let sack_permitted = sack_permitted && sack_blocks = [] in
     let* payload = string_size (int_range 0 256) in
-    return
-      ( {
-          Net.Tcp_wire.src_port;
-          dst_port;
-          seq;
-          ack;
-          syn;
-          ack_flag;
-          fin;
-          rst = false;
-          psh;
-          window;
-          options =
-            {
-              Net.Tcp_wire.mss;
-              window_scale = wscale;
-              timestamp = ts;
-              sack_permitted;
-              sack_blocks;
-            };
-        },
-        payload ))
+    let h = Net.Tcp_wire.create () in
+    Net.Tcp_wire.set h ~src_port ~dst_port ~seq ~ack ~syn ~ack_flag ~fin ~rst:false ~psh ~window;
+    h.Net.Tcp_wire.mss <- Option.value mss ~default:(-1);
+    h.Net.Tcp_wire.window_scale <- Option.value wscale ~default:(-1);
+    (match ts with
+    | Some (tsval, tsecr) ->
+        h.Net.Tcp_wire.has_ts <- true;
+        h.Net.Tcp_wire.ts_val <- tsval;
+        h.Net.Tcp_wire.ts_ecr <- tsecr
+    | None -> ());
+    h.Net.Tcp_wire.sack_permitted <- sack_permitted;
+    List.iteri
+      (fun i (left, right) ->
+        h.Net.Tcp_wire.sack_edges.(2 * i) <- left;
+        h.Net.Tcp_wire.sack_edges.((2 * i) + 1) <- right)
+      sack_blocks;
+    h.Net.Tcp_wire.sack_count <- List.length sack_blocks;
+    return (h, payload))
 
 let tcp_roundtrip =
   QCheck.Test.make ~name:"tcp header+options roundtrip" ~count:300
@@ -159,22 +151,19 @@ let tcp_roundtrip =
       let b = Bytes.create (seg_len + 16) in
       Bytes.blit_string payload 0 b hsize (String.length payload);
       let off = Net.Tcp_wire.write b 0 h ~payload_len:(String.length payload) ~src_ip ~dst_ip in
-      let h', off' = Net.Tcp_wire.read b 0 ~seg_len ~src_ip ~dst_ip in
+      let h' = Net.Tcp_wire.create () in
+      let off' = Net.Tcp_wire.read b 0 h' ~seg_len ~src_ip ~dst_ip in
       h = h' && off = off' && Bytes.sub_string b off' (seg_len - off') = payload)
 
 let test_tcp_checksum_detects_corruption () =
-  let h =
-    {
-      Net.Tcp_wire.src_port = 80; dst_port = 8080; seq = 1; ack = 2; syn = false;
-      ack_flag = true; fin = false; rst = false; psh = true; window = 1000;
-      options = Net.Tcp_wire.no_options;
-    }
-  in
+  let h = Net.Tcp_wire.create () in
+  Net.Tcp_wire.set h ~src_port:80 ~dst_port:8080 ~seq:1 ~ack:2 ~syn:false ~ack_flag:true
+    ~fin:false ~rst:false ~psh:true ~window:1000;
   let b = Bytes.create 64 in
   let _ = Net.Tcp_wire.write b 0 h ~payload_len:4 ~src_ip:1 ~dst_ip:2 in
   Net.Wire.set_u32 b 4 999 (* corrupt seq *);
   Alcotest.check_raises "bad checksum" (Net.Wire.Malformed "tcp: bad checksum") (fun () ->
-      ignore (Net.Tcp_wire.read b 0 ~seg_len:24 ~src_ip:1 ~dst_ip:2))
+      ignore (Net.Tcp_wire.read b 0 h ~seg_len:24 ~src_ip:1 ~dst_ip:2))
 
 (* --- fabric --- *)
 
@@ -269,11 +258,11 @@ let test_dpdk_tx_rx () =
     Net.Dpdk_sim.create fabric ~mac:(Net.Addr.Mac.of_index 2) ~ip:(Net.Addr.Ip.of_index 2) ()
   in
   let frame = eth_frame ~dst:(Net.Dpdk_sim.mac nic2) ~src:(Net.Dpdk_sim.mac nic1) "ping" in
-  Net.Dpdk_sim.tx_burst nic1 [ frame ];
+  Net.Dpdk_sim.tx nic1 frame;
   Engine.Sim.run sim;
   check_int "one frame in ring" 1 (Net.Dpdk_sim.rx_pending nic2);
-  match Net.Dpdk_sim.rx_burst nic2 ~max:8 with
-  | [ got ] -> Alcotest.(check string) "frame intact" frame got
+  match Net.Dpdk_sim.rx_take nic2 ~max:8 with
+  | 1 -> Alcotest.(check string) "frame intact" frame (Net.Dpdk_sim.rx nic2)
   | _ -> Alcotest.fail "expected one frame"
 
 let test_dpdk_ring_overflow () =
@@ -287,7 +276,9 @@ let test_dpdk_ring_overflow () =
       ~rx_ring_size:4 ()
   in
   let frame = eth_frame ~dst:(Net.Dpdk_sim.mac nic2) ~src:(Net.Dpdk_sim.mac nic1) "x" in
-  Net.Dpdk_sim.tx_burst nic1 (List.init 10 (fun _ -> frame));
+  for _ = 1 to 10 do
+    Net.Dpdk_sim.tx nic1 frame
+  done;
   Engine.Sim.run sim;
   check_int "ring capped" 4 (Net.Dpdk_sim.rx_pending nic2);
   check_int "rest dropped" 6 (Net.Dpdk_sim.rx_dropped nic2)
@@ -406,6 +397,99 @@ let test_ssd_serializes_commands () =
   let expect = 2 * Net.Cost.ssd_op_ns bare ~write:true 64 in
   check_int "second waits for first" expect (Engine.Sim.now sim)
 
+(* --- packet hops --- *)
+
+(* Incast: two or three senders put frames of random sizes on the wire
+   at random instants, all toward one port. The port's downlink is one
+   FIFO hop, so deliveries must come out in the order, and at the
+   instants, the serialization model gives: each frame leaves its
+   sender's uplink after the frames before it, crosses the switch, then
+   queues behind whatever the receiver's link is still carrying. The
+   model walks the sends in event order: by instant, ties in scheduling
+   order. *)
+let fabric_incast_matches_model =
+  QCheck.Test.make ~name:"fabric incast delivers in the serialization model's order" ~count:100
+    QCheck.(
+      pair (int_range 2 3)
+        (list_of_size (Gen.int_range 1 40)
+           (triple (int_bound 2) (int_bound 20_000) (int_range 1 1500))))
+    (fun (senders, sends) ->
+      (* Shrinking may step outside the generator's ranges. *)
+      let senders = max 2 senders in
+      let sim = Engine.Sim.create () in
+      let fabric = Net.Fabric.create sim ~cost:bare () in
+      let sink = Net.Addr.Mac.of_index 9 in
+      let got = ref [] in
+      let _ =
+        Net.Fabric.attach fabric ~mac:sink ~rx:(fun frame ->
+            got := (Engine.Sim.now sim, Net.Wire.get_u16 (Bytes.unsafe_of_string frame) 14) :: !got)
+      in
+      let ports =
+        Array.init senders (fun i ->
+            Net.Fabric.attach fabric ~mac:(Net.Addr.Mac.of_index i) ~rx:(fun _ -> ()))
+      in
+      let sends =
+        List.mapi (fun id (s, at, len) -> (id, abs s mod senders, abs at, max 2 len)) sends
+      in
+      List.iter
+        (fun (id, s, at, len) ->
+          let payload = Bytes.make len 'x' in
+          Net.Wire.set_u16 payload 0 id;
+          let frame =
+            eth_frame ~dst:sink ~src:(Net.Addr.Mac.of_index s) (Bytes.to_string payload)
+          in
+          Engine.Sim.at sim ~time:at (fun () -> Net.Fabric.send fabric ports.(s) frame))
+        sends;
+      Engine.Sim.run sim;
+      let ser len = Net.Cost.serialization_ns bare (Net.Eth.size + len) in
+      let tx_free = Array.make senders 0 and rx_free = ref 0 in
+      let expected =
+        List.map
+          (fun (id, s, at, len) ->
+            let depart = max at tx_free.(s) + ser len in
+            tx_free.(s) <- depart;
+            let at_switch = depart + bare.Net.Cost.propagation_ns + bare.Net.Cost.switch_ns in
+            let arrival = max at_switch !rx_free + ser len in
+            rx_free := arrival;
+            (arrival, id))
+          (List.stable_sort (fun (_, _, a, _) (_, _, b, _) -> compare a b) sends)
+      in
+      List.rev !got = expected)
+
+(* A frame's whole trip — NIC tx pipeline, fabric uplink and downlink,
+   NIC rx pipeline, rx ring, and a poll taking it — allocates nothing
+   once the rings have grown: every stage is a ring plus one handler
+   built when the device attached. *)
+let test_frame_hop_words () =
+  let sim = Engine.Sim.create () in
+  let fabric = Net.Fabric.create sim ~cost:bare () in
+  let nic i =
+    Net.Dpdk_sim.create fabric ~mac:(Net.Addr.Mac.of_index i) ~ip:(Net.Addr.Ip.of_index i) ()
+  in
+  let nic1 = nic 1 and nic2 = nic 2 in
+  let frame = eth_frame ~dst:(Net.Dpdk_sim.mac nic2) ~src:(Net.Dpdk_sim.mac nic1) "ping" in
+  let burst = 64 in
+  let round () =
+    for _ = 1 to burst do
+      Net.Dpdk_sim.tx nic1 frame
+    done;
+    Engine.Sim.run sim;
+    let n = Net.Dpdk_sim.rx_take nic2 ~max:burst in
+    for _ = 1 to n do
+      ignore (Net.Dpdk_sim.rx nic2 : string)
+    done;
+    n
+  in
+  check_int "warm-up burst delivered" burst (round ());
+  let before = Gc.minor_words () in
+  let delivered = ref 0 in
+  for _ = 1 to 10 do
+    delivered := !delivered + round ()
+  done;
+  let words = Gc.minor_words () -. before in
+  check_int "every frame delivered" (10 * burst) !delivered;
+  Alcotest.(check (float 0.)) "minor words per frame" 0. (words /. float_of_int !delivered)
+
 let suite =
   [
     Alcotest.test_case "u48 roundtrip" `Quick test_u48_roundtrip;
@@ -435,4 +519,6 @@ let suite =
     Alcotest.test_case "ssd latency model" `Quick test_ssd_latency;
     Alcotest.test_case "ssd bounds check" `Quick test_ssd_out_of_bounds;
     Alcotest.test_case "ssd serializes commands" `Quick test_ssd_serializes_commands;
+    QCheck_alcotest.to_alcotest fabric_incast_matches_model;
+    Alcotest.test_case "words: frame across tx, fabric and NIC rx" `Quick test_frame_hop_words;
   ]

@@ -1266,11 +1266,11 @@ let pair_with_stream_origin () =
     (fun side frame ->
       (if side = Pair.B && !first = None then
          let b = Bytes.unsafe_of_string frame in
-         let ip, off = Net.Ipv4.read b Net.Eth.size in
-         let th, _ =
-           Net.Tcp_wire.read b off ~seg_len:(ip.Net.Ipv4.total_length - Net.Ipv4.size)
-             ~src_ip:ip.Net.Ipv4.src ~dst_ip:ip.Net.Ipv4.dst
-         in
+         let ip = Net.Ipv4.create () and th = Net.Tcp_wire.create () in
+         let off = Net.Ipv4.read b Net.Eth.size ip in
+         ignore
+           (Net.Tcp_wire.read b off th ~seg_len:(ip.Net.Ipv4.total_length - Net.Ipv4.size)
+              ~src_ip:ip.Net.Ipv4.src ~dst_ip:ip.Net.Ipv4.dst);
          first := Some (th.Net.Tcp_wire.seq, th.Net.Tcp_wire.ack));
       false);
   let buf = Pair.send_string p Pair.A ca "x" in
@@ -1284,21 +1284,11 @@ let pair_with_stream_origin () =
 (* A TCP data segment from A (index 1) to B, with the timestamp option
    every segment of a negotiated stream carries. *)
 let data_frame ~src_port ~dst_port ~seq ~ack payload =
-  let h =
-    {
-      Net.Tcp_wire.src_port;
-      dst_port;
-      seq;
-      ack;
-      syn = false;
-      ack_flag = true;
-      fin = false;
-      rst = false;
-      psh = true;
-      window = 0xffff;
-      options = { Net.Tcp_wire.no_options with Net.Tcp_wire.timestamp = Some (1, 0) };
-    }
-  in
+  let h = Net.Tcp_wire.create () in
+  Net.Tcp_wire.set h ~src_port ~dst_port ~seq ~ack ~syn:false ~ack_flag:true ~fin:false
+    ~rst:false ~psh:true ~window:0xffff;
+  h.Net.Tcp_wire.has_ts <- true;
+  h.Net.Tcp_wire.ts_val <- 1;
   let hsize = Net.Tcp_wire.header_size h in
   let len = String.length payload in
   let b = Bytes.create (Net.Eth.size + Net.Ipv4.size + hsize + len) in
@@ -1310,12 +1300,11 @@ let data_frame ~src_port ~dst_port ~seq ~ack payload =
         ethertype = Net.Eth.ethertype_ipv4;
       }
   in
-  let off =
-    Net.Ipv4.write b off
-      (Net.Ipv4.whole ~total_length:(Net.Ipv4.size + hsize + len) ~identification:1
-         ~protocol:Net.Ipv4.protocol_tcp ~src:(Net.Addr.Ip.of_index 1)
-         ~dst:(Net.Addr.Ip.of_index 2))
-  in
+  let ip = Net.Ipv4.create () in
+  Net.Ipv4.set ip ~total_length:(Net.Ipv4.size + hsize + len) ~identification:1
+    ~protocol:Net.Ipv4.protocol_tcp ~src:(Net.Addr.Ip.of_index 1)
+    ~dst:(Net.Addr.Ip.of_index 2) ~more_fragments:false ~fragment_offset:0;
+  let off = Net.Ipv4.write b off ip in
   Bytes.blit_string payload 0 b (off + hsize) len;
   ignore
     (Net.Tcp_wire.write b off h ~payload_len:len ~src_ip:(Net.Addr.Ip.of_index 1)
@@ -1451,6 +1440,102 @@ let test_timer_arm_words () =
   check_int "nothing fired" fired (Tcp.Stack.timer_activity stack);
   Alcotest.(check (float 0.)) "minor words per round" 0. (words /. float_of_int rounds)
 
+(* A data segment and its ack, each emitted and parsed, past warm-up.
+   Two stacks sit back to back: each transmitted frame lands in a ring
+   the test hands to the peer. B's 64-byte window lets one 64-byte
+   segment fly at a time, so an ack A parses releases A's next queued
+   segment, and one round is: B parses a data segment, B emits its
+   ack, A parses the ack and emits the next data segment. Beyond the
+   frame strings, B's receive buffer (its heap-buffer record and
+   receive-queue cell) and A's send bookkeeping for the released
+   segment (its unacked-queue cell and push completion), the header
+   codecs, Iface and the Stack's dispatch allocate nothing. *)
+let test_segment_words () =
+  let config = { Tcp.Stack.default_config with rwnd_capacity = 64; window_scale = 0 } in
+  let clock = ref 0 in
+  let to_a = Engine.Ring.create () and to_b = Engine.Ring.create () in
+  let heap_a = Memory.Heap.create ~mode:Memory.Heap.Pool_backed () in
+  let heap_b = Memory.Heap.create ~mode:Memory.Heap.Pool_backed () in
+  let stack i heap out =
+    let iface =
+      Tcp.Iface.create ~mac:(Net.Addr.Mac.of_index i) ~ip:(Net.Addr.Ip.of_index i)
+        ~clock:(fun () -> !clock)
+        ~tx_frame:(Engine.Ring.push out) ()
+    in
+    Tcp.Stack.create ~config ~iface ~heap ~prng:(Engine.Prng.create (Int64.of_int i))
+      ~events:ignore ()
+  in
+  let a = stack 1 heap_a to_b and b = stack 2 heap_b to_a in
+  let rec pump () =
+    if not (Engine.Ring.is_empty to_b) then begin
+      Tcp.Stack.input b (Engine.Ring.pop to_b);
+      pump ()
+    end
+    else if not (Engine.Ring.is_empty to_a) then begin
+      Tcp.Stack.input a (Engine.Ring.pop to_a);
+      pump ()
+    end
+  in
+  let listener = Tcp.Stack.tcp_listen b ~port:7 in
+  let ca = Tcp.Stack.tcp_connect a ~dst:(Net.Addr.endpoint (Net.Addr.Ip.of_index 2) 7) in
+  pump ();
+  let cb = Option.get (Tcp.Stack.tcp_accept listener) in
+  (* Two payloads, alternating: one segment in flight, one queued,
+     each holding its own buffer. *)
+  let payloads = Array.init 2 (fun _ -> Memory.Heap.alloc_of_string heap_a (String.make 64 'd')) in
+  let push = ref 0 in
+  let send () =
+    incr push;
+    Tcp.Stack.tcp_send ca ~push_id:!push [ payloads.(!push land 1) ]
+  in
+  let string_words s = float_of_int ((String.length s / 8) + 2) in
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  send ();
+  send ();
+  (* A round's frames: the ack B emits, and the data segment A released
+     in the round before (every data frame has the same size). *)
+  let extra = ref 0. and accounted = ref 0. in
+  let round () =
+    let data = Engine.Ring.pop to_b in
+    extra := !extra +. words (fun () -> Tcp.Stack.input b data);
+    (match Tcp.Stack.tcp_recv cb with
+    | `Data buf -> Memory.Heap.free buf
+    | `Eof | `Nothing -> Alcotest.fail "segment not delivered");
+    extra := !extra +. words (fun () -> Tcp.Stack.flush_acks b);
+    let ack = Engine.Ring.pop to_a in
+    extra := !extra +. words (fun () -> Tcp.Stack.input a ack);
+    accounted := !accounted +. string_words ack +. string_words data;
+    ignore (Tcp.Stack.next_timer_ns a : int);
+    send ()
+  in
+  for _ = 1 to 4 do
+    round ()
+  done;
+  (* The allocations outside the layers under test, measured alike
+     (warm, like the stacks' own). *)
+  let q = Queue.create () in
+  let cell = words (fun () -> Queue.add () q) in
+  let event = words (fun () -> ignore (Sys.opaque_identity (Tcp.Stack.Push_completed (ca, 0)))) in
+  let held = ref payloads.(0) in
+  let recv_buffer = words (fun () -> held := Memory.Heap.alloc heap_b 64) +. cell in
+  Memory.Heap.free !held;
+  let empty = words ignore in
+  extra := 0.;
+  accounted := 0.;
+  let rounds = 100 in
+  for _ = 1 to rounds do
+    round ()
+  done;
+  let per_round = recv_buffer +. cell +. event +. (3. *. empty) in
+  accounted := !accounted +. (float_of_int rounds *. per_round);
+  check_int "nothing else crossed" 1 (Engine.Ring.length to_b);
+  Alcotest.(check (float 0.)) "unaccounted minor words per round" 0.
+    ((!extra -. !accounted) /. float_of_int rounds)
+
 (* Pushes queued behind a zero window take consecutive sequence
    numbers: each one starts where the last queued byte ended, however
    long the unsent queue has grown. *)
@@ -1573,4 +1658,5 @@ let suite =
       test_zero_window_push_backlog;
     Alcotest.test_case "words: cubic ack in congestion avoidance" `Quick test_cc_ack_words;
     Alcotest.test_case "words: timer arm, re-arm and cancel" `Quick test_timer_arm_words;
+    Alcotest.test_case "words: data segment and ack, emit and parse" `Quick test_segment_words;
   ]
