@@ -1,4 +1,4 @@
-.PHONY: all build test lint selfcheck check bench observe-smoke graph-smoke micro-smoke clean
+.PHONY: all build test lint selfcheck check bench observe-smoke micro-smoke clean
 
 all: build
 
@@ -14,18 +14,21 @@ lint:
 selfcheck:
 	dune build @selfcheck
 
-# Everything CI runs: build + tests (incl. lint and `demibench
-# --smoke`) + determinism selfcheck with the ownership oracle, the
-# flight ring and the gc-budget oracle armed (every steady poll must
-# allocate nothing and each flavor's echo run must stay within its
-# exact per-echo word budget; the pinned output holds each flavor's
-# steady-poll count and zero violations) + the smokes below. There is
-# no static allocation lint: the budget is the allocation check. Perf
-# regressions are judged by `demibench compare` (parent vs change).
+# Everything CI runs: build + tests (incl. lint, the scaling gate and
+# `demibench --smoke`) + determinism selfcheck with the ownership
+# oracle, the flight ring and the gc-budget oracle armed (every steady
+# poll must allocate nothing and each flavor's echo run must stay
+# within its exact per-echo word budget; the pinned output holds each
+# flavor's steady-poll count and zero violations) + the smokes below.
+# There is no static allocation or scan lint: the budget is the
+# allocation check, and the scaling gate (test/test_scaling.ml: events
+# and words per operation identical, CPU within a stated ratio, as
+# idle connections, pending pops and queued pushes grow) is the
+# scaling check. Perf regressions are judged by `demibench compare`
+# (parent vs change).
 check:
 	dune build @check
 	$(MAKE) observe-smoke
-	$(MAKE) graph-smoke
 	$(MAKE) micro-smoke
 
 bench:
@@ -54,23 +57,6 @@ observe-smoke:
 	dune exec bin/demi.exe -- slo --flavor catnip --expect-breach --out out/slo-catnip.json
 	dune exec bin/demi.exe -- table5 --tail --tail-count 96
 	@echo "observe-smoke: OK"
-
-# Demideep end to end: dlint over the tree with the call-graph export
-# and pass timings on. Fails unless the DOT file is a well-formed
-# digraph with at least one edge and the machine-readable findings
-# report landed in out/lint.json.
-graph-smoke:
-	mkdir -p out
-	dune exec bin/dlint.exe -- --graph out/callgraph.dot --stats lib
-	@head -1 out/callgraph.dot | grep -q '^digraph dlint' \
-	  || { echo "graph-smoke: out/callgraph.dot missing digraph header" >&2; exit 1; }
-	@tail -1 out/callgraph.dot | grep -q '^}' \
-	  || { echo "graph-smoke: out/callgraph.dot not closed" >&2; exit 1; }
-	@grep -q ' -> ' out/callgraph.dot \
-	  || { echo "graph-smoke: out/callgraph.dot has no edges" >&2; exit 1; }
-	@test -s out/lint.json \
-	  || { echo "graph-smoke: out/lint.json missing or empty" >&2; exit 1; }
-	@echo "graph-smoke: OK"
 
 # The Bechamel microbenchmarks (`bench -- micro`, real ns per datapath
 # primitive). Fails if the run crashes or a required row is missing or

@@ -1,16 +1,13 @@
-(* dlint: determinism, zero-copy, ownership-protocol and
-   interprocedural hot-path scan lint.
+(* dlint: determinism, zero-copy and ownership-protocol lint.
 
-   Usage: dlint [--format human|json] [--stats] [--graph FILE]
-                [--out FILE] [DIR ...]                    (default: lib)
+   Usage: dlint [--format human|json] [--stats] [--out FILE] [DIR ...]
+                                                          (default: lib)
 
    Walks every .ml file under the given roots and rejects violations of
-   the rules in Lint.Rules (including the PDPIX ownership pass and the
-   Demideep interprocedural scan-in-hotpath pass with witness call
-   chains) and stale exemptions; exits 1 when any survive the allowlist
-   and inline dlint-allow annotations. --stats appends a per-rule
-   findings/exemptions table and per-pass wall times; --graph FILE
-   writes the scan-annotated call graph as Graphviz DOT; --out FILE
+   the rules in Lint.Rules (including the PDPIX ownership pass) and
+   stale exemptions; exits 1 when any survive the allowlist and inline
+   dlint-allow annotations. --stats appends a per-rule
+   findings/exemptions table and per-pass wall times; --out FILE
    overrides where the machine-readable JSON artifact is written
    (default out/lint.json, best-effort: a read-only tree — e.g. the
    dune test sandbox — is not an error). Wired into `dune runtest` via
@@ -18,7 +15,7 @@
 
 let usage () =
   prerr_endline
-    "usage: dlint [--format human|json] [--stats] [--graph FILE] [--out FILE] [DIR ...]";
+    "usage: dlint [--format human|json] [--stats] [--out FILE] [DIR ...]";
   exit 2
 
 (* Best-effort file write: the lint result must not depend on the
@@ -35,7 +32,6 @@ let try_write path contents =
 let () =
   let json = ref false in
   let stats = ref false in
-  let graph = ref None in
   let out_json = ref "out/lint.json" in
   let roots = ref [] in
   let set_format = function
@@ -54,10 +50,6 @@ let () =
     | arg :: rest when String.length arg > 9 && String.sub arg 0 9 = "--format=" ->
         set_format (String.sub arg 9 (String.length arg - 9));
         parse rest
-    | "--graph" :: file :: rest ->
-        graph := Some file;
-        parse rest
-    | [ "--graph" ] -> usage ()
     | "--out" :: file :: rest ->
         out_json := file;
         parse rest
@@ -83,11 +75,6 @@ let () =
      determinism-source rule and may not read ambient time *)
   let r = Lint.Driver.run_report ~now:Unix.gettimeofday roots in
   let violations = r.Lint.Driver.rr_violations in
-  (match !graph with
-  | Some file ->
-      if not (try_write file (Lint.Driver.graph_dot roots)) then
-        Printf.eprintf "dlint: warning: could not write graph to %s\n" file
-  | None -> ());
   ignore (try_write !out_json (Lint.Driver.json_of_violations violations ^ "\n"));
   if !json then Lint.Driver.report_json Format.std_formatter violations
   else Lint.Driver.report Format.std_formatter violations;

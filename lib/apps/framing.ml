@@ -27,7 +27,6 @@ let ctx_copy ~src ~dst =
 
 (* Context pack/unpack: writes into / reads from caller-owned bytes,
    so neither allocates. *)
-(* dlint: hotpath *)
 let write_ctx b off ~req ~msg ~parent ~hop =
   Net.Wire.set_u32 b off req;
   Net.Wire.set_u32 b (off + 4) msg;
@@ -35,7 +34,6 @@ let write_ctx b off ~req ~msg ~parent ~hop =
   Net.Wire.set_u16 b (off + 12) hop;
   Net.Wire.set_u16 b (off + 14) 0
 
-(* dlint: hotpath *)
 let read_ctx b off c =
   c.c_req <- Net.Wire.get_u32 b off;
   c.c_msg <- Net.Wire.get_u32 b (off + 4);

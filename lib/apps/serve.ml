@@ -8,7 +8,6 @@ type 'c role = Accept | Conn of Pdpix.qd * 'c
    its length and shifts in place) or with a resize (accept grows it by
    one, a close shrinks it by one). *)
 
-(* dlint: hotpath *)
 let shift_out (qts : Pdpix.qtoken array) i =
   for j = i to Array.length qts - 2 do
     qts.(j) <- qts.(j + 1)
@@ -23,7 +22,6 @@ let resize (qts : Pdpix.qtoken array) i ~extra =
 
 let unexpected name = failwith (name ^ " server: unexpected completion")
 
-(* dlint: hotpath *)
 let run (api : Pdpix.api) ~name lqd ~conn ~on_data =
   let roles = Hashtbl.create 16 in
   let qts = ref [| api.Pdpix.accept lqd |] in

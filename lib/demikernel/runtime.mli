@@ -38,6 +38,9 @@ val serve : pending -> unit
 (** Complete the oldest tokens while [next] has a completion (it runs
     only while a token waits); once failed, complete them all failed. *)
 
+val waiting : pending -> bool
+(** Whether a token waits on the queue, so that {!serve} has work. *)
+
 val fail : pending -> string -> unit
 (** Fail every waiting and every later token with [reason]. Closing a
     qd fails its pending queues with ["queue closed"]. *)

@@ -9,14 +9,18 @@ type t = {
 let create () = { blocks = Array.make 4 0; nonempty = Array.make 1 0; allocated = 0 }
 
 (* Trailing-zero count via isolate-lowest-bit + popcount of (b - 1). *)
-let popcount =
-  let table = Array.init 256 (fun i ->
+let byte_popcount =
+  Array.init 256 (fun i ->
       let rec count n acc = if n = 0 then acc else count (n lsr 1) (acc + (n land 1)) in
       count i 0)
-  in
-  fun n ->
-    let rec go n acc = if n = 0 then acc else go (n lsr 8) (acc + table.(n land 0xff)) in
-    go n 0
+
+(* Top-level recursion: a local loop over the table would be a closure
+   built on every call, and a drain counts once per set bit and per
+   nonempty block. *)
+let rec popcount_from n acc =
+  if n = 0 then acc else popcount_from (n lsr 8) (acc + byte_popcount.(n land 0xff))
+
+let popcount n = popcount_from n 0
 
 let ctz n =
   assert (n <> 0);

@@ -101,7 +101,6 @@ let pop t =
    per event and allocates nothing. *)
 let top_time t = if t.len = 0 then max_int else t.times.(0)
 
-(* dlint: hotpath *)
 let rec next_live t ~live =
   if t.len = 0 then max_int
   else if live t.vals.(0) t.seqs.(0) then t.times.(0)
@@ -122,5 +121,4 @@ let rec expire_below t ~now ~limit ~live fire =
     expire_below t ~now ~limit ~live fire
   end
 
-(* dlint: hotpath *)
 let expire t ~now ~live fire = expire_below t ~now ~limit:t.next_seq ~live fire

@@ -106,7 +106,6 @@ let grow t =
   t.ints <- extend t.ints 7 0;
   t.strs <- extend t.strs 3 ""
 
-(* dlint: hotpath *)
 let record t ~now ~tag ~label ~owner ~aux a b c d e =
   if t.total = slots t && t.total < t.cap then grow t;
   let i = t.total mod slots t in

@@ -145,13 +145,11 @@ let trace t = t.tracer
    O(1) into the ring's arrays. The operands are ints and strings that
    already exist, so the call site costs nothing to build: the message
    is formatted only when the stream is read. *)
-(* dlint: hotpath *)
 let trace_event t ~category label a b =
   match t.tracer with
   | Some tr -> Log.event tr ~now:t.now ~category ~label ~owner:"" ~aux:"" a b
   | None -> ()
 
-(* dlint: hotpath *)
 let trace_names t ~category label owner aux =
   match t.tracer with
   | Some tr -> Log.event tr ~now:t.now ~category ~label ~owner ~aux 0 0
@@ -188,19 +186,16 @@ let enable_causal ?capacity t =
 
 let causal t = t.causal
 
-(* dlint: hotpath *)
 let flight_note t ~cat ~label a b =
   match t.flight with
   | None -> ()
   | Some f -> Log.event f ~now:t.now ~category:cat ~label ~owner:"" ~aux:"" a b
 
-(* dlint: hotpath *)
 let span_interval t ~comp ~owner ~label ~t0 ~t1 =
   match t.spans with
   | None -> ()
   | Some s -> Span.note s ~comp ~owner ~label ~t0 ~t1
 
-(* dlint: hotpath *)
 let span_note t ~comp ~owner ~dur =
   match t.spans with
   | None -> ()

@@ -17,9 +17,9 @@ let heap_line name (s : Memory.Heap.stats) =
    The run is deterministic, so the count is exact: one extra word per
    echo fails the selfcheck. *)
 let words_per_echo = function
-  | Demikernel.Boot.Catnip_os -> 5183 (* 331,686 words / 64 = 5,182.59 *)
-  | Demikernel.Boot.Catnap_os -> 4943 (* 316,325 words / 64 = 4,942.58 *)
-  | Demikernel.Boot.Catmint_os -> 5409 (* 346,165 words / 64 = 5,408.83 *)
+  | Demikernel.Boot.Catnip_os -> 5150 (* 329,562 words / 64 = 5,149.41 *)
+  | Demikernel.Boot.Catnap_os -> 4890 (* 312,951 words / 64 = 4,889.86 *)
+  | Demikernel.Boot.Catmint_os -> 5346 (* 342,111 words / 64 = 5,345.48 *)
 
 (* One echo with the ownership oracle armed on both ends; returns
    (trace digest, events, metrics lines, ownership violations,
@@ -86,7 +86,7 @@ let run ?(seed = 42L) ?(count = 64) () =
   (* Arm the heap sanitizer and the gc-budget oracle for the duration:
      the self-check doubles as an end-to-end exercise of
      poison/canary/leak reporting, of the zero-allocation claim for
-     every marked steady-state poll loop, and of each flavor's per-echo
+     every instrumented steady-state poll loop, and of each flavor's per-echo
      word budget. *)
   let prior = Memory.Heap.sanitize_default () in
   let prior_gc = Memory.Gcbudget.armed () in

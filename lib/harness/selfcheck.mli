@@ -16,7 +16,7 @@
     [Sim.teardown] alongside the heap sanitizer) fails the check.
 
     The {!Memory.Gcbudget} oracle is armed for the duration: every
-    marked steady-state poll loop (Catnip fast path, Catnap kernel
+    instrumented steady-state poll loop (Catnip fast path, Catnap kernel
     drain, Catmint completion poll) must allocate zero minor-heap words
     per idle iteration, and each flavor's whole run must stay within an
     exact per-echo minor-word budget (a constant in [selfcheck.ml],

@@ -76,7 +76,6 @@ let run_report ?now roots =
               "central allowlist entry for rule %s matches no finding in the scanned \
                tree; remove the stale exemption"
               e.rule;
-          chain = [];
         })
       stale
   in
@@ -91,26 +90,6 @@ let run_report ?now roots =
   }
 
 let run roots = (run_report roots).rr_violations
-
-(* DOT export of the Demideep call graph over the same tree a lint run
-   would walk (no exemptions applied — the graph shows what IS, the
-   rules decide what is acceptable). *)
-let graph_dot roots =
-  let files = List.concat_map list_tree roots in
-  Effects.dot
-    ~files:
-      (List.map
-         (fun path ->
-           let contents = read_file path in
-           {
-             Effects.path;
-             stripped =
-               Array.of_list
-                 (String.split_on_char '\n' (Rules.strip_comments_and_strings contents));
-             masked =
-               Array.of_list (String.split_on_char '\n' (Lexer.mask_strings contents));
-           })
-         files)
 
 (* Per-rule finding counts over every known rule id (zeroes included),
    in rule_ids order — the [dlint --stats] table. *)
@@ -164,18 +143,8 @@ let json_of_violations violations =
     (fun i (v : Rules.violation) ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b
-        (Printf.sprintf "{\"path\":\"%s\",\"line\":%d,\"col\":%d,\"rule\":\"%s\",\"message\":\"%s\",\"chain\":["
-           (json_escape v.path) v.line v.col (json_escape v.rule) (json_escape v.message));
-      List.iteri
-        (fun j (h : Effects.hop) ->
-          if j > 0 then Buffer.add_char b ',';
-          Buffer.add_string b
-            (Printf.sprintf "{\"path\":\"%s\",\"line\":%d,\"col\":%d,\"name\":\"%s\"}"
-               (json_escape h.Effects.hop_loc.Effects.lpath)
-               h.Effects.hop_loc.Effects.lline h.Effects.hop_loc.Effects.lcol
-               (json_escape h.Effects.hop_what)))
-        v.chain;
-      Buffer.add_string b "]}")
+        (Printf.sprintf "{\"path\":\"%s\",\"line\":%d,\"col\":%d,\"rule\":\"%s\",\"message\":\"%s\"}"
+           (json_escape v.path) v.line v.col (json_escape v.rule) (json_escape v.message)))
     violations;
   Buffer.add_string b "]}";
   Buffer.contents b

@@ -3,14 +3,11 @@
     {!Allowlist}, and reports. *)
 
 val scan_file : string -> Rules.violation list
-(** Lint one file (allowlist applied; no stale-exemption detection).
-    Cross-file call chains do not resolve here — use {!run} for the
-    whole-tree Demideep pass. *)
+(** Lint one file (allowlist applied; no stale-exemption detection). *)
 
 val check_tree : string -> Rules.violation list
-(** Recursively lint every [.ml] under a root directory as one project
-    (so cross-file call chains resolve), visiting entries in sorted
-    order so diagnostics are stable. Directories whose name starts with
+(** Recursively lint every [.ml] under a root directory, visiting
+    entries in sorted order so diagnostics are stable. Directories whose name starts with
     ['.'] (build artefacts) are skipped. Allowlist applied; no
     stale-exemption findings. *)
 
@@ -32,11 +29,6 @@ val run : string list -> Rules.violation list
 (** [(run_report roots).rr_violations] — what [bin/dlint] (and so the
     [@lint] alias) exits nonzero on. *)
 
-val graph_dot : string list -> string
-(** Graphviz DOT of the Demideep call graph over the given roots
-    ([dlint --graph]): one node per function, scanning nodes labelled
-    [[S]] and filled. Deterministic for a given tree. *)
-
 val stats : Rules.violation list -> (string * int) list
 (** Per-rule finding counts over every known rule id (zeroes included),
     in {!Rules.rule_ids} order. *)
@@ -54,10 +46,8 @@ val report : Format.formatter -> Rules.violation list -> unit
 
 val json_of_violations : Rules.violation list -> string
 (** The JSON document [report_json] prints, as a string — also written
-    to [out/lint.json] by the binary. Each violation carries a
-    ["chain"] array ([path]/[line]/[col]/[name] per hop, hot call site
-    first) — empty for per-line rules. *)
+    to [out/lint.json] by the binary. *)
 
 val report_json : Format.formatter -> Rules.violation list -> unit
 (** Machine-readable output: [{"count":N,"violations":[...]}] with
-    [path]/[line]/[col]/[rule]/[message]/[chain] per finding. *)
+    [path]/[line]/[col]/[rule]/[message] per finding. *)

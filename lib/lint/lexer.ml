@@ -128,94 +128,6 @@ let strip_comments_and_strings src =
   go 0;
   Bytes.to_string out
 
-(* Blank out string/char literal contents only, KEEPING comment text.
-   The hot-region scan needs this view: its [dlint: hotpath] markers live
-   inside comments (which [strip_comments_and_strings] would erase),
-   but a marker spelled inside a string literal must not arm a region.
-   The walk mirrors [strip_comments_and_strings] exactly — comments are
-   tracked (so a quote inside a comment never opens a string) but their
-   text is preserved. *)
-let mask_strings src =
-  let n = String.length src in
-  let out = Bytes.of_string src in
-  let blank i = if Bytes.get out i <> '\n' then Bytes.set out i ' ' in
-  let rec in_string i =
-    if i >= n then i
-    else
-      match src.[i] with
-      | '"' -> i + 1
-      | '\\' when i + 1 < n ->
-          blank i;
-          blank (i + 1);
-          in_string (i + 2)
-      | _ ->
-          blank i;
-          in_string (i + 1)
-  in
-  (* Comment text is preserved, but embedded string/char literals are
-     still lexed (OCaml's comment lexer does): their contents are
-     blanked — a marker spelled inside a comment-embedded string must
-     not arm a region — and a [" *) "] inside one cannot close the
-     comment. *)
-  let rec comment_string i =
-    if i >= n then i
-    else
-      match src.[i] with
-      | '"' -> i + 1
-      | '\\' when i + 1 < n ->
-          blank i;
-          blank (i + 1);
-          comment_string (i + 2)
-      | _ ->
-          blank i;
-          comment_string (i + 1)
-  in
-  let rec in_comment depth i =
-    if i >= n then i
-    else if i + 1 < n && src.[i] = '(' && src.[i + 1] = '*' then in_comment (depth + 1) (i + 2)
-    else if i + 1 < n && src.[i] = '*' && src.[i + 1] = ')' then
-      if depth = 1 then i + 2 else in_comment (depth - 1) (i + 2)
-    else if src.[i] = '"' then in_comment depth (comment_string (i + 1))
-    else if src.[i] = '\'' && i + 2 < n && src.[i + 1] = '\\' then begin
-      blank (i + 1);
-      blank (i + 2);
-      if i + 3 < n && src.[i + 3] = '\'' then in_comment depth (i + 4)
-      else in_comment depth (i + 3)
-    end
-    else if src.[i] = '\'' && i + 2 < n && src.[i + 2] = '\'' then begin
-      blank (i + 1);
-      in_comment depth (i + 3)
-    end
-    else in_comment depth (i + 1)
-  in
-  let rec go i =
-    if i >= n then ()
-    else if i + 1 < n && src.[i] = '(' && src.[i + 1] = '*' then go (in_comment 1 (i + 2))
-    else
-      match src.[i] with
-      | '"' -> go (in_string (i + 1))
-      | '\'' ->
-          if i + 2 < n && src.[i + 1] = '\\' then begin
-            let rec close j =
-              if j >= n then j
-              else if src.[j] = '\'' then j + 1
-              else begin
-                blank j;
-                close (j + 1)
-              end
-            in
-            close (i + 2) |> go
-          end
-          else if i + 2 < n && src.[i + 2] = '\'' then begin
-            blank (i + 1);
-            go (i + 3)
-          end
-          else go (i + 1) (* type variable like 'a *)
-      | _ -> go (i + 1)
-  in
-  go 0;
-  Bytes.to_string out
-
 let is_ident_char c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '_'
   || c = '\''

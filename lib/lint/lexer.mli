@@ -10,14 +10,6 @@ val strip_comments_and_strings : string -> string
     comments, and string/char literals embedded {e inside} comments
     (where a [" *) "] does not close the comment). *)
 
-val mask_strings : string -> string
-(** Replace string/char literal contents with spaces but KEEP comment
-    text (comments are still tracked, so quotes inside them never open
-    a literal). This is the view marker scans use: [dlint: hotpath]
-    lives in comments, yet must not be spoofable from a string — string
-    and char literals embedded inside comments are blanked too, and
-    tracked so they cannot open/close a comment early. *)
-
 val is_ident_char : char -> bool
 
 val token_index : string -> string -> int option

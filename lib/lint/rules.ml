@@ -4,7 +4,6 @@ type violation = {
   col : int;
   rule : string;
   message : string;
-  chain : Effects.hop list;
 }
 
 let rule_determinism = "determinism-source"
@@ -16,7 +15,7 @@ let rule_unused = "unused-exemption"
 
 let rule_ids =
   [ rule_determinism; rule_hashtbl; rule_copy; rule_poly; rule_print ]
-  @ Ownership.rule_ids @ Effects.rule_ids @ [ rule_unused ]
+  @ Ownership.rule_ids @ [ rule_unused ]
 
 (* ---------- path classification ---------- *)
 
@@ -52,7 +51,6 @@ let ownership_dirs = [ "tcp"; "demikernel"; "apps"; "baselines"; "harness" ]
 
 (* ---------- lexical layer (shared with the ownership pass) ---------- *)
 
-let strip_comments_and_strings = Lexer.strip_comments_and_strings
 let is_ident_char = Lexer.is_ident_char
 let contains_token = Lexer.contains_token
 let word_at = Lexer.word_at
@@ -199,15 +197,12 @@ let by_position a b =
   | 0 -> ( match compare a.line b.line with 0 -> compare a.col b.col | c -> c)
   | c -> c
 
-(* Per-file scanning state: every lexical view plus this file's inline
-   allow machinery, shared between the local passes and the
-   interprocedural one (callee-definition exemptions and call-site
-   allows both live in the file they annotate). *)
+(* Per-file scanning state: the stripped lines plus this file's inline
+   allow machinery, shared by the passes. *)
 type file_state = {
   fs_path : string;
   fs_sub : string option;
   fs_stripped : string array;
-  fs_masked : string array;
   fs_allowed : line:int -> rule:string -> bool;
   fs_unused : unit -> (int * int * string) list;
 }
@@ -218,12 +213,9 @@ type report = {
   timings : (string * float) list;
 }
 
-(* The project pipeline. Local passes (per-line rules, ownership
-   dataflow) run file by file; the Demideep interprocedural pass then
-   runs once over the whole file set, so a hot call in [tcp/stack.ml]
-   can be blamed on a collection walk three hops away in another
-   module. The central {!Allowlist} is NOT applied here
-   — the driver does that, so it can also detect stale central
+(* The project pipeline: the per-line rules and the ownership dataflow
+   pass, file by file. The central {!Allowlist} is NOT applied here —
+   the driver does that, so it can also detect stale central
    entries. *)
 let scan_project ?now files =
   let clock = match now with Some f -> f | None -> fun () -> 0. in
@@ -240,10 +232,7 @@ let scan_project ?now files =
         List.map
           (fun (path, contents) ->
             let stripped =
-              Array.of_list (String.split_on_char '\n' (strip_comments_and_strings contents))
-            in
-            let masked =
-              Array.of_list (String.split_on_char '\n' (Lexer.mask_strings contents))
+              Array.of_list (String.split_on_char '\n' (Lexer.strip_comments_and_strings contents))
             in
             let raw = Array.of_list (String.split_on_char '\n' contents) in
             let allowed, unused = inline_allows ~tally raw in
@@ -251,16 +240,15 @@ let scan_project ?now files =
               fs_path = path;
               fs_sub = lib_subdir path;
               fs_stripped = stripped;
-              fs_masked = masked;
               fs_allowed = allowed;
               fs_unused = unused;
             })
           files)
   in
   let out = ref [] in
-  let emit fs ~line ~col ~rule ?(chain = []) message =
+  let emit fs ~line ~col ~rule message =
     if not (fs.fs_allowed ~line ~rule) then
-      out := { path = fs.fs_path; line; col; rule; message; chain } :: !out
+      out := { path = fs.fs_path; line; col; rule; message } :: !out
   in
   (* per-line token rules *)
   timed "line-rules" (fun () ->
@@ -363,39 +351,6 @@ let scan_project ?now files =
                   f.Ownership.message)
               (Ownership.scan fs.fs_stripped))
         states);
-  (* Demideep: whole-project call graph + scan summaries. Callee-side
-     definition exemptions are resolved against the file that carries
-     the marker; surviving findings then pass through the call-site
-     file's allows like any other rule. *)
-  timed "interproc" (fun () ->
-      let by_path = Hashtbl.create 16 in
-      List.iter (fun fs -> Hashtbl.replace by_path fs.fs_path fs) states;
-      let file_allowed ~path ~line ~rule =
-        match Hashtbl.find_opt by_path path with
-        | Some fs -> fs.fs_allowed ~line ~rule
-        | None -> false
-      in
-      let r =
-        Effects.analyze
-          ~files:
-            (List.map
-               (fun fs ->
-                 {
-                   Effects.path = fs.fs_path;
-                   stripped = fs.fs_stripped;
-                   masked = fs.fs_masked;
-                 })
-               states)
-          ~exempt:file_allowed
-      in
-      List.iter
-        (fun (f : Effects.finding) ->
-          match Hashtbl.find_opt by_path f.Effects.fpath with
-          | Some fs ->
-              emit fs ~line:f.Effects.fline ~col:f.Effects.fcol ~rule:f.Effects.frule
-                ~chain:f.Effects.fchain f.Effects.fmessage
-          | None -> ())
-        r.Effects.findings);
   (* stale inline markers, queried only after every pass has had its
      chance to consume them *)
   let stale =
@@ -413,7 +368,6 @@ let scan_project ?now files =
                   "dlint-allow: %s suppresses nothing on this or the next line; remove \
                    the stale exemption"
                   rule;
-              chain = [];
             })
           (fs.fs_unused ()))
       states

@@ -27,14 +27,12 @@
     PDPIX ownership-protocol rules ([free-after-push],
     [double-free-path], [leaked-buffer], [dropped-token]) in the
     buffer-handling directories ([lib/tcp], [lib/demikernel],
-    [lib/apps], [lib/baselines], [lib/harness]); and the {!Effects}
-    interprocedural pass contributes [scan-in-hotpath] — whole-collection
-    walks reached, directly or down the call chain, from regions opted
-    in with [(* dlint: hotpath *)] / [(* dlint: hotpath-begin/end *)]
-    markers (any directory — marking is the opt-in), each finding
-    carrying a witness chain. Allocation is measured, not linted: the
-    selfcheck holds each libOS to an exact minor-word budget per echo
-    ({!Memory.Gcbudget}).
+    [lib/apps], [lib/baselines], [lib/harness]). Allocation and scaling
+    are measured, not linted: the selfcheck holds each libOS to an
+    exact minor-word budget per echo ({!Memory.Gcbudget}), and the
+    scaling gate in [test/test_scaling.ml] holds events, words and CPU
+    per operation flat as connections, pending pops and queued pushes
+    grow.
 
     Scanning is purely lexical: comments and string/char literals are
     stripped first, so a banned name inside a docstring does not trip
@@ -53,9 +51,6 @@ type violation = {
   col : int; (* 1-based *)
   rule : string;
   message : string;
-  chain : Effects.hop list;
-      (** witness call chain for the interprocedural rules (hot call
-          site first, direct evidence last); [[]] for per-line rules *)
 }
 
 val rule_ids : string list
@@ -64,10 +59,6 @@ val rule_unused : string
 (** The ["unused-exemption"] rule id (stale [dlint-allow] markers and
     stale {!Allowlist} entries). *)
 
-val strip_comments_and_strings : string -> string
-(** Replace comment bodies and string/char literal contents with spaces
-    (newlines preserved), so token scans can't match inside them. *)
-
 type report = {
   violations : violation list;
       (** everything surviving inline allows, including
@@ -75,18 +66,15 @@ type report = {
           by (path, line, col) *)
   suppressed : (string * int) list;
       (** per rule id (in {!rule_ids} order, zeroes included): how many
-          times an inline [dlint-allow] suppressed a finding or cleared
-          an interprocedural flag *)
+          times an inline [dlint-allow] suppressed a finding *)
   timings : (string * float) list;
-      (** per pass, in pipeline order ([lex], [line-rules], [ownership],
-          [interproc]): wall seconds, all zero unless [?now] was
-          supplied *)
+      (** per pass, in pipeline order ([lex], [line-rules], [ownership]):
+          wall seconds, all zero unless [?now] was supplied *)
 }
 
 val scan_project : ?now:(unit -> float) -> (string * string) list -> report
-(** The whole-project pipeline over [(path, contents)] pairs. Local
-    passes run per file; the Demideep {!Effects} pass runs once over
-    the full set, so cross-module call chains resolve. [?now] is the
+(** The whole-project pipeline over [(path, contents)] pairs, every
+    pass run file by file. [?now] is the
     wall clock used for {!report.timings} (injected — lint code may not
     touch ambient time). The central {!Allowlist} is NOT applied (the
     driver does that, so it can also detect stale central entries). *)

@@ -3,7 +3,7 @@
    Two kinds of measured window, both armed by the selfcheck (and so by
    [dune runtest] / [dune build @selfcheck]):
 
-   - steady polls: every steady-state poll of a marked poll loop must
+   - steady polls: every steady-state poll of an instrumented poll loop must
      allocate ZERO words on the OCaml minor heap;
    - budgeted busy windows: a site registered with [~budget] (words per
      unit) must allocate at most [budget * units] words between [enter]
@@ -108,7 +108,6 @@ let site ?(warmup = 16) ?budget name =
       Hashtbl.add registry name s;
       s
 
-(* dlint: hotpath *)
 let enter s =
   if !armed_flag then begin
     s.in_window <- true;
@@ -123,7 +122,6 @@ let over s words =
 
 (* The [w1] reads happen before any of the arithmetic below, so even a
    boxed (bytecode) read lands its box outside the measured window. *)
-(* dlint: hotpath *)
 let leave_steady s =
   if !armed_flag && s.in_window then begin
     let w1 = int_of_float (Gc.minor_words ()) in
@@ -135,7 +133,6 @@ let leave_steady s =
     end
   end
 
-(* dlint: hotpath *)
 let leave_busy ?(units = 1) s =
   if !armed_flag && s.in_window then begin
     let w1 = int_of_float (Gc.minor_words ()) in

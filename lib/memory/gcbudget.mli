@@ -5,7 +5,7 @@
     and [dune build @selfcheck]), it checks two kinds of window on the
     OCaml minor heap:
 
-    - each steady-state poll of a marked poll loop must allocate zero
+    - each steady-state poll of an instrumented poll loop must allocate zero
       words, after a per-site warmup that exempts first-use lazy
       initialisation;
     - a site registered with [~budget] words per unit must allocate at

@@ -26,8 +26,7 @@ type superblock = {
   mutable free_head : int;
   mutable free_count : int;
   app_bits : bool array;
-  os_bits : bool array;
-  os_overflow : (int, int) Hashtbl.t; (* slot -> extra libOS refs beyond the bit *)
+  os_refs : int array; (* libOS references per slot *)
   sites : string array; (* last allocation-site label per slot (sanitizer) *)
   mutable rkey : int option;
   mutable in_partial : bool;
@@ -123,8 +122,7 @@ let new_superblock t class_index =
       free_head = objects_per_superblock - 1;
       free_count = objects_per_superblock;
       app_bits = Array.make objects_per_superblock false;
-      os_bits = Array.make objects_per_superblock false;
-      os_overflow = Hashtbl.create 4;
+      os_refs = Array.make objects_per_superblock 0;
       sites = Array.make objects_per_superblock "";
       rkey = None;
       in_partial = true;
@@ -238,9 +236,7 @@ let release sb slot =
     t.partial.(sb.class_index) <- sb :: t.partial.(sb.class_index)
   end
 
-let os_ref_count sb slot =
-  (if sb.os_bits.(slot) then 1 else 0)
-  + (match Hashtbl.find_opt sb.os_overflow slot with Some n -> n | None -> 0)
+let os_ref_count sb slot = sb.os_refs.(slot)
 
 let free b =
   let sb = b.sb in
@@ -254,23 +250,16 @@ let free b =
 
 let os_incref b =
   let sb = b.sb in
-  if (not sb.app_bits.(b.slot)) && os_ref_count sb b.slot = 0 then raise Bad_refcount;
-  if sb.os_bits.(b.slot) then begin
-    let extra = match Hashtbl.find_opt sb.os_overflow b.slot with Some n -> n | None -> 0 in
-    Hashtbl.replace sb.os_overflow b.slot (extra + 1)
-  end
-  else sb.os_bits.(b.slot) <- true
+  let n = sb.os_refs.(b.slot) in
+  if (not sb.app_bits.(b.slot)) && n = 0 then raise Bad_refcount;
+  sb.os_refs.(b.slot) <- n + 1
 
 let os_decref b =
   let sb = b.sb in
-  match Hashtbl.find_opt sb.os_overflow b.slot with
-  | Some n when n > 0 ->
-      if n = 1 then Hashtbl.remove sb.os_overflow b.slot
-      else Hashtbl.replace sb.os_overflow b.slot (n - 1)
-  | Some _ | None ->
-      if not sb.os_bits.(b.slot) then raise Bad_refcount;
-      sb.os_bits.(b.slot) <- false;
-      if not sb.app_bits.(b.slot) then release sb b.slot
+  let n = sb.os_refs.(b.slot) in
+  if n = 0 then raise Bad_refcount;
+  sb.os_refs.(b.slot) <- n - 1;
+  if n = 1 && not sb.app_bits.(b.slot) then release sb b.slot
 
 let app_live b = b.sb.app_bits.(b.slot)
 let os_refs b = os_ref_count b.sb b.slot

@@ -5,15 +5,14 @@
     superblock header carries everything zero-copy I/O coordination
     needs:
 
-    - a per-object reference-count bitmap — one bit for the application
-      reference and one for the libOS, with an overflow table when the
-      libOS holds more than one reference (e.g. a TCP segment queued for
-      retransmission twice);
+    - per-object reference state — one bit for the application
+      reference and one counter for the libOS references (a buffer
+      split into several TCP segments holds one per queued segment);
     - DMA registration state (an rkey), assigned either eagerly at
       superblock creation (DPDK/SPDK pool-backed mode) or lazily on the
       first [rkey] call (RDMA register-on-demand mode).
 
-    Use-after-free protection falls out of the bitmap: an object returns
+    Use-after-free protection falls out of that state: an object returns
     to the free list only when {e both} the application and the libOS
     have released it. *)
 

@@ -11,10 +11,13 @@ let size_of_index i =
   assert (i >= 0 && i < class_count);
   min_class lsl i
 
+(* Top-level recursion: a local [go] capturing [size] would build a
+   closure on every call, and every [Heap.alloc] calls this. *)
+let rec first_fitting size i = if size_of_index i >= size then i else first_fitting size (i + 1)
+
 let index_of_size size =
   if size <= 0 then invalid_arg "Sizeclass.index_of_size: non-positive size";
   if size > max_class then invalid_arg "Sizeclass.index_of_size: size beyond max class";
-  let rec go i = if size_of_index i >= size then i else go (i + 1) in
-  go 0
+  first_fitting size 0
 
 let zero_copy_eligible size = size > zero_copy_threshold

@@ -52,7 +52,6 @@ let upper_bound_of idx =
     (* sub + 1 = 128 carries cleanly into the leading bit. *)
     (1 lsl h) + ((sub + 1) lsl (h - sub_bits)) - 1
 
-(* dlint: hotpath *)
 let add t v =
   let v = if v < 0 then 0 else v in
   let idx = index_of v in

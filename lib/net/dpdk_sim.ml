@@ -63,7 +63,6 @@ let create fabric ~mac ~ip ?(rx_ring_size = 1024) () =
 let mac t = t.mac
 let ip t = t.ip
 
-(* dlint: hotpath *)
 let tx t frame =
   let sim = Fabric.sim t.fabric in
   let t0 = Engine.Sim.now sim in
@@ -71,7 +70,6 @@ let tx t frame =
     ~t1:(t0 + t.pipe_ns);
   Hop.send t.tx_pipe ~at:(t0 + t.pipe_ns) frame
 
-(* dlint: hotpath *)
 let rx_take t ~max =
   (* One poller at a time: a poll takes all it counted before the next
      one counts, so the frames a poll takes are the ones it counted. *)
@@ -80,7 +78,6 @@ let rx_take t ~max =
   t.rxq.claimed <- t.rxq.claimed + n;
   n
 
-(* dlint: hotpath *)
 let rx t =
   if t.rxq.claimed = 0 then invalid_arg "Dpdk_sim.rx: no frame taken";
   t.rxq.claimed <- t.rxq.claimed - 1;

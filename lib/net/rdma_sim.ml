@@ -187,15 +187,11 @@ let ip t = t.ip
 (* Top-level recursion (not a per-call closure): the empty-CQ poll —
    the steady-state case — allocates nothing, because [List.rev []]
    returns [[]] without allocating. *)
-(* dlint: hotpath *)
-(* dlint-allow: scan-in-hotpath -- List.rev of the local accumulator: bounded by the poll budget n, and [] on the steady empty poll *)
 let rec take_cq cq n acc =
-  (* dlint-allow: scan-in-hotpath -- the reversal walk exists only on busy polls, bounded by the poll budget; List.rev [] on the empty poll is free *)
   if n = 0 || Queue.is_empty cq then List.rev acc
   else
     take_cq cq (n - 1) (Queue.pop cq :: acc)
 
-(* dlint: hotpath *)
 let poll_cq t ~max = take_cq t.cq max []
 
 let cq_pending t = Queue.length t.cq

@@ -96,7 +96,6 @@ let enter_syscall t =
    processing per packet, then run protocol timers. Top-level recursion
    rather than per-call inner closures: [drain] runs on every Catnap
    poll, and the empty-ring (steady) pass must allocate nothing. *)
-(* dlint: hotpath *)
 let rec rx_n t n =
   if n > 0 then begin
     let frame = Net.Dpdk_sim.rx t.nic in
@@ -108,7 +107,6 @@ let rec rx_n t n =
 
 (* Bursts of at most 32, each counted at its start, until the ring is
    empty. *)
-(* dlint: hotpath *)
 let rec drain_bursts t =
   match Net.Dpdk_sim.rx_take t.nic ~max:32 with
   | 0 -> ()
@@ -116,7 +114,6 @@ let rec drain_bursts t =
       rx_n t n;
       drain_bursts t
 
-(* dlint: hotpath *)
 let drain t =
   drain_bursts t;
   Tcp.Stack.flush_acks t.stack;
@@ -125,7 +122,6 @@ let drain t =
 (* Cumulative kernel-datapath activity: bumps when a frame is drained or
    a protocol timer fires. A poll that leaves it unchanged did no work —
    the steady-state discriminator for the gc-budget oracle. *)
-(* dlint: hotpath *)
 let activity t = t.rx_frames + Tcp.Stack.timer_activity t.stack
 
 (* Sleep until [ready] holds, draining on every wakeup. Blocking callers
@@ -330,7 +326,6 @@ let connect_status t fd =
 
 let rx_signal t = Net.Dpdk_sim.rx_signal t.nic
 
-(* dlint: hotpath *)
 let next_timer_ns t = Tcp.Stack.next_timer_ns t.stack
 
 (* ---------- durable log ---------- *)

@@ -51,7 +51,6 @@ let hash ka kb =
   let h = (ka * 0x2545_F491_4F6C_DD1D) lxor (kb * 0x27D4_EB2F_1656_67C5) in
   h lxor (h lsr 29)
 
-(* dlint: hotpath-begin *)
 let rec probe vals keys_a keys_b mask ka kb i =
   let k = Array.unsafe_get keys_a i in
   if k = empty_key then None
@@ -59,7 +58,6 @@ let rec probe vals keys_a keys_b mask ka kb i =
   else probe vals keys_a keys_b mask ka kb ((i + 1) land mask)
 
 let find t ~ka ~kb = probe t.vals t.ka t.kb t.mask ka kb (hash ka kb land t.mask)
-(* dlint: hotpath-end *)
 
 (* Index of the key's binding, or -1. *)
 let find_index t ~ka ~kb =

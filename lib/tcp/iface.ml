@@ -158,7 +158,6 @@ let learn t ~sender_ip ~sender_mac =
 (* Stash a fragment; return the reassembled transport payload once the
    datagram is complete. Partial datagrams are evicted LRU-ish when the
    table is full (the sender retries at a higher layer). *)
-(* dlint-allow: scan-in-hotpath -- fragment path only (steady traffic is unfragmented), and OCaml's Hashtbl.length reads a stored size field in O(1); the sorted eviction fold runs only at the max_frag_entries cap *)
 let offer_fragment t (header : Net.Ipv4.t) b off =
   let key = (header.Net.Ipv4.src, header.Net.Ipv4.identification, header.Net.Ipv4.protocol) in
   let entry =

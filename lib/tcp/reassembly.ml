@@ -24,7 +24,6 @@ let trim_low ~floor ~seq payload =
   else if skip >= String.length payload then None
   else Some (floor, String.sub payload skip (String.length payload - skip))
 
-(* dlint-allow: scan-in-hotpath -- runs once per received data segment (busy RX); the walk covers only buffered out-of-order segments, bounded by the receive window *)
 let insert t ~seq payload =
   if String.length payload = 0 then ()
   else

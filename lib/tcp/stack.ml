@@ -1039,7 +1039,6 @@ let handle_tcp t header b off =
    deterministic, so emission order cannot depend on hashing. A conn
    whose flag was already cleared (early [send_ack], or teardown) pops
    as a no-op. *)
-(* dlint: hotpath *)
 let flush_acks t =
   while not (Engine.Ring.is_empty t.ack_q) do
     let conn = Engine.Ring.pop t.ack_q in
@@ -1047,8 +1046,7 @@ let flush_acks t =
   done
 
 (* The dispatch itself is allocation-free; the per-protocol handlers it
-   calls are busy-path work (a frame arrived) and stay unmarked. *)
-(* dlint: hotpath *)
+   calls are busy-path work (a frame arrived). *)
 let dispatch t header b off =
   if header.Net.Ipv4.protocol = Net.Ipv4.protocol_udp then handle_udp t header b off
   else if header.Net.Ipv4.protocol = Net.Ipv4.protocol_tcp then handle_tcp t header b off
@@ -1099,7 +1097,6 @@ let create ?(config = default_config) ?(trace = fun _ _ _ -> ()) ~iface ~heap ~p
 (* The one writer of the RX views: a frame is parsed and handled to the
    end before the next is taken, even when a handler's transmit charges
    and suspends, so input must never be re-entered. *)
-(* dlint: hotpath *)
 let input t frame =
   assert (not t.in_input);
   t.in_input <- true;
@@ -1111,10 +1108,8 @@ let input t frame =
 
 let timer_live conn seq = seq = conn.rto_seq || seq = conn.tw_seq
 
-(* dlint: hotpath *)
 let next_timer_ns t = Engine.Eventq.next_live t.timers ~live:timer_live
 
-(* dlint: hotpath *)
 let timer_activity t = t.timers_fired
 
 let handshake_timeout conn =
@@ -1157,7 +1152,6 @@ let timer_fired conn seq =
     rto_fire conn
   end
 
-(* dlint: hotpath *)
 let on_timer t =
   flush_acks t;
   (* [now] is read once: a firing callback charges the host, which

@@ -305,66 +305,24 @@ let test_violations_carry_columns () =
   | first :: _ -> check_int "Random.self_init column" 10 first.Lint.Rules.col
   | [] -> Alcotest.fail "expected violations"
 
-(* ---------- hot-path markers ---------- *)
+(* ---------- the stats table ---------- *)
 
-(* Synthetic sources scan under lib/engine, which is exempt from the
-   datapath rules — any finding below comes from the scan pass, whose
-   regions the markers arm. The marker tests (and the stats-table and
-   transitive-chain tests below) keep the "alloc" names they had when
-   the markers armed a static allocation rule, so their suite names
-   stay stable; they now exercise scan-in-hotpath. *)
-let hot_scan src = Lint.Rules.scan_string ~path:"lib/engine/hot.ml" src
-
-let test_marker_arms_next_binding () =
-  let marked = "(* dlint: hotpath *)\nlet f xs = List.length xs\n" in
-  let vs = hot_scan marked in
-  Alcotest.(check (list string)) "one scan finding" [ "scan-in-hotpath" ] (rules_of vs);
-  Alcotest.(check (list int)) "on the binding line" [ 2 ] (lines_of vs);
-  check_int "identical unmarked code is clean" 0
-    (List.length (hot_scan "let f xs = List.length xs\n"));
-  check_int "marker scope ends at the next top-level binding" 1
-    (List.length
-       (hot_scan
-          "(* dlint: hotpath *)\nlet f xs = List.length xs\nlet g xs = List.length xs\n"))
-
-let test_region_markers () =
-  let src =
-    "(* dlint: hotpath-begin *)\n"
-    ^ "let g xs = List.length xs\n"
-    ^ "(* dlint: hotpath-end *)\n"
-    ^ "let h xs = List.length xs\n"
-  in
-  let vs = hot_scan src in
-  Alcotest.(check (list int)) "only the in-region line fires" [ 2 ] (lines_of vs)
-
-let test_marker_edge_cases () =
-  check_int "marker inside a string literal is inert" 0
-    (List.length (hot_scan "let s = \"dlint: hotpath\"\nlet f xs = List.length xs\n"));
-  check_int "prose mention (unterminated) is inert" 0
-    (List.length
-       (hot_scan
-          "(* the dlint: hotpath marker arms the next binding *)\nlet f xs = List.length xs\n"));
-  check_int "marker with no following binding arms nothing" 0
-    (List.length (hot_scan "let f xs = List.length xs\n(* dlint: hotpath *)\n"));
-  check_int "string containing a comment opener does not swallow the marker" 1
-    (List.length
-       (hot_scan
-          "let s = \"(* not a comment\"\n(* dlint: hotpath *)\nlet f xs = List.length xs\n"));
-  check_int "marker inside a nested comment still arms" 1
-    (List.length
-       (hot_scan
-          "(* outer (* inner *) still comment *)\n(* dlint: hotpath *)\nlet f xs = List.length xs\n"))
-
+(* Keeps the suite name it had when markers armed a static allocation
+   rule. *)
 let test_stats_table () =
   let vs =
-    hot_scan "(* dlint: hotpath *)\nlet f xs = List.length xs\nlet g xs = List.length xs\n"
+    Lint.Rules.scan_string ~path:"lib/tcp/st.ml"
+      "let size t = Hashtbl.fold (fun _ _ n -> n + 1) t 0\nlet x = 1\n"
   in
   let st = Lint.Driver.stats vs in
-  check_int "stats table counts scan findings" 1 (List.assoc "scan-in-hotpath" st);
+  check_int "stats table counts hashtbl findings" 1 (List.assoc "unordered-hashtbl" st);
   check_int "other rules report zero" 0 (List.assoc "determinism-source" st);
   check_int "one row per known rule" (List.length Lint.Rules.rule_ids) (List.length st);
-  check_bool "no static allocation rule is left" false
-    (List.exists (fun (rule, _) -> Lint.Lexer.contains_sub rule "alloc") st)
+  check_bool "no static allocation or scan rule is left" false
+    (List.exists
+       (fun (rule, _) ->
+         Lint.Lexer.contains_sub rule "alloc" || Lint.Lexer.contains_sub rule "hotpath")
+       st)
 
 (* ---------- lexer hardening: char literals and nested comments ---------- *)
 
@@ -379,225 +337,34 @@ let test_lexer_hardening () =
   check_int "a string containing *) does not close its comment" 0
     (hits "lib/tcp/d.ml" "(* doc: \" *) \" Hashtbl.iter still commented *)\nlet x = 1\n");
   check_int "apostrophe prose in a comment does not derail the lexer" 1
-    (hits "lib/tcp/e.ml" "(* it's just prose *) let drain t f = Hashtbl.iter f t\n");
-  (* mask_strings keeps comment text (markers live there) but blanks
-     string contents, including strings embedded in comments. *)
-  let masked = Lint.Lexer.mask_strings "(* keep \"blank me\" *) let s = \"gone\"\n" in
-  check_bool "comment text survives masking" true (Lint.Lexer.contains_token masked "keep");
-  check_bool "comment-embedded string content is blanked" false
-    (Lint.Lexer.contains_token masked "blank");
-  check_bool "string literal content is blanked" false (Lint.Lexer.contains_token masked "gone")
+    (hits "lib/tcp/e.ml" "(* it's just prose *) let drain t f = Hashtbl.iter f t\n")
 
-(* ---------- Demideep: interprocedural effect propagation ---------- *)
+(* ---------- exemption markers and the report ----------
 
-let interproc_of vs = List.filter (fun v -> v.Lint.Rules.rule = Lint.Effects.rule_scan) vs
+   These three keep the suite names they had under the interprocedural
+   scan pass, which is gone: scaling is measured (test_scaling.ml). *)
 
-let test_interproc_transitive_chain () =
+let test_retired_rule_exemption_is_stale () =
+  (* A leftover exemption for the retired scan rule suppresses nothing,
+     so it is reported like any other stale marker. *)
   let src =
-    String.concat "\n"
-      [
-        "let walk xs = List.length xs";
-        "let middle xs = walk xs";
-        "(* dlint: hotpath *)";
-        "let hot xs = middle xs";
-        "";
-      ]
+    "(* dlint-allow: scan-in-hotpath -- bounded by the burst size *)\nlet walk xs = List.length xs\n"
   in
-  let r = Lint.Rules.scan_project [ ("lib/tcp/chain.ml", src) ] in
-  match interproc_of r.Lint.Rules.violations with
-  | [ v ] ->
-      check_int "finding lands on the hot call line" 4 v.Lint.Rules.line;
-      check_int "witness: two calls plus the evidence" 3 (List.length v.Lint.Rules.chain);
-      let last = List.nth v.Lint.Rules.chain 2 in
-      check_int "evidence hop is the List.length line" 1
-        last.Lint.Effects.hop_loc.Lint.Effects.lline
-  | vs -> Alcotest.failf "expected one transitive scan finding, got %d" (List.length vs)
-
-let test_interproc_cross_file () =
-  let util = "let count xs = List.length xs\n" in
-  let caller = "(* dlint: hotpath *)\nlet hot xs = Net.Util.count xs\n" in
-  let r =
-    Lint.Rules.scan_project [ ("lib/net/util.ml", util); ("lib/tcp/caller.ml", caller) ]
-  in
-  match interproc_of r.Lint.Rules.violations with
-  | [ v ] ->
-      Alcotest.(check string) "caller file carries the finding" "lib/tcp/caller.ml"
-        v.Lint.Rules.path;
-      let last = List.nth v.Lint.Rules.chain (List.length v.Lint.Rules.chain - 1) in
-      Alcotest.(check string)
-        "evidence resolves across files" "lib/net/util.ml"
-        last.Lint.Effects.hop_loc.Lint.Effects.lpath
-  | vs -> Alcotest.failf "expected one cross-file finding, got %d" (List.length vs)
-
-let test_interproc_fixpoint_cycles () =
-  (* Self-recursion without evidence must converge to no flags. *)
-  let self =
-    "let rec spin n = if n = 0 then 0 else spin (n - 1)\n"
-    ^ "(* dlint: hotpath *)\nlet hot n = spin n\n"
-  in
-  check_int "scan-free self-recursion stays clean" 0
-    (List.length
-       (interproc_of (Lint.Rules.scan_project [ ("lib/tcp/selfrec.ml", self) ]).Lint.Rules.violations));
-  (* Mutual recursion: evidence inside the cycle reaches the hot caller,
-     and the witness chain stays finite (acyclic origins). *)
-  let mutual =
-    String.concat "\n"
-      [
-        "let rec ping xs = if xs = [] then 0 else pong xs";
-        "and pong xs = List.length xs + ping []";
-        "(* dlint: hotpath *)";
-        "let hot xs = ping xs";
-        "";
-      ]
-  in
-  (match
-     interproc_of (Lint.Rules.scan_project [ ("lib/tcp/mutual.ml", mutual) ]).Lint.Rules.violations
-   with
-  | [ v ] ->
-      check_bool "witness chain is finite" true (List.length v.Lint.Rules.chain <= 4)
-  | vs -> Alcotest.failf "mutual recursion: expected 1 finding, got %d" (List.length vs));
-  (* Diamond: both edges out of the hot caller are reported, once each. *)
-  let diamond =
-    String.concat "\n"
-      [
-        "let bottom xs = List.length xs";
-        "let left xs = bottom xs";
-        "let right xs = bottom xs";
-        "(* dlint: hotpath *)";
-        "let top xs = left (right xs)";
-        "";
-      ]
-  in
-  check_int "diamond: one finding per hot edge, no duplicates" 2
-    (List.length
-       (interproc_of (Lint.Rules.scan_project [ ("lib/tcp/diamond.ml", diamond) ]).Lint.Rules.violations))
-
-let test_interproc_cycle_convergence () =
-  (* Three-function cycle with evidence in only one member: the flag
-     must travel the whole cycle (second fixpoint iteration) to reach
-     the entry point the hot caller uses. *)
-  let cyc =
-    String.concat "\n"
-      [
-        "let rec a xs = b xs";
-        "and b xs = c xs";
-        "and c xs = if xs = [] then a xs else List.length xs";
-        "(* dlint: hotpath *)";
-        "let hot xs = a xs";
-        "";
-      ]
-  in
-  match
-    interproc_of (Lint.Rules.scan_project [ ("lib/tcp/cycle.ml", cyc) ]).Lint.Rules.violations
-  with
-  | [ v ] ->
-      check_int "finding on the hot call" 5 v.Lint.Rules.line;
-      let last = List.nth v.Lint.Rules.chain (List.length v.Lint.Rules.chain - 1) in
-      check_int "evidence deep in the cycle" 3 last.Lint.Effects.hop_loc.Lint.Effects.lline
-  | vs -> Alcotest.failf "cycle: expected 1 finding, got %d" (List.length vs)
-
-let test_interproc_exempt_callee () =
-  (* A def-line exemption on the evidence owner silences every
-     transitive caller, and the consumed marker is not stale. *)
-  let src =
-    String.concat "\n"
-      [
-        "(* dlint-allow: scan-in-hotpath -- bounded by the burst size *)";
-        "let walk xs = List.length xs";
-        "let wrap xs = walk xs";
-        "(* dlint: hotpath *)";
-        "let hot xs = wrap xs";
-        "";
-      ]
-  in
-  let vs = Lint.Rules.scan_project_full [ ("lib/tcp/exempt.ml", src) ] in
-  check_int "one exemption at the definition clears the whole chain" 0 (List.length vs);
-  (* The same marker with no evidence behind it is reported stale. *)
-  let stale = "(* dlint-allow: scan-in-hotpath -- nothing walks *)\nlet pure n = n + 1\n" in
   Alcotest.(check (list string))
     "stale scan exemption is reported"
     [ Lint.Rules.rule_unused ]
-    (List.map
-       (fun v -> v.Lint.Rules.rule)
-       (Lint.Rules.scan_project_full [ ("lib/tcp/stale.ml", stale) ]))
+    (rules_of (Lint.Rules.scan_project_full [ ("lib/tcp/stale.ml", src) ]));
+  check_bool "the scan rule is not a rule any more" false
+    (List.mem "scan-in-hotpath" Lint.Rules.rule_ids)
 
-let test_interproc_scan_rule () =
-  (* Direct scan token on a hot line. *)
-  let direct = "(* dlint: hotpath *)\nlet drain t f = List.iter f t\n" in
-  (match
-     interproc_of (Lint.Rules.scan_project [ ("lib/engine/d.ml", direct) ]).Lint.Rules.violations
-   with
-  | [ v ] -> Alcotest.(check string) "direct scan rule" Lint.Effects.rule_scan v.Lint.Rules.rule
-  | vs -> Alcotest.failf "direct scan: expected 1, got %d" (List.length vs));
-  (* Transitive: the walk hides one call away (engine path dodges the
-     per-line unordered-hashtbl rule, proving the interproc pass fires
-     on its own). *)
-  let trans =
-    "let total t = Hashtbl.fold (fun _ v n -> v + n) t 0\n"
-    ^ "(* dlint: hotpath *)\nlet hot t = total t\n"
-  in
-  (match
-     List.filter
-       (fun v -> v.Lint.Rules.rule = Lint.Effects.rule_scan)
-       (Lint.Rules.scan_project [ ("lib/engine/t.ml", trans) ]).Lint.Rules.violations
-   with
-  | [ v ] -> check_int "scan finding on the hot call line" 3 v.Lint.Rules.line
-  | vs -> Alcotest.failf "transitive scan: expected 1, got %d" (List.length vs));
-  (* The sanctioned Det helpers are still O(n) — sorted iteration is
-     deterministic, not free — so they count as scans under a marker. *)
-  let det =
-    "(* dlint: hotpath *)\nlet flush t f = Engine.Det.hashtbl_iter_sorted ~compare:Int.compare t f\n"
-  in
-  check_int "Det sorted helpers are scans too" 1
-    (List.length
-       (interproc_of (Lint.Rules.scan_project [ ("lib/demikernel/s.ml", det) ]).Lint.Rules.violations))
-
-let test_interproc_wait_set_rebuild () =
-  (* The list-based server loop the apps used to share three copies of:
-     every completion rebuilt the wait set ([List.map] into
-     [Array.of_list]), found the role by position ([List.nth]) and
-     dropped the served token by index ([List.filteri]). Inside a
-     hotpath region each of those walks is reported. *)
-  let src =
-    String.concat "\n"
-      [
-        "(* dlint: hotpath *)";
-        "let serve api tokens =";
-        "  let remove i = tokens := List.filteri (fun j _ -> j <> i) !tokens in";
-        "  let rec loop () =";
-        "    let arr = Array.of_list (List.map fst !tokens) in";
-        "    let i, _ = api.wait_any arr in";
-        "    let _, role = List.nth !tokens i in";
-        "    remove i;";
-        "    role ();";
-        "    loop ()";
-        "  in";
-        "  loop ()";
-        "";
-      ]
-  in
-  let scans =
-    List.filter
-      (fun v -> v.Lint.Rules.rule = Lint.Effects.rule_scan)
-      (Lint.Rules.scan_project [ ("lib/apps/loop.ml", src) ]).Lint.Rules.violations
-  in
-  Alcotest.(check (list int))
-    "filteri, map and nth lines are scans" [ 3; 5; 7 ]
-    (List.sort_uniq compare (List.map (fun v -> v.Lint.Rules.line) scans));
-  check_bool "the filteri finding names List.filteri" true
-    (List.exists
-       (fun v -> v.Lint.Rules.line = 3 && Lint.Lexer.contains_sub v.Lint.Rules.message "List.filteri")
-       scans)
-
-let test_interproc_multi_rule_allow () =
+let test_multi_rule_allow () =
   (* One marker naming two rules suppresses both findings on the
      covered line, and neither half goes stale. *)
   let src =
     String.concat "\n"
       [
-        "(* dlint: hotpath *)";
-        "(* dlint-allow: unordered-hashtbl, scan-in-hotpath -- order-free count of a bounded table *)";
-        "let hot t = Hashtbl.fold (fun _ _ n -> n + 1) t 0";
+        "(* dlint-allow: unordered-hashtbl, determinism-source -- seeded once, order-free count *)";
+        "let hot t = Random.int (Hashtbl.fold (fun _ _ n -> n + 1) t 1)";
         "";
       ]
   in
@@ -606,57 +373,24 @@ let test_interproc_multi_rule_allow () =
   let r = Lint.Rules.scan_project [ ("lib/tcp/multi.ml", src) ] in
   check_int "hashtbl half recorded as suppressed" 1
     (List.assoc "unordered-hashtbl" r.Lint.Rules.suppressed);
-  (* The scan half is consumed twice: the marker covers [hot]'s
-     definition line (clearing the flag before propagation) and the
-     hot line's own walk. *)
-  check_int "scan half recorded as suppressed" 2
-    (List.assoc Lint.Effects.rule_scan r.Lint.Rules.suppressed)
+  check_int "determinism half recorded as suppressed" 1
+    (List.assoc "determinism-source" r.Lint.Rules.suppressed)
 
-let test_interproc_json_chain () =
-  let src = "let walk xs = List.length xs\n(* dlint: hotpath *)\nlet hot xs = walk xs\n" in
-  let r = Lint.Rules.scan_project [ ("lib/tcp/j.ml", src) ] in
-  let js = Lint.Driver.json_of_violations r.Lint.Rules.violations in
-  check_bool "json carries a structured chain array" true
-    (Lint.Lexer.contains_sub js "\"chain\":[{");
-  check_bool "hops carry file positions" true
-    (Lint.Lexer.contains_sub js "{\"path\":\"lib/tcp/j.ml\",\"line\":1");
-  check_bool "hops carry the evidence description" true
-    (Lint.Lexer.contains_sub js "List.length walks")
-
-let test_interproc_report_surfaces () =
+let test_report_surfaces () =
   let t = ref 0.0 in
   let now () =
     t := !t +. 1.0;
     !t
   in
-  let src = "let walk xs = List.length xs\n(* dlint: hotpath *)\nlet hot xs = walk xs\n" in
+  let src = "let drain t f = Hashtbl.iter f t\n" in
   let r = Lint.Rules.scan_project ~now [ ("lib/tcp/r.ml", src) ] in
-  check_int "four timed passes in pipeline order" 4 (List.length r.Lint.Rules.timings);
   Alcotest.(check (list string))
-    "pass names" [ "lex"; "line-rules"; "ownership"; "interproc" ]
+    "timed passes in pipeline order" [ "lex"; "line-rules"; "ownership" ]
     (List.map fst r.Lint.Rules.timings);
   check_bool "injected clock produces nonzero wall times" true
     (List.for_all (fun (_, s) -> s > 0.0) r.Lint.Rules.timings);
   check_int "suppression table covers every rule" (List.length Lint.Rules.rule_ids)
     (List.length r.Lint.Rules.suppressed)
-
-let test_interproc_graph_dot () =
-  let view path src =
-    {
-      Lint.Effects.path;
-      stripped =
-        Array.of_list (String.split_on_char '\n' (Lint.Rules.strip_comments_and_strings src));
-      masked = Array.of_list (String.split_on_char '\n' (Lint.Lexer.mask_strings src));
-    }
-  in
-  let src = "let walk xs = List.length xs\nlet hot xs = walk xs\n" in
-  let dot = Lint.Effects.dot ~files:[ view "lib/tcp/g.ml" src ] in
-  check_bool "digraph header" true (Lint.Lexer.contains_sub dot "digraph dlint");
-  check_bool "edge from caller to callee" true (Lint.Lexer.contains_sub dot " -> ");
-  check_bool "scanning node carries the S label" true (Lint.Lexer.contains_sub dot "[S]");
-  Alcotest.(check string)
-    "deterministic output" dot
-    (Lint.Effects.dot ~files:[ view "lib/tcp/g.ml" src ])
 
 (* ---------- the gc-budget oracle ---------- *)
 
@@ -808,27 +542,12 @@ let suite =
     Alcotest.test_case "stale central allowlist entry" `Quick test_stale_central_entry;
     Alcotest.test_case "json report format" `Quick test_json_report;
     Alcotest.test_case "violations carry columns" `Quick test_violations_carry_columns;
-    Alcotest.test_case "alloc: marker arms next binding" `Quick test_marker_arms_next_binding;
-    Alcotest.test_case "alloc: region markers" `Quick test_region_markers;
-    Alcotest.test_case "alloc: marker edge cases" `Quick test_marker_edge_cases;
     Alcotest.test_case "alloc: dlint --stats table" `Quick test_stats_table;
     Alcotest.test_case "lexer: char literals and nested comments" `Quick test_lexer_hardening;
-    Alcotest.test_case "interproc: transitive alloc chain" `Quick
-      test_interproc_transitive_chain;
-    Alcotest.test_case "interproc: cross-file resolution" `Quick test_interproc_cross_file;
-    Alcotest.test_case "interproc: fixpoint on cycles" `Quick test_interproc_fixpoint_cycles;
-    Alcotest.test_case "interproc: cycle convergence" `Quick test_interproc_cycle_convergence;
     Alcotest.test_case "interproc: exempt callee + staleness" `Quick
-      test_interproc_exempt_callee;
-    Alcotest.test_case "interproc: scan-in-hotpath" `Quick test_interproc_scan_rule;
-    Alcotest.test_case "interproc: wait-set rebuild is a scan" `Quick
-      test_interproc_wait_set_rebuild;
-    Alcotest.test_case "interproc: multi-rule allow marker" `Quick
-      test_interproc_multi_rule_allow;
-    Alcotest.test_case "interproc: json witness chain" `Quick test_interproc_json_chain;
-    Alcotest.test_case "interproc: report timings + suppression" `Quick
-      test_interproc_report_surfaces;
-    Alcotest.test_case "interproc: graph DOT export" `Quick test_interproc_graph_dot;
+      test_retired_rule_exemption_is_stale;
+    Alcotest.test_case "interproc: multi-rule allow marker" `Quick test_multi_rule_allow;
+    Alcotest.test_case "interproc: report timings + suppression" `Quick test_report_surfaces;
     Alcotest.test_case "gc-budget: oracle catches allocation" `Quick
       test_gcbudget_oracle_catches_allocation;
     Alcotest.test_case "gc-budget: warmup and disarmed" `Quick

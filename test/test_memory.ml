@@ -73,7 +73,7 @@ let test_uaf_protection () =
   check_int "one deferred free recorded" 1 (Memory.Heap.stats h).uaf_protected
 
 let test_os_ref_overflow () =
-  (* More than one libOS reference uses the overflow table. *)
+  (* The libOS may hold several references at once. *)
   let h = make_heap () in
   let b = Memory.Heap.alloc h 64 in
   Memory.Heap.os_incref b;
@@ -86,6 +86,49 @@ let test_os_ref_overflow () =
   check_bool "still live with one os ref" true (Memory.Heap.is_slot_live b);
   Memory.Heap.os_decref b;
   check_bool "released" false (Memory.Heap.is_slot_live b)
+
+(* A 16 KiB push split into twelve segments holds one libOS reference
+   per queued segment: taking and dropping them is counter arithmetic
+   (no words), and only the last drop returns the slot. *)
+let test_os_refs_words () =
+  let h = make_heap () in
+  let b = Memory.Heap.alloc h 64 in
+  Memory.Heap.free (Memory.Heap.alloc h 64);
+  Memory.Heap.free b;
+  let b = Memory.Heap.alloc h 64 in
+  let k = 12 in
+  let before = Gc.minor_words () in
+  for _ = 1 to k do
+    Memory.Heap.os_incref b
+  done;
+  let incref_words = Gc.minor_words () -. before in
+  check_int "k refs" k (Memory.Heap.os_refs b);
+  Memory.Heap.free b;
+  let frees = (Memory.Heap.stats h).frees in
+  let decref_words = ref 0. in
+  for i = 1 to k do
+    let before = Gc.minor_words () in
+    Memory.Heap.os_decref b;
+    decref_words := !decref_words +. (Gc.minor_words () -. before);
+    check_bool (Printf.sprintf "slot live until the last decref (%d of %d)" i k) (i < k)
+      (Memory.Heap.is_slot_live b);
+    check_int "released exactly once, at the last decref"
+      (if i < k then frees else frees + 1)
+      (Memory.Heap.stats h).frees
+  done;
+  Alcotest.(check (float 0.)) "words per incref" 0. incref_words;
+  Alcotest.(check (float 0.)) "words per decref" 0. !decref_words
+
+(* An alloc allocates its buffer record (a header and four fields) and
+   nothing else: the size-class lookup builds no closure. *)
+let test_alloc_words () =
+  let h = make_heap () in
+  Memory.Heap.free (Memory.Heap.alloc h 64);
+  let before = Gc.minor_words () in
+  let b = Memory.Heap.alloc h 64 in
+  let words = Gc.minor_words () -. before in
+  Memory.Heap.free b;
+  Alcotest.(check (float 0.)) "minor words per alloc" 5. words
 
 let test_os_decref_without_ref () =
   let h = make_heap () in
@@ -343,4 +386,6 @@ let suite =
       test_sanitizer_payload_roundtrip;
     QCheck_alcotest.to_alcotest alloc_free_balanced;
     QCheck_alcotest.to_alcotest payload_integrity;
+    Alcotest.test_case "words: k libOS refs on one buffer" `Quick test_os_refs_words;
+    Alcotest.test_case "words: heap alloc is its buffer record" `Quick test_alloc_words;
   ]
