@@ -58,13 +58,12 @@ let micro_tests () =
     (* Process one segment through header parse + demux + reassembly:
        the software path behind the paper's 53ns/packet figure. *)
     let heap = Memory.Heap.create ~mode:Memory.Heap.Pool_backed () in
+    let frames = Memory.Heap.create ~headroom:0 ~mode:Memory.Heap.Pool_backed () in
     let clock = ref 0 in
-    let frames = ref [] in
     let iface_a =
       Tcp.Iface.create ~mac:(Net.Addr.Mac.of_index 1) ~ip:(Net.Addr.Ip.of_index 1)
         ~clock:(fun () -> !clock)
-        ~tx_frame:(fun f -> frames := f :: !frames)
-        ()
+        ~frames ~tx_frame:Memory.Heap.free ()
     in
     let stack =
       Tcp.Stack.create ~iface:iface_a ~heap ~prng:(Engine.Prng.create 3L)
@@ -101,8 +100,7 @@ let micro_tests () =
     Test.make ~name:"catnip: tcp segment rx processing"
       (Staged.stage (fun () ->
            clock := !clock + 100;
-           frames := [];
-           Tcp.Stack.input stack seg))
+           Tcp.Stack.input stack (Memory.Heap.alloc_of_string frames seg)))
   in
   let heap_ops =
     let heap = Memory.Heap.create ~mode:Memory.Heap.Pool_backed () in

@@ -11,7 +11,7 @@
 
 type world = {
   mutable clock : int;
-  mutable queue : (int * int * [ `A | `B ] * string) list;
+  mutable queue : (int * int * [ `A | `B ] * Memory.Heap.buffer) list;
   mutable seq : int;
   mutable log : (int * string) list;
   mutable dropped : bool;
@@ -23,19 +23,20 @@ let ip = Net.Ipv4.create ()
 let th = Net.Tcp_wire.create ()
 
 let describe frame =
-  let b = Bytes.unsafe_of_string frame in
-  match Net.Eth.read b 0 eth with
+  let b = Memory.Heap.data frame in
+  let lim = Memory.Heap.offset frame + Memory.Heap.length frame in
+  match Net.Eth.read b (Memory.Heap.offset frame) ~lim eth with
   | exception Net.Wire.Malformed _ -> "malformed"
   | off ->
       if eth.Net.Eth.ethertype = Net.Eth.ethertype_arp then "ARP"
       else begin
-        match Net.Ipv4.read b off ip with
+        match Net.Ipv4.read b off ~lim ip with
         | exception Net.Wire.Malformed _ -> "non-ip"
         | toff ->
             if ip.Net.Ipv4.protocol <> Net.Ipv4.protocol_tcp then "ip"
             else begin
               match
-                Net.Tcp_wire.read b toff th
+                Net.Tcp_wire.read b toff ~lim th
                   ~seg_len:(ip.Net.Ipv4.total_length - Net.Ipv4.size)
                   ~src_ip:ip.Net.Ipv4.src ~dst_ip:ip.Net.Ipv4.dst
               with
@@ -54,19 +55,20 @@ let describe frame =
       end
 
 let tcp_payload_len frame =
-  let b = Bytes.unsafe_of_string frame in
-  match Net.Eth.read b 0 eth with
+  let b = Memory.Heap.data frame in
+  let lim = Memory.Heap.offset frame + Memory.Heap.length frame in
+  match Net.Eth.read b (Memory.Heap.offset frame) ~lim eth with
   | exception Net.Wire.Malformed _ -> 0
   | off ->
       if eth.Net.Eth.ethertype <> Net.Eth.ethertype_ipv4 then 0
       else begin
-        match Net.Ipv4.read b off ip with
+        match Net.Ipv4.read b off ~lim ip with
         | exception Net.Wire.Malformed _ -> 0
         | toff ->
             if ip.Net.Ipv4.protocol <> Net.Ipv4.protocol_tcp then 0
             else begin
               match
-                Net.Tcp_wire.read b toff th
+                Net.Tcp_wire.read b toff ~lim th
                   ~seg_len:(ip.Net.Ipv4.total_length - Net.Ipv4.size)
                   ~src_ip:ip.Net.Ipv4.src ~dst_ip:ip.Net.Ipv4.dst
               with
@@ -79,12 +81,14 @@ let run () =
   let w = { clock = 0; queue = []; seq = 0; log = []; dropped = false } in
   let heap side = Memory.Heap.create ~label:side ~mode:Memory.Heap.Pool_backed () in
   let heap_a = heap "a" and heap_b = heap "b" in
+  let frames = Memory.Heap.create ~label:"frames" ~headroom:0 ~mode:Memory.Heap.Pool_backed () in
   let send dest frame =
     w.log <- (w.clock, Printf.sprintf "%s %s" (match dest with `A -> "->a" | `B -> "->b")
                 (describe frame)) :: w.log;
     (* Fault injection: lose the first data-bearing segment to B. *)
     if dest = `B && (not w.dropped) && tcp_payload_len frame > 0 then begin
       w.dropped <- true;
+      Memory.Heap.free frame;
       w.log <- (w.clock, "   (dropped by the network)") :: w.log
     end
     else begin
@@ -97,7 +101,7 @@ let run () =
       ~mac:(Net.Addr.Mac.of_index side)
       ~ip:(Net.Addr.Ip.of_index side)
       ~clock:(fun () -> w.clock)
-      ~tx_frame:tx ()
+      ~frames ~tx_frame:tx ()
   in
   let stack_a =
     Tcp.Stack.create ~iface:(iface 1 (send `B)) ~heap:heap_a ~prng:(Engine.Prng.create 1L)

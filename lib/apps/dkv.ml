@@ -70,19 +70,19 @@ let reply srv qd status value_sga =
   let msg = Framing.fresh_msg_id srv.api in
   let cx = srv.cur in
   let hdr =
-    (* One framed response: [u32 ctx+1+vlen][ctx][u8 status], value
-       follows. The context echoes the request's (parent = its msg id,
-       hop + 1); all zeros when no recorder is attached. *)
-    let prefix =
-      if msg = 0 then Framing.header ~payload_len:(1 + value_len) ~req:0 ~msg:0 ~parent:0 ~hop:0
-      else
-        Framing.header ~payload_len:(1 + value_len) ~req:cx.Framing.c_req ~msg
-          ~parent:cx.Framing.c_msg ~hop:(cx.Framing.c_hop + 1)
-    in
-    let b = Bytes.create (Framing.hdr_size + 1) in
-    Bytes.blit_string prefix 0 b 0 Framing.hdr_size;
-    Net.Wire.set_u8 b Framing.hdr_size (status_byte status);
-    srv.api.Pdpix.alloc_str (Bytes.unsafe_to_string b)
+    (* One framed response, written straight into its buffer:
+       [u32 ctx+1+vlen][ctx][u8 status], value follows. The context
+       echoes the request's (parent = its msg id, hop + 1); all zeros
+       when no recorder is attached. *)
+    let hdr = srv.api.Pdpix.alloc (Framing.hdr_size + 1) in
+    let b = Memory.Heap.data hdr and off = Memory.Heap.offset hdr in
+    Net.Wire.set_u32 b off (Framing.ctx_size + 1 + value_len);
+    if msg = 0 then Framing.write_ctx b (off + 4) ~req:0 ~msg:0 ~parent:0 ~hop:0
+    else
+      Framing.write_ctx b (off + 4) ~req:cx.Framing.c_req ~msg ~parent:cx.Framing.c_msg
+        ~hop:(cx.Framing.c_hop + 1);
+    Net.Wire.set_u8 b (off + Framing.hdr_size) (status_byte status);
+    hdr
   in
   let qt = srv.api.Pdpix.push qd (hdr :: value_sga) in
   if msg <> 0 then

@@ -50,12 +50,6 @@ let encode_ctx ~req ~msg ~parent ~hop payload =
 
 let encode payload = encode_ctx ~req:0 ~msg:0 ~parent:0 ~hop:0 payload
 
-let header ~payload_len ~req ~msg ~parent ~hop =
-  let b = Bytes.create hdr_size in
-  Net.Wire.set_u32 b 0 (ctx_size + payload_len);
-  write_ctx b 4 ~req ~msg ~parent ~hop;
-  Bytes.unsafe_to_string b
-
 (* The unread bytes are [buf.[rd .. wr)]. [feed] appends at [wr],
    sliding the unread bytes to the front or moving them to a larger
    buffer only when the tail is full; [next] extracts with one

@@ -42,10 +42,6 @@ val encode : string -> string
 val encode_ctx : req:int -> msg:int -> parent:int -> hop:int -> string -> string
 (** Frame a payload with an explicit context. *)
 
-val header : payload_len:int -> req:int -> msg:int -> parent:int -> hop:int -> string
-(** Just the {!hdr_size}-byte prefix for a payload of [payload_len]
-    bytes — for servers that splice zero-copy value buffers after it. *)
-
 type accum
 (** Reassembly state for one connection: a byte buffer with read and
     write offsets. *)

@@ -25,21 +25,25 @@ type port = {
 let charge sim ns = if ns > 0 then Engine.Fiber.sleep sim ns
 
 (* A port's frames are built in and read into its own header view. *)
-let eth_frame eth ~dst ~src payload =
-  let b = Bytes.create (Net.Eth.size + String.length payload) in
+let eth_frame nic eth ~dst ~src payload =
+  let frame = Memory.Heap.alloc (Net.Dpdk_sim.frames nic) (Net.Eth.size + String.length payload) in
+  let b = Memory.Heap.data frame in
   eth.Net.Eth.dst <- dst;
   eth.Net.Eth.src <- src;
   eth.Net.Eth.ethertype <- 0x88B5;
-  let off = Net.Eth.write b 0 eth in
+  let off = Net.Eth.write b (Memory.Heap.offset frame) eth in
   Bytes.blit_string payload 0 b off (String.length payload);
-  Bytes.unsafe_to_string b
+  frame
 
-(* Hand the payload of an L2 frame to [handler], dropping runts. *)
+(* Hand the payload of an L2 frame to [handler], dropping runts; the
+   frame is freed either way. *)
 let deliver_frame eth handler frame =
-  let b = Bytes.unsafe_of_string frame in
-  match Net.Eth.read b 0 eth with
+  let b = Memory.Heap.data frame in
+  let lim = Memory.Heap.offset frame + Memory.Heap.length frame in
+  (match Net.Eth.read b (Memory.Heap.offset frame) ~lim eth with
   | exception Net.Wire.Malformed _ -> ()
-  | off -> handler ~src:eth.Net.Eth.src (Bytes.sub_string b off (Bytes.length b - off))
+  | off -> handler ~src:eth.Net.Eth.src (Bytes.sub_string b off (lim - off)));
+  Memory.Heap.free frame
 
 (* Take the [n] frames a poll counted, charging [per_frame] each. *)
 let rec drain_n sim nic eth ~per_frame handler n =
@@ -99,7 +103,7 @@ let make_port profile sim fabric ~index =
           (fun ~dst payload ->
             charge sim (profile.per_op_cpu_ns + cost.Net.Cost.dpdk_tx_ns);
             (* Outbound packets cross the IOKernel too. *)
-            hop (eth_frame eth ~dst ~src:mac payload) outbound);
+            hop (eth_frame nic eth ~dst ~src:mac payload) outbound);
         drain =
           (fun handler ->
             if Engine.Ring.is_empty mailbox then false
@@ -122,7 +126,7 @@ let make_port profile sim fabric ~index =
         send =
           (fun ~dst payload ->
             charge sim (profile.per_op_cpu_ns + cost.Net.Cost.dpdk_tx_ns);
-            Net.Dpdk_sim.tx nic (eth_frame eth ~dst ~src:mac payload));
+            Net.Dpdk_sim.tx nic (eth_frame nic eth ~dst ~src:mac payload));
         drain =
           (fun handler ->
             match Net.Dpdk_sim.rx_take nic ~max:32 with

@@ -2,22 +2,23 @@ let charge sim ns = if ns > 0 then Engine.Fiber.sleep sim ns
 
 (* ---------- testpmd: raw DPDK L2 forwarding ---------- *)
 
-let eth_frame ~dst ~src payload =
-  let b = Bytes.create (Net.Eth.size + String.length payload) in
-  let eth = Net.Eth.create () in
+let eth_frame nic eth ~dst ~src payload =
+  let frame = Memory.Heap.alloc (Net.Dpdk_sim.frames nic) (Net.Eth.size + String.length payload) in
+  let b = Memory.Heap.data frame in
   eth.Net.Eth.dst <- dst;
   eth.Net.Eth.src <- src;
   eth.Net.Eth.ethertype <- 0x88B5 (* local exp. *);
-  let off = Net.Eth.write b 0 eth in
+  let off = Net.Eth.write b (Memory.Heap.offset frame) eth in
   Bytes.blit_string payload 0 b off (String.length payload);
-  Bytes.unsafe_to_string b
+  frame
 
+(* testpmd's forwarding: swap the MACs in the received frame itself,
+   which then goes back out. *)
 let swap_macs frame =
-  let b = Bytes.of_string frame in
-  let dst = Net.Wire.get_u48 b 0 and src = Net.Wire.get_u48 b 6 in
-  Net.Wire.set_u48 b 0 src;
-  Net.Wire.set_u48 b 6 dst;
-  Bytes.unsafe_to_string b
+  let b = Memory.Heap.data frame and base = Memory.Heap.offset frame in
+  let dst = Net.Wire.get_u48 b base and src = Net.Wire.get_u48 b (base + 6) in
+  Net.Wire.set_u48 b base src;
+  Net.Wire.set_u48 b (base + 6) dst
 
 let testpmd_echo sim fabric ~server_index ~client_index ~msg_size ~count ~record ~on_done =
   let cost = Net.Fabric.cost fabric in
@@ -34,7 +35,8 @@ let testpmd_echo sim fabric ~server_index ~client_index ~msg_size ~count ~record
         if n > 0 then begin
           let frame = Net.Dpdk_sim.rx server_nic in
           charge sim (cost.Net.Cost.dpdk_rx_ns + cost.Net.Cost.dpdk_tx_ns);
-          Net.Dpdk_sim.tx server_nic (swap_macs frame);
+          swap_macs frame;
+          Net.Dpdk_sim.tx server_nic frame;
           forward (n - 1)
         end
       in
@@ -49,14 +51,14 @@ let testpmd_echo sim fabric ~server_index ~client_index ~msg_size ~count ~record
       loop ());
   Engine.Fiber.spawn sim ~name:"testpmd-client" (fun () ->
       let payload = String.make (max 1 msg_size) 'x' in
-      let frame =
-        eth_frame ~dst:(Net.Dpdk_sim.mac server_nic) ~src:(Net.Dpdk_sim.mac client_nic) payload
-      in
+      let eth = Net.Eth.create () in
       let rec go n =
         if n > 0 then begin
           let start = Engine.Sim.now sim in
           charge sim cost.Net.Cost.dpdk_tx_ns;
-          Net.Dpdk_sim.tx client_nic frame;
+          Net.Dpdk_sim.tx client_nic
+            (eth_frame client_nic eth ~dst:(Net.Dpdk_sim.mac server_nic)
+               ~src:(Net.Dpdk_sim.mac client_nic) payload);
           let rec await () =
             match Net.Dpdk_sim.rx_take client_nic ~max:1 with
             | 0 ->
@@ -65,7 +67,7 @@ let testpmd_echo sim fabric ~server_index ~client_index ~msg_size ~count ~record
                      ~timeout:None);
                 await ()
             | _ ->
-                ignore (Net.Dpdk_sim.rx client_nic : string);
+                Memory.Heap.free (Net.Dpdk_sim.rx client_nic);
                 charge sim cost.Net.Cost.dpdk_rx_ns
           in
           await ();

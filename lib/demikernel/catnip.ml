@@ -115,9 +115,10 @@ let on_stack_event t event =
 (* Peek the transport protocol to charge the right receive cost. *)
 let rx_cost t frame =
   let c = cost t in
-  let b = Bytes.unsafe_of_string frame in
-  if Bytes.length b >= 24 && Net.Wire.get_u16 b 12 = Net.Eth.ethertype_ipv4 then
-    let proto = Net.Wire.get_u8 b 23 in
+  let b = Memory.Heap.data frame and base = Memory.Heap.offset frame in
+  if Memory.Heap.length frame >= 24 && Net.Wire.get_u16 b (base + 12) = Net.Eth.ethertype_ipv4
+  then
+    let proto = Net.Wire.get_u8 b (base + 23) in
     if proto = Net.Ipv4.protocol_tcp then
       c.Net.Cost.dpdk_rx_ns + c.Net.Cost.tcp_rx_ns + c.Net.Cost.libos_sched_ns
     else c.Net.Cost.dpdk_rx_ns + c.Net.Cost.udp_rx_ns + c.Net.Cost.libos_sched_ns
@@ -288,6 +289,7 @@ let create rt ~nic ?(config = Tcp.Stack.default_config) () =
             ~iface:
               (Tcp.Iface.create ~mac:(Net.Dpdk_sim.mac nic) ~ip:(Net.Dpdk_sim.ip nic)
                  ~clock:(fun () -> Host.now host)
+                 ~frames:(Net.Dpdk_sim.frames nic)
                  ~tx_frame:(fun frame ->
                    Host.charge host host.Host.cost.Net.Cost.dpdk_tx_ns;
                    Net.Dpdk_sim.tx nic frame)

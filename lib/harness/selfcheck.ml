@@ -17,9 +17,9 @@ let heap_line name (s : Memory.Heap.stats) =
    The run is deterministic, so the count is exact: one extra word per
    echo fails the selfcheck. *)
 let words_per_echo = function
-  | Demikernel.Boot.Catnip_os -> 5150 (* 329,562 words / 64 = 5,149.41 *)
-  | Demikernel.Boot.Catnap_os -> 4890 (* 312,951 words / 64 = 4,889.86 *)
-  | Demikernel.Boot.Catmint_os -> 5346 (* 342,111 words / 64 = 5,345.48 *)
+  | Demikernel.Boot.Catnip_os -> 5054 (* 323,428 words / 64 = 5,053.56 *)
+  | Demikernel.Boot.Catnap_os -> 4765 (* 304,897 words / 64 = 4,764.02 *)
+  | Demikernel.Boot.Catmint_os -> 5268 (* 337,146 words / 64 = 5,267.91 *)
 
 (* One echo with the ownership oracle armed on both ends; returns
    (trace digest, events, metrics lines, ownership violations,

@@ -137,21 +137,18 @@ let new_superblock t class_index =
   | Register_on_demand | Not_dma -> ());
   sb
 
-(* Scan a free slot for non-poison bytes; [None] means the canary is
-   intact. *)
-let canary_damage sb slot =
-  let base = slot * sb.object_size in
-  let rec scan i =
-    if i >= sb.object_size then None
-    else if Bytes.get sb.store (base + i) <> poison_byte then Some i
-    else scan (i + 1)
-  in
-  scan 0
+(* The first non-poison byte of a free slot at or after [i], or -1
+   when the canary is intact. Top-level recursion, not a local closure
+   over the slot: every sanitized [alloc] runs this, frames included. *)
+let rec canary_damage sb base i =
+  if i >= sb.object_size then -1
+  else if Bytes.get sb.store (base + i) <> poison_byte then i
+  else canary_damage sb base (i + 1)
 
 let verify_canary sb slot =
-  match canary_damage sb slot with
-  | None -> ()
-  | Some i ->
+  match canary_damage sb (slot * sb.object_size) 0 with
+  | -1 -> ()
+  | i ->
       let t = sb.heap in
       t.canary_violations <- t.canary_violations + 1;
       (* Re-poison so the end-of-run free-slot scan does not count this
@@ -309,7 +306,7 @@ let scan_free_canaries t =
       let n = ref acc in
       for slot = 0 to objects_per_superblock - 1 do
         if (not sb.app_bits.(slot)) && os_ref_count sb slot = 0 then
-          match canary_damage sb slot with Some _ -> incr n | None -> ()
+          if canary_damage sb (slot * sb.object_size) 0 >= 0 then incr n
       done;
       !n)
     0 t.all_superblocks

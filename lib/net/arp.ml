@@ -11,7 +11,7 @@ type packet = {
 let size = 28
 
 let write b off p =
-  Wire.need b off size;
+  Wire.need ~lim:(Bytes.length b) off size;
   Wire.set_u16 b off 1 (* htype: ethernet *);
   Wire.set_u16 b (off + 2) Eth.ethertype_ipv4;
   Wire.set_u8 b (off + 4) 6 (* hlen *);
@@ -23,8 +23,8 @@ let write b off p =
   Wire.set_u32 b (off + 24) p.target_ip;
   off + size
 
-let read b off =
-  Wire.need b off size;
+let read b off ~lim =
+  Wire.need ~lim off size;
   if Wire.get_u16 b off <> 1 then Wire.fail "arp: bad htype";
   if Wire.get_u16 b (off + 2) <> Eth.ethertype_ipv4 then Wire.fail "arp: bad ptype";
   let operation =

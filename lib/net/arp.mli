@@ -14,4 +14,6 @@ val size : int
 (** 28 bytes. *)
 
 val write : Bytes.t -> int -> packet -> int
-val read : Bytes.t -> int -> packet * int
+val read : Bytes.t -> int -> lim:int -> packet * int
+(** Parse at an offset, bounded by [lim]; returns the packet and the
+    offset past it. *)

@@ -33,10 +33,12 @@ type info =
   | Eth_other of { e_ethertype : int; e_len : int }
   | Short of int
 
-let parse_ipv4 b off limit =
+(* The IPv4 packet of an [n]-byte frame at [base]. *)
+let parse_ipv4 b base n =
   (* Manual header walk (Ipv4.read verifies the checksum and rejects
      options; the decoder must accept damaged bytes). *)
-  if off + Ipv4.size > limit then Eth_other { e_ethertype = Eth.ethertype_ipv4; e_len = limit }
+  let off = base + Eth.size and limit = base + n in
+  if off + Ipv4.size > limit then Eth_other { e_ethertype = Eth.ethertype_ipv4; e_len = n }
   else
     let ihl = (Wire.get_u8 b off land 0x0f) * 4 in
     let total_length = Wire.get_u16 b (off + 2) in
@@ -84,30 +86,31 @@ let parse_ipv4 b off limit =
 
 let roce_ethertype = 0x8915
 
-let parse frame =
-  let n = String.length frame in
+let parse_sub b base n =
   if n < Eth.size then Short n
   else
-    let b = Bytes.unsafe_of_string frame in
-    let dst = Wire.get_u48 b 0 in
-    let src = Wire.get_u48 b 6 in
-    let ethertype = Wire.get_u16 b 12 in
+    let dst = Wire.get_u48 b base in
+    let src = Wire.get_u48 b (base + 6) in
+    let ethertype = Wire.get_u16 b (base + 12) in
     if ethertype = Eth.ethertype_arp then
-      if n >= Eth.size + Arp.size then
-        match Arp.read b Eth.size with
-        | packet, _ -> Arp_info packet
-        | exception Wire.Malformed _ -> Eth_other { e_ethertype = ethertype; e_len = n }
-      else Eth_other { e_ethertype = ethertype; e_len = n }
-    else if ethertype = Eth.ethertype_ipv4 then parse_ipv4 b Eth.size n
+      match Arp.read b (base + Eth.size) ~lim:(base + n) with
+      | packet, _ -> Arp_info packet
+      | exception Wire.Malformed _ -> Eth_other { e_ethertype = ethertype; e_len = n }
+    else if ethertype = Eth.ethertype_ipv4 then parse_ipv4 b base n
     else if ethertype = roce_ethertype && n > Eth.size then
       Roce_info
         {
           r_src = src;
           r_dst = dst;
-          r_msgtype = Wire.get_u8 b Eth.size;
+          r_msgtype = Wire.get_u8 b (base + Eth.size);
           r_len = n - Eth.size - 1;
         }
     else Eth_other { e_ethertype = ethertype; e_len = n }
+
+let parse frame = parse_sub (Bytes.unsafe_of_string frame) 0 (String.length frame)
+
+let parse_frame frame =
+  parse_sub (Memory.Heap.data frame) (Memory.Heap.offset frame) (Memory.Heap.length frame)
 
 let tcp_flags t =
   let b = Buffer.create 4 in
@@ -125,8 +128,7 @@ let roce_msgtype_name = function
   | 2 -> "write-ack"
   | t -> Printf.sprintf "msgtype-%d" t
 
-let line frame =
-  match parse frame with
+let line_of_info = function
   | Arp_info { Arp.operation = Arp.Request; sender_ip; target_ip; _ } ->
       Format.asprintf "ARP who-has %a tell %a" Addr.Ip.pp target_ip Addr.Ip.pp sender_ip
   | Arp_info { Arp.operation = Arp.Reply; sender_ip; sender_mac; _ } ->
@@ -152,3 +154,6 @@ let line frame =
   | Eth_other { e_ethertype; e_len } ->
       Printf.sprintf "ETH ethertype 0x%04x, length %d" e_ethertype e_len
   | Short n -> Printf.sprintf "malformed frame (%d bytes)" n
+
+let line frame = line_of_info (parse frame)
+let frame_line frame = line_of_info (parse_frame frame)

@@ -42,9 +42,16 @@ type info =
 
 val parse : string -> info
 
+val parse_frame : Memory.Heap.buffer -> info
+(** {!parse} of a heap frame: its bytes from [offset] to
+    [offset + length], and none of its neighbours'. *)
+
 val line : string -> string
 (** One-line summary, e.g.
     ["IP 10.0.0.3.49152 > 10.0.0.2.7: Flags [S.], seq 2000, ack 1001, win 65535, length 0"]. *)
+
+val frame_line : Memory.Heap.buffer -> string
+(** {!line} of a heap frame. *)
 
 val tcp_flags : tcp_info -> string
 (** tcpdump-style flag string: ["S"], ["S."], ["."], ["P."], ["F."],

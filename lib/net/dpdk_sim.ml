@@ -3,7 +3,7 @@
    longer count as pending, exactly as if the poll had already removed
    them. *)
 type rxq = {
-  ring : string Engine.Ring.t;
+  ring : Memory.Heap.buffer Engine.Ring.t;
   size : int;
   mutable claimed : int;
   mutable dropped : int;
@@ -26,7 +26,8 @@ let pending q = Engine.Ring.length q.ring - q.claimed
 let land_frame fabric q frame =
   if pending q >= q.size then begin
     q.dropped <- q.dropped + 1;
-    Fabric.nic_drop fabric ~reason:"rx-ring-overflow" frame
+    Fabric.nic_drop fabric ~reason:"rx-ring-overflow" frame;
+    Memory.Heap.free frame
   end
   else begin
     Engine.Ring.push q.ring frame;
@@ -62,6 +63,7 @@ let create fabric ~mac ~ip ?(rx_ring_size = 1024) () =
 
 let mac t = t.mac
 let ip t = t.ip
+let frames t = Fabric.frames t.fabric
 
 let tx t frame =
   let sim = Fabric.sim t.fabric in

@@ -13,7 +13,12 @@
     nothing (the rings and the one handler per pipeline are built at
     {!create}). The receive ring is an {!Engine.Ring} too, drained one
     frame at a time: a poll counts its frames once with {!rx_take} and
-    then takes exactly that many with {!rx}. *)
+    then takes exactly that many with {!rx}.
+
+    Frames are buffers of the fabric's frame heap ({!frames}) and move
+    by reference: {!tx} takes the caller's frame, and {!rx} gives the
+    caller a frame it must free (or hand on) when done with it. A frame
+    dropped at a full receive ring is freed there. *)
 
 type t
 
@@ -26,9 +31,14 @@ val create :
 val mac : t -> Addr.Mac.t
 val ip : t -> Addr.Ip.t
 
-val tx : t -> string -> unit
-(** Hand one frame to the NIC for transmission (rte_tx_burst of one):
-    it reaches the fabric after the pipeline delay. *)
+val frames : t -> Memory.Heap.t
+(** The heap transmitted frames are allocated from: the fabric's
+    {!Fabric.frames}. *)
+
+val tx : t -> Memory.Heap.buffer -> unit
+(** Hand one frame, and its ownership, to the NIC for transmission
+    (rte_tx_burst of one): it reaches the fabric after the pipeline
+    delay. *)
 
 val rx_take : t -> max:int -> int
 (** Start a poll (rte_rx_burst): count [n = min max (rx_pending t)]
@@ -38,9 +48,10 @@ val rx_take : t -> max:int -> int
     next [rx_take] (one poller at a time, asserted). A frame that lands
     after this call waits for the next poll. *)
 
-val rx : t -> string
-(** Take the oldest frame counted by {!rx_take}. Raises
-    [Invalid_argument] when every counted frame has been taken. *)
+val rx : t -> Memory.Heap.buffer
+(** Take the oldest frame counted by {!rx_take}; the caller owns it and
+    frees it. Raises [Invalid_argument] when every counted frame has
+    been taken. *)
 
 val rx_pending : t -> int
 (** Frames in the receive ring not yet counted by a poll. *)

@@ -16,6 +16,7 @@ val ethertype_arp : int
 val write : Bytes.t -> int -> t -> int
 (** Serialize at an offset; returns the offset past the header. *)
 
-val read : Bytes.t -> int -> t -> int
+val read : Bytes.t -> int -> lim:int -> t -> int
 (** Parse at an offset into the view; returns the payload offset.
-    Raises {!Wire.Malformed} when truncated. *)
+    [lim] is the end of the frame's bytes. Raises {!Wire.Malformed}
+    when truncated. *)

@@ -35,7 +35,7 @@ let of_macs a b =
   finish h
 
 let of_frame frame =
-  match Decode.parse frame with
+  match Decode.parse_frame frame with
   | Decode.Tcp_info t ->
       Some (of_endpoints ~proto:Ipv4.protocol_tcp t.Decode.t_src t.Decode.t_dst)
   | Decode.Udp_info { u_src; u_dst; _ } ->

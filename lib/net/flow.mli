@@ -16,8 +16,8 @@ val of_endpoints : proto:int -> Addr.endpoint -> Addr.endpoint -> int
 val of_macs : Addr.Mac.t -> Addr.Mac.t -> int
 (** RDMA (RoCE) flows: one id per NIC pair. *)
 
-val of_frame : string -> int option
-(** Derive the id from a raw frame via {!Decode.parse}. [None] for
+val of_frame : Memory.Heap.buffer -> int option
+(** Derive the id from a heap frame via {!Decode.parse_frame}. [None] for
     frames that carry no conversation (ARP, malformed, unknown
     ethertypes) and for non-first IPv4 fragments (no ports on the
     wire). *)

@@ -1,6 +1,6 @@
 type t = {
   sim : Engine.Sim.t;
-  frames : string Engine.Ring.t;
+  frames : Memory.Heap.buffer Engine.Ring.t;
   due : int Engine.Ring.t; (* each in-flight frame's arrival time *)
   mutable last_due : int;
   mutable arrive : unit -> unit; (* the one handler, built at create *)

@@ -12,14 +12,20 @@
     head is always the frame its event was scheduled for (checked
     against the recorded arrival time). A frame's trip through a stage
     allocates nothing once the rings have grown to the stage's peak
-    occupancy. *)
+    occupancy.
+
+    A frame is a {!Memory.Heap.buffer} from its fabric's frame heap
+    (see {!Fabric}), and a stage moves the reference, never the bytes:
+    {!send} hands the frame's ownership to the stage, and [deliver]
+    hands it on to the next holder. *)
 
 type t
 
-val create : Engine.Sim.t -> deliver:(string -> unit) -> t
+val create : Engine.Sim.t -> deliver:(Memory.Heap.buffer -> unit) -> t
 (** An empty stage; [deliver] runs, as a simulation event, once per
-    frame at its arrival time. *)
+    frame at its arrival time, and owns the frame it is given. *)
 
-val send : t -> at:Engine.Clock.t -> string -> unit
-(** Accept a frame that arrives at [at]. [at] must be no earlier than
-    [now] or than the arrival of any frame still in flight. *)
+val send : t -> at:Engine.Clock.t -> Memory.Heap.buffer -> unit
+(** Accept a frame, and its ownership, that arrives at [at]. [at] must
+    be no earlier than [now] or than the arrival of any frame still in
+    flight. *)

@@ -36,7 +36,7 @@ let protocol_udp = 17
 let protocol_tcp = 6
 
 let write b off h =
-  Wire.need b off size;
+  Wire.need ~lim:(Bytes.length b) off size;
   Wire.set_u8 b off 0x45 (* v4, ihl 5 *);
   Wire.set_u8 b (off + 1) 0 (* dscp/ecn *);
   Wire.set_u16 b (off + 2) h.total_length;
@@ -53,13 +53,14 @@ let write b off h =
   Wire.set_u16 b (off + 10) csum;
   off + size
 
-let read b off h =
-  Wire.need b off size;
+let read b off ~lim h =
+  Wire.need ~lim off size;
   let vi = Wire.get_u8 b off in
   if vi <> 0x45 then Wire.fail "ipv4: bad version/ihl";
   if Wire.checksum ~init:0 b off size <> 0 then Wire.fail "ipv4: bad checksum";
   let total_length = Wire.get_u16 b (off + 2) in
   if total_length < size then Wire.fail "ipv4: bad total length";
+  Wire.need ~lim off total_length;
   let ttl = Wire.get_u8 b (off + 8) in
   if ttl = 0 then Wire.fail "ipv4: ttl expired";
   let frag = Wire.get_u16 b (off + 6) in

@@ -42,7 +42,9 @@ val set :
 val write : Bytes.t -> int -> t -> int
 (** Serialize with a correct header checksum. *)
 
-val read : Bytes.t -> int -> t -> int
+val read : Bytes.t -> int -> lim:int -> t -> int
 (** Parse into the view and verify the header checksum; returns the
-    transport offset. Raises {!Wire.Malformed} on corruption, truncation
-    or options. *)
+    transport offset. The whole datagram ([total_length] bytes) must end
+    at or before [lim], the end of the frame, so a transport reader
+    bounded by the datagram's end stays inside the frame. Raises
+    {!Wire.Malformed} on corruption, truncation or options. *)

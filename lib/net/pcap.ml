@@ -26,16 +26,21 @@ let create_writer () =
   add_u32le buf linktype_ethernet;
   { buf; count = 0 }
 
-let add w ~ts_ns frame =
+let add_sub w ~ts_ns b off len =
   let sec = ts_ns / 1_000_000_000 in
   let usec = ts_ns mod 1_000_000_000 / 1000 in
-  let len = String.length frame in
   add_u32le w.buf sec;
   add_u32le w.buf usec;
   add_u32le w.buf len (* incl_len: we never truncate *);
   add_u32le w.buf len (* orig_len *);
-  Buffer.add_string w.buf frame;
+  Buffer.add_subbytes w.buf b off len;
   w.count <- w.count + 1
+
+let add w ~ts_ns frame =
+  add_sub w ~ts_ns (Bytes.unsafe_of_string frame) 0 (String.length frame)
+
+let add_frame w ~ts_ns frame =
+  add_sub w ~ts_ns (Memory.Heap.data frame) (Memory.Heap.offset frame) (Memory.Heap.length frame)
 
 let frames_written w = w.count
 let contents w = Buffer.contents w.buf
@@ -99,8 +104,8 @@ let tap fabric =
   Fabric.set_tap fabric
     (Some
        {
-         Fabric.tap_deliver = (fun ~ts frame -> add s.wire ~ts_ns:ts frame);
-         tap_drop = (fun ~ts ~reason:_ frame -> add s.lost ~ts_ns:ts frame);
+         Fabric.tap_deliver = (fun ~ts frame -> add_frame s.wire ~ts_ns:ts frame);
+         tap_drop = (fun ~ts ~reason:_ frame -> add_frame s.lost ~ts_ns:ts frame);
        });
   s
 

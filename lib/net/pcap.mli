@@ -32,6 +32,9 @@ val add : writer -> ts_ns:int -> string -> unit
 (** Append one frame with a virtual-time timestamp (ns since the start
     of the simulation). *)
 
+val add_frame : writer -> ts_ns:int -> Memory.Heap.buffer -> unit
+(** {!add} of a heap frame: copies its [length] bytes at [offset]. *)
+
 val frames_written : writer -> int
 
 val contents : writer -> string

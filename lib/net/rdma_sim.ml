@@ -21,7 +21,6 @@ type t = {
   write_pipe : Hop.t; (* posted writes crossing the device *)
 }
 
-let max_message_size = 1 lsl 20
 let ethertype_roce = 0x8915
 
 (* Message types on the wire. *)
@@ -43,25 +42,36 @@ let note_hw t label =
     ~t1:(t0 + hw_ns t)
 
 (* A RoCE frame: the Ethernet header, the message type, [words] 32-bit
-   header words (filled by the caller at [word_off]) and the body. *)
+   header words (filled by the caller at [word_off] past the frame's
+   offset) and the body. *)
 let word_off = Eth.size + 1
 
+(* The largest message whose frame (a write's: three header words) fits
+   the frame heap's largest size class. *)
+let max_message_size = Memory.Sizeclass.max_class - (word_off + 12)
+
 let frame_of t ~dst ~msgtype ~words body =
-  let b = Bytes.create (word_off + (4 * words) + String.length body) in
+  let frame =
+    Memory.Heap.alloc (Fabric.frames t.fabric) (word_off + (4 * words) + String.length body)
+  in
+  let b = Memory.Heap.data frame and base = Memory.Heap.offset frame in
   t.eth.Eth.dst <- dst;
   t.eth.Eth.src <- t.mac;
   t.eth.Eth.ethertype <- ethertype_roce;
-  let off = Eth.write b 0 t.eth in
+  let off = Eth.write b base t.eth in
   Wire.set_u8 b off msgtype;
-  Bytes.blit_string body 0 b (word_off + (4 * words)) (String.length body);
-  b
+  Bytes.blit_string body 0 b (base + word_off + (4 * words)) (String.length body);
+  frame
+
+(* Fill header word [i] of a frame built by [frame_of]. *)
+let set_word frame i v =
+  Wire.set_u32 (Memory.Heap.data frame) (Memory.Heap.offset frame + word_off + (4 * i)) v
 
 let post_send t ~dst ~wr_id ~imm payload =
   if String.length payload > max_message_size then
     invalid_arg "Rdma_sim.post_send: message too large";
-  let b = frame_of t ~dst ~msgtype:t_send ~words:1 payload in
-  Wire.set_u32 b word_off imm;
-  let frame = Bytes.unsafe_to_string b in
+  let frame = frame_of t ~dst ~msgtype:t_send ~words:1 payload in
+  set_word frame 0 imm;
   (* Device-side transport processing, then the wire; the send
      completion fires once the message has left the device. *)
   note_hw t "send";
@@ -80,17 +90,19 @@ let register_region t bytes =
 let post_write t ~dst ~wr_id ~rkey ~offset payload =
   if String.length payload > max_message_size then
     invalid_arg "Rdma_sim.post_write: message too large";
-  let b = frame_of t ~dst ~msgtype:t_write ~words:3 payload in
-  Wire.set_u32 b word_off rkey;
-  Wire.set_u32 b (word_off + 4) offset;
-  Wire.set_u32 b (word_off + 8) wr_id;
-  let frame = Bytes.unsafe_to_string b in
+  let frame = frame_of t ~dst ~msgtype:t_write ~words:3 payload in
+  set_word frame 0 rkey;
+  set_word frame 1 offset;
+  set_word frame 2 wr_id;
   note_hw t "write";
   Hop.send t.write_pipe ~at:(Engine.Sim.now (sim t) + hw_ns t) frame
 
+(* The device consumes every frame it receives: the payload is copied
+   out (into a completion or a registered region) and the frame freed. *)
 let handle_frame t frame =
-  let b = Bytes.unsafe_of_string frame in
-  let off = Eth.read b 0 t.eth in
+  let b = Memory.Heap.data frame in
+  let lim = Memory.Heap.offset frame + Memory.Heap.length frame in
+  let off = Eth.read b (Memory.Heap.offset frame) ~lim t.eth in
   let src_mac = t.eth.Eth.src in
   let msgtype = Wire.get_u8 b off in
   let off = off + 1 in
@@ -102,7 +114,7 @@ let handle_frame t frame =
     else begin
       t.recv_credits <- t.recv_credits - 1;
       let imm = Wire.get_u32 b off in
-      let payload = Bytes.sub_string b (off + 4) (Bytes.length b - off - 4) in
+      let payload = Bytes.sub_string b (off + 4) (lim - off - 4) in
       complete t (Recv { src_mac; imm; payload })
     end
   end
@@ -110,7 +122,7 @@ let handle_frame t frame =
     let rkey = Wire.get_u32 b off in
     let offset = Wire.get_u32 b (off + 4) in
     let wr_id = Wire.get_u32 b (off + 8) in
-    let len = Bytes.length b - off - 12 in
+    let len = lim - off - 12 in
     let ok =
       match Hashtbl.find_opt t.regions rkey with
       | Some region when offset + len <= Bytes.length region ->
@@ -119,9 +131,9 @@ let handle_frame t frame =
       | Some _ | None -> false
     in
     let ack = frame_of t ~dst:src_mac ~msgtype:t_write_ack ~words:2 "" in
-    Wire.set_u32 ack word_off wr_id;
-    Wire.set_u32 ack (word_off + 4) (if ok then 1 else 0);
-    Fabric.send t.fabric t.port ~lossless:true (Bytes.unsafe_to_string ack);
+    set_word ack 0 wr_id;
+    set_word ack 1 (if ok then 1 else 0);
+    Fabric.send t.fabric t.port ~lossless:true ack;
     (* Doorbell for software polling loops that park instead of
        spinning: memory changed under them. *)
     Engine.Condvar.broadcast t.cq_signal
@@ -130,8 +142,8 @@ let handle_frame t frame =
     let wr_id = Wire.get_u32 b off in
     let ok = Wire.get_u32 b (off + 4) = 1 in
     complete t (Write_done { wr_id; ok })
-  end
-  else ()
+  end;
+  Memory.Heap.free frame
 
 let create fabric ~mac ~ip () =
   let sim = Fabric.sim fabric in

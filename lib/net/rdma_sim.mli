@@ -10,7 +10,11 @@
 
     Following Catmint's design (§6.2), there is one queue pair per
     device; connection multiplexing is the libOS's job. RDMA traffic
-    rides the lossless fabric class (PFC). *)
+    rides the lossless fabric class (PFC).
+
+    Each message travels as one frame of the fabric's frame heap
+    ({!Fabric.frames}): the device builds it at post time and the
+    receiving device frees it once the payload is copied out. *)
 
 type t
 
@@ -29,6 +33,8 @@ val mac : t -> Addr.Mac.t
 val ip : t -> Addr.Ip.t
 
 val max_message_size : int
+(** The largest payload whose frame fits one object of the frame heap
+    (1 MiB less the RoCE headers). *)
 
 (** {1 Two-sided verbs} *)
 

@@ -136,7 +136,7 @@ let write b off h ~payload_len ~src_ip ~dst_ip =
      blocks alongside timestamps for exactly this reason). *)
   if hsize > 60 then invalid_arg "Tcp_wire.write: options exceed the 60-byte header limit";
   let seg_len = hsize + payload_len in
-  Wire.need b off seg_len;
+  Wire.need ~lim:(Bytes.length b) off seg_len;
   Wire.set_u16 b off h.src_port;
   Wire.set_u16 b (off + 2) h.dst_port;
   Wire.set_u32 b (off + 4) h.seq;
@@ -186,9 +186,9 @@ let rec read_options b pos limit h =
         read_option b pos kind len h;
         read_options b (pos + len) limit h
 
-let read b off h ~seg_len ~src_ip ~dst_ip =
+let read b off ~lim h ~seg_len ~src_ip ~dst_ip =
   if seg_len < 20 then Wire.fail "tcp: segment too short";
-  Wire.need b off seg_len;
+  Wire.need ~lim off seg_len;
   let init = Wire.pseudo_sum ~src:src_ip ~dst:dst_ip ~proto:Ipv4.protocol_tcp ~len:seg_len in
   if Wire.checksum ~init b off seg_len <> 0 then Wire.fail "tcp: bad checksum";
   let data_off = (Wire.get_u8 b (off + 12) lsr 4) * 4 in

@@ -67,8 +67,10 @@ val write : Bytes.t -> int -> t -> payload_len:int -> src_ip:Addr.Ip.t -> dst_ip
     header (at [off + header_size h]) for checksumming. Returns the
     payload offset. *)
 
-val read : Bytes.t -> int -> t -> seg_len:int -> src_ip:Addr.Ip.t -> dst_ip:Addr.Ip.t -> int
+val read :
+  Bytes.t -> int -> lim:int -> t -> seg_len:int -> src_ip:Addr.Ip.t -> dst_ip:Addr.Ip.t -> int
 (** Parse a segment occupying [seg_len] bytes at [off] (header +
     payload, from the IP total length) into the view; verifies the
-    checksum and returns the payload offset. Raises {!Wire.Malformed}
-    on a bad checksum, data offset or option length. *)
+    checksum and returns the payload offset. The segment must end at or
+    before [lim]. Raises {!Wire.Malformed} on truncation, a bad
+    checksum, data offset or option length. *)

@@ -2,8 +2,7 @@ exception Malformed of string
 
 let fail msg = raise (Malformed msg)
 
-let need b off n =
-  if off < 0 || off + n > Bytes.length b then fail "truncated"
+let need ~lim off n = if off < 0 || off + n > lim then fail "truncated"
 
 (* Accessors ride the stdlib's single-load primitives
    (Bytes.get_uint16_be and friends compile to fixed-width loads plus a

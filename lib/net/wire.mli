@@ -18,8 +18,12 @@ val set_u32 : Bytes.t -> int -> int -> unit
 val get_u48 : Bytes.t -> int -> int
 val set_u48 : Bytes.t -> int -> int -> unit
 
-val need : Bytes.t -> int -> int -> unit
-(** [need b off n] checks [n] bytes are available at [off]. *)
+val need : lim:int -> int -> int -> unit
+(** [need ~lim off n] checks that [n] bytes at [off] end at or before
+    [lim]. A reader passes the end of the bytes it was handed (a heap
+    frame's [offset + length]), never the length of the store around
+    them: a frame shares its store with its neighbours. A writer passes
+    [Bytes.length]. *)
 
 val checksum : init:int -> Bytes.t -> int -> int -> int
 (** [checksum ~init b off len] is the one's-complement Internet checksum

@@ -32,6 +32,7 @@ let create sim ?(name = "kernel") ~cost ~nic ?ssd ?(mode = Posix) () =
   let iface =
     Tcp.Iface.create ~mac:(Net.Dpdk_sim.mac nic) ~ip:(Net.Dpdk_sim.ip nic)
       ~clock:(fun () -> Engine.Sim.now sim)
+      ~frames:(Net.Dpdk_sim.frames nic)
       ~tx_frame:(Net.Dpdk_sim.tx nic)
       ()
   in

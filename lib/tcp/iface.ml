@@ -2,7 +2,8 @@ type t = {
   mac : Net.Addr.Mac.t;
   ip : Net.Addr.Ip.t;
   clock : unit -> int;
-  tx_frame : string -> unit;
+  frames : Memory.Heap.t; (* the heap every transmitted frame is allocated from *)
+  tx_frame : Memory.Heap.buffer -> unit;
   mtu : int;
   arp_table : (Net.Addr.Ip.t, Net.Addr.Mac.t) Hashtbl.t;
   parked : (Net.Addr.Ip.t, parked_entry) Hashtbl.t;
@@ -31,11 +32,12 @@ and frag_entry = {
 
 let max_frag_entries = 64
 
-let create ?(arp_retry_ns = 1_000_000) ?(mtu = 1500) ~mac ~ip ~clock ~tx_frame () =
+let create ?(arp_retry_ns = 1_000_000) ?(mtu = 1500) ~mac ~ip ~clock ~frames ~tx_frame () =
   {
     mac;
     ip;
     clock;
+    frames;
     tx_frame;
     mtu;
     arp_table = Hashtbl.create 16;
@@ -53,28 +55,36 @@ let mac t = t.mac
 let ip t = t.ip
 let clock t = t.clock ()
 
-let write_eth t b ~dst ~ethertype =
+(* Allocate a [len]-byte frame and write its Ethernet header; the rest
+   starts at [l3_off frame]. *)
+let new_frame t len ~dst ~ethertype =
+  let frame = Memory.Heap.alloc t.frames len in
   t.eth_tx.Net.Eth.dst <- dst;
   t.eth_tx.Net.Eth.src <- t.mac;
   t.eth_tx.Net.Eth.ethertype <- ethertype;
-  Net.Eth.write b 0 t.eth_tx
+  ignore (Net.Eth.write (Memory.Heap.data frame) (Memory.Heap.offset frame) t.eth_tx : int);
+  frame
+
+let l3_off frame = Memory.Heap.offset frame + Net.Eth.size
 
 let send_arp t operation ~target_mac ~target_ip ~dst =
-  let b = Bytes.create (Net.Eth.size + Net.Arp.size) in
-  let off = write_eth t b ~dst ~ethertype:Net.Eth.ethertype_arp in
+  let frame = new_frame t (Net.Eth.size + Net.Arp.size) ~dst ~ethertype:Net.Eth.ethertype_arp in
   let _ =
-    Net.Arp.write b off
+    Net.Arp.write (Memory.Heap.data frame) (l3_off frame)
       { Net.Arp.operation; sender_mac = t.mac; sender_ip = t.ip; target_mac; target_ip }
   in
-  t.tx_frame (Bytes.unsafe_to_string b)
+  t.tx_frame frame
 
 let emit_fragment t ~dst_mac payload payload_off payload_len =
-  let b = Bytes.create (Net.Eth.size + Net.Ipv4.size + payload_len) in
-  let off = write_eth t b ~dst:dst_mac ~ethertype:Net.Eth.ethertype_ipv4 in
-  let off = Net.Ipv4.write b off t.ip_tx in
+  let frame =
+    new_frame t (Net.Eth.size + Net.Ipv4.size + payload_len) ~dst:dst_mac
+      ~ethertype:Net.Eth.ethertype_ipv4
+  in
+  let b = Memory.Heap.data frame in
+  let off = Net.Ipv4.write b (l3_off frame) t.ip_tx in
   (* dlint-allow: unaccounted-copy -- device DMA: the NIC gathers the payload into the wire frame; charged per frame through Net.Cost, not a host copy *)
   Bytes.blit payload payload_off b off payload_len;
-  t.tx_frame (Bytes.unsafe_to_string b)
+  t.tx_frame frame
 
 let emit_ipv4 t ~dst_mac ~dst_ip ~protocol ~len ~write =
   let identification = t.ip_id land 0xffff in
@@ -82,13 +92,16 @@ let emit_ipv4 t ~dst_mac ~dst_ip ~protocol ~len ~write =
   let payload_budget = t.mtu - Net.Ipv4.size in
   if len <= payload_budget then begin
     (* Common case: one frame, transport written in place. *)
-    let b = Bytes.create (Net.Eth.size + Net.Ipv4.size + len) in
-    let off = write_eth t b ~dst:dst_mac ~ethertype:Net.Eth.ethertype_ipv4 in
+    let frame =
+      new_frame t (Net.Eth.size + Net.Ipv4.size + len) ~dst:dst_mac
+        ~ethertype:Net.Eth.ethertype_ipv4
+    in
+    let b = Memory.Heap.data frame in
     Net.Ipv4.set t.ip_tx ~total_length:(Net.Ipv4.size + len) ~protocol ~src:t.ip ~dst:dst_ip
       ~identification ~more_fragments:false ~fragment_offset:0;
-    let off = Net.Ipv4.write b off t.ip_tx in
+    let off = Net.Ipv4.write b (l3_off frame) t.ip_tx in
     write b off;
-    t.tx_frame (Bytes.unsafe_to_string b)
+    t.tx_frame frame
   end
   else begin
     (* Fragment: build the whole transport payload once, slice it into
@@ -205,8 +218,8 @@ let offer_fragment t (header : Net.Ipv4.t) b off =
         Some out
       end
 
-let handle_arp t b off =
-  match Net.Arp.read b off with
+let handle_arp t b off ~lim =
+  match Net.Arp.read b off ~lim with
   | exception Net.Wire.Malformed _ -> ()
   | p, _ -> (
       match p.Net.Arp.operation with
@@ -219,16 +232,17 @@ let handle_arp t b off =
       | Net.Arp.Reply -> learn t ~sender_ip:p.Net.Arp.sender_ip ~sender_mac:p.Net.Arp.sender_mac)
 
 let input t frame ~deliver =
-  let b = Bytes.unsafe_of_string frame in
+  let b = Memory.Heap.data frame in
+  let lim = Memory.Heap.offset frame + Memory.Heap.length frame in
   let eth = t.eth_rx in
-  match Net.Eth.read b 0 eth with
+  match Net.Eth.read b (Memory.Heap.offset frame) ~lim eth with
   | exception Net.Wire.Malformed _ -> ()
   | off ->
       if eth.Net.Eth.dst <> t.mac && not (Net.Addr.Mac.is_broadcast eth.Net.Eth.dst) then ()
-      else if eth.Net.Eth.ethertype = Net.Eth.ethertype_arp then handle_arp t b off
+      else if eth.Net.Eth.ethertype = Net.Eth.ethertype_arp then handle_arp t b off ~lim
       else if eth.Net.Eth.ethertype = Net.Eth.ethertype_ipv4 then begin
         let header = t.ip_rx in
-        match Net.Ipv4.read b off header with
+        match Net.Ipv4.read b off ~lim header with
         | exception Net.Wire.Malformed _ -> ()
         | transport_off ->
             if header.Net.Ipv4.dst = t.ip then begin

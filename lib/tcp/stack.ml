@@ -209,10 +209,13 @@ let udp_sendto t sock ~dst buf =
 let udp_recv sock = if Queue.is_empty sock.udp_q then None else Some (Queue.pop sock.udp_q)
 let udp_pending sock = Queue.length sock.udp_q
 
+(* A transport reader is bounded by its datagram's end, which
+   [Ipv4.read] checked against the frame's. *)
 let handle_udp t header b off =
   let src_ip = header.Net.Ipv4.src and dst_ip = header.Net.Ipv4.dst in
   let uh = t.rx_uh in
-  match Net.Udp_wire.read b off uh ~src_ip ~dst_ip with
+  let lim = off + header.Net.Ipv4.total_length - Net.Ipv4.size in
+  match Net.Udp_wire.read b off ~lim uh ~src_ip ~dst_ip with
   | exception Net.Wire.Malformed _ -> ()
   | payload_off -> (
       match Hashtbl.find_opt t.udp_socks uh.Net.Udp_wire.dst_port with
@@ -1016,7 +1019,8 @@ let handle_tcp t header b off =
   let seg_total = header.Net.Ipv4.total_length - Net.Ipv4.size in
   let th = t.rx_th in
   match
-    Net.Tcp_wire.read b off th ~seg_len:seg_total ~src_ip ~dst_ip:header.Net.Ipv4.dst
+    Net.Tcp_wire.read b off ~lim:(off + seg_total) th ~seg_len:seg_total ~src_ip
+      ~dst_ip:header.Net.Ipv4.dst
   with
   | exception Net.Wire.Malformed _ -> ()
   | payload_off ->
@@ -1096,14 +1100,19 @@ let create ?(config = default_config) ?(trace = fun _ _ _ -> ()) ~iface ~heap ~p
 
 (* The one writer of the RX views: a frame is parsed and handled to the
    end before the next is taken, even when a handler's transmit charges
-   and suspends, so input must never be re-entered. *)
+   and suspends, so input must never be re-entered. Input is the
+   frame's last holder: every handler copies what it keeps, so the
+   frame is freed on the way out. *)
 let input t frame =
   assert (not t.in_input);
   t.in_input <- true;
   match Iface.input t.iface frame ~deliver:t.deliver with
-  | () -> t.in_input <- false
+  | () ->
+      t.in_input <- false;
+      Memory.Heap.free frame
   | exception e ->
       t.in_input <- false;
+      Memory.Heap.free frame;
       raise e
 
 let timer_live conn seq = seq = conn.rto_seq || seq = conn.tw_seq

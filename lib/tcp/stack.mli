@@ -83,8 +83,10 @@ val create :
     when the trace is read; drivers wire it to {!Engine.Sim.trace_event}
     under the [Tcp] category. *)
 
-val input : t -> string -> unit
-(** Process one received Ethernet frame. *)
+val input : t -> Memory.Heap.buffer -> unit
+(** Process one received Ethernet frame, a buffer of the interface's
+    frame heap, and free it: the caller hands over its ownership, and
+    whatever the stack keeps of it is copied out first. *)
 
 val next_timer_ns : t -> int
 (** Earliest armed timer deadline (ns), [max_int] when no timer is

@@ -408,6 +408,77 @@ let test_tcb_churn_catnip () =
   check_bool "client held >=1k TCBs at once" true
     ((Tcp.Stack.conn_stats client_stack).Tcp.Stack.peak >= cycles)
 
+(* Every frame has one owner at a time, from the sender that allocates
+   it to the holder that frees it. A sanitized Catnip echo world whose
+   fabric loses and corrupts frames, with an ARP broadcast (the
+   client's first connect) and a bystander NIC whose one-slot receive
+   ring overflows, ends with no frame live, no double free and no
+   write-after-free in the fabric's frame heap. *)
+let test_frame_lifecycle () =
+  let prior = Memory.Heap.sanitize_default () in
+  Memory.Heap.set_sanitize_default true;
+  Fun.protect ~finally:(fun () -> Memory.Heap.set_sanitize_default prior) @@ fun () ->
+  let sim = Engine.Sim.create () in
+  let fabric = Net.Fabric.create sim ~cost:bare ~loss:0.02 ~corrupt:0.02 () in
+  let frames = Net.Fabric.frames fabric in
+  let corrupted = ref 0 and arp_requests = ref 0 in
+  Net.Fabric.set_tap fabric
+    (Some
+       {
+         Net.Fabric.tap_deliver =
+           (fun ~ts:_ frame ->
+             match Net.Decode.parse_frame frame with
+             | Net.Decode.Arp_info { Net.Arp.operation = Net.Arp.Request; _ } ->
+                 incr arp_requests
+             | _ -> ());
+         tap_drop =
+           (fun ~ts:_ ~reason _ ->
+             match reason with Net.Fabric.Corrupt -> incr corrupted | _ -> ());
+       });
+  let server = Demikernel.Boot.make sim fabric ~index:1 Demikernel.Boot.Catnip_os in
+  let client = Demikernel.Boot.make sim fabric ~index:2 Demikernel.Boot.Catnip_os in
+  let nic i ?rx_ring_size () =
+    Net.Dpdk_sim.create fabric ~mac:(Net.Addr.Mac.of_index i) ~ip:(Net.Addr.Ip.of_index i)
+      ?rx_ring_size ()
+  in
+  let sender = nic 8 () and tiny = nic 9 ~rx_ring_size:1 () in
+  for _ = 1 to 4 do
+    let frame = Memory.Heap.alloc frames 64 in
+    Net.Eth.write (Memory.Heap.data frame) (Memory.Heap.offset frame)
+      { Net.Eth.dst = Net.Dpdk_sim.mac tiny; src = Net.Dpdk_sim.mac sender; ethertype = 0x88B5 }
+    |> ignore;
+    Net.Dpdk_sim.tx sender frame
+  done;
+  let finished = ref false in
+  Demikernel.Boot.run_app server (Apps.Echo.server ~port:7);
+  Demikernel.Boot.run_app client
+    (Apps.Echo.client
+       ~dst:(Demikernel.Boot.endpoint server 7)
+       ~msg_size:256 ~count:200
+       ~on_done:(fun () -> finished := true));
+  Demikernel.Boot.start server;
+  Demikernel.Boot.start client;
+  Engine.Sim.run ~until:(Engine.Clock.s 60) sim;
+  check_bool "echo finished" true !finished;
+  (* The bystanders never poll: take and free what their rings hold. *)
+  List.iter
+    (fun nic ->
+      for _ = 1 to Net.Dpdk_sim.rx_take nic ~max:max_int do
+        Memory.Heap.free (Net.Dpdk_sim.rx nic)
+      done)
+    [ sender; tiny ];
+  check_bool "frames lost" true ((Net.Fabric.stats fabric).Net.Fabric.frames_dropped > 0);
+  check_bool "frames corrupted" true (!corrupted > 0);
+  check_bool "an ARP broadcast reached every other port" true (!arp_requests >= 3);
+  check_bool "the one-slot ring overflowed" true (Net.Dpdk_sim.rx_dropped tiny > 0);
+  check_int "no frame live" 0 (Memory.Heap.live_objects frames);
+  match Memory.Heap.sanitizer_report frames with
+  | Some r ->
+      check_int "no leaks" 0 (List.length r.Memory.Heap.leaks);
+      check_int "no canary violations" 0 r.Memory.Heap.canary_violations;
+      check_int "no double frees" 0 r.Memory.Heap.double_frees
+  | None -> Alcotest.fail "frame heap not sanitizing"
+
 let test_memq () =
   let sim = Engine.Sim.create () in
   let fabric = Net.Fabric.create sim ~cost:bare () in
@@ -1125,6 +1196,8 @@ let suite =
     Alcotest.test_case "echo under loss (UAF protection live)" `Quick test_uaf_protection_live;
     Alcotest.test_case "tcb pool clean after 1k-connection churn (catnip)" `Quick
       test_tcb_churn_catnip;
+    Alcotest.test_case "frame lifecycle: every frame freed once (catnip)" `Quick
+      test_frame_lifecycle;
     Alcotest.test_case "memq roundtrip" `Quick test_memq;
     Alcotest.test_case "wait_any returns completed index" `Quick test_wait_any_wakes_one;
     QCheck_alcotest.to_alcotest wait_any_matches_reference;

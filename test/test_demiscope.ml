@@ -139,12 +139,18 @@ let test_flow_direction_free () =
 
 let test_flow_of_frame () =
   let src_ip = Net.Addr.Ip.of_index 2 and dst_ip = Net.Addr.Ip.of_index 1 in
-  let req = udp_frame ~src_ip ~dst_ip ~src_port:5001 ~dst_port:7 "x" in
-  let rsp = udp_frame ~src_ip:dst_ip ~dst_ip:src_ip ~src_port:7 ~dst_port:5001 "x" in
+  let frames = Memory.Heap.create ~headroom:0 ~mode:Memory.Heap.Pool_backed () in
+  let frame s = Memory.Heap.alloc_of_string frames s in
+  let req = frame (udp_frame ~src_ip ~dst_ip ~src_port:5001 ~dst_port:7 "x") in
+  let rsp = frame (udp_frame ~src_ip:dst_ip ~dst_ip:src_ip ~src_port:7 ~dst_port:5001 "x") in
   (match (Net.Flow.of_frame req, Net.Flow.of_frame rsp) with
   | Some a, Some b -> check_bool "request and reply share a flow id" true (a = b)
   | _ -> Alcotest.fail "UDP frames must have flow ids");
-  check_bool "short frame has no flow" true (Net.Flow.of_frame "zz" = None)
+  (* A frame is only its own bytes: a whole UDP frame in the slot, under
+     a 2-byte window, is short. *)
+  let short = frame (udp_frame ~src_ip ~dst_ip ~src_port:5001 ~dst_port:7 "x") in
+  Memory.Heap.set_length short 2;
+  check_bool "short frame has no flow" true (Net.Flow.of_frame short = None)
 
 (* --- captured echo: the capture is real traffic, in order --- *)
 

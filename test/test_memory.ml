@@ -120,9 +120,10 @@ let test_os_refs_words () =
   Alcotest.(check (float 0.)) "words per decref" 0. !decref_words
 
 (* An alloc allocates its buffer record (a header and four fields) and
-   nothing else: the size-class lookup builds no closure. *)
-let test_alloc_words () =
-  let h = make_heap () in
+   nothing else: the size-class lookup builds no closure, and neither
+   does the sanitizer's canary scan of the recycled slot. *)
+let alloc_words ~sanitize () =
+  let h = Memory.Heap.create ~sanitize ~mode:Memory.Heap.Pool_backed () in
   Memory.Heap.free (Memory.Heap.alloc h 64);
   let before = Gc.minor_words () in
   let b = Memory.Heap.alloc h 64 in
@@ -387,5 +388,8 @@ let suite =
     QCheck_alcotest.to_alcotest alloc_free_balanced;
     QCheck_alcotest.to_alcotest payload_integrity;
     Alcotest.test_case "words: k libOS refs on one buffer" `Quick test_os_refs_words;
-    Alcotest.test_case "words: heap alloc is its buffer record" `Quick test_alloc_words;
+    Alcotest.test_case "words: heap alloc is its buffer record" `Quick
+      (alloc_words ~sanitize:false);
+    Alcotest.test_case "words: sanitized heap alloc is its buffer record" `Quick
+      (alloc_words ~sanitize:true);
   ]

@@ -132,7 +132,7 @@ module Pair = struct
   type t = {
     mutable clock : int;
     mutable seq : int;
-    mutable in_flight : (int * int * [ `A | `B ] * string) list;
+    mutable in_flight : (int * int * [ `A | `B ] * Memory.Heap.buffer) list;
     mutable a : Tcp.Stack.t;
     mutable b : Tcp.Stack.t;
     heap_a : Memory.Heap.t;
@@ -142,6 +142,7 @@ module Pair = struct
   let make ?(config = Tcp.Stack.default_config) () =
     let heap_a = Memory.Heap.create ~mode:Memory.Heap.Pool_backed () in
     let heap_b = Memory.Heap.create ~mode:Memory.Heap.Pool_backed () in
+    let frames = Memory.Heap.create ~headroom:0 ~mode:Memory.Heap.Pool_backed () in
     let rec t =
       lazy
         (let clock () = (Lazy.force t).clock in
@@ -152,7 +153,7 @@ module Pair = struct
          in
          let iface i dest =
            Tcp.Iface.create ~mac:(Net.Addr.Mac.of_index i) ~ip:(Net.Addr.Ip.of_index i) ~clock
-             ~tx_frame:(fun f -> send dest f) ()
+             ~frames ~tx_frame:(fun f -> send dest f) ()
          in
          {
            clock = 0;
@@ -207,24 +208,26 @@ let test_mss_negotiation () =
   let config_small = { Tcp.Stack.default_config with Tcp.Stack.mss = 500 } in
   let heap_a = Memory.Heap.create ~mode:Memory.Heap.Pool_backed () in
   let heap_b = Memory.Heap.create ~mode:Memory.Heap.Pool_backed () in
+  let frames = Memory.Heap.create ~headroom:0 ~mode:Memory.Heap.Pool_backed () in
   let clockr = ref 0 in
   let in_flight = ref [] in
   let seqr = ref 0 in
   let max_seg = ref 0 in
   let send dest frame =
     (* Track the largest TCP payload crossing the wire. *)
-    (let b = Bytes.unsafe_of_string frame in
+    (let b = Memory.Heap.data frame in
+     let lim = Memory.Heap.offset frame + Memory.Heap.length frame in
      let eth = Net.Eth.create () and ip = Net.Ipv4.create () in
-     match Net.Eth.read b 0 eth with
+     match Net.Eth.read b (Memory.Heap.offset frame) ~lim eth with
      | exception Net.Wire.Malformed _ -> ()
      | off ->
          if eth.Net.Eth.ethertype = Net.Eth.ethertype_ipv4 then
-           match Net.Ipv4.read b off ip with
+           match Net.Ipv4.read b off ~lim ip with
            | exception Net.Wire.Malformed _ -> ()
            | toff ->
                if ip.Net.Ipv4.protocol = Net.Ipv4.protocol_tcp then
                  match
-                   Net.Tcp_wire.read b toff (Net.Tcp_wire.create ())
+                   Net.Tcp_wire.read b toff ~lim (Net.Tcp_wire.create ())
                      ~seg_len:(ip.Net.Ipv4.total_length - Net.Ipv4.size)
                      ~src_ip:ip.Net.Ipv4.src ~dst_ip:ip.Net.Ipv4.dst
                  with
@@ -238,6 +241,7 @@ let test_mss_negotiation () =
   let iface i dest =
     Tcp.Iface.create ~mac:(Net.Addr.Mac.of_index i) ~ip:(Net.Addr.Ip.of_index i)
       ~clock:(fun () -> !clockr)
+      ~frames
       ~tx_frame:(fun f -> send dest f)
       ()
   in
@@ -557,12 +561,12 @@ let test_fabric_incast_queueing () =
   let arrivals = ref [] in
   let _sink = mk 3 (fun _ -> arrivals := Engine.Sim.now sim :: !arrivals) in
   let frame src =
-    let b = Bytes.create (Net.Eth.size + 1400) in
+    let f = Memory.Heap.alloc (Net.Fabric.frames fabric) (Net.Eth.size + 1400) in
     let _ =
-      Net.Eth.write b 0
+      Net.Eth.write (Memory.Heap.data f) (Memory.Heap.offset f)
         { Net.Eth.dst = Net.Addr.Mac.of_index 3; src; ethertype = 0x88B5 }
     in
-    Bytes.unsafe_to_string b
+    f
   in
   let p1 = mk 1 (fun _ -> ()) in
   let p2 = mk 2 (fun _ -> ()) in
@@ -703,18 +707,20 @@ let stack_input_fuzz =
     QCheck.(string_of_size (Gen.int_range 0 200))
     (fun junk ->
       let heap = Memory.Heap.create ~mode:Memory.Heap.Pool_backed () in
+      let frames = Memory.Heap.create ~headroom:0 ~mode:Memory.Heap.Pool_backed () in
       let iface =
         Tcp.Iface.create ~mac:(Net.Addr.Mac.of_index 1) ~ip:(Net.Addr.Ip.of_index 1)
           ~clock:(fun () -> 0)
-          ~tx_frame:(fun _ -> ())
-          ()
+          ~frames ~tx_frame:Memory.Heap.free ()
       in
       let stack =
         Tcp.Stack.create ~iface ~heap ~prng:(Engine.Prng.create 1L) ~events:(fun _ -> ()) ()
       in
       ignore (Tcp.Stack.tcp_listen stack ~port:7);
       ignore (Tcp.Stack.udp_bind stack ~port:7);
-      match Tcp.Stack.input stack junk with () -> true | exception _ -> false)
+      match Tcp.Stack.input stack (Memory.Heap.alloc_of_string frames junk) with
+      | () -> true
+      | exception _ -> false)
 
 let stack_input_mutation_fuzz =
   (* Mutate bytes of an otherwise-valid TCP SYN frame: parse guards and
@@ -754,17 +760,19 @@ let stack_input_mutation_fuzz =
       let heap = Memory.Heap.create ~mode:Memory.Heap.Pool_backed () in
       let b = Bytes.of_string valid_syn in
       Bytes.set b (pos mod Bytes.length b) (Char.chr value);
+      let frames = Memory.Heap.create ~headroom:0 ~mode:Memory.Heap.Pool_backed () in
       let iface =
         Tcp.Iface.create ~mac:(Net.Addr.Mac.of_index 1) ~ip:(Net.Addr.Ip.of_index 1)
           ~clock:(fun () -> 0)
-          ~tx_frame:(fun _ -> ())
-          ()
+          ~frames ~tx_frame:Memory.Heap.free ()
       in
       let receiver =
         Tcp.Stack.create ~iface ~heap ~prng:(Engine.Prng.create 3L) ~events:(fun _ -> ()) ()
       in
       ignore (Tcp.Stack.tcp_listen receiver ~port:7);
-      match Tcp.Stack.input receiver (Bytes.unsafe_to_string b) with
+      match
+        Tcp.Stack.input receiver (Memory.Heap.alloc_of_string frames (Bytes.unsafe_to_string b))
+      with
       | () -> true
       | exception _ -> false)
 

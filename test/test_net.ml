@@ -30,7 +30,7 @@ let test_eth_roundtrip () =
   let off = Net.Eth.write b 0 h in
   check_int "header size" Net.Eth.size off;
   let h' = Net.Eth.create () in
-  let off' = Net.Eth.read b 0 h' in
+  let off' = Net.Eth.read b 0 ~lim:(Bytes.length b) h' in
   check_bool "roundtrip" true (h = h');
   check_int "payload offset" Net.Eth.size off'
 
@@ -46,7 +46,7 @@ let test_arp_roundtrip () =
     }
   in
   let _ = Net.Arp.write b 0 p in
-  let p', _ = Net.Arp.read b 0 in
+  let p', _ = Net.Arp.read b 0 ~lim:(Bytes.length b) in
   check_bool "roundtrip" true (p = p')
 
 let ipv4_roundtrip =
@@ -60,7 +60,7 @@ let ipv4_roundtrip =
       let b = Bytes.create 200 in
       let _ = Net.Ipv4.write b 0 h in
       let h' = Net.Ipv4.create () in
-      let off = Net.Ipv4.read b 0 h' in
+      let off = Net.Ipv4.read b 0 ~lim:(Bytes.length b) h' in
       h = h' && off = Net.Ipv4.size)
 
 let test_ipv4_checksum_detects_corruption () =
@@ -71,7 +71,7 @@ let test_ipv4_checksum_detects_corruption () =
   let _ = Net.Ipv4.write b 0 h in
   Net.Wire.set_u8 b 8 65 (* flip the ttl *);
   Alcotest.check_raises "corruption detected" (Net.Wire.Malformed "ipv4: bad checksum")
-    (fun () -> ignore (Net.Ipv4.read b 0 h))
+    (fun () -> ignore (Net.Ipv4.read b 0 ~lim:(Bytes.length b) h))
 
 let udp_roundtrip =
   QCheck.Test.make ~name:"udp header+payload roundtrip" ~count:200
@@ -84,7 +84,7 @@ let udp_roundtrip =
       let h = { Net.Udp_wire.src_port; dst_port; length = len } in
       let off = Net.Udp_wire.write b 0 h ~src_ip ~dst_ip in
       let h' = Net.Udp_wire.create () in
-      let off' = Net.Udp_wire.read b 0 h' ~src_ip ~dst_ip in
+      let off' = Net.Udp_wire.read b 0 ~lim:(Bytes.length b) h' ~src_ip ~dst_ip in
       h = h' && off = off'
       && Bytes.sub_string b off' (h'.Net.Udp_wire.length - Net.Udp_wire.size) = payload)
 
@@ -97,7 +97,7 @@ let test_udp_checksum_detects_corruption () =
   let _ = Net.Udp_wire.write b 0 { Net.Udp_wire.src_port = 1; dst_port = 2; length = len } ~src_ip ~dst_ip in
   Bytes.set b (len - 1) 'x';
   Alcotest.check_raises "bad checksum" (Net.Wire.Malformed "udp: bad checksum") (fun () ->
-      ignore (Net.Udp_wire.read b 0 (Net.Udp_wire.create ()) ~src_ip ~dst_ip))
+      ignore (Net.Udp_wire.read b 0 ~lim:len (Net.Udp_wire.create ()) ~src_ip ~dst_ip))
 
 let tcp_gen =
   QCheck.Gen.(
@@ -152,7 +152,7 @@ let tcp_roundtrip =
       Bytes.blit_string payload 0 b hsize (String.length payload);
       let off = Net.Tcp_wire.write b 0 h ~payload_len:(String.length payload) ~src_ip ~dst_ip in
       let h' = Net.Tcp_wire.create () in
-      let off' = Net.Tcp_wire.read b 0 h' ~seg_len ~src_ip ~dst_ip in
+      let off' = Net.Tcp_wire.read b 0 ~lim:(Bytes.length b) h' ~seg_len ~src_ip ~dst_ip in
       h = h' && off = off' && Bytes.sub_string b off' (seg_len - off') = payload)
 
 let test_tcp_checksum_detects_corruption () =
@@ -163,17 +163,21 @@ let test_tcp_checksum_detects_corruption () =
   let _ = Net.Tcp_wire.write b 0 h ~payload_len:4 ~src_ip:1 ~dst_ip:2 in
   Net.Wire.set_u32 b 4 999 (* corrupt seq *);
   Alcotest.check_raises "bad checksum" (Net.Wire.Malformed "tcp: bad checksum") (fun () ->
-      ignore (Net.Tcp_wire.read b 0 h ~seg_len:24 ~src_ip:1 ~dst_ip:2))
+      ignore (Net.Tcp_wire.read b 0 ~lim:64 h ~seg_len:24 ~src_ip:1 ~dst_ip:2))
 
 (* --- fabric --- *)
 
 let bare = Net.Cost.bare_metal
 
-let eth_frame ~dst ~src payload =
+let eth_bytes ~dst ~src payload =
   let b = Bytes.create (Net.Eth.size + String.length payload) in
   let off = Net.Eth.write b 0 { Net.Eth.dst; src; ethertype = 0x0800 } in
   Bytes.blit_string payload 0 b off (String.length payload);
   Bytes.unsafe_to_string b
+
+(* A frame in the fabric's frame heap, as a NIC would build it. *)
+let eth_frame fabric ~dst ~src payload =
+  Memory.Heap.alloc_of_string (Net.Fabric.frames fabric) (eth_bytes ~dst ~src payload)
 
 let test_fabric_unicast () =
   let sim = Engine.Sim.create () in
@@ -182,7 +186,7 @@ let test_fabric_unicast () =
   let got = ref [] in
   let p1 = Net.Fabric.attach fabric ~mac:m1 ~rx:(fun _ -> got := `P1 :: !got) in
   let _p2 = Net.Fabric.attach fabric ~mac:m2 ~rx:(fun _ -> got := `P2 :: !got) in
-  Net.Fabric.send fabric p1 (eth_frame ~dst:m2 ~src:m1 "hi");
+  Net.Fabric.send fabric p1 (eth_frame fabric ~dst:m2 ~src:m1 "hi");
   Engine.Sim.run sim;
   Alcotest.(check bool) "delivered to p2 only" true (!got = [ `P2 ]);
   check_int "stats" 1 (Net.Fabric.stats fabric).frames_delivered
@@ -190,13 +194,26 @@ let test_fabric_unicast () =
 let test_fabric_broadcast () =
   let sim = Engine.Sim.create () in
   let fabric = Net.Fabric.create sim ~cost:bare () in
-  let got = ref 0 in
-  let mk i = Net.Fabric.attach fabric ~mac:(Net.Addr.Mac.of_index i) ~rx:(fun _ -> incr got) in
+  let got = ref [] in
+  let mk i =
+    Net.Fabric.attach fabric ~mac:(Net.Addr.Mac.of_index i) ~rx:(fun frame ->
+        got := frame :: !got)
+  in
   let p1 = mk 1 in
   let _ = mk 2 and _ = mk 3 in
-  Net.Fabric.send fabric p1 (eth_frame ~dst:Net.Addr.Mac.broadcast ~src:(Net.Addr.Mac.of_index 1) "arp");
+  Net.Fabric.send fabric p1
+    (eth_frame fabric ~dst:Net.Addr.Mac.broadcast ~src:(Net.Addr.Mac.of_index 1) "arp");
   Engine.Sim.run sim;
-  check_int "everyone but sender" 2 !got
+  check_int "everyone but sender" 2 (List.length !got);
+  (* Each receiver owns its own copy. *)
+  List.iter
+    (fun frame ->
+      Alcotest.(check string) "same bytes"
+        (eth_bytes ~dst:Net.Addr.Mac.broadcast ~src:(Net.Addr.Mac.of_index 1) "arp")
+        (Memory.Heap.to_string frame);
+      Memory.Heap.free frame)
+    !got;
+  check_int "no frame left" 0 (Memory.Heap.live_objects (Net.Fabric.frames fabric))
 
 let test_fabric_latency () =
   let sim = Engine.Sim.create () in
@@ -205,13 +222,14 @@ let test_fabric_latency () =
   let arrived = ref 0 in
   let p1 = Net.Fabric.attach fabric ~mac:m1 ~rx:(fun _ -> ()) in
   let _ = Net.Fabric.attach fabric ~mac:m2 ~rx:(fun _ -> arrived := Engine.Sim.now sim) in
-  let frame = eth_frame ~dst:m2 ~src:m1 (String.make 50 'x') in
+  let frame = eth_frame fabric ~dst:m2 ~src:m1 (String.make 50 'x') in
+  let len = Memory.Heap.length frame in
   Net.Fabric.send fabric p1 frame;
   Engine.Sim.run sim;
   let expect =
     (* Store-and-forward: serialization onto the sender's link and again
        onto the receiver's. *)
-    (2 * Net.Cost.serialization_ns bare (String.length frame))
+    (2 * Net.Cost.serialization_ns bare len)
     + bare.Net.Cost.propagation_ns + bare.Net.Cost.switch_ns
   in
   check_int "arrival time" expect !arrived
@@ -224,13 +242,15 @@ let test_fabric_serialization_queueing () =
   let times = ref [] in
   let p1 = Net.Fabric.attach fabric ~mac:m1 ~rx:(fun _ -> ()) in
   let _ = Net.Fabric.attach fabric ~mac:m2 ~rx:(fun _ -> times := Engine.Sim.now sim :: !times) in
-  let frame = eth_frame ~dst:m2 ~src:m1 (String.make 1000 'x') in
-  Net.Fabric.send fabric p1 frame;
-  Net.Fabric.send fabric p1 frame;
+  let frame () = eth_frame fabric ~dst:m2 ~src:m1 (String.make 1000 'x') in
+  Net.Fabric.send fabric p1 (frame ());
+  Net.Fabric.send fabric p1 (frame ());
   Engine.Sim.run sim;
   match List.rev !times with
   | [ t1; t2 ] ->
-      check_int "gap is one serialization" (Net.Cost.serialization_ns bare (String.length frame)) (t2 - t1)
+      check_int "gap is one serialization"
+        (Net.Cost.serialization_ns bare (Net.Eth.size + 1000))
+        (t2 - t1)
   | _ -> Alcotest.fail "expected two arrivals"
 
 let test_fabric_loss () =
@@ -240,8 +260,8 @@ let test_fabric_loss () =
   let got = ref 0 in
   let p1 = Net.Fabric.attach fabric ~mac:m1 ~rx:(fun _ -> ()) in
   let _ = Net.Fabric.attach fabric ~mac:m2 ~rx:(fun _ -> incr got) in
-  Net.Fabric.send fabric p1 (eth_frame ~dst:m2 ~src:m1 "drop me");
-  Net.Fabric.send fabric p1 ~lossless:true (eth_frame ~dst:m2 ~src:m1 "keep me");
+  Net.Fabric.send fabric p1 (eth_frame fabric ~dst:m2 ~src:m1 "drop me");
+  Net.Fabric.send fabric p1 ~lossless:true (eth_frame fabric ~dst:m2 ~src:m1 "keep me");
   Engine.Sim.run sim;
   check_int "lossless survives full loss" 1 !got;
   check_int "lossy dropped" 1 (Net.Fabric.stats fabric).frames_dropped
@@ -257,12 +277,12 @@ let test_dpdk_tx_rx () =
   let nic2 =
     Net.Dpdk_sim.create fabric ~mac:(Net.Addr.Mac.of_index 2) ~ip:(Net.Addr.Ip.of_index 2) ()
   in
-  let frame = eth_frame ~dst:(Net.Dpdk_sim.mac nic2) ~src:(Net.Dpdk_sim.mac nic1) "ping" in
-  Net.Dpdk_sim.tx nic1 frame;
+  let bytes = eth_bytes ~dst:(Net.Dpdk_sim.mac nic2) ~src:(Net.Dpdk_sim.mac nic1) "ping" in
+  Net.Dpdk_sim.tx nic1 (Memory.Heap.alloc_of_string (Net.Dpdk_sim.frames nic1) bytes);
   Engine.Sim.run sim;
   check_int "one frame in ring" 1 (Net.Dpdk_sim.rx_pending nic2);
   match Net.Dpdk_sim.rx_take nic2 ~max:8 with
-  | 1 -> Alcotest.(check string) "frame intact" frame (Net.Dpdk_sim.rx nic2)
+  | 1 -> Alcotest.(check string) "frame intact" bytes (Memory.Heap.to_string (Net.Dpdk_sim.rx nic2))
   | _ -> Alcotest.fail "expected one frame"
 
 let test_dpdk_ring_overflow () =
@@ -275,13 +295,13 @@ let test_dpdk_ring_overflow () =
     Net.Dpdk_sim.create fabric ~mac:(Net.Addr.Mac.of_index 2) ~ip:(Net.Addr.Ip.of_index 2)
       ~rx_ring_size:4 ()
   in
-  let frame = eth_frame ~dst:(Net.Dpdk_sim.mac nic2) ~src:(Net.Dpdk_sim.mac nic1) "x" in
   for _ = 1 to 10 do
-    Net.Dpdk_sim.tx nic1 frame
+    Net.Dpdk_sim.tx nic1 (eth_frame fabric ~dst:(Net.Dpdk_sim.mac nic2) ~src:(Net.Dpdk_sim.mac nic1) "x")
   done;
   Engine.Sim.run sim;
   check_int "ring capped" 4 (Net.Dpdk_sim.rx_pending nic2);
-  check_int "rest dropped" 6 (Net.Dpdk_sim.rx_dropped nic2)
+  check_int "rest dropped" 6 (Net.Dpdk_sim.rx_dropped nic2);
+  check_int "dropped frames freed" 4 (Memory.Heap.live_objects (Net.Fabric.frames fabric))
 
 (* --- rdma device --- *)
 
@@ -422,7 +442,11 @@ let fabric_incast_matches_model =
       let got = ref [] in
       let _ =
         Net.Fabric.attach fabric ~mac:sink ~rx:(fun frame ->
-            got := (Engine.Sim.now sim, Net.Wire.get_u16 (Bytes.unsafe_of_string frame) 14) :: !got)
+            got :=
+              ( Engine.Sim.now sim,
+                Net.Wire.get_u16 (Memory.Heap.data frame) (Memory.Heap.offset frame + 14) )
+              :: !got;
+            Memory.Heap.free frame)
       in
       let ports =
         Array.init senders (fun i ->
@@ -436,7 +460,7 @@ let fabric_incast_matches_model =
           let payload = Bytes.make len 'x' in
           Net.Wire.set_u16 payload 0 id;
           let frame =
-            eth_frame ~dst:sink ~src:(Net.Addr.Mac.of_index s) (Bytes.to_string payload)
+            eth_frame fabric ~dst:sink ~src:(Net.Addr.Mac.of_index s) (Bytes.to_string payload)
           in
           Engine.Sim.at sim ~time:at (fun () -> Net.Fabric.send fabric ports.(s) frame))
         sends;
@@ -459,7 +483,8 @@ let fabric_incast_matches_model =
 (* A frame's whole trip — NIC tx pipeline, fabric uplink and downlink,
    NIC rx pipeline, rx ring, and a poll taking it — allocates nothing
    once the rings have grown: every stage is a ring plus one handler
-   built when the device attached. *)
+   built when the device attached, and the frame moves by reference.
+   The same [burst] frames make every round trip. *)
 let test_frame_hop_words () =
   let sim = Engine.Sim.create () in
   let fabric = Net.Fabric.create sim ~cost:bare () in
@@ -467,16 +492,19 @@ let test_frame_hop_words () =
     Net.Dpdk_sim.create fabric ~mac:(Net.Addr.Mac.of_index i) ~ip:(Net.Addr.Ip.of_index i) ()
   in
   let nic1 = nic 1 and nic2 = nic 2 in
-  let frame = eth_frame ~dst:(Net.Dpdk_sim.mac nic2) ~src:(Net.Dpdk_sim.mac nic1) "ping" in
   let burst = 64 in
+  let frames =
+    Array.init burst (fun _ ->
+        eth_frame fabric ~dst:(Net.Dpdk_sim.mac nic2) ~src:(Net.Dpdk_sim.mac nic1) "ping")
+  in
   let round () =
-    for _ = 1 to burst do
-      Net.Dpdk_sim.tx nic1 frame
+    for i = 0 to burst - 1 do
+      Net.Dpdk_sim.tx nic1 frames.(i)
     done;
     Engine.Sim.run sim;
     let n = Net.Dpdk_sim.rx_take nic2 ~max:burst in
-    for _ = 1 to n do
-      ignore (Net.Dpdk_sim.rx nic2 : string)
+    for i = 0 to n - 1 do
+      frames.(i) <- Net.Dpdk_sim.rx nic2
     done;
     n
   in
@@ -489,6 +517,151 @@ let test_frame_hop_words () =
   let words = Gc.minor_words () -. before in
   check_int "every frame delivered" (10 * burst) !delivered;
   Alcotest.(check (float 0.)) "minor words per frame" 0. (words /. float_of_int !delivered)
+
+(* --- frame bounds --- *)
+
+(* Frames sit side by side in one heap store, so every reader must stop
+   at its frame's end, not at the store's. Each case below hands a
+   stack a frame whose bytes go on, validly, past its end: into the
+   rest of its slot or into the slot after it. The stack must drop it,
+   while the same bytes as one whole frame get an answer. *)
+
+let local_ip = Net.Addr.Ip.of_index 1 and peer_ip = Net.Addr.Ip.of_index 2
+
+(* Ethernet and IPv4 from the peer to the local host, then [l4]. The
+   IPv4 total length covers [l4] unless [ip_len] says otherwise. *)
+let ipv4_bytes ?ip_len ~protocol l4 =
+  let b = Bytes.create (Net.Eth.size + Net.Ipv4.size + Bytes.length l4) in
+  let off =
+    Net.Eth.write b 0
+      {
+        Net.Eth.dst = Net.Addr.Mac.of_index 1;
+        src = Net.Addr.Mac.of_index 2;
+        ethertype = Net.Eth.ethertype_ipv4;
+      }
+  in
+  let ip = Net.Ipv4.create () in
+  Net.Ipv4.set ip
+    ~total_length:(Option.value ip_len ~default:(Net.Ipv4.size + Bytes.length l4))
+    ~identification:1 ~protocol ~src:peer_ip ~dst:local_ip ~more_fragments:false
+    ~fragment_offset:0;
+  let off = Net.Ipv4.write b off ip in
+  Bytes.blit l4 0 b off (Bytes.length l4);
+  Bytes.unsafe_to_string b
+
+(* A checksummed TCP segment; [options] adds the SYN options (a
+   40-byte header). *)
+let tcp_bytes ~dst_port ~syn ~options payload =
+  let h = Net.Tcp_wire.create () in
+  Net.Tcp_wire.set h ~src_port:4000 ~dst_port ~seq:1000 ~ack:0 ~syn ~ack_flag:false ~fin:false
+    ~rst:false ~psh:(not syn) ~window:0xffff;
+  if options then begin
+    h.Net.Tcp_wire.mss <- 1460;
+    h.Net.Tcp_wire.window_scale <- 7;
+    h.Net.Tcp_wire.sack_permitted <- true;
+    h.Net.Tcp_wire.has_ts <- true;
+    h.Net.Tcp_wire.ts_val <- 1
+  end;
+  let hsize = Net.Tcp_wire.header_size h in
+  let b = Bytes.create (hsize + String.length payload) in
+  Bytes.blit_string payload 0 b hsize (String.length payload);
+  ignore
+    (Net.Tcp_wire.write b 0 h ~payload_len:(String.length payload) ~src_ip:peer_ip
+       ~dst_ip:local_ip);
+  b
+
+let udp_bytes payload =
+  let len = Net.Udp_wire.size + String.length payload in
+  let b = Bytes.create len in
+  Bytes.blit_string payload 0 b Net.Udp_wire.size (String.length payload);
+  ignore
+    (Net.Udp_wire.write b 0 { Net.Udp_wire.src_port = 4000; dst_port = 53; length = len }
+       ~src_ip:peer_ip ~dst_ip:local_ip);
+  b
+
+(* Recompute a truncated transport's TCP checksum over what is left, so
+   only a bound can reject it. *)
+let tcp_checksum_over b len =
+  Net.Wire.set_u16 b 16 0;
+  let init =
+    Net.Wire.pseudo_sum ~src:peer_ip ~dst:local_ip ~proto:Net.Ipv4.protocol_tcp ~len
+  in
+  Net.Wire.set_u16 b 16 (Net.Wire.checksum ~init b 0 len)
+
+(* A 64-byte frame filling its slot, holding [s]'s first 64 bytes, with
+   the rest of [s] at the start of the slot after it ([next]). *)
+let straddle frames ~next:next_slots s =
+  let next = Memory.Heap.alloc frames 64 in
+  next_slots := next :: !next_slots;
+  let frame = Memory.Heap.alloc frames 64 in
+  check_int "frame fills its slot" 64 (Memory.Heap.capacity frame);
+  check_int "the next slot follows" (Memory.Heap.offset frame + 64) (Memory.Heap.offset next);
+  Memory.Heap.blit_string (String.sub s 0 64) frame;
+  Memory.Heap.blit_string (String.sub s 64 (String.length s - 64)) next;
+  frame
+
+let test_frame_bounds () =
+  let frames = Memory.Heap.create ~headroom:0 ~mode:Memory.Heap.Pool_backed () in
+  let heap = Memory.Heap.create ~mode:Memory.Heap.Pool_backed () in
+  let replies = ref 0 in
+  let iface =
+    Tcp.Iface.create ~mac:(Net.Addr.Mac.of_index 1) ~ip:local_ip
+      ~clock:(fun () -> 0)
+      ~frames
+      ~tx_frame:(fun f ->
+        incr replies;
+        Memory.Heap.free f)
+      ()
+  in
+  let stack =
+    Tcp.Stack.create ~iface ~heap ~prng:(Engine.Prng.create 1L) ~events:(fun _ -> ()) ()
+  in
+  let _listener = Tcp.Stack.tcp_listen stack ~port:80 in
+  let sock = Tcp.Stack.udp_bind stack ~port:53 in
+  let input frame =
+    let before = !replies in
+    Tcp.Stack.input stack frame;
+    !replies - before
+  in
+  let whole s = input (Memory.Heap.alloc_of_string frames s) in
+  let next_slots = ref [] in
+  let straddle s = straddle frames ~next:next_slots s in
+  (* IPv4 total length past the frame: a 40-byte data segment to a port
+     with no listener, so a whole one draws a reset. *)
+  let data =
+    ipv4_bytes ~protocol:Net.Ipv4.protocol_tcp
+      (tcp_bytes ~dst_port:81 ~syn:false ~options:false (String.make 40 'd'))
+  in
+  check_int "whole data segment: reset" 1 (whole data);
+  check_int "total length past the frame: dropped" 0 (input (straddle data));
+  (* TCP data offset past the frame: a SYN whose options lie beyond a
+     consistent IPv4 total length. *)
+  let syn = tcp_bytes ~dst_port:80 ~syn:true ~options:true "" in
+  check_int "whole SYN: SYN-ACK" 1
+    (whole (ipv4_bytes ~protocol:Net.Ipv4.protocol_tcp syn));
+  let cut = Bytes.sub syn 0 30 in
+  tcp_checksum_over cut 30;
+  let short_syn = ipv4_bytes ~protocol:Net.Ipv4.protocol_tcp cut ^ Bytes.sub_string syn 30 10 in
+  check_int "data offset past the frame: dropped" 0 (input (straddle short_syn));
+  check_int "no connection from it" 1 (Tcp.Stack.conn_stats stack).Tcp.Stack.ever_opened;
+  (* UDP length past the frame: the datagram's first 30 bytes in the
+     frame, under a consistent IPv4 total length. *)
+  let dgram = udp_bytes (String.make 60 'u') in
+  ignore (whole (ipv4_bytes ~protocol:Net.Ipv4.protocol_udp dgram) : int);
+  check_int "whole datagram: delivered" 1 (Tcp.Stack.udp_pending sock);
+  let short_dgram =
+    ipv4_bytes ~protocol:Net.Ipv4.protocol_udp (Bytes.sub dgram 0 30)
+    ^ Bytes.sub_string dgram 30 38
+  in
+  ignore (input (straddle short_dgram) : int);
+  check_int "udp length past the frame: dropped" 1 (Tcp.Stack.udp_pending sock);
+  (* A short Ethernet frame: a whole segment in the slot, a 10-byte
+     frame around its start. *)
+  let runt = Memory.Heap.alloc_of_string frames data in
+  Memory.Heap.set_length runt 10;
+  check_int "short ethernet frame: dropped" 0 (input runt);
+  List.iter Memory.Heap.free !next_slots;
+  check_int "every frame freed" 0 (Memory.Heap.live_objects frames)
 
 let suite =
   [
@@ -521,4 +694,6 @@ let suite =
     Alcotest.test_case "ssd serializes commands" `Quick test_ssd_serializes_commands;
     QCheck_alcotest.to_alcotest fabric_incast_matches_model;
     Alcotest.test_case "words: frame across tx, fabric and NIC rx" `Quick test_frame_hop_words;
+    Alcotest.test_case "frame bounds: bytes past a frame's end are not read" `Quick
+      test_frame_bounds;
   ]

@@ -185,6 +185,7 @@ module Pair = struct
     mutable b : Tcp.Stack.t;
     heap_a : Memory.Heap.t;
     heap_b : Memory.Heap.t;
+    frames : Memory.Heap.t; (* the wire holds each frame as a string in between *)
     mutable events : (int * string) list; (* reverse order *)
   }
 
@@ -200,11 +201,14 @@ module Pair = struct
   let make ?(latency = 2_000) ?(config = Tcp.Stack.default_config) () =
     let heap_a = Memory.Heap.create ~mode:Memory.Heap.Pool_backed () in
     let heap_b = Memory.Heap.create ~mode:Memory.Heap.Pool_backed () in
+    let frames = Memory.Heap.create ~headroom:0 ~mode:Memory.Heap.Pool_backed () in
     let rec t =
       lazy
         (let clock () = (Lazy.force t).clock in
-         let send dest frame =
+         let send dest buf =
            let p = Lazy.force t in
+           let frame = Memory.Heap.to_string buf in
+           Memory.Heap.free buf;
            if not (p.drop dest frame) then begin
              p.seq <- p.seq + 1;
              p.in_flight <- (p.clock + p.latency, p.seq, dest, frame) :: p.in_flight
@@ -216,11 +220,11 @@ module Pair = struct
          in
          let iface_a =
            Tcp.Iface.create ~mac:(Net.Addr.Mac.of_index 1) ~ip:(Net.Addr.Ip.of_index 1) ~clock
-             ~tx_frame:(fun f -> send B f) ()
+             ~frames ~tx_frame:(fun f -> send B f) ()
          in
          let iface_b =
            Tcp.Iface.create ~mac:(Net.Addr.Mac.of_index 2) ~ip:(Net.Addr.Ip.of_index 2) ~clock
-             ~tx_frame:(fun f -> send A f) ()
+             ~frames ~tx_frame:(fun f -> send A f) ()
          in
          let a =
            Tcp.Stack.create ~config ~iface:iface_a ~heap:heap_a
@@ -240,10 +244,14 @@ module Pair = struct
            b;
            heap_a;
            heap_b;
+           frames;
            events = [];
          })
     in
     Lazy.force t
+
+  (* A wire string as a frame a stack can take. *)
+  let frame t s = Memory.Heap.alloc_of_string t.frames s
 
   let stack t side = match side with A -> t.a | B -> t.b
   let heap t side = match side with A -> t.heap_a | B -> t.heap_b
@@ -268,7 +276,7 @@ module Pair = struct
         let due, rest = List.partition (fun (a, _, _, _) -> a <= t.clock) t.in_flight in
         t.in_flight <- rest;
         let due = List.sort (fun (a1, s1, _, _) (a2, s2, _, _) -> compare (a1, s1) (a2, s2)) due in
-        List.iter (fun (_, _, dest, frame) -> Tcp.Stack.input (stack t dest) frame) due;
+        List.iter (fun (_, _, dest, s) -> Tcp.Stack.input (stack t dest) (frame t s)) due;
         Tcp.Stack.on_timer t.a;
         Tcp.Stack.on_timer t.b;
         step (guard - 1)
@@ -1043,7 +1051,10 @@ let run_golden_scenario () =
   in
   let wire_seq = ref 0 in
   let in_flight = ref [] (* (arrival, seq, dest, frame) dest: 0=a 1=b *) in
-  let send dest frame =
+  let frames = Memory.Heap.create ~headroom:0 ~mode:Memory.Heap.Pool_backed () in
+  let send dest buf =
+    let frame = Memory.Heap.to_string buf in
+    Memory.Heap.free buf;
     incr wire_seq;
     (* Deterministic loss: drop every 11th frame among the first 120. *)
     if not (!wire_seq < 120 && !wire_seq mod 11 = 5) then
@@ -1057,12 +1068,14 @@ let run_golden_scenario () =
   let iface_a =
     Tcp.Iface.create ~mac:(Net.Addr.Mac.of_index 1) ~ip:(Net.Addr.Ip.of_index 1)
       ~clock:(fun () -> !clock)
+      ~frames
       ~tx_frame:(fun f -> send 1 f)
       ()
   in
   let iface_b =
     Tcp.Iface.create ~mac:(Net.Addr.Mac.of_index 2) ~ip:(Net.Addr.Ip.of_index 2)
       ~clock:(fun () -> !clock)
+      ~frames
       ~tx_frame:(fun f -> send 0 f)
       ()
   in
@@ -1094,7 +1107,10 @@ let run_golden_scenario () =
         let due =
           List.sort (fun (t1, s1, _, _) (t2, s2, _, _) -> compare (t1, s1) (t2, s2)) due
         in
-        List.iter (fun (_, _, dest, frame) -> Tcp.Stack.input (stack dest) frame) due;
+        List.iter
+          (fun (_, _, dest, s) ->
+            Tcp.Stack.input (stack dest) (Memory.Heap.alloc_of_string frames s))
+          due;
         Tcp.Stack.on_timer a;
         Tcp.Stack.on_timer b
       end
@@ -1266,10 +1282,11 @@ let pair_with_stream_origin () =
     (fun side frame ->
       (if side = Pair.B && !first = None then
          let b = Bytes.unsafe_of_string frame in
+         let lim = Bytes.length b in
          let ip = Net.Ipv4.create () and th = Net.Tcp_wire.create () in
-         let off = Net.Ipv4.read b Net.Eth.size ip in
+         let off = Net.Ipv4.read b Net.Eth.size ~lim ip in
          ignore
-           (Net.Tcp_wire.read b off th ~seg_len:(ip.Net.Ipv4.total_length - Net.Ipv4.size)
+           (Net.Tcp_wire.read b off ~lim th ~seg_len:(ip.Net.Ipv4.total_length - Net.Ipv4.size)
               ~src_ip:ip.Net.Ipv4.src ~dst_ip:ip.Net.Ipv4.dst);
          first := Some (th.Net.Tcp_wire.seq, th.Net.Tcp_wire.ack));
       false);
@@ -1350,8 +1367,9 @@ let tcp_recv_reads_back =
       Array.iter
         (fun (off, len) ->
           Tcp.Stack.input p.Pair.b
-            (data_frame ~src_port ~dst_port ~seq:(Tcp.Seqnum.add seq0 off) ~ack
-               (String.sub data off len)))
+            (Pair.frame p
+               (data_frame ~src_port ~dst_port ~seq:(Tcp.Seqnum.add seq0 off) ~ack
+                  (String.sub data off len))))
         plan;
       Pair.recv_all cb = data)
 
@@ -1365,8 +1383,9 @@ let test_in_order_receive_words () =
   let n = 10 and warmup = 2 in
   let frames =
     List.init n (fun i ->
-        data_frame ~src_port ~dst_port ~seq:(Tcp.Seqnum.add seq0 (i * 1448)) ~ack
-          (String.make 1448 'w'))
+        Pair.frame p
+          (data_frame ~src_port ~dst_port ~seq:(Tcp.Seqnum.add seq0 (i * 1448)) ~ack
+             (String.make 1448 'w')))
   in
   let words = ref 0 in
   List.iteri
@@ -1446,7 +1465,8 @@ let test_timer_arm_words () =
    segment fly at a time, so an ack A parses releases A's next queued
    segment, and one round is: B parses a data segment, B emits its
    ack, A parses the ack and emits the next data segment. Beyond the
-   frame strings, B's receive buffer (its heap-buffer record and
+   two frames' buffer records (the frames themselves live in the frame
+   heap, and each parse frees its frame), B's receive buffer (its heap-buffer record and
    receive-queue cell) and A's send bookkeeping for the released
    segment (its unacked-queue cell and push completion), the header
    codecs, Iface and the Stack's dispatch allocate nothing. *)
@@ -1456,11 +1476,12 @@ let test_segment_words () =
   let to_a = Engine.Ring.create () and to_b = Engine.Ring.create () in
   let heap_a = Memory.Heap.create ~mode:Memory.Heap.Pool_backed () in
   let heap_b = Memory.Heap.create ~mode:Memory.Heap.Pool_backed () in
+  let frames = Memory.Heap.create ~headroom:0 ~mode:Memory.Heap.Pool_backed () in
   let stack i heap out =
     let iface =
       Tcp.Iface.create ~mac:(Net.Addr.Mac.of_index i) ~ip:(Net.Addr.Ip.of_index i)
         ~clock:(fun () -> !clock)
-        ~tx_frame:(Engine.Ring.push out) ()
+        ~frames ~tx_frame:(Engine.Ring.push out) ()
     in
     Tcp.Stack.create ~config ~iface ~heap ~prng:(Engine.Prng.create (Int64.of_int i))
       ~events:ignore ()
@@ -1488,7 +1509,6 @@ let test_segment_words () =
     incr push;
     Tcp.Stack.tcp_send ca ~push_id:!push [ payloads.(!push land 1) ]
   in
-  let string_words s = float_of_int ((String.length s / 8) + 2) in
   let words f =
     let before = Gc.minor_words () in
     f ();
@@ -1508,7 +1528,6 @@ let test_segment_words () =
     extra := !extra +. words (fun () -> Tcp.Stack.flush_acks b);
     let ack = Engine.Ring.pop to_a in
     extra := !extra +. words (fun () -> Tcp.Stack.input a ack);
-    accounted := !accounted +. string_words ack +. string_words data;
     ignore (Tcp.Stack.next_timer_ns a : int);
     send ()
   in
@@ -1523,6 +1542,8 @@ let test_segment_words () =
   let held = ref payloads.(0) in
   let recv_buffer = words (fun () -> held := Memory.Heap.alloc heap_b 64) +. cell in
   Memory.Heap.free !held;
+  let frame_record = words (fun () -> held := Memory.Heap.alloc frames 128) in
+  Memory.Heap.free !held;
   let empty = words ignore in
   extra := 0.;
   accounted := 0.;
@@ -1530,7 +1551,7 @@ let test_segment_words () =
   for _ = 1 to rounds do
     round ()
   done;
-  let per_round = recv_buffer +. cell +. event +. (3. *. empty) in
+  let per_round = (2. *. frame_record) +. recv_buffer +. cell +. event +. (3. *. empty) in
   accounted := !accounted +. (float_of_int rounds *. per_round);
   check_int "nothing else crossed" 1 (Engine.Ring.length to_b);
   Alcotest.(check (float 0.)) "unaccounted minor words per round" 0.
