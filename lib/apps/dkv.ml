@@ -206,22 +206,29 @@ let try_fast_path srv cs ~pop_op sga =
       end
   | _ -> false
 
-let handle_message srv cs msg =
-  let b = Bytes.unsafe_of_string msg in
-  if Bytes.length b < 3 then reply srv cs.qd Error []
+(* Reassembly path: the request is the accumulator's view, parsed in
+   place. A SET's value is blitted once, into its store buffer. *)
+let handle_message srv cs =
+  let b = Framing.view_data cs.acc in
+  let off = Framing.view_off cs.acc and len = Framing.view_len cs.acc in
+  if len < 3 then reply srv cs.qd Error []
   else begin
-    let cmd = Net.Wire.get_u8 b 0 in
-    let klen = Net.Wire.get_u16 b 1 in
-    if Bytes.length b < 3 + klen then reply srv cs.qd Error []
+    let cmd = Net.Wire.get_u8 b off in
+    let klen = Net.Wire.get_u16 b (off + 1) in
+    if len < 3 + klen then reply srv cs.qd Error []
     else begin
-      let key = Bytes.sub_string b 3 klen in
+      let key = Bytes.sub_string b (off + 3) klen in
       if cmd = cmd_set && srv.log <> None then begin
-        let record = srv.api.Pdpix.alloc_str (Framing.encode msg) in
+        let record = Framing.alloc_framed srv.api ~req:0 ~msg:0 ~parent:0 ~hop:0 b off len in
         persist_set srv [ record ];
         srv.api.Pdpix.free record
       end;
       dispatch srv cs.qd ~cmd ~key ~take_value:(fun () ->
-          srv.api.Pdpix.alloc_str (String.sub msg (3 + klen) (Bytes.length b - 3 - klen)))
+          let n = len - 3 - klen in
+          let value = srv.api.Pdpix.alloc (max 1 n) in
+          Bytes.blit b (off + 3 + klen) (Memory.Heap.data value) (Memory.Heap.offset value) n;
+          Memory.Heap.set_length value n;
+          value)
     end
   end
 
@@ -276,13 +283,12 @@ let server ?(port = 6379) ?(persist = false) (api : Pdpix.api) =
           api.Pdpix.free buf)
         sga;
       let rec drain () =
-        match Framing.next cs.acc with
-        | Some msg ->
-            Framing.note_received api ~op (Framing.last cs.acc);
-            Framing.ctx_copy ~src:(Framing.last cs.acc) ~dst:srv.cur;
-            handle_message srv cs msg;
-            drain ()
-        | None -> ()
+        if Framing.take cs.acc then begin
+          Framing.note_received api ~op (Framing.last cs.acc);
+          Framing.ctx_copy ~src:(Framing.last cs.acc) ~dst:srv.cur;
+          handle_message srv cs;
+          drain ()
+        end
       in
       drain ()
     end
@@ -298,13 +304,13 @@ let client_connect api dst = Framing.connect api dst
 let request c ~cmd ~key ~value =
   let req = Framing.fresh_request (Framing.chan_api c) in
   Framing.send_ctx c ~req ~parent:0 ~hop:1 (encode_request ~cmd ~key ~value);
-  let resp = Framing.recv c in
+  let got = Framing.take_recv c in
   Framing.finish_request (Framing.chan_api c) ~req;
-  match resp with
-  | Some resp when String.length resp >= 1 ->
-      let status = status_of_byte (Char.code resp.[0]) in
-      (status, String.sub resp 1 (String.length resp - 1))
-  | Some _ | None -> (Error, "")
+  let a = Framing.chan_accum c in
+  let b = Framing.view_data a and off = Framing.view_off a and len = Framing.view_len a in
+  if got && len >= 1 then
+    (status_of_byte (Net.Wire.get_u8 b off), Bytes.sub_string b (off + 1) (len - 1))
+  else (Error, "")
 
 let get c key = request c ~cmd:cmd_get ~key ~value:""
 let set c key value = fst (request c ~cmd:cmd_set ~key ~value)

@@ -40,29 +40,56 @@ let read_ctx b off c =
   c.c_parent <- Net.Wire.get_u32 b (off + 8);
   c.c_hop <- Net.Wire.get_u16 b (off + 12)
 
+(* Write one whole frame at [dst_off]: the header, then the [n] payload
+   bytes of [src] at [src_off]. *)
+let write_frame dst dst_off ~req ~msg ~parent ~hop src src_off n =
+  Net.Wire.set_u32 dst dst_off (ctx_size + n);
+  write_ctx dst (dst_off + 4) ~req ~msg ~parent ~hop;
+  Bytes.blit src src_off dst (dst_off + hdr_size) n
+
 let encode_ctx ~req ~msg ~parent ~hop payload =
   let n = String.length payload in
   let b = Bytes.create (hdr_size + n) in
-  Net.Wire.set_u32 b 0 (ctx_size + n);
-  write_ctx b 4 ~req ~msg ~parent ~hop;
-  Bytes.blit_string payload 0 b hdr_size n;
+  write_frame b 0 ~req ~msg ~parent ~hop (Bytes.unsafe_of_string payload) 0 n;
   Bytes.unsafe_to_string b
 
 let encode payload = encode_ctx ~req:0 ~msg:0 ~parent:0 ~hop:0 payload
 
+let alloc_framed (api : Pdpix.api) ~req ~msg ~parent ~hop src off n =
+  let buf = api.Pdpix.alloc (hdr_size + n) in
+  write_frame (Memory.Heap.data buf) (Memory.Heap.offset buf) ~req ~msg ~parent ~hop src off n;
+  buf
+
+let alloc_string api ~req ~msg ~parent ~hop payload =
+  alloc_framed api ~req ~msg ~parent ~hop (Bytes.unsafe_of_string payload) 0
+    (String.length payload)
+
 (* The unread bytes are [buf.[rd .. wr)]. [feed] appends at [wr],
    sliding the unread bytes to the front or moving them to a larger
-   buffer only when the tail is full; [next] extracts with one
-   [Bytes.sub_string] and advances [rd]. Once a frame's length prefix
-   has arrived, the buffer is sized for the whole frame, so a large
-   frame is accumulated without regrowing once per chunk. *)
-type accum = { mutable buf : Bytes.t; mutable rd : int; mutable wr : int; last_ctx : ctx }
+   buffer only when the tail is full; [take] only advances [rd], so the
+   messages it exposes stay where they are until the next feed. Once a
+   frame's length prefix has arrived, [take] records the bytes still
+   [want]ed and the next feed reserves room for the whole frame, so a
+   large frame is accumulated without regrowing once per chunk. *)
+type accum = {
+  mutable buf : Bytes.t;
+  mutable rd : int;
+  mutable wr : int;
+  mutable want : int; (* bytes the frame at [rd] still lacks *)
+  mutable view_off : int;
+  mutable view_len : int;
+  last_ctx : ctx;
+}
 
 (* Up to this frame size the whole announced frame is reserved at once;
    past it the buffer grows only as bytes arrive. *)
 let max_reserve = 1 lsl 20
 
-let create () = { buf = Bytes.create 256; rd = 0; wr = 0; last_ctx = make_ctx () }
+let create () =
+  {
+    buf = Bytes.create 256; rd = 0; wr = 0; want = 0; view_off = 0; view_len = 0;
+    last_ctx = make_ctx ();
+  }
 
 (* Room for [n] more bytes at [wr]. *)
 let reserve a n =
@@ -80,9 +107,10 @@ let reserve a n =
   end
 
 let feed_bytes a src off len =
-  reserve a len;
+  reserve a (max len a.want);
   Bytes.blit src off a.buf a.wr len;
-  a.wr <- a.wr + len
+  a.wr <- a.wr + len;
+  a.want <- max 0 (a.want - len)
 
 let feed a s = feed_bytes a (Bytes.unsafe_of_string s) 0 (String.length s)
 
@@ -93,26 +121,36 @@ let buffered a = a.wr - a.rd
 
 let last a = a.last_ctx
 
-let next a =
+let take a =
   let len = a.wr - a.rd in
-  if len < 4 then None
+  if len < 4 then false
   else begin
     let frame_len = Net.Wire.get_u32 a.buf a.rd in
     if len < 4 + frame_len || frame_len < ctx_size then begin
-      if frame_len <= max_reserve then reserve a (4 + frame_len - len);
-      None
+      if frame_len <= max_reserve then a.want <- 4 + frame_len - len;
+      false
     end
     else begin
       read_ctx a.buf (a.rd + 4) a.last_ctx;
-      let msg = Bytes.sub_string a.buf (a.rd + hdr_size) (frame_len - ctx_size) in
+      a.view_off <- a.rd + hdr_size;
+      a.view_len <- frame_len - ctx_size;
       a.rd <- a.rd + 4 + frame_len;
       if a.rd = a.wr then begin
         a.rd <- 0;
         a.wr <- 0
       end;
-      Some msg
+      true
     end
   end
+
+let view_data a = a.buf
+let view_off a = a.view_off
+let view_len a = a.view_len
+
+(* The one copy [next] and [recv] make: the viewed message as a string. *)
+let view_string a = Bytes.sub_string a.buf a.view_off a.view_len
+
+let next a = if take a then Some (view_string a) else None
 
 (* ---------- Demifleet recording helpers ----------
    All are a single branch when no recorder is attached: ids mint as 0
@@ -172,7 +210,7 @@ let chan_api c = c.api
 
 let send_ctx c ~req ~parent ~hop payload =
   let msg = fresh_msg_id c.api in
-  let buf = c.api.Pdpix.alloc_str (encode_ctx ~req ~msg ~parent ~hop payload) in
+  let buf = alloc_string c.api ~req ~msg ~parent ~hop payload in
   let qt = c.api.Pdpix.push c.qd [ buf ] in
   note_sent c.api ~op:qt ~req ~msg ~parent ~hop;
   match c.api.Pdpix.wait qt with
@@ -182,28 +220,31 @@ let send_ctx c ~req ~parent ~hop payload =
 
 let send c payload = send_ctx c ~req:0 ~parent:0 ~hop:0 payload
 
-let rec recv c =
-  match next c.acc with
-  | Some msg ->
-      note_received c.api ~op:c.pop_op c.acc.last_ctx;
-      Some msg
-  | None ->
-      if c.eof then None
-      else begin
-        let qt = c.api.Pdpix.pop c.qd in
-        c.pop_op <- qt;
-        (match c.api.Pdpix.wait qt with
-        | Pdpix.Popped [] -> c.eof <- true
-        | Pdpix.Popped sga ->
-            List.iter
-              (fun buf ->
-                feed_buf c.acc buf;
-                c.api.Pdpix.free buf)
-              sga
-        | Pdpix.Failed _ -> c.eof <- true
-        | _ -> failwith "Framing.recv: unexpected completion");
-        recv c
-      end
+let chan_accum c = c.acc
+
+let rec take_recv c =
+  if take c.acc then begin
+    note_received c.api ~op:c.pop_op c.acc.last_ctx;
+    true
+  end
+  else if c.eof then false
+  else begin
+    let qt = c.api.Pdpix.pop c.qd in
+    c.pop_op <- qt;
+    (match c.api.Pdpix.wait qt with
+    | Pdpix.Popped [] -> c.eof <- true
+    | Pdpix.Popped sga ->
+        List.iter
+          (fun buf ->
+            feed_buf c.acc buf;
+            c.api.Pdpix.free buf)
+          sga
+    | Pdpix.Failed _ -> c.eof <- true
+    | _ -> failwith "Framing.recv: unexpected completion");
+    take_recv c
+  end
+
+let recv c = if take_recv c then Some (view_string c.acc) else None
 
 (* One framed reply on a raw server-side queue, echoing the request's
    context: same request id, parent = the request's msg id, hop + 1 —
@@ -211,12 +252,12 @@ let rec recv c =
    failed push (peer reset mid-reply) is tolerated, as servers must. *)
 let reply_on (api : Pdpix.api) qd ~to_ctx payload =
   let msg = fresh_msg_id api in
-  let frame =
-    if msg = 0 then encode payload
+  let buf =
+    if msg = 0 then alloc_string api ~req:0 ~msg:0 ~parent:0 ~hop:0 payload
     else
-      encode_ctx ~req:to_ctx.c_req ~msg ~parent:to_ctx.c_msg ~hop:(to_ctx.c_hop + 1) payload
+      alloc_string api ~req:to_ctx.c_req ~msg ~parent:to_ctx.c_msg ~hop:(to_ctx.c_hop + 1)
+        payload
   in
-  let buf = api.Pdpix.alloc_str frame in
   let qt = api.Pdpix.push qd [ buf ] in
   if msg <> 0 then
     note_sent api ~op:qt ~req:to_ctx.c_req ~msg ~parent:to_ctx.c_msg ~hop:(to_ctx.c_hop + 1);

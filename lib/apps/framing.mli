@@ -9,7 +9,15 @@
     message id, parent message id (u32 each), hop count (u16) and a pad.
     The context is {e always} present — all zeros when no
     {!Engine.Causal} recorder is attached — so frame lengths, timing
-    and the trace digest are byte-identical with tracing on or off. *)
+    and the trace digest are byte-identical with tracing on or off.
+
+    Messages are built and parsed in place. A sender writes the header
+    and the payload straight into one [api.alloc] buffer
+    ({!alloc_framed}, {!send_ctx}, {!reply_on}); a receiver {!take}s the
+    next whole message and reads it through the accumulator's view
+    ({!view_data}, {!view_off}, {!view_len}) without copying it out.
+    {!next} and {!recv} are [take] plus one copy, for callers that want
+    a string. *)
 
 val ctx_size : int
 (** Bytes of causal context per frame (16). *)
@@ -42,6 +50,21 @@ val encode : string -> string
 val encode_ctx : req:int -> msg:int -> parent:int -> hop:int -> string -> string
 (** Frame a payload with an explicit context. *)
 
+val alloc_framed :
+  Demikernel.Pdpix.api ->
+  req:int ->
+  msg:int ->
+  parent:int ->
+  hop:int ->
+  Bytes.t ->
+  int ->
+  int ->
+  Memory.Heap.buffer
+(** [alloc_framed api ~req ~msg ~parent ~hop b off n]: one
+    [api.alloc (hdr_size + n)] buffer holding the whole frame, its
+    header written in place and the [n] payload bytes of [b] at [off]
+    blitted once. The caller owns the buffer. *)
+
 type accum
 (** Reassembly state for one connection: a byte buffer with read and
     write offsets. *)
@@ -56,16 +79,26 @@ val feed_buf : accum -> Memory.Heap.buffer -> unit
     the accumulator (no intermediate string). The caller still owns and
     frees [buf]. *)
 
+val take : accum -> bool
+(** Consume the next complete message, if any, and make it the view:
+    its payload (context stripped) is [view_len] bytes of [view_data]
+    at [view_off], and its context is {!last}. The bytes stay in place
+    until the next feed, so a view saved before a later [take] in the
+    same drain still reads its own message. Feeding and taking are
+    linear in the bytes fed — an incomplete frame is never re-copied
+    per call, and once its length prefix has arrived the next feed sizes
+    the accumulator for the whole frame. *)
+
+val view_data : accum -> Bytes.t
+val view_off : accum -> int
+val view_len : accum -> int
+
 val next : accum -> string option
-(** Extract the next complete message (context stripped), if any: one
-    copy of the message out of the accumulator. Feeding and extracting
-    are linear in the bytes fed — an incomplete frame is never re-copied
-    per call, and once its length prefix has arrived the accumulator is
-    sized for the whole frame. *)
+(** {!take}, then one copy of the viewed message out as a string. *)
 
 val last : accum -> ctx
-(** The context of the most recently extracted message — the accum's
-    own scratch record, valid until the next {!next}. *)
+(** The context of the most recently taken message — the accum's own
+    scratch record, valid until the next {!take}. *)
 
 val buffered : accum -> int
 
@@ -104,9 +137,15 @@ val send_ctx : chan -> req:int -> parent:int -> hop:int -> string -> unit
 (** {!send}, stamping the request context and noting [Sent] (the msg id
     is minted here). *)
 
+val take_recv : chan -> bool
+(** Block until a complete message is taken into the view of
+    {!chan_accum}; [false] on EOF. Notes [Received] for every taken
+    message carrying a context. *)
+
+val chan_accum : chan -> accum
+
 val recv : chan -> string option
-(** Block until a complete message arrives; [None] on EOF. Notes
-    [Received] for every extracted message carrying a context. *)
+(** {!take_recv}, then one copy of the message out; [None] on EOF. *)
 
 val reply_on :
   Demikernel.Pdpix.api -> Demikernel.Pdpix.qd -> to_ctx:ctx -> string -> unit

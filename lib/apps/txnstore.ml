@@ -13,17 +13,17 @@ let op_put = 2
 
 type conn_state = { qd : Pdpix.qd; acc : Framing.accum }
 
-(* A frame too short for the key length it declares (or, for a PUT, for
+(* The request is the [len] bytes of [b] at [off], parsed in place. A
+   frame too short for the key length it declares (or, for a PUT, for
    its version) gets the miss/failure byte instead of a parse error. *)
-let handle_request ~store msg =
-  let b = Bytes.unsafe_of_string msg in
-  if Bytes.length b < 3 then "\x00"
+let handle_request ~store b off len =
+  if len < 3 then "\x00"
   else begin
-    let op = Net.Wire.get_u8 b 0 in
-    let klen = Net.Wire.get_u16 b 1 in
-    if Bytes.length b < 3 + klen || (op = op_put && Bytes.length b < 7 + klen) then "\x00"
+    let op = Net.Wire.get_u8 b off in
+    let klen = Net.Wire.get_u16 b (off + 1) in
+    if len < 3 + klen || (op = op_put && len < 7 + klen) then "\x00"
     else if op = op_get then
-      match Hashtbl.find_opt store (Bytes.sub_string b 3 klen) with
+      match Hashtbl.find_opt store (Bytes.sub_string b (off + 3) klen) with
       | Some (version, value) ->
           let r = Bytes.create (5 + String.length value) in
           Net.Wire.set_u8 r 0 1;
@@ -32,9 +32,9 @@ let handle_request ~store msg =
           Bytes.unsafe_to_string r
       | None -> "\x00"
     else if op = op_put then begin
-      let key = Bytes.sub_string b 3 klen in
-      let version = Net.Wire.get_u32 b (3 + klen) in
-      let value = Bytes.sub_string b (7 + klen) (Bytes.length b - 7 - klen) in
+      let key = Bytes.sub_string b (off + 3) klen in
+      let version = Net.Wire.get_u32 b (off + 3 + klen) in
+      let value = Bytes.sub_string b (off + 7 + klen) (len - 7 - klen) in
       (* Last-writer-wins by version: stale replicated writes lose. *)
       (match Hashtbl.find_opt store key with
       | Some (v, _) when v >= version -> ()
@@ -44,9 +44,12 @@ let handle_request ~store msg =
     else "\x00"
   end
 
-let handle srv_api store cs msg =
-  let payload = handle_request ~store msg in
-  Framing.reply_on srv_api cs.qd ~to_ctx:(Framing.last cs.acc) payload
+let handle srv_api store cs =
+  let a = cs.acc in
+  let payload =
+    handle_request ~store (Framing.view_data a) (Framing.view_off a) (Framing.view_len a)
+  in
+  Framing.reply_on srv_api cs.qd ~to_ctx:(Framing.last a) payload
 
 let server ?(port = 7447) (api : Pdpix.api) =
   let lqd = api.Pdpix.socket Pdpix.Tcp in
@@ -60,12 +63,11 @@ let server ?(port = 7447) (api : Pdpix.api) =
         api.Pdpix.free buf)
       sga;
     let rec drain () =
-      match Framing.next cs.acc with
-      | Some msg ->
-          Framing.note_received api ~op (Framing.last cs.acc);
-          handle api store cs msg;
-          drain ()
-      | None -> ()
+      if Framing.take cs.acc then begin
+        Framing.note_received api ~op (Framing.last cs.acc);
+        handle api store cs;
+        drain ()
+      end
     in
     drain ()
   in
@@ -101,9 +103,7 @@ let connect api ~replicas ~seed =
    id — the DAG keeps the non-quorum leg, it just lands after End. *)
 let drain_owed r =
   while r.owed > 0 do
-    (match Framing.recv r.chan with
-    | Some _ -> ()
-    | None -> failwith "txnstore client: replica closed");
+    if not (Framing.take_recv r.chan) then failwith "txnstore client: replica closed";
     r.owed <- r.owed - 1
   done
 
@@ -124,11 +124,12 @@ let encode_put key ~version value =
   Bytes.blit_string value 0 b (7 + klen) (String.length value);
   Bytes.unsafe_to_string b
 
-let parse_get_response resp =
-  if String.length resp >= 5 && resp.[0] = '\x01' then
-    let b = Bytes.unsafe_of_string resp in
-    Some (Net.Wire.get_u32 b 1, String.sub resp 5 (String.length resp - 5))
+let parse_get_view b off len =
+  if len >= 5 && Bytes.get b off = '\x01' then
+    Some (Net.Wire.get_u32 b (off + 1), Bytes.sub_string b (off + 5) (len - 5))
   else None
+
+let parse_get_response resp = parse_get_view (Bytes.unsafe_of_string resp) 0 (String.length resp)
 
 let get c key =
   let r = c.chans.(c.rr mod Array.length c.chans) in
@@ -136,12 +137,11 @@ let get c key =
   drain_owed r;
   let req = Framing.fresh_request c.api in
   Framing.send_ctx r.chan ~req ~parent:0 ~hop:1 (encode_get key);
-  let resp = Framing.recv r.chan in
+  let got = Framing.take_recv r.chan in
   Framing.finish_request c.api ~req;
-  match resp with
-  | Some resp -> (
-      match parse_get_response resp with Some hit -> Some hit | None -> None)
-  | None -> failwith "txnstore client: replica closed"
+  if not got then failwith "txnstore client: replica closed";
+  let a = Framing.chan_accum r.chan in
+  parse_get_view (Framing.view_data a) (Framing.view_off a) (Framing.view_len a)
 
 let put ?quorum c key ~version value =
   let msg = encode_put key ~version value in
@@ -160,9 +160,13 @@ let put ?quorum c key ~version value =
   Array.iter
     (fun r ->
       if !acked < q then begin
-        (match Framing.recv r.chan with
-        | Some "\x01" -> ()
-        | Some _ | None -> failwith "txnstore client: put not acked");
+        let ok =
+          Framing.take_recv r.chan
+          &&
+          let a = Framing.chan_accum r.chan in
+          Framing.view_len a = 1 && Bytes.get (Framing.view_data a) (Framing.view_off a) = '\x01'
+        in
+        if not ok then failwith "txnstore client: put not acked";
         incr acked
       end
       else r.owed <- r.owed + 1)

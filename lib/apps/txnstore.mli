@@ -13,12 +13,18 @@ val encode_get : string -> string
 val encode_put : string -> version:int -> string -> string
 
 val handle_request :
-  store:(string, int * string) Hashtbl.t -> string -> string
-(** Server-side request processing over the replica's store; returns the
-    encoded response. Shared by the PDPIX server and the kernel-path
-    baseline so both replicas behave identically. *)
+  store:(string, int * string) Hashtbl.t -> Bytes.t -> int -> int -> string
+(** [handle_request ~store b off len]: server-side processing of the
+    request in the [len] bytes of [b] at [off], parsed in place; returns
+    the encoded response. Shared by the PDPIX server and the
+    kernel-path and RDMA baselines so every replica behaves
+    identically. *)
 
 val parse_get_response : string -> (int * string) option
+
+val parse_get_view : Bytes.t -> int -> int -> (int * string) option
+(** {!parse_get_response} over the [len] bytes of [b] at [off]: only the
+    value is copied out. *)
 
 val server : ?port:int -> Demikernel.Pdpix.api -> unit
 (** One replica. *)

@@ -15,24 +15,27 @@ let caladan = { name = "Caladan"; device = `Dpdk; per_op_cpu_ns = 150; per_packe
 let shenango =
   { name = "Shenango"; device = `Dpdk; per_op_cpu_ns = 150; per_packet_hop_ns = 1_300 }
 
+(* Messages cross a port as byte ranges: [send] gathers the range into
+   a frame, and [drain]'s handler reads the payload in place from a
+   frame that is freed once the handler returns. *)
 type port = {
   mac : Net.Addr.Mac.t;
-  send : dst:Net.Addr.Mac.t -> string -> unit;
-  drain : (src:Net.Addr.Mac.t -> string -> unit) -> bool;
+  send : dst:Net.Addr.Mac.t -> Bytes.t -> int -> int -> unit;
+  drain : (src:Net.Addr.Mac.t -> Bytes.t -> int -> int -> unit) -> bool;
   signal : Engine.Condvar.t;
 }
 
 let charge sim ns = if ns > 0 then Engine.Fiber.sleep sim ns
 
 (* A port's frames are built in and read into its own header view. *)
-let eth_frame nic eth ~dst ~src payload =
-  let frame = Memory.Heap.alloc (Net.Dpdk_sim.frames nic) (Net.Eth.size + String.length payload) in
+let eth_frame nic eth ~dst ~src payload payload_off len =
+  let frame = Memory.Heap.alloc (Net.Dpdk_sim.frames nic) (Net.Eth.size + len) in
   let b = Memory.Heap.data frame in
   eth.Net.Eth.dst <- dst;
   eth.Net.Eth.src <- src;
   eth.Net.Eth.ethertype <- 0x88B5;
   let off = Net.Eth.write b (Memory.Heap.offset frame) eth in
-  Bytes.blit_string payload 0 b off (String.length payload);
+  Bytes.blit payload payload_off b off len;
   frame
 
 (* Hand the payload of an L2 frame to [handler], dropping runts; the
@@ -42,7 +45,7 @@ let deliver_frame eth handler frame =
   let lim = Memory.Heap.offset frame + Memory.Heap.length frame in
   (match Net.Eth.read b (Memory.Heap.offset frame) ~lim eth with
   | exception Net.Wire.Malformed _ -> ()
-  | off -> handler ~src:eth.Net.Eth.src (Bytes.sub_string b off (lim - off)));
+  | off -> handler ~src:eth.Net.Eth.src b off (lim - off));
   Memory.Heap.free frame
 
 (* Take the [n] frames a poll counted, charging [per_frame] each. *)
@@ -100,10 +103,10 @@ let make_port profile sim fabric ~index =
       {
         mac;
         send =
-          (fun ~dst payload ->
+          (fun ~dst b off len ->
             charge sim (profile.per_op_cpu_ns + cost.Net.Cost.dpdk_tx_ns);
             (* Outbound packets cross the IOKernel too. *)
-            hop (eth_frame nic eth ~dst ~src:mac payload) outbound);
+            hop (eth_frame nic eth ~dst ~src:mac b off len) outbound);
         drain =
           (fun handler ->
             if Engine.Ring.is_empty mailbox then false
@@ -124,9 +127,9 @@ let make_port profile sim fabric ~index =
       {
         mac;
         send =
-          (fun ~dst payload ->
+          (fun ~dst b off len ->
             charge sim (profile.per_op_cpu_ns + cost.Net.Cost.dpdk_tx_ns);
-            Net.Dpdk_sim.tx nic (eth_frame nic eth ~dst ~src:mac payload));
+            Net.Dpdk_sim.tx nic (eth_frame nic eth ~dst ~src:mac b off len));
         drain =
           (fun handler ->
             match Net.Dpdk_sim.rx_take nic ~max:32 with
@@ -144,9 +147,9 @@ let make_port profile sim fabric ~index =
       {
         mac;
         send =
-          (fun ~dst payload ->
+          (fun ~dst b off len ->
             charge sim (profile.per_op_cpu_ns + cost.Net.Cost.rdma_post_ns);
-            Net.Rdma_sim.post_send rnic ~dst ~wr_id:0 ~imm:0 payload);
+            Net.Rdma_sim.post_send rnic ~dst ~wr_id:0 ~imm:0 b off len);
         drain =
           (fun handler ->
             match Net.Rdma_sim.poll_cq rnic ~max:32 with
@@ -155,10 +158,12 @@ let make_port profile sim fabric ~index =
                 List.iter
                   (fun completion ->
                     match completion with
-                    | Net.Rdma_sim.Recv { src_mac; payload; _ } ->
+                    | Net.Rdma_sim.Recv { src_mac; frame; _ } ->
                         charge sim (profile.per_op_cpu_ns + cost.Net.Cost.rdma_poll_ns);
                         Net.Rdma_sim.post_recv rnic;
-                        handler ~src:src_mac payload
+                        handler ~src:src_mac (Memory.Heap.data frame) (Memory.Heap.offset frame)
+                          (Memory.Heap.length frame);
+                        Memory.Heap.free frame
                     | Net.Rdma_sim.Send_done _ | Net.Rdma_sim.Write_done _ -> ())
                   completions;
                 true);
@@ -169,7 +174,7 @@ let spawn_echo_server profile sim fabric ~index =
   let port = make_port profile sim fabric ~index in
   Engine.Fiber.spawn sim ~name:(profile.name ^ "-server") (fun () ->
       let rec loop () =
-        if not (port.drain (fun ~src payload -> port.send ~dst:src payload)) then
+        if not (port.drain (fun ~src b off len -> port.send ~dst:src b off len)) then
           ignore (Engine.Condvar.wait_many sim [ port.signal ] ~timeout:None);
         loop ()
       in
@@ -180,15 +185,15 @@ let echo profile sim fabric ~server_index ~client_index ~msg_size ~count ~record
   let server = spawn_echo_server profile sim fabric ~index:server_index in
   let client = make_port profile sim fabric ~index:client_index in
   Engine.Fiber.spawn sim ~name:(profile.name ^ "-client") (fun () ->
-      let payload = String.make (max 1 msg_size) 'k' in
+      let payload = Bytes.make (max 1 msg_size) 'k' in
       let rec go n =
         if n > 0 then begin
           let start = Engine.Sim.now sim in
-          client.send ~dst:server.mac payload;
+          client.send ~dst:server.mac payload 0 (Bytes.length payload);
           let got = ref false in
           let rec await () =
             if not !got then begin
-              if not (client.drain (fun ~src:_ _ -> got := true)) then
+              if not (client.drain (fun ~src:_ _ _ _ -> got := true)) then
                 ignore (Engine.Condvar.wait_many sim [ client.signal ] ~timeout:None);
               await ()
             end
@@ -221,10 +226,12 @@ let echo_open_loop profile sim fabric ~server_index ~client_index ~msg_size ~rat
       let deadline = start + duration_ns in
       let grace = deadline + 500_000 in
       let next_send = ref start in
-      let payload_tail = String.make (max 0 (msg_size - 8)) 'l' in
-      let handler ~src:_ payload =
-        if String.length payload >= 8 then begin
-          let ts = Net.Wire.get_u48 (Bytes.unsafe_of_string payload) 0 in
+      (* One request buffer, restamped per send: a send gathers it at
+         once. *)
+      let msg = Bytes.make (8 + max 0 (msg_size - 8)) 'l' in
+      let handler ~src:_ b off len =
+        if len >= 8 then begin
+          let ts = Net.Wire.get_u48 b off in
           let sent_at = start + ts in
           Metrics.Hdr.add hist (Engine.Sim.now sim - sent_at);
           incr received
@@ -235,10 +242,9 @@ let echo_open_loop profile sim fabric ~server_index ~client_index ~msg_size ~rat
         if now >= grace then ()
         else begin
           if now >= !next_send && now < deadline then begin
-            let b = Bytes.create 8 in
-            Net.Wire.set_u48 b 0 (now - start);
-            Net.Wire.set_u16 b 6 0;
-            client.send ~dst:server.mac (Bytes.unsafe_to_string b ^ payload_tail);
+            Net.Wire.set_u48 msg 0 (now - start);
+            Net.Wire.set_u16 msg 6 0;
+            client.send ~dst:server.mac msg 0 (Bytes.length msg);
             next_send :=
               !next_send
               + max 1 (int_of_float (Engine.Prng.exponential prng (1e9 /. rate_per_sec)))

@@ -230,6 +230,9 @@ let kv_bench_client sim kernel ~dst ~keys ~value_size ~ops ~kind ~seed ~on_start
 
 (* ---------- TxnStore ---------- *)
 
+let txn_handle store msg =
+  Apps.Txnstore.handle_request ~store (Bytes.unsafe_of_string msg) 0 (String.length msg)
+
 let txn_replica sim kernel ~port =
   Engine.Fiber.spawn sim ~name:"linux-txn-replica" (fun () ->
       let lfd = K.tcp_listen kernel ~port in
@@ -239,7 +242,7 @@ let txn_replica sim kernel ~port =
       let rec loop () =
         match recv_framed kernel fd acc with
         | Some msg ->
-            K.send kernel fd (Apps.Framing.encode (Apps.Txnstore.handle_request ~store msg));
+            K.send kernel fd (Apps.Framing.encode (txn_handle store msg));
             loop ()
         | None -> ()
       in
@@ -252,7 +255,7 @@ let txn_replica_udp sim kernel ~port =
       let rec loop () =
         (match K.recvfrom kernel fd ~block:true with
         | Some (from, msg) ->
-            K.sendto kernel fd ~dst:from (Apps.Txnstore.handle_request ~store msg)
+            K.sendto kernel fd ~dst:from (txn_handle store msg)
         | None -> ());
         loop ()
       in

@@ -106,22 +106,27 @@ let perftest_pingpong sim fabric ~server_index ~client_index ~msg_size ~count ~r
               (fun completion ->
                 charge sim cost.Net.Cost.rdma_poll_ns;
                 match completion with
-                | Net.Rdma_sim.Recv { src_mac; payload; _ } ->
+                | Net.Rdma_sim.Recv { src_mac; frame; _ } ->
                     Net.Rdma_sim.post_recv server;
                     charge sim cost.Net.Cost.rdma_post_ns;
-                    Net.Rdma_sim.post_send server ~dst:src_mac ~wr_id:0 ~imm:0 payload
+                    (* Echo straight from the arrived frame. *)
+                    Net.Rdma_sim.post_send server ~dst:src_mac ~wr_id:0 ~imm:0
+                      (Memory.Heap.data frame) (Memory.Heap.offset frame)
+                      (Memory.Heap.length frame);
+                    Memory.Heap.free frame
                 | Net.Rdma_sim.Send_done _ | Net.Rdma_sim.Write_done _ -> ())
               completions);
         loop ()
       in
       loop ());
   Engine.Fiber.spawn sim ~name:"perftest-client" (fun () ->
-      let payload = String.make (max 1 msg_size) 'p' in
+      let payload = Bytes.make (max 1 msg_size) 'p' in
       let rec go n =
         if n > 0 then begin
           let start = Engine.Sim.now sim in
           charge sim cost.Net.Cost.rdma_post_ns;
-          Net.Rdma_sim.post_send client ~dst:(Net.Rdma_sim.mac server) ~wr_id:1 ~imm:0 payload;
+          Net.Rdma_sim.post_send client ~dst:(Net.Rdma_sim.mac server) ~wr_id:1 ~imm:0 payload 0
+            (Bytes.length payload);
           let got_reply = ref false in
           let rec await () =
             if not !got_reply then begin
@@ -135,8 +140,9 @@ let perftest_pingpong sim fabric ~server_index ~client_index ~msg_size ~count ~r
                     (fun completion ->
                       charge sim cost.Net.Cost.rdma_poll_ns;
                       match completion with
-                      | Net.Rdma_sim.Recv _ ->
+                      | Net.Rdma_sim.Recv { frame; _ } ->
                           Net.Rdma_sim.post_recv client;
+                          Memory.Heap.free frame;
                           got_reply := true
                       | Net.Rdma_sim.Send_done _ | Net.Rdma_sim.Write_done _ -> ())
                     completions);

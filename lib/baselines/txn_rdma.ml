@@ -4,7 +4,8 @@ let qp_overhead_ns = 500
 
 let charge sim ns = if ns > 0 then Engine.Fiber.sleep sim ns
 
-let copy_cost cost payload = Net.Cost.copy_cost_ns cost (String.length payload)
+let post_string rnic ~dst ~imm s =
+  Net.Rdma_sim.post_send rnic ~dst ~wr_id:0 ~imm (Bytes.unsafe_of_string s) 0 (String.length s)
 
 let make_rnic fabric ~index =
   let rnic =
@@ -29,15 +30,21 @@ let replica sim fabric ~index =
             List.iter
               (fun completion ->
                 match completion with
-                | Net.Rdma_sim.Recv { src_mac; imm; payload } ->
+                | Net.Rdma_sim.Recv { src_mac; imm; frame } ->
                     Net.Rdma_sim.post_recv rnic;
                     (* Copy in, process, copy out. *)
+                    let len = Memory.Heap.length frame in
                     charge sim
-                      (cost.Net.Cost.rdma_poll_ns + qp_overhead_ns + copy_cost cost payload);
-                    let response = Apps.Txnstore.handle_request ~store payload in
+                      (cost.Net.Cost.rdma_poll_ns + qp_overhead_ns + Net.Cost.copy_cost_ns cost len);
+                    let response =
+                      Apps.Txnstore.handle_request ~store (Memory.Heap.data frame)
+                        (Memory.Heap.offset frame) len
+                    in
+                    Memory.Heap.free frame;
                     charge sim
-                      (cost.Net.Cost.rdma_post_ns + qp_overhead_ns + copy_cost cost response);
-                    Net.Rdma_sim.post_send rnic ~dst:src_mac ~wr_id:0 ~imm response
+                      (cost.Net.Cost.rdma_post_ns + qp_overhead_ns
+                      + Net.Cost.copy_cost_ns cost (String.length response));
+                    post_string rnic ~dst:src_mac ~imm response
                 | Net.Rdma_sim.Send_done _ | Net.Rdma_sim.Write_done _ -> ())
               completions);
         loop ()
@@ -55,15 +62,18 @@ let ycsb_client sim fabric ~index ~replica_indexes ~keys ~value_size ~txns ~thet
       let value = String.make value_size 'w' in
       let next_rpc = ref 1 in
       (* Send one request per listed replica, then collect the matching
-         responses (request ids ride the imm field). *)
+         responses (request ids ride the imm field) as their frames; the
+         caller frees them. *)
       let rpc_many targets msg =
         let ids =
           List.map
             (fun target ->
               let id = !next_rpc in
               next_rpc := !next_rpc + 1;
-              charge sim (cost.Net.Cost.rdma_post_ns + qp_overhead_ns + copy_cost cost msg);
-              Net.Rdma_sim.post_send rnic ~dst:replicas.(target) ~wr_id:0 ~imm:id msg;
+              charge sim
+                (cost.Net.Cost.rdma_post_ns + qp_overhead_ns
+                + Net.Cost.copy_cost_ns cost (String.length msg));
+              post_string rnic ~dst:replicas.(target) ~imm:id msg;
               id)
             targets
         in
@@ -79,15 +89,16 @@ let ycsb_client sim fabric ~index ~replica_indexes ~keys ~value_size ~txns ~thet
                 List.iter
                   (fun completion ->
                     match completion with
-                    | Net.Rdma_sim.Recv { imm; payload; _ } ->
+                    | Net.Rdma_sim.Recv { imm; frame; _ } ->
                         Net.Rdma_sim.post_recv rnic;
                         charge sim
                           (cost.Net.Cost.rdma_poll_ns + qp_overhead_ns
-                         + copy_cost cost payload);
+                          + Net.Cost.copy_cost_ns cost (Memory.Heap.length frame));
                         if List.mem imm !pending then begin
                           pending := List.filter (fun i -> i <> imm) !pending;
-                          responses := payload :: !responses
+                          responses := frame :: !responses
                         end
+                        else Memory.Heap.free frame
                     | Net.Rdma_sim.Send_done _ | Net.Rdma_sim.Write_done _ -> ())
                   completions);
             await ()
@@ -102,11 +113,19 @@ let ycsb_client sim fabric ~index ~replica_indexes ~keys ~value_size ~txns ~thet
         let target = !rr mod Array.length replicas in
         incr rr;
         match rpc_many [ target ] (Apps.Txnstore.encode_get key) with
-        | [ resp ] -> Apps.Txnstore.parse_get_response resp
-        | _ -> None
+        | [ frame ] ->
+            let hit =
+              Apps.Txnstore.parse_get_view (Memory.Heap.data frame) (Memory.Heap.offset frame)
+                (Memory.Heap.length frame)
+            in
+            Memory.Heap.free frame;
+            hit
+        | frames ->
+            List.iter Memory.Heap.free frames;
+            None
       in
       let put key ~version v =
-        ignore (rpc_many all (Apps.Txnstore.encode_put key ~version v))
+        List.iter Memory.Heap.free (rpc_many all (Apps.Txnstore.encode_put key ~version v))
       in
       for i = 0 to keys - 1 do
         put (Apps.Workload.key_name i) ~version:1 value

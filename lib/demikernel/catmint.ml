@@ -14,12 +14,15 @@ type chan = {
   chan_qd : Pdpix.qd;
   peer_mac : Net.Addr.Mac.t;
   cell : Bytes.t; (* peer one-sided-writes cumulative grants here *)
+  grant : Bytes.t; (* our grants to the peer are gathered from here *)
   mutable peer_chan : int;
   mutable peer_cell_rkey : int;
   mutable sent : int;
   mutable consumed : int;
   mutable granted_to_peer : int;
-  pending_sends : (Pdpix.qtoken * string) Queue.t;
+  pending_sends : (Pdpix.qtoken * Pdpix.sga) Queue.t;
+      (* pushes awaiting grant; each buffer holds a libOS reference
+         until the device gathers it *)
   pops : Runtime.pending;
   recv_q : Memory.Heap.buffer Queue.t;
   mutable eof : bool;
@@ -61,25 +64,33 @@ let live ch = Runtime.failed ch.pops = None
 
 (* ---------- message emission ---------- *)
 
-let u32s values tail =
-  let b = Bytes.create ((4 * List.length values) + String.length tail) in
+let u32s values =
+  let b = Bytes.create (4 * List.length values) in
   List.iteri (fun i v -> Net.Wire.set_u32 b (4 * i) v) values;
-  Bytes.blit_string tail 0 b (4 * List.length values) (String.length tail);
-  Bytes.unsafe_to_string b
+  b
 
 let post_control t ~dst ~msg ~chan payload =
   charge_dev t (cost t).Net.Cost.rdma_post_ns;
-  Net.Rdma_sim.post_send t.rnic ~dst ~wr_id:0 ~imm:(imm_of ~msg ~chan) payload
+  Net.Rdma_sim.post_send t.rnic ~dst ~wr_id:0 ~imm:(imm_of ~msg ~chan) payload 0
+    (Bytes.length payload)
 
-let send_data t ch qt payload =
+(* The device gathers a one-buffer sga straight from the heap; a longer
+   one is joined first. *)
+let send_data t ch qt sga =
   (* One combined charge: the doorbell post dominates, so the whole
      stretch is attributed to the device-queue component. *)
   charge_dev t ((cost t).Net.Cost.rdma_post_ns + (2 * (cost t).Net.Cost.libos_sched_ns));
   ch.sent <- ch.sent + 1;
   t.sends <- t.sends + 1;
-  Net.Rdma_sim.post_send t.rnic ~dst:ch.peer_mac ~wr_id:qt
-    ~imm:(imm_of ~msg:m_data ~chan:ch.peer_chan)
-    payload
+  let imm = imm_of ~msg:m_data ~chan:ch.peer_chan in
+  match sga with
+  | [ buf ] ->
+      Net.Rdma_sim.post_send t.rnic ~dst:ch.peer_mac ~wr_id:qt ~imm (Memory.Heap.data buf)
+        (Memory.Heap.offset buf) (Memory.Heap.length buf)
+  | bufs ->
+      let joined = Pdpix.sga_to_string bufs in
+      Net.Rdma_sim.post_send t.rnic ~dst:ch.peer_mac ~wr_id:qt ~imm
+        (Bytes.unsafe_of_string joined) 0 (String.length joined)
 
 (* Top-level recursion (not a per-call closure): this runs for every
    stalled channel on every poll round, and a still-blocked channel —
@@ -87,8 +98,9 @@ let send_data t ch qt payload =
 let rec flush_pending_loop t ch =
   if (not (Queue.is_empty ch.pending_sends)) && grant_available ch > 0 && ch.peer_chan >= 0
   then begin
-    let qt, payload = Queue.pop ch.pending_sends in
-    send_data t ch qt payload;
+    let qt, sga = Queue.pop ch.pending_sends in
+    send_data t ch qt sga;
+    List.iter Memory.Heap.os_decref sga;
     flush_pending_loop t ch
   end
 
@@ -152,11 +164,10 @@ let flow_coroutine t ch () =
       let outstanding = ch.granted_to_peer - ch.consumed in
       if outstanding <= t.window / 2 && ch.peer_cell_rkey >= 0 then begin
         let new_grant = ch.consumed + t.window in
-        let cell = Bytes.create 4 in
-        Net.Wire.set_u32 cell 0 new_grant;
+        Net.Wire.set_u32 ch.grant 0 new_grant;
         charge_dev t (cost t).Net.Cost.rdma_post_ns;
         Net.Rdma_sim.post_write t.rnic ~dst:ch.peer_mac ~wr_id:0 ~rkey:ch.peer_cell_rkey
-          ~offset:0 (Bytes.unsafe_to_string cell);
+          ~offset:0 ch.grant 0 4;
         ch.granted_to_peer <- new_grant
       end;
       loop ()
@@ -188,6 +199,7 @@ let make_chan t ~qd ~peer_mac =
         chan_qd = qd;
         peer_mac;
         cell = Bytes.make 4 '\000';
+        grant = Bytes.create 4;
         peer_chan = -1;
         peer_cell_rkey = -1;
         sent = 0;
@@ -220,29 +232,34 @@ let fail_chan t ch reason =
       ch.connect_token <- None;
       Runtime.complete t.rt qt (Pdpix.Failed reason)
   | None -> ());
-  Queue.iter (fun (qt, _) -> Runtime.complete t.rt qt (Pdpix.Failed reason)) ch.pending_sends;
+  Queue.iter
+    (fun (qt, sga) ->
+      List.iter Memory.Heap.os_decref sga;
+      Runtime.complete t.rt qt (Pdpix.Failed reason))
+    ch.pending_sends;
   Queue.clear ch.pending_sends;
   Runtime.fail ch.pops reason;
   match ch.flow with Some h -> Dsched.wake (Runtime.sched t.rt) h | None -> ()
 
 let close_chan t ch =
   if live ch && ch.peer_chan >= 0 then
-    post_control t ~dst:ch.peer_mac ~msg:m_close ~chan:ch.peer_chan "";
+    post_control t ~dst:ch.peer_mac ~msg:m_close ~chan:ch.peer_chan Bytes.empty;
   fail_chan t ch "queue closed";
   Hashtbl.remove t.chans ch.id;
   Hashtbl.remove t.qds ch.chan_qd
 
 (* ---------- completion handling ---------- *)
 
-let handle_connect t ~src_mac ~payload =
-  let b = Bytes.unsafe_of_string payload in
-  let port = Net.Wire.get_u32 b 0 in
-  let requester_chan = Net.Wire.get_u32 b 4 in
-  let requester_rkey = Net.Wire.get_u32 b 8 in
-  let grant = Net.Wire.get_u32 b 12 in
+(* Control messages are read in place from the arrived frame. *)
+let handle_connect t ~src_mac frame =
+  let b = Memory.Heap.data frame and off = Memory.Heap.offset frame in
+  let port = Net.Wire.get_u32 b off in
+  let requester_chan = Net.Wire.get_u32 b (off + 4) in
+  let requester_rkey = Net.Wire.get_u32 b (off + 8) in
+  let grant = Net.Wire.get_u32 b (off + 12) in
   match Hashtbl.find_opt t.listeners port with
   | None ->
-      post_control t ~dst:src_mac ~msg:m_refuse ~chan:requester_chan ""
+      post_control t ~dst:src_mac ~msg:m_refuse ~chan:requester_chan Bytes.empty
   | Some lqd -> (
       match Hashtbl.find_opt t.qds lqd with
       | Some (Listening (backlog, accepts)) ->
@@ -252,22 +269,25 @@ let handle_connect t ~src_mac ~payload =
           ch.peer_cell_rkey <- requester_rkey;
           Net.Wire.set_u32 ch.cell 0 grant;
           post_control t ~dst:src_mac ~msg:m_accept ~chan:requester_chan
-            (u32s [ ch.id; cell_rkey t ch; t.window ] "");
+            (u32s [ ch.id; cell_rkey t ch; t.window ]);
           Queue.add ch backlog;
           Runtime.serve accepts
-      | Some _ | None -> post_control t ~dst:src_mac ~msg:m_refuse ~chan:requester_chan "")
+      | Some _ | None ->
+          post_control t ~dst:src_mac ~msg:m_refuse ~chan:requester_chan Bytes.empty)
 
-let handle_recv t ~src_mac ~imm ~payload =
+(* [frame] is the arrived message (its window is the payload); the
+   caller frees it once this returns. *)
+let handle_recv t ~src_mac ~imm frame =
   Net.Rdma_sim.post_recv t.rnic (* replenish the buffer we consumed *);
   match msg_of imm with
-  | 1 (* connect *) -> handle_connect t ~src_mac ~payload
+  | 1 (* connect *) -> handle_connect t ~src_mac frame
   | 2 (* accept *) -> (
       match Hashtbl.find_opt t.chans (chan_of imm) with
       | Some ch ->
-          let b = Bytes.unsafe_of_string payload in
-          ch.peer_chan <- Net.Wire.get_u32 b 0;
-          ch.peer_cell_rkey <- Net.Wire.get_u32 b 4;
-          Net.Wire.set_u32 ch.cell 0 (Net.Wire.get_u32 b 8);
+          let b = Memory.Heap.data frame and off = Memory.Heap.offset frame in
+          ch.peer_chan <- Net.Wire.get_u32 b off;
+          ch.peer_cell_rkey <- Net.Wire.get_u32 b (off + 4);
+          Net.Wire.set_u32 ch.cell 0 (Net.Wire.get_u32 b (off + 8));
           (match ch.connect_token with
           | Some qt ->
               ch.connect_token <- None;
@@ -285,8 +305,12 @@ let handle_recv t ~src_mac ~imm ~payload =
           charge t (3 * (cost t).Net.Cost.libos_sched_ns);
           (* The device DMAed the message into a posted buffer in the
              DMA heap: allocate the application's buffer, no CPU copy. *)
-          let buf = Memory.Heap.alloc (host t).Host.heap (max 1 (String.length payload)) in
-          Memory.Heap.blit_string payload buf;
+          let len = Memory.Heap.length frame in
+          let buf = Memory.Heap.alloc (host t).Host.heap (max 1 len) in
+          (* dlint-allow: unaccounted-copy -- device DMA: the RNIC writes the arrived payload into the posted host-heap buffer; charged per completion through Net.Cost *)
+          Bytes.blit (Memory.Heap.data frame) (Memory.Heap.offset frame) (Memory.Heap.data buf)
+            (Memory.Heap.offset buf) len;
+          Memory.Heap.set_length buf len;
           Queue.add buf ch.recv_q;
           Runtime.serve ch.pops
       | None -> ())
@@ -303,7 +327,9 @@ let handle_completion t completion =
   match completion with
   | Net.Rdma_sim.Send_done { wr_id } ->
       if wr_id > 0 then Runtime.complete t.rt wr_id Pdpix.Pushed
-  | Net.Rdma_sim.Recv { src_mac; imm; payload } -> handle_recv t ~src_mac ~imm ~payload
+  | Net.Rdma_sim.Recv { src_mac; imm; frame } ->
+      handle_recv t ~src_mac ~imm frame;
+      Memory.Heap.free frame
   | Net.Rdma_sim.Write_done _ -> ()
 
 let rec handle_all t completions =
@@ -387,7 +413,7 @@ let op_connect t qd (dst : Net.Addr.endpoint) =
       ch.connect_token <- Some qt;
       Net.Wire.set_u32 ch.cell 0 0 (* cannot send until ACCEPT grants *);
       post_control t ~dst:ch.peer_mac ~msg:m_connect ~chan:0
-        (u32s [ dst.Net.Addr.port; ch.id; cell_rkey t ch; t.window ] "");
+        (u32s [ dst.Net.Addr.port; ch.id; cell_rkey t ch; t.window ]);
       qt
   | Unbound Pdpix.Udp | Bound_tcp _ | Listening _ | Channel _ ->
       invalid_arg "catmint: connect needs an unbound qd"
@@ -403,7 +429,7 @@ let op_close t qd =
   | Unbound _ | Bound_tcp _ -> ());
   Hashtbl.remove t.qds qd
 
-let sga_payload t sga =
+let charge_sga t sga =
   (* Zero-copy for DMA-eligible buffers (the device gathers directly
      from registered memory, exercising get_rkey); small buffers are
      copied into the command, per the 1 kB threshold (§5.3). *)
@@ -411,8 +437,7 @@ let sga_payload t sga =
     (fun buf ->
       if Memory.Heap.is_dma_capable buf then ignore (Memory.Heap.rkey buf)
       else Host.charge_copy (host t) (Memory.Heap.length buf))
-    sga;
-  Pdpix.sga_to_string sga
+    sga
 
 let op_push t qd sga =
   match find t qd with
@@ -420,14 +445,17 @@ let op_push t qd sga =
       match Runtime.failed ch.pops with
       | Some reason -> Runtime.completed_token t.rt (Pdpix.Failed reason)
       | None ->
-          let payload = sga_payload t sga in
-          if String.length payload > Net.Rdma_sim.max_message_size then
+          charge_sga t sga;
+          if Pdpix.sga_length sga > Net.Rdma_sim.max_message_size then
             invalid_arg "catmint: message exceeds device limit";
           let qt = Runtime.fresh_token t.rt in
           if ch.peer_chan >= 0 && grant_available ch > 0 && Queue.is_empty ch.pending_sends
-          then send_data t ch qt payload
+          then send_data t ch qt sga
           else begin
-            Queue.add (qt, payload) ch.pending_sends;
+            (* The device gathers a queued push later: the libOS
+               reference keeps an early app free from recycling it. *)
+            List.iter Memory.Heap.os_incref sga;
+            Queue.add (qt, sga) ch.pending_sends;
             mark_stalled t ch
           end;
           qt)

@@ -19,7 +19,7 @@ let heap_line name (s : Memory.Heap.stats) =
 let words_per_echo = function
   | Demikernel.Boot.Catnip_os -> 5054 (* 323,428 words / 64 = 5,053.56 *)
   | Demikernel.Boot.Catnap_os -> 4765 (* 304,897 words / 64 = 4,764.02 *)
-  | Demikernel.Boot.Catmint_os -> 5268 (* 337,146 words / 64 = 5,267.91 *)
+  | Demikernel.Boot.Catmint_os -> 5132 (* 328,431 words / 64 = 5,131.73 *)
 
 (* One echo with the ownership oracle armed on both ends; returns
    (trace digest, events, metrics lines, ownership violations,

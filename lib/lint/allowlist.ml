@@ -34,13 +34,6 @@ let entries =
          measured overhead and are accounted by Oskernel.Kernel's charge_copy";
     };
     {
-      path_suffix = "lib/demikernel/catmint.ml";
-      rule = copy;
-      justification =
-        "serialises credit-grant control messages (a few bytes of metadata), not \
-         application payload";
-    };
-    {
       path_suffix = "lib/demikernel/cattree.ml";
       rule = copy;
       justification =

@@ -204,7 +204,7 @@ let set_length b length =
     invalid_arg "Heap.set_length: length outside object";
   b.len <- length
 
-(* dlint-allow: unaccounted-copy -- test/assertion bridge out of the heap; documented in the .mli as not a datapath copy *)
+(* dlint-allow: unaccounted-copy -- the copy-out primitive; datapath callers account it through note_copy/charge_copy, per the .mli *)
 let to_string b = Bytes.sub_string b.sb.store (offset b) b.len
 
 let blit_string s b =

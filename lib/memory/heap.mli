@@ -108,10 +108,9 @@ val capacity : buffer -> int
 (** Total object size including headroom. *)
 
 val to_string : buffer -> string
-(** Copy the payload out as a string (test/assertion helper; does not
-    count as a datapath copy). No [lib/apps] receive path uses it:
-    they blit popped buffers into their framing accumulator with
-    [Apps.Framing.feed_buf]. *)
+(** Copy the payload out as a string. The heap does not record the
+    copy: a caller on a datapath accounts it itself ({!note_copy} or
+    [Host.charge_copy]). *)
 
 val blit_string : string -> buffer -> unit
 (** Fill the payload with a string; sets [length]. *)

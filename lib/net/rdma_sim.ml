@@ -1,6 +1,6 @@
 type completion =
   | Send_done of { wr_id : int }
-  | Recv of { src_mac : Addr.Mac.t; imm : int; payload : string }
+  | Recv of { src_mac : Addr.Mac.t; imm : int; frame : Memory.Heap.buffer }
   | Write_done of { wr_id : int; ok : bool }
 
 type t = {
@@ -43,34 +43,33 @@ let note_hw t label =
 
 (* A RoCE frame: the Ethernet header, the message type, [words] 32-bit
    header words (filled by the caller at [word_off] past the frame's
-   offset) and the body. *)
+   offset) and the body, gathered from the [len] bytes of [src] at
+   [src_off]. *)
 let word_off = Eth.size + 1
 
 (* The largest message whose frame (a write's: three header words) fits
    the frame heap's largest size class. *)
 let max_message_size = Memory.Sizeclass.max_class - (word_off + 12)
 
-let frame_of t ~dst ~msgtype ~words body =
-  let frame =
-    Memory.Heap.alloc (Fabric.frames t.fabric) (word_off + (4 * words) + String.length body)
-  in
+let frame_of t ~dst ~msgtype ~words src src_off len =
+  let frame = Memory.Heap.alloc (Fabric.frames t.fabric) (word_off + (4 * words) + len) in
   let b = Memory.Heap.data frame and base = Memory.Heap.offset frame in
   t.eth.Eth.dst <- dst;
   t.eth.Eth.src <- t.mac;
   t.eth.Eth.ethertype <- ethertype_roce;
   let off = Eth.write b base t.eth in
   Wire.set_u8 b off msgtype;
-  Bytes.blit_string body 0 b (base + word_off + (4 * words)) (String.length body);
+  (* dlint-allow: unaccounted-copy -- device DMA: the RNIC gathers the posted range from host memory into the wire frame; charged per post through Net.Cost *)
+  Bytes.blit src src_off b (base + word_off + (4 * words)) len;
   frame
 
 (* Fill header word [i] of a frame built by [frame_of]. *)
 let set_word frame i v =
   Wire.set_u32 (Memory.Heap.data frame) (Memory.Heap.offset frame + word_off + (4 * i)) v
 
-let post_send t ~dst ~wr_id ~imm payload =
-  if String.length payload > max_message_size then
-    invalid_arg "Rdma_sim.post_send: message too large";
-  let frame = frame_of t ~dst ~msgtype:t_send ~words:1 payload in
+let post_send t ~dst ~wr_id ~imm src off len =
+  if len > max_message_size then invalid_arg "Rdma_sim.post_send: message too large";
+  let frame = frame_of t ~dst ~msgtype:t_send ~words:1 src off len in
   set_word frame 0 imm;
   (* Device-side transport processing, then the wire; the send
      completion fires once the message has left the device. *)
@@ -87,63 +86,72 @@ let register_region t bytes =
   Hashtbl.replace t.regions rkey bytes;
   rkey
 
-let post_write t ~dst ~wr_id ~rkey ~offset payload =
-  if String.length payload > max_message_size then
-    invalid_arg "Rdma_sim.post_write: message too large";
-  let frame = frame_of t ~dst ~msgtype:t_write ~words:3 payload in
+let post_write t ~dst ~wr_id ~rkey ~offset src off len =
+  if len > max_message_size then invalid_arg "Rdma_sim.post_write: message too large";
+  let frame = frame_of t ~dst ~msgtype:t_write ~words:3 src off len in
   set_word frame 0 rkey;
   set_word frame 1 offset;
   set_word frame 2 wr_id;
   note_hw t "write";
   Hop.send t.write_pipe ~at:(Engine.Sim.now (sim t) + hw_ns t) frame
 
-(* The device consumes every frame it receives: the payload is copied
-   out (into a completion or a registered region) and the frame freed. *)
+(* A two-sided send that finds a posted buffer completes with the frame
+   itself, narrowed to its payload: the CQ entry holds it and whoever
+   polls it frees it. Every other frame (an RNR drop, a one-sided write
+   or its ack, a frame that is not RoCE) is consumed here and freed. *)
 let handle_frame t frame =
   let b = Memory.Heap.data frame in
   let lim = Memory.Heap.offset frame + Memory.Heap.length frame in
   let off = Eth.read b (Memory.Heap.offset frame) ~lim t.eth in
   let src_mac = t.eth.Eth.src in
-  let msgtype = Wire.get_u8 b off in
-  let off = off + 1 in
-  if msgtype = t_send then begin
-    if t.recv_credits = 0 then begin
-      t.rnr_drops <- t.rnr_drops + 1;
-      Fabric.nic_drop t.fabric ~reason:"rnr" frame
-    end
-    else begin
+  if t.eth.Eth.ethertype <> ethertype_roce then begin
+    Fabric.nic_drop t.fabric ~reason:"not-roce" frame;
+    Memory.Heap.free frame
+  end
+  else begin
+    let msgtype = Wire.get_u8 b off in
+    let off = off + 1 in
+    if msgtype = t_send && t.recv_credits > 0 then begin
       t.recv_credits <- t.recv_credits - 1;
       let imm = Wire.get_u32 b off in
-      let payload = Bytes.sub_string b (off + 4) (lim - off - 4) in
-      complete t (Recv { src_mac; imm; payload })
+      Memory.Heap.set_bounds frame
+        ~offset:(Memory.Heap.rel_offset frame + (off + 4 - Memory.Heap.offset frame))
+        ~length:(lim - off - 4);
+      complete t (Recv { src_mac; imm; frame })
+    end
+    else begin
+      if msgtype = t_send then begin
+        t.rnr_drops <- t.rnr_drops + 1;
+        Fabric.nic_drop t.fabric ~reason:"rnr" frame
+      end
+      else if msgtype = t_write then begin
+        let rkey = Wire.get_u32 b off in
+        let offset = Wire.get_u32 b (off + 4) in
+        let wr_id = Wire.get_u32 b (off + 8) in
+        let len = lim - off - 12 in
+        let ok =
+          match Hashtbl.find_opt t.regions rkey with
+          | Some region when offset + len <= Bytes.length region ->
+              Bytes.blit b (off + 12) region offset len;
+              true
+          | Some _ | None -> false
+        in
+        let ack = frame_of t ~dst:src_mac ~msgtype:t_write_ack ~words:2 Bytes.empty 0 0 in
+        set_word ack 0 wr_id;
+        set_word ack 1 (if ok then 1 else 0);
+        Fabric.send t.fabric t.port ~lossless:true ack;
+        (* Doorbell for software polling loops that park instead of
+           spinning: memory changed under them. *)
+        Engine.Condvar.broadcast t.cq_signal
+      end
+      else if msgtype = t_write_ack then begin
+        let wr_id = Wire.get_u32 b off in
+        let ok = Wire.get_u32 b (off + 4) = 1 in
+        complete t (Write_done { wr_id; ok })
+      end;
+      Memory.Heap.free frame
     end
   end
-  else if msgtype = t_write then begin
-    let rkey = Wire.get_u32 b off in
-    let offset = Wire.get_u32 b (off + 4) in
-    let wr_id = Wire.get_u32 b (off + 8) in
-    let len = lim - off - 12 in
-    let ok =
-      match Hashtbl.find_opt t.regions rkey with
-      | Some region when offset + len <= Bytes.length region ->
-          Bytes.blit b (off + 12) region offset len;
-          true
-      | Some _ | None -> false
-    in
-    let ack = frame_of t ~dst:src_mac ~msgtype:t_write_ack ~words:2 "" in
-    set_word ack 0 wr_id;
-    set_word ack 1 (if ok then 1 else 0);
-    Fabric.send t.fabric t.port ~lossless:true ack;
-    (* Doorbell for software polling loops that park instead of
-       spinning: memory changed under them. *)
-    Engine.Condvar.broadcast t.cq_signal
-  end
-  else if msgtype = t_write_ack then begin
-    let wr_id = Wire.get_u32 b off in
-    let ok = Wire.get_u32 b (off + 4) = 1 in
-    complete t (Write_done { wr_id; ok })
-  end;
-  Memory.Heap.free frame
 
 let create fabric ~mac ~ip () =
   let sim = Fabric.sim fabric in

@@ -84,6 +84,104 @@ let framing_split_points =
       feed 0 0;
       !ok && List.rev !got = messages && Apps.Framing.buffered a = 0)
 
+let ctx_tuple a =
+  let c = Apps.Framing.last a in
+  Apps.Framing.(c.c_req, c.c_msg, c.c_parent, c.c_hop)
+
+let view_string a =
+  Bytes.sub_string (Apps.Framing.view_data a) (Apps.Framing.view_off a)
+    (Apps.Framing.view_len a)
+
+(* Random messages with random contexts, cut into random feed chunks
+   (half the streams in chunks of at most 9 bytes, so length prefixes
+   arrive split across feeds), go into two accumulators: one drained
+   with [next], one with [take]. Each view is read only when the drain
+   that took it has ended, after every later [take] of that drain. The
+   views must hold the messages and contexts [next] returns, and those
+   must be the ones sent. *)
+let framing_view_matches_next =
+  QCheck.Test.make ~name:"framing: take/view yields what next yields" ~count:300
+    QCheck.(
+      pair
+        (list_of_size (Gen.int_range 0 30)
+           (pair (string_of_size (Gen.int_range 0 300)) (int_bound 0xFFFF)))
+        (int_bound 1_000_000))
+    (fun (messages, salt) ->
+      let g = Engine.Prng.create (Int64.of_int salt) in
+      let ctx_of i hop = (i + 1, (2 * i) + 1, i, hop) in
+      let wire =
+        String.concat ""
+          (List.mapi
+             (fun i (m, hop) ->
+               let req, msg, parent, hop = ctx_of i hop in
+               Apps.Framing.encode_ctx ~req ~msg ~parent ~hop m)
+             messages)
+      in
+      let expected = List.mapi (fun i (m, hop) -> (m, ctx_of i hop)) messages in
+      let by_next = Apps.Framing.create () and by_take = Apps.Framing.create () in
+      let got_next = ref [] and got_take = ref [] in
+      let max_chunk = if Engine.Prng.int g 2 = 0 then 9 else 700 in
+      let n = String.length wire in
+      let rec drain_next () =
+        match Apps.Framing.next by_next with
+        | Some m ->
+            got_next := (m, ctx_tuple by_next) :: !got_next;
+            drain_next ()
+        | None -> ()
+      in
+      let rec drain_take views =
+        if Apps.Framing.take by_take then
+          drain_take
+            (( Apps.Framing.view_data by_take,
+               Apps.Framing.view_off by_take,
+               Apps.Framing.view_len by_take,
+               ctx_tuple by_take )
+            :: views)
+        else views
+      in
+      let rec feed off =
+        if off < n then begin
+          let len = min (n - off) (1 + Engine.Prng.int g max_chunk) in
+          let chunk = String.sub wire off len in
+          Apps.Framing.feed by_next chunk;
+          Apps.Framing.feed by_take chunk;
+          drain_next ();
+          List.iter
+            (fun (b, off, len, c) -> got_take := (Bytes.sub_string b off len, c) :: !got_take)
+            (List.rev (drain_take []));
+          feed (off + len)
+        end
+      in
+      feed 0;
+      let got_next = List.rev !got_next and got_take = List.rev !got_take in
+      got_take = got_next && got_next = expected && Apps.Framing.buffered by_take = 0)
+
+(* A length prefix split across feeds takes nothing until its frame is
+   whole; a view taken earlier in a drain still reads its own message
+   after a later [take]. *)
+let test_framing_split_prefix () =
+  let a = Apps.Framing.create () in
+  let body = String.make 1000 'p' in
+  let frame = Apps.Framing.encode_ctx ~req:1 ~msg:2 ~parent:3 ~hop:4 body in
+  Apps.Framing.feed a (String.sub frame 0 2);
+  check_bool "half a length prefix: nothing" false (Apps.Framing.take a);
+  Apps.Framing.feed a (String.sub frame 2 3);
+  check_bool "a prefix and no body: nothing" false (Apps.Framing.take a);
+  Apps.Framing.feed a
+    (String.sub frame 5 (String.length frame - 5) ^ Apps.Framing.encode "next");
+  check_bool "the whole frame: taken" true (Apps.Framing.take a);
+  Alcotest.(check (pair int (pair int (pair int int))))
+    "its context" (1, (2, (3, 4)))
+    (let r, m, p, h = ctx_tuple a in
+     (r, (m, (p, h))));
+  let b = Apps.Framing.view_data a and off = Apps.Framing.view_off a in
+  let len = Apps.Framing.view_len a in
+  check_bool "the next frame: taken" true (Apps.Framing.take a);
+  Alcotest.(check string) "the later view" "next" (view_string a);
+  Alcotest.(check string) "the earlier view, read after" body (Bytes.sub_string b off len);
+  check_bool "drained" false (Apps.Framing.take a);
+  check_int "nothing buffered" 0 (Apps.Framing.buffered a)
+
 (* Accumulating one 64 KiB frame from MSS-sized chunks, calling [next]
    after each, allocates a bounded multiple of the frame — not a
    re-copy of the whole accumulator per call. *)
@@ -340,7 +438,13 @@ let test_txnstore_short_frames () =
      before their version, get the failure byte and leave the store
      alone; they used to raise out of the server coroutine. *)
   let store = Hashtbl.create 4 in
-  let handle = Apps.Txnstore.handle_request ~store in
+  (* Each request sits inside bytes that continue past it: the server
+     reads only its own window. *)
+  let handle s =
+    Apps.Txnstore.handle_request ~store
+      (Bytes.of_string ("pre" ^ s ^ "\x00\x00\x00\x00\x00\x00\x00\x00"))
+      3 (String.length s)
+  in
   let get = Apps.Txnstore.encode_get "key" in
   let put = Apps.Txnstore.encode_put "key" ~version:7 "value" in
   let cut s n = String.sub s 0 n in
@@ -380,6 +484,9 @@ let suite =
     Alcotest.test_case "framing byte-by-byte" `Quick test_framing_fragmented;
     QCheck_alcotest.to_alcotest framing_random;
     QCheck_alcotest.to_alcotest framing_split_points;
+    QCheck_alcotest.to_alcotest framing_view_matches_next;
+    Alcotest.test_case "framing: a length prefix split across feeds" `Quick
+      test_framing_split_prefix;
     Alcotest.test_case "framing is linear in the bytes fed" `Quick test_framing_linear;
     Alcotest.test_case "zipf skew" `Quick test_zipf_skew;
     QCheck_alcotest.to_alcotest zipf_in_range;

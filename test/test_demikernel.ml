@@ -351,6 +351,12 @@ let test_uaf_protection_live () =
   Engine.Sim.run ~until:(Engine.Clock.s 60) sim;
   check_bool "finished despite loss" true !finished
 
+(* Run [f] with every heap it creates sanitizing. *)
+let sanitized f =
+  let prior = Memory.Heap.sanitize_default () in
+  Memory.Heap.set_sanitize_default true;
+  Fun.protect ~finally:(fun () -> Memory.Heap.set_sanitize_default prior) f
+
 let test_tcb_churn_catnip () =
   (* Two rounds of 1,024 connect -> push -> pop -> close cycles against
      the echo server on a Catnip world, each on a freshly opened
@@ -362,9 +368,7 @@ let test_tcb_churn_catnip () =
      (The test's name predates connection records; the "pool" is now
      the stack's set of connections.) *)
   let cycles = 1_024 in
-  let prior = Memory.Heap.sanitize_default () in
-  Memory.Heap.set_sanitize_default true;
-  Fun.protect ~finally:(fun () -> Memory.Heap.set_sanitize_default prior) @@ fun () ->
+  sanitized @@ fun () ->
   let sim = Engine.Sim.create () in
   let fabric = Net.Fabric.create sim ~cost:bare () in
   let server = Demikernel.Boot.make sim fabric ~index:1 Demikernel.Boot.Catnip_os in
@@ -408,6 +412,17 @@ let test_tcb_churn_catnip () =
   check_bool "client held >=1k TCBs at once" true
     ((Tcp.Stack.conn_stats client_stack).Tcp.Stack.peak >= cycles)
 
+(* The frame heap at the end of a sanitized run: nothing live, leaked,
+   written after free or freed twice. *)
+let frame_heap_clean frames =
+  check_int "no frame live" 0 (Memory.Heap.live_objects frames);
+  match Memory.Heap.sanitizer_report frames with
+  | Some r ->
+      check_int "no leaks" 0 (List.length r.Memory.Heap.leaks);
+      check_int "no canary violations" 0 r.Memory.Heap.canary_violations;
+      check_int "no double frees" 0 r.Memory.Heap.double_frees
+  | None -> Alcotest.fail "frame heap not sanitizing"
+
 (* Every frame has one owner at a time, from the sender that allocates
    it to the holder that frees it. A sanitized Catnip echo world whose
    fabric loses and corrupts frames, with an ARP broadcast (the
@@ -415,9 +430,7 @@ let test_tcb_churn_catnip () =
    ring overflows, ends with no frame live, no double free and no
    write-after-free in the fabric's frame heap. *)
 let test_frame_lifecycle () =
-  let prior = Memory.Heap.sanitize_default () in
-  Memory.Heap.set_sanitize_default true;
-  Fun.protect ~finally:(fun () -> Memory.Heap.set_sanitize_default prior) @@ fun () ->
+  sanitized @@ fun () ->
   let sim = Engine.Sim.create () in
   let fabric = Net.Fabric.create sim ~cost:bare ~loss:0.02 ~corrupt:0.02 () in
   let frames = Net.Fabric.frames fabric in
@@ -471,13 +484,89 @@ let test_frame_lifecycle () =
   check_bool "frames corrupted" true (!corrupted > 0);
   check_bool "an ARP broadcast reached every other port" true (!arp_requests >= 3);
   check_bool "the one-slot ring overflowed" true (Net.Dpdk_sim.rx_dropped tiny > 0);
-  check_int "no frame live" 0 (Memory.Heap.live_objects frames);
-  match Memory.Heap.sanitizer_report frames with
-  | Some r ->
-      check_int "no leaks" 0 (List.length r.Memory.Heap.leaks);
-      check_int "no canary violations" 0 r.Memory.Heap.canary_violations;
-      check_int "no double frees" 0 r.Memory.Heap.double_frees
-  | None -> Alcotest.fail "frame heap not sanitizing"
+  frame_heap_clean frames
+
+(* The same rule on RoCE frames: a frame that lands in a posted receive
+   buffer belongs to its completion-queue entry, and Catmint frees it
+   once it has handled the completion; the device frees every frame it
+   drops. Before the echo server starts, a raw RNIC sends it 12
+   messages: 8 fill the posted receive buffers (window 2, so 4 x 2
+   posted) and wait in its CQ, the other 4 find it at 0 credits and are
+   RNR drops. The server then handles the 8 (an unknown message type,
+   ignored) and serves a sanitized echo. *)
+let test_frame_lifecycle_catmint () =
+  sanitized @@ fun () ->
+  let sim = Engine.Sim.create () in
+  let fabric = Net.Fabric.create sim ~cost:bare () in
+  let server =
+    Demikernel.Boot.make sim fabric ~index:1 ~catmint_window:2 Demikernel.Boot.Catmint_os
+  in
+  let client = Demikernel.Boot.make sim fabric ~index:2 Demikernel.Boot.Catmint_os in
+  let rnic = Option.get server.Demikernel.Boot.rnic in
+  let raw =
+    Net.Rdma_sim.create fabric ~mac:(Net.Addr.Mac.of_index 9) ~ip:(Net.Addr.Ip.of_index 9) ()
+  in
+  let junk = Bytes.make 100 'j' in
+  for i = 1 to 12 do
+    Net.Rdma_sim.post_send raw ~dst:(Net.Rdma_sim.mac rnic) ~wr_id:i ~imm:0 junk 0 100
+  done;
+  Engine.Sim.run ~until:(Engine.Clock.us 100) sim;
+  check_int "RNR drops at 0 credits" 4 (Net.Rdma_sim.rnr_drops rnic);
+  check_int "no receive buffer left" 0 (Net.Rdma_sim.recv_credits rnic);
+  check_int "the CQ holds the landed frames" 8 (Net.Rdma_sim.cq_pending rnic);
+  let finished = ref false in
+  Demikernel.Boot.run_app server (Apps.Echo.server ~port:7);
+  Demikernel.Boot.run_app client
+    (Apps.Echo.client
+       ~dst:(Demikernel.Boot.endpoint server 7)
+       ~msg_size:700 ~count:200
+       ~on_done:(fun () -> finished := true));
+  Demikernel.Boot.start server;
+  Demikernel.Boot.start client;
+  Engine.Sim.run ~until:(Engine.Clock.s 60) sim;
+  check_bool "echo finished" true !finished;
+  check_int "the server's receive buffers are back" 8 (Net.Rdma_sim.recv_credits rnic);
+  frame_heap_clean (Net.Fabric.frames fabric)
+
+(* A Catmint host on a fabric shared with Catnip hosts receives their
+   ARP broadcasts. Its RNIC must drop them as not RoCE and free them,
+   consuming no posted receive and completing nothing. The Catmint host
+   is never started, so nothing would repost a receive a stray frame
+   took. *)
+let test_rnic_drops_non_roce () =
+  sanitized @@ fun () ->
+  let sim = Engine.Sim.create () in
+  let fabric = Net.Fabric.create sim ~cost:bare () in
+  let not_roce = ref 0 in
+  Net.Fabric.set_tap fabric
+    (Some
+       {
+         Net.Fabric.tap_deliver = (fun ~ts:_ _ -> ());
+         tap_drop =
+           (fun ~ts:_ ~reason _ ->
+             match reason with Net.Fabric.Nic_drop "not-roce" -> incr not_roce | _ -> ());
+       });
+  let server = Demikernel.Boot.make sim fabric ~index:1 Demikernel.Boot.Catnip_os in
+  let client = Demikernel.Boot.make sim fabric ~index:2 Demikernel.Boot.Catnip_os in
+  let bystander = Demikernel.Boot.make sim fabric ~index:3 Demikernel.Boot.Catmint_os in
+  let rnic = Option.get bystander.Demikernel.Boot.rnic in
+  let credits = Net.Rdma_sim.recv_credits rnic in
+  let finished = ref false in
+  Demikernel.Boot.run_app server (Apps.Echo.server ~port:7);
+  Demikernel.Boot.run_app client
+    (Apps.Echo.client
+       ~dst:(Demikernel.Boot.endpoint server 7)
+       ~msg_size:64 ~count:10
+       ~on_done:(fun () -> finished := true));
+  Demikernel.Boot.start server;
+  Demikernel.Boot.start client;
+  Engine.Sim.run ~until:(Engine.Clock.s 10) sim;
+  check_bool "echo finished" true !finished;
+  check_int "posted receives untouched" credits (Net.Rdma_sim.recv_credits rnic);
+  check_int "no completion" 0 (Net.Rdma_sim.cq_pending rnic);
+  check_int "no RNR drop" 0 (Net.Rdma_sim.rnr_drops rnic);
+  check_bool "the ARP broadcast was dropped as not RoCE" true (!not_roce >= 1);
+  frame_heap_clean (Net.Fabric.frames fabric)
 
 let test_memq () =
   let sim = Engine.Sim.create () in
@@ -1198,6 +1287,10 @@ let suite =
       test_tcb_churn_catnip;
     Alcotest.test_case "frame lifecycle: every frame freed once (catnip)" `Quick
       test_frame_lifecycle;
+    Alcotest.test_case "frame lifecycle: every frame freed once (catmint)" `Quick
+      test_frame_lifecycle_catmint;
+    Alcotest.test_case "rnic drops non-RoCE frames (ARP broadcast)" `Quick
+      test_rnic_drops_non_roce;
     Alcotest.test_case "memq roundtrip" `Quick test_memq;
     Alcotest.test_case "wait_any returns completed index" `Quick test_wait_any_wakes_one;
     QCheck_alcotest.to_alcotest wait_any_matches_reference;

@@ -316,24 +316,31 @@ let rdma_pair () =
   in
   (sim, r1, r2)
 
+let post_string r ~dst ~wr_id ~imm s =
+  Net.Rdma_sim.post_send r ~dst ~wr_id ~imm (Bytes.of_string s) 0 (String.length s)
+
 let test_rdma_send_recv () =
   let sim, r1, r2 = rdma_pair () in
   Net.Rdma_sim.post_recv r2;
-  Net.Rdma_sim.post_send r1 ~dst:(Net.Rdma_sim.mac r2) ~wr_id:7 ~imm:42 "payload";
+  (* Only the posted range is gathered, and it may be reused at once. *)
+  let src = Bytes.of_string "<<payload>>" in
+  Net.Rdma_sim.post_send r1 ~dst:(Net.Rdma_sim.mac r2) ~wr_id:7 ~imm:42 src 2 7;
+  Bytes.fill src 0 (Bytes.length src) '!';
   Engine.Sim.run sim;
   (match Net.Rdma_sim.poll_cq r1 ~max:4 with
   | [ Net.Rdma_sim.Send_done { wr_id } ] -> check_int "send completion" 7 wr_id
   | _ -> Alcotest.fail "expected send completion");
   match Net.Rdma_sim.poll_cq r2 ~max:4 with
-  | [ Net.Rdma_sim.Recv { imm; payload; src_mac } ] ->
+  | [ Net.Rdma_sim.Recv { imm; frame; src_mac } ] ->
       check_int "imm" 42 imm;
-      Alcotest.(check string) "payload" "payload" payload;
-      check_int "src" (Net.Rdma_sim.mac r1) src_mac
+      Alcotest.(check string) "payload" "payload" (Memory.Heap.to_string frame);
+      check_int "src" (Net.Rdma_sim.mac r1) src_mac;
+      Memory.Heap.free frame
   | _ -> Alcotest.fail "expected recv completion"
 
 let test_rdma_rnr_drop () =
   let sim, r1, r2 = rdma_pair () in
-  Net.Rdma_sim.post_send r1 ~dst:(Net.Rdma_sim.mac r2) ~wr_id:1 ~imm:0 "no buffer posted";
+  post_string r1 ~dst:(Net.Rdma_sim.mac r2) ~wr_id:1 ~imm:0 "no buffer posted";
   Engine.Sim.run sim;
   check_int "rnr drop" 1 (Net.Rdma_sim.rnr_drops r2);
   check_int "no recv completion" 0 (Net.Rdma_sim.cq_pending r2)
@@ -342,12 +349,16 @@ let test_rdma_ordering () =
   let sim, r1, r2 = rdma_pair () in
   for _ = 1 to 10 do Net.Rdma_sim.post_recv r2 done;
   for i = 1 to 10 do
-    Net.Rdma_sim.post_send r1 ~dst:(Net.Rdma_sim.mac r2) ~wr_id:i ~imm:i (string_of_int i)
+    post_string r1 ~dst:(Net.Rdma_sim.mac r2) ~wr_id:i ~imm:i (string_of_int i)
   done;
   Engine.Sim.run sim;
   let imms =
     List.filter_map
-      (function Net.Rdma_sim.Recv { imm; _ } -> Some imm | _ -> None)
+      (function
+        | Net.Rdma_sim.Recv { imm; frame; _ } ->
+            Memory.Heap.free frame;
+            Some imm
+        | _ -> None)
       (Net.Rdma_sim.poll_cq r2 ~max:100)
   in
   Alcotest.(check (list int)) "ordered delivery" (List.init 10 (fun i -> i + 1)) imms
@@ -356,7 +367,8 @@ let test_rdma_one_sided_write () =
   let sim, r1, r2 = rdma_pair () in
   let region = Bytes.make 16 '.' in
   let rkey = Net.Rdma_sim.register_region r2 region in
-  Net.Rdma_sim.post_write r1 ~dst:(Net.Rdma_sim.mac r2) ~wr_id:3 ~rkey ~offset:4 "ABCD";
+  Net.Rdma_sim.post_write r1 ~dst:(Net.Rdma_sim.mac r2) ~wr_id:3 ~rkey ~offset:4
+    (Bytes.of_string "..ABCD") 2 4;
   Engine.Sim.run sim;
   Alcotest.(check string) "remote memory updated" "....ABCD........" (Bytes.to_string region);
   (match Net.Rdma_sim.poll_cq r1 ~max:4 with
@@ -368,11 +380,46 @@ let test_rdma_one_sided_write () =
 
 let test_rdma_write_bad_rkey () =
   let sim, r1, r2 = rdma_pair () in
-  Net.Rdma_sim.post_write r1 ~dst:(Net.Rdma_sim.mac r2) ~wr_id:9 ~rkey:999 ~offset:0 "x";
+  Net.Rdma_sim.post_write r1 ~dst:(Net.Rdma_sim.mac r2) ~wr_id:9 ~rkey:999 ~offset:0
+    (Bytes.of_string "x") 0 1;
   Engine.Sim.run sim;
   match Net.Rdma_sim.poll_cq r1 ~max:4 with
   | [ Net.Rdma_sim.Write_done { ok; _ } ] -> check_bool "failed" false ok
   | _ -> Alcotest.fail "expected write completion"
+
+(* A 700 B message's whole trip through the RNICs — the sender
+   gathering it from the caller's bytes, the device and fabric hops, the
+   receive completion and both polls — allocates no block the size of
+   the payload: the frame moves by reference from post to poll. What
+   it does allocate per message, in words:
+     the frame's buffer record (Heap.alloc)             5
+     the Recv completion (header + 3 fields)            4
+     the Send_done completion (header + 1 field)        2
+     one completion-queue cell per CQ                   6
+     each poll's one list cell, built then reversed    12
+   = 29. *)
+let test_rdma_send_words () =
+  let sim, r1, r2 = rdma_pair () in
+  let msg = Bytes.make 700 'r' in
+  let round () =
+    Net.Rdma_sim.post_recv r2;
+    Net.Rdma_sim.post_send r1 ~dst:(Net.Rdma_sim.mac r2) ~wr_id:1 ~imm:7 msg 0 700;
+    Engine.Sim.run sim;
+    (match Net.Rdma_sim.poll_cq r2 ~max:4 with
+    | [ Net.Rdma_sim.Recv { frame; _ } ] when Memory.Heap.length frame = 700 ->
+        Memory.Heap.free frame
+    | _ -> Alcotest.fail "expected one recv completion");
+    match Net.Rdma_sim.poll_cq r1 ~max:4 with
+    | [ Net.Rdma_sim.Send_done _ ] -> ()
+    | _ -> Alcotest.fail "expected one send completion"
+  in
+  round ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 10 do
+    round ()
+  done;
+  let words = (Gc.minor_words () -. before) /. 10. in
+  Alcotest.(check (float 0.)) "minor words per message" 29. words
 
 (* --- ssd device --- *)
 
@@ -688,6 +735,8 @@ let suite =
     Alcotest.test_case "rdma ordered delivery" `Quick test_rdma_ordering;
     Alcotest.test_case "rdma one-sided write" `Quick test_rdma_one_sided_write;
     Alcotest.test_case "rdma write with bad rkey" `Quick test_rdma_write_bad_rkey;
+    Alcotest.test_case "words: RoCE send to recv allocates no payload-sized block" `Quick
+      test_rdma_send_words;
     Alcotest.test_case "ssd write/read" `Quick test_ssd_write_read;
     Alcotest.test_case "ssd latency model" `Quick test_ssd_latency;
     Alcotest.test_case "ssd bounds check" `Quick test_ssd_out_of_bounds;
