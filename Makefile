@@ -14,12 +14,14 @@ lint:
 selfcheck:
 	dune build @selfcheck
 
-# Everything CI runs: build + tests (incl. lint, the scaling gate and
-# `demibench --smoke`) + determinism selfcheck with the ownership
-# oracle, the flight ring and the gc-budget oracle armed (every steady
-# poll must allocate nothing and each flavor's echo run must stay
-# within its exact per-echo word budget; the pinned output holds each
-# flavor's steady-poll count and zero violations) + the smokes below.
+# Everything CI runs: build + tests (incl. the copy lint, the scaling
+# gate, the same-seed twin runs under OCAMLRUNPARAM=R and `demibench
+# --smoke`) + determinism selfcheck with the ownership oracle, the
+# flight ring and the gc-budget oracle armed (every steady poll must
+# allocate nothing and each flavor's echo run must stay within its
+# exact per-echo word budget; the pinned output holds each flavor's
+# steady-poll count and zero violations) + the fig 9/11 pins + the
+# smokes below.
 # There is no static allocation or scan lint: the budget is the
 # allocation check, and the scaling gate (test/test_scaling.ml: events
 # and words per operation identical, CPU within a stated ratio, as

@@ -1,17 +1,16 @@
-(* dlint: determinism, zero-copy and ownership-protocol lint.
+(* dlint: the zero-copy lint.
 
    Usage: dlint [--format human|json] [--stats] [--out FILE] [DIR ...]
                                                           (default: lib)
 
    Walks every .ml file under the given roots and rejects violations of
-   the rules in Lint.Rules (including the PDPIX ownership pass) and
-   stale exemptions; exits 1 when any survive the allowlist and inline
-   dlint-allow annotations. --stats appends a per-rule
-   findings/exemptions table and per-pass wall times; --out FILE
-   overrides where the machine-readable JSON artifact is written
-   (default out/lint.json, best-effort: a read-only tree — e.g. the
-   dune test sandbox — is not an error). Wired into `dune runtest` via
-   the @lint alias. *)
+   the rules in Lint.Rules (unaccounted copies) and stale exemptions;
+   exits 1 when any survive the allowlist and inline dlint-allow
+   annotations. --stats appends a per-rule findings/exemptions table
+   and per-pass wall times; --out FILE overrides where the
+   machine-readable JSON artifact is written (default out/lint.json,
+   best-effort: a read-only tree — e.g. the dune test sandbox — is not
+   an error). Wired into `dune runtest` via the @lint alias. *)
 
 let usage () =
   prerr_endline
@@ -71,8 +70,8 @@ let () =
         usage ()
       end)
     roots;
-  (* the wall clock is injected here: lib/lint itself is subject to the
-     determinism-source rule and may not read ambient time *)
+  (* the wall clock is injected here, so the lint library itself reads
+     no ambient time *)
   let r = Lint.Driver.run_report ~now:Unix.gettimeofday roots in
   let violations = r.Lint.Driver.rr_violations in
   ignore (try_write !out_json (Lint.Driver.json_of_violations violations ^ "\n"));

@@ -12,6 +12,7 @@ type node = {
   rnic : Net.Rdma_sim.t option;
   catnip : Catnip.t option;
   mutable cattree : Cattree.t option;
+  oracle : Pdpix.oracle option;
 }
 
 let flavor_name = function
@@ -38,6 +39,16 @@ let make sim fabric ~index ?name ?tcp_config ?catmint_window ?(with_disk = false
     | Catmint_os -> Memory.Heap.Register_on_demand
   in
   let host = Host.create sim ~name ~cost ~heap_mode in
+  (* A sanitizing heap arms the ownership oracle too: the same switch
+     audits the host's buffers and every app's PDPIX protocol. *)
+  let oracle =
+    if Memory.Heap.sanitizing host.heap then begin
+      let o = Pdpix.oracle ~name () in
+      Engine.Sim.at_teardown sim (fun () -> Pdpix.log_oracle_teardown o);
+      Some o
+    end
+    else None
+  in
   let rt = Runtime.create host in
   let ssd =
     match existing_ssd with
@@ -65,7 +76,7 @@ let make sim fabric ~index ?name ?tcp_config ?catmint_window ?(with_disk = false
       {
         api; rt; host; ip; flavor;
         kernel = Some kernel; ssd; nic = Some nic; rnic = None; catnip = None;
-        cattree = None;
+        cattree = None; oracle;
       }
   | Catnip_os ->
       let nic = Net.Dpdk_sim.create fabric ~mac ~ip () in
@@ -75,7 +86,7 @@ let make sim fabric ~index ?name ?tcp_config ?catmint_window ?(with_disk = false
       {
         api; rt; host; ip; flavor;
         kernel = None; ssd; nic = Some nic; rnic = None; catnip = Some cn;
-        cattree = !cattree;
+        cattree = !cattree; oracle;
       }
   | Catmint_os ->
       let rnic = Net.Rdma_sim.create fabric ~mac ~ip () in
@@ -85,11 +96,16 @@ let make sim fabric ~index ?name ?tcp_config ?catmint_window ?(with_disk = false
       {
         api; rt; host; ip; flavor;
         kernel = None; ssd; nic = None; rnic = Some rnic; catnip = None;
-        cattree = !cattree;
+        cattree = !cattree; oracle;
       }
 
 let run_app node ?name ?(wrap = fun api -> api) main =
-  Runtime.spawn_app node.rt ?name main (wrap node.api)
+  let api = wrap node.api in
+  let api = match node.oracle with Some o -> Pdpix.checked o api | None -> api in
+  Runtime.spawn_app node.rt ?name main api
+
+let ownership_findings node =
+  match node.oracle with Some o -> Pdpix.oracle_finish o | None -> []
 
 let start node = Runtime.start node.rt
 

@@ -24,6 +24,11 @@ type node = {
   rnic : Net.Rdma_sim.t option;
   catnip : Catnip.t option;  (** for stack introspection. *)
   mutable cattree : Cattree.t option;
+  oracle : Pdpix.oracle option;
+      (** The runtime ownership oracle around every app of this node,
+          armed exactly when the host heap sanitizes
+          ({!Memory.Heap.sanitize_default} at {!make}); its findings are
+          logged at teardown next to the heap's report. *)
 }
 
 val make :
@@ -47,9 +52,12 @@ val make :
 val run_app :
   node -> ?name:string -> ?wrap:(Pdpix.api -> Pdpix.api) -> (Pdpix.api -> unit) -> unit
 (** Register an application worker coroutine. [wrap] (default
-    identity) interposes on the api the app sees — e.g.
-    [~wrap:(Pdpix.checked oracle)] to arm the runtime ownership
-    oracle. *)
+    identity) interposes on the api the app sees; the node's
+    {!node.oracle}, when armed, observes the wrapped api. *)
+
+val ownership_findings : node -> Pdpix.ownership_violation list
+(** The node's oracle findings ({!Pdpix.oracle_finish}); [[]] when the
+    oracle is not armed. *)
 
 val start : node -> unit
 (** Start the host's scheduler; call after registering all workers. *)

@@ -97,9 +97,9 @@ val sga_to_string : sga -> string
 
 (** {1 Runtime ownership oracle}
 
-    The dynamic counterpart of the static ownership lint
-    ([lib/lint/ownership.ml]): {!checked} wraps an {!api} so every
-    buffer runs a per-slot state machine (App-owned → In-flight →
+    The repo's one check of the buffer-ownership protocol, armed on
+    every [Boot] node whose heap sanitizes: {!checked} wraps an {!api}
+    so every buffer runs a per-slot state machine (App-owned → In-flight →
     back to App-owned when the push token completes; pop completions
     register libOS-handed buffers as App-owned) and every queue token
     is tracked until some [wait*] redeems it. Deviations are recorded,

@@ -3,9 +3,11 @@
     [Hashtbl]'s iteration order depends on the hash function and
     insertion history, so any datapath loop written with [Hashtbl.iter]
     or [Hashtbl.fold] can reorder side effects between runs — exactly
-    the nondeterminism the simulator promises not to have. The [dlint]
-    tool rejects raw [Hashtbl.iter]/[Hashtbl.fold] in datapath modules;
-    these helpers are the sanctioned replacement. They snapshot the key
+    the nondeterminism the simulator promises not to have. `dune
+    runtest` runs with [OCAMLRUNPARAM=R], so each table hashes with its
+    own seed and such a loop changes a same-seed twin run's output (the
+    selfcheck digests, wire and disk bytes, the pinned figures). These
+    helpers are the order-stable replacement. They snapshot the key
     set, sort it with an explicit comparison, and then visit bindings in
     that order — which also makes them safe against the table being
     mutated mid-iteration (a binding added during the walk is simply not

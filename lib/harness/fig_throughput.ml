@@ -188,6 +188,11 @@ let demi_open_loop ?cost ?catmint_window ~flavor ~proto ~msg_size ~rate_per_sec 
   Demikernel.Boot.start server;
   Demikernel.Boot.start client;
   Common.run_world w;
+  (* Armed by the heap sanitizer, the ownership oracle has watched both
+     apps; a finding fails the point. *)
+  (match Demikernel.Boot.ownership_findings server @ Demikernel.Boot.ownership_findings client with
+  | [] -> ()
+  | v :: _ -> failwith (Format.asprintf "loadgen: %a" Pdpix.pp_ownership_violation v));
   {
     Baselines.Kb_lib.offered_per_sec = rate_per_sec;
     achieved_per_sec = float_of_int !received /. (float_of_int duration_ns /. 1e9);

@@ -36,4 +36,5 @@ val demi_open_loop :
   unit ->
   Baselines.Kb_lib.load_result
 (** One open-loop point against a Demikernel echo server (exposed for
-    ablations). *)
+    ablations). With the heap sanitizer armed, an ownership-oracle
+    finding on either host raises [Failure]. *)

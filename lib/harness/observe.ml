@@ -102,6 +102,11 @@ let sampler (w : Common.world) roles interval_ns =
   ts
 
 let run arm sc =
+  (* The oracle arm is the heap sanitizer's switch, which also arms
+     each node's ownership oracle (Boot.make reads it). *)
+  let prior = Memory.Heap.sanitize_default () in
+  if arm.oracle then Memory.Heap.set_sanitize_default true;
+  Fun.protect ~finally:(fun () -> Memory.Heap.set_sanitize_default prior) @@ fun () ->
   let w = Common.make_world ~cost:sc.cost ~loss:sc.loss ~seed:sc.seed () in
   let sim = w.sim in
   let trace = Engine.Sim.enable_trace ~capacity:arm.trace_capacity sim in
@@ -117,16 +122,6 @@ let run arm sc =
   let causal = if arm.causal then Some (Engine.Sim.enable_causal sim) else None in
   let capture = if arm.capture then Some (Net.Pcap.tap w.fabric) else None in
   Option.iter (fun probe -> probe sim) arm.probe;
-  let oracles = ref [] in
-  let spawn (node : Demikernel.Boot.node) app =
-    if arm.oracle then begin
-      let o = Demikernel.Pdpix.oracle ~name:node.host.Demikernel.Host.name () in
-      oracles := o :: !oracles;
-      Engine.Sim.at_teardown sim (fun () -> Demikernel.Pdpix.log_oracle_teardown o);
-      Demikernel.Boot.run_app node ~wrap:(Demikernel.Pdpix.checked o) app
-    end
-    else Demikernel.Boot.run_app node app
-  in
   let boot ?name ?with_disk index = Demikernel.Boot.make sim w.fabric ~index ?name ?with_disk sc.flavor in
   let lats = ref [] and ends = ref [] in
   let record ns =
@@ -141,11 +136,13 @@ let run arm sc =
         let dst = Demikernel.Boot.endpoint server 7 in
         (match proto with
         | Common.Echo_tcp ->
-            spawn server (Apps.Echo.server ~port:7 ~persist:sc.persist);
-            spawn client (Apps.Echo.client ~dst ~msg_size:sc.msg_size ~count:sc.count ~record)
+            Demikernel.Boot.run_app server (Apps.Echo.server ~port:7 ~persist:sc.persist);
+            Demikernel.Boot.run_app client
+              (Apps.Echo.client ~dst ~msg_size:sc.msg_size ~count:sc.count ~record)
         | Common.Echo_udp ->
-            spawn server (Apps.Echo.udp_server ~port:7);
-            spawn client
+
+            Demikernel.Boot.run_app server (Apps.Echo.udp_server ~port:7);
+            Demikernel.Boot.run_app client
               (Apps.Echo.udp_client ~dst ~src_port:5001 ~msg_size:sc.msg_size ~count:sc.count ~record));
         Demikernel.Boot.start server;
         Demikernel.Boot.start client;
@@ -155,13 +152,13 @@ let run arm sc =
           List.init replicas (fun i ->
               let name = Printf.sprintf "replica%d" (i + 1) in
               let node = boot ~name (i + 1) in
-              spawn node (Apps.Txnstore.server ~port:7447);
+              Demikernel.Boot.run_app node (Apps.Txnstore.server ~port:7447);
               Demikernel.Boot.start node;
               (name, node))
         in
         let eps = List.map (fun (_, node) -> Demikernel.Boot.endpoint node 7447) servers in
         let client = boot ~name:"client" (replicas + 1) in
-        spawn client (fun api ->
+        Demikernel.Boot.run_app client (fun api ->
             let c = Apps.Txnstore.connect api ~replicas:eps ~seed:7 in
             let value = String.make sc.msg_size 'v' in
             for i = 1 to sc.count do
@@ -174,10 +171,10 @@ let run arm sc =
         servers @ [ ("client", client) ]
     | Relay ->
         let server = boot ~name:"relay" 1 in
-        spawn server (Apps.Relay.server ~port:3478);
+        Demikernel.Boot.run_app server (Apps.Relay.server ~port:3478);
         Demikernel.Boot.start server;
         let gen = boot ~name:"gen" 2 in
-        spawn gen
+        Demikernel.Boot.run_app gen
           (Apps.Relay.generator
              ~dst:(Demikernel.Boot.endpoint server 3478)
              ~src_port:4000 ~session:7 ~msg_size:sc.msg_size ~count:sc.count ~record);
@@ -194,11 +191,11 @@ let run arm sc =
     completed_at = List.rev !ends; nodes = List.map snd roles;
     fabric_stats = Net.Fabric.stats w.fabric; spans; flight; causal; capture; timeline;
     violations =
-      (if arm.oracle then
+      (if List.exists (fun (_, (n : Demikernel.Boot.node)) -> Option.is_some n.oracle) roles then
          Some
            (List.fold_left
-              (fun n o -> n + List.length (Demikernel.Pdpix.oracle_finish o))
-              0 !oracles)
+              (fun n (_, node) -> n + List.length (Demikernel.Boot.ownership_findings node))
+              0 roles)
        else None);
   }
 

@@ -50,7 +50,9 @@ type arm = {
   causal : bool;  (** Demifleet causal events *)
   capture : bool;  (** pcap taps on the fabric (wire + lost) *)
   timeline : int option;  (** fabric/ring/TCP telemetry sampled at this interval, ns *)
-  oracle : bool;  (** runtime ownership oracle around every app *)
+  oracle : bool;
+      (** the heap sanitizer for this world's heaps, and with it each
+          node's runtime ownership oracle ({!Demikernel.Boot.node}) *)
   trace_capacity : int;
       (** event-trace ring behind the digest; always armed, so it is
           part of the yardstick rather than an observer *)
@@ -80,7 +82,9 @@ type run = {
   causal : Engine.Causal.t option;
   capture : Net.Pcap.session option;
   timeline : Metrics.Timeseries.t option;
-  violations : int option;  (** ownership-oracle findings, when armed *)
+  violations : int option;
+      (** ownership-oracle findings, when armed (by [oracle] or by
+          {!Memory.Heap.sanitize_default}) *)
 }
 
 val run : arm -> scenario -> run

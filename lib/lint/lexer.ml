@@ -1,10 +1,6 @@
-(* Shared lexical layer for the dlint passes.
-
-   Both the per-line rule scanner (Rules) and the ownership dataflow
-   pass (Ownership) work on the same representation: the source with
+(* The lexical layer of dlint's rule scanner (Rules): the source with
    comment bodies and string/char literal contents blanked out, split
-   into lines. Keeping the token machinery here keeps the two passes
-   in exact agreement about what counts as a token occurrence. *)
+   into lines, and whole-token matching over it. *)
 
 (* Blank out comment bodies and string/char literal contents (keeping
    newlines) so token scans cannot match inside them. Handles nested
@@ -133,8 +129,8 @@ let is_ident_char c =
   || c = '\''
 
 (* Whole-token occurrence: the character before must not be an
-   identifier character (a qualifying '.' is fine, so [Stdlib.Random.]
-   still matches "Random."), and when the token ends in an identifier
+   identifier character (a qualifying '.' is fine, so [Stdlib.Bytes.blit]
+   still matches "Bytes.blit"), and when the token ends in an identifier
    character the next one must not extend it (so "Bytes.sub" does not
    match inside "Bytes.sub_string"). Returns the 0-based index of the
    first occurrence. *)
@@ -154,44 +150,7 @@ let token_index line token =
 
 let contains_token line token = token_index line token <> None
 
-(* All whole-token occurrence indexes on a line, ascending. *)
-let token_indexes line token =
-  let n = String.length line and m = String.length token in
-  let tail_is_ident = m > 0 && is_ident_char token.[m - 1] in
-  let rec at i acc =
-    if i + m > n then List.rev acc
-    else if
-      String.sub line i m = token
-      && (i = 0 || not (is_ident_char line.[i - 1]))
-      && ((not tail_is_ident) || i + m >= n || not (is_ident_char line.[i + m]))
-    then at (i + m) (i :: acc)
-    else at (i + 1) acc
-  in
-  at 0 []
-
 (* 1-based column of the first whole-token occurrence, for
    diagnostics. *)
 let token_col line token =
   match token_index line token with Some i -> Some (i + 1) | None -> None
-
-let word_at line i =
-  let n = String.length line in
-  let rec start j =
-    if j > 0 && (is_ident_char line.[j - 1] || line.[j - 1] = '.') then start (j - 1) else j
-  in
-  let rec stop j = if j < n && (is_ident_char line.[j] || line.[j] = '.') then stop (j + 1) else j in
-  let s = start i and e = stop i in
-  if e > s then String.sub line s (e - s) else ""
-
-let contains_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
-  at 0
-
-(* The identifier starting at or after [i] (skipping spaces and '('),
-   e.g. the argument of a call or the binder after "let". *)
-let ident_after line i =
-  let n = String.length line in
-  let rec skip j = if j < n && (line.[j] = ' ' || line.[j] = '(' || line.[j] = '!') then skip (j + 1) else j in
-  let j = skip i in
-  if j < n && (is_ident_char line.[j] || line.[j] = '.') then word_at line j else ""

@@ -1,6 +1,5 @@
-(** Shared lexical layer for the dlint passes: comment/string
-    stripping and whole-token matching, used identically by the
-    per-line {!Rules} scanner and the {!Ownership} dataflow pass. *)
+(** The lexical layer of dlint's {!Rules} scanner: comment/string
+    stripping and whole-token matching. *)
 
 val strip_comments_and_strings : string -> string
 (** Replace comment bodies and string/char literal contents with spaces
@@ -20,21 +19,5 @@ val token_index : string -> string -> int option
 
 val contains_token : string -> string -> bool
 
-val token_indexes : string -> string -> int list
-(** All whole-token occurrence indexes (0-based, ascending). *)
-
 val token_col : string -> string -> int option
 (** Like {!token_index} but 1-based, for diagnostics. *)
-
-val word_at : string -> int -> string
-(** The (possibly dot-qualified) identifier covering position [i], or
-    [""]. *)
-
-val contains_sub : string -> string -> bool
-(** Raw substring test (no token boundary check) — for operators like
-    ["&&"] that never sit at identifier boundaries. *)
-
-val ident_after : string -> int -> string
-(** The identifier starting at or just after position [i], skipping
-    spaces, ['('] and ['!'] — e.g. the first argument of a call, or the
-    binder after ["let "]. *)

@@ -6,22 +6,13 @@ type violation = {
   message : string;
 }
 
-let rule_determinism = "determinism-source"
-let rule_hashtbl = "unordered-hashtbl"
 let rule_copy = "unaccounted-copy"
-let rule_poly = "poly-compare-buffer"
-let rule_print = "raw-print-in-datapath"
 let rule_unused = "unused-exemption"
+let rule_ids = [ rule_copy; rule_unused ]
 
-let rule_ids =
-  [ rule_determinism; rule_hashtbl; rule_copy; rule_poly; rule_print ]
-  @ Ownership.rule_ids @ [ rule_unused ]
-
-(* ---------- path classification ---------- *)
-
-(* The first directory component after a "lib" segment, so rules scope
-   the same way whether dlint was handed "lib", "../lib" or an absolute
-   path. *)
+(* The first directory component after a "lib" segment, so the rule
+   scopes the same way whether dlint was handed "lib", "../lib" or an
+   absolute path. *)
 let lib_subdir path =
   let rec go = function
     | "lib" :: sub :: _ :: _ -> Some sub
@@ -30,95 +21,9 @@ let lib_subdir path =
   in
   go (String.split_on_char '/' path)
 
-let datapath_dirs = [ "tcp"; "demikernel"; "apps"; "net" ]
-
-(* raw-print-in-datapath: hot-path modules must report through the trace
-   ring or Metrics tables, not ad-hoc stdout. Files whose name marks
-   them as trace/dump code are the sanctioned output paths. *)
-let raw_print_dirs = [ "tcp"; "net"; "demikernel"; "engine" ]
-
-let raw_print_exempt_file path =
-  let base = Filename.basename path in
-  Lexer.contains_sub base "trace" || Lexer.contains_sub base "span"
-  || Lexer.contains_sub base "dump"
 let zero_copy_dirs = [ "memory"; "tcp"; "net"; "demikernel" ]
-let poly_compare_dirs = "apps" :: zero_copy_dirs
-
-(* Everything that handles Heap.buffers / qtokens through the PDPIX
-   api or the heap directly: libOS implementations, applications,
-   baselines and the measurement harness. *)
-let ownership_dirs = [ "tcp"; "demikernel"; "apps"; "baselines"; "harness" ]
-
-(* ---------- lexical layer (shared with the ownership pass) ---------- *)
-
 let is_ident_char = Lexer.is_ident_char
 let contains_token = Lexer.contains_token
-let word_at = Lexer.word_at
-let contains_sub = Lexer.contains_sub
-
-let names_a_buffer ident = contains_sub (String.lowercase_ascii ident) "buf"
-
-(* poly-compare pattern A: a polymorphic [compare] (bare or
-   Stdlib-qualified, not a labelled argument) applied to a
-   buffer-named first argument. Returns the 1-based column. *)
-let poly_compare_call line =
-  let n = String.length line in
-  let tok = "compare" and m = 7 in
-  let rec at i =
-    if i + m > n then None
-    else if
-      String.sub line i m = tok
-      && (i = 0 || not (is_ident_char line.[i - 1]))
-      && (i + m >= n || not (is_ident_char line.[i + m]))
-      && (i = 0 || line.[i - 1] <> '~')
-      && (i + m >= n || line.[i + m] <> ':')
-      && (i = 0
-         || line.[i - 1] <> '.'
-         ||
-         let q = word_at line (i - 2) in
-         q = "Stdlib" || q = "Stdlib.compare")
-    then
-      (* first argument after the call *)
-      let rec skip_ws j = if j < n && line.[j] = ' ' then skip_ws (j + 1) else j in
-      let j = skip_ws (i + m) in
-      if j < n && (is_ident_char line.[j] || line.[j] = '(') then
-        let arg = word_at line (if line.[j] = '(' then j + 1 else j) in
-        if names_a_buffer arg then Some (i + 1) else at (i + 1)
-      else at (i + 1)
-    else at (i + 1)
-  in
-  at 0
-
-(* poly-compare pattern B: [buf_x = buf_y] / [buf_x <> buf_y] in a
-   conditional context. The context requirement keeps record-literal
-   fields like [{ seg_buf = buf }] from matching. Returns the 1-based
-   column of the operator. *)
-let poly_eq_on_buffers line =
-  let n = String.length line in
-  let in_condition =
-    contains_token line "if" || contains_token line "when" || contains_sub line "&&"
-    || contains_sub line "||"
-  in
-  if not in_condition then None
-  else
-    let rec at i =
-      if i >= n then None
-      else if
-        line.[i] = '='
-        && (i = 0 || not (List.mem line.[i - 1] [ '<'; '>'; '!'; '='; ':'; '+'; '-'; '*' ]))
-        && (i + 1 >= n || line.[i + 1] <> '=')
-        || (i + 1 < n && line.[i] = '<' && line.[i + 1] = '>')
-      then begin
-        let left = if i > 1 then word_at line (i - 2) else "" in
-        let skip = if i + 1 < n && line.[i] = '<' then 2 else 1 in
-        let rec skip_ws j = if j < n && line.[j] = ' ' then skip_ws (j + 1) else j in
-        let j = skip_ws (i + skip) in
-        let right = if j < n then word_at line j else "" in
-        if names_a_buffer left && names_a_buffer right then Some (i + 1) else at (i + 1)
-      end
-      else at (i + 1)
-    in
-    at 1
 
 (* ---------- inline allow annotations ---------- *)
 
@@ -182,13 +87,8 @@ let inline_allows ~tally raw_lines =
 
 (* ---------- the scanner ---------- *)
 
-let determinism_tokens = [ "Random."; "Unix."; "Sys.time" ]
-let hashtbl_tokens = [ "Hashtbl.iter"; "Hashtbl.fold" ]
-
 let copy_tokens =
   [ "Bytes.blit_string"; "Bytes.blit"; "Bytes.sub_string"; "Bytes.sub"; "Bytes.copy" ]
-
-let raw_print_tokens = [ "Printf.printf"; "print_endline"; "print_string" ]
 
 let accounting_tokens = [ "note_copy"; "charge_copy" ]
 
@@ -213,10 +113,9 @@ type report = {
   timings : (string * float) list;
 }
 
-(* The project pipeline: the per-line rules and the ownership dataflow
-   pass, file by file. The central {!Allowlist} is NOT applied here —
-   the driver does that, so it can also detect stale central
-   entries. *)
+(* The project pipeline: the copy rule, file by file. The central
+   {!Allowlist} is NOT applied here — the driver does that, so it can
+   also detect stale central entries. *)
 let scan_project ?now files =
   let clock = match now with Some f -> f | None -> fun () -> 0. in
   let timings = ref [] in
@@ -250,13 +149,9 @@ let scan_project ?now files =
     if not (fs.fs_allowed ~line ~rule) then
       out := { path = fs.fs_path; line; col; rule; message } :: !out
   in
-  (* per-line token rules *)
   timed "line-rules" (fun () ->
       List.iter
         (fun fs ->
-          let in_dirs dirs =
-            match fs.fs_sub with Some d -> List.mem d dirs | None -> false
-          in
           let lines = fs.fs_stripped in
           let nlines = Array.length lines in
           let accounted idx =
@@ -267,91 +162,26 @@ let scan_project ?now files =
             in
             any lo
           in
-          let col_of line tok =
-            match Lexer.token_col line tok with Some c -> c | None -> 1
+          let in_scope =
+            match fs.fs_sub with Some d -> List.mem d zero_copy_dirs | None -> false
           in
-          Array.iteri
-            (fun idx line ->
-              let lno = idx + 1 in
-              (* determinism-source: everywhere but the engine itself *)
-              if fs.fs_sub <> Some "engine" then
-                List.iter
-                  (fun tok ->
-                    if contains_token line tok then
-                      emit fs ~line:lno ~col:(col_of line tok) ~rule:rule_determinism
-                        (Printf.sprintf
-                           "%s* is an ambient nondeterminism source; draw randomness from \
-                            Engine.Prng and time from Engine.Clock (only lib/engine may \
-                            touch it)"
-                           tok))
-                  determinism_tokens;
-              (* unordered-hashtbl: datapath modules *)
-              if in_dirs datapath_dirs then
-                List.iter
-                  (fun tok ->
-                    if contains_token line tok then
-                      emit fs ~line:lno ~col:(col_of line tok) ~rule:rule_hashtbl
-                        (Printf.sprintf
-                           "%s visits bindings in hash order, which differs between runs; \
-                            use Engine.Det.hashtbl_iter_sorted / hashtbl_fold_sorted"
-                           tok))
-                  hashtbl_tokens;
-              (* unaccounted-copy: zero-copy modules, one diagnostic per line *)
-              if in_dirs zero_copy_dirs then begin
+          if in_scope then
+            Array.iteri
+              (fun idx line ->
+                (* one diagnostic per line *)
                 match List.find_opt (contains_token line) copy_tokens with
                 | Some tok when not (accounted idx) ->
-                    emit fs ~line:lno ~col:(col_of line tok) ~rule:rule_copy
+                    let col = Option.value ~default:1 (Lexer.token_col line tok) in
+                    emit fs ~line:(idx + 1) ~col ~rule:rule_copy
                       (Printf.sprintf
                          "%s copies payload bytes without accounting; record it with \
                           Heap.note_copy / Host.charge_copy within 3 lines, or add an \
                           allowlist justification"
                          tok)
-                | Some _ | None -> ()
-              end;
-              (* raw-print-in-datapath: stdout belongs to the reporting layer *)
-              if in_dirs raw_print_dirs && not (raw_print_exempt_file fs.fs_path) then
-                List.iter
-                  (fun tok ->
-                    if contains_token line tok then
-                      emit fs ~line:lno ~col:(col_of line tok) ~rule:rule_print
-                        (Printf.sprintf
-                           "%s writes raw stdout from datapath code; record it in an \
-                            Engine.Log stream (a Sim trace or flight event) or a Metrics \
-                            table, or add a dlint-allow for a deliberate dump path"
-                           tok))
-                  raw_print_tokens;
-              (* poly-compare-buffer *)
-              if in_dirs poly_compare_dirs then begin
-                let hit =
-                  match poly_compare_call line with
-                  | Some c -> Some c
-                  | None -> poly_eq_on_buffers line
-                in
-                match hit with
-                | Some col ->
-                    emit fs ~line:lno ~col ~rule:rule_poly
-                      "polymorphic compare/equality on a buffer value; Heap.buffer \
-                       contains cyclic superblock links — compare by identity or explicit \
-                       fields instead"
-                | None -> ()
-              end)
-            lines)
+                | Some _ | None -> ())
+              lines)
         states);
-  (* ownership protocol: per-function dataflow pass *)
-  timed "ownership" (fun () ->
-      List.iter
-        (fun fs ->
-          let in_dirs dirs =
-            match fs.fs_sub with Some d -> List.mem d dirs | None -> false
-          in
-          if in_dirs ownership_dirs then
-            List.iter
-              (fun (f : Ownership.finding) ->
-                emit fs ~line:f.Ownership.line ~col:f.Ownership.col ~rule:f.Ownership.rule
-                  f.Ownership.message)
-              (Ownership.scan fs.fs_stripped))
-        states);
-  (* stale inline markers, queried only after every pass has had its
+  (* stale inline markers, queried only after the scan has had its
      chance to consume them *)
   let stale =
     List.concat_map

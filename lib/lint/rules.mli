@@ -1,38 +1,20 @@
-(** The dlint rule set.
+(** The dlint rule set: the one invariant no runtime check measures yet.
 
-    Per-line rules guard the two invariants the reproduction depends on
-    — Catnip-style determinism ("deterministic and parameterized on
-    time", §6.3, extended by DESIGN.md to the whole testbed) and
-    zero-copy buffer discipline (§5.3):
-
-    - [determinism-source]: [Random.*], [Unix.*] and [Sys.time] are
-      banned everywhere under [lib/] except [lib/engine/] — randomness
-      must flow through [Engine.Prng], time through [Engine.Clock].
-    - [unordered-hashtbl]: [Hashtbl.iter]/[Hashtbl.fold] are banned in
-      the datapath modules ([lib/tcp], [lib/demikernel], [lib/apps],
-      [lib/net]) because their visit order depends on hashing; use
-      [Engine.Det.hashtbl_iter_sorted]/[hashtbl_fold_sorted].
     - [unaccounted-copy]: raw [Bytes.blit]/[Bytes.sub]/[Bytes.copy]
       (and their [_string] variants) in the zero-copy modules
       ([lib/memory], [lib/tcp], [lib/net], [lib/demikernel]) must sit
       within three lines of a [note_copy]/[charge_copy] call so the
       copy shows up in the heap's [bytes_copied] ledger — or carry an
-      allowlist justification.
-    - [poly-compare-buffer]: polymorphic [compare]/[=]/[<>] applied to
-      buffer-named values in zero-copy modules and apps; buffer handles
-      contain cyclic superblock links and must be compared by identity
-      or by explicit fields.
+      allowlist justification (§5.3's zero-copy discipline).
 
-    On top of these, the {!Ownership} dataflow pass contributes the
-    PDPIX ownership-protocol rules ([free-after-push],
-    [double-free-path], [leaked-buffer], [dropped-token]) in the
-    buffer-handling directories ([lib/tcp], [lib/demikernel],
-    [lib/apps], [lib/baselines], [lib/harness]). Allocation and scaling
-    are measured, not linted: the selfcheck holds each libOS to an
-    exact minor-word budget per echo ({!Memory.Gcbudget}), and the
-    scaling gate in [test/test_scaling.ml] holds events, words and CPU
-    per operation flat as connections, pending pops and queued pushes
-    grow.
+    Every other property is measured at run time, in [dune runtest]:
+    determinism by same-seed twin runs (the selfcheck digests, the
+    wire-byte and disk-byte twins, the pinned outputs, all under
+    [OCAMLRUNPARAM=R] so hash order differs between runs), buffer
+    ownership by the [Pdpix] oracle that the heap
+    sanitizer's switch arms on every [Boot] node,
+    allocation by the selfcheck's per-echo word budget and scaling by
+    the scaling gate.
 
     Scanning is purely lexical: comments and string/char literals are
     stripped first, so a banned name inside a docstring does not trip
@@ -68,13 +50,13 @@ type report = {
       (** per rule id (in {!rule_ids} order, zeroes included): how many
           times an inline [dlint-allow] suppressed a finding *)
   timings : (string * float) list;
-      (** per pass, in pipeline order ([lex], [line-rules], [ownership]):
-          wall seconds, all zero unless [?now] was supplied *)
+      (** per pass, in pipeline order ([lex], [line-rules]): wall
+          seconds, all zero unless [?now] was supplied *)
 }
 
 val scan_project : ?now:(unit -> float) -> (string * string) list -> report
-(** The whole-project pipeline over [(path, contents)] pairs, every
-    pass run file by file. [?now] is the
+(** The whole-project pipeline over [(path, contents)] pairs, file by
+    file. [?now] is the
     wall clock used for {!report.timings} (injected — lint code may not
     touch ambient time). The central {!Allowlist} is NOT applied (the
     driver does that, so it can also detect stale central entries). *)

@@ -32,4 +32,4 @@ val remove : 'v t -> ka:int -> kb:int -> unit
 
 val fold_sorted : 'v t -> cmp:(int * int -> int * int -> int) -> (int * int -> 'v -> 'a -> 'a) -> 'a -> 'a
 (** Fold over live bindings in [cmp] order on the packed (ka, kb)
-    keys — the deterministic-iteration discipline dlint enforces. *)
+    keys, so no loop over it depends on hashing. *)

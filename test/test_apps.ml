@@ -247,9 +247,30 @@ let test_poisson_positive () =
   (* Mean gap 10us; 1000 draws ~ 10ms +- a lot. *)
   check_bool "mean in the right decade" true (total > 2_000_000 && total < 50_000_000)
 
+(* --- worlds: sanitized, and held to the ownership protocol ---
+
+   Every world below boots with the heap sanitizer armed, which arms
+   each node's ownership oracle too; the test ends by asserting that no
+   app broke the PDPIX protocol (a buffer freed or written while its
+   push was in flight, a token never waited). *)
+
+let sanitized = Test_demikernel.sanitized
+
+let no_findings nodes =
+  List.iter
+    (fun (node : Demikernel.Boot.node) ->
+      Alcotest.(check (list string))
+        ("ownership protocol clean on " ^ node.host.Demikernel.Host.name)
+        []
+        (List.map
+           (fun (v : Demikernel.Pdpix.ownership_violation) -> v.kind ^ ": " ^ v.detail)
+           (Demikernel.Boot.ownership_findings node)))
+    nodes
+
 (* --- UDP relay --- *)
 
 let test_relay () =
+  sanitized @@ fun () ->
   let sim = Engine.Sim.create () in
   let fabric = Net.Fabric.create sim ~cost:bare () in
   let relay = Demikernel.Boot.make sim fabric ~index:1 Demikernel.Boot.Catnip_os in
@@ -267,7 +288,8 @@ let test_relay () =
   Demikernel.Boot.start gen;
   Engine.Sim.run ~until:(Engine.Clock.s 5) sim;
   check_bool "finished" true !finished;
-  check_int "all packets relayed" 40 (Metrics.Hdr.count rtts)
+  check_int "all packets relayed" 40 (Metrics.Hdr.count rtts);
+  no_findings [ relay; gen ]
 
 (* --- dkv --- *)
 
@@ -280,6 +302,7 @@ let dkv_world ?(flavor = Demikernel.Boot.Catnip_os) ?(persist = false) () =
   (sim, server, client)
 
 let test_dkv_get_set_del () =
+  sanitized @@ fun () ->
   let sim, server, client = dkv_world () in
   let results = ref [] in
   Demikernel.Boot.run_app client (fun api ->
@@ -294,6 +317,7 @@ let test_dkv_get_set_del () =
   Demikernel.Boot.start server;
   Demikernel.Boot.start client;
   Engine.Sim.run ~until:(Engine.Clock.s 5) sim;
+  no_findings [ server; client ];
   match List.rev !results with
   | [ `Set s1; `Get g1; `Set s2; `Get g2; `Del d1; `Get g3 ] ->
       check_bool "set ok" true (s1 = Apps.Dkv.Ok);
@@ -307,6 +331,7 @@ let test_dkv_get_set_del () =
 let test_dkv_large_values () =
   (* Values above the MSS force fragmentation through the framing
      fallback path. *)
+  sanitized @@ fun () ->
   let sim, server, client = dkv_world () in
   let ok = ref false in
   let big = String.init 8000 (fun i -> Char.chr (i land 0xff)) in
@@ -320,9 +345,11 @@ let test_dkv_large_values () =
   Demikernel.Boot.start server;
   Demikernel.Boot.start client;
   Engine.Sim.run ~until:(Engine.Clock.s 5) sim;
+  no_findings [ server; client ];
   check_bool "large value roundtrip" true !ok
 
 let test_dkv_persistence () =
+  sanitized @@ fun () ->
   let sim, server, client = dkv_world ~persist:true () in
   let finished = ref false in
   Demikernel.Boot.run_app client (fun api ->
@@ -336,11 +363,13 @@ let test_dkv_persistence () =
   Demikernel.Boot.start client;
   Engine.Sim.run ~until:(Engine.Clock.s 5) sim;
   check_bool "finished" true !finished;
+  no_findings [ server; client ];
   match server.Demikernel.Boot.ssd with
   | Some ssd -> check_bool "AOF hit the device" true (Net.Ssd_sim.bytes_written ssd > 0)
   | None -> Alcotest.fail "no ssd"
 
 let test_dkv_bench_runs_everywhere () =
+  sanitized @@ fun () ->
   List.iter
     (fun flavor ->
       let sim, server, client = dkv_world ~flavor () in
@@ -353,7 +382,8 @@ let test_dkv_bench_runs_everywhere () =
       Demikernel.Boot.start server;
       Demikernel.Boot.start client;
       Engine.Sim.run ~until:(Engine.Clock.s 30) sim;
-      check_bool "bench finished" true !finished)
+      check_bool "bench finished" true !finished;
+      no_findings [ server; client ])
     [ Demikernel.Boot.Catnip_os; Demikernel.Boot.Catmint_os; Demikernel.Boot.Catnap_os ]
 
 (* --- txnstore --- *)
@@ -373,6 +403,7 @@ let txn_world flavor =
   (sim, replicas, client)
 
 let test_txnstore_rmw () =
+  sanitized @@ fun () ->
   let sim, replicas, client = txn_world Demikernel.Boot.Catnip_os in
   let endpoints = List.map (fun r -> Demikernel.Boot.endpoint r 7447) replicas in
   let observed = ref None in
@@ -388,6 +419,7 @@ let test_txnstore_rmw () =
   List.iter Demikernel.Boot.start replicas;
   Demikernel.Boot.start client;
   Engine.Sim.run ~until:(Engine.Clock.s 10) sim;
+  no_findings (client :: replicas);
   match !observed with
   | Some (version, value) ->
       check_int "version advanced" 4 version;
@@ -397,6 +429,7 @@ let test_txnstore_rmw () =
 let test_txnstore_replicates () =
   (* After a put, a fresh client reading via round-robin hits different
      replicas; all must return the value. *)
+  sanitized @@ fun () ->
   let sim, replicas, client = txn_world Demikernel.Boot.Catnip_os in
   let endpoints = List.map (fun r -> Demikernel.Boot.endpoint r 7447) replicas in
   let reads = ref [] in
@@ -410,12 +443,14 @@ let test_txnstore_replicates () =
   List.iter Demikernel.Boot.start replicas;
   Demikernel.Boot.start client;
   Engine.Sim.run ~until:(Engine.Clock.s 10) sim;
+  no_findings (client :: replicas);
   check_int "three reads" 3 (List.length !reads);
   List.iter
     (fun r -> check_bool "every replica has it" true (r = Some (1, "everywhere")))
     !reads
 
 let test_txnstore_ycsb_f () =
+  sanitized @@ fun () ->
   let sim, replicas, client = txn_world Demikernel.Boot.Catnip_os in
   let endpoints = List.map (fun r -> Demikernel.Boot.endpoint r 7447) replicas in
   let lat = Metrics.Hdr.create () in
@@ -429,6 +464,7 @@ let test_txnstore_ycsb_f () =
   Demikernel.Boot.start client;
   Engine.Sim.run ~until:(Engine.Clock.s 30) sim;
   check_bool "finished" true !finished;
+  no_findings (client :: replicas);
   check_int "txns measured" 50 (Metrics.Hdr.count lat);
   (* An RMW is at least two network round trips. *)
   check_bool "txn latency exceeds 2 RTT" true (Metrics.Hdr.p50 lat > 8_000)
@@ -459,6 +495,7 @@ let test_txnstore_short_frames () =
     (Apps.Txnstore.parse_get_response (handle get));
   (* The same truncated frame over the wire: the replica answers it and
      keeps serving the connection. *)
+  sanitized @@ fun () ->
   let sim, replicas, client = txn_world Demikernel.Boot.Catnip_os in
   let replica = List.hd replicas in
   let replies = ref [] in
@@ -473,8 +510,10 @@ let test_txnstore_short_frames () =
   List.iter Demikernel.Boot.start replicas;
   Demikernel.Boot.start client;
   Engine.Sim.run ~until:(Engine.Clock.s 10) sim;
+  no_findings (client :: replicas);
   Alcotest.(check (list (option string)))
     "short PUT refused, then the connection still serves"
+
     [ Some "\x00"; Some "\x01"; Some (handle get) ]
     (List.rev !replies)
 

@@ -44,6 +44,26 @@ let test_open_loop_tracks_offered () =
         (Float.abs (r.Baselines.Kb_lib.achieved_per_sec -. 100_000.) < 15_000.)
   | None -> Alcotest.fail "no result"
 
+(* A short cell of fig 9's open-loop generator per libOS, with the heap
+   sanitizer and so the ownership oracle armed: a buffer freed or
+   written while its push is in flight, or a token never waited, fails
+   the cell. *)
+let test_open_loop_ownership () =
+  Test_demikernel.sanitized @@ fun () ->
+  List.iter
+    (fun (flavor, proto) ->
+      let r =
+        Harness.Fig_throughput.demi_open_loop ~flavor ~proto ~msg_size:64
+          ~rate_per_sec:200_000. ~duration_ns:1_000_000 ()
+      in
+      check_bool "echoes came back" true (Metrics.Hdr.count r.Baselines.Kb_lib.latencies > 0))
+    [
+      (Demikernel.Boot.Catnip_os, Harness.Common.Echo_tcp);
+      (Demikernel.Boot.Catnip_os, Harness.Common.Echo_udp);
+      (Demikernel.Boot.Catmint_os, Harness.Common.Echo_tcp);
+      (Demikernel.Boot.Catnap_os, Harness.Common.Echo_tcp);
+    ]
+
 let test_linux_echo () =
   let hist = Harness.Common.linux_echo_rtt ~count:50 ~proto:Harness.Common.Echo_udp () in
   check_int "count" 50 (Metrics.Hdr.count hist);
@@ -201,4 +221,5 @@ let suite =
     Alcotest.test_case "fig8 bandwidth monotone" `Slow test_netpipe_monotone;
     Alcotest.test_case "fig5 orderings survive cost perturbation" `Slow
       test_sensitivity_orderings_hold;
+    Alcotest.test_case "fig9 open loop: ownership oracle clean" `Quick test_open_loop_ownership;
   ]

@@ -737,6 +737,61 @@ let oracle_run ?(flavor = Demikernel.Boot.Catnip_os) main =
 
 let kinds vs = List.map (fun (v : Demikernel.Pdpix.ownership_violation) -> v.kind) vs
 
+(* Catmint retries stalled senders every poll in channel-id order. A
+   client with 8 channels at a 2-message window pushes 8 messages on
+
+   each to a server that only consumes, so the channels stall together
+   and several get credit in one round. The same world twice in one
+   process must put the same bytes on the wire: `dune runtest` runs
+   with OCAMLRUNPARAM=R, so each run's tables hash with their own seed
+   and a retry in hash order reorders the frames. A grant lands with no
+   local completion, so a ticker keeps the client polling until its
+   senders are done: a parked client is not woken to retry. *)
+
+let test_catmint_stalled_retry_same_wire () =
+  let run () =
+    let sim = Engine.Sim.create () in
+    let fabric = Net.Fabric.create sim ~cost:bare () in
+    let session = Net.Pcap.tap fabric in
+    let boot index =
+      Demikernel.Boot.make sim fabric ~index ~catmint_window:2 Demikernel.Boot.Catmint_os
+    in
+    let server = boot 1 and client = boot 2 in
+    let consumed = ref 0 in
+    Demikernel.Boot.run_app server (fun api ->
+        let lqd = api.Demikernel.Pdpix.socket Demikernel.Pdpix.Tcp in
+        api.Demikernel.Pdpix.bind lqd (Net.Addr.endpoint 0 7);
+        api.Demikernel.Pdpix.listen lqd ~backlog:64;
+        Apps.Serve.run api ~name:"sink" lqd ~conn:Fun.id ~on_data:(fun _ ~op:_ sga ->
+            List.iter api.Demikernel.Pdpix.free sga;
+            incr consumed));
+    let done_conns = ref 0 in
+    Demikernel.Boot.run_app client (fun api ->
+        let idle = api.Demikernel.Pdpix.pop (api.Demikernel.Pdpix.queue ()) in
+        while !done_conns < 8 do
+          ignore (api.Demikernel.Pdpix.wait_any_t [| idle |] ~timeout_ns:1_000)
+        done);
+    for c = 1 to 8 do
+      Demikernel.Boot.run_app client (fun api ->
+          let qd = connect_echo api (Demikernel.Boot.endpoint server 7) in
+          let sent =
+            List.init 8 (fun i ->
+                let buf = api.Demikernel.Pdpix.alloc_str (Printf.sprintf "conn %d msg %d" c i) in
+                (api.Demikernel.Pdpix.push qd [ buf ], buf))
+          in
+          ignore (api.Demikernel.Pdpix.wait_all (Array.of_list (List.map fst sent)));
+          List.iter (fun (_, buf) -> api.Demikernel.Pdpix.free buf) sent;
+          incr done_conns)
+    done;
+    Demikernel.Boot.start server;
+    Demikernel.Boot.start client;
+    Engine.Sim.run ~until:(Engine.Clock.s 1) sim;
+    check_int "every message consumed" (8 * 8) !consumed;
+    Net.Pcap.contents session.Net.Pcap.wire
+  in
+  let first = run () in
+  check_bool "same bytes on the wire" true (String.equal first (run ()))
+
 let test_oracle_clean_echo () =
   let clean dst api =
     let qd = connect_echo api dst in
@@ -1332,4 +1387,7 @@ let suite =
         (close_ends_unaccepted Demikernel.Boot.Catmint_os "eof");
       Alcotest.test_case "listener close resets unaccepted connections (catnap)" `Quick
         (close_ends_unaccepted Demikernel.Boot.Catnap_os "connection reset");
+      Alcotest.test_case "catmint stalled retry: same seed, same wire bytes" `Quick
+        test_catmint_stalled_retry_same_wire;
     ]
+

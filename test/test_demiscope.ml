@@ -206,6 +206,24 @@ let test_lost_tap_sees_injected_loss () =
   check_int "every drop captured on the lost tap" r.fabric_stats.Net.Fabric.frames_dropped
     (Net.Pcap.frames_written session.Net.Pcap.lost)
 
+(* The same seed twice in one process gives the same wire bytes: the
+   trace digest never sees a sequence number or a payload, so this is
+   the check that an ambient source (Random, the wall clock) reaching a
+   header fails. *)
+let test_same_seed_same_wire flavor () =
+  let capture () =
+    let r =
+      Harness.Observe.run { Harness.Observe.off with capture = true } (Test_observe.echo flavor)
+    in
+    let s = Option.get r.capture in
+    (Net.Pcap.contents s.Net.Pcap.wire, Net.Pcap.contents s.Net.Pcap.lost)
+  in
+  let wire, lost = capture () in
+  let wire', lost' = capture () in
+  check_bool "frames captured" true (String.length wire > 24 * 16);
+  check_bool "wire bytes identical" true (String.equal wire wire');
+  check_bool "lost bytes identical" true (String.equal lost lost')
+
 (* --- causal flows in the Chrome export --- *)
 
 let traced_spans ~count =
@@ -372,3 +390,10 @@ let suite =
     Alcotest.test_case "udp corruption becomes loss" `Quick test_udp_corruption_to_loss;
     Alcotest.test_case "rdma immune to corruption" `Quick test_rdma_immune_to_corruption;
   ]
+  @ List.map
+      (fun flavor ->
+        Alcotest.test_case
+          (Printf.sprintf "same seed, same wire bytes (%s)" (Demikernel.Boot.flavor_name flavor))
+          `Quick (test_same_seed_same_wire flavor))
+      Test_observe.flavors
+

@@ -1,7 +1,6 @@
-(* Tests for dlint (the determinism / zero-copy lint) and the
-   determinism self-check harness. The lint tests scan synthetic
-   sources, so they prove `dune runtest` would reject a regression
-   without planting one in the real tree. *)
+(* Tests for dlint (the zero-copy lint). They scan synthetic sources,
+   so they prove `dune runtest` would reject a regression without
+   planting one in the real tree. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -12,44 +11,33 @@ let lines_of vs = List.map (fun v -> v.Lint.Rules.line) vs
 let bad_source =
   String.concat "\n"
     [
-      "let () = Random.self_init ()";
-      "let size t = Hashtbl.fold (fun _ _ n -> n + 1) t 0";
-      "let drain t f = Hashtbl.iter f t";
       "let steal b = Bytes.sub b 0 4";
-      "let same buf1 buf2 = if buf1 = buf2 then 1 else 0";
-      "let stamp () = Sys.time ()";
+      "let size t = Hashtbl.length t";
+      "let grab b = Bytes.copy b";
+      "let move src dst = Bytes.blit_string src 0 dst 0 4";
       "";
     ]
 
 let test_catches_bad_datapath_source () =
   let vs = Lint.Rules.scan_string ~path:"lib/tcp/bad.ml" bad_source in
   Alcotest.(check (list string))
-    "every rule fires once, in line order"
-    [
-      "determinism-source";
-      "unordered-hashtbl";
-      "unordered-hashtbl";
-      "unaccounted-copy";
-      "poly-compare-buffer";
-      "determinism-source";
-    ]
+    "every raw copy fires once, in line order"
+    [ "unaccounted-copy"; "unaccounted-copy"; "unaccounted-copy" ]
     (rules_of vs);
-  Alcotest.(check (list int)) "line numbers" [ 1; 2; 3; 4; 5; 6 ] (lines_of vs)
+  Alcotest.(check (list int)) "line numbers" [ 1; 3; 4 ] (lines_of vs)
 
 let test_engine_is_exempt () =
-  (* lib/engine owns the ambient sources (Prng/Clock wrap them) and is
-     not a datapath module: the same source is clean there. *)
-  check_int "engine exempt from all four rules" 0
+  (* lib/engine is not a zero-copy module: the same source is clean
+     there. *)
+  check_int "engine exempt" 0
     (List.length (Lint.Rules.scan_string ~path:"lib/engine/bad.ml" bad_source))
 
 let test_scoping_outside_datapath () =
-  (* Harness code may iterate Hashtbls (reporting only), but ambient
-     randomness is still banned. *)
-  let vs = Lint.Rules.scan_string ~path:"lib/harness/bad.ml" bad_source in
+  (* Harness code copies for reporting; the rule covers the zero-copy
+     modules only. *)
   Alcotest.(check (list string))
-    "only determinism-source applies outside datapath/zero-copy dirs"
-    [ "determinism-source"; "determinism-source" ]
-    (rules_of vs)
+    "no rule applies outside the zero-copy dirs" []
+    (rules_of (Lint.Rules.scan_string ~path:"lib/harness/bad.ml" bad_source))
 
 let test_comments_and_strings_ignored () =
   let src =
@@ -62,14 +50,14 @@ let test_comments_and_strings_ignored () =
 
 let test_inline_allow_annotation () =
   let src =
-    "(* dlint-allow: unordered-hashtbl -- size is order-insensitive *)\n"
-    ^ "let size t = Hashtbl.fold (fun _ _ n -> n + 1) t 0\n"
+    "(* dlint-allow: unaccounted-copy -- device DMA *)\n"
+    ^ "let steal b = Bytes.sub b 0 4\n"
   in
   check_int "annotated line is suppressed" 0
     (List.length (Lint.Rules.scan_string ~path:"lib/tcp/ok.ml" src));
   let wrong_rule =
-    "(* dlint-allow: determinism-source -- wrong rule id *)\n"
-    ^ "let size t = Hashtbl.fold (fun _ _ n -> n + 1) t 0\n"
+    "(* dlint-allow: unused-exemption -- wrong rule id *)\n"
+    ^ "let steal b = Bytes.sub b 0 4\n"
   in
   check_int "annotation only covers its own rule" 1
     (List.length (Lint.Rules.scan_string ~path:"lib/tcp/ok.ml" wrong_rule))
@@ -81,44 +69,13 @@ let test_accounted_copy_passes () =
   check_int "copy next to note_copy is accounted" 0
     (List.length (Lint.Rules.scan_string ~path:"lib/tcp/copy.ml" src))
 
-let test_sorted_helpers_pass () =
-  let src =
-    "let flush t f =\n\
-    \  Engine.Det.hashtbl_iter_sorted ~compare:Int.compare t f;\n\
-    \  Engine.Det.hashtbl_fold_sorted ~compare:Int.compare t (fun _ _ n -> n) 0\n"
-  in
-  check_int "Det helpers are the sanctioned spelling" 0
-    (List.length (Lint.Rules.scan_string ~path:"lib/demikernel/ok.ml" src))
-
-let test_raw_print_in_datapath () =
-  let src =
-    "let report n = Printf.printf \"%d\" n\n" ^ "let shout () = print_endline \"hot\"\n"
-  in
-  Alcotest.(check (list string))
-    "raw stdout flagged in datapath dirs"
-    [ "raw-print-in-datapath"; "raw-print-in-datapath" ]
-    (rules_of (Lint.Rules.scan_string ~path:"lib/tcp/out.ml" src));
-  Alcotest.(check (list string))
-    "engine hot-path modules are in scope too"
-    [ "raw-print-in-datapath" ]
-    (rules_of (Lint.Rules.scan_string ~path:"lib/engine/sim.ml" "let f () = print_endline \"x\"\n"));
-  check_int "trace/span/dump files are the sanctioned output paths" 0
-    (List.length (Lint.Rules.scan_string ~path:"lib/engine/trace.ml" src));
-  check_int "reporting layers outside the scoped dirs are free to print" 0
-    (List.length (Lint.Rules.scan_string ~path:"lib/metrics/table.ml" src));
-  check_int "inline dlint-allow still works for deliberate dumps" 0
-    (List.length
-       (Lint.Rules.scan_string ~path:"lib/net/x.ml"
-          ("(* dlint-allow: raw-print-in-datapath -- deliberate dump *)\n"
-          ^ "let report n = Printf.printf \"%d\" n\n")))
-
 let test_allowlist_lookup () =
   check_bool "rdma_sim.ml copy exemption exists" true
     (Lint.Allowlist.find ~path:"../lib/net/rdma_sim.ml" ~rule:"unaccounted-copy" <> None);
   check_bool "unlisted file is not exempt" true
     (Lint.Allowlist.find ~path:"lib/tcp/bad.ml" ~rule:"unaccounted-copy" = None);
   check_bool "exemption is per rule" true
-    (Lint.Allowlist.find ~path:"lib/net/rdma_sim.ml" ~rule:"unordered-hashtbl" = None);
+    (Lint.Allowlist.find ~path:"lib/net/rdma_sim.ml" ~rule:Lint.Rules.rule_unused = None);
   check_bool "the TCP stack's copies are exempted per site, not per file" true
     (Lint.Allowlist.find ~path:"lib/tcp/stack.ml" ~rule:"unaccounted-copy" = None)
 
@@ -129,114 +86,17 @@ let test_allowlist_is_well_formed () =
       check_bool ("justified: " ^ e.path_suffix) true (String.length e.justification > 10))
     Lint.Allowlist.entries
 
-(* ---------- ownership dataflow pass ---------- *)
-
-let scan path src = Lint.Rules.scan_string ~path src
-
-let test_ownership_free_after_push () =
-  let src =
-    String.concat "\n"
-      [
-        "let send api qd =";
-        "  let buf = api.Pdpix.alloc_str \"hi\" in";
-        "  let qt = api.Pdpix.push qd [ buf ] in";
-        "  api.Pdpix.free buf;";
-        "  ignore (api.Pdpix.wait qt)";
-        "";
-      ]
-  in
-  let vs = scan "lib/apps/bad.ml" src in
-  Alcotest.(check (list string)) "free while token outstanding" [ "free-after-push" ]
-    (rules_of vs);
-  Alcotest.(check (list int)) "on the free line" [ 4 ] (lines_of vs)
-
-let test_ownership_double_free () =
-  let src =
-    String.concat "\n"
-      [
-        "let twice api =";
-        "  let buf = api.Pdpix.alloc 64 in";
-        "  api.Pdpix.free buf;";
-        "  api.Pdpix.free buf";
-        "";
-      ]
-  in
-  let vs = scan "lib/apps/bad.ml" src in
-  Alcotest.(check (list string)) "second free flagged" [ "double-free-path" ] (rules_of vs);
-  Alcotest.(check (list int)) "on the second free" [ 4 ] (lines_of vs)
-
-let test_ownership_leaked_buffer () =
-  let never_mentioned =
-    "let leak api =\n  let buf = api.Pdpix.alloc 64 in\n  ()\n"
-  in
-  let vs = scan "lib/apps/bad.ml" never_mentioned in
-  Alcotest.(check (list string)) "alloc never released" [ "leaked-buffer" ] (rules_of vs);
-  check_int "column points at the alloc" 17 (List.hd vs).Lint.Rules.col;
-  let bound_to_wildcard = "let leak api =\n  let _ = api.Pdpix.alloc 64 in\n  ()\n" in
-  Alcotest.(check (list string)) "wildcard binder leaks" [ "leaked-buffer" ]
-    (rules_of (scan "lib/apps/bad.ml" bound_to_wildcard))
-
-let test_ownership_dropped_token () =
-  let never_waited = "let fire api qd sga =\n  let qt = api.Pdpix.push qd sga in\n  ()\n" in
-  Alcotest.(check (list string)) "token never redeemed" [ "dropped-token" ]
-    (rules_of (scan "lib/apps/bad.ml" never_waited));
-  let ignored = "let fire api qd sga =\n  ignore (api.Pdpix.push qd sga)\n" in
-  Alcotest.(check (list string)) "ignored push token" [ "dropped-token" ]
-    (rules_of (scan "lib/apps/bad.ml" ignored))
-
-let test_ownership_clean_idioms () =
-  let echo_idiom =
-    String.concat "\n"
-      [
-        "let ship api qd sga =";
-        "  let qt = api.Pdpix.push qd sga in";
-        "  (match api.Pdpix.wait qt with";
-        "  | Pdpix.Pushed -> List.iter api.Pdpix.free sga";
-        "  | _ -> failwith \"push\")";
-        "";
-        "let payload_of_size api n = api.Pdpix.alloc n";
-        "";
-        "let branchy api h flag =";
-        "  let buf = Memory.Heap.alloc h 64 in";
-        "  if flag then Memory.Heap.free buf";
-        "  else Memory.Heap.free buf";
-        "";
-      ]
-  in
-  check_int "push/wait/free idiom, alloc-returning helper, per-branch frees" 0
-    (List.length (scan "lib/apps/ok.ml" echo_idiom));
-  check_int "ownership pass only covers buffer-handling dirs" 0
-    (List.length (scan "lib/engine/any.ml" "let fire api =\n  ignore (api.Pdpix.pop 1)\n"))
-
-let test_ownership_respects_inline_allow () =
-  let src =
-    "(* dlint-allow: dropped-token -- completion observed out of band *)\n"
-    ^ "let fire api qd sga =\n  ignore (api.Pdpix.push qd sga)\n"
-  in
-  (* The marker sits one line above the flagged line's binder... put it
-     directly above the ignore line instead. *)
-  check_int "marker above flagged line suppresses" 0
-    (List.length
-       (scan "lib/apps/ok.ml"
-          "let fire api qd sga =\n\
-           (* dlint-allow: dropped-token -- completion observed out of band *)\n\
-          \  ignore (api.Pdpix.push qd sga)\n"));
-  check_int "marker too far away does not" 1 (List.length (scan "lib/apps/bad.ml" src))
-
 (* ---------- stale exemptions and output formats ---------- *)
 
 let test_stale_inline_marker () =
-  let src = "(* dlint-allow: determinism-source -- nothing here anymore *)\nlet x = 1\n" in
+  let src = "(* dlint-allow: unaccounted-copy -- nothing here anymore *)\nlet x = 1\n" in
   check_int "scan_string stays quiet (legacy surface)" 0
     (List.length (Lint.Rules.scan_string ~path:"lib/tcp/z.ml" src));
   let vs = Lint.Rules.scan_full ~path:"lib/tcp/z.ml" src in
   Alcotest.(check (list string)) "scan_full reports the stale marker"
     [ Lint.Rules.rule_unused ] (rules_of vs);
   Alcotest.(check (list int)) "at the marker line" [ 1 ] (lines_of vs);
-  let live =
-    "(* dlint-allow: unordered-hashtbl -- order-insensitive count *)\n"
-    ^ "let size t = Hashtbl.fold (fun _ _ n -> n + 1) t 0\n"
-  in
+  let live = "(* dlint-allow: unaccounted-copy -- device DMA *)\nlet steal b = Bytes.sub b 0 4\n" in
   check_int "a marker that suppresses something is not stale" 0
     (List.length (Lint.Rules.scan_full ~path:"lib/tcp/z.ml" live))
 
@@ -284,9 +144,9 @@ let test_json_report () =
   Format.pp_print_flush fmt ();
   let out = Buffer.contents buf in
   check_bool "count present" true
-    (String.length out >= 10 && String.sub out 0 10 = "{\"count\":6");
+    (String.length out >= 10 && String.sub out 0 10 = "{\"count\":3");
   check_bool "rule id serialized" true
-    (let needle = "\"rule\":\"poly-compare-buffer\"" in
+    (let needle = "\"rule\":\"unaccounted-copy\"" in
      let n = String.length needle in
      let rec find i = i + n <= String.length out && (String.sub out i n = needle || find (i + 1)) in
      find 0);
@@ -302,7 +162,7 @@ let test_violations_carry_columns () =
   let vs = Lint.Rules.scan_string ~path:"lib/tcp/bad.ml" bad_source in
   List.iter (fun v -> check_bool "1-based column" true (v.Lint.Rules.col >= 1)) vs;
   match vs with
-  | first :: _ -> check_int "Random.self_init column" 10 first.Lint.Rules.col
+  | first :: _ -> check_int "Bytes.sub column" 15 first.Lint.Rules.col
   | [] -> Alcotest.fail "expected violations"
 
 (* ---------- the stats table ---------- *)
@@ -311,33 +171,34 @@ let test_violations_carry_columns () =
    rule. *)
 let test_stats_table () =
   let vs =
-    Lint.Rules.scan_string ~path:"lib/tcp/st.ml"
-      "let size t = Hashtbl.fold (fun _ _ n -> n + 1) t 0\nlet x = 1\n"
+    Lint.Rules.scan_string ~path:"lib/tcp/st.ml" "let steal b = Bytes.sub b 0 4\nlet x = 1\n"
   in
   let st = Lint.Driver.stats vs in
-  check_int "stats table counts hashtbl findings" 1 (List.assoc "unordered-hashtbl" st);
-  check_int "other rules report zero" 0 (List.assoc "determinism-source" st);
+  check_int "stats table counts copy findings" 1 (List.assoc "unaccounted-copy" st);
+  check_int "other rules report zero" 0 (List.assoc "unused-exemption" st);
   check_int "one row per known rule" (List.length Lint.Rules.rule_ids) (List.length st);
+  let has sub s =
+    let n = String.length s and m = String.length sub in
+    let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+    at 0
+  in
   check_bool "no static allocation or scan rule is left" false
-    (List.exists
-       (fun (rule, _) ->
-         Lint.Lexer.contains_sub rule "alloc" || Lint.Lexer.contains_sub rule "hotpath")
-       st)
+    (List.exists (fun (rule, _) -> has "alloc" rule || has "hotpath" rule) st)
 
 (* ---------- lexer hardening: char literals and nested comments ---------- *)
 
 let test_lexer_hardening () =
   let hits path src = List.length (Lint.Rules.scan_string ~path src) in
   check_int "double-quote char literal does not open a string" 1
-    (hits "lib/tcp/a.ml" "let q = '\"'\nlet drain t f = Hashtbl.iter f t\n");
+    (hits "lib/tcp/a.ml" "let q = '\"'\nlet grab b = Bytes.copy b\n");
   check_int "escaped-quote char literal does not open a string" 1
-    (hits "lib/tcp/b.ml" "let q = '\\''\nlet drain t f = Hashtbl.iter f t\n");
+    (hits "lib/tcp/b.ml" "let q = '\\''\nlet grab b = Bytes.copy b\n");
   check_int "nested comments strip to the outer closer" 0
-    (hits "lib/tcp/c.ml" "(* outer (* Hashtbl.iter inner *) still outer *)\nlet x = 1\n");
+    (hits "lib/tcp/c.ml" "(* outer (* Bytes.copy inner *) still outer *)\nlet x = 1\n");
   check_int "a string containing *) does not close its comment" 0
-    (hits "lib/tcp/d.ml" "(* doc: \" *) \" Hashtbl.iter still commented *)\nlet x = 1\n");
+    (hits "lib/tcp/d.ml" "(* doc: \" *) \" Bytes.copy still commented *)\nlet x = 1\n");
   check_int "apostrophe prose in a comment does not derail the lexer" 1
-    (hits "lib/tcp/e.ml" "(* it's just prose *) let drain t f = Hashtbl.iter f t\n")
+    (hits "lib/tcp/e.ml" "(* it's just prose *) let grab b = Bytes.copy b\n")
 
 (* ---------- exemption markers and the report ----------
 
@@ -358,23 +219,23 @@ let test_retired_rule_exemption_is_stale () =
     (List.mem "scan-in-hotpath" Lint.Rules.rule_ids)
 
 let test_multi_rule_allow () =
-  (* One marker naming two rules suppresses both findings on the
-     covered line, and neither half goes stale. *)
+  (* One marker naming two rules: the half that suppresses a finding is
+     recorded, the half that suppresses nothing (a rule that no longer
+     exists) is reported stale on its own. *)
   let src =
     String.concat "\n"
       [
-        "(* dlint-allow: unordered-hashtbl, determinism-source -- seeded once, order-free count *)";
-        "let hot t = Random.int (Hashtbl.fold (fun _ _ n -> n + 1) t 1)";
+        "(* dlint-allow: unaccounted-copy, determinism-source -- device DMA *)";
+        "let steal b = Bytes.sub b 0 4";
         "";
       ]
   in
-  check_int "two rules, one marker, zero findings" 0
-    (List.length (Lint.Rules.scan_project_full [ ("lib/tcp/multi.ml", src) ]));
   let r = Lint.Rules.scan_project [ ("lib/tcp/multi.ml", src) ] in
-  check_int "hashtbl half recorded as suppressed" 1
-    (List.assoc "unordered-hashtbl" r.Lint.Rules.suppressed);
-  check_int "determinism half recorded as suppressed" 1
-    (List.assoc "determinism-source" r.Lint.Rules.suppressed)
+  Alcotest.(check (list string))
+    "only the stale half is reported" [ Lint.Rules.rule_unused ]
+    (rules_of r.Lint.Rules.violations);
+  check_int "copy half recorded as suppressed" 1
+    (List.assoc "unaccounted-copy" r.Lint.Rules.suppressed)
 
 let test_report_surfaces () =
   let t = ref 0.0 in
@@ -382,140 +243,15 @@ let test_report_surfaces () =
     t := !t +. 1.0;
     !t
   in
-  let src = "let drain t f = Hashtbl.iter f t\n" in
+  let src = "let grab b = Bytes.copy b\n" in
   let r = Lint.Rules.scan_project ~now [ ("lib/tcp/r.ml", src) ] in
   Alcotest.(check (list string))
-    "timed passes in pipeline order" [ "lex"; "line-rules"; "ownership" ]
+    "timed passes in pipeline order" [ "lex"; "line-rules" ]
     (List.map fst r.Lint.Rules.timings);
   check_bool "injected clock produces nonzero wall times" true
     (List.for_all (fun (_, s) -> s > 0.0) r.Lint.Rules.timings);
   check_int "suppression table covers every rule" (List.length Lint.Rules.rule_ids)
     (List.length r.Lint.Rules.suppressed)
-
-(* ---------- the gc-budget oracle ---------- *)
-
-let test_gcbudget_oracle_catches_allocation () =
-  Memory.Gcbudget.reset ();
-  Memory.Gcbudget.set_armed true;
-  Fun.protect
-    ~finally:(fun () ->
-      Memory.Gcbudget.set_armed false;
-      Memory.Gcbudget.reset ())
-    (fun () ->
-      let dirty = Memory.Gcbudget.site ~warmup:0 "test.dirty" in
-      let sink = ref [] in
-      for i = 1 to 8 do
-        Memory.Gcbudget.enter dirty;
-        sink := i :: !sink (* a cons cell inside the measured window *);
-        Memory.Gcbudget.leave_steady dirty
-      done;
-      let clean = Memory.Gcbudget.site ~warmup:0 "test.clean" in
-      for _ = 1 to 8 do
-        Memory.Gcbudget.enter clean;
-        Memory.Gcbudget.leave_steady clean
-      done;
-      let busy = Memory.Gcbudget.site ~warmup:0 "test.busy" in
-      for i = 1 to 8 do
-        Memory.Gcbudget.enter busy;
-        sink := i :: !sink;
-        Memory.Gcbudget.leave_busy busy
-      done;
-      let stat name =
-        List.find
-          (fun s -> s.Memory.Gcbudget.site_name = name)
-          (Memory.Gcbudget.sites ())
-      in
-      check_int "every allocating steady poll is a violation" 8
-        (stat "test.dirty").Memory.Gcbudget.site_violations;
-      check_bool "worst-case words recorded" true
-        ((stat "test.dirty").Memory.Gcbudget.worst_words > 0);
-      check_int "allocation-free steady polls pass" 0
-        (stat "test.clean").Memory.Gcbudget.site_violations;
-      check_int "clean polls are still measured" 8 (stat "test.clean").Memory.Gcbudget.measured;
-      check_int "busy polls are never asserted" 0
-        (stat "test.busy").Memory.Gcbudget.site_violations;
-      check_int "busy polls are not measured" 0 (stat "test.busy").Memory.Gcbudget.measured;
-      ignore (Stdlib.List.length !sink))
-
-let test_gcbudget_warmup_and_disarmed () =
-  Memory.Gcbudget.reset ();
-  Memory.Gcbudget.set_armed true;
-  Fun.protect
-    ~finally:(fun () ->
-      Memory.Gcbudget.set_armed false;
-      Memory.Gcbudget.reset ())
-    (fun () ->
-      let s = Memory.Gcbudget.site ~warmup:5 "test.warmup" in
-      let sink = ref [] in
-      for i = 1 to 5 do
-        Memory.Gcbudget.enter s;
-        sink := i :: !sink;
-        Memory.Gcbudget.leave_steady s
-      done;
-      let stat =
-        List.find
-          (fun st -> st.Memory.Gcbudget.site_name = "test.warmup")
-          (Memory.Gcbudget.sites ())
-      in
-      check_int "warmup polls observed" 5 stat.Memory.Gcbudget.polls;
-      check_int "warmup polls not measured" 0 stat.Memory.Gcbudget.measured;
-      check_int "warmup allocations exempt" 0 stat.Memory.Gcbudget.site_violations;
-      ignore (Stdlib.List.length !sink));
-  (* Disarmed, the protocol is a no-op: nothing is even observed. *)
-  let s = Memory.Gcbudget.site ~warmup:0 "test.disarmed" in
-  let sink = ref [] in
-  for i = 1 to 4 do
-    Memory.Gcbudget.enter s;
-    sink := i :: !sink;
-    Memory.Gcbudget.leave_steady s
-  done;
-  check_int "disarmed polls never counted" 0 (Memory.Gcbudget.total_measured ());
-  ignore (Stdlib.List.length !sink)
-
-let test_gcbudget_busy_budget () =
-  let units = 8 in
-  (* One cons (3 words) per unit; the list ref exists before the window. *)
-  let window s =
-    let sink = ref [] in
-    Memory.Gcbudget.enter s;
-    for i = 1 to units do
-      sink := i :: !sink
-    done;
-    Memory.Gcbudget.leave_busy s ~units;
-    ignore (Sys.opaque_identity !sink)
-  in
-  let stat name =
-    List.find (fun st -> st.Memory.Gcbudget.site_name = name) (Memory.Gcbudget.sites ())
-  in
-  Memory.Gcbudget.reset ();
-  Memory.Gcbudget.set_armed true;
-  Fun.protect
-    ~finally:(fun () ->
-      Memory.Gcbudget.set_armed false;
-      Memory.Gcbudget.reset ())
-    (fun () ->
-      window (Memory.Gcbudget.site ~warmup:0 ~budget:3 "test.budget.exact");
-      check_int "exactly at budget passes" 0
-        (stat "test.budget.exact").Memory.Gcbudget.site_violations;
-      window (Memory.Gcbudget.site ~warmup:0 ~budget:2 "test.budget.over");
-      let over = stat "test.budget.over" in
-      check_int "one word per unit over budget is a violation" 1
-        over.Memory.Gcbudget.site_violations;
-      check_int "the excess is reported exactly" units over.Memory.Gcbudget.worst_words;
-      check_int "busy windows leave the steady counts alone" 0
-        (over.Memory.Gcbudget.polls + Memory.Gcbudget.total_measured ());
-      check_int "over-budget windows count as violations" 1
-        (Memory.Gcbudget.total_violations ()));
-  (* Disarmed, a budgeted window is a no-op too. *)
-  window (Memory.Gcbudget.site ~warmup:0 ~budget:0 "test.budget.disarmed");
-  check_int "disarmed windows never count" 0 (Memory.Gcbudget.total_violations ())
-
-let test_selfcheck_two_runs_identical () =
-  let r = Harness.Selfcheck.run ~seed:7L ~count:8 () in
-  check_bool "digests and metrics identical across same-seed runs" true
-    r.Harness.Selfcheck.ok;
-  check_bool "digest non-trivial" true
-    (String.length r.Harness.Selfcheck.first.Harness.Selfcheck.digest > 16)
 
 let suite =
   [
@@ -527,17 +263,8 @@ let suite =
       test_comments_and_strings_ignored;
     Alcotest.test_case "inline dlint-allow annotation" `Quick test_inline_allow_annotation;
     Alcotest.test_case "accounted copy passes" `Quick test_accounted_copy_passes;
-    Alcotest.test_case "Det sorted helpers pass" `Quick test_sorted_helpers_pass;
-    Alcotest.test_case "raw print in datapath" `Quick test_raw_print_in_datapath;
     Alcotest.test_case "allowlist lookup" `Quick test_allowlist_lookup;
     Alcotest.test_case "allowlist entries well-formed" `Quick test_allowlist_is_well_formed;
-    Alcotest.test_case "ownership: free after push" `Quick test_ownership_free_after_push;
-    Alcotest.test_case "ownership: double free" `Quick test_ownership_double_free;
-    Alcotest.test_case "ownership: leaked buffer" `Quick test_ownership_leaked_buffer;
-    Alcotest.test_case "ownership: dropped token" `Quick test_ownership_dropped_token;
-    Alcotest.test_case "ownership: clean idioms pass" `Quick test_ownership_clean_idioms;
-    Alcotest.test_case "ownership: inline allow honoured" `Quick
-      test_ownership_respects_inline_allow;
     Alcotest.test_case "stale inline dlint-allow marker" `Quick test_stale_inline_marker;
     Alcotest.test_case "stale central allowlist entry" `Quick test_stale_central_entry;
     Alcotest.test_case "json report format" `Quick test_json_report;
@@ -548,12 +275,4 @@ let suite =
       test_retired_rule_exemption_is_stale;
     Alcotest.test_case "interproc: multi-rule allow marker" `Quick test_multi_rule_allow;
     Alcotest.test_case "interproc: report timings + suppression" `Quick test_report_surfaces;
-    Alcotest.test_case "gc-budget: oracle catches allocation" `Quick
-      test_gcbudget_oracle_catches_allocation;
-    Alcotest.test_case "gc-budget: warmup and disarmed" `Quick
-      test_gcbudget_warmup_and_disarmed;
-    Alcotest.test_case "gc-budget: busy windows hold a per-unit budget" `Quick
-      test_gcbudget_busy_budget;
-    Alcotest.test_case "selfcheck: same seed, same fingerprint" `Quick
-      test_selfcheck_two_runs_identical;
   ]

@@ -710,6 +710,55 @@ let test_frame_bounds () =
   List.iter Memory.Heap.free !next_slots;
   check_int "every frame freed" 0 (Memory.Heap.live_objects frames)
 
+(* Fragment eviction at one clock tick, twice in one process. Every
+   partial datagram is born at tick 0, so the table's victim is decided
+   by its tie-break alone; with OCAMLRUNPARAM=R (as `dune runtest` runs)
+   each interface's table hashes with its own seed, so a victim chosen
+   in hash order changes which datagrams complete. *)
+let test_fragment_eviction_same_survivors () =
+  let survivors () =
+    let frames = Memory.Heap.create ~headroom:0 ~mode:Memory.Heap.Pool_backed () in
+    let iface =
+      Tcp.Iface.create ~mac:(Net.Addr.Mac.of_index 1) ~ip:local_ip
+        ~clock:(fun () -> 0)
+        ~frames ~tx_frame:Memory.Heap.free ()
+    in
+    let got = ref [] in
+    let deliver (h : Net.Ipv4.t) _ _ = got := h.Net.Ipv4.identification :: !got in
+    (* Half of a 16-byte datagram: the first (more fragments, offset 0)
+       or the last (offset 8). *)
+    let half ~id ~first =
+      let b = Bytes.make (Net.Eth.size + Net.Ipv4.size + 8) 'f' in
+      let off =
+        Net.Eth.write b 0
+          {
+            Net.Eth.dst = Net.Addr.Mac.of_index 1;
+            src = Net.Addr.Mac.of_index 2;
+            ethertype = Net.Eth.ethertype_ipv4;
+          }
+      in
+      let ip = Net.Ipv4.create () in
+      Net.Ipv4.set ip ~total_length:(Net.Ipv4.size + 8) ~identification:id
+        ~protocol:Net.Ipv4.protocol_udp ~src:peer_ip ~dst:local_ip ~more_fragments:first
+        ~fragment_offset:(if first then 0 else 8);
+
+      ignore (Net.Ipv4.write b off ip : int);
+      let frame = Memory.Heap.alloc_of_string frames (Bytes.unsafe_to_string b) in
+      Tcp.Iface.input iface frame ~deliver;
+      Memory.Heap.free frame
+    in
+    for id = 1 to 256 do
+      half ~id ~first:true
+    done;
+    for id = 1 to 256 do
+      half ~id ~first:false
+    done;
+    List.rev !got
+  in
+  let first = survivors () in
+  check_bool "some datagrams complete" true (first <> []);
+  Alcotest.(check (list int)) "same datagrams complete" first (survivors ())
+
 let suite =
   [
     Alcotest.test_case "u48 roundtrip" `Quick test_u48_roundtrip;
@@ -745,4 +794,7 @@ let suite =
     Alcotest.test_case "words: frame across tx, fabric and NIC rx" `Quick test_frame_hop_words;
     Alcotest.test_case "frame bounds: bytes past a frame's end are not read" `Quick
       test_frame_bounds;
+    Alcotest.test_case "fragment eviction: same seed, same survivors" `Quick
+      test_fragment_eviction_same_survivors;
   ]
+

@@ -109,10 +109,19 @@ let test_gate_catches_perturbation () =
   | Ok _ -> ()
   | Error why -> Alcotest.failf "a read-only probe failed the gate: %s" why
 
+let test_selfcheck_two_runs_identical () =
+  let r = Harness.Selfcheck.run ~seed:7L ~count:8 () in
+  check_bool "digests and metrics identical across same-seed runs" true
+    r.Harness.Selfcheck.ok;
+  check_bool "digest non-trivial" true
+    (String.length r.Harness.Selfcheck.first.Harness.Selfcheck.digest > 16)
+
 let suite =
   [
     Alcotest.test_case "check passes with every recorder armed" `Quick
       test_every_recorder_at_once;
     Alcotest.test_case "check fails on a perturbing probe" `Quick test_gate_catches_perturbation;
     Alcotest.test_case "check passes with every stream wrapping" `Quick test_every_stream_wraps;
+    Alcotest.test_case "selfcheck: same seed, same fingerprint" `Quick
+      test_selfcheck_two_runs_identical;
   ]

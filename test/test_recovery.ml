@@ -194,6 +194,35 @@ let test_aof_compaction_and_recovery () =
   Engine.Sim.run ~until:(Engine.Clock.s 20) sim;
   check_int "all keys recovered through the snapshot" 5 !ok
 
+(* The compacting world twice from one seed in one process: the disk
+   must hold the same bytes. `dune runtest` runs with OCAMLRUNPARAM=R,
+   so each run's Hashtbls hash with a fresh seed; a snapshot written in
+   hash order lays its 64 keys out differently and fails this. *)
+let test_compaction_same_bytes () =
+  let keys = 64 in
+  let run () =
+    let sim, fabric = world () in
+    let ssd = Net.Ssd_sim.create sim ~cost:bare ~capacity:(1 lsl 26) in
+    let server = Demikernel.Boot.make sim fabric ~index:1 ~ssd Demikernel.Boot.Catnip_os in
+    let client = Demikernel.Boot.make sim fabric ~index:2 Demikernel.Boot.Catnip_os in
+    Demikernel.Boot.run_app server (Apps.Dkv.server ~port:6379 ~persist:true);
+    Demikernel.Boot.run_app client (fun api ->
+        let c = Apps.Dkv.client_connect api (Demikernel.Boot.endpoint server 6379) in
+        for i = 1 to 10 * keys do
+          assert (Apps.Dkv.set c (Printf.sprintf "k%d" (i mod keys)) (String.make 1000 'v') = Apps.Dkv.Ok)
+        done;
+        Apps.Dkv.client_close c);
+    Demikernel.Boot.start server;
+    Demikernel.Boot.start client;
+    Engine.Sim.run ~until:(Engine.Clock.s 10) sim;
+    Net.Ssd_sim.contents ssd ~off:0 ~len:(Net.Ssd_sim.bytes_written ssd)
+
+  in
+  let first = run () in
+  let start = Net.Wire.get_u32 (Bytes.unsafe_of_string first) 4 in
+  check_bool (Printf.sprintf "compacted (start=%d)" start) true (start > 8);
+  check_bool "same bytes on disk" true (String.equal first (run ()))
+
 let test_catnap_dkv_crash_recovery () =
   (* The same crash-recovery story on the kernel path: Catnap's log is
      an ext4-style file read back with pread. *)
@@ -279,4 +308,7 @@ let suite =
     Alcotest.test_case "catnap dkv crash recovery" `Quick test_catnap_dkv_crash_recovery;
     Alcotest.test_case "seek bounds checked" `Quick test_seek_bounds_checked;
     Alcotest.test_case "network libOS rejects log calls" `Quick test_net_libos_rejects_log_calls;
+    Alcotest.test_case "dkv compaction: same seed, same bytes on disk" `Quick
+      test_compaction_same_bytes;
   ]
+
