@@ -144,6 +144,22 @@ let make_port profile sim fabric ~index =
       for _ = 1 to 256 do
         Net.Rdma_sim.post_recv rnic
       done;
+      (* The handler of the drain in progress. *)
+      let handler = ref (fun ~src:_ _ _ _ -> ()) in
+      let consumer =
+        {
+          Net.Rdma_sim.batch = ignore;
+          send_done = ignore;
+          recv =
+            (fun ~src_mac ~imm:_ frame ->
+              charge sim (profile.per_op_cpu_ns + cost.Net.Cost.rdma_poll_ns);
+              Net.Rdma_sim.post_recv rnic;
+              !handler ~src:src_mac (Memory.Heap.data frame) (Memory.Heap.offset frame)
+                (Memory.Heap.length frame);
+              Memory.Heap.free frame);
+          write_done = (fun ~wr_id:_ ~ok:_ -> ());
+        }
+      in
       {
         mac;
         send =
@@ -151,22 +167,9 @@ let make_port profile sim fabric ~index =
             charge sim (profile.per_op_cpu_ns + cost.Net.Cost.rdma_post_ns);
             Net.Rdma_sim.post_send rnic ~dst ~wr_id:0 ~imm:0 b off len);
         drain =
-          (fun handler ->
-            match Net.Rdma_sim.poll_cq rnic ~max:32 with
-            | [] -> false
-            | completions ->
-                List.iter
-                  (fun completion ->
-                    match completion with
-                    | Net.Rdma_sim.Recv { src_mac; frame; _ } ->
-                        charge sim (profile.per_op_cpu_ns + cost.Net.Cost.rdma_poll_ns);
-                        Net.Rdma_sim.post_recv rnic;
-                        handler ~src:src_mac (Memory.Heap.data frame) (Memory.Heap.offset frame)
-                          (Memory.Heap.length frame);
-                        Memory.Heap.free frame
-                    | Net.Rdma_sim.Send_done _ | Net.Rdma_sim.Write_done _ -> ())
-                  completions;
-                true);
+          (fun h ->
+            handler := h;
+            Net.Rdma_sim.drain_cq rnic ~max:32 consumer > 0);
         signal = Net.Rdma_sim.cq_signal rnic;
       }
 

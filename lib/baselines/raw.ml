@@ -95,30 +95,42 @@ let perftest_pingpong sim fabric ~server_index ~client_index ~msg_size ~count ~r
     Net.Rdma_sim.post_recv server;
     Net.Rdma_sim.post_recv client
   done;
+  (* Every completion is charged one CQ poll. *)
+  let consumer ~recv =
+    let polled () = charge sim cost.Net.Cost.rdma_poll_ns in
+    {
+      Net.Rdma_sim.batch = ignore;
+      send_done = (fun _ -> polled ());
+      recv =
+        (fun ~src_mac ~imm:_ frame ->
+          polled ();
+          recv src_mac frame);
+      write_done = (fun ~wr_id:_ ~ok:_ -> polled ());
+    }
+  in
+  let serve =
+    consumer ~recv:(fun src_mac frame ->
+        Net.Rdma_sim.post_recv server;
+        charge sim cost.Net.Cost.rdma_post_ns;
+        (* Echo straight from the arrived frame. *)
+        Net.Rdma_sim.post_send server ~dst:src_mac ~wr_id:0 ~imm:0 (Memory.Heap.data frame)
+          (Memory.Heap.offset frame) (Memory.Heap.length frame);
+        Memory.Heap.free frame)
+  in
   Engine.Fiber.spawn sim ~name:"perftest-server" (fun () ->
       let rec loop () =
-        (match Net.Rdma_sim.poll_cq server ~max:8 with
-        | [] ->
-            ignore
-              (Engine.Condvar.wait_many sim [ Net.Rdma_sim.cq_signal server ] ~timeout:None)
-        | completions ->
-            List.iter
-              (fun completion ->
-                charge sim cost.Net.Cost.rdma_poll_ns;
-                match completion with
-                | Net.Rdma_sim.Recv { src_mac; frame; _ } ->
-                    Net.Rdma_sim.post_recv server;
-                    charge sim cost.Net.Cost.rdma_post_ns;
-                    (* Echo straight from the arrived frame. *)
-                    Net.Rdma_sim.post_send server ~dst:src_mac ~wr_id:0 ~imm:0
-                      (Memory.Heap.data frame) (Memory.Heap.offset frame)
-                      (Memory.Heap.length frame);
-                    Memory.Heap.free frame
-                | Net.Rdma_sim.Send_done _ | Net.Rdma_sim.Write_done _ -> ())
-              completions);
+        if Net.Rdma_sim.drain_cq server ~max:8 serve = 0 then
+          ignore (Engine.Condvar.wait_many sim [ Net.Rdma_sim.cq_signal server ] ~timeout:None);
         loop ()
       in
       loop ());
+  let got_reply = ref false in
+  let reply =
+    consumer ~recv:(fun _ frame ->
+        Net.Rdma_sim.post_recv client;
+        Memory.Heap.free frame;
+        got_reply := true)
+  in
   Engine.Fiber.spawn sim ~name:"perftest-client" (fun () ->
       let payload = Bytes.make (max 1 msg_size) 'p' in
       let rec go n =
@@ -127,25 +139,12 @@ let perftest_pingpong sim fabric ~server_index ~client_index ~msg_size ~count ~r
           charge sim cost.Net.Cost.rdma_post_ns;
           Net.Rdma_sim.post_send client ~dst:(Net.Rdma_sim.mac server) ~wr_id:1 ~imm:0 payload 0
             (Bytes.length payload);
-          let got_reply = ref false in
+          got_reply := false;
           let rec await () =
             if not !got_reply then begin
-              (match Net.Rdma_sim.poll_cq client ~max:8 with
-              | [] ->
-                  ignore
-                    (Engine.Condvar.wait_many sim [ Net.Rdma_sim.cq_signal client ]
-                       ~timeout:None)
-              | completions ->
-                  List.iter
-                    (fun completion ->
-                      charge sim cost.Net.Cost.rdma_poll_ns;
-                      match completion with
-                      | Net.Rdma_sim.Recv { frame; _ } ->
-                          Net.Rdma_sim.post_recv client;
-                          Memory.Heap.free frame;
-                          got_reply := true
-                      | Net.Rdma_sim.Send_done _ | Net.Rdma_sim.Write_done _ -> ())
-                    completions);
+              if Net.Rdma_sim.drain_cq client ~max:8 reply = 0 then
+                ignore
+                  (Engine.Condvar.wait_many sim [ Net.Rdma_sim.cq_signal client ] ~timeout:None);
               await ()
             end
           in

@@ -21,32 +21,32 @@ let replica sim fabric ~index =
   let cost = Net.Fabric.cost fabric in
   let rnic = make_rnic fabric ~index in
   let store : (string, int * string) Hashtbl.t = Hashtbl.create 1024 in
+  let serve =
+    {
+      Net.Rdma_sim.batch = ignore;
+      send_done = ignore;
+      recv =
+        (fun ~src_mac ~imm frame ->
+          Net.Rdma_sim.post_recv rnic;
+          (* Copy in, process, copy out. *)
+          let len = Memory.Heap.length frame in
+          charge sim (cost.Net.Cost.rdma_poll_ns + qp_overhead_ns + Net.Cost.copy_cost_ns cost len);
+          let response =
+            Apps.Txnstore.handle_request ~store (Memory.Heap.data frame) (Memory.Heap.offset frame)
+              len
+          in
+          Memory.Heap.free frame;
+          charge sim
+            (cost.Net.Cost.rdma_post_ns + qp_overhead_ns
+            + Net.Cost.copy_cost_ns cost (String.length response));
+          post_string rnic ~dst:src_mac ~imm response);
+      write_done = (fun ~wr_id:_ ~ok:_ -> ());
+    }
+  in
   Engine.Fiber.spawn sim ~name:"txn-rdma-replica" (fun () ->
       let rec loop () =
-        (match Net.Rdma_sim.poll_cq rnic ~max:16 with
-        | [] ->
-            ignore (Engine.Condvar.wait_many sim [ Net.Rdma_sim.cq_signal rnic ] ~timeout:None)
-        | completions ->
-            List.iter
-              (fun completion ->
-                match completion with
-                | Net.Rdma_sim.Recv { src_mac; imm; frame } ->
-                    Net.Rdma_sim.post_recv rnic;
-                    (* Copy in, process, copy out. *)
-                    let len = Memory.Heap.length frame in
-                    charge sim
-                      (cost.Net.Cost.rdma_poll_ns + qp_overhead_ns + Net.Cost.copy_cost_ns cost len);
-                    let response =
-                      Apps.Txnstore.handle_request ~store (Memory.Heap.data frame)
-                        (Memory.Heap.offset frame) len
-                    in
-                    Memory.Heap.free frame;
-                    charge sim
-                      (cost.Net.Cost.rdma_post_ns + qp_overhead_ns
-                      + Net.Cost.copy_cost_ns cost (String.length response));
-                    post_string rnic ~dst:src_mac ~imm response
-                | Net.Rdma_sim.Send_done _ | Net.Rdma_sim.Write_done _ -> ())
-              completions);
+        if Net.Rdma_sim.drain_cq rnic ~max:16 serve = 0 then
+          ignore (Engine.Condvar.wait_many sim [ Net.Rdma_sim.cq_signal rnic ] ~timeout:None);
         loop ()
       in
       loop ())
@@ -61,11 +61,33 @@ let ycsb_client sim fabric ~index ~replica_indexes ~keys ~value_size ~txns ~thet
       let next_key = Apps.Workload.zipfian prng ~n:keys ~theta in
       let value = String.make value_size 'w' in
       let next_rpc = ref 1 in
+      (* The request ids still unanswered, and the frames of the answers
+         so far, of the one [rpc_many] in progress. *)
+      let pending = ref [] in
+      let responses = ref [] in
+      let collect =
+        {
+          Net.Rdma_sim.batch = ignore;
+          send_done = ignore;
+          recv =
+            (fun ~src_mac:_ ~imm frame ->
+              Net.Rdma_sim.post_recv rnic;
+              charge sim
+                (cost.Net.Cost.rdma_poll_ns + qp_overhead_ns
+                + Net.Cost.copy_cost_ns cost (Memory.Heap.length frame));
+              if List.mem imm !pending then begin
+                pending := List.filter (fun i -> i <> imm) !pending;
+                responses := frame :: !responses
+              end
+              else Memory.Heap.free frame);
+          write_done = (fun ~wr_id:_ ~ok:_ -> ());
+        }
+      in
       (* Send one request per listed replica, then collect the matching
          responses (request ids ride the imm field) as their frames; the
          caller frees them. *)
       let rpc_many targets msg =
-        let ids =
+        pending :=
           List.map
             (fun target ->
               let id = !next_rpc in
@@ -75,32 +97,12 @@ let ycsb_client sim fabric ~index ~replica_indexes ~keys ~value_size ~txns ~thet
                 + Net.Cost.copy_cost_ns cost (String.length msg));
               post_string rnic ~dst:replicas.(target) ~imm:id msg;
               id)
-            targets
-        in
-        let pending = ref ids in
-        let responses = ref [] in
+            targets;
+        responses := [];
         let rec await () =
           if !pending <> [] then begin
-            (match Net.Rdma_sim.poll_cq rnic ~max:16 with
-            | [] ->
-                ignore
-                  (Engine.Condvar.wait_many sim [ Net.Rdma_sim.cq_signal rnic ] ~timeout:None)
-            | completions ->
-                List.iter
-                  (fun completion ->
-                    match completion with
-                    | Net.Rdma_sim.Recv { imm; frame; _ } ->
-                        Net.Rdma_sim.post_recv rnic;
-                        charge sim
-                          (cost.Net.Cost.rdma_poll_ns + qp_overhead_ns
-                          + Net.Cost.copy_cost_ns cost (Memory.Heap.length frame));
-                        if List.mem imm !pending then begin
-                          pending := List.filter (fun i -> i <> imm) !pending;
-                          responses := frame :: !responses
-                        end
-                        else Memory.Heap.free frame
-                    | Net.Rdma_sim.Send_done _ | Net.Rdma_sim.Write_done _ -> ())
-                  completions);
+            if Net.Rdma_sim.drain_cq rnic ~max:16 collect = 0 then
+              ignore (Engine.Condvar.wait_many sim [ Net.Rdma_sim.cq_signal rnic ] ~timeout:None);
             await ()
           end
         in

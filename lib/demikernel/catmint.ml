@@ -20,11 +20,12 @@ type chan = {
   mutable sent : int;
   mutable consumed : int;
   mutable granted_to_peer : int;
-  pending_sends : (Pdpix.qtoken * Pdpix.sga) Queue.t;
-      (* pushes awaiting grant; each buffer holds a libOS reference
-         until the device gathers it *)
+  pending_qts : Pdpix.qtoken Engine.Ring.t;
+  pending_sgas : Pdpix.sga Engine.Ring.t;
+      (* pushes awaiting grant, token and sga in parallel rings; each
+         buffer holds a libOS reference until the device gathers it *)
   pops : Runtime.pending;
-  recv_q : Memory.Heap.buffer Queue.t;
+  recv_q : Memory.Heap.buffer Engine.Ring.t;
   mutable eof : bool;
   mutable connect_token : Pdpix.qtoken option;
   mutable flow : Dsched.handle option;
@@ -34,7 +35,7 @@ type chan = {
 type entry =
   | Unbound of Pdpix.proto
   | Bound_tcp of Net.Addr.endpoint
-  | Listening of chan Queue.t * Runtime.pending (* connected, not yet accepted *)
+  | Listening of chan Engine.Ring.t * Runtime.pending (* connected, not yet accepted *)
   | Channel of chan
 
 type t = {
@@ -96,9 +97,10 @@ let send_data t ch qt sga =
    stalled channel on every poll round, and a still-blocked channel —
    the steady case — must cost nothing. *)
 let rec flush_pending_loop t ch =
-  if (not (Queue.is_empty ch.pending_sends)) && grant_available ch > 0 && ch.peer_chan >= 0
+  if (not (Engine.Ring.is_empty ch.pending_qts)) && grant_available ch > 0 && ch.peer_chan >= 0
   then begin
-    let qt, sga = Queue.pop ch.pending_sends in
+    let qt = Engine.Ring.pop ch.pending_qts in
+    let sga = Engine.Ring.pop ch.pending_sgas in
     send_data t ch qt sga;
     List.iter Memory.Heap.os_decref sga;
     flush_pending_loop t ch
@@ -133,7 +135,7 @@ let rec flush_stalled t chans =
   | [] -> false
   | ch :: rest ->
       flush_pending t ch;
-      let unstalled = Queue.is_empty ch.pending_sends || not (live ch) in
+      let unstalled = Engine.Ring.is_empty ch.pending_qts || not (live ch) in
       if unstalled then ch.stalled <- false;
       let rest_unstalled = flush_stalled t rest in
       unstalled || rest_unstalled
@@ -180,8 +182,8 @@ let flow_coroutine t ch () =
 (* The pops' source: a received message, then end-of-file. Consuming a
    message may let the flow-control coroutine grant more window. *)
 let pop_next t ch () =
-  if not (Queue.is_empty ch.recv_q) then begin
-    let buf = Queue.pop ch.recv_q in
+  if not (Engine.Ring.is_empty ch.recv_q) then begin
+    let buf = Engine.Ring.pop ch.recv_q in
     ch.consumed <- ch.consumed + 1;
     (match ch.flow with Some h -> Dsched.wake (Runtime.sched t.rt) h | None -> ());
     Some (Pdpix.Popped [ buf ])
@@ -205,9 +207,10 @@ let make_chan t ~qd ~peer_mac =
         sent = 0;
         consumed = 0;
         granted_to_peer = t.window;
-        pending_sends = Queue.create ();
+        pending_qts = Engine.Ring.create ();
+        pending_sgas = Engine.Ring.create ();
         pops = Runtime.pending t.rt (fun () -> pop_next t (Lazy.force ch) ());
-        recv_q = Queue.create ();
+        recv_q = Engine.Ring.create ();
         eof = false;
         connect_token = None;
         flow = None;
@@ -226,18 +229,21 @@ let make_chan t ~qd ~peer_mac =
 
 let cell_rkey t ch = Net.Rdma_sim.register_region t.rnic ch.cell
 
+let rec fail_pending_sends t ch reason =
+  if not (Engine.Ring.is_empty ch.pending_qts) then begin
+    let qt = Engine.Ring.pop ch.pending_qts in
+    List.iter Memory.Heap.os_decref (Engine.Ring.pop ch.pending_sgas);
+    Runtime.complete t.rt qt (Pdpix.Failed reason);
+    fail_pending_sends t ch reason
+  end
+
 let fail_chan t ch reason =
   (match ch.connect_token with
   | Some qt ->
       ch.connect_token <- None;
       Runtime.complete t.rt qt (Pdpix.Failed reason)
   | None -> ());
-  Queue.iter
-    (fun (qt, sga) ->
-      List.iter Memory.Heap.os_decref sga;
-      Runtime.complete t.rt qt (Pdpix.Failed reason))
-    ch.pending_sends;
-  Queue.clear ch.pending_sends;
+  fail_pending_sends t ch reason;
   Runtime.fail ch.pops reason;
   match ch.flow with Some h -> Dsched.wake (Runtime.sched t.rt) h | None -> ()
 
@@ -270,7 +276,7 @@ let handle_connect t ~src_mac frame =
           Net.Wire.set_u32 ch.cell 0 grant;
           post_control t ~dst:src_mac ~msg:m_accept ~chan:requester_chan
             (u32s [ ch.id; cell_rkey t ch; t.window ]);
-          Queue.add ch backlog;
+          Engine.Ring.push backlog ch;
           Runtime.serve accepts
       | Some _ | None ->
           post_control t ~dst:src_mac ~msg:m_refuse ~chan:requester_chan Bytes.empty)
@@ -311,7 +317,7 @@ let handle_recv t ~src_mac ~imm frame =
           Bytes.blit (Memory.Heap.data frame) (Memory.Heap.offset frame) (Memory.Heap.data buf)
             (Memory.Heap.offset buf) len;
           Memory.Heap.set_length buf len;
-          Queue.add buf ch.recv_q;
+          Engine.Ring.push ch.recv_q buf;
           Runtime.serve ch.pops
       | None -> ())
   | 5 (* close *) -> (
@@ -322,22 +328,23 @@ let handle_recv t ~src_mac ~imm frame =
       | None -> ())
   | _ -> ()
 
-let handle_completion t completion =
-  charge_dev t (cost t).Net.Cost.rdma_poll_ns;
-  match completion with
-  | Net.Rdma_sim.Send_done { wr_id } ->
-      if wr_id > 0 then Runtime.complete t.rt wr_id Pdpix.Pushed
-  | Net.Rdma_sim.Recv { src_mac; imm; frame } ->
-      handle_recv t ~src_mac ~imm frame;
-      Memory.Heap.free frame
-  | Net.Rdma_sim.Write_done _ -> ()
-
-let rec handle_all t completions =
-  match completions with
-  | [] -> ()
-  | c :: rest ->
-      handle_completion t c;
-      handle_all t rest
+(* A batch is charged one libOS poll, and every completion in it one CQ
+   poll; built once per libOS. *)
+let consumer t =
+  let polled () = charge_dev t (cost t).Net.Cost.rdma_poll_ns in
+  {
+    Net.Rdma_sim.batch = (fun _ -> charge t (cost t).Net.Cost.libos_poll_ns);
+    send_done =
+      (fun wr_id ->
+        polled ();
+        if wr_id > 0 then Runtime.complete t.rt wr_id Pdpix.Pushed);
+    recv =
+      (fun ~src_mac ~imm frame ->
+        polled ();
+        handle_recv t ~src_mac ~imm frame;
+        Memory.Heap.free frame);
+    write_done = (fun ~wr_id:_ ~ok:_ -> polled ());
+  }
 
 let gc_site = Memory.Gcbudget.site "catmint.fast_path"
 
@@ -345,20 +352,20 @@ let gc_site = Memory.Gcbudget.site "catmint.fast_path"
    Steady means the CQ was empty AND the retry round made no progress;
    a silent grant arrival turns the round busy (it posts sends, whose
    doorbell charge performs an effect). Device work means a nonempty
-   CQ. *)
-let poll t () =
+   CQ; the window closes before the drain's first charge. *)
+let poll t consumer () =
   Memory.Gcbudget.enter gc_site;
-  match Net.Rdma_sim.poll_cq t.rnic ~max:16 with
-  | [] ->
-      if retry_stalled t then Memory.Gcbudget.leave_busy gc_site
-      else Memory.Gcbudget.leave_steady gc_site;
-      false
-  | completions ->
-      Memory.Gcbudget.leave_busy gc_site;
-      charge t (cost t).Net.Cost.libos_poll_ns;
-      handle_all t completions;
-      ignore (retry_stalled t);
-      true
+  if Net.Rdma_sim.cq_pending t.rnic = 0 then begin
+    if retry_stalled t then Memory.Gcbudget.leave_busy gc_site
+    else Memory.Gcbudget.leave_steady gc_site;
+    false
+  end
+  else begin
+    Memory.Gcbudget.leave_busy gc_site;
+    ignore (Net.Rdma_sim.drain_cq t.rnic ~max:16 consumer : int);
+    ignore (retry_stalled t);
+    true
+  end
 
 (* ---------- PDPIX operations ---------- *)
 
@@ -384,10 +391,10 @@ let op_bind t qd ep =
 let op_listen t qd _backlog =
   match find t qd with
   | Bound_tcp ep ->
-      let backlog = Queue.create () in
+      let backlog = Engine.Ring.create () in
       let next () =
-        if Queue.is_empty backlog then None
-        else Some (Pdpix.Accepted (Queue.pop backlog).chan_qd)
+        if Engine.Ring.is_empty backlog then None
+        else Some (Pdpix.Accepted (Engine.Ring.pop backlog).chan_qd)
       in
       Hashtbl.replace t.qds qd (Listening (backlog, Runtime.pending t.rt next));
       Hashtbl.replace t.listeners ep.Net.Addr.port qd
@@ -423,8 +430,9 @@ let op_close t qd =
   | Channel ch -> close_chan t ch
   | Listening (backlog, accepts) ->
       (* Channels connected but never accepted close with it. *)
-      Queue.iter (close_chan t) backlog;
-      Queue.clear backlog;
+      while not (Engine.Ring.is_empty backlog) do
+        close_chan t (Engine.Ring.pop backlog)
+      done;
       Runtime.fail accepts "queue closed"
   | Unbound _ | Bound_tcp _ -> ());
   Hashtbl.remove t.qds qd
@@ -449,13 +457,14 @@ let op_push t qd sga =
           if Pdpix.sga_length sga > Net.Rdma_sim.max_message_size then
             invalid_arg "catmint: message exceeds device limit";
           let qt = Runtime.fresh_token t.rt in
-          if ch.peer_chan >= 0 && grant_available ch > 0 && Queue.is_empty ch.pending_sends
+          if ch.peer_chan >= 0 && grant_available ch > 0 && Engine.Ring.is_empty ch.pending_qts
           then send_data t ch qt sga
           else begin
             (* The device gathers a queued push later: the libOS
                reference keeps an early app free from recycling it. *)
             List.iter Memory.Heap.os_incref sga;
-            Queue.add (qt, sga) ch.pending_sends;
+            Engine.Ring.push ch.pending_qts qt;
+            Engine.Ring.push ch.pending_sgas sga;
             mark_stalled t ch
           end;
           qt)
@@ -488,7 +497,8 @@ let create rt ~rnic ?(window = 64) () =
   for _ = 1 to 4 * window do
     Net.Rdma_sim.post_recv rnic
   done;
-  Runtime.fast_path rt ~name:"catmint-fast-path" ~signal:(Net.Rdma_sim.cq_signal rnic) (poll t);
+  Runtime.fast_path rt ~name:"catmint-fast-path" ~signal:(Net.Rdma_sim.cq_signal rnic)
+    (poll t (consumer t));
   t
 
 let ops t =

@@ -8,7 +8,7 @@ and coro = {
   kind : kind;
   name : string;
   mutable state : state;
-  mutable cont : (unit, unit) Effect.Deep.continuation option;
+  mutable cont : (unit, unit) Effect.Deep.continuation; (* [Sim.no_cont] unless parked *)
   mutable body : (unit -> unit) option; (* Some until the first dispatch *)
   mutable pending_wake : bool;
   mutable handler : (unit, unit) Effect.Deep.handler; (* built once, at spawn *)
@@ -21,7 +21,7 @@ type t = {
   bg_q : coro Engine.Ring.t;
   fp_q : coro Engine.Ring.t;
   mutable by_slot : coro array;
-  mutable current : coro; (* [no_coro] outside a slice *)
+  mutable current : coro; (* [nobody] outside a slice *)
   mutable live : int;
   mutable stopped : bool;
   mutable switches : int;
@@ -33,15 +33,16 @@ type t = {
 
 type _ Effect.t += Yield : unit Effect.t | Block : unit Effect.t
 
-(* The sentinel coroutine: an empty slot, and [current] between
-   slices. It is [Dead], so it is never dispatched or woken. *)
-let no_coro =
+(* The sentinel coroutine: an empty slot, [current] between slices, and
+   an empty waiter slot elsewhere. It is [Dead], so it is never
+   dispatched or woken. *)
+let nobody =
   {
     slot = -1;
     kind = Background;
     name = "";
     state = Dead;
-    cont = None;
+    cont = Engine.Sim.no_cont;
     body = None;
     pending_wake = false;
     handler = { Effect.Deep.retc = ignore; exnc = raise; effc = (fun _ -> None) };
@@ -61,8 +62,8 @@ let create host =
       app_q = Engine.Ring.create ();
       bg_q = Engine.Ring.create ();
       fp_q = Engine.Ring.create ();
-      by_slot = Array.make 8 no_coro;
-      current = no_coro;
+      by_slot = Array.make 8 nobody;
+      current = nobody;
       live = 0;
       stopped = false;
       switches = 0;
@@ -81,20 +82,20 @@ let create host =
 let host t = t.host
 
 (* The handler and the [Some] closures its [effc] returns are built once
-   per coroutine: a yield or block allocates only the captured
-   continuation and the [Some] that parks it. *)
+   per coroutine: a yield or block allocates only the continuation the
+   effect runtime captures, parked in a plain field. *)
 let handler t coro =
   let on_yield =
     Some
       (fun k ->
-        coro.cont <- Some k;
+        coro.cont <- k;
         coro.state <- Ready;
         enqueue t coro)
   in
   let on_block =
     Some
       (fun k ->
-        coro.cont <- Some k;
+        coro.cont <- k;
         coro.state <- Blocked)
   in
   {
@@ -117,15 +118,15 @@ let spawn t kind ?(name = "coroutine") body =
       kind;
       name;
       state = Ready;
-      cont = None;
+      cont = Engine.Sim.no_cont;
       body = Some body;
       pending_wake = false;
-      handler = no_coro.handler;
+      handler = nobody.handler;
     }
   in
   coro.handler <- handler t coro;
   if slot >= Array.length t.by_slot then begin
-    let grown = Array.make (2 * (slot + 1)) no_coro in
+    let grown = Array.make (2 * (slot + 1)) nobody in
     Array.blit t.by_slot 0 grown 0 (Array.length t.by_slot);
     t.by_slot <- grown
   end;
@@ -135,7 +136,7 @@ let spawn t kind ?(name = "coroutine") body =
   coro
 
 let self t =
-  if t.current == no_coro then failwith "Dsched.self: not inside a coroutine" else t.current
+  if t.current == nobody then failwith "Dsched.self: not inside a coroutine" else t.current
 
 let yield t =
   ignore (self t);
@@ -172,13 +173,12 @@ let run_slice t coro =
   | Some body ->
       coro.body <- None;
       Effect.Deep.match_with body () coro.handler
-  | None -> (
-      match coro.cont with
-      | Some k ->
-          coro.cont <- None;
-          Effect.Deep.continue k ()
-      | None -> assert false));
-  t.current <- no_coro
+  | None ->
+      let k = coro.cont in
+      assert (k != Engine.Sim.no_cont);
+      coro.cont <- Engine.Sim.no_cont;
+      Effect.Deep.continue k ());
+  t.current <- nobody
 
 (* Dispatch priority (§5.4): runnable application coroutines, then
    background, then the always-runnable fast-path coroutines, FIFO

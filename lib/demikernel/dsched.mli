@@ -10,11 +10,12 @@
 
     A switch allocates only what the effect runtime must: each
     coroutine's handler and the [Some] closures it returns for [Yield]
-    and [Block] are built once, at {!spawn}; run queues are rings and
-    the running coroutine is a sentinel-initialised field. A yield round
-    trip, including its charged switch (a {!Host.charge}, i.e. a
-    [Fiber.sleep] the coroutine handler forwards to the host fiber),
-    costs 8 words.
+    and [Block] are built once, at {!spawn}; a parked continuation sits
+    in a plain field whose empty value is [Engine.Sim.no_cont]; run
+    queues are rings and the running coroutine is a sentinel-initialised
+    field. A yield round trip, including its charged switch (a
+    {!Host.charge}, i.e. a [Fiber.sleep] the coroutine handler forwards
+    to the host fiber), costs 4 words: the two captured continuations.
 
     Polling without simulated spinning: a fast-path coroutine that finds
     its device rings empty and {!runnable_apps} false parks the whole
@@ -28,6 +29,10 @@ type kind = App | Background | Fast_path
 
 type handle
 (** A spawned coroutine; also the target for {!wake}. *)
+
+val nobody : handle
+(** A placeholder handle for an empty waiter slot; it is never
+    dispatched, and waking it does nothing. *)
 
 val create : Host.t -> t
 

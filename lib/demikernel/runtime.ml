@@ -1,8 +1,13 @@
 type token_state = {
-  mutable result : Pdpix.completion option;
-  mutable waiter : Dsched.handle option; (* a [wait] blocked on this token alone *)
+  mutable result : Pdpix.completion; (* [unfinished] until [complete] *)
+  mutable waiter : Dsched.handle;
+      (* a [wait] blocked on this token alone; [Dsched.nobody] if none *)
   mutable since : int; (* [waiter]'s registration stamp *)
 }
+
+(* The result of a token not yet completed; no completion is physically
+   this one. *)
+let unfinished = Pdpix.Failed "unfinished"
 
 (* A [wait_any] blocked on its token set. Registering costs one record
    per blocking call, whatever the size of [qts]. *)
@@ -35,7 +40,7 @@ type t = {
    data, oldest first, and the source that produces that data. *)
 and pending = {
   rt : t;
-  waiting : Pdpix.qtoken Queue.t;
+  waiting : Pdpix.qtoken Engine.Ring.t;
   mutable failure : string option; (* sticky: fails every later token *)
   next : unit -> Pdpix.completion option;
 }
@@ -67,7 +72,7 @@ let sched t = t.sched
 let fresh_token t =
   let qt = t.next_token in
   t.next_token <- t.next_token + 1;
-  Hashtbl.replace t.tokens qt { result = None; waiter = None; since = 0 };
+  Hashtbl.replace t.tokens qt { result = unfinished; waiter = Dsched.nobody; since = 0 };
   (* Demitrace op span: opens at submission (every op mints its token at
      submission time), closes in [complete]. The kind is a placeholder
      until the PDPIX wrapper labels it — instantly-completed ops close
@@ -126,7 +131,8 @@ let retire t qt =
 let redeem t qt =
   let ts = find_token t qt in
   retire t qt;
-  match ts.result with Some r -> r | None -> assert false
+  assert (ts.result != unfinished);
+  ts.result
 
 (* The one coroutine a completion wakes. Each token behaves as if it had
    a single waiter slot: the latest registrant holding it, whether a
@@ -149,8 +155,8 @@ let rec wake_stamp t s ws =
 
 let complete t qt result =
   let ts = find_token t qt in
-  assert (match ts.result with None -> true | Some _ -> false);
-  ts.result <- Some result;
+  assert (ts.result == unfinished);
+  ts.result <- result;
   push_ready t qt;
   (match Engine.Sim.spans t.host.Host.sim with
   | Some s ->
@@ -160,9 +166,8 @@ let complete t qt result =
   Engine.Sim.flight_note t.host.Host.sim ~cat:Engine.Log.Libos ~label:"qtoken.close" qt
     (match result with Pdpix.Failed _ -> 1 | _ -> 0);
   let s = holder_stamp qt 0 t.watchers in
-  match ts.waiter with
-  | Some h when ts.since > s -> Dsched.wake t.sched h
-  | Some _ | None -> if s > 0 then wake_stamp t s t.watchers
+  if ts.waiter != Dsched.nobody && ts.since > s then Dsched.wake t.sched ts.waiter
+  else if s > 0 then wake_stamp t s t.watchers
 
 let completed_token t result =
   let qt = fresh_token t in
@@ -180,25 +185,24 @@ let fresh_qd t =
    [complete] appends to the ready list, so a [wait_any] never looks a
    token up, or writes to it, unless it redeems it. --- *)
 
-(* The block/wake loop allocates only at the edges (registration on
-   entry, result delivery on exit), never per wake: the waiter option
-   is hoisted out of the loop and re-used across re-blocks. *)
+(* Top-level recursion over plain slots: a [wait] allocates nothing of
+   its own, however often it re-blocks. *)
+let rec wait_loop t qt ts me =
+  if ts.result != unfinished then begin
+    retire t qt;
+    ts.result
+  end
+  else begin
+    ts.waiter <- me;
+    ts.since <- next_stamp t;
+    Dsched.block t.sched;
+    ts.waiter <- Dsched.nobody;
+    wait_loop t qt ts me
+  end
+
 let wait t qt =
   let ts = find_token t qt in
-  let me = Some (Dsched.self t.sched) in
-  let rec loop () =
-    match ts.result with
-    | Some r ->
-        retire t qt;
-        r
-    | None ->
-        ts.waiter <- me;
-        ts.since <- next_stamp t;
-        Dsched.block t.sched;
-        ts.waiter <- None;
-        loop ()
-  in
-  loop ()
+  wait_loop t qt ts (Dsched.self t.sched)
 
 (* Conses only while two [wait_any]s are blocked at once; the usual
    one-watcher list unlinks without allocating. *)
@@ -260,23 +264,23 @@ let wait_all t qts = Array.map (wait t) qts
 
 (* --- pending-token queues, shared by every libOS and [queue()] --- *)
 
-let pending rt next = { rt; waiting = Queue.create (); failure = None; next }
+let pending rt next = { rt; waiting = Engine.Ring.create (); failure = None; next }
 
 let enqueue q =
   let qt = fresh_token q.rt in
-  Queue.add qt q.waiting;
+  Engine.Ring.push q.waiting qt;
   qt
 
 let rec serve q =
-  if not (Queue.is_empty q.waiting) then
+  if not (Engine.Ring.is_empty q.waiting) then
     let ready = match q.failure with Some r -> Some (Pdpix.Failed r) | None -> q.next () in
     match ready with
     | Some completion ->
-        complete q.rt (Queue.pop q.waiting) completion;
+        complete q.rt (Engine.Ring.pop q.waiting) completion;
         serve q
     | None -> ()
 
-let waiting q = not (Queue.is_empty q.waiting)
+let waiting q = not (Engine.Ring.is_empty q.waiting)
 
 let fail q reason =
   q.failure <- Some reason;

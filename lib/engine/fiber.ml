@@ -1,28 +1,27 @@
 type _ Effect.t += Sleep : unit Effect.t | Park : unit Effect.t
 
 let continue_fiber sim (f : Sim.fiber) =
-  match f.cont with
-  | Some k ->
-      f.cont <- None;
-      Sim.set_running sim f;
-      Effect.Deep.continue k ()
-  | None -> invalid_arg "Fiber: resume of a fiber that is not parked"
+  let k = f.cont in
+  if k == Sim.no_cont then invalid_arg "Fiber: resume of a fiber that is not parked";
+  f.cont <- Sim.no_cont;
+  Sim.set_running sim f;
+  Effect.Deep.continue k ()
 
 (* Everything a suspension needs is built here, once per fiber: the
    record, its resume closure and the [Some] handlers [effc] returns.
-   A sleep or a park then allocates only the captured continuation and
-   the [Some] that parks it. *)
+   A sleep or a park then allocates only the continuation the effect
+   runtime captures, parked in a plain field. *)
 let spawn sim ?(name = "fiber") fn =
   let rec f =
-    { Sim.cont = None; gen = 0; signaled = false; resume = (fun () -> continue_fiber sim f) }
+    { Sim.cont = Sim.no_cont; gen = 0; signaled = false; resume = (fun () -> continue_fiber sim f) }
   in
   let on_sleep =
     Some
       (fun k ->
-        f.cont <- Some k;
+        f.cont <- k;
         Sim.schedule sim ~delay:(Sim.sleep_span sim) f.resume)
   in
-  let on_park = Some (fun k -> f.cont <- Some k) in
+  let on_park = Some (fun k -> f.cont <- k) in
   let handler =
     {
       Effect.Deep.retc = (fun () -> ());

@@ -10,8 +10,9 @@
     Both suspensions are constant effects ([Sleep] and [Park]); their
     operands travel through the {!Sim.fiber} slots, and each fiber's
     handler, resume closure and [Some] handler options are built once at
-    {!spawn}. A steady-state sleep allocates the captured continuation
-    and the [Some] that parks it: 4 words. There is no general
+    {!spawn}; a parked continuation sits in a plain field whose empty
+    value is {!Sim.no_cont}. A steady-state sleep allocates only the
+    continuation the effect runtime captures: 2 words. There is no general
     "suspend with a resume callback" primitive. *)
 
 val spawn : Sim.t -> ?name:string -> (unit -> unit) -> unit

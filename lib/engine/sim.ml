@@ -1,5 +1,5 @@
 type fiber = {
-  mutable cont : (unit, unit) Effect.Deep.continuation option;
+  mutable cont : (unit, unit) Effect.Deep.continuation;
   mutable gen : int;
   mutable signaled : bool;
   resume : unit -> unit;
@@ -27,7 +27,26 @@ type t = {
   mutable running : fiber;
 }
 
-let no_fiber = { cont = None; gen = 0; signaled = false; resume = ignore }
+type _ Effect.t += Never_resumed : unit Effect.t
+
+(* The empty continuation slot: the continuation of an effect whose
+   handler keeps it and never resumes it, captured once per process. *)
+let no_cont : (unit, unit) Effect.Deep.continuation =
+  let slot = ref None in
+  Effect.Deep.match_with Effect.perform Never_resumed
+    {
+      Effect.Deep.retc = ignore;
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) Effect.Deep.continuation -> unit) option ->
+          match eff with
+          | Never_resumed -> Some (fun (k : (unit, unit) Effect.Deep.continuation) -> slot := Some k)
+          | _ -> None);
+    };
+  match !slot with Some k -> k | None -> assert false
+
+let no_fiber = { cont = no_cont; gen = 0; signaled = false; resume = ignore }
 
 (* The one teardown report over every armed stream: a truncated
    timeline is never mistaken for the whole story. *)

@@ -36,13 +36,18 @@ val events_processed : t -> int
 (** {1 Fiber slots}
 
     The state {!Fiber} and {!Condvar} share through the world, so that a
-    sleep, a park and a wakeup allocate nothing beyond the captured
-    continuation and the [Some] that parks it. No other module touches
+    sleep, a park and a wakeup allocate nothing beyond the continuation
+    the effect runtime captures (2 words). No other module touches
     it. *)
 
+val no_cont : (unit, unit) Effect.Deep.continuation
+(** The empty continuation slot, captured once per process from an
+    effect that is never resumed. Resuming it is an error: a resume
+    compares the slot with it first. *)
+
 type fiber = {
-  mutable cont : (unit, unit) Effect.Deep.continuation option;
-      (** The parked continuation; [None] while the fiber runs. *)
+  mutable cont : (unit, unit) Effect.Deep.continuation;
+      (** The parked continuation; {!no_cont} while the fiber runs. *)
   mutable gen : int;
       (** The wait generation: bumped when a park ends, so an event left
           over from an earlier wait finds a different value and does

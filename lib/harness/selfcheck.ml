@@ -17,9 +17,9 @@ let heap_line name (s : Memory.Heap.stats) =
    The run is deterministic, so the count is exact: one extra word per
    echo fails the selfcheck. *)
 let words_per_echo = function
-  | Demikernel.Boot.Catnip_os -> 5054 (* 323,428 words / 64 = 5,053.56 *)
-  | Demikernel.Boot.Catnap_os -> 4765 (* 304,897 words / 64 = 4,764.02 *)
-  | Demikernel.Boot.Catmint_os -> 5132 (* 328,431 words / 64 = 5,131.73 *)
+  | Demikernel.Boot.Catnip_os -> 4908 (* 314,064 words / 64 = 4,907.25 *)
+  | Demikernel.Boot.Catnap_os -> 4607 (* 294,823 words / 64 = 4,606.61 *)
+  | Demikernel.Boot.Catmint_os -> 4917 (* 314,640 words / 64 = 4,916.25 *)
 
 (* One echo with the ownership oracle armed on both ends; returns
    (trace digest, events, metrics lines, ownership violations,

@@ -1,14 +1,23 @@
-type completion =
-  | Send_done of { wr_id : int }
-  | Recv of { src_mac : Addr.Mac.t; imm : int; frame : Memory.Heap.buffer }
-  | Write_done of { wr_id : int; ok : bool }
+type consumer = {
+  batch : int -> unit;
+  send_done : int -> unit;
+  recv : src_mac:Addr.Mac.t -> imm:int -> Memory.Heap.buffer -> unit;
+  write_done : wr_id:int -> ok:bool -> unit;
+}
 
 type t = {
   fabric : Fabric.t;
   port : Fabric.port;
   mac : Addr.Mac.t;
   ip : Addr.Ip.t;
-  cq : completion Queue.t;
+  (* The completion queue: entry [i] is the [i]th slot of each of the
+     three int rings (its kind and two operands); a receive entry's
+     frame waits in [cq_frames], in the same order. *)
+  cq_kind : int Engine.Ring.t;
+  cq_a : int Engine.Ring.t; (* the wr_id, or a receive's imm *)
+  cq_b : int Engine.Ring.t; (* a receive's source MAC, or a write's ok (1 or 0) *)
+  cq_frames : Memory.Heap.buffer Engine.Ring.t;
+  mutable batch_left : int; (* entries of the drain in progress still in the rings *)
   cq_signal : Engine.Condvar.t;
   mutable recv_credits : int;
   mutable rnr_drops : int;
@@ -28,8 +37,14 @@ let t_send = 0
 let t_write = 1
 let t_write_ack = 2
 
-let complete t c =
-  Queue.add c t.cq;
+let k_send_done = 0
+let k_recv = 1
+let k_write_done = 2
+
+let complete t kind a b =
+  Engine.Ring.push t.cq_kind kind;
+  Engine.Ring.push t.cq_a a;
+  Engine.Ring.push t.cq_b b;
   Engine.Condvar.broadcast t.cq_signal
 
 let sim t = Fabric.sim t.fabric
@@ -117,7 +132,8 @@ let handle_frame t frame =
       Memory.Heap.set_bounds frame
         ~offset:(Memory.Heap.rel_offset frame + (off + 4 - Memory.Heap.offset frame))
         ~length:(lim - off - 4);
-      complete t (Recv { src_mac; imm; frame })
+      Engine.Ring.push t.cq_frames frame;
+      complete t k_recv imm src_mac
     end
     else begin
       if msgtype = t_send then begin
@@ -146,8 +162,7 @@ let handle_frame t frame =
       end
       else if msgtype = t_write_ack then begin
         let wr_id = Wire.get_u32 b off in
-        let ok = Wire.get_u32 b (off + 4) = 1 in
-        complete t (Write_done { wr_id; ok })
+        complete t k_write_done wr_id (Wire.get_u32 b (off + 4))
       end;
       Memory.Heap.free frame
     end
@@ -178,7 +193,11 @@ let create fabric ~mac ~ip () =
       port;
       mac;
       ip;
-      cq = Queue.create ();
+      cq_kind = Engine.Ring.create ();
+      cq_a = Engine.Ring.create ();
+      cq_b = Engine.Ring.create ();
+      cq_frames = Engine.Ring.create ();
+      batch_left = 0;
       cq_signal = Engine.Condvar.create sim;
       recv_credits = 0;
       rnr_drops = 0;
@@ -193,7 +212,7 @@ let create fabric ~mac ~ip () =
         Hop.create sim ~deliver:(fun frame ->
             let wr_id = Engine.Ring.pop send_ids in
             Fabric.send fabric port ~lossless:true frame;
-            match !t_ref with Some t -> complete t (Send_done { wr_id }) | None -> ());
+            match !t_ref with Some t -> complete t k_send_done wr_id 0 | None -> ());
       write_pipe =
         Hop.create sim ~deliver:(fun frame -> Fabric.send fabric port ~lossless:true frame);
     }
@@ -204,16 +223,31 @@ let create fabric ~mac ~ip () =
 let mac t = t.mac
 let ip t = t.ip
 
-(* Top-level recursion (not a per-call closure): the empty-CQ poll —
-   the steady-state case — allocates nothing, because [List.rev []]
-   returns [[]] without allocating. *)
-let rec take_cq cq n acc =
-  if n = 0 || Queue.is_empty cq then List.rev acc
-  else
-    take_cq cq (n - 1) (Queue.pop cq :: acc)
+(* The whole batch is taken when the drain starts: [cq_pending] leaves
+   it out while the callbacks run (and may charge, letting new
+   completions land behind it). *)
+let rec drain_batch t c =
+  if t.batch_left > 0 then begin
+    t.batch_left <- t.batch_left - 1;
+    let kind = Engine.Ring.pop t.cq_kind in
+    let a = Engine.Ring.pop t.cq_a in
+    let b = Engine.Ring.pop t.cq_b in
+    if kind = k_recv then c.recv ~src_mac:b ~imm:a (Engine.Ring.pop t.cq_frames)
+    else if kind = k_send_done then c.send_done a
+    else c.write_done ~wr_id:a ~ok:(b = 1);
+    drain_batch t c
+  end
 
-let poll_cq t ~max = take_cq t.cq max []
+let drain_cq t ~max c =
+  assert (t.batch_left = 0);
+  let n = min max (Engine.Ring.length t.cq_kind) in
+  if n > 0 then begin
+    t.batch_left <- n;
+    c.batch n;
+    drain_batch t c
+  end;
+  n
 
-let cq_pending t = Queue.length t.cq
+let cq_pending t = Engine.Ring.length t.cq_kind - t.batch_left
 let cq_signal t = t.cq_signal
 let rnr_drops t = t.rnr_drops

@@ -16,25 +16,31 @@
     ({!Fabric.frames}). Posting gathers the caller's byte range into the
     frame: that is the one copy of a message, the device's DMA, and the
     caller may reuse the range as soon as the post returns. A send that
-    lands in a posted receive buffer completes as [Recv] carrying the
+    lands in a posted receive buffer completes as a receive carrying the
     frame itself, narrowed to the payload; the completion queue entry
-    holds it, and whoever polls the entry frees it (DESIGN §16). The
+    holds it, and whoever drains the entry frees it (DESIGN §16). The
     device frees every other frame it receives: RNR drops, one-sided
     writes (copied into their region), write acks, and frames that are
     not RoCE at all. *)
 
 type t
 
-type completion =
-  | Send_done of { wr_id : int }
-      (** A two-sided send left the device. *)
-  | Recv of { src_mac : Addr.Mac.t; imm : int; frame : Memory.Heap.buffer }
+type consumer = {
+  batch : int -> unit;
+      (** A drain took this many entries (at least one); runs before the
+          first of them is handed over. *)
+  send_done : int -> unit;
+      (** A two-sided send with this [wr_id] left the device. *)
+  recv : src_mac:Addr.Mac.t -> imm:int -> Memory.Heap.buffer -> unit;
       (** A two-sided send arrived and consumed a posted recv buffer.
-          [frame]'s window is the message payload; the poller owns the
-          frame and must [Memory.Heap.free] it. *)
-  | Write_done of { wr_id : int; ok : bool }
+          The frame's window is the message payload; the consumer owns
+          the frame and must [Memory.Heap.free] it. *)
+  write_done : wr_id:int -> ok:bool -> unit;
       (** A one-sided write was acknowledged by the remote device;
           [ok = false] means the rkey or bounds check failed. *)
+}
+(** What a completion queue drain does with each kind of entry: built
+    once per poller, so a drain allocates nothing. *)
 
 val create : Fabric.t -> mac:Addr.Mac.t -> ip:Addr.Ip.t -> unit -> t
 
@@ -69,12 +75,26 @@ val register_region : t -> Bytes.t -> int
 val post_write :
   t -> dst:Addr.Mac.t -> wr_id:int -> rkey:int -> offset:int -> Bytes.t -> int -> int -> unit
 (** Write a byte range (gathered at post time, like {!post_send}) into a
-    remote registered region at [offset]. Completes locally with
-    [Write_done] once the remote device acks. *)
+    remote registered region at [offset]. Completes locally (a
+    [write_done] entry) once the remote device acks. *)
 
-(** {1 Completion queue} *)
+(** {1 Completion queue}
 
-val poll_cq : t -> max:int -> completion list
+    Entries are kept as int operands in rings (the frames of receives
+    in a ring of their own), so a completion allocates nothing once the
+    rings have grown to their peak depth, and a drain hands each entry
+    to its consumer callback in place. *)
+
+val drain_cq : t -> max:int -> consumer -> int
+(** [drain_cq t ~max c] takes the oldest [n = min max (cq_pending t)]
+    entries, tells [c.batch n] when [n > 0], then hands them to [c]
+    oldest first, and returns [n]. The batch is fixed when the drain
+    starts: an entry that completes while a callback runs (a callback
+    may charge virtual time) waits for the next drain. Drains do not
+    nest. *)
+
 val cq_pending : t -> int
+(** Entries not yet taken by a drain. *)
+
 val cq_signal : t -> Engine.Condvar.t
 val rnr_drops : t -> int

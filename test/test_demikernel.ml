@@ -189,7 +189,7 @@ let test_sched_charge_words () =
          words := Test_engine.steady_words (fun () -> Demikernel.Host.charge host 1)));
   Engine.Fiber.spawn sim (fun () -> Demikernel.Dsched.run sched);
   Engine.Sim.run sim;
-  Test_engine.check_budget "Host.charge in a coroutine" ~bound:6 !words
+  Test_engine.check_budget "Host.charge in a coroutine" ~bound:2 !words
     ~per:Test_engine.budget_ops
 
 (* Two coroutines yield to each other, so each yield of the measured one
@@ -209,7 +209,7 @@ let test_sched_yield_words () =
          done));
   Engine.Fiber.spawn sim (fun () -> Demikernel.Dsched.run sched);
   Engine.Sim.run sim;
-  Test_engine.check_budget "yield round trip, per switch" ~bound:12 !words
+  Test_engine.check_budget "yield round trip, per switch" ~bound:4 !words
     ~per:(2 * Test_engine.budget_ops)
 
 (* --- echo over every libOS: the portability claim --- *)

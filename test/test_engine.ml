@@ -354,7 +354,7 @@ let test_fiber_sleep_words () =
   let words = ref 0 in
   Engine.Fiber.spawn sim (fun () -> words := steady_words (fun () -> Engine.Fiber.sleep sim 1));
   Engine.Sim.run sim;
-  check_budget "Fiber.sleep" ~bound:6 !words ~per:budget_ops
+  check_budget "Fiber.sleep" ~bound:2 !words ~per:budget_ops
 
 (* One cycle: a fiber parks on a condvar, another broadcasts it and
    sleeps one ns (so the waiter re-parks before the next broadcast). *)
@@ -371,7 +371,7 @@ let test_condvar_cycle_words () =
         Engine.Condvar.broadcast cv
       done);
   Engine.Sim.run sim;
-  check_budget "wait_many+broadcast cycle" ~bound:24 !words ~per:budget_ops
+  check_budget "wait_many+broadcast cycle" ~bound:12 !words ~per:budget_ops
 
 let test_prng_deterministic () =
   let a = Engine.Prng.create 42L in

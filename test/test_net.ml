@@ -319,6 +319,32 @@ let rdma_pair () =
 let post_string r ~dst ~wr_id ~imm s =
   Net.Rdma_sim.post_send r ~dst ~wr_id ~imm (Bytes.of_string s) 0 (String.length s)
 
+(* A completion as the tests below see it, collected by [drain]. *)
+type cqe =
+  | Send_done of int
+  | Recv of { src_mac : Net.Addr.Mac.t; imm : int; frame : Memory.Heap.buffer }
+  | Write_done of { wr_id : int; ok : bool }
+
+let drain r ~max =
+  let got = ref [] and taken = ref 0 in
+  let queued = Net.Rdma_sim.cq_pending r in
+  let n =
+    Net.Rdma_sim.drain_cq r ~max
+      {
+        Net.Rdma_sim.batch =
+          (fun n ->
+            taken := n;
+            check_int "the batch leaves the queue when taken" (queued - n)
+              (Net.Rdma_sim.cq_pending r));
+        send_done = (fun wr_id -> got := Send_done wr_id :: !got);
+        recv = (fun ~src_mac ~imm frame -> got := Recv { src_mac; imm; frame } :: !got);
+        write_done = (fun ~wr_id ~ok -> got := Write_done { wr_id; ok } :: !got);
+      }
+  in
+  check_int "drain returns the entries it handed over" (List.length !got) n;
+  check_int "and took them as one batch" n !taken;
+  List.rev !got
+
 let test_rdma_send_recv () =
   let sim, r1, r2 = rdma_pair () in
   Net.Rdma_sim.post_recv r2;
@@ -327,11 +353,11 @@ let test_rdma_send_recv () =
   Net.Rdma_sim.post_send r1 ~dst:(Net.Rdma_sim.mac r2) ~wr_id:7 ~imm:42 src 2 7;
   Bytes.fill src 0 (Bytes.length src) '!';
   Engine.Sim.run sim;
-  (match Net.Rdma_sim.poll_cq r1 ~max:4 with
-  | [ Net.Rdma_sim.Send_done { wr_id } ] -> check_int "send completion" 7 wr_id
+  (match drain r1 ~max:4 with
+  | [ Send_done wr_id ] -> check_int "send completion" 7 wr_id
   | _ -> Alcotest.fail "expected send completion");
-  match Net.Rdma_sim.poll_cq r2 ~max:4 with
-  | [ Net.Rdma_sim.Recv { imm; frame; src_mac } ] ->
+  match drain r2 ~max:4 with
+  | [ Recv { imm; frame; src_mac } ] ->
       check_int "imm" 42 imm;
       Alcotest.(check string) "payload" "payload" (Memory.Heap.to_string frame);
       check_int "src" (Net.Rdma_sim.mac r1) src_mac;
@@ -345,6 +371,8 @@ let test_rdma_rnr_drop () =
   check_int "rnr drop" 1 (Net.Rdma_sim.rnr_drops r2);
   check_int "no recv completion" 0 (Net.Rdma_sim.cq_pending r2)
 
+(* Delivery is ordered, and a drain hands over at most [max] entries,
+   oldest first, leaving the rest queued. *)
 let test_rdma_ordering () =
   let sim, r1, r2 = rdma_pair () in
   for _ = 1 to 10 do Net.Rdma_sim.post_recv r2 done;
@@ -352,16 +380,19 @@ let test_rdma_ordering () =
     post_string r1 ~dst:(Net.Rdma_sim.mac r2) ~wr_id:i ~imm:i (string_of_int i)
   done;
   Engine.Sim.run sim;
-  let imms =
+  let imms max =
     List.filter_map
       (function
-        | Net.Rdma_sim.Recv { imm; frame; _ } ->
+        | Recv { imm; frame; _ } ->
             Memory.Heap.free frame;
             Some imm
-        | _ -> None)
-      (Net.Rdma_sim.poll_cq r2 ~max:100)
+        | Send_done _ | Write_done _ -> None)
+      (drain r2 ~max)
   in
-  Alcotest.(check (list int)) "ordered delivery" (List.init 10 (fun i -> i + 1)) imms
+  let first = imms 4 in
+  check_int "the rest stays queued" 6 (Net.Rdma_sim.cq_pending r2);
+  Alcotest.(check (list int)) "ordered delivery" (List.init 10 (fun i -> i + 1))
+    (first @ imms 100)
 
 let test_rdma_one_sided_write () =
   let sim, r1, r2 = rdma_pair () in
@@ -371,8 +402,8 @@ let test_rdma_one_sided_write () =
     (Bytes.of_string "..ABCD") 2 4;
   Engine.Sim.run sim;
   Alcotest.(check string) "remote memory updated" "....ABCD........" (Bytes.to_string region);
-  (match Net.Rdma_sim.poll_cq r1 ~max:4 with
-  | [ Net.Rdma_sim.Write_done { wr_id; ok } ] ->
+  (match drain r1 ~max:4 with
+  | [ Write_done { wr_id; ok } ] ->
       check_int "wr_id" 3 wr_id;
       check_bool "ok" true ok
   | _ -> Alcotest.fail "expected write completion");
@@ -383,35 +414,40 @@ let test_rdma_write_bad_rkey () =
   Net.Rdma_sim.post_write r1 ~dst:(Net.Rdma_sim.mac r2) ~wr_id:9 ~rkey:999 ~offset:0
     (Bytes.of_string "x") 0 1;
   Engine.Sim.run sim;
-  match Net.Rdma_sim.poll_cq r1 ~max:4 with
-  | [ Net.Rdma_sim.Write_done { ok; _ } ] -> check_bool "failed" false ok
+  match drain r1 ~max:4 with
+  | [ Write_done { ok; _ } ] -> check_bool "failed" false ok
   | _ -> Alcotest.fail "expected write completion"
 
 (* A 700 B message's whole trip through the RNICs — the sender
    gathering it from the caller's bytes, the device and fabric hops, the
-   receive completion and both polls — allocates no block the size of
-   the payload: the frame moves by reference from post to poll. What
-   it does allocate per message, in words:
+   receive completion and both drains — allocates no block the size of
+   the payload: the frame moves by reference from post to drain, and the
+   completion queues are rings of operands drained into consumers built
+   once. What it does allocate per message, in words:
      the frame's buffer record (Heap.alloc)             5
-     the Recv completion (header + 3 fields)            4
-     the Send_done completion (header + 1 field)        2
-     one completion-queue cell per CQ                   6
-     each poll's one list cell, built then reversed    12
-   = 29. *)
+   = 5. *)
 let test_rdma_send_words () =
   let sim, r1, r2 = rdma_pair () in
   let msg = Bytes.make 700 'r' in
+  let recvs = ref 0 and sends = ref 0 and others = ref 0 in
+  let consumer =
+    {
+      Net.Rdma_sim.batch = ignore;
+      send_done = (fun _ -> incr sends);
+      recv =
+        (fun ~src_mac:_ ~imm:_ frame ->
+          if Memory.Heap.length frame = 700 then incr recvs else incr others;
+          Memory.Heap.free frame);
+      write_done = (fun ~wr_id:_ ~ok:_ -> incr others);
+    }
+  in
   let round () =
     Net.Rdma_sim.post_recv r2;
     Net.Rdma_sim.post_send r1 ~dst:(Net.Rdma_sim.mac r2) ~wr_id:1 ~imm:7 msg 0 700;
     Engine.Sim.run sim;
-    (match Net.Rdma_sim.poll_cq r2 ~max:4 with
-    | [ Net.Rdma_sim.Recv { frame; _ } ] when Memory.Heap.length frame = 700 ->
-        Memory.Heap.free frame
-    | _ -> Alcotest.fail "expected one recv completion");
-    match Net.Rdma_sim.poll_cq r1 ~max:4 with
-    | [ Net.Rdma_sim.Send_done _ ] -> ()
-    | _ -> Alcotest.fail "expected one send completion"
+    let from_r2 = Net.Rdma_sim.drain_cq r2 ~max:4 consumer in
+    let from_r1 = Net.Rdma_sim.drain_cq r1 ~max:4 consumer in
+    if from_r2 <> 1 || from_r1 <> 1 then Alcotest.fail "expected one completion per CQ"
   in
   round ();
   let before = Gc.minor_words () in
@@ -419,7 +455,10 @@ let test_rdma_send_words () =
     round ()
   done;
   let words = (Gc.minor_words () -. before) /. 10. in
-  Alcotest.(check (float 0.)) "minor words per message" 29. words
+  check_int "one recv completion per message" 11 !recvs;
+  check_int "one send completion per message" 11 !sends;
+  check_int "no other completion" 0 !others;
+  Alcotest.(check (float 0.)) "minor words per message" 5. words
 
 (* --- ssd device --- *)
 
