@@ -1,4 +1,4 @@
-.PHONY: all build test lint selfcheck check bench observe-smoke micro-smoke clean
+.PHONY: all build test selfcheck check bench observe-smoke micro-smoke clean
 
 all: build
 
@@ -8,21 +8,19 @@ build:
 test:
 	dune runtest
 
-lint:
-	dune build @lint
-
 selfcheck:
 	dune build @selfcheck
 
-# Everything CI runs: build + tests (incl. the copy lint, the scaling
-# gate, the same-seed twin runs under OCAMLRUNPARAM=R and `demibench
-# --smoke`) + determinism selfcheck with the ownership oracle, the
-# flight ring and the gc-budget oracle armed (every steady poll must
-# allocate nothing and each flavor's echo run must stay within its
-# exact per-echo word budget; the pinned output holds each flavor's
-# steady-poll count and zero violations) + the fig 9/11 pins + the
-# smokes below.
-# There is no static allocation or scan lint: the budget is the
+# Everything CI runs: build + tests (incl. the scaling gate, the
+# same-seed twin runs under OCAMLRUNPARAM=R, the `copies:` test that
+# pins the bytes moved by lossy reassembly, IP fragments and a Dkv log
+# on disk, and `demibench --smoke`) + the determinism selfcheck with the
+# ownership oracle and the flight ring armed (its pinned output holds
+# each flavor's bytes moved, counted by Engine.Copies, and each
+# flavor's echo run must stay within its exact per-echo word budget) +
+# the fig 9/11 pins + the smokes below.
+# There is no copy lint and no static allocation or scan lint: the
+# bytes-moved lines are the copy check, the word budget is the
 # allocation check, and the scaling gate (test/test_scaling.ml: events
 # and words per operation identical, CPU within a stated ratio, as
 # idle connections, pending pops and queued pushes grow) is the

@@ -52,7 +52,6 @@ type t = {
          steady-state retry pass allocates nothing (the old per-poll
          sorted snapshot of every channel was the dominant idle
          garbage). *)
-  mutable sends : int; (* cumulative data messages posted, ever *)
 }
 
 let host t = Runtime.host t.rt
@@ -82,7 +81,6 @@ let send_data t ch qt sga =
      stretch is attributed to the device-queue component. *)
   charge_dev t ((cost t).Net.Cost.rdma_post_ns + (2 * (cost t).Net.Cost.libos_sched_ns));
   ch.sent <- ch.sent + 1;
-  t.sends <- t.sends + 1;
   let imm = imm_of ~msg:m_data ~chan:ch.peer_chan in
   match sga with
   | [ buf ] ->
@@ -140,19 +138,12 @@ let rec flush_stalled t chans =
       let rest_unstalled = flush_stalled t rest in
       unstalled || rest_unstalled
 
-(* Returns whether the round made progress (posted a send, or retired a
-   drained/failed channel) — a progress round is a busy poll for the
-   gc-budget oracle. *)
+(* Retry every stalled channel; drop the drained or failed ones from
+   the list. *)
 let retry_stalled t =
   match t.stalled_chans with
-  | [] -> false
-  | chans ->
-      let sends0 = t.sends in
-      if flush_stalled t chans then begin
-        t.stalled_chans <- List.filter (fun ch -> ch.stalled) chans;
-        true
-      end
-      else t.sends > sends0
+  | [] -> ()
+  | chans -> if flush_stalled t chans then t.stalled_chans <- List.filter (fun ch -> ch.stalled) chans
 
 (* ---------- flow control (§6.2): a per-connection coroutine grants the
    peer more send window by one-sided writes once the application has
@@ -313,7 +304,8 @@ let handle_recv t ~src_mac ~imm frame =
              DMA heap: allocate the application's buffer, no CPU copy. *)
           let len = Memory.Heap.length frame in
           let buf = Memory.Heap.alloc (host t).Host.heap (max 1 len) in
-          (* dlint-allow: unaccounted-copy -- device DMA: the RNIC writes the arrived payload into the posted host-heap buffer; charged per completion through Net.Cost *)
+          (* Device DMA: the RNIC writes the arrived payload into the posted host-heap
+             buffer; charged per completion through Net.Cost. *)
           Bytes.blit (Memory.Heap.data frame) (Memory.Heap.offset frame) (Memory.Heap.data buf)
             (Memory.Heap.offset buf) len;
           Memory.Heap.set_length buf len;
@@ -346,26 +338,13 @@ let consumer t =
     write_done = (fun ~wr_id:_ ~ok:_ -> polled ());
   }
 
-let gc_site = Memory.Gcbudget.site "catmint.fast_path"
-
 (* One poll: drain the completion queue, then retry stalled senders.
-   Steady means the CQ was empty AND the retry round made no progress;
-   a silent grant arrival turns the round busy (it posts sends, whose
-   doorbell charge performs an effect). Device work means a nonempty
-   CQ; the window closes before the drain's first charge. *)
+   Device work means a nonempty CQ. *)
 let poll t consumer () =
-  Memory.Gcbudget.enter gc_site;
-  if Net.Rdma_sim.cq_pending t.rnic = 0 then begin
-    if retry_stalled t then Memory.Gcbudget.leave_busy gc_site
-    else Memory.Gcbudget.leave_steady gc_site;
-    false
-  end
-  else begin
-    Memory.Gcbudget.leave_busy gc_site;
-    ignore (Net.Rdma_sim.drain_cq t.rnic ~max:16 consumer : int);
-    ignore (retry_stalled t);
-    true
-  end
+  let busy = Net.Rdma_sim.cq_pending t.rnic > 0 in
+  if busy then ignore (Net.Rdma_sim.drain_cq t.rnic ~max:16 consumer : int);
+  retry_stalled t;
+  busy
 
 (* ---------- PDPIX operations ---------- *)
 
@@ -489,7 +468,6 @@ let create rt ~rnic ?(window = 64) () =
       listeners = Hashtbl.create 8;
       next_chan = 1;
       stalled_chans = [];
-      sends = 0;
     }
   in
   (* Pre-post a pool of receive buffers; the fast path reposts one per

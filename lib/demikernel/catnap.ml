@@ -141,21 +141,10 @@ let service t =
   service_from t 0 0;
   t.service_progress
 
-let gc_site = Memory.Gcbudget.site "catnap.fast_path"
-
 (* One poll: drain the kernel, then one [service] pass; device work
-   means some token completed. The measured window covers only the
-   kernel drain. [service] stays outside it by design: every attempt is
-   a charged syscall, and a charge performs a [Fiber.sleep] effect whose
-   continuation allocation belongs to the simulation machinery, not the
-   datapath. Steady means the drain pulled no frame and fired no
-   protocol timer. *)
+   means some token completed. *)
 let poll t () =
-  let a0 = Oskernel.Kernel.activity t.kernel in
-  Memory.Gcbudget.enter gc_site;
   Oskernel.Kernel.poll t.kernel;
-  if Oskernel.Kernel.activity t.kernel = a0 then Memory.Gcbudget.leave_steady gc_site
-  else Memory.Gcbudget.leave_busy gc_site;
   service t
 
 (* ---------- PDPIX operations ---------- *)

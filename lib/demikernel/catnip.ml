@@ -135,25 +135,14 @@ let rec rx_n t n =
     rx_n t (n - 1)
   end
 
-let gc_site = Memory.Gcbudget.site "catnip.fast_path"
-
 (* One poll: drain an rx burst (the frames pending at its start, at
-   most 16), then run protocol timers. The
-   steady-state iteration — empty burst, no timer work — is the
-   measured gc-budget window: it must allocate zero minor-heap words.
-   Timer work is detected via the stack's cumulative [timer_activity]
-   counter: a timer firing makes the poll busy. *)
+   most 16), then run protocol timers. *)
 let poll t () =
-  let activity0 = Tcp.Stack.timer_activity t.stack in
-  Memory.Gcbudget.enter gc_site;
   match Net.Dpdk_sim.rx_take t.nic ~max:16 with
   | 0 ->
       Tcp.Stack.on_timer t.stack;
-      if Tcp.Stack.timer_activity t.stack = activity0 then Memory.Gcbudget.leave_steady gc_site
-      else Memory.Gcbudget.leave_busy gc_site;
       false
   | n ->
-      Memory.Gcbudget.leave_busy gc_site;
       charge t (cost t).Net.Cost.libos_poll_ns;
       rx_n t n;
       Tcp.Stack.flush_acks t.stack;

@@ -1,8 +1,8 @@
 (* Two flat arrays rather than an array of records: a record stores
    seven immediates (time, tag, operands) and three pointers to strings
    that already exist, so the write path allocates zero minor-heap
-   words — the property the gc-budget oracle checks when a ring rides
-   the steady poll loop. *)
+   words — the property the selfcheck's per-echo word budget holds when
+   the flight ring rides every poll. *)
 
 type category = Fabric | Device | Sched | Tcp | Kernel | Storage | Libos | App | Custom of string
 

@@ -1,8 +1,8 @@
 (** Determinism self-check (the §6.3 property, testbed-wide).
 
     Runs a fixed scenario — closed-loop echo over Catnip (DPDK/TCP),
-    Catnap (POSIX) and Catmint (RDMA), with tracing, the flight ring,
-    the heap sanitizer and the gc-budget oracle armed — twice
+    Catnap (POSIX) and Catmint (RDMA), with tracing, the flight ring
+    and the heap sanitizer armed — twice
     from the same seed, and compares a fingerprint of each run: the
     {!Engine.Log.digest} of the full event trace, the number of
     simulator events processed, and a rendered table of the final
@@ -15,13 +15,13 @@
     end-to-end on every selfcheck; any violation (reported at
     [Sim.teardown] alongside the heap sanitizer) fails the check.
 
-    The {!Memory.Gcbudget} oracle is armed for the duration: every
-    instrumented steady-state poll loop (Catnip fast path, Catnap kernel
-    drain, Catmint completion poll) must allocate zero minor-heap words
-    per idle iteration, and each flavor's whole run must stay within an
-    exact per-echo minor-word budget (a constant in [selfcheck.ml],
-    measured at the defaults). Offender sites are reported on stderr
-    and any violation fails the check.
+    Each flavor's run is also measured on two process-wide counters.
+    The bytes the simulator copies ({!Engine.Copies.moved}) are printed
+    in the metrics table, so the pinned output holds them exactly. The
+    minor words it allocates must stay within an exact per-echo budget
+    (a constant in [selfcheck.ml], measured at the defaults): one more
+    word per echo, or an allocating idle poll, is reported on stderr
+    and fails the check.
 
     Exposed to operators as [demi --selfcheck] and to CI as a unit
     test. *)
@@ -31,7 +31,7 @@ type fingerprint = {
   events : int; (* total simulator events processed *)
   metrics : string; (* rendered final-metrics table *)
   ownership_violations : int; (* oracle findings across all flavors *)
-  gc_violations : int; (* allocating steady polls + over-budget runs, all flavors *)
+  words_over : int; (* minor words over the per-echo budgets, all flavors *)
 }
 
 type result = { seed : int64; first : fingerprint; second : fingerprint; ok : bool }

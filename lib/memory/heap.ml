@@ -204,13 +204,14 @@ let set_length b length =
     invalid_arg "Heap.set_length: length outside object";
   b.len <- length
 
-(* dlint-allow: unaccounted-copy -- the copy-out primitive; datapath callers account it through note_copy/charge_copy, per the .mli *)
+(* The copy-out primitive; datapath callers account it through note_copy/charge_copy, per
+   the .mli. *)
 let to_string b = Bytes.sub_string b.sb.store (offset b) b.len
 
 let blit_string s b =
   let n = String.length s in
   if b.off + n > b.sb.object_size then invalid_arg "Heap.blit_string: too long";
-  (* dlint-allow: unaccounted-copy -- the fill primitive callers account through note_copy/charge_copy *)
+  (* The fill primitive callers account through note_copy/charge_copy. *)
   Bytes.blit_string s 0 b.sb.store (offset b) n;
   b.len <- n
 

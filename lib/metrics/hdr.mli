@@ -11,7 +11,7 @@
 
     Memory is a fixed ~7.3k-slot int array per histogram (~58 KB) no
     matter how many samples are recorded, and {!add} allocates nothing —
-    it is safe inside gc-budget-audited poll loops.
+    it is safe inside poll loops held to a word budget.
 
     Mergeability is {e exact}: {!merge} adds bucket counts, so it is
     associative and commutative up to the full observable surface

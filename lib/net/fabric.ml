@@ -134,7 +134,7 @@ let to_port t src p ~at_switch ~wire_t0 ~wire_label frame =
 let copy t frame =
   let len = Memory.Heap.length frame in
   let dup = Memory.Heap.alloc t.frames len in
-  (* dlint-allow: unaccounted-copy -- the switch replicates a broadcast frame per extra port (ARP only, cold path) *)
+  (* The switch replicates a broadcast frame per extra port (ARP only, cold path). *)
   Bytes.blit (Memory.Heap.data frame) (Memory.Heap.offset frame) (Memory.Heap.data dup)
     (Memory.Heap.offset dup) len;
   dup

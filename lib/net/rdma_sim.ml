@@ -74,7 +74,8 @@ let frame_of t ~dst ~msgtype ~words src src_off len =
   t.eth.Eth.ethertype <- ethertype_roce;
   let off = Eth.write b base t.eth in
   Wire.set_u8 b off msgtype;
-  (* dlint-allow: unaccounted-copy -- device DMA: the RNIC gathers the posted range from host memory into the wire frame; charged per post through Net.Cost *)
+  (* Device DMA: the RNIC gathers the posted range from host memory into the wire frame;
+     charged per post through Net.Cost. *)
   Bytes.blit src src_off b (base + word_off + (4 * words)) len;
   frame
 

@@ -6,7 +6,13 @@ let need ~lim off n = if off < 0 || off + n > lim then fail "truncated"
 
 (* Accessors ride the stdlib's single-load primitives
    (Bytes.get_uint16_be and friends compile to fixed-width loads plus a
-   byte swap) instead of assembling words one Char.code at a time. *)
+   byte swap) instead of assembling words one Char.code at a time. They
+   copy nothing, so they take [Stdlib.Bytes] itself rather than the
+   library-wide [Engine.Copies.Bytes]: a dev build compiles that module
+   opaque, and a call through it is not inlined and boxes every
+   [int32]. *)
+
+module Bytes = Stdlib.Bytes
 
 let get_u8 b off = Bytes.get_uint8 b off
 let set_u8 b off v = Bytes.set_uint8 b off (v land 0xff)

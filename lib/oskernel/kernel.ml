@@ -19,7 +19,6 @@ type t = {
   resets : (int, unit) Hashtbl.t; (* ids of open connections the peer reset *)
   mutable next_fd : int;
   mutable syscalls : int;
-  mutable rx_frames : int; (* frames drained through the stack, ever *)
   mutable log_tail : int;
   mutable next_io_id : int;
 }
@@ -63,7 +62,6 @@ let create sim ?(name = "kernel") ~cost ~nic ?ssd ?(mode = Posix) () =
     resets;
     next_fd = 3;
     syscalls = 0;
-    rx_frames = 0;
     log_tail = 0;
     next_io_id = 1;
   }
@@ -101,7 +99,6 @@ let rec rx_n t n =
   if n > 0 then begin
     let frame = Net.Dpdk_sim.rx t.nic in
     charge_as t Engine.Span.Softirq t.cost.Net.Cost.kernel_net_ns;
-    t.rx_frames <- t.rx_frames + 1;
     Tcp.Stack.input t.stack frame;
     rx_n t (n - 1)
   end
@@ -119,11 +116,6 @@ let drain t =
   drain_bursts t;
   Tcp.Stack.flush_acks t.stack;
   Tcp.Stack.on_timer t.stack
-
-(* Cumulative kernel-datapath activity: bumps when a frame is drained or
-   a protocol timer fires. A poll that leaves it unchanged did no work —
-   the steady-state discriminator for the gc-budget oracle. *)
-let activity t = t.rx_frames + Tcp.Stack.timer_activity t.stack
 
 (* Sleep until [ready] holds, draining on every wakeup. Blocking callers
    pay interrupt + scheduler latency per wakeup; polling callers don't

@@ -112,12 +112,6 @@ val next_timer_ns : t -> int
 (** Earliest protocol-timer deadline (ns), [max_int] when none is armed.
     Allocation-free, for per-poll deadline peeks. *)
 
-val activity : t -> int
-(** Cumulative datapath-activity counter: increases when a drain pulls a
-    frame through the stack or fires a protocol timer. A {!poll} that
-    leaves it unchanged was a steady-state (no-op) poll — the
-    discriminator Catnap's gc-budget instrumentation keys on. *)
-
 (** {1 Introspection} *)
 
 val syscalls : t -> int

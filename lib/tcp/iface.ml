@@ -82,7 +82,8 @@ let emit_fragment t ~dst_mac payload payload_off payload_len =
   in
   let b = Memory.Heap.data frame in
   let off = Net.Ipv4.write b (l3_off frame) t.ip_tx in
-  (* dlint-allow: unaccounted-copy -- device DMA: the NIC gathers the payload into the wire frame; charged per frame through Net.Cost, not a host copy *)
+  (* Device DMA: the NIC gathers the payload into the wire frame; charged per frame
+     through Net.Cost, not a host copy. *)
   Bytes.blit payload payload_off b off payload_len;
   t.tx_frame frame
 
@@ -156,7 +157,9 @@ let output t ~dst_ip ~protocol ~len ~write =
       Queue.add
         (fun dst_mac ->
           emit_ipv4 t ~dst_mac ~dst_ip ~protocol ~len ~write:(fun b off ->
-              (* dlint-allow: unaccounted-copy -- device DMA, deferred: the frame parked for ARP gathers its staged payload when the address resolves (cold path: only the first packets to an unresolved destination park) *)
+              (* Device DMA, deferred: the frame parked for ARP gathers its staged payload
+                 when the address resolves (cold path: only the first packets to an
+                 unresolved destination park). *)
               Bytes.blit payload 0 b off len))
         entry.waiting
 
@@ -196,7 +199,9 @@ let offer_fragment t (header : Net.Ipv4.t) b off =
         e
   in
   let this_len = header.Net.Ipv4.total_length - Net.Ipv4.size in
-  (* dlint-allow: unaccounted-copy -- uncharged host copy of the simulator's representation: an IP fragment is held as a string until its datagram completes (fragment path only; whole-MTU traffic never fragments) *)
+  (* Uncharged host copy of the simulator's representation: an IP fragment is held as a
+     string until its datagram completes (fragment path only; whole-MTU traffic never
+     fragments). *)
   let piece = Bytes.sub_string b off this_len in
   entry.pieces <- (header.Net.Ipv4.fragment_offset, piece) :: entry.pieces;
   if not header.Net.Ipv4.more_fragments then
@@ -211,7 +216,8 @@ let offer_fragment t (header : Net.Ipv4.t) b off =
       else begin
         let out = Bytes.create total in
         List.iter
-          (* dlint-allow: unaccounted-copy -- uncharged host copy of the simulator's representation: the held fragments are joined into one datagram (fragment path only) *)
+          (* Uncharged host copy of the simulator's representation: the held fragments are
+             joined into one datagram (fragment path only). *)
           (fun (o, p) -> Bytes.blit_string p 0 out o (String.length p))
           entry.pieces;
         Hashtbl.remove t.fragments key;

@@ -48,7 +48,7 @@ type tx_seg = {
   seg_len : int;
   seg_buf : Memory.Heap.buffer;
   seg_buf_off : int;
-  seg_push_id : int;
+  seg_push_id : int; (* the push's id on its last segment, -1 on the others *)
   mutable first_tx : int; (* -1 until first transmission *)
   mutable retransmitted : bool;
   mutable sacked : bool; (* covered by a peer SACK block (RFC 2018) *)
@@ -96,12 +96,6 @@ type conn = {
   mutable eof_delivered_to_q : bool;
   mutable ack_pending : bool;
   mutable tw_seq : int; (* seq of the live TIME_WAIT entry, -1 = none *)
-  (* --- push completion: two lanes and a spill table, see [push_register] --- *)
-  mutable push0_id : int;
-  mutable push0_left : int;
-  mutable push1_id : int;
-  mutable push1_left : int;
-  mutable push_spill : (int, int) Hashtbl.t option;
   (* --- passive-open bookkeeping --- *)
   parent_listener : listener option;
   readable : event; (* [Readable] of this conn, built once: raised per delivery *)
@@ -223,7 +217,8 @@ let handle_udp t header b off =
       | Some sock ->
           let payload_len = uh.Net.Udp_wire.length - Net.Udp_wire.size in
           let buf = Memory.Heap.alloc t.heap (max 1 payload_len) in
-          (* dlint-allow: unaccounted-copy -- device DMA: the NIC writes the received datagram into a DMA-heap buffer; charged per frame through Net.Cost *)
+          (* Device DMA: the NIC writes the received datagram into a DMA-heap buffer;
+             charged per frame through Net.Cost. *)
           Bytes.blit b payload_off (Memory.Heap.data buf) (Memory.Heap.offset buf) payload_len;
           Memory.Heap.set_length buf payload_len;
           Queue.add (Net.Addr.endpoint src_ip uh.Net.Udp_wire.src_port, buf) sock.udp_q;
@@ -233,14 +228,16 @@ let handle_udp t header b off =
    payload after it (the NIC's gather DMA). *)
 let write_tcp t b off =
   let hsize = Net.Tcp_wire.header_size t.tx_th in
-  (* dlint-allow: unaccounted-copy -- device DMA: the NIC gathers the segment payload into the wire frame; charged per segment through Net.Cost *)
+  (* Device DMA: the NIC gathers the segment payload into the wire frame; charged per
+     segment through Net.Cost. *)
   Bytes.blit t.tx_src t.tx_src_off b (off + hsize) t.tx_len;
   ignore
     (Net.Tcp_wire.write b off t.tx_th ~payload_len:t.tx_len ~src_ip:(Iface.ip t.iface)
        ~dst_ip:t.tx_dst_ip)
 
 let write_udp t b off =
-  (* dlint-allow: unaccounted-copy -- device DMA: the NIC gathers the datagram from the app's heap buffer into the wire frame; charged per frame through Net.Cost *)
+  (* Device DMA: the NIC gathers the datagram from the app's heap buffer into the wire
+     frame; charged per frame through Net.Cost. *)
   Bytes.blit t.tx_src t.tx_src_off b (off + Net.Udp_wire.size) t.tx_len;
   ignore (Net.Udp_wire.write b off t.tx_uh ~src_ip:(Iface.ip t.iface) ~dst_ip:t.tx_dst_ip)
 
@@ -377,70 +374,11 @@ let arm_rto conn =
 
 let bytes_in_flight conn = Seqnum.sub conn.snd_nxt conn.snd_una
 
-(* ---------- push completion tracking ----------
-
-   PDPIX pushes complete when every segment of the push has left the
-   stack once. Two concurrent pushes per connection track inline in the
-   connection's lanes ([left = 0] marks a free lane); a third concurrent
-   push spills into a lazily created side table. Echo servers and KV
-   stores keep at most one or two pushes outstanding, so most
-   connections never build the table. *)
-
-let push_register conn push_id nsegs =
-  let left0 = conn.push0_left in
-  if left0 > 0 && conn.push0_id = push_id then conn.push0_left <- left0 + nsegs
-  else
-    let left1 = conn.push1_left in
-    if left1 > 0 && conn.push1_id = push_id then conn.push1_left <- left1 + nsegs
-    else
-      match conn.push_spill with
-      | Some spill when Hashtbl.mem spill push_id ->
-          Hashtbl.replace spill push_id (Hashtbl.find spill push_id + nsegs)
-      | Some _ | None ->
-          if left0 = 0 then begin
-            conn.push0_id <- push_id;
-            conn.push0_left <- nsegs
-          end
-          else if left1 = 0 then begin
-            conn.push1_id <- push_id;
-            conn.push1_left <- nsegs
-          end
-          else begin
-            let spill =
-              match conn.push_spill with
-              | Some s -> s
-              | None ->
-                  let s = Hashtbl.create 4 in
-                  conn.push_spill <- Some s;
-                  s
-            in
-            Hashtbl.replace spill push_id nsegs
-          end
-
+(* A PDPIX push completes when its last segment leaves the stack once:
+   segments leave [unsent] in order, so the one carrying the push id
+   goes last. Every other segment carries -1. *)
 let note_push_progress conn push_id =
-  let left0 = conn.push0_left in
-  if left0 > 0 && conn.push0_id = push_id then begin
-    conn.push0_left <- left0 - 1;
-    if left0 = 1 then conn.stack.events (Push_completed (conn, push_id))
-  end
-  else
-    let left1 = conn.push1_left in
-    if left1 > 0 && conn.push1_id = push_id then begin
-      conn.push1_left <- left1 - 1;
-      if left1 = 1 then conn.stack.events (Push_completed (conn, push_id))
-    end
-    else
-      match conn.push_spill with
-      | None -> ()
-      | Some spill -> (
-          match Hashtbl.find_opt spill push_id with
-          | None -> ()
-          | Some n ->
-              if n <= 1 then begin
-                Hashtbl.remove spill push_id;
-                conn.stack.events (Push_completed (conn, push_id))
-              end
-              else Hashtbl.replace spill push_id (n - 1))
+  if push_id >= 0 then conn.stack.events (Push_completed (conn, push_id))
 
 let may_send_fin conn =
   conn.fin_pending
@@ -531,11 +469,6 @@ let make_conn t ~local_ip ~local_port ~remote_ip ~remote_port ~state ~parent_lis
       eof_delivered_to_q = false;
       ack_pending = false;
       tw_seq = -1;
-      push0_id = 0;
-      push0_left = 0;
-      push1_id = 0;
-      push1_left = 0;
-      push_spill = None;
       parent_listener;
       readable = Readable conn;
     }
@@ -629,17 +562,18 @@ let tcp_send conn ?(push_id = 0) bufs =
   | Closed_st ->
       invalid_arg "Stack.tcp_send: connection cannot send");
   let mss = send_mss conn in
-  let seg_count buf = (Memory.Heap.length buf + mss - 1) / mss in
-  let nsegs = List.fold_left (fun n buf -> n + seg_count buf) 0 bufs in
-  if nsegs = 0 then invalid_arg "Stack.tcp_send: empty scatter-gather array";
-  (* Register the whole push before queueing anything, so an inline
-     transmission of the first buffer cannot complete the push early. *)
-  push_register conn push_id nsegs;
+  let push_len = List.fold_left (fun n buf -> n + Memory.Heap.length buf) 0 bufs in
+  if push_len = 0 then invalid_arg "Stack.tcp_send: empty scatter-gather array";
+  (* [unsent] is contiguous from [snd_nxt]: transmission pops its head
+     as it advances [snd_nxt]. *)
+  let base_seq = if Queue.is_empty conn.unsent then conn.snd_nxt else conn.unsent_end in
+  let push_end = Seqnum.add base_seq push_len in
   let queue_buf base_seq buf =
     let total = Memory.Heap.length buf in
     let rec split off seq =
       if off < total then begin
         let len = min mss (total - off) in
+        let seq_end = Seqnum.add seq len in
         Memory.Heap.os_incref buf;
         Queue.add
           {
@@ -647,21 +581,18 @@ let tcp_send conn ?(push_id = 0) bufs =
             seg_len = len;
             seg_buf = buf;
             seg_buf_off = off;
-            seg_push_id = push_id;
+            seg_push_id = (if seq_end = push_end then push_id else -1);
             first_tx = -1;
             retransmitted = false;
             sacked = false;
           }
           conn.unsent;
-        split (off + len) (Seqnum.add seq len)
+        split (off + len) seq_end
       end
     in
     split 0 base_seq;
     Seqnum.add base_seq total
   in
-  (* [unsent] is contiguous from [snd_nxt]: transmission pops its head
-     as it advances [snd_nxt]. *)
-  let base_seq = if Queue.is_empty conn.unsent then conn.snd_nxt else conn.unsent_end in
   conn.unsent_end <- List.fold_left queue_buf base_seq bufs;
   try_transmit conn
 
@@ -849,7 +780,8 @@ let process_ack conn th ~payload_len =
    the receive queue — the one receive-side copy. *)
 let enqueue_recv conn src off len =
   let buf = Memory.Heap.alloc conn.stack.heap len in
-  (* dlint-allow: unaccounted-copy -- device DMA: the NIC writes the in-order payload into a DMA-heap buffer, the one receive-side copy; charged per frame through Net.Cost *)
+  (* Device DMA: the NIC writes the in-order payload into a DMA-heap buffer, the one
+     receive-side copy; charged per frame through Net.Cost. *)
   Bytes.blit src off (Memory.Heap.data buf) (Memory.Heap.offset buf) len;
   Memory.Heap.set_length buf len;
   Queue.add buf conn.recv_q;
@@ -904,7 +836,8 @@ let process_payload conn th b off len =
           conn.stack.events conn.readable
         end
         else begin
-          (* dlint-allow: unaccounted-copy -- uncharged host copy of the simulator's representation: an out-of-order segment is held as a string until the gap fills (loss recovery only) *)
+          (* Uncharged host copy of the simulator's representation: an out-of-order
+             segment is held as a string until the gap fills (loss recovery only). *)
           Reassembly.insert reasm ~seq (Bytes.sub_string b off len);
           deliver_ready conn reasm
         end

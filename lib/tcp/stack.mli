@@ -97,9 +97,7 @@ val next_timer_ns : t -> int
 
 val timer_activity : t -> int
 (** Count of timers fired so far: unchanged across an {!on_timer} call
-    iff no timer fired — how the Catnip poll loop classifies an
-    iteration as steady. Dropping cancelled entries is not counted; it
-    allocates nothing. *)
+    iff no timer fired. Dropping cancelled entries is not counted. *)
 
 val on_timer : t -> unit
 (** Fire every timer whose deadline is at or before the current clock

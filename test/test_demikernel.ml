@@ -280,7 +280,9 @@ let test_echo_zero_copy_accounting () =
   let nap_copied = (Memory.Heap.stats (Oskernel.Kernel.heap nap_kernel)).Memory.Heap.bytes_copied in
   check_bool "kernel path copies every byte" true (nap_copied >= 20 * 2048 * 2)
 
-let test_echo_udp_catnip () =
+(* A Catnip UDP echo of [count] datagrams of [msg_size] bytes; returns
+   whether the client finished and its RTTs. *)
+let udp_echo ~msg_size ~count =
   let sim = Engine.Sim.create () in
   let fabric = Net.Fabric.create sim ~cost:bare () in
   let server = Demikernel.Boot.make sim fabric ~index:1 Demikernel.Boot.Catnip_os in
@@ -291,13 +293,17 @@ let test_echo_udp_catnip () =
   Demikernel.Boot.run_app client
     (Apps.Echo.udp_client
        ~dst:(Demikernel.Boot.endpoint server 53)
-       ~src_port:5001 ~msg_size:64 ~count:50
+       ~src_port:5001 ~msg_size ~count
        ~record:(Metrics.Hdr.add rtts)
        ~on_done:(fun () -> finished := true));
   Demikernel.Boot.start server;
   Demikernel.Boot.start client;
   Engine.Sim.run ~until:(Engine.Clock.s 5) sim;
-  check_bool "finished" true !finished;
+  (!finished, rtts)
+
+let test_echo_udp_catnip () =
+  let finished, rtts = udp_echo ~msg_size:64 ~count:50 in
+  check_bool "finished" true finished;
   check_int "rtts" 50 (Metrics.Hdr.count rtts);
   (* UDP skips the TCP machinery: cheaper than TCP echo. *)
   check_bool "udp rtt sane" true (Metrics.Hdr.p50 rtts < 15_000)
@@ -1317,6 +1323,36 @@ let test_wait_cycle_words_flat () =
   if Float.abs (large -. small) > 4.0 then
     Alcotest.failf "words per wait cycle: %.1f with 16 blocked, %.1f with 2048" small large
 
+(* ---------- bytes moved off the selfcheck's paths ---------- *)
+
+(* The selfcheck pins the bytes each flavor's echo moves. These worlds
+   reach the copy sites it never runs: out-of-order reassembly under
+   loss, IP fragments, and Cattree on an SSD. Every world is
+   deterministic, so each count is exact: one more copy fails it. *)
+let bytes_moved f =
+  let moved0 = Engine.Copies.moved () in
+  f ();
+  Engine.Copies.moved () - moved0
+
+let test_copies_off_selfcheck () =
+  let lossy =
+    bytes_moved (fun () ->
+        let r =
+          Harness.Observe.run Harness.Observe.off
+            { (Harness.Observe.echo Demikernel.Boot.Catnip_os) with loss = 0.2; msg_size = 8192 }
+        in
+        check_int "lossy echo: every request answered" 16 (List.length r.latencies))
+  in
+  let fragments =
+    bytes_moved (fun () ->
+        let finished, _ = udp_echo ~msg_size:4000 ~count:8 in
+        check_bool "fragmented udp echo finished" true finished)
+  in
+  let disk = bytes_moved (fun () -> ignore (Test_recovery.compaction_world ())) in
+  check_int "lossy catnip tcp echo (8 KiB messages, 20% loss)" 856_928 lossy;
+  check_int "udp echo of 4,000 B datagrams (IP fragments)" 356_392 fragments;
+  check_int "dkv sets persisted through cattree" 3_639_080 disk
+
 let suite =
   [
     Alcotest.test_case "waker basic" `Quick test_waker_basic;
@@ -1389,5 +1425,7 @@ let suite =
         (close_ends_unaccepted Demikernel.Boot.Catnap_os "connection reset");
       Alcotest.test_case "catmint stalled retry: same seed, same wire bytes" `Quick
         test_catmint_stalled_retry_same_wire;
+      Alcotest.test_case "copies: lossy reassembly, IP fragments and a Dkv log on disk" `Quick
+        test_copies_off_selfcheck;
     ]
 

@@ -350,124 +350,6 @@ let payload_integrity =
       let bufs = List.map (Memory.Heap.alloc_of_string h) payloads in
       List.for_all2 (fun s b -> Memory.Heap.to_string b = s) payloads bufs)
 
-(* ---------- the gc-budget oracle ---------- *)
-
-let test_gcbudget_oracle_catches_allocation () =
-  Memory.Gcbudget.reset ();
-  Memory.Gcbudget.set_armed true;
-  Fun.protect
-    ~finally:(fun () ->
-      Memory.Gcbudget.set_armed false;
-      Memory.Gcbudget.reset ())
-    (fun () ->
-      let dirty = Memory.Gcbudget.site ~warmup:0 "test.dirty" in
-      let sink = ref [] in
-      for i = 1 to 8 do
-        Memory.Gcbudget.enter dirty;
-        sink := i :: !sink (* a cons cell inside the measured window *);
-        Memory.Gcbudget.leave_steady dirty
-      done;
-      let clean = Memory.Gcbudget.site ~warmup:0 "test.clean" in
-      for _ = 1 to 8 do
-        Memory.Gcbudget.enter clean;
-        Memory.Gcbudget.leave_steady clean
-      done;
-      let busy = Memory.Gcbudget.site ~warmup:0 "test.busy" in
-      for i = 1 to 8 do
-        Memory.Gcbudget.enter busy;
-        sink := i :: !sink;
-        Memory.Gcbudget.leave_busy busy
-      done;
-      let stat name =
-        List.find
-          (fun s -> s.Memory.Gcbudget.site_name = name)
-          (Memory.Gcbudget.sites ())
-      in
-      check_int "every allocating steady poll is a violation" 8
-        (stat "test.dirty").Memory.Gcbudget.site_violations;
-      check_bool "worst-case words recorded" true
-        ((stat "test.dirty").Memory.Gcbudget.worst_words > 0);
-      check_int "allocation-free steady polls pass" 0
-        (stat "test.clean").Memory.Gcbudget.site_violations;
-      check_int "clean polls are still measured" 8 (stat "test.clean").Memory.Gcbudget.measured;
-      check_int "busy polls are never asserted" 0
-        (stat "test.busy").Memory.Gcbudget.site_violations;
-      check_int "busy polls are not measured" 0 (stat "test.busy").Memory.Gcbudget.measured;
-      ignore (Stdlib.List.length !sink))
-
-let test_gcbudget_warmup_and_disarmed () =
-  Memory.Gcbudget.reset ();
-  Memory.Gcbudget.set_armed true;
-  Fun.protect
-    ~finally:(fun () ->
-      Memory.Gcbudget.set_armed false;
-      Memory.Gcbudget.reset ())
-    (fun () ->
-      let s = Memory.Gcbudget.site ~warmup:5 "test.warmup" in
-      let sink = ref [] in
-      for i = 1 to 5 do
-        Memory.Gcbudget.enter s;
-        sink := i :: !sink;
-        Memory.Gcbudget.leave_steady s
-      done;
-      let stat =
-        List.find
-          (fun st -> st.Memory.Gcbudget.site_name = "test.warmup")
-          (Memory.Gcbudget.sites ())
-      in
-      check_int "warmup polls observed" 5 stat.Memory.Gcbudget.polls;
-      check_int "warmup polls not measured" 0 stat.Memory.Gcbudget.measured;
-      check_int "warmup allocations exempt" 0 stat.Memory.Gcbudget.site_violations;
-      ignore (Stdlib.List.length !sink));
-  (* Disarmed, the protocol is a no-op: nothing is even observed. *)
-  let s = Memory.Gcbudget.site ~warmup:0 "test.disarmed" in
-  let sink = ref [] in
-  for i = 1 to 4 do
-    Memory.Gcbudget.enter s;
-    sink := i :: !sink;
-    Memory.Gcbudget.leave_steady s
-  done;
-  check_int "disarmed polls never counted" 0 (Memory.Gcbudget.total_measured ());
-  ignore (Stdlib.List.length !sink)
-
-let test_gcbudget_busy_budget () =
-  let units = 8 in
-  (* One cons (3 words) per unit; the list ref exists before the window. *)
-  let window s =
-    let sink = ref [] in
-    Memory.Gcbudget.enter s;
-    for i = 1 to units do
-      sink := i :: !sink
-    done;
-    Memory.Gcbudget.leave_busy s ~units;
-    ignore (Sys.opaque_identity !sink)
-  in
-  let stat name =
-    List.find (fun st -> st.Memory.Gcbudget.site_name = name) (Memory.Gcbudget.sites ())
-  in
-  Memory.Gcbudget.reset ();
-  Memory.Gcbudget.set_armed true;
-  Fun.protect
-    ~finally:(fun () ->
-      Memory.Gcbudget.set_armed false;
-      Memory.Gcbudget.reset ())
-    (fun () ->
-      window (Memory.Gcbudget.site ~warmup:0 ~budget:3 "test.budget.exact");
-      check_int "exactly at budget passes" 0
-        (stat "test.budget.exact").Memory.Gcbudget.site_violations;
-      window (Memory.Gcbudget.site ~warmup:0 ~budget:2 "test.budget.over");
-      let over = stat "test.budget.over" in
-      check_int "one word per unit over budget is a violation" 1
-        over.Memory.Gcbudget.site_violations;
-      check_int "the excess is reported exactly" units over.Memory.Gcbudget.worst_words;
-      check_int "busy windows leave the steady counts alone" 0
-        (over.Memory.Gcbudget.polls + Memory.Gcbudget.total_measured ());
-      check_int "over-budget windows count as violations" 1
-        (Memory.Gcbudget.total_violations ()));
-  (* Disarmed, a budgeted window is a no-op too. *)
-  window (Memory.Gcbudget.site ~warmup:0 ~budget:0 "test.budget.disarmed");
-  check_int "disarmed windows never count" 0 (Memory.Gcbudget.total_violations ())
-
 let suite =
   [
     Alcotest.test_case "size class rounding" `Quick test_sizeclass_rounding;
@@ -510,10 +392,4 @@ let suite =
       (alloc_words ~sanitize:false);
     Alcotest.test_case "words: sanitized heap alloc is its buffer record" `Quick
       (alloc_words ~sanitize:true);
-    Alcotest.test_case "gc-budget: oracle catches allocation" `Quick
-      test_gcbudget_oracle_catches_allocation;
-    Alcotest.test_case "gc-budget: warmup and disarmed" `Quick
-      test_gcbudget_warmup_and_disarmed;
-    Alcotest.test_case "gc-budget: busy windows hold a per-unit budget" `Quick
-      test_gcbudget_busy_budget;
   ]

@@ -194,29 +194,34 @@ let test_aof_compaction_and_recovery () =
   Engine.Sim.run ~until:(Engine.Clock.s 20) sim;
   check_int "all keys recovered through the snapshot" 5 !ok
 
+(* A Dkv server persisting to its own SSD: 640 SETs of 1,000 B over 64
+   keys, enough to compact the log. Returns the disk. *)
+let compaction_world () =
+  let keys = 64 in
+  let sim, fabric = world () in
+  let ssd = Net.Ssd_sim.create sim ~cost:bare ~capacity:(1 lsl 26) in
+  let server = Demikernel.Boot.make sim fabric ~index:1 ~ssd Demikernel.Boot.Catnip_os in
+  let client = Demikernel.Boot.make sim fabric ~index:2 Demikernel.Boot.Catnip_os in
+  Demikernel.Boot.run_app server (Apps.Dkv.server ~port:6379 ~persist:true);
+  Demikernel.Boot.run_app client (fun api ->
+      let c = Apps.Dkv.client_connect api (Demikernel.Boot.endpoint server 6379) in
+      for i = 1 to 10 * keys do
+        assert (Apps.Dkv.set c (Printf.sprintf "k%d" (i mod keys)) (String.make 1000 'v') = Apps.Dkv.Ok)
+      done;
+      Apps.Dkv.client_close c);
+  Demikernel.Boot.start server;
+  Demikernel.Boot.start client;
+  Engine.Sim.run ~until:(Engine.Clock.s 10) sim;
+  ssd
+
 (* The compacting world twice from one seed in one process: the disk
    must hold the same bytes. `dune runtest` runs with OCAMLRUNPARAM=R,
    so each run's Hashtbls hash with a fresh seed; a snapshot written in
    hash order lays its 64 keys out differently and fails this. *)
 let test_compaction_same_bytes () =
-  let keys = 64 in
   let run () =
-    let sim, fabric = world () in
-    let ssd = Net.Ssd_sim.create sim ~cost:bare ~capacity:(1 lsl 26) in
-    let server = Demikernel.Boot.make sim fabric ~index:1 ~ssd Demikernel.Boot.Catnip_os in
-    let client = Demikernel.Boot.make sim fabric ~index:2 Demikernel.Boot.Catnip_os in
-    Demikernel.Boot.run_app server (Apps.Dkv.server ~port:6379 ~persist:true);
-    Demikernel.Boot.run_app client (fun api ->
-        let c = Apps.Dkv.client_connect api (Demikernel.Boot.endpoint server 6379) in
-        for i = 1 to 10 * keys do
-          assert (Apps.Dkv.set c (Printf.sprintf "k%d" (i mod keys)) (String.make 1000 'v') = Apps.Dkv.Ok)
-        done;
-        Apps.Dkv.client_close c);
-    Demikernel.Boot.start server;
-    Demikernel.Boot.start client;
-    Engine.Sim.run ~until:(Engine.Clock.s 10) sim;
+    let ssd = compaction_world () in
     Net.Ssd_sim.contents ssd ~off:0 ~len:(Net.Ssd_sim.bytes_written ssd)
-
   in
   let first = run () in
   let start = Net.Wire.get_u32 (Bytes.unsafe_of_string first) 4 in

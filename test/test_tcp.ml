@@ -999,8 +999,7 @@ let test_closed_conn_reads_empty () =
 let test_push_tracking_spills () =
   let p = Pair.make () in
   let ca, cb = Pair.connect p ~port:7 in
-  (* Five concurrent multi-segment pushes: two fit the inline tracking
-     slots, the rest must spill — every one still completes exactly
+  (* Five concurrent multi-segment pushes: every one completes exactly
      once, in transmission order. *)
   let bufs =
     List.map
@@ -1375,7 +1374,8 @@ let tcp_recv_reads_back =
 
 (* The in-order receive path copies the payload once, frame to receive
    buffer: a 1448-byte segment must cost fewer minor words than the
-   1448-byte intermediate string alone (182 words). *)
+   1448-byte intermediate string alone (182 words), and the bytes-moved
+   meter must move by exactly one payload. *)
 let test_in_order_receive_words () =
   let p, ca, cb, seq0, ack = pair_with_stream_origin () in
   let src_port = (Tcp.Stack.conn_local ca).Net.Addr.port in
@@ -1390,9 +1390,11 @@ let test_in_order_receive_words () =
   let words = ref 0 in
   List.iteri
     (fun i frame ->
+      let moved0 = Engine.Copies.moved () in
       let before = Gc.minor_words () in
       Tcp.Stack.input p.Pair.b frame;
       let after = Gc.minor_words () in
+      check_int "bytes moved: one payload" 1448 (Engine.Copies.moved () - moved0);
       if i >= warmup then words := !words + int_of_float (after -. before);
       match Tcp.Stack.tcp_recv cb with
       | `Data b ->
