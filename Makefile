@@ -62,8 +62,10 @@ observe-smoke:
 # primitive). Fails if the run crashes or a required row is missing or
 # has neither an estimate nor `unresolved` (a fit with r^2 below 0.9,
 # which is not an estimate): either wait_any row (8 and 2048
-# outstanding tokens, one ready), either observer row (one flight note,
-# one span interval recorded into a full Engine.Log ring), or any
+# outstanding tokens, one ready), the runtime's PDPIX dispatch row (a
+# push, a pop and two waits on one queue() qd), either observer row
+# (one flight note, one span interval recorded into a full Engine.Log
+# ring), or any
 # scheduling-substrate row (one fiber sleep, one condvar wait+broadcast,
 # one event-queue add+pop with 64 events pending). Prints how many rows
 # did not resolve.
@@ -77,6 +79,8 @@ micro-smoke:
 	  grep -Eq "runtime: wait_any, $$n tokens, 1 ready $(MICRO_CELL)" out/micro.txt \
 	    || { echo "micro-smoke: wait_any row for $$n tokens missing from out/micro.txt" >&2; exit 1; }; \
 	done
+	@grep -Eq "runtime: push\+pop\+wait, queue\(\) qd $(MICRO_CELL)" out/micro.txt \
+	  || { echo "micro-smoke: runtime push+pop+wait row missing from out/micro.txt" >&2; exit 1; }
 	@for row in "flight note" "span interval"; do \
 	  grep -Eq "log: record, $$row $(MICRO_CELL)" out/micro.txt \
 	    || { echo "micro-smoke: log row '$$row' missing from out/micro.txt" >&2; exit 1; }; \

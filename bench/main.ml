@@ -139,6 +139,27 @@ let micro_tests () =
            ignore (node.Demikernel.Boot.api.Demikernel.Pdpix.wait_any qts);
            qts.(i) <- Demikernel.Runtime.fresh_token rt))
   in
+  let queue_cycle =
+    (* The runtime's PDPIX dispatch alone, with free libcalls as above:
+       each run pushes one buffer into a [queue()] qd, pops it and
+       redeems both tokens — two descriptor lookups, two inline
+       completions, nothing device-specific. *)
+    let sim = Engine.Sim.create () in
+    let fabric =
+      Net.Fabric.create sim ~cost:{ Net.Cost.bare_metal with Net.Cost.libos_sched_ns = 0 } ()
+    in
+    let node = Demikernel.Boot.make sim fabric ~index:1 Demikernel.Boot.Catnip_os in
+    let api = node.Demikernel.Boot.api in
+    let q = api.Demikernel.Pdpix.queue () in
+    let sga = [ Memory.Heap.alloc node.Demikernel.Boot.host.Demikernel.Host.heap 64 ] in
+    let pushed = [| 0 |] and popped = [| 0 |] in
+    Test.make ~name:"runtime: push+pop+wait, queue() qd"
+      (Staged.stage (fun () ->
+           pushed.(0) <- api.Demikernel.Pdpix.push q sga;
+           popped.(0) <- api.Demikernel.Pdpix.pop q;
+           ignore (api.Demikernel.Pdpix.wait_any pushed);
+           ignore (api.Demikernel.Pdpix.wait_any popped)))
+  in
   let log_record name record =
     (* One record into a recorder's ring at its default capacity,
        grown to full size first: the steady, wrapping write. *)
@@ -196,6 +217,7 @@ let micro_tests () =
   in
   [
     sched_switch; waker; checksum; tcp_rx; heap_ops; hdr; wait_any ~tokens:8; wait_any ~tokens:2048;
+    queue_cycle;
     log_record "flight note" flight_note; log_record "span interval" span_interval; fiber_sleep;
     condvar_cycle; eventq;
   ]

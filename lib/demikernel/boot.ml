@@ -57,14 +57,18 @@ let make sim fabric ~index ?name ?tcp_config ?catmint_window ?(with_disk = false
         if with_disk then Some (Net.Ssd_sim.create sim ~cost ~capacity:default_disk_capacity)
         else None
   in
+  (* The §5.5 network x storage integration: a Catnip or Catmint host
+     with a disk opens its logs on Cattree, in the same descriptor
+     table as its sockets. *)
   let cattree = ref None in
-  let with_storage net_ops =
+  let api net =
     match ssd with
-    | Some ssd when flavor <> Catnap_os ->
+    | Some ssd ->
         let ct = Cattree.create rt ~ssd in
         cattree := Some ct;
-        Runtime.combine ~net:net_ops ~storage:(Cattree.ops ct)
-    | Some _ | None -> net_ops
+        Runtime.make_api rt ~name:(flavor_name flavor ^ "xcattree") ~net
+          ~logs:(Some (Cattree.open_log ct))
+    | None -> Runtime.make_api rt ~name:(flavor_name flavor) ~net ~logs:None
   in
   match flavor with
   | Catnap_os ->
@@ -72,7 +76,9 @@ let make sim fabric ~index ?name ?tcp_config ?catmint_window ?(with_disk = false
       Net.Fabric.label_port fabric ~mac ~owner:name;
       let kernel = Oskernel.Kernel.create sim ~name:(name ^ "-kernel") ~cost ~nic ?ssd () in
       let cn = Catnap.create rt ~kernel in
-      let api = Runtime.make_api rt (Catnap.ops cn) in
+      let api =
+        Runtime.make_api rt ~name:"catnap" ~net:(Catnap.net cn) ~logs:(Some (Catnap.open_log cn))
+      in
       {
         api; rt; host; ip; flavor;
         kernel = Some kernel; ssd; nic = Some nic; rnic = None; catnip = None;
@@ -82,7 +88,7 @@ let make sim fabric ~index ?name ?tcp_config ?catmint_window ?(with_disk = false
       let nic = Net.Dpdk_sim.create fabric ~mac ~ip () in
       Net.Fabric.label_port fabric ~mac ~owner:name;
       let cn = Catnip.create rt ~nic ?config:tcp_config () in
-      let api = Runtime.make_api rt (with_storage (Catnip.ops cn)) in
+      let api = api (Catnip.net cn) in
       {
         api; rt; host; ip; flavor;
         kernel = None; ssd; nic = Some nic; rnic = None; catnip = Some cn;
@@ -92,7 +98,7 @@ let make sim fabric ~index ?name ?tcp_config ?catmint_window ?(with_disk = false
       let rnic = Net.Rdma_sim.create fabric ~mac ~ip () in
       Net.Fabric.label_port fabric ~mac ~owner:name;
       let cm = Catmint.create rt ~rnic ?window:catmint_window () in
-      let api = Runtime.make_api rt (with_storage (Catmint.ops cm)) in
+      let api = api (Catmint.net cm) in
       {
         api; rt; host; ip; flavor;
         kernel = None; ssd; nic = None; rnic = Some rnic; catnip = None;

@@ -43,7 +43,7 @@ val make :
   flavor ->
   node
 (** Create host [index] (addresses derive from it). [with_disk] attaches
-    a fresh SSD: Cattree integrated via {!Runtime.combine} for
+    a fresh SSD: Cattree's logs share the host's one descriptor table for
     kernel-bypass flavors (§5.5), the kernel file path for Catnap.
     Passing [ssd] instead attaches an existing device — a "reboot" of a
     crashed node, whose Cattree logs recover their records on open. The

@@ -11,7 +11,7 @@ let chan_of imm = imm land 0x0FFF_FFFF
 
 type chan = {
   id : int;
-  chan_qd : Pdpix.qd;
+  q : Runtime.queue; (* its stream *)
   peer_mac : Net.Addr.Mac.t;
   cell : Bytes.t; (* peer one-sided-writes cumulative grants here *)
   grant : Bytes.t; (* our grants to the peer are gathered from here *)
@@ -24,27 +24,23 @@ type chan = {
   pending_sgas : Pdpix.sga Engine.Ring.t;
       (* pushes awaiting grant, token and sga in parallel rings; each
          buffer holds a libOS reference until the device gathers it *)
-  pops : Runtime.pending;
   recv_q : Memory.Heap.buffer Engine.Ring.t;
   mutable eof : bool;
-  mutable connect_token : Pdpix.qtoken option;
   mutable flow : Dsched.handle option;
   mutable stalled : bool; (* on the retry list (sends queued behind the grant window) *)
 }
 
-type entry =
-  | Unbound of Pdpix.proto
-  | Bound_tcp of Net.Addr.endpoint
-  | Listening of chan Engine.Ring.t * Runtime.pending (* connected, not yet accepted *)
-  | Channel of chan
+type listener = {
+  lq : Runtime.queue;
+  backlog : chan Engine.Ring.t; (* connected, not yet accepted *)
+}
 
 type t = {
   rt : Runtime.t;
   rnic : Net.Rdma_sim.t;
   window : int;
-  qds : (Pdpix.qd, entry) Hashtbl.t;
   chans : (int, chan) Hashtbl.t;
-  listeners : (int, Pdpix.qd) Hashtbl.t; (* port -> qd *)
+  listeners : (int, listener) Hashtbl.t; (* port -> its listener *)
   mutable next_chan : int;
   mutable stalled_chans : chan list;
       (* ascending chan id — the channels with queued sends awaiting
@@ -60,7 +56,7 @@ let charge t ns = Host.charge (host t) ns
 let charge_dev t ns = Host.charge_as (host t) Engine.Span.Device ns
 
 let grant_available ch = Net.Wire.get_u32 ch.cell 0 - ch.sent
-let live ch = Runtime.failed ch.pops = None
+let live ch = Runtime.failed ch.q = None
 
 (* ---------- message emission ---------- *)
 
@@ -182,43 +178,32 @@ let pop_next t ch () =
   else if ch.eof then Some (Pdpix.Popped [])
   else None
 
-let make_chan t ~qd ~peer_mac =
-  let id = t.next_chan in
-  t.next_chan <- t.next_chan + 1;
-  let rec ch =
-    lazy
-      {
-        id;
-        chan_qd = qd;
-        peer_mac;
-        cell = Bytes.make 4 '\000';
-        grant = Bytes.create 4;
-        peer_chan = -1;
-        peer_cell_rkey = -1;
-        sent = 0;
-        consumed = 0;
-        granted_to_peer = t.window;
-        pending_qts = Engine.Ring.create ();
-        pending_sgas = Engine.Ring.create ();
-        pops = Runtime.pending t.rt (fun () -> pop_next t (Lazy.force ch) ());
-        recv_q = Engine.Ring.create ();
-        eof = false;
-        connect_token = None;
-        flow = None;
-        stalled = false;
-      }
-  in
-  let ch = Lazy.force ch in
-  Hashtbl.replace t.chans id ch;
-  Hashtbl.replace t.qds qd (Channel ch);
-  ch.flow <-
-    Some
-      (Dsched.spawn (Runtime.sched t.rt) Dsched.Background
-         ~name:(Printf.sprintf "catmint-flow-%d" id)
-         (flow_coroutine t ch));
-  ch
+let charge_sga t sga =
+  (* Zero-copy for DMA-eligible buffers (the device gathers directly
+     from registered memory, exercising get_rkey); small buffers are
+     copied into the command, per the 1 kB threshold (§5.3). *)
+  List.iter
+    (fun buf ->
+      if Memory.Heap.is_dma_capable buf then ignore (Memory.Heap.rkey buf)
+      else Host.charge_copy (host t) (Memory.Heap.length buf))
+    sga
 
-let cell_rkey t ch = Net.Rdma_sim.register_region t.rnic ch.cell
+let push t ch sga =
+  charge_sga t sga;
+  if Pdpix.sga_length sga > Net.Rdma_sim.max_message_size then
+    invalid_arg "catmint: message exceeds device limit";
+  let qt = Runtime.fresh_token t.rt in
+  if ch.peer_chan >= 0 && grant_available ch > 0 && Engine.Ring.is_empty ch.pending_qts then
+    send_data t ch qt sga
+  else begin
+    (* The device gathers a queued push later: the libOS reference
+       keeps an early app free from recycling it. *)
+    List.iter Memory.Heap.os_incref sga;
+    Engine.Ring.push ch.pending_qts qt;
+    Engine.Ring.push ch.pending_sgas sga;
+    mark_stalled t ch
+  end;
+  qt
 
 let rec fail_pending_sends t ch reason =
   if not (Engine.Ring.is_empty ch.pending_qts) then begin
@@ -228,22 +213,55 @@ let rec fail_pending_sends t ch reason =
     fail_pending_sends t ch reason
   end
 
-let fail_chan t ch reason =
-  (match ch.connect_token with
-  | Some qt ->
-      ch.connect_token <- None;
-      Runtime.complete t.rt qt (Pdpix.Failed reason)
-  | None -> ());
-  fail_pending_sends t ch reason;
-  Runtime.fail ch.pops reason;
-  match ch.flow with Some h -> Dsched.wake (Runtime.sched t.rt) h | None -> ()
+let wake_flow t ch = match ch.flow with Some h -> Dsched.wake (Runtime.sched t.rt) h | None -> ()
 
-let close_chan t ch =
+let fail_chan t ch reason =
+  Runtime.fail ch.q reason;
+  fail_pending_sends t ch reason;
+  wake_flow t ch
+
+(* The stream's close hook; the runtime then fails its connect and
+   pops. *)
+let close_chan t ch () =
   if live ch && ch.peer_chan >= 0 then
     post_control t ~dst:ch.peer_mac ~msg:m_close ~chan:ch.peer_chan Bytes.empty;
-  fail_chan t ch "queue closed";
-  Hashtbl.remove t.chans ch.id;
-  Hashtbl.remove t.qds ch.chan_qd
+  fail_pending_sends t ch "queue closed";
+  wake_flow t ch;
+  Hashtbl.remove t.chans ch.id
+
+let make_chan t q ~peer_mac =
+  let id = t.next_chan in
+  t.next_chan <- t.next_chan + 1;
+  let ch =
+    {
+      id;
+      q;
+      peer_mac;
+      cell = Bytes.make 4 '\000';
+      grant = Bytes.create 4;
+      peer_chan = -1;
+      peer_cell_rkey = -1;
+      sent = 0;
+      consumed = 0;
+      granted_to_peer = t.window;
+      pending_qts = Engine.Ring.create ();
+      pending_sgas = Engine.Ring.create ();
+      recv_q = Engine.Ring.create ();
+      eof = false;
+      flow = None;
+      stalled = false;
+    }
+  in
+  Hashtbl.replace t.chans id ch;
+  Runtime.open_stream q ~next:(pop_next t ch) ~push:(push t ch) ~close:(close_chan t ch);
+  ch.flow <-
+    Some
+      (Dsched.spawn (Runtime.sched t.rt) Dsched.Background
+         ~name:(Printf.sprintf "catmint-flow-%d" id)
+         (flow_coroutine t ch));
+  ch
+
+let cell_rkey t ch = Net.Rdma_sim.register_region t.rnic ch.cell
 
 (* ---------- completion handling ---------- *)
 
@@ -257,20 +275,15 @@ let handle_connect t ~src_mac frame =
   match Hashtbl.find_opt t.listeners port with
   | None ->
       post_control t ~dst:src_mac ~msg:m_refuse ~chan:requester_chan Bytes.empty
-  | Some lqd -> (
-      match Hashtbl.find_opt t.qds lqd with
-      | Some (Listening (backlog, accepts)) ->
-          let qd = Runtime.fresh_qd t.rt in
-          let ch = make_chan t ~qd ~peer_mac:src_mac in
-          ch.peer_chan <- requester_chan;
-          ch.peer_cell_rkey <- requester_rkey;
-          Net.Wire.set_u32 ch.cell 0 grant;
-          post_control t ~dst:src_mac ~msg:m_accept ~chan:requester_chan
-            (u32s [ ch.id; cell_rkey t ch; t.window ]);
-          Engine.Ring.push backlog ch;
-          Runtime.serve accepts
-      | Some _ | None ->
-          post_control t ~dst:src_mac ~msg:m_refuse ~chan:requester_chan Bytes.empty)
+  | Some l ->
+      let ch = make_chan t (Runtime.accepted t.rt) ~peer_mac:src_mac in
+      ch.peer_chan <- requester_chan;
+      ch.peer_cell_rkey <- requester_rkey;
+      Net.Wire.set_u32 ch.cell 0 grant;
+      post_control t ~dst:src_mac ~msg:m_accept ~chan:requester_chan
+        (u32s [ ch.id; cell_rkey t ch; t.window ]);
+      Engine.Ring.push l.backlog ch;
+      Runtime.serve l.lq
 
 (* [frame] is the arrived message (its window is the payload); the
    caller frees it once this returns. *)
@@ -285,11 +298,7 @@ let handle_recv t ~src_mac ~imm frame =
           ch.peer_chan <- Net.Wire.get_u32 b off;
           ch.peer_cell_rkey <- Net.Wire.get_u32 b (off + 4);
           Net.Wire.set_u32 ch.cell 0 (Net.Wire.get_u32 b (off + 8));
-          (match ch.connect_token with
-          | Some qt ->
-              ch.connect_token <- None;
-              Runtime.complete t.rt qt Pdpix.Connected
-          | None -> ());
+          Runtime.connected ch.q Pdpix.Connected;
           flush_pending t ch
       | None -> ())
   | 3 (* refuse *) -> (
@@ -310,13 +319,13 @@ let handle_recv t ~src_mac ~imm frame =
             (Memory.Heap.offset buf) len;
           Memory.Heap.set_length buf len;
           Engine.Ring.push ch.recv_q buf;
-          Runtime.serve ch.pops
+          Runtime.serve ch.q
       | None -> ())
   | 5 (* close *) -> (
       match Hashtbl.find_opt t.chans (chan_of imm) with
       | Some ch ->
           ch.eof <- true;
-          Runtime.serve ch.pops
+          Runtime.serve ch.q
       | None -> ())
   | _ -> ()
 
@@ -346,116 +355,34 @@ let poll t consumer () =
   retry_stalled t;
   busy
 
-(* ---------- PDPIX operations ---------- *)
+(* ---------- device halves ---------- *)
 
-let find t qd =
-  match Hashtbl.find_opt t.qds qd with
-  | Some e -> e
-  | None -> invalid_arg (Printf.sprintf "catmint: unknown qd %d" qd)
-
-let op_socket t proto =
-  match proto with
-  | Pdpix.Tcp ->
-      let qd = Runtime.fresh_qd t.rt in
-      Hashtbl.replace t.qds qd (Unbound proto);
-      qd
-  | Pdpix.Udp -> Runtime.unsupported "catmint: datagram sockets (RDMA is message-based)"
-
-let op_bind t qd ep =
-  match find t qd with
-  | Unbound Pdpix.Tcp -> Hashtbl.replace t.qds qd (Bound_tcp ep)
-  | Unbound Pdpix.Udp | Bound_tcp _ | Listening _ | Channel _ ->
-      invalid_arg "catmint: bind on active qd"
-
-let op_listen t qd _backlog =
-  match find t qd with
-  | Bound_tcp ep ->
-      let backlog = Engine.Ring.create () in
-      let next () =
-        if Engine.Ring.is_empty backlog then None
-        else Some (Pdpix.Accepted (Engine.Ring.pop backlog).chan_qd)
-      in
-      Hashtbl.replace t.qds qd (Listening (backlog, Runtime.pending t.rt next));
-      Hashtbl.replace t.listeners ep.Net.Addr.port qd
-  | Unbound _ | Listening _ | Channel _ -> invalid_arg "catmint: listen needs a bound qd"
-
-let op_accept t qd =
-  match find t qd with
-  | Listening (_, accepts) ->
-      let qt = Runtime.enqueue accepts in
-      Runtime.serve accepts;
-      qt
-  | Unbound _ | Bound_tcp _ | Channel _ -> invalid_arg "catmint: accept on non-listener"
+let listen t q (ep : Net.Addr.endpoint) ~backlog:_ =
+  let port = ep.Net.Addr.port in
+  let l = { lq = q; backlog = Engine.Ring.create () } in
+  let next () =
+    if Engine.Ring.is_empty l.backlog then None
+    else Some (Pdpix.Accepted (Runtime.qd (Engine.Ring.pop l.backlog).q))
+  in
+  Runtime.open_listener q ~next ~close:(fun () ->
+      Hashtbl.remove t.listeners port;
+      (* Channels connected but never accepted close with it. *)
+      while not (Engine.Ring.is_empty l.backlog) do
+        Runtime.close (Engine.Ring.pop l.backlog).q
+      done);
+  Hashtbl.replace t.listeners port l
 
 (* Endpoint IPs map to device MACs 1:1 in our fabric; resolve by index. *)
 let mac_of_endpoint (ep : Net.Addr.endpoint) =
   Net.Addr.Mac.of_index ((ep.Net.Addr.ip land 0xffff) - 1)
 
-let op_connect t qd (dst : Net.Addr.endpoint) =
-  match find t qd with
-  | Unbound Pdpix.Tcp ->
-      let ch = make_chan t ~qd ~peer_mac:(mac_of_endpoint dst) in
-      let qt = Runtime.fresh_token t.rt in
-      ch.connect_token <- Some qt;
-      Net.Wire.set_u32 ch.cell 0 0 (* cannot send until ACCEPT grants *);
-      post_control t ~dst:ch.peer_mac ~msg:m_connect ~chan:0
-        (u32s [ dst.Net.Addr.port; ch.id; cell_rkey t ch; t.window ]);
-      qt
-  | Unbound Pdpix.Udp | Bound_tcp _ | Listening _ | Channel _ ->
-      invalid_arg "catmint: connect needs an unbound qd"
-
-let op_close t qd =
-  (match find t qd with
-  | Channel ch -> close_chan t ch
-  | Listening (backlog, accepts) ->
-      (* Channels connected but never accepted close with it. *)
-      while not (Engine.Ring.is_empty backlog) do
-        close_chan t (Engine.Ring.pop backlog)
-      done;
-      Runtime.fail accepts "queue closed"
-  | Unbound _ | Bound_tcp _ -> ());
-  Hashtbl.remove t.qds qd
-
-let charge_sga t sga =
-  (* Zero-copy for DMA-eligible buffers (the device gathers directly
-     from registered memory, exercising get_rkey); small buffers are
-     copied into the command, per the 1 kB threshold (§5.3). *)
-  List.iter
-    (fun buf ->
-      if Memory.Heap.is_dma_capable buf then ignore (Memory.Heap.rkey buf)
-      else Host.charge_copy (host t) (Memory.Heap.length buf))
-    sga
-
-let op_push t qd sga =
-  match find t qd with
-  | Channel ch -> (
-      match Runtime.failed ch.pops with
-      | Some reason -> Runtime.completed_token t.rt (Pdpix.Failed reason)
-      | None ->
-          charge_sga t sga;
-          if Pdpix.sga_length sga > Net.Rdma_sim.max_message_size then
-            invalid_arg "catmint: message exceeds device limit";
-          let qt = Runtime.fresh_token t.rt in
-          if ch.peer_chan >= 0 && grant_available ch > 0 && Engine.Ring.is_empty ch.pending_qts
-          then send_data t ch qt sga
-          else begin
-            (* The device gathers a queued push later: the libOS
-               reference keeps an early app free from recycling it. *)
-            List.iter Memory.Heap.os_incref sga;
-            Engine.Ring.push ch.pending_qts qt;
-            Engine.Ring.push ch.pending_sgas sga;
-            mark_stalled t ch
-          end;
-          qt)
-  | Unbound _ | Bound_tcp _ | Listening _ -> invalid_arg "catmint: push on non-channel"
-
-let op_pop t qd =
-  match find t qd with
-  | Channel ch ->
-      let qt = Runtime.enqueue ch.pops in
-      Runtime.serve ch.pops;
-      qt
-  | Unbound _ | Bound_tcp _ | Listening _ -> invalid_arg "catmint: pop on non-channel"
+let connect t q (dst : Net.Addr.endpoint) =
+  let ch = make_chan t q ~peer_mac:(mac_of_endpoint dst) in
+  let qt = Runtime.connect_token q in
+  Net.Wire.set_u32 ch.cell 0 0 (* cannot send until ACCEPT grants *);
+  post_control t ~dst:ch.peer_mac ~msg:m_connect ~chan:0
+    (u32s [ dst.Net.Addr.port; ch.id; cell_rkey t ch; t.window ]);
+  qt
 
 let create rt ~rnic ?(window = 64) () =
   let t =
@@ -463,7 +390,6 @@ let create rt ~rnic ?(window = 64) () =
       rt;
       rnic;
       window;
-      qds = Hashtbl.create 32;
       chans = Hashtbl.create 32;
       listeners = Hashtbl.create 8;
       next_chan = 1;
@@ -479,20 +405,6 @@ let create rt ~rnic ?(window = 64) () =
     (poll t (consumer t));
   t
 
-let ops t =
-  {
-    Runtime.op_name = "catmint";
-    op_owns = (fun qd -> Hashtbl.mem t.qds qd);
-    op_socket = op_socket t;
-    op_bind = op_bind t;
-    op_listen = op_listen t;
-    op_accept = op_accept t;
-    op_connect = op_connect t;
-    op_close = op_close t;
-    op_push = op_push t;
-    op_pushto = (fun _ _ _ -> Runtime.unsupported "catmint: pushto");
-    op_pop = op_pop t;
-    op_open_log = (fun _ -> Runtime.unsupported "catmint: open_log (no storage device)");
-    op_seek = (fun _ _ -> Runtime.unsupported "catmint: seek");
-    op_truncate = (fun _ _ -> Runtime.unsupported "catmint: truncate");
-  }
+(* RDMA is message-based: no datagram sockets. *)
+let net t =
+  { Runtime.listen = listen t; connect = connect t; bind_udp = None; waited = Runtime.serve }

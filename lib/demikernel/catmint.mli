@@ -18,4 +18,4 @@ type t
 val create : Runtime.t -> rnic:Net.Rdma_sim.t -> ?window:int -> unit -> t
 (** [window] is the per-connection message credit (default 64). *)
 
-val ops : t -> Runtime.ops
+val net : t -> Runtime.net

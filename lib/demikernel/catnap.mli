@@ -16,4 +16,7 @@
 type t
 
 val create : Runtime.t -> kernel:Oskernel.Kernel.t -> t
-val ops : t -> Runtime.ops
+val net : t -> Runtime.net
+
+val open_log : t -> string -> Pdpix.qd
+(** Open the host's log file, finding the tail a previous boot left. *)

@@ -13,7 +13,7 @@ type t
 
 val create : Runtime.t -> nic:Net.Dpdk_sim.t -> ?config:Tcp.Stack.config -> unit -> t
 
-val ops : t -> Runtime.ops
+val net : t -> Runtime.net
 
 val stack : t -> Tcp.Stack.t
 (** The underlying TCP stack, for introspection (cwnd, retransmits). *)

@@ -12,7 +12,6 @@ let magic = 0xCA77_0001
 let superblock_size = 8
 
 type log = {
-  log_qd : Pdpix.qd;
   base : int;
   limit : int; (* exclusive end of this log's device slice *)
   mutable tail : int; (* device offset for the next append *)
@@ -30,7 +29,6 @@ type t = {
   rt : Runtime.t;
   ssd : Net.Ssd_sim.t;
   mutable dead : bool;
-  logs : (Pdpix.qd, log) Hashtbl.t;
   by_name : (string, Pdpix.qd) Hashtbl.t;
   inflight : (int, inflight) Hashtbl.t; (* device command id -> waiter *)
   mutable next_io : int;
@@ -108,11 +106,6 @@ let read_sync t ~off ~len =
   in
   await ()
 
-let find t qd =
-  match Hashtbl.find_opt t.logs qd with
-  | Some l -> l
-  | None -> invalid_arg (Printf.sprintf "cattree: unknown qd %d" qd)
-
 (* Scan a device slice for records persisted by a previous incarnation
    of this log (crash recovery). *)
 let recover_records t ~start ~limit =
@@ -135,42 +128,7 @@ let write_superblock t log =
   Net.Wire.set_u32 b 4 (log.gc_floor - log.base);
   Net.Ssd_sim.submit_write t.ssd ~id:(fresh_io t) ~off:log.base (Bytes.unsafe_to_string b)
 
-let op_open_log t name =
-  match Hashtbl.find_opt t.by_name name with
-  | Some qd -> qd
-  | None ->
-      let base = t.alloc_cursor in
-      let limit = base + slice_size t in
-      if limit > Net.Ssd_sim.capacity t.ssd then failwith "cattree: device full";
-      t.alloc_cursor <- limit;
-      let sb = read_sync t ~off:base ~len:superblock_size in
-      let start =
-        let b = Bytes.unsafe_of_string sb in
-        if Net.Wire.get_u32 b 0 = magic then
-          min (base + max superblock_size (Net.Wire.get_u32 b 4)) limit
-        else base + superblock_size
-      in
-      let recovered, tail = recover_records t ~start ~limit in
-      let qd = Runtime.fresh_qd t.rt in
-      let log =
-        {
-          log_qd = qd;
-          base;
-          limit;
-          tail;
-          read_cursor = start;
-          gc_floor = start;
-          records = List.rev recovered (* newest first *);
-        }
-      in
-      (* A fresh slice needs its superblock installed. *)
-      write_superblock t log;
-      Hashtbl.replace t.logs qd log;
-      Hashtbl.replace t.by_name name qd;
-      qd
-
-let op_push t qd sga =
-  let log = find t qd in
+let append t log sga =
   let payload = Pdpix.sga_to_string sga in
   let len = String.length payload in
   if log.tail + 4 + len > log.limit then
@@ -189,8 +147,7 @@ let op_push t qd sga =
     qt
   end
 
-let op_pop t qd =
-  let log = find t qd in
+let read t log () =
   let cursor = max log.read_cursor log.gc_floor in
   let record = List.find_opt (fun (off, _) -> off = cursor) log.records in
   match record with
@@ -207,17 +164,15 @@ let op_pop t qd =
       Net.Ssd_sim.submit_read t.ssd ~id ~off:(off + 4) ~len;
       qt
 
-let op_seek t qd off =
-  let log = find t qd in
+let seek log off =
   let target = log.base + superblock_size + off in
   if off < 0 || target > log.limit then invalid_arg "cattree: seek outside log";
   log.read_cursor <- target
 
-let op_truncate t qd off =
+let truncate t log off =
   (* Garbage collection (§6.4): records below the floor become
      unreadable, and the floor is persisted in the superblock so a
      recovery scan starts past the dead prefix. *)
-  let log = find t qd in
   let floor = log.base + superblock_size + off in
   if off < 0 || floor > log.limit then invalid_arg "cattree: truncate outside log";
   log.gc_floor <- max log.gc_floor floor;
@@ -225,7 +180,46 @@ let op_truncate t qd off =
   if log.read_cursor < log.gc_floor then log.read_cursor <- log.gc_floor;
   write_superblock t log
 
-let op_close t qd = Hashtbl.remove t.logs qd
+let open_log t name =
+  match Hashtbl.find_opt t.by_name name with
+  | Some qd -> qd
+  | None ->
+      let base = t.alloc_cursor in
+      let limit = base + slice_size t in
+      if limit > Net.Ssd_sim.capacity t.ssd then failwith "cattree: device full";
+      t.alloc_cursor <- limit;
+      let sb = read_sync t ~off:base ~len:superblock_size in
+      let start =
+        let b = Bytes.unsafe_of_string sb in
+        if Net.Wire.get_u32 b 0 = magic then
+          min (base + max superblock_size (Net.Wire.get_u32 b 4)) limit
+        else base + superblock_size
+      in
+      let recovered, tail = recover_records t ~start ~limit in
+      let log =
+        {
+          base;
+          limit;
+          tail;
+          read_cursor = start;
+          gc_floor = start;
+          records = List.rev recovered (* newest first *);
+        }
+      in
+      let qd =
+        Runtime.qd
+          (Runtime.new_log t.rt
+             {
+               Runtime.append = append t log;
+               read = read t log;
+               seek = seek log;
+               truncate = Some (truncate t log);
+             })
+      in
+      (* A fresh slice needs its superblock installed. *)
+      write_superblock t log;
+      Hashtbl.replace t.by_name name qd;
+      qd
 
 let create rt ~ssd =
   let t =
@@ -233,7 +227,6 @@ let create rt ~ssd =
       rt;
       ssd;
       dead = false;
-      logs = Hashtbl.create 4;
       by_name = Hashtbl.create 4;
       inflight = Hashtbl.create 16;
       next_io = 1;
@@ -243,21 +236,3 @@ let create rt ~ssd =
   in
   Runtime.fast_path rt ~name:"cattree-fast-path" ~signal:(Net.Ssd_sim.cq_signal ssd) (poll t);
   t
-
-let ops t =
-  {
-    Runtime.op_name = "cattree";
-    op_owns = (fun qd -> Hashtbl.mem t.logs qd);
-    op_socket = (fun _ -> Runtime.unsupported "cattree: sockets (storage-only libOS)");
-    op_bind = (fun _ _ -> Runtime.unsupported "cattree: bind");
-    op_listen = (fun _ _ -> Runtime.unsupported "cattree: listen");
-    op_accept = (fun _ -> Runtime.unsupported "cattree: accept");
-    op_connect = (fun _ _ -> Runtime.unsupported "cattree: connect");
-    op_close = op_close t;
-    op_push = op_push t;
-    op_pushto = (fun _ _ _ -> Runtime.unsupported "cattree: pushto");
-    op_pop = op_pop t;
-    op_open_log = op_open_log t;
-    op_seek = op_seek t;
-    op_truncate = op_truncate t;
-  }

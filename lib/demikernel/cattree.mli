@@ -11,7 +11,8 @@
 type t
 
 val create : Runtime.t -> ssd:Net.Ssd_sim.t -> t
-val ops : t -> Runtime.ops
+val open_log : t -> string -> Pdpix.qd
+(** Open (or recover) the named log; re-opening a name answers its qd. *)
 
 val bytes_persisted : t -> int
 

@@ -10,7 +10,42 @@
 
     Applications are written against the {!api} record and run
     unmodified on every library OS — the portability claim of Table 1
-    (I1) made concrete. *)
+    (I1) made concrete.
+
+    {1 Descriptor lifecycle}
+
+    Every qd of a host lives in one table ({!Runtime}), whichever libOS
+    opened it, so every libOS answers the calls below the same way.
+    A qd is one of:
+
+    - an {e unbound socket} ([socket]): [bind] makes a TCP socket a
+      {e bound socket} and a UDP socket a {e datagram socket};
+      [connect] makes an unbound TCP socket a {e stream};
+    - a {e bound socket}: [listen] makes it a {e listener};
+    - a {e listener}: [accept] (each completes [Accepted] with a new
+      stream's qd);
+    - a {e stream}: [push] and [pop] (a pop answers [Popped []] at end
+      of file; after a peer reset, pushes and pops complete [Failed
+      "connection reset"]);
+    - a {e datagram socket}: [pushto] and [pop] ([Popped_from]);
+    - a {e log} ([open_log]): [push], [pop], [seek], [truncate];
+    - a {e [queue()]}: [push] and [pop].
+
+    [close] is valid on every kind. Any other call on a qd — or any
+    call on an unknown or closed qd — raises [Invalid_argument].
+
+    {1 Capabilities a libOS lacks}
+
+    {!Unsupported} is raised only for these. A host without storage
+    refuses log calls before it looks the qd up; [truncate] on a log
+    that cannot be trimmed raises once the qd is known to be a log.
+
+    {t | libOS | lacks |
+       |:--|:--|
+       | Catnip | logs ([open_log], [seek], [truncate]) on a host without a disk |
+       | Catnap | [truncate] (no ext4 head-trim) |
+       | Catmint | datagram sockets ([socket Udp]); logs on a host without a disk |
+       | Cattree | sockets: it is the storage half of a Catnip or Catmint host |} *)
 
 type qd = int
 (** Queue descriptor. *)
@@ -32,8 +67,8 @@ type completion =
   | Failed of string  (** connection reset, device error, ... *)
 
 exception Unsupported of string
-(** Raised by operations a given libOS cannot provide (e.g. [open_log]
-    on a network-only libOS). *)
+(** Raised by a call that needs a capability the libOS declares it
+    lacks (the table above), e.g. [open_log] on a host without storage. *)
 
 type api = {
   (* --- queue creation and management (control-path-looking calls that
@@ -44,9 +79,10 @@ type api = {
   accept : qd -> qtoken;
   connect : qd -> Net.Addr.endpoint -> qtoken;
   close : qd -> unit;
-      (** Every pop or accept still waiting on the qd completes
-          [Failed "queue closed"]; a closed listener or UDP socket
-          releases its port. *)
+      (** Every token still outstanding on the qd — a waiting pop or
+          accept, an in-flight connect — completes [Failed "queue
+          closed"]; a closed listener or UDP socket releases its port.
+          A log's device reads and writes complete from the device. *)
   queue : unit -> qd;  (** lightweight in-memory queue (Go-channel-like). *)
   open_log : string -> qd;  (** append-only log on the storage stack. *)
   seek : qd -> int -> unit;

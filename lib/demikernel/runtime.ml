@@ -15,6 +15,13 @@ type watcher = { who : Dsched.handle; qts : Pdpix.qtoken array; mutable stamp : 
 
 type fp_slot = { mutable idle : bool }
 
+type log = {
+  append : Pdpix.sga -> Pdpix.qtoken;
+  read : unit -> Pdpix.qtoken;
+  seek : int -> unit;
+  truncate : (int -> unit) option;
+}
+
 type t = {
   host : Host.t;
   sched : Dsched.t;
@@ -25,7 +32,7 @@ type t = {
   mutable nready : int;
   mutable watchers : watcher list;
   mutable stamps : int; (* last registration stamp handed out *)
-  memqs : (Pdpix.qd, memq) Hashtbl.t;
+  queues : (Pdpix.qd, queue) Hashtbl.t; (* the descriptor table: every open qd *)
   mutable next_token : int;
   mutable next_qd : int;
   mutable fp_slots : fp_slot list;
@@ -36,16 +43,28 @@ type t = {
          timeouts). Always part of [io_signals]. *)
 }
 
-(* The tokens of one queue's pops (or accepts) that wait for device
-   data, oldest first, and the source that produces that data. *)
-and pending = {
+(* One open descriptor: what it is, the tokens of its pops (or accepts)
+   that wait for device data, oldest first, and the device closures its
+   libOS supplied when it opened the queue. *)
+and queue = {
   rt : t;
+  qd : Pdpix.qd;
+  mutable kind : kind;
   waiting : Pdpix.qtoken Engine.Ring.t;
   mutable failure : string option; (* sticky: fails every later token *)
-  next : unit -> Pdpix.completion option;
+  mutable connect : Pdpix.qtoken; (* the in-flight connect; 0 = none *)
+  mutable next : unit -> Pdpix.completion option; (* the ready pop or accept, if any *)
+  mutable on_close : unit -> unit; (* the device's close hook *)
 }
 
-and memq = { items : Memory.Heap.buffer list Queue.t; pops : pending }
+and kind =
+  | Socket of Pdpix.proto (* unbound *)
+  | Bound of Net.Addr.endpoint (* a bound TCP socket, not yet listening *)
+  | Listener
+  | Stream of (Pdpix.sga -> Pdpix.qtoken) (* its device push *)
+  | Datagram of (Net.Addr.endpoint -> Pdpix.sga -> Pdpix.qtoken) (* its device pushto *)
+  | Log of log
+  | Memq of Memory.Heap.buffer list Queue.t
 
 let create host =
   let kick = Engine.Condvar.create host.Host.sim in
@@ -57,7 +76,7 @@ let create host =
     nready = 0;
     watchers = [];
     stamps = 0;
-    memqs = Hashtbl.create 8;
+    queues = Hashtbl.create 32;
     next_token = 1;
     next_qd = 1;
     fp_slots = [];
@@ -262,9 +281,50 @@ let wait_any_timeout t qts ~timeout_ns =
 
 let wait_all t qts = Array.map (wait t) qts
 
-(* --- pending-token queues, shared by every libOS and [queue()] --- *)
+(* --- the descriptor table --- *)
 
-let pending rt next = { rt; waiting = Engine.Ring.create (); failure = None; next }
+let no_next () = None
+let no_close () = ()
+
+let add_queue t kind =
+  let qd = fresh_qd t in
+  let q =
+    {
+      rt = t; qd; kind; waiting = Engine.Ring.create (); failure = None; connect = 0;
+      next = no_next; on_close = no_close;
+    }
+  in
+  Hashtbl.replace t.queues qd q;
+  q
+
+let qd q = q.qd
+
+(* [Hashtbl.find] + handler, not [find_opt]: every push and pop
+   resolves its qd here, and a hit allocates nothing. *)
+let find t qd =
+  match Hashtbl.find t.queues qd with
+  | q -> q
+  | exception Not_found -> invalid_arg (Printf.sprintf "unknown or closed qd %d" qd)
+
+let accepted t = add_queue t (Socket Pdpix.Tcp)
+let new_log t log = add_queue t (Log log)
+
+let open_stream q ~next ~push ~close =
+  q.kind <- Stream push;
+  q.next <- next;
+  q.on_close <- close
+
+let open_listener q ~next ~close =
+  q.kind <- Listener;
+  q.next <- next;
+  q.on_close <- close
+
+let open_datagram q ~next ~pushto ~close =
+  q.kind <- Datagram pushto;
+  q.next <- next;
+  q.on_close <- close
+
+(* --- waiting tokens, connects and the close rule --- *)
 
 let enqueue q =
   let qt = fresh_token q.rt in
@@ -282,70 +342,58 @@ let rec serve q =
 
 let waiting q = not (Engine.Ring.is_empty q.waiting)
 
+let connect_token q =
+  let qt = fresh_token q.rt in
+  q.connect <- qt;
+  qt
+
+let connect_pending q = q.connect <> 0
+
+let connected q result =
+  if q.connect <> 0 then begin
+    let qt = q.connect in
+    q.connect <- 0;
+    complete q.rt qt result
+  end
+
 let fail q reason =
+  if q.connect <> 0 then connected q (Pdpix.Failed reason);
   q.failure <- Some reason;
   serve q
 
 let failed q = q.failure
 
-(* --- in-memory queues --- *)
-
-let memq t =
-  let items = Queue.create () in
-  let next () = if Queue.is_empty items then None else Some (Pdpix.Popped (Queue.pop items)) in
-  { items; pops = pending t next }
-
-let memq_pop q =
-  let qt = enqueue q.pops in
-  serve q.pops;
-  qt
-
-let memq_push t q sga =
-  Queue.add sga q.items;
-  serve q.pops;
-  completed_token t Pdpix.Pushed
+let close q =
+  q.on_close ();
+  fail q "queue closed";
+  Hashtbl.remove q.rt.queues q.qd
 
 (* --- assembly --- *)
 
-type ops = {
-  op_name : string;
-  op_owns : Pdpix.qd -> bool;
-  op_socket : Pdpix.proto -> Pdpix.qd;
-  op_bind : Pdpix.qd -> Net.Addr.endpoint -> unit;
-  op_listen : Pdpix.qd -> int -> unit;
-  op_accept : Pdpix.qd -> Pdpix.qtoken;
-  op_connect : Pdpix.qd -> Net.Addr.endpoint -> Pdpix.qtoken;
-  op_close : Pdpix.qd -> unit;
-  op_push : Pdpix.qd -> Pdpix.sga -> Pdpix.qtoken;
-  op_pushto : Pdpix.qd -> Net.Addr.endpoint -> Pdpix.sga -> Pdpix.qtoken;
-  op_pop : Pdpix.qd -> Pdpix.qtoken;
-  op_open_log : string -> Pdpix.qd;
-  op_seek : Pdpix.qd -> int -> unit;
-  op_truncate : Pdpix.qd -> int -> unit;
+type net = {
+  listen : queue -> Net.Addr.endpoint -> backlog:int -> unit;
+  connect : queue -> Net.Addr.endpoint -> Pdpix.qtoken;
+  bind_udp : (queue -> Net.Addr.endpoint -> unit) option;
+  waited : queue -> unit;
 }
 
 let unsupported what = raise (Pdpix.Unsupported what)
 
-let combine ~net ~storage =
-  let pick qd = if storage.op_owns qd then storage else net in
-  {
-    op_name = net.op_name ^ "x" ^ storage.op_name;
-    op_owns = (fun qd -> net.op_owns qd || storage.op_owns qd);
-    op_socket = net.op_socket;
-    op_bind = net.op_bind;
-    op_listen = net.op_listen;
-    op_accept = net.op_accept;
-    op_connect = net.op_connect;
-    op_close = (fun qd -> (pick qd).op_close qd);
-    op_push = (fun qd sga -> (pick qd).op_push qd sga);
-    op_pushto = net.op_pushto;
-    op_pop = (fun qd -> (pick qd).op_pop qd);
-    op_open_log = storage.op_open_log;
-    op_seek = (fun qd off -> (pick qd).op_seek qd off);
-    op_truncate = (fun qd off -> (pick qd).op_truncate qd off);
-  }
+let kind_name = function
+  | Socket _ -> "an unbound socket"
+  | Bound _ -> "a bound socket"
+  | Listener -> "a listener"
+  | Stream _ -> "a connection"
+  | Datagram _ -> "a datagram socket"
+  | Log _ -> "a log"
+  | Memq _ -> "a queue()"
 
-let make_api t ops =
+let misuse op q = invalid_arg (Printf.sprintf "%s on %s (qd %d)" op (kind_name q.kind) q.qd)
+
+let memq_next items () =
+  if Queue.is_empty items then None else Some (Pdpix.Popped (Queue.pop items))
+
+let make_api t ~name ~net ~logs =
   let libcall () = Host.charge t.host t.host.Host.cost.Net.Cost.libos_sched_ns in
   (* Label the op span minted for this call with the PDPIX op kind.
      [label_op] works on closed spans too, covering ops that complete
@@ -356,45 +404,110 @@ let make_api t ops =
     | None -> ());
     qt
   in
-  let with_memq qd ~memq ~other =
-    match Hashtbl.find_opt t.memqs qd with Some q -> memq q | None -> other qd
+  (* Missing capabilities raise before any qd is looked up. *)
+  let lacks_storage what = unsupported (Printf.sprintf "%s: %s (no storage device)" name what) in
+  let wait_on q =
+    let qt = enqueue q in
+    net.waited q;
+    qt
   in
   {
     Pdpix.socket =
       (fun proto ->
         libcall ();
-        ops.op_socket proto);
-    bind = (fun qd ep -> libcall (); ops.op_bind qd ep);
-    listen = (fun qd ~backlog -> libcall (); ops.op_listen qd backlog);
-    accept = (fun qd -> libcall (); labelled "accept" (ops.op_accept qd));
-    connect = (fun qd ep -> libcall (); labelled "connect" (ops.op_connect qd ep));
+        if proto = Pdpix.Udp && Option.is_none net.bind_udp then
+          unsupported (name ^ ": datagram sockets");
+        (add_queue t (Socket proto)).qd);
+    bind =
+      (fun qd ep ->
+        libcall ();
+        let q = find t qd in
+        match (q.kind, net.bind_udp) with
+        | Socket Pdpix.Tcp, _ -> q.kind <- Bound ep
+        | Socket Pdpix.Udp, Some bind_udp -> bind_udp q ep
+        | _ -> misuse "bind" q);
+    listen =
+      (fun qd ~backlog ->
+        libcall ();
+        let q = find t qd in
+        match q.kind with Bound ep -> net.listen q ep ~backlog | _ -> misuse "listen" q);
+    accept =
+      (fun qd ->
+        libcall ();
+        let q = find t qd in
+        labelled "accept" (match q.kind with Listener -> wait_on q | _ -> misuse "accept" q));
+    connect =
+      (fun qd ep ->
+        libcall ();
+        let q = find t qd in
+        match q.kind with
+        | Socket Pdpix.Tcp -> labelled "connect" (net.connect q ep)
+        | _ -> misuse "connect" q);
     close =
       (fun qd ->
         libcall ();
-        with_memq qd
-          ~memq:(fun q ->
-            fail q.pops "queue closed";
-            Hashtbl.remove t.memqs qd)
-          ~other:ops.op_close);
+        close (find t qd));
     queue =
       (fun () ->
         libcall ();
-        let qd = fresh_qd t in
-        Hashtbl.replace t.memqs qd (memq t);
-        qd);
-    open_log = (fun path -> libcall (); ops.op_open_log path);
-    seek = (fun qd off -> libcall (); ops.op_seek qd off);
-    truncate = (fun qd off -> libcall (); ops.op_truncate qd off);
+        let items = Queue.create () in
+        let q = add_queue t (Memq items) in
+        q.next <- memq_next items;
+        q.qd);
+    open_log =
+      (fun path ->
+        libcall ();
+        match logs with Some open_log -> open_log path | None -> lacks_storage "open_log");
+    seek =
+      (fun qd off ->
+        libcall ();
+        if Option.is_none logs then lacks_storage "seek";
+        let q = find t qd in
+        match q.kind with Log log -> log.seek off | _ -> misuse "seek" q);
+    truncate =
+      (fun qd off ->
+        libcall ();
+        if Option.is_none logs then lacks_storage "truncate";
+        let q = find t qd in
+        match q.kind with
+        | Log { truncate = Some truncate; _ } -> truncate off
+        | Log { truncate = None; _ } -> unsupported (name ^ ": truncate")
+        | _ -> misuse "truncate" q);
     push =
       (fun qd sga ->
         libcall ();
+        let q = find t qd in
         labelled "push"
-          (with_memq qd ~memq:(fun q -> memq_push t q sga) ~other:(fun qd -> ops.op_push qd sga)));
-    pushto = (fun qd ep sga -> libcall (); labelled "pushto" (ops.op_pushto qd ep sga));
+          (match q.kind with
+          | Stream push -> (
+              match q.failure with
+              | Some reason -> completed_token t (Pdpix.Failed reason)
+              | None -> push sga)
+          | Log log -> log.append sga
+          | Memq items ->
+              Queue.add sga items;
+              serve q;
+              completed_token t Pdpix.Pushed
+          | Socket _ | Bound _ | Listener | Datagram _ -> misuse "push" q));
+    pushto =
+      (fun qd ep sga ->
+        libcall ();
+        let q = find t qd in
+        labelled "pushto"
+          (match q.kind with Datagram pushto -> pushto ep sga | _ -> misuse "pushto" q));
     pop =
       (fun qd ->
         libcall ();
-        labelled "pop" (with_memq qd ~memq:memq_pop ~other:ops.op_pop));
+        let q = find t qd in
+        labelled "pop"
+          (match q.kind with
+          | Stream _ | Datagram _ -> wait_on q
+          | Memq _ ->
+              let qt = enqueue q in
+              serve q;
+              qt
+          | Log log -> log.read ()
+          | Socket _ | Bound _ | Listener -> misuse "pop" q));
     wait = (fun qt -> libcall (); wait t qt);
     wait_any = (fun qts -> libcall (); wait_any t qts);
     wait_any_t = (fun qts ~timeout_ns -> libcall (); wait_any_timeout t qts ~timeout_ns);
@@ -411,7 +524,7 @@ let make_api t ops =
         Memory.Heap.alloc_of_string t.host.Host.heap s);
     free = Memory.Heap.free;
     clock = (fun () -> Host.now t.host);
-    libos_name = ops.op_name;
+    libos_name = name;
     host_name = t.host.Host.name;
     causal = (fun () -> Engine.Sim.causal t.host.Host.sim);
   }

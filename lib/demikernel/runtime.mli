@@ -1,9 +1,11 @@
 (** Shared datapath-OS runtime: queue tokens, the [wait_*] family, the
-    pending-token queues behind every pop and accept, the close rule,
-    queue descriptor allocation, the in-memory [queue()] type and the
-    fast-path poll loop — everything that is identical across library
-    OSes. Each libOS supplies an {!ops} record and a [poll] function
-    for its device; the runtime assembles the full PDPIX {!Pdpix.api}. *)
+    one descriptor table (every qd of the host, its kind, its waiting
+    pops or accepts, its in-flight connect and the close rule), the
+    in-memory [queue()] type and the fast-path poll loop — everything
+    that is identical across library OSes. Each libOS supplies only its
+    device halves: a {!net} record of openers (and, with storage, an
+    [open_log]), the closures of each queue it opens, and a [poll]
+    function; the runtime assembles the full PDPIX {!Pdpix.api}. *)
 
 type t
 
@@ -24,64 +26,104 @@ val complete : t -> Pdpix.qtoken -> Pdpix.completion -> unit
 val completed_token : t -> Pdpix.completion -> Pdpix.qtoken
 (** Allocate and complete in one step — the inline fast path. *)
 
-(** {1 Pending-token queues}
+(** {1 The descriptor table}
 
-    The FIFO of a queue's waiting pops (or accepts), built once per
-    queue over a [next] source of ready completions. *)
+    One [qd -> queue] table per host. A queue is an unbound or bound
+    socket, a listener, a stream, a datagram socket, a log or a
+    [queue()]. Pops and accepts that wait for device data sit in the
+    queue's FIFO of tokens and complete from its [next] source; a
+    libOS opens a queue by installing its device closures. *)
 
-type pending
+type queue
 
-val pending : t -> (unit -> Pdpix.completion option) -> pending
-val enqueue : pending -> Pdpix.qtoken (** Mint a token; queue it last. *)
+val qd : queue -> Pdpix.qd
 
-val serve : pending -> unit
-(** Complete the oldest tokens while [next] has a completion (it runs
-    only while a token waits); once failed, complete them all failed. *)
+val accepted : t -> queue
+(** Mint the descriptor of a connection an accept source is about to
+    hand out (an unbound TCP socket until {!open_stream}). *)
 
-val waiting : pending -> bool
+val open_stream :
+  queue ->
+  next:(unit -> Pdpix.completion option) ->
+  push:(Pdpix.sga -> Pdpix.qtoken) ->
+  close:(unit -> unit) ->
+  unit
+(** Make the queue a stream: [next] answers its pops, [push] is only
+    called while the stream has not failed, [close] is the device's
+    close hook. *)
+
+val open_listener : queue -> next:(unit -> Pdpix.completion option) -> close:(unit -> unit) -> unit
+(** Make the queue a listener: [next] answers its accepts (minting each
+    connection's queue with {!accepted}). *)
+
+val open_datagram :
+  queue ->
+  next:(unit -> Pdpix.completion option) ->
+  pushto:(Net.Addr.endpoint -> Pdpix.sga -> Pdpix.qtoken) ->
+  close:(unit -> unit) ->
+  unit
+
+type log = {
+  append : Pdpix.sga -> Pdpix.qtoken;
+  read : unit -> Pdpix.qtoken;  (** a log pop *)
+  seek : int -> unit;
+  truncate : (int -> unit) option;  (** [None]: the device cannot trim a log's head *)
+}
+
+val new_log : t -> log -> queue
+(** Mint a log's descriptor. *)
+
+val serve : queue -> unit
+(** Complete the oldest waiting tokens while [next] has a completion
+    (it runs only while a token waits); once failed, complete them all
+    failed. *)
+
+val waiting : queue -> bool
 (** Whether a token waits on the queue, so that {!serve} has work. *)
 
-val fail : pending -> string -> unit
-(** Fail every waiting and every later token with [reason]. Closing a
-    qd fails its pending queues with ["queue closed"]. *)
+val connect_token : queue -> Pdpix.qtoken
+(** Mint the queue's connect token; it completes through {!connected}
+    or {!fail}. *)
 
-val failed : pending -> string option
+val connect_pending : queue -> bool
 
-(** {1 Queue descriptors} *)
+val connected : queue -> Pdpix.completion -> unit
+(** Complete the in-flight connect, if any, with the given result. *)
 
-val fresh_qd : t -> Pdpix.qd
+val fail : queue -> string -> unit
+(** Fail the in-flight connect, every waiting pop or accept, and every
+    later one, with [reason]; a push on a failed stream completes
+    [Failed reason] without reaching the device. *)
+
+val failed : queue -> string option
+
+val close : queue -> unit
+(** The one close rule: run the device's close hook, fail the queue
+    with ["queue closed"] (its in-flight connect included) and drop its
+    qd from the table. *)
 
 (** {1 LibOS assembly} *)
 
-type ops = {
-  op_name : string;
-  op_owns : Pdpix.qd -> bool;  (** does this libOS manage the qd? *)
-  op_socket : Pdpix.proto -> Pdpix.qd;
-  op_bind : Pdpix.qd -> Net.Addr.endpoint -> unit;
-  op_listen : Pdpix.qd -> int -> unit;
-  op_accept : Pdpix.qd -> Pdpix.qtoken;
-  op_connect : Pdpix.qd -> Net.Addr.endpoint -> Pdpix.qtoken;
-  op_close : Pdpix.qd -> unit;
-  op_push : Pdpix.qd -> Pdpix.sga -> Pdpix.qtoken;
-  op_pushto : Pdpix.qd -> Net.Addr.endpoint -> Pdpix.sga -> Pdpix.qtoken;
-  op_pop : Pdpix.qd -> Pdpix.qtoken;
-  op_open_log : string -> Pdpix.qd;
-  op_seek : Pdpix.qd -> int -> unit;
-  op_truncate : Pdpix.qd -> int -> unit;
+type net = {
+  listen : queue -> Net.Addr.endpoint -> backlog:int -> unit;
+      (** open a listener on a bound TCP socket *)
+  connect : queue -> Net.Addr.endpoint -> Pdpix.qtoken;
+      (** open a stream on an unbound TCP socket; answers {!connect_token} *)
+  bind_udp : (queue -> Net.Addr.endpoint -> unit) option;
+      (** open a datagram socket; [None]: the libOS has none, and
+          [socket Udp] raises {!Pdpix.Unsupported} *)
+  waited : queue -> unit;
+      (** a pop or accept now waits on the queue (usually {!serve}) *)
 }
 
-val unsupported : string -> 'a
-(** Raise {!Pdpix.Unsupported}; plug into [ops] holes. *)
-
-val combine : net:ops -> storage:ops -> ops
-(** The §5.5 network x storage integration: one PDPIX namespace whose
-    queue operations dispatch on descriptor ownership; [open_log] goes
-    to the storage libOS, sockets to the network libOS. *)
-
-val make_api : t -> ops -> Pdpix.api
-(** Build the application-facing API: device queues go to [ops],
-    in-memory queues are handled here, and [wait]/[alloc]/[yield] come
-    from the runtime. Every libcall charges the datapath bookkeeping
+val make_api : t -> name:string -> net:net -> logs:(string -> Pdpix.qd) option -> Pdpix.api
+(** Build the application-facing API over the host's descriptor table:
+    sockets open through [net], logs through [logs] ([None]: no storage
+    device, so [open_log], [seek] and [truncate] raise
+    {!Pdpix.Unsupported} before any qd is looked up), and
+    [wait]/[alloc]/[yield] come from the runtime. An unknown or closed
+    qd, or a call the qd's kind does not support, raises
+    [Invalid_argument]. Every libcall charges the datapath bookkeeping
     cost ([Cost.libos_sched_ns]), keeping PDPIX calls ns-scale but not
     free. *)
 

@@ -23,24 +23,6 @@ let measure ?cost ?count setup =
   run_world w;
   rtts
 
-let demi_echo_rtt ?cost ?(persist = false) ?(msg_size = 64) ?count ~proto flavor =
-  measure ?cost ?count (fun w ~count ~record ->
-      let server = Demikernel.Boot.make w.sim w.fabric ~index:1 ~with_disk:persist flavor in
-      let client = Demikernel.Boot.make w.sim w.fabric ~index:2 flavor in
-      (match proto with
-      | Echo_tcp ->
-          Demikernel.Boot.run_app server (Apps.Echo.server ~port:7 ~persist);
-          Demikernel.Boot.run_app client
-            (Apps.Echo.client ~dst:(Demikernel.Boot.endpoint server 7) ~msg_size ~count ~record)
-      | Echo_udp ->
-          Demikernel.Boot.run_app server (Apps.Echo.udp_server ~port:7);
-          Demikernel.Boot.run_app client
-            (Apps.Echo.udp_client
-               ~dst:(Demikernel.Boot.endpoint server 7)
-               ~src_port:5001 ~msg_size ~count ~record));
-      Demikernel.Boot.start server;
-      Demikernel.Boot.start client)
-
 let linux_echo_rtt ?cost ?(persist = false) ?(msg_size = 64) ?count ~proto () =
   measure ?cost ?count (fun w ~count ~record ->
       let server_kernel =

@@ -9,17 +9,6 @@ val run_world : ?horizon_s:int -> world -> unit
 
 type echo_proto = Echo_tcp | Echo_udp
 
-val demi_echo_rtt :
-  ?cost:Net.Cost.t ->
-  ?persist:bool ->
-  ?msg_size:int ->
-  ?count:int ->
-  proto:echo_proto ->
-  Demikernel.Boot.flavor ->
-  Metrics.Hdr.t
-(** Closed-loop echo between two hosts of the given flavor; returns the
-    RTT distribution. *)
-
 val linux_echo_rtt :
   ?cost:Net.Cost.t ->
   ?persist:bool ->

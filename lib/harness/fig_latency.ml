@@ -24,13 +24,13 @@ let fig5 () =
   let rdma_base = int_of_float (Metrics.Hdr.mean raw_rdma) in
   [
     row_of "Linux" (Common.linux_echo_rtt ~proto:Common.Echo_udp ());
-    row_of "Catnap" (Common.demi_echo_rtt ~proto:Common.Echo_udp Demikernel.Boot.Catnap_os);
+    row_of "Catnap" (Observe.demi_echo_rtt ~proto:Common.Echo_udp Demikernel.Boot.Catnap_os);
     row_of "Catmint" ~baseline:rdma_base
-      (Common.demi_echo_rtt ~proto:Common.Echo_tcp Demikernel.Boot.Catmint_os);
+      (Observe.demi_echo_rtt ~proto:Common.Echo_tcp Demikernel.Boot.Catmint_os);
     row_of "Catnip (UDP)" ~baseline:dpdk_base
-      (Common.demi_echo_rtt ~proto:Common.Echo_udp Demikernel.Boot.Catnip_os);
+      (Observe.demi_echo_rtt ~proto:Common.Echo_udp Demikernel.Boot.Catnip_os);
     row_of "Catnip (TCP)" ~baseline:dpdk_base
-      (Common.demi_echo_rtt ~proto:Common.Echo_tcp Demikernel.Boot.Catnip_os);
+      (Observe.demi_echo_rtt ~proto:Common.Echo_tcp Demikernel.Boot.Catnip_os);
     row_of "eRPC" (Common.kb_echo_rtt Baselines.Kb_lib.erpc);
     row_of "Shenango" (Common.kb_echo_rtt Baselines.Kb_lib.shenango);
     row_of "Caladan" (Common.kb_echo_rtt Baselines.Kb_lib.caladan);
@@ -43,9 +43,9 @@ let fig6_windows () =
   [
     row_of "Linux (WSL)" (Common.linux_echo_rtt ~cost ~proto:Common.Echo_udp ());
     row_of "Catnap (WSL)"
-      (Common.demi_echo_rtt ~cost ~proto:Common.Echo_udp Demikernel.Boot.Catnap_os);
+      (Observe.demi_echo_rtt ~cost ~proto:Common.Echo_udp Demikernel.Boot.Catnap_os);
     row_of "Catpaw (RDMA)"
-      (Common.demi_echo_rtt ~cost ~proto:Common.Echo_tcp Demikernel.Boot.Catmint_os);
+      (Observe.demi_echo_rtt ~cost ~proto:Common.Echo_tcp Demikernel.Boot.Catmint_os);
   ]
 
 let fig6_azure () =
@@ -53,31 +53,32 @@ let fig6_azure () =
   [
     row_of "Linux (VM)" (Common.linux_echo_rtt ~cost ~proto:Common.Echo_udp ());
     row_of "Catnap (VM)"
-      (Common.demi_echo_rtt ~cost ~proto:Common.Echo_udp Demikernel.Boot.Catnap_os);
+      (Observe.demi_echo_rtt ~cost ~proto:Common.Echo_udp Demikernel.Boot.Catnap_os);
     row_of "Catnip (vnet DPDK)"
-      (Common.demi_echo_rtt ~cost ~proto:Common.Echo_udp Demikernel.Boot.Catnip_os);
+      (Observe.demi_echo_rtt ~cost ~proto:Common.Echo_udp Demikernel.Boot.Catnip_os);
     row_of "Catmint (bare-metal IB)"
-      (Common.demi_echo_rtt ~cost ~proto:Common.Echo_tcp Demikernel.Boot.Catmint_os);
+      (Observe.demi_echo_rtt ~cost ~proto:Common.Echo_tcp Demikernel.Boot.Catmint_os);
   ]
 
 let fig7 () =
   [
     row_of "Linux" (Common.linux_echo_rtt ~persist:true ~proto:Common.Echo_udp ());
     row_of "Catnap"
-      (Common.demi_echo_rtt ~persist:true ~proto:Common.Echo_tcp Demikernel.Boot.Catnap_os);
+      (Observe.demi_echo_rtt ~persist:true ~proto:Common.Echo_tcp Demikernel.Boot.Catnap_os);
     row_of "Catmint x Cattree"
-      (Common.demi_echo_rtt ~persist:true ~proto:Common.Echo_tcp Demikernel.Boot.Catmint_os);
+      (Observe.demi_echo_rtt ~persist:true ~proto:Common.Echo_tcp Demikernel.Boot.Catmint_os);
     row_of "Catnip (TCP) x Cattree"
-      (Common.demi_echo_rtt ~persist:true ~proto:Common.Echo_tcp Demikernel.Boot.Catnip_os);
+      (Observe.demi_echo_rtt ~persist:true ~proto:Common.Echo_tcp Demikernel.Boot.Catnip_os);
   ]
 
 let fig5_orderings_hold ?cost () =
   let avg hist = int_of_float (Metrics.Hdr.mean hist) in
   let linux = avg (Common.linux_echo_rtt ?cost ~proto:Common.Echo_udp ()) in
-  let catnap = avg (Common.demi_echo_rtt ?cost ~proto:Common.Echo_udp Demikernel.Boot.Catnap_os) in
-  let catmint = avg (Common.demi_echo_rtt ?cost ~proto:Common.Echo_tcp Demikernel.Boot.Catmint_os) in
-  let catnip_udp = avg (Common.demi_echo_rtt ?cost ~proto:Common.Echo_udp Demikernel.Boot.Catnip_os) in
-  let catnip_tcp = avg (Common.demi_echo_rtt ?cost ~proto:Common.Echo_tcp Demikernel.Boot.Catnip_os) in
+  let demi proto flavor = avg (Observe.demi_echo_rtt ?cost ~proto flavor) in
+  let catnap = demi Common.Echo_udp Demikernel.Boot.Catnap_os in
+  let catmint = demi Common.Echo_tcp Demikernel.Boot.Catmint_os in
+  let catnip_udp = demi Common.Echo_udp Demikernel.Boot.Catnip_os in
+  let catnip_tcp = demi Common.Echo_tcp Demikernel.Boot.Catnip_os in
   let raw_rdma = avg (Common.raw_rdma_rtt ?cost ()) in
   let raw_dpdk = avg (Common.raw_dpdk_rtt ?cost ()) in
   let checks =

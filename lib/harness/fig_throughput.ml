@@ -21,19 +21,19 @@ let fig8 ?(sizes = [ 64; 1024; 4096; 16384; 65536; 262144 ]) () =
   measure "Raw DPDK" (fun msg_size -> Common.raw_dpdk_rtt ~msg_size ~count:netpipe_count ())
   @ measure "Raw RDMA" (fun msg_size -> Common.raw_rdma_rtt ~msg_size ~count:netpipe_count ())
   @ measure "Catmint" (fun msg_size ->
-        Common.demi_echo_rtt ~msg_size ~count:netpipe_count ~proto:Common.Echo_tcp
+        Observe.demi_echo_rtt ~msg_size ~count:netpipe_count ~proto:Common.Echo_tcp
           Demikernel.Boot.Catmint_os)
   @ (let udp_sizes = List.filter (fun s -> s <= 65_507) sizes @ [ 65_507 ] in
      List.map
        (fun msg_size ->
          let hist =
-           Common.demi_echo_rtt ~msg_size ~count:netpipe_count ~proto:Common.Echo_udp
+           Observe.demi_echo_rtt ~msg_size ~count:netpipe_count ~proto:Common.Echo_udp
              Demikernel.Boot.Catnip_os
          in
          { system = "Catnip (UDP)"; msg_size; gbps = bandwidth_gbps ~msg_size ~rtt_ns:(best_rtt hist) })
        udp_sizes)
   @ measure "Catnip (TCP)" (fun msg_size ->
-        Common.demi_echo_rtt ~msg_size ~count:netpipe_count ~proto:Common.Echo_tcp
+        Observe.demi_echo_rtt ~msg_size ~count:netpipe_count ~proto:Common.Echo_tcp
           Demikernel.Boot.Catnip_os)
 
 let print_fig8 rows =

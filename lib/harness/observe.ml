@@ -199,6 +199,12 @@ let run arm sc =
        else None);
   }
 
+let demi_echo_rtt ?(cost = Net.Cost.bare_metal) ?(persist = false) ?(msg_size = 64) ?count ~proto
+    flavor =
+  let count = match count with Some c -> c | None -> !Common.default_count in
+  let r = run off { (echo flavor) with app = Echo proto; count; msg_size; cost; persist } in
+  Metrics.Hdr.of_list r.latencies
+
 let check arm sc =
   let bare = run { off with trace_capacity = arm.trace_capacity } sc in
   let armed = run arm sc in

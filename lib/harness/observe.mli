@@ -91,6 +91,18 @@ val run : arm -> scenario -> run
 (** Build the scenario's world, arm [arm], run to completion and tear
     down. Recorder fields are [Some] exactly when armed. *)
 
+val demi_echo_rtt :
+  ?cost:Net.Cost.t ->
+  ?persist:bool ->
+  ?msg_size:int ->
+  ?count:int ->
+  proto:Common.echo_proto ->
+  Demikernel.Boot.flavor ->
+  Metrics.Hdr.t
+(** Closed-loop echo between two hosts of the given flavor, run with
+    every recorder {!off}; returns the RTT distribution. [count]
+    defaults to [!Common.default_count]. *)
+
 val check : arm -> scenario -> (run, string) result
 (** Run [scenario] bare ({!off}, with [arm]'s trace capacity), then
     armed. [Ok] carries the armed run when the trace digests, the

@@ -19,9 +19,9 @@ let heap_line name (s : Memory.Heap.stats) =
    OCAMLRUNPARAM=R the first Catnip run counts 59 words more than the
    second: the stdlib seeds its Hashtbl randomizer once, lazily. *)
 let words_per_echo = function
-  | Demikernel.Boot.Catnip_os -> 4734 (* 302,965 words / 64 = 4,733.83 *)
-  | Demikernel.Boot.Catnap_os -> 4433 (* 283,663 words / 64 = 4,432.23 *)
-  | Demikernel.Boot.Catmint_os -> 4757 (* 304,396 words / 64 = 4,756.19 *)
+  | Demikernel.Boot.Catnip_os -> 4705 (* 301,062 words / 64 = 4,704.09 *)
+  | Demikernel.Boot.Catnap_os -> 4403 (* 281,771 words / 64 = 4,402.67 *)
+  | Demikernel.Boot.Catmint_os -> 4727 (* 302,474 words / 64 = 4,726.16 *)
 
 let minor_words () = int_of_float (Gc.minor_words ())
 

@@ -217,11 +217,14 @@ let connect t ~dst =
   if Tcp.Stack.conn_state conn = Tcp.Stack.Closed_st then failwith "Kernel.connect: refused";
   alloc_fd t (Conn conn)
 
+exception Connection_reset
+
 let send t fd payload =
   match fd_state t fd with
   | Conn conn ->
       enter_syscall t;
       drain t;
+      if Hashtbl.mem t.resets (Tcp.Stack.conn_id conn) then raise Connection_reset;
       charge_copy t (String.length payload);
       charge_as t Engine.Span.Softirq t.cost.Net.Cost.kernel_net_ns;
       let buf = Memory.Heap.alloc_of_string t.heap payload in

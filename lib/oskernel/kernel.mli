@@ -51,7 +51,14 @@ val accept : t -> fd -> fd
 val connect : t -> dst:Net.Addr.endpoint -> fd
 (** Blocking connect. Raises [Failure] on reset. *)
 
+exception Connection_reset
+(** ECONNRESET: {!send} on a connection the peer reset. *)
+
 val send : t -> fd -> string -> unit
+(** Copy the payload into the kernel and transmit it. On a connection
+    the peer reset (seen after draining the device) it copies and
+    allocates nothing and raises {!Connection_reset}. *)
+
 val recv : t -> fd -> block:bool -> string option
 (** [None] only in non-blocking mode with nothing pending, on EOF or
     after a reset (distinguish with {!at_eof} and {!was_reset}). *)

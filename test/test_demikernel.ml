@@ -902,9 +902,10 @@ let close_under (api : Demikernel.Pdpix.api) qd qt =
   | Some _ -> "completed"
   | None -> "still pending"
 
-(* Every kind of waiting pop or accept: a UDP pop (not on Catmint, which
-   has no datagram sockets), a connection pop, an accept, a [queue()]
-   pop. Each completes [Failed "queue closed"] when its qd closes. *)
+(* Every kind of waiting token: a UDP pop (not on Catmint, which has no
+   datagram sockets), a connection pop, an accept, a [queue()] pop and a
+   connect to an index no host answers. Each completes [Failed "queue
+   closed"] when its qd closes. *)
 let close_fails_pending flavor () =
   let open Demikernel.Pdpix in
   let sim = Engine.Sim.create () in
@@ -928,12 +929,15 @@ let close_fails_pending flavor () =
       end);
   Demikernel.Boot.run_app client (fun api ->
       let qd = connect_echo api (Demikernel.Boot.endpoint server 7) in
-      note "connection pop" (close_under api qd (api.pop qd)));
+      note "connection pop" (close_under api qd (api.pop qd));
+      let nowhere = api.socket Tcp in
+      note "connect"
+        (close_under api nowhere (api.connect nowhere (Net.Addr.endpoint (Net.Addr.Ip.of_index 9) 7))));
   Demikernel.Boot.start server;
   Demikernel.Boot.start client;
   Engine.Sim.run ~until:(Engine.Clock.s 1) sim;
   let kinds =
-    [ "accept"; "connection pop"; "queue() pop" ]
+    [ "accept"; "connect"; "connection pop"; "queue() pop" ]
     @ if flavor = Demikernel.Boot.Catmint_os then [] else [ "udp pop" ]
   in
   Alcotest.(check (list (pair string string)))
@@ -984,15 +988,17 @@ let close_releases_ports flavor () =
     (List.rev !outcomes)
 
 (* A connection the listener never handed out ends when the listener
-   closes: Catnip resets it, Catmint closes the channel (the peer reads
-   end-of-file). *)
+   closes: Catnip and Catnap reset it, Catmint closes the channel (the
+   peer reads end-of-file). Once its pop has ended, the client pushes
+   once: on a reset connection the push fails, on a closed channel it
+   still completes. *)
 let close_ends_unaccepted flavor expected () =
   let open Demikernel.Pdpix in
   let sim = Engine.Sim.create () in
   let fabric = Net.Fabric.create sim ~cost:bare () in
   let server = Demikernel.Boot.make sim fabric ~index:1 flavor in
   let client = Demikernel.Boot.make sim fabric ~index:2 flavor in
-  let listener = ref None and got = ref "not run" in
+  let listener = ref None and got = ref ("not run", "not run") in
   Demikernel.Boot.run_app server (fun api ->
       let lqd = api.socket Tcp in
       api.bind lqd (Demikernel.Boot.endpoint server 7);
@@ -1000,13 +1006,19 @@ let close_ends_unaccepted flavor expected () =
       listener := Some lqd);
   Demikernel.Boot.run_app client (fun api ->
       let qd = connect_echo api (Demikernel.Boot.endpoint server 7) in
-      let qt = api.pop qd in
-      got :=
+      let outcome qt =
         match api.wait_any_t [| qt |] ~timeout_ns:1_000_000 with
         | Some (_, Failed reason) -> reason
         | Some (_, Popped []) -> "eof"
+        | Some (_, Pushed) -> "pushed"
         | Some _ -> "data"
-        | None -> "still pending");
+        | None -> "still pending"
+      in
+      let popped = outcome (api.pop qd) in
+      let buf = api.alloc_str "after" in
+      let pushed = outcome (api.push qd [ buf ]) in
+      api.free buf;
+      got := (popped, pushed));
   Demikernel.Boot.run_app server ~name:"closer" (fun api ->
       (* Sleep until the client's connection is established, then
          close the listener under it. *)
@@ -1015,7 +1027,77 @@ let close_ends_unaccepted flavor expected () =
   Demikernel.Boot.start server;
   Demikernel.Boot.start client;
   Engine.Sim.run ~until:(Engine.Clock.s 1) sim;
-  Alcotest.(check string) "the client's pop ends" expected !got
+  Alcotest.(check (pair string string)) "the client's pop ends, then its push" expected !got
+
+(* Misusing PDPIX raises [Invalid_argument] on every libOS, each with a
+   disk (so the host has logs): a call the qd's kind does not support,
+   and any call on an unknown or closed qd. *)
+let misuse_raises flavor () =
+  let open Demikernel.Pdpix in
+  let sim = Engine.Sim.create () in
+  let fabric = Net.Fabric.create sim ~cost:bare () in
+  let server = Demikernel.Boot.make sim fabric ~index:1 ~with_disk:true flavor in
+  let client = Demikernel.Boot.make sim fabric ~index:2 ~with_disk:true flavor in
+  Demikernel.Boot.run_app server (Apps.Echo.server ~port:7);
+  let outcomes = ref [] in
+  Demikernel.Boot.run_app client (fun api ->
+      let ep = Demikernel.Boot.endpoint client in
+      let buf = api.alloc_str "misuse" in
+      let conn = connect_echo api (Demikernel.Boot.endpoint server 7) in
+      let listener = api.socket Tcp in
+      api.bind listener (ep 8);
+      api.listen listener ~backlog:4;
+      let unbound = api.socket Tcp in
+      let bound = api.socket Tcp in
+      api.bind bound (ep 9);
+      let closed = api.socket Tcp in
+      api.close closed;
+      let calls qd =
+        [
+          ("bind", fun () -> api.bind qd (ep 10));
+          ("listen", fun () -> api.listen qd ~backlog:4);
+          ("accept", fun () -> ignore (api.accept qd));
+          ("connect", fun () -> ignore (api.connect qd (Demikernel.Boot.endpoint server 7)));
+          ("close", fun () -> api.close qd);
+          ("push", fun () -> ignore (api.push qd [ buf ]));
+          ("pushto", fun () -> ignore (api.pushto qd (Demikernel.Boot.endpoint server 7) [ buf ]));
+          ("pop", fun () -> ignore (api.pop qd));
+          ("seek", fun () -> api.seek qd 0);
+          ("truncate", fun () -> api.truncate qd 0);
+        ]
+      in
+      let case what f =
+        let r =
+          match f () with
+          | () -> "no error"
+          | exception Invalid_argument _ -> "Invalid_argument"
+          | exception Unsupported _ -> "Unsupported"
+        in
+        outcomes := (what, r) :: !outcomes
+      in
+      case "push on a listener" (fun () -> ignore (api.push listener [ buf ]));
+      case "pop on a listener" (fun () -> ignore (api.pop listener));
+      case "accept on a connection" (fun () -> ignore (api.accept conn));
+      case "listen on an unbound socket" (fun () -> api.listen unbound ~backlog:4);
+      case "bind on a bound socket" (fun () -> api.bind bound (ep 11));
+      case "connect on a listener" (fun () ->
+          ignore (api.connect listener (Demikernel.Boot.endpoint server 7)));
+      case "pushto on a TCP qd" (fun () ->
+          ignore (api.pushto conn (Demikernel.Boot.endpoint server 7) [ buf ]));
+      case "seek on a socket" (fun () -> api.seek conn 0);
+      List.iter (fun (call, f) -> case (call ^ " on an unknown qd") f) (calls 999);
+      List.iter (fun (call, f) -> case (call ^ " on a closed qd") f) (calls closed);
+      api.close conn;
+      api.free buf);
+  Demikernel.Boot.start server;
+  Demikernel.Boot.start client;
+  Engine.Sim.run ~until:(Engine.Clock.s 1) sim;
+  let outcomes = List.rev !outcomes in
+  check_int "every case ran" 28 (List.length outcomes);
+  Alcotest.(check (list (pair string string)))
+    "every misuse raises Invalid_argument"
+    (List.map (fun (what, _) -> (what, "Invalid_argument")) outcomes)
+    outcomes
 
 (* ---------- wait_any against a reference scan ---------- *)
 
@@ -1414,15 +1496,17 @@ let suite =
             (close_fails_pending flavor);
           Alcotest.test_case (Printf.sprintf "close releases ports (%s)" name) `Quick
             (close_releases_ports flavor);
+          Alcotest.test_case (Printf.sprintf "misuse raises Invalid_argument (%s)" name) `Quick
+            (misuse_raises flavor);
         ])
       Demikernel.Boot.[ Catnip_os; Catnap_os; Catmint_os ]
   @ [
       Alcotest.test_case "listener close resets unaccepted connections (catnip)" `Quick
-        (close_ends_unaccepted Demikernel.Boot.Catnip_os "connection reset");
+        (close_ends_unaccepted Demikernel.Boot.Catnip_os ("connection reset", "connection reset"));
       Alcotest.test_case "listener close ends unaccepted channels (catmint)" `Quick
-        (close_ends_unaccepted Demikernel.Boot.Catmint_os "eof");
+        (close_ends_unaccepted Demikernel.Boot.Catmint_os ("eof", "pushed"));
       Alcotest.test_case "listener close resets unaccepted connections (catnap)" `Quick
-        (close_ends_unaccepted Demikernel.Boot.Catnap_os "connection reset");
+        (close_ends_unaccepted Demikernel.Boot.Catnap_os ("connection reset", "connection reset"));
       Alcotest.test_case "catmint stalled retry: same seed, same wire bytes" `Quick
         test_catmint_stalled_retry_same_wire;
       Alcotest.test_case "copies: lossy reassembly, IP fragments and a Dkv log on disk" `Quick

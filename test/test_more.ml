@@ -358,8 +358,9 @@ let catmint_world ~window =
         ~ip:(Net.Addr.Ip.of_index index) ()
     in
     let api =
-      Demikernel.Runtime.make_api rt
-        (Demikernel.Catmint.ops (Demikernel.Catmint.create rt ~rnic ~window ()))
+      Demikernel.Runtime.make_api rt ~name:"catmint"
+        ~net:(Demikernel.Catmint.net (Demikernel.Catmint.create rt ~rnic ~window ()))
+        ~logs:None
     in
     (rt, api, rnic)
   in
@@ -818,7 +819,7 @@ let test_close_fails_pending_pops () =
 let test_experiment_determinism () =
   let run () =
     let hist =
-      Harness.Common.demi_echo_rtt ~count:100 ~proto:Harness.Common.Echo_tcp
+      Harness.Observe.demi_echo_rtt ~count:100 ~proto:Harness.Common.Echo_tcp
         Demikernel.Boot.Catnip_os
     in
     (Metrics.Hdr.p50 hist, Metrics.Hdr.p99 hist,
