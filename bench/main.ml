@@ -262,6 +262,36 @@ let run_micro () =
 
 (* ---------- ablations ---------- *)
 
+(* A run's mean and p99 latency cells. *)
+let rtt_cells (r : Harness.Observe.run) =
+  let rtts = Metrics.Hdr.of_list r.latencies in
+  Metrics.Table.[ cell_ns (int_of_float (Metrics.Hdr.mean rtts)); cell_ns (Metrics.Hdr.p99 rtts) ]
+
+(* TCP retransmissions summed over a run's Catnip nodes. *)
+let retransmits (r : Harness.Observe.run) =
+  List.fold_left
+    (fun n (node : Demikernel.Boot.node) ->
+      match node.catnip with
+      | Some c -> n + Tcp.Stack.total_retransmits (Demikernel.Catnip.stack c)
+      | None -> n)
+    0 r.nodes
+
+(* Two Catnip hosts with [tcp_config], the echo server on host 1 and
+   [client] (given the server's endpoint) on host 2. *)
+let catnip_echo_cell ?loss name tcp_config client =
+  Harness.Observe.cell ?loss name (fun w ->
+      let boot index =
+        Demikernel.Boot.make w.Harness.Observe.sim w.fabric ~index ~tcp_config
+          Demikernel.Boot.Catnip_os
+      in
+      let server = boot 1 in
+      let client_node = boot 2 in
+      Demikernel.Boot.run_app server (Apps.Echo.server ~port:7);
+      Demikernel.Boot.run_app client_node (client w (Demikernel.Boot.endpoint server 7));
+      Demikernel.Boot.start server;
+      Demikernel.Boot.start client_node;
+      [ ("server", server); ("client", client_node) ])
+
 let run_ablation () =
   say "@.Ablations (design choices DESIGN.md calls out)@.";
   (* Congestion control: Cubic vs NewReno vs none on the echo RTT. *)
@@ -271,32 +301,12 @@ let run_ablation () =
   in
   List.iter
     (fun (name, cc) ->
-      let config = { Tcp.Stack.default_config with Tcp.Stack.cc } in
-      let w = Harness.Common.make_world () in
-      let server =
-        Demikernel.Boot.make w.Harness.Common.sim w.Harness.Common.fabric ~index:1
-          ~tcp_config:config Demikernel.Boot.Catnip_os
+      let r =
+        Harness.Observe.build Harness.Observe.off
+          (catnip_echo_cell ("cc " ^ name) { Tcp.Stack.default_config with Tcp.Stack.cc }
+             (fun w dst api -> Apps.Echo.client ~dst ~msg_size:64 ~count:500 ~record:w.record api))
       in
-      let client =
-        Demikernel.Boot.make w.Harness.Common.sim w.Harness.Common.fabric ~index:2
-          ~tcp_config:config Demikernel.Boot.Catnip_os
-      in
-      let rtts = Metrics.Hdr.create () in
-      Demikernel.Boot.run_app server (Apps.Echo.server ~port:7);
-      Demikernel.Boot.run_app client
-        (Apps.Echo.client
-           ~dst:(Demikernel.Boot.endpoint server 7)
-           ~msg_size:64 ~count:500
-           ~record:(Metrics.Hdr.add rtts));
-      Demikernel.Boot.start server;
-      Demikernel.Boot.start client;
-      Harness.Common.run_world w;
-      Metrics.Table.add_row cc_table
-        [
-          name;
-          Metrics.Table.cell_ns (int_of_float (Metrics.Hdr.mean rtts));
-          Metrics.Table.cell_ns (Metrics.Hdr.p99 rtts);
-        ])
+      Metrics.Table.add_row cc_table (name :: rtt_cells r))
     [ ("cubic", Tcp.Cc.Cubic); ("newreno", Tcp.Cc.Newreno); ("none", Tcp.Cc.None_cc) ];
   Metrics.Table.print cc_table;
   (* Loss resilience: echo under increasing frame loss (exercises fast
@@ -311,22 +321,8 @@ let run_ablation () =
         Harness.Observe.run Harness.Observe.off
           { (Harness.Observe.echo Demikernel.Boot.Catnip_os) with count = 500; loss }
       in
-      let rtts = Metrics.Hdr.of_list r.latencies in
-      let retx =
-        List.fold_left
-          (fun n (node : Demikernel.Boot.node) ->
-            match node.catnip with
-            | Some c -> n + Tcp.Stack.total_retransmits (Demikernel.Catnip.stack c)
-            | None -> n)
-          0 r.nodes
-      in
       Metrics.Table.add_row loss_table
-        [
-          Printf.sprintf "%.1f%%" (loss *. 100.);
-          Metrics.Table.cell_ns (int_of_float (Metrics.Hdr.mean rtts));
-          Metrics.Table.cell_ns (Metrics.Hdr.p99 rtts);
-          string_of_int retx;
-        ])
+        ((Printf.sprintf "%.1f%%" (loss *. 100.) :: rtt_cells r) @ [ string_of_int (retransmits r) ]))
     [ 0.0; 0.001; 0.01 ];
   Metrics.Table.print loss_table;
   (* SACK: bulk transfer under loss with and without selective acks. *)
@@ -336,35 +332,17 @@ let run_ablation () =
   in
   List.iter
     (fun (name, use_sack) ->
-      let config = { Tcp.Stack.default_config with Tcp.Stack.use_sack } in
-      let w = Harness.Common.make_world ~loss:0.02 () in
-      let server =
-        Demikernel.Boot.make w.Harness.Common.sim w.Harness.Common.fabric ~index:1
-          ~tcp_config:config Demikernel.Boot.Catnip_os
-      in
-      let client =
-        Demikernel.Boot.make w.Harness.Common.sim w.Harness.Common.fabric ~index:2
-          ~tcp_config:config Demikernel.Boot.Catnip_os
-      in
       let finished_at = ref 0 in
-      Demikernel.Boot.run_app server (Apps.Echo.server ~port:7);
-      Demikernel.Boot.run_app client
-        (Apps.Echo.stream_client
-           ~dst:(Demikernel.Boot.endpoint server 7)
-           ~msg_size:32_768 ~count:64 ~window:8
-           ~on_done:(fun () -> finished_at := Engine.Sim.now w.Harness.Common.sim));
-      Demikernel.Boot.start server;
-      Demikernel.Boot.start client;
-      Harness.Common.run_world w;
-      let retx =
-        match (server.Demikernel.Boot.catnip, client.Demikernel.Boot.catnip) with
-        | Some s, Some c ->
-            Tcp.Stack.total_retransmits (Demikernel.Catnip.stack s)
-            + Tcp.Stack.total_retransmits (Demikernel.Catnip.stack c)
-        | _, _ -> 0
+      let r =
+        Harness.Observe.build Harness.Observe.off
+          (catnip_echo_cell ~loss:0.02 ("sack " ^ name)
+             { Tcp.Stack.default_config with Tcp.Stack.use_sack }
+             (fun w dst ->
+               Apps.Echo.stream_client ~dst ~msg_size:32_768 ~count:64 ~window:8
+                 ~on_done:(fun () -> finished_at := Engine.Sim.now w.sim)))
       in
       Metrics.Table.add_row sack_table
-        [ name; Metrics.Table.cell_ns !finished_at; string_of_int retx ])
+        [ name; Metrics.Table.cell_ns !finished_at; string_of_int (retransmits r) ])
     [ ("on", true); ("off", false) ];
   Metrics.Table.print sack_table;
   (* Catmint flow-control window: throughput under load vs credit
@@ -377,7 +355,7 @@ let run_ablation () =
     (fun window ->
       let r =
         Harness.Fig_throughput.demi_open_loop ~catmint_window:window
-          ~flavor:Demikernel.Boot.Catmint_os ~proto:Harness.Common.Echo_tcp ~msg_size:64
+          ~flavor:Demikernel.Boot.Catmint_os ~proto:Harness.Observe.Echo_tcp ~msg_size:64
           ~rate_per_sec:600_000. ~duration_ns:10_000_000 ()
       in
       Metrics.Table.add_row window_table
@@ -393,7 +371,7 @@ let run_ablation () =
 
 let run_robustness () =
   say "@.Robustness: do the Figure 5 orderings depend on tuned constants?@.";
-  Harness.Common.default_count := 300;
+  Harness.Observe.default_count := 300;
   let table =
     Metrics.Table.create ~title:"Sensitivity: headline orderings under cost perturbations"
       ~columns:[ "perturbation"; "orderings"; "mean RTTs (us)" ]
@@ -424,18 +402,11 @@ let run_robustness () =
   in
   List.iter
     (fun seed ->
-      let rtts =
-        Metrics.Hdr.of_list
-          (Harness.Observe.run Harness.Observe.off
-             { (Harness.Observe.echo Demikernel.Boot.Catnip_os) with count = 300; seed })
-            .latencies
-      in
       Metrics.Table.add_row seed_table
-        [
-          Int64.to_string seed;
-          Metrics.Table.cell_ns (int_of_float (Metrics.Hdr.mean rtts));
-          Metrics.Table.cell_ns (Metrics.Hdr.p99 rtts);
-        ])
+        (Int64.to_string seed
+        :: rtt_cells
+             (Harness.Observe.run Harness.Observe.off
+                { (Harness.Observe.echo Demikernel.Boot.Catnip_os) with count = 300; seed })))
     [ 1L; 2L; 3L; 42L; 1337L ];
   Metrics.Table.print seed_table
 
@@ -443,7 +414,7 @@ let run_robustness () =
 
 let run_all ~full =
   if full then begin
-    Harness.Common.default_count := 20_000;
+    Harness.Observe.default_count := 20_000;
     Harness.Fig_apps.relay_count := 20_000
   end;
   Harness.Loc.print ~title:"Table 2: library OS sizes (this reproduction)" (Harness.Loc.table2 ());
@@ -471,7 +442,7 @@ let run_all ~full =
 
 let () =
   let arg = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
-  Harness.Common.default_count := 2_000;
+  Harness.Observe.default_count := 2_000;
   Harness.Fig_apps.relay_count := 2_000;
   match arg with
   | "all" -> run_all ~full:false

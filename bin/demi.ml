@@ -61,7 +61,7 @@ let finish () = if !failures > 0 then Stdlib.exit 1
 let observe ~check arm scenario =
   if not check then Harness.Observe.run arm scenario
   else
-    match Harness.Observe.check arm scenario with
+    match Harness.Observe.check arm (Harness.Observe.of_scenario scenario) with
     | Ok r ->
         Format.printf "ok: %s observer-effect-free: digest, %d events, %d latencies identical@."
           (Harness.Observe.describe arm) r.events (List.length r.latencies);
@@ -110,6 +110,12 @@ let flavor_arg =
 let msg_size_arg =
   Arg.(value & opt int 64 & info [ "msg-size" ] ~docv:"BYTES" ~doc:"Echo payload size.")
 
+let echos_arg default =
+  Arg.(value & opt int default & info [ "count" ] ~docv:"N" ~doc:"Echos to run.")
+
+let out_arg doc = Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE" ~doc)
+let check_arg doc = Arg.(value & flag & info [ "check" ] ~doc)
+
 let echo_cmd =
   let persist =
     Arg.(value & flag & info [ "persist" ] ~doc:"Log every message to disk before replying.")
@@ -129,16 +135,16 @@ let echo_cmd =
       const (fun count flavor msg_size persist cost trace trace_capacity ->
           let hist =
             if not trace then
-              Harness.Observe.demi_echo_rtt ~cost ~persist ~msg_size ~count
-                ~proto:Harness.Common.Echo_tcp flavor
+              Harness.Fig_latency.echo_rtt ~cost ~persist ~msg_size ~count
+                (Demi (flavor, Echo_tcp))
             else begin
               (* Traced runs are kept short: the dump shows the tail. *)
               let r =
                 Harness.Observe.run
-                  { Harness.Observe.off with trace_capacity }
+                  { Harness.Observe.off with trace_capacity = Some trace_capacity }
                   { (Harness.Observe.echo flavor) with count = min count 3; msg_size; persist; cost }
               in
-              Engine.Log.dump ~last:80 Format.std_formatter r.trace;
+              Engine.Log.dump ~last:80 Format.std_formatter (Option.get r.trace);
               Metrics.Hdr.of_list r.latencies
             end
           in
@@ -155,16 +161,7 @@ let echo_cmd =
    structurally validates the Chrome JSON export. Any violation exits 1,
    so `make observe-smoke` is one invocation per flavor. *)
 let trace_cmd =
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:"Chrome trace-event JSON path (default out/trace-<flavor>.json).")
-  in
-  let trace_count =
-    Arg.(value & opt int 16 & info [ "count" ] ~docv:"N" ~doc:"Echos to run.")
-  in
+  let out = out_arg "Chrome trace-event JSON path (default out/trace-<flavor>.json)." in
   Cmd.v
     (Cmd.info "trace"
        ~doc:"Span tracing: per-component breakdown, Chrome export, observer-effect check.")
@@ -172,7 +169,7 @@ let trace_cmd =
       const (fun flavor msg_size count out trace_capacity ->
           let on =
             observe ~check:true
-              { Harness.Observe.off with spans = true; trace_capacity }
+              { Harness.Observe.off with spans = true; trace_capacity = Some trace_capacity }
               { (Harness.Observe.echo flavor) with msg_size; count }
           in
           let b = Harness.Fig_breakdown.last_rtt on in
@@ -194,24 +191,16 @@ let trace_cmd =
             json;
           Harness.Fig_breakdown.print_table [ on ];
           finish ())
-      $ flavor_arg $ msg_size_arg $ trace_count $ out $ trace_capacity_arg)
+      $ flavor_arg $ msg_size_arg $ echos_arg 16 $ out $ trace_capacity_arg)
 
 let stats_cmd =
-  let stats_count =
-    Arg.(value & opt int 64 & info [ "count" ] ~docv:"N" ~doc:"Echos to run.")
-  in
   let format =
     Arg.(
       value
       & opt (enum [ ("table", `Table); ("json", `Json) ]) `Table
       & info [ "format" ] ~docv:"FMT" ~doc:"Output format: table | json.")
   in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE" ~doc:"Write the output to FILE instead of stdout.")
-  in
+  let out = out_arg "Write the output to FILE instead of stdout." in
   Cmd.v
     (Cmd.info "stats" ~doc:"Run one echo and dump the deterministic metrics registry.")
     Term.(
@@ -229,7 +218,7 @@ let stats_cmd =
           | `Table, Some _ ->
               Format.eprintf "stats: --out requires --format json@.";
               Stdlib.exit 2)
-      $ flavor_arg $ msg_size_arg $ stats_count $ format $ out)
+      $ flavor_arg $ msg_size_arg $ echos_arg 64 $ format $ out)
 
 (* `demi pcap`: capture one echo to a libpcap file. `--check` runs it
    through the observer-effect gate (capture off, then on, same seed)
@@ -237,12 +226,7 @@ let stats_cmd =
    Any violation exits 1, so `make observe-smoke` is one invocation per
    flavor. *)
 let pcap_cmd =
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE" ~doc:"Capture path (default out/<flavor>.pcap).")
-  in
+  let out = out_arg "Capture path (default out/<flavor>.pcap)." in
   let lost =
     Arg.(
       value
@@ -254,13 +238,7 @@ let pcap_cmd =
     Arg.(value & flag & info [ "dump" ] ~doc:"Print one tcpdump-style line per frame.")
   in
   let check =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:"Verify capture is observer-effect-free and well-formed; exit 1 on failure.")
-  in
-  let pcap_count =
-    Arg.(value & opt int 16 & info [ "count" ] ~docv:"N" ~doc:"Echos to run.")
+    check_arg "Verify capture is observer-effect-free and well-formed; exit 1 on failure."
   in
   let loss =
     Arg.(
@@ -324,23 +302,15 @@ let pcap_cmd =
             | Error why -> checkf (Printf.sprintf "capture parses: %s" why) false
           end;
           finish ())
-      $ flavor_arg $ msg_size_arg $ pcap_count $ loss $ out $ lost $ dump $ check)
+      $ flavor_arg $ msg_size_arg $ echos_arg 16 $ loss $ out $ lost $ dump $ check)
 
 (* `demi timeline`: fixed-interval telemetry of one echo run to CSV. *)
 let timeline_cmd =
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE" ~doc:"CSV path (default out/timeline-<flavor>.csv).")
-  in
+  let out = out_arg "CSV path (default out/timeline-<flavor>.csv)." in
   let interval =
     Arg.(
       value & opt int 10
       & info [ "interval-us" ] ~docv:"US" ~doc:"Sampling interval in microseconds.")
-  in
-  let tl_count =
-    Arg.(value & opt int 64 & info [ "count" ] ~docv:"N" ~doc:"Echos to run.")
   in
   Cmd.v
     (Cmd.info "timeline"
@@ -360,7 +330,7 @@ let timeline_cmd =
           Format.printf "wrote %s (%d samples, %d columns)@." out
             (Metrics.Timeseries.length ts)
             (List.length (Metrics.Timeseries.columns ts)))
-      $ flavor_arg $ msg_size_arg $ tl_count $ out $ interval)
+      $ flavor_arg $ msg_size_arg $ echos_arg 64 $ out $ interval)
 
 (* `demi flight`: the Demiflight recorder end to end. The default run
    arms the ring on one echo and dumps its tail; `--check` runs it
@@ -378,13 +348,7 @@ let flight_cmd =
       value & opt int 24
       & info [ "dump" ] ~docv:"N" ~doc:"Ring records to print after the run (0 = none).")
   in
-  let check =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:"Verify the recorder is observer-effect-free; exit 1 on failure.")
-  in
-  let fl_count = Arg.(value & opt int 16 & info [ "count" ] ~docv:"N" ~doc:"Echos to run.") in
+  let check = check_arg "Verify the recorder is observer-effect-free; exit 1 on failure." in
   Cmd.v
     (Cmd.info "flight"
        ~doc:"Always-on flight recorder: ring dump and observer-effect check (Demiflight).")
@@ -402,7 +366,7 @@ let flight_cmd =
           if dump > 0 then Engine.Log.dump ~last:dump Format.std_formatter ring;
           if check then checkf "ring captured the run" (Engine.Log.total ring > 0);
           finish ())
-      $ flavor_arg $ msg_size_arg $ fl_count $ capacity $ dump $ check)
+      $ flavor_arg $ msg_size_arg $ echos_arg 16 $ capacity $ dump $ check)
 
 (* `demi slo`: the retroactive outlier capture. Loss injection makes a
    handful of echos hit a retransmission timeout; the armed watchdog
@@ -422,14 +386,7 @@ let slo_cmd =
       value & opt float 0.05
       & info [ "loss" ] ~docv:"P" ~doc:"Injected frame-loss probability (the outlier source).")
   in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:"Chrome-trace fragment path (default out/slo-<flavor>.json).")
-  in
-  let slo_count = Arg.(value & opt int 64 & info [ "count" ] ~docv:"N" ~doc:"Echos to run.") in
+  let out = out_arg "Chrome-trace fragment path (default out/slo-<flavor>.json)." in
   let expect_breach =
     Arg.(
       value & flag
@@ -526,7 +483,7 @@ let slo_cmd =
               Format.printf "flight ring tail:@.";
               Engine.Log.dump ~last:16 Format.std_formatter ring);
           finish ())
-      $ flavor_arg $ msg_size_arg $ slo_count $ threshold $ loss $ out $ expect_breach)
+      $ flavor_arg $ msg_size_arg $ echos_arg 64 $ threshold $ loss $ out $ expect_breach)
 
 (* `demi fleet`: Demifleet end to end. The default run arms the causal
    and span recorders on a multi-host scenario (quorum-replicated
@@ -570,19 +527,8 @@ let fleet_cmd =
       & info [ "profile" ]
           ~doc:"Print the fleet-wide critical-path profile per (hop, component).")
   in
-  let check =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:"Verify causal tracing is observer-effect-free; exit 1 on failure.")
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:"Chrome trace path, one lane per request (default out/fleet-<flavor>.json).")
-  in
+  let check = check_arg "Verify causal tracing is observer-effect-free; exit 1 on failure." in
+  let out = out_arg "Chrome trace path, one lane per request (default out/fleet-<flavor>.json)." in
   let top =
     Arg.(
       value & opt int 1
@@ -750,12 +696,14 @@ let table5_cmd =
           let flavors =
             [ Demikernel.Boot.Catnap_os; Demikernel.Boot.Catnip_os; Demikernel.Boot.Catmint_os ]
           in
-          let observed count flavor =
-            Harness.Observe.run
-              { Harness.Observe.off with spans = true }
+          (* Only the tail report prints a trace digest. *)
+          let observed arm count flavor =
+            Harness.Observe.run { arm with Harness.Observe.spans = true }
               { (Harness.Observe.echo flavor) with msg_size; count }
           in
-          if not tail then Harness.Fig_breakdown.print_table (List.map (observed count) flavors)
+          if not tail then
+            Harness.Fig_breakdown.print_table
+              (List.map (observed Harness.Observe.off count) flavors)
           else begin
             let quantiles =
               match quantile with
@@ -769,7 +717,10 @@ let table5_cmd =
             in
             List.iter
               (fun flavor ->
-                let t = Harness.Fig_breakdown.tail ~quantiles (observed tail_count flavor) in
+                let t =
+                  Harness.Fig_breakdown.tail ~quantiles
+                    (observed Harness.Observe.traced tail_count flavor)
+                in
                 Harness.Fig_breakdown.print_tail t;
                 (* Exactness is the product here: every band column must
                    sum to its end-to-end row with no remainder. *)

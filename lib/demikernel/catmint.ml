@@ -286,28 +286,30 @@ let handle_connect t ~src_mac frame =
       Runtime.serve l.lq
 
 (* [frame] is the arrived message (its window is the payload); the
-   caller frees it once this returns. *)
+   caller frees it once this returns. A message for an unknown channel
+   is dropped; each lookup is [Hashtbl.find] + handler, not [find_opt],
+   so a hit allocates nothing. *)
 let handle_recv t ~src_mac ~imm frame =
   Net.Rdma_sim.post_recv t.rnic (* replenish the buffer we consumed *);
   match msg_of imm with
   | 1 (* connect *) -> handle_connect t ~src_mac frame
   | 2 (* accept *) -> (
-      match Hashtbl.find_opt t.chans (chan_of imm) with
-      | Some ch ->
+      match Hashtbl.find t.chans (chan_of imm) with
+      | ch ->
           let b = Memory.Heap.data frame and off = Memory.Heap.offset frame in
           ch.peer_chan <- Net.Wire.get_u32 b off;
           ch.peer_cell_rkey <- Net.Wire.get_u32 b (off + 4);
           Net.Wire.set_u32 ch.cell 0 (Net.Wire.get_u32 b (off + 8));
           Runtime.connected ch.q Pdpix.Connected;
           flush_pending t ch
-      | None -> ())
+      | exception Not_found -> ())
   | 3 (* refuse *) -> (
-      match Hashtbl.find_opt t.chans (chan_of imm) with
-      | Some ch -> fail_chan t ch "connection refused"
-      | None -> ())
+      match Hashtbl.find t.chans (chan_of imm) with
+      | ch -> fail_chan t ch "connection refused"
+      | exception Not_found -> ())
   | 4 (* data *) -> (
-      match Hashtbl.find_opt t.chans (chan_of imm) with
-      | Some ch ->
+      match Hashtbl.find t.chans (chan_of imm) with
+      | ch ->
           charge t (3 * (cost t).Net.Cost.libos_sched_ns);
           (* The device DMAed the message into a posted buffer in the
              DMA heap: allocate the application's buffer, no CPU copy. *)
@@ -320,13 +322,13 @@ let handle_recv t ~src_mac ~imm frame =
           Memory.Heap.set_length buf len;
           Engine.Ring.push ch.recv_q buf;
           Runtime.serve ch.q
-      | None -> ())
+      | exception Not_found -> ())
   | 5 (* close *) -> (
-      match Hashtbl.find_opt t.chans (chan_of imm) with
-      | Some ch ->
+      match Hashtbl.find t.chans (chan_of imm) with
+      | ch ->
           ch.eof <- true;
           Runtime.serve ch.q
-      | None -> ())
+      | exception Not_found -> ())
   | _ -> ()
 
 (* A batch is charged one libOS poll, and every completion in it one CQ

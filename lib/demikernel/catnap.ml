@@ -113,13 +113,17 @@ let rec service_from t i w =
 
 (* One service pass over every queue with outstanding tokens, in
    ascending qd order (hash order would service queues in a
-   seed-dependent sequence); returns whether anything completed. A
-   queue with nothing outstanding would be a no-op, so it is not
-   visited. *)
+   seed-dependent sequence); returns whether anything completed or a
+   frame arrived. Every non-blocking call drains the NIC, so a frame
+   taken by a later queue's call can make an already-visited queue (a
+   listener, say) ready: the pass must not report idle then, or the
+   host parks with that completion unseen. A queue with nothing
+   outstanding would be a no-op, so it is not visited. *)
 let service t =
   t.service_progress <- false;
+  let frames = Oskernel.Kernel.frames_in t.kernel in
   service_from t 0 0;
-  t.service_progress
+  t.service_progress || Oskernel.Kernel.frames_in t.kernel <> frames
 
 (* One poll: drain the kernel, then one [service] pass; device work
    means some token completed. *)

@@ -29,7 +29,7 @@ type t = {
   rt : Runtime.t;
   ssd : Net.Ssd_sim.t;
   mutable dead : bool;
-  by_name : (string, Pdpix.qd) Hashtbl.t;
+  by_name : (string, log * Runtime.queue) Hashtbl.t; (* a name's slice, its latest qd *)
   inflight : (int, inflight) Hashtbl.t; (* device command id -> waiter *)
   mutable next_io : int;
   mutable alloc_cursor : int; (* next free device slice *)
@@ -180,9 +180,22 @@ let truncate t log off =
   if log.read_cursor < log.gc_floor then log.read_cursor <- log.gc_floor;
   write_superblock t log
 
+let log_queue t log =
+  Runtime.new_log t.rt
+    { append = append t log; read = read t log; seek = seek log; truncate = Some (truncate t log) }
+
+(* A name keeps its slice for the life of this instance (recovery
+   replays slices in open order). Re-opening an open log answers its
+   qd; re-opening a closed one mints a new qd over the same slice, read
+   from its first live record. A log queue fails only by its close. *)
 let open_log t name =
   match Hashtbl.find_opt t.by_name name with
-  | Some qd -> qd
+  | Some (_, q) when Runtime.failed q = None -> Runtime.qd q
+  | Some (log, _) ->
+      log.read_cursor <- log.gc_floor;
+      let q = log_queue t log in
+      Hashtbl.replace t.by_name name (log, q);
+      Runtime.qd q
   | None ->
       let base = t.alloc_cursor in
       let limit = base + slice_size t in
@@ -206,20 +219,11 @@ let open_log t name =
           records = List.rev recovered (* newest first *);
         }
       in
-      let qd =
-        Runtime.qd
-          (Runtime.new_log t.rt
-             {
-               Runtime.append = append t log;
-               read = read t log;
-               seek = seek log;
-               truncate = Some (truncate t log);
-             })
-      in
+      let q = log_queue t log in
       (* A fresh slice needs its superblock installed. *)
       write_superblock t log;
-      Hashtbl.replace t.by_name name qd;
-      qd
+      Hashtbl.replace t.by_name name (log, q);
+      Runtime.qd q
 
 let create rt ~ssd =
   let t =

@@ -12,7 +12,9 @@ type t
 
 val create : Runtime.t -> ssd:Net.Ssd_sim.t -> t
 val open_log : t -> string -> Pdpix.qd
-(** Open (or recover) the named log; re-opening a name answers its qd. *)
+(** Open (or recover) the named log. Re-opening an open log answers its
+    qd; re-opening a closed one answers a new qd over the same device
+    slice, reading from its first live record. *)
 
 val bytes_persisted : t -> int
 

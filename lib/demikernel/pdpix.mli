@@ -171,8 +171,6 @@ val oracle_finish : oracle -> ownership_violation list
 (** All violations in program order, closing the books: the first call
     also flags never-waited tokens as ["dropped-token"]. Idempotent. *)
 
-val pp_ownership_violation : Format.formatter -> ownership_violation -> unit
-
 val log_oracle_teardown : ?fmt:Format.formatter -> oracle -> unit
 (** {!oracle_finish} and print any violations (default
     [err_formatter]); silent when the run was clean. Mirrors

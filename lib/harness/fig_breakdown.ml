@@ -89,6 +89,9 @@ let breakdown_json b =
 
 (* ---------- one observed run ---------- *)
 
+(* The measuring client is the run's last node. *)
+let client_flavor (r : Observe.run) = (List.nth r.nodes (List.length r.nodes - 1)).flavor
+
 (* The client's record callback fires right after its final clock read,
    so request i's window is [completed_at - latency, completed_at]. *)
 let windows (r : Observe.run) =
@@ -208,12 +211,12 @@ let tail ?(quantiles = default_quantiles) (r : Observe.run) =
       quantiles
   in
   {
-    tail_flavor = r.scenario.flavor;
+    tail_flavor = client_flavor r;
     tail_ops = Metrics.Hdr.count hdr;
     tail_hdr = hdr;
     tail_sampled = List.length retained;
     tail_bands = bands;
-    tail_digest = r.digest;
+    tail_digest = Observe.digest r;
   }
 
 (* Table 5 for the slowest ops: component rows, one column per
@@ -264,7 +267,7 @@ let print_table (runs : Observe.run list) =
     Metrics.Table.create ~title:"echo RTT breakdown (last RTT, ns)"
       ~columns:
         ("component"
-        :: List.map (fun (r : Observe.run) -> Demikernel.Boot.flavor_name r.scenario.flavor) runs)
+        :: List.map (fun r -> Demikernel.Boot.flavor_name (client_flavor r)) runs)
   in
   add_breakdown_rows tbl (List.map last_rtt runs);
   Metrics.Table.print tbl

@@ -55,7 +55,7 @@ type tail = {
   tail_hdr : Metrics.Hdr.t;  (** full-precision RTT distribution *)
   tail_sampled : int;  (** distinct windows retained *)
   tail_bands : tail_band list;
-  tail_digest : string;
+  tail_digest : string;  (** the run's {!Observe.digest}: a tail needs a traced run *)
 }
 
 val default_quantiles : (string * float) list

@@ -17,70 +17,116 @@ let row_of ?baseline system hist =
       (match baseline with Some b when avg > b -> Some ((avg - b) / 4) | Some _ | None -> None);
   }
 
+type system =
+  | Demi of Demikernel.Boot.flavor * Observe.echo_proto
+  | Linux of Observe.echo_proto
+  | Kb of Baselines.Kb_lib.profile
+  | Raw_dpdk
+  | Raw_rdma
+
+(* One closed-loop echo between hosts 1 (server) and 2 (client) in a
+   fresh world, every recorder off; each RTT reaches the world's
+   [record]. *)
+let echo_rtt ?(cost = Net.Cost.bare_metal) ?(persist = false) ?(msg_size = 64) ?count system =
+  let count = match count with Some c -> c | None -> !Observe.default_count in
+  let baseline wire =
+    Observe.build Observe.off
+      (Observe.cell ~cost "baseline echo" (fun w ->
+           wire w;
+           []))
+  in
+  let r =
+    match system with
+    | Demi (flavor, proto) ->
+        Observe.run Observe.off
+          { (Observe.echo flavor) with app = Echo proto; count; msg_size; cost; persist }
+    | Linux proto ->
+        baseline (fun w ->
+            let kernel = Baselines.Linux_apps.make_kernel w.sim w.fabric in
+            let server = kernel ~index:1 ~with_disk:persist () in
+            let client = kernel ~index:2 () in
+            let dst = Net.Addr.endpoint (Net.Addr.Ip.of_index 1) 7 in
+            match proto with
+            | Observe.Echo_tcp ->
+                Baselines.Linux_apps.echo_tcp_server w.sim server ~port:7 ~persist;
+                Baselines.Linux_apps.echo_tcp_client w.sim client ~dst ~msg_size ~count
+                  ~record:w.record ~on_done:ignore
+            | Observe.Echo_udp ->
+                Baselines.Linux_apps.echo_udp_server w.sim server ~port:7 ~persist;
+                Baselines.Linux_apps.echo_udp_client w.sim client ~dst ~src_port:5001 ~msg_size
+                  ~count ~record:w.record ~on_done:ignore)
+    | Kb profile ->
+        baseline (fun w ->
+            Baselines.Kb_lib.echo profile w.sim w.fabric ~server_index:1 ~client_index:2
+              ~msg_size ~count ~record:w.record ~on_done:ignore)
+    | Raw_dpdk ->
+        baseline (fun w ->
+            Baselines.Raw.testpmd_echo w.sim w.fabric ~server_index:1 ~client_index:2 ~msg_size
+              ~count ~record:w.record ~on_done:ignore)
+    | Raw_rdma ->
+        baseline (fun w ->
+            Baselines.Raw.perftest_pingpong w.sim w.fabric ~server_index:1 ~client_index:2
+              ~msg_size ~count ~record:w.record ~on_done:ignore)
+  in
+  Metrics.Hdr.of_list r.latencies
+
 let fig5 () =
-  let raw_dpdk = Common.raw_dpdk_rtt () in
-  let raw_rdma = Common.raw_rdma_rtt () in
+  let raw_dpdk = echo_rtt Raw_dpdk in
+  let raw_rdma = echo_rtt Raw_rdma in
   let dpdk_base = int_of_float (Metrics.Hdr.mean raw_dpdk) in
   let rdma_base = int_of_float (Metrics.Hdr.mean raw_rdma) in
-  [
-    row_of "Linux" (Common.linux_echo_rtt ~proto:Common.Echo_udp ());
-    row_of "Catnap" (Observe.demi_echo_rtt ~proto:Common.Echo_udp Demikernel.Boot.Catnap_os);
-    row_of "Catmint" ~baseline:rdma_base
-      (Observe.demi_echo_rtt ~proto:Common.Echo_tcp Demikernel.Boot.Catmint_os);
-    row_of "Catnip (UDP)" ~baseline:dpdk_base
-      (Observe.demi_echo_rtt ~proto:Common.Echo_udp Demikernel.Boot.Catnip_os);
-    row_of "Catnip (TCP)" ~baseline:dpdk_base
-      (Observe.demi_echo_rtt ~proto:Common.Echo_tcp Demikernel.Boot.Catnip_os);
-    row_of "eRPC" (Common.kb_echo_rtt Baselines.Kb_lib.erpc);
-    row_of "Shenango" (Common.kb_echo_rtt Baselines.Kb_lib.shenango);
-    row_of "Caladan" (Common.kb_echo_rtt Baselines.Kb_lib.caladan);
-    row_of "Raw DPDK" raw_dpdk;
-    row_of "Raw RDMA" raw_rdma;
-  ]
+  Demikernel.Boot.
+    [
+      row_of "Linux" (echo_rtt (Linux Echo_udp));
+      row_of "Catnap" (echo_rtt (Demi (Catnap_os, Echo_udp)));
+      row_of "Catmint" ~baseline:rdma_base (echo_rtt (Demi (Catmint_os, Echo_tcp)));
+      row_of "Catnip (UDP)" ~baseline:dpdk_base (echo_rtt (Demi (Catnip_os, Echo_udp)));
+      row_of "Catnip (TCP)" ~baseline:dpdk_base (echo_rtt (Demi (Catnip_os, Echo_tcp)));
+      row_of "eRPC" (echo_rtt (Kb Baselines.Kb_lib.erpc));
+      row_of "Shenango" (echo_rtt (Kb Baselines.Kb_lib.shenango));
+      row_of "Caladan" (echo_rtt (Kb Baselines.Kb_lib.caladan));
+      row_of "Raw DPDK" raw_dpdk;
+      row_of "Raw RDMA" raw_rdma;
+    ]
 
 let fig6_windows () =
   let cost = Net.Cost.windows in
-  [
-    row_of "Linux (WSL)" (Common.linux_echo_rtt ~cost ~proto:Common.Echo_udp ());
-    row_of "Catnap (WSL)"
-      (Observe.demi_echo_rtt ~cost ~proto:Common.Echo_udp Demikernel.Boot.Catnap_os);
-    row_of "Catpaw (RDMA)"
-      (Observe.demi_echo_rtt ~cost ~proto:Common.Echo_tcp Demikernel.Boot.Catmint_os);
-  ]
+  Demikernel.Boot.
+    [
+      row_of "Linux (WSL)" (echo_rtt ~cost (Linux Echo_udp));
+      row_of "Catnap (WSL)" (echo_rtt ~cost (Demi (Catnap_os, Echo_udp)));
+      row_of "Catpaw (RDMA)" (echo_rtt ~cost (Demi (Catmint_os, Echo_tcp)));
+    ]
 
 let fig6_azure () =
   let cost = Net.Cost.azure_vm in
-  [
-    row_of "Linux (VM)" (Common.linux_echo_rtt ~cost ~proto:Common.Echo_udp ());
-    row_of "Catnap (VM)"
-      (Observe.demi_echo_rtt ~cost ~proto:Common.Echo_udp Demikernel.Boot.Catnap_os);
-    row_of "Catnip (vnet DPDK)"
-      (Observe.demi_echo_rtt ~cost ~proto:Common.Echo_udp Demikernel.Boot.Catnip_os);
-    row_of "Catmint (bare-metal IB)"
-      (Observe.demi_echo_rtt ~cost ~proto:Common.Echo_tcp Demikernel.Boot.Catmint_os);
-  ]
+  Demikernel.Boot.
+    [
+      row_of "Linux (VM)" (echo_rtt ~cost (Linux Echo_udp));
+      row_of "Catnap (VM)" (echo_rtt ~cost (Demi (Catnap_os, Echo_udp)));
+      row_of "Catnip (vnet DPDK)" (echo_rtt ~cost (Demi (Catnip_os, Echo_udp)));
+      row_of "Catmint (bare-metal IB)" (echo_rtt ~cost (Demi (Catmint_os, Echo_tcp)));
+    ]
 
 let fig7 () =
-  [
-    row_of "Linux" (Common.linux_echo_rtt ~persist:true ~proto:Common.Echo_udp ());
-    row_of "Catnap"
-      (Observe.demi_echo_rtt ~persist:true ~proto:Common.Echo_tcp Demikernel.Boot.Catnap_os);
-    row_of "Catmint x Cattree"
-      (Observe.demi_echo_rtt ~persist:true ~proto:Common.Echo_tcp Demikernel.Boot.Catmint_os);
-    row_of "Catnip (TCP) x Cattree"
-      (Observe.demi_echo_rtt ~persist:true ~proto:Common.Echo_tcp Demikernel.Boot.Catnip_os);
-  ]
+  let persist = true in
+  Demikernel.Boot.
+    [
+      row_of "Linux" (echo_rtt ~persist (Linux Echo_udp));
+      row_of "Catnap" (echo_rtt ~persist (Demi (Catnap_os, Echo_tcp)));
+      row_of "Catmint x Cattree" (echo_rtt ~persist (Demi (Catmint_os, Echo_tcp)));
+      row_of "Catnip (TCP) x Cattree" (echo_rtt ~persist (Demi (Catnip_os, Echo_tcp)));
+    ]
 
 let fig5_orderings_hold ?cost () =
-  let avg hist = int_of_float (Metrics.Hdr.mean hist) in
-  let linux = avg (Common.linux_echo_rtt ?cost ~proto:Common.Echo_udp ()) in
-  let demi proto flavor = avg (Observe.demi_echo_rtt ?cost ~proto flavor) in
-  let catnap = demi Common.Echo_udp Demikernel.Boot.Catnap_os in
-  let catmint = demi Common.Echo_tcp Demikernel.Boot.Catmint_os in
-  let catnip_udp = demi Common.Echo_udp Demikernel.Boot.Catnip_os in
-  let catnip_tcp = demi Common.Echo_tcp Demikernel.Boot.Catnip_os in
-  let raw_rdma = avg (Common.raw_rdma_rtt ?cost ()) in
-  let raw_dpdk = avg (Common.raw_dpdk_rtt ?cost ()) in
+  let avg system = int_of_float (Metrics.Hdr.mean (echo_rtt ?cost system)) in
+  let linux = avg (Linux Echo_udp) in
+  let catnap = avg (Demi (Catnap_os, Echo_udp)) in
+  let catmint = avg (Demi (Catmint_os, Echo_tcp)) in
+  let catnip_udp = avg (Demi (Catnip_os, Echo_udp)) in
+  let catnip_tcp = avg (Demi (Catnip_os, Echo_tcp)) in
+  let raw_rdma = avg Raw_rdma in
+  let raw_dpdk = avg Raw_dpdk in
   let checks =
     [
       ("raw-rdma<catmint", raw_rdma < catmint);

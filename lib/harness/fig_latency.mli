@@ -1,6 +1,22 @@
 (** The latency experiments: Figures 5, 6 and 7. Each returns typed
     rows and can print itself in the paper's shape. *)
 
+type system =
+  | Demi of Demikernel.Boot.flavor * Observe.echo_proto
+  | Linux of Observe.echo_proto  (** the kernel path *)
+  | Kb of Baselines.Kb_lib.profile  (** a kernel-bypass library *)
+  | Raw_dpdk  (** testpmd *)
+  | Raw_rdma  (** perftest *)
+
+val echo_rtt :
+  ?cost:Net.Cost.t -> ?persist:bool -> ?msg_size:int -> ?count:int -> system -> Metrics.Hdr.t
+(** One closed-loop echo between hosts 1 and 2, built by {!Observe}
+    with every recorder off; returns the RTT distribution. [persist]
+    (Demikernel and Linux servers) logs every message to disk first.
+    Defaults: bare metal, 64 B, [!Observe.default_count] echos. *)
+
+(** {1 Figures} *)
+
 type row = {
   system : string;
   avg_ns : int;

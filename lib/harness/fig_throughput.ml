@@ -11,30 +11,21 @@ let best_rtt hist = max 1 (Metrics.Hdr.min hist)
 let netpipe_count = 40
 
 let fig8 ?(sizes = [ 64; 1024; 4096; 16384; 65536; 262144 ]) () =
-  let measure system f =
+  let measure ?(sizes = sizes) system echo =
     List.map
       (fun msg_size ->
-        let hist = f msg_size in
+        let hist = Fig_latency.echo_rtt ~msg_size ~count:netpipe_count echo in
         { system; msg_size; gbps = bandwidth_gbps ~msg_size ~rtt_ns:(best_rtt hist) })
       sizes
   in
-  measure "Raw DPDK" (fun msg_size -> Common.raw_dpdk_rtt ~msg_size ~count:netpipe_count ())
-  @ measure "Raw RDMA" (fun msg_size -> Common.raw_rdma_rtt ~msg_size ~count:netpipe_count ())
-  @ measure "Catmint" (fun msg_size ->
-        Observe.demi_echo_rtt ~msg_size ~count:netpipe_count ~proto:Common.Echo_tcp
-          Demikernel.Boot.Catmint_os)
-  @ (let udp_sizes = List.filter (fun s -> s <= 65_507) sizes @ [ 65_507 ] in
-     List.map
-       (fun msg_size ->
-         let hist =
-           Observe.demi_echo_rtt ~msg_size ~count:netpipe_count ~proto:Common.Echo_udp
-             Demikernel.Boot.Catnip_os
-         in
-         { system = "Catnip (UDP)"; msg_size; gbps = bandwidth_gbps ~msg_size ~rtt_ns:(best_rtt hist) })
-       udp_sizes)
-  @ measure "Catnip (TCP)" (fun msg_size ->
-        Observe.demi_echo_rtt ~msg_size ~count:netpipe_count ~proto:Common.Echo_tcp
-          Demikernel.Boot.Catnip_os)
+  Fig_latency.(
+    measure "Raw DPDK" Raw_dpdk
+    @ measure "Raw RDMA" Raw_rdma
+    @ measure "Catmint" (Demi (Catmint_os, Echo_tcp))
+    @ measure "Catnip (UDP)"
+        ~sizes:(List.filter (fun s -> s <= 65_507) sizes @ [ 65_507 ])
+        (Demi (Catnip_os, Echo_udp))
+    @ measure "Catnip (TCP)" (Demi (Catnip_os, Echo_tcp)))
 
 let print_fig8 rows =
   let table =
@@ -62,20 +53,14 @@ type load_row = {
    embedded timestamps against an echo server, latency measured on the
    way back. Single coroutine; wait_any_t interleaves receive completions
    with the send schedule. *)
-let demi_open_loop ?cost ?catmint_window ~flavor ~proto ~msg_size ~rate_per_sec ~duration_ns
+let open_loop_cell ?cost ?catmint_window ~flavor ~proto ~msg_size ~rate_per_sec ~duration_ns
     () =
-  let w = Common.make_world ?cost () in
-  let server =
-    Demikernel.Boot.make w.Common.sim w.Common.fabric ~index:1 ?catmint_window flavor
-  in
-  let client =
-    Demikernel.Boot.make w.Common.sim w.Common.fabric ~index:2 ?catmint_window flavor
-  in
+  Observe.cell ?cost "fig9 open loop" @@ fun (w : Observe.world) ->
+  let server = Demikernel.Boot.make w.sim w.fabric ~index:1 ?catmint_window flavor in
+  let client = Demikernel.Boot.make w.sim w.fabric ~index:2 ?catmint_window flavor in
   (match proto with
-  | Common.Echo_tcp -> Demikernel.Boot.run_app server (Apps.Echo.server ~port:7)
-  | Common.Echo_udp -> Demikernel.Boot.run_app server (Apps.Echo.udp_server ~port:7));
-  let hist = Metrics.Hdr.create () in
-  let received = ref 0 in
+  | Observe.Echo_tcp -> Demikernel.Boot.run_app server (Apps.Echo.server ~port:7)
+  | Observe.Echo_udp -> Demikernel.Boot.run_app server (Apps.Echo.udp_server ~port:7));
   Demikernel.Boot.run_app client (fun api ->
       let prng = Engine.Prng.create 77L in
       let start = api.Pdpix.clock () in
@@ -92,15 +77,14 @@ let demi_open_loop ?cost ?catmint_window ~flavor ~proto ~msg_size ~rate_per_sec 
       let record_echo msg =
         if String.length msg >= 8 then begin
           let ts = Net.Wire.get_u48 (Bytes.unsafe_of_string msg) 0 in
-          Metrics.Hdr.add hist (api.Pdpix.clock () - (start + ts));
-          incr received
+          w.record (api.Pdpix.clock () - (start + ts))
         end
       in
       let gap () =
         max 1 (int_of_float (Engine.Prng.exponential prng (1e9 /. rate_per_sec)))
       in
       match proto with
-      | Common.Echo_udp ->
+      | Observe.Echo_udp ->
           let qd = api.Pdpix.socket Pdpix.Udp in
           api.Pdpix.bind qd (Net.Addr.endpoint 0 5001);
           let dst = Demikernel.Boot.endpoint server 7 in
@@ -129,7 +113,7 @@ let demi_open_loop ?cost ?catmint_window ~flavor ~proto ~msg_size ~rate_per_sec 
             end
           in
           loop ()
-      | Common.Echo_tcp ->
+      | Observe.Echo_tcp ->
           let qd = api.Pdpix.socket Pdpix.Tcp in
           (match api.Pdpix.wait (api.Pdpix.connect qd (Demikernel.Boot.endpoint server 7)) with
           | Pdpix.Connected -> ()
@@ -187,24 +171,35 @@ let demi_open_loop ?cost ?catmint_window ~flavor ~proto ~msg_size ~rate_per_sec 
           loop ());
   Demikernel.Boot.start server;
   Demikernel.Boot.start client;
-  Common.run_world w;
+  [ ("server", server); ("client", client) ]
+
+let demi_open_loop ?cost ?catmint_window ~flavor ~proto ~msg_size ~rate_per_sec ~duration_ns
+    () =
+  let r =
+    Observe.build Observe.off
+      (open_loop_cell ?cost ?catmint_window ~flavor ~proto ~msg_size ~rate_per_sec ~duration_ns
+         ())
+  in
   (* Armed by the heap sanitizer, the ownership oracle has watched both
      apps; a finding fails the point. *)
-  (match Demikernel.Boot.ownership_findings server @ Demikernel.Boot.ownership_findings client with
-  | [] -> ()
-  | v :: _ -> failwith (Format.asprintf "loadgen: %a" Pdpix.pp_ownership_violation v));
+  (match r.violations with
+  | Some n when n > 0 -> failwith (Printf.sprintf "loadgen: %d ownership violation(s)" n)
+  | Some _ | None -> ());
   {
     Baselines.Kb_lib.offered_per_sec = rate_per_sec;
-    achieved_per_sec = float_of_int !received /. (float_of_int duration_ns /. 1e9);
-    latencies = hist;
+    achieved_per_sec = float_of_int (List.length r.latencies) /. (float_of_int duration_ns /. 1e9);
+    latencies = Metrics.Hdr.of_list r.latencies;
   }
 
 let kb_open_loop ?cost profile ~msg_size ~rate_per_sec ~duration_ns () =
-  let w = Common.make_world ?cost () in
   let result = ref None in
-  Baselines.Kb_lib.echo_open_loop profile w.Common.sim w.Common.fabric ~server_index:1
-    ~client_index:2 ~msg_size ~rate_per_sec ~duration_ns (fun r -> result := Some r);
-  Common.run_world w;
+  ignore
+    (Observe.build Observe.off
+       (Observe.cell ?cost "fig9 open loop" (fun w ->
+            Baselines.Kb_lib.echo_open_loop profile w.sim w.fabric ~server_index:1
+              ~client_index:2 ~msg_size ~rate_per_sec ~duration_ns (fun r -> result := Some r);
+            []))
+      : Observe.run);
   match !result with Some r -> r | None -> failwith "open loop did not finish"
 
 (* Offered loads in requests/second. *)
@@ -227,24 +222,18 @@ let fig9 ?(duration_ms = 20) () =
     }
   in
   List.concat_map
-    (fun rate ->
-      [
-        point "Catmint"
-          (demi_open_loop ~flavor:Demikernel.Boot.Catmint_os ~proto:Common.Echo_tcp ~msg_size
-             ~rate_per_sec:rate ~duration_ns ());
-        point "Catnip (UDP)"
-          (demi_open_loop ~flavor:Demikernel.Boot.Catnip_os ~proto:Common.Echo_udp ~msg_size
-             ~rate_per_sec:rate ~duration_ns ());
-        point "Catnip (TCP)"
-          (demi_open_loop ~flavor:Demikernel.Boot.Catnip_os ~proto:Common.Echo_tcp ~msg_size
-             ~rate_per_sec:rate ~duration_ns ());
-        point "eRPC"
-          (kb_open_loop Baselines.Kb_lib.erpc ~msg_size ~rate_per_sec:rate ~duration_ns ());
-        point "Shenango"
-          (kb_open_loop Baselines.Kb_lib.shenango ~msg_size ~rate_per_sec:rate ~duration_ns ());
-        point "Caladan"
-          (kb_open_loop Baselines.Kb_lib.caladan ~msg_size ~rate_per_sec:rate ~duration_ns ());
-      ])
+    (fun rate_per_sec ->
+      let demi flavor proto = demi_open_loop ~flavor ~proto ~msg_size ~rate_per_sec ~duration_ns () in
+      let kb profile = kb_open_loop profile ~msg_size ~rate_per_sec ~duration_ns () in
+      Demikernel.Boot.
+        [
+          point "Catmint" (demi Catmint_os Observe.Echo_tcp);
+          point "Catnip (UDP)" (demi Catnip_os Observe.Echo_udp);
+          point "Catnip (TCP)" (demi Catnip_os Observe.Echo_tcp);
+          point "eRPC" (kb Baselines.Kb_lib.erpc);
+          point "Shenango" (kb Baselines.Kb_lib.shenango);
+          point "Caladan" (kb Baselines.Kb_lib.caladan);
+        ])
     rates
 
 let print_fig9 rows =

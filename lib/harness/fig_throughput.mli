@@ -25,16 +25,29 @@ val fig9 : ?duration_ms:int -> unit -> load_row list
 
 val print_fig9 : load_row list -> unit
 
+val open_loop_cell :
+  ?cost:Net.Cost.t ->
+  ?catmint_window:int ->
+  flavor:Demikernel.Boot.flavor ->
+  proto:Observe.echo_proto ->
+  msg_size:int ->
+  rate_per_sec:float ->
+  duration_ns:int ->
+  unit ->
+  Observe.cell
+(** One Demikernel cell of Figure 9: a paced open-loop client (host 2)
+    against an echo server (host 1), each echo's latency recorded. *)
+
 val demi_open_loop :
   ?cost:Net.Cost.t ->
   ?catmint_window:int ->
   flavor:Demikernel.Boot.flavor ->
-  proto:Common.echo_proto ->
+  proto:Observe.echo_proto ->
   msg_size:int ->
   rate_per_sec:float ->
   duration_ns:int ->
   unit ->
   Baselines.Kb_lib.load_result
-(** One open-loop point against a Demikernel echo server (exposed for
+(** {!open_loop_cell} built with every recorder off (exposed for
     ablations). With the heap sanitizer armed, an ownership-oracle
     finding on either host raises [Failure]. *)

@@ -1,20 +1,45 @@
-(** One observed run, and the one observer-effect gate.
+(** The one world builder, and the one observer-effect gate.
 
-    Every recorder the repo ships — span intervals (with the SLO
-    watchdog), the flight ring, causal request contexts, pcap capture,
-    time-series sampling and the runtime ownership oracle — is a pure
+    Every world the harness runs — each figure cell, baselines
+    included, each bench ablation and each [demi] scenario — is a
+    {!cell} that {!build} creates, arms and runs, so any published
+    number can be re-run with recorders armed. Every recorder (span
+    intervals with the SLO watchdog, the flight ring, causal contexts,
+    pcap capture, time-series sampling, the ownership oracle) is a pure
     observer: arming it must not change the event interleaving, the
-    virtual clock or anything an application measures. {!run} builds a
-    scenario's world once, arms the requested recorders on it, and
-    returns what they saw; {!check} is the proof, and the only place
-    the repo compares a recorder-off run with a recorder-on run. A new
-    recorder gets the same proof by being armed here (or passed as the
-    arm's [probe]), not by a new copy of the comparison. *)
+    virtual clock or anything an application measures. {!check} is the
+    proof, and the only place the repo compares a recorder-off run with
+    a recorder-on run; a new recorder is armed here (or passed as the
+    arm's [probe]), not given a new copy of the comparison. *)
 
-(** {1 Scenarios} *)
+(** {1 Worlds} *)
+
+type world = {
+  sim : Engine.Sim.t;
+  fabric : Net.Fabric.t;
+  record : int -> unit;  (** one request's latency, in ns, in completion order *)
+}
+
+type cell
+
+val cell :
+  ?cost:Net.Cost.t ->
+  ?loss:float ->
+  ?seed:int64 ->
+  string ->
+  (world -> (string * Demikernel.Boot.node) list) ->
+  cell
+(** [cell name wire]: a world of this cost profile (bare metal), frame
+    loss (none) and seed (1), named [name] in {!check}'s report. [wire]
+    boots the hosts and starts their apps; it returns the Demikernel
+    nodes by role, servers first, the measuring client last. *)
+
+(** {1 Scenarios: the canned cells [demi] and the selfcheck observe} *)
+
+type echo_proto = Echo_tcp | Echo_udp
 
 type app =
-  | Echo of Common.echo_proto  (** client index 2 → server index 1, port 7 *)
+  | Echo of echo_proto  (** client index 2 → server index 1, port 7 *)
   | Txnstore of { replicas : int; quorum : int option }
       (** quorum-replicated puts: servers ["replica1"…], one ["client"]
           waiting for [quorum] acks per put (default all). A sub-quorum
@@ -41,6 +66,11 @@ val txnstore : Demikernel.Boot.flavor -> scenario
 val relay : Demikernel.Boot.flavor -> scenario
 (** 8 relayed messages of 64 B. *)
 
+val of_scenario : scenario -> cell
+
+val default_count : int ref
+(** Echos per figure latency measurement ([bench] sets it per run size). *)
+
 (** {1 Arms} *)
 
 type arm = {
@@ -53,29 +83,32 @@ type arm = {
   oracle : bool;
       (** the heap sanitizer for this world's heaps, and with it each
           node's runtime ownership oracle ({!Demikernel.Boot.node}) *)
-  trace_capacity : int;
-      (** event-trace ring behind the digest; always armed, so it is
-          part of the yardstick rather than an observer *)
+  trace_capacity : int option;
+      (** the event-trace ring behind {!digest}; armed only where a
+          digest is read (the selfcheck, {!check}, [demi echo --trace],
+          [demi table5 --tail]) *)
   probe : (Engine.Sim.t -> unit) option;
       (** any other observer, attached before the hosts boot *)
 }
 
 val off : arm
+(** Nothing armed, not even the trace. *)
+
+val traced : arm
 (** Nothing armed but the 65536-event trace. *)
 
 val describe : arm -> string
-(** The armed recorders, ["+"]-joined (["none"] for {!off}). *)
+(** The armed recorders, ["+"]-joined; the trace is the yardstick, not
+    one (["none"] for {!off} and {!traced}). *)
 
 (** {1 Running} *)
 
 type run = {
-  scenario : scenario;
-  trace : Engine.Log.t;
-  digest : string;  (** {!Engine.Log.digest} of [trace] *)
+  trace : Engine.Log.t option;
   events : int;  (** simulator events processed *)
   latencies : int list;  (** per request, completion order *)
   completed_at : int list;  (** virtual time of each completion, parallel to [latencies] *)
-  nodes : Demikernel.Boot.node list;  (** servers first, the measuring client last *)
+  nodes : Demikernel.Boot.node list;  (** the cell's roles, in its order *)
   fabric_stats : Net.Fabric.stats;
   spans : Engine.Span.t option;
   flight : Engine.Log.t option;
@@ -87,24 +120,18 @@ type run = {
           {!Memory.Heap.sanitize_default}) *)
 }
 
-val run : arm -> scenario -> run
-(** Build the scenario's world, arm [arm], run to completion and tear
+val build : arm -> cell -> run
+(** Build the cell's world, arm [arm], run to completion and tear
     down. Recorder fields are [Some] exactly when armed. *)
 
-val demi_echo_rtt :
-  ?cost:Net.Cost.t ->
-  ?persist:bool ->
-  ?msg_size:int ->
-  ?count:int ->
-  proto:Common.echo_proto ->
-  Demikernel.Boot.flavor ->
-  Metrics.Hdr.t
-(** Closed-loop echo between two hosts of the given flavor, run with
-    every recorder {!off}; returns the RTT distribution. [count]
-    defaults to [!Common.default_count]. *)
+val run : arm -> scenario -> run
+(** [build arm (of_scenario scenario)]. *)
 
-val check : arm -> scenario -> (run, string) result
-(** Run [scenario] bare ({!off}, with [arm]'s trace capacity), then
-    armed. [Ok] carries the armed run when the trace digests, the
-    event counts and the full latency lists are equal; [Error] names
-    every difference. *)
+val digest : run -> string
+(** The trace's {!Engine.Log.digest}; [Invalid_argument] if untraced. *)
+
+val check : arm -> cell -> (run, string) result
+(** Build [cell] bare, then armed, both traced ([arm]'s capacity, else
+    {!traced}'s). [Ok] carries the armed run when the trace digests,
+    the event counts and the full latency lists are equal; [Error]
+    names every difference. *)

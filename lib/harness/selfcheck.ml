@@ -20,8 +20,8 @@ let heap_line name (s : Memory.Heap.stats) =
    second: the stdlib seeds its Hashtbl randomizer once, lazily. *)
 let words_per_echo = function
   | Demikernel.Boot.Catnip_os -> 4705 (* 301,062 words / 64 = 4,704.09 *)
-  | Demikernel.Boot.Catnap_os -> 4403 (* 281,771 words / 64 = 4,402.67 *)
-  | Demikernel.Boot.Catmint_os -> 4727 (* 302,474 words / 64 = 4,726.16 *)
+  | Demikernel.Boot.Catnap_os -> 4403 (* 281,773 words / 64 = 4,402.70 *)
+  | Demikernel.Boot.Catmint_os -> 4723 (* 302,214 words / 64 = 4,722.09 *)
 
 let minor_words () = int_of_float (Gc.minor_words ())
 
@@ -36,7 +36,7 @@ let scenario ~seed ~count flavor =
   let moved0 = Engine.Copies.moved () in
   let words0 = minor_words () in
   let r =
-    Observe.run { Observe.off with oracle = true; flight = Some 4096 }
+    Observe.run { Observe.traced with oracle = true; flight = Some 4096 }
       { (Observe.echo flavor) with seed; count; msg_size = 256 }
   in
   let words = minor_words () - words0 in
@@ -64,7 +64,7 @@ let scenario ~seed ~count flavor =
           Printf.sprintf "  copies    %-10s bytes_moved=%d" name moved;
         ])
   in
-  (r.digest, r.events, metrics, violations, words_over)
+  (Observe.digest r, r.events, metrics, violations, words_over)
 
 let fingerprint ~seed ~count =
   let runs =

@@ -19,6 +19,7 @@ type t = {
   resets : (int, unit) Hashtbl.t; (* ids of open connections the peer reset *)
   mutable next_fd : int;
   mutable syscalls : int;
+  mutable frames_in : int; (* frames drained from the NIC so far *)
   mutable log_tail : int;
   mutable next_io_id : int;
 }
@@ -62,6 +63,7 @@ let create sim ?(name = "kernel") ~cost ~nic ?ssd ?(mode = Posix) () =
     resets;
     next_fd = 3;
     syscalls = 0;
+    frames_in = 0;
     log_tail = 0;
     next_io_id = 1;
   }
@@ -69,6 +71,7 @@ let create sim ?(name = "kernel") ~cost ~nic ?ssd ?(mode = Posix) () =
 let mode t = t.mode
 let heap t = t.heap
 let syscalls t = t.syscalls
+let frames_in t = t.frames_in
 
 let charge_as t comp ns =
   if ns > 0 then begin
@@ -109,6 +112,7 @@ let rec drain_bursts t =
   match Net.Dpdk_sim.rx_take t.nic ~max:32 with
   | 0 -> ()
   | n ->
+      t.frames_in <- t.frames_in + n;
       rx_n t n;
       drain_bursts t
 

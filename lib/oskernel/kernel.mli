@@ -122,4 +122,10 @@ val next_timer_ns : t -> int
 (** {1 Introspection} *)
 
 val syscalls : t -> int
+
+val frames_in : t -> int
+(** Frames drained from the NIC through the stack so far. A poller
+    compares it across a pass: any syscall drains, so a frame taken by
+    one fd's call can make another fd ready. *)
+
 val heap : t -> Memory.Heap.t

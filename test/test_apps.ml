@@ -271,10 +271,7 @@ let no_findings nodes =
 
 let test_relay () =
   sanitized @@ fun () ->
-  let sim = Engine.Sim.create () in
-  let fabric = Net.Fabric.create sim ~cost:bare () in
-  let relay = Demikernel.Boot.make sim fabric ~index:1 Demikernel.Boot.Catnip_os in
-  let gen = Demikernel.Boot.make sim fabric ~index:2 Demikernel.Boot.Catnip_os in
+  let sim, relay, gen = Test_demikernel.pair Demikernel.Boot.Catnip_os in
   let rtts = Metrics.Hdr.create () in
   let finished = ref false in
   Demikernel.Boot.run_app relay (Apps.Relay.server ~port:3478);

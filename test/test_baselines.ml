@@ -11,8 +11,8 @@ let mean_rtt f =
   (Metrics.Hdr.count hist, int_of_float (Metrics.Hdr.mean hist))
 
 let test_raw_echoes () =
-  let n_dpdk, dpdk = mean_rtt (fun () -> Harness.Common.raw_dpdk_rtt ~count:100 ()) in
-  let n_rdma, rdma = mean_rtt (fun () -> Harness.Common.raw_rdma_rtt ~count:100 ()) in
+  let n_dpdk, dpdk = mean_rtt (fun () -> Harness.Fig_latency.(echo_rtt ~count:100 Raw_dpdk)) in
+  let n_rdma, rdma = mean_rtt (fun () -> Harness.Fig_latency.(echo_rtt ~count:100 Raw_rdma)) in
   check_int "dpdk count" 100 n_dpdk;
   check_int "rdma count" 100 n_rdma;
   check_bool "raw rdma beats raw dpdk (device offload)" true (rdma < dpdk);
@@ -21,23 +21,23 @@ let test_raw_echoes () =
   check_bool "rdma in range" true (rdma > 1_500 && rdma < 8_000)
 
 let test_kb_lib_orderings () =
-  let _, erpc = mean_rtt (fun () -> Harness.Common.kb_echo_rtt ~count:100 Baselines.Kb_lib.erpc) in
-  let _, shen =
-    mean_rtt (fun () -> Harness.Common.kb_echo_rtt ~count:100 Baselines.Kb_lib.shenango)
-  in
-  let _, cala =
-    mean_rtt (fun () -> Harness.Common.kb_echo_rtt ~count:100 Baselines.Kb_lib.caladan)
-  in
+  let kb profile = mean_rtt (fun () -> Harness.Fig_latency.(echo_rtt ~count:100 (Kb profile))) in
+  let _, erpc = kb Baselines.Kb_lib.erpc in
+  let _, shen = kb Baselines.Kb_lib.shenango in
+  let _, cala = kb Baselines.Kb_lib.caladan in
   check_bool "erpc < caladan" true (erpc < cala);
   check_bool "caladan < shenango (IOKernel hops)" true (cala < shen)
 
 let test_open_loop_tracks_offered () =
-  let w = Harness.Common.make_world () in
   let result = ref None in
-  Baselines.Kb_lib.echo_open_loop Baselines.Kb_lib.caladan w.Harness.Common.sim
-    w.Harness.Common.fabric ~server_index:1 ~client_index:2 ~msg_size:64
-    ~rate_per_sec:100_000. ~duration_ns:5_000_000 (fun r -> result := Some r);
-  Harness.Common.run_world w;
+  ignore
+    (Harness.Observe.build Harness.Observe.off
+       (Harness.Observe.cell "caladan open loop" (fun w ->
+            Baselines.Kb_lib.echo_open_loop Baselines.Kb_lib.caladan w.sim w.fabric
+              ~server_index:1 ~client_index:2 ~msg_size:64 ~rate_per_sec:100_000.
+              ~duration_ns:5_000_000 (fun r -> result := Some r);
+            []))
+      : Harness.Observe.run);
   match !result with
   | Some r ->
       check_bool "achieved within 15% of offered" true
@@ -58,24 +58,24 @@ let test_open_loop_ownership () =
       in
       check_bool "echoes came back" true (Metrics.Hdr.count r.Baselines.Kb_lib.latencies > 0))
     [
-      (Demikernel.Boot.Catnip_os, Harness.Common.Echo_tcp);
-      (Demikernel.Boot.Catnip_os, Harness.Common.Echo_udp);
-      (Demikernel.Boot.Catmint_os, Harness.Common.Echo_tcp);
-      (Demikernel.Boot.Catnap_os, Harness.Common.Echo_tcp);
+      (Demikernel.Boot.Catnip_os, Harness.Observe.Echo_tcp);
+      (Demikernel.Boot.Catnip_os, Harness.Observe.Echo_udp);
+      (Demikernel.Boot.Catmint_os, Harness.Observe.Echo_tcp);
+      (Demikernel.Boot.Catnap_os, Harness.Observe.Echo_tcp);
     ]
 
 let test_linux_echo () =
-  let hist = Harness.Common.linux_echo_rtt ~count:50 ~proto:Harness.Common.Echo_udp () in
+  let hist = Harness.Fig_latency.(echo_rtt ~count:50 (Linux Echo_udp)) in
   check_int "count" 50 (Metrics.Hdr.count hist);
   (* Kernel path: tens of microseconds. *)
   check_bool "kernel echo slow" true (Metrics.Hdr.p50 hist > 15_000)
 
 let test_linux_tcp_echo () =
-  let hist = Harness.Common.linux_echo_rtt ~count:50 ~proto:Harness.Common.Echo_tcp () in
+  let hist = Harness.Fig_latency.(echo_rtt ~count:50 (Linux Echo_tcp)) in
   check_int "count" 50 (Metrics.Hdr.count hist)
 
 let test_fig5_orderings () =
-  Harness.Common.default_count := 200;
+  Harness.Observe.default_count := 200;
   let rows = Harness.Fig_latency.fig5 () in
   check_int "ten systems" 10 (List.length rows);
   let avg name =
@@ -92,7 +92,7 @@ let test_fig5_orderings () =
     (List.for_all (fun r -> avg "Raw RDMA" <= r.Harness.Fig_latency.avg_ns) rows)
 
 let test_fig6_windows_gap () =
-  Harness.Common.default_count := 100;
+  Harness.Observe.default_count := 100;
   let rows = Harness.Fig_latency.fig6_windows () in
   let avg name =
     (List.find (fun r -> r.Harness.Fig_latency.system = name) rows).Harness.Fig_latency.avg_ns
@@ -104,14 +104,14 @@ let test_fig6_windows_gap () =
 let test_fig7_persistence_cheaper_than_linux_memory () =
   (* The paper's headline: remote disk via Demikernel is faster than
      remote memory via the kernel. *)
-  Harness.Common.default_count := 100;
+  Harness.Observe.default_count := 100;
   let fig7 = Harness.Fig_latency.fig7 () in
   let catnip_disk =
     (List.find (fun r -> r.Harness.Fig_latency.system = "Catnip (TCP) x Cattree") fig7)
       .Harness.Fig_latency.avg_ns
   in
   let linux_memory =
-    Metrics.Hdr.mean (Harness.Common.linux_echo_rtt ~count:100 ~proto:Harness.Common.Echo_udp ())
+    Metrics.Hdr.mean (Harness.Fig_latency.(echo_rtt ~count:100 (Linux Echo_udp)))
   in
   check_bool
     (Printf.sprintf "catnip+disk (%d) < linux in-memory (%.0f)" catnip_disk linux_memory)
@@ -119,24 +119,23 @@ let test_fig7_persistence_cheaper_than_linux_memory () =
     (float_of_int catnip_disk < linux_memory)
 
 let test_txn_rdma_completes () =
-  let w = Harness.Common.make_world () in
-  List.iter
-    (fun i -> Baselines.Txn_rdma.replica w.Harness.Common.sim w.Harness.Common.fabric ~index:i)
-    [ 1; 2; 3 ];
-  let hist = Metrics.Hdr.create () in
   let finished = ref false in
-  Baselines.Txn_rdma.ycsb_client w.Harness.Common.sim w.Harness.Common.fabric ~index:4
-    ~replica_indexes:[ 1; 2; 3 ] ~keys:20 ~value_size:128 ~txns:50 ~theta:0.99 ~seed:3
-    ~record:(Metrics.Hdr.add hist)
-    ~on_done:(fun () -> finished := true);
-  Harness.Common.run_world w;
+  let r =
+    Harness.Observe.build Harness.Observe.off
+      (Harness.Observe.cell "custom rdma txnstore" (fun w ->
+           List.iter (fun i -> Baselines.Txn_rdma.replica w.sim w.fabric ~index:i) [ 1; 2; 3 ];
+           Baselines.Txn_rdma.ycsb_client w.sim w.fabric ~index:4 ~replica_indexes:[ 1; 2; 3 ]
+             ~keys:20 ~value_size:128 ~txns:50 ~theta:0.99 ~seed:3 ~record:w.record
+             ~on_done:(fun () -> finished := true);
+           []))
+  in
   check_bool "finished" true !finished;
-  check_int "txns" 50 (Metrics.Hdr.count hist)
+  check_int "txns" 50 (List.length r.latencies)
 
 let test_fig12_orderings () =
   let rows = Harness.Fig_apps.fig12 ~txns:100 ~keys:30 () in
   let avg name =
-    (List.find (fun (r : Harness.Fig_apps.txn_row) -> r.Harness.Fig_apps.system = name) rows)
+    (List.find (fun (r : Harness.Fig_apps.latency_row) -> r.Harness.Fig_apps.system = name) rows)
       .Harness.Fig_apps.avg_ns
   in
   check_bool "catmint beats the custom RDMA stack" true (avg "Catmint" < avg "RDMA (custom)");
@@ -146,7 +145,7 @@ let test_fig12_orderings () =
 let test_fig10_orderings () =
   let rows = Harness.Fig_apps.fig10 ~count:200 () in
   let avg name =
-    (List.find (fun (r : Harness.Fig_apps.relay_row) -> r.Harness.Fig_apps.system = name) rows)
+    (List.find (fun (r : Harness.Fig_apps.latency_row) -> r.Harness.Fig_apps.system = name) rows)
       .Harness.Fig_apps.avg_ns
   in
   check_bool "io_uring modestly better than posix" true (avg "io_uring" < avg "Linux");
@@ -193,7 +192,7 @@ let test_netpipe_monotone () =
     [ "Raw DPDK"; "Raw RDMA"; "Catmint"; "Catnip (TCP)" ]
 
 let test_sensitivity_orderings_hold () =
-  Harness.Common.default_count := 100;
+  Harness.Observe.default_count := 100;
   let ok, summary = Harness.Fig_latency.fig5_orderings_hold () in
   check_bool ("baseline orderings: " ^ summary) true ok;
   (* The within-hardware orderings must survive doubling the priciest

@@ -216,11 +216,19 @@ let test_sched_yield_words () =
 
 let bare = Net.Cost.bare_metal
 
-let run_echo ?(msg_size = 64) ?(count = 50) flavor =
+(* A fresh bare-metal world with one [flavor] host, index 1. *)
+let host ?with_disk flavor =
   let sim = Engine.Sim.create () in
   let fabric = Net.Fabric.create sim ~cost:bare () in
-  let server = Demikernel.Boot.make sim fabric ~index:1 flavor in
-  let client = Demikernel.Boot.make sim fabric ~index:2 flavor in
+  (sim, fabric, Demikernel.Boot.make sim fabric ~index:1 ?with_disk flavor)
+
+(* The same world with a second [flavor] host, index 2. *)
+let pair flavor =
+  let sim, fabric, server = host flavor in
+  (sim, server, Demikernel.Boot.make sim fabric ~index:2 flavor)
+
+let run_echo ?(msg_size = 64) ?(count = 50) flavor =
+  let sim, server, client = pair flavor in
   let rtts = Metrics.Hdr.create () in
   let finished = ref false in
   Demikernel.Boot.run_app server ~name:"echo-server" (Apps.Echo.server ~port:7);
@@ -253,6 +261,32 @@ let test_echo_catnap () =
   let p50 = Metrics.Hdr.p50 rtts in
   check_bool "catnap much slower than bypass" true (p50 > 8_000)
 
+(* Catnap's lost wakeup: [idle] open connections each hold a pending pop
+   in the echo server's wait set, then one client runs 500 echos. A
+   frame drained by a later queue's non-blocking recv can make an
+   already-serviced queue (the listener) ready; a pass that reports no
+   progress then parks the server with no timer armed, and it never
+   accepts the echo client. *)
+let catnap_echo_behind_idle idle () =
+  let sim, server, client = pair Demikernel.Boot.Catnap_os in
+  let dst = Demikernel.Boot.endpoint server 7 in
+  let echoed = ref 0 in
+  Demikernel.Boot.run_app server (Apps.Echo.server ~port:7);
+  Demikernel.Boot.run_app client (fun api ->
+      let open Demikernel.Pdpix in
+      for _ = 1 to idle do
+        match api.wait (api.connect (api.socket Tcp) dst) with
+        | Connected -> ()
+        | _ -> Alcotest.fail "idle connect failed"
+      done;
+      (* Let the server accept every one and park, all pops pending. *)
+      ignore (api.wait_any_t [| api.pop (api.queue ()) |] ~timeout_ns:10_000_000);
+      Apps.Echo.client ~dst ~msg_size:64 ~count:500 ~record:(fun _ -> incr echoed) api);
+  Demikernel.Boot.start server;
+  Demikernel.Boot.start client;
+  Engine.Sim.run ~until:(Engine.Clock.s 10) sim;
+  check_int (Printf.sprintf "echos behind %d idle connections" idle) 500 !echoed
+
 let test_echo_ordering_matches_paper () =
   (* Figure 5 shape: Catmint < Catnip < Catnap. *)
   let r_mint, _, _ = run_echo Demikernel.Boot.Catmint_os in
@@ -283,10 +317,7 @@ let test_echo_zero_copy_accounting () =
 (* A Catnip UDP echo of [count] datagrams of [msg_size] bytes; returns
    whether the client finished and its RTTs. *)
 let udp_echo ~msg_size ~count =
-  let sim = Engine.Sim.create () in
-  let fabric = Net.Fabric.create sim ~cost:bare () in
-  let server = Demikernel.Boot.make sim fabric ~index:1 Demikernel.Boot.Catnip_os in
-  let client = Demikernel.Boot.make sim fabric ~index:2 Demikernel.Boot.Catnip_os in
+  let sim, server, client = pair Demikernel.Boot.Catnip_os in
   let finished = ref false in
   let rtts = Metrics.Hdr.create () in
   Demikernel.Boot.run_app server (Apps.Echo.udp_server ~port:53);
@@ -375,10 +406,7 @@ let test_tcb_churn_catnip () =
      the stack's set of connections.) *)
   let cycles = 1_024 in
   sanitized @@ fun () ->
-  let sim = Engine.Sim.create () in
-  let fabric = Net.Fabric.create sim ~cost:bare () in
-  let server = Demikernel.Boot.make sim fabric ~index:1 Demikernel.Boot.Catnip_os in
-  let client = Demikernel.Boot.make sim fabric ~index:2 Demikernel.Boot.Catnip_os in
+  let sim, server, client = pair Demikernel.Boot.Catnip_os in
   let done_cycles = ref 0 in
   let round api =
     for _ = 1 to cycles do
@@ -575,9 +603,7 @@ let test_rnic_drops_non_roce () =
   frame_heap_clean (Net.Fabric.frames fabric)
 
 let test_memq () =
-  let sim = Engine.Sim.create () in
-  let fabric = Net.Fabric.create sim ~cost:bare () in
-  let node = Demikernel.Boot.make sim fabric ~index:1 Demikernel.Boot.Catnip_os in
+  let sim, _, node = host Demikernel.Boot.Catnip_os in
   let got = ref None in
   Demikernel.Boot.run_app node (fun api ->
       let q = api.Demikernel.Pdpix.queue () in
@@ -595,9 +621,7 @@ let test_memq () =
 let test_wait_any_wakes_one () =
   (* Two workers wait on distinct pops; one message must wake exactly
      one worker (the §4.2 thundering-herd fix). *)
-  let sim = Engine.Sim.create () in
-  let fabric = Net.Fabric.create sim ~cost:bare () in
-  let node = Demikernel.Boot.make sim fabric ~index:1 Demikernel.Boot.Catnip_os in
+  let sim, _, node = host Demikernel.Boot.Catnip_os in
   let woken = ref [] in
   Demikernel.Boot.run_app node (fun api ->
       let q = api.Demikernel.Pdpix.queue () in
@@ -620,10 +644,7 @@ let test_multi_worker_dispatch () =
   (* Table 1's C2: the datapath OS assigns I/O requests to application
      workers — three workers pop the same connection; three pipelined
      requests wake exactly one worker each (no thundering herd). *)
-  let sim = Engine.Sim.create () in
-  let fabric = Net.Fabric.create sim ~cost:bare () in
-  let server = Demikernel.Boot.make sim fabric ~index:1 Demikernel.Boot.Catnip_os in
-  let client = Demikernel.Boot.make sim fabric ~index:2 Demikernel.Boot.Catnip_os in
+  let sim, server, client = pair Demikernel.Boot.Catnip_os in
   let served = ref [] in
   let handoff = ref None in
   (* Server: the acceptor creates an in-memory queue() and hands the
@@ -684,11 +705,7 @@ let test_multi_worker_dispatch () =
     (List.map snd served)
 
 let test_cattree_log_roundtrip () =
-  let sim = Engine.Sim.create () in
-  let fabric = Net.Fabric.create sim ~cost:bare () in
-  let node =
-    Demikernel.Boot.make sim fabric ~index:1 ~with_disk:true Demikernel.Boot.Catnip_os
-  in
+  let sim, _, node = host ~with_disk:true Demikernel.Boot.Catnip_os in
   let results = ref [] in
   Demikernel.Boot.run_app node (fun api ->
       let log = api.Demikernel.Pdpix.open_log "test.log" in
@@ -714,6 +731,30 @@ let test_cattree_log_roundtrip () =
   Alcotest.(check (list string)) "records replay in order" [ "first"; "second"; "third" ]
     (List.rev !results)
 
+(* Closing a log and opening its name again gives a working qd over the
+   same device slice: the record appended before the close reads back
+   through a fresh qd. *)
+let test_cattree_reopen () =
+  let sim, _, node = host ~with_disk:true Demikernel.Boot.Catnip_os in
+  let read = ref "" and fresh = ref false in
+  Demikernel.Boot.run_app node (fun api ->
+      let open Demikernel.Pdpix in
+      let log = api.open_log "a.log" in
+      let buf = api.alloc_str "before close" in
+      (match api.wait (api.push log [ buf ]) with Pushed -> api.free buf | _ -> failwith "push");
+      api.close log;
+      let again = api.open_log "a.log" in
+      fresh := again <> log;
+      match api.wait (api.pop again) with
+      | Popped sga ->
+          read := sga_to_string sga;
+          List.iter api.free sga
+      | _ -> failwith "log pop");
+  Demikernel.Boot.start node;
+  Engine.Sim.run ~until:(Engine.Clock.s 1) sim;
+  Alcotest.(check string) "record appended before the close" "before close" !read;
+  check_bool "reopen mints a fresh qd" true !fresh
+
 (* ---------- runtime ownership oracle ---------- *)
 
 let connect_echo api dst =
@@ -726,10 +767,7 @@ let connect_echo api dst =
 (* Run [main] as a client against a TCP echo server, with the client's
    api wrapped by a fresh ownership oracle; returns the violations. *)
 let oracle_run ?(flavor = Demikernel.Boot.Catnip_os) main =
-  let sim = Engine.Sim.create () in
-  let fabric = Net.Fabric.create sim ~cost:bare () in
-  let server = Demikernel.Boot.make sim fabric ~index:1 flavor in
-  let client = Demikernel.Boot.make sim fabric ~index:2 flavor in
+  let sim, server, client = pair flavor in
   Demikernel.Boot.run_app server (Apps.Echo.server ~port:7);
   let oracle = Demikernel.Pdpix.oracle ~name:"oracle-under-test" () in
   Demikernel.Boot.run_app client
@@ -853,10 +891,7 @@ let test_oracle_dropped_token () =
 (* ---------- wait_any_t timeout semantics ---------- *)
 
 let wait_any_t_timeout_roundtrip flavor =
-  let sim = Engine.Sim.create () in
-  let fabric = Net.Fabric.create sim ~cost:bare () in
-  let server = Demikernel.Boot.make sim fabric ~index:1 flavor in
-  let client = Demikernel.Boot.make sim fabric ~index:2 flavor in
+  let sim, server, client = pair flavor in
   Demikernel.Boot.run_app server (Apps.Echo.server ~port:7);
   let echoed = ref None in
   let timed_out = ref false in
@@ -908,10 +943,7 @@ let close_under (api : Demikernel.Pdpix.api) qd qt =
    closed"] when its qd closes. *)
 let close_fails_pending flavor () =
   let open Demikernel.Pdpix in
-  let sim = Engine.Sim.create () in
-  let fabric = Net.Fabric.create sim ~cost:bare () in
-  let server = Demikernel.Boot.make sim fabric ~index:1 flavor in
-  let client = Demikernel.Boot.make sim fabric ~index:2 flavor in
+  let sim, server, client = pair flavor in
   let got = ref [] in
   let note what reason = got := (what, reason) :: !got in
   Demikernel.Boot.run_app server (fun api ->
@@ -949,9 +981,7 @@ let close_fails_pending flavor () =
    binding on it again works. *)
 let close_releases_ports flavor () =
   let open Demikernel.Pdpix in
-  let sim = Engine.Sim.create () in
-  let fabric = Net.Fabric.create sim ~cost:bare () in
-  let node = Demikernel.Boot.make sim fabric ~index:1 flavor in
+  let sim, _, node = host flavor in
   let outcomes = ref [] in
   let attempt what f =
     let r = match f () with () -> "ok" | exception Invalid_argument m -> m in
@@ -994,10 +1024,7 @@ let close_releases_ports flavor () =
    still completes. *)
 let close_ends_unaccepted flavor expected () =
   let open Demikernel.Pdpix in
-  let sim = Engine.Sim.create () in
-  let fabric = Net.Fabric.create sim ~cost:bare () in
-  let server = Demikernel.Boot.make sim fabric ~index:1 flavor in
-  let client = Demikernel.Boot.make sim fabric ~index:2 flavor in
+  let sim, server, client = pair flavor in
   let listener = ref None and got = ref ("not run", "not run") in
   Demikernel.Boot.run_app server (fun api ->
       let lqd = api.socket Tcp in
@@ -1251,9 +1278,7 @@ let test_wait_any_shared_token () =
   (* Two wait_any calls blocked on overlapping sets: the shared token's
      completion wakes only the later registrant, as one waiter slot per
      token would, so it is the later call that redeems it. *)
-  let sim = Engine.Sim.create () in
-  let fabric = Net.Fabric.create sim ~cost:bare () in
-  let node = Demikernel.Boot.make sim fabric ~index:1 Demikernel.Boot.Catnip_os in
+  let sim, _, node = host Demikernel.Boot.Catnip_os in
   let open Demikernel.Pdpix in
   let queues = ref [||] and tokens = ref [||] in
   let got = ref [] in
@@ -1511,5 +1536,10 @@ let suite =
         test_catmint_stalled_retry_same_wire;
       Alcotest.test_case "copies: lossy reassembly, IP fragments and a Dkv log on disk" `Quick
         test_copies_off_selfcheck;
+      Alcotest.test_case "catnap echo behind 16 idle connections" `Quick
+        (catnap_echo_behind_idle 16);
+      Alcotest.test_case "catnap echo behind 64 idle connections" `Quick
+        (catnap_echo_behind_idle 64);
+      Alcotest.test_case "cattree reopen reads the closed log" `Quick test_cattree_reopen;
     ]
 

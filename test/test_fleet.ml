@@ -31,7 +31,7 @@ let test_ctx_roundtrip () =
 
 (* ---------- txnstore quorum under spans + flight ---------- *)
 
-let recorders = { Harness.Observe.off with causal = true; spans = true; flight = Some 4096 }
+let recorders = { Harness.Observe.traced with causal = true; spans = true; flight = Some 4096 }
 
 let quorum_run () =
   Harness.Observe.run recorders
@@ -155,7 +155,7 @@ let test_fleet_deterministic () =
     let reqs =
       Harness.Fleet.dag ?spans:r.spans (Option.get r.causal)
     in
-    ( r.digest,
+    ( Harness.Observe.digest r,
       r.latencies,
       List.map
         (fun (q : Harness.Fleet.request) ->

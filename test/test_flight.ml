@@ -316,7 +316,7 @@ let test_slo_captures_loss_outliers () =
   let scenario = { (Test_observe.echo ~count:64 Demikernel.Boot.Catnip_os) with loss = 0.05 } in
   (* Arming the watchdog is a pure observation too. *)
   let r =
-    match Harness.Observe.check { Harness.Observe.off with slo_ns = Some 100_000 } scenario with
+    match Harness.Observe.(check { off with slo_ns = Some 100_000 } (of_scenario scenario)) with
     | Ok r -> r
     | Error why -> Alcotest.fail why
   in
@@ -333,11 +333,12 @@ let test_slo_captures_loss_outliers () =
 
 (* ---------- tail attribution ---------- *)
 
-(* Tail attribution over one spans-armed echo of [count] requests. *)
+(* Tail attribution over one spans-armed, traced echo of [count]
+   requests. *)
 let tail ~count flavor =
   Harness.Fig_breakdown.tail
     (Harness.Observe.run
-       { Harness.Observe.off with spans = true }
+       { Harness.Observe.traced with spans = true }
        (Test_observe.echo ~count flavor))
 
 let test_tail_bands_sum_exactly () =

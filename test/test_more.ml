@@ -503,9 +503,7 @@ let test_corruption_survived () =
 (* --- wait_all --- *)
 
 let test_wait_all () =
-  let sim = Engine.Sim.create () in
-  let fabric = Net.Fabric.create sim ~cost:bare () in
-  let node = Demikernel.Boot.make sim fabric ~index:1 Demikernel.Boot.Catnip_os in
+  let sim, _, node = Test_demikernel.host Demikernel.Boot.Catnip_os in
   let done_ = ref false in
   Demikernel.Boot.run_app node (fun api ->
       let q = api.Demikernel.Pdpix.queue () in
@@ -531,9 +529,7 @@ let test_wait_all () =
 (* --- relay: multiple sessions --- *)
 
 let test_relay_multiple_sessions () =
-  let sim = Engine.Sim.create () in
-  let fabric = Net.Fabric.create sim ~cost:bare () in
-  let relay = Demikernel.Boot.make sim fabric ~index:1 Demikernel.Boot.Catnip_os in
+  let sim, fabric, relay = Test_demikernel.host Demikernel.Boot.Catnip_os in
   Demikernel.Boot.run_app relay (Apps.Relay.server ~port:3478);
   Demikernel.Boot.start relay;
   let finished = ref 0 in
@@ -587,9 +583,7 @@ let test_two_flow_fairness () =
   (* Two Catnip clients stream bulk data into one server through its
      shared downlink; congestion control must let both finish in the
      same ballpark. *)
-  let sim = Engine.Sim.create () in
-  let fabric = Net.Fabric.create sim ~cost:bare () in
-  let server = Demikernel.Boot.make sim fabric ~index:1 Demikernel.Boot.Catnip_os in
+  let sim, fabric, server = Test_demikernel.host Demikernel.Boot.Catnip_os in
   Demikernel.Boot.run_app server (Apps.Echo.server ~port:7);
   Demikernel.Boot.start server;
   let finish = Array.make 2 0 in
@@ -780,10 +774,7 @@ let stack_input_mutation_fuzz =
 (* --- close fails outstanding waiters --- *)
 
 let test_close_fails_pending_pops () =
-  let sim = Engine.Sim.create () in
-  let fabric = Net.Fabric.create sim ~cost:bare () in
-  let server = Demikernel.Boot.make sim fabric ~index:1 Demikernel.Boot.Catnip_os in
-  let client = Demikernel.Boot.make sim fabric ~index:2 Demikernel.Boot.Catnip_os in
+  let sim, server, client = Test_demikernel.pair Demikernel.Boot.Catnip_os in
   Demikernel.Boot.run_app server (Apps.Echo.server ~port:7);
   let outcome = ref None in
   let handoff = ref None in
@@ -819,8 +810,7 @@ let test_close_fails_pending_pops () =
 let test_experiment_determinism () =
   let run () =
     let hist =
-      Harness.Observe.demi_echo_rtt ~count:100 ~proto:Harness.Common.Echo_tcp
-        Demikernel.Boot.Catnip_os
+      Harness.Fig_latency.(echo_rtt ~count:100 (Demi (Catnip_os, Echo_tcp)))
     in
     (Metrics.Hdr.p50 hist, Metrics.Hdr.p99 hist,
      int_of_float (Metrics.Hdr.mean hist))

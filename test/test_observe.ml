@@ -12,7 +12,7 @@ let flavors =
 let gate ?(flavors = flavors) arm scenario =
   List.map
     (fun flavor ->
-      match Harness.Observe.check arm (scenario flavor) with
+      match Harness.Observe.check arm (Harness.Observe.of_scenario (scenario flavor)) with
       | Ok r -> r
       | Error why -> Alcotest.fail why)
     flavors
@@ -46,7 +46,7 @@ let test_every_recorder_at_once () =
       (flavors, fun f -> { (Harness.Observe.txnstore f) with count = 4 });
       (* Datagram scenarios: Catmint's RDMA transport is message-based. *)
       ( udp_flavors,
-        fun f -> { (echo f) with app = Harness.Observe.Echo Harness.Common.Echo_udp } );
+        fun f -> { (echo f) with app = Harness.Observe.Echo Harness.Observe.Echo_udp } );
       (udp_flavors, fun f -> { (Harness.Observe.relay f) with count = 4 });
     ]
 
@@ -60,18 +60,43 @@ let test_every_stream_wraps () =
     spans := Some (Engine.Sim.enable_spans ~capacity:8 sim);
     causal := Some (Engine.Sim.enable_causal ~capacity:8 sim)
   in
-  let arm = { Harness.Observe.off with trace_capacity = 64; flight = Some 4; probe = Some probe } in
+  let arm = { Harness.Observe.off with trace_capacity = Some 64; flight = Some 4; probe = Some probe } in
   let wrapped name log = check_bool (name ^ " ring wrapped") true (Engine.Log.dropped log > 0) in
   List.iter
     (fun (contexts, scenario) ->
       List.iter
         (fun (r : Harness.Observe.run) ->
-          wrapped "trace" r.trace;
+          wrapped "trace" (Option.get r.trace);
           wrapped "flight" (Option.get r.flight);
           wrapped "span" (Engine.Span.log (Option.get !spans));
           if contexts then wrapped "causal" (Engine.Causal.log (Option.get !causal)))
         (gate arm scenario))
     [ (false, fun f -> echo f); (true, fun f -> { (Harness.Observe.txnstore f) with count = 4 }) ]
+
+(* Figure cells go through the same gate: one fig 9 cell (Catnip TCP,
+   open loop) and one fig 11 cell (Catnip x Cattree fsync-per-SET
+   server, kernel benchmark clients). Figures publish from untraced
+   builds, so each cell is also built with {!Harness.Observe.off}: the
+   trace ring must not move it either. *)
+let test_figure_cells_observable () =
+  let arm = { Harness.Observe.off with spans = true; flight = Some 4096; causal = true } in
+  List.iter
+    (fun cell ->
+      match Harness.Observe.check arm cell with
+      | Ok r ->
+          check_bool "recorders present" true (r.spans <> None && r.flight <> None && r.causal <> None);
+          let published = Harness.Observe.build Harness.Observe.off cell in
+          check_bool "untraced build records no trace" true (published.trace = None);
+          Alcotest.(check int) "untraced build: same event count" r.events published.events;
+          Alcotest.(check (list int)) "untraced build: same latencies" r.latencies published.latencies
+      | Error why -> Alcotest.fail why)
+    [
+      Harness.Fig_throughput.open_loop_cell ~flavor:Demikernel.Boot.Catnip_os
+        ~proto:Harness.Observe.Echo_tcp ~msg_size:64 ~rate_per_sec:200_000.
+        ~duration_ns:1_000_000 ();
+      Harness.Fig_apps.kv_cell (Harness.Fig_apps.Demi_server Demikernel.Boot.Catnip_os) ~op:`Set
+        ~persist:true ~clients:4 ~ops_per_client:20 ~on_start:ignore ~on_done:ignore;
+    ]
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
@@ -81,7 +106,9 @@ let contains s sub =
 (* Each probe below really perturbs the run, and the gate must say how. *)
 let test_gate_catches_perturbation () =
   let verdict probe flavor =
-    Harness.Observe.check { Harness.Observe.off with probe = Some probe } (echo flavor)
+    Harness.Observe.check
+      { Harness.Observe.off with probe = Some probe }
+      (Harness.Observe.of_scenario (echo flavor))
   in
   let caught name ~names probe flavor =
     match verdict probe flavor with
@@ -124,4 +151,5 @@ let suite =
     Alcotest.test_case "check passes with every stream wrapping" `Quick test_every_stream_wraps;
     Alcotest.test_case "selfcheck: same seed, same fingerprint" `Quick
       test_selfcheck_two_runs_identical;
+    Alcotest.test_case "check passes on figure cells" `Quick test_figure_cells_observable;
   ]

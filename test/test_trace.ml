@@ -113,69 +113,69 @@ let test_echo_leaves_only_the_accept_open () =
         (Engine.Span.op_count spans > 8))
     flavors
 
+(* Catnip host [index] in a builder's world. *)
+let catnip (w : Harness.Observe.world) index =
+  Demikernel.Boot.make w.sim w.fabric ~index Demikernel.Boot.Catnip_os
+
 let test_wait_any_timeout_leaves_pop_open () =
   (* A pop whose data never arrives: wait_any_t times out, the token
      stays unredeemed, and teardown reports exactly that span open (the
      server accepts exactly once, so its accept span completes). *)
-  let w = Harness.Common.make_world () in
-  let spans = Engine.Sim.enable_spans w.Harness.Common.sim in
-  let server =
-    Demikernel.Boot.make w.Harness.Common.sim w.Harness.Common.fabric ~index:1
-      Demikernel.Boot.Catnip_os
-  in
-  let client =
-    Demikernel.Boot.make w.Harness.Common.sim w.Harness.Common.fabric ~index:2
-      Demikernel.Boot.Catnip_os
-  in
   let timed_out = ref false in
-  Demikernel.Boot.run_app server (fun api ->
-      let qd = api.Demikernel.Pdpix.socket Demikernel.Pdpix.Tcp in
-      api.Demikernel.Pdpix.bind qd (Demikernel.Boot.endpoint server 7);
-      api.Demikernel.Pdpix.listen qd ~backlog:8;
-      match api.Demikernel.Pdpix.wait (api.Demikernel.Pdpix.accept qd) with
-      | Demikernel.Pdpix.Accepted _ -> () (* never push anything back *)
-      | _ -> Alcotest.fail "accept failed");
-  Demikernel.Boot.run_app client (fun api ->
-      let qd = api.Demikernel.Pdpix.socket Demikernel.Pdpix.Tcp in
-      (match
-         api.Demikernel.Pdpix.wait
-           (api.Demikernel.Pdpix.connect qd (Demikernel.Boot.endpoint server 7))
-       with
-      | Demikernel.Pdpix.Connected -> ()
-      | _ -> Alcotest.fail "connect failed");
-      let qt = api.Demikernel.Pdpix.pop qd in
-      match api.Demikernel.Pdpix.wait_any_t [| qt |] ~timeout_ns:1_000_000 with
-      | None -> timed_out := true
-      | Some _ -> Alcotest.fail "pop completed without a sender");
-  Demikernel.Boot.start server;
-  Demikernel.Boot.start client;
-  Harness.Common.run_world w;
+  let r =
+    Harness.Observe.build spans_arm
+      (Harness.Observe.cell "unanswered pop" (fun w ->
+           let server = catnip w 1 in
+           let client = catnip w 2 in
+           Demikernel.Boot.run_app server (fun api ->
+               let qd = api.Demikernel.Pdpix.socket Demikernel.Pdpix.Tcp in
+               api.Demikernel.Pdpix.bind qd (Demikernel.Boot.endpoint server 7);
+               api.Demikernel.Pdpix.listen qd ~backlog:8;
+               match api.Demikernel.Pdpix.wait (api.Demikernel.Pdpix.accept qd) with
+               | Demikernel.Pdpix.Accepted _ -> () (* never push anything back *)
+               | _ -> Alcotest.fail "accept failed");
+           Demikernel.Boot.run_app client (fun api ->
+               let qd = api.Demikernel.Pdpix.socket Demikernel.Pdpix.Tcp in
+               (match
+                  api.Demikernel.Pdpix.wait
+                    (api.Demikernel.Pdpix.connect qd (Demikernel.Boot.endpoint server 7))
+                with
+               | Demikernel.Pdpix.Connected -> ()
+               | _ -> Alcotest.fail "connect failed");
+               let qt = api.Demikernel.Pdpix.pop qd in
+               match api.Demikernel.Pdpix.wait_any_t [| qt |] ~timeout_ns:1_000_000 with
+               | None -> timed_out := true
+               | Some _ -> Alcotest.fail "pop completed without a sender");
+           Demikernel.Boot.start server;
+           Demikernel.Boot.start client;
+           [ ("server", server); ("client", client) ]))
+  in
   check_bool "wait_any_t timed out" true !timed_out;
   let kinds =
     List.sort String.compare
-      (List.map (fun op -> op.Engine.Span.op_kind) (Engine.Span.open_ops spans))
+      (List.map (fun op -> op.Engine.Span.op_kind) (Engine.Span.open_ops (Option.get r.spans)))
   in
   Alcotest.(check (list string)) "timed-out pop (and nothing else) left open" [ "pop" ] kinds
 
 let test_clean_shutdown_leaves_no_open_spans () =
   (* Both sides complete every op they submit: zero leaks. *)
-  let w = Harness.Common.make_world () in
-  let spans = Engine.Sim.enable_spans w.Harness.Common.sim in
-  let node =
-    Demikernel.Boot.make w.Harness.Common.sim w.Harness.Common.fabric ~index:1
-      Demikernel.Boot.Catnip_os
+  let r =
+    Harness.Observe.build spans_arm
+      (Harness.Observe.cell "push and pop on a queue()" (fun w ->
+           let node = catnip w 1 in
+           Demikernel.Boot.run_app node (fun api ->
+               let q = api.Demikernel.Pdpix.queue () in
+               let buf = api.Demikernel.Pdpix.alloc_str "ping" in
+               (match api.Demikernel.Pdpix.wait (api.Demikernel.Pdpix.push q [ buf ]) with
+               | Demikernel.Pdpix.Pushed -> ()
+               | _ -> Alcotest.fail "push failed");
+               match api.Demikernel.Pdpix.wait (api.Demikernel.Pdpix.pop q) with
+               | Demikernel.Pdpix.Popped sga -> List.iter api.Demikernel.Pdpix.free sga
+               | _ -> Alcotest.fail "pop failed");
+           Demikernel.Boot.start node;
+           [ ("node", node) ]))
   in
-  Demikernel.Boot.run_app node (fun api ->
-      let q = api.Demikernel.Pdpix.queue () in
-      let buf = api.Demikernel.Pdpix.alloc_str "ping" in
-      (match api.Demikernel.Pdpix.wait (api.Demikernel.Pdpix.push q [ buf ]) with
-      | Demikernel.Pdpix.Pushed -> ()
-      | _ -> Alcotest.fail "push failed");
-      match api.Demikernel.Pdpix.wait (api.Demikernel.Pdpix.pop q) with
-      | Demikernel.Pdpix.Popped sga -> List.iter api.Demikernel.Pdpix.free sga
-      | _ -> Alcotest.fail "pop failed");
-  Demikernel.Boot.start node;
-  Harness.Common.run_world w;
+  let spans = Option.get r.spans in
   check_int "every op span closed" 0 (List.length (Engine.Span.open_ops spans));
   check_int "push and pop were spanned" 2 (Engine.Span.op_count spans)
 

@@ -79,9 +79,7 @@ let test_boot_devices_match_flavor () =
 (* --- API error paths --- *)
 
 let run_app_world f =
-  let sim = Engine.Sim.create () in
-  let fabric = Net.Fabric.create sim ~cost:bare () in
-  let node = Demikernel.Boot.make sim fabric ~index:1 Demikernel.Boot.Catnip_os in
+  let sim, _, node = Test_demikernel.host Demikernel.Boot.Catnip_os in
   Demikernel.Boot.run_app node f;
   Demikernel.Boot.start node;
   Engine.Sim.run ~until:(Engine.Clock.s 1) sim
@@ -125,10 +123,7 @@ let test_bind_port_collision () =
 let test_dkv_error_response () =
   (* The server keeps serving after ordinary traffic (the hostile-bytes
      case is covered by the protocol parse tests and the fuzzers). *)
-  let sim = Engine.Sim.create () in
-  let fabric = Net.Fabric.create sim ~cost:bare () in
-  let server = Demikernel.Boot.make sim fabric ~index:1 Demikernel.Boot.Catnip_os in
-  let client = Demikernel.Boot.make sim fabric ~index:2 Demikernel.Boot.Catnip_os in
+  let sim, server, client = Test_demikernel.pair Demikernel.Boot.Catnip_os in
   Demikernel.Boot.run_app server (Apps.Dkv.server ~port:6379);
   let results = ref [] in
   Demikernel.Boot.run_app client (fun api ->
@@ -145,10 +140,7 @@ let test_dkv_error_response () =
 let test_relay_unknown_session () =
   (* Relaying to an unregistered session is silently dropped; the relay
      stays up. *)
-  let sim = Engine.Sim.create () in
-  let fabric = Net.Fabric.create sim ~cost:bare () in
-  let relay = Demikernel.Boot.make sim fabric ~index:1 Demikernel.Boot.Catnip_os in
-  let gen = Demikernel.Boot.make sim fabric ~index:2 Demikernel.Boot.Catnip_os in
+  let sim, relay, gen = Test_demikernel.pair Demikernel.Boot.Catnip_os in
   Demikernel.Boot.run_app relay (Apps.Relay.server ~port:3478);
   let alive = ref false in
   Demikernel.Boot.run_app gen (fun api ->
