@@ -40,29 +40,31 @@ let read_ctx b off c =
   c.c_parent <- Net.Wire.get_u32 b (off + 8);
   c.c_hop <- Net.Wire.get_u16 b (off + 12)
 
-(* Write one whole frame at [dst_off]: the header, then the [n] payload
-   bytes of [src] at [src_off]. *)
-let write_frame dst dst_off ~req ~msg ~parent ~hop src src_off n =
-  Net.Wire.set_u32 dst dst_off (ctx_size + n);
-  write_ctx dst (dst_off + 4) ~req ~msg ~parent ~hop;
-  Bytes.blit src src_off dst (dst_off + hdr_size) n
+(* A frame's header at [off], for an [n]-byte payload that follows it. *)
+let write_header b off ~req ~msg ~parent ~hop n =
+  Net.Wire.set_u32 b off (ctx_size + n);
+  write_ctx b (off + 4) ~req ~msg ~parent ~hop
 
 let encode_ctx ~req ~msg ~parent ~hop payload =
   let n = String.length payload in
   let b = Bytes.create (hdr_size + n) in
-  write_frame b 0 ~req ~msg ~parent ~hop (Bytes.unsafe_of_string payload) 0 n;
+  write_header b 0 ~req ~msg ~parent ~hop n;
+  Bytes.blit_string payload 0 b hdr_size n;
   Bytes.unsafe_to_string b
 
 let encode payload = encode_ctx ~req:0 ~msg:0 ~parent:0 ~hop:0 payload
 
-let alloc_framed (api : Pdpix.api) ~req ~msg ~parent ~hop src off n =
+let alloc_frame (api : Pdpix.api) ~req ~msg ~parent ~hop n =
   let buf = api.Pdpix.alloc (hdr_size + n) in
-  write_frame (Memory.Heap.data buf) (Memory.Heap.offset buf) ~req ~msg ~parent ~hop src off n;
+  write_header (Memory.Heap.data buf) (Memory.Heap.offset buf) ~req ~msg ~parent ~hop n;
   buf
 
-let alloc_string api ~req ~msg ~parent ~hop payload =
-  alloc_framed api ~req ~msg ~parent ~hop (Bytes.unsafe_of_string payload) 0
-    (String.length payload)
+let payload_off buf = Memory.Heap.offset buf + hdr_size
+
+let alloc_framed api ~req ~msg ~parent ~hop src off n =
+  let buf = alloc_frame api ~req ~msg ~parent ~hop n in
+  Bytes.blit src off (Memory.Heap.data buf) (payload_off buf) n;
+  buf
 
 (* The unread bytes are [buf.[rd .. wr)]. [feed] appends at [wr],
    sliding the unread bytes to the front or moving them to a larger
@@ -208,15 +210,33 @@ let chan_of_qd api qd = { api; qd; acc = create (); eof = false; pop_op = 0 }
 
 let chan_api c = c.api
 
-let send_ctx c ~req ~parent ~hop payload =
-  let msg = fresh_msg_id c.api in
-  let buf = alloc_string c.api ~req ~msg ~parent ~hop payload in
-  let qt = c.api.Pdpix.push c.qd [ buf ] in
-  note_sent c.api ~op:qt ~req ~msg ~parent ~hop;
-  match c.api.Pdpix.wait qt with
-  | Pdpix.Pushed -> c.api.Pdpix.free buf
+(* The one send path, for chans and server replies alike: push the
+   frame, note [Sent] under the context in its header (read before the
+   push hands the buffer over), wait, and free it. *)
+let push_frame (api : Pdpix.api) qd buf =
+  let b = Memory.Heap.data buf and c = Memory.Heap.offset buf + 4 in
+  let req = Net.Wire.get_u32 b c and msg = Net.Wire.get_u32 b (c + 4) in
+  let parent = Net.Wire.get_u32 b (c + 8) and hop = Net.Wire.get_u16 b (c + 12) in
+  let qt = api.Pdpix.push qd [ buf ] in
+  note_sent api ~op:qt ~req ~msg ~parent ~hop;
+  let completion = api.Pdpix.wait qt in
+  (match completion with Pdpix.Pushed | Pdpix.Failed _ -> api.Pdpix.free buf | _ -> ());
+  completion
+
+let frame c ~req ~parent ~hop n =
+  alloc_frame c.api ~req ~msg:(fresh_msg_id c.api) ~parent ~hop n
+
+let send_frame c buf =
+  match push_frame c.api c.qd buf with
+  | Pdpix.Pushed -> ()
   | Pdpix.Failed why -> failwith ("Framing.send: " ^ why)
   | _ -> failwith "Framing.send: unexpected completion"
+
+let send_ctx c ~req ~parent ~hop payload =
+  let n = String.length payload in
+  let buf = frame c ~req ~parent ~hop n in
+  Bytes.blit_string payload 0 (Memory.Heap.data buf) (payload_off buf) n;
+  send_frame c buf
 
 let send c payload = send_ctx c ~req:0 ~parent:0 ~hop:0 payload
 
@@ -246,24 +266,20 @@ let rec take_recv c =
 
 let recv c = if take_recv c then Some (view_string c.acc) else None
 
-(* One framed reply on a raw server-side queue, echoing the request's
-   context: same request id, parent = the request's msg id, hop + 1 —
-   the link that lets the DAG attribute the ack to its replica. A
-   failed push (peer reset mid-reply) is tolerated, as servers must. *)
-let reply_on (api : Pdpix.api) qd ~to_ctx payload =
+(* A reply echoes the request's context: same request id, parent = the
+   request's msg id, hop + 1 -- the link that lets the DAG attribute the
+   ack to its replica. With no recorder attached the context is zeros. *)
+let reply_frame api ~to_ctx n =
   let msg = fresh_msg_id api in
-  let buf =
-    if msg = 0 then alloc_string api ~req:0 ~msg:0 ~parent:0 ~hop:0 payload
-    else
-      alloc_string api ~req:to_ctx.c_req ~msg ~parent:to_ctx.c_msg ~hop:(to_ctx.c_hop + 1)
-        payload
-  in
-  let qt = api.Pdpix.push qd [ buf ] in
-  if msg <> 0 then
-    note_sent api ~op:qt ~req:to_ctx.c_req ~msg ~parent:to_ctx.c_msg ~hop:(to_ctx.c_hop + 1);
-  match api.Pdpix.wait qt with
-  | Pdpix.Pushed | Pdpix.Failed _ -> api.Pdpix.free buf
-  | _ -> failwith "Framing.reply_on: unexpected completion"
+  if msg = 0 then alloc_frame api ~req:0 ~msg:0 ~parent:0 ~hop:0 n
+  else
+    alloc_frame api ~req:to_ctx.c_req ~msg ~parent:to_ctx.c_msg ~hop:(to_ctx.c_hop + 1) n
+
+(* A failed push (peer reset mid-reply) is tolerated, as servers must. *)
+let send_reply api qd buf =
+  match push_frame api qd buf with
+  | Pdpix.Pushed | Pdpix.Failed _ -> ()
+  | _ -> failwith "Framing.send_reply: unexpected completion"
 
 let connect api dst =
   let qd = api.Pdpix.socket Pdpix.Tcp in

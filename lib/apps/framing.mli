@@ -11,10 +11,13 @@
     {!Engine.Causal} recorder is attached — so frame lengths, timing
     and the trace digest are byte-identical with tracing on or off.
 
-    Messages are built and parsed in place. A sender writes the header
-    and the payload straight into one [api.alloc] buffer
-    ({!alloc_framed}, {!send_ctx}, {!reply_on}); a receiver {!take}s the
-    next whole message and reads it through the accumulator's view
+    Messages are built and parsed in place. A sender gets one
+    [api.alloc] buffer with the frame header already written
+    ({!frame}, {!reply_frame}), writes its payload at
+    {!payload_off}, and hands the buffer to the one push path
+    ({!send_frame}, {!send_reply}); {!send} and {!send_ctx} are that
+    path with a string payload blitted in. A receiver {!take}s the next
+    whole message and reads it through the accumulator's view
     ({!view_data}, {!view_off}, {!view_len}) without copying it out.
     {!next} and {!recv} are [take] plus one copy, for callers that want
     a string. *)
@@ -44,11 +47,19 @@ val read_ctx : Bytes.t -> int -> ctx -> unit
 (** Unpack a context at a byte offset into a caller-owned scratch
     record. Zero-alloc. *)
 
+val write_header : Bytes.t -> int -> req:int -> msg:int -> parent:int -> hop:int -> int -> unit
+(** [write_header b off ~req ~msg ~parent ~hop n]: the length prefix and
+    context of a frame whose [n]-byte payload follows at
+    [off + hdr_size]. Zero-alloc. *)
+
 val encode : string -> string
 (** Frame a payload with an all-zero context ("no request"). *)
 
 val encode_ctx : req:int -> msg:int -> parent:int -> hop:int -> string -> string
 (** Frame a payload with an explicit context. *)
+
+val payload_off : Memory.Heap.buffer -> int
+(** Where a frame buffer's payload starts in its [Memory.Heap.data]. *)
 
 val alloc_framed :
   Demikernel.Pdpix.api ->
@@ -129,13 +140,24 @@ val chan_of_qd : Demikernel.Pdpix.api -> Demikernel.Pdpix.qd -> chan
 
 val chan_api : chan -> Demikernel.Pdpix.api
 
+val frame : chan -> req:int -> parent:int -> hop:int -> int -> Memory.Heap.buffer
+(** One [api.alloc (hdr_size + n)] buffer for an [n]-byte message on
+    this chan, its header written in place: the request context and a
+    freshly minted msg id. Write the payload at {!payload_off}, then
+    {!send_frame} it. *)
+
+val send_frame : chan -> Memory.Heap.buffer -> unit
+(** Push a frame built by {!frame}, note [Sent] under its header's
+    context, wait for the push completion and free the buffer. Raises
+    if the push fails. *)
+
 val send : chan -> string -> unit
 (** Push one framed message (zero context) and wait for the push
-    completion. *)
+    completion: {!send_ctx} with no request. *)
 
 val send_ctx : chan -> req:int -> parent:int -> hop:int -> string -> unit
-(** {!send}, stamping the request context and noting [Sent] (the msg id
-    is minted here). *)
+(** {!frame} with the string blitted in as its payload, then
+    {!send_frame}. *)
 
 val take_recv : chan -> bool
 (** Block until a complete message is taken into the view of
@@ -147,11 +169,14 @@ val chan_accum : chan -> accum
 val recv : chan -> string option
 (** {!take_recv}, then one copy of the message out; [None] on EOF. *)
 
-val reply_on :
-  Demikernel.Pdpix.api -> Demikernel.Pdpix.qd -> to_ctx:ctx -> string -> unit
-(** Send one framed reply on a raw server-side queue, echoing [to_ctx]
-    (same request, parent = the request's msg id, hop + 1). Tolerates a
-    failed push, as servers must. *)
+val reply_frame : Demikernel.Pdpix.api -> to_ctx:ctx -> int -> Memory.Heap.buffer
+(** {!frame} for an [n]-byte reply on a raw server-side queue,
+    echoing [to_ctx] (same request, parent = the request's msg id,
+    hop + 1; zeros when no recorder is attached). *)
+
+val send_reply : Demikernel.Pdpix.api -> Demikernel.Pdpix.qd -> Memory.Heap.buffer -> unit
+(** {!send_frame} for a {!reply_frame} buffer on a server-side queue.
+    Tolerates a failed push, as servers must. *)
 
 val connect : Demikernel.Pdpix.api -> Net.Addr.endpoint -> chan
 (** Create + connect a TCP-proto queue and wrap it. Raises on failure. *)

@@ -9,67 +9,134 @@ let op_put = 2
               GET miss [u8 0]
               PUT ack  [u8 1] *)
 
+(* ---------- wire codec ---------- *)
+
+let get_len key = 3 + String.length key
+let put_len key value = 7 + String.length key + String.length value
+
+let write_get b off key =
+  let klen = String.length key in
+  Net.Wire.set_u8 b off op_get;
+  Net.Wire.set_u16 b (off + 1) klen;
+  Bytes.blit_string key 0 b (off + 3) klen
+
+let write_put b off key ~version value =
+  let klen = String.length key in
+  Net.Wire.set_u8 b off op_put;
+  Net.Wire.set_u16 b (off + 1) klen;
+  Bytes.blit_string key 0 b (off + 3) klen;
+  Net.Wire.set_u32 b (off + 3 + klen) version;
+  Bytes.blit_string value 0 b (off + 7 + klen) (String.length value)
+
+let encode_get key =
+  let b = Bytes.create (get_len key) in
+  write_get b 0 key;
+  Bytes.unsafe_to_string b
+
+let encode_put key ~version value =
+  let b = Bytes.create (put_len key value) in
+  write_put b 0 key ~version value;
+  Bytes.unsafe_to_string b
+
+(* ---------- store ---------- *)
+
+(* A key's value lives in [value.[0 .. len)]; a newer PUT overwrites it
+   in place and allocates only when the value grows. *)
+type entry = { mutable version : int; mutable value : Bytes.t; mutable len : int }
+
+type store = {
+  entries : (string, entry) Hashtbl.t;
+  mutable status : int; (* the pending reply's first byte *)
+  mutable hit : entry; (* the pending GET hit, or [no_hit] *)
+}
+
+let no_hit = { version = 0; value = Bytes.empty; len = 0 }
+
+let create_store () = { entries = Hashtbl.create 1024; status = 0; hit = no_hit }
+let length store = Hashtbl.length store.entries
+
+(* Last-writer-wins by version: stale replicated writes lose. *)
+let put_value store key ~version b off n =
+  match Hashtbl.find store.entries key with
+  | e ->
+      if version > e.version then begin
+        if n > Bytes.length e.value then e.value <- Bytes.create n;
+        Bytes.blit b off e.value 0 n;
+        e.version <- version;
+        e.len <- n
+      end
+  | exception Not_found ->
+      Hashtbl.add store.entries key { version; value = Bytes.sub b off n; len = n }
+
+(* A frame too short for the key length it declares (or, for a PUT, for
+   its version) gets the miss/failure byte instead of a parse error. *)
+let apply store b off len =
+  store.status <- 0;
+  store.hit <- no_hit;
+  (if len >= 3 then
+     let op = Net.Wire.get_u8 b off in
+     let klen = Net.Wire.get_u16 b (off + 1) in
+     if op = op_get && len >= 3 + klen then begin
+       match Hashtbl.find store.entries (Bytes.sub_string b (off + 3) klen) with
+       | e ->
+           store.status <- 1;
+           store.hit <- e
+       | exception Not_found -> ()
+     end
+     else if op = op_put && len >= 7 + klen then begin
+       put_value store
+         (Bytes.sub_string b (off + 3) klen)
+         ~version:(Net.Wire.get_u32 b (off + 3 + klen))
+         b (off + 7 + klen) (len - 7 - klen);
+       store.status <- 1
+     end);
+  if store.hit == no_hit then 1 else 5 + store.hit.len
+
+let write_reply store b off =
+  Net.Wire.set_u8 b off store.status;
+  let e = store.hit in
+  if e != no_hit then begin
+    Net.Wire.set_u32 b (off + 1) e.version;
+    Bytes.blit e.value 0 b (off + 5) e.len
+  end
+
 (* ---------- server ---------- *)
 
 type conn_state = { qd : Pdpix.qd; acc : Framing.accum }
 
-(* The request is the [len] bytes of [b] at [off], parsed in place. A
-   frame too short for the key length it declares (or, for a PUT, for
-   its version) gets the miss/failure byte instead of a parse error. *)
-let handle_request ~store b off len =
-  if len < 3 then "\x00"
-  else begin
-    let op = Net.Wire.get_u8 b off in
-    let klen = Net.Wire.get_u16 b (off + 1) in
-    if len < 3 + klen || (op = op_put && len < 7 + klen) then "\x00"
-    else if op = op_get then
-      match Hashtbl.find_opt store (Bytes.sub_string b (off + 3) klen) with
-      | Some (version, value) ->
-          let r = Bytes.create (5 + String.length value) in
-          Net.Wire.set_u8 r 0 1;
-          Net.Wire.set_u32 r 1 version;
-          Bytes.blit_string value 0 r 5 (String.length value);
-          Bytes.unsafe_to_string r
-      | None -> "\x00"
-    else if op = op_put then begin
-      let key = Bytes.sub_string b (off + 3) klen in
-      let version = Net.Wire.get_u32 b (off + 3 + klen) in
-      let value = Bytes.sub_string b (off + 7 + klen) (len - 7 - klen) in
-      (* Last-writer-wins by version: stale replicated writes lose. *)
-      (match Hashtbl.find_opt store key with
-      | Some (v, _) when v >= version -> ()
-      | Some _ | None -> Hashtbl.replace store key (version, value));
-      "\x01"
-    end
-    else "\x00"
-  end
-
-let handle srv_api store cs =
+(* The request is the accumulator's view; its reply is written straight
+   into the one framed buffer that is pushed. *)
+let handle api store cs =
   let a = cs.acc in
-  let payload =
-    handle_request ~store (Framing.view_data a) (Framing.view_off a) (Framing.view_len a)
-  in
-  Framing.reply_on srv_api cs.qd ~to_ctx:(Framing.last a) payload
+  let n = apply store (Framing.view_data a) (Framing.view_off a) (Framing.view_len a) in
+  let buf = Framing.reply_frame api ~to_ctx:(Framing.last a) n in
+  write_reply store (Memory.Heap.data buf) (Framing.payload_off buf);
+  Framing.send_reply api cs.qd buf
+
+(* Top-level recursion, not closures built per popped sga: serving a pop
+   allocates nothing for its own loops. *)
+let rec feed_all (api : Pdpix.api) acc = function
+  | [] -> ()
+  | buf :: rest ->
+      Framing.feed_buf acc buf;
+      api.Pdpix.free buf;
+      feed_all api acc rest
+
+let rec drain api store cs ~op =
+  if Framing.take cs.acc then begin
+    Framing.note_received api ~op (Framing.last cs.acc);
+    handle api store cs;
+    drain api store cs ~op
+  end
 
 let server ?(port = 7447) (api : Pdpix.api) =
   let lqd = api.Pdpix.socket Pdpix.Tcp in
   api.Pdpix.bind lqd (Net.Addr.endpoint 0 port);
   api.Pdpix.listen lqd ~backlog:64;
-  let store : (string, int * string) Hashtbl.t = Hashtbl.create 1024 in
+  let store = create_store () in
   let serve cs ~op sga =
-    List.iter
-      (fun buf ->
-        Framing.feed_buf cs.acc buf;
-        api.Pdpix.free buf)
-      sga;
-    let rec drain () =
-      if Framing.take cs.acc then begin
-        Framing.note_received api ~op (Framing.last cs.acc);
-        handle api store cs;
-        drain ()
-      end
-    in
-    drain ()
+    feed_all api cs.acc sga;
+    drain api store cs ~op
   in
   Serve.run api ~name:"txnstore" lqd ~conn:(fun qd -> { qd; acc = Framing.create () }) ~on_data:serve
 
@@ -107,23 +174,6 @@ let drain_owed r =
     r.owed <- r.owed - 1
   done
 
-let encode_get key =
-  let b = Bytes.create (3 + String.length key) in
-  Net.Wire.set_u8 b 0 op_get;
-  Net.Wire.set_u16 b 1 (String.length key);
-  Bytes.blit_string key 0 b 3 (String.length key);
-  Bytes.unsafe_to_string b
-
-let encode_put key ~version value =
-  let klen = String.length key in
-  let b = Bytes.create (7 + klen + String.length value) in
-  Net.Wire.set_u8 b 0 op_put;
-  Net.Wire.set_u16 b 1 klen;
-  Bytes.blit_string key 0 b 3 klen;
-  Net.Wire.set_u32 b (3 + klen) version;
-  Bytes.blit_string value 0 b (7 + klen) (String.length value);
-  Bytes.unsafe_to_string b
-
 let parse_get_view b off len =
   if len >= 5 && Bytes.get b off = '\x01' then
     Some (Net.Wire.get_u32 b (off + 1), Bytes.sub_string b (off + 5) (len - 5))
@@ -136,7 +186,9 @@ let get c key =
   c.rr <- c.rr + 1;
   drain_owed r;
   let req = Framing.fresh_request c.api in
-  Framing.send_ctx r.chan ~req ~parent:0 ~hop:1 (encode_get key);
+  let buf = Framing.frame r.chan ~req ~parent:0 ~hop:1 (get_len key) in
+  write_get (Memory.Heap.data buf) (Framing.payload_off buf) key;
+  Framing.send_frame r.chan buf;
   let got = Framing.take_recv r.chan in
   Framing.finish_request c.api ~req;
   if not got then failwith "txnstore client: replica closed";
@@ -144,14 +196,18 @@ let get c key =
   parse_get_view (Framing.view_data a) (Framing.view_off a) (Framing.view_len a)
 
 let put ?quorum c key ~version value =
-  let msg = encode_put key ~version value in
   let n = Array.length c.chans in
   let q = match quorum with None -> n | Some q -> max 1 (min q n) in
   Array.iter drain_owed c.chans;
   let req = Framing.fresh_request c.api in
   (* Send to every replica before waiting for any ack — push completes
      at transmission, so the three replications overlap on the wire. *)
-  Array.iter (fun r -> Framing.send_ctx r.chan ~req ~parent:0 ~hop:1 msg) c.chans;
+  Array.iter
+    (fun r ->
+      let buf = Framing.frame r.chan ~req ~parent:0 ~hop:1 (put_len key value) in
+      write_put (Memory.Heap.data buf) (Framing.payload_off buf) key ~version value;
+      Framing.send_frame r.chan buf)
+    c.chans;
   (* Acks drain in replica order (each wait overlaps the others'
      arrivals), so the quorum is the first [q] replicas' acks —
      deterministic, and any straggler is always a highest-index

@@ -7,18 +7,38 @@
     version+1 everywhere. RPC rides {!Framing} messages, so the same
     binary runs over Catnap, Catnip TCP and Catmint messages. *)
 
-(** {1 Wire codec} — shared with the kernel-path baseline. *)
+(** {1 Wire codec} — shared with the kernel-path and RDMA baselines.
+
+    Requests are [\[u8 op\]\[u16 klen\]\[key\]] (GET) and
+    [\[u8 op\]\[u16 klen\]\[key\]\[u32 version\]\[value\]] (PUT);
+    replies are [\[1\]\[u32 version\]\[value\]] (GET hit), [\[0\]]
+    (GET miss or a malformed request) and [\[1\]] (PUT ack). *)
 
 val encode_get : string -> string
 val encode_put : string -> version:int -> string -> string
 
-val handle_request :
-  store:(string, int * string) Hashtbl.t -> Bytes.t -> int -> int -> string
-(** [handle_request ~store b off len]: server-side processing of the
-    request in the [len] bytes of [b] at [off], parsed in place; returns
-    the encoded response. Shared by the PDPIX server and the
-    kernel-path and RDMA baselines so every replica behaves
-    identically. *)
+(** {1 Store} — one per replica, the same for the PDPIX server and
+    both baselines, so every replica behaves identically. *)
+
+type store
+(** Each key maps to a mutable entry (version, value bytes, length). A
+    newer PUT overwrites the value in place, allocating only when it
+    grows; a stale PUT changes nothing. *)
+
+val create_store : unit -> store
+
+val length : store -> int
+(** Keys stored. *)
+
+val apply : store -> Bytes.t -> int -> int -> int
+(** [apply store b off len] runs the request in the [len] bytes of [b]
+    at [off], parsed in place, and returns the length of its reply. The
+    reply stays pending in [store] until {!write_reply}; apply nothing
+    else to the store in between. *)
+
+val write_reply : store -> Bytes.t -> int -> unit
+(** Write the pending reply at [off]: for a GET hit, the value goes
+    from the store straight into [b]. *)
 
 val parse_get_response : string -> (int * string) option
 

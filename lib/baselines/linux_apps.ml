@@ -181,19 +181,23 @@ let kv_server sim kernel ~port ~persist =
       in
       loop ())
 
-(* Blocking framed receive over a kernel TCP connection. *)
+(* Blocking framed receive over a kernel TCP connection: true once the
+   next whole message is the accumulator's view, false at EOF. *)
+let rec take_framed kernel fd acc =
+  Apps.Framing.take acc
+  ||
+  match K.recv kernel fd ~block:true with
+  | Some chunk ->
+      Apps.Framing.feed acc chunk;
+      take_framed kernel fd acc
+  | None -> (not (K.at_eof kernel fd)) && take_framed kernel fd acc
+
 let recv_framed kernel fd acc =
-  let rec go () =
-    match Apps.Framing.next acc with
-    | Some msg -> Some msg
-    | None -> (
-        match K.recv kernel fd ~block:true with
-        | Some chunk ->
-            Apps.Framing.feed acc chunk;
-            go ()
-        | None -> if K.at_eof kernel fd then None else go ())
-  in
-  go ()
+  if take_framed kernel fd acc then
+    Some
+      (Bytes.sub_string (Apps.Framing.view_data acc) (Apps.Framing.view_off acc)
+         (Apps.Framing.view_len acc))
+  else None
 
 let kv_bench_client sim kernel ~dst ~keys ~value_size ~ops ~kind ~seed ~on_start ~record
     ~on_done =
@@ -230,32 +234,41 @@ let kv_bench_client sim kernel ~dst ~keys ~value_size ~ops ~kind ~seed ~on_start
 
 (* ---------- TxnStore ---------- *)
 
-let txn_handle store msg =
-  Apps.Txnstore.handle_request ~store (Bytes.unsafe_of_string msg) 0 (String.length msg)
+(* The reply to the request in the [len] bytes of [b] at [off], written
+   by the store after [hdr] bytes (a zero-context frame header over
+   TCP, none over UDP) into the one string the kernel copies in. *)
+let txn_reply store ~hdr b off len =
+  let n = Apps.Txnstore.apply store b off len in
+  let r = Bytes.create (hdr + n) in
+  if hdr > 0 then Apps.Framing.write_header r 0 ~req:0 ~msg:0 ~parent:0 ~hop:0 n;
+  Apps.Txnstore.write_reply store r hdr;
+  Bytes.unsafe_to_string r
 
 let txn_replica sim kernel ~port =
   Engine.Fiber.spawn sim ~name:"linux-txn-replica" (fun () ->
       let lfd = K.tcp_listen kernel ~port in
       let fd = K.accept kernel lfd in
-      let store : (string, int * string) Hashtbl.t = Hashtbl.create 1024 in
+      let store = Apps.Txnstore.create_store () in
       let acc = Apps.Framing.create () in
       let rec loop () =
-        match recv_framed kernel fd acc with
-        | Some msg ->
-            K.send kernel fd (Apps.Framing.encode (txn_handle store msg));
-            loop ()
-        | None -> ()
+        if take_framed kernel fd acc then begin
+          K.send kernel fd
+            (txn_reply store ~hdr:Apps.Framing.hdr_size (Apps.Framing.view_data acc)
+               (Apps.Framing.view_off acc) (Apps.Framing.view_len acc));
+          loop ()
+        end
       in
       loop ())
 
 let txn_replica_udp sim kernel ~port =
   Engine.Fiber.spawn sim ~name:"linux-txn-replica-udp" (fun () ->
       let fd = K.udp_socket kernel ~port in
-      let store : (string, int * string) Hashtbl.t = Hashtbl.create 1024 in
+      let store = Apps.Txnstore.create_store () in
       let rec loop () =
         (match K.recvfrom kernel fd ~block:true with
         | Some (from, msg) ->
-            K.sendto kernel fd ~dst:from (txn_handle store msg)
+            K.sendto kernel fd ~dst:from
+              (txn_reply store ~hdr:0 (Bytes.unsafe_of_string msg) 0 (String.length msg))
         | None -> ());
         loop ()
       in

@@ -20,7 +20,10 @@ let make_rnic fabric ~index =
 let replica sim fabric ~index =
   let cost = Net.Fabric.cost fabric in
   let rnic = make_rnic fabric ~index in
-  let store : (string, int * string) Hashtbl.t = Hashtbl.create 1024 in
+  let store = Apps.Txnstore.create_store () in
+  (* The store writes each reply here; the post gathers it at once, so
+     one buffer, grown to the largest reply, serves them all. *)
+  let reply = ref (Bytes.create 1024) in
   let serve =
     {
       Net.Rdma_sim.batch = ignore;
@@ -31,15 +34,14 @@ let replica sim fabric ~index =
           (* Copy in, process, copy out. *)
           let len = Memory.Heap.length frame in
           charge sim (cost.Net.Cost.rdma_poll_ns + qp_overhead_ns + Net.Cost.copy_cost_ns cost len);
-          let response =
-            Apps.Txnstore.handle_request ~store (Memory.Heap.data frame) (Memory.Heap.offset frame)
-              len
+          let n =
+            Apps.Txnstore.apply store (Memory.Heap.data frame) (Memory.Heap.offset frame) len
           in
           Memory.Heap.free frame;
-          charge sim
-            (cost.Net.Cost.rdma_post_ns + qp_overhead_ns
-            + Net.Cost.copy_cost_ns cost (String.length response));
-          post_string rnic ~dst:src_mac ~imm response);
+          if n > Bytes.length !reply then reply := Bytes.create n;
+          Apps.Txnstore.write_reply store !reply 0;
+          charge sim (cost.Net.Cost.rdma_post_ns + qp_overhead_ns + Net.Cost.copy_cost_ns cost n);
+          Net.Rdma_sim.post_send rnic ~dst:src_mac ~wr_id:0 ~imm !reply 0 n);
       write_done = (fun ~wr_id:_ ~ok:_ -> ());
     }
   in

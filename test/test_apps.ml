@@ -466,18 +466,47 @@ let test_txnstore_ycsb_f () =
   (* An RMW is at least two network round trips. *)
   check_bool "txn latency exceeds 2 RTT" true (Metrics.Hdr.p50 lat > 8_000)
 
+(* The store's reply to one request, built as every server builds it:
+   [apply], then [write_reply] into a buffer of the returned length. The
+   request sits inside bytes that continue past it, so the store must
+   read only its own window. *)
+let store_reply store s =
+  let b = Bytes.of_string ("pre" ^ s ^ "\x00\x00\x00\x00\x00\x00\x00\x00") in
+  let r = Bytes.create (Apps.Txnstore.apply store b 3 (String.length s)) in
+  Apps.Txnstore.write_reply store r 0;
+  Bytes.to_string r
+
+let get_hit version value =
+  let b = Bytes.create 5 in
+  Net.Wire.set_u8 b 0 1;
+  Net.Wire.set_u32 b 1 version;
+  Bytes.to_string b ^ value
+
+(* Each message in turn over one connection to a PDPIX replica
+   (Catnip), waiting for its reply; the replies in order. *)
+let pdpix_replies msgs =
+  let sim, replicas, client = txn_world Demikernel.Boot.Catnip_os in
+  let replies = ref [] in
+  Demikernel.Boot.run_app client (fun api ->
+      let ch = Apps.Framing.connect api (Demikernel.Boot.endpoint (List.hd replicas) 7447) in
+      List.iter
+        (fun msg ->
+          Apps.Framing.send ch msg;
+          replies := Apps.Framing.recv ch :: !replies)
+        msgs;
+      Apps.Framing.close ch);
+  List.iter Demikernel.Boot.start replicas;
+  Demikernel.Boot.start client;
+  Engine.Sim.run ~until:(Engine.Clock.s 10) sim;
+  no_findings (client :: replicas);
+  List.rev !replies
+
 let test_txnstore_short_frames () =
   (* Frames shorter than the key length they declare, or PUTs cut
      before their version, get the failure byte and leave the store
      alone; they used to raise out of the server coroutine. *)
-  let store = Hashtbl.create 4 in
-  (* Each request sits inside bytes that continue past it: the server
-     reads only its own window. *)
-  let handle s =
-    Apps.Txnstore.handle_request ~store
-      (Bytes.of_string ("pre" ^ s ^ "\x00\x00\x00\x00\x00\x00\x00\x00"))
-      3 (String.length s)
-  in
+  let store = Apps.Txnstore.create_store () in
+  let handle = store_reply store in
   let get = Apps.Txnstore.encode_get "key" in
   let put = Apps.Txnstore.encode_put "key" ~version:7 "value" in
   let cut s n = String.sub s 0 n in
@@ -485,34 +514,165 @@ let test_txnstore_short_frames () =
   Alcotest.(check string) "truncated PUT key" "\x00" (handle (cut put 4));
   Alcotest.(check string) "PUT with no version" "\x00" (handle (cut put 6));
   Alcotest.(check string) "PUT with half a version" "\x00" (handle (cut put 8));
-  check_int "short frames stored nothing" 0 (Hashtbl.length store);
+  check_int "short frames stored nothing" 0 (Apps.Txnstore.length store);
   Alcotest.(check string) "whole PUT acked" "\x01" (handle put);
   Alcotest.(check (option (pair int string)))
     "whole GET hits" (Some (7, "value"))
     (Apps.Txnstore.parse_get_response (handle get));
   (* The same truncated frame over the wire: the replica answers it and
      keeps serving the connection. *)
-  sanitized @@ fun () ->
-  let sim, replicas, client = txn_world Demikernel.Boot.Catnip_os in
-  let replica = List.hd replicas in
-  let replies = ref [] in
-  Demikernel.Boot.run_app client (fun api ->
-      let ch = Apps.Framing.connect api (Demikernel.Boot.endpoint replica 7447) in
-      List.iter
-        (fun msg ->
-          Apps.Framing.send ch msg;
-          replies := Apps.Framing.recv ch :: !replies)
-        [ cut put 6; put; get ];
-      Apps.Framing.close ch);
-  List.iter Demikernel.Boot.start replicas;
-  Demikernel.Boot.start client;
-  Engine.Sim.run ~until:(Engine.Clock.s 10) sim;
-  no_findings (client :: replicas);
   Alcotest.(check (list (option string)))
     "short PUT refused, then the connection still serves"
-
     [ Some "\x00"; Some "\x01"; Some (handle get) ]
-    (List.rev !replies)
+    (sanitized (fun () -> pdpix_replies [ cut put 6; put; get ]))
+
+(* One request script and the replies it must get: a refused frame, a
+   value that grows, then shrinks, then loses to a stale-version PUT
+   (acked, but the store keeps the newer value), and two misses. *)
+let txn_script =
+  let put version value = Apps.Txnstore.encode_put "key" ~version value in
+  let get = Apps.Txnstore.encode_get "key" in
+  let long = String.make 300 'g' in
+  [
+    (String.sub (put 7 "value") 0 6, "\x00");
+    (put 7 "value", "\x01");
+    (get, get_hit 7 "value");
+    (put 8 long, "\x01");
+    (get, get_hit 8 long);
+    (put 9 "tiny", "\x01");
+    (get, get_hit 9 "tiny");
+    (put 5 "stale", "\x01");
+    (get, get_hit 9 "tiny");
+    (Apps.Txnstore.encode_get "absent", "\x00");
+    (String.sub get 0 4, "\x00");
+  ]
+
+(* The script to the kernel baseline's replica, framed over TCP or bare
+   over UDP. *)
+let kernel_script_replies transport =
+  let module K = Oskernel.Kernel in
+  let sim = Engine.Sim.create () in
+  let fabric = Net.Fabric.create sim ~cost:bare () in
+  let server = Baselines.Linux_apps.make_kernel sim fabric ~index:1 () in
+  (match transport with
+  | `Tcp -> Baselines.Linux_apps.txn_replica sim server ~port:7447
+  | `Udp -> Baselines.Linux_apps.txn_replica_udp sim server ~port:7447);
+  let kernel = Baselines.Linux_apps.make_kernel sim fabric ~index:2 () in
+  let dst = Net.Addr.endpoint (Net.Addr.Ip.of_index 1) 7447 in
+  let replies = ref [] in
+  Engine.Fiber.spawn sim ~name:"txn-script" (fun () ->
+      match transport with
+      | `Tcp ->
+          let fd = K.connect kernel ~dst in
+          let acc = Apps.Framing.create () in
+          let rec recv () =
+            match Apps.Framing.next acc with
+            | Some reply -> reply
+            | None ->
+                Apps.Framing.feed acc (Option.get (K.recv kernel fd ~block:true));
+                recv ()
+          in
+          List.iter
+            (fun (msg, _) ->
+              K.send kernel fd (Apps.Framing.encode msg);
+              replies := recv () :: !replies)
+            txn_script
+      | `Udp ->
+          let fd = K.udp_socket kernel ~port:5999 in
+          List.iter
+            (fun (msg, _) ->
+              K.sendto kernel fd ~dst msg;
+              replies := snd (Option.get (K.recvfrom kernel fd ~block:true)) :: !replies)
+            txn_script);
+  Engine.Sim.run ~until:(Engine.Clock.s 10) sim;
+  List.rev !replies
+
+(* The script to the custom RDMA baseline's replica, one message per
+   request. *)
+let rdma_script_replies () =
+  let sim = Engine.Sim.create () in
+  let fabric = Net.Fabric.create sim ~cost:bare () in
+  Baselines.Txn_rdma.replica sim fabric ~index:1;
+  let rnic =
+    Net.Rdma_sim.create fabric ~mac:(Net.Addr.Mac.of_index 2) ~ip:(Net.Addr.Ip.of_index 2) ()
+  in
+  let replies = ref [] in
+  let consumer =
+    {
+      Net.Rdma_sim.batch = ignore;
+      send_done = ignore;
+      recv =
+        (fun ~src_mac:_ ~imm:_ frame ->
+          replies := Memory.Heap.to_string frame :: !replies;
+          Memory.Heap.free frame);
+      write_done = (fun ~wr_id:_ ~ok:_ -> ());
+    }
+  in
+  List.iter
+    (fun (msg, _) ->
+      Net.Rdma_sim.post_recv rnic;
+      Net.Rdma_sim.post_send rnic ~dst:(Net.Addr.Mac.of_index 1) ~wr_id:0 ~imm:0
+        (Bytes.of_string msg) 0 (String.length msg);
+      Engine.Sim.run sim;
+      ignore (Net.Rdma_sim.drain_cq rnic ~max:4 consumer : int))
+    txn_script;
+  List.rev !replies
+
+let test_txnstore_servers_agree () =
+  let expected = List.map snd txn_script in
+  let store = Apps.Txnstore.create_store () in
+  let check name replies = Alcotest.(check (list string)) name expected replies in
+  check "the store's reply builder" (List.map (fun (msg, _) -> store_reply store msg) txn_script);
+  check "the PDPIX server"
+    (List.map Option.get (sanitized (fun () -> pdpix_replies (List.map fst txn_script))));
+  check "the kernel baseline over TCP" (kernel_script_replies `Tcp);
+  check "the kernel baseline over UDP" (kernel_script_replies `Udp);
+  check "the custom RDMA baseline" (rdma_script_replies ())
+
+(* A same-size PUT to a key the store holds and a GET hit written into
+   its reply buffer, on a store preloaded with 700 B values, allocate no
+   block the size of the value: the PUT overwrites the entry's bytes in
+   place and the GET hit's value goes from them straight into the
+   framed buffer. What each allocates, in words:
+     the key, copied out to hash it (16 B + pad)   4
+   = 4. *)
+let test_txnstore_words () =
+  let store = Apps.Txnstore.create_store () in
+  let value = String.make 700 'v' in
+  let key i = Apps.Workload.key_name i in
+  for i = 0 to 63 do
+    ignore (store_reply store (Apps.Txnstore.encode_put (key i) ~version:1 value) : string)
+  done;
+  let k = key 7 in
+  let put = Bytes.of_string (Apps.Txnstore.encode_put k ~version:1 value) in
+  let get = Bytes.of_string (Apps.Txnstore.encode_get k) in
+  let reply = Bytes.create (Apps.Framing.hdr_size + 5 + 700) in
+  let version = ref 1 in
+  let put_once () =
+    incr version;
+    Net.Wire.set_u32 put (3 + String.length k) !version;
+    if Apps.Txnstore.apply store put 0 (Bytes.length put) <> 1 then Alcotest.fail "PUT not acked";
+    Apps.Txnstore.write_reply store reply 0
+  in
+  let get_once () =
+    let n = Apps.Txnstore.apply store get 0 (Bytes.length get) in
+    Apps.Framing.write_header reply 0 ~req:0 ~msg:0 ~parent:0 ~hop:0 n;
+    Apps.Txnstore.write_reply store reply Apps.Framing.hdr_size
+  in
+  let words f =
+    f ();
+    let before = Gc.minor_words () in
+    for _ = 1 to 10 do
+      f ()
+    done;
+    (Gc.minor_words () -. before) /. 10.
+  in
+  Alcotest.(check (float 0.)) "minor words per same-size PUT" 4. (words put_once);
+  Alcotest.(check (float 0.)) "minor words per GET hit" 4. (words get_once);
+  check_int "GET hit reply length" (5 + 700) (Apps.Txnstore.apply store get 0 (Bytes.length get));
+  Alcotest.(check (option (pair int string)))
+    "the GET hit reads the last PUT" (Some (!version, value))
+    (Apps.Txnstore.parse_get_view reply Apps.Framing.hdr_size (5 + 700))
 
 let suite =
   [
@@ -536,4 +696,8 @@ let suite =
     Alcotest.test_case "txnstore replicates to all" `Quick test_txnstore_replicates;
     Alcotest.test_case "txnstore ycsb-f" `Quick test_txnstore_ycsb_f;
     Alcotest.test_case "txnstore refuses short frames" `Quick test_txnstore_short_frames;
+    Alcotest.test_case "txnstore: the PDPIX server and both baselines reply alike" `Quick
+      test_txnstore_servers_agree;
+    Alcotest.test_case "words: txnstore PUT and GET hit allocate no payload-sized block" `Quick
+      test_txnstore_words;
   ]
