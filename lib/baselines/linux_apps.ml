@@ -1,4 +1,16 @@
-module K = Oskernel.Kernel
+(* The POSIX apps keep payloads in strings: the kernel's one copy in
+   blits a string into its buffer, and its one copy out makes a fresh
+   string. *)
+module K = struct
+  include Oskernel.Kernel
+
+  let of_string s b off = Bytes.blit_string s 0 b off (String.length s)
+  let send t fd s = send t fd ~len:(String.length s) ~write:(of_string s)
+  let sendto t fd ~dst s = sendto t fd ~dst ~len:(String.length s) ~write:(of_string s)
+  let append_sync t s = append_sync t ~len:(String.length s) ~write:(of_string s)
+  let recv t fd ~block = recv t fd ~block ~read:Bytes.sub_string
+  let recvfrom t fd ~block = recvfrom t fd ~block ~read:Bytes.sub_string
+end
 
 let make_kernel sim fabric ~index ?(with_disk = false) ?(mode = K.Posix) () =
   let cost = Net.Fabric.cost fabric in
@@ -316,7 +328,8 @@ let txn_ycsb_client ?(transport = `Tcp) sim kernel ~replicas ~keys ~value_size ~
         let msg = Apps.Txnstore.encode_put key ~version v in
         match (tcp_conns, udp_fd) with
         | Some conns, _ ->
-            Array.iter (fun (fd, _) -> K.send kernel fd (Apps.Framing.encode msg)) conns;
+            let framed = Apps.Framing.encode msg in
+            Array.iter (fun (fd, _) -> K.send kernel fd framed) conns;
             Array.iter (fun (fd, acc) -> ignore (recv_framed kernel fd acc)) conns
         | None, Some fd ->
             (* Overlap the three replications: all sends, then all acks. *)

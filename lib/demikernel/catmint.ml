@@ -83,9 +83,10 @@ let send_data t ch qt sga =
       Net.Rdma_sim.post_send t.rnic ~dst:ch.peer_mac ~wr_id:qt ~imm (Memory.Heap.data buf)
         (Memory.Heap.offset buf) (Memory.Heap.length buf)
   | bufs ->
-      let joined = Pdpix.sga_to_string bufs in
-      Net.Rdma_sim.post_send t.rnic ~dst:ch.peer_mac ~wr_id:qt ~imm
-        (Bytes.unsafe_of_string joined) 0 (String.length joined)
+      let len = Pdpix.sga_length bufs in
+      let joined = Bytes.create len in
+      Pdpix.sga_blit bufs joined 0;
+      Net.Rdma_sim.post_send t.rnic ~dst:ch.peer_mac ~wr_id:qt ~imm joined 0 len
 
 (* Top-level recursion (not a per-call closure): this runs for every
    stalled channel on every poll round, and a still-blocked channel —

@@ -10,9 +10,10 @@ type t = {
   mutable connects : (Runtime.queue * Oskernel.Kernel.fd) list;
       (* the streams whose connect is in flight, and their fds *)
   mutable service_progress : bool;
+  pop_read : Memory.Heap.buffer Oskernel.Kernel.read;
+      (* [heap_read] on the host heap, built once: a non-blocking recv
+         that finds nothing allocates nothing *)
 }
-
-let host t = Runtime.host t.rt
 
 (* Lowest index of [active] holding a qd >= [qd]. *)
 let rec active_search t qd lo hi =
@@ -45,16 +46,21 @@ let progress t completion =
   t.service_progress <- true;
   Some completion
 
-let heap_buf t payload = Memory.Heap.alloc_of_string (host t).Host.heap payload
+(* The kernel -> user copy of a pop lands in a fresh host-heap buffer. *)
+let heap_read heap data off len =
+  let buf = Memory.Heap.alloc heap (max 1 len) in
+  Bytes.blit data off (Memory.Heap.data buf) (Memory.Heap.offset buf) len;
+  Memory.Heap.set_length buf len;
+  buf
 
 let udp_next t fd () =
-  match Oskernel.Kernel.recvfrom t.kernel fd ~block:false with
-  | Some (from, payload) -> progress t (Pdpix.Popped_from (from, [ heap_buf t payload ]))
+  match Oskernel.Kernel.recvfrom t.kernel fd ~block:false ~read:t.pop_read with
+  | Some (from, buf) -> progress t (Pdpix.Popped_from (from, [ buf ]))
   | None -> None
 
 let pop_next t fd () =
-  match Oskernel.Kernel.recv t.kernel fd ~block:false with
-  | Some payload -> progress t (Pdpix.Popped [ heap_buf t payload ])
+  match Oskernel.Kernel.recv t.kernel fd ~block:false ~read:t.pop_read with
+  | Some buf -> progress t (Pdpix.Popped [ buf ])
   | None ->
       if Oskernel.Kernel.at_eof t.kernel fd then progress t (Pdpix.Popped [])
       else if Oskernel.Kernel.was_reset t.kernel fd then
@@ -63,7 +69,8 @@ let pop_next t fd () =
 
 let send t fd sga =
   (* POSIX write: completes once copied into the kernel. *)
-  match Oskernel.Kernel.send t.kernel fd (Pdpix.sga_to_string sga) with
+  let len = Pdpix.sga_length sga in
+  match Oskernel.Kernel.send t.kernel fd ~len ~write:(Pdpix.sga_blit sga) with
   | () -> Runtime.completed_token t.rt Pdpix.Pushed
   | exception Oskernel.Kernel.Connection_reset ->
       Runtime.completed_token t.rt (Pdpix.Failed "connection reset")
@@ -152,7 +159,7 @@ let connect t q dst =
   qt
 
 let sendto t fd dst sga =
-  Oskernel.Kernel.sendto t.kernel fd ~dst (Pdpix.sga_to_string sga);
+  Oskernel.Kernel.sendto t.kernel fd ~dst ~len:(Pdpix.sga_length sga) ~write:(Pdpix.sga_blit sga);
   Runtime.completed_token t.rt Pdpix.Pushed
 
 let bind_udp t q (ep : Net.Addr.endpoint) =
@@ -168,43 +175,36 @@ let append t ls sga =
   (* Synchronous durable append, length-framed so the log can be read
      back after a crash; blocks the (single-threaded) process exactly
      as write+fsync does. *)
-  let payload = Pdpix.sga_to_string sga in
-  let framed = Bytes.create (4 + String.length payload) in
-  Net.Wire.set_u32 framed 0 (String.length payload);
-  Bytes.blit_string payload 0 framed 4 (String.length payload);
-  Oskernel.Kernel.pwrite_sync t.kernel ~off:ls.tail (Bytes.unsafe_to_string framed);
-  ls.tail <- ls.tail + 4 + String.length payload;
+  let len = Pdpix.sga_length sga in
+  Oskernel.Kernel.pwrite_sync t.kernel ~off:ls.tail ~len:(4 + len) ~write:(fun data off ->
+      Net.Wire.set_u32 data off len;
+      Pdpix.sga_blit sga data (off + 4));
+  ls.tail <- ls.tail + 4 + len;
   Runtime.completed_token t.rt Pdpix.Pushed
+
+(* A record header's length, parsed in place; -1 past the device's end. *)
+let read_header t off =
+  Oskernel.Kernel.read_log t.kernel ~off ~len:4 ~read:(fun data off n ->
+      if n < 4 then -1 else Net.Wire.get_u32 data off)
 
 (* pread the next length-framed record. *)
 let read t ls () =
-  let header = Oskernel.Kernel.read_log t.kernel ~off:ls.cursor ~len:4 in
-  if String.length header < 4 then
-    Runtime.completed_token t.rt (Pdpix.Failed "catnap: log read error")
-  else begin
-    let len = Net.Wire.get_u32 (Bytes.unsafe_of_string header) 0 in
-    if len = 0 then Runtime.completed_token t.rt (Pdpix.Failed "catnap: read at log tail")
-    else begin
-      let payload = Oskernel.Kernel.read_log t.kernel ~off:(ls.cursor + 4) ~len in
-      if String.length payload < len then
-        Runtime.completed_token t.rt (Pdpix.Failed "catnap: log read error")
-      else begin
-        ls.cursor <- ls.cursor + 4 + len;
-        let buf = Memory.Heap.alloc_of_string (host t).Host.heap payload in
-        Runtime.completed_token t.rt (Pdpix.Popped [ buf ])
-      end
-    end
-  end
+  match read_header t ls.cursor with
+  | -1 -> Runtime.completed_token t.rt (Pdpix.Failed "catnap: log read error")
+  | 0 -> Runtime.completed_token t.rt (Pdpix.Failed "catnap: read at log tail")
+  | len -> (
+      let read data off n = if n < len then None else Some (t.pop_read data off n) in
+      match Oskernel.Kernel.read_log t.kernel ~off:(ls.cursor + 4) ~len ~read with
+      | None -> Runtime.completed_token t.rt (Pdpix.Failed "catnap: log read error")
+      | Some buf ->
+          ls.cursor <- ls.cursor + 4 + len;
+          Runtime.completed_token t.rt (Pdpix.Popped [ buf ]))
 
 let open_log t _path =
   (* Discover the tail left by a previous boot by scanning the length
      framing (the file is zero-filled past the last record). *)
   let rec find_tail off =
-    let header = Oskernel.Kernel.read_log t.kernel ~off ~len:4 in
-    if String.length header < 4 then off
-    else
-      let len = Net.Wire.get_u32 (Bytes.unsafe_of_string header) 0 in
-      if len = 0 then off else find_tail (off + 4 + len)
+    match read_header t off with -1 | 0 -> off | len -> find_tail (off + 4 + len)
   in
   let ls = { cursor = 0; tail = find_tail 0 } in
   let seek off = if off < 0 then invalid_arg "catnap: negative seek" else ls.cursor <- off in
@@ -222,6 +222,7 @@ let create rt ~kernel =
       nactive = 0;
       connects = [];
       service_progress = false;
+      pop_read = heap_read (Runtime.host rt).Host.heap;
     }
   in
   Runtime.fast_path rt ~name:"catnap-fast-path" ~signal:(Oskernel.Kernel.rx_signal kernel)

@@ -160,9 +160,11 @@ let pushto t sock dst sga =
   (match sga with
   | [ buf ] -> Tcp.Stack.udp_sendto t.stack sock ~dst buf
   | bufs ->
-      let joined = Pdpix.sga_to_string bufs in
-      Host.charge_copy (host t) (String.length joined);
-      let tmp = Memory.Heap.alloc_of_string (host t).Host.heap joined in
+      let len = Pdpix.sga_length bufs in
+      Host.charge_copy (host t) len;
+      let tmp = Memory.Heap.alloc (host t).Host.heap (max 1 len) in
+      Pdpix.sga_blit bufs (Memory.Heap.data tmp) (Memory.Heap.offset tmp);
+      Memory.Heap.set_length tmp len;
       Tcp.Stack.udp_sendto t.stack sock ~dst tmp;
       Memory.Heap.free tmp);
   Runtime.completed_token t.rt Pdpix.Pushed

@@ -21,7 +21,7 @@ type log = {
 }
 
 type inflight =
-  | Write_op of { token : Pdpix.qtoken; len : int }
+  | Write_op of { token : Pdpix.qtoken }
   | Read_op of { token : Pdpix.qtoken }
   | Sync_read of { cell : string option ref; waiter : Dsched.handle }
 
@@ -33,7 +33,6 @@ type t = {
   inflight : (int, inflight) Hashtbl.t; (* device command id -> waiter *)
   mutable next_io : int;
   mutable alloc_cursor : int; (* next free device slice *)
-  mutable persisted : int;
 }
 
 let slice_size t = Net.Ssd_sim.capacity t.ssd / 16
@@ -42,8 +41,6 @@ let host t = Runtime.host t.rt
 let cost t = (host t).Host.cost
 let charge t ns = Host.charge (host t) ns
 let charge_storage t ns = Host.charge_as (host t) Engine.Span.Storage ns
-
-let bytes_persisted t = t.persisted
 
 let fresh_io t =
   let id = t.next_io in
@@ -56,11 +53,8 @@ let complete_io t { Net.Ssd_sim.id; ok; data } =
   | Some op -> (
       Hashtbl.remove t.inflight id;
       match op with
-      | Write_op { token; len } ->
-          if ok then begin
-            t.persisted <- t.persisted + len;
-            Runtime.complete t.rt token Pdpix.Pushed
-          end
+      | Write_op { token } ->
+          if ok then Runtime.complete t.rt token Pdpix.Pushed
           else Runtime.complete t.rt token (Pdpix.Failed "device write error")
       | Read_op { token } ->
           if ok then begin
@@ -129,18 +123,17 @@ let write_superblock t log =
   Net.Ssd_sim.submit_write t.ssd ~id:(fresh_io t) ~off:log.base (Bytes.unsafe_to_string b)
 
 let append t log sga =
-  let payload = Pdpix.sga_to_string sga in
-  let len = String.length payload in
+  let len = Pdpix.sga_length sga in
   if log.tail + 4 + len > log.limit then
     Runtime.completed_token t.rt (Pdpix.Failed "cattree: log slice full")
   else begin
     let framed = Bytes.create (4 + len) in
     Net.Wire.set_u32 framed 0 len;
-    Bytes.blit_string payload 0 framed 4 len;
+    Pdpix.sga_blit sga framed 4;
     charge_storage t (cost t).Net.Cost.ssd_submit_ns;
     let id = fresh_io t in
     let qt = Runtime.fresh_token t.rt in
-    Hashtbl.replace t.inflight id (Write_op { token = qt; len });
+    Hashtbl.replace t.inflight id (Write_op { token = qt });
     Net.Ssd_sim.submit_write t.ssd ~id ~off:log.tail (Bytes.unsafe_to_string framed);
     log.records <- (log.tail, len) :: log.records;
     log.tail <- log.tail + 4 + len;
@@ -235,7 +228,6 @@ let create rt ~ssd =
       inflight = Hashtbl.create 16;
       next_io = 1;
       alloc_cursor = 0;
-      persisted = 0;
     }
   in
   Runtime.fast_path rt ~name:"cattree-fast-path" ~signal:(Net.Ssd_sim.cq_signal ssd) (poll t);

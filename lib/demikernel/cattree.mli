@@ -16,8 +16,6 @@ val open_log : t -> string -> Pdpix.qd
     qd; re-opening a closed one answers a new qd over the same device
     slice, reading from its first live record. *)
 
-val bytes_persisted : t -> int
-
 val kill : t -> unit
 (** Crash this node's storage stack: the fast path stops polling the
     device, releasing its completion queue to a successor node booted

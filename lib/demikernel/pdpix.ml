@@ -44,12 +44,18 @@ type api = {
 
 let sga_length sga = List.fold_left (fun n b -> n + Memory.Heap.length b) 0 sga
 
-(* One copy for the common one-buffer sga; a longer one copies each
-   buffer twice (out of the heap, then into the joined string). *)
-let sga_to_string sga =
+let rec sga_blit sga dst off =
   match sga with
-  | [ buf ] -> Memory.Heap.to_string buf
-  | bufs -> String.concat "" (List.map Memory.Heap.to_string bufs)
+  | [] -> ()
+  | b :: rest ->
+      let n = Memory.Heap.length b in
+      Bytes.blit (Memory.Heap.data b) (Memory.Heap.offset b) dst off n;
+      sga_blit rest dst (off + n)
+
+let sga_to_string sga =
+  let b = Bytes.create (sga_length sga) in
+  sga_blit sga b 0;
+  Bytes.unsafe_to_string b
 
 (* ---------- runtime ownership oracle ----------
 
@@ -98,8 +104,6 @@ let oracle ~name () =
     violations = [];
     finished = false;
   }
-
-let oracle_name o = o.oracle_name
 
 let violate o kind detail = o.violations <- { kind; detail } :: o.violations
 

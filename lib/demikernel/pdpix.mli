@@ -127,9 +127,14 @@ type api = {
 val sga_length : sga -> int
 (** Total payload bytes. *)
 
+val sga_blit : sga -> Bytes.t -> int -> unit
+(** [sga_blit sga dst off] gathers the payload into [dst] from [off]
+    (one copy; the caller charges it): how a libOS hands a multi-buffer
+    sga to the kernel or a device that takes one contiguous range. *)
+
 val sga_to_string : sga -> string
-(** Concatenated payload (copies; for tests and app logic, not charged
-    as a datapath copy). *)
+(** Concatenated payload: one {!sga_blit} into a fresh string. For
+    tests and app logic, not charged as a datapath copy. *)
 
 (** {1 Runtime ownership oracle}
 
@@ -159,8 +164,6 @@ type oracle
 val oracle : name:string -> unit -> oracle
 (** Fresh oracle; [name] labels teardown reports (one oracle per
     wrapped api — token ids are per-runtime). *)
-
-val oracle_name : oracle -> string
 
 val checked : oracle -> api -> api
 (** The same api, with every ownership-relevant operation observed by

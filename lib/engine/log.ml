@@ -21,8 +21,6 @@ let tag_of c =
   | App -> 7
   | Custom _ -> custom_tag
 
-let category_name = function Custom s -> s | c -> names.(tag_of c)
-
 type row = {
   ts : Clock.t;
   tag : int;

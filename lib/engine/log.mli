@@ -20,9 +20,6 @@
     is the escape hatch for tests and one-off experiment markers. *)
 type category = Fabric | Device | Sched | Tcp | Kernel | Storage | Libos | App | Custom of string
 
-val category_name : category -> string
-(** Lowercase stable name ([Custom s] prints as [s]). *)
-
 type t
 
 (** One decoded record (decoding allocates: read path only). *)

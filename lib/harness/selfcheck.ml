@@ -13,15 +13,15 @@ let heap_line name (s : Memory.Heap.stats) =
 
 (* Minor words per echo of one flavor's whole run below (boot,
    handshake, echos, teardown, with the ownership oracle and the flight
-   ring armed), rounded up from the count at seed 42 and 64 x 256 B
-   echos. The run is deterministic, so the count is exact: one extra
+   ring armed; the trace digest is rendered after the count), rounded
+   up from the count at seed 42 and 64 x 256 B echos. The run is deterministic, so the count is exact: one extra
    word per echo, or two per idle poll, fails the selfcheck. Under
    OCAMLRUNPARAM=R the first Catnip run counts 59 words more than the
    second: the stdlib seeds its Hashtbl randomizer once, lazily. *)
 let words_per_echo = function
-  | Demikernel.Boot.Catnip_os -> 4705 (* 301,062 words / 64 = 4,704.09 *)
-  | Demikernel.Boot.Catnap_os -> 4403 (* 281,773 words / 64 = 4,402.70 *)
-  | Demikernel.Boot.Catmint_os -> 4723 (* 302,214 words / 64 = 4,722.09 *)
+  | Demikernel.Boot.Catnip_os -> 875 (* 55,955 words / 64 = 874.30 *)
+  | Demikernel.Boot.Catnap_os -> 940 (* 60,107 words / 64 = 939.17 *)
+  | Demikernel.Boot.Catmint_os -> 719 (* 45,969 words / 64 = 718.27 *)
 
 let minor_words () = int_of_float (Gc.minor_words ())
 

@@ -95,7 +95,6 @@ let create ?(label = "heap") ?(headroom = 128) ?sanitize ~mode () =
 let sanitizing t = t.sanitize
 
 let mode t = t.mode
-let label t = t.label
 
 let register_superblock sb =
   match sb.rkey with

@@ -65,7 +65,6 @@ val create : ?label:string -> ?headroom:int -> ?sanitize:bool -> mode:mode -> un
     {!sanitizer_report} summarises leaks/double-frees at end of run. *)
 
 val mode : t -> mode
-val label : t -> string
 
 val sanitizing : t -> bool
 
@@ -184,8 +183,6 @@ type sanitizer_report = {
 
 val sanitizer_report : t -> sanitizer_report option
 (** [None] unless the heap was created with [~sanitize:true]. *)
-
-val pp_sanitizer_report : Format.formatter -> sanitizer_report -> unit
 
 val log_teardown : ?fmt:Format.formatter -> t -> unit
 (** Print the sanitizer report (default to stderr) if sanitizing and

@@ -25,6 +25,8 @@ type t = {
 }
 
 type fd = int
+type write = Bytes.t -> int -> unit
+type 'a read = Bytes.t -> int -> int -> 'a
 
 let create sim ?(name = "kernel") ~cost ~nic ?ssd ?(mode = Posix) () =
   let heap = Memory.Heap.create ~label:name ~mode:Memory.Heap.Not_dma () in
@@ -68,7 +70,6 @@ let create sim ?(name = "kernel") ~cost ~nic ?ssd ?(mode = Posix) () =
     next_io_id = 1;
   }
 
-let mode t = t.mode
 let heap t = t.heap
 let syscalls t = t.syscalls
 let frames_in t = t.frames_in
@@ -166,31 +167,41 @@ let udp_socket t ~port =
   enter_syscall t;
   alloc_fd t (Udp (Tcp.Stack.udp_bind t.stack ~port))
 
-let sendto t fd ~dst payload =
+(* Copy user -> kernel into a fresh kernel buffer, then kernel stack
+   processing. *)
+let copy_in t ~len ~write =
+  charge_copy t len;
+  charge_as t Engine.Span.Softirq t.cost.Net.Cost.kernel_net_ns;
+  let buf = Memory.Heap.alloc t.heap (max 1 len) in
+  write (Memory.Heap.data buf) (Memory.Heap.offset buf);
+  Memory.Heap.set_length buf len;
+  buf
+
+(* Copy kernel -> user; the kernel buffer is freed once [read] returns. *)
+let copy_out t buf ~read =
+  charge_copy t (Memory.Heap.length buf);
+  let v = read (Memory.Heap.data buf) (Memory.Heap.offset buf) (Memory.Heap.length buf) in
+  Memory.Heap.free buf;
+  v
+
+let sendto t fd ~dst ~len ~write =
   match fd_state t fd with
   | Udp sock ->
       enter_syscall t;
       drain t;
-      (* Copy user -> kernel, then kernel stack processing. *)
-      charge_copy t (String.length payload);
-      charge_as t Engine.Span.Softirq t.cost.Net.Cost.kernel_net_ns;
-      let buf = Memory.Heap.alloc_of_string t.heap payload in
+      let buf = copy_in t ~len ~write in
       Tcp.Stack.udp_sendto t.stack sock ~dst buf;
       Memory.Heap.free buf
   | Listener _ | Conn _ | Closed -> invalid_arg "Kernel.sendto: not a UDP socket"
 
-let recvfrom t fd ~block =
+let recvfrom t fd ~block ~read =
   match fd_state t fd with
   | Udp sock ->
       enter_syscall t;
       if block then wait_until t ~blocking:true (fun () -> Tcp.Stack.udp_pending sock > 0)
       else drain t;
       (match Tcp.Stack.udp_recv sock with
-      | Some (from, buf) ->
-          let payload = Memory.Heap.to_string buf in
-          charge_copy t (String.length payload) (* kernel -> user *);
-          Memory.Heap.free buf;
-          Some (from, payload)
+      | Some (from, buf) -> Some (from, copy_out t buf ~read)
       | None -> None)
   | Listener _ | Conn _ | Closed -> invalid_arg "Kernel.recvfrom: not a UDP socket"
 
@@ -223,15 +234,13 @@ let connect t ~dst =
 
 exception Connection_reset
 
-let send t fd payload =
+let send t fd ~len ~write =
   match fd_state t fd with
   | Conn conn ->
       enter_syscall t;
       drain t;
       if Hashtbl.mem t.resets (Tcp.Stack.conn_id conn) then raise Connection_reset;
-      charge_copy t (String.length payload);
-      charge_as t Engine.Span.Softirq t.cost.Net.Cost.kernel_net_ns;
-      let buf = Memory.Heap.alloc_of_string t.heap payload in
+      let buf = copy_in t ~len ~write in
       Tcp.Stack.tcp_send conn [ buf ];
       Memory.Heap.free buf
   | Udp _ | Listener _ | Closed -> invalid_arg "Kernel.send: not a connection"
@@ -246,7 +255,7 @@ let was_reset t fd =
   | Conn conn -> Hashtbl.mem t.resets (Tcp.Stack.conn_id conn)
   | Udp _ | Listener _ | Closed -> false
 
-let recv t fd ~block =
+let recv t fd ~block ~read =
   match fd_state t fd with
   | Conn conn ->
       enter_syscall t;
@@ -257,11 +266,7 @@ let recv t fd ~block =
       in
       if block then wait_until t ~blocking:true ready else drain t;
       (match Tcp.Stack.tcp_recv conn with
-      | `Data buf ->
-          let payload = Memory.Heap.to_string buf in
-          charge_copy t (String.length payload);
-          Memory.Heap.free buf;
-          Some payload
+      | `Data buf -> Some (copy_out t buf ~read)
       | `Eof | `Nothing -> None)
   | Udp _ | Listener _ | Closed -> invalid_arg "Kernel.recv: not a connection"
 
@@ -276,7 +281,7 @@ let close t fd =
   | Closed -> ());
   Hashtbl.replace t.fds fd Closed
 
-let fd_ready t fd =
+let ready t fd =
   match fd_state t fd with
   | Udp sock -> Tcp.Stack.udp_pending sock > 0
   | Listener l -> Tcp.Stack.accept_pending l > 0
@@ -286,15 +291,9 @@ let fd_ready t fd =
       || Tcp.Stack.conn_state conn = Tcp.Stack.Closed_st
   | Closed -> false
 
-let readable t fd =
-  drain t;
-  fd_ready t fd
-
-let ready = fd_ready
-
 let wait_readable t fds =
   enter_syscall t;
-  wait_until t ~blocking:true (fun () -> List.exists (fd_ready t) fds)
+  wait_until t ~blocking:true (fun () -> List.exists (ready t) fds)
 
 (* ---------- nonblocking primitives ---------- *)
 
@@ -352,24 +351,26 @@ let fresh_io t =
   t.next_io_id <- t.next_io_id + 1;
   id
 
-let pwrite_sync t ~off payload =
+let pwrite_sync t ~off ~len ~write =
   match t.ssd with
   | None -> failwith "Kernel.pwrite_sync: no disk attached"
   | Some ssd ->
       (* write(2): crossing + copy; fsync(2): crossing + file system +
          device latency, waited synchronously. *)
       enter_syscall t;
-      charge_copy t (String.length payload);
+      charge_copy t len;
       enter_syscall t;
       charge t t.cost.Net.Cost.kernel_file_ns;
       let id = fresh_io t in
-      Net.Ssd_sim.submit_write ssd ~id ~off payload;
-      t.log_tail <- max t.log_tail (off + String.length payload);
+      let page = Bytes.create len in
+      write page 0;
+      Net.Ssd_sim.submit_write ssd ~id ~off (Bytes.unsafe_to_string page);
+      t.log_tail <- max t.log_tail (off + len);
       ignore (wait_ssd t ssd id)
 
-let append_sync t payload = pwrite_sync t ~off:t.log_tail payload
+let append_sync t ~len ~write = pwrite_sync t ~off:t.log_tail ~len ~write
 
-let read_log t ~off ~len =
+let read_log t ~off ~len ~read =
   match t.ssd with
   | None -> failwith "Kernel.read_log: no disk attached"
   | Some ssd ->
@@ -379,6 +380,4 @@ let read_log t ~off ~len =
       Net.Ssd_sim.submit_read ssd ~id ~off ~len;
       let data = wait_ssd t ssd id in
       charge_copy t (String.length data);
-      data
-
-let log_size t = t.log_tail
+      read (Bytes.unsafe_of_string data) 0 (String.length data)

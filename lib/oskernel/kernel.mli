@@ -32,13 +32,20 @@ val create :
   unit ->
   t
 
-val mode : t -> mode
+type write = Bytes.t -> int -> unit
+(** [write b off] fills [len] bytes of [b] from [off], a fresh kernel
+    buffer: the call's one user -> kernel copy, which the kernel charges. *)
+
+type 'a read = Bytes.t -> int -> int -> 'a
+(** [read b off len] copies the payload's [len] bytes of [b] from [off]
+    out: the call's one kernel -> user copy, which the kernel charges.
+    The kernel frees [b] when [read] returns, so [read] must not keep it. *)
 
 (** {1 UDP} *)
 
 val udp_socket : t -> port:int -> fd
-val sendto : t -> fd -> dst:Net.Addr.endpoint -> string -> unit
-val recvfrom : t -> fd -> block:bool -> (Net.Addr.endpoint * string) option
+val sendto : t -> fd -> dst:Net.Addr.endpoint -> len:int -> write:write -> unit
+val recvfrom : t -> fd -> block:bool -> read:'a read -> (Net.Addr.endpoint * 'a) option
 (** [block:true] sleeps until a datagram arrives (charging wakeup
     latency); [block:false] is one non-blocking attempt. *)
 
@@ -54,12 +61,12 @@ val connect : t -> dst:Net.Addr.endpoint -> fd
 exception Connection_reset
 (** ECONNRESET: {!send} on a connection the peer reset. *)
 
-val send : t -> fd -> string -> unit
+val send : t -> fd -> len:int -> write:write -> unit
 (** Copy the payload into the kernel and transmit it. On a connection
     the peer reset (seen after draining the device) it copies and
     allocates nothing and raises {!Connection_reset}. *)
 
-val recv : t -> fd -> block:bool -> string option
+val recv : t -> fd -> block:bool -> read:'a read -> 'a option
 (** [None] only in non-blocking mode with nothing pending, on EOF or
     after a reset (distinguish with {!at_eof} and {!was_reset}). *)
 
@@ -73,10 +80,6 @@ val close : t -> fd -> unit
 (** Close the fd. A listener or UDP socket frees its port, and a
     listener aborts the connections it had not handed out. *)
 
-val readable : t -> fd -> bool
-(** Data, an accepted connection, or EOF is ready (non-blocking check
-    after a drain). *)
-
 val ready : t -> fd -> bool
 (** Pure readiness check with no drain and no charge — the per-fd bit
     of an epoll ready list the kernel already computed. *)
@@ -86,21 +89,18 @@ val wait_readable : t -> fd list -> unit
 
 (** {1 Files (ext4-style durable log)} *)
 
-val append_sync : t -> string -> unit
+val append_sync : t -> len:int -> write:write -> unit
 (** write(2) + fsync(2) to an append-only file on the SSD: {!pwrite_sync}
     at the file's end. Raises [Failure] without an SSD. *)
 
-val pwrite_sync : t -> off:int -> string -> unit
+val pwrite_sync : t -> off:int -> len:int -> write:write -> unit
 (** pwrite(2) + fsync(2) at an explicit offset — how a restarted
     process appends past records recovered from a previous boot. Raises
     [Failure] without an SSD. *)
 
-val read_log : t -> off:int -> len:int -> string
-(** pread(2) from the append-only file (blocking). *)
-
-val log_size : t -> int
-(** Bytes appended so far this boot (the file is larger after a crash;
-    readers discover the end by the zero-length framing sentinel). *)
+val read_log : t -> off:int -> len:int -> read:'a read -> 'a
+(** pread(2) from the append-only file (blocking); [read] sees no bytes
+    when the range is past the device's end. *)
 
 (** {1 Nonblocking primitives (for Catnap's polling design)}
 

@@ -569,20 +569,26 @@ let kernel_script_replies transport =
             match Apps.Framing.next acc with
             | Some reply -> reply
             | None ->
-                Apps.Framing.feed acc (Option.get (K.recv kernel fd ~block:true));
+                Apps.Framing.feed acc
+                  (Option.get (K.recv kernel fd ~block:true ~read:Bytes.sub_string));
                 recv ()
           in
           List.iter
             (fun (msg, _) ->
-              K.send kernel fd (Apps.Framing.encode msg);
+              let framed = Apps.Framing.encode msg in
+              K.send kernel fd ~len:(String.length framed) ~write:(fun b off ->
+                  Bytes.blit_string framed 0 b off (String.length framed));
               replies := recv () :: !replies)
             txn_script
       | `Udp ->
           let fd = K.udp_socket kernel ~port:5999 in
           List.iter
             (fun (msg, _) ->
-              K.sendto kernel fd ~dst msg;
-              replies := snd (Option.get (K.recvfrom kernel fd ~block:true)) :: !replies)
+              K.sendto kernel fd ~dst ~len:(String.length msg) ~write:(fun b off ->
+                  Bytes.blit_string msg 0 b off (String.length msg));
+              replies :=
+                snd (Option.get (K.recvfrom kernel fd ~block:true ~read:Bytes.sub_string))
+                :: !replies)
             txn_script);
   Engine.Sim.run ~until:(Engine.Clock.s 10) sim;
   List.rev !replies

@@ -1434,12 +1434,54 @@ let test_wait_cycle_words_flat () =
 
 (* The selfcheck pins the bytes each flavor's echo moves. These worlds
    reach the copy sites it never runs: out-of-order reassembly under
-   loss, IP fragments, and Cattree on an SSD. Every world is
+   loss, IP fragments, Cattree on an SSD, and Catnap gathering
+   two-buffer sgas into the kernel. Every world is
    deterministic, so each count is exact: one more copy fails it. *)
 let bytes_moved f =
   let moved0 = Engine.Copies.moved () in
   f ();
   Engine.Copies.moved () - moved0
+
+(* Eight Catnap echos of two-buffer sgas, the shape of Dkv's GET reply
+   [hdr :: value]; answers the bytes echoed back, gathered outside the
+   meter. *)
+let catnap_gather_echo () =
+  let sim, server, client = pair Demikernel.Boot.Catnap_os in
+  let echoed = Buffer.create 0 in
+  Demikernel.Boot.run_app server (Apps.Echo.server ~port:7);
+  Demikernel.Boot.run_app client (fun api ->
+      let open Demikernel.Pdpix in
+      let q = api.socket Tcp in
+      (match api.wait (api.connect q (Demikernel.Boot.endpoint server 7)) with
+      | Connected -> ()
+      | _ -> Alcotest.fail "gather echo: connect failed");
+      let hdr = api.alloc_str "hdr:" and value = api.alloc_str (String.make 2048 'v') in
+      for _ = 1 to 8 do
+        (match api.wait (api.push q [ hdr; value ]) with
+        | Pushed -> ()
+        | _ -> Alcotest.fail "gather echo: push failed");
+        let rec collect remaining =
+          if remaining > 0 then
+            match api.wait (api.pop q) with
+            | Popped (_ :: _ as sga) ->
+                List.iter
+                  (fun b ->
+                    Buffer.add_subbytes echoed (Memory.Heap.data b) (Memory.Heap.offset b)
+                      (Memory.Heap.length b);
+                    api.free b)
+                  sga;
+                collect (remaining - sga_length sga)
+            | _ -> Alcotest.fail "gather echo: pop failed"
+        in
+        collect (4 + 2048)
+      done;
+      api.free hdr;
+      api.free value;
+      api.close q);
+  Demikernel.Boot.start server;
+  Demikernel.Boot.start client;
+  Engine.Sim.run ~until:(Engine.Clock.s 10) sim;
+  Buffer.contents echoed
 
 let test_copies_off_selfcheck () =
   let lossy =
@@ -1456,9 +1498,18 @@ let test_copies_off_selfcheck () =
         check_bool "fragmented udp echo finished" true finished)
   in
   let disk = bytes_moved (fun () -> ignore (Test_recovery.compaction_world ())) in
+  let echoed = ref "" in
+  let gather = bytes_moved (fun () -> echoed := catnap_gather_echo ()) in
+  Alcotest.(check string)
+    "gather echo: every byte echoed in order"
+    (String.concat "" (List.init 8 (fun _ -> "hdr:" ^ String.make 2048 'v')))
+    !echoed;
   check_int "lossy catnip tcp echo (8 KiB messages, 20% loss)" 856_928 lossy;
   check_int "udp echo of 4,000 B datagrams (IP fragments)" 356_392 fragments;
-  check_int "dkv sets persisted through cattree" 3_639_080 disk
+  check_int "dkv sets persisted through cattree" 2_916_886 disk;
+  (* 65,704 device DMA + 2,052 fills + 65,664 charged: four kernel
+     crossings of 8 x 2,052 B, one copy each. *)
+  check_int "catnap echo of two-buffer sgas (4 B header + 2,048 B value)" 133_420 gather
 
 let suite =
   [

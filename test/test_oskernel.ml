@@ -12,6 +12,15 @@ let world () =
 let kernel sim fabric ~index ?with_disk ?mode () =
   Baselines.Linux_apps.make_kernel sim fabric ~index ?with_disk ?mode ()
 
+(* String payloads through the kernel's data calls: its one copy in
+   blits the string, its one copy out makes a fresh one. *)
+let of_string s b off = Bytes.blit_string s 0 b off (String.length s)
+let send k fd s = Oskernel.Kernel.send k fd ~len:(String.length s) ~write:(of_string s)
+let sendto k fd ~dst s = Oskernel.Kernel.sendto k fd ~dst ~len:(String.length s) ~write:(of_string s)
+let append_sync k s = Oskernel.Kernel.append_sync k ~len:(String.length s) ~write:(of_string s)
+let recv k fd ~block = Oskernel.Kernel.recv k fd ~block ~read:Bytes.sub_string
+let recvfrom k fd ~block = Oskernel.Kernel.recvfrom k fd ~block ~read:Bytes.sub_string
+
 let test_udp_roundtrip () =
   let sim, fabric = world () in
   let k1 = kernel sim fabric ~index:1 () in
@@ -19,16 +28,16 @@ let test_udp_roundtrip () =
   let got = ref None in
   Engine.Fiber.spawn sim (fun () ->
       let fd = Oskernel.Kernel.udp_socket k1 ~port:53 in
-      match Oskernel.Kernel.recvfrom k1 fd ~block:true with
+      match recvfrom k1 fd ~block:true with
       | Some (from, payload) ->
           got := Some payload;
-          Oskernel.Kernel.sendto k1 fd ~dst:from "reply"
+          sendto k1 fd ~dst:from "reply"
       | None -> ());
   let reply = ref None in
   Engine.Fiber.spawn sim (fun () ->
       let fd = Oskernel.Kernel.udp_socket k2 ~port:54 in
-      Oskernel.Kernel.sendto k2 fd ~dst:(Net.Addr.endpoint (Net.Addr.Ip.of_index 1) 53) "ping";
-      match Oskernel.Kernel.recvfrom k2 fd ~block:true with
+      sendto k2 fd ~dst:(Net.Addr.endpoint (Net.Addr.Ip.of_index 1) 53) "ping";
+      match recvfrom k2 fd ~block:true with
       | Some (_, payload) -> reply := Some payload
       | None -> ());
   Engine.Sim.run ~until:(Engine.Clock.s 1) sim;
@@ -43,16 +52,16 @@ let test_tcp_roundtrip () =
   Engine.Fiber.spawn sim (fun () ->
       let lfd = Oskernel.Kernel.tcp_listen k1 ~port:80 in
       let fd = Oskernel.Kernel.accept k1 lfd in
-      match Oskernel.Kernel.recv k1 fd ~block:true with
+      match recv k1 fd ~block:true with
       | Some payload ->
           got := payload;
-          Oskernel.Kernel.send k1 fd payload
+          send k1 fd payload
       | None -> ());
   let echoed = ref "" in
   Engine.Fiber.spawn sim (fun () ->
       let fd = Oskernel.Kernel.connect k2 ~dst:(Net.Addr.endpoint (Net.Addr.Ip.of_index 1) 80) in
-      Oskernel.Kernel.send k2 fd "kernel tcp";
-      match Oskernel.Kernel.recv k2 fd ~block:true with
+      send k2 fd "kernel tcp";
+      match recv k2 fd ~block:true with
       | Some payload -> echoed := payload
       | None -> ());
   Engine.Sim.run ~until:(Engine.Clock.s 1) sim;
@@ -65,15 +74,15 @@ let test_kernel_copies_and_syscalls () =
   let k2 = kernel sim fabric ~index:2 () in
   Engine.Fiber.spawn sim (fun () ->
       let fd = Oskernel.Kernel.udp_socket k1 ~port:53 in
-      match Oskernel.Kernel.recvfrom k1 fd ~block:true with
-      | Some (from, payload) -> Oskernel.Kernel.sendto k1 fd ~dst:from payload
+      match recvfrom k1 fd ~block:true with
+      | Some (from, payload) -> sendto k1 fd ~dst:from payload
       | None -> ());
   Engine.Fiber.spawn sim (fun () ->
       let fd = Oskernel.Kernel.udp_socket k2 ~port:54 in
-      Oskernel.Kernel.sendto k2 fd
+      sendto k2 fd
         ~dst:(Net.Addr.endpoint (Net.Addr.Ip.of_index 1) 53)
         (String.make 1000 'x');
-      ignore (Oskernel.Kernel.recvfrom k2 fd ~block:true));
+      ignore (recvfrom k2 fd ~block:true));
   Engine.Sim.run ~until:(Engine.Clock.s 1) sim;
   (* Server copies the kB in (kernel->user) and out (user->kernel). *)
   let copied = (Memory.Heap.stats (Oskernel.Kernel.heap k1)).Memory.Heap.bytes_copied in
@@ -91,9 +100,9 @@ let test_uring_cheaper () =
     Engine.Fiber.spawn sim (fun () ->
         let fd = Oskernel.Kernel.udp_socket k1 ~port:53 in
         let rec loop () =
-          match Oskernel.Kernel.recvfrom k1 fd ~block:true with
+          match recvfrom k1 fd ~block:true with
           | Some (from, payload) ->
-              Oskernel.Kernel.sendto k1 fd ~dst:from payload;
+              sendto k1 fd ~dst:from payload;
               loop ()
           | None -> loop ()
         in
@@ -101,8 +110,8 @@ let test_uring_cheaper () =
     Engine.Fiber.spawn sim (fun () ->
         let fd = Oskernel.Kernel.udp_socket k2 ~port:54 in
         for _ = 1 to 20 do
-          Oskernel.Kernel.sendto k2 fd ~dst:(Net.Addr.endpoint (Net.Addr.Ip.of_index 1) 53) "m";
-          ignore (Oskernel.Kernel.recvfrom k2 fd ~block:true)
+          sendto k2 fd ~dst:(Net.Addr.endpoint (Net.Addr.Ip.of_index 1) 53) "m";
+          ignore (recvfrom k2 fd ~block:true)
         done;
         finish := Engine.Sim.now sim);
     Engine.Sim.run ~until:(Engine.Clock.s 2) sim;
@@ -120,7 +129,7 @@ let test_append_sync_durable () =
   let k1 = kernel sim fabric ~index:1 ~with_disk:true () in
   let finished = ref 0 in
   Engine.Fiber.spawn sim (fun () ->
-      Oskernel.Kernel.append_sync k1 "durable record";
+      append_sync k1 "durable record";
       finished := Engine.Sim.now sim);
   Engine.Sim.run ~until:(Engine.Clock.s 1) sim;
   (* write+fsync through ext4 to Optane: tens of microseconds. *)
@@ -132,7 +141,7 @@ let test_append_without_disk_fails () =
   let k1 = kernel sim fabric ~index:1 () in
   let failed = ref false in
   Engine.Fiber.spawn sim (fun () ->
-      match Oskernel.Kernel.append_sync k1 "x" with
+      match append_sync k1 "x" with
       | () -> ()
       | exception Failure _ -> failed := true);
   Engine.Sim.run ~until:(Engine.Clock.s 1) sim;
@@ -151,7 +160,7 @@ let test_wait_readable_multiplexes () =
           Oskernel.Kernel.wait_readable k1 [ a; b ];
           List.iter
             (fun fd ->
-              match Oskernel.Kernel.recvfrom k1 fd ~block:false with
+              match recvfrom k1 fd ~block:false with
               | Some _ -> incr served
               | None -> ())
             [ a; b ];
@@ -161,9 +170,9 @@ let test_wait_readable_multiplexes () =
       loop ());
   Engine.Fiber.spawn sim (fun () ->
       let fd = Oskernel.Kernel.udp_socket k2 ~port:20 in
-      Oskernel.Kernel.sendto k2 fd ~dst:(Net.Addr.endpoint (Net.Addr.Ip.of_index 1) 10) "a";
+      sendto k2 fd ~dst:(Net.Addr.endpoint (Net.Addr.Ip.of_index 1) 10) "a";
       Engine.Fiber.sleep sim 50_000;
-      Oskernel.Kernel.sendto k2 fd ~dst:(Net.Addr.endpoint (Net.Addr.Ip.of_index 1) 11) "b");
+      sendto k2 fd ~dst:(Net.Addr.endpoint (Net.Addr.Ip.of_index 1) 11) "b");
   Engine.Sim.run ~until:(Engine.Clock.s 1) sim;
   check_int "both sockets served through one wait loop" 2 !served
 
