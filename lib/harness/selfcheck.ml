@@ -19,8 +19,8 @@ let heap_line name (s : Memory.Heap.stats) =
    OCAMLRUNPARAM=R the first Catnip run counts 59 words more than the
    second: the stdlib seeds its Hashtbl randomizer once, lazily. *)
 let words_per_echo = function
-  | Demikernel.Boot.Catnip_os -> 875 (* 55,955 words / 64 = 874.30 *)
-  | Demikernel.Boot.Catnap_os -> 940 (* 60,107 words / 64 = 939.17 *)
+  | Demikernel.Boot.Catnip_os -> 874 (* 55,935 words / 64 = 873.98 *)
+  | Demikernel.Boot.Catnap_os -> 939 (* 60,087 words / 64 = 938.86 *)
   | Demikernel.Boot.Catmint_os -> 719 (* 45,969 words / 64 = 718.27 *)
 
 let minor_words () = int_of_float (Gc.minor_words ())

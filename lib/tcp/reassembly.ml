@@ -1,90 +1,104 @@
 type t = {
-  mutable rcv_nxt : Seqnum.t;
-  mutable segments : (Seqnum.t * string) list; (* sorted by seq, non-overlapping *)
-  mutable buffered : int;
+  heap : Memory.Heap.t;
   capacity : int;
+  mutable rcv_nxt : Seqnum.t;
+  mutable held : (Seqnum.t * Memory.Heap.buffer) list; (* sorted by seq, disjoint, past rcv_nxt *)
+  mutable held_bytes : int;
+  queue : Memory.Heap.buffer Queue.t;
+  mutable queued_bytes : int;
 }
 
-let create ~rcv_nxt ~capacity = { rcv_nxt; segments = []; buffered = 0; capacity }
+let create ~heap ~capacity =
+  let queue = Queue.create () in
+  { heap; capacity; rcv_nxt = 0; held = []; held_bytes = 0; queue; queued_bytes = 0 }
 
 let rcv_nxt t = t.rcv_nxt
-let buffered_bytes t = t.buffered
+let held_bytes t = t.held_bytes
+let queued_bytes t = t.queued_bytes
+let is_empty t = Queue.is_empty t.queue
 
-let take_in_order t ~seq ~len =
-  match t.segments with
-  | [] when seq = t.rcv_nxt && len <= t.capacity ->
-      t.rcv_nxt <- Seqnum.add t.rcv_nxt len;
-      true
-  | [] | _ :: _ -> false
+let pop t =
+  let buf = Queue.pop t.queue in
+  t.queued_bytes <- t.queued_bytes - Memory.Heap.length buf;
+  buf
 
-(* Trim the head of [payload] so it starts at or after [floor]. *)
-let trim_low ~floor ~seq payload =
-  let skip = Seqnum.sub floor seq in
-  if skip <= 0 then Some (seq, payload)
-  else if skip >= String.length payload then None
-  else Some (floor, String.sub payload skip (String.length payload - skip))
+let enqueue t buf =
+  let len = Memory.Heap.length buf in
+  Queue.add buf t.queue;
+  t.queued_bytes <- t.queued_bytes + len;
+  t.rcv_nxt <- Seqnum.add t.rcv_nxt len
 
-let insert t ~seq payload =
-  if String.length payload = 0 then ()
-  else
-    match trim_low ~floor:t.rcv_nxt ~seq payload with
-    | None -> ()
-    | Some (seq, payload) ->
-        (* Insert in sequence order, trimming against neighbours. *)
-        let rec place acc seq payload rest =
-          match rest with
-          | [] -> List.rev ((seq, payload) :: acc)
-          | (s, p) :: tail when Seqnum.le (Seqnum.add s (String.length p)) seq ->
-              (* Existing segment entirely before the new one. *)
-              place ((s, p) :: acc) seq payload tail
-          | (s, p) :: tail ->
-              if Seqnum.le (Seqnum.add seq (String.length payload)) s then
-                (* New segment entirely before the existing one. *)
-                List.rev_append acc ((seq, payload) :: (s, p) :: tail)
-              else begin
-                (* Overlap: keep the existing segment, trim the new one
-                   against it, and re-place the remainder(s). *)
-                let new_end = Seqnum.add seq (String.length payload) in
-                let before =
-                  let n = Seqnum.sub s seq in
-                  if n > 0 then Some (seq, String.sub payload 0 n) else None
-                in
-                let after =
-                  let existing_end = Seqnum.add s (String.length p) in
-                  let n = Seqnum.sub new_end existing_end in
-                  if n > 0 then
-                    Some (existing_end, String.sub payload (String.length payload - n) n)
-                  else None
-                in
-                let acc = match before with Some b -> (s, p) :: b :: acc | None -> (s, p) :: acc in
-                match after with
-                | Some (s2, p2) -> place acc s2 p2 tail
-                | None -> List.rev_append acc tail
-              end
-        in
-        let bytes = String.length payload in
-        if t.buffered + bytes <= t.capacity then begin
-          let before = List.fold_left (fun n (_, p) -> n + String.length p) 0 t.segments in
-          t.segments <- place [] seq payload t.segments;
-          let after = List.fold_left (fun n (_, p) -> n + String.length p) 0 t.segments in
-          t.buffered <- t.buffered + (after - before)
-        end
+(* Copy [len] new bytes at [seq] out of the frame [b] into a heap
+   buffer: queue it when it is the next in-order range, else hold it on
+   [acc]. *)
+let copy_range t seq b off len acc =
+  let buf = Memory.Heap.alloc t.heap len in
+  (* Device DMA: the NIC writes the received payload into a DMA-heap buffer, the one
+     receive-side copy; charged per frame through Net.Cost. *)
+  Bytes.blit b off (Memory.Heap.data buf) (Memory.Heap.offset buf) len;
+  Memory.Heap.set_length buf len;
+  if seq = t.rcv_nxt then begin
+    enqueue t buf;
+    acc
+  end
+  else begin
+    t.held_bytes <- t.held_bytes + len;
+    (seq, buf) :: acc
+  end
+
+let held_end (s, buf) = Seqnum.add s (Memory.Heap.length buf)
+
+(* Place the new bytes [seq, seq + len) among the held ranges [held],
+   in sequence order: only the gaps between held ranges are copied.
+   [acc] is the held ranges already passed, reversed. *)
+let rec place t acc seq b off len = function
+  | [] -> List.rev (copy_range t seq b off len acc)
+  | h :: rest when Seqnum.le (held_end h) seq -> place t (h :: acc) seq b off len rest
+  | (s, _) :: _ as held when Seqnum.le (Seqnum.add seq len) s ->
+      List.rev_append (copy_range t seq b off len acc) held
+  | ((s, _) as h) :: rest ->
+      let before = Seqnum.sub s seq in
+      let acc = h :: (if before > 0 then copy_range t seq b off before acc else acc) in
+      let e = held_end h in
+      let after = Seqnum.sub (Seqnum.add seq len) e in
+      if after > 0 then place t acc e b (off + len - after) after rest
+      else List.rev_append acc rest
+
+let rec drain t =
+  match t.held with
+  | (s, buf) :: rest when s = t.rcv_nxt ->
+      t.held <- rest;
+      t.held_bytes <- t.held_bytes - Memory.Heap.length buf;
+      enqueue t buf;
+      drain t
+  | _ -> ()
+
+let insert t ~seq b off len =
+  let skip = max 0 (Seqnum.sub t.rcv_nxt seq) in
+  (* The capacity rule counts every byte past [rcv_nxt], held ones too. *)
+  if skip < len && t.held_bytes + (len - skip) <= t.capacity then begin
+    t.held <- place t [] (Seqnum.add seq skip) b (off + skip) (len - skip) t.held;
+    drain t
+  end
+
+let restart t ~rcv_nxt =
+  List.iter (fun (_, buf) -> Memory.Heap.free buf) t.held;
+  t.held <- [];
+  t.held_bytes <- 0;
+  t.rcv_nxt <- rcv_nxt
+
+let release t =
+  restart t ~rcv_nxt:t.rcv_nxt;
+  Queue.iter Memory.Heap.free t.queue;
+  Queue.clear t.queue;
+  t.queued_bytes <- 0
 
 let ranges t =
   let rec start = function
     | [] -> []
-    | (s, p) :: rest -> extend s (Seqnum.add s (String.length p)) rest
+    | h :: rest -> extend (fst h) (held_end h) rest
   and extend left right = function
-    | (s, p) :: rest when s = right -> extend left (Seqnum.add s (String.length p)) rest
+    | ((s, _) as h) :: rest when s = right -> extend left (held_end h) rest
     | rest -> (left, right) :: start rest
   in
-  start t.segments
-
-let pop_ready t =
-  match t.segments with
-  | (seq, payload) :: rest when seq = t.rcv_nxt ->
-      t.segments <- rest;
-      t.buffered <- t.buffered - String.length payload;
-      t.rcv_nxt <- Seqnum.add t.rcv_nxt (String.length payload);
-      Some payload
-  | _ -> None
+  start t.held

@@ -55,11 +55,13 @@ type tx_seg = {
 }
 
 (* The connection control block. Everything the state machine reads or
-   writes per segment is a plain mutable field; the estimator and the
-   controller are small records of their own ([Rto], [Cc]). A closed
-   connection keeps its record (applications may still read the
-   receive queue and counters); the introspection functions below
-   report a closed connection's window, flight and RTT as empty. *)
+   writes per segment is a plain mutable field; the estimator, the
+   controller and the receive side are records of their own ([Rto],
+   [Cc], [Reassembly]). A closed connection keeps its record: until the
+   app closes it too, the app may still pop the receive queue (a read
+   after a reset) and read the counters; the introspection functions
+   below report a closed connection's window, flight and RTT as
+   empty. *)
 type conn = {
   stack : t;
   uid : int;
@@ -90,9 +92,7 @@ type conn = {
   mutable rto_seq : int; (* seq of the live RTO entry in [stack.timers], -1 = none *)
   mutable retransmit_count : int;
   (* --- receive side --- *)
-  mutable reasm : Reassembly.t option; (* None until sequence space known *)
-  recv_q : Memory.Heap.buffer Queue.t;
-  mutable recv_q_bytes : int;
+  rx : Reassembly.t; (* at [rcv_nxt] 0 until [establish] *)
   mutable eof_delivered_to_q : bool;
   mutable ack_pending : bool;
   mutable tw_seq : int; (* seq of the live TIME_WAIT entry, -1 = none *)
@@ -247,17 +247,14 @@ let my_wscale t = t.config.window_scale
 
 let advertised_window conn =
   let t = conn.stack in
-  let buffered =
-    conn.recv_q_bytes + match conn.reasm with Some r -> Reassembly.buffered_bytes r | None -> 0
-  in
+  let buffered = Reassembly.queued_bytes conn.rx + Reassembly.held_bytes conn.rx in
   max 0 (t.config.rwnd_capacity - buffered)
 
 let window_field conn ~syn =
   let w = advertised_window conn in
   if syn then min w 0xffff else min 0xffff (w lsr my_wscale conn.stack)
 
-let rcv_nxt conn =
-  match conn.reasm with Some r -> Reassembly.rcv_nxt r | None -> 0
+let rcv_nxt conn = Reassembly.rcv_nxt conn.rx
 
 (* Up to 3 blocks of buffered out-of-order data (the most that fit
    beside timestamps). *)
@@ -284,8 +281,7 @@ let emit conn ~seq ~syn ~ack_flag ~fin ~rst ~psh =
   end
   else begin
     th.Net.Tcp_wire.has_ts <- conn.ts_on;
-    if conn.sack_on && ack_flag then
-      match conn.reasm with Some reasm -> fill_sack th 0 (Reassembly.ranges reasm) | None -> ()
+    if conn.sack_on && ack_flag then fill_sack th 0 (Reassembly.ranges conn.rx)
   end;
   if th.Net.Tcp_wire.has_ts then begin
     th.Net.Tcp_wire.ts_val <- ts_now t;
@@ -463,9 +459,7 @@ let make_conn t ~local_ip ~local_port ~remote_ip ~remote_port ~state ~parent_lis
       unsent_end = iss;
       rto_seq = -1;
       retransmit_count = 0;
-      reasm = None;
-      recv_q = Queue.create ();
-      recv_q_bytes = 0;
+      rx = Reassembly.create ~heap:t.heap ~capacity:t.config.rwnd_capacity;
       eof_delivered_to_q = false;
       ack_pending = false;
       tw_seq = -1;
@@ -482,13 +476,24 @@ let release_tx_resources conn =
   Queue.clear conn.unacked;
   Queue.clear conn.unsent
 
-let destroy conn =
+(* Held bytes can never be popped once the connection is closed; the
+   queue is freed only once the app has closed too ([app_closed]), as
+   it may still pop it after a reset. *)
+let destroy conn ~app_closed =
   release_tx_resources conn;
+  if app_closed then Reassembly.release conn.rx
+  else Reassembly.restart conn.rx ~rcv_nxt:(Reassembly.rcv_nxt conn.rx);
   cancel_rto conn;
   cancel_time_wait conn;
   (* Any queued delayed-ack entry becomes a no-op. *)
   conn.ack_pending <- false;
   Conntab.remove conn.stack.conns ~ka:(conn_ka conn) ~kb:conn.remote_ip
+
+(* Only [tcp_close] sends our FIN, so in these states the app has
+   closed the connection. *)
+let app_closed = function
+  | Fin_wait_1 | Fin_wait_2 | Closing | Last_ack | Time_wait -> true
+  | Syn_sent | Syn_received | Established_st | Close_wait | Closed_st -> false
 
 let to_closed conn ~reset =
   let was_closed = conn.state = Closed_st in
@@ -496,8 +501,9 @@ let to_closed conn ~reset =
      match conn.parent_listener with
      | Some l -> l.syn_pending <- max 0 (l.syn_pending - 1)
      | None -> ());
+  let app_closed = app_closed conn.state in
   conn.state <- Closed_st;
-  destroy conn;
+  destroy conn ~app_closed;
   if not was_closed then begin
     if reset then
       conn.stack.trace "conn %d: reset" conn.uid 0;
@@ -611,7 +617,8 @@ let tcp_close conn =
       conn.state <- Fin_wait_1;
       conn.fin_pending <- true;
       try_transmit conn
-  | Fin_wait_1 | Fin_wait_2 | Closing | Last_ack | Time_wait | Closed_st -> ()
+  | Closed_st -> Reassembly.release conn.rx
+  | Fin_wait_1 | Fin_wait_2 | Closing | Last_ack | Time_wait -> ()
 
 let tcp_abort conn =
   (match conn.state with
@@ -619,7 +626,8 @@ let tcp_abort conn =
   | Syn_sent | Syn_received | Established_st | Fin_wait_1 | Fin_wait_2 | Close_wait | Closing
   | Last_ack | Time_wait ->
       emit_segment conn ~seq:conn.snd_nxt ~syn:false ~ack_flag:true ~fin:false ~rst:true);
-  to_closed conn ~reset:false
+  to_closed conn ~reset:false;
+  Reassembly.release conn.rx
 
 let tcp_unlisten l =
   l.l_open <- false;
@@ -628,11 +636,7 @@ let tcp_unlisten l =
   Queue.clear l.accept_q
 
 let tcp_recv conn =
-  if not (Queue.is_empty conn.recv_q) then begin
-    let buf = Queue.pop conn.recv_q in
-    conn.recv_q_bytes <- conn.recv_q_bytes - Memory.Heap.length buf;
-    `Data buf
-  end
+  if not (Reassembly.is_empty conn.rx) then `Data (Reassembly.pop conn.rx)
   else if conn.eof_delivered_to_q then `Eof
   else `Nothing
 
@@ -776,38 +780,10 @@ let process_ack conn th ~payload_len =
 
 (* ---------- receive path ---------- *)
 
-(* Copy [len] received bytes into a fresh heap buffer at the tail of
-   the receive queue — the one receive-side copy. *)
-let enqueue_recv conn src off len =
-  let buf = Memory.Heap.alloc conn.stack.heap len in
-  (* Device DMA: the NIC writes the in-order payload into a DMA-heap buffer, the one
-     receive-side copy; charged per frame through Net.Cost. *)
-  Bytes.blit src off (Memory.Heap.data buf) (Memory.Heap.offset buf) len;
-  Memory.Heap.set_length buf len;
-  Queue.add buf conn.recv_q;
-  conn.recv_q_bytes <- conn.recv_q_bytes + len
-
-let deliver_ready conn reasm =
-  let delivered = ref false in
-  let rec drain () =
-    match Reassembly.pop_ready reasm with
-    | Some chunk ->
-        enqueue_recv conn (Bytes.unsafe_of_string chunk) 0 (String.length chunk);
-        delivered := true;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  if !delivered then conn.stack.events conn.readable
-
 (* Take the peer's SYN options from its (RX) header [th]. *)
 let establish conn th =
   let t = conn.stack in
-  conn.reasm <-
-    Some
-      (Reassembly.create
-         ~rcv_nxt:(Seqnum.add th.Net.Tcp_wire.seq 1)
-         ~capacity:t.config.rwnd_capacity);
+  Reassembly.restart conn.rx ~rcv_nxt:(Seqnum.add th.Net.Tcp_wire.seq 1);
   if th.Net.Tcp_wire.mss >= 0 then conn.peer_mss <- th.Net.Tcp_wire.mss;
   conn.peer_wscale <-
     (if th.Net.Tcp_wire.window_scale >= 0 then min th.Net.Tcp_wire.window_scale 14 else 0);
@@ -818,58 +794,38 @@ let establish conn th =
   else conn.ts_on <- false;
   conn.sack_on <- t.config.use_sack && th.Net.Tcp_wire.sack_permitted
 
-(* [len] payload bytes at [off] in the frame [b]. The next in-order
-   segment with nothing buffered out of order (the steady stream) is
-   copied straight from the frame into the receive queue; every other
-   segment goes through [Reassembly] as a string. *)
+(* [len] payload bytes at [off] in the frame [b]; [Reassembly.insert]
+   copies the new ones out of it, once. *)
 let process_payload conn th b off len =
   if conn.ts_on && th.Net.Tcp_wire.has_ts then conn.ts_recent <- th.Net.Tcp_wire.ts_val;
-  match conn.reasm with
-  | None -> ()
-  | Some reasm ->
-      let seq = th.Net.Tcp_wire.seq in
-      let had_payload = len > 0 in
-      let expected = Reassembly.rcv_nxt reasm in
-      if had_payload then begin
-        if Reassembly.take_in_order reasm ~seq ~len then begin
-          enqueue_recv conn b off len;
-          conn.stack.events conn.readable
-        end
-        else begin
-          (* Uncharged host copy of the simulator's representation: an out-of-order
-             segment is held as a string until the gap fills (loss recovery only). *)
-          Reassembly.insert reasm ~seq (Bytes.sub_string b off len);
-          deliver_ready conn reasm
-        end
-      end;
-      let advanced = Seqnum.lt expected (Reassembly.rcv_nxt reasm) in
-      (* FIN consumes one sequence number after the payload. *)
-      if th.Net.Tcp_wire.fin then begin
-        let fin_seq = Seqnum.add seq len in
-        if fin_seq = Reassembly.rcv_nxt reasm && not conn.eof_delivered_to_q then begin
-          (* All data before the FIN has been delivered. *)
-          conn.reasm <-
-            Some
-              (Reassembly.create
-                 ~rcv_nxt:(Seqnum.add fin_seq 1)
-                 ~capacity:conn.stack.config.rwnd_capacity);
-          conn.eof_delivered_to_q <- true;
-          (match conn.state with
-          | Established_st -> conn.state <- Close_wait
-          | Fin_wait_1 -> if fin_acked conn then enter_time_wait conn else conn.state <- Closing
-          | Fin_wait_2 -> enter_time_wait conn
-          | Syn_sent | Syn_received | Close_wait | Closing | Last_ack | Time_wait | Closed_st ->
-              ());
-          conn.stack.events conn.readable;
-          send_ack conn
-        end
-        else send_ack conn
-      end
-      else if had_payload then begin
-        if advanced then mark_ack_pending conn
-          (* In-order data: cumulative ack at the end of the poll burst. *)
-        else send_ack conn (* duplicate or out-of-order: dup-ack now *)
-      end
+  let rx = conn.rx in
+  let seq = th.Net.Tcp_wire.seq in
+  let expected = Reassembly.rcv_nxt rx in
+  if len > 0 then Reassembly.insert rx ~seq b off len;
+  let advanced = Seqnum.lt expected (Reassembly.rcv_nxt rx) in
+  if advanced then conn.stack.events conn.readable;
+  (* FIN consumes one sequence number after the payload. *)
+  if th.Net.Tcp_wire.fin then begin
+    let fin_seq = Seqnum.add seq len in
+    if fin_seq = Reassembly.rcv_nxt rx && not conn.eof_delivered_to_q then begin
+      (* All data before the FIN has been delivered. *)
+      Reassembly.restart rx ~rcv_nxt:(Seqnum.add fin_seq 1);
+      conn.eof_delivered_to_q <- true;
+      (match conn.state with
+      | Established_st -> conn.state <- Close_wait
+      | Fin_wait_1 -> if fin_acked conn then enter_time_wait conn else conn.state <- Closing
+      | Fin_wait_2 -> enter_time_wait conn
+      | Syn_sent | Syn_received | Close_wait | Closing | Last_ack | Time_wait | Closed_st -> ());
+      conn.stack.events conn.readable;
+      send_ack conn
+    end
+    else send_ack conn
+  end
+  else if len > 0 then begin
+    if advanced then mark_ack_pending conn
+      (* In-order data: cumulative ack at the end of the poll burst. *)
+    else send_ack conn (* duplicate or out-of-order: dup-ack now *)
+  end
 
 let handle_existing conn th b off len =
   let t = conn.stack in
@@ -1113,8 +1069,8 @@ let conn_cwnd conn = if conn.state = Closed_st then 0 else Cc.cwnd conn.cc
 let conn_srtt conn = if conn.state = Closed_st then None else Rto.srtt conn.rto
 let conn_bytes_in_flight conn = if conn.state = Closed_st then 0 else bytes_in_flight conn
 let conn_retransmits conn = conn.retransmit_count
-let conn_recv_queue_bytes conn = conn.recv_q_bytes
-let conn_at_eof conn = conn.eof_delivered_to_q && Queue.is_empty conn.recv_q
+let conn_recv_queue_bytes conn = Reassembly.queued_bytes conn.rx
+let conn_at_eof conn = conn.eof_delivered_to_q && Reassembly.is_empty conn.rx
 
 (* Aggregate gauges for Demiscope timelines: summed over live
    connections in sorted-key order: (local port, remote ip, remote

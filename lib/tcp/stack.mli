@@ -167,10 +167,13 @@ val tcp_send : conn -> ?push_id:int -> Memory.Heap.buffer list -> unit
 
 val tcp_recv : conn -> [ `Data of Memory.Heap.buffer | `Eof | `Nothing ]
 val tcp_close : conn -> unit
-(** Graceful close (FIN after queued data). *)
+(** Graceful close (FIN after queued data). The app is done with the
+    connection: received buffers it never popped are freed once the
+    connection is [Closed_st]. *)
 
 val tcp_abort : conn -> unit
-(** Hard close: send RST, drop state. *)
+(** Hard close: send RST, drop state, free the received buffers the app
+    never popped. *)
 
 (** {1 Timer arming}
 
@@ -197,7 +200,9 @@ val conn_remote : conn -> Net.Addr.endpoint
 (** Once a connection is [Closed_st], {!conn_cwnd} and
     {!conn_bytes_in_flight} read 0, {!conn_srtt} reads [None] and
     {!send_mss} reads the config MSS; {!tcp_send} raises and
-    {!tcp_close}/{!tcp_abort} do nothing. *)
+    {!tcp_close}/{!tcp_abort} send nothing and only free the received
+    buffers still queued. Until the app closes it, the app may pop
+    those buffers (a read after a reset). *)
 
 val conn_cwnd : conn -> int
 val conn_srtt : conn -> int option

@@ -101,46 +101,67 @@ let test_cc_none_unbounded () =
   Tcp.Cc.on_timeout cc;
   check_bool "effectively unbounded" true (Tcp.Cc.cwnd cc > 1 lsl 40)
 
-(* --- Reassembly --- *)
+(* --- Reassembly ---
+
+   A receive side over a small test heap. [insert] offers a payload the
+   way a frame carries it, behind a header; [pop_string] pops the next
+   queued buffer as a string and frees it. *)
+
+let reasm ?(rcv_nxt = 0) ~capacity () =
+  let heap = Memory.Heap.create ~mode:Memory.Heap.Pool_backed () in
+  let r = Tcp.Reassembly.create ~heap ~capacity in
+  Tcp.Reassembly.restart r ~rcv_nxt;
+  (heap, r)
+
+let insert r ~seq payload =
+  Tcp.Reassembly.insert r ~seq (Bytes.of_string ("hdr:" ^ payload)) 4 (String.length payload)
+
+let pop_string r =
+  if Tcp.Reassembly.is_empty r then None
+  else
+    let buf = Tcp.Reassembly.pop r in
+    let s = Memory.Heap.to_string buf in
+    Memory.Heap.free buf;
+    Some s
+
+let rec drain_strings r acc =
+  match pop_string r with Some s -> drain_strings r (acc ^ s) | None -> acc
 
 let test_reasm_in_order () =
-  let r = Tcp.Reassembly.create ~rcv_nxt:100 ~capacity:1024 in
-  Tcp.Reassembly.insert r ~seq:100 "abc";
-  Alcotest.(check (option string)) "ready" (Some "abc") (Tcp.Reassembly.pop_ready r);
+  let _, r = reasm ~rcv_nxt:100 ~capacity:1024 () in
+  insert r ~seq:100 "abc";
+  Alcotest.(check (option string)) "ready" (Some "abc") (pop_string r);
   check_int "rcv_nxt advanced" 103 (Tcp.Reassembly.rcv_nxt r);
-  Alcotest.(check (option string)) "drained" None (Tcp.Reassembly.pop_ready r)
+  Alcotest.(check (option string)) "drained" None (pop_string r)
 
 let test_reasm_gap () =
-  let r = Tcp.Reassembly.create ~rcv_nxt:0 ~capacity:1024 in
-  Tcp.Reassembly.insert r ~seq:5 "fghij";
-  Alcotest.(check (option string)) "hole blocks" None (Tcp.Reassembly.pop_ready r);
-  check_int "buffered" 5 (Tcp.Reassembly.buffered_bytes r);
-  Tcp.Reassembly.insert r ~seq:0 "abcde";
-  Alcotest.(check (option string)) "first" (Some "abcde") (Tcp.Reassembly.pop_ready r);
-  Alcotest.(check (option string)) "second" (Some "fghij") (Tcp.Reassembly.pop_ready r)
+  let _, r = reasm ~capacity:1024 () in
+  insert r ~seq:5 "fghij";
+  Alcotest.(check (option string)) "hole blocks" None (pop_string r);
+  check_int "buffered" 5 (Tcp.Reassembly.held_bytes r);
+  insert r ~seq:0 "abcde";
+  Alcotest.(check (option string)) "first" (Some "abcde") (pop_string r);
+  Alcotest.(check (option string)) "second" (Some "fghij") (pop_string r)
 
 let test_reasm_duplicate () =
-  let r = Tcp.Reassembly.create ~rcv_nxt:0 ~capacity:1024 in
-  Tcp.Reassembly.insert r ~seq:0 "abc";
-  ignore (Tcp.Reassembly.pop_ready r);
-  Tcp.Reassembly.insert r ~seq:0 "abc" (* full retransmission *);
-  Alcotest.(check (option string)) "no duplicate delivery" None (Tcp.Reassembly.pop_ready r)
+  let _, r = reasm ~capacity:1024 () in
+  insert r ~seq:0 "abc";
+  ignore (pop_string r);
+  insert r ~seq:0 "abc" (* full retransmission *);
+  Alcotest.(check (option string)) "no duplicate delivery" None (pop_string r)
 
 let test_reasm_overlap () =
-  let r = Tcp.Reassembly.create ~rcv_nxt:0 ~capacity:1024 in
-  Tcp.Reassembly.insert r ~seq:2 "cde";
-  Tcp.Reassembly.insert r ~seq:0 "abcd" (* overlaps the tail *);
-  let rec drain acc =
-    match Tcp.Reassembly.pop_ready r with Some s -> drain (acc ^ s) | None -> acc
-  in
-  Alcotest.(check string) "merged once" "abcde" (drain "")
+  let _, r = reasm ~capacity:1024 () in
+  insert r ~seq:2 "cde";
+  insert r ~seq:0 "abcd" (* overlaps the tail *);
+  Alcotest.(check string) "merged once" "abcde" (drain_strings r "")
 
 let reasm_permutation =
   QCheck.Test.make ~name:"reassembly handles any arrival order" ~count:200
     QCheck.(pair (string_of_size (Gen.int_range 1 200)) (int_bound 1000))
     (fun (data, salt) ->
       let chunk = 7 in
-      let r = Tcp.Reassembly.create ~rcv_nxt:0 ~capacity:4096 in
+      let heap, r = reasm ~capacity:4096 () in
       let pieces = ref [] in
       let n = String.length data in
       let rec cut off =
@@ -160,11 +181,10 @@ let reasm_permutation =
         arr.(i) <- arr.(j);
         arr.(j) <- tmp
       done;
-      Array.iter (fun (seq, s) -> Tcp.Reassembly.insert r ~seq s) arr;
-      let rec drain acc =
-        match Tcp.Reassembly.pop_ready r with Some s -> drain (acc ^ s) | None -> acc
-      in
-      drain "" = data)
+      Array.iter (fun (seq, s) -> insert r ~seq s) arr;
+      let read = drain_strings r "" in
+      Tcp.Reassembly.release r;
+      read = data && Memory.Heap.live_objects heap = 0)
 
 (* --- Two-stack harness ---
 
@@ -588,10 +608,10 @@ let test_reordering_via_latency () =
 (* --- SACK (RFC 2018) --- *)
 
 let test_reassembly_ranges () =
-  let r = Tcp.Reassembly.create ~rcv_nxt:0 ~capacity:4096 in
-  Tcp.Reassembly.insert r ~seq:10 "aaaaa";
-  Tcp.Reassembly.insert r ~seq:15 "bbbbb" (* contiguous: coalesces *);
-  Tcp.Reassembly.insert r ~seq:30 "ccccc";
+  let _, r = reasm ~capacity:4096 () in
+  insert r ~seq:10 "aaaaa";
+  insert r ~seq:15 "bbbbb" (* contiguous: coalesces *);
+  insert r ~seq:30 "ccccc";
   Alcotest.(check (list (pair int int))) "coalesced ranges" [ (10, 20); (30, 35) ]
     (Tcp.Reassembly.ranges r)
 
@@ -599,12 +619,12 @@ let reasm_ranges_cover_buffered =
   QCheck.Test.make ~name:"reassembly ranges cover exactly the buffered bytes" ~count:200
     QCheck.(list_of_size (Gen.int_range 1 30) (int_bound 300))
     (fun seqs ->
-      let r = Tcp.Reassembly.create ~rcv_nxt:0 ~capacity:100_000 in
-      List.iter (fun seq -> Tcp.Reassembly.insert r ~seq:(seq + 1) "xxxxx") seqs;
+      let _, r = reasm ~capacity:100_000 () in
+      List.iter (fun seq -> insert r ~seq:(seq + 1) "xxxxx") seqs;
       let covered =
         List.fold_left (fun n (l, rr) -> n + Tcp.Seqnum.sub rr l) 0 (Tcp.Reassembly.ranges r)
       in
-      covered = Tcp.Reassembly.buffered_bytes r)
+      covered = Tcp.Reassembly.held_bytes r)
 
 (* Drop several data segments out of a large burst and count the
    retransmissions needed to finish; selective acks must recover with
@@ -1372,10 +1392,14 @@ let tcp_recv_reads_back =
         plan;
       Pair.recv_all cb = data)
 
-(* The in-order receive path copies the payload once, frame to receive
-   buffer: a 1448-byte segment must cost fewer minor words than the
-   1448-byte intermediate string alone (182 words), and the bytes-moved
-   meter must move by exactly one payload. *)
+(* The receive path copies the payload once, frame to receive buffer:
+   a 1448-byte segment must cost fewer minor words than a 1448-byte
+   intermediate string alone (182 words), and the bytes-moved meter
+   must move by exactly one payload. In order, that holds per segment.
+   Out of order (segments 1-9, then 0), each held segment is copied
+   into its own heap buffer, and the segment that fills the gap moves
+   only its own payload: the held buffers join the receive queue as
+   they are, one per segment. *)
 let test_in_order_receive_words () =
   let p, ca, cb, seq0, ack = pair_with_stream_origin () in
   let src_port = (Tcp.Stack.conn_local ca).Net.Addr.port in
@@ -1404,7 +1428,70 @@ let test_in_order_receive_words () =
     frames;
   let per_segment = !words / (n - warmup) in
   if per_segment >= 182 then
-    Alcotest.failf "%d minor words per in-order 1448-byte segment (bound 182)" per_segment
+    Alcotest.failf "%d minor words per in-order 1448-byte segment (bound 182)" per_segment;
+  let p, ca, cb, seq0, ack = pair_with_stream_origin () in
+  let src_port = (Tcp.Stack.conn_local ca).Net.Addr.port in
+  let dst_port = (Tcp.Stack.conn_local cb).Net.Addr.port in
+  let frames =
+    Array.init n (fun i ->
+        Pair.frame p
+          (data_frame ~src_port ~dst_port ~seq:(Tcp.Seqnum.add seq0 (i * 1448)) ~ack
+             (String.make 1448 'o')))
+  in
+  let words = ref 0 in
+  for i = 1 to n - 1 do
+    let before = Gc.minor_words () in
+    Tcp.Stack.input p.Pair.b frames.(i);
+    let after = Gc.minor_words () in
+    if i > warmup then words := !words + int_of_float (after -. before)
+  done;
+  check_int "held past the gap" 0 (Tcp.Stack.conn_recv_queue_bytes cb);
+  let moved0 = Engine.Copies.moved () in
+  Tcp.Stack.input p.Pair.b frames.(0);
+  check_int "bytes moved filling the gap: one payload" 1448 (Engine.Copies.moved () - moved0);
+  for _ = 1 to n do
+    match Tcp.Stack.tcp_recv cb with
+    | `Data b ->
+        check_int "one buffer per segment" 1448 (Memory.Heap.length b);
+        Memory.Heap.free b
+    | `Eof | `Nothing -> Alcotest.fail "segment not delivered"
+  done;
+  let per_held = !words / (n - 1 - warmup) in
+  if per_held >= 182 then
+    Alcotest.failf "%d minor words per held 1448-byte segment (bound 182)" per_held
+
+(* Received bytes never outlive their connection. A queued segment and
+   one held past a gap are both freed when the receiver aborts; when
+   the peer resets the connection instead, the held segment is freed
+   but the queued one stays for the app to pop, until the app
+   closes. *)
+let test_receive_freed_on_close () =
+  let segment p ca cb seq0 ack i =
+    let src_port = (Tcp.Stack.conn_local ca).Net.Addr.port in
+    let dst_port = (Tcp.Stack.conn_local cb).Net.Addr.port in
+    Tcp.Stack.input p.Pair.b
+      (Pair.frame p
+         (data_frame ~src_port ~dst_port ~seq:(Tcp.Seqnum.add seq0 (i * 100)) ~ack
+            (String.make 100 'h')))
+  in
+  let p, ca, cb, seq0, ack = pair_with_stream_origin () in
+  segment p ca cb seq0 ack 0;
+  segment p ca cb seq0 ack 2;
+  check_int "abort: one segment queued, one held" 2 (Memory.Heap.live_objects p.Pair.heap_b);
+  Tcp.Stack.tcp_abort cb;
+  check_int "abort: nothing live in the receiving heap" 0
+    (Memory.Heap.live_objects p.Pair.heap_b);
+  let p, ca, cb, seq0, ack = pair_with_stream_origin () in
+  segment p ca cb seq0 ack 0;
+  segment p ca cb seq0 ack 2;
+  check_int "reset: one segment queued, one held" 2 (Memory.Heap.live_objects p.Pair.heap_b);
+  Tcp.Stack.tcp_abort ca;
+  Pair.run p;
+  check_bool "reset: receiver closed" true (Tcp.Stack.conn_state cb = Tcp.Stack.Closed_st);
+  check_int "reset: the queued segment stays" 100 (Tcp.Stack.conn_recv_queue_bytes cb);
+  check_int "reset: the held one is freed" 1 (Memory.Heap.live_objects p.Pair.heap_b);
+  Tcp.Stack.tcp_close cb;
+  check_int "reset: closing frees the queue" 0 (Memory.Heap.live_objects p.Pair.heap_b)
 
 (* Per-ack congestion control allocates nothing, past slow start too:
    for Cubic that is the float state staying unboxed. *)
@@ -1639,6 +1726,8 @@ let suite =
     QCheck_alcotest.to_alcotest tcp_recv_reads_back;
     Alcotest.test_case "in-order receive copies once (minor words)" `Quick
       test_in_order_receive_words;
+    Alcotest.test_case "receive buffers freed on abort and reset" `Quick
+      test_receive_freed_on_close;
     Alcotest.test_case "tcp handshake" `Quick test_handshake;
     Alcotest.test_case "tcp data transfer + ref release" `Quick test_data_transfer;
     Alcotest.test_case "tcp bidirectional" `Quick test_bidirectional;
