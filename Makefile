@@ -63,7 +63,8 @@ observe-smoke:
 # has neither an estimate nor `unresolved` (a fit with r^2 below 0.9,
 # which is not an estimate): either wait_any row (8 and 2048
 # outstanding tokens, one ready), the runtime's PDPIX dispatch row (a
-# push, a pop and two waits on one queue() qd), either observer row
+# push, a pop and two waits on one queue() qd), the token row (one
+# qtoken minted, completed and redeemed), either observer row
 # (one flight note, one span interval recorded into a full Engine.Log
 # ring), or any
 # scheduling-substrate row (one fiber sleep, one condvar wait+broadcast,
@@ -81,6 +82,8 @@ micro-smoke:
 	done
 	@grep -Eq "runtime: push\+pop\+wait, queue\(\) qd $(MICRO_CELL)" out/micro.txt \
 	  || { echo "micro-smoke: runtime push+pop+wait row missing from out/micro.txt" >&2; exit 1; }
+	@grep -Eq "runtime: qtoken mint\+complete\+redeem $(MICRO_CELL)" out/micro.txt \
+	  || { echo "micro-smoke: runtime qtoken mint+complete+redeem row missing from out/micro.txt" >&2; exit 1; }
 	@for row in "flight note" "span interval"; do \
 	  grep -Eq "log: record, $$row $(MICRO_CELL)" out/micro.txt \
 	    || { echo "micro-smoke: log row '$$row' missing from out/micro.txt" >&2; exit 1; }; \

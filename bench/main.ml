@@ -139,6 +139,23 @@ let micro_tests () =
            ignore (node.Demikernel.Boot.api.Demikernel.Pdpix.wait_any qts);
            qts.(i) <- Demikernel.Runtime.fresh_token rt))
   in
+  let token_life =
+    (* One qtoken's whole life on a runtime with 64 others pending:
+       mint, complete and redeem, as a device completion and a [wait]
+       on a ready token run them. *)
+    let sim = Engine.Sim.create () in
+    let fabric = Net.Fabric.create sim ~cost:Net.Cost.bare_metal () in
+    let node = Demikernel.Boot.make sim fabric ~index:1 Demikernel.Boot.Catnip_os in
+    let rt = node.Demikernel.Boot.rt in
+    for _ = 1 to 64 do
+      ignore (Demikernel.Runtime.fresh_token rt)
+    done;
+    Test.make ~name:"runtime: qtoken mint+complete+redeem"
+      (Staged.stage (fun () ->
+           let qt = Demikernel.Runtime.fresh_token rt in
+           Demikernel.Runtime.complete rt qt Demikernel.Pdpix.Pushed;
+           ignore (Demikernel.Runtime.redeem rt qt)))
+  in
   let queue_cycle =
     (* The runtime's PDPIX dispatch alone, with free libcalls as above:
        each run pushes one buffer into a [queue()] qd, pops it and
@@ -194,7 +211,7 @@ let micro_tests () =
     let cv = Engine.Condvar.create sim in
     Engine.Fiber.spawn sim (fun () ->
         while true do
-          ignore (Engine.Condvar.wait_many sim [ cv ] ~timeout:None)
+          ignore (Engine.Condvar.wait_many sim [ cv ] ~timeout:max_int)
         done);
     Engine.Sim.run sim;
     Test.make ~name:"condvar: wait+broadcast"
@@ -206,18 +223,18 @@ let micro_tests () =
     let q = Engine.Eventq.create () in
     let fn () = () in
     for i = 1 to 64 do
-      ignore (Engine.Eventq.add q ~time:i fn : int)
+      ignore (Engine.Eventq.add q ~time:i fn 0 : int)
     done;
     let clock = ref 0 in
     Test.make ~name:"eventq: add+pop (64 pending)"
       (Staged.stage (fun () ->
            incr clock;
-           ignore (Engine.Eventq.add q ~time:(!clock + 64) fn : int);
+           ignore (Engine.Eventq.add q ~time:(!clock + 64) fn 0 : int);
            ignore (Engine.Eventq.pop q : unit -> unit)))
   in
   [
     sched_switch; waker; checksum; tcp_rx; heap_ops; hdr; wait_any ~tokens:8; wait_any ~tokens:2048;
-    queue_cycle;
+    token_life; queue_cycle;
     log_record "flight note" flight_note; log_record "span interval" span_interval; fiber_sleep;
     condvar_cycle; eventq;
   ]

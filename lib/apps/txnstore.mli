@@ -14,8 +14,19 @@
     replies are [\[1\]\[u32 version\]\[value\]] (GET hit), [\[0\]]
     (GET miss or a malformed request) and [\[1\]] (PUT ack). *)
 
+val get_len : string -> int
+val put_len : string -> string -> int
+(** The length of a GET request for a key, of a PUT for a key and
+    value. *)
+
+val write_get : Bytes.t -> int -> string -> unit
+val write_put : Bytes.t -> int -> string -> version:int -> string -> unit
+(** Write a request at an offset of a buffer with room for it: how a
+    sender writes each request once, in place. *)
+
 val encode_get : string -> string
 val encode_put : string -> version:int -> string -> string
+(** A request as a fresh string. *)
 
 (** {1 Store} — one per replica, the same for the PDPIX server and
     both baselines, so every replica behaves identically. *)

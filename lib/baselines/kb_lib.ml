@@ -95,7 +95,7 @@ let make_port profile sim fabric ~index =
             (match Net.Dpdk_sim.rx_take nic ~max:32 with
             | 0 ->
                 ignore
-                  (Engine.Condvar.wait_many sim [ Net.Dpdk_sim.rx_signal nic ] ~timeout:None)
+                  (Engine.Condvar.wait_many sim [ Net.Dpdk_sim.rx_signal nic ] ~timeout:max_int)
             | n -> forward n);
             loop ()
           in
@@ -178,7 +178,7 @@ let spawn_echo_server profile sim fabric ~index =
   Engine.Fiber.spawn sim ~name:(profile.name ^ "-server") (fun () ->
       let rec loop () =
         if not (port.drain (fun ~src b off len -> port.send ~dst:src b off len)) then
-          ignore (Engine.Condvar.wait_many sim [ port.signal ] ~timeout:None);
+          ignore (Engine.Condvar.wait_many sim [ port.signal ] ~timeout:max_int);
         loop ()
       in
       loop ());
@@ -197,7 +197,7 @@ let echo profile sim fabric ~server_index ~client_index ~msg_size ~count ~record
           let rec await () =
             if not !got then begin
               if not (client.drain (fun ~src:_ _ _ _ -> got := true)) then
-                ignore (Engine.Condvar.wait_many sim [ client.signal ] ~timeout:None);
+                ignore (Engine.Condvar.wait_many sim [ client.signal ] ~timeout:max_int);
               await ()
             end
           in
@@ -256,7 +256,7 @@ let echo_open_loop profile sim fabric ~server_index ~client_index ~msg_size ~rat
             let wake = if Engine.Sim.now sim < deadline then min !next_send grace else grace in
             ignore
               (Engine.Condvar.wait_many sim [ client.signal ]
-                 ~timeout:(Some (max 1 (wake - Engine.Sim.now sim))))
+                 ~timeout:(max 1 (wake - Engine.Sim.now sim)))
           end;
           loop ()
         end

@@ -44,7 +44,7 @@ let testpmd_echo sim fabric ~server_index ~client_index ~msg_size ~count ~record
         (match Net.Dpdk_sim.rx_take server_nic ~max:32 with
         | 0 ->
             ignore
-              (Engine.Condvar.wait_many sim [ Net.Dpdk_sim.rx_signal server_nic ] ~timeout:None)
+              (Engine.Condvar.wait_many sim [ Net.Dpdk_sim.rx_signal server_nic ] ~timeout:max_int)
         | n -> forward n);
         loop ()
       in
@@ -64,7 +64,7 @@ let testpmd_echo sim fabric ~server_index ~client_index ~msg_size ~count ~record
             | 0 ->
                 ignore
                   (Engine.Condvar.wait_many sim [ Net.Dpdk_sim.rx_signal client_nic ]
-                     ~timeout:None);
+                     ~timeout:max_int);
                 await ()
             | _ ->
                 Memory.Heap.free (Net.Dpdk_sim.rx client_nic);
@@ -120,7 +120,7 @@ let perftest_pingpong sim fabric ~server_index ~client_index ~msg_size ~count ~r
   Engine.Fiber.spawn sim ~name:"perftest-server" (fun () ->
       let rec loop () =
         if Net.Rdma_sim.drain_cq server ~max:8 serve = 0 then
-          ignore (Engine.Condvar.wait_many sim [ Net.Rdma_sim.cq_signal server ] ~timeout:None);
+          ignore (Engine.Condvar.wait_many sim [ Net.Rdma_sim.cq_signal server ] ~timeout:max_int);
         loop ()
       in
       loop ());
@@ -144,7 +144,7 @@ let perftest_pingpong sim fabric ~server_index ~client_index ~msg_size ~count ~r
             if not !got_reply then begin
               if Net.Rdma_sim.drain_cq client ~max:8 reply = 0 then
                 ignore
-                  (Engine.Condvar.wait_many sim [ Net.Rdma_sim.cq_signal client ] ~timeout:None);
+                  (Engine.Condvar.wait_many sim [ Net.Rdma_sim.cq_signal client ] ~timeout:max_int);
               await ()
             end
           in

@@ -4,9 +4,6 @@ let qp_overhead_ns = 500
 
 let charge sim ns = if ns > 0 then Engine.Fiber.sleep sim ns
 
-let post_string rnic ~dst ~imm s =
-  Net.Rdma_sim.post_send rnic ~dst ~wr_id:0 ~imm (Bytes.unsafe_of_string s) 0 (String.length s)
-
 let make_rnic fabric ~index =
   let rnic =
     Net.Rdma_sim.create fabric ~mac:(Net.Addr.Mac.of_index index)
@@ -48,7 +45,7 @@ let replica sim fabric ~index =
   Engine.Fiber.spawn sim ~name:"txn-rdma-replica" (fun () ->
       let rec loop () =
         if Net.Rdma_sim.drain_cq rnic ~max:16 serve = 0 then
-          ignore (Engine.Condvar.wait_many sim [ Net.Rdma_sim.cq_signal rnic ] ~timeout:None);
+          ignore (Engine.Condvar.wait_many sim [ Net.Rdma_sim.cq_signal rnic ] ~timeout:max_int);
         loop ()
       in
       loop ())
@@ -85,26 +82,32 @@ let ycsb_client sim fabric ~index ~replica_indexes ~keys ~value_size ~txns ~thet
           write_done = (fun ~wr_id:_ ~ok:_ -> ());
         }
       in
-      (* Send one request per listed replica, then collect the matching
-         responses (request ids ride the imm field) as their frames; the
-         caller frees them. *)
-      let rpc_many targets msg =
+      (* Each request is written once into this buffer, grown to the
+         largest request; every post gathers it at once. *)
+      let req = ref (Bytes.create 1024) in
+      let request len =
+        if len > Bytes.length !req then req := Bytes.create len;
+        !req
+      in
+      (* Send the [len]-byte request in [req] to each listed replica,
+         then collect the matching responses (request ids ride the imm
+         field) as their frames; the caller frees them. *)
+      let rpc_many targets len =
         pending :=
           List.map
             (fun target ->
               let id = !next_rpc in
               next_rpc := !next_rpc + 1;
               charge sim
-                (cost.Net.Cost.rdma_post_ns + qp_overhead_ns
-                + Net.Cost.copy_cost_ns cost (String.length msg));
-              post_string rnic ~dst:replicas.(target) ~imm:id msg;
+                (cost.Net.Cost.rdma_post_ns + qp_overhead_ns + Net.Cost.copy_cost_ns cost len);
+              Net.Rdma_sim.post_send rnic ~dst:replicas.(target) ~wr_id:0 ~imm:id !req 0 len;
               id)
             targets;
         responses := [];
         let rec await () =
           if !pending <> [] then begin
             if Net.Rdma_sim.drain_cq rnic ~max:16 collect = 0 then
-              ignore (Engine.Condvar.wait_many sim [ Net.Rdma_sim.cq_signal rnic ] ~timeout:None);
+              ignore (Engine.Condvar.wait_many sim [ Net.Rdma_sim.cq_signal rnic ] ~timeout:max_int);
             await ()
           end
         in
@@ -116,7 +119,9 @@ let ycsb_client sim fabric ~index ~replica_indexes ~keys ~value_size ~txns ~thet
       let get key =
         let target = !rr mod Array.length replicas in
         incr rr;
-        match rpc_many [ target ] (Apps.Txnstore.encode_get key) with
+        let len = Apps.Txnstore.get_len key in
+        Apps.Txnstore.write_get (request len) 0 key;
+        match rpc_many [ target ] len with
         | [ frame ] ->
             let hit =
               Apps.Txnstore.parse_get_view (Memory.Heap.data frame) (Memory.Heap.offset frame)
@@ -129,7 +134,9 @@ let ycsb_client sim fabric ~index ~replica_indexes ~keys ~value_size ~txns ~thet
             None
       in
       let put key ~version v =
-        List.iter Memory.Heap.free (rpc_many all (Apps.Txnstore.encode_put key ~version v))
+        let len = Apps.Txnstore.put_len key v in
+        Apps.Txnstore.write_put (request len) 0 key ~version v;
+        List.iter Memory.Heap.free (rpc_many all len)
       in
       for i = 0 to keys - 1 do
         put (Apps.Workload.key_name i) ~version:1 value

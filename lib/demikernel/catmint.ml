@@ -179,15 +179,16 @@ let pop_next t ch () =
   else if ch.eof then Some (Pdpix.Popped [])
   else None
 
-let charge_sga t sga =
-  (* Zero-copy for DMA-eligible buffers (the device gathers directly
-     from registered memory, exercising get_rkey); small buffers are
-     copied into the command, per the 1 kB threshold (§5.3). *)
-  List.iter
-    (fun buf ->
+(* Zero-copy for DMA-eligible buffers (the device gathers directly
+   from registered memory, exercising get_rkey); small buffers are
+   copied into the command, per the 1 kB threshold (§5.3). Top-level
+   recursion, not a closure per push. *)
+let rec charge_sga t = function
+  | [] -> ()
+  | buf :: rest ->
       if Memory.Heap.is_dma_capable buf then ignore (Memory.Heap.rkey buf)
-      else Host.charge_copy (host t) (Memory.Heap.length buf))
-    sga
+      else Host.charge_copy (host t) (Memory.Heap.length buf);
+      charge_sga t rest
 
 let push t ch sga =
   charge_sga t sga;

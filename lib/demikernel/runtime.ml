@@ -1,13 +1,88 @@
-type token_state = {
-  mutable result : Pdpix.completion; (* [unfinished] until [complete] *)
-  mutable waiter : Dsched.handle;
-      (* a [wait] blocked on this token alone; [Dsched.nobody] if none *)
-  mutable since : int; (* [waiter]'s registration stamp *)
-}
-
 (* The result of a token not yet completed; no completion is physically
    this one. *)
 let unfinished = Pdpix.Failed "unfinished"
+
+(* The token table: every minted, unredeemed qtoken, in one
+   open-addressed table keyed by the qtoken int (linear probing,
+   backward-shift deletion, so no tombstones), its slots held in
+   parallel arrays. Minting, completing and redeeming a token allocate
+   nothing once the arrays have grown to the peak of live tokens. A slot
+   moves when a redemption shifts its cluster back or the table grows,
+   so callers hold a qtoken across a block, never a slot index. *)
+type tokens = {
+  mutable keys : Pdpix.qtoken array; (* 0 = empty; qtokens start at 1 *)
+  mutable results : Pdpix.completion array; (* [unfinished] until [complete] *)
+  mutable waiters : Dsched.handle array;
+      (* a [wait] blocked on this token alone; [Dsched.nobody] if none *)
+  mutable since : int array; (* the waiter's registration stamp *)
+  mutable mask : int; (* capacity - 1; capacity is a power of two *)
+  mutable live : int;
+}
+
+let tokens_create cap =
+  {
+    keys = Array.make cap 0;
+    results = Array.make cap unfinished;
+    waiters = Array.make cap Dsched.nobody;
+    since = Array.make cap 0;
+    mask = cap - 1;
+    live = 0;
+  }
+
+(* Qtokens are minted in sequence, so the home slot mixes the bits:
+   tokens minted together and held together (a burst of pops) scatter
+   instead of forming one long probe cluster. *)
+let home tb qt =
+  let h = qt * 0x2545_F491_4F6C_DD1D in
+  (h lxor (h lsr 29)) land tb.mask
+
+let rec free_slot tb i = if tb.keys.(i) = 0 then i else free_slot tb ((i + 1) land tb.mask)
+
+let place tb i qt result waiter since =
+  tb.keys.(i) <- qt;
+  tb.results.(i) <- result;
+  tb.waiters.(i) <- waiter;
+  tb.since.(i) <- since
+
+let grow_tokens tb =
+  let keys = tb.keys and results = tb.results and waiters = tb.waiters and since = tb.since in
+  let cap = 2 * Array.length keys in
+  tb.keys <- Array.make cap 0;
+  tb.results <- Array.make cap unfinished;
+  tb.waiters <- Array.make cap Dsched.nobody;
+  tb.since <- Array.make cap 0;
+  tb.mask <- cap - 1;
+  Array.iteri
+    (fun i qt ->
+      if qt <> 0 then place tb (free_slot tb (home tb qt)) qt results.(i) waiters.(i) since.(i))
+    keys
+
+let add_token tb qt =
+  if 2 * (tb.live + 1) > Array.length tb.keys then grow_tokens tb;
+  place tb (free_slot tb (home tb qt)) qt unfinished Dsched.nobody 0;
+  tb.live <- tb.live + 1
+
+(* The slot of [qt], or -1. *)
+let rec probe tb qt i =
+  let k = tb.keys.(i) in
+  if k = 0 then -1 else if k = qt then i else probe tb qt ((i + 1) land tb.mask)
+
+(* Empty slot [hole], then pull back every later entry of its cluster
+   that may sit there: one whose home is not cyclically in
+   [(hole, j\]]. *)
+let rec shift_back tb hole j =
+  let j = (j + 1) land tb.mask in
+  let qt = tb.keys.(j) in
+  if qt = 0 then place tb hole 0 unfinished Dsched.nobody 0
+  else if (j - home tb qt) land tb.mask >= (j - hole) land tb.mask then begin
+    place tb hole qt tb.results.(j) tb.waiters.(j) tb.since.(j);
+    shift_back tb j j
+  end
+  else shift_back tb hole j
+
+let remove_slot tb i =
+  shift_back tb i i;
+  tb.live <- tb.live - 1
 
 (* A [wait_any] blocked on its token set. Registering costs one record
    per blocking call, whatever the size of [qts]. *)
@@ -25,7 +100,7 @@ type log = {
 type t = {
   host : Host.t;
   sched : Dsched.t;
-  tokens : (Pdpix.qtoken, token_state) Hashtbl.t;
+  tokens : tokens;
   mutable ready : Pdpix.qtoken array;
       (* The ready list: completed, unredeemed tokens in [0, nready),
          unordered. [complete] pushes, every redemption removes. *)
@@ -71,7 +146,7 @@ let create host =
   {
     host;
     sched = Dsched.create host;
-    tokens = Hashtbl.create 64;
+    tokens = tokens_create 16;
     ready = Array.make 16 0;
     nready = 0;
     watchers = [];
@@ -91,7 +166,7 @@ let sched t = t.sched
 let fresh_token t =
   let qt = t.next_token in
   t.next_token <- t.next_token + 1;
-  Hashtbl.replace t.tokens qt { result = unfinished; waiter = Dsched.nobody; since = 0 };
+  add_token t.tokens qt;
   (* Demitrace op span: opens at submission (every op mints its token at
      submission time), closes in [complete]. The kind is a placeholder
      until the PDPIX wrapper labels it — instantly-completed ops close
@@ -105,10 +180,10 @@ let fresh_token t =
   Engine.Sim.flight_note t.host.Host.sim ~cat:Engine.Log.Libos ~label:"qtoken.open" qt 0;
   qt
 
+(* The slot of a minted, unredeemed token. *)
 let find_token t qt =
-  match Hashtbl.find_opt t.tokens qt with
-  | Some ts -> ts
-  | None -> invalid_arg (Printf.sprintf "unknown or already-redeemed qtoken %d" qt)
+  let i = probe t.tokens qt (home t.tokens qt) in
+  if i < 0 then invalid_arg (Printf.sprintf "unknown or already-redeemed qtoken %d" qt) else i
 
 let next_stamp t =
   t.stamps <- t.stamps + 1;
@@ -143,15 +218,17 @@ let rec index_below (qts : Pdpix.qtoken array) (qt : Pdpix.qtoken) i lim =
 let rec first_ready t qts j best =
   if j >= t.nready then best else first_ready t qts (j + 1) (index_below qts t.ready.(j) 0 best)
 
-let retire t qt =
-  Hashtbl.remove t.tokens qt;
-  drop_ready t qt 0
+(* Redeem the completed token in slot [i]. *)
+let retire t qt i =
+  let result = t.tokens.results.(i) in
+  remove_slot t.tokens i;
+  drop_ready t qt 0;
+  result
 
 let redeem t qt =
-  let ts = find_token t qt in
-  retire t qt;
-  assert (ts.result != unfinished);
-  ts.result
+  let i = find_token t qt in
+  assert (t.tokens.results.(i) != unfinished);
+  retire t qt i
 
 (* The one coroutine a completion wakes. Each token behaves as if it had
    a single waiter slot: the latest registrant holding it, whether a
@@ -173,9 +250,11 @@ let rec wake_stamp t s ws =
   | w :: rest -> if w.stamp = s then Dsched.wake t.sched w.who else wake_stamp t s rest
 
 let complete t qt result =
-  let ts = find_token t qt in
-  assert (ts.result == unfinished);
-  ts.result <- result;
+  let tb = t.tokens in
+  let i = find_token t qt in
+  assert (tb.results.(i) == unfinished);
+  tb.results.(i) <- result;
+  let waiter = tb.waiters.(i) and since = tb.since.(i) in
   push_ready t qt;
   (match Engine.Sim.spans t.host.Host.sim with
   | Some s ->
@@ -185,7 +264,7 @@ let complete t qt result =
   Engine.Sim.flight_note t.host.Host.sim ~cat:Engine.Log.Libos ~label:"qtoken.close" qt
     (match result with Pdpix.Failed _ -> 1 | _ -> 0);
   let s = holder_stamp qt 0 t.watchers in
-  if ts.waiter != Dsched.nobody && ts.since > s then Dsched.wake t.sched ts.waiter
+  if waiter != Dsched.nobody && since > s then Dsched.wake t.sched waiter
   else if s > 0 then wake_stamp t s t.watchers
 
 let completed_token t result =
@@ -205,23 +284,19 @@ let fresh_qd t =
    token up, or writes to it, unless it redeems it. --- *)
 
 (* Top-level recursion over plain slots: a [wait] allocates nothing of
-   its own, however often it re-blocks. *)
-let rec wait_loop t qt ts me =
-  if ts.result != unfinished then begin
-    retire t qt;
-    ts.result
-  end
+   its own, however often it re-blocks. The token's slot is looked up
+   again after each block: others' mints and redemptions move slots. *)
+let rec wait t qt =
+  let tb = t.tokens in
+  let i = find_token t qt in
+  if tb.results.(i) != unfinished then retire t qt i
   else begin
-    ts.waiter <- me;
-    ts.since <- next_stamp t;
+    tb.waiters.(i) <- Dsched.self t.sched;
+    tb.since.(i) <- next_stamp t;
     Dsched.block t.sched;
-    ts.waiter <- Dsched.nobody;
-    wait_loop t qt ts me
+    tb.waiters.(find_token t qt) <- Dsched.nobody;
+    wait t qt
   end
-
-let wait t qt =
-  let ts = find_token t qt in
-  wait_loop t qt ts (Dsched.self t.sched)
 
 (* Conses only while two [wait_any]s are blocked at once; the usual
    one-watcher list unlinks without allocating. *)
@@ -253,10 +328,13 @@ let wait_core t qts ~deadline =
     i
   end
 
-let wait_any t qts =
+let wait_ready t qts =
   if Array.length qts = 0 then
     invalid_arg "wait_any: empty token set";
-  let i = wait_core t qts ~deadline:max_int in
+  wait_core t qts ~deadline:max_int
+
+let wait_any t qts =
+  let i = wait_ready t qts in
   (i, redeem t qts.(i))
 
 let wait_any_timeout t qts ~timeout_ns =
@@ -268,13 +346,14 @@ let wait_any_timeout t qts ~timeout_ns =
      are harmless because we re-scan. *)
   let cancelled = ref false in
   Engine.Sim.schedule t.host.Host.sim ~delay:timeout_ns
-    (fun () ->
+    (fun _ ->
       if not !cancelled then begin
         Dsched.wake t.sched me;
         (* The host fiber may be parked on device signals; kick it so the
            scheduler loop observes the readiness bit. *)
         Engine.Condvar.broadcast t.kick
-      end);
+      end)
+    0;
   let i = wait_core t qts ~deadline in
   cancelled := true;
   if i < 0 then None else Some (i, redeem t qts.(i))
@@ -547,8 +626,8 @@ let maybe_park t slot =
   else begin
     let timeout =
       match next_deadline_ns t with
-      | d when d = max_int -> None
-      | deadline -> Some (max 0 (deadline - Host.now t.host))
+      | d when d = max_int -> max_int
+      | deadline -> max 0 (deadline - Host.now t.host)
     in
     let _ = Engine.Condvar.wait_many t.host.Host.sim t.io_signals ~timeout in
     Host.charge t.host t.host.Host.cost.Net.Cost.libos_poll_ns;

@@ -26,6 +26,24 @@ val complete : t -> Pdpix.qtoken -> Pdpix.completion -> unit
 val completed_token : t -> Pdpix.completion -> Pdpix.qtoken
 (** Allocate and complete in one step — the inline fast path. *)
 
+val wait : t -> Pdpix.qtoken -> Pdpix.completion
+(** PDPIX [wait]: block the calling coroutine until the token completes,
+    then redeem it. *)
+
+val wait_ready : t -> Pdpix.qtoken array -> int
+(** The lowest index of the array whose token has completed, blocking
+    the calling coroutine until one has; nothing is redeemed. PDPIX
+    [wait_any] is this, then {!redeem}, then the pair it returns. *)
+
+val redeem : t -> Pdpix.qtoken -> Pdpix.completion
+(** The completion of a completed token; the token is then forgotten.
+
+    Minting, completing and redeeming a token allocate nothing: the
+    tokens live in one open-addressed table of parallel slot arrays.
+    [wait], [wait_ready], [redeem] and {!complete} raise
+    [Invalid_argument "unknown or already-redeemed qtoken N"] on a token
+    that was never minted or is already redeemed. *)
+
 (** {1 The descriptor table}
 
     One [qd -> queue] table per host. A queue is an unbound or bound

@@ -1,11 +1,10 @@
-(* The waiters, oldest first, as parallel arrays: the shared signal
-   closure of each wait, the fiber that waits and the generation the
-   wait started at. A waiter whose fiber has since moved to a later
-   generation is stale; [sweep] drops it and keeps only the count of
-   no-op events it owes, in [before] of the next survivor. *)
+(* The waiters, oldest first, as parallel arrays: the fiber that waits
+   and the generation its wait started at. A waiter whose fiber has
+   since moved to a later generation is stale; [sweep] drops it and
+   keeps only the count of no-op events it owes, in [before] of the next
+   survivor. *)
 type t = {
   sim : Sim.t;
-  mutable fns : (unit -> unit) array;
   mutable fibers : Sim.fiber array;
   mutable gens : int array;
   mutable before : int array; (* stale waiters swept just ahead of this one *)
@@ -13,44 +12,26 @@ type t = {
 }
 
 let create sim =
-  {
-    sim;
-    fns = Array.make 4 ignore;
-    fibers = Array.make 4 Sim.no_fiber;
-    gens = Array.make 4 0;
-    before = Array.make 4 0;
-    len = 0;
-  }
-
-let clear_slot t i =
-  t.fns.(i) <- ignore;
-  t.fibers.(i) <- Sim.no_fiber
-
-(* A wait's events run this: only the first one to run while the fiber
-   is still in generation [g] ends the wait. *)
-let fire (f : Sim.fiber) g signaled =
-  if f.gen = g then begin
-    f.gen <- g + 1;
-    f.signaled <- signaled;
-    f.resume ()
-  end
+  { sim; fibers = Array.make 4 Sim.no_fiber; gens = Array.make 4 0; before = Array.make 4 0; len = 0 }
 
 let rec schedule_noops sim n =
   if n > 0 then begin
-    Sim.schedule sim ~delay:0 ignore;
+    Sim.schedule sim ~delay:0 ignore 0;
     schedule_noops sim (n - 1)
   end
 
 (* Every waiter gets one event, in FIFO order, swept ones included as
    no-ops at their original place: the event sequence is the one a
-   plain list of resume closures would produce. *)
+   plain list of resume closures would produce. A waiter's event is its
+   fiber's [wake] with the wait's generation. *)
 let broadcast t =
   let n = t.len in
   t.len <- 0;
   for i = 0 to n - 1 do
     schedule_noops t.sim t.before.(i);
-    Sim.schedule t.sim ~delay:0 t.fns.(i);
-    clear_slot t i
+    let f = t.fibers.(i) in
+    Sim.schedule t.sim ~delay:0 f.wake t.gens.(i);
+    t.fibers.(i) <- Sim.no_fiber
   done
 
 (* Compact the waiters still in their wait to the front, keeping their
@@ -62,7 +43,6 @@ let sweep t =
     let f = t.fibers.(i) in
     if f.gen = t.gens.(i) then begin
       let d = !j in
-      t.fns.(d) <- t.fns.(i);
       t.fibers.(d) <- f;
       t.gens.(d) <- t.gens.(i);
       t.before.(d) <- owed;
@@ -72,52 +52,47 @@ let sweep t =
     else carry := owed + 1
   done;
   for i = !j to t.len - 1 do
-    clear_slot t i
+    t.fibers.(i) <- Sim.no_fiber
   done;
   t.len <- !j;
   !carry
 
 let grow t =
-  let cap = 2 * Array.length t.fns in
+  let cap = 2 * Array.length t.fibers in
   let extend a fill =
     let b = Array.make cap fill in
     Array.blit a 0 b 0 t.len;
     b
   in
-  t.fns <- extend t.fns ignore;
   t.fibers <- extend t.fibers Sim.no_fiber;
   t.gens <- extend t.gens 0;
   t.before <- extend t.before 0
 
-let push t signal (f : Sim.fiber) =
+let push t (f : Sim.fiber) =
   let owed =
-    if t.len < Array.length t.fns then 0
+    if t.len < Array.length t.fibers then 0
     else begin
       let trailing = sweep t in
-      if 2 * t.len > Array.length t.fns then grow t;
+      if 2 * t.len > Array.length t.fibers then grow t;
       trailing
     end
   in
   let i = t.len in
-  t.fns.(i) <- signal;
   t.fibers.(i) <- f;
   t.gens.(i) <- f.gen;
   t.before.(i) <- owed;
   t.len <- i + 1
 
-let rec push_all cvs signal f =
+let rec push_all cvs f =
   match cvs with
   | [] -> ()
   | cv :: rest ->
-      push cv signal f;
-      push_all rest signal f
+      push cv f;
+      push_all rest f
 
 let wait_many sim cvs ~timeout =
   let f = Sim.running sim in
-  let g = f.gen in
-  (match cvs with [] -> () | _ -> push_all cvs (fun () -> fire f g true) f);
-  (match timeout with
-  | Some span -> Sim.schedule sim ~delay:(max 0 span) (fun () -> fire f g false)
-  | None -> ());
+  push_all cvs f;
+  if timeout <> max_int then Sim.schedule sim ~delay:(max 0 timeout) f.timeout f.gen;
   Fiber.park ();
   if f.signaled then `Signaled else `Timeout

@@ -10,16 +10,18 @@
     its events to {e run}: one signal event per condvar that broadcasts,
     plus the timeout event. The rule is the fiber's wait generation
     ({!Sim.fiber}): each event carries the generation its wait started
-    at and resumes the fiber only if that is still current, bumping it.
-    A leftover signal or timeout of an ended wait therefore never wakes
-    a later wait, a waiter on two condvars that both broadcast resumes
-    once, and a timeout and a broadcast at the same ns resolve by event
-    order (the one scheduled earlier wins).
+    at as its operand and resumes the fiber only if that is still
+    current, bumping it. A leftover signal or timeout of an ended wait
+    therefore never wakes a later wait, a waiter on two condvars that
+    both broadcast resumes once, and a timeout and a broadcast at the
+    same ns resolve by event order (the one scheduled earlier wins).
 
-    A wait builds at most two small closures, its signal (shared by all
-    of its condvars) and its timeout. Each condvar keeps its waiters in
-    growable arrays; a waiter whose wait already ended is swept when the
-    arrays fill, and kept only as a count. So a condvar that never
+    A wait builds no closure: its signal and timeout events are the
+    fiber's [wake] and [timeout] callbacks, built once at
+    {!Fiber.spawn}, with the generation as their operand. Each condvar
+    keeps its waiters (fiber and generation) in growable arrays; a
+    waiter whose wait already ended is swept when the arrays fill, and
+    kept only as a count. So a condvar that never
     broadcasts — a host's [kick] — holds O(live waiters), not one entry
     per wait ever made. Deliberately preserved: its next {!broadcast}
     still schedules one no-op event per swept waiter, in its original
@@ -35,9 +37,10 @@ val broadcast : t -> unit
 (** Wake every currently-parked waiter (in FIFO order, at the current
     virtual time). Waiters arriving after this call are not woken. *)
 
-val wait_many : Sim.t -> t list -> timeout:Clock.t option -> [ `Signaled | `Timeout ]
+val wait_many : Sim.t -> t list -> timeout:Clock.t -> [ `Signaled | `Timeout ]
 (** The one wait: park the calling fiber until any of the condition
-    variables broadcasts, or until [timeout] (a span from now; [None]
+    variables broadcasts, or until [timeout] (a span from now; [max_int]
     waits for a broadcast only) elapses. With an empty list and no
-    timeout the caller sleeps forever. A steady-state wait on one
-    condvar, with its broadcast, allocates about 12 words. *)
+    timeout the caller sleeps forever. A wait allocates only the
+    continuation the effect runtime captures (2 words), with or without
+    a timeout. *)

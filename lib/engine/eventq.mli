@@ -1,10 +1,14 @@
 (** The one deadline-ordered structure: a binary min-heap keyed on
     (time, insertion sequence). The sequence number makes simultaneous
     entries come out in insertion order, which keeps runs deterministic.
-    The simulator's pending-event set is a [(unit -> unit) t]; the TCP
-    stack's RTO and TIME_WAIT timers are a [conn t].
+    Each entry is a payload and one int operand. The simulator's
+    pending-event set is an [(int -> unit) t]: an event is a callback
+    built once by its owner and the operand it is called with (a wait
+    generation, an arrival time), so scheduling one allocates nothing.
+    The TCP stack's RTO and TIME_WAIT timers are a [conn t] whose
+    operand is unused.
 
-    The heap is three parallel arrays (times, sequence numbers,
+    The heap is four parallel arrays (times, sequence numbers, operands,
     payloads), not a record per entry: {!add} and {!pop} allocate
     nothing once the arrays have grown to the run's peak backlog.
 
@@ -21,14 +25,19 @@ val create : unit -> 'a t
     the first {!add}, so that one payload stays reachable for the
     heap's lifetime; no other popped payload does. *)
 
-val add : 'a t -> time:Clock.t -> 'a -> int
-(** Insert a payload at an absolute virtual time below [max_int] (which
-    {!top_time} reserves for "empty") and return its insertion sequence
-    number: [0, 1, 2, ...] in call order, never reused. *)
+val add : 'a t -> time:Clock.t -> 'a -> int -> int
+(** [add t ~time v arg] inserts payload [v] with operand [arg] at an
+    absolute virtual time below [max_int] (which {!top_time} reserves
+    for "empty") and returns its insertion sequence number: [0, 1, 2,
+    ...] in call order, never reused. *)
 
 val top_time : 'a t -> Clock.t
 (** Earliest pending time, stale entries included, or [max_int] when the
     heap is empty. *)
+
+val top_arg : 'a t -> int
+(** The operand of the entry {!top_time} names. Raises
+    [Invalid_argument] on an empty heap. *)
 
 val pop : 'a t -> 'a
 (** Remove the earliest entry (the one {!top_time} names) and return its

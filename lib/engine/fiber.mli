@@ -9,11 +9,12 @@
 
     Both suspensions are constant effects ([Sleep] and [Park]); their
     operands travel through the {!Sim.fiber} slots, and each fiber's
-    handler, resume closure and [Some] handler options are built once at
-    {!spawn}; a parked continuation sits in a plain field whose empty
-    value is {!Sim.no_cont}. A steady-state sleep allocates only the
-    continuation the effect runtime captures: 2 words. There is no general
-    "suspend with a resume callback" primitive. *)
+    handler, its [resume], [wake] and [timeout] event callbacks and
+    [Some] handler options are built once at {!spawn}; a parked
+    continuation sits in a plain field whose empty value is
+    {!Sim.no_cont}. A steady-state sleep or park allocates only the
+    continuation the effect runtime captures: 2 words. There is no
+    general "suspend with a resume callback" primitive. *)
 
 val spawn : Sim.t -> ?name:string -> (unit -> unit) -> unit
 (** Start a fiber at the current virtual time. Exceptions escaping the
@@ -24,7 +25,9 @@ val sleep : Sim.t -> Clock.t -> unit
 (** Suspend the calling fiber for a span of virtual time. *)
 
 val park : unit -> unit
-(** Suspend the calling fiber (the {!Sim.running} one) until its
-    [resume] closure is called from an event. The primitive under
-    {!Condvar.wait_many}, which owns the wakeup rule: whoever resumes a
-    parked fiber first bumps its [gen] and sets [signaled]. *)
+(** Suspend the calling fiber (the {!Sim.running} one) until an event
+    runs its [wake g] or [timeout g] with [g] its current generation:
+    the first such event bumps [gen], sets [signaled] and resumes it; a
+    later one finds a different generation and does nothing. The
+    primitive under {!Condvar.wait_many}, which schedules those
+    events. *)

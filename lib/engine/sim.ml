@@ -2,12 +2,14 @@ type fiber = {
   mutable cont : (unit, unit) Effect.Deep.continuation;
   mutable gen : int;
   mutable signaled : bool;
-  resume : unit -> unit;
+  resume : int -> unit;
+  wake : int -> unit;
+  timeout : int -> unit;
 }
 
 type t = {
   mutable now : Clock.t;
-  q : (unit -> unit) Eventq.t;
+  q : (int -> unit) Eventq.t;
   prng : Prng.t;
   mutable stopped : bool;
   mutable processed : int;
@@ -46,7 +48,8 @@ let no_cont : (unit, unit) Effect.Deep.continuation =
     };
   match !slot with Some k -> k | None -> assert false
 
-let no_fiber = { cont = no_cont; gen = 0; signaled = false; resume = ignore }
+let no_fiber =
+  { cont = no_cont; gen = 0; signaled = false; resume = ignore; wake = ignore; timeout = ignore }
 
 (* The one teardown report over every armed stream: a truncated
    timeline is never mistaken for the whole story. *)
@@ -83,13 +86,13 @@ let create ?(seed = 1L) () =
 let now t = t.now
 let prng t = t.prng
 
-let at t ~time fn =
+let at t ~time fn arg =
   assert (time >= t.now);
-  ignore (Eventq.add t.q ~time fn : int)
+  ignore (Eventq.add t.q ~time fn arg : int)
 
-let schedule t ~delay fn =
+let schedule t ~delay fn arg =
   assert (delay >= 0);
-  ignore (Eventq.add t.q ~time:(t.now + delay) fn : int)
+  ignore (Eventq.add t.q ~time:(t.now + delay) fn arg : int)
 
 let stop t = t.stopped <- true
 
@@ -106,6 +109,7 @@ let rec run_loop t horizon =
     if time = max_int then ()
     else if time > horizon then t.now <- horizon
     else begin
+      let arg = Eventq.top_arg t.q in
       let fn = Eventq.pop t.q in
       t.now <- time;
       (* Fixed-interval sampling rides the run loop instead of
@@ -122,7 +126,7 @@ let rec run_loop t horizon =
           done
       | None -> ());
       t.processed <- t.processed + 1;
-      fn ();
+      fn arg;
       run_loop t horizon
     end
   end

@@ -15,11 +15,15 @@ val now : t -> Clock.t
 val prng : t -> Prng.t
 (** The root generator. Components should [Prng.split] their own. *)
 
-val schedule : t -> delay:Clock.t -> (unit -> unit) -> unit
-(** Run a callback [delay] ns from now. [delay] must be >= 0. *)
+val schedule : t -> delay:Clock.t -> (int -> unit) -> int -> unit
+(** [schedule t ~delay fn arg] runs [fn arg] [delay] ns from now.
+    [delay] must be >= 0. The event is the pair: a callback its owner
+    builds once and an int operand that says what this occurrence is
+    about (a wait generation, an arrival time; callers with nothing to
+    say pass 0), so a steady-state schedule allocates nothing. *)
 
-val at : t -> time:Clock.t -> (unit -> unit) -> unit
-(** Run a callback at an absolute time (>= [now]). *)
+val at : t -> time:Clock.t -> (int -> unit) -> int -> unit
+(** [at t ~time fn arg] runs [fn arg] at an absolute time (>= [now]). *)
 
 val stop : t -> unit
 (** Make [run] return after the current event. *)
@@ -53,8 +57,19 @@ type fiber = {
           over from an earlier wait finds a different value and does
           nothing. *)
   mutable signaled : bool;  (** How the last park ended. *)
-  resume : unit -> unit;  (** Continue the parked fiber, built once at spawn. *)
+  resume : int -> unit;
+      (** Continue the parked fiber (the operand is ignored): a sleep's
+          event. *)
+  wake : int -> unit;
+      (** [wake g] ends the park of generation [g] as signaled, if it is
+          still current: a condvar broadcast's event. *)
+  timeout : int -> unit;
+      (** [timeout g] ends the park of generation [g] as timed out, if it
+          is still current: a timed wait's event. *)
 }
+(** [resume], [wake] and [timeout] are built once at {!Fiber.spawn}; an
+    event carries the generation as its operand, so a wait schedules
+    them without building a closure. *)
 
 val no_fiber : fiber
 (** A placeholder: the running fiber before any fiber has run, and an

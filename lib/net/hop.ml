@@ -1,24 +1,15 @@
 type t = {
   sim : Engine.Sim.t;
   frames : Memory.Heap.buffer Engine.Ring.t;
-  due : int Engine.Ring.t; (* each in-flight frame's arrival time *)
   mutable last_due : int;
-  mutable arrive : unit -> unit; (* the one handler, built at create *)
+  mutable arrive : int -> unit; (* the one handler, built at create *)
 }
 
+(* Each frame's event carries its arrival time as the operand. *)
 let create sim ~deliver =
-  let h =
-    {
-      sim;
-      frames = Engine.Ring.create ();
-      due = Engine.Ring.create ();
-      last_due = 0;
-      arrive = ignore;
-    }
-  in
+  let h = { sim; frames = Engine.Ring.create (); last_due = 0; arrive = ignore } in
   h.arrive <-
-    (fun () ->
-      let at = Engine.Ring.pop h.due in
+    (fun at ->
       let frame = Engine.Ring.pop h.frames in
       assert (at = Engine.Sim.now h.sim);
       deliver frame);
@@ -28,5 +19,4 @@ let send h ~at frame =
   assert (at >= h.last_due);
   h.last_due <- at;
   Engine.Ring.push h.frames frame;
-  Engine.Ring.push h.due at;
-  Engine.Sim.at h.sim ~time:at h.arrive
+  Engine.Sim.at h.sim ~time:at h.arrive at

@@ -6,13 +6,13 @@
     are serialized by its downlink, so each is at or after the one
     before. A stage therefore keeps its in-flight frames in one
     {!Engine.Ring} and schedules, per frame, the one handler it built
-    at creation. That is the same event, at the same instant and with
-    the same insertion sequence, as a closure per frame would be, and
-    events of one instant still fire in insertion order, so the popped
-    head is always the frame its event was scheduled for (checked
-    against the recorded arrival time). A frame's trip through a stage
-    allocates nothing once the rings have grown to the stage's peak
-    occupancy.
+    at creation, with the frame's arrival time as the event's operand.
+    That is the same event, at the same instant and with the same
+    insertion sequence, as a closure per frame would be, and events of
+    one instant still fire in insertion order, so the popped head is
+    always the frame its event was scheduled for (checked against the
+    operand). A frame's trip through a stage allocates nothing once the
+    ring has grown to the stage's peak occupancy.
 
     A frame is a {!Memory.Heap.buffer} from its fabric's frame heap
     (see {!Fabric}), and a stage moves the reference, never the bytes:

@@ -41,13 +41,13 @@ let run_after t ~busy_ns fn =
      device's time, and the sum over commands never double-counts. *)
   Engine.Sim.span_interval t.sim ~comp:Engine.Span.Storage ~owner:"ssd" ~label:"" ~t0:start
     ~t1:finish;
-  Engine.Sim.schedule t.sim ~delay:(finish - now) fn
+  Engine.Sim.schedule t.sim ~delay:(finish - now) fn 0
 
 let submit_write t ~id ~off data =
   let len = String.length data in
   let ok = off >= 0 && len >= 0 && off + len <= Bytes.length t.store in
   let busy = Cost.ssd_op_ns t.cost ~write:true len in
-  run_after t ~busy_ns:busy (fun () ->
+  run_after t ~busy_ns:busy (fun _ ->
       if ok then begin
         Bytes.blit_string data 0 t.store off len;
         t.bytes_written <- t.bytes_written + len
@@ -57,7 +57,7 @@ let submit_write t ~id ~off data =
 let submit_read t ~id ~off ~len =
   let ok = off >= 0 && len >= 0 && off + len <= Bytes.length t.store in
   let busy = Cost.ssd_op_ns t.cost ~write:false len in
-  run_after t ~busy_ns:busy (fun () ->
+  run_after t ~busy_ns:busy (fun _ ->
       let data = if ok then Bytes.sub_string t.store off len else "" in
       complete t { id; ok; data })
 

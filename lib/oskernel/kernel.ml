@@ -131,8 +131,8 @@ let wait_until t ~blocking ready =
     if not (ready ()) then begin
       let timeout =
         match Tcp.Stack.next_timer_ns t.stack with
-        | deadline when deadline = max_int -> None
-        | deadline -> Some (max 0 (deadline - Engine.Sim.now t.sim))
+        | deadline when deadline = max_int -> max_int
+        | deadline -> max 0 (deadline - Engine.Sim.now t.sim)
       in
       let _ =
         Engine.Condvar.wait_many t.sim [ Net.Dpdk_sim.rx_signal t.nic ] ~timeout
@@ -339,7 +339,7 @@ let wait_ssd t ssd id =
     match !result with
     | Some data -> data
     | None ->
-        let _ = Engine.Condvar.wait_many t.sim [ Net.Ssd_sim.cq_signal ssd ] ~timeout:None in
+        let _ = Engine.Condvar.wait_many t.sim [ Net.Ssd_sim.cq_signal ssd ] ~timeout:max_int in
         wait_completion ()
   in
   let data = wait_completion () in

@@ -343,14 +343,18 @@ let send_rst_for t ~src_ip ~th ~seg_len =
    live RTO entry and of its live TIME_WAIT entry; arming overwrites
    it, cancelling forgets it, and an entry whose number its connection
    no longer holds is stale and is dropped when it reaches the top. So
-   at most one RTO and one TIME_WAIT entry are live per connection. *)
+   at most one RTO and one TIME_WAIT entry are live per connection. The
+   entries' operand is unused (0): the sequence number says which timer
+   an entry is. *)
 
 let cancel_rto conn = conn.rto_seq <- -1
-let arm_rto_at conn deadline = conn.rto_seq <- Engine.Eventq.add conn.stack.timers ~time:deadline conn
+let arm_rto_at conn deadline =
+  conn.rto_seq <- Engine.Eventq.add conn.stack.timers ~time:deadline conn 0
+
 let cancel_time_wait conn = conn.tw_seq <- -1
 
 let arm_time_wait_at conn deadline =
-  conn.tw_seq <- Engine.Eventq.add conn.stack.timers ~time:deadline conn
+  conn.tw_seq <- Engine.Eventq.add conn.stack.timers ~time:deadline conn 0
 
 let arm_rto conn =
   let t = conn.stack in

@@ -1476,6 +1476,100 @@ let test_wait_cycle_words_flat () =
   if Float.abs (large -. small) > 4.0 then
     Alcotest.failf "words per wait cycle: %.1f with 16 blocked, %.1f with 2048" small large
 
+(* ---------- the token table ---------- *)
+
+(* A Catnip host's runtime with free libcalls, and [body] run in an app
+   coroutine on it. *)
+let with_runtime body =
+  let sim = Engine.Sim.create () in
+  let fabric = Net.Fabric.create sim ~cost:{ bare with Net.Cost.libos_sched_ns = 0 } () in
+  let node = Demikernel.Boot.make sim fabric ~index:1 Demikernel.Boot.Catnip_os in
+  let ran = ref false in
+  Demikernel.Boot.run_app node (fun _ ->
+      body node.Demikernel.Boot.rt;
+      ran := true);
+  Demikernel.Boot.start node;
+  Engine.Sim.run ~until:(Engine.Clock.s 1) sim;
+  check_bool "the coroutine ran to the end" true !ran
+
+let shuffle prng a =
+  for i = Array.length a - 1 downto 1 do
+    let j = Engine.Prng.int prng (i + 1) in
+    let x = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- x
+  done
+
+let unknown_token qt =
+  Invalid_argument (Printf.sprintf "unknown or already-redeemed qtoken %d" qt)
+
+(* 12,000 tokens live at once (the table grows through them), completed
+   and redeemed in seeded shuffled orders, each through one of [wait],
+   [wait_ready] + [redeem] and [redeem]; a second batch is minted while
+   half of the first is still live. Every redemption returns its own
+   token's completion, and a redeemed or never-minted token raises. *)
+let test_token_table_growth () =
+  let module R = Demikernel.Runtime in
+  let prng = Engine.Prng.create 40L in
+  with_runtime (fun rt ->
+      let own qt = Demikernel.Pdpix.Accepted qt in
+      let redeemed = ref 0 in
+      let redeem_all qts =
+        shuffle prng qts;
+        Array.iter (fun qt -> R.complete rt qt (own qt)) qts;
+        shuffle prng qts;
+        Array.iteri
+          (fun k qt ->
+            let got =
+              match k mod 3 with
+              | 0 -> R.wait rt qt
+              | 1 ->
+                  let set = [| qt |] in
+                  R.redeem rt set.(R.wait_ready rt set)
+              | _ -> R.redeem rt qt
+            in
+            if got <> own qt then Alcotest.failf "qtoken %d redeemed another completion" qt;
+            incr redeemed)
+          qts
+      in
+      let first = Array.init 12_000 (fun _ -> R.fresh_token rt) in
+      let kept = Array.sub first 6_000 6_000 in
+      redeem_all (Array.sub first 0 6_000);
+      let second = Array.init 6_000 (fun _ -> R.fresh_token rt) in
+      redeem_all (Array.append kept second);
+      check_int "every token redeemed once" 18_000 !redeemed;
+      let never = second.(5_999) + 1 in
+      List.iter
+        (fun qt ->
+          Alcotest.check_raises "redeem" (unknown_token qt) (fun () -> ignore (R.redeem rt qt));
+          Alcotest.check_raises "wait" (unknown_token qt) (fun () -> ignore (R.wait rt qt));
+          Alcotest.check_raises "complete" (unknown_token qt) (fun () ->
+              R.complete rt qt Demikernel.Pdpix.Pushed))
+        [ first.(0); first.(11_999); second.(17); never; 0 ])
+
+(* One token's whole life — mint, complete, redeem — with 64 others
+   pending, redeemed through [wait] and through the two halves of
+   [wait_any] (the pair the PDPIX call returns is its own). *)
+let test_token_life_words () =
+  let module R = Demikernel.Runtime in
+  let through_wait = ref (-1) and through_wait_any = ref (-1) in
+  with_runtime (fun rt ->
+      let pending = Array.init 64 (fun _ -> R.fresh_token rt) in
+      let one = [| 0 |] in
+      through_wait :=
+        Test_engine.steady_words (fun () ->
+            let qt = R.fresh_token rt in
+            R.complete rt qt Demikernel.Pdpix.Pushed;
+            ignore (R.wait rt qt));
+      through_wait_any :=
+        Test_engine.steady_words (fun () ->
+            one.(0) <- R.fresh_token rt;
+            R.complete rt one.(0) Demikernel.Pdpix.Pushed;
+            ignore (R.redeem rt one.(R.wait_ready rt one)));
+      ignore (Sys.opaque_identity pending));
+  check_int "words through wait" 0 !through_wait;
+  check_int "words through wait_any" 0 !through_wait_any
+
 (* ---------- bytes moved off the selfcheck's paths ---------- *)
 
 (* The selfcheck pins the bytes each flavor's echo moves. These worlds
@@ -1599,6 +1693,8 @@ let suite =
       test_wait_any_words_flat;
     Alcotest.test_case "wait words do not grow with the blocked coroutines" `Quick
       test_wait_cycle_words_flat;
+    Alcotest.test_case "token table under growth" `Quick test_token_table_growth;
+    Alcotest.test_case "words: qtoken mint, complete and redeem" `Quick test_token_life_words;
     Alcotest.test_case "multi-worker request dispatch (C2)" `Quick test_multi_worker_dispatch;
     Alcotest.test_case "cattree log roundtrip" `Quick test_cattree_log_roundtrip;
     Alcotest.test_case "oracle: clean echo has no violations" `Quick test_oracle_clean_echo;

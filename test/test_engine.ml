@@ -16,7 +16,7 @@ let test_clock_units () =
   check_int "s" 1_000_000_000 (Engine.Clock.s 1)
 
 (* The simulator's use: callbacks, sequence numbers unused. *)
-let add q ~time fn = ignore (Engine.Eventq.add q ~time fn : int)
+let add q ~time fn = ignore (Engine.Eventq.add q ~time fn 0 : int)
 
 let test_eventq_order () =
   let q = Engine.Eventq.create () in
@@ -75,13 +75,13 @@ let test_eventq_empty_sentinel () =
 
 let test_sim_until_drains_early () =
   let sim = Engine.Sim.create () in
-  Engine.Sim.schedule sim ~delay:40 (fun () -> ());
+  Engine.Sim.schedule sim ~delay:40 (fun _ -> ()) 0;
   Engine.Sim.run ~until:1_000 sim;
   check_int "clock at the last event, not the horizon" 40 (Engine.Sim.now sim)
 
 let test_sim_empty_run () =
   let sim = Engine.Sim.create () in
-  Engine.Sim.schedule sim ~delay:25 (fun () -> ());
+  Engine.Sim.schedule sim ~delay:25 (fun _ -> ()) 0;
   Engine.Sim.run sim;
   Engine.Sim.run ~until:5_000 sim;
   Engine.Sim.run sim;
@@ -90,8 +90,8 @@ let test_sim_empty_run () =
 let test_sim_schedule () =
   let sim = Engine.Sim.create () in
   let fired = ref [] in
-  Engine.Sim.schedule sim ~delay:100 (fun () -> fired := `B :: !fired);
-  Engine.Sim.schedule sim ~delay:50 (fun () -> fired := `A :: !fired);
+  Engine.Sim.schedule sim ~delay:100 (fun _ -> fired := `B :: !fired) 0;
+  Engine.Sim.schedule sim ~delay:50 (fun _ -> fired := `A :: !fired) 0;
   Engine.Sim.run sim;
   check_int "clock at end" 100 (Engine.Sim.now sim);
   Alcotest.(check bool) "order" true (List.rev !fired = [ `A; `B ])
@@ -99,8 +99,8 @@ let test_sim_schedule () =
 let test_sim_until () =
   let sim = Engine.Sim.create () in
   let fired = ref 0 in
-  Engine.Sim.schedule sim ~delay:10 (fun () -> incr fired);
-  Engine.Sim.schedule sim ~delay:1000 (fun () -> incr fired);
+  Engine.Sim.schedule sim ~delay:10 (fun _ -> incr fired) 0;
+  Engine.Sim.schedule sim ~delay:1000 (fun _ -> incr fired) 0;
   Engine.Sim.run ~until:500 sim;
   check_int "only first fired" 1 !fired;
   check_int "clock clamped" 500 (Engine.Sim.now sim);
@@ -110,10 +110,12 @@ let test_sim_until () =
 let test_sim_stop () =
   let sim = Engine.Sim.create () in
   let fired = ref 0 in
-  Engine.Sim.schedule sim ~delay:1 (fun () ->
+  Engine.Sim.schedule sim ~delay:1
+    (fun _ ->
       incr fired;
-      Engine.Sim.stop sim);
-  Engine.Sim.schedule sim ~delay:2 (fun () -> incr fired);
+      Engine.Sim.stop sim)
+    0;
+  Engine.Sim.schedule sim ~delay:2 (fun _ -> incr fired) 0;
   Engine.Sim.run sim;
   check_int "stopped after first" 1 !fired
 
@@ -160,7 +162,7 @@ let test_condvar_broadcast () =
   let woken = ref [] in
   for i = 1 to 3 do
     Engine.Fiber.spawn sim (fun () ->
-        ignore (Engine.Condvar.wait_many sim [ cv ] ~timeout:None);
+        ignore (Engine.Condvar.wait_many sim [ cv ] ~timeout:max_int);
         woken := i :: !woken)
   done;
   Engine.Fiber.spawn sim (fun () ->
@@ -175,7 +177,7 @@ let test_condvar_timeout () =
   let cv = Engine.Condvar.create sim in
   let outcome = ref None in
   Engine.Fiber.spawn sim (fun () ->
-      outcome := Some (Engine.Condvar.wait_many sim [ cv ] ~timeout:(Some 100)));
+      outcome := Some (Engine.Condvar.wait_many sim [ cv ] ~timeout:100));
   Engine.Sim.run sim;
   Alcotest.(check bool) "timed out" true (!outcome = Some `Timeout);
   check_int "timeout time" 100 (Engine.Sim.now sim)
@@ -185,7 +187,7 @@ let test_condvar_signal_beats_timeout () =
   let cv = Engine.Condvar.create sim in
   let outcome = ref None in
   Engine.Fiber.spawn sim (fun () ->
-      outcome := Some (Engine.Condvar.wait_many sim [ cv ] ~timeout:(Some 1_000)));
+      outcome := Some (Engine.Condvar.wait_many sim [ cv ] ~timeout:1_000));
   Engine.Fiber.spawn sim (fun () ->
       Engine.Fiber.sleep sim 10;
       Engine.Condvar.broadcast cv);
@@ -203,7 +205,7 @@ let test_condvar_same_ns_earlier_event_wins () =
   let cv = Engine.Condvar.create sim in
   let outcomes = ref [] in
   Engine.Fiber.spawn sim (fun () ->
-      let o = Engine.Condvar.wait_many sim [ cv ] ~timeout:(Some 100) in
+      let o = Engine.Condvar.wait_many sim [ cv ] ~timeout:100 in
       outcomes := (o, Engine.Sim.now sim) :: !outcomes);
   Engine.Fiber.spawn sim (fun () ->
       Engine.Fiber.sleep sim 100;
@@ -221,10 +223,10 @@ let test_condvar_stale_events_never_wake () =
   let note o = log := (o, Engine.Sim.now sim) :: !log in
   Engine.Fiber.spawn sim (fun () ->
       (* ends at 10 by a signal; its timeout (at 100) is left pending *)
-      note (Engine.Condvar.wait_many sim [ a; b ] ~timeout:(Some 100));
+      note (Engine.Condvar.wait_many sim [ a; b ] ~timeout:100);
       (* b broadcasts at 20 and the stale timeout fires at 100: neither
          may end this wait, which times out at 10 + 1000 *)
-      note (Engine.Condvar.wait_many sim [ c ] ~timeout:(Some 1_000)));
+      note (Engine.Condvar.wait_many sim [ c ] ~timeout:1_000));
   Engine.Fiber.spawn sim (fun () ->
       Engine.Fiber.sleep sim 10;
       Engine.Condvar.broadcast a;
@@ -241,11 +243,13 @@ let test_condvar_two_signals_resume_once () =
   let a = Engine.Condvar.create sim and b = Engine.Condvar.create sim in
   let resumed = ref 0 in
   Engine.Fiber.spawn sim (fun () ->
-      ignore (Engine.Condvar.wait_many sim [ a; b ] ~timeout:None);
+      ignore (Engine.Condvar.wait_many sim [ a; b ] ~timeout:max_int);
       incr resumed);
-  Engine.Sim.schedule sim ~delay:50 (fun () ->
+  Engine.Sim.schedule sim ~delay:50
+    (fun _ ->
       Engine.Condvar.broadcast a;
-      Engine.Condvar.broadcast b);
+      Engine.Condvar.broadcast b)
+    0;
   Engine.Sim.run sim;
   check_int "resumed once" 1 !resumed
 
@@ -259,7 +263,7 @@ let test_condvar_swept_waiters_keep_their_events () =
   let wakes = ref 0 in
   Engine.Fiber.spawn sim (fun () ->
       for _ = 1 to rounds do
-        ignore (Engine.Condvar.wait_many sim [ a; b ] ~timeout:None);
+        ignore (Engine.Condvar.wait_many sim [ a; b ] ~timeout:max_int);
         incr wakes
       done);
   Engine.Fiber.spawn sim (fun () ->
@@ -279,7 +283,7 @@ let test_fiber_exception_names_fiber_after_suspensions () =
   let cv = Engine.Condvar.create sim in
   Engine.Fiber.spawn sim ~name:"boomer" (fun () ->
       Engine.Fiber.sleep sim 5;
-      ignore (Engine.Condvar.wait_many sim [ cv ] ~timeout:(Some 5));
+      ignore (Engine.Condvar.wait_many sim [ cv ] ~timeout:5);
       failwith "boom");
   match Engine.Sim.run sim with
   | () -> Alcotest.fail "expected exception"
@@ -295,7 +299,7 @@ let test_condvar_waiters_do_not_leak () =
   let rounds = 100_000 in
   Engine.Fiber.spawn sim (fun () ->
       for _ = 1 to rounds do
-        ignore (Engine.Condvar.wait_many sim [ a; b ] ~timeout:None)
+        ignore (Engine.Condvar.wait_many sim [ a; b ] ~timeout:max_int)
       done);
   Engine.Fiber.spawn sim (fun () ->
       for _ = 1 to rounds do
@@ -357,21 +361,31 @@ let test_fiber_sleep_words () =
   check_budget "Fiber.sleep" ~bound:2 !words ~per:budget_ops
 
 (* One cycle: a fiber parks on a condvar, another broadcasts it and
-   sleeps one ns (so the waiter re-parks before the next broadcast). *)
-let test_condvar_cycle_words () =
+   sleeps one ns (so the waiter re-parks before the next broadcast).
+   The cycle's words are the two continuations and the one-condvar
+   list; the timed wait's timeout event (fired, a no-op, 1 ns after the
+   broadcast) adds none. *)
+let condvar_cycle_words ~timeout =
   let sim = Engine.Sim.create () in
   let cv = Engine.Condvar.create sim in
   let words = ref 0 in
   Engine.Fiber.spawn sim (fun () ->
-      words :=
-        steady_words (fun () -> ignore (Engine.Condvar.wait_many sim [ cv ] ~timeout:None)));
+      words := steady_words (fun () -> ignore (Engine.Condvar.wait_many sim [ cv ] ~timeout)));
   Engine.Fiber.spawn sim (fun () ->
       for _ = 1 to 2 * budget_ops do
         Engine.Fiber.sleep sim 1;
         Engine.Condvar.broadcast cv
       done);
   Engine.Sim.run sim;
-  check_budget "wait_many+broadcast cycle" ~bound:12 !words ~per:budget_ops
+  !words
+
+let test_condvar_cycle_words () =
+  check_budget "wait_many+broadcast cycle" ~bound:7
+    (condvar_cycle_words ~timeout:max_int)
+    ~per:budget_ops;
+  check_budget "timed wait_many+broadcast cycle" ~bound:7
+    (condvar_cycle_words ~timeout:2)
+    ~per:budget_ops
 
 let test_prng_deterministic () =
   let a = Engine.Prng.create 42L in
@@ -584,7 +598,7 @@ let timers_vs_oracle ops =
           let d = !now + arg in
           let id = !next_id in
           incr next_id;
-          Hashtbl.replace live_seq id (Engine.Eventq.add q ~time:d id);
+          Hashtbl.replace live_seq id (Engine.Eventq.add q ~time:d id 0);
           ids := id :: !ids;
           oracle := (d, id, ref true) :: !oracle
       | 1 -> (
@@ -639,7 +653,7 @@ let test_timers_cancel_no_fire () =
   let q = Engine.Eventq.create () in
   let live_seq = Hashtbl.create 4 in
   let live p seq = Hashtbl.find live_seq p = seq in
-  let arm p time = Hashtbl.replace live_seq p (Engine.Eventq.add q ~time p) in
+  let arm p time = Hashtbl.replace live_seq p (Engine.Eventq.add q ~time p 0) in
   let cancel p = Hashtbl.replace live_seq p (-1) in
   arm "a" 100;
   arm "b" 100;
@@ -667,9 +681,9 @@ let test_timers_readd_during_expire () =
   let live _ seq = seq = !armed in
   let rec payload () =
     incr fires;
-    if !fires = 1 then armed := Engine.Eventq.add q ~time:150 payload
+    if !fires = 1 then armed := Engine.Eventq.add q ~time:150 payload 0
   in
-  armed := Engine.Eventq.add q ~time:100 payload;
+  armed := Engine.Eventq.add q ~time:100 payload 0;
   Engine.Eventq.expire q ~now:200 ~live (fun f _ -> f ());
   check_int "re-armed entry deferred" 1 !fires;
   Engine.Eventq.expire q ~now:200 ~live (fun f _ -> f ());

@@ -13,7 +13,7 @@ let test_wait_many_any_signal () =
   let cv2 = Engine.Condvar.create sim in
   let outcome = ref None in
   Engine.Fiber.spawn sim (fun () ->
-      outcome := Some (Engine.Condvar.wait_many sim [ cv1; cv2 ] ~timeout:None));
+      outcome := Some (Engine.Condvar.wait_many sim [ cv1; cv2 ] ~timeout:max_int));
   Engine.Fiber.spawn sim (fun () ->
       Engine.Fiber.sleep sim 100;
       Engine.Condvar.broadcast cv2);
@@ -25,7 +25,7 @@ let test_wait_many_timeout () =
   let cv = Engine.Condvar.create sim in
   let woke_at = ref 0 in
   Engine.Fiber.spawn sim (fun () ->
-      ignore (Engine.Condvar.wait_many sim [ cv ] ~timeout:(Some 777));
+      ignore (Engine.Condvar.wait_many sim [ cv ] ~timeout:777);
       woke_at := Engine.Sim.now sim);
   Engine.Sim.run sim;
   check_int "timeout at the deadline" 777 !woke_at
@@ -34,7 +34,7 @@ let test_wait_many_empty_list_timeout () =
   let sim = Engine.Sim.create () in
   let r = ref None in
   Engine.Fiber.spawn sim (fun () ->
-      r := Some (Engine.Condvar.wait_many sim [] ~timeout:(Some 10)));
+      r := Some (Engine.Condvar.wait_many sim [] ~timeout:10));
   Engine.Sim.run sim;
   check_bool "empty list times out" true (!r = Some `Timeout)
 

@@ -548,7 +548,7 @@ let fabric_incast_matches_model =
           let frame =
             eth_frame fabric ~dst:sink ~src:(Net.Addr.Mac.of_index s) (Bytes.to_string payload)
           in
-          Engine.Sim.at sim ~time:at (fun () -> Net.Fabric.send fabric ports.(s) frame))
+          Engine.Sim.at sim ~time:at (fun _ -> Net.Fabric.send fabric ports.(s) frame) 0)
         sends;
       Engine.Sim.run sim;
       let ser len = Net.Cost.serialization_ns bare (Net.Eth.size + len) in

@@ -121,15 +121,16 @@ let test_gate_catches_perturbation () =
       (* One extra no-op event: nothing traced or measured changes, only
          the event count. *)
       caught "a scheduled no-op" ~names:"event count"
-        (fun sim -> Engine.Sim.schedule sim ~delay:1_000 (fun () -> ()))
+        (fun sim -> Engine.Sim.schedule sim ~delay:1_000 ignore 0)
         flavor;
       caught "one extra trace record" ~names:"trace digest"
         (fun sim ->
-          Engine.Sim.schedule sim ~delay:1_000 (fun () ->
-              Engine.Sim.trace_event sim ~category:Engine.Log.App "probe" 0 0))
+          Engine.Sim.schedule sim ~delay:1_000
+            (fun _ -> Engine.Sim.trace_event sim ~category:Engine.Log.App "probe" 0 0)
+            0)
         flavor;
       caught "stopping the run early" ~names:"latencies"
-        (fun sim -> Engine.Sim.schedule sim ~delay:20_000 (fun () -> Engine.Sim.stop sim))
+        (fun sim -> Engine.Sim.schedule sim ~delay:20_000 (fun _ -> Engine.Sim.stop sim) 0)
         flavor)
     flavors;
   match verdict (fun sim -> ignore (Engine.Sim.now sim)) Demikernel.Boot.Catnip_os with
