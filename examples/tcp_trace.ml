@@ -154,6 +154,9 @@ let () =
   let first = run () in
   List.iter (fun (t, line) -> Format.printf "  %8dns %s@." t line) first;
   let second = run () in
-  Format.printf "@.Replayed the trace: %s@."
-    (if first = second then "identical, byte for byte — deterministic"
-     else "DIFFERENT (bug!)")
+  if first = second then
+    Format.printf "@.Replayed the trace: identical, byte for byte — deterministic@."
+  else begin
+    Format.printf "@.Replayed the trace: DIFFERENT (bug!)@.";
+    exit 1
+  end

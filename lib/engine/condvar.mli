@@ -20,14 +20,12 @@
     fiber's [wake] and [timeout] callbacks, built once at
     {!Fiber.spawn}, with the generation as their operand. Each condvar
     keeps its waiters (fiber and generation) in growable arrays; a
-    waiter whose wait already ended is swept when the arrays fill, and
-    kept only as a count. So a condvar that never
-    broadcasts — a host's [kick] — holds O(live waiters), not one entry
-    per wait ever made. Deliberately preserved: its next {!broadcast}
-    still schedules one no-op event per swept waiter, in its original
-    place, so {!Sim.events_processed} and every event sequence match the
-    one-closure-per-waiter design. Dropping those events would be a
-    behaviour change to the event count. *)
+    waiter whose wait already ended is swept when the arrays fill. So a
+    condvar that never broadcasts — a host's [kick] — holds O(live
+    waiters), not one entry per wait ever made. A {!broadcast} schedules
+    events only for the waiters still in their wait: a fiber's
+    generation only grows, so an ended wait's event could only be a
+    no-op, and none is scheduled for it, swept or not. *)
 
 type t
 

@@ -19,9 +19,9 @@ let heap_line name (s : Memory.Heap.stats) =
    OCAMLRUNPARAM=R the first Catnip run counts 59 words more than the
    second: the stdlib seeds its Hashtbl randomizer once, lazily. *)
 let words_per_echo = function
-  | Demikernel.Boot.Catnip_os -> 807 (* 51,636 words / 64 = 806.81 *)
-  | Demikernel.Boot.Catnap_os -> 872 (* 55,793 words / 64 = 871.77 *)
-  | Demikernel.Boot.Catmint_os -> 649 (* 41,521 words / 64 = 648.77 *)
+  | Demikernel.Boot.Catnip_os -> 754 (* 48,232 words / 64 = 753.63, first run under R *)
+  | Demikernel.Boot.Catnap_os -> 819 (* 52,389 words / 64 = 818.58 *)
+  | Demikernel.Boot.Catmint_os -> 643 (* 41,113 words / 64 = 642.39 *)
 
 let minor_words () = int_of_float (Gc.minor_words ())
 

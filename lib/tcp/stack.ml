@@ -39,29 +39,13 @@ type tcp_state =
   | Time_wait
   | Closed_st
 
-(* One MSS-or-smaller slice of an application buffer queued for
-   transmission. The stack holds a heap reference per segment (taken in
-   [tcp_send], dropped on cumulative ack) because retransmission re-reads
-   the buffer — this is the UAF-protection contract of §5.3. *)
-type tx_seg = {
-  seg_seq : Seqnum.t;
-  seg_len : int;
-  seg_buf : Memory.Heap.buffer;
-  seg_buf_off : int;
-  seg_push_id : int; (* the push's id on its last segment, -1 on the others *)
-  mutable first_tx : int; (* -1 until first transmission *)
-  mutable retransmitted : bool;
-  mutable sacked : bool; (* covered by a peer SACK block (RFC 2018) *)
-}
-
 (* The connection control block. Everything the state machine reads or
-   writes per segment is a plain mutable field; the estimator, the
-   controller and the receive side are records of their own ([Rto],
-   [Cc], [Reassembly]). A closed connection keeps its record: until the
-   app closes it too, the app may still pop the receive queue (a read
-   after a reset) and read the counters; the introspection functions
-   below report a closed connection's window, flight and RTT as
-   empty. *)
+   writes per segment is a plain mutable field; the send and receive
+   sides are records of their own ([Sender], [Reassembly]). A closed
+   connection keeps its record: until the app closes it too, the app
+   may still pop the receive queue (a read after a reset) and read the
+   counters; the introspection functions below report a closed
+   connection's window, flight and RTT as empty. *)
 type conn = {
   stack : t;
   uid : int;
@@ -70,27 +54,15 @@ type conn = {
   remote_ip : Net.Addr.Ip.t;
   remote_port : int;
   mutable state : tcp_state;
-  (* --- send side --- *)
+  (* --- handshake and options --- *)
   iss : Seqnum.t;
-  mutable snd_una : Seqnum.t;
-  mutable snd_nxt : Seqnum.t;
-  mutable snd_wnd : int;
-  mutable peer_wscale : int;
   mutable peer_mss : int;
-  mutable dupacks : int;
   mutable syn_retries : int;
-  mutable fin_seq : Seqnum.t; (* -1 = no FIN queued *)
-  mutable fin_pending : bool;
   mutable ts_on : bool; (* RFC 7323 timestamps negotiated *)
-  mutable sack_on : bool; (* RFC 2018 SACK negotiated *)
   mutable ts_recent : int;
-  rto : Rto.t;
-  cc : Cc.t;
-  unacked : tx_seg Queue.t;
-  unsent : tx_seg Queue.t;
-  mutable unsent_end : Seqnum.t; (* after [unsent]'s last byte, while it is nonempty *)
+  (* --- send side --- *)
+  tx : Sender.t;
   mutable rto_seq : int; (* seq of the live RTO entry in [stack.timers], -1 = none *)
-  mutable retransmit_count : int;
   (* --- receive side --- *)
   rx : Reassembly.t; (* at [rcv_nxt] 0 until [establish] *)
   mutable eof_delivered_to_q : bool;
@@ -130,6 +102,7 @@ and t = {
   heap : Memory.Heap.t;
   prng : Engine.Prng.t;
   events : event -> unit;
+  clock : unit -> int; (* [now], as the closure every [Sender] reads *)
   conns : conn Conntab.t; (* packed-key demux: (local port, remote ip, remote port) *)
   listeners : (int, listener) Hashtbl.t;
   udp_socks : (int, udp_socket) Hashtbl.t;
@@ -160,9 +133,9 @@ and t = {
   mutable tx_src : Bytes.t; (* payload: [tx_len] bytes at [tx_src_off], none when 0 *)
   mutable tx_src_off : int;
   mutable tx_len : int;
-  mutable tcp_write : Bytes.t -> int -> unit; (* built once, at [create] *)
-  mutable udp_write : Bytes.t -> int -> unit;
-  mutable deliver : Net.Ipv4.t -> Bytes.t -> int -> unit; (* [Iface.input]'s, built once *)
+  tcp_write : Bytes.t -> int -> unit; (* built once, at [create] *)
+  udp_write : Bytes.t -> int -> unit;
+  deliver : Net.Ipv4.t -> Bytes.t -> int -> unit; (* [Iface.input]'s, built once *)
 }
 
 type conn_stats = { live : int; ever_opened : int; peak : int }
@@ -243,18 +216,13 @@ let write_udp t b off =
 
 (* ---------- TCP segment emission ---------- *)
 
-let my_wscale t = t.config.window_scale
-
-let advertised_window conn =
+(* The receive window: what [rwnd_capacity] leaves of the buffered
+   bytes, scaled outside of SYNs. *)
+let window_field conn ~syn =
   let t = conn.stack in
   let buffered = Reassembly.queued_bytes conn.rx + Reassembly.held_bytes conn.rx in
-  max 0 (t.config.rwnd_capacity - buffered)
-
-let window_field conn ~syn =
-  let w = advertised_window conn in
-  if syn then min w 0xffff else min 0xffff (w lsr my_wscale conn.stack)
-
-let rcv_nxt conn = Reassembly.rcv_nxt conn.rx
+  let w = max 0 (t.config.rwnd_capacity - buffered) in
+  if syn then min w 0xffff else min 0xffff (w lsr t.config.window_scale)
 
 (* Up to 3 blocks of buffered out-of-order data (the most that fit
    beside timestamps). *)
@@ -271,17 +239,17 @@ let emit conn ~seq ~syn ~ack_flag ~fin ~rst ~psh =
   let t = conn.stack in
   let th = t.tx_th in
   Net.Tcp_wire.set th ~src_port:conn.local_port ~dst_port:conn.remote_port ~seq
-    ~ack:(if ack_flag then rcv_nxt conn else 0)
+    ~ack:(if ack_flag then Reassembly.rcv_nxt conn.rx else 0)
     ~syn ~ack_flag ~fin ~rst ~psh ~window:(window_field conn ~syn);
   if syn then begin
     th.Net.Tcp_wire.mss <- t.config.mss;
-    th.Net.Tcp_wire.window_scale <- my_wscale t;
+    th.Net.Tcp_wire.window_scale <- t.config.window_scale;
     th.Net.Tcp_wire.has_ts <- t.config.use_timestamps;
     th.Net.Tcp_wire.sack_permitted <- t.config.use_sack
   end
   else begin
     th.Net.Tcp_wire.has_ts <- conn.ts_on;
-    if conn.sack_on && ack_flag then fill_sack th 0 (Reassembly.ranges conn.rx)
+    if Sender.sack conn.tx && ack_flag then fill_sack th 0 (Reassembly.ranges conn.rx)
   end;
   if th.Net.Tcp_wire.has_ts then begin
     th.Net.Tcp_wire.ts_val <- ts_now t;
@@ -298,7 +266,7 @@ let emit_segment conn ~seq ~syn ~ack_flag ~fin ~rst =
 
 let send_ack conn =
   conn.ack_pending <- false;
-  emit_segment conn ~seq:conn.snd_nxt ~syn:false ~ack_flag:true ~fin:false ~rst:false
+  emit_segment conn ~seq:(Sender.snd_nxt conn.tx) ~syn:false ~ack_flag:true ~fin:false ~rst:false
 
 (* Delayed-ack dirty tracking: a connection enters the stack-wide FIFO
    exactly when its flag flips to pending, so [flush_acks] visits only
@@ -310,13 +278,22 @@ let mark_ack_pending conn =
     Engine.Ring.push conn.stack.ack_q conn
   end
 
-let send_data_segment conn seg =
+(* The [Sender]'s emit: every data segment and FIN goes out here. *)
+let transmit conn kind seq push_id b off len =
   let t = conn.stack in
-  if seg.first_tx < 0 then seg.first_tx <- now t;
-  t.tx_src <- Memory.Heap.data seg.seg_buf;
-  t.tx_src_off <- Memory.Heap.offset seg.seg_buf + seg.seg_buf_off;
-  t.tx_len <- seg.seg_len;
-  emit conn ~seq:seg.seg_seq ~syn:false ~ack_flag:true ~fin:false ~rst:false ~psh:true
+  if kind = Sender.Retransmit || kind = Sender.Hole then begin
+    t.retransmit_total <- t.retransmit_total + 1;
+    t.trace
+      (if kind = Sender.Hole then "conn %d: fast retransmit seq=%d"
+       else "conn %d: retransmit seq=%d")
+      conn.uid seq
+  end;
+  t.tx_src <- b;
+  t.tx_src_off <- off;
+  t.tx_len <- len;
+  emit conn ~seq ~syn:false ~ack_flag:true ~fin:(kind = Sender.Fin) ~rst:false
+    ~psh:(kind <> Sender.Fin);
+  if push_id >= 0 then t.events (Push_completed (conn, push_id))
 
 (* A raw RST for segments that match no connection (RFC 793 p.36);
    [th] is the offending segment's (RX) header. *)
@@ -357,68 +334,10 @@ let arm_time_wait_at conn deadline =
   conn.tw_seq <- Engine.Eventq.add conn.stack.timers ~time:deadline conn 0
 
 let arm_rto conn =
-  let t = conn.stack in
-  let need =
-    match conn.state with
-    | Syn_sent | Syn_received -> true
-    | Closed_st | Time_wait -> false
-    | Established_st | Fin_wait_1 | Fin_wait_2 | Close_wait | Closing | Last_ack ->
-        (not (Queue.is_empty conn.unacked))
-        || (let fs = conn.fin_seq in
-            fs >= 0 && Seqnum.lt conn.snd_una (Seqnum.add fs 1))
-        || ((not (Queue.is_empty conn.unsent)) && conn.snd_wnd = 0)
-  in
-  if need then arm_rto_at conn (now t + Rto.rto conn.rto) else cancel_rto conn
-
-(* ---------- transmission ---------- *)
-
-let bytes_in_flight conn = Seqnum.sub conn.snd_nxt conn.snd_una
-
-(* A PDPIX push completes when its last segment leaves the stack once:
-   segments leave [unsent] in order, so the one carrying the push id
-   goes last. Every other segment carries -1. *)
-let note_push_progress conn push_id =
-  if push_id >= 0 then conn.stack.events (Push_completed (conn, push_id))
-
-let may_send_fin conn =
-  conn.fin_pending
-  && Queue.is_empty conn.unsent
-  && (match conn.state with
-     | Fin_wait_1 | Last_ack | Closing -> true
-     | Syn_sent | Syn_received | Established_st | Fin_wait_2 | Close_wait | Time_wait | Closed_st
-       -> false)
-  && conn.fin_seq = -1
-
-let try_transmit conn =
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    if not (Queue.is_empty conn.unsent) then begin
-      let seg = Queue.peek conn.unsent in
-      let wnd = min (Cc.cwnd conn.cc) conn.snd_wnd in
-      let in_flight = bytes_in_flight conn in
-      (* Always allow at least one segment when nothing is in flight,
-         so a window smaller than MSS cannot deadlock the connection. *)
-      if in_flight + seg.seg_len <= wnd || (in_flight = 0 && wnd > 0) then begin
-        let seg = Queue.pop conn.unsent in
-        send_data_segment conn seg;
-        conn.snd_nxt <- Seqnum.add conn.snd_nxt seg.seg_len;
-        Queue.add seg conn.unacked;
-        note_push_progress conn seg.seg_push_id;
-        progress := true
-      end
-    end
-  done;
-  if may_send_fin conn then begin
-    conn.fin_seq <- conn.snd_nxt;
-    emit_segment conn ~seq:conn.snd_nxt ~syn:false ~ack_flag:true ~fin:true ~rst:false;
-    conn.snd_nxt <- Seqnum.add conn.snd_nxt 1
-  end;
-  arm_rto conn
+  if Sender.needs_rto conn.tx then arm_rto_at conn (now conn.stack + Sender.rto conn.tx)
+  else cancel_rto conn
 
 (* ---------- connection lifecycle ---------- *)
-
-let fresh_iss t = Int64.to_int (Engine.Prng.int64 t.prng) land 0xFFFF_FFFF
 
 (* Demux keys: (local port, remote port) packed in [ka], remote ip in
    [kb] — the three fields are 64 bits together, one too many for an
@@ -426,7 +345,7 @@ let fresh_iss t = Int64.to_int (Engine.Prng.int64 t.prng) land 0xFFFF_FFFF
 let conn_ka conn = (conn.local_port lsl 16) lor conn.remote_port
 
 let make_conn t ~local_ip ~local_port ~remote_ip ~remote_port ~state ~parent_listener =
-  let iss = fresh_iss t in
+  let iss = Int64.to_int (Engine.Prng.int64 t.prng) land 0xFFFF_FFFF in
   let uid = t.next_conn_uid in
   t.next_conn_uid <- t.next_conn_uid + 1;
   t.conns_opened <- t.conns_opened + 1;
@@ -434,85 +353,52 @@ let make_conn t ~local_ip ~local_port ~remote_ip ~remote_port ~state ~parent_lis
      table high-water mark including this connection. *)
   let live_after = Conntab.length t.conns + 1 in
   if live_after > t.conns_peak then t.conns_peak <- live_after;
-  let rec conn =
-    {
-      stack = t;
-      uid;
-      local_ip;
-      local_port;
-      remote_ip;
-      remote_port;
-      state;
-      iss;
-      snd_una = iss;
-      snd_nxt = iss;
-      snd_wnd = t.config.mss;
-      peer_wscale = 0;
-      peer_mss = t.config.mss;
-      dupacks = 0;
-      syn_retries = 0;
-      fin_seq = -1;
-      fin_pending = false;
-      ts_on = false;
-      sack_on = false;
-      ts_recent = 0;
-      rto = Rto.create ~min_rto:t.config.min_rto_ns ~max_rto:t.config.max_rto_ns;
-      cc = Cc.create t.config.cc ~mss:t.config.mss;
-      unacked = Queue.create ();
-      unsent = Queue.create ();
-      unsent_end = iss;
-      rto_seq = -1;
-      retransmit_count = 0;
-      rx = Reassembly.create ~heap:t.heap ~capacity:t.config.rwnd_capacity;
-      eof_delivered_to_q = false;
-      ack_pending = false;
-      tw_seq = -1;
-      parent_listener;
-      readable = Readable conn;
-    }
+  (* The sender's emit closes over its connection: a lazy knot. *)
+  let rec self =
+    lazy
+      (let tx =
+         Sender.create ~iss ~mss:t.config.mss t.config.cc ~min_rto:t.config.min_rto_ns
+           ~max_rto:t.config.max_rto_ns ~clock:t.clock ~emit:(fun kind seq push_id b off len ->
+             transmit (Lazy.force self) kind seq push_id b off len)
+       in
+       let rec conn =
+         { stack = t; uid; local_ip; local_port; remote_ip; remote_port; state; iss;
+           peer_mss = t.config.mss; syn_retries = 0; ts_on = false; ts_recent = 0; tx;
+           rto_seq = -1; rx = Reassembly.create ~heap:t.heap ~capacity:t.config.rwnd_capacity;
+           eof_delivered_to_q = false; ack_pending = false; tw_seq = -1; parent_listener;
+           readable = Readable conn }
+       in
+       conn)
   in
-  conn
-
-let release_tx_resources conn =
-  let release seg = Memory.Heap.os_decref seg.seg_buf in
-  Queue.iter release conn.unacked;
-  Queue.iter release conn.unsent;
-  Queue.clear conn.unacked;
-  Queue.clear conn.unsent
+  Lazy.force self
 
 (* Held bytes can never be popped once the connection is closed; the
-   queue is freed only once the app has closed too ([app_closed]), as
-   it may still pop it after a reset. *)
-let destroy conn ~app_closed =
-  release_tx_resources conn;
-  if app_closed then Reassembly.release conn.rx
-  else Reassembly.restart conn.rx ~rcv_nxt:(Reassembly.rcv_nxt conn.rx);
+   queue is freed only once the app has closed too, as it may still pop
+   it after a reset. Only [tcp_close] sends our FIN, so in the states
+   after it the app has closed the connection. *)
+let to_closed conn ~reset =
+  let was = conn.state in
+  (if was = Syn_received then
+     match conn.parent_listener with
+     | Some l -> l.syn_pending <- max 0 (l.syn_pending - 1)
+     | None -> ());
+  conn.state <- Closed_st;
+  Sender.release conn.tx;
+  (match was with
+  | Fin_wait_1 | Fin_wait_2 | Closing | Last_ack | Time_wait -> Reassembly.release conn.rx
+  | Syn_sent | Syn_received | Established_st | Close_wait | Closed_st ->
+      Reassembly.restart conn.rx ~rcv_nxt:(Reassembly.rcv_nxt conn.rx));
   cancel_rto conn;
   cancel_time_wait conn;
   (* Any queued delayed-ack entry becomes a no-op. *)
   conn.ack_pending <- false;
-  Conntab.remove conn.stack.conns ~ka:(conn_ka conn) ~kb:conn.remote_ip
-
-(* Only [tcp_close] sends our FIN, so in these states the app has
-   closed the connection. *)
-let app_closed = function
-  | Fin_wait_1 | Fin_wait_2 | Closing | Last_ack | Time_wait -> true
-  | Syn_sent | Syn_received | Established_st | Close_wait | Closed_st -> false
-
-let to_closed conn ~reset =
-  let was_closed = conn.state = Closed_st in
-  (if conn.state = Syn_received then
-     match conn.parent_listener with
-     | Some l -> l.syn_pending <- max 0 (l.syn_pending - 1)
-     | None -> ());
-  let app_closed = app_closed conn.state in
-  conn.state <- Closed_st;
-  destroy conn ~app_closed;
-  if not was_closed then begin
-    if reset then
+  Conntab.remove conn.stack.conns ~ka:(conn_ka conn) ~kb:conn.remote_ip;
+  if was <> Closed_st then
+    if reset then begin
       conn.stack.trace "conn %d: reset" conn.uid 0;
-    if reset then conn.stack.events (Reset conn) else conn.stack.events (Closed conn)
-  end
+      conn.stack.events (Reset conn)
+    end
+    else conn.stack.events (Closed conn)
 
 let enter_time_wait conn =
   conn.state <- Time_wait;
@@ -533,11 +419,18 @@ let listener_port l = l.l_port
 let tcp_accept l = if Queue.is_empty l.accept_q then None else Some (Queue.pop l.accept_q)
 let accept_pending l = Queue.length l.accept_q
 
+(* Our SYN, or the SYN-ACK of a passive open. *)
 let send_syn conn =
-  emit_segment conn ~seq:conn.iss ~syn:true ~ack_flag:false ~fin:false ~rst:false
+  emit_segment conn ~seq:conn.iss ~syn:true ~ack_flag:(conn.state = Syn_received) ~fin:false
+    ~rst:false
 
-let send_syn_ack conn =
-  emit_segment conn ~seq:conn.iss ~syn:true ~ack_flag:true ~fin:false ~rst:false
+(* Both opens: the SYN or SYN-ACK takes [iss], under the SYN RTO. *)
+let open_handshake conn =
+  let t = conn.stack in
+  Conntab.replace t.conns ~ka:(conn_ka conn) ~kb:conn.remote_ip conn;
+  send_syn conn;
+  Sender.syn_sent conn.tx;
+  arm_rto_at conn (now t + t.config.syn_rto_ns)
 
 let tcp_connect t ~dst =
   let port = t.next_ephemeral in
@@ -546,10 +439,7 @@ let tcp_connect t ~dst =
     make_conn t ~local_ip:(Iface.ip t.iface) ~local_port:port ~remote_ip:dst.Net.Addr.ip
       ~remote_port:dst.Net.Addr.port ~state:Syn_sent ~parent_listener:None
   in
-  Conntab.replace t.conns ~ka:(conn_ka conn) ~kb:conn.remote_ip conn;
-  send_syn conn;
-  conn.snd_nxt <- Seqnum.add conn.iss 1;
-  arm_rto_at conn (now t + t.config.syn_rto_ns);
+  open_handshake conn;
   conn
 
 (* The MSS bounds the payload of a segment with no TCP options (RFC
@@ -571,65 +461,24 @@ let tcp_send conn ?(push_id = 0) bufs =
   | Syn_sent | Syn_received | Fin_wait_1 | Fin_wait_2 | Closing | Last_ack | Time_wait
   | Closed_st ->
       invalid_arg "Stack.tcp_send: connection cannot send");
-  let mss = send_mss conn in
-  let push_len = List.fold_left (fun n buf -> n + Memory.Heap.length buf) 0 bufs in
-  if push_len = 0 then invalid_arg "Stack.tcp_send: empty scatter-gather array";
-  (* [unsent] is contiguous from [snd_nxt]: transmission pops its head
-     as it advances [snd_nxt]. *)
-  let base_seq = if Queue.is_empty conn.unsent then conn.snd_nxt else conn.unsent_end in
-  let push_end = Seqnum.add base_seq push_len in
-  let queue_buf base_seq buf =
-    let total = Memory.Heap.length buf in
-    let rec split off seq =
-      if off < total then begin
-        let len = min mss (total - off) in
-        let seq_end = Seqnum.add seq len in
-        Memory.Heap.os_incref buf;
-        Queue.add
-          {
-            seg_seq = seq;
-            seg_len = len;
-            seg_buf = buf;
-            seg_buf_off = off;
-            seg_push_id = (if seq_end = push_end then push_id else -1);
-            first_tx = -1;
-            retransmitted = false;
-            sacked = false;
-          }
-          conn.unsent;
-        split (off + len) seq_end
-      end
-    in
-    split 0 base_seq;
-    Seqnum.add base_seq total
-  in
-  conn.unsent_end <- List.fold_left queue_buf base_seq bufs;
-  try_transmit conn
+  if List.for_all (fun buf -> Memory.Heap.length buf = 0) bufs then
+    invalid_arg "Stack.tcp_send: empty scatter-gather array";
+  Sender.push conn.tx ~mss:(send_mss conn) ~push_id bufs;
+  arm_rto conn
 
 let tcp_close conn =
   match conn.state with
-  | Established_st ->
-      conn.state <- Fin_wait_1;
-      conn.fin_pending <- true;
-      try_transmit conn
-  | Close_wait ->
-      conn.state <- Last_ack;
-      conn.fin_pending <- true;
-      try_transmit conn
+  | Established_st | Syn_received | Close_wait ->
+      conn.state <- (if conn.state = Close_wait then Last_ack else Fin_wait_1);
+      Sender.close conn.tx;
+      arm_rto conn
   | Syn_sent -> to_closed conn ~reset:false
-  | Syn_received ->
-      conn.state <- Fin_wait_1;
-      conn.fin_pending <- true;
-      try_transmit conn
   | Closed_st -> Reassembly.release conn.rx
   | Fin_wait_1 | Fin_wait_2 | Closing | Last_ack | Time_wait -> ()
 
 let tcp_abort conn =
-  (match conn.state with
-  | Closed_st -> ()
-  | Syn_sent | Syn_received | Established_st | Fin_wait_1 | Fin_wait_2 | Close_wait | Closing
-  | Last_ack | Time_wait ->
-      emit_segment conn ~seq:conn.snd_nxt ~syn:false ~ack_flag:true ~fin:false ~rst:true);
+  if conn.state <> Closed_st then
+    emit_segment conn ~seq:(Sender.snd_nxt conn.tx) ~syn:false ~ack_flag:true ~fin:false ~rst:true;
   to_closed conn ~reset:false;
   Reassembly.release conn.rx
 
@@ -644,159 +493,33 @@ let tcp_recv conn =
   else if conn.eof_delivered_to_q then `Eof
   else `Nothing
 
-(* ---------- ack processing ---------- *)
-
-let fin_acked conn =
-  let fs = conn.fin_seq in
-  fs >= 0 && Seqnum.le (Seqnum.add fs 1) conn.snd_una
-
-(* First unacknowledged segment the peer has not selectively acked:
-   with SACK this skips delivered data and retransmits only the holes. *)
-let first_retransmit_candidate conn =
-  Queue.fold
-    (fun acc seg -> match acc with Some _ -> acc | None -> if seg.sacked then None else Some seg)
-    None conn.unacked
-
-let retransmit_head conn =
-  match first_retransmit_candidate conn with
-  | Some seg ->
-      seg.retransmitted <- true;
-      conn.retransmit_count <- conn.retransmit_count + 1;
-      conn.stack.retransmit_total <- conn.stack.retransmit_total + 1;
-      conn.stack.trace "conn %d: retransmit seq=%d" conn.uid seg.seg_seq;
-      send_data_segment conn seg
-  | None ->
-      (* Nothing unacked: the timer was armed for a FIN or a zero-window
-         probe. *)
-      let fs = conn.fin_seq in
-      if fs >= 0 && not (fin_acked conn) then begin
-        conn.retransmit_count <- conn.retransmit_count + 1;
-        emit_segment conn ~seq:fs ~syn:false ~ack_flag:true ~fin:true ~rst:false
-      end
-      else if not (Queue.is_empty conn.unsent) then begin
-        (* Zero-window probe: force out the head segment. *)
-        let seg = Queue.pop conn.unsent in
-        send_data_segment conn seg;
-        conn.snd_nxt <- Seqnum.max conn.snd_nxt (Seqnum.add seg.seg_seq seg.seg_len);
-        Queue.add seg conn.unacked;
-        note_push_progress conn seg.seg_push_id
-      end
-
-(* Whether one of the segment's SACK blocks, from block [i] on, covers
-   [lo, hi). At most {!Net.Tcp_wire.max_sack_blocks} blocks. *)
-let rec sack_covers th lo hi i =
-  i < th.Net.Tcp_wire.sack_count
-  && ((Seqnum.le th.Net.Tcp_wire.sack_edges.(2 * i) lo
-      && Seqnum.le hi th.Net.Tcp_wire.sack_edges.((2 * i) + 1))
-     || sack_covers th lo hi (i + 1))
-
-let apply_sack_blocks conn th =
-  if th.Net.Tcp_wire.sack_count > 0 && conn.sack_on then
-    Queue.iter
-      (fun seg ->
-        if not seg.sacked then
-          let seg_end = Seqnum.add seg.seg_seq seg.seg_len in
-          if sack_covers th seg.seg_seq seg_end 0 then seg.sacked <- true)
-      conn.unacked
-
-(* Retire the fully-acked segments at the head of [unacked], dropping
-   the stack's buffer refs. Returns the RTT sample of the last retired
-   segment that was sent only once (Karn's rule), or [sample]. *)
-let rec retire conn ack sample =
-  if Queue.is_empty conn.unacked then sample
-  else
-    let seg = Queue.peek conn.unacked in
-    if Seqnum.le (Seqnum.add seg.seg_seq seg.seg_len) ack then begin
-      ignore (Queue.pop conn.unacked);
-      let sample =
-        if (not seg.retransmitted) && seg.first_tx >= 0 then now conn.stack - seg.first_tx
-        else sample
-      in
-      Memory.Heap.os_decref seg.seg_buf;
-      retire conn ack sample
-    end
-    else sample
+(* ---------- ack and receive processing ---------- *)
 
 let process_ack conn th ~payload_len =
-  let t = conn.stack in
-  let ack = th.Net.Tcp_wire.ack in
-  apply_sack_blocks conn th;
-  (* Update the peer's advertised window (scaled outside of SYNs). *)
-  conn.snd_wnd <- th.Net.Tcp_wire.window lsl conn.peer_wscale;
-  if Seqnum.lt conn.snd_una ack && Seqnum.le ack conn.snd_nxt then begin
-    let acked_bytes = Seqnum.sub ack conn.snd_una in
-    conn.snd_una <- ack;
-    conn.dupacks <- 0;
-    Rto.reset_backoff conn.rto;
-    let rtt_sample = retire conn ack (-1) in
-    if rtt_sample >= 0 then Rto.observe conn.rto rtt_sample;
-    Cc.on_ack conn.cc ~acked:acked_bytes ~now:(now t);
-    (* FIN progress. *)
-    if fin_acked conn then begin
-      match conn.state with
-      | Fin_wait_1 -> conn.state <- Fin_wait_2
-      | Closing -> enter_time_wait conn
-      | Last_ack -> to_closed conn ~reset:false
-      | Syn_sent | Syn_received | Established_st | Fin_wait_2 | Close_wait | Time_wait
-      | Closed_st -> ()
-    end;
-    if conn.state <> Closed_st then try_transmit conn
+  if Sender.on_ack conn.tx th ~payload_len then begin
+    (if Sender.fin_acked conn.tx then
+       match conn.state with
+       | Fin_wait_1 -> conn.state <- Fin_wait_2
+       | Closing -> enter_time_wait conn
+       | Last_ack -> to_closed conn ~reset:false
+       | Syn_sent | Syn_received | Established_st | Fin_wait_2 | Close_wait | Time_wait
+       | Closed_st -> ());
+    if conn.state <> Closed_st then arm_rto conn
   end
-  else if Seqnum.le ack conn.snd_una then begin
-    (* Duplicate ack (RFC 5681 §2): same ack, outstanding data, and the
-       segment carries no payload — data segments of the reverse stream
-       must not count, or bidirectional traffic fakes losses. *)
-    if
-      ack = conn.snd_una
-      && (not (Queue.is_empty conn.unacked))
-      && th.Net.Tcp_wire.syn = false
-      && th.Net.Tcp_wire.fin = false
-      && payload_len = 0
-    then begin
-      conn.dupacks <- conn.dupacks + 1;
-      if conn.dupacks = 3 then begin
-        Cc.on_fast_retransmit conn.cc;
-        (* With SACK, every unsacked segment below the highest selective
-           ack is presumed lost (RFC 6675): repair all the holes now
-           instead of one per round trip. *)
-        let sack_high =
-          Queue.fold
-            (fun acc seg ->
-              if seg.sacked then Seqnum.max acc (Seqnum.add seg.seg_seq seg.seg_len) else acc)
-            conn.snd_una conn.unacked
-        in
-        if conn.sack_on && Seqnum.lt conn.snd_una sack_high then
-          Queue.iter
-            (fun seg ->
-              if (not seg.sacked) && Seqnum.lt seg.seg_seq sack_high then begin
-                seg.retransmitted <- true;
-                conn.retransmit_count <- conn.retransmit_count + 1;
-                conn.stack.retransmit_total <- conn.stack.retransmit_total + 1;
-                conn.stack.trace "conn %d: fast retransmit seq=%d" conn.uid seg.seg_seq;
-                send_data_segment conn seg
-              end)
-            conn.unacked
-        else retransmit_head conn;
-        arm_rto conn
-      end
-    end
-  end
-
-(* ---------- receive path ---------- *)
 
 (* Take the peer's SYN options from its (RX) header [th]. *)
 let establish conn th =
   let t = conn.stack in
   Reassembly.restart conn.rx ~rcv_nxt:(Seqnum.add th.Net.Tcp_wire.seq 1);
   if th.Net.Tcp_wire.mss >= 0 then conn.peer_mss <- th.Net.Tcp_wire.mss;
-  conn.peer_wscale <-
-    (if th.Net.Tcp_wire.window_scale >= 0 then min th.Net.Tcp_wire.window_scale 14 else 0);
+  Sender.negotiate conn.tx
+    ~wscale:(if th.Net.Tcp_wire.window_scale >= 0 then min th.Net.Tcp_wire.window_scale 14 else 0)
+    ~sack:(t.config.use_sack && th.Net.Tcp_wire.sack_permitted);
   if th.Net.Tcp_wire.has_ts && t.config.use_timestamps then begin
     conn.ts_on <- true;
     conn.ts_recent <- th.Net.Tcp_wire.ts_val
   end
-  else conn.ts_on <- false;
-  conn.sack_on <- t.config.use_sack && th.Net.Tcp_wire.sack_permitted
+  else conn.ts_on <- false
 
 (* [len] payload bytes at [off] in the frame [b]; [Reassembly.insert]
    copies the new ones out of it, once. *)
@@ -817,7 +540,7 @@ let process_payload conn th b off len =
       conn.eof_delivered_to_q <- true;
       (match conn.state with
       | Established_st -> conn.state <- Close_wait
-      | Fin_wait_1 -> if fin_acked conn then enter_time_wait conn else conn.state <- Closing
+      | Fin_wait_1 -> if Sender.fin_acked conn.tx then enter_time_wait conn else conn.state <- Closing
       | Fin_wait_2 -> enter_time_wait conn
       | Syn_sent | Syn_received | Close_wait | Closing | Last_ack | Time_wait | Closed_st -> ());
       conn.stack.events conn.readable;
@@ -846,9 +569,8 @@ let handle_existing conn th b off len =
     | Syn_sent ->
         if th.Net.Tcp_wire.syn && th.Net.Tcp_wire.ack_flag then begin
           if th.Net.Tcp_wire.ack = Seqnum.add conn.iss 1 then begin
-            conn.snd_una <- th.Net.Tcp_wire.ack;
             establish conn th;
-            conn.snd_wnd <- th.Net.Tcp_wire.window (* SYN windows are unscaled *);
+            Sender.syn_acked conn.tx th;
             conn.state <- Established_st;
             cancel_rto conn;
             send_ack conn;
@@ -858,8 +580,7 @@ let handle_existing conn th b off len =
         end
     | Syn_received ->
         if th.Net.Tcp_wire.ack_flag && th.Net.Tcp_wire.ack = Seqnum.add conn.iss 1 then begin
-          conn.snd_una <- th.Net.Tcp_wire.ack;
-          conn.snd_wnd <- th.Net.Tcp_wire.window lsl conn.peer_wscale;
+          Sender.syn_acked conn.tx th;
           conn.state <- Established_st;
           cancel_rto conn;
           match conn.parent_listener with
@@ -888,23 +609,17 @@ let handle_existing conn th b off len =
         end
     | Closed_st -> ()
 
+(* With the backlog full the SYN is dropped; the client retries (RFC
+   793 allows silently discarding). *)
 let handle_syn_for_listener t l th ~src_ip =
-  if l.syn_pending + Queue.length l.accept_q >= l.backlog then
-    (* Backlog full: drop the SYN; the client retries (RFC 793 allows
-       silently discarding). *)
-    ()
-  else begin
-  l.syn_pending <- l.syn_pending + 1;
-  let conn =
-    make_conn t ~local_ip:(Iface.ip t.iface) ~local_port:l.l_port ~remote_ip:src_ip
-      ~remote_port:th.Net.Tcp_wire.src_port ~state:Syn_received ~parent_listener:(Some l)
-  in
-  establish conn th;
-  conn.snd_wnd <- th.Net.Tcp_wire.window;
-  Conntab.replace t.conns ~ka:(conn_ka conn) ~kb:conn.remote_ip conn;
-  send_syn_ack conn;
-  conn.snd_nxt <- Seqnum.add conn.iss 1;
-  arm_rto_at conn (now t + t.config.syn_rto_ns)
+  if l.syn_pending + Queue.length l.accept_q < l.backlog then begin
+    l.syn_pending <- l.syn_pending + 1;
+    let conn =
+      make_conn t ~local_ip:(Iface.ip t.iface) ~local_port:l.l_port ~remote_ip:src_ip
+        ~remote_port:th.Net.Tcp_wire.src_port ~state:Syn_received ~parent_listener:(Some l)
+    in
+    establish conn th;
+    open_handshake conn
   end
 
 let handle_tcp t header b off =
@@ -953,42 +668,18 @@ let dispatch t header b off =
 (* Defined after the handlers: the transport writers and [Iface.input]'s
    deliver callback are built here, once per stack. *)
 let create ?(config = default_config) ?(trace = fun _ _ _ -> ()) ~iface ~heap ~prng ~events () =
-  let t =
-    {
-      config;
-      iface;
-      heap;
-      prng;
-      events;
-      conns = Conntab.create ~initial:64 ();
-      listeners = Hashtbl.create 8;
-      udp_socks = Hashtbl.create 8;
-      timers = Engine.Eventq.create ();
-      timers_fired = 0;
-      ack_q = Engine.Ring.create ();
-      next_ephemeral = 49152;
-      next_conn_uid = 1;
-      retransmit_total = 0;
-      conns_opened = 0;
-      conns_peak = 0;
-      trace;
-      rx_th = Net.Tcp_wire.create ();
-      rx_uh = Net.Udp_wire.create ();
-      in_input = false;
-      tx_th = Net.Tcp_wire.create ();
-      tx_uh = Net.Udp_wire.create ();
-      tx_dst_ip = 0;
-      tx_src = Bytes.empty;
-      tx_src_off = 0;
-      tx_len = 0;
-      tcp_write = (fun _ _ -> ());
-      udp_write = (fun _ _ -> ());
-      deliver = (fun _ _ _ -> ());
-    }
+  let rec t =
+    { config; iface; heap; prng; events; clock = (fun () -> Iface.clock iface);
+      conns = Conntab.create ~initial:64 (); listeners = Hashtbl.create 8;
+      udp_socks = Hashtbl.create 8; timers = Engine.Eventq.create (); timers_fired = 0;
+      ack_q = Engine.Ring.create (); next_ephemeral = 49152; next_conn_uid = 1;
+      retransmit_total = 0; conns_opened = 0; conns_peak = 0; trace;
+      rx_th = Net.Tcp_wire.create (); rx_uh = Net.Udp_wire.create (); in_input = false;
+      tx_th = Net.Tcp_wire.create (); tx_uh = Net.Udp_wire.create (); tx_dst_ip = 0;
+      tx_src = Bytes.empty; tx_src_off = 0; tx_len = 0;
+      tcp_write = (fun b off -> write_tcp t b off); udp_write = (fun b off -> write_udp t b off);
+      deliver = (fun header b off -> dispatch t header b off) }
   in
-  t.tcp_write <- write_tcp t;
-  t.udp_write <- write_udp t;
-  t.deliver <- dispatch t;
   t
 
 (* The one writer of the RX views: a frame is parsed and handled to the
@@ -1019,11 +710,7 @@ let handshake_timeout conn =
   conn.syn_retries <- conn.syn_retries + 1;
   if conn.syn_retries > t.config.max_syn_retries then to_closed conn ~reset:true
   else begin
-    (match conn.state with
-    | Syn_sent -> send_syn conn
-    | Syn_received -> send_syn_ack conn
-    | Established_st | Fin_wait_1 | Fin_wait_2 | Close_wait | Closing | Last_ack | Time_wait
-    | Closed_st -> ());
+    send_syn conn;
     arm_rto_at conn (now t + (t.config.syn_rto_ns lsl min conn.syn_retries 10))
   end
 
@@ -1033,9 +720,7 @@ let rto_fire conn =
   match conn.state with
   | Syn_sent | Syn_received -> handshake_timeout conn
   | Established_st | Fin_wait_1 | Fin_wait_2 | Close_wait | Closing | Last_ack ->
-      Cc.on_timeout conn.cc;
-      Rto.backoff conn.rto;
-      retransmit_head conn;
+      Sender.on_rto conn.tx;
       arm_rto conn
   | Time_wait | Closed_st -> ()
 
@@ -1045,10 +730,7 @@ let rto_fire conn =
    [on_timer] stays allocation-free. *)
 let timer_fired conn seq =
   conn.stack.timers_fired <- conn.stack.timers_fired + 1;
-  if seq = conn.tw_seq then begin
-    conn.tw_seq <- -1;
-    to_closed conn ~reset:false
-  end
+  if seq = conn.tw_seq then to_closed conn ~reset:false
   else begin
     conn.rto_seq <- -1;
     rto_fire conn
@@ -1069,10 +751,10 @@ let conn_remote conn = Net.Addr.endpoint conn.remote_ip conn.remote_port
 
 (* A closed connection has no window, nothing in flight and no RTT
    estimate, whatever its fields last held. *)
-let conn_cwnd conn = if conn.state = Closed_st then 0 else Cc.cwnd conn.cc
-let conn_srtt conn = if conn.state = Closed_st then None else Rto.srtt conn.rto
-let conn_bytes_in_flight conn = if conn.state = Closed_st then 0 else bytes_in_flight conn
-let conn_retransmits conn = conn.retransmit_count
+let conn_cwnd conn = if conn.state = Closed_st then 0 else Sender.cwnd conn.tx
+let conn_srtt conn = if conn.state = Closed_st then None else Sender.srtt conn.tx
+let conn_bytes_in_flight conn = if conn.state = Closed_st then 0 else Sender.bytes_in_flight conn.tx
+let conn_retransmits conn = Sender.retransmits conn.tx
 let conn_recv_queue_bytes conn = Reassembly.queued_bytes conn.rx
 let conn_at_eof conn = conn.eof_delivered_to_q && Reassembly.is_empty conn.rx
 

@@ -1,28 +1,19 @@
 (** The Catnip-style deterministic TCP/UDP stack (§6.3).
 
-    One [Stack.t] serves one interface and implements: UDP sockets, and
-    TCP per RFC 793 with RFC 7323 window scaling and timestamps — SYN /
-    SYN-ACK handshake with listener backlogs, Cubic (or NewReno)
-    congestion control, RFC 6298 retransmission timeouts with Karn's
-    rule and exponential backoff, fast retransmit on three duplicate
-    acks, selective acknowledgments (RFC 2018) with a sender scoreboard
-    that retransmits only the holes, out-of-order reassembly, flow
-    control with zero-window probing, and the full close state machine
-    through TIME_WAIT. Each connection is one control-block record:
-    its sequence state, flags and push-completion lanes are plain
-    mutable fields, beside its own {!Rto} estimator and {!Cc}
-    controller.
+    One [Stack.t] serves one interface and implements UDP sockets, and
+    TCP per RFC 793 with RFC 7323 window scaling and timestamps: the
+    SYN / SYN-ACK handshake with listener backlogs, demux, and the full
+    close state machine through TIME_WAIT. Each connection is one
+    control-block record; its send side is a {!Sender} (zero-copy
+    segments, Cubic or NewReno, RFC 6298 timeouts with Karn's rule and
+    backoff, fast retransmit, SACK hole repair, zero-window probes) and
+    its receive side a {!Reassembly} (out-of-order reassembly, flow
+    control).
 
     Determinism: the stack never reads global time or randomness — the
     clock, the initial-sequence-number generator and every frame are
     inputs, so a recorded trace replays bit-for-bit ({e the Catnip
-    debugging story}).
-
-    Zero-copy: transmit payloads stay in the application's DMA heap;
-    the stack takes a libOS reference per queued segment
-    ([Heap.os_incref]) and releases it only when the segment is
-    cumulatively acknowledged — retransmissions re-read the buffer, so
-    use-after-free protection is load-bearing, not decorative. *)
+    debugging story}). *)
 
 type t
 type conn

@@ -510,6 +510,27 @@ let test_graceful_close () =
   check_int "no live connections on a" 0 (Tcp.Stack.live_connections p.Pair.a);
   check_int "no live connections on b" 0 (Tcp.Stack.live_connections p.Pair.b)
 
+(* The closer's FIN is lost once: the RTO resends it, once, and the
+   peer reaches CLOSE_WAIT. *)
+let test_lost_fin () =
+  let p = Pair.make () in
+  let ca, cb = Pair.connect p ~port:7 in
+  let fins = ref 0 in
+  p.Pair.drop <-
+    (fun side frame ->
+      match (side, Net.Decode.parse frame) with
+      | Pair.B, Net.Decode.Tcp_info ti when ti.Net.Decode.t_fin ->
+          incr fins;
+          !fins = 1
+      | _ -> false);
+  Tcp.Stack.tcp_close ca;
+  Pair.run p;
+  check_int "the FIN went out twice" 2 !fins;
+  check_int "resent once" 1 (Tcp.Stack.conn_retransmits ca);
+  check_bool "peer in CLOSE_WAIT" true (Tcp.Stack.conn_state cb = Tcp.Stack.Close_wait);
+  check_bool "peer sees EOF" true (Tcp.Stack.tcp_recv cb = `Eof);
+  check_bool "closer in FIN_WAIT_2" true (Tcp.Stack.conn_state ca = Tcp.Stack.Fin_wait_2)
+
 let test_abort_resets_peer () =
   let p = Pair.make () in
   let ca, cb = Pair.connect p ~port:7 in
@@ -1556,9 +1577,10 @@ let test_timer_arm_words () =
    ack, A parses the ack and emits the next data segment. Beyond the
    two frames' buffer records (the frames themselves live in the frame
    heap, and each parse frees its frame), B's receive buffer (its heap-buffer record and
-   receive-queue cell) and A's send bookkeeping for the released
-   segment (its unacked-queue cell and push completion), the header
-   codecs, Iface and the Stack's dispatch allocate nothing. *)
+   receive-queue cell) and the push completion of A's released segment,
+   the header codecs, Iface, the Stack's dispatch and A's sender (whose
+   queue is one intrusive FIFO: releasing a segment moves its unsent
+   boundary) allocate nothing. *)
 let test_segment_words () =
   let config = { Tcp.Stack.default_config with rwnd_capacity = 64; window_scale = 0 } in
   let clock = ref 0 in
@@ -1640,7 +1662,7 @@ let test_segment_words () =
   for _ = 1 to rounds do
     round ()
   done;
-  let per_round = (2. *. frame_record) +. recv_buffer +. cell +. event +. (3. *. empty) in
+  let per_round = (2. *. frame_record) +. recv_buffer +. event +. (3. *. empty) in
   accounted := !accounted +. (float_of_int rounds *. per_round);
   check_int "nothing else crossed" 1 (Engine.Ring.length to_b);
   Alcotest.(check (float 0.)) "unaccounted minor words per round" 0.
@@ -1739,6 +1761,7 @@ let suite =
     Alcotest.test_case "tcp UAF protection on retransmit" `Quick test_uaf_protection_on_retransmit;
     Alcotest.test_case "tcp SYN loss recovery" `Quick test_syn_loss_recovery;
     Alcotest.test_case "tcp graceful close" `Quick test_graceful_close;
+    Alcotest.test_case "tcp lost fin is resent by rto" `Quick test_lost_fin;
     Alcotest.test_case "tcp abort resets peer" `Quick test_abort_resets_peer;
     Alcotest.test_case "unlisten aborts unaccepted connections, frees the port" `Quick
       test_unlisten_aborts_and_frees_port;
